@@ -4,7 +4,7 @@
 # Tools that only CI installs (ruff, mypy, pytest-cov) are skipped with
 # a notice when absent.  Usage:
 #
-#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + perf
+#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + e2e smoke + obs
 #   scripts/ci_local.sh --bench       # also the nightly bench smoke
 #   scripts/ci_local.sh --bench-full  # also the full (slow) benchmark suite
 set -u
@@ -41,9 +41,8 @@ with open(".github/workflows/ci.yml") as fh:
 jobs = doc["jobs"]
 expected = {
     "lint", "lint-invariants", "sanitizer-smoke", "test", "test-no-numpy",
-    "coverage", "faults-smoke", "elasticity-smoke", "perf-smoke",
-    "obs-smoke", "obs-overhead", "perf-baseline-refresh", "bench-smoke",
-    "bench-full",
+    "coverage", "faults-smoke", "elasticity-smoke", "e2e-smoke",
+    "obs-smoke", "obs-overhead", "bench-smoke", "bench-full",
 }
 assert expected <= set(jobs), jobs.keys()
 sseeds = jobs["sanitizer-smoke"]["strategy"]["matrix"]["sanitizer-seed"]
@@ -113,16 +112,11 @@ for seed in 11 29 4242; do
         env PYTHONPATH=src python -m repro --seed "$seed" rebalance
 done
 
-# -- perf-smoke job ---------------------------------------------------------
-# Runs every harness workload, including the read-heavy
-# read-sequential-deduped one: the baseline gates min_speedup,
-# min_read_speedup (read fan-out + coalescing + chunk data cache), and
-# the >60% re-read chunk-cache hit rate.
-step "perf-smoke: harness vs committed baseline" \
-    env PYTHONPATH=src python -m repro perf --fast --workers 4 \
-    --out BENCH_perf.json \
-    --profile BENCH_perf_profile.json \
-    --baseline benchmarks/baselines/perf_baseline.json
+# -- e2e-smoke job ----------------------------------------------------------
+# All four benchmark workloads at smoke size: oracle + scrub + span
+# check + traced-equals-untraced (run.py finds src/ itself).
+step "e2e-smoke: end-to-end benchmark smoke" \
+    python3 benchmarks/e2e/run.py --smoke
 
 # -- obs-smoke job ----------------------------------------------------------
 step "obs-smoke: traced workload + integrity checks" \
@@ -132,7 +126,7 @@ step "obs-smoke: span rollup report" \
     env PYTHONPATH=src python -m repro obs report --trace trace.jsonl
 
 # -- obs-overhead job -------------------------------------------------------
-step "obs-overhead: tracing overhead vs untraced + baseline" \
+step "obs-overhead: tracing overhead vs untraced" \
     env PYTHONPATH=src python scripts/check_obs_overhead.py
 
 # -- bench-smoke job (nightly; opt-in locally) ------------------------------
@@ -156,10 +150,6 @@ else
     echo
     echo "==> bench-full: skipped (pass --bench-full to run)"
 fi
-
-# -- perf-baseline-refresh job (manual-only in CI; notice here) --------------
-echo
-echo "==> perf-baseline-refresh: manual-only (run scripts/refresh_perf_baseline.py to regenerate)"
 
 echo
 if [ "$FAILURES" -ne 0 ]; then

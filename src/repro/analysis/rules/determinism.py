@@ -80,7 +80,9 @@ class WallClockRule(ScopedRule):
     ``repro.sim``/``repro.cluster``/``repro.core`` run entirely on the
     simulated clock; a real-time read there either leaks into simulated
     state (breaking determinism) or silently measures the wrong clock.
-    Wall-clock timing belongs to ``repro.perf``/``repro.bench``.
+    Wall-clock timing belongs outside them: ``benchmarks/e2e`` times
+    the host clock, and ``repro.fingerprint.timed_fingerprint`` is the
+    one in-tree helper the engine calls for hashing cost.
     """
 
     id = "DET001"
@@ -99,7 +101,7 @@ class WallClockRule(ScopedRule):
                     node,
                     f"wall-clock call {dotted}() in deterministic component"
                     f" {mod.module}; use the simulated clock (sim.now) or"
-                    f" move the measurement into repro.perf",
+                    f" move the measurement out of the simulated packages",
                 )
 
 

@@ -17,8 +17,7 @@ boundary test actually reads:
 
 :func:`windowed_values` evaluates such a decomposition for *every*
 candidate position in one vectorized pass — one fancy-indexed gather
-per window depth instead of one interpreted loop iteration per byte —
-which is where the chunking-stage speedup in ``repro perf`` comes from.
+per window depth instead of one interpreted loop iteration per byte.
 
 NumPy itself is an optional extra (``pip install repro[fast]``).  This
 module is the single place the import is attempted; consumers branch on

@@ -20,8 +20,7 @@ Two scanners implement the identical boundary function:
   automatically when NumPy is importable.
 
 Byte-identical output is a hard invariant, enforced by the Hypothesis
-cross-validation suite in ``tests/chunking/test_vectorized_equiv.py``
-and re-checked end-to-end by the perf harness verification step.
+cross-validation suite in ``tests/chunking/test_vectorized_equiv.py``.
 """
 
 from __future__ import annotations

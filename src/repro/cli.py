@@ -8,7 +8,6 @@ Usage::
     python -m repro scrub           # demo cluster + integrity scrub
     python -m repro faults          # seeded fault-injection run + verdict
     python -m repro rebalance       # online expand/decommission + verdict
-    python -m repro perf --fast     # hot-path wall-clock benchmark
     python -m repro obs trace       # traced workload -> span JSONL + checks
     python -m repro obs report      # per-stage span rollup + coverage
     python -m repro lint            # AST invariant checks on the source tree
@@ -194,63 +193,6 @@ def _cmd_rebalance(args) -> int:
           f"{'finalized' if result.finalized else 'NOT finalized'}")
     print(f"verdict:           {'CLEAN' if result.ok else 'DAMAGED'}")
     return 0 if result.ok else 1
-
-
-def _cmd_perf(args) -> int:
-    import json
-
-    from .perf import harness
-
-    report = harness.run_perf(
-        fast=True if args.fast else None,
-        seed=args.seed,
-        workers=args.workers,
-        trace=args.trace,
-    )
-    if args.profile:
-        # Profile a separate single-repeat pass: cProfile's per-call
-        # overhead would skew the gated numbers (and the machine-score
-        # calibration) if it wrapped the measured run above.
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        harness.run_perf(
-            fast=True if args.fast else None,
-            seed=args.seed,
-            repeats=1,
-            workers=args.workers,
-        )
-        profiler.disable()
-        from .perf.profile import profile_to_dict, write_profile
-
-        prof = profile_to_dict(profiler, top=args.profile_top)
-        write_profile(prof, args.profile)
-        print(f"profile written to {args.profile} (top {args.profile_top} by cumtime)")
-    for line in harness.render_report(report):
-        print(line)
-    if args.out:
-        harness.write_report(report, args.out)
-        print(f"report written to {args.out}")
-    if not report["summary"]["all_verified"]:
-        print("FAIL: batched and unbatched modes disagree", file=sys.stderr)
-        return 1
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except OSError as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        failures = harness.compare_to_baseline(
-            report, baseline, max_regression=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"baseline gate passed ({args.baseline})")
-    return 0
 
 
 def _cmd_obs(args) -> int:
@@ -467,62 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="run the elasticity scenario without the seeded fault plan",
     )
-    perf = sub.add_parser(
-        "perf",
-        help="wall-clock hot-path benchmark: batched vs per-op, verified",
-    )
-    perf.add_argument(
-        "--fast",
-        action="store_true",
-        help="small workloads (also via REPRO_BENCH_FAST=1)",
-    )
-    perf.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fingerprint pool threads for the dedup pipeline "
-        "(default: os.cpu_count(); 1 = serial inline hashing)",
-    )
-    perf.add_argument(
-        "--trace",
-        action="store_true",
-        help="run the simulated workloads with op tracing enabled and "
-        "attach per-stage span rollups to the report",
-    )
-    perf.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the JSON report here (e.g. BENCH_perf.json)",
-    )
-    perf.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="gate against a committed baseline JSON; non-zero exit on "
-        "regression",
-    )
-    perf.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed calibrated ops/s regression vs baseline (default 0.25)",
-    )
-    perf.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        help="run under cProfile and write the top functions by "
-        "cumulative time as JSON here",
-    )
-    perf.add_argument(
-        "--profile-top",
-        type=int,
-        default=40,
-        metavar="N",
-        help="how many functions the --profile artifact keeps (default 40)",
-    )
     obs = sub.add_parser(
         "obs",
         help="observability: trace a seeded workload, rollups, top spans",
@@ -654,7 +540,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scrub": _cmd_scrub,
         "faults": _cmd_faults,
         "rebalance": _cmd_rebalance,
-        "perf": _cmd_perf,
         "obs": _cmd_obs,
         "lint": _cmd_lint,
         "sanitize": _cmd_sanitize,

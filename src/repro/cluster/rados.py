@@ -670,112 +670,6 @@ class RadosCluster:
             yield from self._transfer(primary.node.nic, client.nic, len(data))
             return data
 
-    def read_batch(
-        self,
-        pool: Pool,
-        requests,
-        client: Optional[Client] = None,
-        span=NULL_SPAN,
-    ):
-        """Process: read many ``(oid, offset, length)`` ranges with one
-        request round per placement group.
-
-        The multi-op companion of :meth:`read` (the read-side peer of
-        :meth:`submit_batch`): requests are grouped by PG, and each
-        group costs one request RPC, one primary read per distinct
-        object (ranges of the *same* object are merged into one
-        covering disk read), and one combined transfer back to the
-        client — so a sequential scan over chunks co-located on a few
-        primaries pays O(groups) round trips instead of O(chunks).
-        Groups proceed in parallel.
-
-        Returns a list of byte strings aligned with ``requests``.  A
-        range past the stored object comes back short, exactly as with
-        :meth:`read`; a missing object raises :class:`NoSuchObject` for
-        the whole batch (reads are side-effect free, so callers retry
-        the batch as a unit).
-
-        On an erasure-coded pool nothing merges (every read is a
-        k-shard gather + decode), so items fall back to sequential
-        per-object reads.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        if len(requests) == 1:
-            oid, offset, length = requests[0]
-            data = yield from self.read(pool, oid, offset, length, client, span=span)
-            return [data]
-        with span.child(
-            "rados.read_batch", pool=pool.name, items=len(requests)
-        ) as s:
-            client = client or self._default_client
-            results: List[Optional[bytes]] = [None] * len(requests)
-            if pool.is_ec:
-                for i, (oid, offset, length) in enumerate(requests):
-                    results[i] = yield from self.read(
-                        pool, oid, offset, length, client, span=s
-                    )
-                return results
-            groups: Dict[int, List[int]] = {}
-            for i, (oid, _offset, _length) in enumerate(requests):
-                groups.setdefault(pool.pg_of(oid), []).append(i)
-            s.tag(pgs=len(groups))
-            procs = [
-                self.sim.process(
-                    self._read_group(pool, requests, groups[pg], client, results)
-                )
-                for pg in sorted(groups)
-            ]
-            yield self.sim.all_of(procs)
-            return results
-
-    def _read_group(self, pool: Pool, requests, indices, client, results):
-        """Process: serve one PG's share of a batched read.
-
-        One request RPC covers the group; per distinct object the
-        primary runs a single covering-range disk read (chunk objects
-        are small, so over-reading the gap between two ranges of the
-        same object is cheaper than a second dispatch), then the
-        group's payload travels to the client as one transfer.
-        """
-        yield from self._rpc_latency()  # request fan-out, once per group
-        by_oid: Dict[str, List[int]] = {}
-        order: List[str] = []
-        for i in indices:
-            oid = requests[i][0]
-            if oid not in by_oid:
-                by_oid[oid] = []
-                order.append(oid)
-            by_oid[oid].append(i)
-        total = 0
-        source: Optional[OSD] = None
-        for oid in order:
-            sub = by_oid[oid]
-            key = self.object_key(pool, oid)
-            if any(requests[i][2] is None for i in sub):
-                lo: int = 0
-                span_len: Optional[int] = None
-            else:
-                lo = min(requests[i][1] for i in sub)
-                hi = max(requests[i][1] + requests[i][2] for i in sub)
-                span_len = hi - lo
-            # Same failover semantics as a single read: only a primary
-            # dying mid-dispatch re-resolves; injected errors belong to
-            # the caller's retry layer.
-            primary, data = yield from self._read_with_failover(
-                pool, oid, key, lo, span_len
-            )
-            source = source or primary
-            for i in sub:
-                offset, length = requests[i][1], requests[i][2]
-                rel = offset - lo
-                piece = data[rel:] if length is None else data[rel : rel + length]
-                results[i] = piece
-                total += len(piece)
-        if source is not None:
-            yield from self._transfer(source.node.nic, client.nic, total)
-
     def _read_with_failover(self, pool: Pool, oid: str, key: ObjectKey, offset, length):
         """Process: read at the primary, failing over to the next up
         replica if the primary dies between dispatch and execution.

@@ -94,13 +94,6 @@ class DedupConfig:
     hot_requeue_delay: float = 1.0
     refcount_mode: str = "strict"
 
-    #: Batch chunk-pool reference updates: a dedup pass accumulates its
-    #: ``chunk_ref``/``chunk_deref`` operations in a ChunkBatch and
-    #: commits them through one prepared transaction per placement
-    #: group instead of one round trip per refcount update.  Only
-    #: effective on replicated chunk pools (EC mutations are per-object
-    #: full-stripe RMWs — nothing merges).
-    batch_refs: bool = True
     #: LRU cache of hot chunk-object RefSets in front of ``_load_refs``
     #: (skips the per-lookup deserialization on repeat-duplicate
     #: workloads).  0 disables.
@@ -123,29 +116,9 @@ class DedupConfig:
     #: Bound on the admission filter's ghost list (fingerprints seen
     #: once, no payload held).
     chunk_cache_ghost_entries: int = 4096
-    #: Bounded in-flight window for parallel chunk-pool reads on the
-    #: read path: at most this many chunk fetches are outstanding per
-    #: logical read.  0 issues them one at a time, sequentially (the
-    #: pre-optimisation baseline).
-    read_fanout_window: int = 16
-    #: Coalesce chunk-pool reads that share a placement group into one
-    #: ``RadosCluster.read_batch`` multi-op (O(holders) round trips per
-    #: sequential scan instead of O(chunks)).  Compressed chunk pools
-    #: fall back to per-chunk reads — decompression needs whole chunks.
-    coalesce_reads: bool = True
-    #: Commit chunk-map mutations incrementally (v2 format): per-entry
-    #: omap records under ``map.<idx>`` plus a small header xattr, so a
-    #: 1-chunk update serialises one 150-byte entry instead of the whole
-    #: map.  Off: every commit rewrites the legacy whole-map blob.
-    incremental_map_commits: bool = True
     #: Background dedup thread count (paper §3.2: "background
     #: deduplication threads periodically conduct a deduplication job").
     engine_workers: int = 8
-    #: Host threads hashing chunk digests in parallel during a flush
-    #: pass (``repro.fingerprint.FingerprintPool``; hashlib releases the
-    #: GIL so this is real wall-clock parallelism).  ``None`` resolves
-    #: to ``os.cpu_count()``; ``1`` hashes inline with no thread pool.
-    fingerprint_workers: Optional[int] = None
 
     #: Retry/backoff plumbing (see ``repro.faults.retry``): transient
     #: substrate errors (injected EIO, partitions, degraded PGs) are
@@ -191,11 +164,6 @@ class DedupConfig:
             raise ValueError("hit_count_threshold must be >= 1")
         if self.engine_workers < 1:
             raise ValueError("engine_workers must be >= 1")
-        if self.fingerprint_workers is not None and self.fingerprint_workers < 1:
-            raise ValueError(
-                f"fingerprint_workers must be >= 1 (or None for cpu_count), "
-                f"got {self.fingerprint_workers}"
-            )
         if self.cache_policy not in ("lru", "lfu", "fifo"):
             raise ValueError(
                 f"cache_policy must be 'lru', 'lfu' or 'fifo', "
@@ -237,10 +205,6 @@ class DedupConfig:
             raise ValueError(
                 f"chunk_cache_ghost_entries must be >= 0, "
                 f"got {self.chunk_cache_ghost_entries}"
-            )
-        if self.read_fanout_window < 0:
-            raise ValueError(
-                f"read_fanout_window must be >= 0, got {self.read_fanout_window}"
             )
         if self.trace_max_spans < 0:
             raise ValueError(

@@ -32,7 +32,7 @@ from typing import Optional
 
 from ..cluster import Transaction
 from ..faults.errors import is_retryable
-from ..fingerprint import FingerprintPool
+from ..fingerprint import timed_fingerprint
 from ..obs import NULL_SPAN
 from .objects import ChunkRef
 from .refcount import make_refcounter
@@ -74,8 +74,6 @@ class DedupEngine:
         self._running = False
         self._procs = []
         self._promoting = set()
-        self._fp_pool: Optional[FingerprintPool] = None
-        self._fp_workers: Optional[int] = None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -84,44 +82,12 @@ class DedupEngine:
         """Whether any background worker is active."""
         return self._running and any(p.is_alive for p in self._procs)
 
-    @property
-    def fingerprint_pool(self) -> FingerprintPool:
-        """The engine's digest pool (created lazily).
-
-        Sized from the ``fingerprint_workers`` override given to
-        :meth:`start`, falling back to ``config.fingerprint_workers``
-        (``None`` → ``os.cpu_count()``, resolved by the pool itself).
-        """
-        if self._fp_pool is None:
-            workers = self._fp_workers
-            if workers is None:
-                workers = self.config.fingerprint_workers
-            self._fp_pool = FingerprintPool(
-                workers=workers, algorithm=self.config.fingerprint_algorithm
-            )
-        return self._fp_pool
-
-    def set_fingerprint_workers(self, workers: Optional[int]) -> None:
-        """Resize the digest pool (takes effect on the next flush pass)."""
-        self._fp_workers = workers
-        if self._fp_pool is not None:
-            self._fp_pool.shutdown()
-            self._fp_pool = None
-
-    def start(
-        self,
-        workers: Optional[int] = None,
-        fingerprint_workers: Optional[int] = None,
-    ) -> None:
+    def start(self, workers: Optional[int] = None) -> None:
         """Launch the background worker loops (idempotent).
 
         ``workers`` defaults to ``config.engine_workers`` — the paper's
         design runs multiple background deduplication threads.
-        ``fingerprint_workers`` sizes the digest thread pool shared by
-        all of them (see :class:`~repro.fingerprint.FingerprintPool`).
         """
-        if fingerprint_workers is not None:
-            self.set_fingerprint_workers(fingerprint_workers)
         if self.running:
             return
         self._running = True
@@ -211,14 +177,10 @@ class DedupEngine:
         batch = ChunkBatch() if tier.batching_enabled else None
         planned = []  # (batch op index, fp, ref, nbytes) awaiting commit
         changed = False
-        pool = self.fingerprint_pool
         # Stage 1 of the flush pipeline assembles each dirty chunk's
-        # bytes; the digests then fan out to the pool in one sharded
-        # batch, and stage 2 consumes the results strictly in submission
-        # order — every map/refcount update happens in the same sequence
-        # as the sequential path regardless of hashing-thread scheduling.
+        # bytes, the digests are then computed in one go, and stage 2
+        # applies the map/refcount updates in chunk-index order.
         staged = []  # (chunk index, entry, data) awaiting fingerprints
-        handles = []  # aligned FingerprintHandles once stage 1 completes
         try:
             with span.child("engine.chunk_assemble") as s_asm:
                 for idx in cmap.dirty_indices():
@@ -261,15 +223,17 @@ class DedupEngine:
                     yield from primary.node.cpu.fingerprint(len(data))
                     staged.append((idx, entry, data))
                 s_asm.tag(chunks=len(staged))
-            with span.child("engine.fingerprint", chunks=len(staged)) as s_fp:
-                handles = pool.submit_many(
-                    (data for _idx, _entry, data in staged), span=s_fp
-                )
-            for (idx, entry, data), handle in zip(staged, handles):
-                fp = handle.result()
-                tier.stage.fingerprint_seconds += handle.seconds
-                tier.stage.fingerprint_ops += 1
-                tier.stage.fingerprint_bytes += len(data)
+            with span.child("engine.fingerprint", chunks=len(staged)):
+                digests = []  # hex fingerprints aligned with ``staged``
+                for _idx, _entry, data in staged:
+                    fp, seconds = timed_fingerprint(
+                        data, self.config.fingerprint_algorithm
+                    )
+                    tier.stage.fingerprint_seconds += seconds
+                    tier.stage.fingerprint_ops += 1
+                    tier.stage.fingerprint_bytes += len(data)
+                    digests.append(fp)
+            for (idx, entry, data), fp in zip(staged, digests):
                 ref = ChunkRef(tier.metadata_pool.pool_id, oid, entry.offset)
                 if entry.chunk_id and entry.chunk_id != fp:
                     # §4.4.1 step 3: the entry stops referencing its old
@@ -356,47 +320,17 @@ class DedupEngine:
             # I/O path's retries gave up) abandons the pass *before* the
             # chunk map commits — the dirty bits stay authoritative, so
             # nothing is lost.  References taken this pass are released;
-            # the object comes back via the dirty list.  Fingerprint
-            # futures still in flight are consumed first so the aborted
-            # pass leaves nothing outstanding in the pool.
-            self._abandon_staged(handles)
+            # the object comes back via the dirty list.
             if not is_retryable(exc):
                 raise
             yield from self._undo_refs(taken, via, span=span)
             self.stats.objects_requeued_fault += 1
             tier.requeue_dirty(oid, delay=self.config.fault_requeue_delay)
             return "faulted"
-        finally:
-            self._sync_pool_stats()
         if pending_derefs:
             yield from self._apply_derefs(pending_derefs, via, span=span)
         self.stats.objects_processed += 1
         return "done"
-
-    def _abandon_staged(self, handles) -> None:
-        """Settle every staged fingerprint future (idempotent, no-throw).
-
-        ``FingerprintHandle.result()`` removes the task from the pool's
-        outstanding set even on failure, so after this the pool holds no
-        reference to any chunk payload from the aborted pass.
-        """
-        for handle in handles:
-            try:
-                handle.result()
-            except Exception:
-                pass
-
-    def _sync_pool_stats(self) -> None:
-        """Mirror the digest pool's counters into the stage report."""
-        pool = self._fp_pool
-        if pool is None:
-            return
-        stage = self.tier.stage
-        stage.fingerprint_workers = pool.workers
-        stage.fingerprint_pool_tasks = pool.stats.tasks
-        stage.fingerprint_pool_spans = pool.stats.spans
-        stage.fingerprint_pool_busy_seconds = pool.stats.busy_seconds
-        stage.fingerprint_pool_wall_seconds = pool.stats.wall_seconds
 
     def _apply_derefs(self, pairs, via, span=NULL_SPAN):
         """Process: release old-chunk references after the map commits.
@@ -601,12 +535,6 @@ class DedupEngine:
                 raise RuntimeError("drain did not converge")
             if result == "raced":
                 continue
-        # Quiesce the digest pool before GC: an aborted mid-pipeline
-        # flush must not leave futures (holding chunk payloads) in
-        # flight while the collector decides what is reachable.
-        if self._fp_pool is not None:
-            self._fp_pool.quiesce()
-            self._sync_pool_stats()
         if run_gc:
             node = next(iter(self.tier.cluster.nodes.values()))
             yield from self.refcount.gc(NodeClient(node))

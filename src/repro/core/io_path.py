@@ -103,34 +103,6 @@ def _read_chunk_piece(tier, chunk_id, offset, length, client, span=NULL_SPAN):
         return data
 
 
-def _read_chunk_group(tier, fetches, client, span=NULL_SPAN):
-    """Process: one coalesced multi-op read for chunk fetches sharing a
-    placement group (:meth:`~repro.cluster.RadosCluster.read_batch`).
-
-    Returns a list of byte strings aligned with ``fetches``.  Retried
-    as a unit — reads are side-effect free, so a transient fault just
-    re-issues the whole group.
-    """
-    cluster = tier.cluster
-    client = client or cluster._default_client
-
-    with span.child("tier.read_group", chunks=len(fetches)) as s:
-
-        def attempt():
-            # Forwarding hop: metadata primary -> chunk-pool primaries.
-            yield tier.sim.timeout(cluster.profile.nic.latency)
-            data = yield from cluster.read_batch(
-                tier.chunk_pool,
-                [(cid, f_off, f_len) for cid, f_off, f_len, _admit, _p in fetches],
-                client,
-                span=s,
-            )
-            return data
-
-        data = yield from tier.retrying(attempt, op="read_batch", span=s)
-        return data
-
-
 def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None):
     """Process: write ``data`` at ``offset`` of object ``oid``.
 
@@ -365,22 +337,16 @@ def _windowed(window, gen):
 def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL_SPAN):
     """Process: fetch every planned piece and assemble ``buf`` in place.
 
-    Three layers, each independently disableable (the UNBATCHED perf
-    baseline turns all three off):
+    Two layers:
 
     1. **chunk data cache** — chunk-backed pieces whose fingerprint is
        resident are served from memory with no simulated I/O; misses on
        a second-sighted fingerprint widen the fetch to the whole chunk
        so it can be admitted (never a torn payload — admission checks
        the length against the map entry);
-    2. **contiguity-aware coalescing** — remaining fetches are grouped
-       by the placement group holding the chunk and issued as one
-       :meth:`~repro.cluster.RadosCluster.read_batch` multi-op per
-       group (compressed pools fall back to per-chunk reads, which
-       need whole-chunk decompression anyway);
-    3. **bounded fan-out** — the resulting jobs (cached pieces + chunk
-       fetches/groups) run concurrently through the tier's read window,
-       or strictly one at a time when the window is disabled.
+    2. **bounded fan-out** — the remaining jobs (cached pieces + one
+       redirected fetch per chunk) run concurrently through the tier's
+       read window.
 
     Cache hit/miss tallies are folded into the stage counters only when
     the attempt completes, so a ``NoSuchObject`` race retried by
@@ -436,33 +402,10 @@ def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL
         gen = _read_cached_piece(tier, oid, sstart, ln, client, span)
         jobs.append((gen, lambda seg, s=sstart, n=ln: _place_segment(
             tier, buf, base, s, n, seg, span)))
-    batches = 0
-    batched_chunks = 0
-    coalesce = (
-        tier.config.coalesce_reads
-        and not tier.config.compress_chunks
-        and len(fetches) > 1
-    )
-    if coalesce:
-        groups: "OrderedDict[int, list]" = OrderedDict()
-        for fetch in fetches:
-            groups.setdefault(tier.chunk_pool.pg_of(fetch[0]), []).append(fetch)
-        for pg in sorted(groups):
-            grp = groups[pg]
-            gen = _read_chunk_group(tier, grp, client, span)
-
-            def handle_group(results, grp=grp):
-                for fetch, data in zip(grp, results):
-                    place_fetch(fetch, data)
-
-            jobs.append((gen, handle_group))
-        batches = len(groups)
-        batched_chunks = len(fetches)
-    else:
-        for fetch in fetches:
-            chunk_id, f_off, f_len, _admit, _pieces = fetch
-            gen = _read_chunk_piece(tier, chunk_id, f_off, f_len, client, span)
-            jobs.append((gen, lambda data, f=fetch: place_fetch(f, data)))
+    for fetch in fetches:
+        chunk_id, f_off, f_len, _admit, _pieces = fetch
+        gen = _read_chunk_piece(tier, chunk_id, f_off, f_len, client, span)
+        jobs.append((gen, lambda data, f=fetch: place_fetch(f, data)))
 
     window = tier.read_window
     with span.child("tier.read_fanout") as s_f:
@@ -470,12 +413,10 @@ def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL
             jobs=len(jobs),
             cache_hits=hits,
             chunk_fetches=len(fetches),
-            batches=batches,
-            window=tier.config.read_fanout_window,
+            window=window.capacity,
         )
-        if window is None or len(jobs) <= 1:
-            # Sequential issue: the pre-optimisation baseline (and the
-            # trivial single-job case, where a process adds only cost).
+        if len(jobs) <= 1:
+            # A single job runs inline: a process would add only cost.
             for gen, handle in jobs:
                 result = yield from gen
                 handle(result)
@@ -489,8 +430,6 @@ def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL
     tier.stage.chunk_cache_hits += hits
     tier.stage.chunk_cache_misses += misses
     tier.stage.fanout_chunk_reads += len(fetches)
-    tier.stage.fanout_batches += batches
-    tier.stage.fanout_batched_chunks += batched_chunks
 
 
 def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):

@@ -45,7 +45,6 @@ from .objects import (
     RefSet,
     decode_stored_map,
     is_v2_map_header,
-    map_entry_key,
 )
 from .rate_control import OpWindow, RateController
 from .read_cache import ChunkDataCache
@@ -60,6 +59,9 @@ __all__ = [
 
 #: xattr on chunk objects recording the payload encoding ("raw"/"zlib").
 CHUNK_ENCODING_XATTR = "dedup.encoding"
+
+#: At most this many chunk fetches are outstanding per logical read.
+READ_FANOUT_WINDOW = 16
 
 
 class NodeClient:
@@ -212,8 +214,8 @@ class DedupTier:
         #: cache vs redirected to the chunk pool.
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Hot-path stage counters (chunking/fingerprint/ref/flush) the
-        #: perf harness snapshots; always on, bumped inline.
+        #: Hot-path stage counters (chunking/fingerprint/ref/flush);
+        #: always on, bumped inline.
         self.stage = StageCounters()
         # Versioned LRU of decoded ChunkMaps in front of load_chunk_map:
         # oid -> (version, ChunkMap).  The cache holds *committed
@@ -267,16 +269,11 @@ class DedupTier:
             ghost_entries=self.config.chunk_cache_ghost_entries,
         )
         #: Bounded in-flight window for parallel chunk fetches on the
-        #: read path; ``None`` means the read loop issues them one at a
-        #: time (``read_fanout_window = 0``).  Deliberately unlabeled:
-        #: a counted fan-out window is a device-style throttle, not a
-        #: lock — the runtime lock sanitizer must not treat the N
-        #: concurrent holders as suspect double-acquires.
-        self.read_window: Optional[Resource] = (
-            Resource(cluster.sim, capacity=self.config.read_fanout_window)
-            if self.config.read_fanout_window > 0
-            else None
-        )
+        #: read path.  Deliberately unlabeled: a counted fan-out window
+        #: is a device-style throttle, not a lock — the runtime lock
+        #: sanitizer must not treat the N concurrent holders as suspect
+        #: double-acquires.
+        self.read_window = Resource(cluster.sim, capacity=READ_FANOUT_WINDOW)
         #: Hook invoked (with the oid) when a read finds a hot object
         #: whose chunks are not cached; the facade wires it to the
         #: engine's promotion path (§5: hot objects are cached into the
@@ -414,7 +411,7 @@ class DedupTier:
         """
         version = self.map_version(oid) + 1
         self._map_versions[oid] = version
-        cmap.stored_v2 = self.config.incremental_map_commits
+        cmap.stored_v2 = True
         cmap.clear_touched()
         # Cache a private snapshot: the caller keeps ownership of
         # ``cmap`` and may keep mutating it without polluting the
@@ -521,12 +518,11 @@ class DedupTier:
     def append_map_commit(self, txn: Transaction, oid: str, cmap: ChunkMap) -> None:
         """Add ``cmap``'s commit ops for ``oid`` to ``txn``.
 
-        Incremental mode (v2): writes the small header xattr plus one
+        Incremental (v2) format: writes the small header xattr plus one
         omap record per *touched* entry — a 1-chunk update serialises
         one 150-byte record instead of the whole map.  A map decoded
-        from the legacy blob is upgraded by writing every entry once.
-        Whole-map mode (v1): rewrites the full blob (and clears any v2
-        omap records left by an earlier incremental era).
+        from the legacy whole-map blob is upgraded by writing every
+        entry once.
 
         The caller owns the commit outcome: on success call
         :meth:`note_map_committed`; on a fault that may have mutated the
@@ -535,28 +531,18 @@ class DedupTier:
         only cleared by ``note_map_committed``.
         """
         key = self.metadata_key(oid)
-        total = len(cmap)
-        if self.config.incremental_map_commits:
-            header = cmap.serialize_header_v2(self.map_version(oid) + 1)
-            indices = cmap.touched_indices() if cmap.stored_v2 else cmap.indices()
-            entries = cmap.omap_entries(indices)
-            txn.setxattr(key, CHUNK_MAP_XATTR, header)
-            if entries:
-                txn.omap_set(key, entries)
-            self.stage.map_commits_incremental += 1
-            self.stage.map_entries_serialized += len(entries)
-            self.stage.map_bytes_serialized += len(header) + sum(
-                len(v) for v in entries.values()
-            )
-        else:
-            blob = cmap.serialize()
-            txn.setxattr(key, CHUNK_MAP_XATTR, blob)
-            if cmap.stored_v2:
-                txn.omap_rm(key, [map_entry_key(i) for i in cmap.indices()])
-            self.stage.map_commits_full += 1
-            self.stage.map_entries_serialized += total
-            self.stage.map_bytes_serialized += len(blob)
-        self.stage.map_entries_total += total
+        header = cmap.serialize_header_v2(self.map_version(oid) + 1)
+        indices = cmap.touched_indices() if cmap.stored_v2 else cmap.indices()
+        entries = cmap.omap_entries(indices)
+        txn.setxattr(key, CHUNK_MAP_XATTR, header)
+        if entries:
+            txn.omap_set(key, entries)
+        self.stage.map_commits_incremental += 1
+        self.stage.map_entries_serialized += len(entries)
+        self.stage.map_bytes_serialized += len(header) + sum(
+            len(v) for v in entries.values()
+        )
+        self.stage.map_entries_total += len(cmap)
 
     def read_local_chunk(self, oid: str, offset: int, length: int):
         """Process: read cached chunk bytes at the metadata primary.
@@ -803,7 +789,7 @@ class DedupTier:
         merges and a mid-batch fault would leave a committed prefix
         (see :meth:`~repro.cluster.RadosCluster.submit_batch`).
         """
-        return self.config.batch_refs and not self.chunk_pool.is_ec
+        return not self.chunk_pool.is_ec
 
     # repro-lint: flt-scope -- commit primitive: two-phase prepare makes a fault all-or-nothing; callers own the requeue/defer policy
     def commit_chunk_batch(self, batch: ChunkBatch, via, span=NULL_SPAN):

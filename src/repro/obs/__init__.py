@@ -5,7 +5,7 @@ The package is an import *leaf*: it depends on nothing else in
 ``repro.faults``) and the collectors (``repro.metrics``) can all import
 it without cycles.  Spans run on an *injected* clock — the dedup tier
 passes the simulation clock (keeping DET001's no-wall-clock invariant),
-while the perf harness may pass ``time.perf_counter``.
+while a host-side caller may pass ``time.perf_counter``.
 """
 
 from .integrity import check_trace, stage_rollup

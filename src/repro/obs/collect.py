@@ -96,11 +96,9 @@ def storage_metrics(
         ).set(len(chunk_cache))
 
     read_fanout = reg.gauge(
-        "repro_read_fanout", "Read-path fan-out and coalescing", labels=("stat",)
+        "repro_read_fanout", "Read-path fan-out", labels=("stat",)
     )
     read_fanout.labels(stat="chunk_reads").set(stages.fanout_chunk_reads)
-    read_fanout.labels(stat="batches").set(stages.fanout_batches)
-    read_fanout.labels(stat="batched_chunks").set(stages.fanout_batched_chunks)
 
     space = storage.tier.space_report()
     space_gauge = reg.gauge(

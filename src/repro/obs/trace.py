@@ -8,8 +8,8 @@ wait, chunk assembly, fingerprinting, the RADOS two-phase commit, ...).
 Design constraints baked in here:
 
 * **No wall clock.**  The clock is a constructor argument; code under
-  the DET001 lint scope passes ``lambda: sim.now``.  The perf harness
-  may pass ``time.perf_counter`` for wall-time traces.
+  the DET001 lint scope passes ``lambda: sim.now``.  A host-side
+  caller may pass ``time.perf_counter`` for wall-time traces.
 * **Near-zero cost when disabled.**  A disabled tracer returns the
   :data:`NULL_SPAN` singleton whose methods are all no-ops and whose
   ``child()`` returns itself, so the hot path pays only an attribute

@@ -1,19 +1,9 @@
-"""Wall-clock performance measurement for the dedup hot path.
+"""Always-on hot-path counters.
 
-Two pieces:
-
-* :mod:`.stages` — the always-on :class:`StageCounters` the tier and
-  engine bump inline (chunking / fingerprint / ref / flush);
-* :mod:`.harness` — the ``repro perf`` harness: fixed-seed fio and
-  backup workloads run in batched and unbatched mode, verified for
-  byte-identical read-back, identical refcounts, and a clean scrub,
-  and emitted as ``BENCH_perf.json`` (the artifact CI's perf-smoke job
-  gates on).
-
-``harness`` is imported lazily (``from repro.perf import harness`` or
-via the CLI) because it pulls in the whole core package; importing
-``repro.perf`` itself stays cheap so the tier can use the counters
-without a circular import.
+:mod:`.stages` holds the :class:`StageCounters` the tier and engine bump
+inline (chunking / fingerprint / ref / map / read path / flush).
+Wall-clock measurement lives in ``benchmarks/e2e`` — the one perf
+reference (see ``benchmarks/e2e/README.md``).
 """
 
 from .stages import StageCounters

@@ -2,7 +2,7 @@
 
 The tier and engine keep one :class:`StageCounters` per
 :class:`~repro.core.tier.DedupTier` and bump it inline as work flows
-through the four hot-path stages the perf harness reports on:
+through the four hot-path stages:
 
 * **chunking** — dirty-chunk assembly (cache reads + merge) in the
   engine;
@@ -15,8 +15,9 @@ through the four hot-path stages the perf harness reports on:
 * **flush** — chunk payloads newly stored in the chunk pool.
 
 Counters are plain ints/floats — cheap enough to stay always-on — and
-live here (not in ``repro.core``) so the perf harness can snapshot and
-diff them without reaching into engine internals.
+live here (not in ``repro.core``) so ``benchmarks/e2e`` and
+``repro.obs.collect`` can snapshot and diff them without reaching into
+engine internals.
 """
 
 from __future__ import annotations
@@ -40,14 +41,6 @@ class StageCounters:
     #: Wall-clock seconds inside the hash call (synchronous, so this is
     #: real host time, not simulated time).
     fingerprint_seconds: float = 0.0
-    #: Digest-pool parallelism (see ``repro.fingerprint.FingerprintPool``):
-    #: configured worker threads, digests fanned out, busy spans, and the
-    #: busy/wall second pair whose ratio estimates achieved parallelism.
-    fingerprint_workers: int = 0
-    fingerprint_pool_tasks: int = 0
-    fingerprint_pool_spans: int = 0
-    fingerprint_pool_busy_seconds: float = 0.0
-    fingerprint_pool_wall_seconds: float = 0.0
 
     # -- ref: chunk-pool reference traffic ------------------------------
     #: Logical reference mutations (each ref or deref counts once).
@@ -75,17 +68,15 @@ class StageCounters:
     map_cache_invalidations: int = 0
     #: Chunk-map entries actually serialised by commits vs. the entries
     #: the committed maps held in total.  Incremental (v2) commits keep
-    #: the first well below the second on small-I/O workloads; whole-map
-    #: rewrites pin them equal.
+    #: the first well below the second on small-I/O workloads.
     map_entries_serialized: int = 0
     map_entries_total: int = 0
     #: Bytes of map metadata written by commits (headers + entries).
     map_bytes_serialized: int = 0
-    #: Map commits by writer format.
+    #: Map commits (all in the incremental v2 format).
     map_commits_incremental: int = 0
-    map_commits_full: int = 0
 
-    # -- read path: fan-out, coalescing, chunk data cache ---------------
+    # -- read path: fan-out, chunk data cache ---------------------------
     #: Chunk-pool reads served entirely from the chunk data cache
     #: (content-addressed payload LRU; no simulated I/O at all), and the
     #: lookups that fell through to the pool.  Counted only when the
@@ -100,10 +91,6 @@ class StageCounters:
     #: Chunk-object fetches the read path issued to the pool (after the
     #: data cache, with same-chunk pieces merged).
     fanout_chunk_reads: int = 0
-    #: Coalesced ``read_batch`` round trips, and the chunk fetches they
-    #: carried (fanout_batched_chunks / fanout_batches = merge factor).
-    fanout_batches: int = 0
-    fanout_batched_chunks: int = 0
 
     # -- read path anomalies --------------------------------------------
     #: Chunk segments that came back short from the substrate and were

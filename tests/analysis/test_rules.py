@@ -34,9 +34,9 @@ def test_det001_flags_wall_clock_calls():
 
 
 def test_det001_out_of_scope_module_is_clean():
-    # The same file placed under repro.perf (the sanctioned home for
-    # wall-clock timing) must not trigger DET001.
-    result = lint_fixtures({"det001.py": "repro.perf.fixture_det001"})
+    # The same file placed under repro.fingerprint (home of the one
+    # sanctioned wall-clock helper) must not trigger DET001.
+    result = lint_fixtures({"det001.py": "repro.fingerprint.fixture_det001"})
     assert found(result, "DET001") == ()
 
 

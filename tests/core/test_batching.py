@@ -29,7 +29,6 @@ def make_tier(batched: bool, **overrides):
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
     config = DedupConfig(
         chunk_size=1024,
-        batch_refs=batched,
         refset_cache_entries=64 if batched else 0,
         chunk_bloom_capacity=1024 if batched else 0,
         **overrides,

@@ -4,7 +4,7 @@ The cache serves the metadata hot path; every test here guards one of
 its invariants: hits only at the committed version, invalidation by
 every owner that can change the stored map behind the cache (aborted
 passes, deletes, GC, recovery, rebalance), and the v2 omap commit
-format staying interchangeable with the legacy whole-blob format.
+format still reading (and upgrading) legacy whole-map blobs.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.core.objects import (
     MAP_OMAP_PREFIX,
+    ChunkMap,
     ChunkMapEntry,
     is_v2_map_header,
     map_entry_key,
@@ -52,6 +53,20 @@ def stored_map_keys(storage, oid):
     return sorted(
         k for k in stored_meta(storage, oid).omap if k.startswith(MAP_OMAP_PREFIX)
     )
+
+
+def store_legacy_blob(storage, oid, cmap):
+    """Rewrite ``oid``'s stored map, on every replica and behind the
+    tier's back, as a legacy whole-map (v1 ``CMAP``) blob."""
+    blob = cmap.serialize()
+    key = storage.tier.metadata_key(oid)
+    for osd in storage.cluster.osds.values():
+        if osd.store.exists(key):
+            obj = osd.store.get(key)
+            obj.xattrs[CHUNK_MAP_XATTR] = blob
+            for k in list(obj.omap):
+                if k.startswith(MAP_OMAP_PREFIX):
+                    del obj.omap[k]
 
 
 # -- cache mechanics ---------------------------------------------------------
@@ -327,19 +342,9 @@ def test_repair_listener_exposes_out_of_band_map_change():
     storage.write_sync("obj1", b"i" * CHUNK)
     assert load_map(storage, "obj1").get(0).dirty
     # Out-of-band rewrite on every replica: entry length shrunk to 7.
-    from repro.core.objects import ChunkMap
-
     doctored = ChunkMap(CHUNK)
     doctored.set(ChunkMapEntry(0, 7))
-    blob = doctored.serialize()
-    key = storage.tier.metadata_key("obj1")
-    for osd in storage.cluster.osds.values():
-        if osd.store.exists(key):
-            obj = osd.store.get(key)
-            obj.xattrs[CHUNK_MAP_XATTR] = blob
-            for k in list(obj.omap):
-                if k.startswith(MAP_OMAP_PREFIX):
-                    del obj.omap[k]
+    store_legacy_blob(storage, "obj1", doctored)
     # Without the notification the cache would still serve the old map.
     storage.cluster.notify_repaired()
     assert load_map(storage, "obj1").get(0).length == 7
@@ -384,7 +389,6 @@ def test_small_update_serializes_only_touched_entries():
     storage.write_sync("obj1", b"P" * 16, offset=5 * CHUNK + 100)
     assert stage.map_entries_serialized == before + 1
     assert stage.map_commits_incremental >= 2
-    assert stage.map_commits_full == 0
     # Stored map still covers all 8 chunks and reads back correctly.
     assert len(stored_map_keys(storage, "obj1")) == 8
     expected = bytearray(b"k" * 8 * CHUNK)
@@ -402,45 +406,18 @@ def test_dedup_pass_commits_only_processed_entries():
     # must not rewrite the map wholesale per entry.
     delta = stage.map_entries_serialized - before
     assert delta <= 8  # flush + eviction commits, all incremental
-    assert stage.map_commits_full == 0
     fp = fingerprint(b"l" * CHUNK)
     assert storage.cluster.exists(storage.tier.chunk_pool, fp)
-
-
-def test_whole_map_mode_keeps_v1_format():
-    storage = make_storage(incremental_map_commits=False)
-    storage.write_sync("obj1", b"m" * 3 * CHUNK)
-    storage.drain()
-    obj = stored_meta(storage, "obj1")
-    assert obj.xattrs[CHUNK_MAP_XATTR][:4] == b"CMAP"
-    assert stored_map_keys(storage, "obj1") == []
-    stage = storage.tier.stage
-    assert stage.map_commits_incremental == 0
-    assert stage.map_commits_full > 0
-    assert storage.read_sync("obj1") == b"m" * 3 * CHUNK
-
-
-def test_downgrade_from_v2_clears_omap_records():
-    """Turning incremental commits off after a v2 era must remove the
-    per-entry records, or a later upgrade would resurrect stale ones."""
-    storage = make_storage()
-    storage.write_sync("obj1", b"n" * 2 * CHUNK)
-    assert len(stored_map_keys(storage, "obj1")) == 2
-    storage.tier.config.incremental_map_commits = False
-    storage.write_sync("obj1", b"o" * 2 * CHUNK)
-    obj = stored_meta(storage, "obj1")
-    assert obj.xattrs[CHUNK_MAP_XATTR][:4] == b"CMAP"
-    assert stored_map_keys(storage, "obj1") == []
-    assert storage.read_sync("obj1") == b"o" * 2 * CHUNK
 
 
 def test_v1_to_v2_upgrade_writes_every_entry():
     """A map decoded from a legacy blob has no touched history: the
     first incremental commit must write all entries."""
-    storage = make_storage(incremental_map_commits=False)
+    storage = make_storage()
     storage.write_sync("obj1", b"p" * 3 * CHUNK)
+    store_legacy_blob(storage, "obj1", load_map(storage, "obj1"))
+    assert stored_meta(storage, "obj1").xattrs[CHUNK_MAP_XATTR][:4] == b"CMAP"
     assert stored_map_keys(storage, "obj1") == []
-    storage.tier.config.incremental_map_commits = True
     storage.tier.invalidate_map_cache("obj1")  # force decode from v1 blob
     storage.write_sync("obj1", b"q" * 16, offset=CHUNK + 5)
     # Upgrade: header flipped to v2 and every entry materialised.

@@ -1,10 +1,9 @@
-"""Engine flush pipeline with a parallel fingerprint stage.
+"""Engine flush pipeline: assemble -> hash -> per-PG batched commit.
 
-The flush pipeline is chunk -> sharded fingerprint fan-out -> ordered
-gather -> per-PG batched commit.  These tests pin the determinism
-contract (``fingerprint_workers > 1`` is observationally identical to
-serial hashing, including under injected faults) and the drain/abort
-hygiene (no FingerprintPool future may outlive the pass that staged it).
+These tests pin the abort hygiene (a pass that faults after hashing
+takes no reference and comes back via the dirty list) and the
+convergence contract (a flush under injected faults ends in the same
+state as a fault-free one).
 """
 
 import pytest
@@ -16,12 +15,11 @@ from repro.faults.errors import TransientOpError
 from repro.fingerprint import fingerprint
 
 
-def make_storage(fingerprint_workers=1, **config_overrides):
+def make_storage(**config_overrides):
     defaults = dict(
         chunk_size=1024,
         dedup_interval=0.01,
         hitset_period=0.5,
-        fingerprint_workers=fingerprint_workers,
     )
     defaults.update(config_overrides)
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
@@ -45,103 +43,51 @@ def flush_all(storage, objects):
     storage.drain()
 
 
-def assert_equivalent(parallel, serial, objects):
+def assert_equivalent(faulted, pristine, objects):
     fps = {fingerprint(data) for data in objects.values()}
     for fp in fps:
-        assert parallel.tier.chunk_refcount(fp) == serial.tier.chunk_refcount(fp)
-    assert parallel.space_report() == serial.space_report()
+        assert faulted.tier.chunk_refcount(fp) == pristine.tier.chunk_refcount(fp)
+    assert faulted.space_report() == pristine.space_report()
     for oid, data in objects.items():
-        assert parallel.read_sync(oid) == data
-    assert scrub_sync(parallel.tier).clean
+        assert faulted.read_sync(oid) == data
+    assert scrub_sync(faulted.tier).clean
 
 
-def test_parallel_fingerprint_matches_serial():
-    objects = build_objects(
-        [(0, 1, 2, 3), (0, 1), (2, 3, 4), (4, 4, 0), (1, 2, 3, 4)]
-    )
-    parallel = make_storage(fingerprint_workers=4)
-    serial = make_storage(fingerprint_workers=1)
-    assert parallel.engine.fingerprint_pool.parallel
-    assert not serial.engine.fingerprint_pool.parallel
-    flush_all(parallel, objects)
-    flush_all(serial, objects)
-    assert_equivalent(parallel, serial, objects)
-    # The parallel side actually routed digests through the pool.
-    assert parallel.engine.fingerprint_pool.stats.tasks > 0
-    assert parallel.tier.stage.fingerprint_workers == 4
+# -- abort hygiene -----------------------------------------------------------
 
 
-def test_start_overrides_fingerprint_workers():
-    storage = make_storage(fingerprint_workers=1)
-    storage.engine.start(fingerprint_workers=3)
-    try:
-        assert storage.engine.fingerprint_pool.workers == 3
-    finally:
-        storage.engine.stop()
-        storage.engine.set_fingerprint_workers(None)
-    # Resetting drops back to the config value.
-    assert storage.engine.fingerprint_pool.workers == 1
-
-
-# -- abort hygiene: no future outlives its pass -----------------------------
-
-
-def test_aborted_pass_leaves_no_outstanding_futures(monkeypatch):
-    """A retryable fault mid-commit must settle every staged future.
-
-    Sequential-commit mode faults between the ordered gather's first and
-    second chunk, the worst case: some handles consumed, some not.  The
-    abort path (``_abandon_staged``) has to settle the stragglers so the
-    pool holds no chunk payload from the dead pass; the later drain then
-    converges to a clean scrub.
-    """
-    storage = make_storage(
-        fingerprint_workers=4,
-        batch_refs=False,
-        refset_cache_entries=0,
-        chunk_bloom_capacity=0,
-    )
+def test_fault_before_batch_commit_takes_no_reference(monkeypatch):
+    """A retryable fault between hashing and the batch commit abandons
+    the pass whole: nothing referenced, the object requeued, and every
+    hashed chunk counted exactly once."""
+    storage = make_storage()
     objects = build_objects([(0, 1, 2, 3, 4, 0, 1, 2)])  # 4 dirty chunks
     for oid, data in objects.items():
         storage.write_sync(oid, data)
 
     tier = storage.tier
-    real_chunk_ref = tier.chunk_ref
-    calls = {"n": 0}
 
-    def flaky_chunk_ref(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise TransientOpError(0, "chunk_ref")
-        return real_chunk_ref(*args, **kwargs)
+    def faulting_commit(*args, **kwargs):
+        raise TransientOpError(0, "commit_chunk_batch")
 
-    monkeypatch.setattr(tier, "chunk_ref", flaky_chunk_ref)
-    result = storage.cluster.run(storage.engine.process_object("obj0", force=True))
+    with monkeypatch.context() as patched:
+        patched.setattr(tier, "commit_chunk_batch", faulting_commit)
+        result = storage.cluster.run(
+            storage.engine.process_object("obj0", force=True)
+        )
     assert result == "faulted"
-    assert calls["n"] == 2  # the fault hit mid-gather, handles were staged
-    assert storage.engine.fingerprint_pool.outstanding == 0
     assert storage.engine.stats.objects_requeued_fault == 1
+    assert tier.stage.fingerprint_ops == 4
+    assert storage.cluster.list_objects(tier.chunk_pool) == []
+    assert tier.stage.ref_ops == 0
 
-    monkeypatch.setattr(tier, "chunk_ref", real_chunk_ref)
     storage.drain()
-    assert storage.engine.fingerprint_pool.outstanding == 0
+    assert tier.stage.fingerprint_ops == 8  # the retried pass re-hashed
     assert storage.read_sync("obj0") == objects["obj0"]
     assert scrub_sync(tier).clean
 
 
-def test_drain_quiesces_orphaned_futures():
-    """drain() consumes futures nobody gathered before running GC."""
-    storage = make_storage(fingerprint_workers=4)
-    storage.write_sync("obj0", b"q" * 4096)
-    pool = storage.engine.fingerprint_pool
-    pool.submit_many([b"orphan-a" * 400, b"orphan-b" * 400])
-    assert pool.outstanding == 2
-    storage.drain()
-    assert pool.outstanding == 0
-    assert scrub_sync(storage.tier).clean
-
-
-# -- property: parallel+faults == serial, any workload ----------------------
+# -- property: faulted flush == fault-free flush, any workload --------------
 
 hypothesis = pytest.importorskip("hypothesis")
 
@@ -165,31 +111,31 @@ object_strategy = st.lists(
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(pattern=object_strategy, fault_seed=st.integers(min_value=0, max_value=10_000))
-def test_parallel_flush_under_faults_equals_serial(pattern, fault_seed):
-    """Workers>1 plus a seeded FaultPlan changes nothing observable.
+def test_flush_under_faults_equals_fault_free(pattern, fault_seed):
+    """A seeded FaultPlan changes nothing observable.
 
-    EIO windows and slow disks hit the parallel engine's cluster while a
-    pristine cluster flushes the same objects with inline hashing; the
-    skip-and-requeue abort path plus the ordered gather must converge to
-    the same chunk-pool state, space report, and readback.
+    EIO windows and slow disks hit one engine's cluster while a pristine
+    cluster flushes the same objects; the skip-and-requeue abort path
+    must converge to the same chunk-pool state, space report, and
+    readback.
     """
-    parallel = make_storage(fingerprint_workers=4)
+    faulted = make_storage()
     plan = FaultPlan.generate(
         seed=fault_seed,
         horizon=2.0,
-        osd_ids=list(parallel.cluster.osds),
+        osd_ids=list(faulted.cluster.osds),
         crash_rate=0.0,        # availability faults need recovery, not
         partition_rate=0.0,    # retry — out of scope for equivalence
         slow_rate=1.0,
         eio_rate=1.5,
     )
-    FaultInjector(parallel.cluster, plan, auto_recover=True).attach()
+    FaultInjector(faulted.cluster, plan, auto_recover=True).attach()
 
     objects = build_objects(pattern)
-    flush_all(parallel, objects)
-    parallel.sim.run()  # let remaining fault windows expire
-    parallel.drain()    # flush anything requeued by a faulted pass
+    flush_all(faulted, objects)
+    faulted.sim.run()  # let remaining fault windows expire
+    faulted.drain()    # flush anything requeued by a faulted pass
 
-    serial = make_storage(fingerprint_workers=1)
-    flush_all(serial, objects)
-    assert_equivalent(parallel, serial, objects)
+    pristine = make_storage()
+    flush_all(pristine, objects)
+    assert_equivalent(faulted, pristine, objects)

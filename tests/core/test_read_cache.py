@@ -177,7 +177,7 @@ def test_rebalance_repair_fence_clears_the_cache_and_reads_survive():
     rebalance_sync(storage.cluster)
     assert len(cache) == 0 and cache.bytes_used == 0
     # Chunks moved to different OSDs; cold reads must still assemble
-    # byte-identical objects through the fan-out + coalescing path.
+    # byte-identical objects through the fan-out path.
     for oid, payload in payloads.items():
         assert storage.read_sync(oid) == payload
 
@@ -193,18 +193,3 @@ def test_repair_listener_witnesses_cache_clear():
     assert len(cache) == 0
     assert storage.tier.stage.chunk_cache_evictions == ev_before + held
     assert storage.read_sync("obj1") == b"w" * 2 * CHUNK
-
-
-def test_unbatched_read_config_bypasses_every_layer():
-    storage = make_storage(
-        chunk_cache_bytes=0, read_fanout_window=0, coalesce_reads=False
-    )
-    payload = b"u" * 4 * CHUNK
-    prime(storage, "obj1", payload)
-    stage = storage.tier.stage
-    assert storage.tier.read_window is None
-    assert not storage.tier.chunk_data_cache.enabled
-    assert stage.chunk_cache_hits == stage.chunk_cache_misses == 0
-    assert stage.chunk_cache_admissions == 0
-    assert stage.fanout_batches == 0
-    assert storage.read_sync("obj1") == payload

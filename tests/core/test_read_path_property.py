@@ -1,10 +1,10 @@
-"""Property tests for the read-path engine (fan-out + coalescing +
-chunk data cache).
+"""Property tests for the read-path engine (fan-out + chunk data
+cache).
 
 For ANY random mix of overwrites, drains, and (offset, length) reads,
-a storage with all three read-path layers enabled must return exactly
-the bytes a layer-free sequential storage returns — which are exactly
-the bytes a plain shadow buffer predicts.  A second property drives
+a storage with the chunk data cache enabled must return exactly the
+bytes a cache-free storage returns — which are exactly the bytes a
+plain shadow buffer predicts.  A second property drives
 the enabled storage through seeded EIO/slow-disk fault plans: the
 internal read retries must neither tear segments nor double-count
 chunk-cache lookups.
@@ -27,9 +27,8 @@ CHUNK = 16 * KiB
 OBJECT_SIZE = 4 * CHUNK
 OBJECTS = 3
 
-#: Read-path layers off: no data cache, strictly sequential fetches,
-#: no coalescing (mirrors the perf harness's UNBATCHED read overrides).
-DISABLED = dict(chunk_cache_bytes=0, read_fanout_window=0, coalesce_reads=False)
+#: Chunk data cache off: every chunk-backed piece goes to the pool.
+DISABLED = dict(chunk_cache_bytes=0)
 
 
 def build_storage(enabled: bool, **extra) -> DedupedStorage:
@@ -43,7 +42,7 @@ def build_storage(enabled: bool, **extra) -> DedupedStorage:
 
 def base_payload(tone: int) -> bytes:
     # Small alphabet => heavy cross-object dedup, so reads genuinely
-    # share chunks (the case the cache and coalescing exist for).
+    # share chunks (the case the cache exists for).
     return b"".join(bytes([(tone + i) % 5]) * CHUNK for i in range(4))
 
 

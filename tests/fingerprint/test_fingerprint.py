@@ -8,6 +8,7 @@ from repro.fingerprint import (
     FingerprintIndex,
     fingerprint,
     fingerprint_size,
+    timed_fingerprint,
 )
 
 
@@ -32,6 +33,12 @@ def test_fingerprint_sizes(algo, size):
 def test_unknown_algorithm():
     with pytest.raises(ValueError):
         fingerprint(b"x", "md5000")
+
+
+def test_timed_fingerprint_returns_the_same_digest_and_a_duration():
+    digest, seconds = timed_fingerprint(b"data", "sha256")
+    assert digest == fingerprint(b"data", "sha256")
+    assert seconds >= 0.0
 
 
 @given(a=st.binary(max_size=256), b=st.binary(max_size=256))

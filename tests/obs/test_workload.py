@@ -136,12 +136,10 @@ def test_storage_metrics_exports_cache_and_read_fanout_families():
 
     fanout = registry.get("repro_read_fanout")
     assert fanout.labels(stat="chunk_reads").value == stage.fanout_chunk_reads
-    assert fanout.labels(stat="batches").value == stage.fanout_batches
-    assert fanout.labels(stat="batched_chunks").value == stage.fanout_batched_chunks
 
     text = prometheus_text(registry)
     assert 'repro_cache_events{cache="chunk_data",event="hit"}' in text
-    assert 'repro_read_fanout{stat="batches"}' in text
+    assert 'repro_read_fanout{stat="chunk_reads"}' in text
     assert "repro_chunk_cache_bytes" in text
     # Raw stage counters keep flowing through the flat family too.
     assert 'repro_stage_counters{counter="chunk_cache_hits"}' in text
@@ -193,17 +191,3 @@ def test_obs_report_rejects_an_empty_trace(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert main(["obs", "report", "--trace", str(empty)]) == 1
-
-
-def test_perf_harness_attaches_span_rollups_when_traced():
-    from repro.perf.harness import _run_fio_mode
-
-    traced = _run_fio_mode("batched", {"fingerprint_workers": 1}, 0, True, True)
-    plain = _run_fio_mode("batched", {"fingerprint_workers": 1}, 0, True, False)
-    assert traced.spans and not plain.spans
-    assert any(stage.startswith("rados.") for stage in traced.spans)
-    assert traced.spans["op.dedup_pass"]["count"] > 0
-    # Tracing must not change what the workload computed.
-    assert traced.readback_digest == plain.readback_digest
-    assert traced.refcounts == plain.refcounts
-    assert traced.sim_seconds == plain.sim_seconds

@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Where ``host_calls_per_op`` comes from: calls/op by file and by function.
+
+    python3 scripts/calls_by_function.py WORKLOAD [--seed N] [--seconds S] [--top K]
+
+The e2e benchmark's ``host_calls_per_op`` is one number — calls of
+functions defined under ``src/repro/`` per client op, counted by
+``cProfile`` over the tail rounds of an untraced pass — and its traced
+pass only rolls calls up by layer.  This prints the same count broken
+down, so a change that claims to move it can be sized beforehand and
+explained afterwards.
+
+It runs ``benchmarks/e2e/child.py``'s own pass (imported, not copied:
+same plan, same set-up, warm-up, measured and tail rounds as the driver
+form ``run.py --workload W --seed N --seconds S --trace 0``) and only
+keeps the profile the child would have rolled up and thrown away.  The
+total printed equals the driver's ``host_calls_per_op`` at the same
+arguments.  Takes about as long as one driver run (~20 s).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pstats
+import sys
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+E2E = os.path.join(ROOT, "benchmarks", "e2e")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=10.0,
+                        help="measured-phase budget, as the driver's --seconds")
+    parser.add_argument("--top", type=int, default=40, help="functions to list")
+    args = parser.parse_args(argv)
+
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        # run.py starts its children this way; counts depend on it.
+        os.execve(sys.executable, [sys.executable] + sys.argv,
+                  dict(os.environ, PYTHONHASHSEED="0"))
+
+    sys.path.insert(0, E2E)
+    import child
+    import workloads
+    from tracing import _repro_relpath  # the benchmark's own "is it ours?" test
+
+    if args.workload not in workloads.SPECS:
+        parser.error("unknown workload %r (known: %s)" % (
+            args.workload, ", ".join(sorted(workloads.SPECS))))
+    sys.path.insert(0, child.SRC)
+
+    # The tail's profile is the last one the child rolls up.
+    profiles = []
+    rollup = child.profile_rollup
+
+    def keep_profile(profile, bench_dir):
+        profiles.append(profile)
+        return rollup(profile, bench_dir)
+
+    child.profile_rollup = keep_profile
+    rounds = workloads.rounds_for(workloads.SPECS[args.workload], args.seconds)
+    tail_rounds = workloads.tail_rounds_for(rounds)
+    result = child.run_pass(argparse.Namespace(
+        workload=args.workload, seed=args.seed, rounds=rounds,
+        tail_rounds=tail_rounds, setup_repeats=1,
+        mode="untraced", scale="full", config=[], plain_replay=False, spans_out=None,
+    ))
+    ops = result["tail"]["ops"]
+
+    by_file: Counter = Counter()
+    by_function: Counter = Counter()
+    for (filename, _line, name), (_cc, calls, *_rest) in pstats.Stats(profiles[-1]).stats.items():
+        rel = _repro_relpath(filename)
+        if rel is not None:
+            by_file[rel] += calls
+            by_function[(rel, name)] += calls
+    total = sum(by_file.values())
+    if total != result["tail"]["repro_calls"]:
+        raise SystemExit("breakdown sums to %d calls, the benchmark counted %d" % (
+            total, result["tail"]["repro_calls"]))
+
+    print("%s  seed %d  %d measured + %d tail rounds  %d tail ops  failures %d" % (
+        args.workload, args.seed, rounds, tail_rounds, ops, result["failure_count"]))
+    print("host_calls_per_op %.2f\n" % (total / ops))
+    print("%-34s %10s" % ("file", "calls/op"))
+    for rel, calls in by_file.most_common():
+        print("%-34s %10.2f" % (rel, calls / ops))
+    print("\n%-34s %-28s %10s" % ("file", "function", "calls/op"))
+    ranked = by_function.most_common()
+    for (rel, name), calls in ranked[: args.top]:
+        print("%-34s %-28s %10.2f" % (rel, name, calls / ops))
+    rest = sum(calls for _key, calls in ranked[args.top:])
+    if rest:
+        print("%-34s %-28s %10.2f" % ("(%d more)" % (len(ranked) - args.top), "", rest / ops))
+    return 1 if result["failure_count"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -142,6 +142,7 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_rebalance(args) -> int:
+    from .cluster import placement_skew
     from .faults import run_elastic_workload
 
     if args.horizon <= 0:
@@ -186,6 +187,11 @@ def _cmd_rebalance(args) -> int:
     print(f"placement          {len(result.placement_violations)} violation(s)")
     for line in result.placement_violations[:10]:
         print(f"  {line}")
+    print("placement skew     PGs per OSD, max/mean/min")
+    for pool, skew in placement_skew(result.storage.cluster).items():
+        print(f"  {pool:<16} " + "   ".join(
+            f"{kind} {s['max']}/{s['mean']:.1f}/{s['min']}"
+            for kind, s in skew.items()))
     print(f"trace              {len(result.trace_problems)} problem(s)")
     for line in result.trace_problems[:10]:
         print(f"  {line}")

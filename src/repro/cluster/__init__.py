@@ -38,6 +38,7 @@ from .rebalance import (
     RemapDiff,
     compute_remap,
     placement_report,
+    placement_skew,
     rebalance_sync,
 )
 from .recovery import RecoveryStats, plan_recovery, recover, recover_sync
@@ -88,6 +89,7 @@ __all__ = [
     "RebalanceStats",
     "compute_remap",
     "placement_report",
+    "placement_skew",
     "rebalance_sync",
     "RecoveryStats",
     "plan_recovery",

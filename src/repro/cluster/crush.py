@@ -72,17 +72,15 @@ def straw2_select(key: int, items: Sequence[Tuple[str, float]], n: int) -> List[
 
 
 class CrushMap:
-    """Placement over a host/OSD hierarchy derived from a ClusterMap."""
+    """Placement over a host/OSD hierarchy derived from a ClusterMap.
+
+    Stateless: every call recomputes from the map as it is now.  The
+    per-epoch memo of PG -> acting set lives with the caller that asks
+    per I/O, :meth:`repro.cluster.pool.Pool.acting_set`.
+    """
 
     def __init__(self, cluster_map: ClusterMap):
         self.cluster_map = cluster_map
-        self._cache_epoch = -1
-        self._cache: Dict[Tuple[int, int], List[int]] = {}
-
-    def _invalidate_if_stale(self) -> None:
-        if self._cache_epoch != self.cluster_map.epoch:
-            self._cache.clear()
-            self._cache_epoch = self.cluster_map.epoch
 
     def select(self, key: int, n: int, failure_domain: str = "host") -> List[int]:
         """Map ``key`` to ``n`` OSD ids with the given failure domain.
@@ -104,12 +102,6 @@ class CrushMap:
                 f"failure_domain must be 'host', 'rack' or 'osd', "
                 f"got {failure_domain!r}"
             )
-        self._invalidate_if_stale()
-        cache_key = (key, n, failure_domain)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            return list(cached)
-
         by_host = self.cluster_map.hosts()
         osd_weight = {
             osd_id: self.cluster_map.osds[osd_id].weight
@@ -162,7 +154,6 @@ class CrushMap:
                 stable_hash64(key, "overflow"), remaining, n - len(chosen)
             )
             chosen.extend(int(i) for i in extra)
-        self._cache[cache_key] = list(chosen)
         return chosen
 
     def _pick_in_host(self, key, host, by_host, osd_weight):

@@ -24,6 +24,7 @@ Semantics follow Ceph:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..obs import NULL_SPAN
@@ -45,6 +46,8 @@ _EC_IDX_XATTR = "_ec.index"
 #: Per-shard content checksum (Ceph stores the analogous hinfo_key):
 #: without it, a single corrupt shard in a k+1 profile cannot be located.
 _EC_CRC_XATTR = "_ec.crc"
+
+_needs_backfill = attrgetter("needs_backfill")
 
 
 def _shard_crc(shard: bytes) -> bytes:
@@ -207,15 +210,18 @@ class RadosCluster:
             return None
         return self._active_remaps.get((pool.pool_id, pg))
 
-    def _acting_osds(self, pool: Pool, oid: str) -> List[OSD]:
-        remap = self._remap_for(pool, pool.pg_of(oid))
-        if remap is not None:
-            # Mid-remap, data may sit on the old acting set, the new
-            # one, or both: IO runs against the union (old first, so
-            # established copies keep serving) until the rebalance
-            # engine retires the remap.
-            return [self.osds[i] for i in remap.union_ids() if i in self.osds]
-        return [self.osds[i] for i in pool.acting_set_for(oid)]
+    def _acting_osds(self, pool: Pool, pg: int) -> List[OSD]:
+        # Takes the PG, not the object name: each rados op resolves
+        # `pool.pg_of(oid)` once and hands it to every helper.
+        if self._active_remaps:
+            remap = self._active_remaps.get((pool.pool_id, pg))
+            if remap is not None:
+                # Mid-remap, data may sit on the old acting set, the new
+                # one, or both: IO runs against the union (old first, so
+                # established copies keep serving) until the rebalance
+                # engine retires the remap.
+                return [self.osds[i] for i in remap.union_ids() if i in self.osds]
+        return [self.osds[i] for i in pool.acting_set(pg)]
 
     def acting_osds(self, pool: Pool, oid: str) -> List[OSD]:
         """Every OSD that may hold a copy of ``oid`` right now.
@@ -226,23 +232,31 @@ class RadosCluster:
         must use this rather than ``pool.acting_set_for`` directly, or
         they would miss objects still parked on a pre-remap acting set.
         """
-        return self._acting_osds(pool, oid)
+        return self._acting_osds(pool, pool.pg_of(oid))
 
     def _up_subset(self, osds: Iterable[OSD]) -> List[OSD]:
         # Replicas rejoining after a crash hold possibly-stale contents
         # until recovery reconciles them; ordering them last keeps them
-        # out of the primary role (stable within each class).
-        return sorted((o for o in osds if o.up), key=lambda o: o.needs_backfill)
+        # out of the primary role (stable within each class).  The sort
+        # is stable, so with nobody backfilling — the steady state — it
+        # would be the identity and is skipped.
+        up = [o for o in osds if o.info.up]
+        for osd in up:
+            if osd.needs_backfill:
+                up.sort(key=_needs_backfill)
+                break
+        return up
 
-    def _primary(self, pool: Pool, oid: str) -> OSD:
-        acting = self._acting_osds(pool, oid)
-        up = self._up_subset(acting)
+    def _primary(self, pool: Pool, oid: str, pg: Optional[int] = None) -> OSD:
+        if pg is None:
+            pg = pool.pg_of(oid)
+        up = self._up_subset(self._acting_osds(pool, pg))
         if not up:
             raise NotEnoughReplicas(f"no up OSD for {oid!r} in pool {pool.name!r}")
-        if self._active_remaps and self._remap_for(pool, pool.pg_of(oid)) is not None:
+        if self._active_remaps and self._remap_for(pool, pg) is not None:
             # Prefer a member that actually holds the object: mid-remap
             # the nominal first member may not have received it yet.
-            key = self.object_key(pool, oid)
+            key = ObjectKey(pool.pool_id, pg, oid)
             holders = [o for o in up if o.store.exists(key)]
             if holders:
                 return holders[0]
@@ -300,18 +314,16 @@ class RadosCluster:
         shards) — the cost that makes EC random writes so slow in the
         paper's Figure 12.
         """
-        with span.child(
-            "rados.submit", pool=pool.name, pg=pool.pg_of(oid), ops=len(txn)
-        ) as s:
+        pg = pool.pg_of(oid)
+        with span.child("rados.submit", pool=pool.name, pg=pg, ops=len(txn)) as s:
             if pool.is_ec:
                 yield from self._ec_submit(pool, oid, txn, client)
                 return
             client = client or self._default_client
-            remap = self._remap_for(pool, pool.pg_of(oid))
-            if remap is not None:
+            if self._remap_for(pool, pg) is not None:
                 yield from self._submit_remapped(pool, oid, txn, client, s)
                 return
-            acting = self._acting_osds(pool, oid)
+            acting = self._acting_osds(pool, pg)
             up = self._up_subset(acting)
             if len(up) < pool.redundancy.min_size:
                 raise NotEnoughReplicas(
@@ -321,7 +333,7 @@ class RadosCluster:
             payload = txn.io_bytes
             s.tag(osd=primary.osd_id, replicas=len(up), nbytes=payload)
             yield from self._transfer(client.nic, primary.node.nic, payload)
-            lock = self._write_lock(self.object_key(pool, oid))
+            lock = self._write_lock(ObjectKey(pool.pool_id, pg, oid))
             yield lock.acquire()
             try:
                 jobs = []
@@ -386,22 +398,19 @@ class RadosCluster:
                     yield from self._ec_submit(pool, oid, txn, client)
                 return
             client = client or self._default_client
+            keys = [self.object_key(pool, oid) for oid, _ in items]
             if self._active_remaps and any(
-                self._remap_for(pool, pool.pg_of(oid)) is not None
-                for oid, _ in items
+                self._remap_for(pool, key.pg) is not None for key in keys
             ):
                 yield from self._submit_batch_remapped(pool, items, client, s)
                 return
             groups: Dict[int, List[Transaction]] = {}
-            group_oids: Dict[int, str] = {}
-            for oid, txn in items:
-                pg = pool.pg_of(oid)
-                groups.setdefault(pg, []).append(txn)
-                group_oids.setdefault(pg, oid)
+            for key, (_oid, txn) in zip(keys, items):
+                groups.setdefault(key.pg, []).append(txn)
             s.tag(pgs=len(groups))
             plans = []  # (merged txn, acting count, up OSDs)
             for pg in sorted(groups):
-                acting = self._acting_osds(pool, group_oids[pg])
+                acting = self._acting_osds(pool, pg)
                 up = self._up_subset(acting)
                 if len(up) < pool.redundancy.min_size:
                     raise NotEnoughReplicas(
@@ -422,10 +431,7 @@ class RadosCluster:
             yield self.sim.all_of(xfers)
             # Per-object write locks, in deterministic order (a concurrent
             # submit holds at most one, so sorted acquisition cannot cycle).
-            locks = [
-                self._write_lock(key)
-                for key in sorted({self.object_key(pool, oid) for oid, _ in items})
-            ]
+            locks = [self._write_lock(key) for key in sorted(set(keys))]
             acquired: List[Resource] = []
             try:
                 for lock in locks:
@@ -484,7 +490,7 @@ class RadosCluster:
         old-side copies when it retires the PG).
         """
         key = self.object_key(pool, oid)
-        up = self._up_subset(self._acting_osds(pool, oid))
+        up = self._up_subset(self._acting_osds(pool, key.pg))
         holders = [o for o in up if o.store.exists(key)]
         return holders if holders else up
 
@@ -553,9 +559,9 @@ class RadosCluster:
                 acquired.append(lock)
             plans = []  # (txn, targets)
             for oid, txn in items:
-                remap = self._remap_for(pool, pool.pg_of(oid))
-                if remap is None:
-                    targets = self._up_subset(self._acting_osds(pool, oid))
+                pg = pool.pg_of(oid)
+                if self._remap_for(pool, pg) is None:
+                    targets = self._up_subset(self._acting_osds(pool, pg))
                 else:
                     targets = self._remap_write_targets(pool, oid)
                 if len(targets) < pool.redundancy.min_size:
@@ -632,7 +638,7 @@ class RadosCluster:
         """Process: delete the object from every replica/shard."""
         key = self.object_key(pool, oid)
         if pool.is_ec:
-            acting = self._up_subset(self._acting_osds(pool, oid))
+            acting = self._up_subset(self._acting_osds(pool, key.pg))
             jobs = []
             for osd in acting:
                 if osd.store.exists(key):
@@ -654,14 +660,14 @@ class RadosCluster:
         span=NULL_SPAN,
     ):
         """Process: read ``length`` bytes at ``offset``; returns bytes."""
-        with span.child("rados.read", pool=pool.name, pg=pool.pg_of(oid)) as s:
+        key = ObjectKey(pool.pool_id, pool.pg_of(oid), oid)
+        with span.child("rados.read", pool=pool.name, pg=key.pg) as s:
             if pool.is_ec:
                 data = yield from self._ec_read(pool, oid, client)
                 if length is None:
                     return data[offset:]
                 return data[offset : offset + length]
             client = client or self._default_client
-            key = self.object_key(pool, oid)
             yield from self._rpc_latency()  # request
             primary, data = yield from self._read_with_failover(
                 pool, oid, key, offset, length
@@ -679,8 +685,8 @@ class RadosCluster:
         likewise re-peers on OSD death but returns EIO to the client).
         """
         last_exc: Optional[BaseException] = None
-        for _ in range(max(1, len(self._acting_osds(pool, oid)))):
-            primary = self._primary(pool, oid)
+        for _ in range(max(1, len(self._acting_osds(pool, key.pg)))):
+            primary = self._primary(pool, oid, key.pg)
             try:
                 data = yield from primary.execute_read(key, offset, length)
                 return primary, data
@@ -694,7 +700,7 @@ class RadosCluster:
     def stat(self, pool: Pool, oid: str):
         """Process: object payload size (logical size for EC)."""
         key = self.object_key(pool, oid)
-        primary = self._primary(pool, oid)
+        primary = self._primary(pool, oid, key.pg)
         yield from self._rpc_latency()
         if pool.is_ec:
             shard = primary.store.get(key)
@@ -706,13 +712,13 @@ class RadosCluster:
         key = self.object_key(pool, oid)
         return any(
             osd.store.exists(key)
-            for osd in self._up_subset(self._acting_osds(pool, oid))
+            for osd in self._up_subset(self._acting_osds(pool, key.pg))
         )
 
     def getxattr(self, pool: Pool, oid: str, name: str):
         """Process: read one xattr from the primary."""
         key = self.object_key(pool, oid)
-        primary = self._primary(pool, oid)
+        primary = self._primary(pool, oid, key.pg)
         yield from self._rpc_latency()
         return primary.store.getxattr(key, name)
 
@@ -720,7 +726,7 @@ class RadosCluster:
         """Process: set one xattr on all replicas/shards."""
         key = self.object_key(pool, oid)
         if pool.is_ec:
-            acting = self._up_subset(self._acting_osds(pool, oid))
+            acting = self._up_subset(self._acting_osds(pool, key.pg))
             jobs = [
                 self.sim.process(
                     osd.execute_transaction(Transaction().setxattr(key, name, value))
@@ -736,14 +742,14 @@ class RadosCluster:
     def omap_get(self, pool: Pool, oid: str, name: str):
         """Process: read one omap value from the primary."""
         key = self.object_key(pool, oid)
-        primary = self._primary(pool, oid)
+        primary = self._primary(pool, oid, key.pg)
         yield from self._rpc_latency()
         return primary.store.omap_get(key, name)
 
     def omap_keys(self, pool: Pool, oid: str) -> List[str]:
         """Map-time snapshot of omap keys on the primary."""
         key = self.object_key(pool, oid)
-        primary = self._primary(pool, oid)
+        primary = self._primary(pool, oid, key.pg)
         return list(primary.store.get(key).omap.keys())
 
     # -- EC data path -------------------------------------------------------------
@@ -835,7 +841,7 @@ class RadosCluster:
     def _ec_read(self, pool: Pool, oid: str, client: Optional[Client]):
         client = client or self._default_client
         key = self.object_key(pool, oid)
-        acting = self._acting_osds(pool, oid)
+        acting = self._acting_osds(pool, key.pg)
         holders = [o for o in acting if o.up and o.store.exists(key)]
         if not holders:
             raise NoSuchObject(key)
@@ -883,11 +889,13 @@ class RadosCluster:
 
         client = client or self._default_client
         key = self.object_key(pool, oid)
-        yield from self._transfer(client.nic, self._primary(pool, oid).node.nic, txn.io_bytes)
+        yield from self._transfer(
+            client.nic, self._primary(pool, oid, key.pg).node.nic, txn.io_bytes
+        )
         lock = self._write_lock(key)
         yield lock.acquire()
         try:
-            acting = self._acting_osds(pool, oid)
+            acting = self._acting_osds(pool, key.pg)
             holder = next(
                 (o for o in acting if o.up and o.store.exists(key)), None
             )
@@ -929,14 +937,14 @@ class RadosCluster:
 
     def _ec_read_internal(self, pool: Pool, oid: str):
         """Process: EC read delivered to the primary (no client hop)."""
-        acting = self._acting_osds(pool, oid)
+        acting = self._acting_osds(pool, pool.pg_of(oid))
         primary = next(o for o in acting if o.up)
         data = yield from self._ec_read(pool, oid, _NodeAsClient(primary.node))
         return data
 
     def _ec_remove_locked(self, pool: Pool, oid: str, key: ObjectKey):
         jobs = []
-        for osd in self._up_subset(self._acting_osds(pool, oid)):
+        for osd in self._up_subset(self._acting_osds(pool, key.pg)):
             if osd.store.exists(key):
                 jobs.append(
                     self.sim.process(osd.execute_transaction(Transaction().remove(key)))
@@ -954,10 +962,10 @@ class RadosCluster:
         shard the same generation — the invariant _ec_read's
         distinct-index selection relies on.
         """
-        remap = self._remap_for(pool, pool.pg_of(oid))
+        remap = self._remap_for(pool, key.pg)
         if remap is None:
             return
-        acting_ids = set(pool.acting_set_for(oid))
+        acting_ids = set(pool.acting_set(key.pg))
         for osd_id in remap.union_ids():
             if osd_id in acting_ids:
                 continue
@@ -996,7 +1004,7 @@ class RadosCluster:
         total = 0
         for oid in self.list_objects(pool):
             key = self.object_key(pool, oid)
-            for osd in self._acting_osds(pool, oid):
+            for osd in self._acting_osds(pool, key.pg):
                 if osd.store.exists(key):
                     if pool.is_ec:
                         total += int(

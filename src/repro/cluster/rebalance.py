@@ -58,6 +58,7 @@ __all__ = [
     "Rebalancer",
     "compute_remap",
     "placement_report",
+    "placement_skew",
     "rebalance_sync",
 ]
 
@@ -603,6 +604,41 @@ def placement_report(cluster: RadosCluster) -> List[str]:
                             f" diverges from osd.{up_acting[0].osd_id}"
                         )
     return problems
+
+
+def placement_skew(cluster: RadosCluster) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """PGs per OSD under the current map: how even is placement?
+
+    Per pool, the max / mean / min over the OSDs in placement of (a) the
+    PGs an OSD is *primary* for and (b) the PGs it holds *any replica or
+    shard* of::
+
+        {"pool": {"primary": {"max": 8, "mean": 4.0, "min": 1},
+                  "replica": {"max": 12, "mean": 8.0, "min": 4}}}
+
+    A report, not an audit: straw2 draws are independent per PG, so with
+    few PGs per OSD the counts spread like balls thrown into bins, and
+    the busiest device saturates first (docs/simulation.md, "Placement
+    skew").  It changes no placement and is not part of any verdict.
+    """
+    in_osds = cluster.cluster_map.in_osds()
+    report: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for pool in cluster.pools.values():
+        primary = dict.fromkeys(in_osds, 0)
+        replica = dict.fromkeys(in_osds, 0)
+        for pg in range(pool.pg_num):
+            acting = pool.acting_set(pg)
+            if acting:
+                primary[acting[0]] += 1
+            for osd_id in acting:
+                replica[osd_id] += 1
+        report[pool.name] = {"primary": _spread(primary), "replica": _spread(replica)}
+    return report
+
+
+def _spread(per_osd: Dict[int, int]) -> Dict[str, float]:
+    counts = list(per_osd.values()) or [0]
+    return {"max": max(counts), "mean": sum(counts) / len(counts), "min": min(counts)}
 
 
 def rebalance_sync(

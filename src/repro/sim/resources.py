@@ -57,11 +57,6 @@ class Resource:
         self.busy_integral = 0.0
         self._last_change = sim.now
 
-    def _sanitizer(self) -> Any:
-        if self.label is None:
-            return None
-        return self.sim.lock_sanitizer
-
     @property
     def in_use(self) -> int:
         """Number of currently held slots."""
@@ -73,6 +68,8 @@ class Resource:
         return len(self._waiters)
 
     def _account(self) -> None:
+        # acquire() and release() carry this same arithmetic inline (a
+        # frame per device hop is measurable); keep the three in step.
         now = self.sim.now
         elapsed = now - self._last_change
         if elapsed > 0:
@@ -91,13 +88,22 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that fires once a slot is granted (FIFO)."""
-        event = Event(self.sim)
-        sanitizer = self._sanitizer()
+        sim = self.sim
+        event = Event(sim)
+        # Only labelled resources are locks; devices skip the lookup.
+        sanitizer = None if self.label is None else sim.lock_sanitizer
         if sanitizer is not None:
             sanitizer.on_acquire(self, event)
-        if self._in_use < self.capacity and not self._waiters:
-            self._account()
-            self._in_use += 1
+        in_use = self._in_use
+        if in_use < self.capacity and not self._waiters:
+            now = sim.now
+            elapsed = now - self._last_change
+            if elapsed > 0:
+                self.busy_integral += elapsed * in_use
+                if in_use > 0:
+                    self.busy_time += elapsed
+            self._last_change = now
+            self._in_use = in_use + 1
             event.succeed(self)
             if sanitizer is not None:
                 sanitizer.on_grant(self, event)
@@ -112,10 +118,17 @@ class Resource:
         interrupted and detached) are dropped instead of granted — a
         cancelled waiter would never release the slot back.
         """
-        if self._in_use <= 0:
+        in_use = self._in_use
+        if in_use <= 0:
             raise SimulationError("release() without a matching acquire()")
-        self._account()
-        sanitizer = self._sanitizer()
+        sim = self.sim
+        now = sim.now
+        elapsed = now - self._last_change
+        if elapsed > 0:
+            self.busy_integral += elapsed * in_use
+            self.busy_time += elapsed
+        self._last_change = now
+        sanitizer = None if self.label is None else sim.lock_sanitizer
         if sanitizer is not None:
             sanitizer.on_release(self)
         while self._waiters:
@@ -129,7 +142,7 @@ class Resource:
             if sanitizer is not None:
                 sanitizer.on_grant(self, waiter)
             return
-        self._in_use -= 1
+        self._in_use = in_use - 1
 
     def serve(self, duration: float) -> Generator[Event, Any, None]:
         """Process generator: hold one slot for ``duration`` seconds."""

@@ -1,11 +1,20 @@
 """Property-based tests for CRUSH placement invariants."""
 
+import copy
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterMap, CrushMap
+from repro.cluster import (
+    ClusterMap,
+    CrushMap,
+    ErasureCoded,
+    RadosCluster,
+    Replicated,
+    stable_hash64,
+)
+from repro.cluster.pool import OID_HASH_MEMO_ENTRIES, _object_hash
 
 
 def build_map(host_osds):
@@ -90,3 +99,78 @@ def test_balance_tracks_weights():
     wins = Counter(crush.select(k, 1)[0] for k in range(4000))
     ratio = wins[0] / wins[1]
     assert 2.3 < ratio < 3.8
+
+
+# -- placement memos: Pool.acting_set per map epoch, pg_of per object name ------
+
+_MAP_OPS = ("add_host", "mark_out", "mark_in", "mark_down", "mark_up", "remove_osd")
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(_MAP_OPS), st.integers(min_value=0, max_value=63)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_acting_set_memo_follows_every_map_change(steps):
+    """Whatever sequence of map mutations runs, the memoised acting set
+    of every PG equals what a CrushMap built from scratch over a copy of
+    the map computes, and callers cannot reach the memo through the
+    list they are handed."""
+    cluster = RadosCluster(num_hosts=3, osds_per_host=2, pg_num=8)
+    pools = [
+        cluster.create_pool("rep", Replicated(2)),
+        cluster.create_pool("ec", ErasureCoded(2, 1), failure_domain="osd"),
+    ]
+    cmap = cluster.cluster_map
+
+    def check():
+        fresh = CrushMap(copy.deepcopy(cmap))
+        for pool in pools:
+            for pg in range(pool.pg_num):
+                expect = fresh.map_pg(
+                    pool.pool_id, pg, pool.redundancy.width, pool.failure_domain
+                )
+                got = pool.acting_set(pg)
+                assert got == expect
+                got.append(-1)  # a private copy: the memo must not see this
+                assert pool.acting_set(pg) == expect
+
+    check()  # warm the memo, so every later step has something stale to drop
+    for op, pick in steps:
+        ids = sorted(cmap.osds)
+        victim = ids[pick % len(ids)]
+        if op == "add_host":
+            cluster.add_host(f"extra{len(cluster.nodes)}", 1 + pick % 2)
+        elif op == "remove_osd":
+            if cmap.osds[victim].in_cluster or len(ids) <= 3:
+                continue
+            cmap.remove_osd(victim)
+        else:
+            getattr(cmap, op)(victim)
+        check()
+
+
+@given(oids=st.lists(st.text(max_size=12), min_size=1, max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_pg_of_equals_the_unmemoised_hash_for_pools_sharing_names(oids):
+    cluster = RadosCluster(num_hosts=2, osds_per_host=1)
+    a = cluster.create_pool("a", pg_num=64)
+    b = cluster.create_pool("b", pg_num=48)
+    for _ in range(2):  # second lap is served from the memo
+        for oid in oids:
+            for pool in (a, b):
+                assert pool.pg_of(oid) == (
+                    stable_hash64("obj", pool.pool_id, oid) % pool.pg_num
+                )
+
+
+def test_object_hash_memo_is_bounded():
+    cluster = RadosCluster(num_hosts=2, osds_per_host=1)
+    pool = cluster.create_pool("p")
+    for i in range(10 * OID_HASH_MEMO_ENTRIES):
+        pool.pg_of(f"obj-{i}")
+    assert _object_hash.cache_info().currsize <= OID_HASH_MEMO_ENTRIES
+    assert pool.pg_of("obj-0") == stable_hash64("obj", pool.pool_id, "obj-0") % pool.pg_num

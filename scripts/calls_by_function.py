@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Where ``host_calls_per_op`` comes from: calls/op by file and by function.
 
-    python3 scripts/calls_by_function.py WORKLOAD [--seed N] [--seconds S] [--top K]
+    python3 scripts/calls_by_function.py WORKLOAD [--seed N] [--seconds S] [--top K] [--by calls|time]
 
 The e2e benchmark's ``host_calls_per_op`` is one number — calls of
 functions defined under ``src/repro/`` per client op, counted by
@@ -16,6 +16,14 @@ form ``run.py --workload W --seed N --seconds S --trace 0``) and only
 keeps the profile the child would have rolled up and thrown away.  The
 total printed equals the driver's ``host_calls_per_op`` at the same
 arguments.  Takes about as long as one driver run (~20 s).
+
+``--by time`` ranks the same profile by self time (us/op, beside
+calls/op) instead: a loop over the whole dataset inside one frame is
+one call, so a call count cannot see it.  Self time is ``cProfile``'s —
+inflated by the profiler in proportion to calls made, and without the
+time spent inside C callees (``sum``, ``sorted``, ``hashlib``), which
+the header line totals as "elsewhere" — so use it to find candidates
+and the benchmark's ``host_ops_per_s`` to measure them.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0,
                         help="measured-phase budget, as the driver's --seconds")
     parser.add_argument("--top", type=int, default=40, help="functions to list")
+    parser.add_argument("--by", choices=("calls", "time"), default="calls",
+                        help="rank by calls/op (default) or by self time in us/op")
     args = parser.parse_args(argv)
 
     if os.environ.get("PYTHONHASHSEED") != "0":
@@ -72,31 +82,49 @@ def main(argv=None) -> int:
     ))
     ops = result["tail"]["ops"]
 
-    by_file: Counter = Counter()
-    by_function: Counter = Counter()
-    for (filename, _line, name), (_cc, calls, *_rest) in pstats.Stats(profiles[-1]).stats.items():
+    # calls and self seconds, by file and by (file, function)
+    file_calls: Counter = Counter()
+    file_self: Counter = Counter()
+    function_calls: Counter = Counter()
+    function_self: Counter = Counter()
+    elsewhere_self = 0.0
+    for (filename, _line, name), (_cc, calls, self_s, *_rest) in pstats.Stats(profiles[-1]).stats.items():
         rel = _repro_relpath(filename)
-        if rel is not None:
-            by_file[rel] += calls
-            by_function[(rel, name)] += calls
-    total = sum(by_file.values())
+        if rel is None:
+            elsewhere_self += self_s
+            continue
+        file_calls[rel] += calls
+        file_self[rel] += self_s
+        function_calls[(rel, name)] += calls
+        function_self[(rel, name)] += self_s
+    total = sum(file_calls.values())
     if total != result["tail"]["repro_calls"]:
         raise SystemExit("breakdown sums to %d calls, the benchmark counted %d" % (
             total, result["tail"]["repro_calls"]))
 
+    def us_per_op(seconds):
+        return 1e6 * seconds / ops
+
     print("%s  seed %d  %d measured + %d tail rounds  %d tail ops  failures %d" % (
         args.workload, args.seed, rounds, tail_rounds, ops, result["failure_count"]))
-    print("host_calls_per_op %.2f\n" % (total / ops))
-    print("%-34s %10s" % ("file", "calls/op"))
-    for rel, calls in by_file.most_common():
-        print("%-34s %10.2f" % (rel, calls / ops))
-    print("\n%-34s %-28s %10s" % ("file", "function", "calls/op"))
-    ranked = by_function.most_common()
-    for (rel, name), calls in ranked[: args.top]:
-        print("%-34s %-28s %10.2f" % (rel, name, calls / ops))
-    rest = sum(calls for _key, calls in ranked[args.top:])
+    print("host_calls_per_op %.2f   profiled self time %.1f us/op in src/repro, %.1f elsewhere\n" % (
+        total / ops, us_per_op(sum(file_self.values())), us_per_op(elsewhere_self)))
+    by_file, by_function = (
+        (file_self, function_self) if args.by == "time" else (file_calls, function_calls))
+    print("%-34s %10s %12s" % ("file", "calls/op", "self us/op"))
+    for rel, _rank in by_file.most_common():
+        print("%-34s %10.2f %12.2f" % (rel, file_calls[rel] / ops, us_per_op(file_self[rel])))
+    print("\n%-34s %-28s %10s %12s" % ("file", "function", "calls/op", "self us/op"))
+    ranked = [key for key, _rank in by_function.most_common()]
+    for key in ranked[: args.top]:
+        print("%-34s %-28s %10.2f %12.2f" % (
+            key + (function_calls[key] / ops, us_per_op(function_self[key]))))
+    rest = ranked[args.top:]
     if rest:
-        print("%-34s %-28s %10.2f" % ("(%d more)" % (len(ranked) - args.top), "", rest / ops))
+        print("%-34s %-28s %10.2f %12.2f" % (
+            "(%d more)" % len(rest), "",
+            sum(function_calls[key] for key in rest) / ops,
+            us_per_op(sum(function_self[key] for key in rest))))
     return 1 if result["failure_count"] else 0
 
 

@@ -77,8 +77,11 @@ class StoredObject:
 
     def footprint(self) -> int:
         """Bytes this object occupies, including metadata overhead."""
-        meta = sum(len(k) + len(v) for k, v in self.xattrs.items())
-        meta += sum(len(k) + len(v) for k, v in self.omap.items())
+        # A full recount on purpose (tests corrupt ``xattrs`` directly),
+        # but in C: a generator here is a Python frame per record.
+        xattrs, omap = self.xattrs, self.omap
+        meta = sum(map(len, xattrs)) + sum(map(len, xattrs.values()))
+        meta += sum(map(len, omap)) + sum(map(len, omap.values()))
         return PER_OBJECT_OVERHEAD + self.allocated_bytes() + meta
 
     def clone(self) -> "StoredObject":
@@ -180,7 +183,8 @@ class Transaction:
             elif kind == "setxattr":
                 total += len(op[3])
             elif kind == "omap_set":
-                total += sum(len(k) + len(v) for k, v in op[2].items())
+                records = op[2]
+                total += sum(map(len, records)) + sum(map(len, records.values()))
             else:
                 total += 64  # metadata-only mutation
         return total

@@ -96,14 +96,14 @@ class OSD:
 
     def execute_read(self, key: ObjectKey, offset: int = 0, length: Optional[int] = None):
         """Process: read object bytes, charging disk and CPU time."""
-        if not self.up:
+        if not self.info.up:
             raise OsdDownError(self.osd_id)
         self.op_reads += 1
         data = self.store.read(key, offset, length)
         yield from self._faults("read", len(data))
         yield from self.node.cpu.execute(self.node.cpu.spec.per_io_cost)
         yield from self.disk.read(max(len(data), 1))
-        if not self.up:  # daemon died while the op was in flight
+        if not self.info.up:  # daemon died while the op was in flight
             raise OsdDownError(self.osd_id)
         return data
 
@@ -117,14 +117,15 @@ class OSD:
         replicated submit can prepare every replica before committing
         any of them (see :meth:`RadosCluster.submit`).
         """
-        if not self.up:
+        if not self.info.up:
             raise OsdDownError(self.osd_id)
-        self._check_capacity(txn.io_bytes)
-        yield from self._faults("write", txn.io_bytes)
+        io_bytes = txn.io_bytes
+        self._check_capacity(io_bytes)
+        yield from self._faults("write", io_bytes)
         self.op_writes += 1
         yield from self.node.cpu.execute(self.node.cpu.spec.per_io_cost)
-        yield from self.disk.write(max(txn.io_bytes, 1))
-        if not self.up:  # died mid-op: the mutation never commits
+        yield from self.disk.write(max(io_bytes, 1))
+        if not self.info.up:  # died mid-op: the mutation never commits
             raise OsdDownError(self.osd_id)
 
     def commit_transaction(self, txn: Transaction) -> None:
@@ -148,13 +149,14 @@ class OSD:
 
     def execute_push(self, key: ObjectKey, obj) -> object:
         """Process: install a recovered/replicated full object copy."""
-        if not self.up:
+        if not self.info.up:
             raise OsdDownError(self.osd_id)
-        self._check_capacity(obj.footprint())
-        yield from self._faults("write", obj.footprint())
+        footprint = obj.footprint()
+        self._check_capacity(footprint)
+        yield from self._faults("write", footprint)
         self.op_writes += 1
-        yield from self.disk.write(max(obj.footprint(), 1))
-        if not self.up:  # died mid-op: the push never lands
+        yield from self.disk.write(max(footprint, 1))
+        if not self.info.up:  # died mid-op: the push never lands
             raise OsdDownError(self.osd_id)
         self.store.put_object(key, obj)
 

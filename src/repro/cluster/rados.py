@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..obs import NULL_SPAN
-from ..sim import Resource, Simulator
+from ..sim import Resource, Simulator, Timeout
 from .clustermap import ClusterMap
 from .crush import CrushMap
 from .hardware import HardwareProfile, Nic
@@ -278,9 +278,9 @@ class RadosCluster:
         yield self.sim.timeout(src_nic.spec.latency)
         yield from dst_nic.receive(nbytes)
 
-    def _rpc_latency(self):
-        """Process: one small control message (request or ack)."""
-        yield self.sim.timeout(self.profile.nic.latency)
+    def _rpc_latency(self) -> Timeout:
+        """Event: one small control message (request or ack) has arrived."""
+        return self.sim.timeout(self.profile.nic.latency)
 
     # -- replicated data path -----------------------------------------------------
 
@@ -347,7 +347,7 @@ class RadosCluster:
                 # split the copies.  An OSD that crashed after its prepare
                 # completed is skipped (it will rejoin stale and be
                 # reconciled by recovery), but losing quorum aborts.
-                survivors = [osd for osd in up if osd.up]
+                survivors = [osd for osd in up if osd.info.up]
                 if len(survivors) < pool.redundancy.min_size:
                     raise NotEnoughReplicas(
                         f"{len(survivors)}/{len(acting)} replicas survived prepare; "
@@ -357,7 +357,7 @@ class RadosCluster:
                     osd.commit_transaction(txn)
             finally:
                 lock.release()
-            yield from self._rpc_latency()  # ack to client
+            yield self._rpc_latency()  # ack to client
 
     def submit_batch(
         self, pool: Pool, items, client: Optional[Client] = None, span=NULL_SPAN
@@ -451,7 +451,7 @@ class RadosCluster:
                 # have quorum before *any* group applies, so a lost PG
                 # aborts the batch with nothing mutated.
                 for merged, acting_count, up in plans:
-                    survivors = [osd for osd in up if osd.up]
+                    survivors = [osd for osd in up if osd.info.up]
                     if len(survivors) < pool.redundancy.min_size:
                         raise NotEnoughReplicas(
                             f"{len(survivors)}/{acting_count} replicas survived "
@@ -464,14 +464,14 @@ class RadosCluster:
             finally:
                 for lock in reversed(acquired):
                     lock.release()
-            yield from self._rpc_latency()  # ack to client
+            yield self._rpc_latency()  # ack to client
 
     def _replica_prepare(self, primary: OSD, replica: OSD, txn: Transaction, payload: int):
         if replica.node is not primary.node:
             yield from self._transfer(primary.node.nic, replica.node.nic, payload)
         yield from replica.prepare_transaction(txn)
         if replica is not primary:
-            yield from self._rpc_latency()  # replica ack to primary
+            yield self._rpc_latency()  # replica ack to primary
 
     # -- remapped (mid-rebalance) write path ----------------------------------
 
@@ -526,7 +526,7 @@ class RadosCluster:
                 for osd in targets
             ]
             yield self.sim.all_of(jobs)
-            survivors = [osd for osd in targets if osd.up]
+            survivors = [osd for osd in targets if osd.info.up]
             if len(survivors) < pool.redundancy.min_size:
                 raise NotEnoughReplicas(
                     f"{len(survivors)}/{len(targets)} replicas survived prepare; "
@@ -536,7 +536,7 @@ class RadosCluster:
                 osd.commit_transaction(txn)
         finally:
             lock.release()
-        yield from self._rpc_latency()  # ack to client
+        yield self._rpc_latency()  # ack to client
 
     def _submit_batch_remapped(self, pool: Pool, items, client: Client, s):
         """Process: :meth:`submit_batch` when any item's PG is mid-remap.
@@ -589,7 +589,7 @@ class RadosCluster:
             yield self.sim.all_of(jobs)
             # Batch-wide commit point (see submit_batch).
             for txn, targets in plans:
-                survivors = [osd for osd in targets if osd.up]
+                survivors = [osd for osd in targets if osd.info.up]
                 if len(survivors) < pool.redundancy.min_size:
                     raise NotEnoughReplicas(
                         f"{len(survivors)}/{len(targets)} replicas survived "
@@ -602,7 +602,7 @@ class RadosCluster:
         finally:
             for lock in reversed(acquired):
                 lock.release()
-        yield from self._rpc_latency()  # ack to client
+        yield self._rpc_latency()  # ack to client
 
     def write_full(
         self,
@@ -668,7 +668,7 @@ class RadosCluster:
                     return data[offset:]
                 return data[offset : offset + length]
             client = client or self._default_client
-            yield from self._rpc_latency()  # request
+            yield self._rpc_latency()  # request
             primary, data = yield from self._read_with_failover(
                 pool, oid, key, offset, length
             )
@@ -692,7 +692,7 @@ class RadosCluster:
                 return primary, data
             except OsdDownError as exc:
                 last_exc = exc
-                yield from self._rpc_latency()  # redirect to next replica
+                yield self._rpc_latency()  # redirect to next replica
         raise last_exc
 
     # -- metadata access -----------------------------------------------------------
@@ -701,7 +701,7 @@ class RadosCluster:
         """Process: object payload size (logical size for EC)."""
         key = self.object_key(pool, oid)
         primary = self._primary(pool, oid, key.pg)
-        yield from self._rpc_latency()
+        yield self._rpc_latency()
         if pool.is_ec:
             shard = primary.store.get(key)
             return int(shard.xattrs[_EC_LEN_XATTR].decode("ascii"))
@@ -719,7 +719,7 @@ class RadosCluster:
         """Process: read one xattr from the primary."""
         key = self.object_key(pool, oid)
         primary = self._primary(pool, oid, key.pg)
-        yield from self._rpc_latency()
+        yield self._rpc_latency()
         return primary.store.getxattr(key, name)
 
     def setxattr(self, pool: Pool, oid: str, name: str, value: bytes, client=None):
@@ -743,7 +743,7 @@ class RadosCluster:
         """Process: read one omap value from the primary."""
         key = self.object_key(pool, oid)
         primary = self._primary(pool, oid, key.pg)
-        yield from self._rpc_latency()
+        yield self._rpc_latency()
         return primary.store.omap_get(key, name)
 
     def omap_keys(self, pool: Pool, oid: str) -> List[str]:
@@ -779,7 +779,7 @@ class RadosCluster:
             self._purge_parked_ec_copies(pool, oid, key)
         finally:
             lock.release()
-        yield from self._rpc_latency()
+        yield self._rpc_latency()
 
     def _ec_write_full_locked(
         self,
@@ -861,7 +861,7 @@ class RadosCluster:
         primary = holders[0]
         length = int(primary.store.getxattr(key, _EC_LEN_XATTR).decode("ascii"))
         chosen = [by_idx[idx] for idx in sorted(by_idx)][: pool.codec.k]
-        yield from self._rpc_latency()  # request fan-out
+        yield self._rpc_latency()  # request fan-out
         jobs = [
             self.sim.process(self._ec_fetch_shard(primary, osd, key))
             for osd in chosen
@@ -933,7 +933,7 @@ class RadosCluster:
             self._purge_parked_ec_copies(pool, oid, key)
         finally:
             lock.release()
-        yield from self._rpc_latency()
+        yield self._rpc_latency()
 
     def _ec_read_internal(self, pool: Pool, oid: str):
         """Process: EC read delivered to the primary (no client hop)."""

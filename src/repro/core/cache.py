@@ -86,6 +86,10 @@ class CacheManager:
         # (oid, chunk_index) -> cached bytes; insertion order doubles as
         # the LRU/FIFO queue order.
         self._cached: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
+        #: oid -> its cached chunk indices, in their relative ``_cached``
+        #: order, so an access touches one object's chunks rather than
+        #: scanning the whole tier.
+        self._cached_by_oid: Dict[str, Dict[int, None]] = {}
         #: (oid, chunk_index) -> access count, for the LFU policy.
         self._freq: Dict[Tuple[str, int], int] = {}
         self.cached_bytes = 0
@@ -98,10 +102,14 @@ class CacheManager:
     def record_access(self, oid: str) -> None:
         """Note a foreground access (read or write) to ``oid``."""
         self.hitset.record(oid)
-        touched = [k for k in self._cached if k[0] == oid]
-        for k in touched:
+        indices = self._cached_by_oid.get(oid)
+        if not indices:
+            return
+        lru = self.config.cache_policy == "lru"
+        for index in indices:
+            k = (oid, index)
             self._freq[k] = self._freq.get(k, 0) + 1
-            if self.config.cache_policy == "lru":
+            if lru:
                 self._cached.move_to_end(k)
 
     def is_hot(self, oid: str) -> bool:
@@ -116,6 +124,10 @@ class CacheManager:
         old = self._cached.pop(key, 0)
         self.cached_bytes -= old
         self._cached[key] = nbytes
+        # Pop + re-insert, as above: the chunk moves to the back of both.
+        indices = self._cached_by_oid.setdefault(oid, {})
+        indices.pop(index, None)
+        indices[index] = None
         self.cached_bytes += nbytes
         self._freq[key] = self._freq.get(key, 0) + 1
         self.promotions += old == 0
@@ -124,6 +136,11 @@ class CacheManager:
         """A chunk was punched out of its metadata object."""
         old = self._cached.pop((oid, index), 0)
         self._freq.pop((oid, index), None)
+        indices = self._cached_by_oid.get(oid)
+        if indices is not None:
+            indices.pop(index, None)
+            if not indices:
+                del self._cached_by_oid[oid]
         if old:
             self.cached_bytes -= old
             self.demotions += 1

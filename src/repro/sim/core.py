@@ -32,14 +32,32 @@ Example
 Ordering contract and host cost
 -------------------------------
 Events fire in ``(time, sequence number)`` order and an event's callbacks
-run in subscription order.  Exactly five things take a sequence number,
+run in subscription order.  Exactly six things take a sequence number,
 each at the moment it happens: :meth:`Event.succeed`, :meth:`Event.fail`,
 creating a :class:`Timeout`, starting a :class:`Process` (its bootstrap
-event) and :meth:`Simulator.call_later` (``call_soon``, interrupts and
-waiting on an already-processed event go through it).  Nothing else
-about ordering is observable, so anything else may change as long as
-those five draw the same numbers at the same points
+event), :meth:`Simulator.call_later` (``call_soon``, interrupts and
+waiting on an already-processed event go through it) and the *start of a
+held service* — :meth:`Resource.hold <repro.sim.resources.Resource.hold>`
+when a slot is free, otherwise the ``release()`` that hands the slot
+over — which queues the service's completion at ``now + duration``.
+Nothing else about ordering is observable, so anything else may change
+as long as those six draw the same numbers at the same points
 (``tests/sim/test_event_order.py`` pins a trace of it).
+
+The sixth draw is what makes a device service one event instead of a
+grant event plus a ``Timeout``.  It stands where the grant's draw stood
+and lands on the float that ``Timeout`` would have computed in the same
+instant, so services keep their order among themselves (completions are
+queued in grant order, as the ``Timeout``s were made).  One tie is
+ordered differently from the two-event form: a *non-service* event made
+in the instant a service starts — after the start, before the grant
+event would have reached its waiter — and due at the bit-identical time
+the service ends (a plain ``timeout(d)`` with ``d`` equal to the service
+time) used to fire before the completion and now fires after it.  The
+e2e workloads, the ``faults`` / ``rebalance`` scenarios and the test
+suite contain no such tie — their results are bit-identical to the
+two-event form's, which is the check — and ``test_event_order.py`` pins
+the order it now has.
 
 That freedom is spent on host time: every figure this package produces
 is millions of events, so the per-event path is two Python frames of

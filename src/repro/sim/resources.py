@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, Generator, Optional, Tuple
 
 from .core import Event, SimulationError, Simulator
@@ -22,15 +23,18 @@ __all__ = ["Resource", "Store", "TokenBucket"]
 class Resource:
     """A counted FIFO resource (semaphore) on the simulated clock.
 
-    Usage from a process::
+    A lock is held for as long as its critical section takes::
 
         yield resource.acquire()
         try:
-            yield sim.timeout(service_time)
+            ...
         finally:
             resource.release()
 
-    or the equivalent one-liner ``yield sim.process(resource.serve(t))``.
+    A device is held for a service time known up front:
+    ``yield from resource.serve(t)`` (or, as a process of its own,
+    ``yield sim.process(resource.serve(t))``) queues FIFO behind the same
+    waiters and costs one kernel event, the completion — see :meth:`hold`.
 
     ``label`` marks the resource as a *lock* for the runtime lock
     sanitizer (``repro.analysis.concurrency``): a ``"class:key"`` string
@@ -49,7 +53,9 @@ class Resource:
         self.capacity = capacity
         self.label = label
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        #: FIFO of ``(event, duration)``: ``duration`` is ``None`` for an
+        #: :meth:`acquire` and the service time for a :meth:`hold`.
+        self._waiters: Deque[Tuple[Event, Optional[float]]] = deque()
         #: Total simulated time during which at least one slot was busy.
         self.busy_time = 0.0
         #: Integral of (slots in use) over time; divide by elapsed time and
@@ -68,8 +74,8 @@ class Resource:
         return len(self._waiters)
 
     def _account(self) -> None:
-        # acquire() and release() carry this same arithmetic inline (a
-        # frame per device hop is measurable); keep the three in step.
+        # acquire(), hold() and release() carry this same arithmetic
+        # inline (a frame per device hop is measurable); keep them in step.
         now = self.sim.now
         elapsed = now - self._last_change
         if elapsed > 0:
@@ -108,7 +114,47 @@ class Resource:
             if sanitizer is not None:
                 sanitizer.on_grant(self, event)
         else:
-            self._waiters.append(event)
+            self._waiters.append((event, None))
+        return event
+
+    def hold(self, duration: float) -> Event:
+        """Return an event that fires once a slot has been held ``duration``.
+
+        The one-event form of ``acquire()`` + ``timeout(duration)`` for a
+        service whose length is known up front.  Same FIFO queue, same
+        accounting and sanitizer hooks as :meth:`acquire`; but when the
+        slot is granted — here if one is free, otherwise inside the
+        :meth:`release` that hands it over — the *completion* is pushed
+        onto the heap at ``now + duration``, where the grant would have
+        been pushed at ``now``.  So ``triggered`` on the returned event
+        means "service has started" and the caller owes a
+        :meth:`release` from then on, whether it waits for the completion
+        or is interrupted out of it (:meth:`serve` is that caller).  An
+        abandoned completion still pops at its time and does nothing.
+        """
+        if duration < 0:
+            raise ValueError(f"negative hold duration: {duration}")
+        sim = self.sim
+        event = Event(sim)
+        sanitizer = None if self.label is None else sim.lock_sanitizer
+        if sanitizer is not None:
+            sanitizer.on_acquire(self, event)
+        in_use = self._in_use
+        if in_use < self.capacity and not self._waiters:
+            now = sim.now
+            elapsed = now - self._last_change
+            if elapsed > 0:
+                self.busy_integral += elapsed * in_use
+                if in_use > 0:
+                    self.busy_time += elapsed
+            self._last_change = now
+            self._in_use = in_use + 1
+            event.triggered = True
+            heappush(sim._queue, (now + duration, next(sim._seq), event))
+            if sanitizer is not None:
+                sanitizer.on_grant(self, event)
+        else:
+            self._waiters.append((event, duration))
         return event
 
     def release(self) -> None:
@@ -132,25 +178,35 @@ class Resource:
         if sanitizer is not None:
             sanitizer.on_release(self)
         while self._waiters:
-            waiter = self._waiters.popleft()
+            waiter, duration = self._waiters.popleft()
             if waiter.cancelled:
                 if sanitizer is not None:
                     sanitizer.on_cancelled(self, waiter)
                 continue
             # Hand the slot straight to the next waiter; occupancy unchanged.
-            waiter.succeed(self)
+            if duration is None:
+                waiter.succeed(self)
+            else:  # a hold(): its service starts now
+                waiter.triggered = True
+                heappush(sim._queue, (now + duration, next(sim._seq), waiter))
             if sanitizer is not None:
                 sanitizer.on_grant(self, waiter)
             return
         self._in_use = in_use - 1
 
     def serve(self, duration: float) -> Generator[Event, Any, None]:
-        """Process generator: hold one slot for ``duration`` seconds."""
-        yield self.acquire()
+        """Process generator: hold one slot for ``duration`` seconds.
+
+        One kernel event per service.  The slot is given back when the
+        service completes or at the instant an interrupt ends it early;
+        a waiter interrupted while still queued never had one.
+        """
+        hold = self.hold(duration)
         try:
-            yield self.sim.timeout(duration)
+            yield hold
         finally:
-            self.release()
+            if hold.triggered:
+                self.release()
 
 
 class Store:

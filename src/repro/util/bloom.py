@@ -9,7 +9,6 @@ from the target capacity and false-positive rate.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from ..sim.rng import derive_seed
 
@@ -31,22 +30,31 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.count = 0
 
-    def _probes(self, item: str) -> Iterator[int]:
+    def _probes(self, item: str) -> range:
+        """The k probe positions ``h1 + i*h2``, *before* ``% num_bits``.
+
+        A ``range`` rather than a generator: this sits under every HitSet
+        and refset lookup, and a generator is a Python frame per probe.
+        """
         h1 = derive_seed(0, item)
         h2 = derive_seed(1, item) | 1
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
+        return range(h1, h1 + self.num_hashes * h2, h2)
 
     def add(self, item: str) -> None:
         """Insert ``item``."""
-        for bit in self._probes(item):
-            self._bits[bit >> 3] |= 1 << (bit & 7)
+        bits, num_bits = self._bits, self.num_bits
+        for probe in self._probes(item):
+            bit = probe % num_bits
+            bits[bit >> 3] |= 1 << (bit & 7)
         self.count += 1
 
     def __contains__(self, item: str) -> bool:
-        return all(
-            self._bits[bit >> 3] & (1 << (bit & 7)) for bit in self._probes(item)
-        )
+        bits, num_bits = self._bits, self.num_bits
+        for probe in self._probes(item):
+            bit = probe % num_bits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
+                return False
+        return True
 
     def memory_bytes(self) -> int:
         """RAM footprint of the bit array."""

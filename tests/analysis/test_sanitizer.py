@@ -118,6 +118,37 @@ def test_unlabelled_resources_are_invisible():
     assert report["acquires"] == 0 and report["clean"] is True
 
 
+def test_labelled_resource_held_through_serve_is_tracked():
+    # serve() is one kernel event (Resource.hold), not acquire + timeout:
+    # the sanitizer must still see request, grant and release, for a slot
+    # granted at once and for one handed over inside a release().
+    sim = Simulator()
+    sanitizer = LockSanitizer().attach(sim)
+    lock = Resource(sim, capacity=1, label="tier.object:x")
+    for _ in range(3):
+        sim.process(lock.serve(1.0))
+    sim.run(until=2.5)
+    report = sanitizer.report()
+    assert (report["acquires"], report["grants"], report["releases"]) == (3, 3, 2)
+    # Stopped mid-service: the third holder is reported, by its own task.
+    assert report["violations"] == [
+        {"type": "held-at-finish", "task": "task-00002", "lock": "tier.object:x"}
+    ]
+    sim.run()
+    report = sanitizer.report()
+    assert report["acquires"] == report["grants"] == report["releases"] == 3
+    assert report["clean"] is True and report["tasks"] == 3
+
+    def leaker():
+        yield lock.hold(0.5)  # waits out the service, never releases
+
+    sim.process(leaker())
+    sim.run()
+    assert sanitizer.report()["violations"] == [
+        {"type": "held-at-finish", "task": "task-00003", "lock": "tier.object:x"}
+    ]
+
+
 def test_interrupted_waiter_does_not_wedge_the_resource():
     # Regression: task B queues on a held lock and is interrupted (a
     # retry deadline); its abandoned waiter slot must not absorb the

@@ -1,6 +1,8 @@
 """Tests for the pluggable cache eviction policies (lru/lfu/fifo)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
@@ -11,6 +13,56 @@ from repro.sim import Simulator
 def manager(policy, capacity=1000):
     config = DedupConfig(cache_policy=policy, cache_capacity_bytes=capacity)
     return CacheManager(Simulator(), config)
+
+
+class FullScanCacheManager(CacheManager):
+    """The reference: find an object's cached chunks by scanning the whole
+    tier on every access (what ``record_access`` did before it kept a
+    per-object index)."""
+
+    def record_access(self, oid):
+        self.hitset.record(oid)
+        touched = [k for k in self._cached if k[0] == oid]
+        for k in touched:
+            self._freq[k] = self._freq.get(k, 0) + 1
+            if self.config.cache_policy == "lru":
+                self._cached.move_to_end(k)
+
+
+_oids = st.sampled_from("abcd")
+_indices = st.integers(min_value=0, max_value=3)
+_cache_ops = st.one_of(
+    st.tuples(st.just("note_cached"), _oids, _indices, st.integers(0, 600)),
+    st.tuples(st.just("note_evicted"), _oids, _indices),
+    st.tuples(st.just("record_access"), _oids),
+)
+
+
+@pytest.mark.parametrize("policy", ["lru", "lfu", "fifo"])
+@given(ops=st.lists(_cache_ops, max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_per_object_index_matches_the_full_scan(policy, ops):
+    config = DedupConfig(cache_policy=policy, cache_capacity_bytes=1000)
+    indexed = CacheManager(Simulator(), config)
+    reference = FullScanCacheManager(Simulator(), config)
+    for name, *args in ops:
+        getattr(indexed, name)(*args)
+        getattr(reference, name)(*args)
+        assert indexed.victims() == reference.victims()
+        assert indexed.cached_bytes == reference.cached_bytes
+        assert indexed._freq == reference._freq
+        assert list(indexed._cached.items()) == list(reference._cached.items())
+        # The index is the queue, grouped by object: same members, same
+        # relative order, and nothing left behind for an emptied object.
+        by_oid = {}
+        for oid, index in indexed._cached:
+            by_oid.setdefault(oid, []).append(index)
+        assert {
+            oid: list(indices) for oid, indices in indexed._cached_by_oid.items()
+        } == by_oid
+    assert (indexed.promotions, indexed.demotions) == (
+        reference.promotions, reference.demotions,
+    )
 
 
 def test_invalid_policy_rejected():

@@ -1,8 +1,9 @@
 """The kernel's ordering contract, pinned as one literal trace.
 
 Everything a simulation can observe about ordering comes from one rule:
-every ``succeed``, ``fail``, ``Timeout``, process bootstrap and
-``call_later``/``call_soon`` takes exactly one sequence number at the
+every ``succeed``, ``fail``, ``Timeout``, process bootstrap,
+``call_later``/``call_soon`` and start of a held service
+(``Resource.hold``) takes exactly one sequence number at the
 moment it is made, and events fire in ``(time, sequence)`` order with
 each event's callbacks in subscription order.  The scenario below ties
 as many of those triggers as it can on the same timestamps; its expected
@@ -233,6 +234,37 @@ def test_same_timestamp_ordering_is_the_pinned_trace():
     assert lock.queue_len == 0
     assert len(box) == 0
     assert sim.now == 7.0
+
+
+def test_a_held_service_draws_its_sequence_number_when_it_starts():
+    """The sixth draw.  A service's completion is ordered by the instant
+    the slot was granted — in ``hold()``, or in the ``release()`` that
+    hands the slot over — not by when its waiter would have woken up to
+    make a ``Timeout``.  So against a plain timeout with the bit-identical
+    due time, the one made first fires first."""
+    sim = Simulator()
+    disk = Resource(sim, capacity=1)
+    log = []
+
+    def served(name, duration):
+        yield from disk.serve(duration)
+        log.append((sim.now, name))
+
+    def slept(name, *delays):
+        for delay in delays:
+            yield sim.timeout(delay)
+        log.append((sim.now, name))
+
+    sim.process(served("s1", 1.0))  # granted at t=0, in hold()
+    sim.process(slept("t1", 1.0))  # made at t=0 after s1 started
+    sim.process(served("s2", 1.0))  # queued; granted at t=1 in s1's release()
+    sim.process(slept("t2", 2.0))  # made at t=0, before s2 started
+    sim.process(slept("t3", 1.0, 1.0))  # second leg made at t=1, after s2 started
+    sim.run()
+    assert log == [
+        (1.0, "s1"), (1.0, "t1"),
+        (2.0, "t2"), (2.0, "s2"), (2.0, "t3"),
+    ]
 
 
 def test_finished_process_is_freed_by_refcount_alone():

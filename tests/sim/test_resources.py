@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Simulator, Store, TokenBucket
+from repro.sim import (
+    Interrupt,
+    Resource,
+    SimulationError,
+    Simulator,
+    Store,
+    TokenBucket,
+)
 
 
 # ---------------------------------------------------------------- Resource
@@ -102,6 +109,153 @@ def test_resource_queue_len():
     sim.run(until=2.0)
     assert res.queue_len == 1
     assert res.in_use == 1
+
+
+def test_serve_is_one_event_per_service():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def user():
+        yield from res.serve(1.0)  # granted at once
+        yield from res.serve(0.5)
+
+    def second():
+        yield from res.serve(2.0)  # queued: granted inside a release()
+
+    sim.process(user())
+    sim.process(second())
+    sim.run()
+    assert sim.now == 3.5
+    # Two bootstraps, three services, two process completions.
+    assert sim._processed_events == 7
+    assert (res.in_use, res.queue_len, res.busy_time) == (0, 0, 3.5)
+
+
+def test_hold_is_triggered_once_service_starts_and_rejects_negative_time():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    first, second = res.hold(1.0), res.hold(1.0)
+    assert first.triggered and not second.triggered
+    assert (res.in_use, res.queue_len) == (1, 1)
+    with pytest.raises(ValueError):
+        res.hold(-1.0)
+    assert (res.in_use, res.queue_len) == (1, 1)
+    sim.run(until=1.0)  # nobody waits on `first`, so nobody releases
+    assert first.processed and not second.triggered
+    res.release()
+    assert second.triggered and res.in_use == 1
+    sim.run()
+    assert sim.now == 2.0 and second.processed
+
+    # Through serve() the check fails the caller before it takes a slot.
+    failed = sim.process(res.serve(-1.0))
+    sim.run()
+    assert isinstance(failed.exception, ValueError)
+    assert (res.in_use, res.queue_len) == (1, 0)
+
+
+def _interrupt_at(sim, target, when, cause="deadline"):
+    def interrupter():
+        yield sim.timeout(when)
+        target.interrupt(cause)
+
+    return sim.process(interrupter())
+
+
+def test_deadline_on_the_grant_instant_does_not_wedge_the_device():
+    # A per-attempt deadline (faults/retry.py) that fires in the instant a
+    # service starts.  When a service was a grant event plus a Timeout,
+    # the Interrupt overtook the grant's wake-up and landed outside
+    # serve()'s try: the slot was never released and the device stayed
+    # busy for the rest of the run.
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def worker():
+        try:
+            yield from res.serve(1.0)
+            yield from res.serve(1.0)
+        except Interrupt as intr:
+            log.append(("worker", intr.cause, sim.now, res.in_use))
+
+    def late():
+        yield sim.timeout(5.0)
+        yield from res.serve(0.5)
+        log.append(("late", sim.now))
+
+    victim = sim.process(worker())
+    _interrupt_at(sim, victim, 1.0)  # started after the worker
+    late_arrival = sim.process(late())
+    sim.run()
+    assert log == [("worker", "deadline", 1.0, 0), ("late", 5.5)]
+    assert late_arrival.ok
+    assert (res.in_use, res.queue_len) == (0, 0)
+    assert res.busy_time == 1.5
+
+
+def test_interrupt_while_queued_is_skipped_and_leaks_no_slot():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def user(name, duration):
+        try:
+            yield from res.serve(duration)
+            log.append((name, sim.now))
+        except Interrupt:
+            log.append((name, "interrupted", sim.now, res.in_use, res.queue_len))
+
+    sim.process(user("holder", 2.0))
+    victim = sim.process(user("victim", 1.0))
+    sim.process(user("next", 1.0))
+    _interrupt_at(sim, victim, 1.0)
+    sim.run(until=1.5)
+    # The victim never had a slot; its cancelled entry waits in the queue
+    # for the release() that skips it.
+    assert log == [("victim", "interrupted", 1.0, 1, 2)]
+    assert (res.in_use, res.queue_len) == (1, 2)
+    sim.run(until=2.5)
+    assert (res.in_use, res.queue_len) == (1, 0)
+    sim.run()
+    assert log[1:] == [("holder", 2.0), ("next", 3.0)]
+    assert (res.in_use, res.queue_len, res.busy_time) == (0, 0, 3.0)
+
+
+def test_interrupt_in_service_frees_the_slot_then_and_only_then():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def user(name, arrive, duration):
+        yield sim.timeout(arrive)
+        try:
+            yield from res.serve(duration)
+            log.append((name, sim.now))
+        except Interrupt:
+            log.append((name, "interrupted", sim.now, res.in_use))
+
+    def probe():
+        # The victim's abandoned completion pops at t=3, while "late" is
+        # in service: it must release nothing.
+        yield sim.timeout(3.0)
+        yield sim.timeout(0.0)
+        log.append(("probe", sim.now, res.in_use))
+
+    victim = sim.process(user("victim", 0.0, 3.0))
+    sim.process(user("waiter", 0.5, 1.0))
+    sim.process(user("late", 2.5, 1.0))
+    sim.process(probe())
+    _interrupt_at(sim, victim, 1.0)
+    sim.run()
+    assert log == [
+        # The slot went straight to the waiter: still one in use.
+        ("victim", "interrupted", 1.0, 1),
+        ("waiter", 2.0),
+        ("probe", 3.0, 1),
+        ("late", 3.5),
+    ]
+    assert (res.in_use, res.queue_len, res.busy_time) == (0, 0, 3.0)
 
 
 # ------------------------------------------------------------------- Store

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.rng import derive_seed
 from repro.util import BloomFilter
 
 
@@ -37,3 +38,28 @@ def test_invalid_params():
         BloomFilter(capacity=0)
     with pytest.raises(ValueError):
         BloomFilter(capacity=10, error_rate=1.5)
+
+
+def test_probe_positions_match_the_double_hashing_formula():
+    # _probes() hands back an unreduced range and add()/__contains__ take
+    # the modulus inline; the bits set and the answers given must be those
+    # of the formula written out, (h1 + i*h2) % m for i < k.
+    bf = BloomFilter(capacity=200, error_rate=0.01)
+    reference = bytearray(len(bf._bits))
+
+    def positions(item):
+        h1 = derive_seed(0, item)
+        h2 = derive_seed(1, item) | 1
+        return [(h1 + i * h2) % bf.num_bits for i in range(bf.num_hashes)]
+
+    items = [f"chunk-{i}" for i in range(200)]
+    for item in items:
+        assert [p % bf.num_bits for p in bf._probes(item)] == positions(item)
+        bf.add(item)
+        for bit in positions(item):
+            reference[bit >> 3] |= 1 << (bit & 7)
+    assert bf._bits == reference
+    assert bf.count == len(items)
+    for item in items + [f"absent-{i}" for i in range(2000)]:
+        expected = all(reference[b >> 3] & (1 << (b & 7)) for b in positions(item))
+        assert (item in bf) is expected

@@ -2,6 +2,7 @@
 """Where ``host_calls_per_op`` comes from: calls/op by file and by function.
 
     python3 scripts/calls_by_function.py WORKLOAD [--seed N] [--seconds S] [--top K] [--by calls|time]
+                                         [--callers FILE[,FILE...]]
 
 The e2e benchmark's ``host_calls_per_op`` is one number — calls of
 functions defined under ``src/repro/`` per client op, counted by
@@ -24,6 +25,12 @@ inflated by the profiler in proportion to calls made, and without the
 time spent inside C callees (``sum``, ``sorted``, ``hashlib``), which
 the header line totals as "elsewhere" — so use it to find candidates
 and the benchmark's ``host_ops_per_s`` to measure them.
+
+``--callers core/objects.py,core/io_path.py`` adds, for the functions of
+those files (paths as the per-file table prints them), calls/op per
+(callee <- caller) edge of the same profile: a cheap accessor called 30
+times an op is its caller's cost, and the per-function table cannot say
+whose.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=40, help="functions to list")
     parser.add_argument("--by", choices=("calls", "time"), default="calls",
                         help="rank by calls/op (default) or by self time in us/op")
+    parser.add_argument("--callers", default="", metavar="FILE[,FILE...]",
+                        help="also print calls/op per (callee <- caller) edge into these "
+                             "files, named as in the per-file table (e.g. core/objects.py)")
     args = parser.parse_args(argv)
 
     if os.environ.get("PYTHONHASHSEED") != "0":
@@ -87,8 +97,10 @@ def main(argv=None) -> int:
     file_self: Counter = Counter()
     function_calls: Counter = Counter()
     function_self: Counter = Counter()
+    edge_calls: Counter = Counter()  # (callee's file, callee, caller)
+    callee_files = set(filter(None, args.callers.split(",")))
     elsewhere_self = 0.0
-    for (filename, _line, name), (_cc, calls, self_s, *_rest) in pstats.Stats(profiles[-1]).stats.items():
+    for (filename, _line, name), (_cc, calls, self_s, _cum_s, callers) in pstats.Stats(profiles[-1]).stats.items():
         rel = _repro_relpath(filename)
         if rel is None:
             elsewhere_self += self_s
@@ -97,10 +109,21 @@ def main(argv=None) -> int:
         file_self[rel] += self_s
         function_calls[(rel, name)] += calls
         function_self[(rel, name)] += self_s
+        if rel in callee_files:
+            for (caller_file, _caller_line, caller), (edge, *_times) in callers.items():
+                caller_rel = _repro_relpath(caller_file) or os.path.basename(caller_file)
+                edge_calls[(rel, name, "%s %s" % (caller_rel, caller))] += edge
+            orphans = calls - sum(edge for edge, *_times in callers.values())
+            if orphans:  # called from the frame that switched the profiler on
+                edge_calls[(rel, name, "(no caller recorded)")] += orphans
     total = sum(file_calls.values())
     if total != result["tail"]["repro_calls"]:
         raise SystemExit("breakdown sums to %d calls, the benchmark counted %d" % (
             total, result["tail"]["repro_calls"]))
+    unknown = callee_files - set(file_calls)
+    if unknown:
+        raise SystemExit("--callers: no calls into %s (known files: %s)" % (
+            ", ".join(sorted(unknown)), ", ".join(sorted(file_calls))))
 
     def us_per_op(seconds):
         return 1e6 * seconds / ops
@@ -125,6 +148,14 @@ def main(argv=None) -> int:
             "(%d more)" % len(rest), "",
             sum(function_calls[key] for key in rest) / ops,
             us_per_op(sum(function_self[key] for key in rest))))
+    if callee_files:
+        print("\n%10s  %-24s %-24s <- %s" % ("calls/op", "file", "function", "caller"))
+        edges = edge_calls.most_common()
+        for (rel, name, caller), calls in edges[: args.top]:
+            print("%10.2f  %-24s %-24s <- %s" % (calls / ops, rel, name, caller))
+        if edges[args.top:]:
+            print("%10.2f  (%d more)" % (
+                sum(calls for _key, calls in edges[args.top:]) / ops, len(edges[args.top:])))
     return 1 if result["failure_count"] else 0
 
 

@@ -39,6 +39,11 @@ __all__ = [
 #: own metadata at least 512 bytes").
 PER_OBJECT_OVERHEAD = 512
 
+#: Transaction ops that bring their target into existence when absent.
+_CREATING_OPS = frozenset(
+    ("create", "write", "write_full", "truncate", "zero", "setxattr", "omap_set")
+)
+
 
 class NoSuchObject(KeyError):
     """Raised when an operation targets a non-existent object."""
@@ -73,6 +78,8 @@ class StoredObject:
 
     def allocated_bytes(self) -> int:
         """Payload bytes actually occupying disk (length minus holes)."""
+        if not self.holes:
+            return len(self.data)
         return len(self.data) - self.holes.total_within(0, len(self.data))
 
     def footprint(self) -> int:
@@ -296,14 +303,18 @@ class ObjectStore:
             )
 
     def _apply_ops(self, txn: Transaction) -> None:
+        objects = self._objects
         for op in txn.ops:
-            kind = op[0]
+            kind, key = op[0], op[1]
+            # Get-or-create: ``_validate`` has established that the
+            # target of every other op kind exists by now.
+            obj = objects.get(key)
+            if obj is None and kind in _CREATING_OPS:
+                obj = objects[key] = StoredObject()
             if kind == "create":
-                _, key, _exclusive = op
-                self._objects.setdefault(key, StoredObject())
+                pass
             elif kind == "write":
-                _, key, offset, data = op
-                obj = self._objects.setdefault(key, StoredObject())
+                _, _, offset, data = op
                 end = offset + len(data)
                 if len(obj.data) < offset:
                     obj.data.extend(b"\x00" * (offset - len(obj.data)))
@@ -312,41 +323,32 @@ class ObjectStore:
                 obj.data[offset:end] = data
                 obj.holes.remove(offset, end)
             elif kind == "write_full":
-                _, key, data = op
-                obj = self._objects.setdefault(key, StoredObject())
-                obj.data = bytearray(data)
+                obj.data = bytearray(op[2])
                 obj.holes = IntervalSet()
             elif kind == "truncate":
-                _, key, size = op
-                obj = self._objects.setdefault(key, StoredObject())
+                size = op[2]
                 if size <= len(obj.data):
                     del obj.data[size:]
                     obj.holes.clip(size)
                 else:
                     obj.data.extend(b"\x00" * (size - len(obj.data)))
             elif kind == "zero":
-                _, key, offset, length = op
-                obj = self._objects.setdefault(key, StoredObject())
+                _, _, offset, length = op
                 end = min(offset + length, len(obj.data))
                 if end > offset:
                     obj.data[offset:end] = b"\x00" * (end - offset)
                     obj.holes.add(offset, end)
             elif kind == "remove":
-                _, key = op
-                del self._objects[key]
+                del objects[key]
             elif kind == "setxattr":
-                _, key, name, value = op
-                self._objects.setdefault(key, StoredObject()).xattrs[name] = value
+                obj.xattrs[op[2]] = op[3]
             elif kind == "rmxattr":
-                _, key, name = op
-                del self._objects[key].xattrs[name]
+                del obj.xattrs[op[2]]
             elif kind == "omap_set":
-                _, key, entries = op
-                self._objects.setdefault(key, StoredObject()).omap.update(entries)
+                obj.omap.update(op[2])
             elif kind == "omap_rm":
-                _, key, names = op
-                omap = self._objects[key].omap
-                for name in names:
+                omap = obj.omap
+                for name in op[2]:
                     omap.pop(name, None)
             else:  # pragma: no cover - constructor-enforced
                 raise ValueError(f"unknown transaction op {kind!r}")
@@ -370,7 +372,7 @@ class ObjectStore:
                     raise ObjectExists(key)
                 created.add(key)
                 removed.discard(key)
-            elif kind in ("write", "write_full", "truncate", "setxattr", "omap_set", "zero"):
+            elif kind in _CREATING_OPS:
                 created.add(key)
                 removed.discard(key)
                 if kind == "setxattr":

@@ -63,11 +63,17 @@ class HitSet:
 
     def hit_count(self, oid: str) -> int:
         """Number of recent periods in which ``oid`` was accessed."""
-        now = self.sim.now
-        horizon = now - self.period * self.count
-        return sum(
-            1 for start, bf in self._ring if start >= horizon and oid in bf
-        )
+        ring = self._ring
+        if not ring:
+            return 0
+        horizon = self.sim.now - self.period * self.count
+        # Every filter of the ring has one geometry: hash the oid once.
+        probes = ring[-1][1].probes(oid)
+        hits = 0
+        for start, bf in ring:
+            if start >= horizon and bf.has_probes(probes):
+                hits += 1
+        return hits
 
     def memory_bytes(self) -> int:
         """In-memory footprint of the bloom filter ring."""

@@ -141,8 +141,7 @@ class DedupEngine:
             # Rate-control *before* taking the object lock: a paced
             # background pass must never stall foreground writers that
             # need the same lock (§4.4.2 — dedup yields to foreground).
-            cmap_peek = tier.peek_chunk_map(oid)
-            pending = len(cmap_peek.dirty_indices()) if cmap_peek else 0
+            pending = tier.peek_dirty_count(oid)
             with op.child("engine.rate_throttle", pending=pending):
                 for _ in range(max(1, pending)):
                     yield from tier.rate.throttle()
@@ -187,8 +186,7 @@ class DedupEngine:
                     entry = cmap.get(idx)
                     if not entry.cached:
                         # Dirty implies cached by construction; tolerate anyway.
-                        entry.dirty = False
-                        cmap.mark_touched(idx)
+                        cmap.set(entry.replace(dirty=False))
                         changed = True
                         continue
                     if entry.fully_cached():
@@ -257,20 +255,19 @@ class DedupEngine:
                         else:
                             self.stats.chunks_deduped += 1
                             self.stats.bytes_deduped += len(data)
-                entry.chunk_id = fp
-                entry.dirty = False
-                cmap.mark_touched(idx)
+                valid = entry.valid
                 if tier.cache.keep_cached_on_flush(oid):
                     if not entry.fully_cached():
                         # Materialise the merged chunk in the cache.
                         txn.write(key, entry.offset, data)
-                        entry.set_fully_valid()
+                        valid = ((0, entry.length),)
                         tier.cache.note_cached(oid, idx, entry.length)
                 else:
                     txn.zero(key, entry.offset, entry.length)
-                    entry.clear_valid()
+                    valid = ()
                     tier.cache.note_evicted(oid, idx)
                     self.stats.chunks_evicted += 1
+                cmap.set(entry.replace(chunk_id=fp, dirty=False, valid=valid))
                 changed = True
             if changed and cmap.cached_indices() == []:
                 # Paper Figure 8, "object 2": when no chunk remains cached,
@@ -415,9 +412,8 @@ class DedupEngine:
                 key = tier.metadata_key(oid)
                 txn = Transaction()
                 promoted = 0
-                for entry in cmap:
-                    if entry.dirty or entry.fully_cached() or not entry.chunk_id:
-                        continue
+                for idx in cmap.promotable_indices():
+                    entry = cmap.get(idx)
                     data = yield from tier.read_chunk(
                         entry.chunk_id, 0, entry.length, via
                     )
@@ -428,9 +424,7 @@ class DedupEngine:
                         # can promote it once the chunk reads whole.
                         continue
                     txn.write(key, entry.offset, data)
-                    entry.set_fully_valid()
-                    idx = entry.offset // tier.config.chunk_size
-                    cmap.mark_touched(idx)
+                    cmap.set(entry.replace(valid=((0, entry.length),)))
                     tier.cache.note_cached(oid, idx, entry.length)
                     promoted += 1
                 if promoted == 0:
@@ -490,8 +484,7 @@ class DedupEngine:
         primary = tier.cluster._primary(tier.metadata_pool, oid)
         via = NodeClient(primary.node)
         key = tier.metadata_key(oid)
-        entry.clear_valid()
-        cmap.mark_touched(index)
+        cmap.set(entry.replace(valid=()))
         txn = Transaction().zero(key, entry.offset, entry.length)
         tier.append_map_commit(txn, oid, cmap)
         if cmap.cached_indices() == []:

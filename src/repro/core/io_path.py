@@ -158,37 +158,36 @@ def _write_locked(
                 offset=cstart, length=rel_end, cached=True, dirty=True
             )
         else:
-            entry.length = max(entry.length, rel_end)
-            entry.dirty = True
-            if not entry.chunk_id:
-                # Never flushed: the whole (zero-extended) chunk lives in
-                # the data part.
-                entry.set_fully_valid()
-            elif rel_start == 0 and rel_end >= entry.length:
-                entry.set_fully_valid()
-            elif not entry.add_valid(rel_start, rel_end):
+            length = max(entry.length, rel_end)
+            whole = ((0, length),)
+            if not entry.chunk_id or (rel_start == 0 and rel_end >= length):
+                # Never flushed — the whole (zero-extended) chunk lives
+                # in the data part — or overwritten end to end.
+                valid = whole
+            else:
+                valid = entry.valid_with(rel_start, rel_end)
+            if valid is None:
                 # Too fragmented to track: coalesce with a foreground
                 # pre-read from the chunk object (the paper's pre-read
                 # corner case; common sub-chunk writes never hit it —
                 # the read-modify-write is deferred to the engine).
                 with span.child("tier.preread", chunk=entry.chunk_id) as s_pre:
                     chunk_bytes = yield from tier.retrying(
-                        lambda cid=entry.chunk_id, ln=entry.length, sp=s_pre: (
+                        lambda cid=entry.chunk_id, ln=length, sp=s_pre: (
                             tier.read_chunk(cid, 0, ln, client, span=sp)
                         ),
                         op="preread",
                         span=s_pre,
                     )
-                chunk_bytes = chunk_bytes + b"\x00" * (
-                    entry.length - len(chunk_bytes)
-                )
+                chunk_bytes = chunk_bytes + b"\x00" * (length - len(chunk_bytes))
                 # Fill only the ranges the cache does not hold — the
                 # cached ranges carry newer data.
-                for seg_start, seg_end in entry.missing_ranges():
+                for seg_start, seg_end in entry.replace(length=length).missing_ranges():
                     txn.write(
                         key, cstart + seg_start, chunk_bytes[seg_start:seg_end]
                     )
-                entry.set_fully_valid()
+                valid = whole
+            entry = entry.replace(length=length, dirty=True, valid=valid)
         cmap.set(entry)
         tier.cache.note_cached(
             oid, idx, sum(e - s for s, e in entry.valid)
@@ -498,11 +497,8 @@ def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):
     if (
         tier.on_hot_read is not None
         and tier.config.cache_on_flush
+        and cmap.promotable_indices()
         and tier.cache.is_hot(oid)
     ):
-        if any(
-            entry.chunk_id and not entry.dirty and not entry.fully_cached()
-            for entry in cmap
-        ):
-            tier.on_hot_read(oid)
+        tier.on_hot_read(oid)
     return bytes(buf)

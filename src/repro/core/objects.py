@@ -38,6 +38,7 @@ __all__ = [
     "map_entry_key",
     "is_v2_map_header",
     "decode_stored_map",
+    "stored_dirty_count",
     "ChunkMapEntry",
     "ChunkMap",
     "ChunkRef",
@@ -59,6 +60,7 @@ _MAP_HEADER = struct.Struct(">4sII")  # magic, chunk_size, entry count
 _MAP_MAGIC_V2 = b"CMP2"
 _MAP_HEADER_V2 = struct.Struct(">4sIIQ")  # magic, chunk_size, count, version
 _ENTRY_FIXED = struct.Struct(">QIBB")  # offset, length, flags, id length
+_ENTRY_FLAGS_AT = 12  # the flags byte follows the 8-byte offset and 4-byte length
 _FLAG_CACHED = 1
 _FLAG_DIRTY = 2
 _RANGE = struct.Struct(">II")
@@ -86,21 +88,26 @@ def is_v2_map_header(blob: bytes) -> bool:
 MAX_VALID_RANGES = 4
 
 
+#: Entries are immutable to their users; only ``__init__`` writes fields.
+_init_field = object.__setattr__
+
+
 def merge_ranges(ranges) -> Tuple[Tuple[int, int], ...]:
     """Coalesce (start, end) ranges: sorted, disjoint, non-adjacent."""
-    out: List[List[int]] = []
+    out: List[Tuple[int, int]] = []
     for start, end in sorted(ranges):
         if end <= start:
             continue
         if out and start <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], end)
+            if end > out[-1][1]:
+                out[-1] = (out[-1][0], end)
         else:
-            out.append([start, end])
-    return tuple((s, e) for s, e in out)
+            out.append((start, end))
+    return tuple(out)
 
 
 class ChunkMapEntry:
-    """One row of the chunk map (Figure 8).
+    """One row of the chunk map (Figure 8) — an immutable value.
 
     ``chunk_id`` is empty until the chunk has been fingerprinted by the
     dedup engine (the paper's write path note: "the chunk ID is not
@@ -114,6 +121,11 @@ class ChunkMapEntry:
     engine — the paper's trick for keeping foreground partial writes at
     original-system cost.  ``cached`` is true iff ``valid`` is
     non-empty.
+
+    Entries never change after construction: a changed row is a new
+    entry (:meth:`replace`) installed with :meth:`ChunkMap.set`.  That
+    is what lets the cached committed snapshot, every reader's map and
+    a writer's private fork share entry objects.
 
     Hand-rolled ``__slots__`` class (not a dataclass): maps hold one
     entry per chunk, so the per-instance dict overhead dominates decoded
@@ -131,18 +143,29 @@ class ChunkMapEntry:
         dirty: bool = True,
         valid: Optional[Tuple[Tuple[int, int], ...]] = None,
     ):
-        self.offset = offset
-        self.length = length
-        self.chunk_id = chunk_id
-        self.cached = cached
-        self.dirty = dirty
         if valid is None:
-            valid = ((0, length),) if cached else ()
-        self.valid = merge_ranges(valid)
-        if not self.cached and self.valid:
+            valid = ((0, length),) if cached and length > 0 else ()
+        else:
+            valid = merge_ranges(valid)
+        if not cached and valid:
             raise ValueError("non-cached entry cannot have valid ranges")
-        if self.cached and not self.valid:
+        if cached and not valid:
             raise ValueError("cached entry must have valid ranges")
+        _init_field(self, "offset", offset)
+        _init_field(self, "length", length)
+        _init_field(self, "chunk_id", chunk_id)
+        _init_field(self, "cached", cached)
+        _init_field(self, "dirty", dirty)
+        _init_field(self, "valid", valid)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"ChunkMapEntry is immutable: cannot set {name!r}; "
+            "install entry.replace(...) with ChunkMap.set()"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ChunkMapEntry is immutable: cannot delete {name!r}")
 
     def __repr__(self) -> str:
         return (
@@ -163,8 +186,6 @@ class ChunkMapEntry:
             and self.valid == other.valid
         )
 
-    __hash__ = None  # type: ignore[assignment]  # mutable, like the old dataclass
-
     @property
     def end(self) -> int:
         """Exclusive end offset of this chunk's range."""
@@ -174,44 +195,38 @@ class ChunkMapEntry:
         """Whether every byte of the chunk is in the data part."""
         return self.valid == ((0, self.length),)
 
-    def add_valid(self, start: int, end: int) -> bool:
-        """Record that ``[start, end)`` (chunk-relative) is now cached.
+    def replace(
+        self,
+        length: Optional[int] = None,
+        chunk_id: Optional[str] = None,
+        dirty: Optional[bool] = None,
+        valid: Optional[Tuple[Tuple[int, int], ...]] = None,
+    ) -> "ChunkMapEntry":
+        """A new entry with the given fields changed.
 
-        Returns False when the merged set would exceed
+        ``offset`` is the row's identity and never changes; ``cached``
+        follows ``valid`` (``valid=()`` is "nothing cached").
+        """
+        if valid is None:
+            valid = self.valid
+        return ChunkMapEntry(
+            self.offset,
+            self.length if length is None else length,
+            self.chunk_id if chunk_id is None else chunk_id,
+            bool(valid),
+            self.dirty if dirty is None else dirty,
+            valid,
+        )
+
+    def valid_with(self, start: int, end: int) -> Optional[Tuple[Tuple[int, int], ...]]:
+        """``valid`` once ``[start, end)`` (chunk-relative) is cached too.
+
+        Returns ``None`` when the merged set would exceed
         :data:`MAX_VALID_RANGES` — the caller must then coalesce via a
         full pre-read instead.
         """
         merged = merge_ranges(self.valid + ((start, end),))
-        if len(merged) > MAX_VALID_RANGES:
-            return False
-        self.valid = merged
-        self.cached = bool(merged)
-        return True
-
-    def set_fully_valid(self) -> None:
-        """Mark the whole chunk cached."""
-        self.valid = ((0, self.length),)
-        self.cached = True
-
-    def clear_valid(self) -> None:
-        """Mark nothing cached (after eviction/punch)."""
-        self.valid = ()
-        self.cached = False
-
-    def copy(self) -> "ChunkMapEntry":
-        """Field-level copy, bypassing ``__init__`` validation.
-
-        ``chunk_id`` (str) and ``valid`` (tuple) are immutable and
-        shared; mutating the copy never affects the original.
-        """
-        dup = ChunkMapEntry.__new__(ChunkMapEntry)
-        dup.offset = self.offset
-        dup.length = self.length
-        dup.chunk_id = self.chunk_id
-        dup.cached = self.cached
-        dup.dirty = self.dirty
-        dup.valid = self.valid
-        return dup
+        return merged if len(merged) <= MAX_VALID_RANGES else None
 
     def missing_ranges(self) -> Tuple[Tuple[int, int], ...]:
         """Chunk-relative ranges *not* in the cache (complement of valid)."""
@@ -274,16 +289,33 @@ class ChunkMap:
     Entries are keyed by chunk index (``offset // chunk_size``); static
     chunking keeps offsets aligned, so the index is derivable from any
     byte offset.
+
+    :meth:`set` is the only way the map changes (entries themselves are
+    immutable), so it is also where the map keeps what the per-op paths
+    ask of it — logical size and the dirty / cached / promotable index
+    sets — up to date: every query below costs what the answer holds,
+    never a walk over the entries, and :meth:`copy` shares the entries.
     """
+
+    # ``copy`` fills these without going through ``__init__``; slots turn
+    # a field added to one and forgotten in the other into an error.
+    __slots__ = (
+        "chunk_size", "_entries", "_touched", "_dirty", "_cached",
+        "_promotable", "_size", "stored_v2",
+    )
 
     def __init__(self, chunk_size: int):
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
         self._entries: Dict[int, ChunkMapEntry] = {}
-        #: Indices mutated since the last commit; drives the incremental
+        #: Indices set since the last commit; drives the incremental
         #: (v2) writer, which serialises only these entries.
         self._touched: Set[int] = set()
+        self._dirty: Set[int] = set()
+        self._cached: Set[int] = set()
+        self._promotable: Set[int] = set()
+        self._size = 0
         #: Whether this map was decoded from an incremental (v2) store.
         #: A v1-decoded map must be committed as a full upgrade (all
         #: entries) the first time it is written incrementally.
@@ -301,39 +333,54 @@ class ChunkMap:
         return self._entries.get(index)
 
     def set(self, entry: ChunkMapEntry) -> None:
-        """Install ``entry`` (keyed by its offset's chunk index)."""
-        if entry.offset % self.chunk_size != 0:
+        """Install ``entry`` (keyed by its offset's chunk index),
+        replacing the row there, and record the index as touched."""
+        offset, length = entry.offset, entry.length
+        if offset % self.chunk_size != 0:
             raise ValueError(
-                f"entry offset {entry.offset} not aligned to {self.chunk_size}"
+                f"entry offset {offset} not aligned to {self.chunk_size}"
             )
-        if not (0 < entry.length <= self.chunk_size):
-            raise ValueError(f"entry length {entry.length} out of range")
-        idx = entry.offset // self.chunk_size
+        if not (0 < length <= self.chunk_size):
+            raise ValueError(f"entry length {length} out of range")
+        idx = offset // self.chunk_size
+        old = self._entries.get(idx)
         self._entries[idx] = entry
         self._touched.add(idx)
+        dirty, valid = entry.dirty, entry.valid
+        (self._dirty.add if dirty else self._dirty.discard)(idx)
+        (self._cached.add if valid else self._cached.discard)(idx)
+        # Promotable: flushed, clean and not fully cached — a copy from
+        # the chunk pool would add bytes the data part does not hold.
+        if entry.chunk_id and not dirty and valid != ((0, length),):
+            self._promotable.add(idx)
+        else:
+            self._promotable.discard(idx)
+        end = offset + length
+        if end >= self._size:
+            self._size = end
+        elif old is not None and old.offset + old.length == self._size:
+            # The row that set the size shrank: the one recount.
+            self._size = max(e.offset + e.length for e in self._entries.values())
 
     def copy(self) -> "ChunkMap":
-        """Entry-level deep copy: mutating the copy (or any of its
-        entries) never affects the original.  Touched tracking and
-        ``stored_v2`` carry over, so a copy commits identically."""
-        dup = ChunkMap(self.chunk_size)
-        dup._entries = {i: e.copy() for i, e in self._entries.items()}
-        dup._touched = set(self._touched)
+        """An independent map over the *same* entry objects: ``set`` on
+        either side is invisible to the other, and entries cannot
+        change.  Touched tracking and ``stored_v2`` carry over, so a
+        copy commits identically."""
+        dup = ChunkMap.__new__(ChunkMap)
+        dup.chunk_size = self.chunk_size
+        dup._entries = self._entries.copy()
+        dup._touched = self._touched.copy()
+        dup._dirty = self._dirty.copy()
+        dup._cached = self._cached.copy()
+        dup._promotable = self._promotable.copy()
+        dup._size = self._size
         dup.stored_v2 = self.stored_v2
         return dup
 
-    def mark_touched(self, index: int) -> None:
-        """Record an in-place mutation of the entry at ``index``.
-
-        Callers that mutate a :class:`ChunkMapEntry` directly (flag
-        flips, valid-range edits) must mark it so the incremental writer
-        knows to re-serialise it.
-        """
-        self._touched.add(index)
-
     def touched_indices(self) -> List[int]:
-        """Sorted indices mutated since the last :meth:`clear_touched`."""
-        return sorted(i for i in self._touched if i in self._entries)
+        """Sorted indices set since the last :meth:`clear_touched`."""
+        return sorted(self._touched)
 
     def clear_touched(self) -> None:
         """Reset mutation tracking (after a successful commit)."""
@@ -345,19 +392,24 @@ class ChunkMap:
 
     def logical_size(self) -> int:
         """Logical object size implied by the map (max entry end)."""
-        return max((e.end for e in self._entries.values()), default=0)
+        return self._size
 
     def dirty_indices(self) -> List[int]:
         """Indices whose chunks need dedup processing."""
-        return sorted(i for i, e in self._entries.items() if e.dirty)
+        return sorted(self._dirty)
 
     def cached_indices(self) -> List[int]:
         """Indices whose chunks are cached in the metadata object."""
-        return sorted(i for i, e in self._entries.items() if e.cached)
+        return sorted(self._cached)
+
+    def promotable_indices(self) -> List[int]:
+        """Indices of flushed, clean chunks the data part does not fully
+        hold — what a hot object's promotion would copy back."""
+        return sorted(self._promotable)
 
     def all_clean(self) -> bool:
         """True when no entry is dirty."""
-        return not any(e.dirty for e in self._entries.values())
+        return not self._dirty
 
     def serialized_bytes(self) -> int:
         """Size of the serialised map (150 bytes/entry + header)."""
@@ -432,6 +484,38 @@ def decode_stored_map(header: bytes, omap: Mapping[str, bytes]) -> ChunkMap:
     if is_v2_map_header(header):
         return ChunkMap.from_stored_v2(header, omap)
     return ChunkMap.deserialize(header)
+
+
+def stored_dirty_count(header: bytes, omap: Mapping[str, bytes]) -> int:
+    """How many entries of a stored chunk map are dirty.
+
+    Equals ``len(decode_stored_map(header, omap).dirty_indices())`` but
+    reads only each packed entry's flags byte — what rebuilding the
+    dirty list and pacing a dedup pass need from a map they otherwise
+    never look at.
+    """
+    dirty = 0
+    if is_v2_map_header(header):
+        _magic, _chunk_size, count, _version = _MAP_HEADER_V2.unpack_from(header)
+        found = 0
+        for key, blob in omap.items():
+            if key.startswith(MAP_OMAP_PREFIX):
+                found += 1
+                if blob[_ENTRY_FLAGS_AT] & _FLAG_DIRTY:
+                    dirty += 1
+        if found != count:
+            raise ValueError(
+                f"v2 chunk map header claims {count} entries, omap has {found}"
+            )
+        return dirty
+    magic, _chunk_size, count = _MAP_HEADER.unpack_from(header)
+    if magic != _MAP_MAGIC:
+        raise ValueError(f"bad chunk map magic {magic!r}")
+    first = _MAP_HEADER.size + _ENTRY_FLAGS_AT
+    for flags in header[first : first + count * CHUNK_MAP_ENTRY_BYTES : CHUNK_MAP_ENTRY_BYTES]:
+        if flags & _FLAG_DIRTY:
+            dirty += 1
+    return dirty
 
 
 @dataclass(frozen=True, order=True)

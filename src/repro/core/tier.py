@@ -45,6 +45,7 @@ from .objects import (
     RefSet,
     decode_stored_map,
     is_v2_map_header,
+    stored_dirty_count,
 )
 from .rate_control import OpWindow, RateController
 from .read_cache import ChunkDataCache
@@ -154,7 +155,16 @@ class SpaceReport:
 
 
 class DedupTier:
-    """State and helper operations shared by the I/O paths and engine."""
+    """State and helper operations shared by the I/O paths and engine.
+
+    Chunk maps move through here by one protocol: :meth:`load_chunk_map`
+    hands every caller its own fork of a shared immutable snapshot (the
+    decoded-map cache holds committed snapshots only), the caller
+    replaces rows of its fork with ``ChunkMap.set``, builds the commit
+    with :meth:`append_map_commit`, and then either
+    :meth:`note_map_committed` (the fork's state becomes the next
+    snapshot) or :meth:`invalidate_map_cache`.
+    """
 
     def __init__(
         self,
@@ -219,9 +229,11 @@ class DedupTier:
         self.stage = StageCounters()
         # Versioned LRU of decoded ChunkMaps in front of load_chunk_map:
         # oid -> (version, ChunkMap).  The cache holds *committed
-        # snapshots only*; every load hands out a private copy, so a
-        # caller mutating its map across yields can never pollute what
-        # concurrent readers see.  The per-oid version counters in
+        # snapshots only*, which nothing ever changes: entries are
+        # immutable and every load hands out a fork (ChunkMap.copy — a
+        # new index over the same entries), so a caller replacing rows
+        # of its map across yields can never pollute what concurrent
+        # readers see.  The per-oid version counters in
         # _map_versions advance on every committed mutation (and on
         # explicit invalidation), so a cached decode is served only when
         # its version still matches — the same freshness discipline the
@@ -352,8 +364,7 @@ class DedupTier:
         self._dirty_queue.clear()
         self._dirty_set.clear()
         for oid in self.cluster.list_objects(self.metadata_pool):
-            cmap = self.peek_chunk_map(oid)
-            if cmap is not None and not cmap.all_clean():
+            if self.peek_dirty_count(oid):
                 self.mark_dirty(oid)
         return self.dirty_count
 
@@ -373,9 +384,9 @@ class DedupTier:
         """Fully qualified key of a metadata object."""
         return self.cluster.object_key(self.metadata_pool, oid)
 
-    def peek_chunk_map(self, oid: str) -> Optional[ChunkMap]:
-        """Read the chunk map without charging simulated time (tests,
-        accounting, planning)."""
+    def _peek_stored_map(self, oid: str) -> Optional[Tuple[bytes, Dict[str, bytes]]]:
+        """The stored chunk map of ``oid`` as ``(header xattr, omap)``,
+        still packed and without charging simulated time."""
         key = self.metadata_key(oid)
         # acting_osds (not acting_set_for): mid-rebalance the object may
         # still be parked on its pre-remap acting set.
@@ -383,8 +394,20 @@ class DedupTier:
             if osd.up and osd.store.exists(key):
                 obj = osd.store.get(key)
                 blob = obj.xattrs.get(CHUNK_MAP_XATTR)
-                return decode_stored_map(blob, obj.omap) if blob else None
+                return (blob, obj.omap) if blob else None
         return None
+
+    def peek_chunk_map(self, oid: str) -> Optional[ChunkMap]:
+        """Read the chunk map without charging simulated time (tests,
+        accounting, scrub)."""
+        stored = self._peek_stored_map(oid)
+        return decode_stored_map(*stored) if stored else None
+
+    def peek_dirty_count(self, oid: str) -> int:
+        """Dirty chunks of ``oid`` per its stored map (0 for an unknown
+        object), without decoding the map or charging simulated time."""
+        stored = self._peek_stored_map(oid)
+        return stored_dirty_count(*stored) if stored else 0
 
     # -- decoded-map cache ----------------------------------------------------
 
@@ -413,9 +436,9 @@ class DedupTier:
         self._map_versions[oid] = version
         cmap.stored_v2 = True
         cmap.clear_touched()
-        # Cache a private snapshot: the caller keeps ownership of
-        # ``cmap`` and may keep mutating it without polluting the
-        # committed state served to concurrent loads.
+        # Cache a fork: the caller keeps ownership of ``cmap`` and may
+        # keep replacing its rows without polluting the committed state
+        # served to concurrent loads.
         self._cache_map(oid, cmap.copy(), version)
         return version
 
@@ -459,12 +482,15 @@ class DedupTier:
         map without touching the disk at all.  Returns ``None`` for an
         unknown object.
 
-        The returned ChunkMap is the caller's *private copy* (hit or
-        miss): readers get a consistent committed snapshot even while a
-        lock-holding writer mutates its own copy across yields, and a
-        mutating caller either commits (``note_map_committed``) or
-        invalidates (``invalidate_map_cache``) — the cache itself only
-        ever holds committed snapshots.
+        The returned ChunkMap is the caller's own *fork* of the shared
+        immutable snapshot (hit or miss): the same entry objects under a
+        private index, at the cost of one dict copy however many chunks
+        the object holds.  Readers get a consistent committed snapshot
+        even while a lock-holding writer replaces rows of its fork
+        across yields, and a caller that changed its fork either commits
+        (``note_map_committed``) or invalidates
+        (``invalidate_map_cache``) — the cache itself only ever holds
+        committed snapshots.
         """
         with span.child("tier.load_chunk_map", oid=oid) as s:
             cached = self._map_cache.get(oid)
@@ -499,7 +525,7 @@ class DedupTier:
                     for k, v in obj.omap.items()
                     if k.startswith(MAP_OMAP_PREFIX)
                 }
-                nbytes += sum(len(v) for v in omap_records.values())
+                nbytes += sum(map(len, omap_records.values()))
             version = self.map_version(oid)
             epoch = self._map_epoch
             yield from primary.disk.read(nbytes)
@@ -540,7 +566,7 @@ class DedupTier:
         self.stage.map_commits_incremental += 1
         self.stage.map_entries_serialized += len(entries)
         self.stage.map_bytes_serialized += len(header) + sum(
-            len(v) for v in entries.values()
+            map(len, entries.values())
         )
         self.stage.map_entries_total += len(cmap)
 

@@ -30,8 +30,13 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.count = 0
 
-    def _probes(self, item: str) -> range:
+    def probes(self, item: str) -> range:
         """The k probe positions ``h1 + i*h2``, *before* ``% num_bits``.
+
+        They depend on the filter only through ``num_hashes``, so one
+        call serves a lookup in every filter built with the same
+        capacity and error rate (:meth:`has_probes`) — the two SHA-256
+        derivations are most of a lookup's cost.
 
         A ``range`` rather than a generator: this sits under every HitSet
         and refset lookup, and a generator is a Python frame per probe.
@@ -43,14 +48,18 @@ class BloomFilter:
     def add(self, item: str) -> None:
         """Insert ``item``."""
         bits, num_bits = self._bits, self.num_bits
-        for probe in self._probes(item):
+        for probe in self.probes(item):
             bit = probe % num_bits
             bits[bit >> 3] |= 1 << (bit & 7)
         self.count += 1
 
     def __contains__(self, item: str) -> bool:
+        return self.has_probes(self.probes(item))
+
+    def has_probes(self, probes: range) -> bool:
+        """Whether the item whose :meth:`probes` these are may be present."""
         bits, num_bits = self._bits, self.num_bits
-        for probe in self._probes(item):
+        for probe in probes:
             bit = probe % num_bits
             if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import NoSuchObject, ObjectKey, ObjectStore, Transaction
+from repro.cluster import (
+    PER_OBJECT_OVERHEAD,
+    NoSuchObject,
+    ObjectKey,
+    ObjectStore,
+    Transaction,
+)
 
 KEY = ObjectKey(1, 0, "obj")
 
@@ -17,6 +23,18 @@ class Model:
         self.data = bytearray()
         self.allocated = set()
         self.xattrs = {}
+        self.omap = {}
+
+    def footprint(self):
+        """Brute-force recount of what ``used_bytes()`` maintains."""
+        if not self.exists:
+            return 0
+        records = list(self.xattrs.items()) + list(self.omap.items())
+        return (
+            PER_OBJECT_OVERHEAD
+            + len(self.allocated)
+            + sum(len(name) + len(value) for name, value in records)
+        )
 
     def write(self, offset, payload):
         self.exists = True
@@ -56,6 +74,7 @@ class Model:
         self.data = bytearray()
         self.allocated = set()
         self.xattrs = {}
+        self.omap = {}
 
 
 op_strategy = st.one_of(
@@ -75,10 +94,11 @@ op_strategy = st.one_of(
     ),
     st.tuples(st.just("remove"), st.none(), st.none()),
     st.tuples(
-        st.just("setxattr"),
+        st.sampled_from(["setxattr", "omap_set"]),
         st.text(alphabet="abc", min_size=1, max_size=3),
         st.binary(max_size=8),
     ),
+    st.tuples(st.just("create"), st.none(), st.none()),
 )
 
 
@@ -105,6 +125,10 @@ def test_transactions_match_reference_model(ops):
             txn.remove(KEY)
         elif op == "setxattr":
             txn.setxattr(KEY, a, b)
+        elif op == "omap_set":
+            txn.omap_set(KEY, {a: b})
+        elif op == "create":
+            txn.create(KEY)
 
         store.apply(txn)
         # Mirror on the model.
@@ -121,12 +145,18 @@ def test_transactions_match_reference_model(ops):
         elif op == "setxattr":
             model.exists = True
             model.xattrs[a] = b
+        elif op == "omap_set":
+            model.exists = True
+            model.omap[a] = b
+        elif op == "create":
+            model.exists = True
 
         # Invariants after every step.
         assert store.exists(KEY) == model.exists
+        assert store.used_bytes() == model.footprint()
         if model.exists:
             assert store.read(KEY) == bytes(model.data)
             obj = store.get(KEY)
             assert obj.allocated_bytes() == len(model.allocated)
-            for name, value in model.xattrs.items():
-                assert obj.xattrs.get(name) == value
+            assert obj.xattrs == model.xattrs
+            assert obj.omap == model.omap

@@ -57,6 +57,27 @@ def test_hitset_ring_bounded():
     assert len(hs._ring) <= 3
 
 
+def test_hitset_hashes_once_and_counts_like_one_lookup_per_filter():
+    # hit_count() computes the oid's probes once and tests the whole ring
+    # with them; the answer must be the written-out one — a separate
+    # ``oid in filter`` per period still inside the horizon — false
+    # positives of a deliberately tiny filter included.
+    sim = Simulator()
+    hs = HitSet(sim, period=1.0, count=4, capacity=8, error_rate=0.3)
+    assert hs.hit_count("obj0") == 0  # empty ring
+    oids = [f"obj{i}" for i in range(40)]
+    for step in range(12):
+        for oid in oids[step % 5 :: 5]:
+            hs.record(oid)
+        advance(sim, 0.7)
+        horizon = sim.now - hs.period * hs.count
+        for oid in oids:
+            assert hs.hit_count(oid) == sum(
+                1 for start, bf in hs._ring if start >= horizon and oid in bf
+            )
+    assert any(hs.hit_count(oid) > 0 for oid in oids)
+
+
 def test_hitset_invalid_params():
     sim = Simulator()
     with pytest.raises(ValueError):

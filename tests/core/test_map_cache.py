@@ -167,22 +167,25 @@ def finish(gen):
 
 
 def test_loads_return_isolated_copies():
-    """A caller mutating its loaded map must never pollute what other
-    loads see — readers take no lock, so they rely on this isolation."""
+    """A caller changing its loaded map must never pollute what other
+    loads see — readers take no lock, so they rely on this isolation.
+    (Loads share entry objects; that entries cannot change is
+    test_map_codec.py::test_entry_fields_cannot_be_assigned.)"""
     storage = make_storage()
     storage.write_sync("obj1", b"q" * CHUNK)
     a = load_map(storage, "obj1")
     b = load_map(storage, "obj1")
     assert a is not b
-    assert a.get(0) is not b.get(0)
-    # Mutate one copy the way a mid-flight dedup pass would.
-    a.get(0).chunk_id = "bogus-fp"
-    a.get(0).clear_valid()
+    # Change one fork the way a mid-flight dedup pass would.
+    a.set(a.get(0).replace(chunk_id="bogus-fp", valid=()))
+    assert a.get(0).chunk_id == "bogus-fp"
+    assert not a.get(0).cached
     assert b.get(0).chunk_id == ""
     assert b.get(0).cached
     c = load_map(storage, "obj1")
     assert c.get(0).chunk_id == ""
     assert c.get(0).cached
+    assert storage.tier._map_cache["obj1"][1].get(0).cached
 
 
 def test_commit_during_load_yield_keeps_fresh_cache_entry():

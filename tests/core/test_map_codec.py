@@ -2,15 +2,25 @@
 
 Covers the legacy whole-blob (v1, ``CMAP``) format, the incremental
 per-entry omap (v2, ``CMP2``) format, the format-dispatching
-``decode_stored_map`` compatibility reader, and the ``__slots__`` /
-string-interning satellite work.
+``decode_stored_map`` compatibility reader, the ``__slots__`` /
+string-interning satellite work, and what makes decoded maps cheap to
+share: immutable entries, forks that alias them, and aggregates that
+``ChunkMap.set`` keeps exact.
 """
 
+import copy
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.objects import (
     CHUNK_MAP_ENTRY_BYTES,
@@ -23,6 +33,7 @@ from repro.core.objects import (
     is_v2_map_header,
     map_entry_key,
     merge_ranges,
+    stored_dirty_count,
 )
 
 CHUNK = 4096
@@ -170,8 +181,7 @@ def test_touched_tracking_drives_incremental_writer():
     cmap.clear_touched()
     assert cmap.touched_indices() == []
     cmap.set(ChunkMapEntry(2 * CHUNK, CHUNK, dirty=False))
-    cmap.get(0).dirty = False
-    cmap.mark_touched(0)
+    cmap.set(cmap.get(0).replace(dirty=False))
     assert cmap.touched_indices() == [0, 2]
     entries = cmap.omap_entries(cmap.touched_indices())
     assert set(entries) == {map_entry_key(0), map_entry_key(2)}
@@ -204,3 +214,200 @@ def test_v2_header_encodes_version_and_count():
     assert chunk_size == CHUNK
     assert count == 2
     assert version == 42
+
+
+# -- immutable entries, shared snapshots, maintained aggregates --------------
+
+
+def test_entry_fields_cannot_be_assigned():
+    """Maps share entry objects between the cached snapshot, readers and
+    a writer's fork; that is only safe because an entry cannot change."""
+    entry = ChunkMapEntry(0, 10, "ab", cached=True, dirty=False)
+    for field, value in [
+        ("offset", CHUNK),
+        ("length", 5),
+        ("chunk_id", "cd"),
+        ("cached", False),
+        ("dirty", True),
+        ("valid", ()),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(entry, field, value)
+        with pytest.raises(AttributeError):
+            delattr(entry, field)
+    assert entry == ChunkMapEntry(0, 10, "ab", cached=True, dirty=False)
+    changed = entry.replace(chunk_id="cd", dirty=True, valid=())
+    assert changed is not entry
+    assert (changed.chunk_id, changed.dirty, changed.cached, changed.valid) == (
+        "cd", True, False, ()
+    )
+    assert entry.chunk_id == "ab" and entry.cached
+
+
+def reference_pack(row) -> bytes:
+    """The 150-byte entry format, written out independently of pack()."""
+    offset, length, chunk_id, dirty, valid = row
+    flags = (1 if valid else 0) | (2 if dirty else 0)
+    blob = struct.pack(">QIBB", offset, length, flags, len(chunk_id))
+    blob += chunk_id.encode("ascii") + bytes([len(valid)])
+    for start, end in valid:
+        blob += struct.pack(">II", start, end)
+    return blob + b"\x00" * (CHUNK_MAP_ENTRY_BYTES - len(blob))
+
+
+class Fork:
+    """A ChunkMap beside a reference that shares nothing with any other
+    fork: plain rows ``(offset, length, chunk_id, dirty, valid)`` by
+    index plus a touched set, deep-copied on every fork."""
+
+    def __init__(self, cmap, rows, touched):
+        self.cmap = cmap
+        self.rows = rows
+        self.touched = touched
+
+    def set(self, entry):
+        self.cmap.set(entry)
+        idx = entry.offset // CHUNK
+        self.rows[idx] = (
+            entry.offset, entry.length, entry.chunk_id, entry.dirty, entry.valid
+        )
+        self.touched.add(idx)
+
+    def fork(self):
+        return Fork(self.cmap.copy(), copy.deepcopy(self.rows), set(self.touched))
+
+    def check(self):
+        cmap, rows = self.cmap, self.rows
+        order = sorted(rows)
+        assert cmap.indices() == order
+        assert [
+            (e.offset, e.length, e.chunk_id, e.dirty, e.valid) for e in cmap
+        ] == [rows[i] for i in order]
+        assert all(e.cached == bool(e.valid) for e in cmap)
+        # Every maintained aggregate equals the scan it replaced.
+        assert cmap.logical_size() == max(
+            (off + length for off, length, *_ in rows.values()), default=0
+        )
+        dirty = [i for i in order if rows[i][3]]
+        assert cmap.dirty_indices() == dirty
+        assert cmap.all_clean() == (not dirty)
+        assert cmap.cached_indices() == [i for i in order if rows[i][4]]
+        assert cmap.promotable_indices() == [
+            i
+            for i in order
+            if rows[i][2] and not rows[i][3] and rows[i][4] != ((0, rows[i][1]),)
+        ]
+        assert cmap.touched_indices() == sorted(self.touched)
+        # Stored bytes: both formats, written out.
+        packed = {map_entry_key(i): reference_pack(rows[i]) for i in order}
+        assert cmap.omap_entries() == packed
+        assert cmap.omap_entries(cmap.touched_indices()) == {
+            map_entry_key(i): packed[map_entry_key(i)] for i in sorted(self.touched)
+        }
+        assert cmap.serialize() == struct.pack(">4sII", b"CMAP", CHUNK, len(order)) + b"".join(
+            packed[map_entry_key(i)] for i in order
+        )
+
+
+class ForkedMaps(RuleBasedStateMachine):
+    """Random set / replace / copy / clear_touched / commit sequences on
+    maps of 1-64 entries: forks never observe each other's or their
+    parent's later changes, and every aggregate stays exact."""
+
+    def __init__(self):
+        super().__init__()
+        self.forks = []
+
+    @initialize(entry=chunk_entries(index=0))
+    def first_map(self, entry):
+        fork = Fork(ChunkMap(CHUNK), {}, set())
+        fork.set(entry)
+        self.forks.append(fork)
+
+    def pick(self, data):
+        return self.forks[data.draw(st.integers(0, len(self.forks) - 1), label="fork")]
+
+    @rule(data=st.data(), index=st.integers(0, 63))
+    def set_entry(self, data, index):
+        self.pick(data).set(data.draw(chunk_entries(index=index), label="entry"))
+
+    @rule(
+        data=st.data(),
+        shrink_to=st.one_of(st.none(), st.integers(1, CHUNK)),
+        chunk_id=st.one_of(st.none(), st.just(""), st.just("c0ffee")),
+        dirty=st.one_of(st.none(), st.booleans()),
+        revalidate=st.sampled_from(["keep", "none", "whole", "head"]),
+    )
+    def replace_entry(self, data, shrink_to, chunk_id, dirty, revalidate):
+        fork = self.pick(data)
+        index = data.draw(st.sampled_from(sorted(fork.rows)), label="index")
+        entry = fork.cmap.get(index)
+        # Lengths only ever go down here: replacing the row that carries
+        # logical_size() by a shorter one is the case that needs a recount.
+        length = entry.length if shrink_to is None else min(entry.length, shrink_to)
+        valid = {
+            "keep": tuple((s, min(e, length)) for s, e in entry.valid if s < length),
+            "none": (),
+            "whole": ((0, length),),
+            "head": ((0, max(1, length // 2)),),
+        }[revalidate]
+        fork.set(entry.replace(length=length, chunk_id=chunk_id, dirty=dirty, valid=valid))
+
+    @precondition(lambda self: len(self.forks) < 6)
+    @rule(data=st.data())
+    def copy_map(self, data):
+        self.forks.append(self.pick(data).fork())
+
+    @rule(data=st.data())
+    def clear_touched(self, data):
+        fork = self.pick(data)
+        fork.cmap.clear_touched()
+        fork.touched.clear()
+
+    @precondition(lambda self: len(self.forks) < 6)
+    @rule(data=st.data())
+    def commit(self, data):
+        # What DedupTier.note_map_committed does: the writer's fork stays
+        # its own, a fork of it becomes the shared committed snapshot.
+        fork = self.pick(data)
+        fork.cmap.stored_v2 = True
+        fork.cmap.clear_touched()
+        fork.touched.clear()
+        snapshot = fork.fork()
+        assert snapshot.cmap.stored_v2
+        self.forks.append(snapshot)
+
+    @invariant()
+    def every_fork_matches_its_own_reference(self):
+        for fork in self.forks:
+            fork.check()
+
+
+ForkedMaps.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+test_forked_maps_stay_isolated_and_aggregates_exact = ForkedMaps.TestCase
+
+
+@given(chunk_maps(), st.booleans())
+@settings(max_examples=100)
+def test_stored_dirty_count_equals_the_decoded_answer(cmap, v2):
+    """The flags-byte reader agrees with a full decode, v1 and v2."""
+    if v2:
+        header, omap = cmap.serialize_header_v2(version=3), cmap.omap_entries()
+        omap["unrelated.key"] = b"zzz"
+    else:
+        header = cmap.serialize()
+        omap = {map_entry_key(999): b"\xff" * CHUNK_MAP_ENTRY_BYTES}  # stale, ignored
+    assert stored_dirty_count(header, omap) == len(
+        decode_stored_map(header, omap).dirty_indices()
+    )
+
+
+def test_stored_dirty_count_rejects_what_the_decoder_rejects():
+    cmap = ChunkMap(CHUNK)
+    cmap.set(ChunkMapEntry(0, 10))
+    with pytest.raises(ValueError):
+        stored_dirty_count(cmap.serialize_header_v2(version=1), {})
+    with pytest.raises(ValueError):
+        stored_dirty_count(b"XXXX" + cmap.serialize()[4:], {})

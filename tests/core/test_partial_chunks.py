@@ -53,9 +53,10 @@ def test_add_valid_range_budget():
     entry = ChunkMapEntry(offset=0, length=1000, chunk_id="aa", cached=False,
                           dirty=False, valid=())
     for i in range(MAX_VALID_RANGES):
-        assert entry.add_valid(i * 100, i * 100 + 10)
-    assert not entry.add_valid(900, 910)  # fifth disjoint range: refused
-    assert entry.add_valid(0, 500)  # merging write is fine
+        entry = entry.replace(valid=entry.valid_with(i * 100, i * 100 + 10))
+        assert entry.cached and len(entry.valid) == i + 1
+    assert entry.valid_with(900, 910) is None  # fifth disjoint range: refused
+    assert entry.valid_with(0, 500) == ((0, 500),)  # merging write is fine
 
 
 # ------------------------------------------------- deferred RMW behaviour

@@ -117,6 +117,8 @@ done
 # check + traced-equals-untraced (run.py finds src/ itself).
 step "e2e-smoke: end-to-end benchmark smoke" \
     python3 benchmarks/e2e/run.py --smoke
+step "e2e-smoke: memory by site (artifact, not a gate)" \
+    sh -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke > rss-by-site.txt'
 
 # -- obs-smoke job ----------------------------------------------------------
 step "obs-smoke: traced workload + integrity checks" \

@@ -3,7 +3,8 @@
 This is the analogue of Ceph's ObjectStore (FileStore/BlueStore): a flat
 namespace of named objects, each carrying
 
-* a byte payload (``data``),
+* a byte payload (an extent map of immutable blobs — see
+  :class:`StoredObject`),
 * small extended attributes (``xattrs``) — where the paper keeps the
   chunk map of metadata objects and reference info of chunk objects
   ("self-contained object", §4.1/§5), and
@@ -21,10 +22,8 @@ this accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
-
-from ..util.intervals import IntervalSet
 
 __all__ = [
     "ObjectKey",
@@ -38,6 +37,15 @@ __all__ = [
 #: Fixed per-object metadata footprint (paper §5: "Ceph's object has its
 #: own metadata at least 512 bytes").
 PER_OBJECT_OVERHEAD = 512
+
+#: An object's extent map may hold ``size // EXTENT_GRAIN + EXTENT_SLACK``
+#: extents before every run of touching extents is collapsed into one
+#: blob, so sub-4 KiB random writes cannot shred an object into
+#: unboundedly many tiny ones (holes are kept, so an object whose
+#: *holes* are shredded that finely stays at one extent per run).
+#: Writes aligned to 4 KiB or more never reach the line.
+EXTENT_GRAIN = 4096
+EXTENT_SLACK = 8
 
 #: Transaction ops that bring their target into existence when absent.
 _CREATING_OPS = frozenset(
@@ -61,26 +69,92 @@ class ObjectKey(NamedTuple):
     name: str
 
 
-@dataclass
 class StoredObject:
     """One stored object: payload plus metadata maps.
 
-    ``holes`` tracks punched (deallocated) ranges of the payload — the
-    dedup tier punches a cached chunk out of a metadata object once the
-    chunk lives in the chunk pool, and the freed space must show up in
-    space accounting even though the payload length is unchanged.
+    The payload is an extent map: sorted, disjoint ``(start, blob)``
+    pairs of immutable ``bytes``.  A gap below ``size`` is a *hole* — a
+    punched (deallocated) range that reads as zeros and does not count
+    toward the footprint; the dedup tier punches a cached chunk out of
+    a metadata object once the chunk lives in the chunk pool.
+
+    A blob is never mutated, only replaced, so the store *adopts* the
+    ``bytes`` a :class:`Transaction` carries instead of copying them:
+    replicas that commit the same transaction, clones, and whatever
+    :meth:`read` handed out all alias one blob in host memory, and any
+    of them may still diverge (a later write, :meth:`corrupt`) without
+    the others seeing it.  The *modelled* disks are charged per replica
+    as before — :meth:`footprint` counts every allocated byte.
     """
 
-    data: bytearray = field(default_factory=bytearray)
-    xattrs: Dict[str, bytes] = field(default_factory=dict)
-    omap: Dict[str, bytes] = field(default_factory=dict)
-    holes: IntervalSet = field(default_factory=IntervalSet)
+    __slots__ = ("size", "xattrs", "omap", "_starts", "_blobs", "_allocated")
+
+    def __init__(
+        self,
+        data: bytes = b"",
+        xattrs: Optional[Dict[str, bytes]] = None,
+        omap: Optional[Dict[str, bytes]] = None,
+    ) -> None:
+        self.xattrs: Dict[str, bytes] = {} if xattrs is None else xattrs
+        self.omap: Dict[str, bytes] = {} if omap is None else omap
+        self.write_full(bytes(data))
+
+    # -- payload: reads ------------------------------------------------------
+
+    def read(self, offset: int = 0, length: Optional[int] = None) -> bytes:
+        """``length`` bytes at ``offset`` (short past EOF, zeros in holes).
+
+        A range that is exactly one extent returns that blob itself.
+        """
+        if offset < 0:
+            raise ValueError(f"negative offset {offset}")
+        size = self.size
+        end = size if length is None or offset + length > size else offset + length
+        if offset >= end:
+            return b""
+        starts, blobs = self._starts, self._blobs
+        first = bisect_right(starts, offset) - 1
+        if first < 0:
+            first = 0
+        else:
+            start, blob = starts[first], blobs[first]
+            if end <= start + len(blob):  # within one extent
+                if offset == start and end - start == len(blob):
+                    return blob
+                return blob[offset - start : end - start]
+        parts = []
+        pos = offset
+        for i in range(first, len(starts)):
+            start = starts[i]
+            if start >= end:
+                break
+            blob = blobs[i]
+            stop = start + len(blob)
+            if stop <= pos:
+                continue
+            if start > pos:
+                parts.append(bytes(start - pos))
+                pos = start
+            if stop > end:
+                stop = end
+            parts.append(blob[pos - start : stop - start])
+            pos = stop
+        if pos < end:
+            parts.append(bytes(end - pos))
+        return b"".join(parts)
+
+    @property
+    def data(self) -> bytes:
+        """The whole payload, materialised — O(size); tests and debugging."""
+        return self.read()
+
+    def extents(self) -> List[Tuple[int, bytes]]:
+        """The extent map as ``(start, blob)`` pairs, in offset order."""
+        return list(zip(self._starts, self._blobs))
 
     def allocated_bytes(self) -> int:
         """Payload bytes actually occupying disk (length minus holes)."""
-        if not self.holes:
-            return len(self.data)
-        return len(self.data) - self.holes.total_within(0, len(self.data))
+        return self._allocated
 
     def footprint(self) -> int:
         """Bytes this object occupies, including metadata overhead."""
@@ -89,16 +163,128 @@ class StoredObject:
         xattrs, omap = self.xattrs, self.omap
         meta = sum(map(len, xattrs)) + sum(map(len, xattrs.values()))
         meta += sum(map(len, omap)) + sum(map(len, omap.values()))
-        return PER_OBJECT_OVERHEAD + self.allocated_bytes() + meta
+        return PER_OBJECT_OVERHEAD + self._allocated + meta
 
     def clone(self) -> "StoredObject":
-        """Deep copy (used when replicating/recovering an object)."""
-        return StoredObject(
-            data=bytearray(self.data),
-            xattrs=dict(self.xattrs),
-            omap=dict(self.omap),
-            holes=self.holes.copy(),
-        )
+        """An independent object sharing this one's blobs (used when
+        replicating/recovering an object)."""
+        dup = StoredObject.__new__(StoredObject)
+        dup.size = self.size
+        dup.xattrs = dict(self.xattrs)
+        dup.omap = dict(self.omap)
+        dup._starts = list(self._starts)
+        dup._blobs = list(self._blobs)
+        dup._allocated = self._allocated
+        return dup
+
+    # -- payload: mutation (what a Transaction op does to one object) --------
+
+    def write(self, offset: int, data: bytes) -> None:
+        """Adopt ``data`` as the extent at ``offset``; a gap between the
+        old EOF and ``offset`` becomes allocated zeros."""
+        if offset > self.size:
+            self.truncate(offset)
+        if not data:
+            return
+        end = offset + len(data)
+        starts = self._starts
+        if offset == self.size:  # append
+            starts.append(offset)
+            self._blobs.append(data)
+        else:
+            at = self._punch(offset, end)
+            starts.insert(at, offset)
+            self._blobs.insert(at, data)
+        self._allocated += len(data)
+        if end > self.size:
+            self.size = end
+        if len(starts) > self.size // EXTENT_GRAIN + EXTENT_SLACK:
+            self._collapse()
+
+    def write_full(self, data: bytes) -> None:
+        """Replace the whole payload with ``data`` (adopted)."""
+        self.size = self._allocated = len(data)
+        self._starts = [0] if data else []
+        self._blobs = [data] if data else []
+
+    def truncate(self, size: int) -> None:
+        """Cut the payload to ``size``, or extend it with allocated zeros."""
+        if size < self.size:
+            self._punch(size, self.size)
+            self.size = size
+            if len(self._starts) > size // EXTENT_GRAIN + EXTENT_SLACK:
+                self._collapse()
+        elif size > self.size:
+            self._starts.append(self.size)
+            self._blobs.append(bytes(size - self.size))
+            self._allocated += size - self.size
+            self.size = size
+
+    def zero(self, offset: int, length: int) -> None:
+        """Punch ``[offset, offset + length)`` (clipped to EOF) into a hole."""
+        end = min(offset + length, self.size)
+        if end > offset:
+            self._punch(offset, end)
+            if len(self._starts) > self.size // EXTENT_GRAIN + EXTENT_SLACK:
+                self._collapse()
+
+    def corrupt(self, offset: int, mask: int = 0xFF) -> None:
+        """Flip the bits of ``mask`` in the stored byte at ``offset``.
+
+        Silent corruption of *this* holder only: the covering extent is
+        replaced by a private flipped copy, so other holders of the blob
+        and earlier :meth:`read` results keep the good bytes.  Footprint
+        is unchanged; a hole has no stored byte to flip.
+        """
+        i = bisect_right(self._starts, offset) - 1
+        blob = self._blobs[i] if i >= 0 else b""
+        at = offset - self._starts[i] if i >= 0 else 0
+        if at >= len(blob):
+            raise ValueError(f"no stored byte at offset {offset}")
+        self._blobs[i] = blob[:at] + bytes((blob[at] ^ mask,)) + blob[at + 1 :]
+
+    def _punch(self, lo: int, hi: int) -> int:
+        """Drop ``[lo, hi)`` from the extent map, trimming the extents
+        that straddle its edges; returns the index an extent starting at
+        ``lo`` would take."""
+        starts, blobs = self._starts, self._blobs
+        first = bisect_right(starts, lo) - 1
+        if first < 0 or starts[first] + len(blobs[first]) <= lo:
+            first += 1
+        last = bisect_left(starts, hi, first)
+        if first == last:
+            return first
+        keep_starts: List[int] = []
+        keep_blobs: List[bytes] = []
+        at = first
+        start, blob = starts[first], blobs[first]
+        if start < lo:
+            keep_starts.append(start)
+            keep_blobs.append(blob[: lo - start])
+            at += 1
+        start, blob = starts[last - 1], blobs[last - 1]
+        if start + len(blob) > hi:
+            keep_starts.append(hi)
+            keep_blobs.append(blob[hi - start :])
+        self._allocated += sum(map(len, keep_blobs)) - sum(map(len, blobs[first:last]))
+        starts[first:last] = keep_starts
+        blobs[first:last] = keep_blobs
+        return at
+
+    def _collapse(self) -> None:
+        """Merge every run of touching extents into one blob (holes stay)."""
+        starts: List[int] = []
+        runs: List[List[bytes]] = []
+        stop = -1
+        for start, blob in zip(self._starts, self._blobs):
+            if start == stop:
+                runs[-1].append(blob)
+            else:
+                starts.append(start)
+                runs.append([blob])
+            stop = start + len(blob)
+        self._starts = starts
+        self._blobs = [run[0] if len(run) == 1 else b"".join(run) for run in runs]
 
 
 class Transaction:
@@ -223,11 +409,15 @@ class ObjectStore:
             raise NoSuchObject(key) from None
 
     def read(self, key: ObjectKey, offset: int = 0, length: Optional[int] = None) -> bytes:
-        """Read ``length`` bytes at ``offset`` (short reads past EOF)."""
-        obj = self.get(key)
-        if length is None:
-            return bytes(obj.data[offset:])
-        return bytes(obj.data[offset : offset + length])
+        """Read ``length`` bytes at ``offset`` (short reads past EOF).
+
+        Returns the stored blob itself when the range is one whole
+        extent (a chunk object read in full), a copy otherwise.
+        """
+        obj = self._objects.get(key)
+        if obj is None:
+            raise NoSuchObject(key)
+        return obj.read(offset, length)
 
     def getxattr(self, key: ObjectKey, name: str) -> bytes:
         """One xattr value; raises ``KeyError`` when absent."""
@@ -239,7 +429,7 @@ class ObjectStore:
 
     def stat(self, key: ObjectKey) -> int:
         """Payload size in bytes."""
-        return len(self.get(key).data)
+        return self.get(key).size
 
     def keys(self) -> Iterator[ObjectKey]:
         """Iterate all object keys (snapshot)."""
@@ -314,30 +504,13 @@ class ObjectStore:
             if kind == "create":
                 pass
             elif kind == "write":
-                _, _, offset, data = op
-                end = offset + len(data)
-                if len(obj.data) < offset:
-                    obj.data.extend(b"\x00" * (offset - len(obj.data)))
-                if len(obj.data) < end:
-                    obj.data.extend(b"\x00" * (end - len(obj.data)))
-                obj.data[offset:end] = data
-                obj.holes.remove(offset, end)
+                obj.write(op[2], op[3])
             elif kind == "write_full":
-                obj.data = bytearray(op[2])
-                obj.holes = IntervalSet()
+                obj.write_full(op[2])
             elif kind == "truncate":
-                size = op[2]
-                if size <= len(obj.data):
-                    del obj.data[size:]
-                    obj.holes.clip(size)
-                else:
-                    obj.data.extend(b"\x00" * (size - len(obj.data)))
+                obj.truncate(op[2])
             elif kind == "zero":
-                _, _, offset, length = op
-                end = min(offset + length, len(obj.data))
-                if end > offset:
-                    obj.data[offset:end] = b"\x00" * (end - offset)
-                    obj.holes.add(offset, end)
+                obj.zero(op[2], op[3])
             elif kind == "remove":
                 del objects[key]
             elif kind == "setxattr":

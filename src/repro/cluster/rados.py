@@ -911,7 +911,7 @@ class RadosCluster:
                 scratch.put_object(
                     key,
                     StoredObject(
-                        data=bytearray(data),
+                        data=data,
                         xattrs=xattrs,
                         omap=dict(current.omap),
                     ),
@@ -924,7 +924,7 @@ class RadosCluster:
             yield from self._ec_write_full_locked(
                 pool,
                 oid,
-                bytes(obj.data),
+                obj.read(),
                 client,
                 extra_xattrs=dict(obj.xattrs),
                 omap=dict(obj.omap),

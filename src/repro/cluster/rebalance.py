@@ -490,7 +490,7 @@ class Rebalancer:
         for idx, target in enumerate(new_targets):
             shard = pool.codec.reconstruct_shard(slots, idx, length)
             want = StoredObject(
-                data=bytearray(shard),
+                data=shard,
                 xattrs={
                     **user_xattrs,
                     _EC_LEN_XATTR: str(length).encode("ascii"),

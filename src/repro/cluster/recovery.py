@@ -82,7 +82,12 @@ class _CopyTask:
 
 def _same_content(a: StoredObject, b: StoredObject) -> bool:
     """Whether two replicas carry identical payload and metadata."""
-    return a.data == b.data and a.xattrs == b.xattrs and a.omap == b.omap
+    return (
+        a.size == b.size
+        and a.xattrs == b.xattrs
+        and a.omap == b.omap
+        and a.data == b.data
+    )
 
 
 def _object_union(cluster: RadosCluster, pool: Pool) -> Dict[int, Set[str]]:
@@ -377,7 +382,7 @@ def _reconstruct_shard(cluster: RadosCluster, task: _CopyTask, stats: RecoverySt
     yield from target.node.cpu.execute(target.node.cpu.spec.ec_time(length))
     shard = pool.codec.reconstruct_shard(slots, idx, length)
     obj = StoredObject(
-        data=bytearray(shard),
+        data=shard,
         xattrs={
             **task.ec_xattrs,
             _EC_LEN_XATTR: str(length).encode("ascii"),

@@ -27,7 +27,7 @@ __all__ = ["ReplicaScrubReport", "scrub_pool", "scrub_pool_sync", "repair_pool",
 
 def _digest(obj: StoredObject) -> bytes:
     h = hashlib.blake2b(digest_size=16)
-    h.update(bytes(obj.data))
+    h.update(obj.read())
     for name in sorted(obj.xattrs):
         h.update(name.encode())
         h.update(obj.xattrs[name])
@@ -90,9 +90,9 @@ def _scrub_ec_object(cluster, pool, oid, key, holders, report):
     bad = set()
     for osd in holders:
         obj = osd.store.get(key)
-        yield from osd.disk.read(max(len(obj.data), 1))
+        yield from osd.disk.read(max(obj.size, 1))
         idx = int(obj.xattrs[_EC_IDX_XATTR].decode("ascii"))
-        shard = bytes(obj.data)
+        shard = obj.read()
         by_idx[idx] = shard
         # Per-shard checksum localises corruption unambiguously — with
         # only one parity, consistency voting alone cannot tell which

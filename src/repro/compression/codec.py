@@ -68,8 +68,8 @@ def compressed_store_bytes(store, codec: ZlibCodec | None = None) -> int:
     total = 0
     for key in store.keys():
         obj = store.get(key)
-        total += obj.footprint() - len(obj.data)
-        data = bytes(obj.data)
+        total += obj.footprint() - obj.size
+        data = obj.read()
         for off in range(0, len(data), FS_COMPRESS_BLOCK):
             block = data[off : off + FS_COMPRESS_BLOCK]
             total += codec.measure(block).compressed_bytes

@@ -129,7 +129,7 @@ def analyze_dedup_potential(
         )
         if primary is None:
             continue
-        data = bytes(primary.store.get(key).data)
+        data = primary.store.read(key)
         primary_id = primary.osd_id
         result.total_bytes += len(data)
         result.per_osd_total[primary_id] = (

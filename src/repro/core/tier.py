@@ -1002,7 +1002,7 @@ class DedupTier:
                     )
                     report.metadata_objects += 1
                     report.logical_bytes += (
-                        cmap.logical_size() if cmap else len(obj.data)
+                        cmap.logical_size() if cmap else obj.size
                     )
                     if self.metadata_pool.is_ec:
                         # Each OSD holds one shard; payload-once bytes
@@ -1024,7 +1024,7 @@ class DedupTier:
                         length = int(obj.xattrs["_ec.length"].decode("ascii"))
                         report.chunk_data_bytes += length
                     else:
-                        report.chunk_data_bytes += len(obj.data)
+                        report.chunk_data_bytes += obj.size
                     report.metadata_bytes += PER_OBJECT_OVERHEAD + len(
                         obj.xattrs.get(REFS_XATTR, b"")
                     )

@@ -13,11 +13,18 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, Generator, Optional, Tuple
+from typing import Any, Deque, Generator, Optional, Tuple, cast
 
 from .core import Event, SimulationError, Simulator
 
 __all__ = ["Resource", "Store", "TokenBucket"]
+
+_Waiters = Deque[Tuple[Event, Optional[float]]]
+
+#: What a :class:`Resource` has for a waiter queue until someone waits:
+#: one shared, empty, immutable stand-in.  Most locks are never
+#: contended, and an empty ``deque`` of their own is ~760 bytes each.
+_NO_WAITERS = cast(_Waiters, ())
 
 
 class Resource:
@@ -55,7 +62,8 @@ class Resource:
         self._in_use = 0
         #: FIFO of ``(event, duration)``: ``duration`` is ``None`` for an
         #: :meth:`acquire` and the service time for a :meth:`hold`.
-        self._waiters: Deque[Tuple[Event, Optional[float]]] = deque()
+        #: Built by the first waiter to queue.
+        self._waiters: _Waiters = _NO_WAITERS
         #: Total simulated time during which at least one slot was busy.
         self.busy_time = 0.0
         #: Integral of (slots in use) over time; divide by elapsed time and
@@ -114,6 +122,8 @@ class Resource:
             if sanitizer is not None:
                 sanitizer.on_grant(self, event)
         else:
+            if self._waiters is _NO_WAITERS:
+                self._waiters = deque()
             self._waiters.append((event, None))
         return event
 
@@ -154,6 +164,8 @@ class Resource:
             if sanitizer is not None:
                 sanitizer.on_grant(self, event)
         else:
+            if self._waiters is _NO_WAITERS:
+                self._waiters = deque()
             self._waiters.append((event, duration))
         return event
 

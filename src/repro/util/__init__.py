@@ -1,6 +1,5 @@
-"""Small shared utilities (interval sets, bloom filters, formatting)."""
+"""Small shared utilities (bloom filters, formatting)."""
 
 from .bloom import BloomFilter
-from .intervals import IntervalSet
 
-__all__ = ["IntervalSet", "BloomFilter"]
+__all__ = ["BloomFilter"]

@@ -11,6 +11,7 @@ from repro.cluster import (
     StoredObject,
     Transaction,
 )
+from repro.cluster.objectstore import EXTENT_GRAIN, EXTENT_SLACK
 
 
 def key(name="obj", pool=1, pg=0):
@@ -160,12 +161,113 @@ def test_io_bytes_costing():
 
 
 def test_clone_is_deep():
-    obj = StoredObject(data=bytearray(b"abc"), xattrs={"k": b"v"})
-    clone = obj.clone()
-    clone.data[0] = ord("z")
-    clone.xattrs["k"] = b"w"
-    assert obj.data == bytearray(b"abc")
-    assert obj.xattrs["k"] == b"v"
+    """A transaction applied to the clone is invisible to the original,
+    and vice versa — though the two start out sharing one blob."""
+    obj = StoredObject(data=b"abc", xattrs={"k": b"v"})
+    theirs, mine = ObjectStore(), ObjectStore()
+    theirs.put_object(key(), obj.clone())
+    mine.put_object(key(), obj)
+    assert theirs.get(key()).extents()[0][1] is obj.extents()[0][1]
+    theirs.apply(Transaction().write(key(), 0, b"z").setxattr(key(), "k", b"w"))
+    assert (obj.data, obj.xattrs["k"]) == (b"abc", b"v")
+    mine.apply(Transaction().zero(key(), 1, 1).truncate(key(), 2))
+    assert (obj.data, obj.allocated_bytes()) == (b"a\x00", 1)
+    clone = theirs.get(key())
+    assert (clone.data, clone.xattrs["k"]) == (b"zbc", b"w")
+    assert clone.allocated_bytes() == 3
+
+
+def test_corrupt_is_private_to_one_holder():
+    """``corrupt`` flips a byte on one holder; the other holder of the
+    same blob and bytes already handed out by ``read`` stay good, and
+    the modelled footprint does not move."""
+    a, b = ObjectStore(), ObjectStore()
+    txn = Transaction().write_full(key(), b"payload").setxattr(key(), "k", b"v")
+    a.apply(txn)
+    b.apply(txn)
+    assert a.read(key()) is b.read(key())  # one blob, two holders
+    handed_out = a.read(key())
+    used = a.used_bytes()
+    a.get(key()).corrupt(3)
+    assert a.read(key()) == b"pay" + bytes([ord("l") ^ 0xFF]) + b"oad"
+    assert b.read(key()) == handed_out == b"payload"
+    assert a.used_bytes() == used == b.used_bytes()
+    a.get(key()).corrupt(3, mask=0x01)
+    assert a.read(key())[3] == ord("l") ^ 0xFF ^ 0x01
+
+
+def test_corrupt_needs_a_stored_byte():
+    store = ObjectStore()
+    store.apply(Transaction().write_full(key(), b"x" * 8).zero(key(), 2, 4))
+    obj = store.get(key())
+    for offset in (-1, 2, 5, 8):  # before, in the hole (both ends), past EOF
+        with pytest.raises(ValueError):
+            obj.corrupt(offset)
+    obj.corrupt(6)
+    assert store.read(key()) == b"xx\x00\x00\x00\x00" + bytes([ord("x") ^ 0xFF]) + b"x"
+
+
+def test_whole_extent_read_is_the_blob_itself():
+    """Zero-copy where it matters: the transaction's bytes are adopted,
+    and a read of exactly one extent hands the same object back."""
+    store = ObjectStore()
+    first, second = b"a" * 4096, b"b" * 4096
+    store.apply(Transaction().write(key(), 0, first).write(key(), 4096, second))
+    assert store.read(key(), 0, 4096) is first
+    assert store.read(key(), 4096, 4096) is second
+    assert store.read(key(), 4096) is second
+    assert store.read(key(), 1, 4096) == b"a" * 4095 + b"b"
+    assert store.read(key()) == first + second
+    assert store.get(key()).data == first + second
+    assert store.read(key(), 9000, 10) == b""
+    with pytest.raises(ValueError):
+        store.read(key(), -1, 4)
+
+
+def test_aligned_writes_never_reach_the_extent_bound(monkeypatch):
+    """The e2e workloads write whole 4-128 KiB granules: replaying
+    8 KiB-aligned writes and chunk-sized punches keeps every object
+    inside the bound with the collapse disabled."""
+    import random
+
+    def no_collapse(self):
+        raise AssertionError("collapse fired on aligned writes")
+
+    monkeypatch.setattr(StoredObject, "_collapse", no_collapse)
+    rng = random.Random(7)
+    store = ObjectStore()
+    granule, size = 8192, 64 * 8192
+    for _ in range(2000):
+        k = key(f"obj{rng.randrange(4)}")
+        offset = rng.randrange(size // granule) * granule
+        if rng.random() < 0.2:
+            store.apply(Transaction().zero(k, offset, 4 * granule))
+        else:
+            store.apply(Transaction().write(k, offset, rng.randbytes(granule)))
+    for k in store.keys():
+        obj = store.get(k)
+        assert len(obj.extents()) <= obj.size // EXTENT_GRAIN + EXTENT_SLACK
+
+
+def test_shredding_writes_are_collapsed_to_the_bound():
+    """Sub-4 KiB random writes cannot grow the extent map without
+    limit; holes survive the collapse."""
+    import random
+
+    rng = random.Random(3)
+    store = ObjectStore()
+    store.apply(Transaction().write_full(key(), bytes(32768)).zero(key(), 8192, 4096))
+    shadow = bytearray(32768)
+    for _ in range(500):
+        offset = rng.choice([rng.randrange(0, 8192 - 64), rng.randrange(12288, 32768 - 64)])
+        piece = rng.randbytes(rng.randrange(1, 64))
+        store.apply(Transaction().write(key(), offset, piece))
+        shadow[offset : offset + len(piece)] = piece
+        obj = store.get(key())
+        assert len(obj.extents()) <= obj.size // EXTENT_GRAIN + EXTENT_SLACK
+    assert store.read(key()) == bytes(shadow)
+    assert obj.allocated_bytes() == 32768 - 4096
+    assert store.used_bytes() == PER_OBJECT_OVERHEAD + 32768 - 4096
 
 
 def test_negative_offset_rejected():

@@ -26,7 +26,7 @@ def test_scrub_detects_divergent_replica():
     cluster, pool = make()
     key = cluster.object_key(pool, "obj3")
     holders = [o for o in cluster.osds.values() if o.store.exists(key)]
-    holders[1].store.get(key).data[5] ^= 0xFF  # silent corruption
+    holders[1].store.get(key).corrupt(5)  # silent corruption
     report = scrub_pool_sync(cluster, pool)
     assert report.inconsistent == [("obj3", holders[1].osd_id)]
 
@@ -58,7 +58,7 @@ def test_repair_fixes_divergence_and_missing():
     key7 = cluster.object_key(pool, "obj7")
     h3 = [o for o in cluster.osds.values() if o.store.exists(key3)]
     h7 = [o for o in cluster.osds.values() if o.store.exists(key7)]
-    h3[1].store.get(key3).data[5] ^= 0xFF
+    h3[1].store.get(key3).corrupt(5)
     h7[1].store.delete_object(key7)
     report = scrub_pool_sync(cluster, pool)
     repaired = repair_pool_sync(cluster, pool, report)
@@ -79,7 +79,7 @@ def test_ec_scrub_detects_corrupt_shard():
     cluster, pool = make(ec=True)
     key = cluster.object_key(pool, "obj2")
     holders = [o for o in cluster.osds.values() if o.store.exists(key)]
-    holders[0].store.get(key).data[0] ^= 0xFF
+    holders[0].store.get(key).corrupt(0)
     report = scrub_pool_sync(cluster, pool)
     assert report.bad_shards
     assert all(oid == "obj2" for oid, _idx in report.bad_shards)
@@ -90,7 +90,7 @@ def test_ec_repair_restores_shard():
     key = cluster.object_key(pool, "obj2")
     holders = [o for o in cluster.osds.values() if o.store.exists(key)]
     victim = holders[0]
-    victim.store.get(key).data[0] ^= 0xFF
+    victim.store.get(key).corrupt(0)
     report = scrub_pool_sync(cluster, pool)
     # A single corrupt shard shows up; rebuild it.
     repaired = repair_pool_sync(cluster, pool, report)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import NoSuchObject, RadosCluster
+from repro.cluster import NoSuchObject, RadosCluster, Transaction
 from repro.core import CHUNK_MAP_XATTR, DedupConfig, DedupedStorage
 
 
@@ -151,7 +151,7 @@ def test_short_segment_read_pads_and_counts(storage):
     key = storage.cluster.object_key(storage.tier.chunk_pool, fp)
     for osd in storage.cluster.osds.values():
         if osd.store.exists(key):
-            del osd.store.get(key).data[100:]  # truncate every replica
+            osd.store.apply(Transaction().truncate(key, 100))  # every replica
     assert storage.tier.stage.read_short_segments == 0
     got = storage.read_sync("obj1")
     assert storage.tier.stage.read_short_segments >= 1

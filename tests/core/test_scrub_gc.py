@@ -36,7 +36,7 @@ def test_scrub_detects_corrupt_chunk():
     key = storage.cluster.object_key(storage.tier.chunk_pool, chunk_id)
     for osd in storage.cluster.osds.values():
         if osd.store.exists(key):
-            osd.store.get(key).data[0] ^= 0xFF  # bit rot
+            osd.store.get(key).corrupt(0)  # bit rot
     report = scrub_sync(storage.tier)
     assert report.corrupt_chunks == [chunk_id]
 

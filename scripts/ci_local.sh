@@ -119,6 +119,8 @@ step "e2e-smoke: end-to-end benchmark smoke" \
     python3 benchmarks/e2e/run.py --smoke
 step "e2e-smoke: memory by site (artifact, not a gate)" \
     sh -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke > rss-by-site.txt'
+step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
+    sh -c 'python3 scripts/sim_by_slice.py seq-backup --smoke > sim-by-slice.txt'
 
 # -- obs-smoke job ----------------------------------------------------------
 step "obs-smoke: traced workload + integrity checks" \

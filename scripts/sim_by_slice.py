@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Where ``sim_busy_s`` goes: simulated seconds by slice kind.
+
+    python3 scripts/sim_by_slice.py WORKLOAD [--seed N] [--seconds S] [--smoke]
+
+The e2e benchmark's ``sim_busy_s`` is one number — the simulated seconds
+the modelled cluster spent on the measured rounds, idle steps excluded —
+and ``run.py`` drops the per-slice ``measured.slices[*].sim_s`` it is
+the sum of.  This runs ``benchmarks/e2e/child.py``'s own pass (imported,
+not copied: same plan, set-up, warm-up, measured and tail rounds as the
+driver form ``run.py --workload W --seed N --seconds S --trace 0``) and
+prints, per slice kind of the measured phase (write / drain / read /
+retire bursts, the open loop's ``open.r1``-``r3`` and ``settle``):
+
+* simulated seconds and their share of ``sim_busy_s`` — exact at one
+  seed, so parent and change compare to the last digit;
+* how many slices of the kind ran and their host-seconds median;
+
+then the inputs of ``core.engine.sim_drain_mb_per_s`` (MiB the engine
+flushed or deduplicated inside the drain slices over the drain slices'
+simulated seconds), which the driver reports from its traced pass only.
+``--smoke`` is the benchmark's ``--smoke`` size (seconds, not minutes).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+E2E = os.path.join(ROOT, "benchmarks", "e2e")
+MiB = 1024.0 * 1024.0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=10.0,
+                        help="measured-phase budget, as the driver's --seconds")
+    parser.add_argument("--smoke", action="store_true", help="the benchmark's --smoke size")
+    args = parser.parse_args(argv)
+
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        # run.py starts its children this way; the op stream depends on it.
+        os.execve(sys.executable, [sys.executable] + sys.argv,
+                  dict(os.environ, PYTHONHASHSEED="0"))
+
+    sys.path.insert(0, E2E)
+    import child
+    import run
+    import workloads
+
+    if args.workload not in workloads.SPECS:
+        parser.error("unknown workload %r (known: %s)" % (
+            args.workload, ", ".join(sorted(workloads.SPECS))))
+    sys.path.insert(0, child.SRC)
+
+    # The untraced pass leaves ``drain_bytes`` at 0: give its runner the
+    # probe the traced pass uses (it reads two engine counters around
+    # each drain and touches nothing on the simulated clock).
+    set_up = child.set_up
+
+    def probing_set_up(*a, **kw):
+        made = set_up(*a, **kw)
+        storage, runner = made[0], made[1]
+        runner.engine_probe = child.EngineProbe(storage, [])
+        return made
+
+    child.set_up = probing_set_up
+    if args.smoke:
+        rounds, tail_rounds = run.SMOKE_ROUNDS, 1
+    else:
+        rounds = workloads.rounds_for(workloads.SPECS[args.workload], args.seconds)
+        tail_rounds = workloads.tail_rounds_for(rounds)
+    result = child.run_pass(argparse.Namespace(
+        workload=args.workload, seed=args.seed, rounds=rounds,
+        tail_rounds=tail_rounds, setup_repeats=1, mode="untraced",
+        scale="smoke" if args.smoke else "full", config=[], plain_replay=False, spans_out=None,
+    ))
+    measured = result["measured"]
+    busy = measured["sim_busy_s"]
+
+    print("%s  seed %d  %s scale  %d measured rounds  %d ops  failures %d" % (
+        args.workload, args.seed, "smoke" if args.smoke else "full",
+        rounds, measured["ops"], result["failure_count"]))
+    print("sim_busy_s %.6f" % busy)
+    print("\n%-10s %12s %8s %8s %16s" % ("slice", "sim s", "share", "slices", "host s median"))
+    for kind, row in sorted(measured["slices"].items(), key=lambda kv: -kv[1]["sim_s"]):
+        share = "%7.1f%%" % (100.0 * row["sim_s"] / busy) if kind != "idle" and busy else "(idle)"
+        print("%-10s %12.6f %8s %8d %16.6f" % (
+            kind, row["sim_s"], share, row["n"], row["median"]))
+
+    drain = measured["slices"].get("drain")
+    if drain and drain["sim_s"]:
+        drained = measured["drain_bytes"] / MiB
+        print("\ncore.engine.sim_drain_mb_per_s inputs: %.2f MiB over %.6f simulated s = %.1f MiB/s" % (
+            drained, drain["sim_s"], drained / drain["sim_s"]))
+    else:
+        print("\ncore.engine.sim_drain_mb_per_s inputs: no drain slice in the measured phase")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

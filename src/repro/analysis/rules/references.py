@@ -7,9 +7,10 @@ cluster-wide dedup work (arXiv:1803.07722) documents how shared-nothing
 designs drift into refcount leaks precisely when a component acquires
 references without owning a release path.  This rule checks the pairing
 *per component*: a component that calls ``chunk_ref`` must also contain
-a ``chunk_deref`` or a ``commit_chunk_batch`` (the batched release
-path) — otherwise every reference it takes is structurally unreleasable
-from within that component.
+a release — ``release_refs`` (the one way a set of references is
+dropped), or the primitives under it, ``chunk_deref`` and
+``commit_chunk_batch`` — otherwise every reference it takes is
+structurally unreleasable from within that component.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ __all__ = ["RefPairingRule"]
 
 #: Calls that acquire a chunk reference.
 _ACQUIRE = ("chunk_ref",)
-#: Calls that release references (directly or via a batch commit, whose
+#: Calls that release references: ``DedupTier.release_refs`` and the two
+#: primitives it chooses between (a per-op deref, or a batch commit whose
 #: transaction applies the batched ``deref`` ops).
-_RELEASE = ("chunk_deref", "commit_chunk_batch")
+_RELEASE = ("chunk_deref", "commit_chunk_batch", "release_refs")
 
 
 def _component(module: str) -> str:
@@ -78,7 +80,7 @@ class RefPairingRule(Rule):
                     self,
                     call,
                     f"chunk_ref call in component {comp!r} with no reachable"
-                    f" chunk_deref/commit_chunk_batch in that component —"
+                    f" release_refs/chunk_deref/commit_chunk_batch in that component —"
                     f" references taken here are structurally unreleasable"
                     f" (refcount leak)",
                 )

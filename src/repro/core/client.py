@@ -172,7 +172,8 @@ class DedupedStorage:
         return data
 
     def delete(self, oid: str, client=None):
-        """Process: delete ``oid`` and dereference its chunks."""
+        """Process: delete ``oid`` and release its chunks' references
+        (one batched commit; see :func:`~repro.core.io_path.delete_path`)."""
         yield from delete_path(self.tier, oid, client)
 
     def flush(self, oid: str):
@@ -198,7 +199,11 @@ class DedupedStorage:
         self.cluster.run(self.flush(oid))
 
     def drain(self) -> None:
-        """Deduplicate everything pending (ignores hotness), then GC."""
+        """Deduplicate everything pending (ignores hotness), then GC.
+
+        Runs up to ``config.engine_workers`` forced passes at once — see
+        :meth:`DedupEngine.drain <repro.core.engine.DedupEngine.drain>`.
+        """
         self.engine.drain_sync()
 
     # -- introspection ------------------------------------------------------------

@@ -92,29 +92,42 @@ class DedupEngine:
             return
         self._running = True
         count = workers if workers is not None else self.config.engine_workers
-        self._procs = [self.sim.process(self._loop()) for _ in range(count)]
+        self._procs = [
+            self.sim.process(self._worker(False, lambda: not self._running))
+            for _ in range(count)
+        ]
 
     def stop(self) -> None:
         """Ask the background workers to exit at their next wakeup."""
         self._running = False
 
-    def _loop(self):
-        while self._running:
-            oid = self.tier.next_dirty()
+    def _worker(self, force: bool, stop):
+        """Process: pop a dirty object, run one pass on it, repeat.
+
+        The body of every engine worker — the background loops and the
+        forced passes of :meth:`drain`.  Runs until ``stop()`` is true;
+        on an empty dirty list a background worker sleeps
+        ``dedup_interval`` and a forced one returns.
+        """
+        tier = self.tier
+        while not stop():
+            oid = tier.next_dirty()
             if oid is None:
+                if force:
+                    return
                 yield self.sim.timeout(self.config.dedup_interval)
                 continue
             try:
-                yield from self.process_object(oid)
+                yield from self.process_object(oid, force=force)
             except Exception as exc:
                 # Graceful degradation: a transient substrate fault must
-                # never kill a background worker — requeue the object and
-                # keep draining.  Non-retryable errors are real bugs and
-                # stay loud.
+                # never kill a worker — requeue the object and keep
+                # draining.  Non-retryable errors are real bugs and stay
+                # loud.
                 if not is_retryable(exc):
                     raise
                 self.stats.objects_requeued_fault += 1
-                self.tier.requeue_dirty(oid, delay=self.config.fault_requeue_delay)
+                tier.requeue_dirty(oid, delay=self.config.fault_requeue_delay)
 
     # -- one object -------------------------------------------------------------
 
@@ -126,36 +139,33 @@ class DedupEngine:
         foreground.  Returns one of ``"done"``, ``"skipped_hot"``,
         ``"raced"``, ``"missing"``.
         """
-        with self.tier.tracer.root_span("op.dedup_pass", oid=oid, forced=force) as op:
-            result = yield from self._process_object_traced(oid, force, op)
+        tier = self.tier
+        with tier.tracer.root_span("op.dedup_pass", oid=oid, forced=force) as op:
+            if not force and self.config.selective_dedup and tier.cache.is_hot(oid):
+                self.stats.objects_skipped_hot += 1
+                tier.requeue_dirty(oid, delay=self.config.hot_requeue_delay)
+                op.tag(result="skipped_hot")
+                return "skipped_hot"
+            if not force:
+                # Rate-control *before* taking the object lock: a paced
+                # background pass must never stall foreground writers that
+                # need the same lock (§4.4.2 — dedup yields to foreground).
+                pending = tier.peek_dirty_count(oid)
+                with op.child("engine.rate_throttle", pending=pending):
+                    for _ in range(max(1, pending)):
+                        yield from tier.rate.throttle()
+            lock = tier.object_lock(oid)
+            with op.child("tier.lock_wait", oid=oid):
+                yield lock.acquire()
+            try:
+                result = yield from self._process_object_locked(oid, force, op)
+            finally:
+                lock.release()
+            # Outside the lock: a capacity victim may be this same object.
+            with op.child("engine.cache_enforce"):
+                yield from self.enforce_cache_capacity()
             op.tag(result=result)
             return result
-
-    def _process_object_traced(self, oid: str, force: bool, op):
-        tier = self.tier
-        if not force and self.config.selective_dedup and tier.cache.is_hot(oid):
-            self.stats.objects_skipped_hot += 1
-            tier.requeue_dirty(oid, delay=self.config.hot_requeue_delay)
-            return "skipped_hot"
-        if not force:
-            # Rate-control *before* taking the object lock: a paced
-            # background pass must never stall foreground writers that
-            # need the same lock (§4.4.2 — dedup yields to foreground).
-            pending = tier.peek_dirty_count(oid)
-            with op.child("engine.rate_throttle", pending=pending):
-                for _ in range(max(1, pending)):
-                    yield from tier.rate.throttle()
-        lock = tier.object_lock(oid)
-        with op.child("tier.lock_wait", oid=oid):
-            yield lock.acquire()
-        try:
-            result = yield from self._process_object_locked(oid, force, op)
-        finally:
-            lock.release()
-        # Outside the lock: a capacity victim may be this same object.
-        with op.child("engine.cache_enforce"):
-            yield from self.enforce_cache_capacity()
-        return result
 
     def _process_object_locked(self, oid: str, force: bool, span=NULL_SPAN):
         tier = self.tier
@@ -298,7 +308,7 @@ class DedupEngine:
                 # Undo the references we took and retry later; dirty bits in
                 # the (authoritative) stored map still cover the new data.
                 tier.invalidate_map_cache(oid)
-                yield from self._undo_refs(taken, via, span=span)
+                yield from self._release_or_defer(taken, via, span=span)
                 self.stats.objects_aborted_race += 1
                 tier.mark_dirty(oid)
                 return "raced"
@@ -320,7 +330,7 @@ class DedupEngine:
             # the object comes back via the dirty list.
             if not is_retryable(exc):
                 raise
-            yield from self._undo_refs(taken, via, span=span)
+            yield from self._release_or_defer(taken, via, span=span)
             self.stats.objects_requeued_fault += 1
             tier.requeue_dirty(oid, delay=self.config.fault_requeue_delay)
             return "faulted"
@@ -332,56 +342,33 @@ class DedupEngine:
     def _apply_derefs(self, pairs, via, span=NULL_SPAN):
         """Process: release old-chunk references after the map commits.
 
-        Under strict refcounting with batching enabled, the whole set is
-        dropped in one batched commit (a fault leaves every reference
-        over-retained — never dangling — for the GC).  Otherwise each
-        dereference goes through the configured refcount strategy
-        individually (``false_positive`` just queues them in memory).
+        Strict refcounting drops the set now (one batched commit where
+        the chunk pool batches); ``false_positive`` just queues each
+        dereference in memory for the GC.
         """
-        tier = self.tier
         with span.child("engine.derefs", count=len(pairs)) as s:
-            if (
-                tier.batching_enabled
-                and len(pairs) > 1
-                and self.refcount.name == "strict"
-            ):
-                batch = ChunkBatch()
-                for chunk_id, ref in pairs:
-                    batch.deref(chunk_id, ref)
-                try:
-                    yield from tier.commit_chunk_batch(batch, via, span=s)
-                except Exception as exc:
-                    if not is_retryable(exc):
-                        raise
-                    # Batch prepare is all-or-nothing: nothing was dropped,
-                    # every reference stays over-retained for the GC.
-                    self.stats.derefs_deferred_fault += len(pairs)
+            if self.refcount.name == "strict":
+                yield from self._release_or_defer(pairs, via, span=s)
                 return
             for chunk_id, ref in pairs:
-                try:
-                    yield from self.refcount.deref(chunk_id, ref, via)
-                except Exception as exc:
-                    if not is_retryable(exc):
-                        raise
-                    # The map already committed, so the old reference is
-                    # merely over-retained — never dangling.  Offline GC
-                    # reclaims it.
-                    self.stats.derefs_deferred_fault += 1
+                yield from self.refcount.deref(chunk_id, ref, via)
 
-    def _undo_refs(self, taken, via, span=NULL_SPAN):
-        """Process: best-effort release of references taken this pass.
+    def _release_or_defer(self, pairs, via, span=NULL_SPAN):
+        """Process: best-effort release of a set of references.
 
-        A dereference that itself faults leaves an *over*-retained
-        reference (safe: the offline GC reclaims it); the refcount
-        invariant "never dangling" holds either way.
+        Used for the old chunks of a committed pass and to undo the
+        references an aborted pass took.  A release that itself faults
+        leaves *over*-retained references (safe: the offline GC reclaims
+        them); the refcount invariant "never dangling" holds either way.
+        The whole set is counted as deferred — exact for a batch
+        (all-or-nothing), an upper bound on the per-op path.
         """
-        for fp, ref in taken:
-            try:
-                yield from self.tier.chunk_deref(fp, ref, via, span=span)
-            except Exception as exc:
-                if not is_retryable(exc):
-                    raise
-                self.stats.derefs_deferred_fault += 1
+        try:
+            yield from self.tier.release_refs(pairs, via, span=span)
+        except Exception as exc:
+            if not is_retryable(exc):
+                raise
+            self.stats.derefs_deferred_fault += len(pairs)
 
     # -- cache maintenance -----------------------------------------------------------
 
@@ -508,28 +495,51 @@ class DedupEngine:
     def drain(self, run_gc: bool = True):
         """Process: dedup everything on the dirty list, ignoring hotness.
 
+        The list is handed to ``min(engine_workers, dirty_count)``
+        concurrent forced workers (the paper's background deduplication
+        thread*s*; a single dirty object runs inline) and rebuilt from
+        the authoritative dirty bits until a rebuild finds nothing.
         Optionally runs the refcount GC afterwards.  Used by benchmarks
         to reach the fully deduplicated steady state before measuring
         space.
+
+        A non-retryable error in one pass stops the hand-out: no worker
+        pops another object, siblings finish the pass they hold (they
+        are never interrupted), and the first error is re-raised.  The
+        dirty bits stay authoritative, so a later ``drain()`` converges.
         """
-        guard = 0
+        tier = self.tier
+        errors = []
+
+        def worker():
+            try:
+                yield from self._worker(force=True, stop=lambda: bool(errors))
+            except Exception as exc:
+                errors.append(exc)
+
+        rounds = 0
         while True:
-            oid = self.tier.next_dirty()
-            if oid is None:
+            width = min(self.config.engine_workers, tier.dirty_count)
+            if width == 0:
                 # Hot-skipped objects are requeued with a delay, which a
                 # drain must not wait for: rebuild the list from the
                 # authoritative dirty bits instead.
-                if self.tier.rebuild_dirty_list() == 0:
+                if tier.rebuild_dirty_list() == 0:
                     break
                 continue
-            result = yield from self.process_object(oid, force=True)
-            guard += 1
-            if guard > 1_000_000:
+            if width == 1:
+                yield from worker()
+            else:
+                yield self.sim.all_of(
+                    [self.sim.process(worker()) for _ in range(width)]
+                )
+            if errors:
+                raise errors[0]
+            rounds += 1
+            if rounds > 1_000_000:
                 raise RuntimeError("drain did not converge")
-            if result == "raced":
-                continue
         if run_gc:
-            node = next(iter(self.tier.cluster.nodes.values()))
+            node = next(iter(tier.cluster.nodes.values()))
             yield from self.refcount.gc(NodeClient(node))
 
     def drain_sync(self, run_gc: bool = True) -> None:

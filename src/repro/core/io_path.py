@@ -217,11 +217,16 @@ def _write_locked(
 def delete_path(tier: DedupTier, oid: str, client=None):
     """Process: delete object ``oid`` and release its chunks.
 
-    The metadata object is removed first (the user-visible delete), then
-    every chunk the map referenced is dereferenced — chunk objects whose
-    last reference this was disappear with it.  A crash in between
-    leaves only over-retained chunks (never dangling pointers), which
-    the offline GC reclaims — the same §4.6 safety direction as flush.
+    The metadata object is removed first (the user-visible delete) and
+    its chunks leave the cache manager's books; then every reference the
+    map held is released through one
+    :meth:`~repro.core.tier.DedupTier.release_refs` — a single batched
+    commit (one prepared transaction per placement group) on a
+    replicated chunk pool.  Chunk objects whose last reference this was
+    disappear with it.  A crash or a retry give-up in between leaves
+    only over-retained chunks (never dangling pointers, never a released
+    prefix of a batch), which the offline GC reclaims — the same §4.6
+    safety direction as flush.
     """
     with tier.tracer.root_span("op.delete", oid=oid) as op:
         lock = tier.object_lock(oid)
@@ -234,7 +239,7 @@ def delete_path(tier: DedupTier, oid: str, client=None):
             key = tier.metadata_key(oid)
             cluster = tier.cluster
             # Removing an already-removed object is a no-op, so the delete
-            # and each dereference below are idempotent under retry.
+            # and the release below are idempotent under retry.
             yield from tier.retrying(
                 lambda: cluster.submit(
                     tier.metadata_pool, oid, Transaction().remove(key), client,
@@ -248,18 +253,19 @@ def delete_path(tier: DedupTier, oid: str, client=None):
             # probe entirely).
             tier.invalidate_map_cache(oid)
             tier.bump_seq(oid)
-            via = client
+            # The object is gone whatever happens to its references:
+            # take its chunks off the cache manager's books first.
+            pairs = []
             for entry in cmap:
+                tier.cache.note_evicted(oid, entry.offset // tier.config.chunk_size)
                 if entry.chunk_id:
-                    yield from tier.retrying(
-                        lambda cid=entry.chunk_id, e=entry: tier.chunk_deref(
-                            cid, entry_ref(tier, oid, e), via, span=op
-                        ),
-                        op="chunk_deref",
-                        span=op,
-                    )
-                idx = entry.offset // tier.config.chunk_size
-                tier.cache.note_evicted(oid, idx)
+                    pairs.append((entry.chunk_id, entry_ref(tier, oid, entry)))
+            if pairs:
+                yield from tier.retrying(
+                    lambda: tier.release_refs(pairs, client, span=op),
+                    op="chunk_deref",
+                    span=op,
+                )
             tier.fg_window.note(0)
         finally:
             lock.release()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .objects import ChunkRef
-from .tier import ChunkBatch, DedupTier
+from .tier import DedupTier
 
 __all__ = ["StrictRefcount", "FalsePositiveRefcount", "make_refcounter"]
 
@@ -38,7 +38,7 @@ class StrictRefcount:
 
     def deref(self, chunk_id: str, ref: ChunkRef, via):
         """Process: drop the reference now and wait for completion."""
-        yield from self.tier.chunk_deref(chunk_id, ref, via)
+        yield from self.tier.release_refs([(chunk_id, ref)], via)
 
     def gc(self, via):
         """Process: nothing to collect under strict counting."""
@@ -76,21 +76,14 @@ class FalsePositiveRefcount:
     def gc(self, via):
         """Process: apply all queued dereferences (the GC pass).
 
-        With batching enabled the whole backlog commits through one
-        prepared transaction per placement group instead of one round
-        trip per stale reference.
+        The whole backlog goes through
+        :meth:`~repro.core.tier.DedupTier.release_refs` — with batching
+        enabled, one prepared transaction per placement group instead of
+        one round trip per stale reference.
         """
         queue, self._queue = self._queue, []
-        if self.tier.batching_enabled and len(queue) > 1:
-            batch = ChunkBatch()
-            for chunk_id, ref in queue:
-                batch.deref(chunk_id, ref)
-            yield from self.tier.commit_chunk_batch(batch, via)
-            self.collected += len(queue)
-            return
-        for chunk_id, ref in queue:
-            yield from self.tier.chunk_deref(chunk_id, ref, via)
-            self.collected += 1
+        yield from self.tier.release_refs(queue, via)
+        self.collected += len(queue)
 
 
 def make_refcounter(tier: DedupTier):

@@ -937,6 +937,27 @@ class DedupTier:
                 for lock in reversed(acquired):
                     lock.release()
 
+    # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); a fault propagates to the caller's scope, which retries or defers the set to GC
+    def release_refs(self, pairs, via, span=NULL_SPAN):
+        """Process: release a set of ``(chunk_id, ref)`` references.
+
+        The one way references are dropped: a single
+        :meth:`commit_chunk_batch` where batching applies (all-or-nothing
+        — a fault leaves *every* reference over-retained), else one
+        :meth:`chunk_deref` round trip each (an EC chunk pool, or a set
+        of one; a fault leaves the unreleased suffix over-retained).
+        Either way over-retained, never dangling, and idempotent: a
+        caller may retry the whole set or leave it to the GC.
+        """
+        if self.batching_enabled and len(pairs) > 1:
+            batch = ChunkBatch()
+            for chunk_id, ref in pairs:
+                batch.deref(chunk_id, ref)
+            yield from self.commit_chunk_batch(batch, via, span=span)
+            return
+        for chunk_id, ref in pairs:
+            yield from self.chunk_deref(chunk_id, ref, via, span=span)
+
     def read_chunk(
         self, chunk_id: str, offset: int, length: Optional[int], client, span=NULL_SPAN
     ):

@@ -242,3 +242,203 @@ def test_missing_object_is_handled():
     storage = make_storage()
     result = storage.cluster.run(storage.engine.process_object("ghost"))
     assert result == "missing"
+
+
+# -- drain at the cluster's width ---------------------------------------------
+
+
+def max_open_spans(tracer, stage):
+    """Most ``stage`` spans open at one simulated instant (a span that
+    ends where the next one starts does not overlap it)."""
+    edges = []
+    for span in tracer.spans:
+        if span.stage == stage:
+            edges.append((span.start, 1))
+            edges.append((span.end, -1))
+    open_now = peak = 0
+    for _time, delta in sorted(edges):
+        open_now += delta
+        peak = max(peak, open_now)
+    return peak
+
+
+@pytest.mark.parametrize("workers", [8, 1])
+def test_drain_runs_engine_workers_passes_at_once(workers):
+    storage = make_storage(engine_workers=workers, trace_ops=True)
+    for i in range(24):
+        storage.write_sync(f"obj{i}", bytes([i]) * 2048)
+    storage.tracer.clear()
+    storage.drain()
+    assert storage.engine.stats.objects_processed == 24
+    assert max_open_spans(storage.tracer, "op.dedup_pass") == workers
+
+
+def test_drain_of_one_dirty_object_spawns_no_process():
+    """One dirty object runs inline: the drain costs exactly the
+    processes the pass itself starts."""
+
+    def processes_started(run_pass):
+        storage = make_storage()
+        storage.write_sync("obj1", b"solo" * 512)
+        started = []
+        spawn = storage.sim.process
+
+        def counting(gen):
+            started.append(gen)
+            return spawn(gen)
+
+        storage.sim.process = counting
+        run_pass(storage)
+        assert storage.tier.peek_dirty_count("obj1") == 0
+        return len(started)
+
+    assert processes_started(lambda s: s.drain()) == processes_started(
+        lambda s: s.flush_sync("obj1")
+    )
+
+
+def test_drain_beside_background_workers_and_a_writer_converges():
+    storage = make_storage(hit_count_threshold=1, hot_requeue_delay=5.0)
+    sim = storage.sim
+    latest = {}
+
+    def writer():
+        for generation in range(4):
+            for i in range(6):
+                data = bytes([16 * generation + i]) * 3000
+                yield from storage.write(f"obj{i}", data)
+                latest[f"obj{i}"] = data
+
+    def scenario():
+        storage.engine.start()
+        racing = [sim.process(writer()), sim.process(storage.engine.drain())]
+        yield sim.all_of(racing)
+        # The writer is done; the background workers (every object is
+        # hot to them, so they only skip and requeue) are still running.
+        yield from storage.engine.drain()
+
+    storage.cluster.run(scenario())
+    assert storage.engine.running
+    assert storage.tier.dirty_count == 0
+    for oid, data in latest.items():
+        assert storage.tier.peek_dirty_count(oid) == 0
+        assert storage.read_sync(oid) == data
+    storage.engine.stop()
+    from repro.core.scrub import scrub_sync
+
+    assert scrub_sync(storage.tier).clean
+
+
+def test_failed_drain_fails_once_and_cleanly():
+    """A non-retryable error in one pass: nothing more is handed out,
+    siblings finish what they hold, the first error is what drain
+    raises, and a later drain on the healed tier converges."""
+    from repro.analysis import LockSanitizer
+    from repro.core.scrub import scrub_sync
+
+    storage = make_storage(engine_workers=4)
+    sanitizer = LockSanitizer().attach(storage.sim)
+    for i in range(12):
+        storage.write_sync(f"obj{i}", bytes([i]) * 2048)
+    tier = storage.tier
+    real_load = tier.load_chunk_map
+
+    def broken_load(oid, span=None):
+        if oid == "obj1":
+            raise RuntimeError("boom")
+        return real_load(oid, span=span)
+
+    tier.load_chunk_map = broken_load
+    with pytest.raises(RuntimeError, match="boom"):
+        storage.drain()
+    # obj0..obj3 were handed out together; obj1 failed, its three
+    # siblings finished their pass and popped nothing further.
+    assert storage.engine.stats.objects_processed == 3
+    assert tier.dirty_count == 8
+    assert tier.peek_dirty_count("obj1") == 2
+    assert not tier.object_lock("obj1").in_use
+
+    tier.load_chunk_map = real_load
+    storage.drain()
+    assert tier.dirty_count == 0
+    assert all(tier.peek_dirty_count(f"obj{i}") == 0 for i in range(12))
+    assert storage.engine.stats.objects_processed == 12
+    for i in range(12):
+        assert storage.read_sync(f"obj{i}") == bytes([i]) * 2048
+    assert scrub_sync(tier).clean
+    assert sanitizer.report()["clean"]
+
+
+def test_end_state_is_independent_of_drain_width():
+    """Whatever ``engine_workers`` is, a drained tier holds the same
+    bytes, the same references and the same chunk maps."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    from repro.core.scrub import scrub_sync
+
+    chunk = 1024
+    objects = 5
+    object_size = 4 * chunk
+    # A four-letter alphabet: whole-chunk writes repeat content inside an
+    # object and across objects; odd offsets/lengths overwrite sub-chunk.
+    op_strategy = st.one_of(
+        st.tuples(
+            st.just("w"),
+            st.integers(0, objects - 1),
+            st.integers(0, object_size - 1),
+            st.integers(1, 2 * chunk),
+            st.integers(0, 3),
+        ),
+        st.tuples(
+            st.just("w"),
+            st.integers(0, objects - 1),
+            st.integers(0, 3).map(lambda i: i * chunk),
+            st.just(chunk),
+            st.integers(0, 3),
+        ),
+        st.tuples(st.just("d")),
+    )
+
+    def end_state(workers, ops):
+        storage = make_storage(engine_workers=workers, cache_on_flush=False)
+        shadow = {}
+        for op in ops:
+            if op[0] == "d":
+                storage.drain()
+                continue
+            _kind, obj, offset, length, fill = op
+            storage.write_sync(f"o{obj}", bytes([fill]) * length, offset=offset)
+            buf = shadow.setdefault(obj, bytearray())
+            buf.extend(b"\x00" * (offset + length - len(buf)))
+            buf[offset : offset + length] = bytes([fill]) * length
+        storage.drain()
+        tier = storage.tier
+        for obj, buf in shadow.items():
+            assert storage.read_sync(f"o{obj}") == bytes(buf)
+        assert scrub_sync(tier).clean
+        refs = {
+            cid: list(tier._load_refs(cid))
+            for cid in storage.cluster.list_objects(tier.chunk_pool)
+        }
+        maps = {
+            oid: [
+                (e.offset, e.length, e.chunk_id, e.dirty, e.valid)
+                for e in tier.peek_chunk_map(oid)
+            ]
+            for oid in storage.cluster.list_objects(tier.metadata_pool)
+        }
+        return storage.cluster.total_used_bytes(), refs, maps
+
+    @hypothesis.settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=list(hypothesis.HealthCheck),
+    )
+    @hypothesis.given(ops=st.lists(op_strategy, min_size=1, max_size=30))
+    def check(ops):
+        serial = end_state(1, ops)
+        assert end_state(3, ops) == serial
+        assert end_state(8, ops) == serial
+
+    check()

@@ -81,3 +81,20 @@ def test_deref_foreign_ref_leaves_chunk():
     tier.cluster.run(tier.chunk_deref(fp, other, via))  # not a holder
     assert tier.cluster.exists(tier.chunk_pool, fp)
     assert tier.chunk_refcount(fp) == 1
+
+
+def test_release_refs_batches_a_set_and_sends_one_alone():
+    tier, via = make_tier()
+    pairs = []
+    for i in range(3):
+        data = bytes([i]) * 256
+        ref = ChunkRef(tier.metadata_pool.pool_id, "o", i * 256)
+        tier.cluster.run(tier.chunk_ref(fingerprint(data), ref, data, via))
+        pairs.append((fingerprint(data), ref))
+    batches = tier.stage.ref_batches
+    tier.cluster.run(tier.release_refs(pairs[:2], via))  # one batched commit
+    assert tier.stage.ref_batches == batches + 1
+    tier.cluster.run(tier.release_refs(pairs[2:], via))  # one per-op deref
+    assert tier.stage.ref_batches == batches + 1
+    tier.cluster.run(tier.release_refs(pairs, via))  # idempotent
+    assert tier.cluster.list_objects(tier.chunk_pool) == []

@@ -4,15 +4,12 @@
 # Tools that only CI installs (ruff, mypy, pytest-cov) are skipped with
 # a notice when absent.  Usage:
 #
-#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + e2e smoke + obs
-#   scripts/ci_local.sh --bench       # also the nightly bench smoke
+#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + e2e smoke + paper benches + obs
 #   scripts/ci_local.sh --bench-full  # also the full (slow) benchmark suite
 set -u
 cd "$(dirname "$0")/.."
 
-RUN_BENCH=0
 RUN_BENCH_FULL=0
-[ "${1:-}" = "--bench" ] && RUN_BENCH=1
 [ "${1:-}" = "--bench-full" ] && RUN_BENCH_FULL=1
 
 FAILURES=0
@@ -42,7 +39,7 @@ jobs = doc["jobs"]
 expected = {
     "lint", "lint-invariants", "sanitizer-smoke", "test", "test-no-numpy",
     "coverage", "faults-smoke", "elasticity-smoke", "e2e-smoke",
-    "obs-smoke", "obs-overhead", "bench-smoke", "bench-full",
+    "paper-benches", "obs-smoke", "obs-overhead", "bench-full",
 }
 assert expected <= set(jobs), jobs.keys()
 sseeds = jobs["sanitizer-smoke"]["strategy"]["matrix"]["sanitizer-seed"]
@@ -122,6 +119,13 @@ step "e2e-smoke: memory by site (artifact, not a gate)" \
 step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
     sh -c 'python3 scripts/sim_by_slice.py seq-backup --smoke > sim-by-slice.txt'
 
+# -- paper-benches job ------------------------------------------------------
+# Every paper figure/table bench at fast size (~1 min 40 s); each asserts
+# the shape its figure reports.
+step "paper-benches: paper figures and tables, fast mode" \
+    env PYTHONPATH=src REPRO_BENCH_FAST=1 python -m pytest -q benchmarks \
+    --ignore=benchmarks/e2e --benchmark-disable
+
 # -- obs-smoke job ----------------------------------------------------------
 step "obs-smoke: traced workload + integrity checks" \
     env PYTHONPATH=src python -m repro obs trace \
@@ -132,18 +136,6 @@ step "obs-smoke: span rollup report" \
 # -- obs-overhead job -------------------------------------------------------
 step "obs-overhead: tracing overhead vs untraced" \
     env PYTHONPATH=src python scripts/check_obs_overhead.py
-
-# -- bench-smoke job (nightly; opt-in locally) ------------------------------
-if [ "$RUN_BENCH" = 1 ]; then
-    step "bench-smoke: fast-mode benchmarks" \
-        env PYTHONPATH=src REPRO_BENCH_FAST=1 python -m pytest -q \
-        benchmarks/bench_fig14_rate_control.py \
-        benchmarks/bench_table3_recovery.py \
-        --benchmark-json=bench-smoke.json
-else
-    echo
-    echo "==> bench-smoke: skipped (pass --bench to run)"
-fi
 
 # -- bench-full job (nightly / dispatch input; opt-in locally) ---------------
 if [ "$RUN_BENCH_FULL" = 1 ]; then

@@ -124,9 +124,9 @@ class RadosCluster:
         self._active_remaps: Dict[Tuple[int, int], "PgRemap"] = {}
         # Callbacks fired after recovery / rebalance rewrites stored
         # objects (see notify_repaired): layers holding decoded caches
-        # above the substrate (e.g. the dedup tier's chunk-map and
-        # RefSet LRUs) register here to drop state the repair may have
-        # replaced underneath them.
+        # above the substrate (e.g. the dedup tier's chunk-map LRU)
+        # register here to drop state the repair may have replaced
+        # underneath them.
         self._repair_listeners: List[Callable[[], None]] = []
 
     def add_repair_listener(self, listener: Callable[[], None]) -> None:

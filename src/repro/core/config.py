@@ -94,28 +94,11 @@ class DedupConfig:
     hot_requeue_delay: float = 1.0
     refcount_mode: str = "strict"
 
-    #: LRU cache of hot chunk-object RefSets in front of ``_load_refs``
-    #: (skips the per-lookup deserialization on repeat-duplicate
-    #: workloads).  0 disables.
-    refset_cache_entries: int = 512
-    #: Initial capacity of the negative-lookup Bloom filter over stored
-    #: chunk IDs (a definite "not stored" answer skips the chunk-pool
-    #: existence probe entirely; the filter grows itself when full).
-    #: 0 disables.
-    chunk_bloom_capacity: int = 8192
     #: LRU cache of decoded ChunkMaps in front of ``load_chunk_map``,
     #: versioned per object: every committed map mutation bumps the
     #: object's map version, and a cached decode is served only when its
     #: version matches.  0 disables.
     map_cache_entries: int = 256
-    #: Byte budget of the hotness-aware chunk data cache in front of the
-    #: chunk pool (``repro.core.read_cache.ChunkDataCache``): payloads
-    #: are keyed by fingerprint (content-addressed, so never stale) and
-    #: admitted only on their second sighting.  0 disables.
-    chunk_cache_bytes: int = 8 * 1024 * KiB
-    #: Bound on the admission filter's ghost list (fingerprints seen
-    #: once, no payload held).
-    chunk_cache_ghost_entries: int = 4096
     #: Background dedup thread count (paper §3.2: "background
     #: deduplication threads periodically conduct a deduplication job").
     engine_workers: int = 8
@@ -185,26 +168,9 @@ class DedupConfig:
             raise ValueError(f"op_timeout must be positive, got {self.op_timeout}")
         if self.fault_requeue_delay < 0:
             raise ValueError("fault_requeue_delay must be >= 0")
-        if self.refset_cache_entries < 0:
-            raise ValueError(
-                f"refset_cache_entries must be >= 0, got {self.refset_cache_entries}"
-            )
         if self.map_cache_entries < 0:
             raise ValueError(
                 f"map_cache_entries must be >= 0, got {self.map_cache_entries}"
-            )
-        if self.chunk_bloom_capacity < 0:
-            raise ValueError(
-                f"chunk_bloom_capacity must be >= 0, got {self.chunk_bloom_capacity}"
-            )
-        if self.chunk_cache_bytes < 0:
-            raise ValueError(
-                f"chunk_cache_bytes must be >= 0, got {self.chunk_cache_bytes}"
-            )
-        if self.chunk_cache_ghost_entries < 0:
-            raise ValueError(
-                f"chunk_cache_ghost_entries must be >= 0, "
-                f"got {self.chunk_cache_ghost_entries}"
             )
         if self.trace_max_spans < 0:
             raise ValueError(

@@ -329,74 +329,19 @@ def _place_segment(tier, buf, base, sstart, seg_len, segment, span):
     buf[sstart - base : sstart - base + seg_len] = segment
 
 
-def _windowed(window, gen):
-    """Process: run ``gen`` holding one slot of the fan-out window."""
-    yield window.acquire()
-    try:
-        result = yield from gen
-        return result
-    finally:
-        window.release()
-
-
 def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL_SPAN):
     """Process: fetch every planned piece and assemble ``buf`` in place.
 
-    Two layers:
-
-    1. **chunk data cache** — chunk-backed pieces whose fingerprint is
-       resident are served from memory with no simulated I/O; misses on
-       a second-sighted fingerprint widen the fetch to the whole chunk
-       so it can be admitted (never a torn payload — admission checks
-       the length against the map entry);
-    2. **bounded fan-out** — the remaining jobs (cached pieces + one
-       redirected fetch per chunk) run concurrently through the tier's
-       read window.
-
-    Cache hit/miss tallies are folded into the stage counters only when
-    the attempt completes, so a ``NoSuchObject`` race retried by
-    :func:`read_path` never double-counts.
+    Pieces of the same chunk object merge into one covering fetch; the
+    jobs (cached pieces + one redirected fetch per chunk) then run
+    concurrently — a read's fan-out is bounded by its own chunk count.
     """
-    cache = tier.chunk_data_cache
-    hits = 0
-    misses = 0
-    pending: List[Tuple[int, str, int, int, int]] = []
-    for piece in chunk_pieces:
-        sstart, chunk_id, rel, ln, _entry_len = piece
-        if cache.enabled:
-            data = cache.get(chunk_id)
-            if data is not None:
-                hits += 1
-                _place_segment(tier, buf, base, sstart, ln, data[rel : rel + ln], span)
-                continue
-            misses += 1
-        pending.append(piece)
-    if hits or misses:
-        with span.child("tier.chunk_cache") as s_cc:
-            s_cc.tag(hits=hits, misses=misses)
-
-    # Merge pieces of the same chunk object into one covering fetch;
-    # widen to the full chunk when the admission filter wants a copy.
-    # fetches: (chunk id, fetch offset, fetch length, admit, pieces)
-    fetches: List[Tuple[str, int, int, bool, list]] = []
     by_chunk: "OrderedDict[str, list]" = OrderedDict()
-    for piece in pending:
+    for piece in chunk_pieces:
         by_chunk.setdefault(piece[1], []).append(piece)
-    for chunk_id, pieces in by_chunk.items():
-        entry_len = max(p[4] for p in pieces)
-        if cache.should_admit(chunk_id, entry_len):
-            fetches.append((chunk_id, 0, entry_len, True, pieces))
-        else:
-            f_off = min(p[2] for p in pieces)
-            f_len = max(p[2] + p[3] for p in pieces) - f_off
-            cache.note_seen(chunk_id)
-            fetches.append((chunk_id, f_off, f_len, False, pieces))
 
-    def place_fetch(fetch, data):
-        chunk_id, f_off, f_len, admit, pieces = fetch
-        if admit and len(data) == f_len:
-            cache.admit(chunk_id, bytes(data))
-        for sstart, _cid, rel, ln, _el in pieces:
+    def place_fetch(f_off, pieces, data):
+        for sstart, _cid, rel, ln in pieces:
             _place_segment(
                 tier, buf, base, sstart, ln, data[rel - f_off : rel - f_off + ln], span
             )
@@ -407,34 +352,25 @@ def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL
         gen = _read_cached_piece(tier, oid, sstart, ln, client, span)
         jobs.append((gen, lambda seg, s=sstart, n=ln: _place_segment(
             tier, buf, base, s, n, seg, span)))
-    for fetch in fetches:
-        chunk_id, f_off, f_len, _admit, _pieces = fetch
+    for chunk_id, pieces in by_chunk.items():
+        f_off = min(p[2] for p in pieces)
+        f_len = max(p[2] + p[3] for p in pieces) - f_off
         gen = _read_chunk_piece(tier, chunk_id, f_off, f_len, client, span)
-        jobs.append((gen, lambda data, f=fetch: place_fetch(f, data)))
+        jobs.append((gen, lambda data, o=f_off, ps=pieces: place_fetch(o, ps, data)))
 
-    window = tier.read_window
     with span.child("tier.read_fanout") as s_f:
-        s_f.tag(
-            jobs=len(jobs),
-            cache_hits=hits,
-            chunk_fetches=len(fetches),
-            window=window.capacity,
-        )
+        s_f.tag(jobs=len(jobs), chunk_fetches=len(by_chunk))
         if len(jobs) <= 1:
             # A single job runs inline: a process would add only cost.
             for gen, handle in jobs:
                 result = yield from gen
                 handle(result)
         else:
-            procs = [
-                tier.sim.process(_windowed(window, gen)) for gen, _handle in jobs
-            ]
+            procs = [tier.sim.process(gen) for gen, _handle in jobs]
             results = yield tier.sim.all_of(procs)
             for (_gen, handle), result in zip(jobs, results):
                 handle(result)
-    tier.stage.chunk_cache_hits += hits
-    tier.stage.chunk_cache_misses += misses
-    tier.stage.fanout_chunk_reads += len(fetches)
+    tier.stage.fanout_chunk_reads += len(by_chunk)
 
 
 def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):
@@ -454,8 +390,8 @@ def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):
     # (served from the metadata object) and chunk-backed pieces (served
     # by the chunk pool, or zeros when the chunk was never flushed).
     cached_pieces: List[Tuple[int, int]] = []  # (abs start, length)
-    chunk_pieces: List[Tuple[int, str, int, int, int]] = []
-    # ^ (abs start, chunk id, chunk-relative offset, length, entry length)
+    chunk_pieces: List[Tuple[int, str, int, int]] = []
+    # ^ (abs start, chunk id, chunk-relative offset, length)
     for idx in tier.chunker.aligned_range(offset, end - offset):
         cstart = idx * cs
         entry = cmap.get(idx)
@@ -486,7 +422,6 @@ def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):
                         entry.chunk_id,
                         piece_start,
                         piece_end - piece_start,
-                        entry.length,
                     )
                 )
             # else: sparse zeros within the chunk

@@ -149,11 +149,7 @@ def collect_garbage(tier: DedupTier):
                 yield from tier._store_refs(chunk_id, RefSet(sorted(keep)), via)
             else:
                 length = yield from cluster.stat(tier.chunk_pool, chunk_id)
-                try:
-                    yield from cluster.remove(tier.chunk_pool, chunk_id, via)
-                finally:
-                    # The tier's RefSet cache must not outlive the object.
-                    tier.invalidate_chunk_state(chunk_id)
+                yield from cluster.remove(tier.chunk_pool, chunk_id, via)
                 report.chunks_removed += 1
                 report.bytes_reclaimed += length
         finally:

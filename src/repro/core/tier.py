@@ -33,7 +33,6 @@ from ..faults.retry import RetryPolicy, RetryStats, call_with_retries
 from ..obs import NULL_SPAN, Tracer
 from ..perf.stages import StageCounters
 from ..sim import Resource
-from ..util.bloom import BloomFilter
 from .config import DedupConfig
 from .cache import CacheManager
 from .objects import (
@@ -48,7 +47,6 @@ from .objects import (
     stored_dirty_count,
 )
 from .rate_control import OpWindow, RateController
-from .read_cache import ChunkDataCache
 
 __all__ = [
     "ChunkBatch",
@@ -60,9 +58,6 @@ __all__ = [
 
 #: xattr on chunk objects recording the payload encoding ("raw"/"zlib").
 CHUNK_ENCODING_XATTR = "dedup.encoding"
-
-#: At most this many chunk fetches are outstanding per logical read.
-READ_FANOUT_WINDOW = 16
 
 
 class NodeClient:
@@ -236,9 +231,8 @@ class DedupTier:
         # readers see.  The per-oid version counters in
         # _map_versions advance on every committed mutation (and on
         # explicit invalidation), so a cached decode is served only when
-        # its version still matches — the same freshness discipline the
-        # RefSet LRU follows, but with an explicit version instead of a
-        # pop, so an in-flight stale object can never be re-installed.
+        # its version still matches — an explicit version instead of a
+        # pop, so an in-flight stale decode can never be re-installed.
         self._map_cache: "OrderedDict[str, Tuple[int, ChunkMap]]" = OrderedDict()
         self._map_cache_cap = self.config.map_cache_entries
         self._map_versions: Dict[str, int] = {}
@@ -250,42 +244,8 @@ class DedupTier:
         # Recovery and rebalance can rewrite metadata objects underneath
         # the tier (restoring an older committed state); both notify the
         # cluster's repair listeners, and the tier answers by dropping
-        # every decoded-map and RefSet cache entry.
+        # every decoded map.
         cluster.add_repair_listener(self._on_cluster_repair)
-        # LRU of hot RefSets in front of _load_refs: repeat-duplicate
-        # workloads skip the chunk-pool read (and the per-lookup
-        # deserialization) entirely.  Entries are invalidated on chunk
-        # removal and on any ref commit that faults mid-way.
-        self._ref_cache: "OrderedDict[str, RefSet]" = OrderedDict()
-        self._ref_cache_cap = self.config.refset_cache_entries
-        # Negative-lookup Bloom filter over stored chunk IDs: a miss is
-        # a definite "never stored", so the existence probe for a brand
-        # new chunk costs one in-memory filter check.  Grows itself (by
-        # rebuild from the chunk pool listing) when full.
-        self._chunk_bloom: Optional[BloomFilter] = (
-            BloomFilter(self.config.chunk_bloom_capacity)
-            if self.config.chunk_bloom_capacity > 0
-            else None
-        )
-        if self._chunk_bloom is not None:
-            for cid in cluster.list_objects(self.chunk_pool):
-                self._chunk_bloom.add(cid)
-        #: Hotness-aware chunk data cache in front of the chunk pool:
-        #: payloads keyed by fingerprint (content-addressed, so never
-        #: stale), admitted on their second sighting, byte-budgeted.
-        #: Wired into chunk reclamation via invalidate_chunk_state and
-        #: into recovery/rebalance via the repair listener above.
-        self.chunk_data_cache = ChunkDataCache(
-            self.config.chunk_cache_bytes,
-            self.stage,
-            ghost_entries=self.config.chunk_cache_ghost_entries,
-        )
-        #: Bounded in-flight window for parallel chunk fetches on the
-        #: read path.  Deliberately unlabeled: a counted fan-out window
-        #: is a device-style throttle, not a lock — the runtime lock
-        #: sanitizer must not treat the N concurrent holders as suspect
-        #: double-acquires.
-        self.read_window = Resource(cluster.sim, capacity=READ_FANOUT_WINDOW)
         #: Hook invoked (with the oid) when a read finds a hot object
         #: whose chunks are not cached; the facade wires it to the
         #: engine's promotion path (§5: hot objects are cached into the
@@ -468,9 +428,8 @@ class DedupTier:
 
     def _on_cluster_repair(self) -> None:
         # Recovery / rebalance rewrote objects under us: every cached
-        # decode (maps and RefSets) is suspect.
+        # decoded map is suspect.
         self.invalidate_map_cache()
-        self.invalidate_chunk_state()
 
     def load_chunk_map(self, oid: str, span=NULL_SPAN):
         """Process: fetch the chunk map at the metadata primary.
@@ -603,77 +562,14 @@ class DedupTier:
             self._object_locks[oid] = lock
         return lock
 
-    # -- ref caching ----------------------------------------------------------
+    # -- chunk reference state -------------------------------------------------
 
     def chunk_exists(self, chunk_id: str) -> bool:
-        """Whether a chunk object is stored (negative-lookup accelerated).
-
-        A RefSet-cache hit or a Bloom-filter miss answers without
-        touching the chunk pool at all; only a "maybe stored" falls
-        through to the real existence probe.  Sound because every chunk
-        store goes through this tier (``chunk_ref`` or a batch commit),
-        which inserts the ID into the filter — so a filter miss really
-        means "never stored".
-        """
-        if chunk_id in self._ref_cache:
-            return True
-        if self._chunk_bloom is not None and chunk_id not in self._chunk_bloom:
-            self.stage.bloom_negative_hits += 1
-            return False
+        """Whether a chunk object is stored: the cluster's existence
+        probe of the chunk pool (map-time, no simulated cost)."""
         return self.cluster.exists(self.chunk_pool, chunk_id)
 
-    def _note_chunk_stored(self, chunk_id: str) -> None:
-        """Record a newly stored chunk ID in the Bloom filter."""
-        bloom = self._chunk_bloom
-        if bloom is None:
-            return
-        if bloom.count >= bloom.capacity:
-            # Rebuild at double capacity from the authoritative listing
-            # (map-time); the old filter's false-positive rate would
-            # otherwise degrade unbounded.
-            grown = BloomFilter(bloom.capacity * 2, bloom.error_rate)
-            for cid in self.cluster.list_objects(self.chunk_pool):
-                grown.add(cid)
-            self._chunk_bloom = bloom = grown
-        bloom.add(chunk_id)
-
-    def _cache_refs(self, chunk_id: str, refs: RefSet) -> None:
-        if self._ref_cache_cap <= 0:
-            return
-        cache = self._ref_cache
-        cache[chunk_id] = refs
-        cache.move_to_end(chunk_id)
-        while len(cache) > self._ref_cache_cap:
-            cache.popitem(last=False)
-
-    def invalidate_chunk_state(self, chunk_id: Optional[str] = None) -> None:
-        """Drop cached RefSets (one chunk, or all when ``None``).
-
-        Called whenever a chunk object is removed or a ref commit
-        faulted mid-way, so the cache never serves state the substrate
-        may not hold.  (Bloom entries persist — a stale positive only
-        costs the real existence probe.)
-
-        The chunk *data* cache is evicted here too.  Content addressing
-        means its payloads can never be byte-stale, but a reclaimed
-        chunk must stop occupying budget — and a read served purely
-        from cache after GC removed the object would mask a dangling
-        map entry that scrub should surface.
-        """
-        if chunk_id is None:
-            self._ref_cache.clear()
-            self.chunk_data_cache.clear()
-        else:
-            self._ref_cache.pop(chunk_id, None)
-            self.chunk_data_cache.evict(chunk_id)
-
     def _load_refs(self, chunk_id: str) -> RefSet:
-        cached = self._ref_cache.get(chunk_id)
-        if cached is not None:
-            self._ref_cache.move_to_end(chunk_id)
-            self.stage.refset_cache_hits += 1
-            return cached
-        self.stage.refset_cache_misses += 1
         key = self.cluster.object_key(self.chunk_pool, chunk_id)
         # acting_osds: a chunk mid-migration (and its self-contained
         # refcounts) may only exist on the old acting set — reading the
@@ -681,31 +577,22 @@ class DedupTier:
         for osd in self.cluster.acting_osds(self.chunk_pool, chunk_id):
             if osd.up and osd.store.exists(key):
                 blob = osd.store.get(key).xattrs.get(REFS_XATTR, b"")
-                refs = RefSet.deserialize(blob)
-                self._cache_refs(chunk_id, refs)
-                return refs
+                return RefSet.deserialize(blob)
         return RefSet()
 
     # repro-lint: flt-scope -- commit primitive: faults must propagate to the caller's scope (engine skip-and-requeue / io_path retries), which owns the undo policy
     def _store_refs(self, chunk_id: str, refs: RefSet, via, span=NULL_SPAN):
         blob = refs.serialize()
-        try:
-            if self.chunk_pool.is_ec:
-                yield from self.cluster.setxattr(
-                    self.chunk_pool, chunk_id, REFS_XATTR, blob, via
-                )
-            else:
-                key = self.cluster.object_key(self.chunk_pool, chunk_id)
-                txn = Transaction().setxattr(key, REFS_XATTR, blob)
-                yield from self.cluster.submit(
-                    self.chunk_pool, chunk_id, txn, via, span=span
-                )
-        except Exception:
-            # The commit may or may not have landed; never serve the
-            # in-memory state as truth.
-            self.invalidate_chunk_state(chunk_id)
-            raise
-        self._cache_refs(chunk_id, refs)
+        if self.chunk_pool.is_ec:
+            yield from self.cluster.setxattr(
+                self.chunk_pool, chunk_id, REFS_XATTR, blob, via
+            )
+        else:
+            key = self.cluster.object_key(self.chunk_pool, chunk_id)
+            txn = Transaction().setxattr(key, REFS_XATTR, blob)
+            yield from self.cluster.submit(
+                self.chunk_pool, chunk_id, txn, via, span=span
+            )
 
     # repro-lint: flt-scope -- commit primitive: faults must propagate to the caller's scope (engine skip-and-requeue / io_path retries), which owns the undo policy
     def chunk_ref(self, chunk_id: str, ref: ChunkRef, data: bytes, via, span=NULL_SPAN):
@@ -745,7 +632,6 @@ class DedupTier:
                     yield from self.cluster.write_full(
                         self.chunk_pool, chunk_id, blob, via, span=s
                     )
-                    self._note_chunk_stored(chunk_id)
                     self.stage.flush_ops += 1
                     self.stage.flush_bytes += len(blob)
                     if self.config.compress_chunks:
@@ -792,12 +678,7 @@ class DedupTier:
                 refs.discard(ref)
                 if len(refs) == 0:
                     s.tag(removed=True)
-                    try:
-                        yield from self.cluster.remove(self.chunk_pool, chunk_id, via)
-                    finally:
-                        # Whether the removal landed or faulted mid-way, the
-                        # cached (already mutated) RefSet is no longer truth.
-                        self.invalidate_chunk_state(chunk_id)
+                    yield from self.cluster.remove(self.chunk_pool, chunk_id, via)
                 else:
                     yield from self._store_refs(chunk_id, refs, via, span=s)
                 self.stage.ref_commits += 1
@@ -854,9 +735,8 @@ class DedupTier:
                     acquired.append(lock)
                 self.stage.ref_ops += len(batch.ops)
                 items: List[Tuple[str, Transaction]] = []
-                stored_payloads: List[Tuple[str, bytes]] = []
-                removed: List[str] = []
-                survivors: List[Tuple[str, RefSet]] = []
+                stored_blobs: List[bytes] = []
+                removed = 0
                 for cid, ops in per_chunk.items():
                     existed = self.chunk_exists(cid)
                     refs = self._load_refs(cid) if existed else RefSet()
@@ -877,7 +757,7 @@ class DedupTier:
                     if len(refs) == 0:
                         if existed:
                             txn.remove(key)
-                            removed.append(cid)
+                            removed += 1
                         else:
                             # Net no-op: every ref taken in this batch was
                             # also dropped in it — never create the object,
@@ -901,37 +781,21 @@ class DedupTier:
                             txn.write_full(key, blob)
                             if self.config.compress_chunks:
                                 txn.setxattr(key, CHUNK_ENCODING_XATTR, encoding)
-                            stored_payloads.append((cid, blob))
+                            stored_blobs.append(blob)
                         txn.setxattr(key, REFS_XATTR, refs.serialize())
-                        survivors.append((cid, refs))
                     if len(txn):
                         items.append((cid, txn))
-                try:
-                    yield from self.cluster.submit_batch(
-                        self.chunk_pool, items, via, span=s
-                    )
-                except Exception:
-                    # The in-memory RefSets (possibly shared with the LRU)
-                    # were already mutated; the substrate was not (batch
-                    # prepare is all-or-nothing).  Drop every touched cache
-                    # entry so a retry reloads the true state.
-                    for cid in chunk_ids:
-                        self.invalidate_chunk_state(cid)
-                    raise
-                for cid in removed:
-                    self.invalidate_chunk_state(cid)
-                for cid, refs in survivors:
-                    self._cache_refs(cid, refs)
-                for cid, blob in stored_payloads:
-                    self._note_chunk_stored(cid)
-                    self.stage.flush_ops += 1
-                    self.stage.flush_bytes += len(blob)
+                yield from self.cluster.submit_batch(
+                    self.chunk_pool, items, via, span=s
+                )
+                self.stage.flush_ops += len(stored_blobs)
+                self.stage.flush_bytes += sum(map(len, stored_blobs))
                 if items:
                     self.stage.ref_batches += 1
                     self.stage.ref_commits += len(
                         {self.chunk_pool.pg_of(cid) for cid, _ in items}
                     )
-                s.tag(stored=len(stored_payloads), removed=len(removed))
+                s.tag(stored=len(stored_blobs), removed=removed)
                 return outcomes
             finally:
                 for lock in reversed(acquired):

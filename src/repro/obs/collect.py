@@ -50,50 +50,19 @@ def storage_metrics(
     for counter, value in sorted(storage.tier.stage.snapshot().items()):
         stage.labels(counter=counter).set(value)
 
-    # Hot-path cache traffic, one family across the four read caches so
-    # dashboards can plot hit/miss/eviction rates side by side.  The raw
-    # counters also appear in repro_stage_counters; this view groups
-    # them by (cache, event) instead of flat counter name.
+    # Cache traffic of the tier's one cache, grouped by (cache, event);
+    # the raw counters also appear in repro_stage_counters.
     stages = storage.tier.stage
     cache_events = reg.gauge(
         "repro_cache_events",
-        "Cache traffic by cache and event (refset LRU, negative Bloom, "
-        "decoded chunk-map LRU, chunk data cache)",
+        "Cache traffic by cache and event (decoded chunk-map LRU)",
         labels=("cache", "event"),
-    )
-    cache_events.labels(cache="refset", event="hit").set(stages.refset_cache_hits)
-    cache_events.labels(cache="refset", event="miss").set(stages.refset_cache_misses)
-    cache_events.labels(cache="bloom", event="negative_hit").set(
-        stages.bloom_negative_hits
     )
     cache_events.labels(cache="map", event="hit").set(stages.map_cache_hits)
     cache_events.labels(cache="map", event="miss").set(stages.map_cache_misses)
     cache_events.labels(cache="map", event="invalidation").set(
         stages.map_cache_invalidations
     )
-    cache_events.labels(cache="chunk_data", event="hit").set(
-        stages.chunk_cache_hits
-    )
-    cache_events.labels(cache="chunk_data", event="miss").set(
-        stages.chunk_cache_misses
-    )
-    cache_events.labels(cache="chunk_data", event="admission").set(
-        stages.chunk_cache_admissions
-    )
-    cache_events.labels(cache="chunk_data", event="eviction").set(
-        stages.chunk_cache_evictions
-    )
-
-    chunk_cache = getattr(storage.tier, "chunk_data_cache", None)
-    if chunk_cache is not None:
-        reg.gauge(
-            "repro_chunk_cache_bytes",
-            "Bytes resident in the chunk data cache",
-        ).set(chunk_cache.bytes_used)
-        reg.gauge(
-            "repro_chunk_cache_entries",
-            "Payloads resident in the chunk data cache",
-        ).set(len(chunk_cache))
 
     read_fanout = reg.gauge(
         "repro_read_fanout", "Read-path fan-out", labels=("stat",)

@@ -9,9 +9,8 @@ through the four hot-path stages:
 * **fingerprint** — content hashing (count, bytes, and the wall-clock
   seconds spent inside the hash call itself);
 * **ref** — chunk-pool reference traffic: logical ref/deref operations,
-  the round trips (prepared commits) they cost, how many were collapsed
-  into batches, and how often the RefSet LRU / negative Bloom filter
-  short-circuited a lookup;
+  the round trips (prepared commits) they cost, and how many were
+  collapsed into batches;
 * **flush** — chunk payloads newly stored in the chunk pool.
 
 Counters are plain ints/floats — cheap enough to stay always-on — and
@@ -51,12 +50,6 @@ class StageCounters:
     ref_commits: int = 0
     #: Batched commits (each covers >= 1 ref_ops).
     ref_batches: int = 0
-    #: RefSet lookups served from the LRU without deserializing.
-    refset_cache_hits: int = 0
-    refset_cache_misses: int = 0
-    #: Existence probes answered "definitely not stored" by the Bloom
-    #: filter (the chunk-pool lookup was skipped entirely).
-    bloom_negative_hits: int = 0
 
     # -- map: chunk-map codec traffic -----------------------------------
     #: ``load_chunk_map`` calls served from the versioned decoded-map
@@ -76,20 +69,9 @@ class StageCounters:
     #: Map commits (all in the incremental v2 format).
     map_commits_incremental: int = 0
 
-    # -- read path: fan-out, chunk data cache ---------------------------
-    #: Chunk-pool reads served entirely from the chunk data cache
-    #: (content-addressed payload LRU; no simulated I/O at all), and the
-    #: lookups that fell through to the pool.  Counted only when the
-    #: cache is enabled, and folded in once per *completed* read attempt
-    #: so retries never double-count.
-    chunk_cache_hits: int = 0
-    chunk_cache_misses: int = 0
-    #: Payloads admitted past the two-hit filter / entries dropped (LRU
-    #: pressure, GC reclaim, repair fences).
-    chunk_cache_admissions: int = 0
-    chunk_cache_evictions: int = 0
-    #: Chunk-object fetches the read path issued to the pool (after the
-    #: data cache, with same-chunk pieces merged).
+    # -- read path: fan-out ---------------------------------------------
+    #: Chunk-object fetches the read path issued to the pool (same-chunk
+    #: pieces merged).
     fanout_chunk_reads: int = 0
 
     # -- read path anomalies --------------------------------------------

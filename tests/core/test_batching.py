@@ -25,15 +25,9 @@ FPS = [fingerprint(p) for p in PAYLOADS]
 REFS = [ChunkRef(1, f"o{i}", i * 512) for i in range(4)]
 
 
-def make_tier(batched: bool, **overrides):
+def make_tier():
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
-    config = DedupConfig(
-        chunk_size=1024,
-        refset_cache_entries=64 if batched else 0,
-        chunk_bloom_capacity=1024 if batched else 0,
-        **overrides,
-    )
-    tier = DedupTier(cluster, config)
+    tier = DedupTier(cluster, DedupConfig(chunk_size=1024))
     via = NodeClient(next(iter(cluster.nodes.values())))
     return tier, via
 
@@ -46,7 +40,7 @@ def make_tier(batched: bool, **overrides):
 
 
 def test_delayed_requeue_is_deduplicated():
-    tier, _via = make_tier(batched=True)
+    tier, _via = make_tier()
     tier.requeue_dirty("obj", delay=0.5)
     tier.requeue_dirty("obj", delay=0.5)  # double-enqueue attempt
     tier.cluster.sim.run()
@@ -56,7 +50,7 @@ def test_delayed_requeue_is_deduplicated():
 
 
 def test_delayed_requeue_skipped_when_already_dirty():
-    tier, _via = make_tier(batched=True)
+    tier, _via = make_tier()
     tier.mark_dirty("obj")
     tier.requeue_dirty("obj", delay=0.5)
     tier.cluster.sim.run()
@@ -65,7 +59,7 @@ def test_delayed_requeue_skipped_when_already_dirty():
 
 def test_requeue_after_drain_fires_again():
     # Dedupe must not suppress a legitimate later requeue.
-    tier, _via = make_tier(batched=True)
+    tier, _via = make_tier()
     tier.requeue_dirty("obj", delay=0.1)
     tier.cluster.sim.run()
     assert tier.next_dirty() == "obj"
@@ -117,8 +111,8 @@ def test_mixed_batch_matches_sequential():
         ("deref", 2, 2),  # net no-op within one batch: chunk never created
         ("deref", 1, 3),  # deref of a reference never taken: no-op
     ]
-    batched, bvia = make_tier(batched=True)
-    sequential, svia = make_tier(batched=False)
+    batched, bvia = make_tier()
+    sequential, svia = make_tier()
     apply_batched(batched, bvia, ops, batch_size=len(ops))
     apply_sequential(sequential, svia, ops)
     assert_equivalent(batched, sequential)
@@ -126,7 +120,7 @@ def test_mixed_batch_matches_sequential():
 
 
 def test_batch_to_zero_refs_removes_chunk():
-    batched, bvia = make_tier(batched=True)
+    batched, bvia = make_tier()
     apply_batched(batched, bvia, [("ref", 0, 0), ("ref", 0, 1)], batch_size=2)
     assert batched.chunk_refcount(FPS[0]) == 2
     apply_batched(batched, bvia, [("deref", 0, 0), ("deref", 0, 1)], batch_size=2)
@@ -157,8 +151,8 @@ op_strategy = st.tuples(
     batch_size=st.integers(min_value=1, max_value=8),
 )
 def test_any_interleaving_batched_equals_sequential(ops, batch_size):
-    batched, bvia = make_tier(batched=True)
-    sequential, svia = make_tier(batched=False)
+    batched, bvia = make_tier()
+    sequential, svia = make_tier()
     apply_batched(batched, bvia, ops, batch_size)
     apply_sequential(sequential, svia, ops)
     assert_equivalent(batched, sequential)
@@ -185,7 +179,7 @@ def test_batched_equals_sequential_under_faults(ops, batch_size, fault_seed):
     from repro.faults import FaultInjector, FaultPlan
     from repro.faults.retry import RetryPolicy, call_with_retries
 
-    batched, bvia = make_tier(batched=True)
+    batched, bvia = make_tier()
     plan = FaultPlan.generate(
         seed=fault_seed,
         horizon=2.0,
@@ -215,6 +209,6 @@ def test_batched_equals_sequential_under_faults(ops, batch_size, fault_seed):
         )
     batched.cluster.sim.run()  # let remaining fault windows expire
 
-    sequential, svia = make_tier(batched=False)
+    sequential, svia = make_tier()
     apply_sequential(sequential, svia, ops)
     assert_equivalent(batched, sequential)

@@ -156,3 +156,86 @@ def test_short_segment_read_pads_and_counts(storage):
     got = storage.read_sync("obj1")
     assert storage.tier.stage.read_short_segments >= 1
     assert got == b"s" * 1024 + b"t" * 100 + b"\x00" * 924
+
+
+# -- read fan-out and repeat reads -------------------------------------------
+
+
+def _traced_storage():
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    config = DedupConfig(chunk_size=1024, trace_ops=True)
+    return DedupedStorage(cluster, config, start_engine=False)
+
+
+def _fanouts(spans):
+    """``[(tier.read_fanout span, its tier.redirect spans)]``, one per read."""
+    redirects = {}
+    for span in spans:
+        if span.stage == "tier.redirect":
+            redirects.setdefault(span.trace_id, []).append(span)
+    return [
+        (span, redirects[span.trace_id])
+        for span in spans
+        if span.stage == "tier.read_fanout"
+    ]
+
+
+def test_read_fanout_is_bounded_only_by_the_reads_own_chunks():
+    """Every chunk fetch of a read starts with the read's fan-out — a
+    wide read is not metered, and concurrent reads share no tier-wide
+    queue: whatever a fetch waits for, it waits for at a device."""
+    storage = _traced_storage()
+    wide = b"".join(bytes([i]) * 1024 for i in range(24))
+    storage.write_sync("wide", wide)
+    storage.drain()  # cold object: all 24 chunks leave the cache
+    mark = len(storage.tracer.spans)
+    assert storage.read_sync("wide") == wide
+    ((fanout, redirects),) = _fanouts(storage.tracer.spans[mark:])
+    assert len(redirects) == 24
+    assert {span.start for span in redirects} == {fanout.start}
+
+    storage = _traced_storage()
+    for i in range(12):
+        payload = b"".join(bytes([4 * i + j]) * 1024 for j in range(4))
+        storage.write_sync(f"obj{i}", payload)
+    storage.drain()
+    mark = len(storage.tracer.spans)
+    sim = storage.sim
+    reads = [sim.process(storage.read(f"obj{i}")) for i in range(12)]
+    sim.run_until_complete(sim.all_of(reads))
+    fanouts = _fanouts(storage.tracer.spans[mark:])
+    assert len(fanouts) == 12
+    for fanout, redirects in fanouts:
+        assert len(redirects) == 4
+        assert {span.start for span in redirects} == {fanout.start}
+        # The read is done when its slowest fetch is: device queueing
+        # inside the fetches is the only wait there is.
+        assert fanout.end == max(span.end for span in redirects)
+        assert fanout.end - fanout.start == max(
+            span.end - span.start for span in redirects
+        )
+
+
+def test_rereading_a_chunk_backed_range_costs_the_same_every_time():
+    """No layer serves a repeated chunk read for free: the third read
+    of a flushed range pays the redirection the first one paid."""
+
+    def flushed():
+        cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+        config = DedupConfig(chunk_size=1024, cache_on_flush=False)
+        storage = DedupedStorage(cluster, config, start_engine=False)
+        storage.write_sync("obj1", b"q" * 1024 + b"r" * 1024)
+        storage.drain()
+        return storage
+
+    def timed_read(storage):
+        start = storage.sim.now
+        assert storage.read_sync("obj1", offset=100, length=1500) == (
+            b"q" * 924 + b"r" * 576
+        )
+        return storage.sim.now - start
+
+    first_on_fresh_tier = timed_read(flushed())
+    storage = flushed()
+    for _ in range(3):
+        assert timed_read(storage) == pytest.approx(first_on_fresh_tier, rel=1e-9)

@@ -1,13 +1,10 @@
-"""Property tests for the read-path engine (fan-out + chunk data
-cache).
+"""Property tests for the read path (plan, merge, fan-out).
 
 For ANY random mix of overwrites, drains, and (offset, length) reads,
-a storage with the chunk data cache enabled must return exactly the
-bytes a cache-free storage returns — which are exactly the bytes a
-plain shadow buffer predicts.  A second property drives
-the enabled storage through seeded EIO/slow-disk fault plans: the
-internal read retries must neither tear segments nor double-count
-chunk-cache lookups.
+every read must return exactly the bytes a plain shadow buffer
+predicts.  A second property drives the storage through seeded
+EIO/slow-disk fault plans: the internal read retries must neither tear
+segments nor double-count chunk fetches.
 
 Uses Hypothesis when available (CI installs it); skipped otherwise.
 """
@@ -27,22 +24,16 @@ CHUNK = 16 * KiB
 OBJECT_SIZE = 4 * CHUNK
 OBJECTS = 3
 
-#: Chunk data cache off: every chunk-backed piece goes to the pool.
-DISABLED = dict(chunk_cache_bytes=0)
 
-
-def build_storage(enabled: bool, **extra) -> DedupedStorage:
+def build_storage() -> DedupedStorage:
     cluster = RadosCluster(num_hosts=2, osds_per_host=2, pg_num=8)
-    overrides = dict(chunk_size=CHUNK, cache_on_flush=False)
-    if not enabled:
-        overrides.update(DISABLED)
-    overrides.update(extra)
-    return DedupedStorage(cluster, DedupConfig(**overrides), start_engine=False)
+    config = DedupConfig(chunk_size=CHUNK, cache_on_flush=False)
+    return DedupedStorage(cluster, config, start_engine=False)
 
 
 def base_payload(tone: int) -> bytes:
     # Small alphabet => heavy cross-object dedup, so reads genuinely
-    # share chunks (the case the cache exists for).
+    # share chunks (same-chunk pieces merge into one fetch).
     return b"".join(bytes([(tone + i) % 5]) * CHUNK for i in range(4))
 
 
@@ -111,10 +102,8 @@ def apply_ops(storage: DedupedStorage, tone: int, ops) -> list:
     tone=st.integers(min_value=0, max_value=50),
     ops=st.lists(op_strategy, min_size=1, max_size=20),
 )
-def test_read_path_layers_do_not_change_any_readback(tone, ops):
-    enabled_reads = apply_ops(build_storage(enabled=True), tone, ops)
-    disabled_reads = apply_ops(build_storage(enabled=False), tone, ops)
-    assert enabled_reads == disabled_reads
+def test_every_readback_matches_the_shadow_buffer(tone, ops):
+    apply_ops(build_storage(), tone, ops)
 
 
 @settings(
@@ -132,17 +121,16 @@ def test_read_path_correct_and_counts_stable_under_faults(tone, ops, fault_seed)
 
     The read path retries internally; retried attempts must not return
     torn segments (every read still matches the shadow buffer) and must
-    not double-count cache lookups: hit+miss totals are folded once per
-    *completed* attempt, so the faulted run's lookup total must equal a
-    fault-free run's (the hit/miss split may shift — an aborted attempt
-    can legitimately admit a chunk the final attempt then hits).
+    not double-count chunk fetches: the tally is folded once per
+    *completed* attempt, so the faulted run's total must equal a
+    fault-free run's.
     """
     from repro.faults import FaultInjector, FaultPlan
 
-    clean = build_storage(enabled=True)
+    clean = build_storage()
     clean_reads = apply_ops(clean, tone, ops)
 
-    faulted = build_storage(enabled=True)
+    faulted = build_storage()
     plan = FaultPlan.generate(
         seed=fault_seed,
         horizon=1.0,
@@ -156,7 +144,6 @@ def test_read_path_correct_and_counts_stable_under_faults(tone, ops, fault_seed)
     faulted_reads = apply_ops(faulted, tone, ops)
 
     assert faulted_reads == clean_reads
-    c, f = clean.tier.stage, faulted.tier.stage
-    assert (f.chunk_cache_hits + f.chunk_cache_misses) == (
-        c.chunk_cache_hits + c.chunk_cache_misses
-    ), "retries double- or under-counted chunk-cache lookups"
+    assert (
+        faulted.tier.stage.fanout_chunk_reads == clean.tier.stage.fanout_chunk_reads
+    ), "retries double- or under-counted chunk fetches"

@@ -74,9 +74,8 @@ def test_storage_metrics_snapshot_contains_core_families():
 
 
 def test_storage_metrics_exports_cache_and_read_fanout_families():
-    """PR 2/9/10 cache counters surface as one labeled family, plus the
-    chunk-cache residency gauges and read fan-out stats, and all of them
-    survive Prometheus text exposition."""
+    """The map-cache counters surface as one labeled family beside the
+    read fan-out stats, and both survive Prometheus text exposition."""
     from repro.cluster import RadosCluster
     from repro.core import DedupConfig, DedupedStorage
     from repro.obs.export import prometheus_text
@@ -92,7 +91,7 @@ def test_storage_metrics_exports_cache_and_read_fanout_families():
     for i in range(4):
         storage.write_sync(f"o-{i}", gen.block(64 * KiB))
     storage.drain()
-    for _ in range(3):  # cold, warm-up (admissions), re-read (hits)
+    for _ in range(2):
         for i in range(4):
             storage.read_sync(f"o-{i}")
 
@@ -100,49 +99,32 @@ def test_storage_metrics_exports_cache_and_read_fanout_families():
     names = {family.name for family in registry.families()}
     assert {
         "repro_cache_events",
-        "repro_chunk_cache_bytes",
-        "repro_chunk_cache_entries",
         "repro_read_fanout",
         "repro_stage_counters",
     } <= names
+    assert not any(name.startswith("repro_chunk_cache") for name in names)
 
     stage = storage.tier.stage
     events = registry.get("repro_cache_events")
     expected = {
-        ("refset", "hit"): stage.refset_cache_hits,
-        ("refset", "miss"): stage.refset_cache_misses,
-        ("bloom", "negative_hit"): stage.bloom_negative_hits,
         ("map", "hit"): stage.map_cache_hits,
         ("map", "miss"): stage.map_cache_misses,
         ("map", "invalidation"): stage.map_cache_invalidations,
-        ("chunk_data", "hit"): stage.chunk_cache_hits,
-        ("chunk_data", "miss"): stage.chunk_cache_misses,
-        ("chunk_data", "admission"): stage.chunk_cache_admissions,
-        ("chunk_data", "eviction"): stage.chunk_cache_evictions,
     }
     for (cache, event), value in expected.items():
         assert events.labels(cache=cache, event=event).value == value
-    # The workload above actually drove the chunk data cache.
-    assert stage.chunk_cache_hits > 0
-    assert stage.chunk_cache_admissions > 0
+    # The workload above actually drove the map cache and the fan-out.
+    assert stage.map_cache_hits > 0
     assert stage.fanout_chunk_reads > 0
-
-    cache = storage.tier.chunk_data_cache
-    assert registry.get("repro_chunk_cache_bytes").labels().value == (
-        cache.bytes_used
-    )
-    assert registry.get("repro_chunk_cache_entries").labels().value == len(cache)
-    assert cache.bytes_used > 0
 
     fanout = registry.get("repro_read_fanout")
     assert fanout.labels(stat="chunk_reads").value == stage.fanout_chunk_reads
 
     text = prometheus_text(registry)
-    assert 'repro_cache_events{cache="chunk_data",event="hit"}' in text
+    assert 'repro_cache_events{cache="map",event="hit"}' in text
     assert 'repro_read_fanout{stat="chunk_reads"}' in text
-    assert "repro_chunk_cache_bytes" in text
     # Raw stage counters keep flowing through the flat family too.
-    assert 'repro_stage_counters{counter="chunk_cache_hits"}' in text
+    assert 'repro_stage_counters{counter="map_cache_hits"}' in text
 
 
 def test_obs_cli_trace_report_and_top_spans(tmp_path, capsys):

@@ -77,6 +77,13 @@ done
 
 # -- test job (this interpreter stands in for the version matrix) -----------
 step "test: tier-1 suite" env PYTHONPATH=src python -m pytest -x -q
+# Simulation bit-identity (~2 s, also inside the suite above): SHA-256 of
+# the stdout of `repro faults` / `rebalance` / `demo` / `status` / `scrub`
+# and of an (event time, label) trace.  This replaces re-running those
+# scenarios against the parent and diffing the output by hand; a failure
+# prints the new digests.
+step "test: simulation digests" \
+    env PYTHONPATH=src python -m pytest -q tests/sim/test_sim_digest.py
 
 # -- test-no-numpy job -------------------------------------------------------
 # CI uninstalls NumPy outright; locally REPRO_NO_NUMPY=1 forces the same

@@ -211,14 +211,13 @@ class StoredObject:
         """Cut the payload to ``size``, or extend it with allocated zeros."""
         if size < self.size:
             self._punch(size, self.size)
-            self.size = size
-            if len(self._starts) > size // EXTENT_GRAIN + EXTENT_SLACK:
-                self._collapse()
         elif size > self.size:
             self._starts.append(self.size)
             self._blobs.append(bytes(size - self.size))
             self._allocated += size - self.size
-            self.size = size
+        self.size = size
+        if len(self._starts) > size // EXTENT_GRAIN + EXTENT_SLACK:
+            self._collapse()
 
     def zero(self, offset: int, length: int) -> None:
         """Punch ``[offset, offset + length)`` (clipped to EOF) into a hole."""

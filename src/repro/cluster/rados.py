@@ -313,51 +313,12 @@ class RadosCluster:
         read-modify-write (decode, apply, re-encode, rewrite all
         shards) — the cost that makes EC random writes so slow in the
         paper's Figure 12.
+
+        Returns the generator of :meth:`_submit`, the pipeline shared
+        with :meth:`submit_batch`, rather than wrapping it: a wrapping
+        generator is one more frame to resume at every yield.
         """
-        pg = pool.pg_of(oid)
-        with span.child("rados.submit", pool=pool.name, pg=pg, ops=len(txn)) as s:
-            if pool.is_ec:
-                yield from self._ec_submit(pool, oid, txn, client)
-                return
-            client = client or self._default_client
-            if self._remap_for(pool, pg) is not None:
-                yield from self._submit_remapped(pool, oid, txn, client, s)
-                return
-            acting = self._acting_osds(pool, pg)
-            up = self._up_subset(acting)
-            if len(up) < pool.redundancy.min_size:
-                raise NotEnoughReplicas(
-                    f"{len(up)}/{len(acting)} replicas up; need {pool.redundancy.min_size}"
-                )
-            primary = up[0]
-            payload = txn.io_bytes
-            s.tag(osd=primary.osd_id, replicas=len(up), nbytes=payload)
-            yield from self._transfer(client.nic, primary.node.nic, payload)
-            lock = self._write_lock(ObjectKey(pool.pool_id, pg, oid))
-            yield lock.acquire()
-            try:
-                jobs = []
-                for osd in up:
-                    jobs.append(
-                        self.sim.process(self._replica_prepare(primary, osd, txn, payload))
-                    )
-                yield self.sim.all_of(jobs)
-                # Commit point: all replicas prepared, none mutated yet.
-                # Applying is instantaneous, so no fault can interleave and
-                # split the copies.  An OSD that crashed after its prepare
-                # completed is skipped (it will rejoin stale and be
-                # reconciled by recovery), but losing quorum aborts.
-                survivors = [osd for osd in up if osd.info.up]
-                if len(survivors) < pool.redundancy.min_size:
-                    raise NotEnoughReplicas(
-                        f"{len(survivors)}/{len(acting)} replicas survived prepare; "
-                        f"need {pool.redundancy.min_size}"
-                    )
-                for osd in survivors:
-                    osd.commit_transaction(txn)
-            finally:
-                lock.release()
-            yield self._rpc_latency()  # ack to client
+        return self._submit(pool, [(oid, txn)], client, span)
 
     def submit_batch(
         self, pool: Pool, items, client: Optional[Client] = None, span=NULL_SPAN
@@ -385,86 +346,157 @@ class RadosCluster:
         (the dedup tier falls back to per-op commits there).
         """
         items = [(oid, txn) for oid, txn in items if len(txn)]
+        return self._submit(pool, items, client, span)
+
+    def _submit(
+        self,
+        pool: Pool,
+        items: List[Tuple[str, Transaction]],
+        client: Optional[Client],
+        span,
+    ):
+        """Process: the one commit pipeline of :meth:`submit` and
+        :meth:`submit_batch` (docs/internals.md, "The commit pipeline").
+
+        1. Resolve every item's replicas (:meth:`_commit_groups`) without
+           any lock, to pick each group's primary — a PG already short of
+           ``min_size`` fails here, before a byte moves — and send the
+           payload there.
+        2. Take the items' write locks in key order.
+        3. Resolve again, under the locks: this resolution is what
+           commits.  Rebalance migrations change holder sets only under
+           the same locks, so a write that queued on the client NIC
+           while its PG was remapped, migrated and settled lands on the
+           replicas of *now*; an item whose primary changed meanwhile
+           has its payload forwarded primary to primary.
+        4. Prepare every replica of every group, check quorum for all
+           groups, then commit all of them — one fault anywhere and
+           nothing is mutated.  Release; ack.
+        """
         if not items:
             return
-        if len(items) == 1:
-            yield from self.submit(pool, items[0][0], items[0][1], client, span=span)
-            return
-        with span.child(
-            "rados.submit_batch", pool=pool.name, items=len(items)
-        ) as s:
+        keys = [ObjectKey(pool.pool_id, pool.pg_of(oid), oid) for oid, _txn in items]
+        single = len(items) == 1
+        if single:
+            s = span.child(
+                "rados.submit", pool=pool.name, pg=keys[0].pg, ops=len(items[0][1])
+            )
+        else:
+            s = span.child("rados.submit_batch", pool=pool.name, items=len(items))
+        with s:
             if pool.is_ec:
                 for oid, txn in items:
                     yield from self._ec_submit(pool, oid, txn, client)
                 return
             client = client or self._default_client
-            keys = [self.object_key(pool, oid) for oid, _ in items]
-            if self._active_remaps and any(
-                self._remap_for(pool, key.pg) is not None for key in keys
-            ):
-                yield from self._submit_batch_remapped(pool, items, client, s)
-                return
-            groups: Dict[int, List[Transaction]] = {}
-            for key, (_oid, txn) in zip(keys, items):
-                groups.setdefault(key.pg, []).append(txn)
-            s.tag(pgs=len(groups))
-            plans = []  # (merged txn, acting count, up OSDs)
-            for pg in sorted(groups):
-                acting = self._acting_osds(pool, pg)
-                up = self._up_subset(acting)
-                if len(up) < pool.redundancy.min_size:
-                    raise NotEnoughReplicas(
-                        f"{len(up)}/{len(acting)} replicas up for pg {pg}; "
-                        f"need {pool.redundancy.min_size}"
-                    )
-                merged = Transaction()
-                for txn in groups[pg]:
-                    merged.ops.extend(txn.ops)
-                plans.append((merged, len(acting), up))
-            # One payload transfer per PG primary, in parallel.
-            xfers = [
-                self.sim.process(
-                    self._transfer(client.nic, up[0].node.nic, merged.io_bytes)
-                )
-                for merged, _n, up in plans
-            ]
-            yield self.sim.all_of(xfers)
-            # Per-object write locks, in deterministic order (a concurrent
-            # submit holds at most one, so sorted acquisition cannot cycle).
+            sent: Dict[int, Tuple[Node, int]] = {}  # item -> (node, payload bytes)
+            sends = []
+            for _gid, targets, members in self._commit_groups(pool, keys):
+                node = targets[0].node
+                nbytes = 0
+                for i in members:
+                    size = items[i][1].io_bytes
+                    sent[i] = (node, size)
+                    nbytes += size
+                sends.append(self._transfer(client.nic, node.nic, nbytes))
+            if single:  # a lone transfer needs no process of its own
+                yield from sends[0]
+            else:
+                yield self.sim.all_of([self.sim.process(send) for send in sends])
             locks = [self._write_lock(key) for key in sorted(set(keys))]
-            acquired: List[Resource] = []
+            held = []  # (lock, grant): a release is owed once the grant triggers
             try:
                 for lock in locks:
-                    yield lock.acquire()
-                    acquired.append(lock)
+                    grant = lock.acquire()
+                    held.append((lock, grant))
+                    yield grant
+                plan = []  # (txn, replicas, payload bytes) per group
+                for _gid, targets, members in self._commit_groups(pool, keys):
+                    node = targets[0].node
+                    nbytes = 0
+                    for i in members:
+                        src, size = sent[i]
+                        if src is not node:  # the primary moved: forward
+                            yield from self._transfer(src.nic, node.nic, size)
+                        nbytes += size
+                    if len(members) == 1:
+                        txn = items[members[0]][1]
+                    else:
+                        txn = Transaction()
+                        for i in members:
+                            txn.ops.extend(items[i][1].ops)
+                    plan.append((txn, targets, nbytes))
+                s.tag(groups=len(plan), osd=plan[0][1][0].osd_id)
                 jobs = []
-                for merged, _n, up in plans:
-                    primary = up[0]
-                    for osd in up:
-                        jobs.append(
-                            self.sim.process(
-                                self._replica_prepare(primary, osd, merged, merged.io_bytes)
-                            )
-                        )
+                for txn, targets, nbytes in plan:
+                    for osd in targets:
+                        jobs.append(self.sim.process(
+                            self._replica_prepare(targets[0], osd, txn, nbytes)
+                        ))
                 yield self.sim.all_of(jobs)
-                # Commit point for the whole batch: every group must still
-                # have quorum before *any* group applies, so a lost PG
-                # aborts the batch with nothing mutated.
-                for merged, acting_count, up in plans:
-                    survivors = [osd for osd in up if osd.info.up]
-                    if len(survivors) < pool.redundancy.min_size:
+                # Commit point: every replica of every group prepared and
+                # none is mutated yet.  Applying is instantaneous, so no
+                # fault can interleave and split the copies.  An OSD that
+                # crashed after its prepare is skipped (it rejoins stale
+                # and recovery reconciles it), but a group that lost
+                # quorum aborts the whole batch before anything applies.
+                survivors = []
+                for txn, targets, _nbytes in plan:
+                    alive = [osd for osd in targets if osd.info.up]
+                    if len(alive) < pool.redundancy.min_size:
                         raise NotEnoughReplicas(
-                            f"{len(survivors)}/{acting_count} replicas survived "
+                            f"{len(alive)}/{len(targets)} replicas survived "
                             f"prepare; need {pool.redundancy.min_size}"
                         )
-                for merged, _n, up in plans:
-                    for osd in up:
-                        if osd.up:
-                            osd.commit_transaction(merged)
+                    survivors.append((txn, alive))
+                for txn, alive in survivors:
+                    for osd in alive:
+                        osd.commit_transaction(txn)
             finally:
-                for lock in reversed(acquired):
-                    lock.release()
+                for lock, grant in reversed(held):
+                    if grant.triggered:
+                        lock.release()
             yield self._rpc_latency()  # ack to client
+
+    def _commit_groups(
+        self, pool: Pool, keys: List[ObjectKey]
+    ) -> List[Tuple[Tuple[int, str], List[OSD], List[int]]]:
+        """``(group id, replicas, item indices)`` per commit group,
+        resolved now, in group-id — (PG, object) — order.
+
+        The items of a settled PG form one group — one merged
+        transaction on the PG's up acting set.  Each item of a PG that
+        is mid-remap is a group of its own, on the up members of the
+        old+new union that *hold* the object: writing to a non-holder
+        would materialise a partial copy (a zero-extended overwrite)
+        that a later migration could mistake for the real thing.  A new
+        object goes to every up union member, so a creation needs no
+        migration pass of its own (the rebalancer merely trims the
+        old-side copies when it retires the PG).
+
+        Raises :class:`NotEnoughReplicas` when a group has fewer than
+        ``min_size`` replicas up.
+        """
+        remaps = self._active_remaps
+        groups: Dict[Tuple[int, str], Tuple[Tuple[int, str], List[OSD], List[int]]] = {}
+        for i, key in enumerate(keys):
+            pg = key.pg
+            remapped = (pool.pool_id, pg) in remaps if remaps else False
+            gid = (pg, key.name) if remapped else (pg, "")
+            group = groups.get(gid)
+            if group is None:
+                up = self._up_subset(self._acting_osds(pool, pg))
+                if remapped:
+                    up = [osd for osd in up if osd.store.exists(key)] or up
+                if len(up) < pool.redundancy.min_size:
+                    raise NotEnoughReplicas(
+                        f"{len(up)} replicas up for {key.name!r} in pg {pg}; "
+                        f"need {pool.redundancy.min_size}"
+                    )
+                group = groups[gid] = (gid, up, [i])
+            else:
+                group[2].append(i)
+        return sorted(groups.values()) if len(groups) > 1 else list(groups.values())
 
     def _replica_prepare(self, primary: OSD, replica: OSD, txn: Transaction, payload: int):
         if replica.node is not primary.node:
@@ -472,137 +504,6 @@ class RadosCluster:
         yield from replica.prepare_transaction(txn)
         if replica is not primary:
             yield self._rpc_latency()  # replica ack to primary
-
-    # -- remapped (mid-rebalance) write path ----------------------------------
-
-    def _remap_write_targets(self, pool: Pool, oid: str) -> List[OSD]:
-        """Replicas a mid-remap write must land on.
-
-        Existing objects: exactly the up union members that *hold* the
-        object — writing to a non-holder would materialise a partial
-        copy (a zero-extended overwrite) that later migration could
-        mistake for the real thing.  The migrator updates holders and
-        trims old copies under the same per-object lock, so the holder
-        set can never change under an in-flight write.
-
-        New objects: every up union member, so a creation needs no
-        migration pass of its own (the rebalancer merely trims the
-        old-side copies when it retires the PG).
-        """
-        key = self.object_key(pool, oid)
-        up = self._up_subset(self._acting_osds(pool, key.pg))
-        holders = [o for o in up if o.store.exists(key)]
-        return holders if holders else up
-
-    def _submit_remapped(
-        self, pool: Pool, oid: str, txn: Transaction, client: Client, s
-    ):
-        """Process: :meth:`submit` for an object whose PG is mid-remap.
-
-        Same two-phase prepare/commit protocol, but the target set is
-        computed *inside* the per-object write lock (the rebalance
-        engine mutates holder sets under that lock), so the transfer to
-        the primary also happens locked.
-        """
-        key = self.object_key(pool, oid)
-        lock = self._write_lock(key)
-        yield lock.acquire()
-        try:
-            targets = self._remap_write_targets(pool, oid)
-            if len(targets) < pool.redundancy.min_size:
-                raise NotEnoughReplicas(
-                    f"{len(targets)} replicas reachable mid-remap for {oid!r}; "
-                    f"need {pool.redundancy.min_size}"
-                )
-            primary = targets[0]
-            payload = txn.io_bytes
-            s.tag(
-                osd=primary.osd_id, replicas=len(targets), nbytes=payload,
-                remapped=True,
-            )
-            yield from self._transfer(client.nic, primary.node.nic, payload)
-            jobs = [
-                self.sim.process(self._replica_prepare(primary, osd, txn, payload))
-                for osd in targets
-            ]
-            yield self.sim.all_of(jobs)
-            survivors = [osd for osd in targets if osd.info.up]
-            if len(survivors) < pool.redundancy.min_size:
-                raise NotEnoughReplicas(
-                    f"{len(survivors)}/{len(targets)} replicas survived prepare; "
-                    f"need {pool.redundancy.min_size}"
-                )
-            for osd in survivors:
-                osd.commit_transaction(txn)
-        finally:
-            lock.release()
-        yield self._rpc_latency()  # ack to client
-
-    def _submit_batch_remapped(self, pool: Pool, items, client: Client, s):
-        """Process: :meth:`submit_batch` when any item's PG is mid-remap.
-
-        Keeps the batch-wide two-phase guarantee (no group commits until
-        every group prepared), but computes per-item target sets under
-        the sorted per-object locks instead of merging per PG — holder
-        sets differ per object mid-remap, so PG-level merging does not
-        apply.
-        """
-        s.tag(remapped=True)
-        locks = [
-            self._write_lock(key)
-            for key in sorted({self.object_key(pool, oid) for oid, _ in items})
-        ]
-        acquired: List[Resource] = []
-        try:
-            for lock in locks:
-                yield lock.acquire()
-                acquired.append(lock)
-            plans = []  # (txn, targets)
-            for oid, txn in items:
-                pg = pool.pg_of(oid)
-                if self._remap_for(pool, pg) is None:
-                    targets = self._up_subset(self._acting_osds(pool, pg))
-                else:
-                    targets = self._remap_write_targets(pool, oid)
-                if len(targets) < pool.redundancy.min_size:
-                    raise NotEnoughReplicas(
-                        f"{len(targets)} replicas reachable for {oid!r}; "
-                        f"need {pool.redundancy.min_size}"
-                    )
-                plans.append((txn, targets))
-            xfers = [
-                self.sim.process(
-                    self._transfer(client.nic, targets[0].node.nic, txn.io_bytes)
-                )
-                for txn, targets in plans
-            ]
-            yield self.sim.all_of(xfers)
-            jobs = []
-            for txn, targets in plans:
-                primary = targets[0]
-                for osd in targets:
-                    jobs.append(
-                        self.sim.process(
-                            self._replica_prepare(primary, osd, txn, txn.io_bytes)
-                        )
-                    )
-            yield self.sim.all_of(jobs)
-            # Batch-wide commit point (see submit_batch).
-            for txn, targets in plans:
-                survivors = [osd for osd in targets if osd.info.up]
-                if len(survivors) < pool.redundancy.min_size:
-                    raise NotEnoughReplicas(
-                        f"{len(survivors)}/{len(targets)} replicas survived "
-                        f"prepare; need {pool.redundancy.min_size}"
-                    )
-            for txn, targets in plans:
-                for osd in targets:
-                    if osd.up:
-                        osd.commit_transaction(txn)
-        finally:
-            for lock in reversed(acquired):
-                lock.release()
-        yield self._rpc_latency()  # ack to client
 
     def write_full(
         self,
@@ -722,7 +623,15 @@ class RadosCluster:
         yield self._rpc_latency()
         return primary.store.getxattr(key, name)
 
-    def setxattr(self, pool: Pool, oid: str, name: str, value: bytes, client=None):
+    def setxattr(
+        self,
+        pool: Pool,
+        oid: str,
+        name: str,
+        value: bytes,
+        client: Optional[Client] = None,
+        span=NULL_SPAN,
+    ):
         """Process: set one xattr on all replicas/shards."""
         key = self.object_key(pool, oid)
         if pool.is_ec:
@@ -737,7 +646,9 @@ class RadosCluster:
             if jobs:
                 yield self.sim.all_of(jobs)
             return
-        yield from self.submit(pool, oid, Transaction().setxattr(key, name, value), client)
+        yield from self.submit(
+            pool, oid, Transaction().setxattr(key, name, value), client, span=span
+        )
 
     def omap_get(self, pool: Pool, oid: str, name: str):
         """Process: read one omap value from the primary."""

@@ -9,7 +9,7 @@ owns everything between those two maps:
   :class:`RemapDiff` of per-PG :class:`PgRemap` entries;
 * while a remap is *active*, the cluster serves reads and writes
   against the **union** of the old and new locations (see
-  ``RadosCluster._remap_write_targets``), so clients never notice the
+  ``RadosCluster._commit_groups``), so clients never notice the
   move;
 * :class:`Rebalancer` drains the remaps incrementally: object by
   object, under the same per-object write lock the data path uses, it

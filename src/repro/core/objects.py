@@ -36,7 +36,6 @@ __all__ = [
     "REFS_XATTR",
     "MAP_OMAP_PREFIX",
     "map_entry_key",
-    "is_v2_map_header",
     "decode_stored_map",
     "stored_dirty_count",
     "ChunkMapEntry",
@@ -55,8 +54,6 @@ REFERENCE_ENTRY_BYTES = 64
 CHUNK_MAP_XATTR = "dedup.chunk_map"
 REFS_XATTR = "dedup.refs"
 
-_MAP_MAGIC = b"CMAP"
-_MAP_HEADER = struct.Struct(">4sII")  # magic, chunk_size, entry count
 _MAP_MAGIC_V2 = b"CMP2"
 _MAP_HEADER_V2 = struct.Struct(">4sIIQ")  # magic, chunk_size, count, version
 _ENTRY_FIXED = struct.Struct(">QIBB")  # offset, length, flags, id length
@@ -65,9 +62,9 @@ _FLAG_CACHED = 1
 _FLAG_DIRTY = 2
 _RANGE = struct.Struct(">II")
 
-#: Omap key prefix for incremental (v2) chunk-map entries.  Each entry
-#: lives under ``map.<idx>`` so a 1-chunk commit rewrites one 150-byte
-#: record instead of the whole map blob.
+#: Omap key prefix for chunk-map entries.  Each entry lives under
+#: ``map.<idx>`` so a 1-chunk commit rewrites one 150-byte record, not
+#: the whole map.
 MAP_OMAP_PREFIX = "map."
 
 
@@ -78,10 +75,6 @@ def map_entry_key(index: int) -> str:
     """
     return f"{MAP_OMAP_PREFIX}{index:010d}"
 
-
-def is_v2_map_header(blob: bytes) -> bool:
-    """Whether ``blob`` is an incremental-format (v2) map header."""
-    return blob[:4] == _MAP_MAGIC_V2
 
 #: Maximum cached valid ranges an entry can track before the write path
 #: falls back to a foreground pre-read that coalesces them.
@@ -301,7 +294,7 @@ class ChunkMap:
     # a field added to one and forgotten in the other into an error.
     __slots__ = (
         "chunk_size", "_entries", "_touched", "_dirty", "_cached",
-        "_promotable", "_size", "stored_v2",
+        "_promotable", "_size",
     )
 
     def __init__(self, chunk_size: int):
@@ -310,16 +303,12 @@ class ChunkMap:
         self.chunk_size = chunk_size
         self._entries: Dict[int, ChunkMapEntry] = {}
         #: Indices set since the last commit; drives the incremental
-        #: (v2) writer, which serialises only these entries.
+        #: writer, which serialises only these entries.
         self._touched: Set[int] = set()
         self._dirty: Set[int] = set()
         self._cached: Set[int] = set()
         self._promotable: Set[int] = set()
         self._size = 0
-        #: Whether this map was decoded from an incremental (v2) store.
-        #: A v1-decoded map must be committed as a full upgrade (all
-        #: entries) the first time it is written incrementally.
-        self.stored_v2 = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -365,8 +354,8 @@ class ChunkMap:
     def copy(self) -> "ChunkMap":
         """An independent map over the *same* entry objects: ``set`` on
         either side is invisible to the other, and entries cannot
-        change.  Touched tracking and ``stored_v2`` carry over, so a
-        copy commits identically."""
+        change.  Touched tracking carries over, so a copy commits
+        identically."""
         dup = ChunkMap.__new__(ChunkMap)
         dup.chunk_size = self.chunk_size
         dup._entries = self._entries.copy()
@@ -375,7 +364,6 @@ class ChunkMap:
         dup._cached = self._cached.copy()
         dup._promotable = self._promotable.copy()
         dup._size = self._size
-        dup.stored_v2 = self.stored_v2
         return dup
 
     def touched_indices(self) -> List[int]:
@@ -411,32 +399,6 @@ class ChunkMap:
         """True when no entry is dirty."""
         return not self._dirty
 
-    def serialized_bytes(self) -> int:
-        """Size of the serialised map (150 bytes/entry + header)."""
-        return _MAP_HEADER.size + len(self._entries) * CHUNK_MAP_ENTRY_BYTES
-
-    def serialize(self) -> bytes:
-        """Binary form stored in the metadata object's xattr."""
-        parts = [_MAP_HEADER.pack(_MAP_MAGIC, self.chunk_size, len(self._entries))]
-        for idx in sorted(self._entries):
-            parts.append(self._entries[idx].pack())
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "ChunkMap":
-        """Inverse of :meth:`serialize`."""
-        magic, chunk_size, count = _MAP_HEADER.unpack_from(blob)
-        if magic != _MAP_MAGIC:
-            raise ValueError(f"bad chunk map magic {magic!r}")
-        cmap = cls(chunk_size)
-        pos = _MAP_HEADER.size
-        for _ in range(count):
-            entry = ChunkMapEntry.unpack(blob[pos : pos + CHUNK_MAP_ENTRY_BYTES])
-            cmap.set(entry)
-            pos += CHUNK_MAP_ENTRY_BYTES
-        cmap.clear_touched()
-        return cmap
-
     def serialize_header_v2(self, version: int) -> bytes:
         """Header xattr for the incremental (v2) format.
 
@@ -454,36 +416,24 @@ class ChunkMap:
             indices = sorted(self._entries)
         return {map_entry_key(i): self._entries[i].pack() for i in indices}
 
-    @classmethod
-    def from_stored_v2(cls, header: bytes, omap: Mapping[str, bytes]) -> "ChunkMap":
-        """Decode an incremental-format map from header xattr + omap."""
-        magic, chunk_size, count, _version = _MAP_HEADER_V2.unpack_from(header)
-        if magic != _MAP_MAGIC_V2:
-            raise ValueError(f"bad v2 chunk map magic {magic!r}")
-        cmap = cls(chunk_size)
-        for key, blob in omap.items():
-            if not key.startswith(MAP_OMAP_PREFIX):
-                continue
-            cmap.set(ChunkMapEntry.unpack(blob))
-        if len(cmap) != count:
-            raise ValueError(
-                f"v2 chunk map header claims {count} entries, omap has {len(cmap)}"
-            )
-        cmap.clear_touched()
-        cmap.stored_v2 = True
-        return cmap
-
 
 def decode_stored_map(header: bytes, omap: Mapping[str, bytes]) -> ChunkMap:
-    """Decode a stored chunk map, dispatching on the header magic.
-
-    Accepts both the legacy whole-blob format (``CMAP``: entries inline
-    in the xattr) and the incremental format (``CMP2``: entries in omap
-    under ``map.<idx>`` keys).
-    """
-    if is_v2_map_header(header):
-        return ChunkMap.from_stored_v2(header, omap)
-    return ChunkMap.deserialize(header)
+    """Decode a stored chunk map: the ``CMP2`` header xattr (magic,
+    chunk size, entry count, version) plus one omap record per entry
+    under ``map.<idx>``; other omap keys are ignored."""
+    magic, chunk_size, count, _version = _MAP_HEADER_V2.unpack_from(header)
+    if magic != _MAP_MAGIC_V2:
+        raise ValueError(f"bad chunk map magic {magic!r}")
+    cmap = ChunkMap(chunk_size)
+    for key, blob in omap.items():
+        if key.startswith(MAP_OMAP_PREFIX):
+            cmap.set(ChunkMapEntry.unpack(blob))
+    if len(cmap) != count:
+        raise ValueError(
+            f"chunk map header claims {count} entries, omap has {len(cmap)}"
+        )
+    cmap.clear_touched()
+    return cmap
 
 
 def stored_dirty_count(header: bytes, omap: Mapping[str, bytes]) -> int:
@@ -494,27 +444,17 @@ def stored_dirty_count(header: bytes, omap: Mapping[str, bytes]) -> int:
     dirty list and pacing a dedup pass need from a map they otherwise
     never look at.
     """
-    dirty = 0
-    if is_v2_map_header(header):
-        _magic, _chunk_size, count, _version = _MAP_HEADER_V2.unpack_from(header)
-        found = 0
-        for key, blob in omap.items():
-            if key.startswith(MAP_OMAP_PREFIX):
-                found += 1
-                if blob[_ENTRY_FLAGS_AT] & _FLAG_DIRTY:
-                    dirty += 1
-        if found != count:
-            raise ValueError(
-                f"v2 chunk map header claims {count} entries, omap has {found}"
-            )
-        return dirty
-    magic, _chunk_size, count = _MAP_HEADER.unpack_from(header)
-    if magic != _MAP_MAGIC:
+    magic, _chunk_size, count, _version = _MAP_HEADER_V2.unpack_from(header)
+    if magic != _MAP_MAGIC_V2:
         raise ValueError(f"bad chunk map magic {magic!r}")
-    first = _MAP_HEADER.size + _ENTRY_FLAGS_AT
-    for flags in header[first : first + count * CHUNK_MAP_ENTRY_BYTES : CHUNK_MAP_ENTRY_BYTES]:
-        if flags & _FLAG_DIRTY:
-            dirty += 1
+    dirty = found = 0
+    for key, blob in omap.items():
+        if key.startswith(MAP_OMAP_PREFIX):
+            found += 1
+            if blob[_ENTRY_FLAGS_AT] & _FLAG_DIRTY:
+                dirty += 1
+    if found != count:
+        raise ValueError(f"chunk map header claims {count} entries, omap has {found}")
     return dirty
 
 

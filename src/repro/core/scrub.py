@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from ..fingerprint import fingerprint
-from .objects import ChunkRef, RefSet
+from .objects import REFS_XATTR, ChunkRef, RefSet
 from .tier import DedupTier, NodeClient
 
 __all__ = ["ScrubReport", "scrub", "scrub_sync", "GcReport", "collect_garbage", "collect_garbage_sync"]
@@ -146,7 +146,10 @@ def collect_garbage(tier: DedupTier):
             keep = stored & implied
             report.references_dropped += len(stale)
             if keep:
-                yield from tier._store_refs(chunk_id, RefSet(sorted(keep)), via)
+                yield from cluster.setxattr(
+                    tier.chunk_pool, chunk_id, REFS_XATTR,
+                    RefSet(sorted(keep)).serialize(), via,
+                )
             else:
                 length = yield from cluster.stat(tier.chunk_pool, chunk_id)
                 yield from cluster.remove(tier.chunk_pool, chunk_id, via)

@@ -43,7 +43,6 @@ from .objects import (
     ChunkRef,
     RefSet,
     decode_stored_map,
-    is_v2_map_header,
     stored_dirty_count,
 )
 from .rate_control import OpWindow, RateController
@@ -394,7 +393,6 @@ class DedupTier:
         """
         version = self.map_version(oid) + 1
         self._map_versions[oid] = version
-        cmap.stored_v2 = True
         cmap.clear_touched()
         # Cache a fork: the caller keeps ownership of ``cmap`` and may
         # keep replacing its rows without polluting the committed state
@@ -474,17 +472,12 @@ class DedupTier:
             # yield: a lock-holding writer may commit while this process
             # is parked on the read, replacing the header xattr and the
             # omap records under us — decoding a mix of old header and
-            # new records raises (v2 entry-count check) or yields a
+            # new records raises (the entry-count check) or yields a
             # torn map.
-            nbytes = len(blob)
-            omap_records: Dict[str, bytes] = {}
-            if is_v2_map_header(blob):
-                omap_records = {
-                    k: v
-                    for k, v in obj.omap.items()
-                    if k.startswith(MAP_OMAP_PREFIX)
-                }
-                nbytes += sum(map(len, omap_records.values()))
+            omap_records = {
+                k: v for k, v in obj.omap.items() if k.startswith(MAP_OMAP_PREFIX)
+            }
+            nbytes = len(blob) + sum(map(len, omap_records.values()))
             version = self.map_version(oid)
             epoch = self._map_epoch
             yield from primary.disk.read(nbytes)
@@ -503,11 +496,10 @@ class DedupTier:
     def append_map_commit(self, txn: Transaction, oid: str, cmap: ChunkMap) -> None:
         """Add ``cmap``'s commit ops for ``oid`` to ``txn``.
 
-        Incremental (v2) format: writes the small header xattr plus one
-        omap record per *touched* entry — a 1-chunk update serialises
-        one 150-byte record instead of the whole map.  A map decoded
-        from the legacy whole-map blob is upgraded by writing every
-        entry once.
+        Writes the small header xattr plus one omap record per
+        *touched* entry — a 1-chunk update serialises one 150-byte
+        record instead of the whole map; a new map has every entry
+        touched.
 
         The caller owns the commit outcome: on success call
         :meth:`note_map_committed`; on a fault that may have mutated the
@@ -517,8 +509,7 @@ class DedupTier:
         """
         key = self.metadata_key(oid)
         header = cmap.serialize_header_v2(self.map_version(oid) + 1)
-        indices = cmap.touched_indices() if cmap.stored_v2 else cmap.indices()
-        entries = cmap.omap_entries(indices)
+        entries = cmap.omap_entries(cmap.touched_indices())
         txn.setxattr(key, CHUNK_MAP_XATTR, header)
         if entries:
             txn.omap_set(key, entries)
@@ -581,20 +572,6 @@ class DedupTier:
         return RefSet()
 
     # repro-lint: flt-scope -- commit primitive: faults must propagate to the caller's scope (engine skip-and-requeue / io_path retries), which owns the undo policy
-    def _store_refs(self, chunk_id: str, refs: RefSet, via, span=NULL_SPAN):
-        blob = refs.serialize()
-        if self.chunk_pool.is_ec:
-            yield from self.cluster.setxattr(
-                self.chunk_pool, chunk_id, REFS_XATTR, blob, via
-            )
-        else:
-            key = self.cluster.object_key(self.chunk_pool, chunk_id)
-            txn = Transaction().setxattr(key, REFS_XATTR, blob)
-            yield from self.cluster.submit(
-                self.chunk_pool, chunk_id, txn, via, span=span
-            )
-
-    # repro-lint: flt-scope -- commit primitive: faults must propagate to the caller's scope (engine skip-and-requeue / io_path retries), which owns the undo policy
     def chunk_ref(self, chunk_id: str, ref: ChunkRef, data: bytes, via, span=NULL_SPAN):
         """Process: store-or-reference a chunk object (§4.4.1 steps 4-5).
 
@@ -635,27 +612,18 @@ class DedupTier:
                     self.stage.flush_ops += 1
                     self.stage.flush_bytes += len(blob)
                     if self.config.compress_chunks:
-                        if self.chunk_pool.is_ec:
-                            yield from self.cluster.setxattr(
-                                self.chunk_pool, chunk_id, CHUNK_ENCODING_XATTR,
-                                encoding, via,
-                            )
-                        else:
-                            yield from self._set_encoding(chunk_id, encoding, via, s)
-                    yield from self._store_refs(chunk_id, refs, via, span=s)
-                    self.stage.ref_commits += 1
-                    return True
-                yield from self._store_refs(chunk_id, refs, via, span=s)
+                        yield from self.cluster.setxattr(
+                            self.chunk_pool, chunk_id, CHUNK_ENCODING_XATTR,
+                            encoding, via, span=s,
+                        )
+                yield from self.cluster.setxattr(
+                    self.chunk_pool, chunk_id, REFS_XATTR, refs.serialize(), via,
+                    span=s,
+                )
                 self.stage.ref_commits += 1
-                return False
+                return not exists
             finally:
                 lock.release()
-
-    # repro-lint: flt-scope -- commit primitive: runs only inside chunk_ref, whose callers own the fault scope
-    def _set_encoding(self, chunk_id: str, encoding: bytes, via, span=NULL_SPAN):
-        key = self.cluster.object_key(self.chunk_pool, chunk_id)
-        txn = Transaction().setxattr(key, CHUNK_ENCODING_XATTR, encoding)
-        yield from self.cluster.submit(self.chunk_pool, chunk_id, txn, via, span=span)
 
     # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); faults propagate to the caller's scope, which defers the deref to GC
     def chunk_deref(self, chunk_id: str, ref: ChunkRef, via, span=NULL_SPAN):
@@ -680,7 +648,10 @@ class DedupTier:
                     s.tag(removed=True)
                     yield from self.cluster.remove(self.chunk_pool, chunk_id, via)
                 else:
-                    yield from self._store_refs(chunk_id, refs, via, span=s)
+                    yield from self.cluster.setxattr(
+                        self.chunk_pool, chunk_id, REFS_XATTR, refs.serialize(), via,
+                        span=s,
+                    )
                 self.stage.ref_commits += 1
             finally:
                 lock.release()

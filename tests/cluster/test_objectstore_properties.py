@@ -1,7 +1,7 @@
 """Property-based tests: ObjectStore transactions vs a reference model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
@@ -181,6 +181,13 @@ def check(store, model):
 
 
 @given(ops=st.lists(op_strategy, min_size=1, max_size=30))
+# A truncate that extends by a zero extent must respect the extent
+# bound like a write does (1-byte extents shredded by tiny writes, then
+# one more appended by the truncate).
+@example(ops=[
+    ("write_full", b"\x00" * 7, None), ("write", 3, b"\x00"), ("write", 5, b"\x00"),
+    ("truncate", 8, None), ("write", 1, b"\x00"), ("truncate", 9, None),
+])
 @settings(max_examples=150, deadline=None)
 def test_transactions_match_reference_model(ops):
     store = ObjectStore()

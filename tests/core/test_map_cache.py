@@ -3,8 +3,8 @@
 The cache serves the metadata hot path; every test here guards one of
 its invariants: hits only at the committed version, invalidation by
 every owner that can change the stored map behind the cache (aborted
-passes, deletes, GC, recovery, rebalance), and the v2 omap commit
-format still reading (and upgrading) legacy whole-map blobs.
+passes, deletes, GC, recovery, rebalance), and the omap commit format
+writing only the entries a commit touched.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from repro.core.objects import (
     MAP_OMAP_PREFIX,
     ChunkMap,
     ChunkMapEntry,
-    is_v2_map_header,
     map_entry_key,
 )
 from repro.fingerprint import fingerprint
@@ -55,18 +54,19 @@ def stored_map_keys(storage, oid):
     )
 
 
-def store_legacy_blob(storage, oid, cmap):
-    """Rewrite ``oid``'s stored map, on every replica and behind the
-    tier's back, as a legacy whole-map (v1 ``CMAP``) blob."""
-    blob = cmap.serialize()
+def store_map_behind_the_tier(storage, oid, cmap):
+    """Rewrite ``oid``'s stored map as ``cmap``, on every replica and
+    behind the tier's back (what a repair could do)."""
+    header = cmap.serialize_header_v2(version=1)
     key = storage.tier.metadata_key(oid)
     for osd in storage.cluster.osds.values():
         if osd.store.exists(key):
             obj = osd.store.get(key)
-            obj.xattrs[CHUNK_MAP_XATTR] = blob
+            obj.xattrs[CHUNK_MAP_XATTR] = header
             for k in list(obj.omap):
                 if k.startswith(MAP_OMAP_PREFIX):
                     del obj.omap[k]
+            obj.omap.update(cmap.omap_entries())
 
 
 # -- cache mechanics ---------------------------------------------------------
@@ -347,7 +347,7 @@ def test_repair_listener_exposes_out_of_band_map_change():
     # Out-of-band rewrite on every replica: entry length shrunk to 7.
     doctored = ChunkMap(CHUNK)
     doctored.set(ChunkMapEntry(0, 7))
-    store_legacy_blob(storage, "obj1", doctored)
+    store_map_behind_the_tier(storage, "obj1", doctored)
     # Without the notification the cache would still serve the old map.
     storage.cluster.notify_repaired()
     assert load_map(storage, "obj1").get(0).length == 7
@@ -378,7 +378,7 @@ def test_incremental_commit_stores_v2_header_and_omap():
     storage = make_storage()
     storage.write_sync("obj1", b"j" * 4 * CHUNK)
     obj = stored_meta(storage, "obj1")
-    assert is_v2_map_header(obj.xattrs[CHUNK_MAP_XATTR])
+    assert obj.xattrs[CHUNK_MAP_XATTR][:4] == b"CMP2"
     assert stored_map_keys(storage, "obj1") == [map_entry_key(i) for i in range(4)]
     assert storage.read_sync("obj1") == b"j" * 4 * CHUNK
 
@@ -411,25 +411,6 @@ def test_dedup_pass_commits_only_processed_entries():
     assert delta <= 8  # flush + eviction commits, all incremental
     fp = fingerprint(b"l" * CHUNK)
     assert storage.cluster.exists(storage.tier.chunk_pool, fp)
-
-
-def test_v1_to_v2_upgrade_writes_every_entry():
-    """A map decoded from a legacy blob has no touched history: the
-    first incremental commit must write all entries."""
-    storage = make_storage()
-    storage.write_sync("obj1", b"p" * 3 * CHUNK)
-    store_legacy_blob(storage, "obj1", load_map(storage, "obj1"))
-    assert stored_meta(storage, "obj1").xattrs[CHUNK_MAP_XATTR][:4] == b"CMAP"
-    assert stored_map_keys(storage, "obj1") == []
-    storage.tier.invalidate_map_cache("obj1")  # force decode from v1 blob
-    storage.write_sync("obj1", b"q" * 16, offset=CHUNK + 5)
-    # Upgrade: header flipped to v2 and every entry materialised.
-    obj = stored_meta(storage, "obj1")
-    assert is_v2_map_header(obj.xattrs[CHUNK_MAP_XATTR])
-    assert len(stored_map_keys(storage, "obj1")) == 3
-    expected = bytearray(b"p" * 3 * CHUNK)
-    expected[CHUNK + 5 : CHUNK + 21] = b"q" * 16
-    assert storage.read_sync("obj1") == bytes(expected)
 
 
 def test_config_rejects_negative_cache_size():

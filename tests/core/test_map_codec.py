@@ -1,11 +1,10 @@
-"""Chunk-map codec: pack/unpack and serialize/deserialize round-trips.
+"""Chunk-map codec: pack/unpack and store/decode round-trips.
 
-Covers the legacy whole-blob (v1, ``CMAP``) format, the incremental
-per-entry omap (v2, ``CMP2``) format, the format-dispatching
-``decode_stored_map`` compatibility reader, the ``__slots__`` /
-string-interning satellite work, and what makes decoded maps cheap to
-share: immutable entries, forks that alias them, and aggregates that
-``ChunkMap.set`` keeps exact.
+Covers the stored format (a ``CMP2`` header xattr plus one omap record
+per entry), ``decode_stored_map`` and its refusal of any other header,
+the ``__slots__`` / string-interning satellite work, and what makes
+decoded maps cheap to share: immutable entries, forks that alias them,
+and aggregates that ``ChunkMap.set`` keeps exact.
 """
 
 import copy
@@ -30,7 +29,6 @@ from repro.core.objects import (
     ChunkMapEntry,
     ChunkRef,
     decode_stored_map,
-    is_v2_map_header,
     map_entry_key,
     merge_ranges,
     stored_dirty_count,
@@ -92,39 +90,16 @@ def chunk_maps(draw):
 
 @given(chunk_maps())
 @settings(max_examples=100)
-def test_map_serialize_deserialize_roundtrip(cmap):
-    got = ChunkMap.deserialize(cmap.serialize())
-    assert entries_equal(got, cmap)
-    # A freshly decoded map carries no pending mutations.
-    assert got.touched_indices() == []
-    assert not got.stored_v2
-
-
-@given(chunk_maps())
-@settings(max_examples=100)
 def test_map_v2_roundtrip_via_header_and_omap(cmap):
     header = cmap.serialize_header_v2(version=7)
-    assert is_v2_map_header(header)
+    assert header[:4] == b"CMP2"
     omap = cmap.omap_entries()
     # Foreign omap keys (refs, bookkeeping) must be ignored by decode.
     omap["unrelated.key"] = b"zzz"
     got = decode_stored_map(header, omap)
     assert entries_equal(got, cmap)
-    assert got.stored_v2
+    # A freshly decoded map carries no pending mutations.
     assert got.touched_indices() == []
-
-
-@given(chunk_maps())
-@settings(max_examples=100)
-def test_old_format_blob_compat(cmap):
-    """decode_stored_map dispatches v1 blobs to the legacy reader, even
-    with stale v2 omap records sitting next to them."""
-    blob = cmap.serialize()
-    assert not is_v2_map_header(blob)
-    stale_omap = {map_entry_key(999): b"\x00" * CHUNK_MAP_ENTRY_BYTES}
-    got = decode_stored_map(blob, stale_omap)
-    assert entries_equal(got, cmap)
-    assert not got.stored_v2
 
 
 @given(
@@ -165,7 +140,7 @@ def test_v2_header_count_mismatch_rejected():
     cmap.set(ChunkMapEntry(0, 10))
     header = cmap.serialize_header_v2(version=1)
     with pytest.raises(ValueError):
-        ChunkMap.from_stored_v2(header, {})
+        decode_stored_map(header, {})
 
 
 def test_map_entry_key_sorts_like_indices():
@@ -298,15 +273,12 @@ class Fork:
             if rows[i][2] and not rows[i][3] and rows[i][4] != ((0, rows[i][1]),)
         ]
         assert cmap.touched_indices() == sorted(self.touched)
-        # Stored bytes: both formats, written out.
+        # Stored bytes, written out.
         packed = {map_entry_key(i): reference_pack(rows[i]) for i in order}
         assert cmap.omap_entries() == packed
         assert cmap.omap_entries(cmap.touched_indices()) == {
             map_entry_key(i): packed[map_entry_key(i)] for i in sorted(self.touched)
         }
-        assert cmap.serialize() == struct.pack(">4sII", b"CMAP", CHUNK, len(order)) + b"".join(
-            packed[map_entry_key(i)] for i in order
-        )
 
 
 class ForkedMaps(RuleBasedStateMachine):
@@ -370,12 +342,9 @@ class ForkedMaps(RuleBasedStateMachine):
         # What DedupTier.note_map_committed does: the writer's fork stays
         # its own, a fork of it becomes the shared committed snapshot.
         fork = self.pick(data)
-        fork.cmap.stored_v2 = True
         fork.cmap.clear_touched()
         fork.touched.clear()
-        snapshot = fork.fork()
-        assert snapshot.cmap.stored_v2
-        self.forks.append(snapshot)
+        self.forks.append(fork.fork())
 
     @invariant()
     def every_fork_matches_its_own_reference(self):
@@ -389,16 +358,12 @@ ForkedMaps.TestCase.settings = settings(
 test_forked_maps_stay_isolated_and_aggregates_exact = ForkedMaps.TestCase
 
 
-@given(chunk_maps(), st.booleans())
+@given(chunk_maps())
 @settings(max_examples=100)
-def test_stored_dirty_count_equals_the_decoded_answer(cmap, v2):
-    """The flags-byte reader agrees with a full decode, v1 and v2."""
-    if v2:
-        header, omap = cmap.serialize_header_v2(version=3), cmap.omap_entries()
-        omap["unrelated.key"] = b"zzz"
-    else:
-        header = cmap.serialize()
-        omap = {map_entry_key(999): b"\xff" * CHUNK_MAP_ENTRY_BYTES}  # stale, ignored
+def test_stored_dirty_count_equals_the_decoded_answer(cmap):
+    """The flags-byte reader agrees with a full decode."""
+    header, omap = cmap.serialize_header_v2(version=3), cmap.omap_entries()
+    omap["unrelated.key"] = b"zzz"
     assert stored_dirty_count(header, omap) == len(
         decode_stored_map(header, omap).dirty_indices()
     )
@@ -407,7 +372,11 @@ def test_stored_dirty_count_equals_the_decoded_answer(cmap, v2):
 def test_stored_dirty_count_rejects_what_the_decoder_rejects():
     cmap = ChunkMap(CHUNK)
     cmap.set(ChunkMapEntry(0, 10))
+    header, omap = cmap.serialize_header_v2(version=1), cmap.omap_entries()
     with pytest.raises(ValueError):
-        stored_dirty_count(cmap.serialize_header_v2(version=1), {})
-    with pytest.raises(ValueError):
-        stored_dirty_count(b"XXXX" + cmap.serialize()[4:], {})
+        stored_dirty_count(header, {})
+    # Any header but CMP2 is refused, the retired whole-map CMAP included.
+    for magic in (b"CMAP", b"XXXX"):
+        for read in (stored_dirty_count, decode_stored_map):
+            with pytest.raises(ValueError, match="magic"):
+                read(magic + header[4:], omap)

@@ -12,6 +12,12 @@ from repro.core import (
     ChunkRef,
     RefSet,
 )
+from repro.core.objects import decode_stored_map
+
+
+def roundtrip(cmap):
+    """``cmap`` stored (header xattr + omap records) and decoded back."""
+    return decode_stored_map(cmap.serialize_header_v2(version=1), cmap.omap_entries())
 
 
 def test_entry_pack_unpack_roundtrip():
@@ -87,8 +93,7 @@ def test_chunk_map_serialize_roundtrip():
                 dirty=i % 3 == 0,
             )
         )
-    blob = cmap.serialize()
-    back = ChunkMap.deserialize(blob)
+    back = roundtrip(cmap)
     assert back.chunk_size == cmap.chunk_size
     assert list(back) == list(cmap)
 
@@ -97,14 +102,15 @@ def test_chunk_map_serialized_size_matches_paper_accounting():
     cmap = ChunkMap(chunk_size=32768)
     for i in range(7):
         cmap.set(ChunkMapEntry(offset=i * 32768, length=32768))
-    assert len(cmap.serialize()) == cmap.serialized_bytes()
-    # 150 bytes per entry + constant header.
-    assert cmap.serialized_bytes() - ChunkMap(32768).serialized_bytes() == 7 * 150
+    records = cmap.omap_entries()
+    # 150 bytes per entry, plus a header that does not grow with the map.
+    assert sum(map(len, records.values())) == 7 * 150
+    assert len(cmap.serialize_header_v2(1)) == len(ChunkMap(32768).serialize_header_v2(1))
 
 
 def test_chunk_map_bad_magic():
     with pytest.raises(ValueError):
-        ChunkMap.deserialize(b"NOPE" + b"\x00" * 20)
+        decode_stored_map(b"NOPE" + b"\x00" * 20, {})
 
 
 def test_refset_add_discard():
@@ -170,7 +176,7 @@ def test_chunk_map_roundtrip_property(entries):
                 dirty=dirty,
             )
         )
-    assert list(ChunkMap.deserialize(cmap.serialize())) == list(cmap)
+    assert list(roundtrip(cmap)) == list(cmap)
 
 
 @given(

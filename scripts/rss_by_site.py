@@ -18,7 +18,9 @@ same verify read-back as the driver form ``run.py --workload W --seed N
 * a census of the object stores per pool: objects and payload MiB as the
   modelled disks are charged for them (every replica), the MiB of
   *distinct* blobs behind them in host memory, the most extents any one
-  object has, and the sizes of the per-key tables that only grow.
+  object has, the live entries of the three lock tables (0 once the
+  pass has quiesced) and the size of the per-object map-version table,
+  which only grows.
 
 ``tracemalloc`` costs 2-3x in time and ~20 % in RSS, so read the RSS
 columns for shape and ``peak_rss_mb`` itself from the driver form.
@@ -175,12 +177,11 @@ def main(argv=None) -> int:
         "all", sum(r["objects"] for r in rows.values()),
         sum(r["payload"] for r in rows.values()) / MiB, distinct / MiB))
     tier, cluster = storage.tier, storage.cluster
-    print("\nper-key tables (entries; none is ever dropped):")
+    print("\nper-key tables (entries):")
     for name, table in (
-        ("tier._chunk_locks", tier._chunk_locks),
-        ("tier._object_locks", tier._object_locks),
-        ("cluster._write_locks", cluster._write_locks),
-        ("tier.mutation_seq", tier.mutation_seq),
+        ("tier.chunk_locks", tier.chunk_locks),
+        ("tier.object_locks", tier.object_locks),
+        ("cluster.write_locks", cluster.write_locks),
         ("tier._map_versions", tier._map_versions),
     ):
         print("  %-22s %8d" % (name, len(table)))

@@ -1,68 +1,57 @@
 """Lock-acquisition extraction for the LCK rule family.
 
-An *acquire site* is an ``<expr>.acquire()`` call whose receiver can be
-traced to one of the repo's lock factories:
+Every lock in this repo is taken one way, through a
+:class:`repro.sim.LockTable`::
 
-===================  ==============  =========================================
-factory              lock class      owner
-===================  ==============  =========================================
-``_write_lock(k)``   ``rados.write``  per-object write locks in the substrate
-``object_lock(o)``   ``tier.object``  dedup tier object serialisation
-``chunk_lock(c)``    ``tier.chunk``   dedup tier chunk refcount serialisation
-``self.acquire()``   ``sim.resource`` inside :class:`repro.sim.Resource` itself
-===================  ==============  =========================================
+    held: list = []
+    try:
+        yield table.acquire(key, held)
+        ...
+    finally:
+        table.release(held)
 
-Receivers are traced within the enclosing function only: direct factory
-chains (``self._write_lock(k).acquire()``), scalar variables assigned
-from a factory call (including conditional ``x if c else None`` forms),
-and loop targets iterating a *collection* variable built by a
-comprehension over factory calls.  A collection is *ordered* when its
-comprehension iterates ``sorted(...)`` — directly or via a name assigned
-from ``sorted(...)``.  Untraceable receivers (token buckets, foreign
-objects) are skipped: the rules only reason about sites they understand.
+An *acquire site* is a ``<expr>.<table>.acquire(...)`` call whose table
+attribute names a lock class:
 
-A site is *guarded* (released on every exit path) when either
+==================  ===============  =========================================
+table attribute     lock class       owner
+==================  ===============  =========================================
+``write_locks``     ``rados.write``  per-object write locks in the substrate
+``object_locks``    ``tier.object``  dedup tier object serialisation
+``chunk_locks``     ``tier.chunk``   dedup tier chunk refcount serialisation
+==================  ===============  =========================================
 
-1. it sits in the body of a ``try`` whose ``finally`` releases it — by
-   name, or through a release loop over a list the function ``append``-s
-   the lock to (the acquired-list idiom for multi-lock sections); or
-2. the statement chain from the acquire reaches, before crossing any
-   ``for``/``while`` loop, a statement whose *next sibling* is such a
-   ``try`` (the canonical ``yield lock.acquire()`` / ``try/finally``
-   sequence, possibly wrapped in ``if``/``with``).
-
-Crossing a loop upward is the unsound shape rule LCK003 exists to catch:
-``for lock in locks: yield lock.acquire()`` followed by a ``try`` leaks
-every already-acquired lock when a mid-loop acquire is interrupted.
-
-The module also records ``ThreadPoolExecutor`` submit boundaries
-(``<x>._executor.submit(...)``): sites where work escapes the simulated
-task onto real threads, which the blocking-wait rule (LCK002) pairs with
-``quiesce``/``shutdown`` joins.
+A site's *region* is the nearest enclosing ``try`` of its function whose
+``finally`` calls ``<same table>.release(<same held list>)``: the lock
+is held across at most that ``try`` body and released on every exit
+from it.  A site with a ``for``/``while`` loop between it and its
+region's ``try`` is a *multi-acquire* (the region accumulates several
+locks of its class), which must iterate ``sorted(...)`` keys.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine import SourceModule
 from .callgraph import CallGraph, FunctionInfo, receiver_tail, walk_own
 
 __all__ = [
-    "LOCK_FACTORIES",
+    "LOCK_TABLES",
     "AcquireSite",
     "LockModel",
     "build_lock_model",
     "collect_sites",
+    "table_class",
 ]
 
-#: Lock-factory callee names -> lock class.
-LOCK_FACTORIES: Dict[str, str] = {
-    "_write_lock": "rados.write",
-    "object_lock": "tier.object",
-    "chunk_lock": "tier.chunk",
+#: Lock-table attribute names -> lock class.
+LOCK_TABLES: Dict[str, str] = {
+    "write_locks": "rados.write",
+    "object_locks": "tier.object",
+    "chunk_locks": "tier.chunk",
 }
 
 _LOOPS = (ast.For, ast.While)
@@ -71,327 +60,108 @@ _FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 @dataclass
 class AcquireSite:
-    """One traced ``.acquire()`` call."""
+    """One table ``.acquire()`` call."""
 
     call: ast.Call
     mod: SourceModule
-    func: Optional[FunctionInfo]
+    func: FunctionInfo
     lock_class: str
-    var: Optional[str]  # receiver name; None for direct factory chains
-    collection: Optional[str] = None  # collection var for multi-acquires
-    multi: bool = False  # acquired in a loop over a lock collection
-    ordered: bool = False  # collection iterates sorted(...)
+    #: A multi-acquire whose loop does not iterate ``sorted(...)``.
+    unsorted_multi: bool = False
     guard: Optional[ast.Try] = None
 
     @property
-    def guarded(self) -> bool:
-        """Whether a try/finally releases this lock on every exit path."""
-        return self.guard is not None
-
-    @property
     def region(self) -> Optional[Tuple[int, int]]:
-        """Line span of the guarded (lock-held) region: the try body."""
+        """Line span of the lock-held region: the guarding try body."""
         if self.guard is None or not self.guard.body:
             return None
         lo = self.guard.body[0].lineno
-        hi = lo
-        for stmt in self.guard.body:
-            for sub in ast.walk(stmt):
-                line = getattr(sub, "end_lineno", None) or getattr(
-                    sub, "lineno", None
-                )
-                if line is not None and line > hi:
-                    hi = line
+        hi = max(
+            getattr(sub, "end_lineno", None) or lo
+            for stmt in self.guard.body
+            for sub in ast.walk(stmt)
+        )
         return (lo, hi)
 
 
 @dataclass
 class LockModel:
-    """Every traced acquire site in a module set, plus the call graph."""
+    """Every table acquire site in a module set, plus the call graph."""
 
     graph: CallGraph
     sites: List[AcquireSite]
     #: id(function def node) -> its acquire sites.
     sites_by_func: Dict[int, List[AcquireSite]] = field(default_factory=dict)
-    #: (module, call node) pairs where work is handed to a thread pool.
-    executor_boundaries: List[Tuple[SourceModule, ast.Call]] = field(
-        default_factory=list
-    )
 
 
-def _factory_class(node: ast.AST) -> Optional[str]:
-    """Lock class of the first factory call found under ``node``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            callee = ""
-            if isinstance(sub.func, ast.Attribute):
-                callee = sub.func.attr
-            elif isinstance(sub.func, ast.Name):
-                callee = sub.func.id
-            cls = LOCK_FACTORIES.get(callee)
-            if cls is not None:
-                return cls
+def table_class(call: ast.Call) -> Optional[str]:
+    """Lock class of a ``<expr>.<table>.acquire(...)`` call, else None."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "acquire":
+        return LOCK_TABLES.get(receiver_tail(func.value))
     return None
 
 
-def _is_sorted_call(node: ast.AST) -> bool:
+def _releases(node: ast.AST, table: str, held: str) -> bool:
+    """Whether ``node`` is ``<table>.release(<held>)`` (as ``ast.dump``-s)."""
     return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "sorted"
-    )
-
-
-def _is_release_call(node: ast.AST) -> Optional[str]:
-    """Receiver name of a ``<name>.release()`` call, else None."""
-    if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "release"
-        and isinstance(node.func.value, ast.Name)
-    ):
-        return node.func.value.id
-    return None
+        and ast.dump(node.func.value) == table
+        and len(node.args) == 1
+        and ast.dump(node.args[0]) == held
+    )
 
 
-def _append_lists(func_node: ast.AST, var: str) -> Set[str]:
-    """Names L such that ``L.append(var)`` appears in the function."""
-    lists: Set[str] = set()
-    for sub in walk_own(func_node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr == "append"
-            and isinstance(sub.func.value, ast.Name)
-            and len(sub.args) == 1
-            and isinstance(sub.args[0], ast.Name)
-            and sub.args[0].id == var
-        ):
-            lists.add(sub.func.value.id)
-    return lists
-
-
-def _finalbody_releases(
-    try_node: ast.Try,
-    var: Optional[str],
-    collection: Optional[str],
-    func_node: ast.AST,
-) -> bool:
-    """Whether ``try_node``'s ``finally`` releases the acquired lock."""
-    if var is None:
-        return False
-    # Direct: <var>.release() anywhere in the finally (incl. nested ifs,
-    # or a release loop whose target shadows the same name).
-    for stmt in try_node.finalbody:
-        for sub in ast.walk(stmt):
-            if _is_release_call(sub) == var:
-                return True
-    # Release loop over an acquired-list (or the source collection):
-    # ``for t in reversed(L): t.release()`` with ``L.append(var)``.
-    acceptable = _append_lists(func_node, var)
-    if collection is not None:
-        acceptable.add(collection)
-    if not acceptable:
-        return False
-    for stmt in try_node.finalbody:
-        for sub in ast.walk(stmt):
-            if not (isinstance(sub, ast.For) and isinstance(sub.target, ast.Name)):
-                continue
-            target = sub.target.id
-            iter_names = {
-                n.id for n in ast.walk(sub.iter) if isinstance(n, ast.Name)
-            }
-            if not (iter_names & acceptable):
-                continue
-            if any(
-                _is_release_call(inner) == target
-                for body_stmt in sub.body
-                for inner in ast.walk(body_stmt)
-            ):
-                return True
-    return False
-
-
-def _block_lists(node: ast.AST) -> List[List[ast.stmt]]:
-    blocks: List[List[ast.stmt]] = []
-    for name in ("body", "orelse", "finalbody"):
-        block = getattr(node, name, None)
-        if isinstance(block, list):
-            blocks.append(block)
-    if isinstance(node, ast.Try):
-        for handler in node.handlers:
-            blocks.append(handler.body)
-    return blocks
-
-
-def _find_guard(
-    mod: SourceModule,
-    call: ast.Call,
-    var: Optional[str],
-    collection: Optional[str],
-    func_node: ast.AST,
-) -> Optional[ast.Try]:
-    # Condition 1: an enclosing try whose finally releases the lock.
-    # Loops may sit in between (the acquired-list idiom acquires inside
-    # a for loop inside the try body).
+def _site(
+    mod: SourceModule, call: ast.Call, info: FunctionInfo, lock_class: str
+) -> AcquireSite:
+    site = AcquireSite(call=call, mod=mod, func=info, lock_class=lock_class)
+    if len(call.args) != 2 or not isinstance(call.func, ast.Attribute):
+        return site
+    table, held = ast.dump(call.func.value), ast.dump(call.args[1])
+    loop: Optional[ast.AST] = None
     child: ast.AST = call
     for anc in mod.ancestors(call):
-        if isinstance(anc, _FUNC_DEFS) or anc is func_node:
+        if isinstance(anc, _FUNC_DEFS) or anc is info.node:
             break
-        if isinstance(anc, ast.Try) and any(
-            stmt is child for stmt in anc.body
-        ):
-            if _finalbody_releases(anc, var, collection, func_node):
-                return anc
-        child = anc
-    # Condition 2: a next-sibling try/finally, reached before crossing
-    # any loop — per-iteration acquires accumulate across a loop and a
-    # try further out cannot release them on mid-loop exits.  The
-    # enclosing function's own body is checked before stopping.
-    child = call
-    for anc in mod.ancestors(call):
-        for block in _block_lists(anc):
-            for i, stmt in enumerate(block):
-                if stmt is child and i + 1 < len(block):
-                    following = block[i + 1]
-                    if isinstance(following, ast.Try) and _finalbody_releases(
-                        following, var, collection, func_node
-                    ):
-                        return following
-        if isinstance(anc, _FUNC_DEFS) or anc is func_node:
-            break
-        if isinstance(anc, _LOOPS):
-            return None
-        child = anc
-    return None
-
-
-def _scan_lock_vars(
-    func_node: ast.AST,
-) -> Tuple[Dict[str, str], Dict[str, Tuple[str, bool]]]:
-    """Scalar and collection lock variables assigned in the function."""
-    sorted_names: Set[str] = set()
-    for sub in walk_own(func_node):
         if (
-            isinstance(sub, ast.Assign)
-            and len(sub.targets) == 1
-            and isinstance(sub.targets[0], ast.Name)
-            and _is_sorted_call(sub.value)
-        ):
-            sorted_names.add(sub.targets[0].id)
-    scalars: Dict[str, str] = {}
-    collections: Dict[str, Tuple[str, bool]] = {}
-    for sub in walk_own(func_node):
-        if not (
-            isinstance(sub, ast.Assign)
-            and len(sub.targets) == 1
-            and isinstance(sub.targets[0], ast.Name)
-        ):
-            continue
-        name = sub.targets[0].id
-        cls = _factory_class(sub.value)
-        if cls is None:
-            continue
-        if isinstance(sub.value, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            comp_iter = sub.value.generators[0].iter
-            ordered = _is_sorted_call(comp_iter) or (
-                isinstance(comp_iter, ast.Name) and comp_iter.id in sorted_names
+            isinstance(anc, ast.Try)
+            and any(stmt is child for stmt in anc.body)
+            and any(
+                _releases(sub, table, held)
+                for stmt in anc.finalbody
+                for sub in ast.walk(stmt)
             )
-            collections[name] = (cls, ordered)
-        else:
-            scalars[name] = cls
-    return scalars, collections
-
-
-def _loop_binding(
-    mod: SourceModule, call: ast.Call, name: str
-) -> Optional[ast.For]:
-    """Nearest enclosing ``for <name> in ...`` loop binding ``name``."""
-    for anc in mod.ancestors(call):
-        if isinstance(anc, _FUNC_DEFS):
-            return None
-        if (
-            isinstance(anc, ast.For)
-            and isinstance(anc.target, ast.Name)
-            and anc.target.id == name
         ):
-            return anc
-    return None
+            site.guard = anc
+            break
+        if loop is None and isinstance(anc, _LOOPS):
+            loop = anc
+        child = anc
+    if site.guard is not None and loop is not None:
+        site.unsorted_multi = not (
+            isinstance(loop, ast.For)
+            and isinstance(loop.iter, ast.Call)
+            and isinstance(loop.iter.func, ast.Name)
+            and loop.iter.func.id == "sorted"
+        )
+    return site
 
 
-def collect_sites(
-    mod: SourceModule, graph: CallGraph
-) -> Tuple[List[AcquireSite], List[ast.Call]]:
-    """Traced acquire sites and executor boundaries in one module."""
+def collect_sites(mod: SourceModule, graph: CallGraph) -> List[AcquireSite]:
+    """The table acquire sites of one module."""
     sites: List[AcquireSite] = []
-    boundaries: List[ast.Call] = []
     for info in graph.functions:
         if info.mod is not mod:
             continue
-        scalars, collections = _scan_lock_vars(info.node)
         for node in walk_own(info.node):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            if (
-                node.func.attr == "submit"
-                and receiver_tail(node.func.value) == "_executor"
-            ):
-                boundaries.append(node)
-                continue
-            if node.func.attr != "acquire":
-                continue
-            recv = node.func.value
-            site: Optional[AcquireSite] = None
-            if isinstance(recv, ast.Call):
-                cls = _factory_class(recv)
-                if cls is not None:
-                    site = AcquireSite(
-                        call=node, mod=mod, func=info, lock_class=cls, var=None
-                    )
-            elif isinstance(recv, ast.Name):
-                name = recv.id
-                if name in scalars:
-                    site = AcquireSite(
-                        call=node,
-                        mod=mod,
-                        func=info,
-                        lock_class=scalars[name],
-                        var=name,
-                    )
-                elif name == "self" and info.cls == "Resource":
-                    site = AcquireSite(
-                        call=node,
-                        mod=mod,
-                        func=info,
-                        lock_class="sim.resource",
-                        var="self",
-                    )
-                else:
-                    loop = _loop_binding(mod, node, name)
-                    if loop is not None and isinstance(loop.iter, ast.Name):
-                        entry = collections.get(loop.iter.id)
-                        if entry is not None:
-                            cls, ordered = entry
-                            site = AcquireSite(
-                                call=node,
-                                mod=mod,
-                                func=info,
-                                lock_class=cls,
-                                var=name,
-                                collection=loop.iter.id,
-                                multi=True,
-                                ordered=ordered,
-                            )
-            if site is None:
-                continue
-            site.guard = _find_guard(
-                mod, node, site.var, site.collection, info.node
-            )
-            sites.append(site)
-    return sites, boundaries
+            if isinstance(node, ast.Call):
+                lock_class = table_class(node)
+                if lock_class is not None:
+                    sites.append(_site(mod, node, info, lock_class))
+    return sites
 
 
 def build_lock_model(modules: Sequence[SourceModule]) -> LockModel:
@@ -399,10 +169,7 @@ def build_lock_model(modules: Sequence[SourceModule]) -> LockModel:
     graph = CallGraph(modules)
     model = LockModel(graph=graph, sites=[])
     for mod in modules:
-        sites, boundaries = collect_sites(mod, graph)
-        model.sites.extend(sites)
-        model.executor_boundaries.extend((mod, b) for b in boundaries)
+        model.sites.extend(collect_sites(mod, graph))
     for site in model.sites:
-        if site.func is not None:
-            model.sites_by_func.setdefault(id(site.func.node), []).append(site)
+        model.sites_by_func.setdefault(id(site.func.node), []).append(site)
     return model

@@ -1,20 +1,22 @@
 """The LCK rule family: static lock-discipline checks.
 
-* LCK001 — potential acquire-acquire cycle across call paths.  Guarded
-  lock regions are scanned (directly and through the call graph) for
-  further acquisitions; the resulting class-level lock-order graph must
-  be acyclic, and multi-acquires of one class must iterate a sorted
-  collection (an unsorted multi-acquire is a self-cycle: two concurrent
-  tasks can take the same pair of locks in opposite orders).
+* LCK001 — potential acquire-acquire cycle across call paths.  Lock
+  regions are scanned (directly and through the call graph) for further
+  acquisitions; the resulting class-level lock-order graph must be
+  acyclic, and multi-acquires of one class must iterate ``sorted(...)``
+  keys (an unsorted multi-acquire is a self-cycle: two concurrent tasks
+  can take the same pair of locks in opposite orders).
 * LCK002 — faultable substrate I/O, retry entry, or unbounded blocking
   wait performed while holding a write lock.  Substrate mutations and
   retry loops are only flagged under ``rados.write`` locks (the tier
   deliberately retries its two-phase commits under its own object/chunk
-  locks — the paper's §4.4.2 serialisation trade-off); pool joins
-  (``quiesce``/``shutdown``), rate-limiter ``throttle`` waits and
-  nested ``run_until_complete`` drains are flagged under any lock.
-* LCK003 — lock acquired but not released on every exit path (the lock
-  analogue of OBS001).  See :mod:`.locks` for what counts as guarded.
+  locks — the paper's §4.4.2 serialisation trade-off); rate-limiter
+  ``throttle`` waits and nested ``run_until_complete`` drains are
+  flagged under any lock.
+* LCK003 — lock not released on every exit path (the lock analogue of
+  OBS001).  Outside ``repro.sim`` every ``.acquire()`` call must be a
+  lock-table acquire inside a ``try`` whose ``finally`` releases its
+  held list through the same table (:mod:`.locks`).
 
 All three live in ``default_rules`` and honour suppressions/baselines
 like every repro-lint rule.
@@ -28,12 +30,12 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 from ..engine import Finding, Rule, SourceModule
 from ..rules.faults import _RETRY_CALLS, _is_io_site
 from .callgraph import walk_own
-from .locks import AcquireSite, LockModel, build_lock_model
+from .locks import AcquireSite, LockModel, build_lock_model, table_class
 
 __all__ = ["LockOrderRule", "LockWaitRule", "LockReleaseRule", "BLOCKING_CALLS"]
 
 #: Method names whose calls block unboundedly (flagged under any lock).
-BLOCKING_CALLS = ("throttle", "quiesce", "shutdown", "run_until_complete")
+BLOCKING_CALLS = ("throttle", "run_until_complete")
 
 #: The lock class whose regions must not contain faultable I/O/retries.
 _WRITE_CLASS = "rados.write"
@@ -116,7 +118,7 @@ class _Summaries:
 def _region_callees(model: LockModel, site: AcquireSite):
     """(call, target) pairs for resolved calls inside the site's region."""
     region = site.region
-    if region is None or site.func is None:
+    if region is None:
         return
     for call, targets in model.graph.call_sites.get(id(site.func.node), []):
         if call is site.call or not _in_region(call, region):
@@ -165,15 +167,13 @@ class LockOrderRule(Rule):
             edge_sites.setdefault((outer, inner), []).append(site)
 
         for site in model.sites:
-            if site.multi and not site.ordered:
-                add_edge(site.lock_class, site.lock_class, site)
             region = site.region
-            if region is None or site.func is None:
+            if region is None:
                 continue
-            for other in model.sites_by_func.get(id(site.func.node), []):
-                if other is site or other.collection == site.collection is not None:
-                    continue
-                if _in_region(other.call, region):
+            if site.unsorted_multi:
+                add_edge(site.lock_class, site.lock_class, site)
+            for other in model.sites_by_func[id(site.func.node)]:
+                if other is not site and _in_region(other.call, region):
                     add_edge(site.lock_class, other.lock_class, site)
             for _call, target in _region_callees(model, site):
                 for inner in summaries.acquires.get(id(target.node), ()):
@@ -187,11 +187,11 @@ class LockOrderRule(Rule):
             )
             anchor = sites[0]
             if outer == inner:
-                if anchor.multi and not anchor.ordered:
+                if anchor.unsorted_multi:
                     detail = (
-                        "multi-acquire iterates an unsorted collection; two"
-                        " tasks can take the same locks in opposite orders —"
-                        " build the collection over sorted(...) keys"
+                        "multi-acquire loop does not iterate sorted(...) keys;"
+                        " two tasks can take the same locks in opposite"
+                        " orders — iterate sorted(...) keys"
                     )
                 else:
                     detail = (
@@ -221,8 +221,7 @@ class LockWaitRule(Rule):
         model = build_lock_model(modules)
         summaries = _Summaries(model)
         for site in model.sites:
-            region = site.region
-            if region is None or site.guard is None:
+            if site.guard is None:
                 continue
             is_write = site.lock_class == _WRITE_CLASS
             kinds_seen: Set[str] = set()
@@ -304,29 +303,36 @@ class LockReleaseRule(Rule):
     title = "lock not released on every exit path"
     severity = "error"
 
+    def applies(self, module: str) -> bool:
+        # The lock table itself (and Resource) live in repro.sim.
+        return module != "repro.sim" and not module.startswith("repro.sim.")
+
     def check(self, mod: SourceModule) -> Iterable[Finding]:
-        model = build_lock_model([mod])
-        for site in model.sites:
-            if site.guarded:
+        guarded = {
+            id(site.call)
+            for site in build_lock_model([mod]).sites
+            if site.guard is not None
+        }
+        for node in ast.walk(mod.tree):
+            if (
+                not isinstance(node, ast.Call)
+                or not isinstance(node.func, ast.Attribute)
+                or node.func.attr != "acquire"
+                or id(node) in guarded
+            ):
                 continue
-            if site.var is None:
+            lock_class = table_class(node)
+            if lock_class is None:
                 message = (
-                    f"{site.lock_class} lock acquired from a factory chain"
-                    f" with no handle kept: nothing can release it; bind the"
-                    f" lock to a variable and release it in a try/finally"
-                )
-            elif site.multi:
-                message = (
-                    f"{site.lock_class} multi-acquire loop outside any"
-                    f" releasing try/finally: an interrupt or fault mid-loop"
-                    f" leaks every lock already acquired; append each lock to"
-                    f" an acquired-list inside the try and release the list"
-                    f" in the finally"
+                    "bare .acquire() outside repro.sim: take locks through a"
+                    " LockTable — `yield table.acquire(key, held)` inside a"
+                    " try whose finally calls `table.release(held)`"
                 )
             else:
                 message = (
-                    f"{site.lock_class} lock acquired but not released on"
-                    f" every exit path: follow the acquire with"
-                    f" try/finally: {site.var}.release()"
+                    f"{lock_class} lock acquired outside a try whose finally"
+                    f" releases its held list through the same table: an"
+                    f" interrupt or fault leaks it; move the acquire into the"
+                    f" try and call `<table>.release(held)` in the finally"
                 )
-            yield mod.finding(self, site.call, message)
+            yield mod.finding(self, node, message)

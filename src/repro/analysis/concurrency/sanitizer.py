@@ -2,7 +2,8 @@
 
 :class:`LockSanitizer` attaches to a :class:`repro.sim.Simulator` and
 receives callbacks from every *labelled* :class:`repro.sim.Resource`
-(the rados write-lock table, the dedup tier's object/chunk lock maps):
+(the locks of the rados write-lock table and of the dedup tier's
+object/chunk lock tables):
 
 * ``on_acquire`` — a task requested the lock (may queue);
 * ``on_grant`` — the request was granted (immediately or on release);

@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..obs import NULL_SPAN
-from ..sim import Resource, Simulator, Timeout
+from ..sim import LockTable, Simulator, Timeout
 from .clustermap import ClusterMap
 from .crush import CrushMap
 from .hardware import HardwareProfile, Nic
@@ -116,7 +116,7 @@ class RadosCluster:
         self.faults = None
         # RADOS orders mutations per object at the PG: concurrent writes
         # to one object serialise.
-        self._write_locks: Dict[ObjectKey, Resource] = {}
+        self.write_locks = LockTable(self.sim, "rados.write:{0.pool_id}/{0.pg}/{0.name}")
         # PGs whose acting set changed under live data (expansion /
         # decommission).  While an entry is active, IO for the PG runs
         # against the union of old+new locations; the rebalance engine
@@ -138,17 +138,6 @@ class RadosCluster:
         """Tell listeners that recovery/rebalance rewrote objects."""
         for listener in self._repair_listeners:
             listener()
-
-    def _write_lock(self, key: ObjectKey) -> Resource:
-        lock = self._write_locks.get(key)
-        if lock is None:
-            lock = Resource(
-                self.sim,
-                capacity=1,
-                label=f"rados.write:{key.pool_id}/{key.pg}/{key.name}",
-            )
-            self._write_locks[key] = lock
-        return lock
 
     # -- topology -----------------------------------------------------------
 
@@ -403,13 +392,10 @@ class RadosCluster:
                 yield from sends[0]
             else:
                 yield self.sim.all_of([self.sim.process(send) for send in sends])
-            locks = [self._write_lock(key) for key in sorted(set(keys))]
-            held = []  # (lock, grant): a release is owed once the grant triggers
+            held: list = []
             try:
-                for lock in locks:
-                    grant = lock.acquire()
-                    held.append((lock, grant))
-                    yield grant
+                for key in sorted(set(keys)):
+                    yield self.write_locks.acquire(key, held)
                 plan = []  # (txn, replicas, payload bytes) per group
                 for _gid, targets, members in self._commit_groups(pool, keys):
                     node = targets[0].node
@@ -453,9 +439,7 @@ class RadosCluster:
                     for osd in alive:
                         osd.commit_transaction(txn)
             finally:
-                for lock, grant in reversed(held):
-                    if grant.triggered:
-                        lock.release()
+                self.write_locks.release(held)
             yield self._rpc_latency()  # ack to client
 
     def _commit_groups(
@@ -683,13 +667,13 @@ class RadosCluster:
         key = self.object_key(pool, oid)
         primary = next(o for o in self._ec_acting_for_write(pool, oid) if o is not None)
         yield from self._transfer(client.nic, primary.node.nic, len(data))
-        lock = self._write_lock(key)
-        yield lock.acquire()
+        held: list = []
         try:
+            yield self.write_locks.acquire(key, held)
             yield from self._ec_write_full_locked(pool, oid, data, client)
             self._purge_parked_ec_copies(pool, oid, key)
         finally:
-            lock.release()
+            self.write_locks.release(held)
         yield self._rpc_latency()
 
     def _ec_write_full_locked(
@@ -803,9 +787,9 @@ class RadosCluster:
         yield from self._transfer(
             client.nic, self._primary(pool, oid, key.pg).node.nic, txn.io_bytes
         )
-        lock = self._write_lock(key)
-        yield lock.acquire()
+        held: list = []
         try:
+            yield self.write_locks.acquire(key, held)
             acting = self._acting_osds(pool, key.pg)
             holder = next(
                 (o for o in acting if o.up and o.store.exists(key)), None
@@ -843,7 +827,7 @@ class RadosCluster:
             )
             self._purge_parked_ec_copies(pool, oid, key)
         finally:
-            lock.release()
+            self.write_locks.release(held)
         yield self._rpc_latency()
 
     def _ec_read_internal(self, pool: Pool, oid: str):

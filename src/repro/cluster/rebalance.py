@@ -389,9 +389,9 @@ class Rebalancer:
         """
         cluster = self.cluster
         key = ObjectKey(pool.pool_id, pg, name)
-        lock = cluster._write_lock(key)
-        yield lock.acquire()
+        held: list = []
         try:
+            yield cluster.write_locks.acquire(key, held)
             if pool.is_ec:
                 moved = yield from self._migrate_ec_locked(pool, key, remap, span)
             else:
@@ -399,7 +399,7 @@ class Rebalancer:
                     pool, key, remap, span
                 )
         finally:
-            lock.release()
+            cluster.write_locks.release(held)
         return moved
 
     def _union_holders(self, key: ObjectKey, remap: PgRemap):

@@ -250,10 +250,10 @@ def recover(cluster: RadosCluster, stats: Optional[RecoveryStats] = None):
         # any PG is mid-remap, take the same lock here (mirrors _run_task)
         # so a migration can never interleave between the check and the
         # delete.  With no remaps active nothing else races recovery.
-        lock = cluster._write_lock(key) if cluster._active_remaps else None
-        if lock is not None:
-            yield lock.acquire()
+        held: list = []
         try:
+            if cluster._active_remaps:
+                yield cluster.write_locks.acquire(key, held)
             if not osd.store.exists(key):
                 continue
             if not _safe_to_delete(cluster, osd, key, stats):
@@ -264,8 +264,7 @@ def recover(cluster: RadosCluster, stats: Optional[RecoveryStats] = None):
             osd.store.delete_object(key)
             stats.objects_deleted += 1
         finally:
-            if lock is not None:
-                lock.release()
+            cluster.write_locks.release(held)
     if stats.tasks_failed == 0:
         for osd in cluster.osds.values():
             if osd.up and osd.needs_backfill:
@@ -321,10 +320,10 @@ def _run_task(cluster: RadosCluster, task: _CopyTask, stats: RecoveryStats):
     active nothing else races recovery, so the lock is skipped and the
     legacy task parallelism (and its device timing) is preserved.
     """
-    lock = cluster._write_lock(task.key) if cluster._active_remaps else None
-    if lock is not None:
-        yield lock.acquire()
+    held: list = []
     try:
+        if cluster._active_remaps:
+            yield cluster.write_locks.acquire(task.key, held)
         if task.ec_pool is None:
             yield from _copy_object(cluster, task, stats)
         else:
@@ -336,8 +335,7 @@ def _run_task(cluster: RadosCluster, task: _CopyTask, stats: RecoveryStats):
             raise
         stats.tasks_failed += 1
     finally:
-        if lock is not None:
-            lock.release()
+        cluster.write_locks.release(held)
 
 
 def _charge_shard_read(cluster: RadosCluster, holder: OSD, target: OSD, nbytes: int):

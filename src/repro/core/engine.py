@@ -17,12 +17,12 @@ A background process drains the dirty object ID list:
 Rate control (§4.4.2) paces step 3's I/O against foreground load, and
 hot objects are skipped entirely (selective dedup) until they cool off.
 
-Foreground writes racing with a dedup pass are detected with a per-object
-mutation counter: if the object changed while its chunks were being
-flushed, the pass aborts before touching the chunk map (undoing the
-references it took) and the object is re-queued — the dirty bits, which
-are part of the same transactions as the data they describe, remain the
-source of truth.
+A pass holds the object's lock from its map load to its map commit, the
+same lock every foreground write and delete of the object takes, so no
+mutation can land mid-pass.  A pass that faults instead aborts before
+the chunk map commits (undoing the references it took) and the object is
+re-queued — the dirty bits, which are part of the same transactions as
+the data they describe, remain the source of truth.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class EngineStats:
 
     objects_processed: int = 0
     objects_skipped_hot: int = 0
+    #: Always 0: a pass holds the object lock every mutation takes, so
+    #: none can race it.  Kept while the e2e benchmark reads it.
     objects_aborted_race: int = 0
     #: Passes abandoned because the substrate faulted mid-pass (the
     #: object is requeued; references taken this pass are released).
@@ -137,7 +139,7 @@ class DedupEngine:
         ``force`` bypasses the hot-object skip *and* rate control — it is
         used by drains and by flush-on-write, where the caller is already
         foreground.  Returns one of ``"done"``, ``"skipped_hot"``,
-        ``"raced"``, ``"missing"``.
+        ``"missing"``, ``"faulted"``.
         """
         tier = self.tier
         with tier.tracer.root_span("op.dedup_pass", oid=oid, forced=force) as op:
@@ -154,13 +156,13 @@ class DedupEngine:
                 with op.child("engine.rate_throttle", pending=pending):
                     for _ in range(max(1, pending)):
                         yield from tier.rate.throttle()
-            lock = tier.object_lock(oid)
-            with op.child("tier.lock_wait", oid=oid):
-                yield lock.acquire()
+            held: list = []
             try:
+                with op.child("tier.lock_wait", oid=oid):
+                    yield tier.object_locks.acquire(oid, held)
                 result = yield from self._process_object_locked(oid, force, op)
             finally:
-                lock.release()
+                tier.object_locks.release(held)
             # Outside the lock: a capacity victim may be this same object.
             with op.child("engine.cache_enforce"):
                 yield from self.enforce_cache_capacity()
@@ -169,7 +171,6 @@ class DedupEngine:
 
     def _process_object_locked(self, oid: str, force: bool, span=NULL_SPAN):
         tier = self.tier
-        seq_at_start = tier.seq(oid)
         cmap = yield from tier.load_chunk_map(oid, span=span)
         if cmap is None:
             return "missing"
@@ -248,7 +249,7 @@ class DedupEngine:
                     # chunk object.  The actual dereference is deferred
                     # until the chunk-map update commits: a partially-cached
                     # entry still *needs* the old chunk for its missing
-                    # ranges if this pass aborts on a foreground race.
+                    # ranges if this pass aborts on a fault.
                     pending_derefs.append((entry.chunk_id, ref))
                 if entry.chunk_id != fp:
                     if batch is not None:
@@ -284,16 +285,6 @@ class DedupEngine:
                 # the metadata object holds no data at all — only metadata.
                 txn.truncate(key, 0)
             if batch is not None and batch:
-                if tier.seq(oid) != seq_at_start:
-                    # Raced before the batch committed: nothing in the
-                    # chunk pool was touched, so there is nothing to undo.
-                    # The seq bump signals a mutation this pass did not
-                    # observe — distrust the cached decode and let the
-                    # requeued pass re-read the stored truth.
-                    tier.invalidate_map_cache(oid)
-                    self.stats.objects_aborted_race += 1
-                    tier.mark_dirty(oid)
-                    return "raced"
                 outcomes = yield from tier.commit_chunk_batch(batch, via, span=span)
                 for op_i, fp, ref, nbytes in planned:
                     taken.append((fp, ref))
@@ -303,15 +294,6 @@ class DedupEngine:
                     else:
                         self.stats.chunks_deduped += 1
                         self.stats.bytes_deduped += nbytes
-            if tier.seq(oid) != seq_at_start:
-                # A foreground write landed mid-pass: our map view is stale.
-                # Undo the references we took and retry later; dirty bits in
-                # the (authoritative) stored map still cover the new data.
-                tier.invalidate_map_cache(oid)
-                yield from self._release_or_defer(taken, via, span=span)
-                self.stats.objects_aborted_race += 1
-                tier.mark_dirty(oid)
-                return "raced"
             if changed:
                 tier.append_map_commit(txn, oid, cmap)
                 yield from tier.cluster.submit(
@@ -386,59 +368,47 @@ class DedupEngine:
         if oid in self._promoting:
             return "in_progress"
         self._promoting.add(oid)
+        held: list = []
         try:
-            lock = tier.object_lock(oid)
-            yield lock.acquire()
+            yield tier.object_locks.acquire(oid, held)
+            cmap = yield from tier.load_chunk_map(oid)
+            if cmap is None:
+                return "missing"
+            primary = tier.cluster._primary(tier.metadata_pool, oid)
+            via = NodeClient(primary.node)
+            key = tier.metadata_key(oid)
+            txn = Transaction()
+            promoted = 0
+            for idx in cmap.promotable_indices():
+                entry = cmap.get(idx)
+                data = yield from tier.read_chunk(entry.chunk_id, 0, entry.length, via)
+                if len(data) < entry.length:
+                    # Short read (e.g. a replica still being reconciled):
+                    # caching it would serve the gap as zeros forever.
+                    # Skip the entry; a later pass can promote it once
+                    # the chunk reads whole.
+                    continue
+                txn.write(key, entry.offset, data)
+                cmap.set(entry.replace(valid=((0, entry.length),)))
+                tier.cache.note_cached(oid, idx, entry.length)
+                promoted += 1
+            if promoted == 0:
+                return "nothing"
+            tier.append_map_commit(txn, oid, cmap)
             try:
-                seq_at_start = tier.seq(oid)
-                cmap = yield from tier.load_chunk_map(oid)
-                if cmap is None:
-                    return "missing"
-                primary = tier.cluster._primary(tier.metadata_pool, oid)
-                via = NodeClient(primary.node)
-                key = tier.metadata_key(oid)
-                txn = Transaction()
-                promoted = 0
-                for idx in cmap.promotable_indices():
-                    entry = cmap.get(idx)
-                    data = yield from tier.read_chunk(
-                        entry.chunk_id, 0, entry.length, via
-                    )
-                    if len(data) < entry.length:
-                        # Short read (e.g. a replica still being
-                        # reconciled): caching it would serve the gap as
-                        # zeros forever.  Skip the entry; a later pass
-                        # can promote it once the chunk reads whole.
-                        continue
-                    txn.write(key, entry.offset, data)
-                    cmap.set(entry.replace(valid=((0, entry.length),)))
-                    tier.cache.note_cached(oid, idx, entry.length)
-                    promoted += 1
-                if promoted == 0:
-                    return "nothing"
-                if tier.seq(oid) != seq_at_start:
-                    # Raced: a mutation this promotion did not observe
-                    # landed mid-flight — distrust the cached decode.
-                    tier.invalidate_map_cache(oid)
-                    return "raced"
-                tier.append_map_commit(txn, oid, cmap)
-                try:
-                    yield from tier.cluster.submit(
-                        tier.metadata_pool, oid, txn, via
-                    )
-                except Exception as exc:
-                    # Promotion is purely an optimisation: on a fault the
-                    # chunk map stays authoritative and the object is
-                    # re-promoted the next time its hit count trips.
-                    tier.invalidate_map_cache(oid)
-                    if not is_retryable(exc):
-                        raise
-                    return "faulted"
-                tier.note_map_committed(oid, cmap)
-                self.stats.chunks_promoted += promoted
-            finally:
-                lock.release()
+                yield from tier.cluster.submit(tier.metadata_pool, oid, txn, via)
+            except Exception as exc:
+                # Promotion is purely an optimisation: on a fault the
+                # chunk map stays authoritative and the object is
+                # re-promoted the next time its hit count trips.
+                tier.invalidate_map_cache(oid)
+                if not is_retryable(exc):
+                    raise
+                return "faulted"
+            tier.note_map_committed(oid, cmap)
+            self.stats.chunks_promoted += promoted
         finally:
+            tier.object_locks.release(held)
             self._promoting.discard(oid)
         yield from self.enforce_cache_capacity()
         return "done"
@@ -451,12 +421,12 @@ class DedupEngine:
     def demote_chunk(self, oid: str, index: int):
         """Process: punch one clean cached chunk out of its object."""
         tier = self.tier
-        lock = tier.object_lock(oid)
-        yield lock.acquire()
+        held: list = []
         try:
+            yield tier.object_locks.acquire(oid, held)
             yield from self._demote_chunk_locked(oid, index)
         finally:
-            lock.release()
+            tier.object_locks.release(held)
 
     def _demote_chunk_locked(self, oid: str, index: int):
         tier = self.tier

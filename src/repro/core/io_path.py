@@ -127,13 +127,13 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
         # Mutations of one object are serialised (as RADOS serialises ops
         # per object at its PG): the chunk-map read-modify-write below must
         # not interleave with a dedup pass committing a new map.
-        lock = tier.object_lock(oid)
-        with op.child("tier.lock_wait", oid=oid):
-            yield lock.acquire()
+        held: list = []
         try:
+            with op.child("tier.lock_wait", oid=oid):
+                yield tier.object_locks.acquire(oid, held)
             yield from _write_locked(tier, oid, offset, data, client, op)
         finally:
-            lock.release()
+            tier.object_locks.release(held)
 
 
 def _write_locked(
@@ -208,7 +208,6 @@ def _write_locked(
         tier.invalidate_map_cache(oid)
         raise
     tier.note_map_committed(oid, cmap)
-    tier.bump_seq(oid)
     tier.mark_dirty(oid)
     tier.fg_window.note(len(data))
     tier.cache.record_access(oid)
@@ -229,10 +228,10 @@ def delete_path(tier: DedupTier, oid: str, client=None):
     safety direction as flush.
     """
     with tier.tracer.root_span("op.delete", oid=oid) as op:
-        lock = tier.object_lock(oid)
-        with op.child("tier.lock_wait", oid=oid):
-            yield lock.acquire()
+        held: list = []
         try:
+            with op.child("tier.lock_wait", oid=oid):
+                yield tier.object_locks.acquire(oid, held)
             cmap = yield from tier.load_chunk_map(oid, span=op)
             if cmap is None:
                 raise NoSuchObject(oid)
@@ -252,7 +251,6 @@ def delete_path(tier: DedupTier, oid: str, client=None):
             # a later recreate (load_chunk_map hits skip the existence
             # probe entirely).
             tier.invalidate_map_cache(oid)
-            tier.bump_seq(oid)
             # The object is gone whatever happens to its references:
             # take its chunks off the cache manager's books first.
             pairs = []
@@ -268,7 +266,7 @@ def delete_path(tier: DedupTier, oid: str, client=None):
                 )
             tier.fg_window.note(0)
         finally:
-            lock.release()
+            tier.object_locks.release(held)
 
 
 def entry_ref(tier: DedupTier, oid: str, entry):

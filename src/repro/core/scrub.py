@@ -133,9 +133,9 @@ def collect_garbage(tier: DedupTier):
     node = next(iter(cluster.nodes.values()))
     via = NodeClient(node)
     for chunk_id in cluster.list_objects(tier.chunk_pool):
-        lock = tier.chunk_lock(chunk_id)
-        yield lock.acquire()
+        held: list = []
         try:
+            yield tier.chunk_locks.acquire(chunk_id, held)
             if not cluster.exists(tier.chunk_pool, chunk_id):
                 continue
             implied = live.get(chunk_id, set())
@@ -156,7 +156,7 @@ def collect_garbage(tier: DedupTier):
                 report.chunks_removed += 1
                 report.bytes_reclaimed += length
         finally:
-            lock.release()
+            tier.chunk_locks.release(held)
     # GC rewrites reference state the maps imply; a decoded map cached
     # across the collection could disagree with what GC just decided
     # was live.  Defensive full drop — GC is rare and offline.

@@ -32,7 +32,7 @@ from ..cluster import (
 from ..faults.retry import RetryPolicy, RetryStats, call_with_retries
 from ..obs import NULL_SPAN, Tracer
 from ..perf.stages import StageCounters
-from ..sim import Resource
+from ..sim import LockTable
 from .config import DedupConfig
 from .cache import CacheManager
 from .objects import (
@@ -205,15 +205,13 @@ class DedupTier:
         # requeue (or a fired one racing a foreground mark_dirty) must
         # not enqueue the oid twice.
         self._pending_requeues: Set[str] = set()
-        # Monotonic per-object mutation counters: the engine uses them to
-        # detect foreground writes racing with a dedup pass.
-        self.mutation_seq: Dict[str, int] = {}
-        # Per-chunk-object locks serialising reference read-modify-write.
-        self._chunk_locks: Dict[str, Resource] = {}
-        # Per-metadata-object locks serialising dedup passes (two engine
-        # workers, or flush-on-write racing the engine, must not process
-        # the same object concurrently).
-        self._object_locks: Dict[str, Resource] = {}
+        #: Per-chunk-object locks serialising reference read-modify-write.
+        self.chunk_locks = LockTable(cluster.sim, "tier.chunk:{}")
+        #: Per-metadata-object locks serialising every mutation of one
+        #: object: foreground writes and deletes, dedup passes (two
+        #: engine workers, or flush-on-write racing the engine), and
+        #: promotion/demotion.
+        self.object_locks = LockTable(cluster.sim, "tier.object:{}")
         #: Read-path counters: segments served from the metadata-pool
         #: cache vs redirected to the chunk pool.
         self.cache_hits = 0
@@ -326,16 +324,6 @@ class DedupTier:
             if self.peek_dirty_count(oid):
                 self.mark_dirty(oid)
         return self.dirty_count
-
-    def bump_seq(self, oid: str) -> int:
-        """Advance and return the mutation counter for ``oid``."""
-        seq = self.mutation_seq.get(oid, 0) + 1
-        self.mutation_seq[oid] = seq
-        return seq
-
-    def seq(self, oid: str) -> int:
-        """Current mutation counter for ``oid``."""
-        return self.mutation_seq.get(oid, 0)
 
     # -- chunk map I/O -------------------------------------------------------
 
@@ -535,24 +523,6 @@ class DedupTier:
         data = yield from primary.execute_read(key, offset, length)
         return data
 
-    # -- chunk pool operations --------------------------------------------------
-
-    def chunk_lock(self, chunk_id: str) -> Resource:
-        """Per-chunk-object mutex for reference read-modify-write."""
-        lock = self._chunk_locks.get(chunk_id)
-        if lock is None:
-            lock = Resource(self.sim, capacity=1, label=f"tier.chunk:{chunk_id}")
-            self._chunk_locks[chunk_id] = lock
-        return lock
-
-    def object_lock(self, oid: str) -> Resource:
-        """Per-metadata-object mutex for dedup passes."""
-        lock = self._object_locks.get(oid)
-        if lock is None:
-            lock = Resource(self.sim, capacity=1, label=f"tier.object:{oid}")
-            self._object_locks[oid] = lock
-        return lock
-
     # -- chunk reference state -------------------------------------------------
 
     def chunk_exists(self, chunk_id: str) -> bool:
@@ -587,9 +557,9 @@ class DedupTier:
         Returns True when the chunk data was newly stored.
         """
         with span.child("tier.chunk_ref", chunk=chunk_id) as s:
-            lock = self.chunk_lock(chunk_id)
-            yield lock.acquire()
+            held: list = []
             try:
+                yield self.chunk_locks.acquire(chunk_id, held)
                 self.stage.ref_ops += 1
                 exists = self.chunk_exists(chunk_id)
                 refs = self._load_refs(chunk_id) if exists else RefSet()
@@ -623,7 +593,7 @@ class DedupTier:
                 self.stage.ref_commits += 1
                 return not exists
             finally:
-                lock.release()
+                self.chunk_locks.release(held)
 
     # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); faults propagate to the caller's scope, which defers the deref to GC
     def chunk_deref(self, chunk_id: str, ref: ChunkRef, via, span=NULL_SPAN):
@@ -634,9 +604,9 @@ class DedupTier:
         paper's §4.6 failure analysis relies on this idempotence).
         """
         with span.child("tier.chunk_deref", chunk=chunk_id) as s:
-            lock = self.chunk_lock(chunk_id)
-            yield lock.acquire()
+            held: list = []
             try:
+                yield self.chunk_locks.acquire(chunk_id, held)
                 self.stage.ref_ops += 1
                 if not self.chunk_exists(chunk_id):
                     return
@@ -654,7 +624,7 @@ class DedupTier:
                     )
                 self.stage.ref_commits += 1
             finally:
-                lock.release()
+                self.chunk_locks.release(held)
 
     # -- batched reference commits --------------------------------------------
 
@@ -697,13 +667,10 @@ class DedupTier:
         ) as s:
             # Sorted acquisition: concurrent passes (and the per-op path,
             # which holds at most one chunk lock) cannot deadlock.
-            chunk_ids = sorted(per_chunk)
-            locks = [self.chunk_lock(cid) for cid in chunk_ids]
-            acquired: List[Resource] = []
+            held: list = []
             try:
-                for lock in locks:
-                    yield lock.acquire()
-                    acquired.append(lock)
+                for cid in sorted(per_chunk):
+                    yield self.chunk_locks.acquire(cid, held)
                 self.stage.ref_ops += len(batch.ops)
                 items: List[Tuple[str, Transaction]] = []
                 stored_blobs: List[bytes] = []
@@ -769,8 +736,7 @@ class DedupTier:
                 s.tag(stored=len(stored_blobs), removed=removed)
                 return outcomes
             finally:
-                for lock in reversed(acquired):
-                    lock.release()
+                self.chunk_locks.release(held)
 
     # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); a fault propagates to the caller's scope, which retries or defers the set to GC
     def release_refs(self, pairs, via, span=NULL_SPAN):

@@ -10,7 +10,7 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .resources import Resource, Store, TokenBucket
+from .resources import LockTable, Resource, Store, TokenBucket
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
+    "LockTable",
     "Resource",
     "Store",
     "TokenBucket",

@@ -3,6 +3,9 @@
 * :class:`Resource` — a counted semaphore with FIFO queuing; models a
   device that can serve ``capacity`` requests concurrently (e.g. an SSD
   with an internal queue depth, or a CPU with N cores).
+* :class:`LockTable` — per-key mutexes (one capacity-1 ``Resource`` per
+  key, alive only while held or awaited); every lock of the tier and
+  the substrate is taken through one.
 * :class:`Store` — an unbounded/bounded FIFO buffer of items; models
   mailboxes and work queues between processes.
 * :class:`TokenBucket` — a rate limiter with burst capacity; models
@@ -13,11 +16,11 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, Generator, Optional, Tuple, cast
+from typing import Any, Deque, Dict, Generator, Hashable, List, Optional, Tuple, cast
 
 from .core import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "TokenBucket"]
+__all__ = ["LockTable", "Resource", "Store", "TokenBucket"]
 
 _Waiters = Deque[Tuple[Event, Optional[float]]]
 
@@ -30,13 +33,9 @@ _NO_WAITERS = cast(_Waiters, ())
 class Resource:
     """A counted FIFO resource (semaphore) on the simulated clock.
 
-    A lock is held for as long as its critical section takes::
-
-        yield resource.acquire()
-        try:
-            ...
-        finally:
-            resource.release()
+    :meth:`acquire` returns a grant event that the caller yields; a lock
+    is taken that way through a :class:`LockTable`, which owes a
+    :meth:`release` from the instant the grant triggers.
 
     A device is held for a service time known up front:
     ``yield from resource.serve(t)`` (or, as a process of its own,
@@ -219,6 +218,63 @@ class Resource:
         finally:
             if hold.triggered:
                 self.release()
+
+
+class LockTable:
+    """Per-key capacity-1 locks that exist only while in use.
+
+    The one way a lock is taken::
+
+        held: list = []
+        try:
+            yield table.acquire(key, held)
+            ...
+        finally:
+            table.release(held)
+
+    :meth:`acquire` fetches (or creates) the key's :class:`Resource` at
+    that instant and records the grant in ``held`` *before* the caller
+    yields it.  :meth:`release` gives back exactly the grants that
+    triggered: a deadline that interrupts the caller in the instant its
+    grant is handed over still owes the lock, and a waiter interrupted
+    while queued never had it (the holder's release skips its cancelled
+    event).  Several keys are taken in ``sorted(...)`` order into one
+    ``held`` list, so no two tasks can wait on each other; a ``held``
+    list belongs to one table.
+
+    An entry is dropped by the release that leaves it idle — a release
+    hands the lock to the next live waiter or drains every cancelled one
+    first — so the table holds only keys with a holder, and a key taken
+    again later gets a fresh lock.  ``label`` formats a key into the
+    lock's sanitizer label, ``"class:..."`` (e.g. ``"tier.chunk:{}"``).
+    """
+
+    def __init__(self, sim: Simulator, label: str) -> None:
+        self.sim = sim
+        self.label = label
+        self._locks: Dict[Hashable, Resource] = {}
+
+    def __len__(self) -> int:
+        return len(self._locks)
+
+    def acquire(self, key: Hashable, held: List[Tuple[Hashable, Event]]) -> Event:
+        """Return the grant event for ``key``'s lock, recorded in ``held``."""
+        lock = self._locks.get(key)
+        if lock is None:
+            lock = self._locks[key] = Resource(self.sim, 1, self.label.format(key))
+        grant = lock.acquire()
+        held.append((key, grant))
+        return grant
+
+    def release(self, held: List[Tuple[Hashable, Event]]) -> None:
+        """Release every granted lock in ``held``, newest first."""
+        locks = self._locks
+        for key, grant in reversed(held):
+            if grant.triggered:
+                lock = locks[key]
+                lock.release()
+                if not lock._in_use:
+                    del locks[key]
 
 
 class Store:

@@ -6,56 +6,50 @@ Linted with a module override placing it under ``repro.core``.
 
 
 def unsorted_multi(self, chunk_ids):
-    locks = [self.chunk_lock(c) for c in chunk_ids]
-    acquired = []
+    held = []
     try:
-        for lock in locks:
-            yield lock.acquire()  # line 13: LCK001 (unsorted self-cycle)
-            acquired.append(lock)
+        for cid in chunk_ids:
+            yield self.chunk_locks.acquire(cid, held)  # line 12: LCK001 (unsorted self-cycle)
         yield None
     finally:
-        for lock in reversed(acquired):
-            lock.release()
+        self.chunk_locks.release(held)
 
 
 def take_object_then_chunk(self, oid, cid):
-    outer = self.object_lock(oid)
-    yield outer.acquire()  # line 23: LCK001 (edge object -> chunk)
+    outer = []
     try:
-        inner = self.chunk_lock(cid)
-        yield inner.acquire()
+        yield self.object_locks.acquire(oid, outer)  # line 21: LCK001 (edge object -> chunk)
+        inner = []
         try:
+            yield self.chunk_locks.acquire(cid, inner)
             yield None
         finally:
-            inner.release()
+            self.chunk_locks.release(inner)
     finally:
-        outer.release()
+        self.object_locks.release(outer)
 
 
 def take_chunk_then_object(self, oid, cid):
-    outer = self.chunk_lock(cid)
-    yield outer.acquire()  # line 37: LCK001 (edge chunk -> object)
+    outer = []
     try:
-        inner = self.object_lock(oid)
-        yield inner.acquire()
+        yield self.chunk_locks.acquire(cid, outer)  # line 35: LCK001 (edge chunk -> object)
+        inner = []
         try:
+            yield self.object_locks.acquire(oid, inner)
             yield None
         finally:
-            inner.release()
+            self.object_locks.release(inner)
     finally:
-        outer.release()
+        self.chunk_locks.release(outer)
 
 
 def sorted_multi(self, chunk_ids):
-    # Clean: the collection iterates sorted(...) keys, so every task
-    # acquires in the same global order.
-    locks = [self.chunk_lock(c) for c in sorted(chunk_ids)]
-    acquired = []
+    # Clean: the loop iterates sorted(...) keys, so every task acquires
+    # in the same global order.
+    held = []
     try:
-        for lock in locks:
-            yield lock.acquire()
-            acquired.append(lock)
+        for cid in sorted(chunk_ids):
+            yield self.chunk_locks.acquire(cid, held)
         yield None
     finally:
-        for lock in reversed(acquired):
-            lock.release()
+        self.chunk_locks.release(held)

@@ -2,12 +2,13 @@
 
 Two tasks calling ``swap("a", "b")`` and ``swap("b", "a")`` acquire the
 same pair of ``tier.object`` locks in opposite orders and wedge.  The
-static prong (LCK001) flags the nested same-class acquire; the dynamic
-prong (:class:`repro.analysis.LockSanitizer`) observes the inversion at
-runtime.  Linted with a module override placing it under ``repro.core``.
+static prong (LCK001) flags the unsorted same-class acquires in one
+region; the dynamic prong (:class:`repro.analysis.LockSanitizer`)
+observes the inversion at runtime.  Linted with a module override
+placing it under ``repro.core``.
 """
 
-from repro.sim import Resource, Simulator
+from repro.sim import LockTable, Simulator
 
 
 class DeadlockTier:
@@ -15,28 +16,17 @@ class DeadlockTier:
 
     def __init__(self, sim):
         self.sim = sim
-        self._locks = {}
-
-    def object_lock(self, oid):
-        lock = self._locks.get(oid)
-        if lock is None:
-            lock = Resource(self.sim, capacity=1, label=f"tier.object:{oid}")
-            self._locks[oid] = lock
-        return lock
+        self.object_locks = LockTable(sim, "tier.object:{}")
 
     def swap(self, first, second):
         """Hold ``first`` while taking ``second`` — opposite callers hang."""
-        outer = self.object_lock(first)
-        yield outer.acquire()  # line 30: LCK001 (same class under itself)
+        held = []
         try:
-            inner = self.object_lock(second)
-            yield inner.acquire()
-            try:
-                yield self.sim.timeout(0.1)
-            finally:
-                inner.release()
+            yield self.object_locks.acquire(first, held)  # line 25: LCK001
+            yield self.object_locks.acquire(second, held)
+            yield self.sim.timeout(0.1)
         finally:
-            outer.release()
+            self.object_locks.release(held)
 
 
 def run_deadlock(sim=None):

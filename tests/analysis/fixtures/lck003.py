@@ -4,44 +4,53 @@ Linted with a module override placing it under ``repro.core``.
 """
 
 
-def chain_no_handle(self, key):
-    yield self._write_lock(key).acquire()  # line 8: LCK003 (no handle)
-
-
-def scalar_unguarded(self, key):
-    lock = self._write_lock(key)
-    yield lock.acquire()  # line 13: LCK003 (no try/finally)
+def bare_acquire(self, lock):
+    yield lock.acquire()  # line 8: LCK003 (not a lock-table acquire)
     lock.release()
 
 
-def multi_across_loop(self, keys):
-    locks = [self._write_lock(k) for k in sorted(keys)]
-    for lock in locks:
-        yield lock.acquire()  # line 20: LCK003 (leaks on mid-loop exit)
+def acquire_before_try(self, key):
+    held = []
+    yield self.write_locks.acquire(key, held)  # line 14: LCK003 (outside the try)
     try:
         yield None
     finally:
-        for lock in locks:
-            lock.release()
+        self.write_locks.release(held)
 
 
-def scalar_guarded(self, key):
-    lock = self._write_lock(key)
-    yield lock.acquire()
+def multi_before_try(self, keys):
+    held = []
+    for key in sorted(keys):
+        yield self.write_locks.acquire(key, held)  # line 24: LCK003 (mid-loop exit leaks)
     try:
         yield None
     finally:
-        lock.release()
+        self.write_locks.release(held)
 
 
-def acquired_list_guarded(self, keys):
-    locks = [self._write_lock(k) for k in sorted(keys)]
-    acquired = []
+def released_through_another_table(self, key):
+    held = []
     try:
-        for lock in locks:
-            yield lock.acquire()
-            acquired.append(lock)
+        yield self.write_locks.acquire(key, held)  # line 34: LCK003 (wrong table)
         yield None
     finally:
-        for lock in reversed(acquired):
-            lock.release()
+        self.object_locks.release(held)
+
+
+def guarded(self, key):
+    held = []
+    try:
+        yield self.write_locks.acquire(key, held)
+        yield None
+    finally:
+        self.write_locks.release(held)
+
+
+def sorted_multi_guarded(self, keys):
+    held = []
+    try:
+        for key in sorted(keys):
+            yield self.write_locks.acquire(key, held)
+        yield None
+    finally:
+        self.write_locks.release(held)

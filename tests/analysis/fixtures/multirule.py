@@ -7,18 +7,18 @@ Linted with a module override placing it under ``repro.core``.
 
 
 def both_fire(self, key, txn, via):
-    lock = self._write_lock(key)
-    yield lock.acquire()
+    held = []
     try:
+        yield self.write_locks.acquire(key, held)
         yield from self.cluster.submit(self.pool, key, txn, via)  # line 13
     finally:
-        lock.release()
+        self.write_locks.release(held)
 
 
 def one_suppressed(self, key, txn, via):
-    lock = self._write_lock(key)
-    yield lock.acquire()
+    held = []
     try:
+        yield self.write_locks.acquire(key, held)
         yield from self.cluster.submit(self.pool, key, txn, via)  # repro-lint: disable=FLT001 -- fixture: lock rule must still fire
     finally:
-        lock.release()
+        self.write_locks.release(held)

@@ -14,16 +14,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_lck001_flags_unsorted_multi_and_cross_class_cycle():
     result = lint_fixtures({"lck001.py": "repro.core.fixture_lck001"})
-    # 13: unsorted multi-acquire self-cycle; 23/37: the object->chunk /
+    # 12: unsorted multi-acquire self-cycle; 21/35: the object->chunk /
     # chunk->object edges that close a cross-class cycle.  The sorted
     # multi-acquire stays quiet.
-    assert found(result, "LCK001") == (13, 23, 37)
+    assert found(result, "LCK001") == (12, 21, 35)
     assert not result.ok
 
 
 def test_lck001_acyclic_tree_is_clean():
     # lck003.py acquires plenty of locks but only sorted multi-acquires
-    # and single-class regions: no edge participates in a cycle.
+    # and single-lock regions: no edge participates in a cycle.
     result = lint_fixtures({"lck003.py": "repro.core.fixture_lck003"})
     assert found(result, "LCK001") == ()
 
@@ -40,10 +40,11 @@ def test_lck002_flags_io_retry_and_blocking_under_locks():
 
 def test_lck003_flags_leaks_but_not_guarded_shapes():
     result = lint_fixtures({"lck003.py": "repro.core.fixture_lck003"})
-    # 8: factory chain with no handle; 13: scalar without try/finally;
-    # 20: multi-acquire loop whose try sits beyond the loop.  Both
-    # guarded shapes (scalar and acquired-list) stay quiet.
-    assert found(result, "LCK003") == (8, 13, 20)
+    # 8: a bare acquire, not through a lock table; 14: a table acquire
+    # yielded before the try; 24: a multi-acquire loop whose try sits
+    # beyond the loop; 34: a finally releasing through another table.
+    # Both guarded shapes (one key, sorted keys) stay quiet.
+    assert found(result, "LCK003") == (8, 14, 24, 34)
     assert not result.ok
 
 
@@ -51,7 +52,7 @@ def test_lck001_flags_deadlock_fixture_statically():
     result = lint_fixtures(
         {"lck001_deadlock.py": "repro.core.fixture_lck001_deadlock"}
     )
-    assert found(result, "LCK001") == (30,)
+    assert found(result, "LCK001") == (25,)
 
 
 def test_two_rules_fire_on_one_line():

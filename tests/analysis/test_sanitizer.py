@@ -79,11 +79,11 @@ def test_report_round_trips_through_json():
 
 
 def test_deadlock_fixture_is_caught_by_both_prongs():
-    # Static: LCK001 flags the nested same-class acquire.
+    # Static: LCK001 flags the unsorted same-class acquires.
     result = lint_fixtures(
         {"lck001_deadlock.py": "repro.core.fixture_lck001_deadlock"}
     )
-    assert found(result, "LCK001") == (30,)
+    assert found(result, "LCK001") == (25,)
 
     # Dynamic: the same code, actually run, wedges — and the sanitizer
     # names the inversion rather than just the symptom.

@@ -176,7 +176,7 @@ def test_deadline_on_the_write_lock_grant_instant_does_not_leak_the_lock():
     cluster, pool = _cluster()
     sim = cluster.sim
     key = cluster.object_key(pool, "obj0")
-    lock = cluster._write_lock(key)
+    locks = cluster.write_locks
     t0 = sim.now
     log = []
 
@@ -187,11 +187,12 @@ def test_deadline_on_the_write_lock_grant_instant_does_not_leak_the_lock():
     def holder():
         # Holds the object as a rebalance migration would, releasing it
         # at t0 + 0.01 — after the interrupter's timeout, same instant.
-        yield lock.acquire()
+        held = []
         try:
+            yield locks.acquire(key, held)
             yield sim.timeout(0.01)
         finally:
-            lock.release()
+            locks.release(held)
 
     def victim():
         try:
@@ -211,5 +212,5 @@ def test_deadline_on_the_write_lock_grant_instant_does_not_leak_the_lock():
     sim.run()
     assert log == [("victim", "deadline", t0 + 0.01), ("late", "ok")]
     assert late_write.ok
-    assert (lock.in_use, lock.queue_len) == (0, 0)
+    assert len(locks) == 0  # no entry left for the key
     assert cluster.read_sync(pool, "obj0")[:4096] == b"L" * 4096

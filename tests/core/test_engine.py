@@ -153,7 +153,8 @@ def test_engine_start_stop_idempotent():
 
 
 def test_race_with_foreground_write_aborts_cleanly():
-    """A write landing mid-dedup-pass must not lose data or leak refs."""
+    """A write racing a dedup pass waits for the pass's object lock:
+    no data lost, no refs leaked."""
     storage = make_storage()
     storage.write_sync("obj1", b"v1" * 512)
 
@@ -166,10 +167,7 @@ def test_race_with_foreground_write_aborts_cleanly():
         yield storage.sim.all_of([pass_proc, write_proc])
         return pass_proc.value
 
-    result = storage.cluster.run(racer())
-    if result == "raced":
-        assert storage.engine.stats.objects_aborted_race == 1
-        assert storage.tier.dirty_count >= 1
+    assert storage.cluster.run(racer()) == "done"
     storage.drain()
     assert storage.read_sync("obj1") == b"v2" * 512
     # No leaked chunk objects: only the live content's chunk remains.
@@ -356,7 +354,7 @@ def test_failed_drain_fails_once_and_cleanly():
     assert storage.engine.stats.objects_processed == 3
     assert tier.dirty_count == 8
     assert tier.peek_dirty_count("obj1") == 2
-    assert not tier.object_lock("obj1").in_use
+    assert len(tier.object_locks) == 0  # no entry left for obj1
 
     tier.load_chunk_map = real_load
     storage.drain()

@@ -22,6 +22,7 @@ from repro.core.objects import (
     ChunkMapEntry,
     map_entry_key,
 )
+from repro.faults.errors import TransientOpError
 from repro.fingerprint import fingerprint
 
 CHUNK = 1024
@@ -278,28 +279,25 @@ def test_read_during_batched_pass_is_consistent():
 # -- stale-map regressions: every owner that rewrites the stored map ---------
 
 
-def test_stale_map_after_aborted_pass():
-    """A dedup pass that races a foreground mutation mutates the decoded
-    map in memory without committing; the next load must see the stored
-    truth, not the polluted decode."""
+def test_stale_map_after_aborted_pass(monkeypatch):
+    """A dedup pass aborted by a fault has re-pointed its decoded map in
+    memory without committing it; the abort drops the cached decode, and
+    the next load sees the stored truth."""
     storage = make_storage()
     storage.write_sync("obj1", b"v1" * 512)
-    inv_before = storage.tier.stage.map_cache_invalidations
+    tier = storage.tier
+    inv_before = tier.stage.map_cache_invalidations
 
-    def racer():
-        pass_proc = storage.sim.process(
+    def faulting_commit(*args, **kwargs):
+        raise TransientOpError(0, "commit_chunk_batch")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tier, "commit_chunk_batch", faulting_commit)
+        result = storage.cluster.run(
             storage.engine.process_object("obj1", force=True)
         )
-        # Let the pass start (load the map, begin staging), then mutate
-        # the object's seq from under it — deterministic "raced".
-        yield storage.sim.timeout(1e-6)
-        storage.tier.bump_seq("obj1")
-        yield pass_proc
-        return pass_proc.value
-
-    result = storage.cluster.run(racer())
-    assert result == "raced"
-    assert storage.tier.stage.map_cache_invalidations > inv_before
+    assert result == "faulted"
+    assert tier.stage.map_cache_invalidations > inv_before
     # Reload shows the committed state: still dirty, no chunk id.
     cmap = load_map(storage, "obj1")
     entry = cmap.get(0)

@@ -1,9 +1,10 @@
-"""Unit tests for Resource, Store, and TokenBucket."""
+"""Unit tests for Resource, LockTable, Store, and TokenBucket."""
 
 import pytest
 
 from repro.sim import (
     Interrupt,
+    LockTable,
     Resource,
     SimulationError,
     Simulator,
@@ -313,6 +314,110 @@ def test_interrupt_in_service_frees_the_slot_then_and_only_then():
         ("late", 3.5),
     ]
     assert (res.in_use, res.queue_len, res.busy_time) == (0, 0, 3.0)
+
+
+# --------------------------------------------------------------- LockTable
+
+#: name -> (users as (name, arrive, hold), interrupts as (name, when),
+#: expected log).  A "granted" line carries the number of holders then,
+#: a "done" line the number of table entries left.
+LOCK_PLANS = {
+    "uncontended": (
+        [("a", 0.0, 1.0)],
+        [],
+        [("a", "granted", 0.0, 1), ("a", "done", 1.0, 0)],
+    ),
+    "queued-then-cancelled": (
+        [("holder", 0.0, 2.0), ("victim", 0.5, 1.0), ("next", 1.0, 1.0)],
+        [("victim", 1.0)],
+        [
+            ("holder", "granted", 0.0, 1),
+            ("victim", "interrupted", 1.0),
+            ("victim", "done", 1.0, 1),
+            ("holder", "done", 2.0, 1),  # skipped the victim, handed to next
+            ("next", "granted", 2.0, 1),
+            ("next", "done", 3.0, 0),
+        ],
+    ),
+    "interrupted-at-the-grant-instant": (
+        # The deadline's interrupt is queued first, then the holder's
+        # release hands the lock to the victim: the victim is interrupted
+        # owning a grant it never woke up for, and still gives it back.
+        [("holder", 0.0, 1.0), ("victim", 0.5, 1.0), ("late", 1.0, 1.0)],
+        [("victim", 1.0)],
+        [
+            ("holder", "granted", 0.0, 1),
+            ("holder", "done", 1.0, 1),
+            ("victim", "interrupted", 1.0),
+            ("victim", "done", 1.0, 1),
+            ("late", "granted", 1.0, 1),
+            ("late", "done", 2.0, 0),
+        ],
+    ),
+    "dropped-when-idle": (
+        [("a", 0.0, 1.0), ("b", 2.0, 1.0)],
+        [],
+        [
+            ("a", "granted", 0.0, 1),
+            ("a", "done", 1.0, 0),
+            ("b", "granted", 2.0, 1),
+            ("b", "done", 3.0, 0),
+        ],
+    ),
+    "recreated-after-the-drop": (
+        # The victim's cancelled waiter dies with the dropped entry; the
+        # fresh lock the late user gets is never granted to it too.
+        [("holder", 0.0, 1.0), ("victim", 0.5, 1.0), ("late", 1.5, 1.0)],
+        [("victim", 0.8)],
+        [
+            ("holder", "granted", 0.0, 1),
+            ("victim", "interrupted", 0.8),
+            ("victim", "done", 0.8, 1),
+            ("holder", "done", 1.0, 0),
+            ("late", "granted", 1.5, 1),
+            ("late", "done", 2.5, 0),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "users, interrupts, expected", LOCK_PLANS.values(), ids=list(LOCK_PLANS)
+)
+def test_lock_table(users, interrupts, expected):
+    sim = Simulator()
+    table = LockTable(sim, "test.lock:{}")
+    log, holders, procs = [], [], {}
+
+    def user(name, arrive, hold):
+        yield sim.timeout(arrive)
+        held = []
+        try:
+            yield table.acquire("k", held)
+            holders.append(name)
+            log.append((name, "granted", sim.now, len(holders)))
+            yield sim.timeout(hold)
+        except Interrupt:
+            log.append((name, "interrupted", sim.now))
+        finally:
+            if name in holders:
+                holders.remove(name)
+            table.release(held)
+        log.append((name, "done", sim.now, len(table)))
+
+    def deadline(name, when):
+        yield sim.timeout(when)
+        procs[name].interrupt("deadline")
+
+    # Deadlines start first, so at a tie their interrupt is queued
+    # before a user's wake-up.
+    for name, when in interrupts:
+        sim.process(deadline(name, when))
+    for name, arrive, hold in users:
+        procs[name] = sim.process(user(name, arrive, hold))
+    sim.run()
+    assert log == expected
+    assert len(table) == 0
 
 
 # ------------------------------------------------------------------- Store

@@ -11,6 +11,10 @@ Vandermonde matrix normalised so its top ``k`` rows are the identity,
 which guarantees the MDS property (any ``k`` of the ``k+m`` rows are
 invertible).
 
+The module also owns the on-disk form of a shard (the functions at the
+bottom): every other module builds, parses and filters shard objects
+through them.
+
 NumPy is an optional extra (``pip install repro[fast]``): with it, shard
 arithmetic runs on uint8 arrays; without it (or with ``REPRO_NO_NUMPY``
 set), the same scalar-times-shard products run through cached 256-byte
@@ -20,7 +24,10 @@ set), the same scalar-times-shard products run through cached 256-byte
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+import zlib
+from typing import Dict, List, Mapping, Optional, Sequence
+
+from .objectstore import StoredObject
 
 try:
     if os.environ.get("REPRO_NO_NUMPY"):
@@ -277,3 +284,71 @@ class ReedSolomon:
         """Recompute the single shard ``index`` from the survivors."""
         data = self.decode(shards, length)
         return self.encode(data)[index]
+
+
+# -- the shard's on-disk form ----------------------------------------------------
+#
+# An EC object is stored as one object per acting-set slot: the shard
+# bytes as payload, three internal xattrs (payload length, shard index,
+# checksum), and a copy of the object's user xattrs and omap — every
+# shard duplicates them, which is what keeps dedup refcounts
+# self-contained on an EC pool.
+
+_EC_LEN_XATTR = "_ec.length"
+_EC_IDX_XATTR = "_ec.index"
+#: Per-shard content checksum (Ceph stores the analogous hinfo_key):
+#: without it, a single corrupt shard in a k+1 profile cannot be located.
+_EC_CRC_XATTR = "_ec.crc"
+
+
+def _shard_crc(shard: bytes) -> bytes:
+    return zlib.crc32(shard).to_bytes(4, "big")
+
+
+def _shard_xattrs(length: int, index: int, shard: bytes) -> Dict[str, bytes]:
+    """The internal xattrs of shard ``index`` of a ``length``-byte payload."""
+    return {
+        _EC_LEN_XATTR: str(length).encode("ascii"),
+        _EC_IDX_XATTR: str(index).encode("ascii"),
+        _EC_CRC_XATTR: _shard_crc(shard),
+    }
+
+
+def _shard_object(
+    length: int,
+    index: int,
+    shard: bytes,
+    xattrs: Mapping[str, bytes],
+    omap: Mapping[str, bytes],
+) -> StoredObject:
+    """Shard ``index`` as stored: ``xattrs``/``omap`` are the user's."""
+    return StoredObject(
+        data=shard,
+        xattrs={**xattrs, **_shard_xattrs(length, index, shard)},
+        omap=dict(omap),
+    )
+
+
+def _shard_index(obj: StoredObject) -> int:
+    """Which shard of the stripe ``obj`` holds."""
+    return int(obj.xattrs[_EC_IDX_XATTR].decode("ascii"))
+
+
+def _payload_length(obj: StoredObject) -> int:
+    """Length of the whole payload the shard ``obj`` belongs to."""
+    return int(obj.xattrs[_EC_LEN_XATTR].decode("ascii"))
+
+
+def _user_xattrs(obj: StoredObject) -> Dict[str, bytes]:
+    """The shard's xattrs minus the internal ones: the object's own."""
+    return {
+        name: value
+        for name, value in obj.xattrs.items()
+        if name not in (_EC_LEN_XATTR, _EC_IDX_XATTR, _EC_CRC_XATTR)
+    }
+
+
+def _crc_ok(obj: StoredObject, shard: bytes) -> bool:
+    """Whether ``shard`` (read from ``obj``) matches its stored checksum."""
+    want = obj.xattrs.get(_EC_CRC_XATTR)
+    return want is None or _shard_crc(shard) == want

@@ -53,9 +53,6 @@ class OSD:
         self.store = ObjectStore()
         self.disk = Disk(sim, profile.disk)
         node.osds.append(self)
-        #: Operation counters for metrics.
-        self.op_reads = 0
-        self.op_writes = 0
         #: Fault-injection hook (a FaultInjector, or None); consulted at
         #: the head of every execute path.
         self.faults = None
@@ -98,7 +95,6 @@ class OSD:
         """Process: read object bytes, charging disk and CPU time."""
         if not self.info.up:
             raise OsdDownError(self.osd_id)
-        self.op_reads += 1
         data = self.store.read(key, offset, length)
         yield from self._faults("read", len(data))
         yield from self.node.cpu.execute(self.node.cpu.spec.per_io_cost)
@@ -122,7 +118,6 @@ class OSD:
         io_bytes = txn.io_bytes
         self._check_capacity(io_bytes)
         yield from self._faults("write", io_bytes)
-        self.op_writes += 1
         yield from self.node.cpu.execute(self.node.cpu.spec.per_io_cost)
         yield from self.disk.write(max(io_bytes, 1))
         if not self.info.up:  # died mid-op: the mutation never commits
@@ -154,7 +149,6 @@ class OSD:
         footprint = obj.footprint()
         self._check_capacity(footprint)
         yield from self._faults("write", footprint)
-        self.op_writes += 1
         yield from self.disk.write(max(footprint, 1))
         if not self.info.up:  # died mid-op: the push never lands
             raise OsdDownError(self.osd_id)

@@ -31,8 +31,9 @@ from ..obs import NULL_SPAN
 from ..sim import LockTable, Simulator, Timeout
 from .clustermap import ClusterMap
 from .crush import CrushMap
+from .ec import _payload_length, _shard_index, _shard_xattrs, _user_xattrs
 from .hardware import HardwareProfile, Nic
-from .objectstore import NoSuchObject, ObjectKey, StoredObject, Transaction
+from .objectstore import NoSuchObject, ObjectKey, ObjectStore, StoredObject, Transaction
 from .osd import Node, OSD, OsdDownError
 from .pool import Pool, Replicated
 
@@ -41,19 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 __all__ = ["Client", "RadosCluster", "NotEnoughReplicas"]
 
-_EC_LEN_XATTR = "_ec.length"
-_EC_IDX_XATTR = "_ec.index"
-#: Per-shard content checksum (Ceph stores the analogous hinfo_key):
-#: without it, a single corrupt shard in a k+1 profile cannot be located.
-_EC_CRC_XATTR = "_ec.crc"
-
 _needs_backfill = attrgetter("needs_backfill")
-
-
-def _shard_crc(shard: bytes) -> bytes:
-    import zlib
-
-    return zlib.crc32(shard).to_bytes(4, "big")
 
 
 class NotEnoughReplicas(RuntimeError):
@@ -512,9 +501,6 @@ class RadosCluster:
         exactly the penalty the paper measures for EC random writes
         (§6.4.1).
         """
-        if pool.is_ec:
-            yield from self._ec_partial_write(pool, oid, offset, data, client)
-            return
         key = self.object_key(pool, oid)
         txn = Transaction().write(key, offset, data)
         yield from self.submit(pool, oid, txn, client)
@@ -522,17 +508,10 @@ class RadosCluster:
     def remove(self, pool: Pool, oid: str, client: Optional[Client] = None):
         """Process: delete the object from every replica/shard."""
         key = self.object_key(pool, oid)
-        if pool.is_ec:
-            acting = self._up_subset(self._acting_osds(pool, key.pg))
-            jobs = []
-            for osd in acting:
-                if osd.store.exists(key):
-                    txn = Transaction().remove(key)
-                    jobs.append(self.sim.process(osd.execute_transaction(txn)))
-            if jobs:
-                yield self.sim.all_of(jobs)
-            return
         txn = Transaction().remove(key)
+        if pool.is_ec:
+            yield from self._ec_each_shard(pool, key, txn)
+            return
         yield from self.submit(pool, oid, txn, client)
 
     def read(
@@ -588,8 +567,7 @@ class RadosCluster:
         primary = self._primary(pool, oid, key.pg)
         yield self._rpc_latency()
         if pool.is_ec:
-            shard = primary.store.get(key)
-            return int(shard.xattrs[_EC_LEN_XATTR].decode("ascii"))
+            return _payload_length(primary.store.get(key))
         return primary.store.stat(key)
 
     def exists(self, pool: Pool, oid: str) -> bool:
@@ -618,21 +596,11 @@ class RadosCluster:
     ):
         """Process: set one xattr on all replicas/shards."""
         key = self.object_key(pool, oid)
+        txn = Transaction().setxattr(key, name, value)
         if pool.is_ec:
-            acting = self._up_subset(self._acting_osds(pool, key.pg))
-            jobs = [
-                self.sim.process(
-                    osd.execute_transaction(Transaction().setxattr(key, name, value))
-                )
-                for osd in acting
-                if osd.store.exists(key)
-            ]
-            if jobs:
-                yield self.sim.all_of(jobs)
+            yield from self._ec_each_shard(pool, key, txn)
             return
-        yield from self.submit(
-            pool, oid, Transaction().setxattr(key, name, value), client, span=span
-        )
+        yield from self.submit(pool, oid, txn, client, span=span)
 
     def omap_get(self, pool: Pool, oid: str, name: str):
         """Process: read one omap value from the primary."""
@@ -692,24 +660,19 @@ class RadosCluster:
         # Encode on the primary's CPU.
         yield from primary.node.cpu.execute(primary.node.cpu.spec.ec_time(len(data)))
         shards = pool.codec.encode(data)
-        internal = (_EC_LEN_XATTR, _EC_IDX_XATTR, _EC_CRC_XATTR)
         planned = []
         for idx, osd in enumerate(slots):
             if osd is None:
                 continue  # degraded: this shard is skipped until recovery
-            txn = (
-                Transaction()
-                .write_full(key, shards[idx])
-                .setxattr(key, _EC_LEN_XATTR, str(len(data)).encode("ascii"))
-                .setxattr(key, _EC_IDX_XATTR, str(idx).encode("ascii"))
-                .setxattr(key, _EC_CRC_XATTR, _shard_crc(shards[idx]))
-            )
+            txn = Transaction().write_full(key, shards[idx])
+            for name, value in _shard_xattrs(len(data), idx, shards[idx]).items():
+                txn.setxattr(key, name, value)
             if replace_metadata and osd.store.exists(key):
                 # Full-stripe RMW replaces user metadata: drop keys the
                 # new state no longer carries.
                 current = osd.store.get(key)
-                for name in current.xattrs:
-                    if name not in internal and name not in (extra_xattrs or {}):
+                for name in _user_xattrs(current):
+                    if name not in (extra_xattrs or {}):
                         txn.rmxattr(key, name)
                 stale_omap = [
                     name for name in current.omap if name not in (omap or {})
@@ -746,15 +709,14 @@ class RadosCluster:
         # shards, so duplicates are always the same generation.
         by_idx: Dict[int, OSD] = {}
         for osd in holders:
-            idx = int(osd.store.getxattr(key, _EC_IDX_XATTR).decode("ascii"))
-            by_idx.setdefault(idx, osd)
+            by_idx.setdefault(_shard_index(osd.store.get(key)), osd)
         if len(by_idx) < pool.codec.k:
             raise NotEnoughReplicas(
                 f"only {len(by_idx)} distinct shards readable for {oid!r}; "
                 f"need {pool.codec.k}"
             )
         primary = holders[0]
-        length = int(primary.store.getxattr(key, _EC_LEN_XATTR).decode("ascii"))
+        length = _payload_length(primary.store.get(key))
         chosen = [by_idx[idx] for idx in sorted(by_idx)][: pool.codec.k]
         yield self._rpc_latency()  # request fan-out
         jobs = [
@@ -773,15 +735,13 @@ class RadosCluster:
 
     def _ec_fetch_shard(self, primary: OSD, holder: OSD, key: ObjectKey):
         shard = yield from holder.execute_read(key)
-        idx = int(holder.store.getxattr(key, _EC_IDX_XATTR).decode("ascii"))
+        idx = _shard_index(holder.store.get(key))
         if holder.node is not primary.node:
             yield from self._transfer(holder.node.nic, primary.node.nic, len(shard))
         return (idx, shard)
 
     def _ec_submit(self, pool: Pool, oid: str, txn: Transaction, client: Optional[Client]):
         """Process: apply a transaction on an EC pool via full-stripe RMW."""
-        from .objectstore import ObjectStore, StoredObject
-
         client = client or self._default_client
         key = self.object_key(pool, oid)
         yield from self._transfer(
@@ -798,22 +758,17 @@ class RadosCluster:
             if holder is not None:
                 data = yield from self._ec_read_internal(pool, oid)
                 current = holder.store.get(key)
-                xattrs = {
-                    k: v
-                    for k, v in current.xattrs.items()
-                    if k not in (_EC_LEN_XATTR, _EC_IDX_XATTR)
-                }
                 scratch.put_object(
                     key,
                     StoredObject(
                         data=data,
-                        xattrs=xattrs,
+                        xattrs=_user_xattrs(current),
                         omap=dict(current.omap),
                     ),
                 )
             scratch.apply(txn)
             if not scratch.exists(key):
-                yield from self._ec_remove_locked(pool, oid, key)
+                yield from self._ec_each_shard(pool, key, Transaction().remove(key))
                 return
             obj = scratch.get(key)
             yield from self._ec_write_full_locked(
@@ -837,13 +792,15 @@ class RadosCluster:
         data = yield from self._ec_read(pool, oid, _NodeAsClient(primary.node))
         return data
 
-    def _ec_remove_locked(self, pool: Pool, oid: str, key: ObjectKey):
-        jobs = []
-        for osd in self._up_subset(self._acting_osds(pool, key.pg)):
-            if osd.store.exists(key):
-                jobs.append(
-                    self.sim.process(osd.execute_transaction(Transaction().remove(key)))
-                )
+    def _ec_each_shard(self, pool: Pool, key: ObjectKey, txn: Transaction):
+        """Process: run ``txn`` on every up holder of one of ``key``'s
+        shards at once (a remove or xattr update touches no payload, so
+        no stripe is re-encoded)."""
+        jobs = [
+            self.sim.process(osd.execute_transaction(txn))
+            for osd in self._up_subset(self._acting_osds(pool, key.pg))
+            if osd.store.exists(key)
+        ]
         if jobs:
             yield self.sim.all_of(jobs)
 
@@ -867,12 +824,6 @@ class RadosCluster:
             osd = self.osds.get(osd_id)
             if osd is not None and osd.up and osd.store.exists(key):
                 osd.store.delete_object(key)
-
-    def _ec_partial_write(self, pool: Pool, oid: str, offset: int, data: bytes, client):
-        key = self.object_key(pool, oid)
-        yield from self._ec_submit(
-            pool, oid, Transaction().write(key, offset, data), client
-        )
 
     # -- enumeration & accounting -----------------------------------------------------
 
@@ -902,9 +853,7 @@ class RadosCluster:
             for osd in self._acting_osds(pool, key.pg):
                 if osd.store.exists(key):
                     if pool.is_ec:
-                        total += int(
-                            osd.store.getxattr(key, _EC_LEN_XATTR).decode("ascii")
-                        )
+                        total += _payload_length(osd.store.get(key))
                     else:
                         total += osd.store.stat(key)
                     break

@@ -38,18 +38,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import NULL_SPAN
-from .objectstore import ObjectKey, StoredObject
+from .ec import _shard_index
+from .objectstore import ObjectKey
 from .osd import OSD, OsdDownError, OsdFullError
 from .pool import Pool
-from .rados import (
-    NotEnoughReplicas,
-    RadosCluster,
-    _EC_CRC_XATTR,
-    _EC_IDX_XATTR,
-    _EC_LEN_XATTR,
-    _shard_crc,
+from .rados import NotEnoughReplicas, RadosCluster
+from .recovery import (
+    _copy_replica,
+    _rebuild_shard,
+    _same_content,
+    _snapshot_shards,
+    _up_holders,
 )
-from .recovery import _charge_shard_read, _same_content
 
 __all__ = [
     "PgRemap",
@@ -61,8 +61,6 @@ __all__ = [
     "placement_skew",
     "rebalance_sync",
 ]
-
-_EC_INTERNAL = (_EC_LEN_XATTR, _EC_IDX_XATTR, _EC_CRC_XATTR)
 
 #: Re-scan ceiling per PG per pass: each round either migrates or trims
 #: something, so this only guards against a pathological livelock.
@@ -346,11 +344,7 @@ class Rebalancer:
         """Map-time check: does the new acting set fully own the object?"""
         cluster = self.cluster
         key = ObjectKey(pool.pool_id, pg, name)
-        union = [
-            cluster.osds[i] for i in remap.union_ids() if i in cluster.osds
-        ]
-        up_holders = [o for o in union if o.up and o.store.exists(key)]
-        down_holders = [o for o in union if not o.up and o.store.exists(key)]
+        union, up_holders, down_holders = self._union_holders(key, remap)
         if not up_holders:
             # Either deleted everywhere, or only unreachable copies
             # remain — the latter must keep the PG active until the
@@ -364,18 +358,7 @@ class Rebalancer:
             return False  # cannot vouch for a down target's copy
         if not all(o.store.exists(key) for o in new_targets):
             return False
-        if pool.is_ec:
-            for idx, osd in enumerate(new_targets):
-                have = int(
-                    osd.store.getxattr(key, _EC_IDX_XATTR).decode("ascii")
-                )
-                if have != idx:
-                    return False
-            return True
-        first = new_targets[0].store.get(key)
-        return all(
-            _same_content(first, o.store.get(key)) for o in new_targets[1:]
-        )
+        return not _wrong_copies(pool, key, new_targets)
 
     # -- per-object migration --------------------------------------------------
 
@@ -392,12 +375,7 @@ class Rebalancer:
         held: list = []
         try:
             yield cluster.write_locks.acquire(key, held)
-            if pool.is_ec:
-                moved = yield from self._migrate_ec_locked(pool, key, remap, span)
-            else:
-                moved = yield from self._migrate_replicated_locked(
-                    pool, key, remap, span
-                )
+            moved = yield from self._migrate_locked(pool, key, remap, span)
         finally:
             cluster.write_locks.release(held)
         return moved
@@ -407,121 +385,57 @@ class Rebalancer:
         union = [
             cluster.osds[i] for i in remap.union_ids() if i in cluster.osds
         ]
-        up_holders = [o for o in union if o.up and o.store.exists(key)]
         down_holders = [o for o in union if not o.up and o.store.exists(key)]
-        # Continuously-up copies are authoritative; a restarted
-        # (needs_backfill) holder may carry stale bytes.
-        ordered = [o for o in up_holders if not o.needs_backfill] + [
-            o for o in up_holders if o.needs_backfill
-        ]
-        return union, ordered, down_holders
+        return union, _up_holders(cluster, union, key), down_holders
 
-    def _migrate_replicated_locked(self, pool: Pool, key: ObjectKey, remap: PgRemap, span):
+    def _migrate_locked(self, pool: Pool, key: ObjectKey, remap: PgRemap, span):
+        """Copy the first holder's replica (or rebuild each EC slot's
+        shard) onto every new acting member that lacks it, then trim."""
         cluster = self.cluster
         union, holders, down_holders = self._union_holders(key, remap)
         if not holders:
             if down_holders:
                 raise OsdDownError(down_holders[0].osd_id)
             return False  # deleted while we scanned
-        source = holders[0]
+        source, shards = holders[0], None
+        if pool.is_ec:
+            shards = _snapshot_shards(pool, key, holders)
+            if shards is None:
+                raise NotEnoughReplicas(
+                    f"fewer than {pool.codec.k} distinct shards reachable"
+                    f" for {key.name!r}"
+                )
         new_targets = [cluster.osds[i] for i in remap.new]
         for target in new_targets:
             if not target.up:
                 raise OsdDownError(target.osd_id)
-        moved = False
-        for target in new_targets:
-            if target is source:
-                continue
-            if target.store.exists(key) and _same_content(
-                target.store.get(key), source.store.get(key)
-            ):
-                continue  # idempotent resume: this copy already landed
-            obj = source.store.get(key).clone()
-            nbytes = obj.footprint()
-            with span.child(
-                "rebalance.copy", src=source.osd_id, dst=target.osd_id, nbytes=nbytes
-            ):
-                source.op_reads += 1
-                yield from source.disk.read(max(nbytes, 1))
-                if source.node is not target.node:
-                    yield from cluster._transfer(
-                        source.node.nic, target.node.nic, nbytes
-                    )
-                yield from target.execute_push(key, obj)
-            self._account(pool, nbytes)
-            moved = True
-            yield from self._throttle(nbytes, span)
-        moved = self._trim_parked(key, union, remap) or moved
-        return moved
-
-    def _migrate_ec_locked(self, pool: Pool, key: ObjectKey, remap: PgRemap, span):
-        cluster = self.cluster
-        union, holders, down_holders = self._union_holders(key, remap)
-        if not holders:
-            if down_holders:
-                raise OsdDownError(down_holders[0].osd_id)
-            return False
-        by_idx: Dict[int, Tuple[OSD, bytes]] = {}
-        for osd in holders:
-            idx = int(osd.store.getxattr(key, _EC_IDX_XATTR).decode("ascii"))
-            by_idx.setdefault(idx, (osd, osd.store.read(key)))
-        if len(by_idx) < pool.codec.k:
-            raise NotEnoughReplicas(
-                f"only {len(by_idx)} distinct shards reachable for {key.name!r};"
-                f" need {pool.codec.k}"
-            )
-        length = int(
-            holders[0].store.getxattr(key, _EC_LEN_XATTR).decode("ascii")
-        )
-        src_obj = holders[0].store.get(key)
-        user_xattrs = {
-            n: v for n, v in src_obj.xattrs.items() if n not in _EC_INTERNAL
-        }
-        omap = dict(src_obj.omap)
-        new_targets = [cluster.osds[i] for i in remap.new]
-        for target in new_targets:
-            if not target.up:
-                raise OsdDownError(target.osd_id)
-        sources = sorted(by_idx.items())[: pool.codec.k]
-        slots: List[Optional[bytes]] = [None] * pool.codec.n
-        for idx, (_osd, shard) in sources:
-            slots[idx] = shard
         moved = False
         for idx, target in enumerate(new_targets):
-            shard = pool.codec.reconstruct_shard(slots, idx, length)
-            want = StoredObject(
-                data=shard,
-                xattrs={
-                    **user_xattrs,
-                    _EC_LEN_XATTR: str(length).encode("ascii"),
-                    _EC_IDX_XATTR: str(idx).encode("ascii"),
-                    _EC_CRC_XATTR: _shard_crc(shard),
-                },
-                omap=dict(omap),
-            )
+            if shards is None and target is source:
+                continue
+            want = source.store.get(key) if shards is None else shards.shard(idx)
             if target.store.exists(key) and _same_content(
                 target.store.get(key), want
             ):
-                continue  # idempotent resume
-            with span.child(
-                "rebalance.reconstruct", dst=target.osd_id, idx=idx, nbytes=len(shard)
-            ):
-                reads = [
-                    cluster.sim.process(
-                        _charge_shard_read(cluster, holder, target, len(src_shard))
+                continue  # idempotent resume: this copy already landed
+            if shards is None:
+                with span.child(
+                    "rebalance.copy", src=source.osd_id, dst=target.osd_id
+                ) as move_span:
+                    nbytes = yield from _copy_replica(
+                        cluster, key, source, target, move_span
                     )
-                    for _i, (holder, src_shard) in sources
-                ]
-                yield cluster.sim.all_of(reads)
-                yield from target.node.cpu.execute(
-                    target.node.cpu.spec.ec_time(length)
-                )
-                yield from target.execute_push(key, want)
-            self._account(pool, len(shard))
+            else:
+                with span.child(
+                    "rebalance.reconstruct", dst=target.osd_id, idx=idx
+                ) as move_span:
+                    nbytes = yield from _rebuild_shard(
+                        cluster, key, target, shards, want, move_span
+                    )
+            self._account(pool, nbytes)
             moved = True
-            yield from self._throttle(len(shard), span)
-        moved = self._trim_parked(key, union, remap) or moved
-        return moved
+            yield from self._throttle(nbytes, span)
+        return self._trim_parked(key, union, remap) or moved
 
     def _trim_parked(self, key: ObjectKey, union: List[OSD], remap: PgRemap) -> bool:
         """Delete up old-only copies now the new acting set holds the
@@ -580,30 +494,28 @@ def placement_report(cluster: RadosCluster) -> List[str]:
                     f" expected up acting {expect}"
                 )
                 continue
-            up_acting = [o for o in acting if o.up]
-            if not up_acting:
-                continue
-            if pool.is_ec:
-                for idx, osd in enumerate(acting):
-                    if not osd.up:
-                        continue
-                    have = int(
-                        osd.store.getxattr(key, _EC_IDX_XATTR).decode("ascii")
-                    )
-                    if have != idx:
-                        problems.append(
-                            f"{pool.name}/{name}: osd.{osd.osd_id} holds"
-                            f" shard {have}, slot demands {idx}"
-                        )
-            else:
-                first = up_acting[0].store.get(key)
-                for osd in up_acting[1:]:
-                    if not _same_content(first, osd.store.get(key)):
-                        problems.append(
-                            f"{pool.name}/{name}: osd.{osd.osd_id} copy"
-                            f" diverges from osd.{up_acting[0].osd_id}"
-                        )
+            problems.extend(
+                f"{pool.name}/{name}: {why}" for why in _wrong_copies(pool, key, acting)
+            )
     return problems
+
+
+def _wrong_copies(pool: Pool, key: ObjectKey, slots: List[OSD]) -> List[str]:
+    """Map-time: what is wrong with the copies held by the up members of
+    ``slots`` (an acting set in slot order, every up member a holder) —
+    an EC shard whose index is not its slot's, or a replica unlike the
+    first up member's."""
+    up = [(idx, osd) for idx, osd in enumerate(slots) if osd.up]
+    wrong = []
+    for idx, osd in up:
+        obj = osd.store.get(key)
+        if pool.is_ec:
+            have = _shard_index(obj)
+            if have != idx:
+                wrong.append(f"osd.{osd.osd_id} holds shard {have}, slot demands {idx}")
+        elif not _same_content(up[0][1].store.get(key), obj):
+            wrong.append(f"osd.{osd.osd_id} copy diverges from osd.{up[0][1].osd_id}")
+    return wrong
 
 
 def placement_skew(cluster: RadosCluster) -> Dict[str, Dict[str, Dict[str, float]]]:

@@ -11,23 +11,24 @@ Recovery here is a real data movement on the simulated devices: reads at
 the sources, network transfers, writes at the targets, all contending
 with whatever else is running.  The returned :class:`RecoveryStats`
 reports duration in *simulated* seconds.
+
+This module also holds the only two ways a copy moves between OSDs —
+:func:`_copy_replica` and :func:`_rebuild_shard` — and the one rule for
+choosing sources (:func:`_up_holders`); the rebalancer and scrub repair
+move copies through them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..obs import NULL_SPAN
+from .ec import ReedSolomon, _payload_length, _shard_index, _shard_object, _user_xattrs
 from .objectstore import ObjectKey, StoredObject
 from .osd import OSD, OsdDownError, OsdFullError
 from .pool import Pool
-from .rados import (
-    RadosCluster,
-    _EC_CRC_XATTR,
-    _EC_IDX_XATTR,
-    _EC_LEN_XATTR,
-    _shard_crc,
-)
+from .rados import RadosCluster
 
 __all__ = ["RecoveryStats", "plan_recovery", "recover", "recover_sync"]
 
@@ -56,6 +57,33 @@ class RecoveryStats:
 
 
 @dataclass
+class _ShardSources:
+    """The inputs of a shard rebuild, snapshotted at one instant.
+
+    Copy tasks run in parallel and may overwrite each other's inputs,
+    so the ``k`` source shards are pinned when the work is planned.
+    The object's user xattrs and omap ride along: every shard carries
+    them, so a rebuilt shard must too or the object's metadata (its
+    dedup refcounts) is silently lost.
+    """
+
+    codec: ReedSolomon
+    length: int
+    #: (shard index, holder, shard bytes), ``k`` of them, by index.
+    sources: List[Tuple[int, OSD, bytes]]
+    xattrs: Dict[str, bytes]
+    omap: Dict[str, bytes]
+
+    def shard(self, index: int) -> StoredObject:
+        """Shard ``index`` as it must be stored."""
+        slots: List[Optional[bytes]] = [None] * self.codec.n
+        for idx, _holder, shard in self.sources:
+            slots[idx] = shard
+        data = self.codec.reconstruct_shard(slots, index, self.length)
+        return _shard_object(self.length, index, data, self.xattrs, self.omap)
+
+
+@dataclass
 class _CopyTask:
     key: ObjectKey
     target: OSD
@@ -63,21 +91,8 @@ class _CopyTask:
     #: True when overwriting a stale copy on a restarted OSD (counted
     #: as reconciliation, not plain recovery).
     reconcile: bool = False
-    ec_pool: Optional[Pool] = None  # EC reconstruction
-    ec_index: int = -1
-    ec_length: int = 0
-    #: Snapshot of (shard_index, holder, shard_bytes) captured at plan
-    #: time: recovery tasks run in parallel and may overwrite each
-    #: other's inputs, so sources are pinned when the plan is made (the
-    #: plan is computed at a single simulated instant, so the snapshot
-    #: is consistent).
-    ec_sources: List[Tuple[int, OSD, bytes]] = field(default_factory=list)
-    #: User-level metadata snapshotted alongside the shards: every EC
-    #: shard duplicates the object's xattrs/omap (that is what makes
-    #: dedup refcounts self-contained), so a reconstructed shard must
-    #: carry them too or the object's metadata is silently lost.
-    ec_xattrs: Dict[str, bytes] = field(default_factory=dict)
-    ec_omap: Dict[str, bytes] = field(default_factory=dict)
+    shards: Optional[_ShardSources] = None  # EC rebuild of slot ``index``
+    index: int = -1
 
 
 def _same_content(a: StoredObject, b: StoredObject) -> bool:
@@ -87,6 +102,40 @@ def _same_content(a: StoredObject, b: StoredObject) -> bool:
         and a.xattrs == b.xattrs
         and a.omap == b.omap
         and a.data == b.data
+    )
+
+
+def _up_holders(cluster: RadosCluster, osds: Iterable[OSD], key: ObjectKey) -> List[OSD]:
+    """The up OSDs among ``osds`` holding ``key``, continuously-up first.
+
+    A restarted (``needs_backfill``) OSD's copy may predate its outage,
+    so every copy source and scrub reference is the first of these: the
+    same order the data path uses to pick a primary.
+    """
+    return cluster._up_subset([o for o in osds if o.store.exists(key)])
+
+
+def _snapshot_shards(pool: Pool, key: ObjectKey, holders: List[OSD]) -> Optional[_ShardSources]:
+    """One source shard per distinct index from ``holders`` (first holder
+    of an index wins, so pass :func:`_up_holders` order and a stale shard
+    is never mixed into a decode when enough fresh ones exist); ``None``
+    when fewer than ``k`` distinct shards are reachable."""
+    by_idx: Dict[int, Tuple[OSD, bytes]] = {}
+    for osd in holders:
+        idx = _shard_index(osd.store.get(key))
+        if idx not in by_idx:
+            by_idx[idx] = (osd, osd.store.read(key))
+    if len(by_idx) < pool.codec.k:
+        return None
+    meta = holders[0].store.get(key)
+    return _ShardSources(
+        codec=pool.codec,
+        length=_payload_length(meta),
+        sources=[
+            (idx, osd, shard) for idx, (osd, shard) in sorted(by_idx.items())
+        ][: pool.codec.k],
+        xattrs=_user_xattrs(meta),
+        omap=dict(meta.omap),
     )
 
 
@@ -121,16 +170,11 @@ def plan_recovery(cluster: RadosCluster) -> Tuple[List[_CopyTask], List[Tuple[OS
             acting = [cluster.osds[i] for i in acting_ids]
             for name in names:
                 key = ObjectKey(pool.pool_id, pg, name)
-                holders = [
-                    osd
-                    for osd in cluster.osds.values()
-                    if osd.up and osd.store.exists(key)
-                ]
+                holders = _up_holders(cluster, cluster.osds.values(), key)
                 # Copies on continuously-up OSDs are authoritative; a
                 # restarted (needs_backfill) OSD's copy may predate the
                 # outage or outlive a deletion that happened during it.
-                clean_holders = [o for o in holders if not o.needs_backfill]
-                if holders and not clean_holders:
+                if holders and holders[0].needs_backfill:
                     witnesses = [
                         o for o in acting if o.up and not o.needs_backfill
                     ]
@@ -143,86 +187,50 @@ def plan_recovery(cluster: RadosCluster) -> Tuple[List[_CopyTask], List[Tuple[OS
                             deletions.append((osd, key))
                         continue
                 if pool.is_ec:
-                    # Snapshot one source shard per distinct index,
-                    # preferring clean holders so a stale shard is never
-                    # mixed into a decode when enough fresh ones exist.
-                    by_idx: Dict[int, Tuple[OSD, bytes]] = {}
-                    for osd in clean_holders + [
-                        o for o in holders if o.needs_backfill
-                    ]:
-                        idx = int(
-                            osd.store.getxattr(key, _EC_IDX_XATTR).decode("ascii")
-                        )
-                        by_idx.setdefault(idx, (osd, osd.store.read(key)))
-                    if len(by_idx) < pool.codec.k:
+                    shards = _snapshot_shards(pool, key, holders)
+                    if shards is None:
                         lost += 1
                         continue
-                    meta_src = (clean_holders or holders)[0].store.get(key)
-                    length = int(meta_src.xattrs[_EC_LEN_XATTR].decode("ascii"))
-                    ec_xattrs = {
-                        n: v
-                        for n, v in meta_src.xattrs.items()
-                        if n not in (_EC_LEN_XATTR, _EC_IDX_XATTR, _EC_CRC_XATTR)
-                    }
-                    ec_omap = dict(meta_src.omap)
-                    sources = [
-                        (idx, osd, shard)
-                        for idx, (osd, shard) in sorted(by_idx.items())
-                    ][: pool.codec.k]
                     for idx, target in enumerate(acting):
                         if not target.up:
                             continue
-                        reconcile = False
-                        if target.store.exists(key):
-                            have = int(
-                                target.store.getxattr(key, _EC_IDX_XATTR).decode("ascii")
-                            )
-                            if have == idx:
-                                if not target.needs_backfill:
-                                    continue
-                                # Right slot, possibly stale bytes:
-                                # rebuild the shard from clean sources.
-                                reconcile = True
+                        # Right slot on a restarted OSD: possibly stale
+                        # bytes, so rebuild it from clean sources.
+                        reconcile = target.store.exists(key) and (
+                            _shard_index(target.store.get(key)) == idx
+                        )
+                        if reconcile and not target.needs_backfill:
+                            continue
                         tasks.append(
                             _CopyTask(
                                 key=key,
                                 target=target,
                                 reconcile=reconcile,
-                                ec_pool=pool,
-                                ec_index=idx,
-                                ec_length=length,
-                                ec_sources=sources,
-                                ec_xattrs=ec_xattrs,
-                                ec_omap=ec_omap,
+                                shards=shards,
+                                index=idx,
                             )
                         )
                 else:
                     if not holders:
                         lost += 1
                         continue
-                    source = (clean_holders or holders)[0]
+                    source = holders[0]
                     for target in acting:
-                        if not target.up:
+                        if not target.up or target is source:
                             continue
-                        if target.store.exists(key):
-                            if target is source or not target.needs_backfill:
-                                continue
-                            if _same_content(
+                        reconcile = target.store.exists(key)
+                        if reconcile and (
+                            not target.needs_backfill
+                            or _same_content(
                                 target.store.get(key), source.store.get(key)
-                            ):
-                                continue
-                            tasks.append(
-                                _CopyTask(
-                                    key=key,
-                                    target=target,
-                                    source=source,
-                                    reconcile=True,
-                                )
                             )
-                        else:
-                            tasks.append(
-                                _CopyTask(key=key, target=target, source=source)
+                        ):
+                            continue
+                        tasks.append(
+                            _CopyTask(
+                                key=key, target=target, source=source, reconcile=reconcile
                             )
+                        )
                 # Objects parked on OSDs no longer in the acting set.
                 for osd in holders:
                     if osd.osd_id not in acting_ids:
@@ -324,10 +332,23 @@ def _run_task(cluster: RadosCluster, task: _CopyTask, stats: RecoveryStats):
     try:
         if cluster._active_remaps:
             yield cluster.write_locks.acquire(task.key, held)
-        if task.ec_pool is None:
-            yield from _copy_object(cluster, task, stats)
+        if task.shards is not None:
+            moved = yield from _rebuild_shard(
+                cluster, task.key, task.target, task.shards,
+                task.shards.shard(task.index),
+            )
+        elif task.source.up and task.source.store.exists(task.key):
+            moved = yield from _copy_replica(
+                cluster, task.key, task.source, task.target
+            )
+        else:  # the source failed or the object was deleted since planning
+            stats.tasks_failed += 1
+            return
+        if task.reconcile:
+            stats.objects_reconciled += 1
         else:
-            yield from _reconstruct_shard(cluster, task, stats)
+            stats.objects_recovered += 1
+        stats.bytes_moved += moved
     except (OsdDownError, OsdFullError):
         stats.tasks_failed += 1
     except Exception as exc:
@@ -338,6 +359,25 @@ def _run_task(cluster: RadosCluster, task: _CopyTask, stats: RecoveryStats):
         cluster.write_locks.release(held)
 
 
+def _copy_replica(cluster: RadosCluster, key: ObjectKey, source: OSD, target: OSD, span=NULL_SPAN):
+    """Process: copy ``source``'s replica of ``key`` onto ``target`` —
+    read it, move it across hosts, push it; returns the bytes moved.
+
+    The one body behind recovery, rebalance and scrub repair of a
+    replicated object; ``span`` (the caller's) is tagged ``nbytes``.
+    """
+    obj = source.store.get(key).clone()
+    # Punched ranges (evicted cached chunks) cost nothing to move: only
+    # allocated bytes hit the disk and the wire.
+    moved = obj.footprint()
+    span.tag(nbytes=moved)
+    yield from source.disk.read(max(moved, 1))
+    if source.node is not target.node:
+        yield from cluster._transfer(source.node.nic, target.node.nic, moved)
+    yield from target.execute_push(key, obj)
+    return moved
+
+
 def _charge_shard_read(cluster: RadosCluster, holder: OSD, target: OSD, nbytes: int):
     """Charge disk + network time for moving one source shard."""
     yield from holder.disk.read(max(nbytes, 1))
@@ -345,56 +385,30 @@ def _charge_shard_read(cluster: RadosCluster, holder: OSD, target: OSD, nbytes: 
         yield from cluster._transfer(holder.node.nic, target.node.nic, nbytes)
 
 
-def _copy_object(cluster: RadosCluster, task: _CopyTask, stats: RecoveryStats):
-    source, target, key = task.source, task.target, task.key
-    if not source.up or not source.store.exists(key):  # raced with a failure/deletion
-        stats.tasks_failed += 1
-        return
-    obj = source.store.get(key).clone()
-    # Punched ranges (evicted cached chunks) cost nothing to move: only
-    # allocated bytes hit the disk and the wire.
-    moved = obj.footprint()
-    source.op_reads += 1
-    yield from source.disk.read(max(moved, 1))
-    if source.node is not target.node:
-        yield from cluster._transfer(source.node.nic, target.node.nic, moved)
-    yield from target.execute_push(key, obj)
-    if task.reconcile:
-        stats.objects_reconciled += 1
-    else:
-        stats.objects_recovered += 1
-    stats.bytes_moved += moved
+def _rebuild_shard(
+    cluster: RadosCluster,
+    key: ObjectKey,
+    target: OSD,
+    shards: _ShardSources,
+    obj: StoredObject,
+    span=NULL_SPAN,
+):
+    """Process: install ``obj`` (``shards.shard(i)``) on ``target`` —
+    read the ``k`` sources in parallel, decode on the target's CPU,
+    push; returns the shard bytes moved.
 
-
-def _reconstruct_shard(cluster: RadosCluster, task: _CopyTask, stats: RecoveryStats):
-    pool, key, target, idx = task.ec_pool, task.key, task.target, task.ec_index
-    length = task.ec_length
-    slots: List[Optional[bytes]] = [None] * pool.codec.n
-    reads = []
-    for src_idx, holder, shard in task.ec_sources:
-        slots[src_idx] = shard
-        reads.append(
-            cluster.sim.process(_charge_shard_read(cluster, holder, target, len(shard)))
-        )
+    The one body behind recovery and rebalance of an EC shard;
+    ``span`` (the caller's) is tagged ``nbytes``.
+    """
+    span.tag(nbytes=obj.size)
+    reads = [
+        cluster.sim.process(_charge_shard_read(cluster, holder, target, len(shard)))
+        for _idx, holder, shard in shards.sources
+    ]
     yield cluster.sim.all_of(reads)
-    yield from target.node.cpu.execute(target.node.cpu.spec.ec_time(length))
-    shard = pool.codec.reconstruct_shard(slots, idx, length)
-    obj = StoredObject(
-        data=shard,
-        xattrs={
-            **task.ec_xattrs,
-            _EC_LEN_XATTR: str(length).encode("ascii"),
-            _EC_IDX_XATTR: str(idx).encode("ascii"),
-            _EC_CRC_XATTR: _shard_crc(shard),
-        },
-        omap=dict(task.ec_omap),
-    )
+    yield from target.node.cpu.execute(target.node.cpu.spec.ec_time(shards.length))
     yield from target.execute_push(key, obj)
-    if task.reconcile:
-        stats.objects_reconciled += 1
-    else:
-        stats.objects_recovered += 1
-    stats.bytes_moved += len(shard)
+    return obj.size
 
 
 def recover_sync(cluster: RadosCluster) -> RecoveryStats:

@@ -2,9 +2,11 @@
 
 Replicated pools: every copy of an object must be byte- and
 metadata-identical across its acting set; a divergent or missing copy is
-repaired from the primary.  EC pools: the stored shards must be exactly
-the codec's encoding of the decoded payload (any single corrupt shard is
-detected and re-derivable from the others).
+repaired from the reference copy — the first up holder, continuously-up
+OSDs before restarted ones, as recovery chooses its sources.  EC pools:
+the stored shards must be exactly the codec's encoding of the decoded
+payload (any single corrupt shard is detected and re-derivable from the
+others).
 
 Because the dedup tier's chunk maps and reference records live in
 ordinary object metadata (self-contained objects), this scrub covers
@@ -14,27 +16,15 @@ argument for the design.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from .objectstore import StoredObject
+from .ec import _crc_ok, _payload_length, _shard_index
 from .pool import Pool
-from .rados import RadosCluster, _EC_IDX_XATTR, _EC_LEN_XATTR
+from .rados import RadosCluster
+from .recovery import _copy_replica, _same_content, _up_holders, recover
 
 __all__ = ["ReplicaScrubReport", "scrub_pool", "scrub_pool_sync", "repair_pool", "repair_pool_sync"]
-
-
-def _digest(obj: StoredObject) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(obj.read())
-    for name in sorted(obj.xattrs):
-        h.update(name.encode())
-        h.update(obj.xattrs[name])
-    for name in sorted(obj.omap):
-        h.update(name.encode())
-        h.update(obj.omap[name])
-    return h.digest()
 
 
 @dataclass
@@ -42,7 +32,7 @@ class ReplicaScrubReport:
     """Findings of one pool scrub."""
 
     objects_checked: int = 0
-    #: (oid, osd_id) pairs whose copy diverges from the primary's.
+    #: (oid, osd_id) pairs whose copy diverges from the reference copy.
     inconsistent: List[Tuple[str, int]] = field(default_factory=list)
     #: (oid, osd_id) pairs where an acting OSD lacks its copy/shard.
     missing: List[Tuple[str, int]] = field(default_factory=list)
@@ -61,44 +51,40 @@ def scrub_pool(cluster: RadosCluster, pool: Pool):
     for oid in cluster.list_objects(pool):
         key = cluster.object_key(pool, oid)
         acting = [cluster.osds[i] for i in pool.acting_set_for(oid)]
-        up = [o for o in acting if o.up]
-        holders = [o for o in up if o.store.exists(key)]
+        holders = _up_holders(cluster, acting, key)
         if not holders:
             continue
         report.objects_checked += 1
-        for osd in up:
-            if not osd.store.exists(key):
+        for osd in acting:
+            if osd.up and not osd.store.exists(key):
                 report.missing.append((oid, osd.osd_id))
         if pool.is_ec:
             yield from _scrub_ec_object(cluster, pool, oid, key, holders, report)
         else:
-            primary = holders[0]
-            yield from primary.disk.read(max(primary.store.get(key).footprint(), 1))
-            want = _digest(primary.store.get(key))
+            want = holders[0].store.get(key)
+            yield from holders[0].disk.read(max(want.footprint(), 1))
             for osd in holders[1:]:
-                yield from osd.disk.read(max(osd.store.get(key).footprint(), 1))
-                if _digest(osd.store.get(key)) != want:
+                obj = osd.store.get(key)
+                yield from osd.disk.read(max(obj.footprint(), 1))
+                if not _same_content(obj, want):
                     report.inconsistent.append((oid, osd.osd_id))
     return report
 
 
 def _scrub_ec_object(cluster, pool, oid, key, holders, report):
-    from .rados import _EC_CRC_XATTR, _shard_crc
-
-    length = int(holders[0].store.getxattr(key, _EC_LEN_XATTR).decode("ascii"))
+    length = _payload_length(holders[0].store.get(key))
     by_idx = {}
     bad = set()
     for osd in holders:
         obj = osd.store.get(key)
         yield from osd.disk.read(max(obj.size, 1))
-        idx = int(obj.xattrs[_EC_IDX_XATTR].decode("ascii"))
+        idx = _shard_index(obj)
         shard = obj.read()
         by_idx[idx] = shard
         # Per-shard checksum localises corruption unambiguously — with
         # only one parity, consistency voting alone cannot tell which
         # shard lies (any k-subset explains a single corruption).
-        want_crc = obj.xattrs.get(_EC_CRC_XATTR)
-        if want_crc is not None and _shard_crc(shard) != want_crc:
+        if not _crc_ok(obj, shard):
             bad.add(idx)
     good = {idx: s for idx, s in by_idx.items() if idx not in bad}
     if len(good) >= pool.codec.k:
@@ -128,21 +114,17 @@ def repair_pool(cluster: RadosCluster, pool: Pool, report: ReplicaScrubReport):
     """Process: repair the findings of a prior scrub.
 
     Replicated pools: divergent/missing copies are replaced with the
-    primary's (first holder's) version.  EC pools are healed through the
-    recovery machinery, which already reconstructs shards.
+    reference copy (the first of :func:`_up_holders`, as scrub compared
+    against).  EC pools are healed through the recovery machinery,
+    which already reconstructs shards.
     """
     repaired = 0
     if pool.is_ec:
-        from .recovery import recover
-
         for oid, idx in report.bad_shards:
             key = cluster.object_key(pool, oid)
             for osd in cluster.osds.values():
                 if osd.up and osd.store.exists(key):
-                    shard_idx = int(
-                        osd.store.getxattr(key, _EC_IDX_XATTR).decode("ascii")
-                    )
-                    if shard_idx == idx:
+                    if _shard_index(osd.store.get(key)) == idx:
                         osd.store.delete_object(key)
                         repaired += 1
         yield from recover(cluster)
@@ -150,24 +132,13 @@ def repair_pool(cluster: RadosCluster, pool: Pool, report: ReplicaScrubReport):
     for oid, osd_id in report.inconsistent + report.missing:
         key = cluster.object_key(pool, oid)
         acting = [cluster.osds[i] for i in pool.acting_set_for(oid)]
-        source = next(
-            (
-                o
-                for o in acting
-                if o.up and o.osd_id != osd_id and o.store.exists(key)
-            ),
-            None,
-        )
         target = cluster.osds[osd_id]
+        source = next(
+            (o for o in _up_holders(cluster, acting, key) if o is not target), None
+        )
         if source is None or not target.up:
             continue
-        obj = source.store.get(key).clone()
-        yield from source.disk.read(max(obj.footprint(), 1))
-        if source.node is not target.node:
-            yield from cluster._transfer(
-                source.node.nic, target.node.nic, obj.footprint()
-            )
-        yield from target.execute_push(key, obj)
+        yield from _copy_replica(cluster, key, source, target)
         repaired += 1
     return repaired
 

@@ -842,15 +842,11 @@ class DedupTier:
                 if osd.store.exists(key):
                     obj = osd.store.get(key)
                     report.chunk_objects += 1
-                    if self.chunk_pool.is_ec:
-                        length = int(obj.xattrs["_ec.length"].decode("ascii"))
-                        report.chunk_data_bytes += length
-                    else:
-                        report.chunk_data_bytes += obj.size
                     report.metadata_bytes += PER_OBJECT_OVERHEAD + len(
                         obj.xattrs.get(REFS_XATTR, b"")
                     )
                     break
+        report.chunk_data_bytes = cluster.pool_logical_bytes(self.chunk_pool)
         report.raw_used_bytes = cluster.pool_used_bytes(
             self.metadata_pool
         ) + cluster.pool_used_bytes(self.chunk_pool)

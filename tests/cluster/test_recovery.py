@@ -1,12 +1,18 @@
 """Tests for failure handling, recovery, and rebalancing."""
 
+import pytest
 
 from repro.cluster import (
     ErasureCoded,
     RadosCluster,
     Replicated,
+    Transaction,
+    rebalance_sync,
     recover_sync,
 )
+from repro.cluster.ec import _shard_index
+from repro.cluster.recovery import _same_content
+from repro.cluster.scrub import repair_pool_sync, scrub_pool_sync
 
 
 def fill(cluster, pool, n=40, size=4096, prefix="obj"):
@@ -138,3 +144,45 @@ def test_data_loss_detected_when_all_copies_gone():
         cluster.fail_osd(osd_id)
     stats = recover_sync(cluster)
     assert stats.objects_lost > 0
+
+
+def _recover(cluster, pool, key, acting):
+    cluster.fail_osd(acting[1])
+    recover_sync(cluster)
+
+
+def _rebalance(cluster, pool, key, acting):
+    cluster.decommission_osd(acting[0])
+    rebalance_sync(cluster)
+
+
+def _repair(cluster, pool, key, acting):
+    cluster.osds[acting[2]].store.get(key).corrupt(3)
+    repair_pool_sync(cluster, pool, scrub_pool_sync(cluster, pool))
+
+
+@pytest.mark.parametrize(
+    "move",
+    [None, _recover, _rebalance, _repair],
+    ids=["write_full", "recover", "rebalance", "repair"],
+)
+def test_every_path_stores_one_shard_format(move):
+    """However a shard got where it is — written, rebuilt by recovery,
+    migrated by the rebalancer, restored by repair — it is the same
+    object: payload, internal and user xattrs, omap."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    pool = cluster.create_pool("ec", ErasureCoded(2, 1))
+    key = cluster.object_key(pool, "o")
+    cluster.write_full_sync(pool, "o", bytes(i * 7 % 251 for i in range(10240)))
+    cluster.submit_sync(
+        pool, "o", Transaction().setxattr(key, "user", b"v").omap_set(key, {"k": b"w"})
+    )
+    acting = pool.acting_set_for("o")
+    written = {i: cluster.osds[osd_id].store.get(key).clone() for i, osd_id in enumerate(acting)}
+    if move is not None:
+        move(cluster, pool, key, acting)
+    holders = [o for o in cluster.osds.values() if o.up and o.store.exists(key)]
+    assert sorted(_shard_index(o.store.get(key)) for o in holders) == [0, 1, 2]
+    for osd in holders:
+        obj = osd.store.get(key)
+        assert _same_content(obj, written[_shard_index(obj)]), osd.osd_id

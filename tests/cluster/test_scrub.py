@@ -68,6 +68,40 @@ def test_repair_fixes_divergence_and_missing():
     assert cluster.read_sync(pool, "obj7") == bytes([7]) * 3000
 
 
+def test_repair_keeps_the_fresh_copy_over_a_restarted_one():
+    """A write acknowledged while one replica was down is the copy scrub
+    compares against and repair copies from, even when the restarted
+    (stale) replica comes first in the acting set."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    pool = cluster.create_pool("data", Replicated(2))
+    key = cluster.object_key(pool, "o")
+    cluster.write_full_sync(pool, "o", b"1" * 3000)
+    first = pool.acting_set_for("o")[0]
+    cluster.fail_osd(first, mark_out=False)
+    cluster.write_full_sync(pool, "o", b"2" * 3000)
+    cluster.restart_osd(first)
+    report = scrub_pool_sync(cluster, pool)
+    assert report.inconsistent == [("o", first)]
+    assert repair_pool_sync(cluster, pool, report) == 1
+    for osd_id in pool.acting_set_for("o"):
+        assert cluster.osds[osd_id].store.read(key) == b"2" * 3000
+    assert scrub_pool_sync(cluster, pool).clean
+
+
+def test_ec_partial_write_keeps_every_shard_checksum():
+    """A read-modify-write re-stamps each shard with its own CRC, so the
+    stripe scrubs clean and stays readable through a repair pass."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    pool = cluster.create_pool("ec", ErasureCoded(2, 1))
+    data = bytes(i * 7 % 251 for i in range(16384))
+    cluster.write_full_sync(pool, "o", data)
+    cluster.write_sync(pool, "o", 100, b"x" * 50)
+    report = scrub_pool_sync(cluster, pool)
+    assert report.clean, report.bad_shards
+    repair_pool_sync(cluster, pool, report)
+    assert cluster.read_sync(pool, "o") == data[:100] + b"x" * 50 + data[150:]
+
+
 def test_ec_scrub_clean():
     cluster, pool = make(ec=True)
     report = scrub_pool_sync(cluster, pool)

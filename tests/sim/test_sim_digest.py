@@ -50,11 +50,10 @@ CLI_DIGESTS = {
 }
 
 SCENARIO_DIGEST = (
-    # Moved when replicated commits became one pipeline: a write to a
-    # mid-remap PG now sends its payload before taking the object lock
-    # (it used to transfer under it), and every write resolves its
-    # replicas under the lock (a replica down by then is skipped).
-    "3c2f968960f3887663ebfedd4c48972b30f9d368dcd749a2461e7a6940f91bac"
+    # Moved when an EC read-modify-write stopped copying the old shard's
+    # `_ec.crc` over each fresh one: the transaction no longer carries
+    # that second setxattr, so every shard write is 11 bytes shorter.
+    "2faf273d718f654701f1cf8d21ec2544a13e19388bcf3948563266f86a6ea827"
 )
 
 

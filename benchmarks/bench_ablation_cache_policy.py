@@ -43,7 +43,7 @@ def run_policy(policy: str):
         latencies.append(storage.sim.now - t0)
         # Let the engine enforce capacity between reads.
         storage.cluster.run(storage.engine.enforce_cache_capacity())
-    hits, misses = storage.tier.cache_hits, storage.tier.cache_misses
+    hits, misses = storage.tier.stage.cache_hits, storage.tier.stage.cache_misses
     return {
         "hit_rate": hits / (hits + misses),
         "mean_latency": sum(latencies) / len(latencies),

@@ -32,7 +32,6 @@ from repro.bench import (
     render_table,
     report,
 )
-from repro.metrics import storage_breakdown
 from repro.workloads import SfsDatabaseSpec, SfsDatabaseWorkload
 
 PAPER_NOTES = [
@@ -64,7 +63,7 @@ def run_one(storage, dedup: bool):
     if dedup:
         storage.engine.stop()
         storage.drain()
-    used = storage_breakdown(storage.cluster).total
+    used = storage.cluster.total_used_bytes()
     return result, used
 
 

@@ -2,12 +2,13 @@
 """Gate the observability layer's runtime overhead (CI's ``obs-overhead``).
 
 Measures the dedup-drain cost of op tracing on one small fixed-seed fio
-workload: traced and untraced passes are interleaved (t, u, t, u, ...)
-and the fastest drain time of each leg is kept, so slow host drift hits
-both legs equally.  Fails if tracing costs more than the allowed
-fraction of dedup throughput (5 %: the two legs run back-to-back on one
-host, so the ratio is clean), if the two legs disagree on the read-back
-or the chunk refcounts, or if the traced leg recorded no span roll-up.
+workload: traced and untraced passes run as back-to-back pairs, each
+pair yields one traced/untraced throughput ratio, and the gate reads the
+median of those ratios, so slow host drift hits both legs of a pair
+equally and one noisy pair cannot decide the verdict.  Fails if tracing
+costs more than the allowed fraction of dedup throughput (5 %), if any
+pair's legs disagree on the read-back or the chunk refcounts, or if the
+traced legs recorded no span roll-up.
 
 The gate is deliberately *not* a ``benchmarks/e2e`` workload yet:
 docs/observability.md ("Tracing cost on the e2e workloads") records why.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 from time import perf_counter
 
@@ -77,27 +79,30 @@ def run_leg(trace: bool) -> dict:
     }
 
 
+def rate(leg: dict) -> float:
+    """Dedup ops per host second of one leg's drains."""
+    return leg["dedup_ops"] / leg["drain_seconds"]
+
+
 def measure_overhead(repeats: int) -> dict:
-    """Interleaved best-of-N traced/untraced dedup rates."""
-    best = {}
-    for _ in range(repeats):
-        for trace in (True, False):
-            leg = run_leg(trace)
-            kept = best.get(trace)
-            if kept is None or leg["drain_seconds"] < kept["drain_seconds"]:
-                best[trace] = leg
-    traced, untraced = best[True], best[False]
-    traced_rate = traced["dedup_ops"] / traced["drain_seconds"]
-    untraced_rate = untraced["dedup_ops"] / untraced["drain_seconds"]
+    """Median traced/untraced dedup-rate ratio over interleaved pairs."""
+    pairs = [(run_leg(True), run_leg(False)) for _ in range(repeats)]
+    ratios = [rate(traced) / rate(untraced) for traced, untraced in pairs]
     return {
-        "untraced_dedup_ops_per_sec": untraced_rate,
-        "traced_dedup_ops_per_sec": traced_rate,
-        "ratio": traced_rate / untraced_rate,
-        "identical_results": (
+        "untraced_dedup_ops_per_sec": statistics.median(
+            rate(untraced) for _traced, untraced in pairs
+        ),
+        "traced_dedup_ops_per_sec": statistics.median(
+            rate(traced) for traced, _untraced in pairs
+        ),
+        "pair_ratios": ratios,
+        "ratio": statistics.median(ratios),
+        "identical_results": all(
             traced["readback_digest"] == untraced["readback_digest"]
             and traced["refcounts"] == untraced["refcounts"]
+            for traced, untraced in pairs
         ),
-        "span_stages": traced["span_stages"],
+        "span_stages": min(traced["span_stages"] for traced, _u in pairs),
     }
 
 
@@ -114,9 +119,9 @@ def main(argv=None) -> int:
         "--repeats",
         type=int,
         default=7,
-        help="best-of-N repeats per leg (default: %(default)s; the drains "
-        "are ~50 ms, so the ratio needs several samples to shake host "
-        "jitter out of both legs)",
+        help="traced/untraced pairs to run (default: %(default)s; the "
+        "drains are ~50 ms, so the gate takes the median pair ratio to "
+        "shake host jitter out)",
     )
     parser.add_argument(
         "--out",
@@ -130,7 +135,7 @@ def main(argv=None) -> int:
     print(
         f"  {overhead['untraced_dedup_ops_per_sec']:.0f} -> "
         f"{overhead['traced_dedup_ops_per_sec']:.0f} dedup ops/s "
-        f"({overhead['ratio']:.3f}x traced/untraced)"
+        f"(median pair ratio {overhead['ratio']:.3f}x traced/untraced)"
     )
     failures = []
     if overhead["ratio"] < 1.0 - args.max_overhead:
@@ -144,7 +149,7 @@ def main(argv=None) -> int:
         failures.append("traced run recorded no span rollup")
 
     report = {
-        "schema": 2,
+        "schema": 3,
         "max_overhead": args.max_overhead,
         "overhead": overhead,
         "failures": failures,

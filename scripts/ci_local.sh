@@ -140,7 +140,7 @@ step "obs-smoke: traced workload + integrity checks" \
 step "obs-smoke: span rollup report" \
     env PYTHONPATH=src python -m repro obs report --trace trace.jsonl
 
-# -- obs-overhead job -------------------------------------------------------
+# -- obs-overhead job (gates on the median traced/untraced pair ratio) -----
 step "obs-overhead: tracing overhead vs untraced" \
     env PYTHONPATH=src python scripts/check_obs_overhead.py
 

@@ -74,8 +74,10 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_status(args) -> int:
+    from .obs import status_lines, storage_metrics
+
     storage = _build_demo_storage(seed=args.seed)
-    for line in storage.status().summary_lines():
+    for line in status_lines(storage_metrics(storage)):
         print(line)
     return 0
 
@@ -95,7 +97,7 @@ def _cmd_scrub(args) -> int:
 
 def _cmd_faults(args) -> int:
     from .faults import FaultPlan, run_faulted_workload
-    from .metrics import fault_report
+    from .obs import fault_lines, storage_metrics
 
     if args.horizon <= 0:
         print(f"error: --horizon must be positive, got {args.horizon}",
@@ -126,7 +128,7 @@ def _cmd_faults(args) -> int:
     for line in result.plan.describe() or ["  (empty plan)"]:
         print(f"  {line}")
     print()
-    for line in fault_report(result.storage).summary_lines():
+    for line in fault_lines(storage_metrics(result.storage)):
         print(line)
     print()
     scrub = result.scrub

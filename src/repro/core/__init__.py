@@ -43,7 +43,6 @@ from .scrub import (
     scrub,
     scrub_sync,
 )
-from .status import DedupStatus, collect_status
 from .tier import DedupTier, NodeClient, SpaceReport
 
 __all__ = [
@@ -76,8 +75,6 @@ __all__ = [
     "GcReport",
     "collect_garbage",
     "collect_garbage_sync",
-    "DedupStatus",
-    "collect_status",
     "write_path",
     "read_path",
     "DedupPotential",

@@ -212,12 +212,6 @@ class DedupedStorage:
         """Current space accounting (see :class:`SpaceReport`)."""
         return self.tier.space_report()
 
-    def status(self):
-        """Operational snapshot (engine, backlog, cache, load, space)."""
-        from .status import collect_status
-
-        return collect_status(self)
-
     def client(self, name: str):
         """A new client host for concurrent-workload experiments."""
         return self.cluster.client(name)

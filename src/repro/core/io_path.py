@@ -405,12 +405,12 @@ def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):
             if in_cache:
                 # Served by the metadata primary directly — the same
                 # cost as the original system's read.
-                tier.cache_hits += 1
+                tier.stage.cache_hits += 1
                 cached_pieces.append(
                     (cstart + piece_start, piece_end - piece_start)
                 )
             elif entry.chunk_id:
-                tier.cache_misses += 1
+                tier.stage.cache_misses += 1
                 # Redirection (paper §6.2.1): the metadata pool forwards
                 # the request to the chunk pool, which returns the data
                 # to the client — one extra network hop per chunk.

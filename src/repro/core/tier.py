@@ -212,10 +212,6 @@ class DedupTier:
         #: engine workers, or flush-on-write racing the engine), and
         #: promotion/demotion.
         self.object_locks = LockTable(cluster.sim, "tier.object:{}")
-        #: Read-path counters: segments served from the metadata-pool
-        #: cache vs redirected to the chunk pool.
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: Hot-path stage counters (chunking/fingerprint/ref/flush);
         #: always on, bumped inline.
         self.stage = StageCounters()

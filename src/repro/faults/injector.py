@@ -43,16 +43,6 @@ class FaultStats:
     partitions_started: int = 0
     windows_expired: int = 0
 
-    def summary_lines(self) -> List[str]:
-        """Human-readable counter dump."""
-        return [
-            f"osd crashes        {self.crashes} ({self.restarts} restarts)",
-            f"EIO injected       {self.eio_injected} ops",
-            f"slow-disk delays   {self.slow_ops_delayed} ops",
-            f"partition drops    {self.partition_drops} transfers"
-            f" ({self.partitions_started} partitions)",
-        ]
-
 
 class FaultInjector:
     """Schedules a :class:`FaultPlan` onto a cluster's simulated clock."""

@@ -16,7 +16,7 @@ reference-set adds are set inserts, and removes tolerate absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..obs import NULL_SPAN, Span
 from .errors import OpTimeoutError, is_retryable
@@ -86,17 +86,6 @@ class RetryStats:
         if finished == 0:
             return 1.0
         return self.successes / finished
-
-    def summary_lines(self) -> List[str]:
-        """Human-readable counter dump."""
-        return [
-            f"op attempts        {self.attempts}"
-            f" ({self.retries} retries, {self.timeouts} timeouts)",
-            f"op outcomes        {self.successes} ok"
-            f" ({self.successes_after_retry} after retry),"
-            f" {self.giveups} gave up",
-            f"availability       {100.0 * self.availability:.2f}%",
-        ]
 
 
 #: An operation: a zero-argument callable producing a fresh simulation

@@ -1,17 +1,6 @@
-"""Measurement utilities: latencies, throughput series, usage snapshots."""
+"""Measurement utilities: latencies and throughput series."""
 
-from .faults import FaultReport, fault_report
 from .latency import LatencyRecorder
 from .timeseries import ThroughputSeries
-from .usage import CpuSnapshot, StorageBreakdown, cpu_usage, storage_breakdown
 
-__all__ = [
-    "LatencyRecorder",
-    "ThroughputSeries",
-    "CpuSnapshot",
-    "cpu_usage",
-    "StorageBreakdown",
-    "storage_breakdown",
-    "FaultReport",
-    "fault_report",
-]
+__all__ = ["LatencyRecorder", "ThroughputSeries"]

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from ..obs.registry import MetricsRegistry
-
 __all__ = ["LatencyRecorder"]
 
 
@@ -96,19 +94,3 @@ class LatencyRecorder:
             "min": self.minimum,
             "max": self.maximum,
         }
-
-    def export_to(self, registry: MetricsRegistry) -> None:
-        """Materialise the samples as a labeled registry histogram.
-
-        All recorders share one ``repro_op_latency_seconds`` family,
-        labeled by the recorder's ``name`` (idempotent registration, so
-        any number of recorders can export into the same registry).
-        """
-        family = registry.histogram(
-            "repro_op_latency_seconds",
-            "Per-operation latency distribution",
-            labels=("op",),
-        )
-        series = family.labels(op=self.name or "all")
-        for sample in self._samples:
-            series.observe(sample)

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..obs.registry import MetricsRegistry
-
 __all__ = ["ThroughputSeries"]
 
 
@@ -68,24 +66,3 @@ class ThroughputSeries:
         """Worst bucket's bytes/second (dip depth in Figure 5-b)."""
         points = self.series()
         return min((v for _t, v in points), default=0.0)
-
-    def export_to(self, registry: MetricsRegistry) -> None:
-        """Write the series' aggregates into a registry as gauges.
-
-        Every series shares the same label-per-series families (keyed by
-        ``name``), so several workload series can land in one registry.
-        """
-        label = self.name or "all"
-        for metric, help_text, value in (
-            ("repro_throughput_bytes_total", "Bytes recorded by the series",
-             float(self.total_bytes)),
-            ("repro_throughput_ops_total", "Ops recorded by the series",
-             float(self.total_ops)),
-            ("repro_throughput_mean_bps", "Mean bytes/second over the span",
-             self.mean_throughput()),
-            ("repro_throughput_min_bps", "Worst bucket's bytes/second",
-             self.min_throughput()),
-        ):
-            registry.gauge(metric, help_text, labels=("series",)).labels(
-                series=label
-            ).set(value)

@@ -15,8 +15,8 @@ through the four hot-path stages:
 
 Counters are plain ints/floats — cheap enough to stay always-on — and
 live here (not in ``repro.core``) so ``benchmarks/e2e`` and
-``repro.obs.collect`` can snapshot and diff them without reaching into
-engine internals.
+``repro.obs.collect`` can snapshot them without reaching into engine
+internals.
 """
 
 from __future__ import annotations
@@ -69,7 +69,11 @@ class StageCounters:
     #: Map commits (all in the incremental v2 format).
     map_commits_incremental: int = 0
 
-    # -- read path: fan-out ---------------------------------------------
+    # -- read path: cache and fan-out -----------------------------------
+    #: Chunk segments served from the metadata-pool cache vs redirected
+    #: to the chunk pool.
+    cache_hits: int = 0
+    cache_misses: int = 0
     #: Chunk-object fetches the read path issued to the pool (same-chunk
     #: pieces merged).
     fanout_chunk_reads: int = 0
@@ -86,12 +90,3 @@ class StageCounters:
     def snapshot(self) -> dict:
         """A plain-dict copy (JSON-ready)."""
         return asdict(self)
-
-    def diff(self, since: "StageCounters") -> dict:
-        """Counter deltas relative to an earlier snapshot."""
-        now, then = asdict(self), asdict(since)
-        return {k: now[k] - then[k] for k in now}
-
-    def copy(self) -> "StageCounters":
-        """An independent snapshot object."""
-        return StageCounters(**asdict(self))

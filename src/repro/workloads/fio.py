@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..metrics import LatencyRecorder, ThroughputSeries, cpu_usage
+from ..metrics import LatencyRecorder, ThroughputSeries
 from ..sim import RngRegistry
 from .datagen import ContentGenerator
 
@@ -153,7 +153,9 @@ class FioRunner:
                 )
         self.sim.run_until_complete(self.sim.all_of(procs))
         result.duration = self.sim.now - start
-        result.cpu_percent = cpu_usage(self.storage.cluster, since=start).mean_percent
+        nodes = self.storage.cluster.nodes.values()
+        busy = sum(node.cpu.utilization(start) for node in nodes)
+        result.cpu_percent = 100.0 * (busy / len(nodes))
         return result
 
     def _next_offset(self, cursor, rng) -> Optional[int]:

@@ -138,8 +138,8 @@ def test_cache_hit_counters():
     )
     storage.write_sync("obj1", b"h" * 1024)
     storage.read_sync("obj1")  # cached (not yet flushed)
-    assert storage.tier.cache_hits == 1
-    assert storage.tier.cache_misses == 0
+    assert storage.tier.stage.cache_hits == 1
+    assert storage.tier.stage.cache_misses == 0
     storage.drain()  # cold -> evicted
     storage.read_sync("obj1")  # now redirected
-    assert storage.tier.cache_misses == 1
+    assert storage.tier.stage.cache_misses == 1

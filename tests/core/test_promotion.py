@@ -40,9 +40,9 @@ def test_hot_read_promotes_evicted_object():
     assert all(e.fully_cached() for e in cmap)
     assert storage.engine.stats.chunks_promoted == 3
     # Subsequent reads are cache hits.
-    before = storage.tier.cache_hits
+    before = storage.tier.stage.cache_hits
     storage.read_sync("obj1")
-    assert storage.tier.cache_hits > before
+    assert storage.tier.stage.cache_hits > before
     assert storage.read_sync("obj1") == b"hot" * 1000
 
 

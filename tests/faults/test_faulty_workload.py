@@ -10,7 +10,7 @@ import os
 import pytest
 
 from repro.faults import FaultPlan, run_faulted_workload
-from repro.metrics import fault_report
+from repro.obs import fault_lines, status_lines, storage_metrics
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "1"))
 
@@ -41,16 +41,17 @@ def test_kill_one_osd_mid_flush():
 
 def test_counters_surface_through_metrics_and_status():
     result = run_faulted_workload(seed=SEED, num_objects=8, horizon=2.0)
-    report = fault_report(result.storage)
-    assert report.faults is result.injector.stats
-    assert report.retry.attempts > 0
-    assert 0.0 <= report.availability <= 1.0
-    joined = "\n".join(report.summary_lines())
+    snap = storage_metrics(result.storage)
+    events = snap.get("repro_fault_events")
+    assert events.labels(kind="crashes").value == result.injector.stats.crashes
+    assert snap.get("repro_retry_stats").labels(stat="attempts").value > 0
+    assert 0.0 <= snap.get("repro_availability").labels().value <= 1.0
+    joined = "\n".join(fault_lines(snap))
     assert "osd crashes" in joined and "availability" in joined
 
-    status_lines = "\n".join(result.storage.status().summary_lines())
-    assert "retries" in status_lines
-    assert "osd crashes" in status_lines  # injector attached -> visible
+    status = "\n".join(status_lines(snap))
+    assert "retries" in status
+    assert "osd crashes" in status  # injector attached -> visible
 
 
 def test_eio_storm_is_absorbed_by_retries():

@@ -1,18 +1,19 @@
-"""The ``export_to(registry)`` hooks: every collector lands in one
-registry, and the latency percentile stays clamped at the float edges."""
+"""Fault and usage counters land in one registry through
+``storage_metrics``, and the latency percentile stays clamped at the
+float edges."""
 
 import pytest
 
-from repro.cluster import RadosCluster, Replicated
-from repro.faults.injector import FaultStats
-from repro.metrics import (
-    LatencyRecorder,
-    ThroughputSeries,
-    cpu_usage,
-    storage_breakdown,
-)
-from repro.metrics.faults import FaultReport
-from repro.obs import MetricsRegistry
+from repro.cluster import RadosCluster
+from repro.core import DedupConfig, DedupedStorage
+from repro.faults import FaultEvent, FaultPlan
+from repro.metrics import LatencyRecorder
+from repro.obs import fault_lines, storage_metrics
+
+
+def make_storage():
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=16)
+    return DedupedStorage(cluster, DedupConfig(chunk_size=1024), start_engine=False)
 
 
 def test_latency_percentile_float_rank_stays_in_bounds():
@@ -26,65 +27,36 @@ def test_latency_percentile_float_rank_stays_in_bounds():
     assert rec.percentile(0.0) == 1.0
 
 
-def test_latency_export_builds_labeled_histograms():
-    reg = MetricsRegistry()
-    reads = LatencyRecorder(name="read")
-    writes = LatencyRecorder(name="write")
-    for v in (0.001, 0.002, 0.4):
-        reads.record(v)
-    writes.record(0.05)
-    reads.export_to(reg)
-    writes.export_to(reg)  # same family, second label: must not clash
-    family = reg.get("repro_op_latency_seconds")
-    assert family.kind == "histogram"
-    assert family.labels(op="read").count == 3
-    assert family.labels(op="read").sum == pytest.approx(0.403)
-    assert family.labels(op="write").count == 1
-    unnamed = LatencyRecorder()
-    unnamed.record(1.0)
-    unnamed.export_to(reg)
-    assert family.labels(op="all").count == 1
-
-
-def test_throughput_export_sets_series_gauges():
-    reg = MetricsRegistry()
-    series = ThroughputSeries(interval=1.0, name="fio")
-    series.note(0.0, 600)
-    series.note(1.0, 200)
-    series.export_to(reg)
-    get = lambda name: reg.get(name).labels(series="fio").value  # noqa: E731
-    assert get("repro_throughput_bytes_total") == 800.0
-    assert get("repro_throughput_ops_total") == 2.0
-    assert get("repro_throughput_mean_bps") == 400.0
-    assert get("repro_throughput_min_bps") == 200.0
-
-
 def test_fault_report_export_with_and_without_injector():
-    reg = MetricsRegistry()
-    FaultReport().export_to(reg)  # no injector attached: faults is None
+    storage = make_storage()
+    reg = storage_metrics(storage)  # no injector attached
     assert reg.get("repro_availability").labels().value == 1.0
     assert reg.get("repro_fault_events") is None
-    injected = FaultReport(faults=FaultStats(), down_osds=[3, 7])
-    injected.export_to(reg)
-    assert reg.get("repro_fault_events") is not None
+    assert fault_lines(reg)[-1] == "down OSDs          none"
+
+    storage.inject_faults(FaultPlan([
+        FaultEvent(0.0, "osd_crash", "3"),
+        FaultEvent(0.0, "osd_crash", "7"),
+    ], seed=1), auto_recover=False)
+    storage.sim.run(until=storage.sim.now + 0.001)
+    reg = storage_metrics(storage)
+    assert reg.get("repro_fault_events").labels(kind="crashes").value == 2
     assert reg.get("repro_down_osds").labels().value == 2.0
+    assert reg.get("repro_osd_down").labels(osd=3).value == 1
+    assert reg.get("repro_osd_down").labels(osd=0).value == 0
     assert reg.get("repro_retry_stats") is not None
+    assert fault_lines(reg)[-1] == "down OSDs          3,7"
 
 
 def test_cluster_usage_collectors_export_into_one_registry():
-    cluster = RadosCluster(num_hosts=2, osds_per_host=1, pg_num=16)
-    pool = cluster.create_pool("p", Replicated(2))
-    cluster.write_full_sync(pool, "o", b"x" * 1000)
-    reg = MetricsRegistry()
-    cpu_usage(cluster).export_to(reg)
-    storage_breakdown(cluster).export_to(reg)
-    nodes = reg.get("repro_cpu_utilization")
-    assert len(nodes) == 2
-    assert reg.get("repro_pool_used_bytes").labels(pool="p").value >= 2000
-    assert (
-        reg.get("repro_used_bytes_total").labels().value
-        == reg.get("repro_pool_used_bytes").labels(pool="p").value
+    storage = make_storage()
+    storage.write_sync("o", b"x" * 1000)
+    reg = storage_metrics(storage)
+    assert len(reg.get("repro_cpu_utilization")) == 4
+    pools = reg.get("repro_pool_used_bytes")
+    assert pools.labels(pool="dedup-metadata").value >= 2000
+    assert reg.get("repro_used_bytes_total").labels().value == sum(
+        series.value for _labels, series in pools.series_items()
     )
-    # Exporting again into the same registry overwrites, never errors.
-    cpu_usage(cluster).export_to(reg)
-    storage_breakdown(cluster).export_to(reg)
+    # Snapshotting again into the same registry overwrites, never errors.
+    assert storage_metrics(storage, reg) is reg

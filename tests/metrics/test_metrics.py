@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.cluster import RadosCluster, Replicated
-from repro.metrics import (
-    LatencyRecorder,
-    ThroughputSeries,
-    cpu_usage,
-    storage_breakdown,
-)
+from repro.cluster import RadosCluster
+from repro.core import DedupConfig, DedupedStorage
+from repro.metrics import LatencyRecorder, ThroughputSeries
+from repro.obs import storage_metrics
+
+
+def usage_storage():
+    cluster = RadosCluster(num_hosts=2, osds_per_host=1, pg_num=16)
+    return DedupedStorage(cluster, DedupConfig(chunk_size=1024), start_engine=False)
 
 
 def test_latency_basic_stats():
@@ -96,31 +98,35 @@ def test_series_invalid_interval():
 
 
 def test_cpu_usage_snapshot():
-    cluster = RadosCluster(num_hosts=2, osds_per_host=1)
-    snap = cpu_usage(cluster)
-    assert set(snap.per_node) == {"host0", "host1"}
-    assert snap.mean == 0.0
-    assert snap.mean_percent == 0.0
+    snap = storage_metrics(usage_storage())
+    nodes = snap.get("repro_cpu_utilization")
+    assert [labels for labels, _series in nodes.series_items()] == [
+        ("host0",), ("host1",)
+    ]
+    assert snap.get("repro_cpu_utilization_mean").labels().value == 0.0
 
 
 def test_cpu_usage_reflects_work():
-    cluster = RadosCluster(num_hosts=2, osds_per_host=1)
-    node = cluster.nodes["host0"]
+    storage = usage_storage()
+    node = storage.cluster.nodes["host0"]
 
     def burn():
         yield from node.cpu.execute(1.0)
-        yield cluster.sim.timeout(1.0)
+        yield storage.sim.timeout(1.0)
 
-    cluster.run(burn())
-    snap = cpu_usage(cluster)
-    assert snap.per_node["host0"] > 0
-    assert snap.per_node["host1"] == 0.0
+    storage.cluster.run(burn())
+    nodes = storage_metrics(storage).get("repro_cpu_utilization")
+    assert nodes.labels(node="host0").value > 0
+    assert nodes.labels(node="host1").value == 0.0
 
 
 def test_storage_breakdown():
-    cluster = RadosCluster(num_hosts=2, osds_per_host=1, pg_num=16)
-    pool = cluster.create_pool("p", Replicated(2))
-    cluster.write_full_sync(pool, "o", b"x" * 1000)
-    bd = storage_breakdown(cluster)
-    assert bd.per_pool["p"] >= 2000
-    assert bd.total == bd.per_pool["p"]
+    storage = usage_storage()
+    storage.write_sync("o", b"x" * 1000)
+    snap = storage_metrics(storage)
+    pools = snap.get("repro_pool_used_bytes")
+    assert pools.labels(pool="dedup-metadata").value >= 2000
+    assert snap.get("repro_used_bytes_total").labels().value == (
+        pools.labels(pool="dedup-metadata").value
+        + pools.labels(pool="dedup-chunks").value
+    )

@@ -73,9 +73,10 @@ def test_storage_metrics_snapshot_contains_core_families():
     )
 
 
-def test_storage_metrics_exports_cache_and_read_fanout_families():
-    """The map-cache counters surface as one labeled family beside the
-    read fan-out stats, and both survive Prometheus text exposition."""
+def test_storage_metrics_exports_cache_and_read_fanout_counters():
+    """The map-cache, read-cache and fan-out counters surface through
+    the one stage-counter family, and survive Prometheus text
+    exposition."""
     from repro.cluster import RadosCluster
     from repro.core import DedupConfig, DedupedStorage
     from repro.obs.export import prometheus_text
@@ -97,34 +98,23 @@ def test_storage_metrics_exports_cache_and_read_fanout_families():
 
     registry = storage_metrics(storage)
     names = {family.name for family in registry.families()}
-    assert {
-        "repro_cache_events",
-        "repro_read_fanout",
-        "repro_stage_counters",
-    } <= names
-    assert not any(name.startswith("repro_chunk_cache") for name in names)
+    assert "repro_stage_counters" in names
+    assert not names & {"repro_cache_events", "repro_read_fanout"}
 
     stage = storage.tier.stage
-    events = registry.get("repro_cache_events")
-    expected = {
-        ("map", "hit"): stage.map_cache_hits,
-        ("map", "miss"): stage.map_cache_misses,
-        ("map", "invalidation"): stage.map_cache_invalidations,
-    }
-    for (cache, event), value in expected.items():
-        assert events.labels(cache=cache, event=event).value == value
+    counters = registry.get("repro_stage_counters")
+    for counter in ("map_cache_hits", "map_cache_misses",
+                    "map_cache_invalidations", "cache_hits", "cache_misses",
+                    "fanout_chunk_reads"):
+        assert counters.labels(counter=counter).value == getattr(stage, counter)
     # The workload above actually drove the map cache and the fan-out.
     assert stage.map_cache_hits > 0
     assert stage.fanout_chunk_reads > 0
-
-    fanout = registry.get("repro_read_fanout")
-    assert fanout.labels(stat="chunk_reads").value == stage.fanout_chunk_reads
+    assert stage.cache_misses > 0
 
     text = prometheus_text(registry)
-    assert 'repro_cache_events{cache="map",event="hit"}' in text
-    assert 'repro_read_fanout{stat="chunk_reads"}' in text
-    # Raw stage counters keep flowing through the flat family too.
     assert 'repro_stage_counters{counter="map_cache_hits"}' in text
+    assert 'repro_stage_counters{counter="fanout_chunk_reads"}' in text
 
 
 def test_obs_cli_trace_report_and_top_spans(tmp_path, capsys):

@@ -6,7 +6,9 @@ draw and every byte the CLI prints exactly where they were.  This file
 holds that as SHA-256 digests of
 
 * the stdout of the deterministic CLI scenarios (``repro faults``,
-  ``rebalance``, ``demo``, ``status``, ``scrub``), run in-process; and
+  ``rebalance``, ``demo``, ``status``, ``scrub``), run in-process;
+* the Prometheus text ``repro obs trace --metrics-out`` writes, with the
+  one host-clock sample (``fingerprint_seconds``) masked; and
 * an ``(event time, label)`` log of one small scenario that drives a
   replicated and an erasure-coded pool through client contention,
   batched commits, an EIO window, an OSD crash + restart and an online
@@ -22,6 +24,7 @@ paste.
 import contextlib
 import hashlib
 import io
+import re
 
 from repro.cli import main
 from repro.cluster import ErasureCoded, RadosCluster, Rebalancer, Replicated
@@ -54,6 +57,11 @@ SCENARIO_DIGEST = (
     # `_ec.crc` over each fresh one: the transaction no longer carries
     # that second setxattr, so every shard write is 11 bytes shorter.
     "2faf273d718f654701f1cf8d21ec2544a13e19388bcf3948563266f86a6ea827"
+)
+
+
+METRICS_DIGEST = (
+    "f12401c59a32c016aec1ae5b6e9bbc79b0d17730c92bbbf16c6ff26222e7f237"
 )
 
 
@@ -160,3 +168,15 @@ def test_cli_output_digests():
     assert not moved, "new CLI digests:\n" + "\n".join(
         "    %r: %r," % (argv, d) for argv, d in got.items()
     )
+
+
+def test_metrics_export_digest(tmp_path):
+    prom = tmp_path / "metrics.prom"
+    argv = ["--seed", "0", "obs", "trace", "--out", str(tmp_path / "t.jsonl"),
+            "--metrics-out", str(prom)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    text = re.sub(r'(counter="fingerprint_seconds"\}) \S+', r"\1 HOST",
+                  prom.read_text())
+    got = _sha(text)
+    assert got == METRICS_DIGEST, "new metrics digest: %r" % got

@@ -346,7 +346,9 @@ class RadosCluster:
            the same locks, so a write that queued on the client NIC
            while its PG was remapped, migrated and settled lands on the
            replicas of *now*; an item whose primary changed meanwhile
-           has its payload forwarded primary to primary.
+           has its payload forwarded primary to primary.  When no remap
+           was active at either point and the map epoch has not moved,
+           step 1's resolution still holds and is reused.
         4. Prepare every replica of every group, check quorum for all
            groups, then commit all of them — one fault anywhere and
            nothing is mutated.  Release; ack.
@@ -369,7 +371,10 @@ class RadosCluster:
             client = client or self._default_client
             sent: Dict[int, Tuple[Node, int]] = {}  # item -> (node, payload bytes)
             sends = []
-            for _gid, targets, members in self._commit_groups(pool, keys):
+            epoch = self.cluster_map.epoch
+            settled = not self._active_remaps
+            groups = self._commit_groups(pool, keys)
+            for _gid, targets, members in groups:
                 node = targets[0].node
                 nbytes = 0
                 for i in members:
@@ -385,8 +390,19 @@ class RadosCluster:
             try:
                 for key in sorted(set(keys)):
                     yield self.write_locks.acquire(key, held)
+                # Every change of an OSD's up/in state bumps the epoch,
+                # and settled groups depend on nothing else but the
+                # needs_backfill flags, which recovery clears without a
+                # bump: that only reorders the same up members, so the
+                # reused primary is still an up replica.
+                if not (
+                    settled
+                    and not self._active_remaps
+                    and epoch == self.cluster_map.epoch
+                ):
+                    groups = self._commit_groups(pool, keys)
                 plan = []  # (txn, replicas, payload bytes) per group
-                for _gid, targets, members in self._commit_groups(pool, keys):
+                for _gid, targets, members in groups:
                     node = targets[0].node
                     nbytes = 0
                     for i in members:

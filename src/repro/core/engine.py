@@ -4,7 +4,13 @@ A background process drains the dirty object ID list:
 
 1. pop a dirty metadata object;
 2. find its dirty chunks from the chunk map (they are cached in the
-   object's data part);
+   object's data part) and assemble their bytes.  A fully cached chunk
+   is one local read, made one after another.  A partially cached one
+   is the deferred read-modify-write of a sub-chunk overwrite: its
+   cached ranges overlay the old chunk object's bytes.  The pass issues
+   the reads of all its partially cached chunks at once — one local
+   read per cached range and one chunk-pool read spanning a chunk's
+   missing ranges;
 3. if the cache manager deems the object cold, fingerprint each dirty
    chunk; dereference the previously referenced chunk object if the
    content moved; store-or-reference the chunk in the chunk pool
@@ -28,6 +34,7 @@ the data they describe, remain the source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from ..cluster import Transaction
@@ -39,6 +46,40 @@ from .refcount import make_refcounter
 from .tier import ChunkBatch, DedupTier, NodeClient
 
 __all__ = ["DedupEngine", "EngineStats"]
+
+
+def _missing_span(entry):
+    """``(start, end)`` covering every missing range of ``entry``."""
+    missing = entry.missing_ranges()
+    return missing[0][0], missing[-1][1]
+
+
+def _merge_partial(entry, parts):
+    """The bytes of a partially cached chunk from its reads' results.
+
+    ``parts`` yields them in :meth:`DedupEngine._start_merge_reads`
+    order: the old chunk's bytes first (a short read, e.g. of a chunk
+    the entry has grown past, leaves zeros), then the cached ranges
+    overlaying them.
+    """
+    buf = bytearray(entry.length)
+    if entry.chunk_id:
+        start = _missing_span(entry)[0]
+        old = next(parts)
+        buf[start : start + len(old)] = old
+    for start, _end in entry.valid:
+        part = next(parts)
+        buf[start : start + len(part)] = part
+    return bytes(buf)
+
+
+def _settle(proc):
+    """Process: wait until ``proc`` has ended, whatever its outcome."""
+    if not proc.triggered:
+        try:
+            yield proc
+        except Exception:
+            pass  # the caller is already failing with an error of its own
 
 
 @dataclass
@@ -193,6 +234,8 @@ class DedupEngine:
         staged = []  # (chunk index, entry, data) awaiting fingerprints
         try:
             with span.child("engine.chunk_assemble") as s_asm:
+                whole = []  # (index, entry) of fully cached dirty chunks
+                partial = []  # (index, entry) of partially cached ones
                 for idx in cmap.dirty_indices():
                     entry = cmap.get(idx)
                     if not entry.cached:
@@ -200,37 +243,40 @@ class DedupEngine:
                         cmap.set(entry.replace(dirty=False))
                         changed = True
                         continue
-                    if entry.fully_cached():
+                    (whole if entry.fully_cached() else partial).append((idx, entry))
+                # Deferred read-modify-write: every read the partially
+                # cached chunks need starts now, beside the whole chunks'
+                # local reads, which stay one after another — concurrent
+                # reads of the one primary disk would stall sibling
+                # passes' commits.
+                reads = (
+                    self._start_merge_reads(oid, partial, via, s_asm) if partial else ()
+                )
+                try:
+                    for idx, entry in whole:
                         data = yield from tier.read_local_chunk(
                             oid, entry.offset, entry.length
                         )
-                    else:
-                        # Deferred read-modify-write: merge the cached pieces
-                        # with the old chunk object's bytes.  This is the
-                        # "reading data for flush" background cost the paper
-                        # lists for the Proposed system — paid here, not on the
-                        # foreground write path.
-                        buf = bytearray(entry.length)
-                        for seg_start, seg_end in entry.valid:
-                            part = yield from tier.read_local_chunk(
-                                oid, entry.offset + seg_start, seg_end - seg_start
-                            )
-                            buf[seg_start : seg_start + len(part)] = part
-                        if entry.chunk_id:
-                            for seg_start, seg_end in entry.missing_ranges():
-                                part = yield from tier.read_chunk(
-                                    entry.chunk_id,
-                                    seg_start,
-                                    seg_end - seg_start,
-                                    via,
-                                    span=s_asm,
-                                )
-                                buf[seg_start : seg_start + len(part)] = part
-                        data = bytes(buf)
-                    tier.stage.chunking_ops += 1
-                    tier.stage.chunking_bytes += len(data)
-                    yield from primary.node.cpu.fingerprint(len(data))
-                    staged.append((idx, entry, data))
+                        tier.stage.chunking_ops += 1
+                        tier.stage.chunking_bytes += len(data)
+                        yield from primary.node.cpu.fingerprint(len(data))
+                        staged.append((idx, entry, data))
+                    if reads:
+                        parts = iter((yield self.sim.all_of(reads)))
+                except Exception:
+                    # Fail only once every read this pass started has
+                    # ended: none may outlive the pass and its lock.
+                    for read in reads:
+                        yield from _settle(read)
+                    raise
+                if reads:
+                    for idx, entry in partial:
+                        data = _merge_partial(entry, parts)
+                        tier.stage.chunking_ops += 1
+                        tier.stage.chunking_bytes += len(data)
+                        yield from primary.node.cpu.fingerprint(len(data))
+                        staged.append((idx, entry, data))
+                    staged.sort(key=itemgetter(0))
                 s_asm.tag(chunks=len(staged))
             with span.child("engine.fingerprint", chunks=len(staged)):
                 digests = []  # hex fingerprints aligned with ``staged``
@@ -320,6 +366,32 @@ class DedupEngine:
             yield from self._apply_derefs(pending_derefs, via, span=span)
         self.stats.objects_processed += 1
         return "done"
+
+    def _start_merge_reads(self, oid, partial, via, span):
+        """Start every read that assembles the partially cached chunks
+        ``partial`` (``(index, entry)`` pairs); returns their processes,
+        in the order :func:`_merge_partial` consumes the results.
+
+        Per chunk: one chunk-pool read of the old chunk spanning all its
+        missing ranges (none for a chunk never flushed, whose gaps are
+        zeros), then one local read per cached range.  This is the
+        "reading data for flush" background cost the paper lists for the
+        Proposed system — paid here, not on the foreground write path.
+        """
+        tier = self.tier
+        process = self.sim.process
+        reads = []
+        for _idx, entry in partial:
+            if entry.chunk_id:
+                lo, hi = _missing_span(entry)
+                reads.append(
+                    process(tier.read_chunk(entry.chunk_id, lo, hi - lo, via, span=span))
+                )
+            for start, end in entry.valid:
+                reads.append(
+                    process(tier.read_local_chunk(oid, entry.offset + start, end - start))
+                )
+        return reads
 
     def _apply_derefs(self, pairs, via, span=NULL_SPAN):
         """Process: release old-chunk references after the map commits.

@@ -1,0 +1,102 @@
+"""When the replicated commit pipeline resolves an item's replicas.
+
+``_submit`` resolves every item's replicas once before the write locks,
+to send the payload to the primary, and must commit on the replicas of
+the moment it holds the locks.  The first resolution is reused when no
+remap was active at either point and the cluster-map epoch has not moved;
+anything that can change a holder set in between forces a second one.
+"""
+
+from repro.cluster import RadosCluster, Replicated
+from repro.cluster.objectstore import Transaction
+
+KiB = 1024
+
+
+def _cluster():
+    cluster = RadosCluster(num_hosts=2, osds_per_host=2, pg_num=16)
+    pool = cluster.create_pool("data", Replicated(2))
+    for i in range(8):
+        cluster.write_full_sync(pool, "obj%d" % i, bytes([i]) * (4 * KiB))
+    return cluster, pool
+
+
+def _count_resolutions(cluster, monkeypatch):
+    calls = []
+    resolve = cluster._commit_groups
+
+    def counting(pool, keys):
+        calls.append(len(keys))
+        return resolve(pool, keys)
+
+    monkeypatch.setattr(cluster, "_commit_groups", counting)
+    return calls
+
+
+def _write(cluster, pool, oid, fill):
+    key = cluster.object_key(pool, oid)
+    return Transaction().write(key, 0, fill * (4 * KiB))
+
+
+def test_a_settled_submit_resolves_its_replicas_once(monkeypatch):
+    cluster, pool = _cluster()
+    calls = _count_resolutions(cluster, monkeypatch)
+    cluster.submit_sync(pool, "obj0", _write(cluster, pool, "obj0", b"A"))
+    assert calls == [1]
+    items = [("obj%d" % i, _write(cluster, pool, "obj%d" % i, b"B")) for i in range(8)]
+    assert len({pool.pg_of(oid) for oid, _txn in items}) > 1
+    cluster.submit_batch_sync(pool, items)
+    assert calls == [1, 8]
+    for i in range(8):
+        assert cluster.read_sync(pool, "obj%d" % i) == b"B" * (4 * KiB)
+
+
+def _submit_behind_a_held_lock(cluster, pool, oid, during_wait):
+    """Submit a write of ``oid`` while its write lock is held; run
+    ``during_wait()`` while the submit queues on the lock, then free it."""
+    sim = cluster.sim
+    key = cluster.object_key(pool, oid)
+    held = []
+    grant = cluster.write_locks.acquire(key, held)
+    assert grant.triggered
+    write = sim.process(cluster.submit(pool, oid, _write(cluster, pool, oid, b"N")))
+    sim.run(until=sim.now + 0.01)
+    assert not write.triggered  # parked on the write lock
+    during_wait()
+    cluster.write_locks.release(held)
+    sim.run_until_complete(write)
+    sim.run()
+
+
+def test_a_remap_registered_during_the_lock_wait_forces_re_resolution(monkeypatch):
+    cluster, pool = _cluster()
+    calls = _count_resolutions(cluster, monkeypatch)
+
+    def expand():
+        assert cluster.expand("host2", 2).pgs_remapped > 0
+
+    _submit_behind_a_held_lock(cluster, pool, "obj3", expand)
+    assert calls == [1, 1]
+    holders = [
+        osd for osd in cluster.acting_osds(pool, "obj3")
+        if osd.store.exists(cluster.object_key(pool, "obj3"))
+    ]
+    assert holders
+    for osd in holders:
+        assert osd.store.read(cluster.object_key(pool, "obj3")) == b"N" * (4 * KiB)
+
+
+def test_an_osd_marked_down_during_the_lock_wait_forces_re_resolution(monkeypatch):
+    cluster, pool = _cluster()
+    key = cluster.object_key(pool, "obj5")
+    primary, replica = pool.acting_set(key.pg)
+    calls = _count_resolutions(cluster, monkeypatch)
+
+    _submit_behind_a_held_lock(
+        cluster, pool, "obj5", lambda: cluster.fail_osd(replica, mark_out=False)
+    )
+    assert calls == [1, 1]
+    # The write committed on the replicas of the moment it held the
+    # lock: the primary only; the down replica keeps its old copy.
+    assert cluster.osds[primary].store.read(key) == b"N" * (4 * KiB)
+    assert cluster.osds[replica].store.read(key) == bytes([5]) * (4 * KiB)

@@ -3,7 +3,8 @@
 These tests pin the abort hygiene (a pass that faults after hashing
 takes no reference and comes back via the dirty list) and the
 convergence contract (a flush under injected faults ends in the same
-state as a fault-free one).
+state as a fault-free one, partial overwrites and their deferred
+read-modify-write included).
 """
 
 import pytest
@@ -12,7 +13,6 @@ from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.errors import TransientOpError
-from repro.fingerprint import fingerprint
 
 
 def make_storage(**config_overrides):
@@ -44,8 +44,9 @@ def flush_all(storage, objects):
 
 
 def assert_equivalent(faulted, pristine, objects):
-    fps = {fingerprint(data) for data in objects.values()}
-    for fp in fps:
+    chunks = pristine.cluster.list_objects(pristine.tier.chunk_pool)
+    assert faulted.cluster.list_objects(faulted.tier.chunk_pool) == chunks
+    for fp in chunks:
         assert faulted.tier.chunk_refcount(fp) == pristine.tier.chunk_refcount(fp)
     assert faulted.space_report() == pristine.space_report()
     for oid, data in objects.items():
@@ -104,22 +105,57 @@ object_strategy = st.lists(
     max_size=4,
 )
 
+#: Sub-chunk overwrites of flushed objects: (object, offset, length,
+#: fill), the object and offset taken modulo what exists.
+patch_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=6 * 512 - 1),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=255),
+    ),
+    max_size=6,
+)
+
+
+def flush_and_patch(storage, objects, patches):
+    """Flush ``objects``, overwrite parts of them and flush again (each
+    overwrite leaves its chunk partially cached); returns the contents."""
+    flush_all(storage, objects)
+    final = {oid: bytearray(data) for oid, data in objects.items()}
+    oids = sorted(final)
+    for which, offset, length, fill in patches:
+        oid = oids[which % len(oids)]
+        data = final[oid]
+        offset %= len(data)
+        length = min(length, len(data) - offset)
+        patch = bytes([fill]) * length
+        storage.write_sync(oid, patch, offset=offset)
+        data[offset : offset + length] = patch
+    storage.drain()
+    return {oid: bytes(data) for oid, data in final.items()}
+
 
 @settings(
     max_examples=8,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(pattern=object_strategy, fault_seed=st.integers(min_value=0, max_value=10_000))
-def test_flush_under_faults_equals_fault_free(pattern, fault_seed):
+@given(
+    pattern=object_strategy,
+    patches=patch_strategy,
+    fault_seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_flush_under_faults_equals_fault_free(pattern, patches, fault_seed):
     """A seeded FaultPlan changes nothing observable.
 
     EIO windows and slow disks hit one engine's cluster while a pristine
-    cluster flushes the same objects; the skip-and-requeue abort path
-    must converge to the same chunk-pool state, space report, and
-    readback.
+    cluster flushes the same objects and the same partial overwrites;
+    the skip-and-requeue abort path must converge to the same chunk-pool
+    state, space report, and readback.  Nothing stays cached after a
+    flush, so every overwrite is merged by a deferred read-modify-write.
     """
-    faulted = make_storage()
+    faulted = make_storage(cache_on_flush=False)
     plan = FaultPlan.generate(
         seed=fault_seed,
         horizon=2.0,
@@ -132,10 +168,10 @@ def test_flush_under_faults_equals_fault_free(pattern, fault_seed):
     FaultInjector(faulted.cluster, plan, auto_recover=True).attach()
 
     objects = build_objects(pattern)
-    flush_all(faulted, objects)
+    final = flush_and_patch(faulted, objects, patches)
     faulted.sim.run()  # let remaining fault windows expire
     faulted.drain()    # flush anything requeued by a faulted pass
 
-    pristine = make_storage()
-    flush_all(pristine, objects)
-    assert_equivalent(faulted, pristine, objects)
+    pristine = make_storage(cache_on_flush=False)
+    assert flush_and_patch(pristine, objects, patches) == final
+    assert_equivalent(faulted, pristine, final)

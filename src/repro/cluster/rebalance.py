@@ -28,8 +28,9 @@ new map and retires any remaining remaps).
 
 Device costing reuses the recovery machinery: source disk reads,
 inter-host transfers and target pushes all charge simulated time, and
-an optional token-bucket rate limit paces migration traffic so the
-foreground workload keeps its throughput.
+an optional byte-rate limit (a sleep of ``nbytes / rate_limit_bps``
+after each copy) paces migration traffic so the foreground workload
+keeps its throughput.
 """
 
 from __future__ import annotations

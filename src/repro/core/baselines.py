@@ -221,7 +221,7 @@ class InlineDedupStorage:
             chunk_bytes = bytes(buf)
             # Fingerprint inline, on the write path.
             yield from primary.node.cpu.fingerprint(len(chunk_bytes))
-            fp = fingerprint(chunk_bytes, tier.config.fingerprint_algorithm)
+            fp = fingerprint(chunk_bytes)
             ref = ChunkRef(tier.metadata_pool.pool_id, oid, cstart)
             if old_id and old_id != fp:
                 yield from tier.chunk_deref(old_id, ref, client)

@@ -47,6 +47,13 @@ from .tier import ChunkBatch, DedupTier, NodeClient
 
 __all__ = ["DedupEngine", "EngineStats"]
 
+#: How long an object skipped because it is hot waits before the engine
+#: looks at it again.
+HOT_REQUEUE_DELAY = 1.0
+#: How long an object whose pass hit a fault waits before it is retried
+#: from the dirty list (skip-and-requeue degradation).
+FAULT_REQUEUE_DELAY = 0.2
+
 
 def _missing_span(entry):
     """``(start, end)`` covering every missing range of ``entry``."""
@@ -170,7 +177,7 @@ class DedupEngine:
                 if not is_retryable(exc):
                     raise
                 self.stats.objects_requeued_fault += 1
-                tier.requeue_dirty(oid, delay=self.config.fault_requeue_delay)
+                tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
 
     # -- one object -------------------------------------------------------------
 
@@ -184,9 +191,9 @@ class DedupEngine:
         """
         tier = self.tier
         with tier.tracer.root_span("op.dedup_pass", oid=oid, forced=force) as op:
-            if not force and self.config.selective_dedup and tier.cache.is_hot(oid):
+            if not force and tier.cache.is_hot(oid):
                 self.stats.objects_skipped_hot += 1
-                tier.requeue_dirty(oid, delay=self.config.hot_requeue_delay)
+                tier.requeue_dirty(oid, delay=HOT_REQUEUE_DELAY)
                 op.tag(result="skipped_hot")
                 return "skipped_hot"
             if not force:
@@ -281,9 +288,7 @@ class DedupEngine:
             with span.child("engine.fingerprint", chunks=len(staged)):
                 digests = []  # hex fingerprints aligned with ``staged``
                 for _idx, _entry, data in staged:
-                    fp, seconds = timed_fingerprint(
-                        data, self.config.fingerprint_algorithm
-                    )
+                    fp, seconds = timed_fingerprint(data)
                     tier.stage.fingerprint_seconds += seconds
                     tier.stage.fingerprint_ops += 1
                     tier.stage.fingerprint_bytes += len(data)
@@ -360,7 +365,7 @@ class DedupEngine:
                 raise
             yield from self._release_or_defer(taken, via, span=span)
             self.stats.objects_requeued_fault += 1
-            tier.requeue_dirty(oid, delay=self.config.fault_requeue_delay)
+            tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
             return "faulted"
         if pending_derefs:
             yield from self._apply_derefs(pending_derefs, via, span=span)

@@ -72,20 +72,17 @@ class RateController:
         self.throttled = 0
         self.passed = 0
 
-    def _load(self) -> float:
-        if self.config.watermark_metric == "throughput":
-            return self.window.throughput()
-        return self.window.iops()
-
     def current_ratio(self) -> int:
         """Foreground ops per permitted dedup I/O at the current load.
 
         0 means unthrottled (below the low watermark).
         """
-        load = self._load()
-        if load < self.config.low_watermark:
+        return self._ratio_at(self.window.iops())
+
+    def _ratio_at(self, iops: float) -> int:
+        if iops < self.config.low_watermark:
             return 0
-        if load >= self.config.high_watermark:
+        if iops >= self.config.high_watermark:
             return self.config.ops_per_dedup_high
         return self.config.ops_per_dedup_mid
 
@@ -94,17 +91,10 @@ class RateController:
         if not self.config.rate_control:
             self.passed += 1
             return
-        ratio = self.current_ratio()
+        iops = self.window.iops()
+        ratio = self._ratio_at(iops)
         if ratio == 0:
             self.passed += 1
             return
-        load = self._load()
-        if self.config.watermark_metric == "iops":
-            delay = ratio / max(load, 1e-9)
-        else:
-            # Throughput metric: treat the ratio as "foreground bytes per
-            # dedup I/O" in units of the average op size over the window.
-            iops = max(self.window.iops(), 1e-9)
-            delay = ratio / iops
         self.throttled += 1
-        yield self.sim.timeout(delay)
+        yield self.sim.timeout(ratio / max(iops, 1e-9))

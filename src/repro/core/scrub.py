@@ -93,7 +93,7 @@ def scrub(tier: DedupTier):
         data = yield from tier.read_chunk(chunk_id, 0, None, None)
         primary = cluster._primary(tier.chunk_pool, chunk_id)
         yield from primary.node.cpu.fingerprint(len(data))
-        if fingerprint(data, tier.config.fingerprint_algorithm) != chunk_id:
+        if fingerprint(data) != chunk_id:
             report.corrupt_chunks.append(chunk_id)
         implied = live.get(chunk_id, set())
         stored = set(tier._load_refs(chunk_id))

@@ -180,23 +180,20 @@ class DedupTier:
             chunk_redundancy if chunk_redundancy is not None else Replicated(2),
         )
         self.chunker = StaticChunker(self.config.chunk_size)
-        self.codec = ZlibCodec(self.config.compress_level)
+        self.codec = ZlibCodec()
         self.cache = CacheManager(cluster.sim, self.config)
         self.fg_window = OpWindow(cluster.sim)
         self.rate = RateController(cluster.sim, self.fg_window, self.config)
         #: Retry/backoff plumbing for transient substrate faults; every
-        #: I/O-path and engine op funnels through :meth:`retrying`.
-        self.retry_policy = RetryPolicy.from_config(self.config)
+        #: I/O-path and engine op funnels through :meth:`retrying`, which
+        #: reads this attribute on every call (so it can be swapped).
+        self.retry_policy = RetryPolicy()
         self.retry_stats = RetryStats()
         #: Per-op span trees (``repro.obs``) on the *simulation* clock —
         #: DET001 stays intact because the tracer never reads wall time.
         #: Disabled by default: every span-taking call site then gets the
         #: shared null span and the hot path stays allocation-free.
-        self.tracer = Tracer(
-            clock=lambda: cluster.sim.now,
-            enabled=self.config.trace_ops,
-            max_spans=self.config.trace_max_spans,
-        )
+        self.tracer = Tracer(clock=lambda: cluster.sim.now, enabled=self.config.trace_ops)
         # Dirty object ID list (paper Figure 8). In-memory, rebuildable
         # from the dirty bits persisted in every chunk map.
         self._dirty_queue: Deque[str] = deque()

@@ -56,17 +56,6 @@ class RetryPolicy:
             return 0.0
         return min(self.max_delay, self.base_delay * self.backoff ** (attempt - 2))
 
-    @classmethod
-    def from_config(cls, config: Any) -> "RetryPolicy":
-        """Build from a :class:`~repro.core.DedupConfig`-shaped object."""
-        return cls(
-            max_attempts=config.retry_max_attempts,
-            base_delay=config.retry_base_delay,
-            backoff=config.retry_backoff,
-            max_delay=config.retry_max_delay,
-            op_timeout=config.op_timeout,
-        )
-
 
 @dataclass
 class RetryStats:

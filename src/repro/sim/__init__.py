@@ -10,7 +10,7 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .resources import LockTable, Resource, Store, TokenBucket
+from .resources import LockTable, Resource
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "SimulationError",
     "LockTable",
     "Resource",
-    "Store",
-    "TokenBucket",
     "RngRegistry",
     "derive_seed",
 ]

@@ -126,13 +126,11 @@ class Event:
         #: True once callbacks have run.
         self.processed = False
         #: True when the waiter that created this event abandoned it (an
-        #: interrupted process detaching from a queued wait).  Producers
+        #: interrupted process detaching from a queued wait).  A producer
         #: holding the event in a wait queue — :class:`~repro.sim.Resource`
-        #: slot grants, :class:`~repro.sim.Store` getters/putters,
-        #: :class:`~repro.sim.TokenBucket` grants — must skip cancelled
-        #: events instead of succeeding them, otherwise the granted slot,
-        #: item, or token budget is handed to a process that will never
-        #: consume it (a silent leak; for a capacity-1 lock, a deadlock).
+        #: slot grants — must skip cancelled events instead of succeeding
+        #: them, otherwise the granted slot is handed to a process that
+        #: will never release it (a silent leak; for a lock, a deadlock).
         self.cancelled = False
 
     @property
@@ -258,9 +256,8 @@ class Process(Event):
         if self.triggered:
             return
         # Detach from whatever we were waiting on.  Mark the abandoned
-        # event cancelled so queue-holding producers (Resource, Store,
-        # TokenBucket) drop it instead of granting to a waiter that is
-        # no longer listening.
+        # event cancelled so a queue-holding producer (Resource) drops it
+        # instead of granting to a waiter that is no longer listening.
         stale = self._waiting_on
         if stale is not None and not stale.triggered:
             stale.cancelled = True

@@ -6,10 +6,6 @@
 * :class:`LockTable` — per-key mutexes (one capacity-1 ``Resource`` per
   key, alive only while held or awaited); every lock of the tier and
   the substrate is taken through one.
-* :class:`Store` — an unbounded/bounded FIFO buffer of items; models
-  mailboxes and work queues between processes.
-* :class:`TokenBucket` — a rate limiter with burst capacity; models
-  bandwidth caps and the deduplication rate controller's I/O budget.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from typing import Any, Deque, Dict, Generator, Hashable, List, Optional, Tuple,
 
 from .core import Event, SimulationError, Simulator
 
-__all__ = ["LockTable", "Resource", "Store", "TokenBucket"]
+__all__ = ["LockTable", "Resource"]
 
 _Waiters = Deque[Tuple[Event, Optional[float]]]
 
@@ -275,132 +271,3 @@ class LockTable:
                 lock.release()
                 if not lock._in_use:
                     del locks[key]
-
-
-class Store:
-    """A FIFO buffer of items between producer and consumer processes."""
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()  # (event, item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def _next_getter(self) -> Optional[Event]:
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.cancelled:
-                return getter
-        return None
-
-    def put(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` has been accepted."""
-        event = Event(self.sim)
-        getter = self._next_getter()
-        if getter is not None:
-            getter.succeed(item)
-            event.succeed(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed(None)
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item (FIFO)."""
-        event = Event(self.sim)
-        if self._items:
-            item = self._items.popleft()
-            while self._putters:
-                put_event, pending = self._putters.popleft()
-                if put_event.cancelled:
-                    continue
-                self._items.append(pending)
-                put_event.succeed(None)
-                break
-            event.succeed(item)
-        else:
-            self._getters.append(event)
-        return event
-
-
-class TokenBucket:
-    """A token-bucket rate limiter on the simulated clock.
-
-    Tokens accrue at ``rate`` per second up to ``capacity``.  An
-    :meth:`acquire` for ``n`` tokens fires once ``n`` tokens are
-    available; acquirers are served FIFO so a large request cannot be
-    starved by a stream of small ones.
-    """
-
-    def __init__(
-        self, sim: Simulator, rate: float, capacity: Optional[float] = None
-    ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.sim = sim
-        self.rate = rate
-        self.capacity = capacity if capacity is not None else rate
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        self._tokens = self.capacity
-        self._last_refill = sim.now
-        self._waiters: Deque[Tuple[Event, float]] = deque()  # (event, amount)
-        self._drain_scheduled = False
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        self._tokens = min(
-            self.capacity, self._tokens + (now - self._last_refill) * self.rate
-        )
-        self._last_refill = now
-
-    @property
-    def tokens(self) -> float:
-        """Tokens available right now."""
-        self._refill()
-        return self._tokens
-
-    def acquire(self, amount: float = 1.0) -> Event:
-        """Return an event firing when ``amount`` tokens are granted."""
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        if amount > self.capacity:
-            raise ValueError(
-                f"amount {amount} exceeds bucket capacity {self.capacity}"
-            )
-        event = Event(self.sim)
-        self._waiters.append((event, amount))
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        self._refill()
-        while self._waiters:
-            event, amount = self._waiters[0]
-            if event.cancelled:
-                # The waiting process was interrupted; don't burn budget
-                # on a grant nobody consumes.
-                self._waiters.popleft()
-                continue
-            if amount <= self._tokens + 1e-12:
-                self._tokens -= amount
-                self._waiters.popleft()
-                event.succeed(None)
-                continue
-            if not self._drain_scheduled:
-                wait = (amount - self._tokens) / self.rate
-                self._drain_scheduled = True
-                self.sim.call_later(wait, self._drain_tick)
-            break
-
-    def _drain_tick(self) -> None:
-        self._drain_scheduled = False
-        self._drain()

@@ -1,7 +1,5 @@
 """Tests for tier-level chunk compression (compress_chunks)."""
 
-import pytest
-
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.scrub import scrub_sync
@@ -100,8 +98,3 @@ def test_compression_saves_space_vs_uncompressed_tier():
         return storage.space_report().chunk_data_bytes
 
     assert stored(True) < 0.7 * stored(False)
-
-
-def test_compress_level_validation():
-    with pytest.raises(ValueError):
-        DedupConfig(compress_level=10)

@@ -295,8 +295,11 @@ def test_drain_of_one_dirty_object_spawns_no_process():
     )
 
 
-def test_drain_beside_background_workers_and_a_writer_converges():
-    storage = make_storage(hit_count_threshold=1, hot_requeue_delay=5.0)
+def test_drain_beside_background_workers_and_a_writer_converges(monkeypatch):
+    from repro.core import engine
+
+    monkeypatch.setattr(engine, "HOT_REQUEUE_DELAY", 5.0)
+    storage = make_storage(hit_count_threshold=1)
     sim = storage.sim
     latest = {}
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cluster import ErasureCoded, RadosCluster
 from repro.core import DedupConfig, DedupedStorage
+from repro.faults import RetryPolicy
 
 OP_TIMEOUT = 0.05
 HOPS = [0, 1, 2]
@@ -23,8 +24,10 @@ HOPS = [0, 1, 2]
 
 def make_storage(**kwargs):
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
-    config = DedupConfig(chunk_size=1024, op_timeout=OP_TIMEOUT)
-    return DedupedStorage(cluster, config, start_engine=False, **kwargs)
+    config = DedupConfig(chunk_size=1024)
+    storage = DedupedStorage(cluster, config, start_engine=False, **kwargs)
+    storage.tier.retry_policy = RetryPolicy(op_timeout=OP_TIMEOUT)
+    return storage
 
 
 def first_call(monkeypatch, sim, obj, name):

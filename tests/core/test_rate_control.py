@@ -125,24 +125,7 @@ def test_throttle_disabled():
     assert p.value == 0.0
 
 
-def test_throughput_metric_watermarks():
-    sim = Simulator()
-    window = OpWindow(sim)
-    config_kwargs = dict(
-        watermark_metric="throughput",
-        low_watermark=1_000_000.0,  # 1 MB/s
-        high_watermark=100_000_000.0,
-    )
-    rc = make_rc(sim, window, **config_kwargs)
-    feed(sim, window, 10, nbytes=1000)  # 10 KB/s < low
-    assert rc.current_ratio() == 0
-    feed(sim, window, 1000, nbytes=4096)  # ~4 MB/s, between watermarks
-    assert rc.current_ratio() == 100
-
-
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DedupConfig(watermark_metric="bogus")
     with pytest.raises(ValueError):
         DedupConfig(low_watermark=10, high_watermark=5)
     with pytest.raises(ValueError):

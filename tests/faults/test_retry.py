@@ -139,14 +139,3 @@ def test_policy_validation():
         RetryPolicy(op_timeout=0.0)
     with pytest.raises(ValueError):
         RetryPolicy(base_delay=-1.0)
-
-
-def test_policy_from_config():
-    from repro.core import DedupConfig
-
-    policy = RetryPolicy.from_config(
-        DedupConfig(retry_max_attempts=7, retry_base_delay=0.5, op_timeout=2.0)
-    )
-    assert policy.max_attempts == 7
-    assert policy.base_delay == 0.5
-    assert policy.op_timeout == 2.0

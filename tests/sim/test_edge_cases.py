@@ -1,7 +1,7 @@
 """Edge-case coverage for the simulation kernel."""
 
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 def test_all_of_with_already_triggered_events():
@@ -56,27 +56,6 @@ def test_nested_processes_three_deep():
     sim.run()
     assert p.value == 3
     assert sim.now == 2.0
-
-
-def test_store_get_before_put_fifo_getters():
-    sim = Simulator()
-    store = Store(sim)
-    order = []
-
-    def getter(sim, store, name):
-        item = yield store.get()
-        order.append((name, item))
-
-    def putter(sim, store):
-        yield sim.timeout(1.0)
-        yield store.put("a")
-        yield store.put("b")
-
-    sim.process(getter(sim, store, "first"))
-    sim.process(getter(sim, store, "second"))
-    sim.process(putter(sim, store))
-    sim.run()
-    assert order == [("first", "a"), ("second", "b")]
 
 
 def test_resource_released_in_finally_on_failure():

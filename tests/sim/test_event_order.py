@@ -17,7 +17,7 @@ import weakref
 
 import pytest
 
-from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store
+from repro.sim import Interrupt, Resource, SimulationError, Simulator
 
 
 def run_scenario():
@@ -140,37 +140,16 @@ def run_scenario():
     sim.process(late())
     sim.process(bystander())
 
-    # -- t=5..6: Store hand-offs through a one-slot buffer --
-
-    box = Store(sim, capacity=1)
-
-    def getter(name, at):
-        yield sim.timeout(at)
-        note(name + ":get")
-        item = yield box.get()
-        note("%s:got(%s)" % (name, item))
-
-    def putter():
-        yield sim.timeout(6.0)
-        for item in ("x", "y", "z"):
-            yield box.put(item)
-            note("putter:put(%s) len=%d" % (item, len(box)))
-
-    sim.process(getter("g1", 5.0))
-    sim.process(getter("g2", 5.0))
-    sim.process(putter())
-    sim.process(getter("g3", 7.0))
-
     sim.run()
-    return sim, lock, box, log
+    return sim, lock, log
 
 
 EXPECTED = [
     # Heap order at t=0 is creation order: soon-1, a1's bootstrap,
     # soon-2, a2's bootstrap, join's bootstrap, `early`, then the
     # bootstraps of holder, w1, victim, w2, interrupter, sleeper, racer,
-    # late, bystander, g1, g2, putter, g3; everything those steps
-    # trigger at t=0 queues behind all of them.
+    # late, bystander; everything those steps trigger at t=0 queues
+    # behind all of them.
     (0.0, "soon-1"),
     (0.0, "a1:start"),
     (0.0, "soon-2"),
@@ -212,28 +191,16 @@ EXPECTED = [
     (4.0, "late:foreign(event belongs to another simulator)"),
     (4.0, "bystander:after-timeout0"),
     (4.0, "late:continued"),
-    (5.0, "g1:get"),
-    (5.0, "g2:get"),
-    # put("x") hands straight to g1, put("y") to g2, put("z") is buffered
-    # until g3 arrives; a getter's wake-up is queued before its putter's.
-    (6.0, "g1:got(x)"),
-    (6.0, "putter:put(x) len=0"),
-    (6.0, "g2:got(y)"),
-    (6.0, "putter:put(y) len=0"),
-    (6.0, "putter:put(z) len=1"),
-    (7.0, "g3:get"),
-    (7.0, "g3:got(z)"),
 ]
 
 
 def test_same_timestamp_ordering_is_the_pinned_trace():
-    sim, lock, box, log = run_scenario()
+    sim, lock, log = run_scenario()
     assert log == EXPECTED
     # The interrupted waiter's slot was neither granted nor leaked.
     assert lock.in_use == 0
     assert lock.queue_len == 0
-    assert len(box) == 0
-    assert sim.now == 7.0
+    assert sim.now == 4.0
 
 
 def test_a_held_service_draws_its_sequence_number_when_it_starts():

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Resource, Simulator, TokenBucket
+from repro.sim import Interrupt, Resource, Simulator
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -70,34 +70,6 @@ def pytest_approx(x, rel=1e-9):
     import pytest
 
     return pytest.approx(x, rel=rel, abs=1e-9)
-
-
-@given(
-    amounts=st.lists(
-        st.floats(min_value=0.1, max_value=5.0), min_size=1, max_size=20
-    ),
-    rate=st.floats(min_value=0.5, max_value=50.0),
-)
-@settings(max_examples=50)
-def test_token_bucket_never_exceeds_rate(amounts, rate):
-    """Cumulative grants can never outpace burst + rate * time."""
-    sim = Simulator()
-    capacity = 5.0
-    bucket = TokenBucket(sim, rate=rate, capacity=capacity)
-    grants = []
-
-    def user(sim, bucket, amount):
-        yield bucket.acquire(amount)
-        grants.append((sim.now, amount))
-
-    for amount in amounts:
-        sim.process(user(sim, bucket, amount))
-    sim.run()
-    assert len(grants) == len(amounts)
-    cumulative = 0.0
-    for when, amount in grants:
-        cumulative += amount
-        assert cumulative <= capacity + rate * when + 1e-6
 
 
 # ---------------------------------------------------------------------------

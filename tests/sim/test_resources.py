@@ -1,4 +1,4 @@
-"""Unit tests for Resource, LockTable, Store, and TokenBucket."""
+"""Unit tests for Resource and LockTable."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.sim import (
     Resource,
     SimulationError,
     Simulator,
-    Store,
-    TokenBucket,
 )
 
 
@@ -418,176 +416,3 @@ def test_lock_table(users, interrupts, expected):
     sim.run()
     assert log == expected
     assert len(table) == 0
-
-
-# ------------------------------------------------------------------- Store
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-
-    def producer(sim, store):
-        yield store.put("item")
-
-    def consumer(sim, store):
-        item = yield store.get()
-        return item
-
-    sim.process(producer(sim, store))
-    c = sim.process(consumer(sim, store))
-    sim.run()
-    assert c.value == "item"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer(sim, store):
-        item = yield store.get()
-        return (item, sim.now)
-
-    def producer(sim, store):
-        yield sim.timeout(5.0)
-        yield store.put("late")
-
-    c = sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert c.value == ("late", 5.0)
-
-
-def test_store_fifo_items():
-    sim = Simulator()
-    store = Store(sim)
-
-    def producer(sim, store):
-        for i in range(3):
-            yield store.put(i)
-
-    def consumer(sim, store):
-        got = []
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-        return got
-
-    sim.process(producer(sim, store))
-    c = sim.process(consumer(sim, store))
-    sim.run()
-    assert c.value == [0, 1, 2]
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    timeline = []
-
-    def producer(sim, store):
-        yield store.put("a")
-        timeline.append(("put-a", sim.now))
-        yield store.put("b")
-        timeline.append(("put-b", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(3.0)
-        item = yield store.get()
-        timeline.append(("got", item, sim.now))
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert ("put-a", 0.0) in timeline
-    assert ("put-b", 3.0) in timeline  # blocked until the get at t=3
-
-
-def test_store_len():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    sim.run()
-    assert len(store) == 2
-
-
-# ------------------------------------------------------------- TokenBucket
-
-
-def test_token_bucket_immediate_within_burst():
-    sim = Simulator()
-    bucket = TokenBucket(sim, rate=10.0, capacity=5.0)
-
-    def user(sim, bucket):
-        yield bucket.acquire(5.0)
-        return sim.now
-
-    p = sim.process(user(sim, bucket))
-    sim.run()
-    assert p.value == 0.0
-
-
-def test_token_bucket_throttles_at_rate():
-    sim = Simulator()
-    bucket = TokenBucket(sim, rate=10.0, capacity=10.0)
-
-    def user(sim, bucket):
-        # Drain the burst, then each further 10-token acquire takes 1s.
-        yield bucket.acquire(10.0)
-        yield bucket.acquire(10.0)
-        yield bucket.acquire(10.0)
-        return sim.now
-
-    p = sim.process(user(sim, bucket))
-    sim.run()
-    assert p.value == pytest.approx(2.0)
-
-
-def test_token_bucket_fifo_no_starvation():
-    sim = Simulator()
-    bucket = TokenBucket(sim, rate=1.0, capacity=10.0)
-    order = []
-
-    def user(sim, bucket, name, amount, arrive):
-        yield sim.timeout(arrive)
-        yield bucket.acquire(amount)
-        order.append(name)
-
-    # Big request arrives first and must be served before the later small one.
-    sim.process(user(sim, bucket, "big", 10.0, 0.0))
-    sim.process(user(sim, bucket, "big2", 10.0, 0.1))
-    sim.process(user(sim, bucket, "small", 1.0, 0.2))
-    sim.run()
-    assert order == ["big", "big2", "small"]
-
-
-def test_token_bucket_rejects_oversize_request():
-    sim = Simulator()
-    bucket = TokenBucket(sim, rate=1.0, capacity=5.0)
-    with pytest.raises(ValueError):
-        bucket.acquire(6.0)
-
-
-def test_token_bucket_rejects_bad_params():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        TokenBucket(sim, rate=0.0)
-    with pytest.raises(ValueError):
-        TokenBucket(sim, rate=1.0, capacity=0.0)
-    bucket = TokenBucket(sim, rate=1.0)
-    with pytest.raises(ValueError):
-        bucket.acquire(0.0)
-
-
-def test_token_bucket_refills_to_capacity_only():
-    sim = Simulator()
-    bucket = TokenBucket(sim, rate=100.0, capacity=10.0)
-
-    def user(sim, bucket):
-        yield bucket.acquire(10.0)
-        yield sim.timeout(100.0)  # far longer than needed to refill
-        return bucket.tokens
-
-    p = sim.process(user(sim, bucket))
-    sim.run()
-    assert p.value == pytest.approx(10.0)

@@ -39,7 +39,7 @@ jobs = doc["jobs"]
 expected = {
     "lint", "lint-invariants", "sanitizer-smoke", "test", "test-no-numpy",
     "coverage", "faults-smoke", "elasticity-smoke", "e2e-smoke",
-    "paper-benches", "obs-smoke", "obs-overhead", "bench-full",
+    "paper-benches", "obs-smoke", "bench-full",
 }
 assert expected <= set(jobs), jobs.keys()
 sseeds = jobs["sanitizer-smoke"]["strategy"]["matrix"]["sanitizer-seed"]
@@ -139,10 +139,6 @@ step "obs-smoke: traced workload + integrity checks" \
     --out trace.jsonl --metrics-out metrics.prom
 step "obs-smoke: span rollup report" \
     env PYTHONPATH=src python -m repro obs report --trace trace.jsonl
-
-# -- obs-overhead job (gates on the median traced/untraced pair ratio) -----
-step "obs-overhead: tracing overhead vs untraced" \
-    env PYTHONPATH=src python scripts/check_obs_overhead.py
 
 # -- bench-full job (nightly / dispatch input; opt-in locally) ---------------
 if [ "$RUN_BENCH_FULL" = 1 ]; then

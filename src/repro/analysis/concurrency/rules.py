@@ -13,8 +13,8 @@
   locks — the paper's §4.4.2 serialisation trade-off); rate-limiter
   ``throttle`` waits and nested ``run_until_complete`` drains are
   flagged under any lock.
-* LCK003 — lock not released on every exit path (the lock analogue of
-  OBS001).  Outside ``repro.sim`` every ``.acquire()`` call must be a
+* LCK003 — lock not released on every exit path.  Outside
+  ``repro.sim`` every ``.acquire()`` call must be a
   lock-table acquire inside a ``try`` whose ``finally`` releases its
   held list through the same table (:mod:`.locks`).
 

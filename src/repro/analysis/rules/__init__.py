@@ -8,7 +8,6 @@ Rules encode paper-level invariants (see ``docs/static-analysis.md``):
 * REF001 — ``chunk_ref`` needs a release path in its component
 * FLT001 — substrate I/O must sit inside a fault scope
 * API001 — no imports bypassing the ``RadosCluster`` facade
-* OBS001 — started spans must be closed on all paths
 * LCK001 — no potential acquire-acquire cycles across call paths
 * LCK002 — no faultable I/O or unbounded waits under a write lock
 * LCK003 — locks must be released on every exit path
@@ -20,7 +19,6 @@ from ..engine import Rule
 from .determinism import SetOrderRule, UnseededRandomRule, WallClockRule
 from .faults import FaultScopeRule
 from .layering import LayeringRule
-from .observability import SpanLifecycleRule
 from .references import RefPairingRule
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "RefPairingRule",
     "FaultScopeRule",
     "LayeringRule",
-    "SpanLifecycleRule",
     "default_rules",
     "rules_by_id",
 ]
@@ -53,7 +50,6 @@ def default_rules() -> List[Rule]:
         RefPairingRule(),
         FaultScopeRule(),
         LayeringRule(),
-        SpanLifecycleRule(),
         LockOrderRule(),
         LockWaitRule(),
         LockReleaseRule(),

@@ -27,7 +27,6 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from ..obs import NULL_SPAN
 from ..sim import LockTable, Simulator, Timeout
 from .clustermap import ClusterMap
 from .crush import CrushMap
@@ -268,7 +267,6 @@ class RadosCluster:
         oid: str,
         txn: Transaction,
         client: Optional[Client] = None,
-        span=NULL_SPAN,
     ):
         """Process: apply ``txn`` atomically on every replica of ``oid``.
 
@@ -296,11 +294,9 @@ class RadosCluster:
         with :meth:`submit_batch`, rather than wrapping it: a wrapping
         generator is one more frame to resume at every yield.
         """
-        return self._submit(pool, [(oid, txn)], client, span)
+        return self._submit(pool, [(oid, txn)], client)
 
-    def submit_batch(
-        self, pool: Pool, items, client: Optional[Client] = None, span=NULL_SPAN
-    ):
+    def submit_batch(self, pool: Pool, items, client: Optional[Client] = None):
         """Process: apply many ``(oid, txn)`` pairs with one prepared
         round per placement group.
 
@@ -324,14 +320,13 @@ class RadosCluster:
         (the dedup tier falls back to per-op commits there).
         """
         items = [(oid, txn) for oid, txn in items if len(txn)]
-        return self._submit(pool, items, client, span)
+        return self._submit(pool, items, client)
 
     def _submit(
         self,
         pool: Pool,
         items: List[Tuple[str, Transaction]],
         client: Optional[Client],
-        span,
     ):
         """Process: the one commit pipeline of :meth:`submit` and
         :meth:`submit_batch` (docs/internals.md, "The commit pipeline").
@@ -357,95 +352,87 @@ class RadosCluster:
             return
         keys = [ObjectKey(pool.pool_id, pool.pg_of(oid), oid) for oid, _txn in items]
         single = len(items) == 1
-        if single:
-            s = span.child(
-                "rados.submit", pool=pool.name, pg=keys[0].pg, ops=len(items[0][1])
-            )
+        if pool.is_ec:
+            for oid, txn in items:
+                yield from self._ec_submit(pool, oid, txn, client)
+            return
+        client = client or self._default_client
+        sent: Dict[int, Tuple[Node, int]] = {}  # item -> (node, payload bytes)
+        sends = []
+        epoch = self.cluster_map.epoch
+        settled = not self._active_remaps
+        groups = self._commit_groups(pool, keys)
+        for _gid, targets, members in groups:
+            node = targets[0].node
+            nbytes = 0
+            for i in members:
+                size = items[i][1].io_bytes
+                sent[i] = (node, size)
+                nbytes += size
+            sends.append(self._transfer(client.nic, node.nic, nbytes))
+        if single:  # a lone transfer needs no process of its own
+            yield from sends[0]
         else:
-            s = span.child("rados.submit_batch", pool=pool.name, items=len(items))
-        with s:
-            if pool.is_ec:
-                for oid, txn in items:
-                    yield from self._ec_submit(pool, oid, txn, client)
-                return
-            client = client or self._default_client
-            sent: Dict[int, Tuple[Node, int]] = {}  # item -> (node, payload bytes)
-            sends = []
-            epoch = self.cluster_map.epoch
-            settled = not self._active_remaps
-            groups = self._commit_groups(pool, keys)
+            yield self.sim.all_of([self.sim.process(send) for send in sends])
+        held: list = []
+        try:
+            for key in sorted(set(keys)):
+                yield self.write_locks.acquire(key, held)
+            # Every change of an OSD's up/in state bumps the epoch,
+            # and settled groups depend on nothing else but the
+            # needs_backfill flags, which recovery clears without a
+            # bump: that only reorders the same up members, so the
+            # reused primary is still an up replica.
+            if not (
+                settled
+                and not self._active_remaps
+                and epoch == self.cluster_map.epoch
+            ):
+                groups = self._commit_groups(pool, keys)
+            plan = []  # (txn, replicas, payload bytes) per group
             for _gid, targets, members in groups:
                 node = targets[0].node
                 nbytes = 0
                 for i in members:
-                    size = items[i][1].io_bytes
-                    sent[i] = (node, size)
+                    src, size = sent[i]
+                    if src is not node:  # the primary moved: forward
+                        yield from self._transfer(src.nic, node.nic, size)
                     nbytes += size
-                sends.append(self._transfer(client.nic, node.nic, nbytes))
-            if single:  # a lone transfer needs no process of its own
-                yield from sends[0]
-            else:
-                yield self.sim.all_of([self.sim.process(send) for send in sends])
-            held: list = []
-            try:
-                for key in sorted(set(keys)):
-                    yield self.write_locks.acquire(key, held)
-                # Every change of an OSD's up/in state bumps the epoch,
-                # and settled groups depend on nothing else but the
-                # needs_backfill flags, which recovery clears without a
-                # bump: that only reorders the same up members, so the
-                # reused primary is still an up replica.
-                if not (
-                    settled
-                    and not self._active_remaps
-                    and epoch == self.cluster_map.epoch
-                ):
-                    groups = self._commit_groups(pool, keys)
-                plan = []  # (txn, replicas, payload bytes) per group
-                for _gid, targets, members in groups:
-                    node = targets[0].node
-                    nbytes = 0
+                if len(members) == 1:
+                    txn = items[members[0]][1]
+                else:
+                    txn = Transaction()
                     for i in members:
-                        src, size = sent[i]
-                        if src is not node:  # the primary moved: forward
-                            yield from self._transfer(src.nic, node.nic, size)
-                        nbytes += size
-                    if len(members) == 1:
-                        txn = items[members[0]][1]
-                    else:
-                        txn = Transaction()
-                        for i in members:
-                            txn.ops.extend(items[i][1].ops)
-                    plan.append((txn, targets, nbytes))
-                s.tag(groups=len(plan), osd=plan[0][1][0].osd_id)
-                jobs = []
-                for txn, targets, nbytes in plan:
-                    for osd in targets:
-                        jobs.append(self.sim.process(
-                            self._replica_prepare(targets[0], osd, txn, nbytes)
-                        ))
-                yield self.sim.all_of(jobs)
-                # Commit point: every replica of every group prepared and
-                # none is mutated yet.  Applying is instantaneous, so no
-                # fault can interleave and split the copies.  An OSD that
-                # crashed after its prepare is skipped (it rejoins stale
-                # and recovery reconciles it), but a group that lost
-                # quorum aborts the whole batch before anything applies.
-                survivors = []
-                for txn, targets, _nbytes in plan:
-                    alive = [osd for osd in targets if osd.info.up]
-                    if len(alive) < pool.redundancy.min_size:
-                        raise NotEnoughReplicas(
-                            f"{len(alive)}/{len(targets)} replicas survived "
-                            f"prepare; need {pool.redundancy.min_size}"
-                        )
-                    survivors.append((txn, alive))
-                for txn, alive in survivors:
-                    for osd in alive:
-                        osd.commit_transaction(txn)
-            finally:
-                self.write_locks.release(held)
-            yield self._rpc_latency()  # ack to client
+                        txn.ops.extend(items[i][1].ops)
+                plan.append((txn, targets, nbytes))
+            jobs = []
+            for txn, targets, nbytes in plan:
+                for osd in targets:
+                    jobs.append(self.sim.process(
+                        self._replica_prepare(targets[0], osd, txn, nbytes)
+                    ))
+            yield self.sim.all_of(jobs)
+            # Commit point: every replica of every group prepared and
+            # none is mutated yet.  Applying is instantaneous, so no
+            # fault can interleave and split the copies.  An OSD that
+            # crashed after its prepare is skipped (it rejoins stale
+            # and recovery reconciles it), but a group that lost
+            # quorum aborts the whole batch before anything applies.
+            survivors = []
+            for txn, targets, _nbytes in plan:
+                alive = [osd for osd in targets if osd.info.up]
+                if len(alive) < pool.redundancy.min_size:
+                    raise NotEnoughReplicas(
+                        f"{len(alive)}/{len(targets)} replicas survived "
+                        f"prepare; need {pool.redundancy.min_size}"
+                    )
+                survivors.append((txn, alive))
+            for txn, alive in survivors:
+                for osd in alive:
+                    osd.commit_transaction(txn)
+        finally:
+            self.write_locks.release(held)
+        yield self._rpc_latency()  # ack to client
 
     def _commit_groups(
         self, pool: Pool, keys: List[ObjectKey]
@@ -500,7 +487,6 @@ class RadosCluster:
         oid: str,
         data: bytes,
         client: Optional[Client] = None,
-        span=NULL_SPAN,
     ):
         """Process: replace the whole object payload."""
         if pool.is_ec:
@@ -508,7 +494,7 @@ class RadosCluster:
             return
         key = self.object_key(pool, oid)
         txn = Transaction().write_full(key, data)
-        yield from self.submit(pool, oid, txn, client, span=span)
+        yield from self.submit(pool, oid, txn, client)
 
     def write(self, pool: Pool, oid: str, offset: int, data: bytes, client: Optional[Client] = None):
         """Process: write ``data`` at ``offset`` (partial overwrite).
@@ -537,24 +523,21 @@ class RadosCluster:
         offset: int = 0,
         length: Optional[int] = None,
         client: Optional[Client] = None,
-        span=NULL_SPAN,
     ):
         """Process: read ``length`` bytes at ``offset``; returns bytes."""
         key = ObjectKey(pool.pool_id, pool.pg_of(oid), oid)
-        with span.child("rados.read", pool=pool.name, pg=key.pg) as s:
-            if pool.is_ec:
-                data = yield from self._ec_read(pool, oid, client)
-                if length is None:
-                    return data[offset:]
-                return data[offset : offset + length]
-            client = client or self._default_client
-            yield self._rpc_latency()  # request
-            primary, data = yield from self._read_with_failover(
-                pool, oid, key, offset, length
-            )
-            s.tag(osd=primary.osd_id, nbytes=len(data))
-            yield from self._transfer(primary.node.nic, client.nic, len(data))
-            return data
+        if pool.is_ec:
+            data = yield from self._ec_read(pool, oid, client)
+            if length is None:
+                return data[offset:]
+            return data[offset : offset + length]
+        client = client or self._default_client
+        yield self._rpc_latency()  # request
+        primary, data = yield from self._read_with_failover(
+            pool, oid, key, offset, length
+        )
+        yield from self._transfer(primary.node.nic, client.nic, len(data))
+        return data
 
     def _read_with_failover(self, pool: Pool, oid: str, key: ObjectKey, offset, length):
         """Process: read at the primary, failing over to the next up
@@ -608,7 +591,6 @@ class RadosCluster:
         name: str,
         value: bytes,
         client: Optional[Client] = None,
-        span=NULL_SPAN,
     ):
         """Process: set one xattr on all replicas/shards."""
         key = self.object_key(pool, oid)
@@ -616,7 +598,7 @@ class RadosCluster:
         if pool.is_ec:
             yield from self._ec_each_shard(pool, key, txn)
             return
-        yield from self.submit(pool, oid, txn, client, span=span)
+        yield from self.submit(pool, oid, txn, client)
 
     def omap_get(self, pool: Pool, oid: str, name: str):
         """Process: read one omap value from the primary."""

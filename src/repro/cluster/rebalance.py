@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..obs import NULL_SPAN
 from .ec import _shard_index
 from .objectstore import ObjectKey
 from .osd import OSD, OsdDownError, OsdFullError
@@ -241,7 +240,7 @@ class Rebalancer:
 
     # -- driving --------------------------------------------------------------
 
-    def run(self, span=NULL_SPAN):
+    def run(self):
         """Process: one pass over every active remap; returns stats.
 
         PGs whose migration hits a fault (source died, quorum lost)
@@ -252,35 +251,27 @@ class Rebalancer:
         if self.stats.passes == 0:
             self.stats.started_at = sim.now
         self.stats.passes += 1
-        with span.child(
-            "rebalance.pass", n=self.stats.passes,
-            remaps=len(self.cluster._active_remaps),
-        ) as pass_span:
-            keys = sorted(self.cluster._active_remaps)
-            pools_by_id = {p.pool_id: p for p in self.cluster.pools.values()}
-            for pool_id, pg in keys:
-                remap = self.cluster._active_remaps.get((pool_id, pg))
-                if remap is None:  # retired concurrently (e.g. by recovery)
-                    continue
-                pool = pools_by_id[pool_id]
-                with pass_span.child(
-                    "rebalance.pg", pool=remap.pool_name, pg=pg
-                ) as pg_span:
-                    complete = yield from self._migrate_pg(pool, pg, remap, pg_span)
-                    pg_span.tag(complete=complete)
-                if complete:
-                    self.cluster.complete_remap(pool_id, pg)
-                    self.stats.pgs_completed += 1
-                    self.stats.degraded_seconds = max(
-                        self.stats.degraded_seconds, sim.now - remap.registered_at
-                    )
+        keys = sorted(self.cluster._active_remaps)
+        pools_by_id = {p.pool_id: p for p in self.cluster.pools.values()}
+        for pool_id, pg in keys:
+            remap = self.cluster._active_remaps.get((pool_id, pg))
+            if remap is None:  # retired concurrently (e.g. by recovery)
+                continue
+            pool = pools_by_id[pool_id]
+            complete = yield from self._migrate_pg(pool, pg, remap)
+            if complete:
+                self.cluster.complete_remap(pool_id, pg)
+                self.stats.pgs_completed += 1
+                self.stats.degraded_seconds = max(
+                    self.stats.degraded_seconds, sim.now - remap.registered_at
+                )
         # Migration copies (and trims) object state outside the client
         # I/O path; let cache-holding layers above drop decoded state.
         self.cluster.notify_repaired()
         self.stats.finished_at = sim.now
         return self.stats
 
-    def run_to_completion(self, span=NULL_SPAN, max_passes: int = 16, settle: float = 0.1):
+    def run_to_completion(self, max_passes: int = 16, settle: float = 0.1):
         """Process: run passes until no remap stays active.
 
         Between passes (a PG can stay active when a device involved is
@@ -290,16 +281,15 @@ class Rebalancer:
         job, since recovery heals straight to the new map.
         """
         for _ in range(max_passes):
-            yield from self.run(span=span)
+            yield from self.run()
             if not self.cluster._active_remaps:
                 break
-            with span.child("rebalance.settle", seconds=settle):
-                yield self.cluster.sim.timeout(settle)
+            yield self.cluster.sim.timeout(settle)
         return self.stats
 
     # -- per-PG migration ------------------------------------------------------
 
-    def _migrate_pg(self, pool: Pool, pg: int, remap: PgRemap, span):
+    def _migrate_pg(self, pool: Pool, pg: int, remap: PgRemap):
         """Process: migrate one PG; returns True when fully settled."""
         for _ in range(_MAX_ROUNDS):
             pending = self._pending_objects(pool, pg, remap)
@@ -309,9 +299,7 @@ class Rebalancer:
             failed = False
             for name in pending:
                 try:
-                    moved = yield from self._migrate_object(
-                        pool, pg, name, remap, span
-                    )
+                    moved = yield from self._migrate_object(pool, pg, name, remap)
                     progressed = progressed or moved
                 except (OsdDownError, OsdFullError, NotEnoughReplicas):
                     self.stats.tasks_failed += 1
@@ -363,7 +351,7 @@ class Rebalancer:
 
     # -- per-object migration --------------------------------------------------
 
-    def _migrate_object(self, pool: Pool, pg: int, name: str, remap: PgRemap, span):
+    def _migrate_object(self, pool: Pool, pg: int, name: str, remap: PgRemap):
         """Process: settle one object onto the new acting set.
 
         Runs under the object's write lock — the same lock the data
@@ -376,7 +364,7 @@ class Rebalancer:
         held: list = []
         try:
             yield cluster.write_locks.acquire(key, held)
-            moved = yield from self._migrate_locked(pool, key, remap, span)
+            moved = yield from self._migrate_locked(pool, key, remap)
         finally:
             cluster.write_locks.release(held)
         return moved
@@ -389,7 +377,7 @@ class Rebalancer:
         down_holders = [o for o in union if not o.up and o.store.exists(key)]
         return union, _up_holders(cluster, union, key), down_holders
 
-    def _migrate_locked(self, pool: Pool, key: ObjectKey, remap: PgRemap, span):
+    def _migrate_locked(self, pool: Pool, key: ObjectKey, remap: PgRemap):
         """Copy the first holder's replica (or rebuild each EC slot's
         shard) onto every new acting member that lacks it, then trim."""
         cluster = self.cluster
@@ -420,22 +408,12 @@ class Rebalancer:
             ):
                 continue  # idempotent resume: this copy already landed
             if shards is None:
-                with span.child(
-                    "rebalance.copy", src=source.osd_id, dst=target.osd_id
-                ) as move_span:
-                    nbytes = yield from _copy_replica(
-                        cluster, key, source, target, move_span
-                    )
+                nbytes = yield from _copy_replica(cluster, key, source, target)
             else:
-                with span.child(
-                    "rebalance.reconstruct", dst=target.osd_id, idx=idx
-                ) as move_span:
-                    nbytes = yield from _rebuild_shard(
-                        cluster, key, target, shards, want, move_span
-                    )
+                nbytes = yield from _rebuild_shard(cluster, key, target, shards, want)
             self._account(pool, nbytes)
             moved = True
-            yield from self._throttle(nbytes, span)
+            yield from self._throttle(nbytes)
         return self._trim_parked(key, union, remap) or moved
 
     def _trim_parked(self, key: ObjectKey, union: List[OSD], remap: PgRemap) -> bool:
@@ -461,12 +439,11 @@ class Rebalancer:
             self.stats.bytes_by_pool.get(pool.name, 0) + nbytes
         )
 
-    def _throttle(self, nbytes: int, span):
+    def _throttle(self, nbytes: int):
         """Process: pace migration traffic to the configured rate."""
         if not self.rate_limit_bps:
             return
-        with span.child("rebalance.throttle", nbytes=nbytes):
-            yield self.cluster.sim.timeout(nbytes / self.rate_limit_bps)
+        yield self.cluster.sim.timeout(nbytes / self.rate_limit_bps)
 
 
 def placement_report(cluster: RadosCluster) -> List[str]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..obs import NULL_SPAN
 from .ec import ReedSolomon, _payload_length, _shard_index, _shard_object, _user_xattrs
 from .objectstore import ObjectKey, StoredObject
 from .osd import OSD, OsdDownError, OsdFullError
@@ -359,18 +358,17 @@ def _run_task(cluster: RadosCluster, task: _CopyTask, stats: RecoveryStats):
         cluster.write_locks.release(held)
 
 
-def _copy_replica(cluster: RadosCluster, key: ObjectKey, source: OSD, target: OSD, span=NULL_SPAN):
+def _copy_replica(cluster: RadosCluster, key: ObjectKey, source: OSD, target: OSD):
     """Process: copy ``source``'s replica of ``key`` onto ``target`` —
     read it, move it across hosts, push it; returns the bytes moved.
 
     The one body behind recovery, rebalance and scrub repair of a
-    replicated object; ``span`` (the caller's) is tagged ``nbytes``.
+    replicated object.
     """
     obj = source.store.get(key).clone()
     # Punched ranges (evicted cached chunks) cost nothing to move: only
     # allocated bytes hit the disk and the wire.
     moved = obj.footprint()
-    span.tag(nbytes=moved)
     yield from source.disk.read(max(moved, 1))
     if source.node is not target.node:
         yield from cluster._transfer(source.node.nic, target.node.nic, moved)
@@ -391,16 +389,13 @@ def _rebuild_shard(
     target: OSD,
     shards: _ShardSources,
     obj: StoredObject,
-    span=NULL_SPAN,
 ):
     """Process: install ``obj`` (``shards.shard(i)``) on ``target`` —
     read the ``k`` sources in parallel, decode on the target's CPU,
     push; returns the shard bytes moved.
 
-    The one body behind recovery and rebalance of an EC shard;
-    ``span`` (the caller's) is tagged ``nbytes``.
+    The one body behind recovery and rebalance of an EC shard.
     """
-    span.tag(nbytes=obj.size)
     reads = [
         cluster.sim.process(_charge_shard_read(cluster, holder, target, len(shard)))
         for _idx, holder, shard in shards.sources

@@ -78,15 +78,6 @@ class DedupedStorage:
         """The simulation clock everything runs on."""
         return self.cluster.sim
 
-    @property
-    def tracer(self):
-        """The tier's :class:`~repro.obs.Tracer` (per-op span trees).
-
-        Enabled via ``DedupConfig.trace_ops``; when off it hands out the
-        shared null span and records nothing.
-        """
-        return self.tier.tracer
-
     def inject_faults(self, plan, auto_recover: bool = True):
         """Attach a :class:`~repro.faults.FaultInjector` for ``plan``.
 
@@ -120,7 +111,7 @@ class DedupedStorage:
         """
         return self.cluster.decommission_osd(osd_id)
 
-    def rebalance(self, rate_limit_bps=None, span=None, max_passes: int = 16):
+    def rebalance(self, rate_limit_bps=None, max_passes: int = 16):
         """Process: migrate all remapped PGs; returns RebalanceStats.
 
         Dedup-aware by construction: chunk objects carry their refcount
@@ -133,23 +124,7 @@ class DedupedStorage:
         from ..cluster import Rebalancer
 
         engine = Rebalancer(self.cluster, rate_limit_bps=rate_limit_bps)
-        if span is not None:
-            stats = yield from engine.run_to_completion(
-                span=span, max_passes=max_passes
-            )
-            return stats
-        root = self.tracer.root_span("op.rebalance")
-        try:
-            stats = yield from engine.run_to_completion(
-                span=root, max_passes=max_passes
-            )
-            root.tag(
-                pgs=stats.pgs_completed,
-                moved=stats.objects_moved,
-                nbytes=stats.bytes_moved,
-            )
-        finally:
-            root.finish()
+        stats = yield from engine.run_to_completion(max_passes=max_passes)
         return stats
 
     def rebalance_sync(self, rate_limit_bps=None, max_passes: int = 16):

@@ -89,12 +89,6 @@ class DedupConfig:
     #: deduplication threads periodically conduct a deduplication job").
     engine_workers: int = 8
 
-    #: Record per-op span trees (``repro.obs``): every write/read/delete
-    #: and dedup pass produces a tree of timed stage spans on the
-    #: simulation clock.  Off by default — the disabled tracer hands out
-    #: a shared null span, so the hot path pays only no-op method calls.
-    trace_ops: bool = False
-
     def __post_init__(self):
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")

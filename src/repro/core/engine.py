@@ -40,7 +40,6 @@ from typing import Optional
 from ..cluster import Transaction
 from ..faults.errors import is_retryable
 from ..fingerprint import timed_fingerprint
-from ..obs import NULL_SPAN
 from .objects import ChunkRef
 from .refcount import make_refcounter
 from .tier import ChunkBatch, DedupTier, NodeClient
@@ -190,36 +189,29 @@ class DedupEngine:
         ``"missing"``, ``"faulted"``.
         """
         tier = self.tier
-        with tier.tracer.root_span("op.dedup_pass", oid=oid, forced=force) as op:
-            if not force and tier.cache.is_hot(oid):
-                self.stats.objects_skipped_hot += 1
-                tier.requeue_dirty(oid, delay=HOT_REQUEUE_DELAY)
-                op.tag(result="skipped_hot")
-                return "skipped_hot"
-            if not force:
-                # Rate-control *before* taking the object lock: a paced
-                # background pass must never stall foreground writers that
-                # need the same lock (§4.4.2 — dedup yields to foreground).
-                pending = tier.peek_dirty_count(oid)
-                with op.child("engine.rate_throttle", pending=pending):
-                    for _ in range(max(1, pending)):
-                        yield from tier.rate.throttle()
-            held: list = []
-            try:
-                with op.child("tier.lock_wait", oid=oid):
-                    yield tier.object_locks.acquire(oid, held)
-                result = yield from self._process_object_locked(oid, force, op)
-            finally:
-                tier.object_locks.release(held)
-            # Outside the lock: a capacity victim may be this same object.
-            with op.child("engine.cache_enforce"):
-                yield from self.enforce_cache_capacity()
-            op.tag(result=result)
-            return result
+        if not force and tier.cache.is_hot(oid):
+            self.stats.objects_skipped_hot += 1
+            tier.requeue_dirty(oid, delay=HOT_REQUEUE_DELAY)
+            return "skipped_hot"
+        if not force:
+            # Rate-control *before* taking the object lock: a paced
+            # background pass must never stall foreground writers that
+            # need the same lock (§4.4.2 — dedup yields to foreground).
+            for _ in range(max(1, tier.peek_dirty_count(oid))):
+                yield from tier.rate.throttle()
+        held: list = []
+        try:
+            yield tier.object_locks.acquire(oid, held)
+            result = yield from self._process_object_locked(oid, force)
+        finally:
+            tier.object_locks.release(held)
+        # Outside the lock: a capacity victim may be this same object.
+        yield from self.enforce_cache_capacity()
+        return result
 
-    def _process_object_locked(self, oid: str, force: bool, span=NULL_SPAN):
+    def _process_object_locked(self, oid: str, force: bool):
         tier = self.tier
-        cmap = yield from tier.load_chunk_map(oid, span=span)
+        cmap = yield from tier.load_chunk_map(oid)
         if cmap is None:
             return "missing"
         primary = tier.cluster._primary(tier.metadata_pool, oid)
@@ -240,59 +232,54 @@ class DedupEngine:
         # applies the map/refcount updates in chunk-index order.
         staged = []  # (chunk index, entry, data) awaiting fingerprints
         try:
-            with span.child("engine.chunk_assemble") as s_asm:
-                whole = []  # (index, entry) of fully cached dirty chunks
-                partial = []  # (index, entry) of partially cached ones
-                for idx in cmap.dirty_indices():
-                    entry = cmap.get(idx)
-                    if not entry.cached:
-                        # Dirty implies cached by construction; tolerate anyway.
-                        cmap.set(entry.replace(dirty=False))
-                        changed = True
-                        continue
-                    (whole if entry.fully_cached() else partial).append((idx, entry))
-                # Deferred read-modify-write: every read the partially
-                # cached chunks need starts now, beside the whole chunks'
-                # local reads, which stay one after another — concurrent
-                # reads of the one primary disk would stall sibling
-                # passes' commits.
-                reads = (
-                    self._start_merge_reads(oid, partial, via, s_asm) if partial else ()
-                )
-                try:
-                    for idx, entry in whole:
-                        data = yield from tier.read_local_chunk(
-                            oid, entry.offset, entry.length
-                        )
-                        tier.stage.chunking_ops += 1
-                        tier.stage.chunking_bytes += len(data)
-                        yield from primary.node.cpu.fingerprint(len(data))
-                        staged.append((idx, entry, data))
-                    if reads:
-                        parts = iter((yield self.sim.all_of(reads)))
-                except Exception:
-                    # Fail only once every read this pass started has
-                    # ended: none may outlive the pass and its lock.
-                    for read in reads:
-                        yield from _settle(read)
-                    raise
+            whole = []  # (index, entry) of fully cached dirty chunks
+            partial = []  # (index, entry) of partially cached ones
+            for idx in cmap.dirty_indices():
+                entry = cmap.get(idx)
+                if not entry.cached:
+                    # Dirty implies cached by construction; tolerate anyway.
+                    cmap.set(entry.replace(dirty=False))
+                    changed = True
+                    continue
+                (whole if entry.fully_cached() else partial).append((idx, entry))
+            # Deferred read-modify-write: every read the partially
+            # cached chunks need starts now, beside the whole chunks'
+            # local reads, which stay one after another — concurrent
+            # reads of the one primary disk would stall sibling
+            # passes' commits.
+            reads = self._start_merge_reads(oid, partial, via) if partial else ()
+            try:
+                for idx, entry in whole:
+                    data = yield from tier.read_local_chunk(
+                        oid, entry.offset, entry.length
+                    )
+                    tier.stage.chunking_ops += 1
+                    tier.stage.chunking_bytes += len(data)
+                    yield from primary.node.cpu.fingerprint(len(data))
+                    staged.append((idx, entry, data))
                 if reads:
-                    for idx, entry in partial:
-                        data = _merge_partial(entry, parts)
-                        tier.stage.chunking_ops += 1
-                        tier.stage.chunking_bytes += len(data)
-                        yield from primary.node.cpu.fingerprint(len(data))
-                        staged.append((idx, entry, data))
-                    staged.sort(key=itemgetter(0))
-                s_asm.tag(chunks=len(staged))
-            with span.child("engine.fingerprint", chunks=len(staged)):
-                digests = []  # hex fingerprints aligned with ``staged``
-                for _idx, _entry, data in staged:
-                    fp, seconds = timed_fingerprint(data)
-                    tier.stage.fingerprint_seconds += seconds
-                    tier.stage.fingerprint_ops += 1
-                    tier.stage.fingerprint_bytes += len(data)
-                    digests.append(fp)
+                    parts = iter((yield self.sim.all_of(reads)))
+            except Exception:
+                # Fail only once every read this pass started has
+                # ended: none may outlive the pass and its lock.
+                for read in reads:
+                    yield from _settle(read)
+                raise
+            if reads:
+                for idx, entry in partial:
+                    data = _merge_partial(entry, parts)
+                    tier.stage.chunking_ops += 1
+                    tier.stage.chunking_bytes += len(data)
+                    yield from primary.node.cpu.fingerprint(len(data))
+                    staged.append((idx, entry, data))
+                staged.sort(key=itemgetter(0))
+            digests = []  # hex fingerprints aligned with ``staged``
+            for _idx, _entry, data in staged:
+                fp, seconds = timed_fingerprint(data)
+                tier.stage.fingerprint_seconds += seconds
+                tier.stage.fingerprint_ops += 1
+                tier.stage.fingerprint_bytes += len(data)
+                digests.append(fp)
             for (idx, entry, data), fp in zip(staged, digests):
                 ref = ChunkRef(tier.metadata_pool.pool_id, oid, entry.offset)
                 if entry.chunk_id and entry.chunk_id != fp:
@@ -307,9 +294,7 @@ class DedupEngine:
                         planned.append((len(batch.ops), fp, ref, len(data)))
                         batch.ref(fp, ref, data)
                     else:
-                        stored = yield from tier.chunk_ref(
-                            fp, ref, data, via, span=span
-                        )
+                        stored = yield from tier.chunk_ref(fp, ref, data, via)
                         taken.append((fp, ref))
                         if stored:
                             self.stats.chunks_flushed += 1
@@ -336,7 +321,7 @@ class DedupEngine:
                 # the metadata object holds no data at all — only metadata.
                 txn.truncate(key, 0)
             if batch is not None and batch:
-                outcomes = yield from tier.commit_chunk_batch(batch, via, span=span)
+                outcomes = yield from tier.commit_chunk_batch(batch, via)
                 for op_i, fp, ref, nbytes in planned:
                     taken.append((fp, ref))
                     if outcomes[op_i]:
@@ -347,9 +332,7 @@ class DedupEngine:
                         self.stats.bytes_deduped += nbytes
             if changed:
                 tier.append_map_commit(txn, oid, cmap)
-                yield from tier.cluster.submit(
-                    tier.metadata_pool, oid, txn, via, span=span
-                )
+                yield from tier.cluster.submit(tier.metadata_pool, oid, txn, via)
                 tier.note_map_committed(oid, cmap)
         except Exception as exc:
             # The map commit may have faulted after partially landing:
@@ -363,16 +346,16 @@ class DedupEngine:
             # the object comes back via the dirty list.
             if not is_retryable(exc):
                 raise
-            yield from self._release_or_defer(taken, via, span=span)
+            yield from self._release_or_defer(taken, via)
             self.stats.objects_requeued_fault += 1
             tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
             return "faulted"
         if pending_derefs:
-            yield from self._apply_derefs(pending_derefs, via, span=span)
+            yield from self._apply_derefs(pending_derefs, via)
         self.stats.objects_processed += 1
         return "done"
 
-    def _start_merge_reads(self, oid, partial, via, span):
+    def _start_merge_reads(self, oid, partial, via):
         """Start every read that assembles the partially cached chunks
         ``partial`` (``(index, entry)`` pairs); returns their processes,
         in the order :func:`_merge_partial` consumes the results.
@@ -390,7 +373,7 @@ class DedupEngine:
             if entry.chunk_id:
                 lo, hi = _missing_span(entry)
                 reads.append(
-                    process(tier.read_chunk(entry.chunk_id, lo, hi - lo, via, span=span))
+                    process(tier.read_chunk(entry.chunk_id, lo, hi - lo, via))
                 )
             for start, end in entry.valid:
                 reads.append(
@@ -398,21 +381,20 @@ class DedupEngine:
                 )
         return reads
 
-    def _apply_derefs(self, pairs, via, span=NULL_SPAN):
+    def _apply_derefs(self, pairs, via):
         """Process: release old-chunk references after the map commits.
 
         Strict refcounting drops the set now (one batched commit where
         the chunk pool batches); ``false_positive`` just queues each
         dereference in memory for the GC.
         """
-        with span.child("engine.derefs", count=len(pairs)) as s:
-            if self.refcount.name == "strict":
-                yield from self._release_or_defer(pairs, via, span=s)
-                return
-            for chunk_id, ref in pairs:
-                yield from self.refcount.deref(chunk_id, ref, via)
+        if self.refcount.name == "strict":
+            yield from self._release_or_defer(pairs, via)
+            return
+        for chunk_id, ref in pairs:
+            yield from self.refcount.deref(chunk_id, ref, via)
 
-    def _release_or_defer(self, pairs, via, span=NULL_SPAN):
+    def _release_or_defer(self, pairs, via):
         """Process: best-effort release of a set of references.
 
         Used for the old chunks of a committed pass and to undo the
@@ -423,7 +405,7 @@ class DedupEngine:
         (all-or-nothing), an upper bound on the per-op path.
         """
         try:
-            yield from self.tier.release_refs(pairs, via, span=span)
+            yield from self.tier.release_refs(pairs, via)
         except Exception as exc:
             if not is_retryable(exc):
                 raise

@@ -23,7 +23,6 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from ..cluster import NoSuchObject, Transaction
-from ..obs import NULL_SPAN
 from .objects import ChunkMap, ChunkMapEntry
 from .tier import DedupTier
 
@@ -54,7 +53,7 @@ def _split_by_valid(start: int, end: int, valid):
         yield (pos, end, False)
 
 
-def _read_cached_piece(tier, oid, offset, length, client, span=NULL_SPAN):
+def _read_cached_piece(tier, oid, offset, length, client):
     """Process: read cached bytes at the metadata primary and return
     them to the client (original-system read cost).
 
@@ -66,41 +65,35 @@ def _read_cached_piece(tier, oid, offset, length, client, span=NULL_SPAN):
     cluster = tier.cluster
     client = client or cluster._default_client
 
-    with span.child("tier.read_cached", oid=oid, nbytes=length) as s:
-
-        def attempt():
-            if tier.metadata_pool.is_ec:
-                data = yield from cluster.read(
-                    tier.metadata_pool, oid, offset, length, client, span=s
-                )
-                return data
-            primary = cluster._primary(tier.metadata_pool, oid)
-            key = tier.metadata_key(oid)
-            data = yield from primary.execute_read(key, offset, length)
-            yield from cluster._transfer(primary.node.nic, client.nic, len(data))
+    def attempt():
+        if tier.metadata_pool.is_ec:
+            data = yield from cluster.read(tier.metadata_pool, oid, offset, length, client)
             return data
-
-        data = yield from tier.retrying(attempt, op="read_cached", span=s)
+        primary = cluster._primary(tier.metadata_pool, oid)
+        key = tier.metadata_key(oid)
+        data = yield from primary.execute_read(key, offset, length)
+        yield from cluster._transfer(primary.node.nic, client.nic, len(data))
         return data
 
+    data = yield from tier.retrying(attempt, op="read_cached")
+    return data
 
-def _read_chunk_piece(tier, chunk_id, offset, length, client, span=NULL_SPAN):
+
+def _read_chunk_piece(tier, chunk_id, offset, length, client):
     """Process: redirected read — metadata pool forwards to the chunk
     pool; chunk primary reads (and decompresses, when the tier stores
     chunks compressed) and returns the data to the client."""
     cluster = tier.cluster
     client = client or cluster._default_client
 
-    with span.child("tier.redirect", chunk=chunk_id, nbytes=length) as s:
-
-        def attempt():
-            # Forwarding hop: metadata primary -> chunk primary.
-            yield tier.sim.timeout(cluster.profile.nic.latency)
-            data = yield from tier.read_chunk(chunk_id, offset, length, client, span=s)
-            return data
-
-        data = yield from tier.retrying(attempt, op="read_chunk", span=s)
+    def attempt():
+        # Forwarding hop: metadata primary -> chunk primary.
+        yield tier.sim.timeout(cluster.profile.nic.latency)
+        data = yield from tier.read_chunk(chunk_id, offset, length, client)
         return data
+
+    data = yield from tier.retrying(attempt, op="read_chunk")
+    return data
 
 
 def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None):
@@ -123,26 +116,22 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
         raise ValueError(f"negative offset {offset}")
     if not data:
         return
-    with tier.tracer.root_span("op.write", oid=oid, nbytes=len(data)) as op:
-        # Mutations of one object are serialised (as RADOS serialises ops
-        # per object at its PG): the chunk-map read-modify-write below must
-        # not interleave with a dedup pass committing a new map.
-        held: list = []
-        try:
-            with op.child("tier.lock_wait", oid=oid):
-                yield tier.object_locks.acquire(oid, held)
-            yield from _write_locked(tier, oid, offset, data, client, op)
-        finally:
-            tier.object_locks.release(held)
+    # Mutations of one object are serialised (as RADOS serialises ops
+    # per object at its PG): the chunk-map read-modify-write below must
+    # not interleave with a dedup pass committing a new map.
+    held: list = []
+    try:
+        yield tier.object_locks.acquire(oid, held)
+        yield from _write_locked(tier, oid, offset, data, client)
+    finally:
+        tier.object_locks.release(held)
 
 
-def _write_locked(
-    tier: DedupTier, oid: str, offset: int, data: bytes, client, span=NULL_SPAN
-):
+def _write_locked(tier: DedupTier, oid: str, offset: int, data: bytes, client):
     cluster = tier.cluster
     pool = tier.metadata_pool
     cs = tier.config.chunk_size
-    cmap = yield from tier.load_chunk_map(oid, span=span)
+    cmap = yield from tier.load_chunk_map(oid)
     if cmap is None:
         cmap = ChunkMap(cs)
     key = tier.metadata_key(oid)
@@ -171,14 +160,12 @@ def _write_locked(
                 # pre-read from the chunk object (the paper's pre-read
                 # corner case; common sub-chunk writes never hit it —
                 # the read-modify-write is deferred to the engine).
-                with span.child("tier.preread", chunk=entry.chunk_id) as s_pre:
-                    chunk_bytes = yield from tier.retrying(
-                        lambda cid=entry.chunk_id, ln=length, sp=s_pre: (
-                            tier.read_chunk(cid, 0, ln, client, span=sp)
-                        ),
-                        op="preread",
-                        span=s_pre,
-                    )
+                chunk_bytes = yield from tier.retrying(
+                    lambda cid=entry.chunk_id, ln=length: tier.read_chunk(
+                        cid, 0, ln, client
+                    ),
+                    op="preread",
+                )
                 chunk_bytes = chunk_bytes + b"\x00" * (length - len(chunk_bytes))
                 # Fill only the ranges the cache does not hold — the
                 # cached ranges carry newer data.
@@ -198,9 +185,7 @@ def _write_locked(
     # replay after a partial failure converges to the same state.
     try:
         yield from tier.retrying(
-            lambda: cluster.submit(pool, oid, txn, client, span=span),
-            op="meta_write",
-            span=span,
+            lambda: cluster.submit(pool, oid, txn, client), op="meta_write"
         )
     except Exception:
         # The faulted commit may have partially landed: the stored map
@@ -227,46 +212,40 @@ def delete_path(tier: DedupTier, oid: str, client=None):
     prefix of a batch), which the offline GC reclaims — the same §4.6
     safety direction as flush.
     """
-    with tier.tracer.root_span("op.delete", oid=oid) as op:
-        held: list = []
-        try:
-            with op.child("tier.lock_wait", oid=oid):
-                yield tier.object_locks.acquire(oid, held)
-            cmap = yield from tier.load_chunk_map(oid, span=op)
-            if cmap is None:
-                raise NoSuchObject(oid)
-            key = tier.metadata_key(oid)
-            cluster = tier.cluster
-            # Removing an already-removed object is a no-op, so the delete
-            # and the release below are idempotent under retry.
+    held: list = []
+    try:
+        yield tier.object_locks.acquire(oid, held)
+        cmap = yield from tier.load_chunk_map(oid)
+        if cmap is None:
+            raise NoSuchObject(oid)
+        key = tier.metadata_key(oid)
+        cluster = tier.cluster
+        # Removing an already-removed object is a no-op, so the delete
+        # and the release below are idempotent under retry.
+        yield from tier.retrying(
+            lambda: cluster.submit(
+                tier.metadata_pool, oid, Transaction().remove(key), client
+            ),
+            op="meta_delete",
+        )
+        # The decoded map of a removed object must not be served to
+        # a later recreate (load_chunk_map hits skip the existence
+        # probe entirely).
+        tier.invalidate_map_cache(oid)
+        # The object is gone whatever happens to its references:
+        # take its chunks off the cache manager's books first.
+        pairs = []
+        for entry in cmap:
+            tier.cache.note_evicted(oid, entry.offset // tier.config.chunk_size)
+            if entry.chunk_id:
+                pairs.append((entry.chunk_id, entry_ref(tier, oid, entry)))
+        if pairs:
             yield from tier.retrying(
-                lambda: cluster.submit(
-                    tier.metadata_pool, oid, Transaction().remove(key), client,
-                    span=op,
-                ),
-                op="meta_delete",
-                span=op,
+                lambda: tier.release_refs(pairs, client), op="chunk_deref"
             )
-            # The decoded map of a removed object must not be served to
-            # a later recreate (load_chunk_map hits skip the existence
-            # probe entirely).
-            tier.invalidate_map_cache(oid)
-            # The object is gone whatever happens to its references:
-            # take its chunks off the cache manager's books first.
-            pairs = []
-            for entry in cmap:
-                tier.cache.note_evicted(oid, entry.offset // tier.config.chunk_size)
-                if entry.chunk_id:
-                    pairs.append((entry.chunk_id, entry_ref(tier, oid, entry)))
-            if pairs:
-                yield from tier.retrying(
-                    lambda: tier.release_refs(pairs, client, span=op),
-                    op="chunk_deref",
-                    span=op,
-                )
-            tier.fg_window.note(0)
-        finally:
-            tier.object_locks.release(held)
+        tier.fg_window.note(0)
+    finally:
+        tier.object_locks.release(held)
 
 
 def entry_ref(tier: DedupTier, oid: str, entry):
@@ -291,43 +270,33 @@ def read_path(
     """
     if offset < 0:
         raise ValueError(f"negative offset {offset}")
-    with tier.tracer.root_span("op.read", oid=oid) as op:
-        # A concurrent dedup pass can re-point a chunk between our map read
-        # and the chunk-object read (the old chunk object disappears once
-        # dereferenced).  Retrying from a fresh map resolves it.
-        for attempt in range(3):
-            try:
-                data = yield from _read_once(tier, oid, offset, length, client, op)
-                op.tag(nbytes=len(data))
-                return data
-            except NoSuchObject:
-                if attempt == 2:
-                    raise
-                op.annotate("map_race", attempt=attempt + 1)
-                continue
+    # A concurrent dedup pass can re-point a chunk between our map read
+    # and the chunk-object read (the old chunk object disappears once
+    # dereferenced).  Retrying from a fresh map resolves it.
+    for attempt in range(3):
+        try:
+            data = yield from _read_once(tier, oid, offset, length, client)
+            return data
+        except NoSuchObject:
+            if attempt == 2:
+                raise
 
 
-def _place_segment(tier, buf, base, sstart, seg_len, segment, span):
+def _place_segment(tier, buf, base, sstart, seg_len, segment):
     """Copy one gathered segment into the assembly buffer.
 
     A segment can come back short when the backing object was truncated
     or re-pointed mid-read; pad to keep the gather shape, but never
-    silently — the span and counter make the anomaly visible to the
-    harness and to traces.
+    silently — the ``read_short_segments`` counter makes the anomaly
+    visible to the harness.
     """
     if len(segment) != seg_len:
         tier.stage.read_short_segments += 1
-        span.annotate(
-            "read_short_segment",
-            offset=sstart,
-            expected=seg_len,
-            got=len(segment),
-        )
         segment = segment[:seg_len] + b"\x00" * (seg_len - len(segment))
     buf[sstart - base : sstart - base + seg_len] = segment
 
 
-def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL_SPAN):
+def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client):
     """Process: fetch every planned piece and assemble ``buf`` in place.
 
     Pieces of the same chunk object merge into one covering fetch; the
@@ -341,43 +310,40 @@ def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL
     def place_fetch(f_off, pieces, data):
         for sstart, _cid, rel, ln in pieces:
             _place_segment(
-                tier, buf, base, sstart, ln, data[rel - f_off : rel - f_off + ln], span
+                tier, buf, base, sstart, ln, data[rel - f_off : rel - f_off + ln]
             )
 
     # Build the job list: (generator, result handler).
     jobs: List[Tuple[object, object]] = []
     for sstart, ln in cached_pieces:
-        gen = _read_cached_piece(tier, oid, sstart, ln, client, span)
+        gen = _read_cached_piece(tier, oid, sstart, ln, client)
         jobs.append((gen, lambda seg, s=sstart, n=ln: _place_segment(
-            tier, buf, base, s, n, seg, span)))
+            tier, buf, base, s, n, seg)))
     for chunk_id, pieces in by_chunk.items():
         f_off = min(p[2] for p in pieces)
         f_len = max(p[2] + p[3] for p in pieces) - f_off
-        gen = _read_chunk_piece(tier, chunk_id, f_off, f_len, client, span)
+        gen = _read_chunk_piece(tier, chunk_id, f_off, f_len, client)
         jobs.append((gen, lambda data, o=f_off, ps=pieces: place_fetch(o, ps, data)))
 
-    with span.child("tier.read_fanout") as s_f:
-        s_f.tag(jobs=len(jobs), chunk_fetches=len(by_chunk))
-        if len(jobs) <= 1:
-            # A single job runs inline: a process would add only cost.
-            for gen, handle in jobs:
-                result = yield from gen
-                handle(result)
-        else:
-            procs = [tier.sim.process(gen) for gen, _handle in jobs]
-            results = yield tier.sim.all_of(procs)
-            for (_gen, handle), result in zip(jobs, results):
-                handle(result)
+    if len(jobs) <= 1:
+        # A single job runs inline: a process would add only cost.
+        for gen, handle in jobs:
+            result = yield from gen
+            handle(result)
+    else:
+        procs = [tier.sim.process(gen) for gen, _handle in jobs]
+        results = yield tier.sim.all_of(procs)
+        for (_gen, handle), result in zip(jobs, results):
+            handle(result)
     tier.stage.fanout_chunk_reads += len(by_chunk)
 
 
-def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):
-    cmap = yield from tier.load_chunk_map(oid, span=span)
+def _read_once(tier, oid, offset, length, client):
+    cmap = yield from tier.load_chunk_map(oid)
     if cmap is None:
         raise NoSuchObject(oid)
     # The client's request reaches the metadata pool first (one RPC).
-    with span.child("tier.route"):
-        yield tier.sim.timeout(tier.cluster.profile.nic.latency)
+    yield tier.sim.timeout(tier.cluster.profile.nic.latency)
     size = cmap.logical_size()
     end = size if length is None else min(offset + length, size)
     if end <= offset:
@@ -424,9 +390,7 @@ def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):
                 )
             # else: sparse zeros within the chunk
     buf = bytearray(end - offset)
-    yield from _gather(
-        tier, oid, buf, offset, cached_pieces, chunk_pieces, client, span
-    )
+    yield from _gather(tier, oid, buf, offset, cached_pieces, chunk_pieces, client)
     tier.fg_window.note(end - offset)
     tier.cache.record_access(oid)
     # Hot object served from the chunk pool: promote it back into the

@@ -30,7 +30,6 @@ from ..cluster import (
     Transaction,
 )
 from ..faults.retry import RetryPolicy, RetryStats, call_with_retries
-from ..obs import NULL_SPAN, Tracer
 from ..perf.stages import StageCounters
 from ..sim import LockTable
 from .config import DedupConfig
@@ -189,11 +188,6 @@ class DedupTier:
         #: reads this attribute on every call (so it can be swapped).
         self.retry_policy = RetryPolicy()
         self.retry_stats = RetryStats()
-        #: Per-op span trees (``repro.obs``) on the *simulation* clock —
-        #: DET001 stays intact because the tracer never reads wall time.
-        #: Disabled by default: every span-taking call site then gets the
-        #: shared null span and the hot path stays allocation-free.
-        self.tracer = Tracer(clock=lambda: cluster.sim.now, enabled=self.config.trace_ops)
         # Dirty object ID list (paper Figure 8). In-memory, rebuildable
         # from the dirty bits persisted in every chunk map.
         self._dirty_queue: Deque[str] = deque()
@@ -247,16 +241,15 @@ class DedupTier:
         """The cluster's simulator."""
         return self.cluster.sim
 
-    def retrying(self, factory, op: str = "op", span=NULL_SPAN):
+    def retrying(self, factory, op: str = "op"):
         """Process: run ``factory()`` under the tier's retry policy.
 
         ``factory`` must build a *fresh* op generator per call (each
         attempt needs its own); see
-        :func:`repro.faults.retry.call_with_retries`.  ``span`` receives
-        retry/timeout/giveup annotations.
+        :func:`repro.faults.retry.call_with_retries`.
         """
         result = yield from call_with_retries(
-            self.sim, self.retry_policy, factory, self.retry_stats, op=op, span=span
+            self.sim, self.retry_policy, factory, self.retry_stats, op=op
         )
         return result
 
@@ -410,7 +403,7 @@ class DedupTier:
         # decoded map is suspect.
         self.invalidate_map_cache()
 
-    def load_chunk_map(self, oid: str, span=NULL_SPAN):
+    def load_chunk_map(self, oid: str):
         """Process: fetch the chunk map at the metadata primary.
 
         The lookup happens server-side as part of whatever operation
@@ -430,49 +423,42 @@ class DedupTier:
         (``invalidate_map_cache``) — the cache itself only ever holds
         committed snapshots.
         """
-        with span.child("tier.load_chunk_map", oid=oid) as s:
-            cached = self._map_cache.get(oid)
-            if cached is not None and cached[0] == self.map_version(oid):
-                with s.child("tier.map_cache", oid=oid) as c:
-                    c.tag(hit=True)
-                    self._map_cache.move_to_end(oid)
-                    self.stage.map_cache_hits += 1
-                s.tag(found=True, map_cache="hit")
-                return cached[1].copy()
-            primary = self.cluster._primary(self.metadata_pool, oid)
-            key = self.metadata_key(oid)
-            if not primary.store.exists(key):
-                s.tag(found=False)
-                return None
-            obj = primary.store.get(key)
-            blob = obj.xattrs.get(CHUNK_MAP_XATTR)
-            if blob is None:
-                s.tag(found=False)
-                return None
-            # Snapshot everything the decode needs *before* the disk
-            # yield: a lock-holding writer may commit while this process
-            # is parked on the read, replacing the header xattr and the
-            # omap records under us — decoding a mix of old header and
-            # new records raises (the entry-count check) or yields a
-            # torn map.
-            omap_records = {
-                k: v for k, v in obj.omap.items() if k.startswith(MAP_OMAP_PREFIX)
-            }
-            nbytes = len(blob) + sum(map(len, omap_records.values()))
-            version = self.map_version(oid)
-            epoch = self._map_epoch
-            yield from primary.disk.read(nbytes)
-            self.stage.map_cache_misses += 1
-            s.tag(found=True, nbytes=nbytes, map_cache="miss")
-            cmap = decode_stored_map(blob, omap_records)
-            # Install only when nothing committed or invalidated during
-            # the yield — a stale decode must not overwrite the fresh
-            # entry a concurrent commit just installed, nor re-enter
-            # after a repair fence.  The decode itself is still returned:
-            # it is a consistent snapshot of the pre-yield committed map.
-            if version == self.map_version(oid) and epoch == self._map_epoch:
-                self._cache_map(oid, cmap.copy(), version)
-            return cmap
+        cached = self._map_cache.get(oid)
+        if cached is not None and cached[0] == self.map_version(oid):
+            self._map_cache.move_to_end(oid)
+            self.stage.map_cache_hits += 1
+            return cached[1].copy()
+        primary = self.cluster._primary(self.metadata_pool, oid)
+        key = self.metadata_key(oid)
+        if not primary.store.exists(key):
+            return None
+        obj = primary.store.get(key)
+        blob = obj.xattrs.get(CHUNK_MAP_XATTR)
+        if blob is None:
+            return None
+        # Snapshot everything the decode needs *before* the disk
+        # yield: a lock-holding writer may commit while this process
+        # is parked on the read, replacing the header xattr and the
+        # omap records under us — decoding a mix of old header and
+        # new records raises (the entry-count check) or yields a
+        # torn map.
+        omap_records = {
+            k: v for k, v in obj.omap.items() if k.startswith(MAP_OMAP_PREFIX)
+        }
+        nbytes = len(blob) + sum(map(len, omap_records.values()))
+        version = self.map_version(oid)
+        epoch = self._map_epoch
+        yield from primary.disk.read(nbytes)
+        self.stage.map_cache_misses += 1
+        cmap = decode_stored_map(blob, omap_records)
+        # Install only when nothing committed or invalidated during
+        # the yield — a stale decode must not overwrite the fresh
+        # entry a concurrent commit just installed, nor re-enter
+        # after a repair fence.  The decode itself is still returned:
+        # it is a consistent snapshot of the pre-yield committed map.
+        if version == self.map_version(oid) and epoch == self._map_epoch:
+            self._cache_map(oid, cmap.copy(), version)
+        return cmap
 
     def append_map_commit(self, txn: Transaction, oid: str, cmap: ChunkMap) -> None:
         """Add ``cmap``'s commit ops for ``oid`` to ``txn``.
@@ -535,7 +521,7 @@ class DedupTier:
         return RefSet()
 
     # repro-lint: flt-scope -- commit primitive: faults must propagate to the caller's scope (engine skip-and-requeue / io_path retries), which owns the undo policy
-    def chunk_ref(self, chunk_id: str, ref: ChunkRef, data: bytes, via, span=NULL_SPAN):
+    def chunk_ref(self, chunk_id: str, ref: ChunkRef, data: bytes, via):
         """Process: store-or-reference a chunk object (§4.4.1 steps 4-5).
 
         If no object exists at the content-derived location, store the
@@ -549,75 +535,66 @@ class DedupTier:
 
         Returns True when the chunk data was newly stored.
         """
-        with span.child("tier.chunk_ref", chunk=chunk_id) as s:
-            held: list = []
-            try:
-                yield self.chunk_locks.acquire(chunk_id, held)
-                self.stage.ref_ops += 1
-                exists = self.chunk_exists(chunk_id)
-                refs = self._load_refs(chunk_id) if exists else RefSet()
-                refs.add(ref)
-                s.tag(dedup_hit=exists)
-                if not exists:
-                    blob, encoding = data, b"raw"
-                    if self.config.compress_chunks:
-                        node = getattr(via, "node", None)
-                        if node is not None:
-                            yield from node.cpu.execute(
-                                node.cpu.spec.compress_time(len(data))
-                            )
-                        coded = self.codec.compress(data)
-                        if len(coded) < len(data):
-                            blob, encoding = coded, b"zlib"
-                    yield from self.cluster.write_full(
-                        self.chunk_pool, chunk_id, blob, via, span=s
-                    )
-                    self.stage.flush_ops += 1
-                    self.stage.flush_bytes += len(blob)
-                    if self.config.compress_chunks:
-                        yield from self.cluster.setxattr(
-                            self.chunk_pool, chunk_id, CHUNK_ENCODING_XATTR,
-                            encoding, via, span=s,
+        held: list = []
+        try:
+            yield self.chunk_locks.acquire(chunk_id, held)
+            self.stage.ref_ops += 1
+            exists = self.chunk_exists(chunk_id)
+            refs = self._load_refs(chunk_id) if exists else RefSet()
+            refs.add(ref)
+            if not exists:
+                blob, encoding = data, b"raw"
+                if self.config.compress_chunks:
+                    node = getattr(via, "node", None)
+                    if node is not None:
+                        yield from node.cpu.execute(
+                            node.cpu.spec.compress_time(len(data))
                         )
-                yield from self.cluster.setxattr(
-                    self.chunk_pool, chunk_id, REFS_XATTR, refs.serialize(), via,
-                    span=s,
-                )
-                self.stage.ref_commits += 1
-                return not exists
-            finally:
-                self.chunk_locks.release(held)
+                    coded = self.codec.compress(data)
+                    if len(coded) < len(data):
+                        blob, encoding = coded, b"zlib"
+                yield from self.cluster.write_full(self.chunk_pool, chunk_id, blob, via)
+                self.stage.flush_ops += 1
+                self.stage.flush_bytes += len(blob)
+                if self.config.compress_chunks:
+                    yield from self.cluster.setxattr(
+                        self.chunk_pool, chunk_id, CHUNK_ENCODING_XATTR, encoding, via
+                    )
+            yield from self.cluster.setxattr(
+                self.chunk_pool, chunk_id, REFS_XATTR, refs.serialize(), via
+            )
+            self.stage.ref_commits += 1
+            return not exists
+        finally:
+            self.chunk_locks.release(held)
 
     # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); faults propagate to the caller's scope, which defers the deref to GC
-    def chunk_deref(self, chunk_id: str, ref: ChunkRef, via, span=NULL_SPAN):
+    def chunk_deref(self, chunk_id: str, ref: ChunkRef, via):
         """Process: drop one reference; remove the chunk at zero refs.
 
         Dereferencing a missing chunk or reference is a no-op (a crashed
         dedup pass may retry a dereference that already happened — the
         paper's §4.6 failure analysis relies on this idempotence).
         """
-        with span.child("tier.chunk_deref", chunk=chunk_id) as s:
-            held: list = []
-            try:
-                yield self.chunk_locks.acquire(chunk_id, held)
-                self.stage.ref_ops += 1
-                if not self.chunk_exists(chunk_id):
-                    return
-                refs = self._load_refs(chunk_id)
-                if ref not in refs:
-                    return
-                refs.discard(ref)
-                if len(refs) == 0:
-                    s.tag(removed=True)
-                    yield from self.cluster.remove(self.chunk_pool, chunk_id, via)
-                else:
-                    yield from self.cluster.setxattr(
-                        self.chunk_pool, chunk_id, REFS_XATTR, refs.serialize(), via,
-                        span=s,
-                    )
-                self.stage.ref_commits += 1
-            finally:
-                self.chunk_locks.release(held)
+        held: list = []
+        try:
+            yield self.chunk_locks.acquire(chunk_id, held)
+            self.stage.ref_ops += 1
+            if not self.chunk_exists(chunk_id):
+                return
+            refs = self._load_refs(chunk_id)
+            if ref not in refs:
+                return
+            refs.discard(ref)
+            if len(refs) == 0:
+                yield from self.cluster.remove(self.chunk_pool, chunk_id, via)
+            else:
+                yield from self.cluster.setxattr(
+                    self.chunk_pool, chunk_id, REFS_XATTR, refs.serialize(), via
+                )
+            self.stage.ref_commits += 1
+        finally:
+            self.chunk_locks.release(held)
 
     # -- batched reference commits --------------------------------------------
 
@@ -633,7 +610,7 @@ class DedupTier:
         return not self.chunk_pool.is_ec
 
     # repro-lint: flt-scope -- commit primitive: two-phase prepare makes a fault all-or-nothing; callers own the requeue/defer policy
-    def commit_chunk_batch(self, batch: ChunkBatch, via, span=NULL_SPAN):
+    def commit_chunk_batch(self, batch: ChunkBatch, via):
         """Process: apply a pass's accumulated ref/deref ops at once.
 
         Per-chunk final states (refcounts, payload stores, removals)
@@ -655,84 +632,76 @@ class DedupTier:
         per_chunk: "OrderedDict[str, List[Tuple[int, Tuple]]]" = OrderedDict()
         for i, op in enumerate(batch.ops):
             per_chunk.setdefault(op[1], []).append((i, op))
-        with span.child(
-            "tier.commit_chunk_batch", ops=len(batch.ops), chunks=len(per_chunk)
-        ) as s:
-            # Sorted acquisition: concurrent passes (and the per-op path,
-            # which holds at most one chunk lock) cannot deadlock.
-            held: list = []
-            try:
-                for cid in sorted(per_chunk):
-                    yield self.chunk_locks.acquire(cid, held)
-                self.stage.ref_ops += len(batch.ops)
-                items: List[Tuple[str, Transaction]] = []
-                stored_blobs: List[bytes] = []
-                removed = 0
-                for cid, ops in per_chunk.items():
-                    existed = self.chunk_exists(cid)
-                    refs = self._load_refs(cid) if existed else RefSet()
-                    payload = None
-                    for i, op in ops:
-                        if op[0] == "ref":
-                            _, _, ref, data = op
-                            if not existed and payload is None:
-                                payload = bytes(data)
-                                outcomes[i] = True
-                            else:
-                                outcomes[i] = False
-                            refs.add(ref)
+        # Sorted acquisition: concurrent passes (and the per-op path,
+        # which holds at most one chunk lock) cannot deadlock.
+        held: list = []
+        try:
+            for cid in sorted(per_chunk):
+                yield self.chunk_locks.acquire(cid, held)
+            self.stage.ref_ops += len(batch.ops)
+            items: List[Tuple[str, Transaction]] = []
+            stored_blobs: List[bytes] = []
+            for cid, ops in per_chunk.items():
+                existed = self.chunk_exists(cid)
+                refs = self._load_refs(cid) if existed else RefSet()
+                payload = None
+                for i, op in ops:
+                    if op[0] == "ref":
+                        _, _, ref, data = op
+                        if not existed and payload is None:
+                            payload = bytes(data)
+                            outcomes[i] = True
                         else:
-                            refs.discard(op[2])
-                    key = self.cluster.object_key(self.chunk_pool, cid)
-                    txn = Transaction()
-                    if len(refs) == 0:
-                        if existed:
-                            txn.remove(key)
-                            removed += 1
-                        else:
-                            # Net no-op: every ref taken in this batch was
-                            # also dropped in it — never create the object,
-                            # and downgrade the "stored" outcome.
-                            for i, op in ops:
-                                if op[0] == "ref":
-                                    outcomes[i] = False
-                            payload = None
+                            outcomes[i] = False
+                        refs.add(ref)
                     else:
-                        if not existed:
-                            blob, encoding = payload, b"raw"
-                            if self.config.compress_chunks:
-                                node = getattr(via, "node", None)
-                                if node is not None:
-                                    yield from node.cpu.execute(
-                                        node.cpu.spec.compress_time(len(payload))
-                                    )
-                                coded = self.codec.compress(payload)
-                                if len(coded) < len(payload):
-                                    blob, encoding = coded, b"zlib"
-                            txn.write_full(key, blob)
-                            if self.config.compress_chunks:
-                                txn.setxattr(key, CHUNK_ENCODING_XATTR, encoding)
-                            stored_blobs.append(blob)
-                        txn.setxattr(key, REFS_XATTR, refs.serialize())
-                    if len(txn):
-                        items.append((cid, txn))
-                yield from self.cluster.submit_batch(
-                    self.chunk_pool, items, via, span=s
+                        refs.discard(op[2])
+                key = self.cluster.object_key(self.chunk_pool, cid)
+                txn = Transaction()
+                if len(refs) == 0:
+                    if existed:
+                        txn.remove(key)
+                    else:
+                        # Net no-op: every ref taken in this batch was
+                        # also dropped in it — never create the object,
+                        # and downgrade the "stored" outcome.
+                        for i, op in ops:
+                            if op[0] == "ref":
+                                outcomes[i] = False
+                        payload = None
+                else:
+                    if not existed:
+                        blob, encoding = payload, b"raw"
+                        if self.config.compress_chunks:
+                            node = getattr(via, "node", None)
+                            if node is not None:
+                                yield from node.cpu.execute(
+                                    node.cpu.spec.compress_time(len(payload))
+                                )
+                            coded = self.codec.compress(payload)
+                            if len(coded) < len(payload):
+                                blob, encoding = coded, b"zlib"
+                        txn.write_full(key, blob)
+                        if self.config.compress_chunks:
+                            txn.setxattr(key, CHUNK_ENCODING_XATTR, encoding)
+                        stored_blobs.append(blob)
+                    txn.setxattr(key, REFS_XATTR, refs.serialize())
+                if len(txn):
+                    items.append((cid, txn))
+            yield from self.cluster.submit_batch(self.chunk_pool, items, via)
+            self.stage.flush_ops += len(stored_blobs)
+            self.stage.flush_bytes += sum(map(len, stored_blobs))
+            if items:
+                self.stage.ref_batches += 1
+                self.stage.ref_commits += len(
+                    {self.chunk_pool.pg_of(cid) for cid, _ in items}
                 )
-                self.stage.flush_ops += len(stored_blobs)
-                self.stage.flush_bytes += sum(map(len, stored_blobs))
-                if items:
-                    self.stage.ref_batches += 1
-                    self.stage.ref_commits += len(
-                        {self.chunk_pool.pg_of(cid) for cid, _ in items}
-                    )
-                s.tag(stored=len(stored_blobs), removed=removed)
-                return outcomes
-            finally:
-                self.chunk_locks.release(held)
+            return outcomes
+        finally:
+            self.chunk_locks.release(held)
 
     # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); a fault propagates to the caller's scope, which retries or defers the set to GC
-    def release_refs(self, pairs, via, span=NULL_SPAN):
+    def release_refs(self, pairs, via):
         """Process: release a set of ``(chunk_id, ref)`` references.
 
         The one way references are dropped: a single
@@ -747,39 +716,34 @@ class DedupTier:
             batch = ChunkBatch()
             for chunk_id, ref in pairs:
                 batch.deref(chunk_id, ref)
-            yield from self.commit_chunk_batch(batch, via, span=span)
+            yield from self.commit_chunk_batch(batch, via)
             return
         for chunk_id, ref in pairs:
-            yield from self.chunk_deref(chunk_id, ref, via, span=span)
+            yield from self.chunk_deref(chunk_id, ref, via)
 
-    def read_chunk(
-        self, chunk_id: str, offset: int, length: Optional[int], client, span=NULL_SPAN
-    ):
+    def read_chunk(self, chunk_id: str, offset: int, length: Optional[int], client):
         """Process: read chunk bytes from the chunk pool (redirection).
 
         Transparently decompresses tier-compressed chunks (the whole
         chunk must be fetched and decoded before slicing — the CPU and
         extra-bytes cost of compression's read path).
         """
-        with span.child("tier.read_chunk", chunk=chunk_id) as s:
-            if not self.config.compress_chunks:
-                data = yield from self.cluster.read(
-                    self.chunk_pool, chunk_id, offset, length, client, span=s
-                )
-                return data
-            blob = yield from self.cluster.read(
-                self.chunk_pool, chunk_id, 0, None, client, span=s
+        if not self.config.compress_chunks:
+            data = yield from self.cluster.read(
+                self.chunk_pool, chunk_id, offset, length, client
             )
-            encoding = self._chunk_encoding(chunk_id)
-            if encoding == b"zlib":
-                primary = self.cluster._primary(self.chunk_pool, chunk_id)
-                yield from primary.node.cpu.execute(
-                    primary.node.cpu.spec.compress_time(len(blob))
-                )
-                blob = self.codec.decompress(blob)
-            if length is None:
-                return blob[offset:]
-            return blob[offset : offset + length]
+            return data
+        blob = yield from self.cluster.read(self.chunk_pool, chunk_id, 0, None, client)
+        encoding = self._chunk_encoding(chunk_id)
+        if encoding == b"zlib":
+            primary = self.cluster._primary(self.chunk_pool, chunk_id)
+            yield from primary.node.cpu.execute(
+                primary.node.cpu.spec.compress_time(len(blob))
+            )
+            blob = self.codec.decompress(blob)
+        if length is None:
+            return blob[offset:]
+        return blob[offset : offset + length]
 
     def _chunk_encoding(self, chunk_id: str) -> bytes:
         key = self.cluster.object_key(self.chunk_pool, chunk_id)

@@ -120,13 +120,13 @@ def run_elastic_workload(
     from ..cluster import Rebalancer, placement_report, scrub_pool_sync
     from ..cluster import RadosCluster, recover_sync
     from ..core import DedupConfig, DedupedStorage, scrub_sync
-    from ..obs import check_trace
+    from ..obs import Tracer, check_trace
     from ..workloads import ContentGenerator
 
     cluster = RadosCluster(num_hosts=2, osds_per_host=2, pg_num=32)
     storage = DedupedStorage(
         cluster,
-        DedupConfig(chunk_size=32 * KiB, trace_ops=True),
+        DedupConfig(chunk_size=32 * KiB),
         start_engine=True,
     )
     if sanitizer is not None:
@@ -176,21 +176,11 @@ def run_elastic_workload(
         raise RuntimeError(f"write of {oid!r} never succeeded under {plan!r}")
 
     def drive_rebalance(max_passes: int) -> Generator[Any, Any, None]:
-        # One root span per drive so its children tile the root tightly
-        # (a scenario-long root would count the idle gaps as uncovered).
-        root = storage.tracer.root_span("op.rebalance")
         try:
-            yield from engine.run_to_completion(span=root, max_passes=max_passes)
-            root.tag(
-                pgs=engine.stats.pgs_completed,
-                moved=engine.stats.objects_moved,
-                nbytes=engine.stats.bytes_moved,
-            )
+            yield from engine.run_to_completion(max_passes=max_passes)
         except Exception as exc:
             if not is_retryable(exc):
                 raise
-        finally:
-            root.finish()
 
     background: List[Any] = []
 
@@ -202,66 +192,66 @@ def run_elastic_workload(
         yield sim.timeout(horizon * 0.25)
         result.decommission_diff = cluster.decommission_osd(decommission_osd)
 
-    sim.process(topology_driver())
-    procs = [
-        sim.process(
-            client_write(oid, data, (i / max(1, num_objects)) * horizon * 0.8)
-        )
-        for i, (oid, data) in enumerate(sorted(payloads.items()))
-    ]
-
-    def workload() -> Generator[Any, Any, Any]:
-        results = yield sim.all_of(procs)
-        return results
-
-    cluster.run(workload())
-    # Let every scheduled fault window open and expire.
-    if sim.now < horizon:
-        sim.run(until=horizon)
-
     def wait_background() -> Generator[Any, Any, None]:
         if background:
             yield sim.all_of(background)
 
-    cluster.run(wait_background())
-    storage.engine.stop()
-    if injector is not None:
-        injector.heal_all()
-    # Final drain: unthrottled rebalance and recovery, alternating —
-    # recovery reconciles restarted OSDs (migration sources the engine
-    # had to skip while they were down) and retires remaps whose old
-    # side drained; the engine then finishes anything still parked.
-    for _round in range(3):
-        cluster.run(drive_rebalance(max_passes=8))
-        result.recovery_stats = recover_sync(cluster)
-        if not cluster.active_remaps():
-            break
-    if injector is not None:
-        injector.detach()
-    storage.engine.drain_sync()  # flush everything + offline GC
-    try:
-        cluster.finalize_decommission(decommission_osd)
-        result.finalized = True
-    except (KeyError, ValueError):
-        result.finalized = False
+    with Tracer(sim) as tracer:
+        sim.process(topology_driver())
+        procs = [
+            sim.process(
+                client_write(oid, data, (i / max(1, num_objects)) * horizon * 0.8)
+            )
+            for i, (oid, data) in enumerate(sorted(payloads.items()))
+        ]
 
-    result.scrub = scrub_sync(storage.tier)
-    result.replica_reports = [
-        scrub_pool_sync(cluster, storage.tier.metadata_pool),
-        scrub_pool_sync(cluster, storage.tier.chunk_pool),
-    ]
-    result.placement_violations = placement_report(cluster)
-    result.corrupted_objects = [
-        oid
-        for oid, data in sorted(payloads.items())
-        if storage.read_sync(oid, 0, len(data)) != data
-    ]
-    # Quiesce: verification reads can spawn fire-and-forget cache
-    # promotions; run the loop dry so no task is left suspended holding
-    # an object lock (the lock sanitizer treats that as a leak).
-    sim.run()
+        def workload() -> Generator[Any, Any, Any]:
+            results = yield sim.all_of(procs)
+            return results
+
+        cluster.run(workload())
+        # Let every scheduled fault window open and expire.
+        if sim.now < horizon:
+            sim.run(until=horizon)
+        cluster.run(wait_background())
+        storage.engine.stop()
+        if injector is not None:
+            injector.heal_all()
+        # Final drain: unthrottled rebalance and recovery, alternating —
+        # recovery reconciles restarted OSDs (migration sources the engine
+        # had to skip while they were down) and retires remaps whose old
+        # side drained; the engine then finishes anything still parked.
+        for _round in range(3):
+            cluster.run(drive_rebalance(max_passes=8))
+            result.recovery_stats = recover_sync(cluster)
+            if not cluster.active_remaps():
+                break
+        if injector is not None:
+            injector.detach()
+        storage.engine.drain_sync()  # flush everything + offline GC
+        try:
+            cluster.finalize_decommission(decommission_osd)
+            result.finalized = True
+        except (KeyError, ValueError):
+            result.finalized = False
+
+        result.scrub = scrub_sync(storage.tier)
+        result.replica_reports = [
+            scrub_pool_sync(cluster, storage.tier.metadata_pool),
+            scrub_pool_sync(cluster, storage.tier.chunk_pool),
+        ]
+        result.placement_violations = placement_report(cluster)
+        result.corrupted_objects = [
+            oid
+            for oid, data in sorted(payloads.items())
+            if storage.read_sync(oid, 0, len(data)) != data
+        ]
+        # Quiesce: verification reads can spawn fire-and-forget cache
+        # promotions; run the loop dry so no task is left suspended holding
+        # an object lock (the lock sanitizer treats that as a leak).
+        sim.run()
     result.objects_written = num_objects
-    records = storage.tracer.to_records()
+    records = tracer.to_records()
     # Structural soundness (finished, no orphans, all stages present) of
     # the whole trace; the child-coverage bar applies to the rebalance
     # trees only — a faulted client op legitimately spends most of its

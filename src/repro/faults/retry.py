@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-from ..obs import NULL_SPAN, Span
 from .errors import OpTimeoutError, is_retryable
 
 __all__ = ["OpFactory", "RetryPolicy", "RetryStats", "call_with_retries"]
@@ -88,7 +87,6 @@ def call_with_retries(
     factory: OpFactory,
     stats: Optional[RetryStats] = None,
     op: str = "op",
-    span: Span = NULL_SPAN,
 ) -> Generator[Any, Any, Any]:
     """Process: run ``factory()`` (a fresh op generator per attempt)
     with per-attempt timeout and retry-with-backoff.
@@ -98,11 +96,10 @@ def call_with_retries(
     the final failure — or any fatal error — propagates to the caller.
     A timed-out attempt's process is interrupted: whatever simulated
     work it had in flight completes or unwinds via its own ``finally``
-    blocks, mirroring a real client abandoning a slow request.
-
-    ``span`` (a ``repro.obs`` span; defaults to the null span) receives
-    timestamped ``fault``/``timeout``/``recovered``/``giveup`` events,
-    so a trace shows exactly where an op's time went to backoff.
+    blocks, mirroring a real client abandoning a slow request.  Under
+    a :class:`repro.obs.Tracer` an attempt's spans hang under the op
+    that retries it, and a failed attempt's spans carry the error's type
+    in their ``error`` tag.
     """
     last_exc: Optional[BaseException] = None
     for attempt in range(1, policy.max_attempts + 1):
@@ -126,28 +123,18 @@ def call_with_retries(
                     proc.interrupt(f"{op} deadline")
                     if stats is not None:
                         stats.timeouts += 1
-                    span.annotate("timeout", op=op, attempt=attempt)
                     raise OpTimeoutError(op, policy.op_timeout)
         except BaseException as exc:  # noqa: B036 - classified below
             if not is_retryable(exc):
                 raise
-            span.annotate("fault", op=op, attempt=attempt, error=type(exc).__name__)
             last_exc = exc
             continue
         if stats is not None:
             stats.successes += 1
             if attempt > 1:
                 stats.successes_after_retry += 1
-        if attempt > 1:
-            span.annotate("recovered", op=op, attempts=attempt)
         return result
     if stats is not None:
         stats.giveups += 1
     assert last_exc is not None  # max_attempts >= 1, so an attempt ran
-    span.annotate(
-        "giveup",
-        op=op,
-        attempts=policy.max_attempts,
-        error=type(last_exc).__name__,
-    )
     raise last_exc  # exhausted: surface the final retryable error

@@ -2,12 +2,10 @@
 registry, and the one snapshot of a running store
 (:func:`storage_metrics`) with its text views.
 
-The package is an import *leaf*: it depends on nothing else in
-``repro`` (the snapshot duck-types the storage stack) so the hot paths
-(``repro.core``, ``repro.cluster``, ``repro.faults``) can all import it
-without cycles.  Spans run on an *injected* clock — the dedup tier
-passes the simulation clock (keeping DET001's no-wall-clock invariant),
-while a host-side caller may pass ``time.perf_counter``.
+Nothing in the storage stack imports this package: the snapshot
+duck-types the stack, and the :class:`Tracer` patches its boundary
+functions from outside, on the simulation clock, only while installed.
+The package itself depends on nothing in ``repro`` but ``repro.sim``.
 """
 
 from .collect import fault_lines, status_lines, storage_metrics
@@ -21,7 +19,7 @@ from .registry import (
     MetricFamily,
     MetricsRegistry,
 )
-from .trace import NULL_SPAN, NullSpan, Span, Tracer
+from .trace import SPAN_TARGETS, Span, Tracer
 
 __all__ = [
     "CardinalityError",
@@ -31,8 +29,7 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_SPAN",
-    "NullSpan",
+    "SPAN_TARGETS",
     "Span",
     "Tracer",
     "check_trace",

@@ -12,11 +12,12 @@ re-running the workload.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .collect import storage_metrics
 from .export import dump_trace_jsonl, load_trace_jsonl, prometheus_text, trace_jsonl_lines
 from .integrity import check_trace, coverage_by_root, stage_rollup, top_spans
+from .trace import Tracer
 
 __all__ = [
     "REQUIRED_STAGE_PREFIXES",
@@ -35,8 +36,9 @@ _KiB = 1024
 
 def run_traced_workload(
     seed: int = 0, objects: int = 24, dedupe_ratio: float = 0.75
-) -> Any:
-    """Seeded workload with ``trace_ops`` on; returns the storage stack.
+) -> Tuple[Any, Tracer]:
+    """Seeded workload under a :class:`Tracer`; returns the storage stack
+    and the tracer holding its spans.
 
     Writes ``objects`` 64 KiB blocks (75 % duplicate content by
     default), drains the dedup engine, reads a third of them back and
@@ -51,32 +53,31 @@ def run_traced_workload(
 
     cluster = RadosCluster(num_hosts=4, osds_per_host=4, pg_num=64)
     storage = DedupedStorage(
-        cluster,
-        DedupConfig(chunk_size=32 * _KiB, trace_ops=True),
-        start_engine=False,
+        cluster, DedupConfig(chunk_size=32 * _KiB), start_engine=False
     )
     gen = ContentGenerator(seed=seed, dedupe_ratio=dedupe_ratio)
-    for i in range(objects):
-        storage.write_sync(f"obs-{i}", gen.block(64 * _KiB))
-    storage.drain()
-    for i in range(0, objects, 3):
-        storage.read_sync(f"obs-{i}")
-    storage.delete_sync(f"obs-{objects - 1}")
-    return storage
+    with Tracer(storage.sim) as tracer:
+        for i in range(objects):
+            storage.write_sync(f"obs-{i}", gen.block(64 * _KiB))
+        storage.drain()
+        for i in range(0, objects, 3):
+            storage.read_sync(f"obs-{i}")
+        storage.delete_sync(f"obs-{objects - 1}")
+    return storage, tracer
 
 
 def _load_records(args: Any) -> List[Dict[str, Any]]:
     """Trace records from ``--trace PATH`` or a fresh seeded run."""
     if getattr(args, "trace", None):
         return load_trace_jsonl(args.trace)
-    storage = run_traced_workload(seed=args.seed, objects=args.objects)
-    return storage.tracer.to_records()
+    _storage, tracer = run_traced_workload(seed=args.seed, objects=args.objects)
+    return tracer.to_records()
 
 
 def cmd_trace(args: Any) -> int:
     """Run the seeded workload, dump the trace, verify its integrity."""
-    storage = run_traced_workload(seed=args.seed, objects=args.objects)
-    records = storage.tracer.to_records()
+    storage, tracer = run_traced_workload(seed=args.seed, objects=args.objects)
+    records = tracer.to_records()
     if args.out:
         count = dump_trace_jsonl(records, args.out)
         print(f"{count} spans written to {args.out}")
@@ -111,6 +112,9 @@ def cmd_report(args: Any) -> int:
         print("trace is empty: no spans recorded", file=sys.stderr)
         return 1
     rollup = stage_rollup(records)
+    if not rollup:
+        print("no finished spans", file=sys.stderr)
+        return 1
     width = max(len(stage) for stage in rollup)
     print(f"{'stage'.ljust(width)}  count  seconds     mean        max")
     for stage, entry in rollup.items():
@@ -146,7 +150,7 @@ def cmd_top_spans(args: Any) -> int:
         tag_text = " ".join(f"{k}={tags[k]}" for k in sorted(tags))
         print(
             f"{duration:.6f}s  {record['stage']}"
-            f"  span={record['span_id']} trace={record['trace_id']}"
+            f"  id {record['span_id']} trace {record['trace_id']}"
             + (f"  {tag_text}" if tag_text else "")
         )
     return 0

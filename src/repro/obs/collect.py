@@ -137,13 +137,6 @@ def storage_metrics(
     gauge("repro_used_bytes_total", "Raw bytes used across every OSD",
           cluster.total_used_bytes())
 
-    tracer = getattr(tier, "tracer", None)
-    if tracer is not None:
-        gauge("repro_trace_spans", "Spans buffered by the tier tracer",
-              len(tracer.spans))
-        gauge("repro_trace_spans_dropped", "Spans dropped at the tracer's cap",
-              tracer.dropped)
-
     return reg
 
 

@@ -1,109 +1,67 @@
-"""Span-tree tracer with an injected clock.
+"""Span trees on the simulated clock, recorded from outside the code.
 
-A :class:`Tracer` hands out :class:`Span` objects that form per-op
-trees: each root span is one client-visible operation (a write, a read,
-a dedup pass) and children mark the stages it passed through (lock
-wait, chunk assembly, fingerprinting, the RADOS two-phase commit, ...).
+``with Tracer(sim) as tracer:`` is the one way to trace.  While the
+block runs, every function named in :data:`SPAN_TARGETS` is replaced by
+a proxy that records a :class:`Span` of the call on ``sim``'s clock; on
+exit every original is put back.  No module of the storage stack knows
+it is traced, and with no tracer installed no code of this module runs.
 
-Design constraints baked in here:
+* **Boundaries are data.**  A row of :data:`SPAN_TARGETS` is
+  ``(module, qualname, stage, tags)``: the function ``qualname`` as
+  looked up in ``module`` (a plain function is patched where its caller
+  finds it), the span's stage name, and a callable turning the call's
+  arguments into the span's tags.  A generator target (a simulation
+  process body) is spanned from its first step to its return; a target
+  returning an :class:`~repro.sim.Event`, such as ``LockTable.acquire``,
+  until the event fires.
+* **Context follows the running process.**  The tracer keeps each
+  process's innermost open span, keyed by ``sim.current_task``.  A proxy
+  takes its parent from there and stands in for it while the call runs;
+  one proxy on :meth:`Simulator.process <repro.sim.Simulator.process>`
+  hands the spawner's span to the process it starts, so the branches of
+  a fan-out keep their parent.
+* **Roots are ops.**  A stage named ``op.*`` always starts a trace of its
+  own: background work an op sets off (a read promoting its object)
+  runs past the op and must not count as its child.
+* **Failure is a tag.**  A generator that raises ends its span with an
+  ``error`` tag naming the exception — a retry attempt cut off at its
+  deadline shows as an ``Interrupt``.  A wait its process abandoned ends
+  with its parent, tagged ``error="abandoned"``.
 
-* **No wall clock.**  The clock is a constructor argument; code under
-  the DET001 lint scope passes ``lambda: sim.now``.  A host-side
-  caller may pass ``time.perf_counter`` for wall-time traces.
-* **Near-zero cost when disabled.**  A disabled tracer returns the
-  :data:`NULL_SPAN` singleton whose methods are all no-ops and whose
-  ``child()`` returns itself, so the hot path pays only an attribute
-  call per stage — no allocation, no clock read.
-* **Explicit propagation.**  Spans are passed as parameters, never via
-  an ambient context stack: simulation processes interleave on one OS
-  thread, so a global "current span" would mis-parent concurrent ops.
-
-Spans must be *closed on every path* — lint rule OBS001 enforces that
-every span-starting call (``root_span`` / ``start_span`` / ``child``)
-is used as a ``with`` context manager or paired with ``finish()`` in a
-``try/finally``.
+Spans are only recorded inside a process of the tracer's simulator, and
+a wait only inside another span.  Nothing here schedules an event, so a
+traced run is event-for-event the untraced one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Type
-from types import TracebackType
+import functools
+import importlib
+from types import GeneratorType
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-__all__ = ["Span", "NullSpan", "NULL_SPAN", "Tracer"]
+from ..sim import Event, Simulator
+
+__all__ = ["SPAN_TARGETS", "Span", "Tracer"]
+
+Tags = Dict[str, Any]
 
 
 class Span:
-    """One timed stage in an op's trace tree.
+    """One timed call in an op's trace tree."""
 
-    Spans are context managers; entering is a no-op (the span starts
-    when created) and exiting finishes it, annotating the exception
-    type if one is in flight.  ``finish()`` is idempotent.
-    """
-
-    __slots__ = (
-        "tracer",
-        "span_id",
-        "parent_id",
-        "trace_id",
-        "stage",
-        "start",
-        "end",
-        "tags",
-        "events",
-    )
+    __slots__ = ("span_id", "parent_id", "trace_id", "stage", "start", "end", "tags")
 
     def __init__(
-        self,
-        tracer: Optional["Tracer"],
-        span_id: int,
-        parent_id: Optional[int],
-        trace_id: int,
-        stage: str,
-        start: float,
-        tags: Dict[str, Any],
+        self, span_id: int, parent: Optional["Span"], stage: str, start: float, tags: Tags
     ) -> None:
-        self.tracer = tracer
         self.span_id = span_id
-        self.parent_id = parent_id
-        self.trace_id = trace_id
+        self.parent_id = None if parent is None else parent.span_id
+        self.trace_id = span_id if parent is None else parent.trace_id
         self.stage = stage
         self.start = start
         self.end: Optional[float] = None
         self.tags = tags
-        # Lazily allocated on first annotate(): most spans carry no events.
-        self.events: Optional[List[Dict[str, Any]]] = None
-
-    def child(self, stage: str, **tags: Any) -> "Span":
-        """Start a child span of this one (see OBS001: close it!)."""
-        if self.tracer is None:  # detached span (tests); keep the tree local
-            return NULL_SPAN
-        return self.tracer._make(stage, self, tags)
-
-    def tag(self, **tags: Any) -> None:
-        """Attach or overwrite key/value tags on this span."""
-        self.tags.update(tags)
-
-    def annotate(self, kind: str, **fields: Any) -> None:
-        """Append a point-in-time event (e.g. a retry) to this span."""
-        event: Dict[str, Any] = {"kind": kind}
-        if self.tracer is not None:
-            event["t"] = self.tracer.clock()
-        event.update(fields)
-        if self.events is None:
-            self.events = []
-        self.events.append(event)
-
-    def finish(self) -> None:
-        """Stop the span's clock; safe to call more than once."""
-        if self.end is None and self.tracer is not None:
-            self.end = self.tracer.clock()
-
-    @property
-    def duration(self) -> float:
-        """Elapsed clock time, or 0.0 while the span is still open."""
-        if self.end is None:
-            return 0.0
-        return self.end - self.start
 
     def to_record(self) -> Dict[str, Any]:
         """JSON-ready dict (one line of a ``trace.jsonl`` dump)."""
@@ -115,125 +73,247 @@ class Span:
             "start": self.start,
             "end": self.end,
             "tags": self.tags,
-            "events": self.events or [],
+            "events": [],
         }
 
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        if exc_type is not None:
-            self.annotate("error", type=exc_type.__name__)
-        if self.end is None and self.tracer is not None:  # finish(), inlined
-            self.end = self.tracer.clock()
-
     def __repr__(self) -> str:
-        state = "open" if self.end is None else f"{self.duration:.6f}s"
+        state = "open" if self.end is None else f"{self.end - self.start:.6f}s"
         return f"<Span {self.span_id} {self.stage!r} {state}>"
 
 
-class NullSpan(Span):
-    """No-op span returned when tracing is disabled.
-
-    Every method returns immediately; ``child()`` returns the same
-    singleton so disabled call sites never allocate.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(None, -1, None, -1, "", 0.0, {})
-
-    def child(self, stage: str, **tags: Any) -> "Span":
-        """Return the singleton itself — children of nothing are nothing."""
-        return self
-
-    def tag(self, **tags: Any) -> None:
-        """Discard tags."""
-
-    def annotate(self, kind: str, **fields: Any) -> None:
-        """Discard events."""
-
-    def finish(self) -> None:
-        """Nothing to stop."""
-
-    def __repr__(self) -> str:
-        return "<NullSpan>"
+# -- the boundary table ---------------------------------------------------------
 
 
-#: Shared do-nothing span; the default for every ``span=`` parameter.
-NULL_SPAN = NullSpan()
+def _oid(_owner: Any, oid: str, *_args: Any, **_kwargs: Any) -> Tags:
+    return {"oid": oid}
+
+
+def _chunk(_owner: Any, chunk_id: str, *_args: Any, **_kwargs: Any) -> Tags:
+    return {"chunk": chunk_id}
+
+
+def _pool(_owner: Any, pool: Any, oid: str, *_args: Any, **_kwargs: Any) -> Tags:
+    return {"pool": pool.name, "oid": oid}
+
+
+def _none(*_args: Any, **_kwargs: Any) -> Tags:
+    return {}
+
+
+#: ``(module, qualname, stage, tags)`` per traced boundary; ``tags`` is
+#: called with the call's own arguments.
+SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
+    # Root ops: one client-visible operation each.
+    ("repro.core.client", "write_path", "op.write",
+     lambda _tier, oid, _offset, data, *_a, **_k: {"oid": oid, "nbytes": len(data)}),
+    ("repro.core.client", "read_path", "op.read", _oid),
+    ("repro.core.client", "delete_path", "op.delete", _oid),
+    ("repro.core.engine", "DedupEngine.process_object", "op.dedup_pass",
+     lambda _self, oid, force=False: {"oid": oid, "forced": force}),
+    ("repro.core.engine", "DedupEngine.promote_object", "op.promote", _oid),
+    ("repro.cluster.rebalance", "Rebalancer.run", "op.rebalance", _none),
+    # The dedup engine.
+    ("repro.core.rate_control", "RateController.throttle", "engine.rate_throttle", _none),
+    ("repro.core.engine", "DedupEngine._apply_derefs", "engine.derefs",
+     lambda _self, pairs, *_a, **_k: {"count": len(pairs)}),
+    ("repro.core.engine", "DedupEngine.enforce_cache_capacity", "engine.cache_enforce",
+     _none),
+    ("repro.cluster.hardware", "Cpu.fingerprint", "cpu.fingerprint",
+     lambda _self, nbytes: {"nbytes": nbytes}),
+    # The dedup tier and its I/O paths.
+    ("repro.sim.resources", "LockTable.acquire", "lock.wait",
+     lambda self, key, _held: {"lock": self.label.format(key)}),
+    ("repro.core.tier", "DedupTier.load_chunk_map", "tier.load_chunk_map", _oid),
+    ("repro.core.tier", "DedupTier.read_local_chunk", "tier.read_local_chunk",
+     lambda _self, oid, _offset, length: {"oid": oid, "nbytes": length}),
+    ("repro.core.tier", "DedupTier.read_chunk", "tier.read_chunk", _chunk),
+    ("repro.core.tier", "DedupTier.chunk_ref", "tier.chunk_ref", _chunk),
+    ("repro.core.tier", "DedupTier.chunk_deref", "tier.chunk_deref", _chunk),
+    ("repro.core.tier", "DedupTier.commit_chunk_batch", "tier.commit_chunk_batch",
+     lambda _self, batch, *_a, **_k: {
+         "ops": len(batch.ops), "chunks": len(batch.chunk_ids())}),
+    ("repro.core.io_path", "_read_once", "tier.read_once", _oid),
+    ("repro.core.io_path", "_gather", "tier.read_fanout", _oid),
+    ("repro.core.io_path", "_read_cached_piece", "tier.read_cached",
+     lambda _tier, oid, _offset, length, *_a, **_k: {"oid": oid, "nbytes": length}),
+    ("repro.core.io_path", "_read_chunk_piece", "tier.redirect",
+     lambda _tier, chunk_id, _offset, length, *_a, **_k: {
+         "chunk": chunk_id, "nbytes": length}),
+    # The RADOS substrate.
+    ("repro.cluster.rados", "RadosCluster.submit", "rados.submit", _pool),
+    ("repro.cluster.rados", "RadosCluster.submit_batch", "rados.submit_batch",
+     lambda _self, pool, items, *_a, **_k: {"pool": pool.name, "items": len(items)}),
+    ("repro.cluster.rados", "RadosCluster.read", "rados.read", _pool),
+    # Online rebalance.
+    ("repro.cluster.rebalance", "Rebalancer._migrate_pg", "rebalance.pg",
+     lambda _self, pool, pg, _remap: {"pool": pool.name, "pg": pg}),
+    ("repro.cluster.rebalance", "_copy_replica", "rebalance.copy",
+     lambda _cluster, _key, source, target: {
+         "src": source.osd_id, "dst": target.osd_id}),
+    ("repro.cluster.rebalance", "_rebuild_shard", "rebalance.reconstruct",
+     lambda _cluster, _key, target, *_a: {"dst": target.osd_id}),
+    ("repro.cluster.rebalance", "Rebalancer._throttle", "rebalance.throttle",
+     lambda _self, nbytes: {"nbytes": nbytes}),
+)
+
+#: The tracer currently installed; the patches are process-wide, so
+#: there is at most one.
+_installed: Optional["Tracer"] = None
+
+
+def _owner_of(module: str, qualname: str) -> Tuple[Any, str]:
+    owner: Any = importlib.import_module(module)
+    *path, name = qualname.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, name
 
 
 class Tracer:
-    """Factory and buffer for :class:`Span` trees.
+    """Records span trees of :data:`SPAN_TARGETS` calls on ``sim``'s clock
+    while installed (it is a context manager).
 
-    ``clock`` is any zero-argument callable returning a monotonic
-    float; span ids are sequential integers, so a trace taken from a
-    seeded simulation run is bit-for-bit reproducible.
+    Span ids are sequential integers, so a trace of a seeded run is
+    bit-for-bit reproducible.  The spans stay readable after the block.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        enabled: bool = True,
-        max_spans: int = 250_000,
-    ) -> None:
-        self.clock = clock
-        self.enabled = enabled
-        self.max_spans = max_spans
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
         self.spans: List[Span] = []
-        self.dropped = 0
         self._next_id = 1
+        #: The innermost open span of each process (``sim.current_task``).
+        self._context: Dict[Any, Span] = {}
+        #: Open event spans by parent, to close with it if abandoned.
+        self._waits: Dict[Span, List[Span]] = {}
+        self._patched: List[Tuple[Any, str, Any]] = []
 
-    def root_span(self, stage: str, **tags: Any) -> Span:
-        """Start a new trace with a parentless root span."""
-        return self._make(stage, parent=None, tags=tags)
+    # -- installing -------------------------------------------------------------
 
-    def start_span(self, stage: str, parent: Optional[Span] = None, **tags: Any) -> Span:
-        """Start a span, optionally as a child of ``parent``."""
-        return self._make(stage, parent=parent, tags=tags)
+    def __enter__(self) -> "Tracer":
+        global _installed
+        if _installed is not None:
+            raise RuntimeError("a Tracer is already installed")
+        _installed = self
+        try:
+            for module, qualname, stage, tags in SPAN_TARGETS:
+                owner, name = _owner_of(module, qualname)
+                self._patch(owner, name, self._proxy(vars(owner)[name], stage, tags))
+            self._patch(Simulator, "process", self._spawn_proxy(Simulator.process))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
 
-    def _make(self, stage: str, parent: Optional[Span], tags: Dict[str, Any]) -> Span:
-        # ``tags`` is always the caller's fresh ``**kwargs`` dict, so the
-        # span takes ownership without copying — this runs once per stage
-        # on the hot path and is kept allocation-minimal on purpose.
-        if not self.enabled:
-            return NULL_SPAN
-        if parent is not None and parent.tracer is None:
-            # Child of NULL_SPAN (or a foreign tracer's discard): stay null
-            # rather than fabricating an orphan.
-            return NULL_SPAN
-        if len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            return NULL_SPAN
-        span_id = self._next_id
+    def __exit__(self, *_exc: Any) -> None:
+        global _installed
+        for owner, name, original in reversed(self._patched):
+            setattr(owner, name, original)
+        self._patched.clear()
+        _installed = None
+
+    def _patch(self, owner: Any, name: str, replacement: Any) -> None:
+        self._patched.append((owner, name, vars(owner)[name]))
+        setattr(owner, name, replacement)
+
+    # -- proxies ----------------------------------------------------------------
+
+    def _proxy(
+        self, original: Callable[..., Any], stage: str, tags: Callable[..., Tags]
+    ) -> Callable[..., Any]:
+        tracer = self
+
+        @functools.wraps(original)
+        def proxy(*args: Any, **kwargs: Any) -> Any:
+            result = original(*args, **kwargs)
+            if isinstance(result, GeneratorType):
+                return tracer._run(result, stage, tags(*args, **kwargs))
+            if isinstance(result, Event):
+                tracer._wait(result, stage, tags(*args, **kwargs))
+            return result
+
+        return proxy
+
+    def _spawn_proxy(self, original: Callable[..., Any]) -> Callable[..., Any]:
+        tracer = self
+
+        @functools.wraps(original)
+        def process(sim: Simulator, gen: Any) -> Any:
+            if sim is tracer.sim and isinstance(gen, GeneratorType):
+                span = tracer._context.get(sim.current_task)
+                if span is not None:
+                    gen = tracer._carry(gen, span)
+            return original(sim, gen)
+
+        return process
+
+    def _carry(self, gen: Generator[Any, Any, Any], span: Span) -> Generator[Any, Any, Any]:
+        """Run ``gen`` as a spawned process whose context starts at ``span``."""
+        task = self.sim.current_task
+        self._context[task] = span
+        try:
+            return (yield from gen)
+        finally:
+            self._context.pop(task, None)
+
+    def _run(
+        self, gen: Generator[Any, Any, Any], stage: str, tags: Tags
+    ) -> Generator[Any, Any, Any]:
+        """Run ``gen`` inside a span of its own."""
+        sim = self.sim
+        task = sim.current_task
+        if task is None:  # stepped by another simulator, or by hand
+            return (yield from gen)
+        context = self._context
+        outer = context.get(task)
+        span = self._open(stage, None if stage.startswith("op.") else outer, tags)
+        context[task] = span
+        try:
+            return (yield from gen)
+        except BaseException as exc:
+            span.tags["error"] = type(exc).__name__
+            raise
+        finally:
+            span.end = sim.now
+            for wait in self._waits.pop(span, ()):
+                if wait.end is None:
+                    wait.end = span.end
+                    wait.tags["error"] = "abandoned"
+            if outer is None:
+                context.pop(task, None)
+            else:
+                context[task] = outer
+
+    def _wait(self, event: Event, stage: str, tags: Tags) -> None:
+        """Span ``event`` from now until it fires."""
+        parent = self._context.get(self.sim.current_task)
+        if parent is None:
+            return
+        span = self._open(stage, parent, tags)
+        if event.callbacks is None:  # already fired
+            span.end = self.sim.now
+            return
+        event.callbacks.append(lambda _event: self._end_wait(span))
+        self._waits.setdefault(parent, []).append(span)
+
+    def _end_wait(self, span: Span) -> None:
+        if span.end is None:
+            span.end = self.sim.now
+
+    def _open(self, stage: str, parent: Optional[Span], tags: Tags) -> Span:
+        span = Span(self._next_id, parent, stage, self.sim.now, tags)
         self._next_id += 1
-        span = Span(
-            tracer=self,
-            span_id=span_id,
-            parent_id=None if parent is None else parent.span_id,
-            trace_id=span_id if parent is None else parent.trace_id,
-            stage=stage,
-            start=self.clock(),
-            tags=tags,
-        )
         self.spans.append(span)
         return span
 
+    # -- reading ----------------------------------------------------------------
+
     def to_records(self) -> List[Dict[str, Any]]:
-        """All buffered spans as JSON-ready dicts, in creation order."""
+        """All recorded spans as JSON-ready dicts, in start order."""
         return [span.to_record() for span in self.spans]
 
     def clear(self) -> None:
-        """Drop all buffered spans (id sequence keeps counting)."""
+        """Drop the recorded spans (the id sequence keeps counting)."""
         self.spans.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -80,17 +80,6 @@ def test_api001_allows_cluster_package_importing_itself():
     assert found(result, "API001") == ()
 
 
-def test_obs001_flags_leaked_spans_but_not_closed_ones():
-    result = lint_fixtures({"obs001.py": "repro.core.fixture_obs001"})
-    assert found(result, "OBS001") == (10, 11, 15, 41)
-    assert not result.ok
-
-
-def test_obs001_out_of_scope_module_is_clean():
-    result = lint_fixtures({"obs001.py": "fixture_obs001"})
-    assert found(result, "OBS001") == ()
-
-
 def test_rule_filtering_runs_only_selected_rules():
     from repro.analysis import rules_by_id
 
@@ -108,4 +97,4 @@ def test_every_rule_has_id_title_and_severity():
         ids.add(rule.id)
         assert rule.title
         assert rule.severity in ("warning", "error")
-    assert len(ids) == 10
+    assert len(ids) == 9

@@ -11,7 +11,7 @@ from repro.cluster import (
     recover_sync,
 )
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
-from repro.obs import Tracer
+from repro.obs import Tracer, check_trace
 
 
 def fill(cluster, pool, n=20, size=4096, prefix="obj"):
@@ -190,19 +190,19 @@ def test_rebalance_emits_spans():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool)
     cluster.expand("host2", 2)
-    tracer = Tracer(lambda: cluster.sim.now)
-    root = tracer.root_span("op.rebalance")
     engine = Rebalancer(cluster)
 
     def drive():
-        yield from engine.run_to_completion(span=root)
+        yield from engine.run_to_completion()
 
-    cluster.run(drive())
-    root.finish()
-    stages = {r["stage"] for r in tracer.to_records()}
-    assert "rebalance.pass" in stages
+    with Tracer(cluster.sim) as tracer:
+        cluster.run(drive())
+    records = tracer.to_records()
+    stages = {r["stage"] for r in records}
+    assert "op.rebalance" in stages  # one per pass
     assert "rebalance.pg" in stages
     assert "rebalance.copy" in stages
+    assert check_trace(records, required_stages=("rebalance.",)) == []
 
 
 def test_rebalance_stats_accounting():

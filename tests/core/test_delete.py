@@ -11,6 +11,7 @@ from repro.core.objects import ChunkRef
 from repro.core.scrub import collect_garbage_sync, scrub_sync
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, TransientOpError
 from repro.fingerprint import fingerprint
+from repro.obs import Tracer
 
 CHUNK = 1024
 
@@ -32,8 +33,8 @@ def distinct_chunks(count, salt=0):
     return b"".join(bytes([salt, i]) * (CHUNK // 2) for i in range(count))
 
 
-def stage_counts(storage):
-    return Counter(span.stage for span in storage.tracer.spans)
+def stage_counts(tracer):
+    return Counter(span.stage for span in tracer.spans)
 
 
 def test_delete_removes_object_and_sole_chunk():
@@ -127,13 +128,13 @@ def test_delete_concurrent_with_engine():
 
 
 def test_delete_is_one_remove_and_one_batched_release():
-    storage = make_storage(trace_ops=True)
+    storage = make_storage()
     storage.write_sync("obj1", distinct_chunks(16))
     storage.drain()
     assert len(storage.cluster.list_objects(storage.tier.chunk_pool)) == 16
-    storage.tracer.clear()
-    storage.delete_sync("obj1")
-    stages = stage_counts(storage)
+    with Tracer(storage.sim) as tracer:
+        storage.delete_sync("obj1")
+    stages = stage_counts(tracer)
     assert stages["rados.submit"] == 1  # the metadata object's removal
     assert stages["rados.submit_batch"] == 1  # all 16 references
     assert stages["tier.chunk_deref"] == 0
@@ -144,7 +145,7 @@ def test_delete_is_one_remove_and_one_batched_release():
     "chunk_redundancy", [None, ErasureCoded(k=2, m=1)], ids=["replicated", "ec"]
 )
 def test_delete_releases_exactly_its_own_references(chunk_redundancy):
-    storage = make_storage(chunk_redundancy=chunk_redundancy, trace_ops=True)
+    storage = make_storage(chunk_redundancy=chunk_redundancy)
     tier = storage.tier
     shared, twice, alone = (bytes([n]) * CHUNK for n in (1, 2, 3))
     # "gone" holds ``twice`` at two offsets; "kept" shares two chunks.
@@ -153,8 +154,8 @@ def test_delete_releases_exactly_its_own_references(chunk_redundancy):
     storage.drain()
     pool_id = tier.metadata_pool.pool_id
     assert tier.chunk_refcount(fingerprint(twice)) == 3
-    storage.tracer.clear()
-    storage.delete_sync("gone")
+    with Tracer(storage.sim) as tracer:
+        storage.delete_sync("gone")
 
     assert list(tier._load_refs(fingerprint(shared))) == [ChunkRef(pool_id, "kept", 0)]
     assert list(tier._load_refs(fingerprint(twice))) == [
@@ -163,11 +164,9 @@ def test_delete_releases_exactly_its_own_references(chunk_redundancy):
     assert not storage.cluster.exists(tier.chunk_pool, fingerprint(alone))
     assert storage.read_sync("kept") == shared + twice
     assert scrub_sync(tier).clean
-    stages = stage_counts(storage)
+    stages = stage_counts(tracer)
     if tier.batching_enabled:
-        (commit,) = [
-            s for s in storage.tracer.spans if s.stage == "tier.commit_chunk_batch"
-        ]
+        (commit,) = [s for s in tracer.spans if s.stage == "tier.commit_chunk_batch"]
         assert commit.tags["ops"] == 4 and commit.tags["chunks"] == 3
         assert stages["tier.chunk_deref"] == 0
     else:

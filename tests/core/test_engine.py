@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
 from repro.fingerprint import fingerprint
+from repro.obs import Tracer
 
 
 def make_storage(**config_overrides):
@@ -262,13 +263,13 @@ def max_open_spans(tracer, stage):
 
 @pytest.mark.parametrize("workers", [8, 1])
 def test_drain_runs_engine_workers_passes_at_once(workers):
-    storage = make_storage(engine_workers=workers, trace_ops=True)
+    storage = make_storage(engine_workers=workers)
     for i in range(24):
         storage.write_sync(f"obj{i}", bytes([i]) * 2048)
-    storage.tracer.clear()
-    storage.drain()
+    with Tracer(storage.sim) as tracer:
+        storage.drain()
     assert storage.engine.stats.objects_processed == 24
-    assert max_open_spans(storage.tracer, "op.dedup_pass") == workers
+    assert max_open_spans(tracer, "op.dedup_pass") == workers
 
 
 def test_drain_of_one_dirty_object_spawns_no_process():
@@ -344,10 +345,10 @@ def test_failed_drain_fails_once_and_cleanly():
     tier = storage.tier
     real_load = tier.load_chunk_map
 
-    def broken_load(oid, span=None):
+    def broken_load(oid):
         if oid == "obj1":
             raise RuntimeError("boom")
-        return real_load(oid, span=span)
+        return real_load(oid)
 
     tier.load_chunk_map = broken_load
     with pytest.raises(RuntimeError, match="boom"):

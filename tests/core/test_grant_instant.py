@@ -17,6 +17,7 @@ import pytest
 from repro.cluster import ErasureCoded, RadosCluster
 from repro.core import DedupConfig, DedupedStorage
 from repro.faults import RetryPolicy
+from repro.obs import Tracer, check_trace
 
 OP_TIMEOUT = 0.05
 HOPS = [0, 1, 2]
@@ -103,3 +104,27 @@ def test_deadline_on_an_ec_write_lock_grant_in_a_retried_submit(monkeypatch, hop
     # A later write of the object takes its write lock again.
     storage.write_sync("obj", b"c" * 2048)
     assert storage.read_sync("obj") == b"c" * 2048
+
+
+def test_an_attempt_cut_at_its_deadline_is_a_finished_error_span(monkeypatch):
+    # The retried delete above, traced: its first release attempt is
+    # interrupted at the deadline while it waits for the chunk lock.
+    storage = make_storage()
+    sim, tier = storage.sim, storage.tier
+    storage.write_sync("obj", b"x" * 1024 + b"y" * 1024)
+    storage.drain()
+    chunks = storage.cluster.list_objects(tier.chunk_pool)
+    started = first_call(monkeypatch, sim, tier, "release_refs")
+    sim.process(release_at_the_deadline(sim, tier.chunk_locks, min(chunks), started, 0))
+    with Tracer(sim) as tracer:
+        storage.delete_sync("obj")
+    assert tier.retry_stats.timeouts == 1
+    records = tracer.to_records()
+    (op,) = [r for r in records if r["parent_id"] is None]
+    assert op["stage"] == "op.delete" and "error" not in op["tags"]
+    cut, retried = [r for r in records if r["stage"] == "tier.commit_chunk_batch"]
+    assert cut["tags"]["error"] == "Interrupt"
+    assert cut["end"] == pytest.approx(cut["start"] + OP_TIMEOUT)
+    assert cut["parent_id"] == op["span_id"]
+    assert "error" not in retried["tags"] and retried["parent_id"] == op["span_id"]
+    assert check_trace(records) == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import NoSuchObject, RadosCluster, Transaction
 from repro.core import CHUNK_MAP_XATTR, DedupConfig, DedupedStorage
+from repro.obs import Tracer
 
 
 @pytest.fixture
@@ -161,9 +162,9 @@ def test_short_segment_read_pads_and_counts(storage):
 # -- read fan-out and repeat reads -------------------------------------------
 
 
-def _traced_storage():
+def _storage():
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
-    config = DedupConfig(chunk_size=1024, trace_ops=True)
+    config = DedupConfig(chunk_size=1024)
     return DedupedStorage(cluster, config, start_engine=False)
 
 
@@ -184,26 +185,26 @@ def test_read_fanout_is_bounded_only_by_the_reads_own_chunks():
     """Every chunk fetch of a read starts with the read's fan-out — a
     wide read is not metered, and concurrent reads share no tier-wide
     queue: whatever a fetch waits for, it waits for at a device."""
-    storage = _traced_storage()
+    storage = _storage()
     wide = b"".join(bytes([i]) * 1024 for i in range(24))
     storage.write_sync("wide", wide)
     storage.drain()  # cold object: all 24 chunks leave the cache
-    mark = len(storage.tracer.spans)
-    assert storage.read_sync("wide") == wide
-    ((fanout, redirects),) = _fanouts(storage.tracer.spans[mark:])
+    with Tracer(storage.sim) as tracer:
+        assert storage.read_sync("wide") == wide
+    ((fanout, redirects),) = _fanouts(tracer.spans)
     assert len(redirects) == 24
     assert {span.start for span in redirects} == {fanout.start}
 
-    storage = _traced_storage()
+    storage = _storage()
     for i in range(12):
         payload = b"".join(bytes([4 * i + j]) * 1024 for j in range(4))
         storage.write_sync(f"obj{i}", payload)
     storage.drain()
-    mark = len(storage.tracer.spans)
     sim = storage.sim
-    reads = [sim.process(storage.read(f"obj{i}")) for i in range(12)]
-    sim.run_until_complete(sim.all_of(reads))
-    fanouts = _fanouts(storage.tracer.spans[mark:])
+    with Tracer(sim) as tracer:
+        reads = [sim.process(storage.read(f"obj{i}")) for i in range(12)]
+        sim.run_until_complete(sim.all_of(reads))
+    fanouts = _fanouts(tracer.spans)
     assert len(fanouts) == 12
     for fanout, redirects in fanouts:
         assert len(redirects) == 4

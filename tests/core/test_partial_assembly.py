@@ -15,6 +15,7 @@ from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
 from repro.core.tier import NodeClient
 from repro.faults.errors import TransientOpError
+from repro.obs import Tracer
 
 KiB = 1024
 CHUNK = 16 * KiB
@@ -29,9 +30,7 @@ PASS_S = 0.0008922030448913565
 
 def make_storage():
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
-    config = DedupConfig(
-        chunk_size=CHUNK, dedup_interval=0.01, cache_on_flush=False, trace_ops=True
-    )
+    config = DedupConfig(chunk_size=CHUNK, dedup_interval=0.01, cache_on_flush=False)
     return DedupedStorage(cluster, config, start_engine=False)
 
 
@@ -67,14 +66,18 @@ def count_chunk_pool_reads(storage, monkeypatch):
 
 def run_pass(storage, oid):
     """Run one forced pass; ``(result, simulated seconds, assembly
-    seconds)``."""
+    seconds)``.  Assembly runs from the pass's first chunk read to the
+    end of its last chunk's fingerprint."""
     start = storage.sim.now
-    result = storage.cluster.run(storage.engine.process_object(oid, force=True))
+    with Tracer(storage.sim) as tracer:
+        result = storage.cluster.run(storage.engine.process_object(oid, force=True))
     elapsed = storage.sim.now - start
-    spans = [
-        r for r in storage.tracer.to_records() if r["stage"] == "engine.chunk_assemble"
+    reads = [
+        s.start for s in tracer.spans
+        if s.stage in ("tier.read_local_chunk", "tier.read_chunk")
     ]
-    return result, elapsed, spans[-1]["end"] - spans[-1]["start"]
+    hashed = [s.end for s in tracer.spans if s.stage == "cpu.fingerprint"]
+    return result, elapsed, max(hashed) - min(reads)
 
 
 def chunk_pool_round_trip(storage, oid):

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Span
 from repro.obs.export import (
     dump_trace_jsonl,
     load_trace_jsonl,
@@ -11,21 +11,11 @@ from repro.obs.export import (
 )
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        self.t += 0.5
-        return self.t
-
-
 def sample_records():
-    tracer = Tracer(FakeClock())
-    with tracer.root_span("op.write", oid="x") as root:
-        with root.child("tier.commit", pg=3) as child:
-            child.annotate("retry", attempt=1)
-    return tracer.to_records()
+    root = Span(1, None, "op.write", 0.5, {"oid": "x"})
+    child = Span(2, root, "tier.commit", 1.0, {"pg": 3})
+    child.end, root.end = 1.5, 2.0
+    return [root.to_record(), child.to_record()]
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -42,7 +32,7 @@ def test_jsonl_lines_are_compact_and_key_sorted():
         parsed = json.loads(line)
         assert list(parsed) == sorted(parsed)
         assert ": " not in line  # compact separators
-    # Records keep tracer creation order: root first.
+    # Records keep span start order: root first.
     assert json.loads(lines[0])["parent_id"] is None
 
 

@@ -1,140 +1,117 @@
-"""Tracer/Span unit tests: tree shape, lifecycle, null behaviour, caps."""
+"""The tracer: installed from outside, spans on the simulated clock,
+context carried by the running process, and nothing left behind."""
 
-from repro.obs import NULL_SPAN, NullSpan, Span, Tracer
+import cProfile
+import os
+import pstats
+
+import pytest
+
+import repro.obs.trace as trace_module
+from repro.cluster import RadosCluster
+from repro.core import DedupConfig, DedupedStorage
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.obs import SPAN_TARGETS, Span, Tracer, check_trace
+from repro.obs.trace import _owner_of
+from repro.sim import Simulator
+from repro.workloads import ContentGenerator
+
+KiB = 1024
+TRACE_PY = os.path.abspath(trace_module.__file__)
 
 
-class FakeClock:
-    """Manual clock so span times are exact."""
+def make_storage(**config):
+    cluster = RadosCluster(num_hosts=2, osds_per_host=2, pg_num=16)
+    return DedupedStorage(
+        cluster, DedupConfig(chunk_size=16 * KiB, **config), start_engine=False
+    )
 
-    def __init__(self) -> None:
-        self.t = 0.0
 
-    def tick(self, dt: float = 1.0) -> None:
-        self.t += dt
-
-    def __call__(self) -> float:
-        return self.t
+def small_workload(storage):
+    gen = ContentGenerator(seed=5, dedupe_ratio=0.6)
+    for i in range(6):
+        storage.write_sync(f"o-{i}", gen.block(32 * KiB))
+    storage.drain()
+    data = [storage.read_sync(f"o-{i}") for i in range(6)]
+    storage.delete_sync("o-0")
+    return data
 
 
 def test_span_tree_ids_and_trace_propagation():
-    clock = FakeClock()
-    tracer = Tracer(clock)
-    root = tracer.root_span("op.write", oid="a")
-    child = root.child("tier.lock_wait")
-    grand = child.child("rados.submit", pg=3)
-    assert (root.span_id, child.span_id, grand.span_id) == (1, 2, 3)
-    assert child.parent_id == root.span_id
-    assert grand.parent_id == child.span_id
-    assert root.parent_id is None
-    # Every descendant shares the root's trace id.
-    assert root.trace_id == child.trace_id == grand.trace_id == root.span_id
-    assert root.tags == {"oid": "a"}
-    assert grand.tags == {"pg": 3}
-    assert len(tracer) == 3
+    storage = make_storage()
+    with Tracer(storage.sim) as tracer:
+        storage.write_sync("a", b"x" * (20 * KiB))
+    spans = tracer.spans
+    assert [s.span_id for s in spans] == list(range(1, len(spans) + 1))
+    root = spans[0]
+    assert root.stage == "op.write" and root.parent_id is None
+    assert root.tags == {"oid": "a", "nbytes": 20 * KiB}
+    by_id = {s.span_id: s for s in spans}
+    for span in spans[1:]:
+        # Every descendant shares the root's trace id, and its parent
+        # chain ends at the root.
+        assert span.trace_id == root.span_id
+        up = span
+        while up.parent_id is not None:
+            up = by_id[up.parent_id]
+        assert up is root
+    stages = {s.stage for s in spans}
+    assert {"lock.wait", "tier.load_chunk_map", "rados.submit"} <= stages
+    (submit,) = [s for s in spans if s.stage == "rados.submit"]
+    assert submit.tags == {"pool": storage.tier.metadata_pool.name, "oid": "a"}
 
 
-def test_finish_is_idempotent_and_duration_uses_clock():
-    clock = FakeClock()
-    tracer = Tracer(clock)
-    span = tracer.root_span("op.read")
-    assert span.duration == 0.0  # still open
-    clock.tick(2.5)
-    span.finish()
-    clock.tick(10.0)
-    span.finish()  # second finish must not move the end time
-    assert span.end == 2.5
-    assert span.duration == 2.5
-
-
-def test_with_block_finishes_and_annotates_errors():
-    clock = FakeClock()
-    tracer = Tracer(clock)
-    with tracer.root_span("op.write") as span:
-        clock.tick()
-    assert span.end == 1.0
-    try:
-        with tracer.root_span("op.read") as failing:
-            raise KeyError("nope")
-    except KeyError:
-        pass
-    assert failing.end is not None
-    assert failing.events is not None
-    assert failing.events[0]["kind"] == "error"
-    assert failing.events[0]["type"] == "KeyError"
-
-
-def test_annotate_events_are_lazy_and_timestamped():
-    clock = FakeClock()
-    tracer = Tracer(clock)
-    span = tracer.root_span("op.write")
-    assert span.events is None  # no allocation until first event
-    clock.tick(3.0)
-    span.annotate("timeout", op="submit")
-    assert span.events == [{"kind": "timeout", "t": 3.0, "op": "submit"}]
-    record = span.to_record()
-    assert record["events"][0]["kind"] == "timeout"
-
-
-def test_null_span_is_a_no_op_singleton():
-    assert isinstance(NULL_SPAN, NullSpan)
-    assert NULL_SPAN.child("anything") is NULL_SPAN
-    NULL_SPAN.tag(x=1)
-    NULL_SPAN.annotate("whatever")
-    NULL_SPAN.finish()
-    with NULL_SPAN as span:
-        assert span is NULL_SPAN
-    assert NULL_SPAN.tags == {}
-    assert NULL_SPAN.duration == 0.0
+def test_span_times_are_the_simulated_clock():
+    storage = make_storage()
+    storage.write_sync("a", b"x" * KiB)  # untraced
+    before = storage.sim.now
+    with Tracer(storage.sim) as tracer:
+        storage.read_sync("a")
+    (root,) = [s for s in tracer.spans if s.parent_id is None]
+    assert root.stage == "op.read"
+    assert root.start == before
+    assert root.end == storage.sim.now > before
 
 
 def test_disabled_tracer_buffers_nothing():
-    tracer = Tracer(FakeClock(), enabled=False)
-    span = tracer.root_span("op.write")
-    assert span is NULL_SPAN
-    assert span.child("tier.route") is NULL_SPAN
-    assert len(tracer) == 0
-    assert tracer.to_records() == []
+    storage = make_storage()
+    idle = Tracer(storage.sim)  # built, never installed
+    storage.write_sync("a", b"x" * KiB)
+    with Tracer(storage.sim) as tracer:
+        storage.write_sync("b", b"y" * KiB)
+    recorded = len(tracer)
+    storage.write_sync("c", b"z" * KiB)  # after the block
+    assert len(idle) == 0 and idle.to_records() == []
+    assert recorded > 0 and len(tracer) == recorded
 
 
-def test_child_of_null_span_stays_null():
-    # An enabled tracer must not fabricate orphans under a null parent.
-    tracer = Tracer(FakeClock())
-    assert tracer.start_span("tier.route", parent=NULL_SPAN) is NULL_SPAN
-    assert len(tracer) == 0
-
-
-def test_max_spans_cap_counts_drops():
-    tracer = Tracer(FakeClock(), max_spans=2)
-    a = tracer.root_span("op.1")
-    b = tracer.root_span("op.2")
-    c = tracer.root_span("op.3")
-    d = a.child("stage")
-    assert isinstance(a, Span) and a is not NULL_SPAN
-    assert b is not NULL_SPAN
-    assert c is NULL_SPAN and d is NULL_SPAN
-    assert len(tracer) == 2
-    assert tracer.dropped == 2
+def test_a_raising_target_ends_its_span_with_an_error_tag():
+    storage = make_storage()
+    with Tracer(storage.sim) as tracer:
+        with pytest.raises(Exception):
+            storage.delete_sync("ghost")
+    (root,) = tracer.spans[:1]
+    assert root.stage == "op.delete"
+    assert root.end is not None
+    assert root.tags["error"] == "NoSuchObject"
 
 
 def test_clear_keeps_id_sequence_monotonic():
-    tracer = Tracer(FakeClock(), max_spans=1)
-    tracer.root_span("op.1")
-    tracer.root_span("op.2")  # dropped
-    assert tracer.dropped == 1
-    tracer.clear()
-    assert len(tracer) == 0
-    assert tracer.dropped == 0
-    again = tracer.root_span("op.3")
-    assert again.span_id == 2  # ids never reused across clear()
+    storage = make_storage()
+    with Tracer(storage.sim) as tracer:
+        storage.write_sync("a", b"x" * KiB)
+        last = tracer.spans[-1].span_id
+        tracer.clear()
+        assert len(tracer) == 0
+        storage.write_sync("b", b"y" * KiB)
+    assert tracer.spans[0].span_id == last + 1  # ids never reused
 
 
 def test_to_record_shape():
-    clock = FakeClock()
-    tracer = Tracer(clock)
-    with tracer.root_span("op.write", oid="x") as span:
-        clock.tick()
-    record = span.to_record()
-    assert record == {
+    root = Span(1, None, "op.write", 0.0, {"oid": "x"})
+    root.end = 1.0
+    child = Span(2, root, "tier.load_chunk_map", 0.25, {})
+    assert root.to_record() == {
         "span_id": 1,
         "parent_id": None,
         "trace_id": 1,
@@ -144,3 +121,121 @@ def test_to_record_shape():
         "tags": {"oid": "x"},
         "events": [],
     }
+    assert (child.parent_id, child.trace_id, child.end) == (1, 1, None)
+
+
+def test_untraced_runs_no_tracer_code():
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        small_workload(make_storage())
+    finally:
+        profile.disable()
+    ran = [
+        name
+        for (filename, _line, name) in pstats.Stats(profile).stats
+        if os.path.abspath(filename) == TRACE_PY
+    ]
+    assert ran == []
+
+
+def test_uninstall_restores_every_patched_attribute_by_identity():
+    def originals():
+        found = {}
+        for module, qualname, _stage, _tags in SPAN_TARGETS:
+            owner, name = _owner_of(module, qualname)
+            found[(module, qualname)] = vars(owner)[name]
+        found["Simulator.process"] = vars(Simulator)["process"]
+        return found
+
+    before = originals()
+    sim = Simulator()
+    with Tracer(sim):
+        during = originals()
+        assert all(during[key] is not before[key] for key in before)
+        with pytest.raises(RuntimeError, match="already installed"):
+            with Tracer(sim):
+                pass
+        assert originals() == during  # the refused install changed nothing
+    after = originals()
+    assert all(after[key] is before[key] for key in before)
+    with Tracer(sim):  # and a later install is fine again
+        pass
+
+
+def event_log(traced):
+    """``(sim.now, label)`` for every op outcome of a faulted run with a
+    background engine, then the kernel's event and retry counts."""
+    storage = make_storage(hit_count_threshold=1)
+    sim = storage.sim
+    FaultInjector(storage.cluster, FaultPlan([
+        FaultEvent(0.0, "transient_errors", "1", duration=0.004,
+                   params={"probability": 0.5}),
+    ], seed=3)).attach()
+    log = []
+    gen = ContentGenerator(seed=9, dedupe_ratio=0.5)
+    payloads = [gen.block(24 * KiB) for _ in range(4)]
+
+    def client(k):
+        for rnd in range(3):
+            oid = f"o-{(k + rnd) % 4}"
+            for label, op in (
+                ("w", storage.write(oid, payloads[(k * 3 + rnd) % 4])),
+                ("r", storage.read(oid)),
+            ):
+                try:
+                    yield from op
+                    log.append((sim.now, f"{label}{k}.{rnd} ok"))
+                except Exception as exc:
+                    log.append((sim.now, f"{label}{k}.{rnd} {type(exc).__name__}"))
+
+    def scenario():
+        storage.engine.start()
+        yield sim.all_of([sim.process(client(k)) for k in range(3)])
+        storage.engine.stop()
+
+    def run():
+        storage.cluster.run(scenario())
+        storage.drain()
+        storage.delete_sync("o-1")
+        sim.run()
+        log.append((sim.now, "events %d" % sim._processed_events))
+        log.append((sim.now, "retries %d" % storage.tier.retry_stats.retries))
+
+    if traced:
+        with Tracer(sim) as tracer:
+            run()
+        assert check_trace(tracer.to_records(), coverage_threshold=0.0) == []
+    else:
+        run()
+    return log
+
+
+def test_a_traced_run_is_event_for_event_the_untraced_one():
+    assert event_log(traced=True) == event_log(traced=False)
+
+
+def test_background_work_an_op_sets_off_is_a_root_of_its_own():
+    # A read of a hot, evicted object spawns its promotion and returns:
+    # the promotion outlives the read, so it must not be the read's child.
+    storage = make_storage(hit_count_threshold=1, cache_on_flush=True)
+    storage.write_sync("hot", b"h" * (32 * KiB))
+    storage.drain()
+    for index in (0, 1):  # evict both chunks: the read goes to the chunk pool
+        storage.cluster.run(storage.engine.demote_chunk("hot", index))
+    with Tracer(storage.sim) as tracer:
+        storage.read_sync("hot")
+        storage.sim.run()
+    records = tracer.to_records()
+    roots = [r["stage"] for r in records if r["parent_id"] is None]
+    assert roots == ["op.read", "op.promote"]
+    assert check_trace(records) == []
+
+
+def test_processes_of_another_simulator_are_not_traced():
+    traced, other = make_storage(), make_storage()
+    with Tracer(traced.sim) as tracer:
+        other.write_sync("a", b"x" * KiB)
+        assert len(tracer) == 0
+        traced.write_sync("a", b"x" * KiB)
+    assert {s.trace_id for s in tracer.spans} == {tracer.spans[0].span_id}

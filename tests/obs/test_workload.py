@@ -1,7 +1,9 @@
 """End-to-end obs tests: traced workloads, the CLI, and collectors."""
 
+import contextlib
+
 from repro.cli import main
-from repro.obs import check_trace
+from repro.obs import Tracer, check_trace
 from repro.obs.cli import REQUIRED_STAGE_PREFIXES, run_traced_workload
 from repro.obs.collect import storage_metrics
 from repro.obs.export import load_trace_jsonl
@@ -10,8 +12,8 @@ KiB = 1024
 
 
 def test_traced_workload_satisfies_the_obs_smoke_contract():
-    storage = run_traced_workload(seed=3, objects=12)
-    records = storage.tracer.to_records()
+    _storage, tracer = run_traced_workload(seed=3, objects=12)
+    records = tracer.to_records()
     assert records
     problems = check_trace(
         records,
@@ -24,8 +26,8 @@ def test_traced_workload_satisfies_the_obs_smoke_contract():
 
 
 def test_traced_workload_is_deterministic():
-    first = run_traced_workload(seed=7, objects=10).tracer.to_records()
-    second = run_traced_workload(seed=7, objects=10).tracer.to_records()
+    first = run_traced_workload(seed=7, objects=10)[1].to_records()
+    second = run_traced_workload(seed=7, objects=10)[1].to_records()
     assert first == second  # bit-for-bit: ids, stages, times, tags
 
 
@@ -34,18 +36,17 @@ def test_tracing_does_not_perturb_the_simulation():
     from repro.core import DedupConfig, DedupedStorage
     from repro.workloads import ContentGenerator
 
-    def run(trace_ops):
+    def run(traced):
         cluster = RadosCluster(num_hosts=2, osds_per_host=2, pg_num=16)
         storage = DedupedStorage(
-            cluster,
-            DedupConfig(chunk_size=16 * KiB, trace_ops=trace_ops),
-            start_engine=False,
+            cluster, DedupConfig(chunk_size=16 * KiB), start_engine=False
         )
         gen = ContentGenerator(seed=5, dedupe_ratio=0.6)
-        for i in range(8):
-            storage.write_sync(f"o-{i}", gen.block(32 * KiB))
-        storage.drain()
-        data = [storage.read_sync(f"o-{i}") for i in range(8)]
+        with Tracer(storage.sim) if traced else contextlib.nullcontext():
+            for i in range(8):
+                storage.write_sync(f"o-{i}", gen.block(32 * KiB))
+            storage.drain()
+            data = [storage.read_sync(f"o-{i}") for i in range(8)]
         return data, storage.sim.now
 
     traced_data, traced_now = run(True)
@@ -55,7 +56,7 @@ def test_tracing_does_not_perturb_the_simulation():
 
 
 def test_storage_metrics_snapshot_contains_core_families():
-    storage = run_traced_workload(seed=1, objects=6)
+    storage, _tracer = run_traced_workload(seed=1, objects=6)
     registry = storage_metrics(storage)
     names = {family.name for family in registry.families()}
     assert {
@@ -63,14 +64,11 @@ def test_storage_metrics_snapshot_contains_core_families():
         "repro_engine_ops",
         "repro_space_bytes",
         "repro_dedup_ratio_ideal",
-        "repro_trace_spans",
     } <= names
     # Snapshotting twice into the same registry must be legal (gauges
     # overwrite; idempotent registration).
     assert storage_metrics(storage, registry) is registry
-    assert registry.get("repro_trace_spans").labels().value == len(
-        storage.tracer.spans
-    )
+    assert registry.get("repro_sim_seconds").labels().value == storage.sim.now
 
 
 def test_storage_metrics_exports_cache_and_read_fanout_counters():
@@ -163,3 +161,13 @@ def test_obs_report_rejects_an_empty_trace(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert main(["obs", "report", "--trace", str(empty)]) == 1
+
+
+def test_obs_report_rejects_a_trace_with_no_finished_span(tmp_path, capsys):
+    dump = tmp_path / "open.jsonl"
+    dump.write_text(
+        '{"end":null,"events":[],"parent_id":null,"span_id":1,'
+        '"stage":"op.write","start":0.0,"tags":{},"trace_id":1}\n'
+    )
+    assert main(["obs", "report", "--trace", str(dump)]) == 1
+    assert "no finished spans" in capsys.readouterr().err

@@ -37,13 +37,11 @@ with open(".github/workflows/ci.yml") as fh:
     doc = yaml.safe_load(fh)
 jobs = doc["jobs"]
 expected = {
-    "lint", "lint-invariants", "sanitizer-smoke", "test", "test-no-numpy",
+    "lint", "lint-invariants", "test", "test-no-numpy",
     "coverage", "faults-smoke", "elasticity-smoke", "e2e-smoke",
     "paper-benches", "obs-smoke", "bench-full",
 }
 assert expected <= set(jobs), jobs.keys()
-sseeds = jobs["sanitizer-smoke"]["strategy"]["matrix"]["sanitizer-seed"]
-assert len(set(sseeds)) == 3, sseeds
 matrix = jobs["test"]["strategy"]["matrix"]["python-version"]
 assert matrix == ["3.9", "3.11", "3.12", "3.13"], matrix
 seeds = jobs["faults-smoke"]["strategy"]["matrix"]["fault-seed"]
@@ -67,13 +65,6 @@ step "lint-invariants: repro lint" \
     env PYTHONPATH=src python -m repro lint --format json --out lint-findings.json
 # mypy_gate.py itself skips with a notice when mypy is not installed.
 step "lint-invariants: mypy gate" python scripts/mypy_gate.py
-
-# -- sanitizer-smoke job ----------------------------------------------------
-for seed in 11 29 4242; do
-    step "sanitizer-smoke: lock sanitizer over both scenarios, seed $seed" \
-        env PYTHONPATH=src python -m repro --seed "$seed" sanitize \
-        --out sanitize-report.json
-done
 
 # -- test job (this interpreter stands in for the version matrix) -----------
 step "test: tier-1 suite" env PYTHONPATH=src python -m pytest -x -q

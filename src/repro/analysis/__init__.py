@@ -3,36 +3,18 @@
 The runtime can only catch determinism and fault-model violations
 probabilistically (a seeded smoke test has to get lucky); this package
 encodes the invariants as lint rules so CI rejects violations at diff
-time.  See ``docs/static-analysis.md`` for the rule catalogue and the
-paper-grounded rationale behind each rule.
+time.  See ``docs/static-analysis.md`` for the rule catalogue, the
+paper-grounded rationale behind each rule and the seeded bugs each one
+catches.
 """
 
-from .concurrency import LockSanitizer
-from .engine import (
-    Baseline,
-    Finding,
-    Linter,
-    LintResult,
-    Rule,
-    SourceModule,
-    format_human,
-    format_json,
-    iter_python_files,
-    module_name_for,
-)
+from .engine import Linter, format_human, format_json, module_name_for
 from .rules import default_rules, rules_by_id
 
 __all__ = [
-    "Baseline",
-    "Finding",
     "Linter",
-    "LintResult",
-    "LockSanitizer",
-    "Rule",
-    "SourceModule",
     "format_human",
     "format_json",
-    "iter_python_files",
     "module_name_for",
     "default_rules",
     "rules_by_id",

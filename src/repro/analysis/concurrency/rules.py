@@ -18,8 +18,7 @@
   lock-table acquire inside a ``try`` whose ``finally`` releases its
   held list through the same table (:mod:`.locks`).
 
-All three live in ``default_rules`` and honour suppressions/baselines
-like every repro-lint rule.
+All three live in ``default_rules``.
 """
 
 from __future__ import annotations
@@ -155,7 +154,6 @@ class LockOrderRule(Rule):
 
     id = "LCK001"
     title = "potential lock-order cycle"
-    severity = "error"
 
     def finalize(self, modules: Sequence[SourceModule]) -> Iterable[Finding]:
         model = build_lock_model(modules)
@@ -215,7 +213,6 @@ class LockWaitRule(Rule):
 
     id = "LCK002"
     title = "faultable I/O or unbounded wait under a lock"
-    severity = "error"
 
     def finalize(self, modules: Sequence[SourceModule]) -> Iterable[Finding]:
         model = build_lock_model(modules)
@@ -301,7 +298,6 @@ class LockReleaseRule(Rule):
 
     id = "LCK003"
     title = "lock not released on every exit path"
-    severity = "error"
 
     def applies(self, module: str) -> bool:
         # The lock table itself (and Resource) live in repro.sim.

@@ -3,26 +3,16 @@
 AST-based static analysis encoding the repository's correctness
 invariants as lint rules (see ``docs/static-analysis.md``).  The engine
 is rule-agnostic: it parses every target file once into a
-:class:`SourceModule` (AST with parent links, suppression comments,
-registered fault scopes), hands each module to every applicable
-:class:`Rule`, then post-processes the findings through suppressions and
-an optional baseline file.
+:class:`SourceModule` (AST with parent links and registered fault
+scopes), hands each module to every applicable :class:`Rule`, and
+reports every finding; any finding fails the run.
 
-Suppression syntax (justification after ``--`` is mandatory)::
-
-    something_noisy()  # repro-lint: disable=DET001 -- stage timing only
-
-A standalone suppression comment applies to the next source line.  A
-function can be registered as a *fault-injection scope* for rule FLT001
-with::
+A function is registered as a *fault-injection scope* for rule FLT001
+with (the justification after ``--`` is mandatory)::
 
     def commit(self):
         # repro-lint: flt-scope -- invoked under the engine's requeue handler
         ...
-
-Baselines grandfather existing findings: a JSON file recording
-``(rule, module, message)`` occurrence counts; findings matching the
-baseline are reported as ``baselined`` and do not fail the run.
 """
 
 from __future__ import annotations
@@ -32,13 +22,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Finding",
     "SourceModule",
     "Rule",
-    "Baseline",
     "LintResult",
     "Linter",
     "iter_python_files",
@@ -47,17 +36,10 @@ __all__ = [
     "format_json",
 ]
 
-#: Finding severities, in increasing order of badness.
-SEVERITIES = ("warning", "error")
-
-#: The rule ID used for malformed suppression comments.
+#: The rule ID used for malformed ``repro-lint`` comments and parse errors.
 META_RULE = "LINT000"
 
 _MAGIC = re.compile(r"#\s*repro-lint:\s*(?P<body>[^\n]*)")
-_DISABLE = re.compile(
-    r"disable=(?P<rules>[A-Z][A-Z0-9]*(?:\s*,\s*[A-Z][A-Z0-9]*)*)"
-    r"(?P<just>\s*--\s*\S.*)?"
-)
 _FLT_SCOPE = re.compile(r"flt-scope(?P<just>\s*--\s*\S.*)?")
 
 
@@ -66,22 +48,16 @@ class Finding:
     """One rule violation at a source location."""
 
     rule: str
-    severity: str
     path: str
     module: str
     line: int
     col: int
     message: str
 
-    def key(self) -> Tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching."""
-        return (self.rule, self.module, self.message)
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly representation."""
         return {
             "rule": self.rule,
-            "severity": self.severity,
             "path": self.path,
             "module": self.module,
             "line": self.line,
@@ -90,16 +66,8 @@ class Finding:
         }
 
 
-@dataclass
-class _Suppression:
-    line: int
-    rules: Tuple[str, ...]
-    justified: bool
-    used: bool = False
-
-
 class SourceModule:
-    """A parsed source file: AST, parent links, and lint comments."""
+    """A parsed source file: AST, parent links, and ``repro-lint`` comments."""
 
     def __init__(self, path: str, source: str, module: str) -> None:
         self.path = path
@@ -111,89 +79,29 @@ class SourceModule:
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[child] = parent
-        self.suppressions: List[_Suppression] = []
-        #: Lines carrying a ``flt-scope`` marker -> justified flag.
-        self.flt_scope_lines: Dict[int, bool] = {}
+        #: Lines carrying a justified ``flt-scope`` marker.
+        self.flt_scope_lines: Set[int] = set()
+        #: LINT000 findings: unjustified markers, unknown directives.
         self.comment_errors: List[Finding] = []
-        self._scan_comments()
-
-    # -- comments -------------------------------------------------------------
-
-    def _scan_comments(self) -> None:
         for lineno, text in enumerate(self.lines, start=1):
             match = _MAGIC.search(text)
             if match is None:
                 continue
             body = match.group("body").strip()
-            disable = _DISABLE.match(body)
-            if disable is not None:
-                rules = tuple(
-                    r.strip() for r in disable.group("rules").split(",")
-                )
-                justified = disable.group("just") is not None
-                # A bare comment line suppresses the *next* line; a
-                # trailing comment suppresses its own line.
-                target = lineno
-                if text.lstrip().startswith("#"):
-                    target = lineno + 1
-                self.suppressions.append(
-                    _Suppression(line=target, rules=rules, justified=justified)
-                )
-                if not justified:
-                    self.comment_errors.append(
-                        Finding(
-                            rule=META_RULE,
-                            severity="error",
-                            path=self.path,
-                            module=self.module,
-                            line=lineno,
-                            col=0,
-                            message=(
-                                "suppression without justification: append"
-                                " ' -- <reason>' to the disable comment"
-                            ),
-                        )
-                    )
-                continue
             flt = _FLT_SCOPE.match(body)
-            if flt is not None:
-                justified = flt.group("just") is not None
-                self.flt_scope_lines[lineno] = justified
-                if not justified:
-                    self.comment_errors.append(
-                        Finding(
-                            rule=META_RULE,
-                            severity="error",
-                            path=self.path,
-                            module=self.module,
-                            line=lineno,
-                            col=0,
-                            message=(
-                                "flt-scope registration without justification:"
-                                " append ' -- <reason>'"
-                            ),
-                        )
-                    )
+            if flt is None:
+                message = f"unrecognised repro-lint directive: {body!r}"
+            elif flt.group("just") is None:
+                message = (
+                    "flt-scope registration without justification:"
+                    " append ' -- <reason>'"
+                )
+            else:
+                self.flt_scope_lines.add(lineno)
                 continue
             self.comment_errors.append(
-                Finding(
-                    rule=META_RULE,
-                    severity="error",
-                    path=self.path,
-                    module=self.module,
-                    line=lineno,
-                    col=0,
-                    message=f"unrecognised repro-lint directive: {body!r}",
-                )
+                Finding(META_RULE, path, module, lineno, 0, message)
             )
-
-    def suppressed(self, finding: Finding) -> bool:
-        """Whether a (justified) suppression covers ``finding``."""
-        for sup in self.suppressions:
-            if sup.line == finding.line and finding.rule in sup.rules:
-                sup.used = True
-                return sup.justified
-        return False
 
     # -- AST helpers ----------------------------------------------------------
 
@@ -223,8 +131,8 @@ class SourceModule:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             first_body_line = node.body[0].lineno if node.body else node.lineno
-            for line, justified in self.flt_scope_lines.items():
-                if justified and node.lineno - 1 <= line <= first_body_line:
+            for line in self.flt_scope_lines:
+                if node.lineno - 1 <= line <= first_body_line:
                     registered.append(node)
                     break
         return registered
@@ -238,7 +146,6 @@ class SourceModule:
         """Build a :class:`Finding` anchored at ``node``."""
         return Finding(
             rule=rule.id,
-            severity=rule.severity,
             path=self.path,
             module=self.module,
             line=getattr(node, "lineno", 0),
@@ -250,14 +157,13 @@ class SourceModule:
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``id``/``title``/``severity`` and implement
+    Subclasses set ``id``/``title`` and implement
     :meth:`check`; cross-file rules additionally implement
     :meth:`finalize`, which runs once after every module was checked.
     """
 
     id: str = "RULE000"
     title: str = ""
-    severity: str = "error"
 
     def applies(self, module: str) -> bool:
         """Whether the rule runs on dotted module ``module``."""
@@ -290,84 +196,17 @@ class ScopedRule(Rule):
 
 
 @dataclass
-class Baseline:
-    """Grandfathered findings: ``(rule, module, message) -> count``."""
-
-    entries: Dict[Tuple[str, str, str], int] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        """Read a baseline JSON file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        entries: Dict[Tuple[str, str, str], int] = {}
-        for item in doc.get("findings", []):
-            key = (item["rule"], item["module"], item["message"])
-            entries[key] = entries.get(key, 0) + int(item.get("count", 1))
-        return cls(entries=entries)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        """Build a baseline grandfathering ``findings``."""
-        entries: Dict[Tuple[str, str, str], int] = {}
-        for f in findings:
-            entries[f.key()] = entries.get(f.key(), 0) + 1
-        return cls(entries=entries)
-
-    def save(self, path: str) -> None:
-        """Write the baseline as JSON (sorted, diff-friendly)."""
-        doc = {
-            "version": 1,
-            "findings": [
-                {"rule": rule, "module": module, "message": message, "count": count}
-                for (rule, module, message), count in sorted(self.entries.items())
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-
-    def split(
-        self, findings: Sequence[Finding]
-    ) -> Tuple[List[Finding], List[Finding]]:
-        """Partition into (new, baselined) against the recorded counts."""
-        budget = dict(self.entries)
-        new: List[Finding] = []
-        grandfathered: List[Finding] = []
-        for f in findings:
-            remaining = budget.get(f.key(), 0)
-            if remaining > 0:
-                budget[f.key()] = remaining - 1
-                grandfathered.append(f)
-            else:
-                new.append(f)
-        return new, grandfathered
-
-
-@dataclass
 class LintResult:
     """Outcome of one lint run."""
 
     findings: List[Finding]
-    baselined: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
     files_checked: int = 0
     parse_errors: List[Finding] = field(default_factory=list)
 
     @property
-    def errors(self) -> List[Finding]:
-        """Findings at error severity (these fail the run)."""
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        """Findings at warning severity."""
-        return [f for f in self.findings if f.severity == "warning"]
-
-    @property
     def ok(self) -> bool:
-        """True when nothing error-severity (or unparseable) remains."""
-        return not self.errors and not self.parse_errors
+        """True when no file has a finding (or fails to parse)."""
+        return not self.findings and not self.parse_errors
 
 
 def module_name_for(path: Path) -> str:
@@ -400,13 +239,10 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
 
 
 class Linter:
-    """Run a rule set over source files and post-process findings."""
+    """Run a rule set over source files."""
 
-    def __init__(
-        self, rules: Sequence[Rule], baseline: Optional[Baseline] = None
-    ) -> None:
+    def __init__(self, rules: Sequence[Rule]) -> None:
         self.rules = list(rules)
-        self.baseline = baseline or Baseline()
 
     def run_paths(
         self,
@@ -431,7 +267,6 @@ class Linter:
                 parse_errors.append(
                     Finding(
                         rule=META_RULE,
-                        severity="error",
                         path=str(path),
                         module=name,
                         line=exc.lineno or 0,
@@ -445,67 +280,43 @@ class Linter:
 
     def run_modules(self, modules: Sequence[SourceModule]) -> LintResult:
         """Lint already-parsed modules."""
-        raw: List[Finding] = []
+        findings: List[Finding] = []
         per_rule_modules: Dict[str, List[SourceModule]] = {}
-        by_path = {m.path: m for m in modules}
         for mod in modules:
-            raw.extend(mod.comment_errors)
+            findings.extend(mod.comment_errors)
             for rule in self.rules:
                 if not rule.applies(mod.module):
                     continue
                 per_rule_modules.setdefault(rule.id, []).append(mod)
-                raw.extend(rule.check(mod))
+                findings.extend(rule.check(mod))
         for rule in self.rules:
             scoped = per_rule_modules.get(rule.id, [])
             if scoped:
-                raw.extend(rule.finalize(scoped))
-
-        kept: List[Finding] = []
-        suppressed = 0
-        for f in raw:
-            mod = by_path.get(f.path)
-            if f.rule != META_RULE and mod is not None and mod.suppressed(f):
-                suppressed += 1
-                continue
-            kept.append(f)
-        kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        new, grandfathered = self.baseline.split(kept)
-        return LintResult(
-            findings=new,
-            baselined=grandfathered,
-            suppressed=suppressed,
-            files_checked=len(modules),
-        )
+                findings.extend(rule.finalize(scoped))
+        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        return LintResult(findings=findings, files_checked=len(modules))
 
 
 def format_human(result: LintResult) -> List[str]:
     """Render a result as human-readable report lines."""
     lines: List[str] = []
     for f in result.parse_errors + result.findings:
-        lines.append(
-            f"{f.path}:{f.line}:{f.col}: {f.rule} [{f.severity}] {f.message}"
-        )
+        lines.append(f"{f.path}:{f.line}:{f.col}: {f.rule} {f.message}")
     lines.append(
-        f"repro lint: {len(result.errors)} error(s),"
-        f" {len(result.warnings)} warning(s),"
-        f" {len(result.baselined)} baselined,"
-        f" {result.suppressed} suppressed,"
-        f" {result.files_checked} file(s) checked"
+        f"repro lint: {len(result.parse_errors) + len(result.findings)}"
+        f" error(s), {result.files_checked} file(s) checked"
     )
     return lines
 
 
 def format_json(result: LintResult) -> str:
     """Render a result as a JSON document string."""
+    findings = result.parse_errors + result.findings
     doc = {
-        "version": 1,
-        "findings": [f.to_dict() for f in result.parse_errors + result.findings],
-        "baselined": [f.to_dict() for f in result.baselined],
+        "version": 2,
+        "findings": [f.to_dict() for f in findings],
         "summary": {
-            "errors": len(result.errors) + len(result.parse_errors),
-            "warnings": len(result.warnings),
-            "baselined": len(result.baselined),
-            "suppressed": result.suppressed,
+            "errors": len(findings),
             "files_checked": result.files_checked,
             "ok": result.ok,
         },

@@ -5,7 +5,6 @@ Rules encode paper-level invariants (see ``docs/static-analysis.md``):
 * DET001 — no wall-clock reads in simulated components
 * DET002 — all randomness flows through ``repro.sim.rng``
 * DET003 — no iteration over sets with unpinned order
-* REF001 — ``chunk_ref`` needs a release path in its component
 * FLT001 — substrate I/O must sit inside a fault scope
 * API001 — no imports bypassing the ``RadosCluster`` facade
 * LCK001 — no potential acquire-acquire cycles across call paths
@@ -19,13 +18,11 @@ from ..engine import Rule
 from .determinism import SetOrderRule, UnseededRandomRule, WallClockRule
 from .faults import FaultScopeRule
 from .layering import LayeringRule
-from .references import RefPairingRule
 
 __all__ = [
     "WallClockRule",
     "UnseededRandomRule",
     "SetOrderRule",
-    "RefPairingRule",
     "FaultScopeRule",
     "LayeringRule",
     "default_rules",
@@ -47,7 +44,6 @@ def default_rules() -> List[Rule]:
         WallClockRule(),
         UnseededRandomRule(),
         SetOrderRule(),
-        RefPairingRule(),
         FaultScopeRule(),
         LayeringRule(),
         LockOrderRule(),

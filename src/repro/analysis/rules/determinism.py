@@ -245,12 +245,16 @@ class SetOrderRule(ScopedRule):
         """(enclosing function, name) pairs assigned a set expression."""
         names: Set[Tuple[ast.AST, str]] = set()
         for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Assign):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]  # ``names: Set[str] = set()``
+            else:
                 continue
             scope = self._scope_of(mod, node)
             if not self._is_set_expr(node.value, names, (scope, mod.tree)):
                 continue
-            for target in node.targets:
+            for target in targets:
                 if isinstance(target, ast.Name):
                     names.add((scope, target.id))
         return names

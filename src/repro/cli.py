@@ -139,8 +139,19 @@ def _cmd_faults(args) -> int:
           f" {len(scrub.dangling_map_entries)} dangling entries,"
           f" {len(scrub.stale_references)} stale refs,"
           f" {len(scrub.unreferenced_chunks)} unreferenced")
+    _print_locks_held(result.storage)
     print(f"verdict:           {'CLEAN' if result.ok else 'DAMAGED'}")
     return 0 if result.ok else 1
+
+
+def _print_locks_held(storage) -> None:
+    from .faults.scenario import locks_left
+
+    # Silent when every lock table is empty, so a clean run prints what
+    # it always did.
+    held = locks_left(storage)
+    if held:
+        print(f"locks held         {', '.join(held)}")
 
 
 def _cmd_rebalance(args) -> int:
@@ -199,6 +210,7 @@ def _cmd_rebalance(args) -> int:
         print(f"  {line}")
     print(f"decommission       "
           f"{'finalized' if result.finalized else 'NOT finalized'}")
+    _print_locks_held(result.storage)
     print(f"verdict:           {'CLEAN' if result.ok else 'DAMAGED'}")
     return 0 if result.ok else 1
 
@@ -218,7 +230,6 @@ def _cmd_lint(args) -> int:
     from pathlib import Path
 
     from .analysis import (
-        Baseline,
         Linter,
         default_rules,
         format_human,
@@ -241,64 +252,7 @@ def _cmd_lint(args) -> int:
                   file=sys.stderr)
             return 2
         rules = [known[rid] for rid in sorted(wanted)]
-    if args.changed_only is not None:
-        from .analysis.changed import GitUnavailable, changed_python_files
-        from .analysis.engine import Rule
-
-        try:
-            changed = changed_python_files(args.changed_only)
-        except GitUnavailable as exc:
-            print(f"error: --changed-only: {exc}", file=sys.stderr)
-            return 2
-        roots = [Path(p).resolve() for p in paths]
-        paths = [
-            str(f)
-            for f in changed
-            if any(root == f or root in f.parents for root in roots)
-        ]
-        # Cross-module rules (those overriding finalize) reason about the
-        # whole tree; running them on a file subset would both miss real
-        # findings and invent spurious ones, so they sit this mode out.
-        cross = sorted(
-            r.id for r in rules if type(r).finalize is not Rule.finalize
-        )
-        if cross:
-            print(
-                f"--changed-only: skipping cross-module rule(s)"
-                f" {', '.join(cross)} (they need the full tree)"
-            )
-            rules = [r for r in rules if type(r).finalize is Rule.finalize]
-        print(
-            f"--changed-only: {len(paths)} changed file(s)"
-            f" vs {args.changed_only} under the lint paths"
-        )
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except FileNotFoundError:
-            if not args.write_baseline:
-                print(f"error: baseline file not found: {args.baseline}",
-                      file=sys.stderr)
-                return 2
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-    linter = Linter(rules, baseline=baseline)
-    result = linter.run_paths(paths)
-    if args.write_baseline:
-        if not args.baseline:
-            print("error: --write-baseline requires --baseline PATH",
-                  file=sys.stderr)
-            return 2
-        Baseline.from_findings(result.findings + result.baselined).save(
-            args.baseline
-        )
-        print(
-            f"baseline written to {args.baseline}"
-            f" ({len(result.findings) + len(result.baselined)} finding(s))"
-        )
-        return 0
+    result = Linter(rules).run_paths(paths)
     if args.format == "json":
         output = format_json(result)
         sys.stdout.write(output)
@@ -312,51 +266,6 @@ def _cmd_lint(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(format_json(result))
     return 0 if result.ok else 1
-
-
-def _cmd_sanitize(args) -> int:
-    import json
-
-    from .analysis import LockSanitizer
-    from .faults import run_elastic_workload, run_faulted_workload
-
-    scenarios = {}
-    clean = True
-    runners = (
-        ("faults", run_faulted_workload),
-        ("elasticity", run_elastic_workload),
-    )
-    for name, runner in runners:
-        sanitizer = LockSanitizer()
-        result = runner(seed=args.seed, sanitizer=sanitizer)
-        report = sanitizer.report()
-        ok = bool(result.ok)
-        scenarios[name] = {"scenario_ok": ok, "sanitizer": report}
-        clean = clean and ok and report["clean"]
-        verdict = "clean" if (ok and report["clean"]) else "VIOLATIONS"
-        print(
-            f"{name:<10} scenario {'ok' if ok else 'FAILED'};"
-            f" {report['acquires']} acquires by {report['tasks']} task(s)"
-            f" over {len(report['lock_classes'])} lock class(es)"
-            f" — {verdict}"
-        )
-        for violation in report["violations"]:
-            print(f"  violation: {json.dumps(violation, sort_keys=True)}")
-    doc = {
-        "version": 1,
-        "seed": args.seed,
-        "clean": clean,
-        "scenarios": scenarios,
-    }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.out}")
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    print(f"verdict: {'CLEAN' if clean else 'LOCK VIOLATIONS'}")
-    return 0 if clean else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -477,8 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     lint = sub.add_parser(
         "lint",
-        help="AST-based invariant checks (determinism, refcounts, fault"
-        " scopes, layering)",
+        help="AST-based invariant checks (determinism, fault scopes,"
+        " layering, lock discipline)",
     )
     lint.add_argument(
         "paths",
@@ -503,43 +412,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
     )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="JSON baseline of grandfathered findings",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings into --baseline and exit 0",
-    )
-    lint.add_argument(
-        "--changed-only",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="lint only Python files changed vs REF (default HEAD);"
-        " cross-module rules are skipped",
-    )
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="runtime lock sanitizer: run the fault + elasticity scenarios"
-        " under lock-order instrumentation and report violations",
-    )
-    sanitize.add_argument(
-        "--format",
-        choices=["human", "json"],
-        default="human",
-        help="output format (default human)",
-    )
-    sanitize.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the JSON report here (for CI artifacts)",
-    )
     args = parser.parse_args(argv)
     handler = {
         "info": _cmd_info,
@@ -550,7 +422,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "rebalance": _cmd_rebalance,
         "obs": _cmd_obs,
         "lint": _cmd_lint,
-        "sanitize": _cmd_sanitize,
     }[args.command]
     return handler(args)
 

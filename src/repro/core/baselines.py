@@ -1,4 +1,4 @@
-"""Baselines the paper compares against.
+"""The comparison points the paper measures the design against.
 
 * :func:`analyze_dedup_potential` — offline local-vs-global dedup-ratio
   analysis (Figure 3 / Table 1): local dedup runs independently per OSD,

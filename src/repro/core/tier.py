@@ -513,7 +513,7 @@ class DedupTier:
         key = self.cluster.object_key(self.chunk_pool, chunk_id)
         # acting_osds: a chunk mid-migration (and its self-contained
         # refcounts) may only exist on the old acting set — reading the
-        # strict set here would return an empty RefSet and break REF001.
+        # strict set here would return an empty RefSet and drop its refs.
         for osd in self.cluster.acting_osds(self.chunk_pool, chunk_id):
             if osd.up and osd.store.exists(key):
                 blob = osd.store.get(key).xattrs.get(REFS_XATTR, b"")

@@ -16,8 +16,9 @@ then heal, finish the rebalance, recover, drain, and check that
 * the dedup scrub finds zero refcount leaks and zero missing chunks,
 * both pools scrub replica/shard-consistent,
 * placement is CRUSH-clean (every copy exactly on its new acting set),
-* the decommissioned OSD drained and was removed, and
-* the op trace is sound, with the ``rebalance.*`` stages present.
+* the decommissioned OSD drained and was removed,
+* the op trace is sound, with the ``rebalance.*`` stages present, and
+* no lock is left held or awaited once the run has quiesced.
 
 Imports of ``repro.core`` stay inside functions: ``repro.core`` itself
 imports :mod:`repro.faults` (for the retry layer), so a module-level
@@ -31,6 +32,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from .errors import is_retryable
 from .plan import FaultPlan
+from .scenario import locks_left
 
 __all__ = ["ElasticityResult", "run_elastic_workload"]
 
@@ -93,6 +95,7 @@ class ElasticityResult:
             and not self.placement_violations
             and not self.trace_problems
             and self.finalized
+            and not locks_left(self.storage)
         )
 
 
@@ -106,7 +109,6 @@ def run_elastic_workload(
     rate_limit_bps: Optional[float] = 64.0 * KiB * KiB,
     with_faults: bool = True,
     decommission_osd: int = 1,
-    sanitizer: Any = None,
 ) -> ElasticityResult:
     """Run the online-elasticity acceptance scenario; returns the result.
 
@@ -129,8 +131,6 @@ def run_elastic_workload(
         DedupConfig(chunk_size=32 * KiB),
         start_engine=True,
     )
-    if sanitizer is not None:
-        sanitizer.attach(storage.sim)
     injector: Any = None
     if with_faults:
         if plan is None:
@@ -248,7 +248,7 @@ def run_elastic_workload(
         ]
         # Quiesce: verification reads can spawn fire-and-forget cache
         # promotions; run the loop dry so no task is left suspended holding
-        # an object lock (the lock sanitizer treats that as a leak).
+        # an object lock (the verdict treats that as a leak).
         sim.run()
     result.objects_written = num_objects
     records = tracer.to_records()

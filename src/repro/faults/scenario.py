@@ -7,8 +7,9 @@ workload against a deduplicating store *while* a seeded
 EIO and partitions hosts — then heal, recover, drain, garbage-collect,
 and check that
 
-* every written object reads back byte-identical (zero data loss), and
-* a scrub finds zero refcount leaks and zero missing chunks.
+* every written object reads back byte-identical (zero data loss),
+* a scrub finds zero refcount leaks and zero missing chunks, and
+* no lock is left held or awaited once the run has quiesced.
 
 Imports of ``repro.core`` stay inside functions: ``repro.core`` itself
 imports :mod:`repro.faults` (for the retry layer), so a module-level
@@ -23,7 +24,7 @@ from typing import Any, Dict, Generator, List, Optional
 from .errors import is_retryable
 from .plan import FaultPlan
 
-__all__ = ["ScenarioResult", "run_faulted_workload"]
+__all__ = ["ScenarioResult", "locks_left", "run_faulted_workload"]
 
 KiB = 1024
 
@@ -31,6 +32,21 @@ KiB = 1024
 #: expire, crashes restart), so a workload op eventually succeeds; the
 #: cap only guards against a hand-built plan that never does.
 _MAX_CLIENT_ATTEMPTS = 200
+
+
+def locks_left(storage: Any) -> List[str]:
+    """``"class=entries"`` for each lock table of ``storage`` not empty.
+
+    A :class:`~repro.sim.LockTable` keeps an entry exactly while a task
+    holds or awaits its lock, so once a run has quiesced every table of
+    the substrate and the tier must be empty: an entry left means a task
+    ended (or hangs) without releasing.
+    """
+    tier = storage.tier
+    tables = (tier.cluster.write_locks, tier.object_locks, tier.chunk_locks)
+    return [
+        f"{table.label.split(':')[0]}={len(table)}" for table in tables if len(table)
+    ]
 
 
 @dataclass
@@ -53,8 +69,11 @@ class ScenarioResult:
 
     @property
     def ok(self) -> bool:
-        """The run's overall verdict: data intact and refcounts clean."""
-        return self.zero_data_loss and self.scrub.clean
+        """The run's overall verdict: data intact, refcounts clean and
+        every lock released."""
+        return (
+            self.zero_data_loss and self.scrub.clean and not locks_left(self.storage)
+        )
 
 
 def run_faulted_workload(
@@ -67,7 +86,6 @@ def run_faulted_workload(
     dedupe_ratio: float = 0.6,
     horizon: float = 4.0,
     config: Any = None,
-    sanitizer: Any = None,
 ) -> ScenarioResult:
     """Run the faulted-workload acceptance scenario; returns the result.
 
@@ -76,10 +94,6 @@ def run_faulted_workload(
     Writes are staggered across the first 80% of the horizon so faults
     land mid-workload — including mid-flush, since the background
     engine runs throughout.
-
-    ``sanitizer`` (a :class:`repro.analysis.LockSanitizer`) is attached
-    to the simulator before any I/O so every lock acquisition in the run
-    is recorded; inspect ``sanitizer.report()`` afterwards.
     """
     from ..cluster import RadosCluster, recover_sync
     from ..core import DedupConfig, DedupedStorage, scrub_sync
@@ -93,8 +107,6 @@ def run_faulted_workload(
         config if config is not None else DedupConfig(chunk_size=32 * KiB),
         start_engine=True,
     )
-    if sanitizer is not None:
-        sanitizer.attach(storage.sim)
     if plan is None:
         plan = FaultPlan.generate(
             seed,
@@ -155,7 +167,7 @@ def run_faulted_workload(
     ]
     # Quiesce: the verification reads can spawn fire-and-forget cache
     # promotions; run the loop dry so no task is left suspended holding
-    # an object lock (the lock sanitizer treats that as a leak).
+    # an object lock (the verdict treats that as a leak).
     sim.run()
     return ScenarioResult(
         storage=storage,

@@ -288,8 +288,8 @@ class Process(Event):
         gen = self.gen
         value, exc = event._value, event._exc
         # Track the running process on the simulator while the generator
-        # executes: synchronous callees (resource acquire/release, the
-        # lock sanitizer) can attribute their effects to this task.
+        # executes: synchronous callees (the tracer's span context) can
+        # attribute their effects to this task.
         previous = sim._current_task
         sim._current_task = self
         try:
@@ -398,11 +398,6 @@ class Simulator:
         #: The process whose generator is currently executing (set by
         #: :meth:`Process._resume`); ``None`` between process steps.
         self._current_task: Optional[Process] = None
-        #: Optional runtime lock-discipline checker (see
-        #: ``repro.analysis.concurrency.LockSanitizer.attach``).  When
-        #: set, labelled :class:`~repro.sim.Resource` acquires/releases
-        #: report to it; ``None`` costs one attribute check per call.
-        self.lock_sanitizer: Any = None
 
     @property
     def current_task(self) -> Optional[Process]:

@@ -37,23 +37,13 @@ class Resource:
     ``yield from resource.serve(t)`` (or, as a process of its own,
     ``yield sim.process(resource.serve(t))``) queues FIFO behind the same
     waiters and costs one kernel event, the completion — see :meth:`hold`.
-
-    ``label`` marks the resource as a *lock* for the runtime lock
-    sanitizer (``repro.analysis.concurrency``): a ``"class:key"`` string
-    such as ``"rados.write:1/7/obj-3"``.  Labelled resources report
-    acquire/grant/release to ``sim.lock_sanitizer`` when one is
-    attached; unlabelled resources (devices, CPU slots) are not lock-like
-    and stay invisible to it.
     """
 
-    def __init__(
-        self, sim: Simulator, capacity: int = 1, label: Optional[str] = None
-    ) -> None:
+    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.label = label
         self._in_use = 0
         #: FIFO of ``(event, duration)``: ``duration`` is ``None`` for an
         #: :meth:`acquire` and the service time for a :meth:`hold`.
@@ -99,10 +89,6 @@ class Resource:
         """Return an event that fires once a slot is granted (FIFO)."""
         sim = self.sim
         event = Event(sim)
-        # Only labelled resources are locks; devices skip the lookup.
-        sanitizer = None if self.label is None else sim.lock_sanitizer
-        if sanitizer is not None:
-            sanitizer.on_acquire(self, event)
         in_use = self._in_use
         if in_use < self.capacity and not self._waiters:
             now = sim.now
@@ -114,8 +100,6 @@ class Resource:
             self._last_change = now
             self._in_use = in_use + 1
             event.succeed(self)
-            if sanitizer is not None:
-                sanitizer.on_grant(self, event)
         else:
             if self._waiters is _NO_WAITERS:
                 self._waiters = deque()
@@ -127,7 +111,7 @@ class Resource:
 
         The one-event form of ``acquire()`` + ``timeout(duration)`` for a
         service whose length is known up front.  Same FIFO queue, same
-        accounting and sanitizer hooks as :meth:`acquire`; but when the
+        accounting as :meth:`acquire`; but when the
         slot is granted — here if one is free, otherwise inside the
         :meth:`release` that hands it over — the *completion* is pushed
         onto the heap at ``now + duration``, where the grant would have
@@ -141,9 +125,6 @@ class Resource:
             raise ValueError(f"negative hold duration: {duration}")
         sim = self.sim
         event = Event(sim)
-        sanitizer = None if self.label is None else sim.lock_sanitizer
-        if sanitizer is not None:
-            sanitizer.on_acquire(self, event)
         in_use = self._in_use
         if in_use < self.capacity and not self._waiters:
             now = sim.now
@@ -156,8 +137,6 @@ class Resource:
             self._in_use = in_use + 1
             event.triggered = True
             heappush(sim._queue, (now + duration, next(sim._seq), event))
-            if sanitizer is not None:
-                sanitizer.on_grant(self, event)
         else:
             if self._waiters is _NO_WAITERS:
                 self._waiters = deque()
@@ -181,14 +160,9 @@ class Resource:
             self.busy_integral += elapsed * in_use
             self.busy_time += elapsed
         self._last_change = now
-        sanitizer = None if self.label is None else sim.lock_sanitizer
-        if sanitizer is not None:
-            sanitizer.on_release(self)
         while self._waiters:
             waiter, duration = self._waiters.popleft()
             if waiter.cancelled:
-                if sanitizer is not None:
-                    sanitizer.on_cancelled(self, waiter)
                 continue
             # Hand the slot straight to the next waiter; occupancy unchanged.
             if duration is None:
@@ -196,8 +170,6 @@ class Resource:
             else:  # a hold(): its service starts now
                 waiter.triggered = True
                 heappush(sim._queue, (now + duration, next(sim._seq), waiter))
-            if sanitizer is not None:
-                sanitizer.on_grant(self, waiter)
             return
         self._in_use = in_use - 1
 
@@ -242,7 +214,8 @@ class LockTable:
     hands the lock to the next live waiter or drains every cancelled one
     first — so the table holds only keys with a holder, and a key taken
     again later gets a fresh lock.  ``label`` formats a key into the
-    lock's sanitizer label, ``"class:..."`` (e.g. ``"tier.chunk:{}"``).
+    lock's name, ``"class:..."`` (e.g. ``"tier.chunk:{}"``), which a
+    :class:`repro.obs.Tracer` puts on each ``lock.wait`` span.
     """
 
     def __init__(self, sim: Simulator, label: str) -> None:
@@ -257,7 +230,7 @@ class LockTable:
         """Return the grant event for ``key``'s lock, recorded in ``held``."""
         lock = self._locks.get(key)
         if lock is None:
-            lock = self._locks[key] = Resource(self.sim, 1, self.label.format(key))
+            lock = self._locks[key] = Resource(self.sim, 1)
         grant = lock.acquire()
         held.append((key, grant))
         return grant

@@ -34,3 +34,12 @@ def order_insensitive(items):
     for x in sorted(s):  # sorted pins order: clean
         total += x
     return total, flags
+
+
+def annotated_local(keys):
+    from typing import Set
+
+    names: Set[str] = set()
+    for key in keys:
+        names.add(key)
+    return list(names)  # line 45: DET003 (annotated set-typed local)

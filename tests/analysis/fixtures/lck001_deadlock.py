@@ -1,14 +1,14 @@
-"""Deliberately deadlock-prone fixture, runnable under the simulator.
+"""Deliberately deadlock-prone fixture.
 
 Two tasks calling ``swap("a", "b")`` and ``swap("b", "a")`` acquire the
-same pair of ``tier.object`` locks in opposite orders and wedge.  The
-static prong (LCK001) flags the unsorted same-class acquires in one
-region; the dynamic prong (:class:`repro.analysis.LockSanitizer`)
-observes the inversion at runtime.  Linted with a module override
-placing it under ``repro.core``.
+same pair of ``tier.object`` locks in opposite orders and wedge: run
+under the simulator, both end suspended with the table non-empty.
+LCK001 flags the unsorted same-class acquires in one region before
+anything runs.  Linted with a module override placing it under
+``repro.core``.
 """
 
-from repro.sim import LockTable, Simulator
+from repro.sim import LockTable
 
 
 class DeadlockTier:
@@ -28,13 +28,3 @@ class DeadlockTier:
         finally:
             self.object_locks.release(held)
 
-
-def run_deadlock(sim=None):
-    """Drive both tasks to the deadlock; returns the simulator used."""
-    if sim is None:
-        sim = Simulator()
-    tier = DeadlockTier(sim)
-    sim.process(tier.swap("a", "b"))
-    sim.process(tier.swap("b", "a"))
-    sim.run()
-    return sim

@@ -1,6 +1,6 @@
 """Multi-rule same-line fixture: LCK002 and FLT001 both fire on an
-unguarded substrate submit under a write lock; a targeted suppression
-silences exactly one of them.
+unguarded substrate submit under a write lock, and the report carries
+each of them.
 
 Linted with a module override placing it under ``repro.core``.
 """
@@ -14,11 +14,3 @@ def both_fire(self, key, txn, via):
     finally:
         self.write_locks.release(held)
 
-
-def one_suppressed(self, key, txn, via):
-    held = []
-    try:
-        yield self.write_locks.acquire(key, held)
-        yield from self.cluster.submit(self.pool, key, txn, via)  # repro-lint: disable=FLT001 -- fixture: lock rule must still fire
-    finally:
-        self.write_locks.release(held)

@@ -1,11 +1,6 @@
-"""CLI behaviour of ``repro lint`` / ``repro sanitize`` plus the
-live-tree meta-tests."""
+"""CLI behaviour of ``repro lint`` plus the live-tree meta-test."""
 
 import json
-import shutil
-import subprocess
-
-import pytest
 
 from repro.cli import main
 
@@ -52,130 +47,12 @@ def test_lint_unknown_rule_id_is_a_usage_error(tmp_path):
     assert main(["lint", "--rules", "NOPE999", str(tmp_path)]) == 2
 
 
-def test_lint_baseline_write_then_pass(tmp_path, capsys):
-    tree = seeded_violation_tree(tmp_path)
-    baseline = tmp_path / "lint-baseline.json"
-    assert (
-        main(["lint", "--baseline", str(baseline), "--write-baseline", str(tree)])
-        == 0
-    )
-    assert baseline.exists()
-    # With the violation grandfathered, the same tree now passes...
-    assert main(["lint", "--baseline", str(baseline), str(tree)]) == 0
-    # ...but a missing baseline file is a usage error, not a silent pass.
-    assert main(["lint", "--baseline", str(tmp_path / "absent.json"), str(tree)]) == 2
-
-
-def _git(tree, *args):
-    subprocess.run(
-        ["git", *args],
-        cwd=str(tree),
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@t",
-            "HOME": str(tree),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-
-
-def _json_tail(out):
-    """Parse the JSON document that follows the notice lines."""
-    return json.loads(out[out.index("{"):])
-
-
-needs_git = pytest.mark.skipif(
-    shutil.which("git") is None, reason="git not available"
-)
-
-
-@needs_git
-def test_changed_only_matches_full_run(tmp_path, monkeypatch, capsys):
-    tree = seeded_violation_tree(tmp_path)
-    _git(tree, "init", "-q")
-    _git(tree, "add", "-A")
-    _git(tree, "commit", "-q", "-m", "seed")
-    monkeypatch.chdir(tree)
-
-    # Nothing changed: the changed-only run checks zero files and passes
-    # even though the tree as a whole has a violation.
-    assert main(["lint", "--changed-only", "HEAD", str(tree)]) == 0
-    out = capsys.readouterr().out
-    assert "0 changed file(s)" in out
-
-    # Touch the violating file: the changed-only run must now report
-    # exactly what a full run reports for the per-module rules.
-    clocky = tree / "repro" / "core" / "clocky.py"
-    clocky.write_text(
-        clocky.read_text(encoding="utf-8") + "\n# touched\n", encoding="utf-8"
-    )
-    assert main(["lint", "--format", "json", str(tree)]) == 1
-    full = _json_tail(capsys.readouterr().out)
-    assert (
-        main(["lint", "--changed-only", "HEAD", "--format", "json", str(tree)])
-        == 1
-    )
-    changed = _json_tail(capsys.readouterr().out)
-    assert changed["findings"] == full["findings"]
-    assert changed["summary"]["files_checked"] == 1
-
-
-@needs_git
-def test_changed_only_sees_untracked_files(tmp_path, monkeypatch, capsys):
-    tree = seeded_violation_tree(tmp_path)
-    _git(tree, "init", "-q")
-    _git(tree, "add", "-A")
-    _git(tree, "commit", "-q", "-m", "seed")
-    monkeypatch.chdir(tree)
-    (tree / "repro" / "core" / "fresh.py").write_text(
-        "import time\n\n\ndef now():\n    return time.time()\n",
-        encoding="utf-8",
-    )
-    assert main(["lint", str(tree), "--changed-only"]) == 1
-    out = capsys.readouterr().out
-    assert "fresh.py" in out and "DET001" in out
-
-
-def test_changed_only_skips_cross_module_rules(tmp_path, monkeypatch, capsys):
-    if shutil.which("git") is None:
-        pytest.skip("git not available")
-    tree = seeded_violation_tree(tmp_path)
-    _git(tree, "init", "-q")
-    _git(tree, "add", "-A")
-    _git(tree, "commit", "-q", "-m", "seed")
-    monkeypatch.chdir(tree)
-    assert (
-        main(["lint", str(tree), "--changed-only", "--rules", "LCK001"]) == 0
-    )
-    out = capsys.readouterr().out
-    assert "skipping cross-module rule(s) LCK001" in out
-
-
-def test_sanitize_cli_runs_clean_and_writes_artifact(tmp_path, capsys):
-    artifact = tmp_path / "sanitize.json"
-    assert main(["--seed", "11", "sanitize", "--out", str(artifact)]) == 0
-    out = capsys.readouterr().out
-    assert "verdict: CLEAN" in out
-    doc = json.loads(artifact.read_text(encoding="utf-8"))
-    assert doc["clean"] is True and doc["seed"] == 11
-    assert set(doc["scenarios"]) == {"faults", "elasticity"}
-    for scenario in doc["scenarios"].values():
-        assert scenario["scenario_ok"] is True
-        assert scenario["sanitizer"]["clean"] is True
-        assert scenario["sanitizer"]["violations"] == []
-        assert scenario["sanitizer"]["acquires"] > 0
-
-
 def test_live_tree_lints_clean(capsys):
     """Meta-test: the shipped source tree passes its own linter.
 
-    Guards the acceptance invariant that all true-positive violations
-    are fixed (not baselined) and every suppression carries a
-    justification.
+    Guards the acceptance invariant that every true-positive violation
+    is fixed: the linter has no baseline and no suppressions, and every
+    ``flt-scope`` marker carries a justification.
     """
     assert main(["lint"]) == 0
     out = capsys.readouterr().out

@@ -1,30 +1,17 @@
-"""Engine-level behaviour: suppressions, baselines, JSON output."""
+"""Engine-level behaviour: ``repro-lint`` comments, JSON output."""
 
 import json
 from pathlib import Path
 
-from repro.analysis import Baseline, Linter, default_rules, format_json
+from repro.analysis import Linter, default_rules, format_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def lint(path, module, baseline=None):
-    linter = Linter(default_rules(), baseline=baseline)
-    return linter.run_paths(
+def lint(path, module):
+    return Linter(default_rules()).run_paths(
         [str(path)], module_overrides={str(path): module}
     )
-
-
-def test_justified_suppressions_suppress_and_are_counted():
-    result = lint(FIXTURES / "suppression.py", "repro.core.fixture_sup")
-    # Lines 10 (trailing) and 19 (standalone next-line form) are
-    # suppressed with justification; line 14 lacks one.
-    assert result.suppressed == 2
-    by_rule = {(f.rule, f.line) for f in result.findings}
-    assert ("DET001", 14) in by_rule  # unjustified: violation kept
-    assert ("LINT000", 14) in by_rule  # ...and the directive is flagged
-    assert ("DET001", 10) not in by_rule
-    assert ("DET001", 19) not in by_rule
 
 
 def test_unrecognised_directive_is_a_meta_finding(tmp_path):
@@ -36,47 +23,26 @@ def test_unrecognised_directive_is_a_meta_finding(tmp_path):
     assert "unrecognised" in result.findings[0].message
 
 
-def test_baseline_roundtrip_grandfathers_findings(tmp_path):
-    fixture = FIXTURES / "det001.py"
-    first = lint(fixture, "repro.core.fixture_det001")
-    assert len(first.findings) == 3 and not first.ok
-
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.findings).save(str(baseline_path))
-    loaded = Baseline.load(str(baseline_path))
-
-    second = lint(fixture, "repro.core.fixture_det001", baseline=loaded)
-    assert second.findings == []
-    assert len(second.baselined) == 3
-    assert second.ok
-
-
-def test_baseline_budget_does_not_cover_new_findings(tmp_path):
-    fixture = FIXTURES / "det001.py"
-    first = lint(fixture, "repro.core.fixture_det001")
-    # Grandfather only one of the three findings: the budget covers one
-    # occurrence, the other two stay new.
-    partial = Baseline.from_findings(first.findings[:1])
-    second = lint(fixture, "repro.core.fixture_det001", baseline=partial)
-    assert len(second.baselined) == 1
-    assert len(second.findings) == 2
-    assert not second.ok
-
-
-def test_baseline_file_is_line_number_free(tmp_path):
-    first = lint(FIXTURES / "det001.py", "repro.core.fixture_det001")
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.findings).save(str(path))
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["version"] == 1
-    for item in doc["findings"]:
-        assert set(item) == {"rule", "module", "message", "count"}
+def test_a_disable_comment_suppresses_nothing(tmp_path):
+    # The linter has no suppressions: a disable comment is itself a
+    # LINT000 finding, and the violation it sits on is still reported.
+    src = tmp_path / "repro" / "core" / "clocky.py"
+    src.parent.mkdir(parents=True)
+    src.write_text(
+        "import time\n\n\ndef now():\n"
+        "    return time.time()  # repro-lint: disable=DET001 -- why\n",
+        encoding="utf-8",
+    )
+    result = Linter(default_rules()).run_paths([str(src)])
+    assert {(f.rule, f.line) for f in result.findings} == {
+        ("DET001", 5), ("LINT000", 5)
+    }
 
 
 def test_json_output_shape():
     result = lint(FIXTURES / "det001.py", "repro.core.fixture_det001")
     doc = json.loads(format_json(result))
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["summary"]["errors"] == 3
     assert doc["summary"]["ok"] is False
     assert doc["summary"]["files_checked"] == 1
@@ -84,7 +50,6 @@ def test_json_output_shape():
     assert finding["rule"] == "DET001"
     assert finding["module"] == "repro.core.fixture_det001"
     assert finding["line"] == 12
-    assert finding["severity"] == "error"
 
 
 def test_syntax_error_becomes_parse_error_finding(tmp_path):

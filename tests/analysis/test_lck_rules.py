@@ -1,15 +1,8 @@
-"""Static prong of the concurrency checker: the LCK rule family fires
-on the seeded fixtures (at the asserted lines), stays quiet on the clean
-counterparts, and composes with suppressions and baselines when two
-rules hit the same line."""
-
-from pathlib import Path
-
-from repro.analysis import Baseline, Linter, default_rules
+"""The LCK rule family fires on the seeded fixtures (at the asserted
+lines), stays quiet on the clean counterparts, and reports every rule
+that hits a shared line."""
 
 from .test_rules import found, lint_fixtures
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_lck001_flags_unsorted_multi_and_cross_class_cycle():
@@ -60,31 +53,3 @@ def test_two_rules_fire_on_one_line():
     by_line = {(f.rule, f.line) for f in result.findings}
     assert ("LCK002", 13) in by_line
     assert ("FLT001", 13) in by_line
-
-
-def test_suppression_is_per_rule_on_a_shared_line():
-    result = lint_fixtures({"multirule.py": "repro.core.fixture_multirule"})
-    by_line = {(f.rule, f.line) for f in result.findings}
-    # Line 22 suppresses FLT001 with a justification; LCK002 still fires.
-    assert ("LCK002", 22) in by_line
-    assert ("FLT001", 22) not in by_line
-    assert result.suppressed == 1
-
-
-def test_baseline_is_per_rule_on_a_shared_line():
-    path = FIXTURES / "multirule.py"
-    module = "repro.core.fixture_multirule"
-    first = Linter(default_rules()).run_paths(
-        [str(path)], module_overrides={str(path): module}
-    )
-    # Grandfather only the FLT001 findings: LCK002 must stay new even
-    # though it anchors to the very same line.
-    partial = Baseline.from_findings(
-        [f for f in first.findings if f.rule == "FLT001"]
-    )
-    second = Linter(default_rules(), baseline=partial).run_paths(
-        [str(path)], module_overrides={str(path): module}
-    )
-    assert {f.rule for f in second.findings} == {"LCK002"}
-    assert all(f.rule == "FLT001" for f in second.baselined)
-    assert not second.ok

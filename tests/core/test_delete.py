@@ -4,12 +4,12 @@ import pytest
 
 from collections import Counter
 
-from repro.analysis import LockSanitizer
 from repro.cluster import ErasureCoded, NoSuchObject, RadosCluster
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.objects import ChunkRef
 from repro.core.scrub import collect_garbage_sync, scrub_sync
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, TransientOpError
+from repro.faults.scenario import locks_left
 from repro.fingerprint import fingerprint
 from repro.obs import Tracer
 
@@ -177,7 +177,6 @@ def test_delete_releases_exactly_its_own_references(chunk_redundancy):
 
 def test_delete_racing_a_pass_that_shares_its_chunks():
     storage = make_storage()
-    sanitizer = LockSanitizer().attach(storage.sim)
     tier = storage.tier
     payload = distinct_chunks(8)
     storage.write_sync("old", payload)
@@ -200,7 +199,7 @@ def test_delete_racing_a_pass_that_shares_its_chunks():
     assert len(storage.cluster.list_objects(tier.chunk_pool)) == 8
     assert storage.read_sync("new") == payload
     assert scrub_sync(tier).clean
-    assert sanitizer.report()["clean"]
+    assert locks_left(storage) == []
 
 
 def test_delete_that_gives_up_leaves_nothing_on_the_cache_books():

@@ -335,11 +335,10 @@ def test_failed_drain_fails_once_and_cleanly():
     """A non-retryable error in one pass: nothing more is handed out,
     siblings finish what they hold, the first error is what drain
     raises, and a later drain on the healed tier converges."""
-    from repro.analysis import LockSanitizer
     from repro.core.scrub import scrub_sync
+    from repro.faults.scenario import locks_left
 
     storage = make_storage(engine_workers=4)
-    sanitizer = LockSanitizer().attach(storage.sim)
     for i in range(12):
         storage.write_sync(f"obj{i}", bytes([i]) * 2048)
     tier = storage.tier
@@ -368,7 +367,7 @@ def test_failed_drain_fails_once_and_cleanly():
     for i in range(12):
         assert storage.read_sync(f"obj{i}") == bytes([i]) * 2048
     assert scrub_sync(tier).clean
-    assert sanitizer.report()["clean"]
+    assert locks_left(storage) == []
 
 
 def test_end_state_is_independent_of_drain_width():

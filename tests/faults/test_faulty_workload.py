@@ -9,7 +9,13 @@ import os
 
 import pytest
 
-from repro.faults import FaultPlan, run_faulted_workload
+from repro.faults import (
+    ElasticityResult,
+    FaultPlan,
+    ScenarioResult,
+    run_faulted_workload,
+)
+from repro.faults.scenario import locks_left
 from repro.obs import fault_lines, status_lines, storage_metrics
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "1"))
@@ -75,3 +81,27 @@ def test_eio_storm_is_absorbed_by_retries():
 def test_seed_sweep_smoke(seed):
     result = run_faulted_workload(seed=seed, num_objects=10, horizon=2.5)
     assert result.ok
+
+
+@pytest.mark.parametrize("verdict", [ScenarioResult, ElasticityResult])
+def test_a_lock_left_held_at_quiesce_fails_the_verdict(verdict):
+    from repro.cluster import RadosCluster
+    from repro.core import DedupConfig, DedupedStorage, scrub_sync
+
+    storage = DedupedStorage(
+        RadosCluster(num_hosts=2, osds_per_host=2, pg_num=16),
+        DedupConfig(chunk_size=4096),
+        start_engine=False,
+    )
+    storage.write_sync("obj", bytes(range(256)) * 32)
+    storage.drain()
+    result = verdict(
+        storage=storage, injector=None, plan=FaultPlan([], seed=SEED),
+        scrub=scrub_sync(storage.tier),
+    )
+    result.finalized = True  # the elastic verdict's decommission check
+    assert result.ok and locks_left(storage) == []
+    # A grant that is never released: its task ended still owing it.
+    storage.tier.object_locks.acquire("obj", [])
+    assert locks_left(storage) == ["tier.object=1"]
+    assert not result.ok

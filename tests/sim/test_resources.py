@@ -116,7 +116,7 @@ def test_uncontended_resource_never_builds_a_waiter_queue():
     from collections import deque
 
     sim = Simulator()
-    locks = [Resource(sim, label=f"t:{i}") for i in range(100)]
+    locks = [Resource(sim) for _ in range(100)]
     for _ in range(100):  # 10 000 uncontended cycles
         for lock in locks:
             grant = lock.acquire()
@@ -276,6 +276,45 @@ def test_interrupt_while_queued_is_skipped_and_leaks_no_slot():
     sim.run()
     assert log[1:] == [("holder", 2.0), ("next", 3.0)]
     assert (res.in_use, res.queue_len, res.busy_time) == (0, 0, 3.0)
+
+
+def test_interrupted_waiter_does_not_wedge_the_resource():
+    # Regression: task B queues on a held lock and is interrupted (a
+    # retry deadline); its abandoned waiter slot must not absorb the
+    # release, or C can never acquire.
+    sim = Simulator()
+    lock = Resource(sim, capacity=1)
+    order = []
+
+    def holder():
+        yield lock.acquire()
+        try:
+            yield sim.timeout(1.0)
+        finally:
+            lock.release()
+
+    def impatient():
+        yield sim.timeout(0.1)
+        try:
+            yield lock.acquire()
+        except Interrupt:
+            order.append("interrupted")
+            return
+        lock.release()
+
+    def successor():
+        yield sim.timeout(0.2)
+        yield lock.acquire()
+        order.append("acquired")
+        lock.release()
+
+    sim.process(holder())
+    victim = sim.process(impatient())
+    _interrupt_at(sim, victim, 0.5)
+    sim.process(successor())
+    sim.run()
+    assert order == ["interrupted", "acquired"]
+    assert (lock.in_use, lock.queue_len) == (0, 0)
 
 
 def test_interrupt_in_service_frees_the_slot_then_and_only_then():

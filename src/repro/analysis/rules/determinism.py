@@ -174,6 +174,15 @@ def _is_set_call(node: ast.Call) -> bool:
     )
 
 
+def _self_attr(node: ast.AST) -> bool:
+    """Whether ``node`` is ``self.<name>``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
 class SetOrderRule(ScopedRule):
     """DET003: never iterate a set where order can feed placement.
 
@@ -182,6 +191,11 @@ class SetOrderRule(ScopedRule):
     emits a different order every process — and any placement or
     chunk-ordering decision derived from it stops being replayable.
     Wrap the iterable in ``sorted(...)`` to pin the order.
+
+    A set is known by its expression (a literal, ``set(...)``, a set
+    operator), by a local name assigned one, or by an attribute
+    ``self.<name>`` assigned one anywhere in the class whose methods
+    iterate it.
     """
 
     id = "DET003"
@@ -232,7 +246,7 @@ class SetOrderRule(ScopedRule):
                 if node.func.id in ("list", "tuple", "enumerate") and node.args:
                     iters.append(node.args[0])
             for target in iters:
-                scopes = (self._scope_of(mod, target), mod.tree)
+                scopes = self._scopes_of(mod, target)
                 if self._is_set_expr(target, set_names, scopes):
                     yield mod.finding(
                         self,
@@ -241,9 +255,10 @@ class SetOrderRule(ScopedRule):
                         " (PYTHONHASHSEED); wrap in sorted(...) to pin it",
                     )
 
-    def _set_typed_names(self, mod: SourceModule) -> Set[Tuple[ast.AST, str]]:
-        """(enclosing function, name) pairs assigned a set expression."""
-        names: Set[Tuple[ast.AST, str]] = set()
+    def _set_typed_names(self, mod: SourceModule) -> Set[Tuple[Optional[ast.AST], str]]:
+        """(enclosing function, name) pairs assigned a set expression,
+        and (enclosing class, ``"self.<name>"``) for attributes."""
+        names: Set[Tuple[Optional[ast.AST], str]] = set()
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -251,26 +266,34 @@ class SetOrderRule(ScopedRule):
                 targets = [node.target]  # ``names: Set[str] = set()``
             else:
                 continue
-            scope = self._scope_of(mod, node)
-            if not self._is_set_expr(node.value, names, (scope, mod.tree)):
+            scopes = self._scopes_of(mod, node)
+            if not self._is_set_expr(node.value, names, scopes):
                 continue
             for target in targets:
                 if isinstance(target, ast.Name):
-                    names.add((scope, target.id))
+                    names.add((scopes[0], target.id))
+                elif _self_attr(target) and scopes[1] is not None:
+                    names.add((scopes[1], "self." + target.attr))
         return names
 
     @staticmethod
-    def _scope_of(mod: SourceModule, node: ast.AST) -> ast.AST:
+    def _scopes_of(
+        mod: SourceModule, node: ast.AST
+    ) -> Tuple[ast.AST, Optional[ast.ClassDef], ast.AST]:
+        """(enclosing function or module, enclosing class or None, module)."""
+        function = cls = None
         for anc in mod.ancestors(node):
             if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                return anc
-        return mod.tree
+                function = function or anc
+            elif isinstance(anc, ast.ClassDef):
+                cls = cls or anc
+        return (function or mod.tree, cls, mod.tree)
 
     def _is_set_expr(
         self,
         node: ast.AST,
-        set_names: Set[Tuple[ast.AST, str]],
-        scopes: Tuple[ast.AST, ...],
+        set_names: Set[Tuple[Optional[ast.AST], str]],
+        scopes: Tuple[ast.AST, Optional[ast.ClassDef], ast.AST],
     ) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
@@ -284,4 +307,6 @@ class SetOrderRule(ScopedRule):
             ) or self._is_set_expr(node.right, set_names, scopes)
         if isinstance(node, ast.Name):
             return any((scope, node.id) in set_names for scope in scopes)
+        if _self_attr(node):
+            return (scopes[1], "self." + node.attr) in set_names
         return False

@@ -12,23 +12,29 @@ A background process drains the dirty object ID list:
    read per cached range and one chunk-pool read spanning a chunk's
    missing ranges;
 3. if the cache manager deems the object cold, fingerprint each dirty
-   chunk; dereference the previously referenced chunk object if the
-   content moved; store-or-reference the chunk in the chunk pool
-   (double hashing places it by content);
+   chunk; store-or-reference the chunk in the chunk pool (double
+   hashing places it by content);
 4-5. the chunk pool either stores the object with its first reference
    or just appends reference information;
-6. finally update the metadata object's chunk map (dirty cleared,
-   cached per cache policy) in a single transaction.
+6. update the metadata object's chunk map (dirty cleared, cached per
+   cache policy) in a single transaction;
+7. only then dereference the chunk objects whose entries moved to new
+   content (step 3's dereference, deferred past the commit).
 
 Rate control (§4.4.2) paces step 3's I/O against foreground load, and
 hot objects are skipped entirely (selective dedup) until they cool off.
 
-A pass holds the object's lock from its map load to its map commit, the
-same lock every foreground write and delete of the object takes, so no
-mutation can land mid-pass.  A pass that faults instead aborts before
-the chunk map commits (undoing the references it took) and the object is
-re-queued — the dirty bits, which are part of the same transactions as
-the data they describe, remain the source of truth.
+A pass holds the object's lock from its map load until step 7 has
+landed, the same lock every foreground write and delete of the object
+takes, so no mutation can land mid-pass.  A worker does not wait for
+step 7: the pass hands it, with the lock, to a process of its own and
+the worker takes its next object.  No ABA fence is needed: until the
+release lands and frees the lock, no write can revert the entry to the
+old content and no later pass can take the reference it drops.  A pass
+that faults instead aborts before the chunk map commits (undoing the
+references it took) and the object is re-queued — the dirty bits, which
+are part of the same transactions as the data they describe, remain the
+source of truth.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ def _settle(proc):
         try:
             yield proc
         except Exception:
-            pass  # the caller is already failing with an error of its own
+            pass  # reported by the caller's own error or by _release_errors
 
 
 @dataclass
@@ -123,6 +129,17 @@ class DedupEngine:
         self._running = False
         self._procs = []
         self._promoting = set()
+        #: Tasks running a worker loop (:meth:`_worker`).  A strict-mode
+        #: pass run by one hands its old-chunk release off; any other
+        #: caller of :meth:`process_object` gets it inline.
+        self._worker_tasks = set()
+        #: Old-chunk releases handed off by worker passes and still in
+        #: flight, by object ID, in start order.  Each owns its object's
+        #: lock and removes itself when it ends.
+        self._releases = {}
+        #: Non-retryable errors raised by handed-off releases, for the
+        #: next :meth:`drain` to re-raise.
+        self._release_errors = []
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -157,26 +174,35 @@ class DedupEngine:
         forced passes of :meth:`drain`.  Runs until ``stop()`` is true;
         on an empty dirty list a background worker sleeps
         ``dedup_interval`` and a forced one returns.
+
+        A worker takes its next object as soon as a pass's chunk map
+        commits: the pass's old-chunk release runs on as a process of its
+        own, holding the object lock until it lands (:meth:`process_object`).
         """
         tier = self.tier
-        while not stop():
-            oid = tier.next_dirty()
-            if oid is None:
-                if force:
-                    return
-                yield self.sim.timeout(self.config.dedup_interval)
-                continue
-            try:
-                yield from self.process_object(oid, force=force)
-            except Exception as exc:
-                # Graceful degradation: a transient substrate fault must
-                # never kill a worker — requeue the object and keep
-                # draining.  Non-retryable errors are real bugs and stay
-                # loud.
-                if not is_retryable(exc):
-                    raise
-                self.stats.objects_requeued_fault += 1
-                tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
+        task = self.sim.current_task
+        self._worker_tasks.add(task)
+        try:
+            while not stop():
+                oid = tier.next_dirty()
+                if oid is None:
+                    if force:
+                        return
+                    yield self.sim.timeout(self.config.dedup_interval)
+                    continue
+                try:
+                    yield from self.process_object(oid, force=force)
+                except Exception as exc:
+                    # Graceful degradation: a transient substrate fault
+                    # must never kill a worker — requeue the object and
+                    # keep draining.  Non-retryable errors are real bugs
+                    # and stay loud.
+                    if not is_retryable(exc):
+                        raise
+                    self.stats.objects_requeued_fault += 1
+                    tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
+        finally:
+            self._worker_tasks.discard(task)
 
     # -- one object -------------------------------------------------------------
 
@@ -186,7 +212,16 @@ class DedupEngine:
         ``force`` bypasses the hot-object skip *and* rate control — it is
         used by drains and by flush-on-write, where the caller is already
         foreground.  Returns one of ``"done"``, ``"skipped_hot"``,
-        ``"missing"``, ``"faulted"``.
+        ``"missing"``, ``"faulted"``, once the pass's old-chunk references
+        are released (§4.4.1 step 3, after the map commits).
+
+        In an engine worker, a strict-mode pass instead hands that release
+        to a process of its own, which takes over the object lock and
+        frees it once the release lands; the worker moves on at the map
+        commit.  Every write, delete, promotion and later pass on the
+        object still waits for the lock, so none sees the entry between
+        its commit and its release, and no later pass can take a
+        reference the release would then drop.
         """
         tier = self.tier
         if not force and tier.cache.is_hot(oid):
@@ -200,20 +235,39 @@ class DedupEngine:
             for _ in range(max(1, tier.peek_dirty_count(oid))):
                 yield from tier.rate.throttle()
         held: list = []
+        handed_off = False
         try:
             yield tier.object_locks.acquire(oid, held)
-            result = yield from self._process_object_locked(oid, force)
+            result, derefs, via = yield from self._process_object_locked(oid, force)
+            if (
+                derefs
+                and self.refcount.name == "strict"
+                and self.sim.current_task in self._worker_tasks
+            ):
+                self._releases[oid] = self.sim.process(
+                    self._release(oid, derefs, via, held)
+                )
+                handed_off = True
+            elif derefs:
+                yield from self._apply_derefs(derefs, via)
         finally:
-            tier.object_locks.release(held)
+            if not handed_off:
+                tier.object_locks.release(held)
         # Outside the lock: a capacity victim may be this same object.
         yield from self.enforce_cache_capacity()
         return result
 
     def _process_object_locked(self, oid: str, force: bool):
+        """Process: the pass itself, under the object lock.
+
+        Returns ``(result, derefs, via)``: ``derefs`` are the ``(chunk_id,
+        ref)`` references to the old chunks of entries the committed map
+        re-pointed, for the caller to release through ``via``.
+        """
         tier = self.tier
         cmap = yield from tier.load_chunk_map(oid)
         if cmap is None:
-            return "missing"
+            return "missing", (), None
         primary = tier.cluster._primary(tier.metadata_pool, oid)
         via = NodeClient(primary.node)
         key = tier.metadata_key(oid)
@@ -349,11 +403,9 @@ class DedupEngine:
             yield from self._release_or_defer(taken, via)
             self.stats.objects_requeued_fault += 1
             tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
-            return "faulted"
-        if pending_derefs:
-            yield from self._apply_derefs(pending_derefs, via)
+            return "faulted", (), None
         self.stats.objects_processed += 1
-        return "done"
+        return "done", pending_derefs, via
 
     def _start_merge_reads(self, oid, partial, via):
         """Start every read that assembles the partially cached chunks
@@ -380,6 +432,26 @@ class DedupEngine:
                     process(tier.read_local_chunk(oid, entry.offset + start, end - start))
                 )
         return reads
+
+    def _release(self, oid, pairs, via, held):
+        """Process: a worker pass's handed-off old-chunk release.
+
+        Owns the pass's object-lock grant ``held`` and frees it once the
+        release has landed (or been deferred to the GC by a fault).
+        """
+        try:
+            yield from self._apply_derefs(pairs, via)
+        except Exception as exc:
+            self._release_errors.append(exc)
+            raise
+        finally:
+            del self._releases[oid]
+            self.tier.object_locks.release(held)
+
+    def _releases_landed(self):
+        """Process: wait until no handed-off release is in flight."""
+        while self._releases:
+            yield from _settle(next(iter(self._releases.values())))
 
     def _apply_derefs(self, pairs, via):
         """Process: release old-chunk references after the map commits.
@@ -532,10 +604,16 @@ class DedupEngine:
         to reach the fully deduplicated steady state before measuring
         space.
 
+        Before each rebuild, and so before GC and before returning, it
+        waits until no release a worker handed off is in flight: a drain
+        returns with every reference settled and every lock free.
+
         A non-retryable error in one pass stops the hand-out: no worker
         pops another object, siblings finish the pass they hold (they
-        are never interrupted), and the first error is re-raised.  The
-        dirty bits stay authoritative, so a later ``drain()`` converges.
+        are never interrupted), and once the releases in flight have
+        ended the first error is re-raised — a pass's, else one a
+        handed-off release raised since the last drain.  The dirty bits
+        stay authoritative, so a later ``drain()`` converges.
         """
         tier = self.tier
         errors = []
@@ -550,6 +628,10 @@ class DedupEngine:
         while True:
             width = min(self.config.engine_workers, tier.dirty_count)
             if width == 0:
+                yield from self._releases_landed()
+                if self._release_errors:
+                    error, self._release_errors = self._release_errors[0], []
+                    raise error
                 # Hot-skipped objects are requeued with a delay, which a
                 # drain must not wait for: rebuild the list from the
                 # authoritative dirty bits instead.
@@ -563,6 +645,7 @@ class DedupEngine:
                     [self.sim.process(worker()) for _ in range(width)]
                 )
             if errors:
+                yield from self._releases_landed()
                 raise errors[0]
             rounds += 1
             if rounds > 1_000_000:

@@ -5,7 +5,9 @@ The consistency model tracks, per chunk object, every referencing
 
 * :class:`StrictRefcount` — the default: before re-pointing a chunk-map
   entry, the engine "sends old chunk object a de-reference message and
-  waits for its completion" (§4.4.1 step 3).  Correct but synchronous.
+  waits for its completion" (§4.4.1 step 3).  Correct but synchronous:
+  the object stays locked until the dereference lands (an engine
+  worker hands that wait to a process of its own and moves on).
 * :class:`FalsePositiveRefcount` — the §4.6 optimisation ("strictly
   locks on increment but no locking on decrement"): dereferences are
   queued in memory and return immediately; chunk objects may temporarily

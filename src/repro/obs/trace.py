@@ -23,6 +23,10 @@ it is traced, and with no tracer installed no code of this module runs.
 * **Roots are ops.**  A stage named ``op.*`` always starts a trace of its
   own: background work an op sets off (a read promoting its object)
   runs past the op and must not count as its child.
+* **Handed-off work is the caller's.**  A stage in :data:`HANDED_OFF`
+  runs in a process its caller starts and does not wait for (a worker
+  pass's old-chunk release, which keeps the pass's object lock): it
+  stays the caller's child, and the caller's span ends when it does.
 * **Failure is a tag.**  A generator that raises ends its span with an
   ``error`` tag naming the exception — a retry attempt cut off at its
   deadline shows as an ``Interrupt``.  A wait its process abandoned ends
@@ -156,6 +160,11 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
      lambda _self, nbytes: {"nbytes": nbytes}),
 )
 
+#: Stages run by a process the calling span starts and does not wait for.
+#: Such a span may end after its parent returned; the parent's span then
+#: ends with it.
+HANDED_OFF = frozenset({"engine.derefs"})
+
 #: The tracer currently installed; the patches are process-wide, so
 #: there is at most one.
 _installed: Optional["Tracer"] = None
@@ -274,6 +283,8 @@ class Tracer:
             raise
         finally:
             span.end = sim.now
+            if stage in HANDED_OFF and outer is not None and outer.end is not None:
+                outer.end = max(outer.end, span.end)
             for wait in self._waits.pop(span, ()):
                 if wait.end is None:
                     wait.end = span.end

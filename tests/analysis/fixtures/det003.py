@@ -43,3 +43,32 @@ def annotated_local(keys):
     for key in keys:
         names.add(key)
     return list(names)  # line 45: DET003 (annotated set-typed local)
+
+
+class RefHolder:
+    """A set held in an attribute (``RefSet`` before its ``sorted``)."""
+
+    def __init__(self, refs):
+        self._refs = set(refs)
+        self._names = []
+
+    def serialize(self):
+        out = []
+        for ref in self._refs:  # line 57: DET003 (set-typed attribute)
+            out.append(ref)
+        return out
+
+    def snapshot(self):
+        return tuple(self._refs)  # line 62: DET003 (tuple of a set attribute)
+
+    def order_insensitive(self):
+        names = list(self._names)  # a list attribute: clean
+        return len(self._refs), sorted(self._refs), names  # clean
+
+
+class OtherHolder:
+    def __init__(self):
+        self._refs = []
+
+    def serialize(self):
+        return list(self._refs)  # another class's list attribute: clean

@@ -47,7 +47,7 @@ def test_det002_flags_global_and_unseeded_randomness():
 
 def test_det003_flags_set_iteration_but_not_safe_consumers():
     result = lint_fixtures({"det003.py": "repro.core.fixture_det003"})
-    assert found(result, "DET003") == (10, 16, 20, 26, 45)
+    assert found(result, "DET003") == (10, 16, 20, 26, 45, 57, 62)
 
 
 def test_flt001_flags_only_unguarded_io():

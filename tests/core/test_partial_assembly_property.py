@@ -4,9 +4,12 @@ Random sub-chunk overwrites of flushed objects leave one to four cached
 ranges in a chunk.  Some chunks grow past their old chunk object's
 length (writes past the tail), some old chunks are shared with another
 object through a dedup hit, and a pass usually holds several partially
-cached chunks.  After the drain every object must read back as a plain
-shadow buffer predicts, and every chunk's reference count must equal
-the references the chunk maps imply, with a clean scrub.
+cached chunks.  Drains in between flush them, and a chunk may be
+reverted to the content it had at an earlier drain: back to a chunk
+object that another pass's release may be dropping at that moment.
+After the drain every object must read back as a plain shadow buffer
+predicts, and every chunk's reference count must equal the references
+the chunk maps imply, with a clean scrub.
 
 Uses Hypothesis when available (CI installs it); skipped otherwise.
 """
@@ -43,13 +46,21 @@ def build_storage():
     return DedupedStorage(cluster, config, start_engine=False)
 
 
-#: A write: object, chunk index, start within the chunk, length, fill.
-write_strategy = st.tuples(
-    st.sampled_from(sorted(LAYOUT)),
-    st.integers(0, 3),
-    st.integers(0, CHUNK - 1),
-    st.integers(1, CHUNK // 4),
-    st.integers(0, 255),
+#: A write: object, chunk index, start within the chunk, length, fill;
+#: a revert of a chunk to its content ``back`` drains ago; or a drain.
+op_strategy = st.one_of(
+    st.tuples(
+        st.just("write"),
+        st.sampled_from(sorted(LAYOUT)),
+        st.integers(0, 3),
+        st.integers(0, CHUNK - 1),
+        st.integers(1, CHUNK // 4),
+        st.integers(0, 255),
+    ),
+    st.tuples(
+        st.just("revert"), st.sampled_from(sorted(LAYOUT)), st.integers(0, 3), st.integers(0, 2)
+    ),
+    st.tuples(st.just("drain")),
 )
 
 
@@ -65,8 +76,8 @@ def referenced(storage):
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(writes=st.lists(write_strategy, min_size=1, max_size=14))
-def test_drained_partial_chunks_read_back_as_the_shadow(writes):
+@given(ops=st.lists(op_strategy, min_size=1, max_size=14))
+def test_drained_partial_chunks_read_back_as_the_shadow(ops):
     storage = build_storage()
     shadow = {}
     for oid, blocks in LAYOUT.items():
@@ -74,22 +85,35 @@ def test_drained_partial_chunks_read_back_as_the_shadow(writes):
         storage.write_sync(oid, payload)
         shadow[oid] = bytearray(payload)
     storage.drain()  # flushed and evicted: later overwrites are partial
+    snapshots = [{oid: bytes(data) for oid, data in shadow.items()}]
 
     per_chunk = Counter()
-    for oid, idx, start, length, fill in writes:
-        chunks = len(LAYOUT[oid]) + (oid == "o0")
-        idx %= chunks
+    for op in ops:
+        if op[0] == "drain":
+            storage.engine.drain_sync(run_gc=False)
+            snapshots.append({oid: bytes(data) for oid, data in shadow.items()})
+            per_chunk.clear()
+            continue
+        oid = op[1]
+        idx = op[2] % (len(LAYOUT[oid]) + (oid == "o0"))
         if per_chunk[oid, idx] == 4:
             continue  # at most four cached ranges a chunk
+        offset = idx * CHUNK
+        if op[0] == "revert":
+            snapshot = snapshots[max(0, len(snapshots) - 1 - op[3])][oid]
+            patch = snapshot[offset : offset + CHUNK]
+            if not patch:
+                continue  # the chunk did not exist yet
+        else:
+            start, length, fill = op[3:]
+            offset += start
+            patch = bytes([fill]) * min(length, CHUNK - start)  # o0's tail may grow
         per_chunk[oid, idx] += 1
-        offset = idx * CHUNK + start
-        length = min(length, CHUNK - start)  # o0's tail chunk may grow
-        patch = bytes([fill]) * length
         storage.write_sync(oid, patch, offset=offset)
         data = shadow[oid]
-        if offset + length > len(data):
-            data.extend(bytes(offset + length - len(data)))
-        data[offset : offset + length] = patch
+        if offset + len(patch) > len(data):
+            data.extend(bytes(offset + len(patch) - len(data)))
+        data[offset : offset + len(patch)] = patch
     for oid, data in shadow.items():
         assert storage.read_sync(oid) == bytes(data), oid
 

@@ -1,0 +1,264 @@
+"""A worker pass hands its old-chunk release off at the map commit.
+
+When a strict-mode pass re-points chunk-map entries, it must drop the
+references to their old chunk objects once the map commits (§4.4.1
+step 3).  An engine worker does not wait for that: the release runs as
+a process of its own, which holds the object lock until it lands, and
+the worker takes its next dirty object.  These tests pin that the
+worker really moves on, that nothing can touch the object before the
+release lands, that a drain still returns with every reference settled,
+and that ``process_object`` (flush) still returns only after it.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.cluster import RadosCluster
+from repro.core import DedupConfig, DedupedStorage, scrub_sync
+from repro.core.scrub import collect_garbage_sync
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults.scenario import locks_left
+from repro.obs import Tracer, check_trace
+
+KiB = 1024
+CHUNK = 16 * KiB
+
+#: Simulated seconds of the drain in :func:`test_drain_time_is_pinned`
+#: when each worker waits for its pass's release before taking the next
+#: object.
+WAITING_DRAIN_S = 0.002037306149800615
+#: The same drain with the releases handed off.
+DRAIN_S = 0.0017778970718383765
+
+
+def make_storage(**config):
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    defaults = dict(chunk_size=CHUNK, dedup_interval=0.01, cache_on_flush=False)
+    defaults.update(config)
+    return DedupedStorage(cluster, DedupConfig(**defaults), start_engine=False)
+
+
+def original(oid):
+    """The content ``oid`` is first written with: one chunk of its own."""
+    return bytes([int(oid[3:]) + 1]) * CHUNK
+
+
+def flushed_then_patched(storage, oids):
+    """Each of ``oids`` (``objN``) one flushed, evicted chunk, then
+    overwritten mid-chunk: the next pass replaces the chunk and releases
+    the old."""
+    expected = {}
+    for oid in oids:
+        data = bytearray(original(oid))
+        storage.write_sync(oid, bytes(data))
+        expected[oid] = data
+    storage.drain()
+    for oid, data in expected.items():
+        storage.write_sync(oid, b"M" * 100, offset=6 * KiB)
+        data[6 * KiB : 6 * KiB + 100] = b"M" * 100
+    return {oid: bytes(data) for oid, data in expected.items()}
+
+
+def referenced(storage):
+    """chunk id -> how many chunk-map entries reference it."""
+    tier = storage.tier
+    counts = Counter()
+    for oid in storage.cluster.list_objects(tier.metadata_pool):
+        for entry in tier.peek_chunk_map(oid):
+            if entry.chunk_id:
+                counts[entry.chunk_id] += 1
+    return counts
+
+
+def assert_settled(storage):
+    """Every chunk's refcount is exactly its live references, scrub is
+    clean, and no lock is held."""
+    tier = storage.tier
+    counts = referenced(storage)
+    for chunk_id in storage.cluster.list_objects(tier.chunk_pool):
+        assert tier.chunk_refcount(chunk_id) == counts[chunk_id], chunk_id
+    assert scrub_sync(tier).clean
+    assert locks_left(storage) == []
+
+
+def test_a_worker_takes_its_next_object_before_the_release_lands():
+    storage = make_storage(engine_workers=2)
+    oids = [f"obj{i}" for i in range(6)]
+    expected = flushed_then_patched(storage, oids)
+    tier, sim = storage.tier, storage.sim
+    grants = []  # (task, oid, time) per object-lock grant
+    released = {}  # oid -> when its old-chunk release landed
+    writes = {}  # oid -> (issued, lock granted) of a write made at its commit
+    acquire = tier.object_locks.acquire
+    release_refs = tier.release_refs
+    note_map_committed = tier.note_map_committed
+
+    def recording_acquire(oid, held):
+        task = sim.current_task
+        grant = acquire(oid, held)
+        grant.subscribe(lambda _e: grants.append((task, oid, sim.now)))
+        return grant
+
+    def recording_release(pairs, via):
+        yield from release_refs(pairs, via)
+        released.setdefault(pairs[0][1].source_oid, sim.now)
+
+    def writer(oid):
+        # Back to the content of the chunk the release drops: if the
+        # write or the next pass got in first, the release would drop
+        # the reference that pass takes.
+        task, issued = sim.current_task, sim.now
+        yield from storage.write(oid, original(oid)[6 * KiB : 6 * KiB + 100], offset=6 * KiB)
+        granted = next(when for t, o, when in grants if t is task and o == oid)
+        writes[oid] = (issued, granted)
+
+    def write_at_commit(oid, cmap):
+        note_map_committed(oid, cmap)
+        if oid not in writes and oid not in released and len(writes) < 2:
+            writes[oid] = None
+            sim.process(writer(oid))
+
+    tier.object_locks.acquire = recording_acquire
+    tier.release_refs = recording_release
+    tier.note_map_committed = write_at_commit
+    storage.engine.drain_sync(run_gc=False)
+
+    assert sorted(released) == oids
+    by_task = {}
+    for task, oid, when in grants:
+        by_task.setdefault(task, []).append((oid, when))
+    moved_on = [
+        (prev, nxt)
+        for passes in by_task.values()
+        for (prev, _), (nxt, granted) in zip(passes, passes[1:])
+        if prev in released and granted < released[prev]
+    ]
+    assert moved_on, "no worker took its next object before a release landed"
+    assert len(writes) == 2
+    for oid, (issued, granted) in writes.items():
+        assert issued < released[oid] <= granted, oid
+    for oid, data in expected.items():
+        assert storage.read_sync(oid) == (original(oid) if oid in writes else data)
+    assert_settled(storage)
+
+
+def test_a_strict_drain_returns_with_every_reference_settled():
+    storage = make_storage(engine_workers=4)
+    expected = flushed_then_patched(storage, [f"obj{i}" for i in range(8)])
+    storage.engine.drain_sync(run_gc=False)
+    for oid, data in expected.items():
+        assert storage.read_sync(oid) == data
+    assert_settled(storage)
+
+
+def test_flush_returns_with_the_old_chunk_released():
+    storage = make_storage()
+    expected = flushed_then_patched(storage, ["obj0"])
+    tier = storage.tier
+    old = tier.peek_chunk_map("obj0").get(0).chunk_id
+    assert tier.chunk_refcount(old) == 1
+    storage.flush_sync("obj0")
+    assert not storage.cluster.exists(tier.chunk_pool, old)
+    assert storage.read_sync("obj0") == expected["obj0"]
+    assert_settled(storage)
+
+
+def test_drain_time_is_pinned():
+    storage = make_storage(engine_workers=2)
+    flushed_then_patched(storage, [f"obj{i}" for i in range(4)])
+    start = storage.sim.now
+    storage.engine.drain_sync(run_gc=False)
+    elapsed = storage.sim.now - start
+    assert elapsed == pytest.approx(DRAIN_S, rel=1e-9)
+    assert elapsed < WAITING_DRAIN_S
+    assert_settled(storage)
+
+
+def test_content_reverted_to_a_released_chunk_is_counted_exactly():
+    # A, then B, then A again in the same chunk of many objects: the
+    # chunk A's last release dropped comes back while other objects'
+    # releases of B are still in flight.
+    storage = make_storage(engine_workers=8)
+    oids = [f"obj{i}" for i in range(16)]
+    a = bytes([7]) * CHUNK
+    b = bytes([8]) * CHUNK
+    for content in (a, b):
+        for oid in oids:
+            storage.write_sync(oid, content)
+        storage.engine.drain_sync(run_gc=False)
+    for n, oid in enumerate(oids):
+        # Half revert the whole chunk, half only the bytes that differ
+        # from a chunk they share with the other half.
+        if n % 2:
+            storage.write_sync(oid, a)
+        else:
+            storage.write_sync(oid, a[: CHUNK // 2], offset=0)
+            storage.write_sync(oid, a[CHUNK // 2 :], offset=CHUNK // 2)
+    storage.engine.drain_sync(run_gc=False)
+    for oid in oids:
+        assert storage.read_sync(oid) == a
+    (chunk_id,) = referenced(storage)
+    assert storage.tier.chunk_refcount(chunk_id) == len(oids)
+    assert_settled(storage)
+
+
+def release_window(oids):
+    """``(start, end)`` of the first handed-off release of a drain over
+    :func:`flushed_then_patched` ``oids``, from a traced dry run."""
+    storage = make_storage(engine_workers=2)
+    flushed_then_patched(storage, oids)
+    with Tracer(storage.sim) as tracer:
+        storage.engine.drain_sync(run_gc=False)
+    assert check_trace(tracer.to_records(), coverage_threshold=0.0) == []
+    span = next(s for s in tracer.spans if s.stage == "engine.derefs")
+    return span.start, span.end
+
+
+def test_a_release_that_faults_is_deferred_to_the_gc():
+    oids = ["obj0", "obj1"]
+    start, end = release_window(oids)
+    storage = make_storage(engine_workers=2)
+    expected = flushed_then_patched(storage, oids)
+    cluster = storage.cluster
+    now = storage.sim.now
+    injector = FaultInjector(cluster, FaultPlan([
+        FaultEvent(start - now, "transient_errors", str(osd), duration=end - start,
+                   params={"probability": 1.0})
+        for osd in sorted(cluster.osds)
+    ], seed=1)).attach()
+    storage.engine.drain_sync(run_gc=False)
+    injector.detach()
+    assert storage.engine.stats.derefs_deferred_fault >= 1
+    assert locks_left(storage) == []
+    report = scrub_sync(storage.tier)
+    assert report.stale_references and not report.dangling_map_entries
+    assert collect_garbage_sync(storage.tier).references_dropped >= 1
+    for oid, data in expected.items():
+        assert storage.read_sync(oid) == data
+    assert_settled(storage)
+
+
+def test_a_release_error_that_is_not_retryable_is_raised_by_drain():
+    storage = make_storage(engine_workers=2)
+    expected = flushed_then_patched(storage, [f"obj{i}" for i in range(4)])
+    tier = storage.tier
+    release_refs = tier.release_refs
+    failed = []
+
+    def broken_release(pairs, via):
+        if not failed:
+            failed.append(pairs)
+            raise RuntimeError("boom")
+        yield from release_refs(pairs, via)
+
+    tier.release_refs = broken_release
+    with pytest.raises(RuntimeError, match="boom"):
+        storage.engine.drain_sync(run_gc=False)
+    assert locks_left(storage) == []
+    tier.release_refs = release_refs
+    storage.engine.drain_sync(run_gc=False)  # the error was reported once
+    assert collect_garbage_sync(tier).references_dropped == len(failed[0])
+    for oid, data in expected.items():
+        assert storage.read_sync(oid) == data
+    assert_settled(storage)

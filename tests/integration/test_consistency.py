@@ -156,3 +156,62 @@ def test_engine_crash_then_restart_via_rebuild():
     for i in range(6):
         assert storage.read_sync(f"obj{i}") == bytes([i]) * 1024
         assert storage.tier.peek_chunk_map(f"obj{i}").all_clean()
+
+
+@pytest.mark.parametrize("kill_after", [0.0, 2e-5, 6e-5, 1.2e-4, 2e-4])
+def test_crash_inside_a_handed_off_release_only_over_retains(kill_after):
+    """A worker pass hands its old-chunk release to a process of its own
+    and moves on.  Kill that process at any instant: the old chunk is at
+    worst over-retained (never dangling), the lock is freed, the drain
+    reports the crash, and GC reclaims what the release did not drop."""
+    from repro.core import DedupEngine, scrub_sync
+    from repro.core.scrub import collect_garbage_sync
+    from repro.faults.scenario import locks_left
+    from repro.sim import Interrupt
+
+    storage = make_storage(engine_workers=2)
+    sim = storage.sim
+    old = {f"obj{i}": bytes([i + 1]) * 3072 for i in range(4)}
+    # Each write re-points two chunks: every kill point below lands
+    # inside the first release (~260 us).
+    new = {oid: data[:1000] + b"N" * 100 + data[1100:] for oid, data in old.items()}
+    for oid, data in old.items():
+        storage.write_sync(oid, data)
+    storage.drain()
+    for oid, data in new.items():
+        storage.write_sync(oid, data[1000:1100], offset=1000)
+    engine = storage.engine
+    start_release = engine._release
+    killed = []
+
+    def release(*args):
+        if not killed:
+            task = sim.current_task
+            killed.append(task)
+
+            def killer():
+                yield sim.timeout(kill_after)
+                task.interrupt("crash")
+
+            sim.process(killer())
+        return (yield from start_release(*args))
+
+    engine._release = release
+    with pytest.raises(Interrupt):  # the drain reports the crash
+        storage.engine.drain_sync(run_gc=False)
+    assert isinstance(killed[0].exception, Interrupt)
+    assert locks_left(storage) == []
+    for oid, data in new.items():
+        assert storage.read_sync(oid) == data
+    report = scrub_sync(storage.tier)
+    assert report.stale_references  # over-retained ...
+    assert not report.dangling_map_entries and not report.corrupt_chunks  # ... only
+    # A restarted engine (its in-memory state is gone) converges, and
+    # GC drops whatever the killed release left over-retained.
+    storage.engine = DedupEngine(storage.tier)
+    storage.tier.rebuild_dirty_list()
+    storage.engine.drain_sync(run_gc=False)
+    collect_garbage_sync(storage.tier)
+    assert scrub_sync(storage.tier).clean
+    for oid, data in new.items():
+        assert storage.read_sync(oid) == data

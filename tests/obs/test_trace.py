@@ -239,3 +239,36 @@ def test_processes_of_another_simulator_are_not_traced():
         assert len(tracer) == 0
         traced.write_sync("a", b"x" * KiB)
     assert {s.trace_id for s in tracer.spans} == {tracer.spans[0].span_id}
+
+
+def test_a_handed_off_release_stays_a_child_of_its_pass():
+    # Worker passes that replace a flushed chunk hand the old chunk's
+    # release to a process of their own and take the next object: the
+    # release's span is still its pass's child, and the pass's span
+    # lasts until it ends.
+    storage = make_storage(engine_workers=2, cache_on_flush=False)
+    for i in range(4):
+        storage.write_sync(f"o-{i}", bytes([i + 1]) * (16 * KiB))
+    storage.drain()
+    for i in range(4):
+        storage.write_sync(f"o-{i}", b"M" * 100, offset=4 * KiB)
+    with Tracer(storage.sim) as tracer:
+        storage.drain()
+    records = tracer.to_records()
+    assert check_trace(records) == []
+    by_id = {r["span_id"]: r for r in records}
+    derefs = [r for r in records if r["stage"] == "engine.derefs"]
+    passes = [r for r in records if r["stage"] == "op.dedup_pass"]
+    assert len(derefs) == len(passes) == 4
+    for record in derefs:
+        parent = by_id[record["parent_id"]]
+        assert parent["stage"] == "op.dedup_pass"
+        assert parent["end"] == record["end"]
+    # A worker's next pass started while its last one's release was in
+    # flight: more passes were open at once than there are workers.
+    edges = sorted([(p["start"], 1) for p in passes] + [(p["end"], -1) for p in passes])
+    open_now = peak = 0
+    for _when, delta in edges:
+        open_now += delta
+        peak = max(peak, open_now)
+    assert peak > 2

@@ -120,10 +120,11 @@ step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
 
 # -- paper-benches job ------------------------------------------------------
 # Every paper figure/table bench at fast size (~1 min 40 s); each asserts
-# the shape its figure reports.
+# the shape its figure reports.  The results tables are kept in
+# paper-benches.txt, as CI keeps them in an artifact.
 step "paper-benches: paper figures and tables, fast mode" \
-    env PYTHONPATH=src REPRO_BENCH_FAST=1 python -m pytest -q benchmarks \
-    --ignore=benchmarks/e2e --benchmark-disable
+    bash -o pipefail -c 'PYTHONPATH=src REPRO_BENCH_FAST=1 python -m pytest -q \
+        benchmarks --ignore=benchmarks/e2e --benchmark-disable | tee paper-benches.txt'
 
 # -- obs-smoke job ----------------------------------------------------------
 step "obs-smoke: traced workload + integrity checks" \

@@ -43,6 +43,10 @@ __all__ = ["Client", "RadosCluster", "NotEnoughReplicas"]
 
 _needs_backfill = attrgetter("needs_backfill")
 
+#: Transaction ops that leave an EC object's payload as it is: a shard
+#: applies them without the stripe being decoded or re-encoded.
+_SHARD_LOCAL_OPS = frozenset(("setxattr", "rmxattr", "omap_set", "omap_rm"))
+
 
 class NotEnoughReplicas(RuntimeError):
     """Fewer than ``min_size`` copies/shards are writable or readable.
@@ -285,10 +289,12 @@ class RadosCluster:
         skipped — it rejoins stale and recovery reconciles it, exactly
         as for a crash before the write.
 
-        On an erasure-coded pool any mutation is a full-stripe
+        On an erasure-coded pool the same protocol runs over shards
+        (:meth:`_ec_encode`): a payload change is a full-stripe
         read-modify-write (decode, apply, re-encode, rewrite all
         shards) — the cost that makes EC random writes so slow in the
-        paper's Figure 12.
+        paper's Figure 12 — while an xattr/omap update or a remove goes
+        to each shard as it stands.
 
         Returns the generator of :meth:`_submit`, the pipeline shared
         with :meth:`submit_batch`, rather than wrapping it: a wrapping
@@ -313,11 +319,10 @@ class RadosCluster:
         in :meth:`submit`, an OSD that dies after its prepare is
         skipped at commit as long as each group keeps quorum.)
 
-        On an erasure-coded pool each mutation is an independent
-        full-stripe read-modify-write, so nothing merges; items are
-        applied sequentially and a mid-batch fault leaves a committed
-        prefix — callers that need batch atomicity on EC must undo
-        (the dedup tier falls back to per-op commits there).
+        On an erasure-coded pool each object is a group of its own
+        (its shards are distinct transactions), but every shard of
+        every group still prepares before any commits: an EC batch is
+        all-or-nothing too.
         """
         items = [(oid, txn) for oid, txn in items if len(txn)]
         return self._submit(pool, items, client)
@@ -344,18 +349,18 @@ class RadosCluster:
            has its payload forwarded primary to primary.  When no remap
            was active at either point and the map epoch has not moved,
            step 1's resolution still holds and is reused.
-        4. Prepare every replica of every group, check quorum for all
-           groups, then commit all of them — one fault anywhere and
-           nothing is mutated.  Release; ack.
+        4. On an EC pool, encode: each group's transaction becomes one
+           transaction per shard (:meth:`_ec_encode`), on the primary.
+        5. Prepare every replica (shard) of every group, check quorum
+           for all groups, then commit all of them — one fault anywhere
+           and nothing is mutated.  Drop the parked copies of every
+           rewritten stripe; release; ack.
         """
         if not items:
             return
         keys = [ObjectKey(pool.pool_id, pool.pg_of(oid), oid) for oid, _txn in items]
         single = len(items) == 1
-        if pool.is_ec:
-            for oid, txn in items:
-                yield from self._ec_submit(pool, oid, txn, client)
-            return
+        ec = pool.is_ec
         client = client or self._default_client
         sent: Dict[int, Tuple[Node, int]] = {}  # item -> (node, payload bytes)
         sends = []
@@ -389,9 +394,11 @@ class RadosCluster:
                 and epoch == self.cluster_map.epoch
             ):
                 groups = self._commit_groups(pool, keys)
-            plan = []  # (txn, replicas, payload bytes) per group
+            plan = []  # (primary, [(OSD, txn, payload bytes)]) per group
+            stripes = []  # keys of the EC objects whose stripe is rewritten
             for _gid, targets, members in groups:
-                node = targets[0].node
+                primary = targets[0]
+                node = primary.node
                 nbytes = 0
                 for i in members:
                     src, size = sent[i]
@@ -404,12 +411,19 @@ class RadosCluster:
                     txn = Transaction()
                     for i in members:
                         txn.ops.extend(items[i][1].ops)
-                plan.append((txn, targets, nbytes))
+                if ec:
+                    key = keys[members[0]]
+                    shards, stripe = yield from self._ec_encode(pool, key, txn, primary)
+                    if stripe:
+                        stripes.append(key)
+                    plan.append((primary, [(osd, t, t.io_bytes) for osd, t in shards]))
+                else:
+                    plan.append((primary, [(osd, txn, nbytes) for osd in targets]))
             jobs = []
-            for txn, targets, nbytes in plan:
-                for osd in targets:
+            for primary, shards in plan:
+                for osd, txn, nbytes in shards:
                     jobs.append(self.sim.process(
-                        self._replica_prepare(targets[0], osd, txn, nbytes)
+                        self._replica_prepare(primary, osd, txn, nbytes)
                     ))
             yield self.sim.all_of(jobs)
             # Commit point: every replica of every group prepared and
@@ -419,17 +433,19 @@ class RadosCluster:
             # and recovery reconciles it), but a group that lost
             # quorum aborts the whole batch before anything applies.
             survivors = []
-            for txn, targets, _nbytes in plan:
-                alive = [osd for osd in targets if osd.info.up]
+            for _primary, shards in plan:
+                alive = [(osd, txn) for osd, txn, _nbytes in shards if osd.info.up]
                 if len(alive) < pool.redundancy.min_size:
                     raise NotEnoughReplicas(
-                        f"{len(alive)}/{len(targets)} replicas survived "
+                        f"{len(alive)}/{len(shards)} replicas survived "
                         f"prepare; need {pool.redundancy.min_size}"
                     )
-                survivors.append((txn, alive))
-            for txn, alive in survivors:
-                for osd in alive:
+                survivors.append(alive)
+            for alive in survivors:
+                for osd, txn in alive:
                     osd.commit_transaction(txn)
+            for key in stripes:
+                self._purge_parked_ec_copies(pool, key)
         finally:
             self.write_locks.release(held)
         yield self._rpc_latency()  # ack to client
@@ -450,20 +466,30 @@ class RadosCluster:
         migration pass of its own (the rebalancer merely trims the
         old-side copies when it retires the PG).
 
+        On an EC pool every object is a group of its own, on the up
+        members of the *strict* CRUSH acting set in slot order: the
+        shard index is the slot, so a mid-remap stripe write lands whole
+        on the new acting set (the encode step picks the shards).
+
         Raises :class:`NotEnoughReplicas` when a group has fewer than
         ``min_size`` replicas up.
         """
         remaps = self._active_remaps
+        ec = pool.is_ec
         groups: Dict[Tuple[int, str], Tuple[Tuple[int, str], List[OSD], List[int]]] = {}
         for i, key in enumerate(keys):
             pg = key.pg
             remapped = (pool.pool_id, pg) in remaps if remaps else False
-            gid = (pg, key.name) if remapped else (pg, "")
+            gid = (pg, key.name) if remapped or ec else (pg, "")
             group = groups.get(gid)
             if group is None:
-                up = self._up_subset(self._acting_osds(pool, pg))
-                if remapped:
-                    up = [osd for osd in up if osd.store.exists(key)] or up
+                if ec:
+                    up = [self.osds[n] for n in pool.acting_set(pg)]
+                    up = [osd for osd in up if osd.info.up]
+                else:
+                    up = self._up_subset(self._acting_osds(pool, pg))
+                    if remapped:
+                        up = [osd for osd in up if osd.store.exists(key)] or up
                 if len(up) < pool.redundancy.min_size:
                     raise NotEnoughReplicas(
                         f"{len(up)} replicas up for {key.name!r} in pg {pg}; "
@@ -489,9 +515,6 @@ class RadosCluster:
         client: Optional[Client] = None,
     ):
         """Process: replace the whole object payload."""
-        if pool.is_ec:
-            yield from self._ec_write_full(pool, oid, data, client)
-            return
         key = self.object_key(pool, oid)
         txn = Transaction().write_full(key, data)
         yield from self.submit(pool, oid, txn, client)
@@ -511,9 +534,6 @@ class RadosCluster:
         """Process: delete the object from every replica/shard."""
         key = self.object_key(pool, oid)
         txn = Transaction().remove(key)
-        if pool.is_ec:
-            yield from self._ec_each_shard(pool, key, txn)
-            return
         yield from self.submit(pool, oid, txn, client)
 
     def read(
@@ -595,9 +615,6 @@ class RadosCluster:
         """Process: set one xattr on all replicas/shards."""
         key = self.object_key(pool, oid)
         txn = Transaction().setxattr(key, name, value)
-        if pool.is_ec:
-            yield from self._ec_each_shard(pool, key, txn)
-            return
         yield from self.submit(pool, oid, txn, client)
 
     def omap_get(self, pool: Pool, oid: str, name: str):
@@ -614,85 +631,6 @@ class RadosCluster:
         return list(primary.store.get(key).omap.keys())
 
     # -- EC data path -------------------------------------------------------------
-
-    def _ec_acting_for_write(self, pool: Pool, oid: str) -> List[Optional[OSD]]:
-        # Always the *strict* CRUSH acting set: shard index == slot
-        # position, so a mid-remap stripe write lands whole on the new
-        # acting set (the parked old shards are purged under the same
-        # lock — see _purge_parked_ec_copies).
-        acting = [self.osds[i] for i in pool.acting_set_for(oid)]
-        up = [o if o.up else None for o in acting]
-        if sum(o is not None for o in up) < pool.redundancy.min_size:
-            raise NotEnoughReplicas(
-                f"only {sum(o is not None for o in up)} shards writable for {oid!r}"
-            )
-        return up
-
-    def _ec_write_full(self, pool: Pool, oid: str, data: bytes, client: Optional[Client]):
-        client = client or self._default_client
-        key = self.object_key(pool, oid)
-        primary = next(o for o in self._ec_acting_for_write(pool, oid) if o is not None)
-        yield from self._transfer(client.nic, primary.node.nic, len(data))
-        held: list = []
-        try:
-            yield self.write_locks.acquire(key, held)
-            yield from self._ec_write_full_locked(pool, oid, data, client)
-            self._purge_parked_ec_copies(pool, oid, key)
-        finally:
-            self.write_locks.release(held)
-        yield self._rpc_latency()
-
-    def _ec_write_full_locked(
-        self,
-        pool: Pool,
-        oid: str,
-        data: bytes,
-        client: Optional[Client],
-        extra_xattrs: Optional[Dict[str, bytes]] = None,
-        omap: Optional[Dict[str, bytes]] = None,
-        replace_metadata: bool = False,
-    ):
-        key = self.object_key(pool, oid)
-        slots = self._ec_acting_for_write(pool, oid)
-        primary = next(o for o in slots if o is not None)
-        # Encode on the primary's CPU.
-        yield from primary.node.cpu.execute(primary.node.cpu.spec.ec_time(len(data)))
-        shards = pool.codec.encode(data)
-        planned = []
-        for idx, osd in enumerate(slots):
-            if osd is None:
-                continue  # degraded: this shard is skipped until recovery
-            txn = Transaction().write_full(key, shards[idx])
-            for name, value in _shard_xattrs(len(data), idx, shards[idx]).items():
-                txn.setxattr(key, name, value)
-            if replace_metadata and osd.store.exists(key):
-                # Full-stripe RMW replaces user metadata: drop keys the
-                # new state no longer carries.
-                current = osd.store.get(key)
-                for name in _user_xattrs(current):
-                    if name not in (extra_xattrs or {}):
-                        txn.rmxattr(key, name)
-                stale_omap = [
-                    name for name in current.omap if name not in (omap or {})
-                ]
-                if stale_omap:
-                    txn.omap_rm(key, stale_omap)
-            for name, value in (extra_xattrs or {}).items():
-                txn.setxattr(key, name, value)
-            if omap:
-                txn.omap_set(key, omap)
-            planned.append((osd, txn, len(shards[idx])))
-        # Same two-phase shape as replicated submit: prepare every
-        # shard (can fail), then commit instantly so a mid-stripe fault
-        # cannot leave mixed-generation shards behind.
-        jobs = [
-            self.sim.process(self._replica_prepare(primary, osd, txn, nbytes))
-            for osd, txn, nbytes in planned
-        ]
-        yield self.sim.all_of(jobs)
-        for osd, txn, _ in planned:
-            if osd.up:
-                osd.commit_transaction(txn)
 
     def _ec_read(self, pool: Pool, oid: str, client: Optional[Client]):
         client = client or self._default_client
@@ -738,51 +676,6 @@ class RadosCluster:
             yield from self._transfer(holder.node.nic, primary.node.nic, len(shard))
         return (idx, shard)
 
-    def _ec_submit(self, pool: Pool, oid: str, txn: Transaction, client: Optional[Client]):
-        """Process: apply a transaction on an EC pool via full-stripe RMW."""
-        client = client or self._default_client
-        key = self.object_key(pool, oid)
-        yield from self._transfer(
-            client.nic, self._primary(pool, oid, key.pg).node.nic, txn.io_bytes
-        )
-        held: list = []
-        try:
-            yield self.write_locks.acquire(key, held)
-            acting = self._acting_osds(pool, key.pg)
-            holder = next(
-                (o for o in acting if o.up and o.store.exists(key)), None
-            )
-            scratch = ObjectStore()
-            if holder is not None:
-                data = yield from self._ec_read_internal(pool, oid)
-                current = holder.store.get(key)
-                scratch.put_object(
-                    key,
-                    StoredObject(
-                        data=data,
-                        xattrs=_user_xattrs(current),
-                        omap=dict(current.omap),
-                    ),
-                )
-            scratch.apply(txn)
-            if not scratch.exists(key):
-                yield from self._ec_each_shard(pool, key, Transaction().remove(key))
-                return
-            obj = scratch.get(key)
-            yield from self._ec_write_full_locked(
-                pool,
-                oid,
-                obj.read(),
-                client,
-                extra_xattrs=dict(obj.xattrs),
-                omap=dict(obj.omap),
-                replace_metadata=True,
-            )
-            self._purge_parked_ec_copies(pool, oid, key)
-        finally:
-            self.write_locks.release(held)
-        yield self._rpc_latency()
-
     def _ec_read_internal(self, pool: Pool, oid: str):
         """Process: EC read delivered to the primary (no client hop)."""
         acting = self._acting_osds(pool, pool.pg_of(oid))
@@ -790,19 +683,78 @@ class RadosCluster:
         data = yield from self._ec_read(pool, oid, _NodeAsClient(primary.node))
         return data
 
-    def _ec_each_shard(self, pool: Pool, key: ObjectKey, txn: Transaction):
-        """Process: run ``txn`` on every up holder of one of ``key``'s
-        shards at once (a remove or xattr update touches no payload, so
-        no stripe is re-encoded)."""
-        jobs = [
-            self.sim.process(osd.execute_transaction(txn))
-            for osd in self._up_subset(self._acting_osds(pool, key.pg))
-            if osd.store.exists(key)
-        ]
-        if jobs:
-            yield self.sim.all_of(jobs)
+    def _ec_encode(self, pool: Pool, key: ObjectKey, txn: Transaction, primary: OSD):
+        """Process: the encode step of :meth:`_submit` for one EC object.
 
-    def _purge_parked_ec_copies(self, pool: Pool, oid: str, key: ObjectKey) -> None:
+        Returns ``(shards, stripe)``: the ``(OSD, transaction)`` pairs
+        that apply ``txn`` to ``key``'s shards, and whether they rewrite
+        the whole stripe.
+
+        * A transaction of xattr/omap ops only, or one that ends by
+          removing the object, leaves every shard's payload as it is: it
+          goes as it stands to every up holder of a shard, parked copies
+          of a mid-remap PG included (so they stay the same generation),
+          with no decode and no encode.
+        * Any other transaction changes the payload.  ``primary`` reads
+          and decodes the stripe (not when ``txn`` starts by replacing
+          the payload), applies ``txn``, encodes the result on its CPU
+          and rewrites the shard of every up slot of the strict CRUSH
+          acting set, the object's metadata with it.
+        """
+        holders = [
+            osd for osd in self._acting_osds(pool, key.pg)
+            if osd.up and osd.store.exists(key)
+        ]
+        kinds = {op[0] for op in txn.ops}
+        if (
+            holders
+            and kinds - {"remove"} <= _SHARD_LOCAL_OPS
+            and ("remove" not in kinds or txn.ops[-1][0] == "remove")
+        ):
+            return [(osd, txn) for osd in holders], False
+        scratch = ObjectStore()
+        if holders:
+            current = holders[0].store.get(key)
+            data = b""
+            if txn.ops[0][0] != "write_full":
+                data = yield from self._ec_read_internal(pool, key.name)
+            scratch.put_object(
+                key, StoredObject(data, _user_xattrs(current), dict(current.omap))
+            )
+        scratch.apply(txn)
+        if not scratch.exists(key):
+            return [(osd, Transaction().remove(key)) for osd in holders], False
+        obj = scratch.get(key)
+        data = obj.read()
+        yield from primary.node.cpu.execute(primary.node.cpu.spec.ec_time(len(data)))
+        encoded = pool.codec.encode(data)
+        shards = []
+        for idx, osd_id in enumerate(pool.acting_set(key.pg)):
+            osd = self.osds[osd_id]
+            if not osd.up:
+                continue  # degraded: this shard is skipped until recovery
+            shard = encoded[idx]
+            shard_txn = Transaction().write_full(key, shard)
+            for name, value in _shard_xattrs(len(data), idx, shard).items():
+                shard_txn.setxattr(key, name, value)
+            if osd.store.exists(key):
+                # The stripe replaces the object's metadata: drop what
+                # the new state no longer carries.
+                current = osd.store.get(key)
+                for name in _user_xattrs(current):
+                    if name not in obj.xattrs:
+                        shard_txn.rmxattr(key, name)
+                stale = [name for name in current.omap if name not in obj.omap]
+                if stale:
+                    shard_txn.omap_rm(key, stale)
+            for name, value in obj.xattrs.items():
+                shard_txn.setxattr(key, name, value)
+            if obj.omap:
+                shard_txn.omap_set(key, obj.omap)
+            shards.append((osd, shard_txn))
+        return shards, True
+
+    def _purge_parked_ec_copies(self, pool: Pool, key: ObjectKey) -> None:
         """Drop shards parked outside the strict acting set (mid-remap).
 
         A full-stripe write lands the whole new generation on the new

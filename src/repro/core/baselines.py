@@ -22,7 +22,7 @@ from ..cluster import NoSuchObject, Pool, RadosCluster, Transaction
 from ..fingerprint import fingerprint
 from .config import DedupConfig
 from .objects import ChunkMap, ChunkMapEntry, ChunkRef
-from .tier import DedupTier
+from .tier import ChunkBatch, DedupTier
 
 __all__ = [
     "DedupPotential",
@@ -223,10 +223,12 @@ class InlineDedupStorage:
             yield from primary.node.cpu.fingerprint(len(chunk_bytes))
             fp = fingerprint(chunk_bytes)
             ref = ChunkRef(tier.metadata_pool.pool_id, oid, cstart)
-            if old_id and old_id != fp:
-                yield from tier.chunk_deref(old_id, ref, client)
             if old_id != fp:
-                yield from tier.chunk_ref(fp, ref, chunk_bytes, client)
+                batch = ChunkBatch()
+                if old_id:
+                    batch.deref(old_id, ref)
+                batch.ref(fp, ref, chunk_bytes)
+                yield from tier.commit_chunk_batch(batch, client)
             cmap.set(
                 ChunkMapEntry(
                     offset=cstart,

@@ -274,11 +274,10 @@ class DedupEngine:
         txn = Transaction()
         taken = []  # (chunk_id, ref) references acquired this pass
         pending_derefs = []  # old chunks to release once the map commits
-        # Batched mode: the pass accumulates its store-or-reference ops
-        # in a ChunkBatch and commits them at the end through one
-        # prepared transaction per placement group, instead of paying a
-        # serialized round trip per chunk.
-        batch = ChunkBatch() if tier.batching_enabled else None
+        # The pass accumulates its store-or-reference ops in a
+        # ChunkBatch and commits them at the end through one prepared
+        # round, instead of paying a serialized round trip per chunk.
+        batch = ChunkBatch()
         planned = []  # (batch op index, fp, ref, nbytes) awaiting commit
         changed = False
         # Stage 1 of the flush pipeline assembles each dirty chunk's
@@ -344,18 +343,8 @@ class DedupEngine:
                     # ranges if this pass aborts on a fault.
                     pending_derefs.append((entry.chunk_id, ref))
                 if entry.chunk_id != fp:
-                    if batch is not None:
-                        planned.append((len(batch.ops), fp, ref, len(data)))
-                        batch.ref(fp, ref, data)
-                    else:
-                        stored = yield from tier.chunk_ref(fp, ref, data, via)
-                        taken.append((fp, ref))
-                        if stored:
-                            self.stats.chunks_flushed += 1
-                            self.stats.bytes_flushed += len(data)
-                        else:
-                            self.stats.chunks_deduped += 1
-                            self.stats.bytes_deduped += len(data)
+                    planned.append((len(batch.ops), fp, ref, len(data)))
+                    batch.ref(fp, ref, data)
                 valid = entry.valid
                 if tier.cache.keep_cached_on_flush(oid):
                     if not entry.fully_cached():
@@ -374,7 +363,7 @@ class DedupEngine:
                 # Paper Figure 8, "object 2": when no chunk remains cached,
                 # the metadata object holds no data at all — only metadata.
                 txn.truncate(key, 0)
-            if batch is not None and batch:
+            if batch:
                 outcomes = yield from tier.commit_chunk_batch(batch, via)
                 for op_i, fp, ref, nbytes in planned:
                     taken.append((fp, ref))
@@ -456,9 +445,9 @@ class DedupEngine:
     def _apply_derefs(self, pairs, via):
         """Process: release old-chunk references after the map commits.
 
-        Strict refcounting drops the set now (one batched commit where
-        the chunk pool batches); ``false_positive`` just queues each
-        dereference in memory for the GC.
+        Strict refcounting drops the set now, in one batched commit;
+        ``false_positive`` just queues each dereference in memory for
+        the GC.
         """
         if self.refcount.name == "strict":
             yield from self._release_or_defer(pairs, via)
@@ -473,8 +462,8 @@ class DedupEngine:
         references an aborted pass took.  A release that itself faults
         leaves *over*-retained references (safe: the offline GC reclaims
         them); the refcount invariant "never dangling" holds either way.
-        The whole set is counted as deferred — exact for a batch
-        (all-or-nothing), an upper bound on the per-op path.
+        The release is one all-or-nothing batch, so a fault defers
+        exactly the whole set.
         """
         try:
             yield from self.tier.release_refs(pairs, via)

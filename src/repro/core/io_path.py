@@ -205,8 +205,8 @@ def delete_path(tier: DedupTier, oid: str, client=None):
     its chunks leave the cache manager's books; then every reference the
     map held is released through one
     :meth:`~repro.core.tier.DedupTier.release_refs` — a single batched
-    commit (one prepared transaction per placement group) on a
-    replicated chunk pool.  Chunk objects whose last reference this was
+    commit, all-or-nothing on either pool type.  Chunk objects whose
+    last reference this was
     disappear with it.  A crash or a retry give-up in between leaves
     only over-retained chunks (never dangling pointers, never a released
     prefix of a batch), which the offline GC reclaims — the same §4.6

@@ -79,9 +79,9 @@ class FalsePositiveRefcount:
         """Process: apply all queued dereferences (the GC pass).
 
         The whole backlog goes through
-        :meth:`~repro.core.tier.DedupTier.release_refs` — with batching
-        enabled, one prepared transaction per placement group instead of
-        one round trip per stale reference.
+        :meth:`~repro.core.tier.DedupTier.release_refs` as one batch —
+        one prepared round for every stale reference, on either pool
+        type.
         """
         queue, self._queue = self._queue, []
         yield from self.tier.release_refs(queue, via)

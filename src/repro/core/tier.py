@@ -520,107 +520,33 @@ class DedupTier:
                 return RefSet.deserialize(blob)
         return RefSet()
 
-    # repro-lint: flt-scope -- commit primitive: faults must propagate to the caller's scope (engine skip-and-requeue / io_path retries), which owns the undo policy
-    def chunk_ref(self, chunk_id: str, ref: ChunkRef, data: bytes, via):
-        """Process: store-or-reference a chunk object (§4.4.1 steps 4-5).
-
-        If no object exists at the content-derived location, store the
-        chunk with this first reference; otherwise only append reference
-        information — the write of the duplicate data never happens,
-        which *is* the deduplication.
-
-        With ``compress_chunks`` on, the payload is compressed before it
-        is stored (the chunk's *ID* is always the fingerprint of the
-        uncompressed content, so dedup detection is unaffected).
-
-        Returns True when the chunk data was newly stored.
-        """
-        held: list = []
-        try:
-            yield self.chunk_locks.acquire(chunk_id, held)
-            self.stage.ref_ops += 1
-            exists = self.chunk_exists(chunk_id)
-            refs = self._load_refs(chunk_id) if exists else RefSet()
-            refs.add(ref)
-            if not exists:
-                blob, encoding = data, b"raw"
-                if self.config.compress_chunks:
-                    node = getattr(via, "node", None)
-                    if node is not None:
-                        yield from node.cpu.execute(
-                            node.cpu.spec.compress_time(len(data))
-                        )
-                    coded = self.codec.compress(data)
-                    if len(coded) < len(data):
-                        blob, encoding = coded, b"zlib"
-                yield from self.cluster.write_full(self.chunk_pool, chunk_id, blob, via)
-                self.stage.flush_ops += 1
-                self.stage.flush_bytes += len(blob)
-                if self.config.compress_chunks:
-                    yield from self.cluster.setxattr(
-                        self.chunk_pool, chunk_id, CHUNK_ENCODING_XATTR, encoding, via
-                    )
-            yield from self.cluster.setxattr(
-                self.chunk_pool, chunk_id, REFS_XATTR, refs.serialize(), via
-            )
-            self.stage.ref_commits += 1
-            return not exists
-        finally:
-            self.chunk_locks.release(held)
-
-    # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); faults propagate to the caller's scope, which defers the deref to GC
-    def chunk_deref(self, chunk_id: str, ref: ChunkRef, via):
-        """Process: drop one reference; remove the chunk at zero refs.
-
-        Dereferencing a missing chunk or reference is a no-op (a crashed
-        dedup pass may retry a dereference that already happened — the
-        paper's §4.6 failure analysis relies on this idempotence).
-        """
-        held: list = []
-        try:
-            yield self.chunk_locks.acquire(chunk_id, held)
-            self.stage.ref_ops += 1
-            if not self.chunk_exists(chunk_id):
-                return
-            refs = self._load_refs(chunk_id)
-            if ref not in refs:
-                return
-            refs.discard(ref)
-            if len(refs) == 0:
-                yield from self.cluster.remove(self.chunk_pool, chunk_id, via)
-            else:
-                yield from self.cluster.setxattr(
-                    self.chunk_pool, chunk_id, REFS_XATTR, refs.serialize(), via
-                )
-            self.stage.ref_commits += 1
-        finally:
-            self.chunk_locks.release(held)
-
-    # -- batched reference commits --------------------------------------------
-
-    @property
-    def batching_enabled(self) -> bool:
-        """Whether dedup passes should batch their ref/deref commits.
-
-        EC chunk pools fall back to the per-op path: every EC mutation
-        is an independent full-stripe read-modify-write, so nothing
-        merges and a mid-batch fault would leave a committed prefix
-        (see :meth:`~repro.cluster.RadosCluster.submit_batch`).
-        """
-        return not self.chunk_pool.is_ec
+    # -- reference commits ------------------------------------------------------
 
     # repro-lint: flt-scope -- commit primitive: two-phase prepare makes a fault all-or-nothing; callers own the requeue/defer policy
     def commit_chunk_batch(self, batch: ChunkBatch, via):
         """Process: apply a pass's accumulated ref/deref ops at once.
 
+        The one way a chunk's references change (§4.4.1 steps 4-5):
+        the first reference stores the chunk object, a duplicate only
+        appends its reference record (the write of the duplicate data
+        never happens, which *is* the deduplication), and the last
+        dereference removes the object.  Dropping a reference a chunk
+        does not hold, or of a chunk that is gone, is a no-op (a crashed
+        pass may retry a release that already happened; §4.6 relies on
+        this idempotence).  With ``compress_chunks`` on, a stored
+        payload is compressed first; the chunk's ID stays the
+        fingerprint of the uncompressed content.
+
         Per-chunk final states (refcounts, payload stores, removals)
         are computed in memory under the chunk locks, then the whole
         batch is committed through
         :meth:`~repro.cluster.RadosCluster.submit_batch` — one prepared
-        transaction per placement group instead of one round trip per
-        refcount update.  A transient fault during the batched prepare
-        leaves no chunk object mutated, so the engine retries the batch
-        as a unit without undo.
+        transaction per placement group on a replicated chunk pool, one
+        per chunk on an EC one — and a chunk whose reference set the
+        batch leaves unchanged is not written at all.  A transient fault
+        during the prepare leaves no chunk object mutated, on either
+        pool type, so the caller retries the batch as a unit without
+        undo.
 
         Returns a list aligned with ``batch.ops``: ``True`` when that
         ref op newly stored the chunk payload, ``False`` when it
@@ -632,8 +558,7 @@ class DedupTier:
         per_chunk: "OrderedDict[str, List[Tuple[int, Tuple]]]" = OrderedDict()
         for i, op in enumerate(batch.ops):
             per_chunk.setdefault(op[1], []).append((i, op))
-        # Sorted acquisition: concurrent passes (and the per-op path,
-        # which holds at most one chunk lock) cannot deadlock.
+        # Sorted acquisition: concurrent batches cannot deadlock.
         held: list = []
         try:
             for cid in sorted(per_chunk):
@@ -645,6 +570,7 @@ class DedupTier:
                 existed = self.chunk_exists(cid)
                 refs = self._load_refs(cid) if existed else RefSet()
                 payload = None
+                changed = False
                 for i, op in ops:
                     if op[0] == "ref":
                         _, _, ref, data = op
@@ -653,9 +579,14 @@ class DedupTier:
                             outcomes[i] = True
                         else:
                             outcomes[i] = False
-                        refs.add(ref)
-                    else:
+                        if ref not in refs:
+                            refs.add(ref)
+                            changed = True
+                    elif op[2] in refs:
                         refs.discard(op[2])
+                        changed = True
+                if not changed:
+                    continue
                 key = self.cluster.object_key(self.chunk_pool, cid)
                 txn = Transaction()
                 if len(refs) == 0:
@@ -705,21 +636,15 @@ class DedupTier:
         """Process: release a set of ``(chunk_id, ref)`` references.
 
         The one way references are dropped: a single
-        :meth:`commit_chunk_batch` where batching applies (all-or-nothing
-        — a fault leaves *every* reference over-retained), else one
-        :meth:`chunk_deref` round trip each (an EC chunk pool, or a set
-        of one; a fault leaves the unreleased suffix over-retained).
-        Either way over-retained, never dangling, and idempotent: a
-        caller may retry the whole set or leave it to the GC.
+        :meth:`commit_chunk_batch` (a set of one is a batch of one).
+        All-or-nothing — a fault leaves *every* reference over-retained,
+        never dangling — and idempotent: a caller may retry the whole
+        set or leave it to the GC.
         """
-        if self.batching_enabled and len(pairs) > 1:
-            batch = ChunkBatch()
-            for chunk_id, ref in pairs:
-                batch.deref(chunk_id, ref)
-            yield from self.commit_chunk_batch(batch, via)
-            return
+        batch = ChunkBatch()
         for chunk_id, ref in pairs:
-            yield from self.chunk_deref(chunk_id, ref, via)
+            batch.deref(chunk_id, ref)
+        yield from self.commit_chunk_batch(batch, via)
 
     def read_chunk(self, chunk_id: str, offset: int, length: Optional[int], client):
         """Process: read chunk bytes from the chunk pool (redirection).

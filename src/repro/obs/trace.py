@@ -131,8 +131,6 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.core.tier", "DedupTier.read_local_chunk", "tier.read_local_chunk",
      lambda _self, oid, _offset, length: {"oid": oid, "nbytes": length}),
     ("repro.core.tier", "DedupTier.read_chunk", "tier.read_chunk", _chunk),
-    ("repro.core.tier", "DedupTier.chunk_ref", "tier.chunk_ref", _chunk),
-    ("repro.core.tier", "DedupTier.chunk_deref", "tier.chunk_deref", _chunk),
     ("repro.core.tier", "DedupTier.commit_chunk_batch", "tier.commit_chunk_batch",
      lambda _self, batch, *_a, **_k: {
          "ops": len(batch.ops), "chunks": len(batch.chunk_ids())}),

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import ErasureCoded, RadosCluster, Transaction
+from repro.cluster import ErasureCoded, NotEnoughReplicas, RadosCluster, Transaction
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
 
 
 @pytest.fixture
@@ -98,3 +99,53 @@ def test_ec_txn_degraded(setup):
     got = cluster.read_sync(pool, "obj")
     assert got[:3] == b"NEW"
     assert got[3:] == b"d" * 2997
+
+
+# -- acknowledged writes are never lost (one commit pipeline) ------------------
+
+
+def test_ec_write_full_needs_min_size_shards_after_prepare():
+    """Two of three shards die between their prepare and the commit
+    point: the stripe would keep one shard, below ``min_size``, so the
+    write must fail and leave no shard behind."""
+    cluster = RadosCluster(num_hosts=3, osds_per_host=1, pg_num=8)
+    pool = cluster.create_pool("ec", ErasureCoded(k=2, m=1))
+    slots = pool.acting_set_for("obj")
+    plan = FaultPlan(
+        [
+            FaultEvent(0.0, "slow_disk", str(slots[2]), duration=10.0,
+                       params={"factor": 200.0}),
+            FaultEvent(0.002, "osd_crash", str(slots[0])),
+            FaultEvent(0.002, "osd_crash", str(slots[1])),
+        ]
+    )
+    FaultInjector(cluster, plan, auto_recover=False).attach()
+    with pytest.raises(NotEnoughReplicas):
+        cluster.write_full_sync(pool, "obj", b"s" * 8192)
+    key = cluster.object_key(pool, "obj")
+    assert [o.osd_id for o in cluster.osds.values() if o.store.exists(key)] == []
+
+
+def test_ec_setxattr_during_partial_write_lands_after_it(setup):
+    """A setxattr issued while a partial write's read-modify-write is in
+    flight queues behind it: the write cannot carry the old xattr value
+    over the acknowledged new one."""
+    cluster, pool = setup
+    key = cluster.object_key(pool, "obj")
+    cluster.submit_sync(
+        pool, "obj",
+        Transaction().write_full(key, b"o" * 8192).setxattr(key, "tag", b"v1"),
+    )
+    sim = cluster.sim
+
+    def setxattr_later():
+        yield sim.timeout(0.0003)
+        yield from cluster.setxattr(pool, "obj", "tag", b"v2")
+
+    write = sim.process(cluster.write(pool, "obj", 1024, b"w" * 1024))
+    tag = sim.process(setxattr_later())
+    sim.run_until_complete(sim.all_of([write, tag]))
+    shards = [o.store.get(key) for o in cluster.osds.values() if o.store.exists(key)]
+    assert len(shards) == 3
+    assert [s.xattrs["tag"] for s in shards] == [b"v2"] * 3
+    assert cluster.read_sync(pool, "obj") == b"o" * 1024 + b"w" * 1024 + b"o" * 6144

@@ -1,17 +1,18 @@
 """Batched reference commits and the requeue-dedupe regression.
 
-The batched hot path (``ChunkBatch`` -> ``DedupTier.commit_chunk_batch``
--> ``RadosCluster.submit_batch``) must be observationally identical to
-the sequential ``chunk_ref``/``chunk_deref`` path: same refcounts, same
-chunk objects, same space report — for any interleaving of refs and
+``ChunkBatch`` -> ``DedupTier.commit_chunk_batch`` ->
+``RadosCluster.submit_batch`` is the one way a chunk's references
+change.  On a replicated and on an erasure-coded chunk pool alike it
+must match a plain model — chunk -> set of references, the payload
+stored iff the set is non-empty — for any interleaving of refs and
 derefs, and under injected transient faults (the batch prepares every
-placement group before committing any, and every op is idempotent, so a
-faulted attempt retries as a unit).
+placement group before committing any, so a faulted attempt changes no
+chunk object and retries as a unit).
 """
 
 import pytest
 
-from repro.cluster import RadosCluster
+from repro.cluster import ErasureCoded, RadosCluster, Replicated
 from repro.core import DedupConfig
 from repro.core.objects import ChunkRef
 from repro.core.tier import ChunkBatch, DedupTier, NodeClient
@@ -25,9 +26,18 @@ FPS = [fingerprint(p) for p in PAYLOADS]
 REFS = [ChunkRef(1, f"o{i}", i * 512) for i in range(4)]
 
 
-def make_tier():
+POOLS = pytest.mark.parametrize(
+    "chunk_redundancy",
+    [Replicated(2), ErasureCoded(k=2, m=1)],
+    ids=["replicated", "ec"],
+)
+
+
+def make_tier(chunk_redundancy=None):
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
-    tier = DedupTier(cluster, DedupConfig(chunk_size=1024))
+    tier = DedupTier(
+        cluster, DedupConfig(chunk_size=1024), chunk_redundancy=chunk_redundancy
+    )
     via = NodeClient(next(iter(cluster.nodes.values())))
     return tier, via
 
@@ -68,40 +78,48 @@ def test_requeue_after_drain_fires_again():
     assert tier.dirty_count == 1
 
 
-# -- batched == sequential equivalence --------------------------------------
+# -- batched commits == the model ----------------------------------------------
 
 
-def apply_sequential(tier, via, ops):
+def make_batch(ops):
+    batch = ChunkBatch()
     for kind, chunk_idx, ref_idx in ops:
         if kind == "ref":
-            tier.cluster.run(
-                tier.chunk_ref(FPS[chunk_idx], REFS[ref_idx], PAYLOADS[chunk_idx], via)
-            )
+            batch.ref(FPS[chunk_idx], REFS[ref_idx], PAYLOADS[chunk_idx])
         else:
-            tier.cluster.run(tier.chunk_deref(FPS[chunk_idx], REFS[ref_idx], via))
+            batch.deref(FPS[chunk_idx], REFS[ref_idx])
+    return batch
 
 
 def apply_batched(tier, via, ops, batch_size):
     for start in range(0, len(ops), batch_size):
-        batch = ChunkBatch()
-        for kind, chunk_idx, ref_idx in ops[start : start + batch_size]:
-            if kind == "ref":
-                batch.ref(FPS[chunk_idx], REFS[ref_idx], PAYLOADS[chunk_idx])
-            else:
-                batch.deref(FPS[chunk_idx], REFS[ref_idx])
-        tier.cluster.run(tier.commit_chunk_batch(batch, via))
+        tier.cluster.run(
+            tier.commit_chunk_batch(make_batch(ops[start : start + batch_size]), via)
+        )
 
 
-def assert_equivalent(batched_tier, sequential_tier):
-    for fp in FPS:
-        assert batched_tier.chunk_refcount(fp) == sequential_tier.chunk_refcount(fp)
-        assert batched_tier.cluster.exists(
-            batched_tier.chunk_pool, fp
-        ) == sequential_tier.cluster.exists(sequential_tier.chunk_pool, fp)
-    assert batched_tier.space_report() == sequential_tier.space_report()
+def model_of(ops):
+    """chunk index -> the set of references the ops leave on it."""
+    model = {i: set() for i in range(len(PAYLOADS))}
+    for kind, chunk_idx, ref_idx in ops:
+        if kind == "ref":
+            model[chunk_idx].add(REFS[ref_idx])
+        else:
+            model[chunk_idx].discard(REFS[ref_idx])
+    return model
 
 
-def test_mixed_batch_matches_sequential():
+def assert_matches_model(tier, ops):
+    for chunk_idx, refs in model_of(ops).items():
+        fp = FPS[chunk_idx]
+        assert set(tier._load_refs(fp)) == refs
+        assert tier.cluster.exists(tier.chunk_pool, fp) == bool(refs)
+        if refs:
+            assert tier.cluster.read_sync(tier.chunk_pool, fp) == PAYLOADS[chunk_idx]
+
+
+@POOLS
+def test_mixed_batch_matches_model(chunk_redundancy):
     ops = [
         ("ref", 0, 0),
         ("ref", 0, 1),
@@ -111,20 +129,20 @@ def test_mixed_batch_matches_sequential():
         ("deref", 2, 2),  # net no-op within one batch: chunk never created
         ("deref", 1, 3),  # deref of a reference never taken: no-op
     ]
-    batched, bvia = make_tier()
-    sequential, svia = make_tier()
-    apply_batched(batched, bvia, ops, batch_size=len(ops))
-    apply_sequential(sequential, svia, ops)
-    assert_equivalent(batched, sequential)
-    assert not batched.cluster.exists(batched.chunk_pool, FPS[2])
+    tier, via = make_tier(chunk_redundancy)
+    apply_batched(tier, via, ops, batch_size=len(ops))
+    assert_matches_model(tier, ops)
+    assert not tier.cluster.exists(tier.chunk_pool, FPS[2])
 
 
 def test_batch_to_zero_refs_removes_chunk():
-    batched, bvia = make_tier()
-    apply_batched(batched, bvia, [("ref", 0, 0), ("ref", 0, 1)], batch_size=2)
-    assert batched.chunk_refcount(FPS[0]) == 2
-    apply_batched(batched, bvia, [("deref", 0, 0), ("deref", 0, 1)], batch_size=2)
-    assert not batched.cluster.exists(batched.chunk_pool, FPS[0])
+    for chunk_redundancy in (Replicated(2), ErasureCoded(k=2, m=1)):
+        tier, via = make_tier(chunk_redundancy)
+        apply_batched(tier, via, [("ref", 0, 0), ("ref", 0, 1)], batch_size=2)
+        assert tier.chunk_refcount(FPS[0]) == 2
+        apply_batched(tier, via, [("deref", 0, 0), ("deref", 0, 1)], batch_size=2)
+        assert not tier.cluster.exists(tier.chunk_pool, FPS[0])
+        assert tier.cluster.list_objects(tier.chunk_pool) == []
 
 
 # -- property: ANY interleaving, ANY batch split ----------------------------
@@ -141,6 +159,7 @@ op_strategy = st.tuples(
 )
 
 
+@POOLS
 @settings(
     max_examples=20,
     deadline=None,
@@ -150,14 +169,25 @@ op_strategy = st.tuples(
     ops=st.lists(op_strategy, min_size=1, max_size=24),
     batch_size=st.integers(min_value=1, max_value=8),
 )
-def test_any_interleaving_batched_equals_sequential(ops, batch_size):
-    batched, bvia = make_tier()
-    sequential, svia = make_tier()
-    apply_batched(batched, bvia, ops, batch_size)
-    apply_sequential(sequential, svia, ops)
-    assert_equivalent(batched, sequential)
+def test_any_interleaving_matches_model(chunk_redundancy, ops, batch_size):
+    tier, via = make_tier(chunk_redundancy)
+    apply_batched(tier, via, ops, batch_size)
+    assert_matches_model(tier, ops)
 
 
+def chunk_objects(tier):
+    """Every stored copy/shard of every chunk object, by value."""
+    pool_id = tier.chunk_pool.pool_id
+    return {
+        (osd.osd_id, key): (obj.read(), dict(obj.xattrs))
+        for osd in tier.cluster.osds.values()
+        for key in osd.store.keys()
+        if key.pool_id == pool_id
+        for obj in [osd.store.get(key)]
+    }
+
+
+@POOLS
 @settings(
     max_examples=8,
     deadline=None,
@@ -168,47 +198,46 @@ def test_any_interleaving_batched_equals_sequential(ops, batch_size):
     batch_size=st.integers(min_value=1, max_value=8),
     fault_seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_batched_equals_sequential_under_faults(ops, batch_size, fault_seed):
-    """Transient faults on the batched side change nothing observable.
-
-    EIO windows and slow disks hit the batched cluster while a pristine
-    cluster runs the same ops sequentially; retrying a faulted batch as
-    a unit (legal because nothing commits before every group prepares,
-    and every op is idempotent) must converge to the same state.
-    """
+def test_faulted_attempts_change_nothing(chunk_redundancy, ops, batch_size, fault_seed):
+    """EIO windows and slow disks hit every batch: an attempt that
+    faults leaves every chunk object as it found it, and retrying the
+    batch as a unit converges to the model."""
     from repro.faults import FaultInjector, FaultPlan
     from repro.faults.retry import RetryPolicy, call_with_retries
 
-    batched, bvia = make_tier()
+    tier, via = make_tier(chunk_redundancy)
+    # The batches take a few simulated milliseconds, so the fault
+    # windows are drawn over that span.
     plan = FaultPlan.generate(
         seed=fault_seed,
-        horizon=2.0,
-        osd_ids=list(batched.cluster.osds),
+        horizon=0.003,
+        osd_ids=list(tier.cluster.osds),
         crash_rate=0.0,        # availability faults would need recovery,
-        partition_rate=0.0,    # not retry — out of scope for equivalence
+        partition_rate=0.0,    # not retry — out of scope here
         slow_rate=1.0,
-        eio_rate=1.5,
+        eio_rate=3.0,
     )
-    FaultInjector(batched.cluster, plan, auto_recover=True).attach()
+    FaultInjector(tier.cluster, plan, auto_recover=True).attach()
     policy = RetryPolicy(max_attempts=10, base_delay=0.01, max_delay=0.5)
 
+    def attempt(batch):
+        before = chunk_objects(tier)
+        try:
+            result = yield from tier.commit_chunk_batch(batch, via)
+        except Exception:
+            assert chunk_objects(tier) == before
+            raise
+        return result
+
     for start in range(0, len(ops), batch_size):
-        batch = ChunkBatch()
-        for kind, chunk_idx, ref_idx in ops[start : start + batch_size]:
-            if kind == "ref":
-                batch.ref(FPS[chunk_idx], REFS[ref_idx], PAYLOADS[chunk_idx])
-            else:
-                batch.deref(FPS[chunk_idx], REFS[ref_idx])
-        batched.cluster.run(
+        batch = make_batch(ops[start : start + batch_size])
+        tier.cluster.run(
             call_with_retries(
-                batched.cluster.sim,
+                tier.cluster.sim,
                 policy,
-                lambda b=batch: batched.commit_chunk_batch(b, bvia),
+                lambda b=batch: attempt(b),
                 op="commit_chunk_batch",
             )
         )
-    batched.cluster.sim.run()  # let remaining fault windows expire
-
-    sequential, svia = make_tier()
-    apply_sequential(sequential, svia, ops)
-    assert_equivalent(batched, sequential)
+    tier.cluster.sim.run()  # let remaining fault windows expire
+    assert_matches_model(tier, ops)

@@ -137,7 +137,7 @@ def test_delete_is_one_remove_and_one_batched_release():
     stages = stage_counts(tracer)
     assert stages["rados.submit"] == 1  # the metadata object's removal
     assert stages["rados.submit_batch"] == 1  # all 16 references
-    assert stages["tier.chunk_deref"] == 0
+    assert stages["tier.commit_chunk_batch"] == 1
     assert storage.cluster.list_objects(storage.tier.chunk_pool) == []
 
 
@@ -164,15 +164,9 @@ def test_delete_releases_exactly_its_own_references(chunk_redundancy):
     assert not storage.cluster.exists(tier.chunk_pool, fingerprint(alone))
     assert storage.read_sync("kept") == shared + twice
     assert scrub_sync(tier).clean
-    stages = stage_counts(tracer)
-    if tier.batching_enabled:
-        (commit,) = [s for s in tracer.spans if s.stage == "tier.commit_chunk_batch"]
-        assert commit.tags["ops"] == 4 and commit.tags["chunks"] == 3
-        assert stages["tier.chunk_deref"] == 0
-    else:
-        # An EC chunk pool cannot batch: one round trip per reference.
-        assert stages["tier.chunk_deref"] == 4
-        assert stages["tier.commit_chunk_batch"] == 0
+    # Either pool type: every reference in one batched commit.
+    (commit,) = [s for s in tracer.spans if s.stage == "tier.commit_chunk_batch"]
+    assert commit.tags["ops"] == 4 and commit.tags["chunks"] == 3
 
 
 def test_delete_racing_a_pass_that_shares_its_chunks():

@@ -88,8 +88,8 @@ def test_deadline_on_a_chunk_lock_grant_in_a_retried_delete(monkeypatch, hops):
 
 @pytest.mark.parametrize("hops", HOPS)
 def test_deadline_on_an_ec_write_lock_grant_in_a_retried_submit(monkeypatch, hops):
-    # write_path retries cluster.submit of the metadata object; on an EC
-    # pool that is _ec_submit, which queues on the object's write lock.
+    # write_path retries cluster.submit of the metadata object, which
+    # queues on the object's write lock on an EC pool as on any other.
     storage = make_storage(metadata_redundancy=ErasureCoded(k=2, m=1))
     sim, tier, cluster = storage.sim, storage.tier, storage.cluster
     assert tier.metadata_pool.is_ec

@@ -53,10 +53,11 @@ CLI_DIGESTS = {
 }
 
 SCENARIO_DIGEST = (
-    # Moved when an EC read-modify-write stopped copying the old shard's
-    # `_ec.crc` over each fresh one: the transaction no longer carries
-    # that second setxattr, so every shard write is 11 bytes shorter.
-    "2faf273d718f654701f1cf8d21ec2544a13e19388bcf3948563266f86a6ea827"
+    # Moved when EC mutations joined the one commit pipeline: a shard
+    # write now sends its whole transaction (the shard plus its `_ec.*`
+    # xattrs) from the primary, not the bare shard, so every EC op ends
+    # a fraction of a microsecond later; every outcome is as it was.
+    "84287cec6c4fd3fd742d9e2105817f0e07303dde90f6cd3648eb975a0227e3f3"
 )
 
 

@@ -795,19 +795,20 @@ class RadosCluster:
                     total += osd.store.get(key).footprint()
         return total
 
+    def payload_bytes(self, pool: Pool, oid: str) -> int:
+        """Payload bytes of one object, 0 when no acting OSD holds it
+        (map-time, no simulated cost)."""
+        key = self.object_key(pool, oid)
+        for osd in self._acting_osds(pool, key.pg):
+            if osd.store.exists(key):
+                if pool.is_ec:
+                    return _payload_length(osd.store.get(key))
+                return osd.store.stat(key)
+        return 0
+
     def pool_logical_bytes(self, pool: Pool) -> int:
         """Payload bytes counting each object once (primary copy)."""
-        total = 0
-        for oid in self.list_objects(pool):
-            key = self.object_key(pool, oid)
-            for osd in self._acting_osds(pool, key.pg):
-                if osd.store.exists(key):
-                    if pool.is_ec:
-                        total += _payload_length(osd.store.get(key))
-                    else:
-                        total += osd.store.stat(key)
-                    break
-        return total
+        return sum(self.payload_bytes(pool, oid) for oid in self.list_objects(pool))
 
     def total_used_bytes(self) -> int:
         """Raw bytes used across every OSD."""

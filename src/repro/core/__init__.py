@@ -27,14 +27,12 @@ from .objects import (
     CHUNK_MAP_ENTRY_BYTES,
     CHUNK_MAP_XATTR,
     REFERENCE_ENTRY_BYTES,
-    REFS_XATTR,
     ChunkMap,
     ChunkMapEntry,
     ChunkRef,
     RefSet,
 )
 from .rate_control import OpWindow, RateController
-from .refcount import FalsePositiveRefcount, StrictRefcount, make_refcounter
 from .scrub import (
     GcReport,
     ScrubReport,
@@ -61,14 +59,10 @@ __all__ = [
     "CHUNK_MAP_ENTRY_BYTES",
     "REFERENCE_ENTRY_BYTES",
     "CHUNK_MAP_XATTR",
-    "REFS_XATTR",
     "CacheManager",
     "HitSet",
     "OpWindow",
     "RateController",
-    "StrictRefcount",
-    "FalsePositiveRefcount",
-    "make_refcounter",
     "ScrubReport",
     "scrub",
     "scrub_sync",

@@ -174,7 +174,8 @@ class DedupedStorage:
         self.cluster.run(self.flush(oid))
 
     def drain(self) -> None:
-        """Deduplicate everything pending (ignores hotness), then GC.
+        """Deduplicate everything pending (ignores hotness), then run the
+        GC over the false-positive deref queue (empty in strict mode).
 
         Runs up to ``config.engine_workers`` forced passes at once — see
         :meth:`DedupEngine.drain <repro.core.engine.DedupEngine.drain>`.

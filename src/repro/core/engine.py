@@ -41,13 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from ..cluster import Transaction
 from ..faults.errors import is_retryable
 from ..fingerprint import timed_fingerprint
 from .objects import ChunkRef
-from .refcount import make_refcounter
+from .scrub import collect_garbage
 from .tier import ChunkBatch, DedupTier, NodeClient
 
 __all__ = ["DedupEngine", "EngineStats"]
@@ -125,7 +125,10 @@ class DedupEngine:
         self.config = tier.config
         self.sim = tier.sim
         self.stats = EngineStats()
-        self.refcount = make_refcounter(tier)
+        #: ``refcount_mode="false_positive"`` (§4.6): the old-chunk
+        #: dereferences of committed passes, queued for the GC instead
+        #: of released (always empty in strict mode).
+        self.deref_queue: List[Tuple[str, ChunkRef]] = []
         self._running = False
         self._procs = []
         self._promoting = set()
@@ -241,7 +244,7 @@ class DedupEngine:
             result, derefs, via = yield from self._process_object_locked(oid, force)
             if (
                 derefs
-                and self.refcount.name == "strict"
+                and self.config.refcount_mode == "strict"
                 and self.sim.current_task in self._worker_tasks
             ):
                 self._releases[oid] = self.sim.process(
@@ -446,14 +449,13 @@ class DedupEngine:
         """Process: release old-chunk references after the map commits.
 
         Strict refcounting drops the set now, in one batched commit;
-        ``false_positive`` just queues each dereference in memory for
-        the GC.
+        ``false_positive`` just queues it on :attr:`deref_queue` for the
+        GC — the chunks stay over-retained, never dangling, until then.
         """
-        if self.refcount.name == "strict":
+        if self.config.refcount_mode == "strict":
             yield from self._release_or_defer(pairs, via)
-            return
-        for chunk_id, ref in pairs:
-            yield from self.refcount.deref(chunk_id, ref, via)
+        else:
+            self.deref_queue.extend(pairs)
 
     def _release_or_defer(self, pairs, via):
         """Process: best-effort release of a set of references.
@@ -589,7 +591,9 @@ class DedupEngine:
         concurrent forced workers (the paper's background deduplication
         thread*s*; a single dirty object runs inline) and rebuilt from
         the authoritative dirty bits until a rebuild finds nothing.
-        Optionally runs the refcount GC afterwards.  Used by benchmarks
+        Optionally hands the false-positive deref queue to
+        :func:`~repro.core.scrub.collect_garbage` afterwards (an empty
+        queue, as in strict mode, costs nothing).  Used by benchmarks
         to reach the fully deduplicated steady state before measuring
         space.
 
@@ -640,8 +644,8 @@ class DedupEngine:
             if rounds > 1_000_000:
                 raise RuntimeError("drain did not converge")
         if run_gc:
-            node = next(iter(tier.cluster.nodes.values()))
-            yield from self.refcount.gc(NodeClient(node))
+            queue, self.deref_queue = self.deref_queue, []
+            yield from collect_garbage(tier, queue)
 
     def drain_sync(self, run_gc: bool = True) -> None:
         """Synchronous :meth:`drain`."""

@@ -7,10 +7,9 @@ Two maintenance passes a production deployment of this design needs:
   makes this check free of any index), every chunk-map entry must point
   at an existing chunk object, and every reference record must point
   back at a metadata object whose map actually uses the chunk.
-* :func:`collect_garbage` — offline GC: the §4.6 false-positive
-  refcount mode queues dereferences in memory, so a crash can leak
-  references (and therefore chunk objects).  This pass recomputes the
-  true reference set from the chunk maps and drops anything stale.
+* :func:`collect_garbage` — the one GC: it releases stored references
+  their referrer's chunk map no longer implies, for the §4.6
+  false-positive deref queue and as the offline repair.
 
 Both are simulation processes and charge device time for what they
 read/write, so their cost can be measured too.
@@ -19,10 +18,10 @@ read/write, so their cost can be measured too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..fingerprint import fingerprint
-from .objects import REFS_XATTR, ChunkRef, RefSet
+from .objects import ChunkRef
 from .tier import DedupTier, NodeClient
 
 __all__ = ["ScrubReport", "scrub", "scrub_sync", "GcReport", "collect_garbage", "collect_garbage_sync"]
@@ -49,18 +48,21 @@ class ScrubReport:
         )
 
 
+def _implied(tier: DedupTier, oid: str) -> Iterator[Tuple[str, ChunkRef]]:
+    """``(chunk_id, ref)`` per entry of ``oid``'s stored map with a
+    chunk, dirty or not (map-time; nothing once ``oid`` is gone)."""
+    cmap = tier.peek_chunk_map(oid)
+    for entry in cmap if cmap is not None else ():
+        if entry.chunk_id:
+            yield entry.chunk_id, ChunkRef(tier.metadata_pool.pool_id, oid, entry.offset)
+
+
 def _live_refs(tier: DedupTier) -> Dict[str, Set[ChunkRef]]:
     """chunk id -> the references the chunk maps actually imply."""
     live: Dict[str, Set[ChunkRef]] = {}
     for oid in tier.cluster.list_objects(tier.metadata_pool):
-        cmap = tier.peek_chunk_map(oid)
-        if cmap is None:
-            continue
-        for entry in cmap:
-            if entry.chunk_id:
-                live.setdefault(entry.chunk_id, set()).add(
-                    ChunkRef(tier.metadata_pool.pool_id, oid, entry.offset)
-                )
+        for chunk_id, ref in _implied(tier, oid):
+            live.setdefault(chunk_id, set()).add(ref)
     return live
 
 
@@ -111,59 +113,54 @@ def scrub_sync(tier: DedupTier) -> ScrubReport:
 
 @dataclass
 class GcReport:
-    """Outcome of one offline garbage-collection pass."""
+    """Outcome of one GC pass, read back after its release committed."""
 
     references_dropped: int = 0
     chunks_removed: int = 0
     bytes_reclaimed: int = 0
 
 
-# repro-lint: flt-scope -- offline GC runs post-drain; a faulted remove() is retried by the next pass (refs recomputed each pass)
-def collect_garbage(tier: DedupTier):
-    """Process: drop stale references and unreferenced chunk objects.
+def collect_garbage(tier: DedupTier, candidates: Optional[List[Tuple[str, ChunkRef]]] = None):
+    """Process: release stale references; returns a :class:`GcReport`.
 
-    Recomputes the authoritative reference set from the (persisted,
-    replicated) chunk maps, so it recovers from any amount of lost
-    in-memory deref state.  Dirty objects are skipped — their chunks are
-    in flux — so run after a drain for a full collection.
+    ``candidates`` are the ``(chunk_id, ref)`` pairs to check (the
+    false-positive deref queue :meth:`DedupEngine.drain` hands over);
+    ``None`` checks every stored reference — the offline repair.  A
+    candidate is stale when its referrer is gone or the referrer's map
+    has no entry at ``ref.offset`` pointing at ``chunk_id`` (a dirty
+    entry still needs its old chunk).  Each map is read under the
+    referrer's object lock, taken in sorted order before any chunk lock,
+    so nothing in flight on a referrer commits between the check and the
+    one all-or-nothing :meth:`~repro.core.tier.DedupTier.release_refs`
+    of every stale pair.  No candidates: no lock, no simulated time.
     """
-    report = GcReport()
     cluster = tier.cluster
-    live = _live_refs(tier)
-    node = next(iter(cluster.nodes.values()))
-    via = NodeClient(node)
-    for chunk_id in cluster.list_objects(tier.chunk_pool):
-        held: list = []
-        try:
-            yield tier.chunk_locks.acquire(chunk_id, held)
-            if not cluster.exists(tier.chunk_pool, chunk_id):
-                continue
-            implied = live.get(chunk_id, set())
-            stored = set(tier._load_refs(chunk_id))
-            stale = stored - implied
-            if not stale:
-                continue
-            keep = stored & implied
-            report.references_dropped += len(stale)
-            if keep:
-                yield from cluster.setxattr(
-                    tier.chunk_pool, chunk_id, REFS_XATTR,
-                    RefSet(sorted(keep)).serialize(), via,
-                )
-            else:
-                length = yield from cluster.stat(tier.chunk_pool, chunk_id)
-                yield from cluster.remove(tier.chunk_pool, chunk_id, via)
-                report.chunks_removed += 1
-                report.bytes_reclaimed += length
-        finally:
-            tier.chunk_locks.release(held)
-    # GC rewrites reference state the maps imply; a decoded map cached
-    # across the collection could disagree with what GC just decided
-    # was live.  Defensive full drop — GC is rare and offline.
-    tier.invalidate_map_cache()
-    return report
+    if candidates is None:
+        chunks = cluster.list_objects(tier.chunk_pool)
+        candidates = [(cid, ref) for cid in chunks for ref in tier._load_refs(cid)]
+    if not candidates:
+        return GcReport()
+    held: list = []
+    try:
+        live: Set[Tuple[str, ChunkRef]] = set()
+        for oid in sorted({ref.source_oid for _cid, ref in candidates}):
+            yield tier.object_locks.acquire(oid, held)
+            live.update(_implied(tier, oid))
+        stale = sorted(set(candidates) - live)
+        stored = [(cid, ref) for cid, ref in stale if ref in tier._load_refs(cid)]
+        sizes = {cid: cluster.payload_bytes(tier.chunk_pool, cid) for cid, _ref in stored}
+        yield from tier.release_refs(stale, NodeClient(next(iter(cluster.nodes.values()))))
+        # Read back under the referrers' locks: nothing re-took them yet.
+        gone = [cid for cid in sizes if not tier.chunk_exists(cid)]
+        return GcReport(
+            references_dropped=sum(ref not in tier._load_refs(cid) for cid, ref in stored),
+            chunks_removed=len(gone),
+            bytes_reclaimed=sum(sizes[cid] for cid in gone),
+        )
+    finally:
+        tier.object_locks.release(held)
 
 
 def collect_garbage_sync(tier: DedupTier) -> GcReport:
-    """Synchronous :func:`collect_garbage`."""
+    """Synchronous :func:`collect_garbage` (the offline repair)."""
     return tier.cluster.run(collect_garbage(tier))

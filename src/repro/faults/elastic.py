@@ -228,7 +228,7 @@ def run_elastic_workload(
                 break
         if injector is not None:
             injector.detach()
-        storage.engine.drain_sync()  # flush everything + offline GC
+        storage.engine.drain_sync()  # flush everything (strict mode: no GC runs)
         try:
             cluster.finalize_decommission(decommission_osd)
             result.finalized = True

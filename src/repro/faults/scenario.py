@@ -157,7 +157,7 @@ def run_faulted_workload(
     injector.heal_all()
     recover_sync(cluster)
     injector.detach()
-    storage.engine.drain_sync()  # flush everything + offline GC
+    storage.engine.drain_sync()  # flush everything (strict mode: no GC runs)
     scrub = scrub_sync(storage.tier)
 
     corrupted = [

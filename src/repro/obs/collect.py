@@ -60,9 +60,9 @@ def storage_metrics(
           engine.stats.derefs_deferred_fault)
     reg.gauge(
         "repro_refcount_mode", "Reference-counting mode in use", labels=("mode",)
-    ).labels(mode=engine.refcount.name).set(1)
+    ).labels(mode=engine.config.refcount_mode).set(1)
     gauge("repro_refcount_pending_derefs", "Dereferences pending the GC",
-          engine.refcount.pending)
+          len(engine.deref_queue))
 
     # -- tier -------------------------------------------------------------
     _export_fields(

@@ -187,11 +187,11 @@ def test_false_positive_refcount_defers_deref():
     )
     # Deref was deferred: the dead chunk still exists (false positive).
     assert storage.cluster.exists(storage.tier.chunk_pool, old_fp)
-    assert storage.engine.refcount.pending == 1
+    assert len(storage.engine.deref_queue) == 1
     # GC collects it.
     storage.drain()  # drain runs gc
     assert not storage.cluster.exists(storage.tier.chunk_pool, old_fp)
-    assert storage.engine.refcount.pending == 0
+    assert storage.engine.deref_queue == []
 
 
 def test_dirty_list_rebuild_from_chunk_maps():

@@ -3,8 +3,8 @@
 The cache serves the metadata hot path; every test here guards one of
 its invariants: hits only at the committed version, invalidation by
 every owner that can change the stored map behind the cache (aborted
-passes, deletes, GC, recovery, rebalance), and the omap commit format
-writing only the entries a commit touched.
+passes, deletes, recovery, rebalance; not the GC, which writes no map),
+and the omap commit format writing only the entries a commit touched.
 """
 
 import pytest
@@ -308,19 +308,26 @@ def test_stale_map_after_aborted_pass(monkeypatch):
     assert storage.read_sync("obj1") == b"v1" * 512
 
 
-def test_stale_map_after_gc():
-    storage = make_storage()
-    storage.write_sync("obj1", b"g" * 2 * CHUNK)
+def test_gc_leaves_committed_map_cached():
+    """GC only releases references; it never writes a map, so the
+    committed decode of a referrer it just checked keeps serving hits."""
+    storage = make_storage(refcount_mode="false_positive")
+    storage.write_sync("obj1", b"f" * 2 * CHUNK)
     storage.drain()
+    storage.write_sync("obj1", b"g" * 2 * CHUNK)
+    storage.engine.drain_sync(run_gc=False)
+    assert len(storage.engine.deref_queue) == 2
     load_map(storage, "obj1")
-    assert len(storage.tier._map_cache) > 0
-    inv_before = storage.tier.stage.map_cache_invalidations
-    miss_before = storage.tier.stage.map_cache_misses
-    collect_garbage_sync(storage.tier)
-    assert storage.tier.stage.map_cache_invalidations > inv_before
-    assert len(storage.tier._map_cache) == 0
+    tier = storage.tier
+    inv_before = tier.stage.map_cache_invalidations
+    hits_before, miss_before = tier.stage.map_cache_hits, tier.stage.map_cache_misses
+    storage.drain()  # the GC releases obj1's stale references
+    assert not storage.cluster.exists(tier.chunk_pool, fingerprint(b"f" * CHUNK))
+    assert collect_garbage_sync(tier).references_dropped == 0
+    assert tier.stage.map_cache_invalidations == inv_before
     load_map(storage, "obj1")
-    assert storage.tier.stage.map_cache_misses == miss_before + 1
+    assert tier.stage.map_cache_hits == hits_before + 1
+    assert tier.stage.map_cache_misses == miss_before
     assert storage.read_sync("obj1") == b"g" * 2 * CHUNK
 
 

@@ -1,13 +1,9 @@
-"""Unit tests for the refcount strategies in isolation."""
+"""Unit tests for reference counting: the tier's ref/release commits
+and the engine's two dereference modes (paper §4.6)."""
 
 
 from repro.cluster import RadosCluster
-from repro.core import (
-    DedupConfig,
-    FalsePositiveRefcount,
-    StrictRefcount,
-    make_refcounter,
-)
+from repro.core import DedupConfig, DedupEngine
 from repro.core.objects import ChunkRef
 from repro.core.tier import ChunkBatch, DedupTier, NodeClient
 from repro.fingerprint import fingerprint
@@ -29,22 +25,15 @@ def take_ref(tier, chunk_id, ref, data, via):
     return stored
 
 
-def test_factory_selects_strategy():
-    tier, _via = make_tier("strict")
-    assert isinstance(make_refcounter(tier), StrictRefcount)
-    tier, _via = make_tier("false_positive")
-    assert isinstance(make_refcounter(tier), FalsePositiveRefcount)
-
-
 def test_strict_deref_is_immediate():
     tier, via = make_tier("strict")
     data = b"x" * 512
     fp = fingerprint(data)
     ref = ChunkRef(tier.metadata_pool.pool_id, "o", 0)
     take_ref(tier, fp, ref, data, via)
-    counter = StrictRefcount(tier)
-    assert counter.pending == 0
-    tier.cluster.run(counter.deref(fp, ref, via))
+    engine = DedupEngine(tier)
+    tier.cluster.run(engine._apply_derefs([(fp, ref)], via))
+    assert engine.deref_queue == []
     assert not tier.cluster.exists(tier.chunk_pool, fp)
 
 
@@ -54,13 +43,12 @@ def test_fp_deref_is_deferred_until_gc():
     fp = fingerprint(data)
     ref = ChunkRef(tier.metadata_pool.pool_id, "o", 0)
     take_ref(tier, fp, ref, data, via)
-    counter = FalsePositiveRefcount(tier)
-    tier.cluster.run(counter.deref(fp, ref, via))
-    assert counter.pending == 1
+    engine = DedupEngine(tier)
+    tier.cluster.run(engine._apply_derefs([(fp, ref)], via))
+    assert engine.deref_queue == [(fp, ref)]
     assert tier.cluster.exists(tier.chunk_pool, fp)  # still there
-    tier.cluster.run(counter.gc(via))
-    assert counter.pending == 0
-    assert counter.collected == 1
+    tier.cluster.run(engine.drain())  # "o" has no map: the reference is stale
+    assert engine.deref_queue == []
     assert not tier.cluster.exists(tier.chunk_pool, fp)
 
 

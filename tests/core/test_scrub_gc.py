@@ -1,10 +1,15 @@
-"""Tests for scrub (integrity verification) and offline GC."""
+"""Tests for scrub (integrity verification) and the GC."""
 
+
+import re
+from pathlib import Path
+
+import pytest
 
 from repro.cluster import RadosCluster, Transaction
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.objects import ChunkRef, REFS_XATTR
-from repro.core.scrub import collect_garbage_sync, scrub_sync
+from repro.core.scrub import collect_garbage, collect_garbage_sync, scrub_sync
 from repro.fingerprint import fingerprint
 
 
@@ -84,7 +89,7 @@ def test_gc_reclaims_leaked_chunks_after_crash():
     storage.write_sync("obj1", b"NEW" * 400)
     storage.cluster.run(storage.engine.drain(run_gc=False))  # flush, no GC
     # Simulate the crash: the queued dereferences vanish.
-    storage.engine.refcount._queue.clear()
+    storage.engine.deref_queue.clear()
     for fp in old_fps:
         assert storage.cluster.exists(storage.tier.chunk_pool, fp)  # leaked
     report = collect_garbage_sync(storage.tier)
@@ -105,7 +110,7 @@ def test_gc_drops_stale_ref_but_keeps_shared_chunk():
     fp = fingerprint(b"S" * 1024)
     storage.write_sync("move", b"T" * 1024)
     storage.cluster.run(storage.engine.drain(run_gc=False))
-    storage.engine.refcount._queue.clear()  # crash
+    storage.engine.deref_queue.clear()  # crash
     assert storage.tier.chunk_refcount(fp) == 2  # one ref is stale
     report = collect_garbage_sync(storage.tier)
     assert report.references_dropped == 1
@@ -115,8 +120,8 @@ def test_gc_drops_stale_ref_but_keeps_shared_chunk():
 
 
 def test_gc_skips_dirty_objects_chunks():
-    """Chunks referenced by still-dirty maps are in flux; GC must not
-    touch chunks their (old) entries reference."""
+    """A dirty entry still points at its old chunk, which a re-flush of
+    the ranges it lacks needs: GC counts that reference as live."""
     storage = populated()
     storage.write_sync("obj0", b"fresh" * 300)  # dirty again (1500 of 2000 B)
     collect_garbage_sync(storage.tier)
@@ -128,3 +133,65 @@ def test_gc_skips_dirty_objects_chunks():
     assert got[1500:] == bytes([0]) * 500
     storage.drain()
     assert scrub_sync(storage.tier).clean
+
+
+SHARED = [bytes([0x40 + i]) * 1024 for i in range(4)]
+
+
+@pytest.mark.parametrize("offset_ms", [0.1, 0.2, 0.3, 0.5, 1.0])
+def test_gc_concurrent_with_a_pass_keeps_its_new_references(offset_ms):
+    """A GC that starts while a pass on ``b`` is taking references to
+    the chunks ``b`` shares with ``a`` must see them as live: once
+    ``a`` is deleted, those references are all that keep the chunks."""
+    storage = make_storage()
+    storage.write_sync("a", b"".join(SHARED))
+    storage.drain()
+    data = b"".join(SHARED) + b"own" * 300
+    storage.write_sync("b", data)
+    sim, tier = storage.sim, storage.tier
+
+    def gc_later():
+        yield sim.timeout(offset_ms * 1e-3)
+        yield from collect_garbage(tier)
+
+    def both():
+        yield sim.all_of([
+            sim.process(storage.engine.process_object("b", force=True)),
+            sim.process(gc_later()),
+        ])
+
+    storage.cluster.run(both())
+    storage.delete_sync("a")
+    assert storage.read_sync("b") == data
+    assert scrub_sync(tier).clean
+
+
+def test_false_positive_gc_keeps_a_reference_rewritten_back():
+    """X -> Y -> X under false-positive counting queues a dereference of
+    X that the final map has made live again: the GC must keep it."""
+    storage = make_storage(refcount_mode="false_positive")
+    x, y = b"X" * 1024, b"Y" * 1024
+    for data in (x, y, x):
+        storage.write_sync("a", data)
+        storage.engine.drain_sync(run_gc=False)
+    assert (fingerprint(x), ChunkRef(storage.tier.metadata_pool.pool_id, "a", 0)) in (
+        storage.engine.deref_queue
+    )
+    storage.drain()
+    assert storage.engine.deref_queue == []
+    assert storage.read_sync("a") == x
+    assert scrub_sync(storage.tier).clean
+    assert storage.cluster.list_objects(storage.tier.chunk_pool) == [fingerprint(x)]
+
+
+def test_only_the_tier_writes_chunk_references():
+    """``dedup.refs`` has one writer: outside its definition, only the
+    tier's commit names ``REFS_XATTR``, so every reference change —
+    GC's included — goes through ``commit_chunk_batch``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    users = sorted(
+        path.relative_to(src / "repro").as_posix()
+        for path in src.rglob("*.py")
+        if re.search(r"\bREFS_XATTR\b", path.read_text(encoding="utf-8"))
+    )
+    assert users == ["core/objects.py", "core/tier.py"]

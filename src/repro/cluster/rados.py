@@ -17,7 +17,8 @@ Semantics follow Ceph:
 * Writes go to the PG primary, which fans out to replicas (or encodes
   and distributes shards); the ack returns once every available copy is
   durable.
-* Reads are served by the primary (or by ``k`` shards + decode for EC).
+* Reads are served by the first of :meth:`RadosCluster._holders` (or by
+  ``k`` shards + decode for EC), the rule recovery sources by too.
 * A write succeeds in degraded mode while at least ``min_size`` copies
   (or ``k`` shards) are writable; otherwise it raises.
 """
@@ -48,6 +49,25 @@ _needs_backfill = attrgetter("needs_backfill")
 _SHARD_LOCAL_OPS = frozenset(("setxattr", "rmxattr", "omap_set", "omap_rm"))
 
 
+def _pick_shards(pool: Pool, key: ObjectKey, holders: List[OSD]) -> List[Tuple[int, OSD]]:
+    """``(shard index, holder)`` for the ``k`` lowest distinct indices
+    that ``holders`` (:meth:`RadosCluster._holders` order) of the first
+    holder's class hold; fewer when fewer are held.  A restarted OSD's
+    shard may predate a stripe it missed, so it is never decoded with
+    clean ones; of a mid-remap index held twice, the first holder wins."""
+    by_idx: Dict[int, OSD] = {}
+    for osd in holders:
+        if osd.needs_backfill != holders[0].needs_backfill:
+            break
+        by_idx.setdefault(_shard_index(osd.store.get(key)), osd)
+    return sorted(by_idx.items())[: pool.codec.k]
+
+
+def _logical_size(pool: Pool, obj: StoredObject) -> int:
+    """Payload bytes of the object a stored copy (or shard) belongs to."""
+    return _payload_length(obj) if pool.is_ec else obj.size
+
+
 class NotEnoughReplicas(RuntimeError):
     """Fewer than ``min_size`` copies/shards are writable or readable.
 
@@ -56,14 +76,6 @@ class NotEnoughReplicas(RuntimeError):
     """
 
     retryable = True
-
-
-class _NodeAsClient:
-    """Lets a storage node stand in as the initiator of an internal op."""
-
-    def __init__(self, node):
-        self.node = node
-        self.nic = node.nic
 
 
 class Client:
@@ -208,10 +220,10 @@ class RadosCluster:
         """Every OSD that may hold a copy of ``oid`` right now.
 
         The CRUSH acting set — widened to the old+new union while the
-        object's PG is mid-remap.  Callers that locate copies by probing
-        stores (the dedup tier's holder loops, scrub, space accounting)
-        must use this rather than ``pool.acting_set_for`` directly, or
-        they would miss objects still parked on a pre-remap acting set.
+        object's PG is mid-remap: the candidates :meth:`_holders` picks
+        from, so a copy still parked on a pre-remap acting set is found.
+        Reading a copy goes through :meth:`peek` or :meth:`_holders`,
+        never through a probe of these stores.
         """
         return self._acting_osds(pool, pool.pg_of(oid))
 
@@ -229,19 +241,64 @@ class RadosCluster:
         return up
 
     def _primary(self, pool: Pool, oid: str, pg: Optional[int] = None) -> OSD:
+        """The OSD that runs an op on ``oid``: its first holder, else
+        (no copy yet) the first up acting member."""
         if pg is None:
             pg = pool.pg_of(oid)
+        holders = self._holders(pool, ObjectKey(pool.pool_id, pg, oid))
+        if holders:
+            return holders[0]
         up = self._up_subset(self._acting_osds(pool, pg))
         if not up:
             raise NotEnoughReplicas(f"no up OSD for {oid!r} in pool {pool.name!r}")
-        if self._active_remaps and self._remap_for(pool, pg) is not None:
-            # Prefer a member that actually holds the object: mid-remap
-            # the nominal first member may not have received it yet.
-            key = ObjectKey(pool.pool_id, pg, oid)
-            holders = [o for o in up if o.store.exists(key)]
-            if holders:
-                return holders[0]
         return up[0]
+
+    def _holders(
+        self, pool: Pool, key: ObjectKey, osds: Optional[Iterable[OSD]] = None
+    ) -> List[OSD]:
+        """The up OSDs among ``osds`` (default: the acting set, the
+        old+new union mid-remap) holding ``key``, continuously-up first:
+        the one answer to "which copy do I read?" (docs/internals.md,
+        "Reads").  A restarted (``needs_backfill``) OSD's copy may predate
+        its outage, so it comes after every clean one.  When it comes
+        first and a clean up acting member lacks the object, the object
+        was deleted while it was down, and no OSD holds it — unless the
+        PG is mid-remap: a new acting member may simply not have
+        received the object yet, so it witnesses nothing."""
+        if osds is None:
+            osds = self._acting_osds(pool, key.pg)
+        holders = [o for o in osds if o.info.up and o.store.exists(key)]
+        for osd in holders:
+            if osd.needs_backfill:
+                holders.sort(key=_needs_backfill)
+                if holders[0].needs_backfill and (
+                    (pool.pool_id, key.pg) not in self._active_remaps
+                ):
+                    for i in pool.acting_set(key.pg):
+                        witness = self.osds[i]
+                        if witness.info.up and not witness.needs_backfill:
+                            return []
+                break
+        return holders
+
+    def _readable_holders(self, pool: Pool, key: ObjectKey) -> List[OSD]:
+        """:meth:`_holders`, or raise: the retryable
+        :class:`NotEnoughReplicas` when no acting OSD is up, else
+        :class:`NoSuchObject`."""
+        holders = self._holders(pool, key)
+        if holders:
+            return holders
+        if any(o.info.up for o in self._acting_osds(pool, key.pg)):
+            raise NoSuchObject(key)
+        raise NotEnoughReplicas(f"no up OSD for {key.name!r} in pool {pool.name!r}")
+
+    def peek(self, pool: Pool, oid: str) -> Optional[Tuple[OSD, StoredObject]]:
+        """Map-time, no simulated cost: the first of :meth:`_holders` of
+        ``oid`` and its stored copy (on EC a shard, which carries the
+        object's xattrs and omap too), or ``None``."""
+        key = ObjectKey(pool.pool_id, pool.pg_of(oid), oid)
+        holders = self._holders(pool, key)
+        return (holders[0], holders[0].store.get(key)) if holders else None
 
     # -- network helper ---------------------------------------------------------
 
@@ -347,8 +404,9 @@ class RadosCluster:
            while its PG was remapped, migrated and settled lands on the
            replicas of *now*; an item whose primary changed meanwhile
            has its payload forwarded primary to primary.  When no remap
-           was active at either point and the map epoch has not moved,
-           step 1's resolution still holds and is reused.
+           was active at either point, no replicated group was resolved
+           by its holders and the map epoch has not moved, step 1's
+           resolution still holds and is reused.
         4. On an EC pool, encode: each group's transaction becomes one
            transaction per shard (:meth:`_ec_encode`), on the primary.
         5. Prepare every replica (shard) of every group, check quorum
@@ -358,7 +416,7 @@ class RadosCluster:
         """
         if not items:
             return
-        keys = [ObjectKey(pool.pool_id, pool.pg_of(oid), oid) for oid, _txn in items]
+        keyed = [(ObjectKey(pool.pool_id, pool.pg_of(oid), oid), txn) for oid, txn in items]
         single = len(items) == 1
         ec = pool.is_ec
         client = client or self._default_client
@@ -366,8 +424,10 @@ class RadosCluster:
         sends = []
         epoch = self.cluster_map.epoch
         settled = not self._active_remaps
-        groups = self._commit_groups(pool, keys)
-        for _gid, targets, members in groups:
+        groups = self._commit_groups(pool, keyed)
+        for gid, targets, members in groups:
+            if gid[1] and not ec:  # resolved by holders, not by the map alone
+                settled = False
             node = targets[0].node
             nbytes = 0
             for i in members:
@@ -381,7 +441,7 @@ class RadosCluster:
             yield self.sim.all_of([self.sim.process(send) for send in sends])
         held: list = []
         try:
-            for key in sorted(set(keys)):
+            for key in sorted({key for key, _txn in keyed}):
                 yield self.write_locks.acquire(key, held)
             # Every change of an OSD's up/in state bumps the epoch,
             # and settled groups depend on nothing else but the
@@ -393,7 +453,7 @@ class RadosCluster:
                 and not self._active_remaps
                 and epoch == self.cluster_map.epoch
             ):
-                groups = self._commit_groups(pool, keys)
+                groups = self._commit_groups(pool, keyed)
             plan = []  # (primary, [(OSD, txn, payload bytes)]) per group
             stripes = []  # keys of the EC objects whose stripe is rewritten
             for _gid, targets, members in groups:
@@ -412,7 +472,7 @@ class RadosCluster:
                     for i in members:
                         txn.ops.extend(items[i][1].ops)
                 if ec:
-                    key = keys[members[0]]
+                    key = keyed[members[0]][0]
                     shards, stripe = yield from self._ec_encode(pool, key, txn, primary)
                     if stripe:
                         stripes.append(key)
@@ -451,10 +511,11 @@ class RadosCluster:
         yield self._rpc_latency()  # ack to client
 
     def _commit_groups(
-        self, pool: Pool, keys: List[ObjectKey]
+        self, pool: Pool, items: List[Tuple[ObjectKey, Transaction]]
     ) -> List[Tuple[Tuple[int, str], List[OSD], List[int]]]:
-        """``(group id, replicas, item indices)`` per commit group,
-        resolved now, in group-id — (PG, object) — order.
+        """``(group id, replicas, item indices)`` per commit group of the
+        ``(key, transaction)`` items, resolved now, in group-id — (PG,
+        object) — order.
 
         The items of a settled PG form one group — one merged
         transaction on the PG's up acting set.  Each item of a PG that
@@ -465,6 +526,11 @@ class RadosCluster:
         object goes to every up union member, so a creation needs no
         migration pass of its own (the rebalancer merely trims the
         old-side copies when it retires the PG).
+
+        An item that ends by removing its object goes to the object's
+        :meth:`_holders`, as a group of its own (joined by any later item
+        on the object) when they are not the whole up set: a restarted
+        replica that never received the object has nothing to remove.
 
         On an EC pool every object is a group of its own, on the up
         members of the *strict* CRUSH acting set in slot order: the
@@ -477,19 +543,26 @@ class RadosCluster:
         remaps = self._active_remaps
         ec = pool.is_ec
         groups: Dict[Tuple[int, str], Tuple[Tuple[int, str], List[OSD], List[int]]] = {}
-        for i, key in enumerate(keys):
+        for i, (key, txn) in enumerate(items):
             pg = key.pg
-            remapped = (pool.pool_id, pg) in remaps if remaps else False
-            gid = (pg, key.name) if remapped or ec else (pg, "")
+            gid = (pg, key.name)
+            up: Optional[List[OSD]] = None
+            if not ec and (pool.pool_id, pg) not in remaps and gid not in groups:
+                gid = (pg, "")
+                if txn.ops and txn.ops[-1][0] == "remove":
+                    up = self._up_subset(self._acting_osds(pool, pg))
+                    holders = self._holders(pool, key)
+                    if holders and holders != up:
+                        gid, up = (pg, key.name), holders
             group = groups.get(gid)
             if group is None:
                 if ec:
                     up = [self.osds[n] for n in pool.acting_set(pg)]
                     up = [osd for osd in up if osd.info.up]
-                else:
+                elif up is None:
                     up = self._up_subset(self._acting_osds(pool, pg))
-                    if remapped:
-                        up = [osd for osd in up if osd.store.exists(key)] or up
+                    if gid[1]:  # mid-remap: the holders, or all for a creation
+                        up = self._holders(pool, key) or up
                 if len(up) < pool.redundancy.min_size:
                     raise NotEnoughReplicas(
                         f"{len(up)} replicas up for {key.name!r} in pg {pg}; "
@@ -544,65 +617,93 @@ class RadosCluster:
         length: Optional[int] = None,
         client: Optional[Client] = None,
     ):
-        """Process: read ``length`` bytes at ``offset``; returns bytes."""
+        """Process: read ``length`` bytes at ``offset``; returns bytes
+        (the generator of :meth:`_read`, not a wrapper of it)."""
         key = ObjectKey(pool.pool_id, pool.pg_of(oid), oid)
-        if pool.is_ec:
-            data = yield from self._ec_read(pool, oid, client)
-            if length is None:
-                return data[offset:]
-            return data[offset : offset + length]
-        client = client or self._default_client
-        yield self._rpc_latency()  # request
-        primary, data = yield from self._read_with_failover(
-            pool, oid, key, offset, length
-        )
-        yield from self._transfer(primary.node.nic, client.nic, len(data))
-        return data
+        return self._read(pool, key, offset, length, client or self._default_client, True)
 
-    def _read_with_failover(self, pool: Pool, oid: str, key: ObjectKey, offset, length):
-        """Process: read at the primary, failing over to the next up
-        replica if the primary dies between dispatch and execution.
+    def _read(
+        self,
+        pool: Pool,
+        key: ObjectKey,
+        offset: int,
+        length: Optional[int],
+        client: Optional[Client],
+        request: bool = False,
+    ):
+        """Process: the one read path of both pool types; returns the
+        bytes (docs/internals.md, "Reads").
 
-        Only :class:`OsdDownError` triggers failover — injected
-        transient errors are the *client's* retry layer's problem (Ceph
-        likewise re-peers on OSD death but returns EIO to the client).
+        Replicated: after the ``request`` message, if asked for, the
+        first of :meth:`_holders` reads the range, failing over to the
+        next only on :class:`OsdDownError` (a transient error is the
+        client retry layer's, as Ceph re-peers on OSD death but returns
+        EIO).  EC: the first holder fans out to :func:`_pick_shards`,
+        decodes the whole stripe on its CPU and slices it; fewer than
+        ``k`` shards raise the retryable :class:`NotEnoughReplicas`.  The
+        bytes travel to ``client``, or stay at the serving OSD for
+        ``None``.
         """
+        if pool.is_ec:
+            holders = self._readable_holders(pool, key)
+            primary = holders[0]
+            shards = _pick_shards(pool, key, holders)
+            if len(shards) < pool.codec.k:
+                raise NotEnoughReplicas(f"{len(shards)} shards of {key.name!r}; need {pool.codec.k}")
+            size = _payload_length(primary.store.get(key))
+            nic = primary.node.nic
+
+            def fetch(holder: OSD):
+                shard = yield from holder.execute_read(key)
+                yield from self._transfer(holder.node.nic, nic, len(shard))
+                return shard
+
+            yield self._rpc_latency()  # request fan-out
+            jobs = [self.sim.process(fetch(osd)) for _idx, osd in shards]
+            results = yield self.sim.all_of(jobs)
+            slots: List[Optional[bytes]] = [None] * pool.codec.n
+            for (idx, _osd), shard in zip(shards, results):
+                slots[idx] = shard
+            yield from primary.node.cpu.execute(primary.node.cpu.spec.ec_time(size))
+            data = pool.codec.decode(slots, size)
+            if client is not None:
+                yield from self._transfer(nic, client.nic, size)
+            return data[offset : None if length is None else offset + length]
+        if request:
+            yield self._rpc_latency()
         last_exc: Optional[BaseException] = None
-        for _ in range(max(1, len(self._acting_osds(pool, key.pg)))):
-            primary = self._primary(pool, oid, key.pg)
+        for osd in self._readable_holders(pool, key):
             try:
-                data = yield from primary.execute_read(key, offset, length)
-                return primary, data
+                data = yield from osd.execute_read(key, offset, length)
             except OsdDownError as exc:
                 last_exc = exc
-                yield self._rpc_latency()  # redirect to next replica
+                yield self._rpc_latency()  # redirect to the next holder
+                continue
+            if client is not None:
+                yield from self._transfer(osd.node.nic, client.nic, len(data))
+            return data
         raise last_exc
 
     # -- metadata access -----------------------------------------------------------
 
+    def _copy(self, pool: Pool, oid: str) -> StoredObject:
+        """The first holder's copy of ``oid`` (see :meth:`_readable_holders`)."""
+        key = self.object_key(pool, oid)
+        return self._readable_holders(pool, key)[0].store.get(key)
+
     def stat(self, pool: Pool, oid: str):
         """Process: object payload size (logical size for EC)."""
-        key = self.object_key(pool, oid)
-        primary = self._primary(pool, oid, key.pg)
         yield self._rpc_latency()
-        if pool.is_ec:
-            return _payload_length(primary.store.get(key))
-        return primary.store.stat(key)
+        return _logical_size(pool, self._copy(pool, oid))
 
     def exists(self, pool: Pool, oid: str) -> bool:
-        """Whether any up replica holds the object (map-time check)."""
-        key = self.object_key(pool, oid)
-        return any(
-            osd.store.exists(key)
-            for osd in self._up_subset(self._acting_osds(pool, key.pg))
-        )
+        """Whether :meth:`_holders` finds the object (map-time check)."""
+        return bool(self._holders(pool, self.object_key(pool, oid)))
 
     def getxattr(self, pool: Pool, oid: str, name: str):
-        """Process: read one xattr from the primary."""
-        key = self.object_key(pool, oid)
-        primary = self._primary(pool, oid, key.pg)
+        """Process: read one xattr from the first holder."""
         yield self._rpc_latency()
-        return primary.store.getxattr(key, name)
+        return self._copy(pool, oid).xattrs[name]
 
     def setxattr(
         self,
@@ -618,70 +719,15 @@ class RadosCluster:
         yield from self.submit(pool, oid, txn, client)
 
     def omap_get(self, pool: Pool, oid: str, name: str):
-        """Process: read one omap value from the primary."""
-        key = self.object_key(pool, oid)
-        primary = self._primary(pool, oid, key.pg)
+        """Process: read one omap value from the first holder."""
         yield self._rpc_latency()
-        return primary.store.omap_get(key, name)
+        return self._copy(pool, oid).omap[name]
 
     def omap_keys(self, pool: Pool, oid: str) -> List[str]:
-        """Map-time snapshot of omap keys on the primary."""
-        key = self.object_key(pool, oid)
-        primary = self._primary(pool, oid, key.pg)
-        return list(primary.store.get(key).omap.keys())
+        """Map-time snapshot of omap keys on the first holder."""
+        return list(self._copy(pool, oid).omap)
 
     # -- EC data path -------------------------------------------------------------
-
-    def _ec_read(self, pool: Pool, oid: str, client: Optional[Client]):
-        client = client or self._default_client
-        key = self.object_key(pool, oid)
-        acting = self._acting_osds(pool, key.pg)
-        holders = [o for o in acting if o.up and o.store.exists(key)]
-        if not holders:
-            raise NoSuchObject(key)
-        # Mid-remap the union can hold the same shard index twice (an
-        # old copy and its migrated twin): pick one holder per distinct
-        # index — union order is old-first, and writes purge parked old
-        # shards, so duplicates are always the same generation.
-        by_idx: Dict[int, OSD] = {}
-        for osd in holders:
-            by_idx.setdefault(_shard_index(osd.store.get(key)), osd)
-        if len(by_idx) < pool.codec.k:
-            raise NotEnoughReplicas(
-                f"only {len(by_idx)} distinct shards readable for {oid!r}; "
-                f"need {pool.codec.k}"
-            )
-        primary = holders[0]
-        length = _payload_length(primary.store.get(key))
-        chosen = [by_idx[idx] for idx in sorted(by_idx)][: pool.codec.k]
-        yield self._rpc_latency()  # request fan-out
-        jobs = [
-            self.sim.process(self._ec_fetch_shard(primary, osd, key))
-            for osd in chosen
-        ]
-        results = yield self.sim.all_of(jobs)
-        slots: List[Optional[bytes]] = [None] * pool.codec.n
-        for idx, shard in results:
-            slots[idx] = shard
-        # Decode on the primary's CPU, then return to the client.
-        yield from primary.node.cpu.execute(primary.node.cpu.spec.ec_time(length))
-        data = pool.codec.decode(slots, length)
-        yield from self._transfer(primary.node.nic, client.nic, length)
-        return data
-
-    def _ec_fetch_shard(self, primary: OSD, holder: OSD, key: ObjectKey):
-        shard = yield from holder.execute_read(key)
-        idx = _shard_index(holder.store.get(key))
-        if holder.node is not primary.node:
-            yield from self._transfer(holder.node.nic, primary.node.nic, len(shard))
-        return (idx, shard)
-
-    def _ec_read_internal(self, pool: Pool, oid: str):
-        """Process: EC read delivered to the primary (no client hop)."""
-        acting = self._acting_osds(pool, pool.pg_of(oid))
-        primary = next(o for o in acting if o.up)
-        data = yield from self._ec_read(pool, oid, _NodeAsClient(primary.node))
-        return data
 
     def _ec_encode(self, pool: Pool, key: ObjectKey, txn: Transaction, primary: OSD):
         """Process: the encode step of :meth:`_submit` for one EC object.
@@ -692,19 +738,17 @@ class RadosCluster:
 
         * A transaction of xattr/omap ops only, or one that ends by
           removing the object, leaves every shard's payload as it is: it
-          goes as it stands to every up holder of a shard, parked copies
-          of a mid-remap PG included (so they stay the same generation),
-          with no decode and no encode.
-        * Any other transaction changes the payload.  ``primary`` reads
-          and decodes the stripe (not when ``txn`` starts by replacing
-          the payload), applies ``txn``, encodes the result on its CPU
-          and rewrites the shard of every up slot of the strict CRUSH
-          acting set, the object's metadata with it.
+          goes as it stands to every holder of a shard (:meth:`_holders`),
+          parked copies of a mid-remap PG included (so they stay the same
+          generation), with no decode and no encode.
+        * Any other transaction changes the payload.  The stripe is read
+          and decoded by :meth:`_read` (not when ``txn`` starts by
+          replacing the payload) and the object's metadata taken from the
+          first holder; ``primary`` applies ``txn``, encodes the result on
+          its CPU and rewrites the shard of every up slot of the strict
+          CRUSH acting set, the object's metadata with it.
         """
-        holders = [
-            osd for osd in self._acting_osds(pool, key.pg)
-            if osd.up and osd.store.exists(key)
-        ]
+        holders = self._holders(pool, key)
         kinds = {op[0] for op in txn.ops}
         if (
             holders
@@ -717,7 +761,7 @@ class RadosCluster:
             current = holders[0].store.get(key)
             data = b""
             if txn.ops[0][0] != "write_full":
-                data = yield from self._ec_read_internal(pool, key.name)
+                data = yield from self._read(pool, key, 0, None, None)
             scratch.put_object(
                 key, StoredObject(data, _user_xattrs(current), dict(current.omap))
             )
@@ -761,7 +805,7 @@ class RadosCluster:
         acting set, so any copy still sitting on an old-only union
         member is stale the instant the stripe commits; dropping it here
         (map-time, under the caller's write lock) keeps every reachable
-        shard the same generation — the invariant _ec_read's
+        shard the same generation — the invariant :func:`_pick_shards`'
         distinct-index selection relies on.
         """
         remap = self._remap_for(pool, key.pg)
@@ -796,15 +840,10 @@ class RadosCluster:
         return total
 
     def payload_bytes(self, pool: Pool, oid: str) -> int:
-        """Payload bytes of one object, 0 when no acting OSD holds it
+        """Payload bytes of one object, 0 when no up OSD holds it
         (map-time, no simulated cost)."""
-        key = self.object_key(pool, oid)
-        for osd in self._acting_osds(pool, key.pg):
-            if osd.store.exists(key):
-                if pool.is_ec:
-                    return _payload_length(osd.store.get(key))
-                return osd.store.stat(key)
-        return 0
+        found = self.peek(pool, oid)
+        return _logical_size(pool, found[1]) if found is not None else 0
 
     def pool_logical_bytes(self, pool: Pool) -> int:
         """Payload bytes counting each object once (primary copy)."""

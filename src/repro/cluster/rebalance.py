@@ -48,7 +48,6 @@ from .recovery import (
     _rebuild_shard,
     _same_content,
     _snapshot_shards,
-    _up_holders,
 )
 
 __all__ = [
@@ -333,7 +332,7 @@ class Rebalancer:
         """Map-time check: does the new acting set fully own the object?"""
         cluster = self.cluster
         key = ObjectKey(pool.pool_id, pg, name)
-        union, up_holders, down_holders = self._union_holders(key, remap)
+        union, up_holders, down_holders = self._union_holders(pool, key, remap)
         if not up_holders:
             # Either deleted everywhere, or only unreachable copies
             # remain — the latter must keep the PG active until the
@@ -369,19 +368,19 @@ class Rebalancer:
             cluster.write_locks.release(held)
         return moved
 
-    def _union_holders(self, key: ObjectKey, remap: PgRemap):
+    def _union_holders(self, pool: Pool, key: ObjectKey, remap: PgRemap):
         cluster = self.cluster
         union = [
             cluster.osds[i] for i in remap.union_ids() if i in cluster.osds
         ]
         down_holders = [o for o in union if not o.up and o.store.exists(key)]
-        return union, _up_holders(cluster, union, key), down_holders
+        return union, cluster._holders(pool, key, union), down_holders
 
     def _migrate_locked(self, pool: Pool, key: ObjectKey, remap: PgRemap):
         """Copy the first holder's replica (or rebuild each EC slot's
         shard) onto every new acting member that lacks it, then trim."""
         cluster = self.cluster
-        union, holders, down_holders = self._union_holders(key, remap)
+        union, holders, down_holders = self._union_holders(pool, key, remap)
         if not holders:
             if down_holders:
                 raise OsdDownError(down_holders[0].osd_id)

@@ -13,21 +13,22 @@ with whatever else is running.  The returned :class:`RecoveryStats`
 reports duration in *simulated* seconds.
 
 This module also holds the only two ways a copy moves between OSDs —
-:func:`_copy_replica` and :func:`_rebuild_shard` — and the one rule for
-choosing sources (:func:`_up_holders`); the rebalancer and scrub repair
-move copies through them too.
+:func:`_copy_replica` and :func:`_rebuild_shard`; the rebalancer and
+scrub repair move copies through them too.  Sources are chosen by the
+cluster's one holder rule, :meth:`RadosCluster._holders`, which the data
+path reads by as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .ec import ReedSolomon, _payload_length, _shard_index, _shard_object, _user_xattrs
 from .objectstore import ObjectKey, StoredObject
 from .osd import OSD, OsdDownError, OsdFullError
 from .pool import Pool
-from .rados import RadosCluster
+from .rados import RadosCluster, _pick_shards
 
 __all__ = ["RecoveryStats", "plan_recovery", "recover", "recover_sync"]
 
@@ -104,35 +105,20 @@ def _same_content(a: StoredObject, b: StoredObject) -> bool:
     )
 
 
-def _up_holders(cluster: RadosCluster, osds: Iterable[OSD], key: ObjectKey) -> List[OSD]:
-    """The up OSDs among ``osds`` holding ``key``, continuously-up first.
-
-    A restarted (``needs_backfill``) OSD's copy may predate its outage,
-    so every copy source and scrub reference is the first of these: the
-    same order the data path uses to pick a primary.
-    """
-    return cluster._up_subset([o for o in osds if o.store.exists(key)])
-
-
 def _snapshot_shards(pool: Pool, key: ObjectKey, holders: List[OSD]) -> Optional[_ShardSources]:
-    """One source shard per distinct index from ``holders`` (first holder
-    of an index wins, so pass :func:`_up_holders` order and a stale shard
-    is never mixed into a decode when enough fresh ones exist); ``None``
-    when fewer than ``k`` distinct shards are reachable."""
-    by_idx: Dict[int, Tuple[OSD, bytes]] = {}
-    for osd in holders:
-        idx = _shard_index(osd.store.get(key))
-        if idx not in by_idx:
-            by_idx[idx] = (osd, osd.store.read(key))
-    if len(by_idx) < pool.codec.k:
+    """The ``k`` source shards an EC read of ``holders``
+    (:meth:`RadosCluster._holders` order) would decode — never a
+    restarted OSD's shard beside clean ones (:func:`_pick_shards`) —
+    with the first holder's metadata; ``None`` when fewer than ``k``
+    are reachable."""
+    picked = _pick_shards(pool, key, holders)
+    if len(picked) < pool.codec.k:
         return None
     meta = holders[0].store.get(key)
     return _ShardSources(
         codec=pool.codec,
         length=_payload_length(meta),
-        sources=[
-            (idx, osd, shard) for idx, (osd, shard) in sorted(by_idx.items())
-        ][: pool.codec.k],
+        sources=[(idx, osd, osd.store.read(key)) for idx, osd in picked],
         xattrs=_user_xattrs(meta),
         omap=dict(meta.omap),
     )
@@ -162,29 +148,22 @@ def plan_recovery(cluster: RadosCluster) -> Tuple[List[_CopyTask], List[Tuple[OS
     tasks: List[_CopyTask] = []
     deletions: List[Tuple[OSD, ObjectKey]] = []
     lost = 0
+    everywhere = list(cluster.osds.values())
     for pool in cluster.pools.values():
         union = _object_union(cluster, pool)
         for pg, names in union.items():
             acting_ids = pool.acting_set(pg)
             acting = [cluster.osds[i] for i in acting_ids]
+            serving = cluster._acting_osds(pool, pg)
             for name in names:
                 key = ObjectKey(pool.pool_id, pg, name)
-                holders = _up_holders(cluster, cluster.osds.values(), key)
-                # Copies on continuously-up OSDs are authoritative; a
-                # restarted (needs_backfill) OSD's copy may predate the
-                # outage or outlive a deletion that happened during it.
-                if holders and holders[0].needs_backfill:
-                    witnesses = [
-                        o for o in acting if o.up and not o.needs_backfill
-                    ]
-                    if witnesses:
-                        # Every continuously-up acting replica lacks the
-                        # object: it was deleted while the stale holders
-                        # were down.  Drop the lingering copies instead
-                        # of resurrecting the object.
-                        for osd in holders:
-                            deletions.append((osd, key))
-                        continue
+                copies = [o for o in everywhere if o.up and o.store.exists(key)]
+                holders = cluster._holders(pool, key, copies)
+                if copies and not holders:
+                    # Deleted while these restarted copies were down:
+                    # drop them instead of resurrecting the object.
+                    deletions.extend((osd, key) for osd in copies)
+                    continue
                 if pool.is_ec:
                     shards = _snapshot_shards(pool, key, holders)
                     if shards is None:
@@ -214,6 +193,15 @@ def plan_recovery(cluster: RadosCluster) -> Tuple[List[_CopyTask], List[Tuple[OS
                         lost += 1
                         continue
                     source = holders[0]
+                    # A stray parked outside the acting set misses every
+                    # write from then on: when it differs from the copy
+                    # reads are served from, that copy is the source.
+                    served = next((o for o in holders if o in serving), source)
+                    if served.needs_backfill == source.needs_backfill and not (
+                        served is source
+                        or _same_content(served.store.get(key), source.store.get(key))
+                    ):
+                        source = served
                     for target in acting:
                         if not target.up or target is source:
                             continue

@@ -2,8 +2,9 @@
 
 Replicated pools: every copy of an object must be byte- and
 metadata-identical across its acting set; a divergent or missing copy is
-repaired from the reference copy — the first up holder, continuously-up
-OSDs before restarted ones, as recovery chooses its sources.  EC pools:
+repaired from the reference copy — the first of the cluster's holder
+rule (:meth:`RadosCluster._holders`), which recovery sources by and
+reads are served by.  EC pools:
 the stored shards must be exactly the codec's encoding of the decoded
 payload (any single corrupt shard is detected and re-derivable from the
 others).
@@ -22,7 +23,7 @@ from typing import List, Tuple
 from .ec import _crc_ok, _payload_length, _shard_index
 from .pool import Pool
 from .rados import RadosCluster
-from .recovery import _copy_replica, _same_content, _up_holders, recover
+from .recovery import _copy_replica, _same_content, recover
 
 __all__ = ["ReplicaScrubReport", "scrub_pool", "scrub_pool_sync", "repair_pool", "repair_pool_sync"]
 
@@ -51,7 +52,7 @@ def scrub_pool(cluster: RadosCluster, pool: Pool):
     for oid in cluster.list_objects(pool):
         key = cluster.object_key(pool, oid)
         acting = [cluster.osds[i] for i in pool.acting_set_for(oid)]
-        holders = _up_holders(cluster, acting, key)
+        holders = cluster._holders(pool, key, acting)
         if not holders:
             continue
         report.objects_checked += 1
@@ -114,8 +115,8 @@ def repair_pool(cluster: RadosCluster, pool: Pool, report: ReplicaScrubReport):
     """Process: repair the findings of a prior scrub.
 
     Replicated pools: divergent/missing copies are replaced with the
-    reference copy (the first of :func:`_up_holders`, as scrub compared
-    against).  EC pools are healed through the recovery machinery,
+    reference copy (the first of ``RadosCluster._holders``, as scrub
+    compared against).  EC pools are healed through the recovery machinery,
     which already reconstructs shards.
     """
     repaired = 0
@@ -134,7 +135,7 @@ def repair_pool(cluster: RadosCluster, pool: Pool, report: ReplicaScrubReport):
         acting = [cluster.osds[i] for i in pool.acting_set_for(oid)]
         target = cluster.osds[osd_id]
         source = next(
-            (o for o in _up_holders(cluster, acting, key) if o is not target), None
+            (o for o in cluster._holders(pool, key, acting) if o is not target), None
         )
         if source is None or not target.up:
             continue

@@ -118,19 +118,11 @@ def analyze_dedup_potential(
     local_seen: Dict[int, Set[str]] = {}
     chunker = StaticChunker(chunk_size)
     for oid in cluster.list_objects(pool):
-        key = cluster.object_key(pool, oid)
-        primary = next(
-            (
-                osd
-                for osd in cluster.acting_osds(pool, oid)
-                if osd.store.exists(key)
-            ),
-            None,
-        )
-        if primary is None:
+        found = cluster.peek(pool, oid)
+        if found is None:
             continue
-        data = primary.store.read(key)
-        primary_id = primary.osd_id
+        data = found[1].read()
+        primary_id = found[0].osd_id
         result.total_bytes += len(data)
         result.per_osd_total[primary_id] = (
             result.per_osd_total.get(primary_id, 0) + len(data)

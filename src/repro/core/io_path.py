@@ -57,25 +57,16 @@ def _read_cached_piece(tier, oid, offset, length, client):
     """Process: read cached bytes at the metadata primary and return
     them to the client (original-system read cost).
 
-    On an erasure-coded metadata pool the payload is sharded, so the
-    read goes through the EC decode path instead.  Retried under the
-    tier's policy: a primary dying mid-read re-resolves to the next
-    acting replica on the following attempt.
+    The cluster's one read path serves it (an EC decode on an
+    erasure-coded metadata pool), retried under the tier's policy.
     """
     cluster = tier.cluster
     client = client or cluster._default_client
-
-    def attempt():
-        if tier.metadata_pool.is_ec:
-            data = yield from cluster.read(tier.metadata_pool, oid, offset, length, client)
-            return data
-        primary = cluster._primary(tier.metadata_pool, oid)
-        key = tier.metadata_key(oid)
-        data = yield from primary.execute_read(key, offset, length)
-        yield from cluster._transfer(primary.node.nic, client.nic, len(data))
-        return data
-
-    data = yield from tier.retrying(attempt, op="read_cached")
+    key = tier.metadata_key(oid)
+    data = yield from tier.retrying(
+        lambda: cluster._read(tier.metadata_pool, key, offset, length, client),
+        op="read_cached",
+    )
     return data
 
 

@@ -320,15 +320,12 @@ class DedupTier:
     def _peek_stored_map(self, oid: str) -> Optional[Tuple[bytes, Dict[str, bytes]]]:
         """The stored chunk map of ``oid`` as ``(header xattr, omap)``,
         still packed and without charging simulated time."""
-        key = self.metadata_key(oid)
-        # acting_osds (not acting_set_for): mid-rebalance the object may
-        # still be parked on its pre-remap acting set.
-        for osd in self.cluster.acting_osds(self.metadata_pool, oid):
-            if osd.up and osd.store.exists(key):
-                obj = osd.store.get(key)
-                blob = obj.xattrs.get(CHUNK_MAP_XATTR)
-                return (blob, obj.omap) if blob else None
-        return None
+        found = self.cluster.peek(self.metadata_pool, oid)
+        if found is None:
+            return None
+        obj = found[1]
+        blob = obj.xattrs.get(CHUNK_MAP_XATTR)
+        return (blob, obj.omap) if blob else None
 
     def peek_chunk_map(self, oid: str) -> Optional[ChunkMap]:
         """Read the chunk map without charging simulated time (tests,
@@ -404,7 +401,8 @@ class DedupTier:
         self.invalidate_map_cache()
 
     def load_chunk_map(self, oid: str):
-        """Process: fetch the chunk map at the metadata primary.
+        """Process: fetch the chunk map at the object's first holder
+        (:meth:`~repro.cluster.RadosCluster.peek`).
 
         The lookup happens server-side as part of whatever operation
         carries it (the map lives in the object's own metadata), so the
@@ -428,11 +426,10 @@ class DedupTier:
             self._map_cache.move_to_end(oid)
             self.stage.map_cache_hits += 1
             return cached[1].copy()
-        primary = self.cluster._primary(self.metadata_pool, oid)
-        key = self.metadata_key(oid)
-        if not primary.store.exists(key):
+        found = self.cluster.peek(self.metadata_pool, oid)
+        if found is None:
             return None
-        obj = primary.store.get(key)
+        primary, obj = found
         blob = obj.xattrs.get(CHUNK_MAP_XATTR)
         if blob is None:
             return None
@@ -492,15 +489,11 @@ class DedupTier:
 
         Used by the dedup engine, which runs next to the data: no client
         network transfer, just a local disk read (an EC decode when the
-        metadata pool is erasure-coded).
+        metadata pool is erasure-coded).  Returns the generator of the
+        cluster's one read path rather than wrapping it.
         """
-        if self.metadata_pool.is_ec:
-            data = yield from self.cluster._ec_read_internal(self.metadata_pool, oid)
-            return data[offset : offset + length]
-        primary = self.cluster._primary(self.metadata_pool, oid)
         key = self.metadata_key(oid)
-        data = yield from primary.execute_read(key, offset, length)
-        return data
+        return self.cluster._read(self.metadata_pool, key, offset, length, None)
 
     # -- chunk reference state -------------------------------------------------
 
@@ -510,15 +503,10 @@ class DedupTier:
         return self.cluster.exists(self.chunk_pool, chunk_id)
 
     def _load_refs(self, chunk_id: str) -> RefSet:
-        key = self.cluster.object_key(self.chunk_pool, chunk_id)
-        # acting_osds: a chunk mid-migration (and its self-contained
-        # refcounts) may only exist on the old acting set — reading the
-        # strict set here would return an empty RefSet and drop its refs.
-        for osd in self.cluster.acting_osds(self.chunk_pool, chunk_id):
-            if osd.up and osd.store.exists(key):
-                blob = osd.store.get(key).xattrs.get(REFS_XATTR, b"")
-                return RefSet.deserialize(blob)
-        return RefSet()
+        found = self.cluster.peek(self.chunk_pool, chunk_id)
+        if found is None:
+            return RefSet()
+        return RefSet.deserialize(found[1].xattrs.get(REFS_XATTR, b""))
 
     # -- reference commits ------------------------------------------------------
 
@@ -659,23 +647,14 @@ class DedupTier:
             )
             return data
         blob = yield from self.cluster.read(self.chunk_pool, chunk_id, 0, None, client)
-        encoding = self._chunk_encoding(chunk_id)
-        if encoding == b"zlib":
-            primary = self.cluster._primary(self.chunk_pool, chunk_id)
-            yield from primary.node.cpu.execute(
-                primary.node.cpu.spec.compress_time(len(blob))
-            )
+        found = self.cluster.peek(self.chunk_pool, chunk_id)
+        if found is not None and found[1].xattrs.get(CHUNK_ENCODING_XATTR) == b"zlib":
+            cpu = found[0].node.cpu
+            yield from cpu.execute(cpu.spec.compress_time(len(blob)))
             blob = self.codec.decompress(blob)
         if length is None:
             return blob[offset:]
         return blob[offset : offset + length]
-
-    def _chunk_encoding(self, chunk_id: str) -> bytes:
-        key = self.cluster.object_key(self.chunk_pool, chunk_id)
-        for osd in self.cluster.acting_osds(self.chunk_pool, chunk_id):
-            if osd.up and osd.store.exists(key):
-                return osd.store.get(key).xattrs.get(CHUNK_ENCODING_XATTR, b"raw")
-        return b"raw"
 
     def chunk_refcount(self, chunk_id: str) -> int:
         """Reference count of a chunk object (map-time, for tests)."""
@@ -687,47 +666,40 @@ class DedupTier:
         """Measure current space use (see :class:`SpaceReport`)."""
         report = SpaceReport()
         cluster = self.cluster
+        # Each object counted once, as its first holder stores it.
         for oid in cluster.list_objects(self.metadata_pool):
-            key = self.metadata_key(oid)
-            for osd in cluster.acting_osds(self.metadata_pool, oid):
-                if osd.store.exists(key):
-                    obj = osd.store.get(key)
-                    cmap_blob = obj.xattrs.get(CHUNK_MAP_XATTR, b"")
-                    cmap = (
-                        decode_stored_map(cmap_blob, obj.omap) if cmap_blob else None
-                    )
-                    # v2 maps keep entries in omap records; charge their
-                    # keys+values alongside the header so both formats
-                    # are billed for what they actually store.
-                    map_bytes = len(cmap_blob) + sum(
-                        len(k) + len(v)
-                        for k, v in obj.omap.items()
-                        if k.startswith(MAP_OMAP_PREFIX)
-                    )
-                    report.metadata_objects += 1
-                    report.logical_bytes += (
-                        cmap.logical_size() if cmap else obj.size
-                    )
-                    if self.metadata_pool.is_ec:
-                        # Each OSD holds one shard; payload-once bytes
-                        # are k shards' worth (parity excluded).
-                        report.cached_data_bytes += (
-                            obj.allocated_bytes() * self.metadata_pool.codec.k
-                        )
-                    else:
-                        report.cached_data_bytes += obj.allocated_bytes()
-                    report.metadata_bytes += PER_OBJECT_OVERHEAD + map_bytes
-                    break
+            found = cluster.peek(self.metadata_pool, oid)
+            if found is None:
+                continue
+            obj = found[1]
+            cmap_blob = obj.xattrs.get(CHUNK_MAP_XATTR, b"")
+            cmap = decode_stored_map(cmap_blob, obj.omap) if cmap_blob else None
+            # v2 maps keep entries in omap records; charge their
+            # keys+values alongside the header so both formats are
+            # billed for what they actually store.
+            map_bytes = len(cmap_blob) + sum(
+                len(k) + len(v)
+                for k, v in obj.omap.items()
+                if k.startswith(MAP_OMAP_PREFIX)
+            )
+            report.metadata_objects += 1
+            report.logical_bytes += cmap.logical_size() if cmap else obj.size
+            if self.metadata_pool.is_ec:
+                # Each OSD holds one shard; payload-once bytes are k
+                # shards' worth (parity excluded).
+                report.cached_data_bytes += (
+                    obj.allocated_bytes() * self.metadata_pool.codec.k
+                )
+            else:
+                report.cached_data_bytes += obj.allocated_bytes()
+            report.metadata_bytes += PER_OBJECT_OVERHEAD + map_bytes
         for cid in cluster.list_objects(self.chunk_pool):
-            key = cluster.object_key(self.chunk_pool, cid)
-            for osd in cluster.acting_osds(self.chunk_pool, cid):
-                if osd.store.exists(key):
-                    obj = osd.store.get(key)
-                    report.chunk_objects += 1
-                    report.metadata_bytes += PER_OBJECT_OVERHEAD + len(
-                        obj.xattrs.get(REFS_XATTR, b"")
-                    )
-                    break
+            found = cluster.peek(self.chunk_pool, cid)
+            if found is not None:
+                report.chunk_objects += 1
+                report.metadata_bytes += PER_OBJECT_OVERHEAD + len(
+                    found[1].xattrs.get(REFS_XATTR, b"")
+                )
         report.chunk_data_bytes = cluster.pool_logical_bytes(self.chunk_pool)
         report.raw_used_bytes = cluster.pool_used_bytes(
             self.metadata_pool

@@ -186,3 +186,22 @@ def test_every_path_stores_one_shard_format(move):
     for osd in holders:
         obj = osd.store.get(key)
         assert _same_content(obj, written[_shard_index(obj)]), osd.osd_id
+
+
+def test_recovery_copies_the_acting_holder_not_a_stale_stray():
+    """A stray copy parked outside the acting set misses every later
+    write: recovery must source a missing replica from the copy reads
+    are served by, not from whichever holder has the lowest OSD id."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=1, pg_num=32)
+    pool = cluster.create_pool("data", Replicated(2))
+    oid = next(f"obj{i}" for i in range(64) if 0 not in pool.acting_set_for(f"obj{i}"))
+    key = cluster.object_key(pool, oid)
+    first, second = (cluster.osds[i] for i in pool.acting_set_for(oid))
+    cluster.write_full_sync(pool, oid, b"old" * 1000)
+    cluster.osds[0].store.put_object(key, first.store.get(key).clone())
+    cluster.write_full_sync(pool, oid, b"new" * 1000)
+    second.store.delete_object(key)
+    recover_sync(cluster)
+    assert not cluster.osds[0].store.exists(key)
+    for osd in (first, second):
+        assert osd.store.read(key) == b"new" * 1000

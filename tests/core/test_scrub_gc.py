@@ -184,6 +184,67 @@ def test_false_positive_gc_keeps_a_reference_rewritten_back():
     assert storage.cluster.list_objects(storage.tier.chunk_pool) == [fingerprint(x)]
 
 
+def _restart_storage():
+    """Four hosts of one OSD each, so one OSD is in most acting sets."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=1, pg_num=32)
+    config = DedupConfig(chunk_size=1024, dedup_interval=0.01)
+    return DedupedStorage(cluster, config, start_engine=False)
+
+
+def test_reference_taken_during_an_outage_survives_the_restart():
+    """B's reference lands while the chunk's first acting OSD is down.
+    After the restart D's commit must read the clean RefSet {A, B}, not
+    the restarted copy's {A}, or deleting A and D frees B's chunk."""
+    storage = _restart_storage()
+    cluster = storage.cluster
+    data = bytes(range(256)) * 4  # one chunk
+    storage.write_sync("A", data)
+    storage.drain()
+    (chunk_id,) = cluster.list_objects(storage.tier.chunk_pool)
+    first = storage.tier.chunk_pool.acting_set_for(chunk_id)[0]
+    cluster.fail_osd(first, mark_out=False)
+    storage.write_sync("B", data)
+    storage.drain()
+    cluster.restart_osd(first)
+    storage.write_sync("D", data)
+    storage.drain()
+    storage.delete_sync("A")
+    storage.delete_sync("D")
+    assert storage.read_sync("B") == data
+    assert storage.tier.chunk_refcount(chunk_id) == 1
+
+
+def test_offline_gc_after_a_restart_reads_the_clean_map():
+    """B is rewritten while its metadata object's first acting OSD is
+    down; an offline GC right after the restart must judge references
+    by B's current map, not by the map on the restarted copy."""
+    storage = _restart_storage()
+    cluster = storage.cluster
+    old, new = b"o" * 1024, b"n" * 1024
+    storage.write_sync("B", old)
+    storage.drain()
+    first = storage.tier.metadata_pool.acting_set_for("B")[0]
+    cluster.fail_osd(first, mark_out=False)
+    storage.write_sync("B", new)
+    storage.drain()
+    cluster.restart_osd(first)
+    report = collect_garbage_sync(storage.tier)
+    assert report.references_dropped == 0
+    assert storage.read_sync("B") == new
+
+
+def test_core_reads_copies_only_through_the_cluster():
+    """Which copy the tier reads is the cluster's holder rule: no file
+    under ``core/`` probes an OSD store or an acting set itself."""
+    core = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
+    offenders = sorted(
+        path.name
+        for path in core.rglob("*.py")
+        if re.search(r"\.store\.|acting_osds|_up_subset", path.read_text(encoding="utf-8"))
+    )
+    assert offenders == []
+
+
 def test_only_the_tier_writes_chunk_references():
     """``dedup.refs`` has one writer: outside its definition, only the
     tier's commit names ``REFS_XATTR``, so every reference change —

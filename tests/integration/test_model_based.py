@@ -8,17 +8,18 @@ correctness net in the suite: any divergence between the tiered,
 deduplicated, replicated representation and plain buffers fails here.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import RadosCluster, recover_sync
+from repro.cluster import ErasureCoded, RadosCluster, Replicated, recover_sync
 from repro.core import DedupConfig, DedupedStorage
 
 OIDS = ["alpha", "beta", "gamma"]
 CHUNK = 512
 
 
-def make_storage(hot_threshold=2):
+def make_storage(hot_threshold=2, metadata_redundancy=None, chunk_redundancy=None):
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
     config = DedupConfig(
         chunk_size=CHUNK,
@@ -26,7 +27,13 @@ def make_storage(hot_threshold=2):
         hit_count_threshold=hot_threshold,
         hitset_period=0.1,
     )
-    return DedupedStorage(cluster, config, start_engine=False)
+    return DedupedStorage(
+        cluster,
+        config,
+        metadata_redundancy=metadata_redundancy,
+        chunk_redundancy=chunk_redundancy,
+        start_engine=False,
+    )
 
 
 class ReferenceModel:
@@ -93,18 +100,29 @@ def test_storage_matches_reference_model(ops):
         assert storage.read_sync(oid) == bytes(buf)
 
 
+POOL_TYPES = {"rep2": lambda: Replicated(2), "ec21": lambda: ErasureCoded(2, 1)}
+
+
+@pytest.mark.parametrize("chunk_pool", sorted(POOL_TYPES), ids="chunks_{}".format)
+@pytest.mark.parametrize("metadata_pool", sorted(POOL_TYPES), ids="meta_{}".format)
 @given(ops=ops_strategy, fail_osd=st.integers(min_value=0, max_value=7))
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_storage_survives_failure_mid_sequence(ops, fail_osd):
-    """Same as above, plus an OSD failure + recovery midway through."""
-    storage = make_storage()
+def test_storage_survives_failure_mid_sequence(metadata_pool, chunk_pool, ops, fail_osd):
+    """Same as above, across an OSD's restart window: it goes down in
+    place (``mark_out=False``) a third of the way in, misses writes,
+    rejoins with its stale disk two thirds in and serves beside the
+    clean copies until recovery runs at the end."""
+    storage = make_storage(
+        metadata_redundancy=POOL_TYPES[metadata_pool](),
+        chunk_redundancy=POOL_TYPES[chunk_pool](),
+    )
     model = ReferenceModel()
-    half = len(ops) // 2
+    down, back = len(ops) // 3, 2 * len(ops) // 3
     for i, (op, oid, a, b) in enumerate(ops):
-        if i == half:
-            storage.cluster.fail_osd(fail_osd)
-            stats = recover_sync(storage.cluster)
-            assert stats.objects_lost == 0
+        if i == down:
+            storage.cluster.fail_osd(fail_osd, mark_out=False)
+        if i == back:
+            storage.cluster.restart_osd(fail_osd)
         if op == "write":
             storage.write_sync(oid, b, offset=a)
             model.write(oid, a, b)
@@ -115,6 +133,10 @@ def test_storage_survives_failure_mid_sequence(ops, fail_osd):
             assert storage.read_sync(oid, offset=a, length=b) == expected
         else:
             storage.drain()
+    for oid, buf in model.objects.items():
+        assert storage.read_sync(oid) == bytes(buf)
+    stats = recover_sync(storage.cluster)
+    assert stats.objects_lost == 0
     storage.drain()
     for oid, buf in model.objects.items():
         assert storage.read_sync(oid) == bytes(buf)

@@ -53,11 +53,11 @@ CLI_DIGESTS = {
 }
 
 SCENARIO_DIGEST = (
-    # Moved when EC mutations joined the one commit pipeline: a shard
-    # write now sends its whole transaction (the shard plus its `_ec.*`
-    # xattrs) from the primary, not the bare shard, so every EC op ends
-    # a fraction of a microsecond later; every outcome is as it was.
-    "84287cec6c4fd3fd742d9e2105817f0e07303dde90f6cd3648eb975a0227e3f3"
+    # Moved when EC sources took k shards of the holder rule's clean
+    # class: the final read-back of e4 now matches its acknowledged
+    # writes (before, the restarted osd.4's stale shard was decoded);
+    # every timestamp and every other line is as it was.
+    "e09bc377b6836e4d5dced989f8d55f3087136744f4f85be4813b49fae7893bd1"
 )
 
 

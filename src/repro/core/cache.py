@@ -5,7 +5,10 @@ cached in the metadata object's data part.  Hotness comes from Ceph's
 HitSet mechanism — a rotating ring of per-interval access sets (bloom
 filters in memory) — and an object whose access count reaches
 ``hit_count_threshold`` is *hot*: it is served from the metadata pool
-and the dedup engine leaves it alone until it cools down.
+and the dedup engine leaves it alone until it cools down.  Hot means
+*sustained* access: the counted periods must also span the elapsed time
+they stand for (:meth:`CacheManager.is_hot`), so two accesses a moment
+apart on either side of a rotation never count as two periods.
 
 A simple LRU list (paper: "we used a LRU based approach, which is
 simple") bounds the total cached bytes when a capacity is configured.
@@ -14,7 +17,7 @@ simple") bounds the total cached bytes when a capacity is configured.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import Simulator
 from ..util import BloomFilter
@@ -28,6 +31,10 @@ class HitSet:
 
     ``hit_count(oid)`` approximates "in how many of the last N periods
     was this object accessed" — the paper's per-object access count.
+    ``first_access(oid)`` is when the object's current run of accesses
+    began: a run ends after a whole ring (``period * count``) without an
+    access, and so does its record, so the records stay bounded by the
+    objects the ring remembers.
     """
 
     def __init__(
@@ -48,18 +55,37 @@ class HitSet:
         self.capacity = capacity
         self.error_rate = error_rate
         self._ring: List[Tuple[float, BloomFilter]] = []
+        #: oid -> [first, last] access time of its current run.
+        self._runs: Dict[str, List[float]] = {}
 
-    def _rotate(self) -> None:
-        now = self.sim.now
+    def _rotate(self, now: float) -> None:
         if not self._ring or now - self._ring[-1][0] >= self.period:
             self._ring.append((now, BloomFilter(self.capacity, self.error_rate)))
             if len(self._ring) > self.count:
                 del self._ring[0 : len(self._ring) - self.count]
+            horizon = now - self.period * self.count
+            self._runs = {
+                oid: run for oid, run in self._runs.items() if run[1] >= horizon
+            }
 
     def record(self, oid: str) -> None:
         """Record one access to ``oid`` at the current simulated time."""
-        self._rotate()
+        now = self.sim.now
+        self._rotate(now)
         self._ring[-1][1].add(oid)
+        run = self._runs.get(oid)
+        if run is None or run[1] < now - self.period * self.count:
+            self._runs[oid] = [now, now]
+        else:
+            run[1] = now
+
+    def first_access(self, oid: str) -> Optional[float]:
+        """When ``oid``'s current run of accesses began (``None``: no
+        access within the last ``period * count`` seconds)."""
+        run = self._runs.get(oid)
+        if run is None or run[1] < self.sim.now - self.period * self.count:
+            return None
+        return run[0]
 
     def hit_count(self, oid: str) -> int:
         """Number of recent periods in which ``oid`` was accessed."""
@@ -119,8 +145,23 @@ class CacheManager:
                 self._cached.move_to_end(k)
 
     def is_hot(self, oid: str) -> bool:
-        """Paper §5: hot when the access count reaches Hitcount."""
-        return self.hitset.hit_count(oid) >= self.config.hit_count_threshold
+        """Paper §5: hot when the access count reaches Hitcount — and,
+        for a count above one, the accesses are sustained: the object's
+        first access of its run lies at least ``threshold - 1`` periods
+        back.  Hits in ``n`` periods then stand for ``n - 1`` elapsed
+        periods whatever the phase of the ring's rotations, so a burst
+        that straddles a rotation is not hot, and a run that is made a
+        little faster or slower keeps its verdict."""
+        threshold = self.config.hit_count_threshold
+        hitset = self.hitset
+        if hitset.hit_count(oid) < threshold:
+            return False
+        if threshold == 1:
+            return True
+        first = hitset.first_access(oid)
+        return first is not None and (
+            self.sim.now - first >= (threshold - 1) * hitset.period
+        )
 
     # -- cached-chunk bookkeeping ----------------------------------------------
 

@@ -35,8 +35,13 @@ class DedupConfig:
         HitSet tuning (paper §5): accesses are recorded into a rotating
         ring of ``hitset_count`` bloom filters, one per ``hitset_period``
         seconds; an object is *hot* when it appears in at least
-        ``hit_count_threshold`` of them.  Hot objects are never
-        deduplicated by the background engine (selective dedup, §3.2).
+        ``hit_count_threshold`` of them and its current run of accesses
+        began at least ``hit_count_threshold - 1`` periods ago — hot
+        means sustained access, so two accesses a moment apart on either
+        side of a rotation are not two periods' worth.  A run ends after
+        ``hitset_period * hitset_count`` seconds without an access.  Hot
+        objects are never deduplicated by the background engine
+        (selective dedup, §3.2).
     rate_control:
         Enable watermark-based throttling of background dedup I/O.
     low_watermark / high_watermark:

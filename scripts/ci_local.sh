@@ -116,7 +116,8 @@ step "e2e-smoke: memory by site (artifact, not a gate)" \
     sh -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke > rss-by-site.txt'
 step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
     sh -c 'python3 scripts/sim_by_slice.py seq-backup --smoke > sim-by-slice.txt &&
-        python3 scripts/sim_by_slice.py rand-small-cold --smoke >> sim-by-slice.txt'
+        python3 scripts/sim_by_slice.py rand-small-cold --smoke >> sim-by-slice.txt &&
+        python3 scripts/sim_by_slice.py hot-reread --smoke >> sim-by-slice.txt'
 
 # -- paper-benches job ------------------------------------------------------
 # Every paper figure/table bench at fast size (~1 min 40 s); each asserts

@@ -320,6 +320,15 @@ class RadosCluster:
         """Event: one small control message (request or ack) has arrived."""
         return self.sim.timeout(self.profile.nic.latency)
 
+    def reply(self) -> Timeout:
+        """Event: the ack of a committed :meth:`submit` or
+        :meth:`submit_batch` has reached the client.
+
+        The commit pipeline ends at its commit point; its caller sends
+        the reply, inside or after its own locks as its op requires
+        (docs/internals.md, "The commit pipeline")."""
+        return self.sim.timeout(self.profile.nic.latency)
+
     # -- replicated data path -----------------------------------------------------
 
     def submit(
@@ -412,7 +421,8 @@ class RadosCluster:
         5. Prepare every replica (shard) of every group, check quorum
            for all groups, then commit all of them — one fault anywhere
            and nothing is mutated.  Drop the parked copies of every
-           rewritten stripe; release; ack.
+           rewritten stripe; release.  The pipeline ends here, at its
+           commit point: the caller sends the :meth:`reply`.
         """
         if not items:
             return
@@ -434,11 +444,16 @@ class RadosCluster:
                 size = items[i][1].io_bytes
                 sent[i] = (node, size)
                 nbytes += size
-            sends.append(self._transfer(client.nic, node.nic, nbytes))
+            sends.append((node.nic, nbytes))
         if single:  # a lone transfer needs no process of its own
-            yield from sends[0]
+            nic, nbytes = sends[0]
+            if nic is not client.nic:  # else the payload is already there
+                yield from self._transfer(client.nic, nic, nbytes)
         else:
-            yield self.sim.all_of([self.sim.process(send) for send in sends])
+            yield self.sim.all_of([
+                self.sim.process(self._transfer(client.nic, nic, nbytes))
+                for nic, nbytes in sends
+            ])
         held: list = []
         try:
             for key in sorted({key for key, _txn in keyed}):
@@ -508,7 +523,6 @@ class RadosCluster:
                 self._purge_parked_ec_copies(pool, key)
         finally:
             self.write_locks.release(held)
-        yield self._rpc_latency()  # ack to client
 
     def _commit_groups(
         self, pool: Pool, items: List[Tuple[ObjectKey, Transaction]]
@@ -527,10 +541,14 @@ class RadosCluster:
         migration pass of its own (the rebalancer merely trims the
         old-side copies when it retires the PG).
 
-        An item that ends by removing its object goes to the object's
-        :meth:`_holders`, as a group of its own (joined by any later item
-        on the object) when they are not the whole up set: a restarted
-        replica that never received the object has nothing to remove.
+        An item that ends by removing its object, or that does not start
+        by replacing its payload, goes to the object's :meth:`_holders`,
+        as a group of its own (joined by any later item on the object)
+        when they are not the whole up set: a restarted replica that
+        never received the object has nothing to remove, and an up
+        member that does not hold it — CRUSH moved the PG when an OSD
+        was marked out — must not be handed a partial write, which would
+        materialise a zero-filled copy.
 
         On an EC pool every object is a group of its own, on the up
         members of the *strict* CRUSH acting set in slot order: the
@@ -549,11 +567,15 @@ class RadosCluster:
             up: Optional[List[OSD]] = None
             if not ec and (pool.pool_id, pg) not in remaps and gid not in groups:
                 gid = (pg, "")
-                if txn.ops and txn.ops[-1][0] == "remove":
+                ops = txn.ops
+                if ops and (ops[-1][0] == "remove" or ops[0][0] != "write_full"):
                     up = self._up_subset(self._acting_osds(pool, pg))
-                    holders = self._holders(pool, key)
-                    if holders and holders != up:
-                        gid, up = (pg, key.name), holders
+                    # Every up member holds it: the holders are the up
+                    # set (their order agrees) — the common case.
+                    if len([o for o in up if o.store.exists(key)]) != len(up):
+                        holders = self._holders(pool, key)
+                        if holders and holders != up:
+                            gid, up = (pg, key.name), holders
             group = groups.get(gid)
             if group is None:
                 if ec:
@@ -591,6 +613,7 @@ class RadosCluster:
         key = self.object_key(pool, oid)
         txn = Transaction().write_full(key, data)
         yield from self.submit(pool, oid, txn, client)
+        yield self.reply()
 
     def write(self, pool: Pool, oid: str, offset: int, data: bytes, client: Optional[Client] = None):
         """Process: write ``data`` at ``offset`` (partial overwrite).
@@ -602,12 +625,14 @@ class RadosCluster:
         key = self.object_key(pool, oid)
         txn = Transaction().write(key, offset, data)
         yield from self.submit(pool, oid, txn, client)
+        yield self.reply()
 
     def remove(self, pool: Pool, oid: str, client: Optional[Client] = None):
         """Process: delete the object from every replica/shard."""
         key = self.object_key(pool, oid)
         txn = Transaction().remove(key)
         yield from self.submit(pool, oid, txn, client)
+        yield self.reply()
 
     def read(
         self,
@@ -717,6 +742,7 @@ class RadosCluster:
         key = self.object_key(pool, oid)
         txn = Transaction().setxattr(key, name, value)
         yield from self.submit(pool, oid, txn, client)
+        yield self.reply()
 
     def omap_get(self, pool: Pool, oid: str, name: str):
         """Process: read one omap value from the first holder."""

@@ -235,6 +235,7 @@ class InlineDedupStorage:
         txn.create(key)
         try:
             yield from tier.cluster.submit(tier.metadata_pool, oid, txn, client)
+            yield tier.cluster.reply()
         except Exception:
             tier.invalidate_map_cache(oid)
             raise

@@ -379,6 +379,7 @@ class DedupEngine:
             if changed:
                 tier.append_map_commit(txn, oid, cmap)
                 yield from tier.cluster.submit(tier.metadata_pool, oid, txn, via)
+                yield tier.cluster.reply()
                 tier.note_map_committed(oid, cmap)
         except Exception as exc:
             # The map commit may have faulted after partially landing:
@@ -519,6 +520,7 @@ class DedupEngine:
             tier.append_map_commit(txn, oid, cmap)
             try:
                 yield from tier.cluster.submit(tier.metadata_pool, oid, txn, via)
+                yield tier.cluster.reply()
             except Exception as exc:
                 # Promotion is purely an optimisation: on a fault the
                 # chunk map stays authoritative and the object is
@@ -570,6 +572,7 @@ class DedupEngine:
             txn.truncate(key, 0)  # fully evicted: metadata only
         try:
             yield from tier.cluster.submit(tier.metadata_pool, oid, txn, via)
+            yield tier.cluster.reply()
         except Exception as exc:
             # Eviction is deferrable: the faulted commit may have
             # partially landed — drop the cached decode; the LRU offers

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from ..cluster import NoSuchObject, Transaction
 from .objects import ChunkMap, ChunkMapEntry
-from .tier import DedupTier
+from .tier import DedupTier, NodeClient
 
 __all__ = ["write_path", "read_path", "delete_path"]
 
@@ -92,101 +92,122 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
 
     Steps (paper §4.5 write path):
 
-    1. the client issues the request to the metadata pool;
-    2. placement hashes the (unchanged, user-visible) object ID; a
-       partial overwrite of a non-cached chunk pre-reads the missing
-       bytes from the chunk pool;
+    1. the client resolves the object's primary (placement hashes the
+       unchanged, user-visible object ID) and sends it the payload;
+    2. under the object lock, a partial overwrite of a non-cached chunk
+       pre-reads the missing bytes from the chunk pool;
     3. data is written to the object's data part and chunk-map entries
        are created/updated — cached and dirty set, chunk ID left as-is;
-    4. the object ID is logged in the dirty list.
+    4. the object ID is logged in the dirty list, the lock is released,
+       and the reply travels back to the client.
 
     The map update and the data write are one transaction, so a crash
-    either persists both or neither (§4.6).
+    either persists both or neither (§4.6).  The object lock covers only
+    the primary's own work (steps 2–4 up to the commit): writers of one
+    object queue behind each other's commits, not behind wire time.
+    One retry scope covers send, lock and commit, so a retry re-sends
+    the payload, as a client does, and no backoff sleeps under the lock.
     """
     if offset < 0:
         raise ValueError(f"negative offset {offset}")
     if not data:
         return
+    client = client or tier.cluster._default_client
+    yield from tier.retrying(
+        lambda: _write_once(tier, oid, offset, data, client), op="meta_write"
+    )
+    yield tier.cluster.reply()
+
+
+def _send_payload(tier: DedupTier, primary, nbytes: int, client):
+    """Process: move a write's payload from ``client`` to ``primary``'s
+    node (the generator of the cluster's transfer, not a wrapper)."""
+    return tier.cluster._transfer(client.nic, primary.node.nic, nbytes)
+
+
+# repro-lint: flt-scope -- one attempt of write_path's retry scope (send, lock, commit): a fault propagates to it, which re-sends
+def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
+    """Process: one attempt of :func:`write_path` — send the payload to
+    the primary, then take the object lock and commit."""
+    cluster = tier.cluster
+    pool = tier.metadata_pool
+    key = tier.metadata_key(oid)
+    primary = cluster._primary(pool, oid, key.pg)
+    yield from _send_payload(tier, primary, len(data), client)
     # Mutations of one object are serialised (as RADOS serialises ops
     # per object at its PG): the chunk-map read-modify-write below must
     # not interleave with a dedup pass committing a new map.
     held: list = []
     try:
         yield tier.object_locks.acquire(oid, held)
-        yield from _write_locked(tier, oid, offset, data, client)
+        cs = tier.config.chunk_size
+        cmap = yield from tier.load_chunk_map(oid)
+        if cmap is None:
+            cmap = ChunkMap(cs)
+        txn = Transaction()
+        end = offset + len(data)
+        for idx in tier.chunker.aligned_range(offset, len(data)):
+            cstart = idx * cs
+            wstart, wend = max(offset, cstart), min(end, cstart + cs)
+            rel_start, rel_end = wstart - cstart, wend - cstart
+            entry = cmap.get(idx)
+            if entry is None:
+                entry = ChunkMapEntry(
+                    offset=cstart, length=rel_end, cached=True, dirty=True
+                )
+            else:
+                length = max(entry.length, rel_end)
+                whole = ((0, length),)
+                if not entry.chunk_id or (rel_start == 0 and rel_end >= length):
+                    # Never flushed — the whole (zero-extended) chunk
+                    # lives in the data part — or overwritten end to end.
+                    valid = whole
+                else:
+                    valid = entry.valid_with(rel_start, rel_end)
+                if valid is None:
+                    # Too fragmented to track: coalesce with a foreground
+                    # pre-read from the chunk object (the paper's pre-read
+                    # corner case; common sub-chunk writes never hit it —
+                    # the read-modify-write is deferred to the engine).
+                    chunk_bytes = yield from tier.retrying(
+                        lambda cid=entry.chunk_id, ln=length: tier.read_chunk(
+                            cid, 0, ln, client
+                        ),
+                        op="preread",
+                    )
+                    chunk_bytes = chunk_bytes + b"\x00" * (length - len(chunk_bytes))
+                    # Fill only the ranges the cache does not hold — the
+                    # cached ranges carry newer data.
+                    for seg_start, seg_end in entry.replace(length=length).missing_ranges():
+                        txn.write(
+                            key, cstart + seg_start, chunk_bytes[seg_start:seg_end]
+                        )
+                    valid = whole
+                entry = entry.replace(length=length, dirty=True, valid=valid)
+            cmap.set(entry)
+            tier.cache.note_cached(
+                oid, idx, sum(e - s for s, e in entry.valid)
+            )
+        txn.write(key, offset, data)
+        tier.append_map_commit(txn, oid, cmap)
+        # The payload already sits at ``primary``: committing from its
+        # node moves nothing, or forwards it if the primary has moved.
+        # Safe to retry: the transaction writes absolute offsets, so a
+        # replay after a partial failure converges to the same state.
+        try:
+            yield from cluster.submit(pool, oid, txn, NodeClient(primary.node))
+        except Exception:
+            # The faulted commit may have partially landed: the stored
+            # map no longer necessarily matches the cached committed
+            # snapshot.
+            tier.invalidate_map_cache(oid)
+            raise
+        tier.note_map_committed(oid, cmap)
+        tier.mark_dirty(oid)
+        tier.fg_window.note(len(data))
+        tier.cache.record_access(oid)
     finally:
         tier.object_locks.release(held)
-
-
-def _write_locked(tier: DedupTier, oid: str, offset: int, data: bytes, client):
-    cluster = tier.cluster
-    pool = tier.metadata_pool
-    cs = tier.config.chunk_size
-    cmap = yield from tier.load_chunk_map(oid)
-    if cmap is None:
-        cmap = ChunkMap(cs)
-    key = tier.metadata_key(oid)
-    txn = Transaction()
-    end = offset + len(data)
-    for idx in tier.chunker.aligned_range(offset, len(data)):
-        cstart = idx * cs
-        wstart, wend = max(offset, cstart), min(end, cstart + cs)
-        rel_start, rel_end = wstart - cstart, wend - cstart
-        entry = cmap.get(idx)
-        if entry is None:
-            entry = ChunkMapEntry(
-                offset=cstart, length=rel_end, cached=True, dirty=True
-            )
-        else:
-            length = max(entry.length, rel_end)
-            whole = ((0, length),)
-            if not entry.chunk_id or (rel_start == 0 and rel_end >= length):
-                # Never flushed — the whole (zero-extended) chunk lives
-                # in the data part — or overwritten end to end.
-                valid = whole
-            else:
-                valid = entry.valid_with(rel_start, rel_end)
-            if valid is None:
-                # Too fragmented to track: coalesce with a foreground
-                # pre-read from the chunk object (the paper's pre-read
-                # corner case; common sub-chunk writes never hit it —
-                # the read-modify-write is deferred to the engine).
-                chunk_bytes = yield from tier.retrying(
-                    lambda cid=entry.chunk_id, ln=length: tier.read_chunk(
-                        cid, 0, ln, client
-                    ),
-                    op="preread",
-                )
-                chunk_bytes = chunk_bytes + b"\x00" * (length - len(chunk_bytes))
-                # Fill only the ranges the cache does not hold — the
-                # cached ranges carry newer data.
-                for seg_start, seg_end in entry.replace(length=length).missing_ranges():
-                    txn.write(
-                        key, cstart + seg_start, chunk_bytes[seg_start:seg_end]
-                    )
-                valid = whole
-            entry = entry.replace(length=length, dirty=True, valid=valid)
-        cmap.set(entry)
-        tier.cache.note_cached(
-            oid, idx, sum(e - s for s, e in entry.valid)
-        )
-    txn.write(key, offset, data)
-    tier.append_map_commit(txn, oid, cmap)
-    # Safe to retry: the transaction writes absolute offsets, so a
-    # replay after a partial failure converges to the same state.
-    try:
-        yield from tier.retrying(
-            lambda: cluster.submit(pool, oid, txn, client), op="meta_write"
-        )
-    except Exception:
-        # The faulted commit may have partially landed: the stored map
-        # no longer necessarily matches the cached committed snapshot.
-        tier.invalidate_map_cache(oid)
-        raise
-    tier.note_map_committed(oid, cmap)
-    tier.mark_dirty(oid)
-    tier.fg_window.note(len(data))
-    tier.cache.record_access(oid)
 
 
 def delete_path(tier: DedupTier, oid: str, client=None):
@@ -219,6 +240,7 @@ def delete_path(tier: DedupTier, oid: str, client=None):
             ),
             op="meta_delete",
         )
+        yield cluster.reply()
         # The decoded map of a removed object must not be served to
         # a later recreate (load_chunk_map hits skip the existence
         # probe entirely).

@@ -608,6 +608,8 @@ class DedupTier:
                 if len(txn):
                     items.append((cid, txn))
             yield from self.cluster.submit_batch(self.chunk_pool, items, via)
+            if items:
+                yield self.cluster.reply()
             self.stage.flush_ops += len(stored_blobs)
             self.stage.flush_bytes += sum(map(len, stored_blobs))
             if items:

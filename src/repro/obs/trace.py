@@ -134,6 +134,8 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.core.tier", "DedupTier.commit_chunk_batch", "tier.commit_chunk_batch",
      lambda _self, batch, *_a, **_k: {
          "ops": len(batch.ops), "chunks": len(batch.chunk_ids())}),
+    ("repro.core.io_path", "_send_payload", "tier.send",
+     lambda _tier, primary, nbytes, *_a, **_k: {"osd": primary.osd_id, "nbytes": nbytes}),
     ("repro.core.io_path", "_read_once", "tier.read_once", _oid),
     ("repro.core.io_path", "_gather", "tier.read_fanout", _oid),
     ("repro.core.io_path", "_read_cached_piece", "tier.read_cached",
@@ -145,6 +147,7 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.cluster.rados", "RadosCluster.submit", "rados.submit", _pool),
     ("repro.cluster.rados", "RadosCluster.submit_batch", "rados.submit_batch",
      lambda _self, pool, items, *_a, **_k: {"pool": pool.name, "items": len(items)}),
+    ("repro.cluster.rados", "RadosCluster.reply", "rados.reply", _none),
     ("repro.cluster.rados", "RadosCluster.read", "rados.read", _pool),
     # Online rebalance.
     ("repro.cluster.rebalance", "Rebalancer._migrate_pg", "rebalance.pg",

@@ -100,3 +100,29 @@ def test_an_osd_marked_down_during_the_lock_wait_forces_re_resolution(monkeypatc
     # lock: the primary only; the down replica keeps its old copy.
     assert cluster.osds[primary].store.read(key) == b"N" * (4 * KiB)
     assert cluster.osds[replica].store.read(key) == bytes([5]) * (4 * KiB)
+
+
+def test_a_partial_write_after_a_mark_out_goes_only_to_the_holders():
+    # Marking osd.0 out moves some PGs onto an OSD that never held their
+    # objects.  A partial write handed to it would materialise a
+    # zero-filled copy (100 zero bytes, then the patch) that recovery
+    # takes for a clean replica.
+    cluster = RadosCluster(num_hosts=4, osds_per_host=1, pg_num=16)
+    pool = cluster.create_pool("data", Replicated(2))
+    oids = ["obj%d" % i for i in range(40)]
+    for i, oid in enumerate(oids):
+        cluster.write_full_sync(pool, oid, bytes([i]) * (4 * KiB))
+    cluster.fail_osd(0)
+    moved = 0
+    for i, oid in enumerate(oids):
+        key = cluster.object_key(pool, oid)
+        up = [o for o in cluster.acting_osds(pool, oid) if o.info.up]
+        moved += any(not o.store.exists(key) for o in up)
+        cluster.write_sync(pool, oid, 100, b"patched!!!")
+        expected = bytes([i]) * 100 + b"patched!!!" + bytes([i]) * (4 * KiB - 110)
+        assert cluster.read_sync(pool, oid) == expected
+        for osd in cluster.osds.values():
+            if osd.store.exists(key):
+                assert osd.store.get(key).read() in (expected, bytes([i]) * (4 * KiB)), (
+                    oid, osd.osd_id)
+    assert moved  # the mark-out did move PGs onto non-holders

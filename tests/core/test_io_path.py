@@ -159,6 +159,39 @@ def test_short_segment_read_pads_and_counts(storage):
     assert got == b"s" * 1024 + b"t" * 100 + b"\x00" * 924
 
 
+# -- what the object lock covers -----------------------------------------------
+
+
+def test_a_second_writer_is_granted_the_lock_at_the_first_writers_commit(storage):
+    # The payload travels before the lock and the reply after it, so two
+    # writers of one object queue only behind each other's commit.
+    storage.write_sync("obj1", b"x" * 4096)
+    sim = storage.sim
+    clients = [storage.client("c1"), storage.client("c2")]
+
+    def both():
+        yield sim.all_of([
+            sim.process(storage.write("obj1", b"a" * 4096, client=clients[0])),
+            sim.process(storage.write("obj1", b"b" * 1024, offset=100, client=clients[1])),
+        ])
+
+    with Tracer(sim) as tracer:
+        storage.cluster.run(both())
+    by_trace = {}
+    for span in tracer.spans:
+        if span.stage != "lock.wait" or span.tags["lock"] == "tier.object:obj1":
+            by_trace.setdefault(span.trace_id, {}).setdefault(span.stage, []).append(span)
+    first, second = sorted(by_trace.values(), key=lambda t: t["lock.wait"][0].end)
+    (op1,), (commit1,), (reply1,) = first["op.write"], first["rados.submit"], first["rados.reply"]
+    (send2,), (lock2,) = second["tier.send"], second["lock.wait"]
+    assert commit1.end < reply1.end == op1.end
+    assert send2.end == lock2.start < commit1.end  # sent, then queued
+    assert lock2.end == commit1.end  # granted at the commit, not the reply
+    assert first["tier.send"][0].end == first["lock.wait"][0].start
+    last = b"b" if second["op.write"][0].tags["nbytes"] == 1024 else b"a"
+    assert storage.read_sync("obj1", 100, 1024) == last * 1024
+
+
 # -- read fan-out and repeat reads -------------------------------------------
 
 

@@ -87,7 +87,7 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
     oids = [f"obj{i}" for i in range(6)]
     expected = flushed_then_patched(storage, oids)
     tier, sim = storage.tier, storage.sim
-    grants = []  # (task, oid, time) per object-lock grant
+    grants = []  # (task, oid, time, by a worker) per object-lock grant
     released = {}  # oid -> when its old-chunk release landed
     writes = {}  # oid -> (issued, lock granted) of a write made at its commit
     acquire = tier.object_locks.acquire
@@ -96,8 +96,9 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
 
     def recording_acquire(oid, held):
         task = sim.current_task
+        worker = task in storage.engine._worker_tasks
         grant = acquire(oid, held)
-        grant.subscribe(lambda _e: grants.append((task, oid, sim.now)))
+        grant.subscribe(lambda _e: grants.append((task, oid, sim.now, worker)))
         return grant
 
     def recording_release(pairs, via):
@@ -108,9 +109,11 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
         # Back to the content of the chunk the release drops: if the
         # write or the next pass got in first, the release would drop
         # the reference that pass takes.
-        task, issued = sim.current_task, sim.now
+        # The write's lock is taken by its retry attempt's process: the
+        # one grant on ``oid`` that no engine worker made.
+        issued = sim.now
         yield from storage.write(oid, original(oid)[6 * KiB : 6 * KiB + 100], offset=6 * KiB)
-        granted = next(when for t, o, when in grants if t is task and o == oid)
+        granted = next(when for _t, o, when, worker in grants if o == oid and not worker)
         writes[oid] = (issued, granted)
 
     def write_at_commit(oid, cmap):
@@ -126,7 +129,7 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
 
     assert sorted(released) == oids
     by_task = {}
-    for task, oid, when in grants:
+    for task, oid, when, _worker in grants:
         by_task.setdefault(task, []).append((oid, when))
     moved_on = [
         (prev, nxt)

@@ -16,7 +16,7 @@ and post-rebalance placement cleanliness.
 import os
 
 from repro.bench import KiB, MiB, build_cluster, proposed, render_table, report
-from repro.cluster import Rebalancer, placement_report, recover_sync
+from repro.cluster import ConvergeStats, converge, placement_report
 from repro.workloads import ContentGenerator
 
 # REPRO_BENCH_FAST=1 (the CI paper-benches job) shrinks the dataset so the
@@ -64,12 +64,12 @@ def run_experiment():
     # Phase 2: double the cluster and write the rest WHILE a throttled
     # rebalance migrates the existing chunk/metadata objects.
     diff = cluster.expand("host2", 2)
-    engine = Rebalancer(cluster, rate_limit_bps=REBALANCE_RATE)
+    stats = ConvergeStats()
     start = sim.now
     writes_done = {}
 
     def phase2():
-        migration = sim.process(engine.run_to_completion(max_passes=8))
+        migration = sim.process(converge(cluster, REBALANCE_RATE, stats))
         procs = [
             sim.process(storage.write(oid, data))
             for oid, data in sorted(second.items())
@@ -82,11 +82,9 @@ def run_experiment():
     t_during = writes_done["at"] - start
     storage.drain()
     # Chunks minted by the post-expansion dedup pass may have landed on
-    # PGs that were still remapped; one more (unthrottled) sweep settles
-    # them, and a recovery pass trims stray union copies of objects
-    # created in the instant a remap retired.
-    cluster.run(engine.run_to_completion(max_passes=8))
-    recover_sync(cluster)
+    # PGs that were still remapped; one more (unthrottled) run settles
+    # them.
+    cluster.run(converge(cluster, None, stats))
     report_after = storage.space_report()
 
     violations = placement_report(cluster)
@@ -97,7 +95,7 @@ def run_experiment():
     ]
     return {
         "diff": diff,
-        "stats": engine.stats,
+        "stats": stats,
         "before": report_before,
         "after": report_after,
         "t_before": t_before,

@@ -18,7 +18,7 @@ fail/out/recover cycle, recovery time measured on the simulated clock.
 import os
 
 from repro.bench import KiB, MiB, build_cluster, original, proposed, render_table, report
-from repro.cluster import recover_sync
+from repro.cluster import converge_sync
 from repro.workloads import FioJobSpec, FioRunner
 
 # REPRO_BENCH_FAST=1 (the CI paper-benches job) trims the sweep; the
@@ -58,11 +58,11 @@ def measure(dedup: bool, failed: int) -> float:
     cluster = storage.cluster
     for osd_id in range(failed):
         cluster.fail_osd(osd_id)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0
     for osd_id in range(failed):
         cluster.revive_osd(osd_id)
-    stats2 = recover_sync(cluster)
+    stats2 = converge_sync(cluster)
     assert stats2.objects_lost == 0
     return stats.duration + stats2.duration
 

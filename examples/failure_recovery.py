@@ -12,7 +12,7 @@ kills OSDs, re-adds them, and compares recovery.
 Run:  python examples/failure_recovery.py
 """
 
-from repro.cluster import RadosCluster, recover_sync
+from repro.cluster import RadosCluster, converge_sync
 from repro.core import DedupConfig, DedupedStorage, PlainStorage
 from repro.workloads import FioJobSpec, FioRunner
 
@@ -53,16 +53,16 @@ def main():
         # guarantee no PG loses both replicas), heal, then re-add them.
         for osd_id in (0, 1):
             cluster.fail_osd(osd_id)
-        heal = recover_sync(cluster)
+        heal = converge_sync(cluster)
         for osd_id in (0, 1):
             cluster.revive_osd(osd_id)
-        backfill = recover_sync(cluster)
+        backfill = converge_sync(cluster)
 
         print(f"== {label} ==")
         print(f"  raw bytes stored:   {used / MiB:6.2f} MiB")
-        print(f"  heal:     {heal.objects_recovered:4d} objects, "
+        print(f"  heal:     {heal.objects_moved:4d} objects, "
               f"{heal.bytes_moved / MiB:6.2f} MiB in {heal.duration * 1e3:6.1f} ms")
-        print(f"  backfill: {backfill.objects_recovered:4d} objects, "
+        print(f"  backfill: {backfill.objects_moved:4d} objects, "
               f"{backfill.bytes_moved / MiB:6.2f} MiB in {backfill.duration * 1e3:6.1f} ms")
         assert heal.objects_lost == 0 and backfill.objects_lost == 0
 

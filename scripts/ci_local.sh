@@ -47,7 +47,7 @@ assert matrix == ["3.9", "3.11", "3.12", "3.13"], matrix
 seeds = jobs["faults-smoke"]["strategy"]["matrix"]["fault-seed"]
 assert len(set(seeds)) == 3, seeds
 eseeds = jobs["elasticity-smoke"]["strategy"]["matrix"]["elasticity-seed"]
-assert len(set(eseeds)) == 3, eseeds
+assert len(set(eseeds)) == 6, eseeds
 concurrency = doc["concurrency"]
 assert concurrency["cancel-in-progress"] is True, concurrency
 EOF
@@ -102,7 +102,7 @@ for seed in 11 29 4242; do
 done
 
 # -- elasticity-smoke job ---------------------------------------------------
-for seed in 11 29 4242; do
+for seed in 11 29 4242 6 16 20; do
     step "elasticity-smoke: online expand + decommission, seed $seed" \
         env PYTHONPATH=src python -m repro --seed "$seed" rebalance
 done

@@ -184,7 +184,7 @@ def _cmd_rebalance(args) -> int:
               f" (epoch {result.decommission_diff.epoch})")
     print()
     print("rebalance:")
-    for line in result.rebalance_stats.summary_lines():
+    for line in result.converge_stats.summary_lines():
         print(f"  {line}")
     print()
     scrub = result.scrub

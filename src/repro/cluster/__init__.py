@@ -3,8 +3,9 @@
 The decentralised, shared-nothing storage system of the paper's §2.1:
 CRUSH-style hash placement over hosts and OSDs, replicated and
 erasure-coded pools, per-object transactions with xattr/omap metadata,
-failure handling, and recovery — all running on modelled hardware under
-a discrete-event clock.
+failure handling, and one convergence engine for recovery and
+rebalance — all running on modelled hardware under a discrete-event
+clock.
 """
 
 from .clustermap import ClusterMap, OsdInfo
@@ -30,18 +31,16 @@ from .objectstore import (
 )
 from .osd import Node, OSD, OsdDownError, OsdError, OsdFullError
 from .pool import ErasureCoded, Pool, Replicated
-from .rados import Client, NotEnoughReplicas, RadosCluster
-from .rebalance import (
-    PgRemap,
-    RebalanceStats,
-    Rebalancer,
-    RemapDiff,
-    compute_remap,
+from .rados import Client, NotEnoughReplicas, RadosCluster, RemapDiff
+from .converge import (
+    ConvergeStats,
+    PGState,
+    converge,
+    converge_sync,
+    pg_state,
     placement_report,
     placement_skew,
-    rebalance_sync,
 )
-from .recovery import RecoveryStats, plan_recovery, recover, recover_sync
 from .scrub import (
     ReplicaScrubReport,
     repair_pool,
@@ -83,18 +82,14 @@ __all__ = [
     "Client",
     "RadosCluster",
     "NotEnoughReplicas",
-    "PgRemap",
     "RemapDiff",
-    "Rebalancer",
-    "RebalanceStats",
-    "compute_remap",
+    "ConvergeStats",
+    "PGState",
+    "converge",
+    "converge_sync",
+    "pg_state",
     "placement_report",
     "placement_skew",
-    "rebalance_sync",
-    "RecoveryStats",
-    "plan_recovery",
-    "recover",
-    "recover_sync",
     "ReplicaScrubReport",
     "scrub_pool",
     "scrub_pool_sync",

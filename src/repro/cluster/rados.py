@@ -25,8 +25,9 @@ Semantics follow Ceph:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..sim import LockTable, Simulator, Timeout
 from .clustermap import ClusterMap
@@ -37,10 +38,7 @@ from .objectstore import NoSuchObject, ObjectKey, ObjectStore, StoredObject, Tra
 from .osd import Node, OSD, OsdDownError
 from .pool import Pool, Replicated
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .rebalance import PgRemap, RemapDiff
-
-__all__ = ["Client", "RadosCluster", "NotEnoughReplicas"]
+__all__ = ["Client", "PgMove", "RadosCluster", "RemapDiff", "NotEnoughReplicas"]
 
 _needs_backfill = attrgetter("needs_backfill")
 
@@ -66,6 +64,42 @@ def _pick_shards(pool: Pool, key: ObjectKey, holders: List[OSD]) -> List[Tuple[i
 def _logical_size(pool: Pool, obj: StoredObject) -> int:
     """Payload bytes of the object a stored copy (or shard) belongs to."""
     return _payload_length(obj) if pool.is_ec else obj.size
+
+
+class _Unclean(NamedTuple):
+    """One unclean PG in ``RadosCluster._unclean``."""
+
+    #: When the PG went unclean: its degraded window opens here.
+    since: float
+    #: Its acting set then: a member still acting and never flagged
+    #: since has seen every write and delete (a deletion witness).
+    origin: Tuple[int, ...]
+    #: Earlier acting members, oldest first, that may still hold the
+    #: PG's data; reads and writes route over them until it converges.
+    prior: Tuple[int, ...]
+
+
+class PgMove(NamedTuple):
+    """One placement group whose acting set a topology change moved."""
+
+    pool_id: int
+    pg: int
+    old: Tuple[int, ...]
+    new: Tuple[int, ...]
+
+
+@dataclass
+class RemapDiff:
+    """The PG movements one topology change implies."""
+
+    #: Cluster-map epoch the new acting sets were computed at.
+    epoch: int
+    remaps: List[PgMove] = field(default_factory=list)
+
+    @property
+    def pgs_remapped(self) -> int:
+        """Number of placement groups that must move."""
+        return len(self.remaps)
 
 
 class NotEnoughReplicas(RuntimeError):
@@ -121,12 +155,12 @@ class RadosCluster:
         # RADOS orders mutations per object at the PG: concurrent writes
         # to one object serialise.
         self.write_locks = LockTable(self.sim, "rados.write:{0.pool_id}/{0.pg}/{0.name}")
-        # PGs whose acting set changed under live data (expansion /
-        # decommission).  While an entry is active, IO for the PG runs
-        # against the union of old+new locations; the rebalance engine
-        # (repro.cluster.rebalance) migrates the data and retires it.
-        self._active_remaps: Dict[Tuple[int, int], "PgRemap"] = {}
-        # Callbacks fired after recovery / rebalance rewrites stored
+        # (pool_id, pg) -> _Unclean for every PG an OSD failure, restart,
+        # expand or decommission left away from its CRUSH placement; IO
+        # routes over its earlier members too until repro.cluster.converge
+        # settles it and drops the entry.  Empty in the steady state.
+        self._unclean: Dict[Tuple[int, int], _Unclean] = {}
+        # Callbacks fired after convergence rewrites stored
         # objects (see notify_repaired): layers holding decoded caches
         # above the substrate (e.g. the dedup tier's chunk-map LRU)
         # register here to drop state the repair may have replaced
@@ -139,7 +173,7 @@ class RadosCluster:
         self._repair_listeners.append(listener)
 
     def notify_repaired(self) -> None:
-        """Tell listeners that recovery/rebalance rewrote objects."""
+        """Tell listeners that convergence rewrote objects."""
         for listener in self._repair_listeners:
             listener()
 
@@ -197,30 +231,35 @@ class RadosCluster:
 
     # -- acting-set helpers ---------------------------------------------------
 
-    def _remap_for(self, pool: Pool, pg: int) -> Optional["PgRemap"]:
-        """The active remap covering ``(pool, pg)``, if any."""
-        if not self._active_remaps:
-            return None
-        return self._active_remaps.get((pool.pool_id, pg))
-
     def _acting_osds(self, pool: Pool, pg: int) -> List[OSD]:
         # Takes the PG, not the object name: each rados op resolves
         # `pool.pg_of(oid)` once and hands it to every helper.
-        if self._active_remaps:
-            remap = self._active_remaps.get((pool.pool_id, pg))
-            if remap is not None:
-                # Mid-remap, data may sit on the old acting set, the new
-                # one, or both: IO runs against the union (old first, so
-                # established copies keep serving) until the rebalance
-                # engine retires the remap.
-                return [self.osds[i] for i in remap.union_ids() if i in self.osds]
+        if self._unclean:
+            entry = self._unclean.get((pool.pool_id, pg))
+            if entry is not None:
+                # Until the PG converges its data may sit on earlier
+                # members, the acting set, or both: IO runs against the
+                # union (earlier members first, so established copies
+                # keep serving).
+                ids = list(entry.prior)
+                ids += [i for i in pool.acting_set(pg) if i not in entry.prior]
+                return [self.osds[i] for i in ids if i in self.osds]
         return [self.osds[i] for i in pool.acting_set(pg)]
+
+    def _strays(self, pool: Pool, pg: int) -> List[int]:
+        """Earlier members of an unclean PG outside its acting set: the
+        PG is remapped while there are any."""
+        entry = self._unclean.get((pool.pool_id, pg))
+        if entry is None:
+            return []
+        acting = pool.acting_set(pg)
+        return [i for i in entry.prior if i not in acting]
 
     def acting_osds(self, pool: Pool, oid: str) -> List[OSD]:
         """Every OSD that may hold a copy of ``oid`` right now.
 
-        The CRUSH acting set — widened to the old+new union while the
-        object's PG is mid-remap: the candidates :meth:`_holders` picks
+        The CRUSH acting set — widened by the earlier members while the
+        object's PG is unclean: the candidates :meth:`_holders` picks
         from, so a copy still parked on a pre-remap acting set is found.
         Reading a copy goes through :meth:`peek` or :meth:`_holders`,
         never through a probe of these stores.
@@ -256,27 +295,30 @@ class RadosCluster:
     def _holders(
         self, pool: Pool, key: ObjectKey, osds: Optional[Iterable[OSD]] = None
     ) -> List[OSD]:
-        """The up OSDs among ``osds`` (default: the acting set, the
-        old+new union mid-remap) holding ``key``, continuously-up first:
-        the one answer to "which copy do I read?" (docs/internals.md,
-        "Reads").  A restarted (``needs_backfill``) OSD's copy may predate
-        its outage, so it comes after every clean one.  When it comes
-        first and a clean up acting member lacks the object, the object
-        was deleted while it was down, and no OSD holds it — unless the
-        PG is mid-remap: a new acting member may simply not have
-        received the object yet, so it witnesses nothing."""
+        """The up OSDs among ``osds`` (default: :meth:`_acting_osds`)
+        holding ``key``, continuously-up first: the one answer to "which
+        copy do I read?" (docs/internals.md, "Reads").  A restarted
+        (``needs_backfill``) OSD's copy may predate its outage, so it
+        comes after every clean one.  When it comes first and a clean up
+        acting member lacks the object, the object was deleted while it
+        was down, and no OSD holds it.  While the PG is unclean only a
+        member it had when it went unclean witnesses that: a new one may
+        simply not have received the object yet."""
         if osds is None:
             osds = self._acting_osds(pool, key.pg)
         holders = [o for o in osds if o.info.up and o.store.exists(key)]
         for osd in holders:
             if osd.needs_backfill:
                 holders.sort(key=_needs_backfill)
-                if holders[0].needs_backfill and (
-                    (pool.pool_id, key.pg) not in self._active_remaps
-                ):
+                if holders[0].needs_backfill:
+                    entry = self._unclean.get((pool.pool_id, key.pg))
                     for i in pool.acting_set(key.pg):
                         witness = self.osds[i]
-                        if witness.info.up and not witness.needs_backfill:
+                        if (
+                            witness.info.up
+                            and not witness.needs_backfill
+                            and (entry is None or i in entry.origin)
+                        ):
                             return []
                 break
         return holders
@@ -408,13 +450,13 @@ class RadosCluster:
            payload there.
         2. Take the items' write locks in key order.
         3. Resolve again, under the locks: this resolution is what
-           commits.  Rebalance migrations change holder sets only under
-           the same locks, so a write that queued on the client NIC
-           while its PG was remapped, migrated and settled lands on the
+           commits.  Convergence changes holder sets only under the
+           same locks, so a write that queued on the client NIC while
+           its PG was remapped, migrated and settled lands on the
            replicas of *now*; an item whose primary changed meanwhile
-           has its payload forwarded primary to primary.  When no remap
-           was active at either point, no replicated group was resolved
-           by its holders and the map epoch has not moved, step 1's
+           has its payload forwarded primary to primary.  When no PG was
+           unclean at either point, no replicated group was resolved by
+           its holders and the map epoch has not moved, step 1's
            resolution still holds and is reused.
         4. On an EC pool, encode: each group's transaction becomes one
            transaction per shard (:meth:`_ec_encode`), on the primary.
@@ -433,7 +475,7 @@ class RadosCluster:
         sent: Dict[int, Tuple[Node, int]] = {}  # item -> (node, payload bytes)
         sends = []
         epoch = self.cluster_map.epoch
-        settled = not self._active_remaps
+        settled = not self._unclean
         groups = self._commit_groups(pool, keyed)
         for gid, targets, members in groups:
             if gid[1] and not ec:  # resolved by holders, not by the map alone
@@ -460,12 +502,12 @@ class RadosCluster:
                 yield self.write_locks.acquire(key, held)
             # Every change of an OSD's up/in state bumps the epoch,
             # and settled groups depend on nothing else but the
-            # needs_backfill flags, which recovery clears without a
+            # needs_backfill flags, which convergence clears without a
             # bump: that only reorders the same up members, so the
             # reused primary is still an up replica.
             if not (
                 settled
-                and not self._active_remaps
+                and not self._unclean
                 and epoch == self.cluster_map.epoch
             ):
                 groups = self._commit_groups(pool, keyed)
@@ -531,15 +573,15 @@ class RadosCluster:
         ``(key, transaction)`` items, resolved now, in group-id — (PG,
         object) — order.
 
-        The items of a settled PG form one group — one merged
-        transaction on the PG's up acting set.  Each item of a PG that
-        is mid-remap is a group of its own, on the up members of the
-        old+new union that *hold* the object: writing to a non-holder
-        would materialise a partial copy (a zero-extended overwrite)
-        that a later migration could mistake for the real thing.  A new
-        object goes to every up union member, so a creation needs no
-        migration pass of its own (the rebalancer merely trims the
-        old-side copies when it retires the PG).
+        The items of a PG that is not remapped form one group — one
+        merged transaction on the PG's up acting set.  Each item of a
+        remapped PG (one with :meth:`_strays`) is a group of its own, on
+        the up members of the earlier+acting union that *hold* the
+        object: writing to a non-holder would materialise a partial copy
+        (a zero-extended overwrite) that a later migration could mistake
+        for the real thing.  A new object goes to every up union member,
+        so a creation needs no migration of its own (convergence merely
+        trims the earlier members' copies).
 
         An item that ends by removing its object, or that does not start
         by replacing its payload, goes to the object's :meth:`_holders`,
@@ -558,14 +600,14 @@ class RadosCluster:
         Raises :class:`NotEnoughReplicas` when a group has fewer than
         ``min_size`` replicas up.
         """
-        remaps = self._active_remaps
+        unclean = self._unclean
         ec = pool.is_ec
         groups: Dict[Tuple[int, str], Tuple[Tuple[int, str], List[OSD], List[int]]] = {}
         for i, (key, txn) in enumerate(items):
             pg = key.pg
             gid = (pg, key.name)
             up: Optional[List[OSD]] = None
-            if not ec and (pool.pool_id, pg) not in remaps and gid not in groups:
+            if not ec and gid not in groups and not (unclean and self._strays(pool, pg)):
                 gid = (pg, "")
                 ops = txn.ops
                 if ops and (ops[-1][0] == "remove" or ops[0][0] != "write_full"):
@@ -583,7 +625,7 @@ class RadosCluster:
                     up = [osd for osd in up if osd.info.up]
                 elif up is None:
                     up = self._up_subset(self._acting_osds(pool, pg))
-                    if gid[1]:  # mid-remap: the holders, or all for a creation
+                    if gid[1]:  # remapped: the holders, or all for a creation
                         up = self._holders(pool, key) or up
                 if len(up) < pool.redundancy.min_size:
                     raise NotEnoughReplicas(
@@ -834,13 +876,9 @@ class RadosCluster:
         shard the same generation — the invariant :func:`_pick_shards`'
         distinct-index selection relies on.
         """
-        remap = self._remap_for(pool, key.pg)
-        if remap is None:
+        if not self._unclean:
             return
-        acting_ids = set(pool.acting_set(key.pg))
-        for osd_id in remap.union_ids():
-            if osd_id in acting_ids:
-                continue
+        for osd_id in self._strays(pool, key.pg):
             osd = self.osds.get(osd_id)
             if osd is not None and osd.up and osd.store.exists(key):
                 osd.store.delete_object(key)
@@ -879,104 +917,80 @@ class RadosCluster:
         """Raw bytes used across every OSD."""
         return sum(osd.store.used_bytes() for osd in self.osds.values())
 
-    # -- online elasticity ----------------------------------------------------
+    # -- online elasticity and failures -----------------------------------------
 
-    def snapshot_acting_sets(self) -> Dict[Tuple[int, int], List[int]]:
-        """(pool_id, pg) -> acting set under the current map.
+    def _acting_sets(self) -> Dict[Tuple[int, int], List[int]]:
+        """(pool_id, pg) -> acting set under the current map."""
+        return {
+            (pool.pool_id, pg): pool.acting_set(pg)
+            for pool in self.pools.values()
+            for pg in range(pool.pg_num)
+        }
 
-        Take one before a topology change; :func:`~repro.cluster.rebalance.compute_remap`
-        diffs it against the post-change map.
+    def _mark_unclean(
+        self, before: Dict[Tuple[int, int], List[int]], osd_id: Optional[int] = None
+    ) -> RemapDiff:
+        """Record every PG a change left unclean; returns the moved ones.
+
+        ``before`` is :meth:`_acting_sets` from just before the change.
+        A PG is unclean when its acting set moved, or when it has
+        ``osd_id`` (an OSD that failed, restarted or rejoined) as a
+        member.  A PG already unclean keeps its degraded clock and its
+        origin, and its earlier members grow by the acting set it had:
+        no location that may still hold data is forgotten.
         """
-        snap: Dict[Tuple[int, int], List[int]] = {}
+        diff = RemapDiff(epoch=self.cluster_map.epoch)
+        now = self.sim.now
         for pool in self.pools.values():
             for pg in range(pool.pg_num):
-                snap[(pool.pool_id, pg)] = list(pool.acting_set(pg))
-        return snap
+                old = before[(pool.pool_id, pg)]
+                new = pool.acting_set(pg)
+                if old != new:
+                    diff.remaps.append(PgMove(pool.pool_id, pg, tuple(old), tuple(new)))
+                elif osd_id not in old:
+                    continue
+                entry = self._unclean.get((pool.pool_id, pg))
+                if entry is None:
+                    entry = _Unclean(now, tuple(old), tuple(old))
+                else:
+                    prior = entry.prior + tuple(i for i in old if i not in entry.prior)
+                    entry = entry._replace(prior=prior)
+                self._unclean[(pool.pool_id, pg)] = entry
+        return diff
 
-    def expand(self, name: str, num_osds: int, rack: str = "default") -> "RemapDiff":
+    def expand(self, name: str, num_osds: int, rack: str = "default") -> RemapDiff:
         """Add a host with ``num_osds`` OSDs *online*; returns the remap diff.
 
         CRUSH immediately includes the new OSDs, moving a (minimal)
-        subset of PGs onto them.  Every moved PG becomes an active
-        remap: IO keeps flowing against the old+new union while a
-        :class:`~repro.cluster.rebalance.Rebalancer` migrates the data.
+        subset of PGs onto them.  Every moved PG turns unclean: IO keeps
+        flowing against its earlier and new members while
+        :func:`~repro.cluster.converge.converge` migrates the data.
         """
-        before = self.snapshot_acting_sets()
+        before = self._acting_sets()
         self.add_host(name, num_osds, rack=rack)
-        return self._register_topology_change(before)
+        return self._mark_unclean(before)
 
-    def decommission_osd(self, osd_id: int) -> "RemapDiff":
+    def decommission_osd(self, osd_id: int) -> RemapDiff:
         """Take an OSD out of placement *online*; returns the remap diff.
 
         The OSD keeps serving as a migration source (it is out, not
-        down); once every remap that references it has retired and its
-        store has drained, :meth:`finalize_decommission` removes it.
+        down); once no unclean PG names it and its store has drained,
+        :meth:`finalize_decommission` removes it.
         """
         if osd_id not in self.osds:
             raise KeyError(f"unknown osd.{osd_id}")
         if not self.cluster_map.osds[osd_id].in_cluster:
             raise ValueError(f"osd.{osd_id} is already out of placement")
-        before = self.snapshot_acting_sets()
+        before = self._acting_sets()
         self.cluster_map.mark_out(osd_id)
         self.cluster_map.osds[osd_id].decommissioned = True
-        return self._register_topology_change(before)
-
-    def _register_topology_change(self, before: Dict[Tuple[int, int], List[int]]) -> "RemapDiff":
-        from .rebalance import compute_remap
-
-        diff = compute_remap(self, before)
-        for remap in diff.remaps:
-            prior = self._active_remaps.get((remap.pool_id, remap.pg))
-            if prior is not None:
-                # A second change landed while the PG was still mid-
-                # remap: widen the sources to the prior union, keep the
-                # newest destination (and the original degraded clock).
-                remap = remap.chained_from(prior)
-            self._active_remaps[(remap.pool_id, remap.pg)] = remap
-        return diff
-
-    def active_remaps(self) -> List["PgRemap"]:
-        """The PGs currently mid-remap, in deterministic order."""
-        return [self._active_remaps[k] for k in sorted(self._active_remaps)]
-
-    def complete_remap(self, pool_id: int, pg: int) -> None:
-        """Retire one PG's remap (the rebalancer verified it settled)."""
-        self._active_remaps.pop((pool_id, pg), None)
-
-    def retire_remaps(self) -> int:
-        """Drop remaps whose old-side members hold nothing any more.
-
-        When no union member outside the strict acting set holds any
-        object of the PG, the union view and the strict view are the
-        same, so serving from the strict map is safe.  Recovery calls
-        this after healing to the current map; returns the number
-        retired.
-        """
-        pools_by_id = {p.pool_id: p for p in self.pools.values()}
-        retired = 0
-        for (pool_id, pg), remap in sorted(self._active_remaps.items()):
-            pool = pools_by_id.get(pool_id)
-            if pool is None:
-                continue
-            acting_ids = set(pool.acting_set(pg))
-            parked = False
-            for osd_id in remap.union_ids():
-                if osd_id in acting_ids:
-                    continue
-                osd = self.osds.get(osd_id)
-                if osd is not None and osd.store.keys_in_pg(pool_id, pg):
-                    parked = True
-                    break
-            if not parked:
-                del self._active_remaps[(pool_id, pg)]
-                retired += 1
-        return retired
+        return self._mark_unclean(before)
 
     def finalize_decommission(self, osd_id: int) -> None:
         """Remove a drained, decommissioned OSD from the cluster.
 
-        Requires the OSD to be out of placement, unreferenced by any
-        active remap, and empty — i.e. the rebalance actually finished.
+        Requires the OSD to be out of placement, named by no unclean PG,
+        and empty — i.e. convergence actually finished.
         """
         osd = self.osds.get(osd_id)
         if osd is None:
@@ -985,8 +999,8 @@ class RadosCluster:
             raise ValueError(
                 f"osd.{osd_id} is still in placement; decommission it first"
             )
-        for (_pool_id, pg), remap in sorted(self._active_remaps.items()):
-            if osd_id in remap.union_ids():
+        for (_pool_id, pg), entry in sorted(self._unclean.items()):
+            if osd_id in entry.prior:
                 raise ValueError(
                     f"osd.{osd_id} is still a migration source for pg {pg}"
                 )
@@ -994,49 +1008,52 @@ class RadosCluster:
         if leftover:
             raise ValueError(
                 f"osd.{osd_id} still holds {leftover} object(s); "
-                f"run the rebalance to completion first"
+                f"run convergence to completion first"
             )
         osd.node.osds.remove(osd)
         del self.osds[osd_id]
         self.cluster_map.remove_osd(osd_id)
 
-    # -- failure injection ---------------------------------------------------------
-
     def fail_osd(self, osd_id: int, mark_out: bool = True) -> None:
         """Simulate an OSD failure (down, and optionally out of placement).
 
         The dead disk keeps its contents — they are simply unreachable —
-        so the cluster can still tell "degraded" apart from "lost".
+        so the cluster can still tell "degraded" apart from "lost".  Its
+        PGs turn unclean.
         """
+        before = self._acting_sets()
         self.cluster_map.mark_down(osd_id)
         if mark_out:
             self.cluster_map.mark_out(osd_id)
+        self._mark_unclean(before, osd_id)
 
     def revive_osd(self, osd_id: int) -> None:
         """Re-add a failed OSD with a fresh (empty) disk.
 
         Matches the paper's Table 3 methodology ("removing and re-adding
-        the OSD"): the rejoining OSD starts empty and recovery backfills
-        it.
+        the OSD"): the rejoining OSD starts empty and convergence
+        backfills it.
 
         Like :meth:`restart_osd`, the OSD rejoins flagged
-        ``needs_backfill`` and only :func:`~repro.cluster.recovery.recover`
+        ``needs_backfill`` and only :func:`~repro.cluster.converge.converge`
         clears the flag (the single owner of that transition).  The
         empty store cannot serve reads anyway, and — crucially — the
         flag keeps the revived OSD from acting as a deletion *witness*:
-        an empty acting replica that recovery would otherwise read as
+        an empty acting replica that convergence would otherwise read as
         "this object was deleted while the stale holders were down",
         deleting the last real copy.
         """
+        before = self._acting_sets()
         self.osds[osd_id].store = type(self.osds[osd_id].store)()
         self.osds[osd_id].needs_backfill = True
         self.cluster_map.mark_up(osd_id)
         # Re-adding cancels an auto-out, but never a decommission: an
         # administratively-out OSD stays out across daemon restarts
-        # (mark_in would silently undo the drain with no remap to move
-        # the data back).
+        # (mark_in would silently undo the drain with no convergence to
+        # move the data back).
         if not self.cluster_map.osds[osd_id].decommissioned:
             self.cluster_map.mark_in(osd_id)
+        self._mark_unclean(before, osd_id)
 
     def restart_osd(self, osd_id: int) -> None:
         """Bring a crashed OSD back with its disk contents *intact*.
@@ -1045,14 +1062,16 @@ class RadosCluster:
         survived, but any write that landed while the OSD was down is
         missing from it, and any object deleted meanwhile still lingers.
         The OSD rejoins flagged ``needs_backfill``; it is kept out of
-        the primary role until :func:`~repro.cluster.recovery.recover`
+        the primary role until :func:`~repro.cluster.converge.converge`
         reconciles its contents against the continuously-up replicas.
         """
+        before = self._acting_sets()
         self.osds[osd_id].needs_backfill = True
         self.cluster_map.mark_up(osd_id)
         # See revive_osd: a decommissioned OSD stays out across restarts.
         if not self.cluster_map.osds[osd_id].decommissioned:
             self.cluster_map.mark_in(osd_id)
+        self._mark_unclean(before, osd_id)
 
     # -- sync bridge -----------------------------------------------------------------
 

@@ -3,11 +3,10 @@
 Replicated pools: every copy of an object must be byte- and
 metadata-identical across its acting set; a divergent or missing copy is
 repaired from the reference copy — the first of the cluster's holder
-rule (:meth:`RadosCluster._holders`), which recovery sources by and
-reads are served by.  EC pools:
-the stored shards must be exactly the codec's encoding of the decoded
-payload (any single corrupt shard is detected and re-derivable from the
-others).
+rule (:meth:`RadosCluster._holders`), which convergence sources by and
+reads are served by.  EC pools: the stored shards must be exactly the
+codec's encoding of the decoded payload (any single corrupt shard is
+detected and re-derivable from the others).
 
 Because the dedup tier's chunk maps and reference records live in
 ordinary object metadata (self-contained objects), this scrub covers
@@ -23,7 +22,7 @@ from typing import List, Tuple
 from .ec import _crc_ok, _payload_length, _shard_index
 from .pool import Pool
 from .rados import RadosCluster
-from .recovery import _copy_replica, _same_content, recover
+from .converge import _same_content, converge
 
 __all__ = ["ReplicaScrubReport", "scrub_pool", "scrub_pool_sync", "repair_pool", "repair_pool_sync"]
 
@@ -112,36 +111,24 @@ def scrub_pool_sync(cluster: RadosCluster, pool: Pool) -> ReplicaScrubReport:
 
 
 def repair_pool(cluster: RadosCluster, pool: Pool, report: ReplicaScrubReport):
-    """Process: repair the findings of a prior scrub.
+    """Process: repair the findings of a prior scrub; returns the copies
+    convergence moved.
 
-    Replicated pools: divergent/missing copies are replaced with the
-    reference copy (the first of ``RadosCluster._holders``, as scrub
-    compared against).  EC pools are healed through the recovery machinery,
-    which already reconstructs shards.
+    The bad EC shards the scrub found are dropped; then
+    :func:`~repro.cluster.converge.converge` rewrites every missing,
+    divergent or dropped copy from the holders reads are served by
+    (the first of ``RadosCluster._holders``, the copy scrub compared
+    against), under each object's write lock.  Convergence runs over the
+    whole cluster, so it also settles whatever else is unclean, in any
+    pool, and the count includes those copies.
     """
-    repaired = 0
-    if pool.is_ec:
-        for oid, idx in report.bad_shards:
-            key = cluster.object_key(pool, oid)
-            for osd in cluster.osds.values():
-                if osd.up and osd.store.exists(key):
-                    if _shard_index(osd.store.get(key)) == idx:
-                        osd.store.delete_object(key)
-                        repaired += 1
-        yield from recover(cluster)
-        return repaired
-    for oid, osd_id in report.inconsistent + report.missing:
+    for oid, idx in report.bad_shards:
         key = cluster.object_key(pool, oid)
-        acting = [cluster.osds[i] for i in pool.acting_set_for(oid)]
-        target = cluster.osds[osd_id]
-        source = next(
-            (o for o in cluster._holders(pool, key, acting) if o is not target), None
-        )
-        if source is None or not target.up:
-            continue
-        yield from _copy_replica(cluster, key, source, target)
-        repaired += 1
-    return repaired
+        for osd in cluster.osds.values():
+            if osd.up and osd.store.exists(key) and _shard_index(osd.store.get(key)) == idx:
+                osd.store.delete_object(key)
+    stats = yield from converge(cluster)
+    return stats.objects_moved
 
 
 def repair_pool_sync(cluster: RadosCluster, pool: Pool, report: ReplicaScrubReport) -> int:

@@ -98,8 +98,8 @@ class DedupedStorage:
         """Add a host online; returns the PG remap diff.
 
         Reads and writes keep flowing while the moved PGs are served
-        from the old+new union; run :meth:`rebalance` to migrate the
-        data and retire the remaps.
+        from their earlier and new members; run :meth:`rebalance` to
+        migrate the data.
         """
         return self.cluster.expand(name, num_osds, rack=rack)
 
@@ -111,8 +111,9 @@ class DedupedStorage:
         """
         return self.cluster.decommission_osd(osd_id)
 
-    def rebalance(self, rate_limit_bps=None, max_passes: int = 16):
-        """Process: migrate all remapped PGs; returns RebalanceStats.
+    def rebalance(self, rate_limit_bps=None):
+        """Process: converge every unclean PG (:func:`repro.cluster.converge`);
+        returns its ConvergeStats.
 
         Dedup-aware by construction: chunk objects carry their refcount
         metadata in their own xattrs, so migrating the object migrates
@@ -121,17 +122,13 @@ class DedupedStorage:
         resumable after a crash — re-running skips already-settled
         objects.
         """
-        from ..cluster import Rebalancer
+        from ..cluster import converge
 
-        engine = Rebalancer(self.cluster, rate_limit_bps=rate_limit_bps)
-        stats = yield from engine.run_to_completion(max_passes=max_passes)
-        return stats
+        return converge(self.cluster, rate_limit_bps)
 
-    def rebalance_sync(self, rate_limit_bps=None, max_passes: int = 16):
+    def rebalance_sync(self, rate_limit_bps=None):
         """Synchronous :meth:`rebalance`."""
-        return self.cluster.run(
-            self.rebalance(rate_limit_bps=rate_limit_bps, max_passes=max_passes)
-        )
+        return self.cluster.run(self.rebalance(rate_limit_bps))
 
     # -- async API (simulation processes) ------------------------------------
 

@@ -5,19 +5,19 @@ and the CI ``elasticity-smoke`` job: run a client workload against a
 deduplicating store and, *while it is running*,
 
 * expand the cluster from 4 to 8 OSDs (two new hosts),
-* start a rate-limited background rebalance of the remapped PGs,
+* start a rate-limited background convergence of the remapped PGs,
 * decommission one of the original OSDs,
 * (optionally) let a seeded :class:`~repro.faults.FaultPlan` crash OSDs
   and partition hosts throughout —
 
-then heal, finish the rebalance, recover, drain, and check that
+then heal, converge once more, drain, and check that
 
 * every written object reads back byte-identical (zero data loss),
 * the dedup scrub finds zero refcount leaks and zero missing chunks,
 * both pools scrub replica/shard-consistent,
-* placement is CRUSH-clean (every copy exactly on its new acting set),
+* every PG is ``active+clean`` (every copy exactly on its new acting set),
 * the decommissioned OSD drained and was removed,
-* the op trace is sound, with the ``rebalance.*`` stages present, and
+* the op trace is sound, with the ``converge.*`` stages present, and
 * no lock is left held or awaited once the run has quiesced.
 
 Imports of ``repro.core`` stay inside functions: ``repro.core`` itself
@@ -38,13 +38,13 @@ __all__ = ["ElasticityResult", "run_elastic_workload"]
 
 KiB = 1024
 
-#: Client-level retry ceiling (see scenario.py): plans heal and remaps
-#: drain, so an op eventually lands; the cap guards hand-built plans.
+#: Client-level retry ceiling (see scenario.py): plans heal and PGs
+#: converge, so an op eventually lands; the cap guards hand-built plans.
 _MAX_CLIENT_ATTEMPTS = 200
 
 #: Stage prefixes the elasticity trace must contain — the standard op
-#: pipeline plus the rebalance engine's own stages.
-TRACE_STAGES = ("op.", "engine.", "tier.", "rados.", "rebalance.")
+#: pipeline plus the convergence engine's own stages.
+TRACE_STAGES = ("op.", "engine.", "tier.", "rados.", "converge.")
 
 
 @dataclass
@@ -58,16 +58,14 @@ class ElasticityResult:
     expand_diffs: List[Any] = field(default_factory=list)
     #: Remap diff from decommissioning one original OSD.
     decommission_diff: Any = None
-    #: Cumulative migration counters (one engine serves the online and
-    #: the final drain phases).
-    rebalance_stats: Any = None
-    recovery_stats: Any = None
+    #: Convergence counters, one bag for the online and the final run.
+    converge_stats: Any = None
     #: Dedup scrub (refcount pairing / leaks / missing chunks).
     scrub: Any = None
     #: Replica/shard scrubs of the metadata and chunk pools.
     replica_reports: List[Any] = field(default_factory=list)
-    #: CRUSH-cleanliness violations (copies off the acting set, diverged
-    #: replicas, mis-slotted shards); must be empty.
+    #: Why some PG is not ``active+clean`` (copies off the acting set,
+    #: diverged replicas, mis-slotted shards); must be empty.
     placement_violations: List[str] = field(default_factory=list)
     #: check_trace findings on the op trace; must be empty.
     trace_problems: List[str] = field(default_factory=list)
@@ -114,13 +112,13 @@ def run_elastic_workload(
 
     The cluster starts as 2 hosts x 2 OSDs.  Writes are staggered across
     the first 80% of ``horizon``; at 25% of the horizon two more hosts
-    (2 OSDs each) join and a rate-limited background rebalance starts; at
+    (2 OSDs each) join and a rate-limited background convergence starts; at
     50% ``decommission_osd`` leaves placement.  With ``with_faults`` a
     plan generated from ``seed`` crashes/degrades the *original* OSDs
     throughout, so migration must survive faults on its sources.
     """
-    from ..cluster import Rebalancer, placement_report, scrub_pool_sync
-    from ..cluster import RadosCluster, recover_sync
+    from ..cluster import ConvergeStats, RadosCluster, converge, placement_report
+    from ..cluster import scrub_pool_sync
     from ..core import DedupConfig, DedupedStorage, scrub_sync
     from ..obs import Tracer, check_trace
     from ..workloads import ContentGenerator
@@ -140,9 +138,9 @@ def run_elastic_workload(
                 osd_ids=sorted(cluster.osds),
                 hosts=sorted(cluster.nodes),
             )
-        # auto_recover would heal straight to the new map the moment a
-        # crashed OSD restarts — the migration the rebalance engine is
-        # supposed to do.  Keep recovery manual so the engine's own
+        # auto_recover would start a flat-out convergence the moment a
+        # crashed OSD restarts, doing the migration the rate-limited
+        # background run is there to do.  Keep it manual so that run's
         # resumability is what the scenario exercises.
         injector = storage.inject_faults(plan, auto_recover=False)
     sim = storage.sim
@@ -153,8 +151,7 @@ def run_elastic_workload(
         plan=plan,
         decommissioned_osd=decommission_osd,
     )
-    engine = Rebalancer(cluster, rate_limit_bps=rate_limit_bps)
-    result.rebalance_stats = engine.stats
+    stats = result.converge_stats = ConvergeStats()
 
     gen = ContentGenerator(seed=seed, dedupe_ratio=dedupe_ratio)
     payloads: Dict[str, bytes] = {
@@ -175,20 +172,13 @@ def run_elastic_workload(
                 yield sim.timeout(0.25)
         raise RuntimeError(f"write of {oid!r} never succeeded under {plan!r}")
 
-    def drive_rebalance(max_passes: int) -> Generator[Any, Any, None]:
-        try:
-            yield from engine.run_to_completion(max_passes=max_passes)
-        except Exception as exc:
-            if not is_retryable(exc):
-                raise
-
     background: List[Any] = []
 
     def topology_driver() -> Generator[Any, Any, None]:
         yield sim.timeout(horizon * 0.25)
         result.expand_diffs.append(cluster.expand("host2", 2))
         result.expand_diffs.append(cluster.expand("host3", 2))
-        background.append(sim.process(drive_rebalance(max_passes=8)))
+        background.append(sim.process(converge(cluster, rate_limit_bps, stats)))
         yield sim.timeout(horizon * 0.25)
         result.decommission_diff = cluster.decommission_osd(decommission_osd)
 
@@ -217,15 +207,9 @@ def run_elastic_workload(
         storage.engine.stop()
         if injector is not None:
             injector.heal_all()
-        # Final drain: unthrottled rebalance and recovery, alternating —
-        # recovery reconciles restarted OSDs (migration sources the engine
-        # had to skip while they were down) and retires remaps whose old
-        # side drained; the engine then finishes anything still parked.
-        for _round in range(3):
-            cluster.run(drive_rebalance(max_passes=8))
-            result.recovery_stats = recover_sync(cluster)
-            if not cluster.active_remaps():
-                break
+        # Final run, unthrottled, with every OSD back: reconcile the
+        # restarted ones and finish whatever the online run left parked.
+        cluster.run(converge(cluster, None, stats))
         if injector is not None:
             injector.detach()
         storage.engine.drain_sync()  # flush everything (strict mode: no GC runs)
@@ -253,7 +237,7 @@ def run_elastic_workload(
     result.objects_written = num_objects
     records = tracer.to_records()
     # Structural soundness (finished, no orphans, all stages present) of
-    # the whole trace; the child-coverage bar applies to the rebalance
+    # the whole trace; the child-coverage bar applies to the convergence
     # trees only — a faulted client op legitimately spends most of its
     # root waiting out a partition or a retry backoff, outside any
     # child span.
@@ -264,9 +248,9 @@ def run_elastic_workload(
         [
             r
             for r in records
-            if str(r["stage"]) == "op.rebalance"
-            or str(r["stage"]).startswith("rebalance.")
+            if str(r["stage"]) == "op.converge"
+            or str(r["stage"]).startswith("converge.")
         ],
-        required_stages=("rebalance.",),
+        required_stages=("converge.",),
     )
     return result

@@ -11,7 +11,7 @@ Attaching an injector wires it into the substrate's execute paths:
   while the two hosts are partitioned;
 * crash/restart events drive ``fail_osd(mark_out=False)`` /
   ``restart_osd`` — the disk keeps its contents across the outage, so a
-  restarted OSD rejoins *stale* and recovery must reconcile it (the
+  restarted OSD rejoins *stale* and convergence must reconcile it (the
   scenario where dedup refcounts are easiest to lose).
 
 All per-op randomness (EIO coin flips) comes from a stream derived from
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Generator, List, Set
 
-from ..cluster import recover
+from ..cluster import converge
 from ..sim.rng import RngRegistry
 from .errors import NetworkPartitionError, TransientOpError
 from .plan import FaultEvent, FaultPlan
@@ -50,7 +50,7 @@ class FaultInjector:
     def __init__(self, cluster: Any, plan: FaultPlan, auto_recover: bool = True) -> None:
         self.cluster = cluster
         self.plan = plan
-        #: Kick off a recovery pass whenever a crashed OSD restarts
+        #: Kick off a convergence run whenever a crashed OSD restarts
         #: (what Ceph's peering would do); hand-driven tests disable it.
         self.auto_recover = auto_recover
         self.stats = FaultStats()
@@ -87,8 +87,8 @@ class FaultInjector:
     def heal_all(self) -> None:
         """End every active fault window and restart crashed OSDs.
 
-        Does *not* run recovery — callers decide when to heal data
-        (tests heal, recover, then scrub).
+        Does *not* run convergence — callers decide when to heal data
+        (tests heal, converge, then scrub).
         """
         self._slow.clear()
         self._eio.clear()
@@ -139,7 +139,7 @@ class FaultInjector:
         self._crashed.discard(osd_id)
         self.stats.restarts += 1
         if recover_after and self.auto_recover:
-            self.cluster.sim.process(recover(self.cluster))
+            self.cluster.sim.process(converge(self.cluster))
 
     def _end_slow(self, osd_id: int) -> None:
         self._slow.pop(osd_id, None)

@@ -4,7 +4,7 @@ The acceptance scenario behind the ``repro faults`` CLI subcommand, the
 fault-injection integration tests, and the CI smoke job: run a client
 workload against a deduplicating store *while* a seeded
 :class:`~repro.faults.FaultPlan` crashes OSDs, degrades disks, injects
-EIO and partitions hosts — then heal, recover, drain, garbage-collect,
+EIO and partitions hosts — then heal, converge, drain, garbage-collect,
 and check that
 
 * every written object reads back byte-identical (zero data loss),
@@ -95,7 +95,7 @@ def run_faulted_workload(
     land mid-workload — including mid-flush, since the background
     engine runs throughout.
     """
-    from ..cluster import RadosCluster, recover_sync
+    from ..cluster import RadosCluster, converge_sync
     from ..core import DedupConfig, DedupedStorage, scrub_sync
     from ..workloads import ContentGenerator
 
@@ -155,7 +155,7 @@ def run_faulted_workload(
 
     storage.engine.stop()
     injector.heal_all()
-    recover_sync(cluster)
+    converge_sync(cluster)
     injector.detach()
     storage.engine.drain_sync()  # flush everything (strict mode: no GC runs)
     scrub = scrub_sync(storage.tier)

@@ -115,7 +115,7 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.core.engine", "DedupEngine.process_object", "op.dedup_pass",
      lambda _self, oid, force=False: {"oid": oid, "forced": force}),
     ("repro.core.engine", "DedupEngine.promote_object", "op.promote", _oid),
-    ("repro.cluster.rebalance", "Rebalancer.run", "op.rebalance", _none),
+    ("repro.cluster.converge", "_pass", "op.converge", _none),
     # The dedup engine.
     ("repro.core.rate_control", "RateController.throttle", "engine.rate_throttle", _none),
     ("repro.core.engine", "DedupEngine._apply_derefs", "engine.derefs",
@@ -149,16 +149,16 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
      lambda _self, pool, items, *_a, **_k: {"pool": pool.name, "items": len(items)}),
     ("repro.cluster.rados", "RadosCluster.reply", "rados.reply", _none),
     ("repro.cluster.rados", "RadosCluster.read", "rados.read", _pool),
-    # Online rebalance.
-    ("repro.cluster.rebalance", "Rebalancer._migrate_pg", "rebalance.pg",
-     lambda _self, pool, pg, _remap: {"pool": pool.name, "pg": pg}),
-    ("repro.cluster.rebalance", "_copy_replica", "rebalance.copy",
+    # PG convergence: recovery, backfill and rebalance.
+    ("repro.cluster.converge", "converge_pg", "converge.pg",
+     lambda _cluster, pool, pg, *_a, **_k: {"pool": pool.name, "pg": pg}),
+    ("repro.cluster.converge", "_copy_replica", "converge.copy",
      lambda _cluster, _key, source, target: {
          "src": source.osd_id, "dst": target.osd_id}),
-    ("repro.cluster.rebalance", "_rebuild_shard", "rebalance.reconstruct",
+    ("repro.cluster.converge", "_rebuild_shard", "converge.rebuild",
      lambda _cluster, _key, target, *_a: {"dst": target.osd_id}),
-    ("repro.cluster.rebalance", "Rebalancer._throttle", "rebalance.throttle",
-     lambda _self, nbytes: {"nbytes": nbytes}),
+    ("repro.cluster.converge", "_throttle", "converge.throttle",
+     lambda _cluster, nbytes, _rate: {"nbytes": nbytes}),
 )
 
 #: Stages run by a process the calling span starts and does not wait for.

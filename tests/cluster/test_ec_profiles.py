@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ErasureCoded, RadosCluster, recover_sync
+from repro.cluster import ErasureCoded, RadosCluster, converge_sync
 from repro.sim import RngRegistry
 
 
@@ -32,7 +32,7 @@ def test_wide_profile_roundtrip_and_fault_tolerance(k, m):
     # Mark out and recover to full shard count.
     for osd_id in range(m):
         cluster.cluster_map.mark_out(osd_id)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0
     for oid, data in payloads.items():
         assert cluster.read_sync(pool, oid) == data

@@ -1,14 +1,12 @@
-"""Tests for online elasticity: expand/decommission + dedup-aware rebalance."""
+"""Tests for online elasticity: expand/decommission + dedup-aware convergence."""
 
 from repro.cluster import (
     ErasureCoded,
     RadosCluster,
-    Rebalancer,
     Replicated,
-    compute_remap,
+    converge,
+    converge_sync,
     placement_report,
-    rebalance_sync,
-    recover_sync,
 )
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
 from repro.obs import Tracer, check_trace
@@ -28,7 +26,7 @@ def test_expand_produces_remap_diff():
     cluster = RadosCluster(num_hosts=2, osds_per_host=2, pg_num=16)
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool)
-    before = cluster.snapshot_acting_sets()
+    before = cluster._acting_sets()
     diff = cluster.expand("host2", 2)
     assert diff.pgs_remapped > 0
     assert len(cluster.osds) == 6
@@ -36,14 +34,15 @@ def test_expand_produces_remap_diff():
     for remap in diff.remaps:
         assert tuple(before[(remap.pool_id, remap.pg)]) == remap.old
         assert remap.old != remap.new
-    assert len(cluster.active_remaps()) == diff.pgs_remapped
+    assert sorted(cluster._unclean) == sorted((m.pool_id, m.pg) for m in diff.remaps)
 
 
 def test_compute_remap_empty_when_nothing_changed():
     cluster = RadosCluster(num_hosts=2, osds_per_host=2, pg_num=16)
     cluster.create_pool("data", Replicated(2))
-    diff = compute_remap(cluster, cluster.snapshot_acting_sets())
+    diff = cluster._mark_unclean(cluster._acting_sets())
     assert diff.pgs_remapped == 0
+    assert not cluster._unclean
 
 
 def test_rebalance_migrates_and_trims():
@@ -51,11 +50,11 @@ def test_rebalance_migrates_and_trims():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool)
     cluster.expand("host2", 2)
-    stats = rebalance_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_moved > 0
     assert stats.bytes_moved > 0
     assert stats.tasks_failed == 0
-    assert not cluster.active_remaps()
+    assert not cluster._unclean
     assert placement_report(cluster) == []
     all_ok(cluster, pool, 20, 4096)
 
@@ -71,8 +70,7 @@ def test_reads_and_writes_flow_during_remap():
     cluster.write_full_sync(pool, "obj0", b"y" * 4096)  # overwrite
     assert cluster.read_sync(pool, "during") == b"x" * 8192
     assert cluster.read_sync(pool, "obj0") == b"y" * 4096
-    rebalance_sync(cluster)
-    recover_sync(cluster)  # trims union copies of mid-remap creations
+    converge_sync(cluster)  # also trims union copies of mid-remap creations
     assert placement_report(cluster) == []
     assert cluster.read_sync(pool, "during") == b"x" * 8192
     assert cluster.read_sync(pool, "obj0") == b"y" * 4096
@@ -84,8 +82,8 @@ def test_decommission_drains_and_finalizes():
     fill(cluster, pool)
     diff = cluster.decommission_osd(1)
     assert diff.pgs_remapped > 0
-    assert 1 not in {o for r in cluster.active_remaps() for o in r.new}
-    rebalance_sync(cluster)
+    assert 1 not in {o for r in diff.remaps for o in r.new}
+    converge_sync(cluster)
     assert len(cluster.osds[1].store) == 0
     cluster.finalize_decommission(1)
     assert 1 not in cluster.osds
@@ -105,8 +103,7 @@ def test_restart_does_not_cancel_decommission():
     cluster.fail_osd(1, mark_out=False)
     cluster.restart_osd(1)
     assert not cluster.cluster_map.osds[1].in_cluster
-    rebalance_sync(cluster)
-    recover_sync(cluster)
+    converge_sync(cluster)
     cluster.finalize_decommission(1)
     assert placement_report(cluster) == []
     all_ok(cluster, pool, 20, 4096)
@@ -131,7 +128,7 @@ def test_ec_migration_preserves_user_xattrs():
     fill(cluster, pool, n=12, size=12288)
     cluster.run(cluster.setxattr(pool, "obj0", "user.tag", b"keep-me"))
     cluster.expand("host3", 2)
-    stats = rebalance_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.tasks_failed == 0
     assert placement_report(cluster) == []
     all_ok(cluster, pool, 12, 12288)
@@ -149,14 +146,13 @@ def test_crash_mid_migration_is_resumable():
     # Crash one of the NEW OSDs: migration into it must fail and stay
     # pending, without losing anything.
     cluster.fail_osd(4, mark_out=False)
-    stats1 = rebalance_sync(cluster, max_passes=2)
-    assert cluster.active_remaps()  # not done: a target is down
+    converge_sync(cluster)
+    assert cluster._unclean  # not done: a target is down
     all_ok(cluster, pool, 20, 4096)  # reads still fine (degraded)
     cluster.restart_osd(4)
-    recover_sync(cluster)
-    stats2 = rebalance_sync(cluster)
+    stats2 = converge_sync(cluster)
     assert stats2.tasks_failed == 0
-    assert not cluster.active_remaps()
+    assert not cluster._unclean
     assert placement_report(cluster) == []
     all_ok(cluster, pool, 20, 4096)
 
@@ -166,8 +162,8 @@ def test_rebalance_is_idempotent():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool)
     cluster.expand("host2", 2)
-    rebalance_sync(cluster)
-    stats = rebalance_sync(cluster)  # nothing left: a no-op
+    converge_sync(cluster)
+    stats = converge_sync(cluster)  # nothing left: a no-op
     assert stats.objects_moved == 0
     assert placement_report(cluster) == []
 
@@ -179,7 +175,7 @@ def test_rate_limit_slows_migration():
         fill(cluster, pool, n=20, size=65536)
         cluster.expand("host2", 2)
         start = cluster.sim.now
-        rebalance_sync(cluster, rate_limit_bps=rate)
+        converge_sync(cluster, rate_limit_bps=rate)
         return cluster.sim.now - start
 
     assert migrate_time(64 * 1024) > migrate_time(None)
@@ -190,19 +186,15 @@ def test_rebalance_emits_spans():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool)
     cluster.expand("host2", 2)
-    engine = Rebalancer(cluster)
-
-    def drive():
-        yield from engine.run_to_completion()
 
     with Tracer(cluster.sim) as tracer:
-        cluster.run(drive())
+        cluster.run(converge(cluster))
     records = tracer.to_records()
     stages = {r["stage"] for r in records}
-    assert "op.rebalance" in stages  # one per pass
-    assert "rebalance.pg" in stages
-    assert "rebalance.copy" in stages
-    assert check_trace(records, required_stages=("rebalance.",)) == []
+    assert "op.converge" in stages  # one per pass
+    assert "converge.pg" in stages
+    assert "converge.copy" in stages
+    assert check_trace(records, required_stages=("converge.",)) == []
 
 
 def test_rebalance_stats_accounting():
@@ -210,9 +202,9 @@ def test_rebalance_stats_accounting():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool, n=20, size=4096)
     cluster.expand("host2", 2)
-    stats = rebalance_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.bytes_moved == sum(stats.bytes_by_pool.values())
-    assert stats.pgs_completed > 0
+    assert stats.pgs_converged > 0
     assert stats.passes >= 1
     assert stats.degraded_seconds >= 0.0
     assert any("copies moved" in line for line in stats.summary_lines())
@@ -233,7 +225,6 @@ def test_dedup_tier_survives_expansion():
     assert storage.read_sync("o0", 0, 16384) == payloads["o0"]
     stats = storage.rebalance_sync()
     assert stats.tasks_failed == 0
-    recover_sync(cluster)
     assert placement_report(cluster) == []
     # Migration moved chunk objects without duplicating or losing any:
     # refcount metadata travelled inside the chunk objects' xattrs.

@@ -1,7 +1,7 @@
 """Property-based tests: elasticity event sequences always converge.
 
 Any interleaving of expand / decommission / fail / restart events,
-once every OSD is back up and rebalance + recovery have run, must leave
+once every OSD is back up and one convergence has run, must leave
 the cluster CRUSH-clean (every copy exactly on the acting set, replicas
 byte-identical, EC shards in their slots) with every object readable and
 byte-identical to what was written.
@@ -19,9 +19,8 @@ from repro.cluster import (  # noqa: E402
     OsdDownError,
     RadosCluster,
     Replicated,
+    converge_sync,
     placement_report,
-    rebalance_sync,
-    recover_sync,
 )
 
 # Each event is (kind, argument-seed); arguments are resolved against the
@@ -91,16 +90,11 @@ def test_event_sequences_converge_to_clean_placement(events, data_seed):
             payloads[oid] = data
         except (NotEnoughReplicas, OsdDownError):
             pass
-    # Converge: everything back up, then alternate rebalance + recovery
-    # until the remap overlay is gone.
+    # Converge: everything back up, then one run of the loop.
     for osd_id in sorted(state["down"]):
         cluster.restart_osd(osd_id)
-    for _ in range(4):
-        rebalance_sync(cluster)
-        recover_sync(cluster)
-        if not cluster.active_remaps():
-            break
-    assert not cluster.active_remaps()
+    converge_sync(cluster)
+    assert not cluster._unclean
     assert placement_report(cluster) == []
     for oid, data in sorted(payloads.items()):
         assert cluster.read_sync(pool, oid) == data

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterMap, CrushMap, RadosCluster, Replicated, recover_sync
+from repro.cluster import ClusterMap, CrushMap, RadosCluster, Replicated, converge_sync
 
 
 def rack_cluster(racks=2, hosts_per_rack=2, osds_per_host=2):
@@ -53,7 +53,7 @@ def test_rack_domain_survives_whole_rack_failure():
     for osd_id, info in list(cluster.cluster_map.osds.items()):
         if info.rack == "rack0":
             cluster.fail_osd(osd_id)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0  # rack-level domains: no PG lost both copies
     for i in range(30):
         assert cluster.read_sync(pool, f"obj{i}") == bytes([i]) * 2048
@@ -69,7 +69,7 @@ def test_host_domain_can_lose_data_on_rack_failure():
     for osd_id, info in list(cluster.cluster_map.osds.items()):
         if info.rack == "rack0":
             cluster.fail_osd(osd_id)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost > 0
 
 

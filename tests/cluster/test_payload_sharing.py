@@ -8,7 +8,7 @@ first transaction brought in.
 
 import random
 
-from repro.cluster import ErasureCoded, RadosCluster, Replicated, recover_sync
+from repro.cluster import ErasureCoded, RadosCluster, Replicated, converge_sync
 from repro.core import DedupConfig, DedupedStorage
 
 CHUNK = 32 * 1024
@@ -97,8 +97,8 @@ def test_recovered_osd_shares_blobs_with_its_source():
     lost = [key for key in victim.store.keys() if key.pool_id == pool.pool_id]
     assert lost
     cluster.fail_osd(3)
-    stats = recover_sync(cluster)
-    assert stats.objects_lost == 0 and stats.objects_recovered >= len(lost)
+    stats = converge_sync(cluster)
+    assert stats.objects_lost == 0 and stats.objects_moved >= len(lost)
     for key in lost:
         live = [o for o in cluster.osds.values() if o.up and o.store.exists(key)]
         assert len(live) == 2

@@ -78,7 +78,7 @@ def test_same_oid_in_two_pools_is_distinct(cluster):
 
 
 def test_degraded_ec_write_then_recovery_restores_parity(cluster):
-    from repro.cluster import recover_sync
+    from repro.cluster import converge_sync
 
     pool = cluster.create_pool("ec", ErasureCoded(2, 1))
     cluster.write_full_sync(pool, "o", b"v1" * 2000)
@@ -87,7 +87,7 @@ def test_degraded_ec_write_then_recovery_restores_parity(cluster):
     cluster.cluster_map.mark_down(holders[2])
     cluster.write_full_sync(pool, "o", b"v2" * 2000)  # degraded: 2 shards
     cluster.cluster_map.mark_out(holders[2])
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0
     assert cluster.read_sync(pool, "o") == b"v2" * 2000
     # Full shard count restored.

@@ -7,11 +7,10 @@ from repro.cluster import (
     RadosCluster,
     Replicated,
     Transaction,
-    rebalance_sync,
-    recover_sync,
+    converge_sync,
 )
 from repro.cluster.ec import _shard_index
-from repro.cluster.recovery import _same_content
+from repro.cluster.converge import _same_content
 from repro.cluster.scrub import repair_pool_sync, scrub_pool_sync
 
 
@@ -39,7 +38,7 @@ def test_recovery_restores_replica_count():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool, n=40)
     cluster.fail_osd(0)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0
     assert all_replicated_ok(cluster, pool, 40, 4096)
 
@@ -49,8 +48,8 @@ def test_recovery_reports_progress_and_duration():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool, n=40)
     cluster.fail_osd(0)
-    stats = recover_sync(cluster)
-    if stats.objects_recovered:
+    stats = converge_sync(cluster)
+    if stats.objects_moved:
         assert stats.bytes_moved > 0
         assert stats.duration > 0
 
@@ -65,7 +64,7 @@ def test_recovery_time_scales_with_data():
         fill(cluster, pool, n=n_objects, size=65536)
         cluster.fail_osd(0)
         cluster.fail_osd(1)
-        stats = recover_sync(cluster)
+        stats = converge_sync(cluster)
         assert stats.objects_lost == 0
         return stats.duration
 
@@ -79,10 +78,10 @@ def test_double_failure_with_two_replicas_loses_nothing_if_disjoint():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool, n=60)
     cluster.fail_osd(0)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0
     cluster.fail_osd(2)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0
     assert all_replicated_ok(cluster, pool, 60, 4096)
 
@@ -94,7 +93,7 @@ def test_ec_shard_reconstruction():
     for oid, data in payloads.items():
         cluster.write_full_sync(pool, oid, data)
     cluster.fail_osd(3)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0
     for oid, data in payloads.items():
         assert cluster.read_sync(pool, oid) == data
@@ -110,7 +109,7 @@ def test_rebalance_after_adding_host():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool, n=60)
     cluster.add_host("host3", 2)
-    recover_sync(cluster)
+    converge_sync(cluster)
     # New OSDs received some data.
     new_osds = [o for o in cluster.osds.values() if o.node.name == "host3"]
     assert sum(len(o.store) for o in new_osds) > 0
@@ -126,9 +125,9 @@ def test_revive_then_backfill():
     pool = cluster.create_pool("data", Replicated(2))
     fill(cluster, pool, n=30)
     cluster.fail_osd(0)
-    recover_sync(cluster)
+    converge_sync(cluster)
     cluster.revive_osd(0)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost == 0
     assert all_replicated_ok(cluster, pool, 30, 4096)
 
@@ -142,18 +141,18 @@ def test_data_loss_detected_when_all_copies_gone():
     holders = [o.osd_id for o in cluster.osds.values() if o.store.exists(key)]
     for osd_id in holders:
         cluster.fail_osd(osd_id)
-    stats = recover_sync(cluster)
+    stats = converge_sync(cluster)
     assert stats.objects_lost > 0
 
 
 def _recover(cluster, pool, key, acting):
     cluster.fail_osd(acting[1])
-    recover_sync(cluster)
+    converge_sync(cluster)
 
 
 def _rebalance(cluster, pool, key, acting):
     cluster.decommission_osd(acting[0])
-    rebalance_sync(cluster)
+    converge_sync(cluster)
 
 
 def _repair(cluster, pool, key, acting):
@@ -201,7 +200,7 @@ def test_recovery_copies_the_acting_holder_not_a_stale_stray():
     cluster.osds[0].store.put_object(key, first.store.get(key).clone())
     cluster.write_full_sync(pool, oid, b"new" * 1000)
     second.store.delete_object(key)
-    recover_sync(cluster)
+    converge_sync(cluster)
     assert not cluster.osds[0].store.exists(key)
     for osd in (first, second):
         assert osd.store.read(key) == b"new" * 1000

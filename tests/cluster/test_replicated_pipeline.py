@@ -11,7 +11,7 @@ all-or-nothing across PGs, mid-remap or not.
 
 import pytest
 
-from repro.cluster import RadosCluster, Rebalancer, Replicated
+from repro.cluster import RadosCluster, Replicated, converge
 from repro.cluster.objectstore import Transaction
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, TransientOpError
 from repro.sim import Interrupt
@@ -65,15 +65,15 @@ def test_a_pg_remapped_and_settled_while_writes_queue_loses_no_write(batched):
             sim.process(cluster.submit(pool, oid, txn, client)) for oid, txn in txns
         ]
     # Every write has started and sits on the client NIC; then the map
-    # changes, and the rebalancer migrates, trims and retires every remap
+    # changes, and convergence migrates, trims and settles every PG
     # before most of the queued writes reach their object lock.
     sim.run(until=sim.now + 1e-6)
     diff = cluster.expand("host2", 2)
     assert diff.pgs_remapped > 0
-    rebalance = sim.process(Rebalancer(cluster).run_to_completion())
+    rebalance = sim.process(converge(cluster))
     sim.run_until_complete(sim.all_of(writes + [rebalance]))
     sim.run()
-    assert not cluster.active_remaps()
+    assert not cluster._unclean
     for oid, data in sorted(expected.items()):
         acting = set(pool.acting_set(pool.pg_of(oid)))
         copies = _copies(cluster, pool, oid)
@@ -160,8 +160,8 @@ def test_a_batch_across_a_mid_remap_and_a_settled_pg_is_atomic_and_lands_on_hold
         assert {copy[:4096] for copy in _copies(cluster, pool, oid).values()} == {
             b"Z" * 4096
         }
-    cluster.run(Rebalancer(cluster).run_to_completion())
-    assert not cluster.active_remaps()
+    cluster.run(converge(cluster))
+    assert not cluster._unclean
     for oid in names:
         assert set(_copies(cluster, pool, oid)) == set(pool.acting_set_for(oid))
         assert cluster.read_sync(pool, oid)[:4096] == b"Z" * 4096

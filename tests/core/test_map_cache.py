@@ -9,7 +9,7 @@ and the omap commit format writing only the entries a commit touched.
 
 import pytest
 
-from repro.cluster import RadosCluster, rebalance_sync, recover_sync
+from repro.cluster import RadosCluster, converge_sync
 from repro.core import (
     CHUNK_MAP_XATTR,
     DedupConfig,
@@ -337,7 +337,7 @@ def test_stale_map_after_recovery():
     storage.drain()
     load_map(storage, "obj1")
     miss_before = storage.tier.stage.map_cache_misses
-    recover_sync(storage.cluster)
+    converge_sync(storage.cluster)
     load_map(storage, "obj1")
     assert storage.tier.stage.map_cache_misses == miss_before + 1
     assert storage.read_sync("obj1") == b"h" * CHUNK
@@ -368,7 +368,7 @@ def test_stale_map_after_rebalance():
     miss_before = storage.tier.stage.map_cache_misses
     diff = storage.cluster.expand("host4", 2)
     assert diff.pgs_remapped > 0
-    rebalance_sync(storage.cluster)
+    converge_sync(storage.cluster)
     assert len(storage.tier._map_cache) == 0
     load_map(storage, "obj0")
     assert storage.tier.stage.map_cache_misses == miss_before + 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import RadosCluster, recover_sync
+from repro.cluster import RadosCluster, converge_sync
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -38,7 +38,7 @@ def test_crash_and_restart_keep_disk_contents():
     assert holder.up
     assert holder.needs_backfill  # stale until recovery reconciles
     assert inj.stats.restarts == 1
-    recover_sync(cluster)
+    converge_sync(cluster)
     assert not holder.needs_backfill
     assert cluster.read_sync(pool, "x") == b"payload"
 
@@ -156,7 +156,7 @@ def test_heal_all_restarts_and_clears_windows():
     inj.heal_all()
     assert inj.down_osds == []
     assert cluster.osds[osd_id].up
-    recover_sync(cluster)
+    converge_sync(cluster)
     assert cluster.read_sync(pool, "x") == b"payload"
 
 

@@ -9,7 +9,7 @@ reference model.  Deterministic per seed.
 
 import pytest
 
-from repro.cluster import RadosCluster, recover_sync
+from repro.cluster import RadosCluster, converge_sync
 from repro.cluster.scrub import scrub_pool_sync
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.scrub import collect_garbage_sync, scrub_sync
@@ -65,11 +65,11 @@ def run_chaos(seed: int, refcount_mode: str = "strict", compress: bool = False):
         elif action < 0.94 and failed is None:  # fail an OSD
             failed = rng.randrange(len(cluster.osds))
             cluster.fail_osd(failed)
-            stats = recover_sync(cluster)
+            stats = converge_sync(cluster)
             assert stats.objects_lost == 0
         elif failed is not None:  # revive it
             cluster.revive_osd(failed)
-            stats = recover_sync(cluster)
+            stats = converge_sync(cluster)
             assert stats.objects_lost == 0
             failed = None
         # Let background work interleave.
@@ -81,7 +81,7 @@ def run_chaos(seed: int, refcount_mode: str = "strict", compress: bool = False):
     collect_garbage_sync(storage.tier)
     if failed is not None:
         cluster.revive_osd(failed)
-        recover_sync(cluster)
+        converge_sync(cluster)
 
     # Every surviving object is byte-identical to the model.
     for oid, buf in model.items():

@@ -8,7 +8,7 @@ failures, EC chunk pools, and recovery-time reduction.
 
 import pytest
 
-from repro.cluster import ErasureCoded, RadosCluster, Replicated, recover_sync
+from repro.cluster import ErasureCoded, RadosCluster, Replicated, converge_sync
 from repro.core import DedupConfig, DedupedStorage
 from repro.fingerprint import fingerprint
 
@@ -32,7 +32,7 @@ def test_dedup_survives_osd_failure_and_recovery():
         storage.write_sync(oid, data)
     storage.drain()
     storage.cluster.fail_osd(0)
-    stats = recover_sync(storage.cluster)
+    stats = converge_sync(storage.cluster)
     assert stats.objects_lost == 0
     for oid, data in payloads.items():
         assert storage.read_sync(oid) == data
@@ -48,7 +48,7 @@ def test_dedup_metadata_replicated_through_rebalance():
         storage.write_sync(f"obj{i}", b"shared-content" * 100)
     storage.drain()
     storage.cluster.add_host("host-new", 2)
-    stats = recover_sync(storage.cluster)
+    stats = converge_sync(storage.cluster)
     assert stats.objects_lost == 0
     for i in range(15):
         assert storage.read_sync(f"obj{i}") == b"shared-content" * 100
@@ -88,7 +88,7 @@ def test_ec_chunk_pool_survives_failure():
         o.osd_id for o in storage.cluster.osds.values() if o.store.exists(key)
     )
     storage.cluster.fail_osd(holder)
-    stats = recover_sync(storage.cluster)
+    stats = converge_sync(storage.cluster)
     assert stats.objects_lost == 0
     assert storage.read_sync("obj1") == b"important" * 300
 
@@ -118,7 +118,7 @@ def test_recovery_moves_less_data_with_dedup():
             storage.drain()
         for osd_id in (0, 1):
             cluster.fail_osd(osd_id)
-        stats = recover_sync(cluster)
+        stats = converge_sync(cluster)
         assert stats.objects_lost == 0
         return stats.bytes_moved
 

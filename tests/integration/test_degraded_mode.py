@@ -7,7 +7,7 @@ cluster is degraded, exactly as the substrate does for plain data.
 
 import pytest
 
-from repro.cluster import NotEnoughReplicas, RadosCluster, recover_sync
+from repro.cluster import NotEnoughReplicas, RadosCluster, converge_sync
 from repro.core import DedupConfig, DedupedStorage
 
 
@@ -53,7 +53,7 @@ def test_degraded_writes_and_flush_still_work():
     # After the OSD is marked out and recovery runs, full redundancy
     # returns and content is intact everywhere.
     storage.cluster.cluster_map.mark_out(osd_id)
-    stats = recover_sync(storage.cluster)
+    stats = converge_sync(storage.cluster)
     assert stats.objects_lost == 0
     assert storage.read_sync("obj1") == b"v2" * 512
 
@@ -69,9 +69,9 @@ def test_dedup_correct_across_full_degradation_cycle():
     for i in range(6):
         storage.write_sync(f"b{i}", b"shared-block" * 80)  # degraded dups
     storage.drain()
-    recover_sync(storage.cluster)
+    converge_sync(storage.cluster)
     storage.cluster.revive_osd(0)
-    recover_sync(storage.cluster)
+    converge_sync(storage.cluster)
     report = storage.space_report()
     assert report.chunk_objects == 1  # still one unique chunk cluster-wide
     fp = storage.cluster.list_objects(storage.tier.chunk_pool)[0]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ErasureCoded, RadosCluster, Replicated, recover_sync
+from repro.cluster import ErasureCoded, RadosCluster, Replicated, converge_sync
 from repro.core import DedupConfig, DedupedStorage
 
 OIDS = ["alpha", "beta", "gamma"]
@@ -135,7 +135,7 @@ def test_storage_survives_failure_mid_sequence(metadata_pool, chunk_pool, ops, f
             storage.drain()
     for oid, buf in model.objects.items():
         assert storage.read_sync(oid) == bytes(buf)
-    stats = recover_sync(storage.cluster)
+    stats = converge_sync(storage.cluster)
     assert stats.objects_lost == 0
     storage.drain()
     for oid, buf in model.objects.items():

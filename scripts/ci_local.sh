@@ -4,7 +4,7 @@
 # Tools that only CI installs (ruff, mypy, pytest-cov) are skipped with
 # a notice when absent.  Usage:
 #
-#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + e2e smoke + paper benches + obs
+#   scripts/ci_local.sh               # lint + invariants + tests + coverage + scenario + e2e smoke + paper benches + obs
 #   scripts/ci_local.sh --bench-full  # also the full (slow) benchmark suite
 set -u
 cd "$(dirname "$0")/.."
@@ -38,16 +38,14 @@ with open(".github/workflows/ci.yml") as fh:
 jobs = doc["jobs"]
 expected = {
     "lint", "lint-invariants", "test", "test-no-numpy",
-    "coverage", "faults-smoke", "elasticity-smoke", "e2e-smoke",
+    "coverage", "scenario-smoke", "e2e-smoke",
     "paper-benches", "obs-smoke", "bench-full",
 }
 assert expected <= set(jobs), jobs.keys()
 matrix = jobs["test"]["strategy"]["matrix"]["python-version"]
 assert matrix == ["3.9", "3.11", "3.12", "3.13"], matrix
-seeds = jobs["faults-smoke"]["strategy"]["matrix"]["fault-seed"]
-assert len(set(seeds)) == 3, seeds
-eseeds = jobs["elasticity-smoke"]["strategy"]["matrix"]["elasticity-seed"]
-assert len(set(eseeds)) == 6, eseeds
+seeds = jobs["scenario-smoke"]["strategy"]["matrix"]["scenario-seed"]
+assert len(set(seeds)) == 6, seeds
 concurrency = doc["concurrency"]
 assert concurrency["cancel-in-progress"] is True, concurrency
 EOF
@@ -93,17 +91,13 @@ else
     echo "==> coverage: pytest-cov not installed locally; skipping (CI installs it)"
 fi
 
-# -- faults-smoke job -------------------------------------------------------
-for seed in 11 29 4242; do
-    step "faults-smoke: suite, seed $seed" \
-        env PYTHONPATH=src REPRO_FAULT_SEED="$seed" python -m pytest -x -q tests/faults
-    step "faults-smoke: CLI scenario, seed $seed" \
-        env PYTHONPATH=src python -m repro --seed "$seed" faults
-done
-
-# -- elasticity-smoke job ---------------------------------------------------
+# -- scenario-smoke job -----------------------------------------------------
 for seed in 11 29 4242 6 16 20; do
-    step "elasticity-smoke: online expand + decommission, seed $seed" \
+    step "scenario-smoke: suite, seed $seed" \
+        env PYTHONPATH=src REPRO_FAULT_SEED="$seed" python -m pytest -x -q tests/faults
+    step "scenario-smoke: static preset under faults, seed $seed" \
+        env PYTHONPATH=src python -m repro --seed "$seed" faults
+    step "scenario-smoke: elastic preset under faults, seed $seed" \
         env PYTHONPATH=src python -m repro --seed "$seed" rebalance
 done
 

@@ -95,93 +95,55 @@ def _cmd_scrub(args) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_faults(args) -> int:
-    from .faults import FaultPlan, run_faulted_workload
-    from .obs import fault_lines, storage_metrics
+def _cmd_scenario(args) -> int:
+    from .cluster import placement_skew
+    from .faults import ELASTIC, STATIC, FaultPlan, run_scenario
+    from .faults.scenario import locks_left
+    from .obs import fault_lines
 
-    if args.horizon <= 0:
-        print(f"error: --horizon must be positive, got {args.horizon}",
-              file=sys.stderr)
-        return 2
-    num_osds = 8  # the scenario's fixed topology: 4 hosts x 2 OSDs
-    if args.kill_osd is not None and not 0 <= args.kill_osd < num_osds:
-        print(f"error: --kill-osd must be an OSD id in 0..{num_osds - 1},"
-              f" got {args.kill_osd}", file=sys.stderr)
-        return 2
+    preset = STATIC if args.command == "faults" else ELASTIC
+    num_osds = STATIC.num_hosts * STATIC.osds_per_host
+    for bad, message in (
+        (args.objects < 1, f"--objects must be at least 1, got {args.objects}"),
+        (args.horizon <= 0, f"--horizon must be positive, got {args.horizon}"),
+        (args.rate < 0, f"--rate must not be negative, got {args.rate}"),
+        (args.kill_osd is not None and not 0 <= args.kill_osd < num_osds,
+         f"--kill-osd must be an OSD id in 0..{num_osds - 1}, got {args.kill_osd}"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     plan = None
     if args.kill_osd is not None:
         # Targeted mode: kill one OSD mid-workload (mid-flush — the
         # background engine runs throughout) and restart it later.
         plan = FaultPlan.single_osd_kill(
-            args.kill_osd,
-            at=args.horizon * 0.3,
-            restart_after=args.horizon * 0.25,
+            args.kill_osd, at=args.horizon * 0.3, restart_after=args.horizon * 0.25,
             seed=args.seed,
         )
-    result = run_faulted_workload(
-        seed=args.seed,
-        plan=plan,
-        num_objects=args.objects,
+    elif args.no_faults:
+        plan = FaultPlan([], seed=args.seed)
+    result = run_scenario(
+        preset, seed=args.seed, plan=plan, num_objects=args.objects,
         horizon=args.horizon,
+        rate_limit_bps=args.rate * KiB * KiB if args.rate else None,
     )
     print(f"fault plan (seed {args.seed}, {len(result.plan)} events):")
     for line in result.plan.describe() or ["  (empty plan)"]:
         print(f"  {line}")
     print()
-    for line in fault_lines(storage_metrics(result.storage)):
+    for line in fault_lines(result.metrics):
         print(line)
     print()
-    scrub = result.scrub
-    print(f"objects written    {result.objects_written}"
-          f" ({len(result.corrupted_objects)} lost/corrupted)")
-    print(f"scrub              {scrub.chunks_checked} chunks checked,"
-          f" {len(scrub.corrupt_chunks)} corrupt,"
-          f" {len(scrub.dangling_map_entries)} dangling entries,"
-          f" {len(scrub.stale_references)} stale refs,"
-          f" {len(scrub.unreferenced_chunks)} unreferenced")
-    _print_locks_held(result.storage)
-    print(f"verdict:           {'CLEAN' if result.ok else 'DAMAGED'}")
-    return 0 if result.ok else 1
-
-
-def _print_locks_held(storage) -> None:
-    from .faults.scenario import locks_left
-
-    # Silent when every lock table is empty, so a clean run prints what
-    # it always did.
-    held = locks_left(storage)
-    if held:
-        print(f"locks held         {', '.join(held)}")
-
-
-def _cmd_rebalance(args) -> int:
-    from .cluster import placement_skew
-    from .faults import run_elastic_workload
-
-    if args.horizon <= 0:
-        print(f"error: --horizon must be positive, got {args.horizon}",
-              file=sys.stderr)
-        return 2
-    result = run_elastic_workload(
-        seed=args.seed,
-        num_objects=args.objects,
-        horizon=args.horizon,
-        rate_limit_bps=args.rate * KiB * KiB if args.rate else None,
-        with_faults=not args.no_faults,
-    )
-    if result.plan is not None:
-        print(f"fault plan (seed {args.seed}, {len(result.plan)} events):")
-        for line in result.plan.describe() or ["  (empty plan)"]:
-            print(f"  {line}")
-        print()
     print("topology changes:")
-    for diff in result.expand_diffs:
-        print(f"  expand:       {diff.pgs_remapped} PGs remapped"
-              f" (epoch {diff.epoch})")
+    steps = [f"expand:       {diff.pgs_remapped} PGs remapped (epoch {diff.epoch})"
+             for diff in result.expand_diffs]
     if result.decommission_diff is not None:
-        print(f"  decommission: osd {result.decommissioned_osd},"
-              f" {result.decommission_diff.pgs_remapped} PGs remapped"
-              f" (epoch {result.decommission_diff.epoch})")
+        steps.append(f"decommission: osd {result.decommissioned_osd},"
+                     f" {result.decommission_diff.pgs_remapped} PGs remapped"
+                     f" (epoch {result.decommission_diff.epoch})")
+    for line in steps or ["(none)"]:
+        print(f"  {line}")
     print()
     print("rebalance:")
     for line in result.converge_stats.summary_lines():
@@ -193,7 +155,8 @@ def _cmd_rebalance(args) -> int:
     print(f"dedup scrub        {scrub.chunks_checked} chunks checked,"
           f" {len(scrub.corrupt_chunks)} corrupt,"
           f" {len(scrub.dangling_map_entries)} dangling entries,"
-          f" {len(scrub.stale_references)} stale refs")
+          f" {len(scrub.stale_references)} stale refs,"
+          f" {len(scrub.unreferenced_chunks)} unreferenced")
     for report, name in zip(result.replica_reports, ("metadata", "chunk")):
         print(f"{name + ' pool scrub':<18} "
               f"{'CLEAN' if report.clean else 'DAMAGED'}")
@@ -208,9 +171,13 @@ def _cmd_rebalance(args) -> int:
     print(f"trace              {len(result.trace_problems)} problem(s)")
     for line in result.trace_problems[:10]:
         print(f"  {line}")
-    print(f"decommission       "
-          f"{'finalized' if result.finalized else 'NOT finalized'}")
-    _print_locks_held(result.storage)
+    if result.decommissioned_osd is not None:
+        print(f"decommission       "
+              f"{'finalized' if result.finalized else 'NOT finalized'}")
+    # Silent when every lock table is empty.
+    held = locks_left(result.storage)
+    if held:
+        print(f"locks held         {', '.join(held)}")
     print(f"verdict:           {'CLEAN' if result.ok else 'DAMAGED'}")
     return 0 if result.ok else 1
 
@@ -270,6 +237,8 @@ def _cmd_lint(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from .faults.scenario import ELASTIC, STATIC
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
@@ -279,10 +248,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("demo", help="dedup roundtrip + space savings")
     sub.add_parser("status", help="operational snapshot of a demo cluster")
     sub.add_parser("scrub", help="integrity scrub of a demo cluster")
-    faults = sub.add_parser(
-        "faults", help="faulted workload: inject, heal, recover, verify"
-    )
-    faults.add_argument(
+    scenarios = {}
+    for name, preset, text in (
+        ("faults", STATIC, "faulted workload: inject, heal, recover, verify"),
+        ("rebalance", ELASTIC, "online elasticity: expand + decommission"
+         " under load, rebalance, verify"),
+    ):
+        scenario = scenarios[name] = sub.add_parser(name, help=text)
+        scenario.add_argument(
+            "--objects",
+            type=int,
+            default=preset.num_objects,
+            help=f"objects to write (default {preset.num_objects})",
+        )
+        scenario.add_argument(
+            "--horizon",
+            type=float,
+            default=preset.horizon,
+            help="fault-schedule and scenario length in simulated seconds"
+            f" (default {preset.horizon})",
+        )
+    scenarios["faults"].set_defaults(rate=0.0, no_faults=False)
+    scenarios["faults"].add_argument(
         "--kill-osd",
         type=int,
         default=None,
@@ -290,30 +277,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="targeted plan: crash this OSD mid-workload (default: "
         "generate a schedule from --seed)",
     )
-    faults.add_argument(
-        "--objects", type=int, default=24, help="objects to write (default 24)"
-    )
-    faults.add_argument(
-        "--horizon",
-        type=float,
-        default=4.0,
-        help="fault-schedule length in simulated seconds (default 4.0)",
-    )
-    rebalance = sub.add_parser(
-        "rebalance",
-        help="online elasticity: expand + decommission under load, rebalance,"
-        " verify",
-    )
-    rebalance.add_argument(
-        "--objects", type=int, default=32, help="objects to write (default 32)"
-    )
-    rebalance.add_argument(
-        "--horizon",
-        type=float,
-        default=6.0,
-        help="scenario length in simulated seconds (default 6.0)",
-    )
-    rebalance.add_argument(
+    scenarios["rebalance"].set_defaults(kill_osd=None)
+    scenarios["rebalance"].add_argument(
         "--rate",
         type=float,
         default=64.0,
@@ -321,10 +286,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="background rebalance rate limit in MiB/s while the workload"
         " runs (default 64; 0 = unthrottled)",
     )
-    rebalance.add_argument(
+    scenarios["rebalance"].add_argument(
         "--no-faults",
         action="store_true",
-        help="run the elasticity scenario without the seeded fault plan",
+        help="run the elastic preset with an empty fault plan",
     )
     obs = sub.add_parser(
         "obs",
@@ -418,8 +383,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "demo": _cmd_demo,
         "status": _cmd_status,
         "scrub": _cmd_scrub,
-        "faults": _cmd_faults,
-        "rebalance": _cmd_rebalance,
+        "faults": _cmd_scenario,
+        "rebalance": _cmd_scenario,
         "obs": _cmd_obs,
         "lint": _cmd_lint,
     }[args.command]

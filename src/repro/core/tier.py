@@ -225,10 +225,10 @@ class DedupTier:
         # via load misses sits at version 0 — the epoch catches its
         # in-flight decodes too (bumped alongside full invalidation).
         self._map_epoch = 0
-        # Recovery and rebalance can rewrite metadata objects underneath
-        # the tier (restoring an older committed state); both notify the
-        # cluster's repair listeners, and the tier answers by dropping
-        # every decoded map.
+        # PG convergence (repro.cluster.converge) can rewrite metadata
+        # objects underneath the tier (restoring an older committed
+        # state); every run notifies the cluster's repair listeners, and
+        # the tier answers by dropping every decoded map.
         cluster.add_repair_listener(self._on_cluster_repair)
         #: Hook invoked (with the oid) when a read finds a hot object
         #: whose chunks are not cached; the facade wires it to the
@@ -375,10 +375,10 @@ class DedupTier:
         """Drop decoded maps (one object, or all when ``None``).
 
         Owners: faulted/aborted commits (the in-memory map may have been
-        mutated without landing), deletes, GC, recovery, and rebalance
-        migration.  Bumping the version — not just popping the cache
-        entry — also fences any stale decode still held by an in-flight
-        op from being re-installed later.
+        mutated without landing), deletes, and PG convergence (through
+        the cluster's repair listeners).  Bumping the version — not just
+        popping the cache entry — also fences any stale decode still held
+        by an in-flight op from being re-installed later.
         """
         if oid is None:
             self.stage.map_cache_invalidations += len(self._map_cache)

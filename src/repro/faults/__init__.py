@@ -17,7 +17,6 @@ free.  This package exists to *test* that claim on demand:
 See ``docs/faults.md`` for the fault model and knobs.
 """
 
-from .elastic import ElasticityResult, run_elastic_workload
 from .errors import (
     FaultError,
     NetworkPartitionError,
@@ -28,7 +27,7 @@ from .errors import (
 from .injector import FaultInjector, FaultStats
 from .plan import FAULT_KINDS, FaultEvent, FaultPlan
 from .retry import RetryPolicy, RetryStats, call_with_retries
-from .scenario import ScenarioResult, run_faulted_workload
+from .scenario import ELASTIC, STATIC, Preset, ScenarioResult, run_scenario
 
 __all__ = [
     "FaultError",
@@ -44,8 +43,9 @@ __all__ = [
     "RetryPolicy",
     "RetryStats",
     "call_with_retries",
+    "Preset",
+    "STATIC",
+    "ELASTIC",
     "ScenarioResult",
-    "run_faulted_workload",
-    "ElasticityResult",
-    "run_elastic_workload",
+    "run_scenario",
 ]

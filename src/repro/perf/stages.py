@@ -57,7 +57,7 @@ class StageCounters:
     map_cache_hits: int = 0
     map_cache_misses: int = 0
     #: Cache entries dropped by explicit invalidation (faulted commits,
-    #: GC, recovery, rebalance, deletes) — LRU evictions not included.
+    #: deletes, PG convergence) — LRU evictions not included.
     map_cache_invalidations: int = 0
     #: Chunk-map entries actually serialised by commits vs. the entries
     #: the committed maps held in total.  Incremental (v2) commits keep

@@ -34,24 +34,22 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 KiB = 1024
 
 CLI_DIGESTS = {
-    # Moved with hotness as sustained access: the run ends 1 ms sooner
-    # ("sim time 4.016s"); every other line is as it was.
+    # Moved with the one scenario renderer: it adds the topology,
+    # `rebalance:`, pool-scrub, placement, skew and trace lines and calls
+    # the scrub line `dedup scrub`; every other line is as it was.
     ("--seed", "1", "faults"):
-        "f05ba1c08876dfd2ac6bdee3a1b8e5f7b01ad096b1afde2602773d4609c2810f",
+        "50675b034bebdc8695a9bf2599155d76ee545a55a884fb50da023c47240713da",
     ("--seed", "4", "faults"):
-        "ca76d6038aec183b50d49c1e7a531ff281e981cb23ecc9b2504808a65769b718",
+        "64fecbf15318fa21cd61e215a2864c5cd6231b70fcc3dde9360f487f90c7b204",
     ("--seed", "2", "faults", "--kill-osd", "2"):
-        "5c1c1b09ae007bb6f25e651e08e65b97309737b30ffe9feadb6bb2f75db33e9d",
-    # Moved with the one convergence loop: the `rebalance:` block prints
-    # one stats bag over the online and the final run (`PGs converged`,
-    # passes of both runs, the trim the old final recovery made
-    # uncounted, an `objects lost` line, a degraded window that covers
-    # the PGs the final run settles); copies moved and every other line
-    # are as they were.
+        "fe37b3a181bcc853142d79736d4ef72fa8e9df7ad98fef7d4d2966908a4e3e84",
+    # Moved with the one scenario renderer: it adds the fault counter
+    # block (sim time, retries, availability) and the `unreferenced`
+    # count of the dedup-scrub line; every other line is as it was.
     ("--seed", "1", "rebalance"):
-        "4f67bad9d160bd09654e67c14b4e018cbdf099f884998c6347d37593c69f8496",
+        "059cb6497f0a2896bdd7a57aa442aeea44e41f2430e5ae924512ace9a8e8a87d",
     ("--seed", "4", "rebalance"):
-        "8e0ab9129e5ac183fb53b3d4ac573e65ae19bc49931bec50c5402f0d9525a64d",
+        "2c9246679167243d9563b302d7cfe301f372d8996fdf650c41b1748dbb48d021",
     ("--seed", "1", "demo"):
         "b38da717d0c7c08fdc8908d1e7be4882d175c5165a33bebfa424c4ef80367c12",
     ("--seed", "1", "status"):

@@ -42,3 +42,35 @@ def test_seed_changes_content(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["bogus"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["faults", "--objects", "0"], "--objects must be at least 1, got 0"),
+        (["rebalance", "--no-faults", "--objects", "-3"],
+         "--objects must be at least 1, got -3"),
+        (["rebalance", "--rate", "-5"], "--rate must not be negative, got -5.0"),
+        (["faults", "--horizon", "0"], "--horizon must be positive, got 0.0"),
+        (["faults", "--kill-osd", "-1"], "--kill-osd must be an OSD id in 0..7, got -1"),
+    ],
+    ids=["objects-0", "objects-negative", "rate-negative", "horizon-0", "kill-osd-negative"],
+)
+def test_scenario_commands_reject_input_they_cannot_judge(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_kill_osd_range_follows_the_static_preset(capsys):
+    from repro.faults import STATIC
+
+    num_osds = STATIC.num_hosts * STATIC.osds_per_host
+    assert main(["faults", "--kill-osd", str(num_osds)]) == 2
+    assert f"0..{num_osds - 1}, got {num_osds}" in capsys.readouterr().err
+    assert main(["faults", "--kill-osd", str(num_osds - 1), "--objects", "4",
+                 "--horizon", "1"]) == 0
+    out = capsys.readouterr().out
+    assert f"osd_crash        {num_osds - 1}" in out
+    assert "verdict:           CLEAN" in out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..sim import Resource, Simulator
+from ..sim import Event, Resource, Simulator, Timeout
 
 __all__ = [
     "DiskSpec",
@@ -164,6 +164,35 @@ class Nic:
         """Process generator: occupy the ingress queue for the wire time."""
         self.bytes_received += nbytes
         yield from self._ingress.serve(self.spec.transfer_time(nbytes))
+
+    def post(self, dst: "Nic", nbytes: int) -> Event:
+        """Start moving ``nbytes`` to ``dst`` without a process: returns
+        the event of the bytes landing there.
+
+        The costs are a transfer's — this NIC's egress, the one-way
+        latency, ``dst``'s ingress, each queued FIFO behind whatever was
+        already waiting there — chained by callbacks, so a message sent
+        after this one, over either queue, lands after it.
+        """
+        sim = self.sim
+        landed = Event(sim)
+        egress, ingress = self._egress, dst._ingress
+
+        def sent(_event: Event) -> None:
+            egress.release()
+            Timeout(sim, self.spec.latency).callbacks.append(arrived)
+
+        def arrived(_event: Event) -> None:
+            dst.bytes_received += nbytes
+            ingress.hold(dst.spec.transfer_time(nbytes)).callbacks.append(received)
+
+        def received(_event: Event) -> None:
+            ingress.release()
+            landed.succeed()
+
+        self.bytes_sent += nbytes
+        egress.hold(self.spec.transfer_time(nbytes)).callbacks.append(sent)
+        return landed
 
 
 class Cpu:

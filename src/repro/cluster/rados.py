@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from ..sim import LockTable, Simulator, Timeout
+from ..sim import Event, LockTable, Simulator, Timeout
 from .clustermap import ClusterMap
 from .crush import CrushMap
 from .ec import _payload_length, _shard_index, _shard_xattrs, _user_xattrs
@@ -38,7 +38,7 @@ from .objectstore import NoSuchObject, ObjectKey, ObjectStore, StoredObject, Tra
 from .osd import Node, OSD, OsdDownError
 from .pool import Pool, Replicated
 
-__all__ = ["Client", "PgMove", "RadosCluster", "RemapDiff", "NotEnoughReplicas"]
+__all__ = ["Client", "PgMove", "RadosCluster", "RemapDiff", "NotEnoughReplicas", "Sent"]
 
 _needs_backfill = attrgetter("needs_backfill")
 
@@ -64,6 +64,30 @@ def _pick_shards(pool: Pool, key: ObjectKey, holders: List[OSD]) -> List[Tuple[i
 def _logical_size(pool: Pool, obj: StoredObject) -> int:
     """Payload bytes of the object a stored copy (or shard) belongs to."""
     return _payload_length(obj) if pool.is_ec else obj.size
+
+
+class Sent:
+    """Step 1 of the commit pipeline, done (:meth:`RadosCluster.send`):
+    where every item's payload went before any lock, for
+    :meth:`RadosCluster.submit` to consume."""
+
+    __slots__ = ("keyed", "epoch", "settled", "groups", "at", "legs")
+
+    def __init__(self, keyed, epoch, settled, groups, at, legs) -> None:
+        #: The ``(key, transaction)`` items it resolved.
+        self.keyed: List[Tuple[ObjectKey, Optional[Transaction]]] = keyed
+        #: Cluster-map epoch of the resolution.
+        self.epoch = epoch
+        #: No PG was unclean and no replicated group was resolved by its
+        #: holders: ``groups`` still holds while the epoch stays.
+        self.settled = settled
+        #: :meth:`RadosCluster._commit_groups` as resolved at send time.
+        self.groups = groups
+        #: Per item: ``(node, payload bytes, legs)`` — the primary's node
+        #: the payload reached, and its group's legs by replica node.
+        self.at: List[Tuple[Node, int, Dict[Node, Event]]] = at
+        #: Every leg's landing event.
+        self.legs: List[Event] = legs
 
 
 class _Unclean(NamedTuple):
@@ -379,6 +403,7 @@ class RadosCluster:
         oid: str,
         txn: Transaction,
         client: Optional[Client] = None,
+        sent: Optional[Sent] = None,
     ):
         """Process: apply ``txn`` atomically on every replica of ``oid``.
 
@@ -404,11 +429,15 @@ class RadosCluster:
         paper's Figure 12 — while an xattr/omap update or a remove goes
         to each shard as it stands.
 
+        ``sent`` is the record of a :meth:`send` of the payload the
+        caller made before taking locks of its own; without one, the
+        pipeline sends ``txn`` whole from ``client`` first.
+
         Returns the generator of :meth:`_submit`, the pipeline shared
         with :meth:`submit_batch`, rather than wrapping it: a wrapping
         generator is one more frame to resume at every yield.
         """
-        return self._submit(pool, [(oid, txn)], client)
+        return self._submit(pool, [(oid, txn)], client, sent)
 
     def submit_batch(self, pool: Pool, items, client: Optional[Client] = None):
         """Process: apply many ``(oid, txn)`` pairs with one prepared
@@ -433,69 +462,131 @@ class RadosCluster:
         all-or-nothing too.
         """
         items = [(oid, txn) for oid, txn in items if len(txn)]
-        return self._submit(pool, items, client)
+        return self._submit(pool, items, client, None)
+
+    def send(self, pool: Pool, oid: str, nbytes: int, client: Optional[Client] = None):
+        """Process: step 1 of the commit pipeline for a write into
+        ``oid`` (a transaction that does not start by replacing its
+        payload) of ``nbytes`` of payload; returns the :class:`Sent`
+        record to hand to :meth:`submit`.
+
+        The payload goes from ``client`` to the primary, and a leg
+        starts from there to every other up replica node.  No lock is
+        taken, so a caller can send before it queues for locks of its
+        own; the bytes the transaction adds at the primary travel under
+        the locks.  A caller whose attempt fails before its submit owes
+        :meth:`settle`.
+        """
+        key = ObjectKey(pool.pool_id, pool.pg_of(oid), oid)
+        return self._send(pool, [(key, None)], [nbytes], client)
+
+    def settle(self, sent: Sent):
+        """Process: wait until every leg of ``sent`` has landed — what an
+        abandoned send owes before its attempt ends."""
+        pending = [leg for leg in sent.legs if not leg.processed]
+        if pending:
+            yield self.sim.all_of(pending)
+
+    def _send(
+        self,
+        pool: Pool,
+        keyed: List[Tuple[ObjectKey, Optional[Transaction]]],
+        sizes: List[int],
+        client: Optional[Client],
+    ):
+        """Process: step 1 of :meth:`_submit` — resolve the ``(key,
+        transaction)`` items' replicas (:meth:`_commit_groups`) without
+        any lock, move each group's ``sizes`` bytes from ``client`` to
+        its primary's node, then start a leg (:meth:`Nic.post
+        <repro.cluster.hardware.Nic.post>`, not a process) to each of
+        its other up replica nodes (none on an EC pool, whose shards are
+        built under the locks).  A PG already short of ``min_size``, or
+        a partitioned link, fails here before a leg starts."""
+        client = client or self._default_client
+        ec = pool.is_ec
+        epoch = self.cluster_map.epoch
+        settled = not self._unclean
+        groups = self._commit_groups(pool, keyed)
+        at: list = [None] * len(keyed)
+        sends = []
+        for gid, targets, members in groups:
+            if gid[1] and not ec:  # resolved by holders, not by the map alone
+                settled = False
+            node = targets[0].node
+            legs: Dict[Node, Event] = {}
+            nbytes = 0
+            for i in members:
+                at[i] = (node, sizes[i], legs)
+                nbytes += sizes[i]
+            sends.append((node, nbytes, legs, () if ec else targets))
+        if len(sends) == 1:  # a lone transfer needs no process of its own
+            node, nbytes = sends[0][:2]
+            if node.nic is not client.nic:  # else the payload is already there
+                yield from self._transfer(client.nic, node.nic, nbytes)
+        else:
+            yield self.sim.all_of([
+                self.sim.process(self._transfer(client.nic, node.nic, nbytes))
+                for node, nbytes, _legs, _targets in sends
+            ])
+        if self.faults is not None:  # every link first: no leg of a failed send
+            for node, _nbytes, _legs, targets in sends:
+                for osd in targets:
+                    self.faults.check_link(node.nic, osd.node.nic)
+        started = []
+        for node, nbytes, legs, targets in sends:
+            for osd in targets:
+                dst = osd.node
+                if dst is not node and dst not in legs:
+                    legs[dst] = leg = node.nic.post(dst.nic, nbytes)
+                    started.append(leg)
+        return Sent(keyed, epoch, settled, groups, at, started)
 
     def _submit(
         self,
         pool: Pool,
         items: List[Tuple[str, Transaction]],
         client: Optional[Client],
+        sent: Optional[Sent],
     ):
         """Process: the one commit pipeline of :meth:`submit` and
         :meth:`submit_batch` (docs/internals.md, "The commit pipeline").
 
-        1. Resolve every item's replicas (:meth:`_commit_groups`) without
-           any lock, to pick each group's primary — a PG already short of
-           ``min_size`` fails here, before a byte moves — and send the
-           payload there.
+        1. Send (:meth:`_send`, or the caller's :meth:`send`): resolve
+           every item's replicas without any lock, move the payload to
+           each group's primary and start its legs to the other
+           replicas.
         2. Take the items' write locks in key order.
         3. Resolve again, under the locks: this resolution is what
            commits.  Convergence changes holder sets only under the
            same locks, so a write that queued on the client NIC while
            its PG was remapped, migrated and settled lands on the
            replicas of *now*; an item whose primary changed meanwhile
-           has its payload forwarded primary to primary.  When no PG was
-           unclean at either point, no replicated group was resolved by
-           its holders and the map epoch has not moved, step 1's
-           resolution still holds and is reused.
+           has its payload forwarded primary to primary, and a member
+           with no leg gets the whole transaction from the primary.
+           When no PG was unclean at either point, no replicated group
+           was resolved by its holders and the map epoch has not moved,
+           step 1's resolution still holds and is reused.
         4. On an EC pool, encode: each group's transaction becomes one
            transaction per shard (:meth:`_ec_encode`), on the primary.
-        5. Prepare every replica (shard) of every group, check quorum
-           for all groups, then commit all of them — one fault anywhere
+        5. Prepare every replica (shard) of every group — a replica
+           whose leg carried the payload is sent only the control
+           message, the transaction's bytes beyond it — check quorum
+           for all groups, then commit all of them: one fault anywhere
            and nothing is mutated.  Drop the parked copies of every
            rewritten stripe; release.  The pipeline ends here, at its
-           commit point: the caller sends the :meth:`reply`.
+           commit point, once every leg has landed: the caller sends
+           the :meth:`reply`.
         """
         if not items:
             return
-        keyed = [(ObjectKey(pool.pool_id, pool.pg_of(oid), oid), txn) for oid, txn in items]
-        single = len(items) == 1
-        ec = pool.is_ec
-        client = client or self._default_client
-        sent: Dict[int, Tuple[Node, int]] = {}  # item -> (node, payload bytes)
-        sends = []
-        epoch = self.cluster_map.epoch
-        settled = not self._unclean
-        groups = self._commit_groups(pool, keyed)
-        for gid, targets, members in groups:
-            if gid[1] and not ec:  # resolved by holders, not by the map alone
-                settled = False
-            node = targets[0].node
-            nbytes = 0
-            for i in members:
-                size = items[i][1].io_bytes
-                sent[i] = (node, size)
-                nbytes += size
-            sends.append((node.nic, nbytes))
-        if single:  # a lone transfer needs no process of its own
-            nic, nbytes = sends[0]
-            if nic is not client.nic:  # else the payload is already there
-                yield from self._transfer(client.nic, nic, nbytes)
+        if sent is None:
+            keyed = [(ObjectKey(pool.pool_id, pool.pg_of(oid), oid), txn) for oid, txn in items]
+            sizes = [txn.io_bytes for _oid, txn in items]
+            sent = yield from self._send(pool, keyed, sizes, client)
         else:
-            yield self.sim.all_of([
-                self.sim.process(self._transfer(client.nic, nic, nbytes))
-                for nic, nbytes in sends
-            ])
+            keyed = [(key, txn) for (key, _none), (_oid, txn) in zip(sent.keyed, items)]
+        ec = pool.is_ec
+        groups = sent.groups
         held: list = []
         try:
             for key in sorted({key for key, _txn in keyed}):
@@ -506,21 +597,25 @@ class RadosCluster:
             # bump: that only reorders the same up members, so the
             # reused primary is still an up replica.
             if not (
-                settled
+                sent.settled
                 and not self._unclean
-                and epoch == self.cluster_map.epoch
+                and sent.epoch == self.cluster_map.epoch
             ):
                 groups = self._commit_groups(pool, keyed)
-            plan = []  # (primary, [(OSD, txn, payload bytes)]) per group
+            plan = []  # (primary, [(OSD, txn, bytes to send, leg)]) per group
             stripes = []  # keys of the EC objects whose stripe is rewritten
             for _gid, targets, members in groups:
                 primary = targets[0]
                 node = primary.node
                 nbytes = 0
+                legs: Optional[Dict[Node, Event]] = sent.at[members[0]][2]
                 for i in members:
-                    src, size = sent[i]
+                    src, size, item_legs = sent.at[i]
                     if src is not node:  # the primary moved: forward
                         yield from self._transfer(src.nic, node.nic, size)
+                        legs = None
+                    elif item_legs is not legs:
+                        legs = None
                     nbytes += size
                 if len(members) == 1:
                     txn = items[members[0]][1]
@@ -533,16 +628,21 @@ class RadosCluster:
                     shards, stripe = yield from self._ec_encode(pool, key, txn, primary)
                     if stripe:
                         stripes.append(key)
-                    plan.append((primary, [(osd, t, t.io_bytes) for osd, t in shards]))
+                    plan.append((primary, [(osd, t, t.io_bytes, None) for osd, t in shards]))
                 else:
-                    plan.append((primary, [(osd, txn, nbytes) for osd in targets]))
-            jobs = []
-            for primary, shards in plan:
-                for osd, txn, nbytes in shards:
-                    jobs.append(self.sim.process(
-                        self._replica_prepare(primary, osd, txn, nbytes)
-                    ))
-            yield self.sim.all_of(jobs)
+                    # The legs carried what was sent: the whole transaction,
+                    # or (a send() of no transaction yet) its payload only.
+                    whole = txn.io_bytes if sent.keyed[members[0]][1] is None else nbytes
+                    copies = []
+                    for osd in targets:
+                        leg = legs.get(osd.node) if legs else None
+                        copies.append((osd, txn, whole if leg is None else whole - nbytes, leg))
+                    plan.append((primary, copies))
+            yield self.sim.all_of([
+                self.sim.process(self._replica_prepare(primary, osd, txn, nbytes, leg))
+                for primary, shards in plan
+                for osd, txn, nbytes, leg in shards
+            ])
             # Commit point: every replica of every group prepared and
             # none is mutated yet.  Applying is instantaneous, so no
             # fault can interleave and split the copies.  An OSD that
@@ -551,7 +651,7 @@ class RadosCluster:
             # quorum aborts the whole batch before anything applies.
             survivors = []
             for _primary, shards in plan:
-                alive = [(osd, txn) for osd, txn, _nbytes in shards if osd.info.up]
+                alive = [(osd, txn) for osd, txn, _nbytes, _leg in shards if osd.info.up]
                 if len(alive) < pool.redundancy.min_size:
                     raise NotEnoughReplicas(
                         f"{len(alive)}/{len(shards)} replicas survived "
@@ -563,15 +663,25 @@ class RadosCluster:
                     osd.commit_transaction(txn)
             for key in stripes:
                 self._purge_parked_ec_copies(pool, key)
+        except Exception:
+            # No leg outlives its submit: the locks go now, the failure
+            # once every leg has landed.
+            self.write_locks.release(held)
+            held.clear()
+            yield from self.settle(sent)
+            raise
         finally:
             self.write_locks.release(held)
+        if groups is not sent.groups:  # a leg to a member left out lands here
+            yield from self.settle(sent)
 
     def _commit_groups(
-        self, pool: Pool, items: List[Tuple[ObjectKey, Transaction]]
+        self, pool: Pool, items: List[Tuple[ObjectKey, Optional[Transaction]]]
     ) -> List[Tuple[Tuple[int, str], List[OSD], List[int]]]:
         """``(group id, replicas, item indices)`` per commit group of the
         ``(key, transaction)`` items, resolved now, in group-id — (PG,
-        object) — order.
+        object) — order.  A transaction of ``None`` stands for a write
+        into the object not yet built (:meth:`send`).
 
         The items of a PG that is not remapped form one group — one
         merged transaction on the PG's up acting set.  Each item of a
@@ -609,8 +719,8 @@ class RadosCluster:
             up: Optional[List[OSD]] = None
             if not ec and gid not in groups and not (unclean and self._strays(pool, pg)):
                 gid = (pg, "")
-                ops = txn.ops
-                if ops and (ops[-1][0] == "remove" or ops[0][0] != "write_full"):
+                ops = None if txn is None else txn.ops
+                if ops is None or ops and (ops[-1][0] == "remove" or ops[0][0] != "write_full"):
                     up = self._up_subset(self._acting_osds(pool, pg))
                     # Every up member holds it: the holders are the up
                     # set (their order agrees) — the common case.
@@ -637,9 +747,23 @@ class RadosCluster:
                 group[2].append(i)
         return sorted(groups.values()) if len(groups) > 1 else list(groups.values())
 
-    def _replica_prepare(self, primary: OSD, replica: OSD, txn: Transaction, payload: int):
+    def _replica_prepare(
+        self, primary: OSD, replica: OSD, txn: Transaction, nbytes: int, leg: Optional[Event]
+    ):
+        """Process: one replica's prepare — ``nbytes`` from the primary's
+        node, the prepare, the ack.  Without a ``leg`` that is the whole
+        transaction; with one, only the control message: the bytes the
+        leg did not carry, through the same NIC queues (so it lands
+        after the leg), or with none a bare go, costed as a request."""
         if replica.node is not primary.node:
-            yield from self._transfer(primary.node.nic, replica.node.nic, payload)
+            if leg is None or nbytes:
+                yield from self._transfer(primary.node.nic, replica.node.nic, nbytes)
+            else:
+                if self.faults is not None:
+                    self.faults.check_link(primary.node.nic, replica.node.nic)
+                yield self._rpc_latency()
+            if leg is not None and not leg.processed:
+                yield leg
         yield from replica.prepare_transaction(txn)
         if replica is not primary:
             yield self._rpc_latency()  # replica ack to primary

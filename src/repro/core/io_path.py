@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from ..cluster import NoSuchObject, Transaction
 from .objects import ChunkMap, ChunkMapEntry
-from .tier import DedupTier, NodeClient
+from .tier import DedupTier
 
 __all__ = ["write_path", "read_path", "delete_path"]
 
@@ -92,8 +92,9 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
 
     Steps (paper §4.5 write path):
 
-    1. the client resolves the object's primary (placement hashes the
-       unchanged, user-visible object ID) and sends it the payload;
+    1. the client sends the payload to the object's primary (placement
+       hashes the unchanged, user-visible object ID), which starts it
+       on to every other replica (:meth:`~repro.cluster.RadosCluster.send`);
     2. under the object lock, a partial overwrite of a non-cached chunk
        pre-reads the missing bytes from the chunk pool;
     3. data is written to the object's data part and chunk-map entries
@@ -103,10 +104,11 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
 
     The map update and the data write are one transaction, so a crash
     either persists both or neither (§4.6).  The object lock covers only
-    the primary's own work (steps 2–4 up to the commit): writers of one
-    object queue behind each other's commits, not behind wire time.
-    One retry scope covers send, lock and commit, so a retry re-sends
-    the payload, as a client does, and no backoff sleeps under the lock.
+    the replicas' own work (steps 2–4 up to the commit, with the map's
+    bytes sent as a control message): writers of one object queue behind
+    each other's commits, not behind wire time.  One retry scope covers
+    send, lock and commit, so a retry re-sends the payload, as a client
+    does, and no backoff sleeps under the lock.
     """
     if offset < 0:
         raise ValueError(f"negative offset {offset}")
@@ -119,21 +121,14 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
     yield tier.cluster.reply()
 
 
-def _send_payload(tier: DedupTier, primary, nbytes: int, client):
-    """Process: move a write's payload from ``client`` to ``primary``'s
-    node (the generator of the cluster's transfer, not a wrapper)."""
-    return tier.cluster._transfer(client.nic, primary.node.nic, nbytes)
-
-
 # repro-lint: flt-scope -- one attempt of write_path's retry scope (send, lock, commit): a fault propagates to it, which re-sends
 def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
-    """Process: one attempt of :func:`write_path` — send the payload to
-    the primary, then take the object lock and commit."""
+    """Process: one attempt of :func:`write_path` — send the payload,
+    then take the object lock and commit."""
     cluster = tier.cluster
     pool = tier.metadata_pool
     key = tier.metadata_key(oid)
-    primary = cluster._primary(pool, oid, key.pg)
-    yield from _send_payload(tier, primary, len(data), client)
+    sent = yield from cluster.send(pool, oid, len(data), client)
     # Mutations of one object are serialised (as RADOS serialises ops
     # per object at its PG): the chunk-map read-modify-write below must
     # not interleave with a dedup pass committing a new map.
@@ -190,12 +185,12 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
             )
         txn.write(key, offset, data)
         tier.append_map_commit(txn, oid, cmap)
-        # The payload already sits at ``primary``: committing from its
-        # node moves nothing, or forwards it if the primary has moved.
+        # The payload is already at the replicas, or on its way: the
+        # commit sends each only the transaction's bytes beyond it.
         # Safe to retry: the transaction writes absolute offsets, so a
         # replay after a partial failure converges to the same state.
         try:
-            yield from cluster.submit(pool, oid, txn, NodeClient(primary.node))
+            yield from cluster.submit(pool, oid, txn, sent=sent)
         except Exception:
             # The faulted commit may have partially landed: the stored
             # map no longer necessarily matches the cached committed
@@ -206,6 +201,13 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
         tier.mark_dirty(oid)
         tier.fg_window.note(len(data))
         tier.cache.record_access(oid)
+    except Exception:
+        # An attempt abandoned before its submit ends once its legs
+        # have landed (the submit settles its own).
+        tier.object_locks.release(held)
+        held.clear()
+        yield from cluster.settle(sent)
+        raise
     finally:
         tier.object_locks.release(held)
 

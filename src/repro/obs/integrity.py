@@ -123,13 +123,23 @@ def coverage_by_root(records: Sequence[Dict[str, Any]]) -> Dict[int, float]:
     return result
 
 
-def stage_rollup(records: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
-    """Aggregate spans by stage name.
+def _row(record: Dict[str, Any]) -> str:
+    """A span's rollup row: its stage, and for a lock wait the lock
+    table its ``lock`` tag names (``lock.wait[tier.object]``)."""
+    stage = str(record["stage"])
+    lock = (record.get("tags") or {}).get("lock") if stage == "lock.wait" else None
+    return f"{stage}[{str(lock).split(':', 1)[0]}]" if lock else stage
 
-    Returns ``{stage: {"count", "seconds", "mean", "max"}}`` with
+
+def stage_rollup(records: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
+    """Aggregate spans by stage name, lock waits by lock table.
+
+    Returns ``{row: {"count", "seconds", "mean", "max"}}`` with
     seconds summed over span durations (a child's time is *also* inside
     its parent's — rollups answer "how long did stage X run in total",
-    not "where did exclusive time go").
+    not "where did exclusive time go").  A ``lock.wait`` span's row names
+    the table of the lock it waited for, so the object locks, the
+    substrate's write locks and the chunk locks each get one.
     """
     rollup: Dict[str, Dict[str, float]] = {}
     for record in records:
@@ -137,7 +147,7 @@ def stage_rollup(records: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, float
             continue
         duration = float(record["end"]) - float(record["start"])
         entry = rollup.setdefault(
-            str(record["stage"]), {"count": 0.0, "seconds": 0.0, "max": 0.0}
+            _row(record), {"count": 0.0, "seconds": 0.0, "max": 0.0}
         )
         entry["count"] += 1
         entry["seconds"] += duration

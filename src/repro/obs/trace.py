@@ -27,6 +27,8 @@ it is traced, and with no tracer installed no code of this module runs.
   runs in a process its caller starts and does not wait for (a worker
   pass's old-chunk release, which keeps the pass's object lock): it
   stays the caller's child, and the caller's span ends when it does.
+* **Work in flight moves up.**  A wait in :data:`IN_FLIGHT` (a leg)
+  that outlives the span that started it becomes its caller's child.
 * **Failure is a tag.**  A generator that raises ends its span with an
   ``error`` tag naming the exception — a retry attempt cut off at its
   deadline shows as an ``Interrupt``.  A wait its process abandoned ends
@@ -134,8 +136,6 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.core.tier", "DedupTier.commit_chunk_batch", "tier.commit_chunk_batch",
      lambda _self, batch, *_a, **_k: {
          "ops": len(batch.ops), "chunks": len(batch.chunk_ids())}),
-    ("repro.core.io_path", "_send_payload", "tier.send",
-     lambda _tier, primary, nbytes, *_a, **_k: {"osd": primary.osd_id, "nbytes": nbytes}),
     ("repro.core.io_path", "_read_once", "tier.read_once", _oid),
     ("repro.core.io_path", "_gather", "tier.read_fanout", _oid),
     ("repro.core.io_path", "_read_cached_piece", "tier.read_cached",
@@ -144,6 +144,16 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
      lambda _tier, chunk_id, _offset, length, *_a, **_k: {
          "chunk": chunk_id, "nbytes": length}),
     # The RADOS substrate.
+    # A write's send: its payload, client -> primary, before any lock
+    # (named for the write path, its one caller), and each leg on from
+    # the primary to a replica node, which lands while the op queues.
+    ("repro.cluster.rados", "RadosCluster.send", "tier.send",
+     lambda _self, pool, oid, nbytes, *_a, **_k: {
+         "pool": pool.name, "oid": oid, "nbytes": nbytes}),
+    ("repro.cluster.hardware", "Nic.post", "rados.leg",
+     lambda src, dst, nbytes: {
+         "src": getattr(src, "owner", None), "dst": getattr(dst, "owner", None),
+         "nbytes": nbytes}),
     ("repro.cluster.rados", "RadosCluster.submit", "rados.submit", _pool),
     ("repro.cluster.rados", "RadosCluster.submit_batch", "rados.submit_batch",
      lambda _self, pool, items, *_a, **_k: {"pool": pool.name, "items": len(items)}),
@@ -165,6 +175,12 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
 #: Such a span may end after its parent returned; the parent's span then
 #: ends with it.
 HANDED_OFF = frozenset({"engine.derefs"})
+
+#: Waits on work in flight that their caller starts and does not wait
+#: for (a leg, which lands while the write queues for its locks).  When
+#: the caller's span ends first, the wait moves up to the caller's
+#: parent instead of ending as abandoned.
+IN_FLIGHT = frozenset({"rados.leg"})
 
 #: The tracer currently installed; the patches are process-wide, so
 #: there is at most one.
@@ -287,7 +303,12 @@ class Tracer:
             if stage in HANDED_OFF and outer is not None and outer.end is not None:
                 outer.end = max(outer.end, span.end)
             for wait in self._waits.pop(span, ()):
-                if wait.end is None:
+                if wait.end is not None:
+                    continue
+                if wait.stage in IN_FLIGHT and outer is not None:
+                    wait.parent_id = outer.span_id
+                    self._waits.setdefault(outer, []).append(wait)
+                else:
                     wait.end = span.end
                     wait.tags["error"] = "abandoned"
             if outer is None:

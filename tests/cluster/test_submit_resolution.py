@@ -7,8 +7,9 @@ remap was active at either point and the cluster-map epoch has not moved;
 anything that can change a holder set in between forces a second one.
 """
 
-from repro.cluster import RadosCluster, Replicated
+from repro.cluster import RadosCluster, Replicated, scrub_pool_sync
 from repro.cluster.objectstore import Transaction
+from repro.obs import Tracer
 
 KiB = 1024
 
@@ -51,16 +52,17 @@ def test_a_settled_submit_resolves_its_replicas_once(monkeypatch):
         assert cluster.read_sync(pool, "obj%d" % i) == b"B" * (4 * KiB)
 
 
-def _submit_behind_a_held_lock(cluster, pool, oid, during_wait):
+def _submit_behind_a_held_lock(cluster, pool, oid, during_wait, after=0.01):
     """Submit a write of ``oid`` while its write lock is held; run
-    ``during_wait()`` while the submit queues on the lock, then free it."""
+    ``during_wait()`` ``after`` seconds into the submit's queueing on the
+    lock, then free it."""
     sim = cluster.sim
     key = cluster.object_key(pool, oid)
     held = []
     grant = cluster.write_locks.acquire(key, held)
     assert grant.triggered
     write = sim.process(cluster.submit(pool, oid, _write(cluster, pool, oid, b"N")))
-    sim.run(until=sim.now + 0.01)
+    sim.run(until=sim.now + after)
     assert not write.triggered  # parked on the write lock
     during_wait()
     cluster.write_locks.release(held)
@@ -100,6 +102,45 @@ def test_an_osd_marked_down_during_the_lock_wait_forces_re_resolution(monkeypatc
     # lock: the primary only; the down replica keeps its old copy.
     assert cluster.osds[primary].store.read(key) == b"N" * (4 * KiB)
     assert cluster.osds[replica].store.read(key) == bytes([5]) * (4 * KiB)
+
+
+def test_a_member_added_while_the_legs_fly_gets_the_payload_under_the_lock():
+    # The send starts a leg to the replica's node; marking that replica
+    # down and out while the leg is in flight remaps the PG onto a third
+    # host.  The new member gets the whole transaction from the primary
+    # under the lock, and the leg to the dropped member — stuck behind
+    # 8 MiB the node is receiving — lands before the submit returns.
+    cluster = RadosCluster(num_hosts=3, osds_per_host=1, pg_num=16)
+    pool = cluster.create_pool("data", Replicated(2))
+    key = cluster.object_key(pool, "fresh")
+    primary, dropped = (cluster.osds[i] for i in pool.acting_set(key.pg))
+    received = {name: node.nic.bytes_received for name, node in cluster.nodes.items()}
+    cluster.sim.process(dropped.node.nic.receive(8 * KiB * KiB))
+    nic = cluster.profile.nic
+    to_primary = 2 * nic.transfer_time(4 * KiB) + nic.latency
+    in_flight = to_primary + nic.transfer_time(4 * KiB)  # sent, not yet landed
+
+    def mark_out():
+        cluster.fail_osd(dropped.osd_id)
+
+    with Tracer(cluster.sim) as tracer:
+        _submit_behind_a_held_lock(cluster, pool, "fresh", mark_out, after=in_flight)
+    (added,) = [cluster.osds[i] for i in pool.acting_set(key.pg) if i != primary.osd_id]
+    assert added.node not in (primary.node, dropped.node)
+    (submit,) = [span for span in tracer.spans if span.stage == "rados.submit"]
+    (leg,) = [span for span in tracer.spans if span.stage == "rados.leg"]
+    assert leg.tags == {"src": primary.node.name, "dst": dropped.node.name, "nbytes": 4 * KiB}
+    assert leg.start < submit.start + in_flight < leg.end == submit.end
+    assert "error" not in leg.tags
+    # Both transfers show in the NIC counters: the leg to the dropped
+    # member's node, the whole transaction to the added one's.
+    assert dropped.node.nic.bytes_received - received[dropped.node.name] == 4 * KiB + 8 * KiB * KiB
+    assert added.node.nic.bytes_received - received[added.node.name] == 4 * KiB
+    for osd in (primary, added):
+        assert osd.store.read(key) == b"N" * (4 * KiB)
+    assert not dropped.store.exists(key)
+    report = scrub_pool_sync(cluster, pool)
+    assert report.clean and report.objects_checked == 1
 
 
 def test_a_partial_write_after_a_mark_out_goes_only_to_the_holders():

@@ -192,6 +192,150 @@ def test_a_second_writer_is_granted_the_lock_at_the_first_writers_commit(storage
     assert storage.read_sync("obj1", 100, 1024) == last * 1024
 
 
+def _record_prepares(monkeypatch):
+    """``[(start, osd id, io bytes)]`` of every replica prepare from now on."""
+    from repro.cluster import OSD
+
+    prepares = []
+    prepare = OSD.prepare_transaction
+
+    def recording(osd, txn):
+        prepares.append((osd.sim.now, osd.osd_id, txn.io_bytes))
+        return prepare(osd, txn)
+
+    monkeypatch.setattr(OSD, "prepare_transaction", recording)
+    return prepares
+
+
+def test_a_queued_writer_holds_the_lock_only_for_the_control_message(storage, monkeypatch):
+    # Each writer's payload is at both replicas before it queues for the
+    # object lock: under the lock only the map's bytes travel (the
+    # control message), then the replica prepares and acks.
+    KiB = 1024
+    cluster, sim = storage.cluster, storage.sim
+    nic, cpu, disk = cluster.profile.nic, cluster.profile.cpu, cluster.profile.disk
+    storage.write_sync("obj1", b"x" * (128 * KiB))
+    clients = [storage.client("c1"), storage.client("c2")]
+    prepares = _record_prepares(monkeypatch)
+
+    def both():
+        yield sim.all_of([
+            sim.process(storage.write("obj1", bytes([65 + i]) * (128 * KiB), client=c))
+            for i, c in enumerate(clients)
+        ])
+
+    with Tracer(sim) as tracer:
+        cluster.run(both())
+    by_trace = {}
+    for span in tracer.spans:
+        if span.stage != "lock.wait" or span.tags["lock"] == "tier.object:obj1":
+            by_trace.setdefault(span.trace_id, {}).setdefault(span.stage, []).append(span)
+    first, second = sorted(by_trace.values(), key=lambda t: t["lock.wait"][0].end)
+    (lock2,), (commit2,) = second["lock.wait"], second["rados.submit"]
+    assert lock2.end == first["rados.submit"][0].end  # queued behind the first commit
+
+    # The second writer's replica prepare starts one control message
+    # after the grant; the commit follows its prepare and ack.
+    key = storage.tier.metadata_key("obj1")
+    primary, replica = [cluster.osds[i] for i in storage.tier.metadata_pool.acting_set(key.pg)]
+    ((start, _osd, io),) = [p for p in prepares if p[1] == replica.osd_id and p[0] >= lock2.end]
+    prepare = cpu.per_io_cost + disk.write_time(io)
+    assert commit2.end - lock2.end < prepare + nic.latency + 2 * nic.transfer_time(128 * KiB)
+    control = 2 * nic.transfer_time(io - 128 * KiB) + nic.latency
+    assert start - lock2.end == pytest.approx(control, rel=1e-9)
+    assert commit2.end - lock2.end == pytest.approx(control + prepare + nic.latency, rel=1e-9)
+
+    # A trace shows each payload leaving for the replica before the lock.
+    for trace in (first, second):
+        (send,), legs = trace["tier.send"], trace["rados.leg"]
+        assert [leg.tags["nbytes"] for leg in legs] == [128 * KiB]
+        assert legs[0].start == send.end == trace["lock.wait"][0].start
+    assert second["rados.leg"][0].end < lock2.end  # landed while it queued
+
+    got = storage.read_sync("obj1")
+    assert got in (b"A" * (128 * KiB), b"B" * (128 * KiB))
+    copies = {
+        (bytes(osd.store.get(key).read()), tuple(sorted(osd.store.get(key).xattrs.items())))
+        for osd in (primary, replica)
+    }
+    assert len(copies) == 1 and next(iter(copies))[0] == got
+
+
+def test_a_lone_write_is_no_slower_for_sending_its_payload_early(storage, monkeypatch):
+    # The leg leaves as soon as the payload reaches the primary and the
+    # control message queues behind it, so a write nobody contends for
+    # finishes no later than one that sends everything under the lock:
+    # the payload to the primary, the whole transaction to the replica,
+    # its prepare, its ack and the reply.
+    KiB = 1024
+    cluster, sim = storage.cluster, storage.sim
+    nic, cpu, disk = cluster.profile.nic, cluster.profile.cpu, cluster.profile.disk
+    prepares = _record_prepares(monkeypatch)
+    with Tracer(sim) as tracer:
+        storage.write_sync("obj1", b"z" * (128 * KiB))
+    (op,) = [span for span in tracer.spans if span.stage == "op.write"]
+    ((_start, _primary, io), (_start, _replica, replica_io)) = prepares
+    assert io == replica_io > 128 * KiB
+    wire = 2 * nic.transfer_time(128 * KiB) + nic.latency
+    under_the_lock = 2 * nic.transfer_time(io) + nic.latency
+    prepare = cpu.per_io_cost + disk.write_time(io)
+    all_under_the_lock = wire + under_the_lock + prepare + 2 * nic.latency
+    assert op.end - op.start < all_under_the_lock
+    assert storage.read_sync("obj1") == b"z" * (128 * KiB)
+
+
+def test_a_partition_under_a_flying_leg_is_retried_and_leaks_nothing(storage, monkeypatch):
+    # The link primary -> replica is cut while the write's leg is in
+    # flight and the write queues for its object lock.  The control
+    # message finds the partition; the failed attempt ends once its leg
+    # has landed, and write_path's retry scope sends the payload again.
+    from repro.faults import FaultEvent, FaultPlan
+    from repro.faults.scenario import locks_left
+    from repro.sim import Event, Process
+
+    KiB = 1024
+    cluster, sim, tier = storage.cluster, storage.sim, storage.tier
+    nic = cluster.profile.nic
+    key = tier.metadata_key("obj1")
+    primary, replica = [cluster.osds[i] for i in tier.metadata_pool.acting_set(key.pg)]
+    client = storage.client("c1")
+    sent_at = 2 * nic.transfer_time(128 * KiB) + nic.latency  # the leg leaves the primary
+    storage.inject_faults(FaultPlan([
+        FaultEvent(sent_at + 10e-6, "partition", f"{primary.node.name}|{replica.node.name}",
+                   duration=0.001),
+    ]))
+    failures = []
+
+    def recording_fail(process, exc):
+        failures.append((type(exc).__name__, bool(process.callbacks)))
+        return Event.fail(process, exc)
+
+    monkeypatch.setattr(Process, "fail", recording_fail)
+    held = []
+    tier.object_locks.acquire("obj1", held)
+    with Tracer(sim) as tracer:
+        write = sim.process(storage.write("obj1", b"p" * (128 * KiB), client=client))
+        sim.run(until=sent_at + 50e-6)  # partitioned, the leg still in flight
+        tier.object_locks.release(held)
+        sim.run_until_complete(write)
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span.stage, []).append(span)
+    send1, send2 = spans["tier.send"]
+    leg1, leg2 = spans["rados.leg"]
+    failed, committed = spans["rados.submit"]
+    assert failed.tags["error"] == "NetworkPartitionError" and "error" not in committed.tags
+    assert leg1.start == send1.end < failed.start < leg1.end == failed.end < send2.start
+    assert all(leg.end is not None and "error" not in leg.tags for leg in (leg1, leg2))
+    assert tier.retry_stats.retries == 1
+    assert client.nic.bytes_sent == 2 * 128 * KiB  # the payload went twice
+    assert all(observed for _name, observed in failures)
+    assert ("NetworkPartitionError", True) in failures
+    assert locks_left(storage) == []
+    assert storage.read_sync("obj1") == b"p" * (128 * KiB)
+    assert primary.store.get(key).read() == replica.store.get(key).read() == b"p" * (128 * KiB)
+
+
 # -- read fan-out and repeat reads -------------------------------------------
 
 

@@ -87,11 +87,14 @@ def test_snapshot_does_not_move_with_later_work():
     # A snapshot copies values: writing, draining and faulting after it
     # must leave its engine, retry and fault numbers (and its text) alone.
     storage = make_storage()
+    # At 30 % EIO on every OSD, about one plan seed in four makes some op
+    # exhaust its retries and the run raise; this seed lets every op of
+    # the run through.
     storage.inject_faults(FaultPlan([
         FaultEvent(0.0, "transient_errors", str(osd), duration=10.0,
                    params={"probability": 0.3})
         for osd in range(8)
-    ], seed=3))
+    ], seed=4))
     storage.write_sync("obj0", b"a" * 2048)
     storage.drain()
     snap = storage_metrics(storage)

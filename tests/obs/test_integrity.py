@@ -127,6 +127,23 @@ def test_stage_rollup_aggregates_by_stage():
     assert rollup["op.write"]["max"] == 4.0
 
 
+def test_stage_rollup_splits_lock_waits_by_lock_table():
+    records = [
+        rec(1, None, 1, "op.write", 0.0, 4.0),
+        rec(2, 1, 1, "lock.wait", 0.0, 1.0, lock="tier.object:obj1"),
+        rec(3, 1, 1, "lock.wait", 1.0, 1.5, lock="rados.write:1/3/obj1"),
+        rec(4, 1, 1, "lock.wait", 2.0, 2.0, lock="tier.object:obj2"),
+        rec(5, 1, 1, "lock.wait", 3.0, 3.25, lock="tier.chunk:abc"),
+    ]
+    rollup = stage_rollup(records)
+    assert list(rollup) == [
+        "lock.wait[rados.write]", "lock.wait[tier.chunk]", "lock.wait[tier.object]", "op.write",
+    ]
+    assert rollup["lock.wait[tier.object]"]["count"] == 2
+    assert rollup["lock.wait[tier.object]"]["seconds"] == 1.0
+    assert rollup["lock.wait[rados.write]"]["max"] == 0.5
+
+
 def test_top_spans_orders_filters_and_limits():
     records = [
         rec(1, None, 1, "op.write", 0.0, 1.0),

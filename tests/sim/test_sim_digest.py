@@ -43,11 +43,12 @@ CLI_DIGESTS = {
         "64fecbf15318fa21cd61e215a2864c5cd6231b70fcc3dde9360f487f90c7b204",
     ("--seed", "2", "faults", "--kill-osd", "2"):
         "fe37b3a181bcc853142d79736d4ef72fa8e9df7ad98fef7d4d2966908a4e3e84",
-    # Moved with the one scenario renderer: it adds the fault counter
-    # block (sim time, retries, availability) and the `unreferenced`
-    # count of the dedup-scrub line; every other line is as it was.
+    # Moved when a replicated commit began sending its payload to the
+    # replicas before the write lock: an attempt across the partition is
+    # now refused as its legs start, so `partition drops` reads 31
+    # transfers (was 35); every other line is as it was.
     ("--seed", "1", "rebalance"):
-        "059cb6497f0a2896bdd7a57aa442aeea44e41f2430e5ae924512ace9a8e8a87d",
+        "18ad68380d84d1dca29632729d8c2fb3e10310106ac65ffc1bc268113410e2c2",
     ("--seed", "4", "rebalance"):
         "2c9246679167243d9563b302d7cfe301f372d8996fdf650c41b1748dbb48d021",
     ("--seed", "1", "demo"):
@@ -59,23 +60,19 @@ CLI_DIGESTS = {
 }
 
 SCENARIO_DIGEST = (
-    # Moved with the one convergence loop: it stops after a pass that
-    # changes nothing instead of sleeping 0.1 s between passes while osd.4
-    # is down, so the expand's run ends at 10.1 ms (was 109.6 ms) and its
-    # copies interleave with the writers differently.  The injected-EIO
-    # coin flips land on other ops: `w0.5 e5` now fails and `b2.5` now
-    # succeeds, and the final read of `e5` is its loaded payload, as the
-    # failed writes demand.  Every other read-back is as it was.
-    "91d7108f3e83ee61c42fff6bc95327272b940226104cddb9d6af4997a1fd9ce8"
+    # Moved when a replicated commit began sending its payload to the
+    # replicas before the write lock: from `b2.2` on (7.5 ms) every op
+    # ends 0.38 us sooner.  Every outcome and read-back is as it was.
+    "9bfd04aa6157ccc1734578bf1e19668fb8110cb4e4a34c31cc7ca81890db0970"
 )
 
 
 METRICS_DIGEST = (
-    # Moved when a write's object lock stopped covering its payload
-    # transfer and its reply: the traced run ends 12 us sooner, which
+    # Moved when a write's payload began travelling to the replicas
+    # before its object lock: the traced run ends 1.6 us sooner, which
     # moves `repro_sim_seconds` and the CPU utilizations over it; every
     # other line is as it was.
-    "75bbb57c93da767e7e82e43be6c906b348d39525602d9af92568deb57a415613"
+    "9309359f3777e1c6a81f76865680e0601292d9b59c59c1fb34897fbde94f2c41"
 )
 
 

@@ -106,8 +106,8 @@ done
 # check + traced-equals-untraced (run.py finds src/ itself).
 step "e2e-smoke: end-to-end benchmark smoke" \
     python3 benchmarks/e2e/run.py --smoke
-step "e2e-smoke: memory by site (artifact, not a gate)" \
-    sh -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke > rss-by-site.txt'
+step "e2e-smoke: memory by site (artifact; fails on a non-empty per-key table)" \
+    bash -o pipefail -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke | tee rss-by-site.txt'
 step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
     sh -c 'python3 scripts/sim_by_slice.py seq-backup --smoke > sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py rand-small-cold --smoke >> sim-by-slice.txt &&

@@ -18,9 +18,12 @@ same verify read-back as the driver form ``run.py --workload W --seed N
 * a census of the object stores per pool: objects and payload MiB as the
   modelled disks are charged for them (every replica), the MiB of
   *distinct* blobs behind them in host memory, the most extents any one
-  object has, the live entries of the three lock tables (0 once the
-  pass has quiesced) and the size of the per-object map-version table,
-  which only grows.
+  object has, and the live entries of the per-key tables: the three
+  lock tables and the tier's map-miss fences, all 0 once the pass has
+  quiesced.
+
+Exits 1 when any per-key table is not empty at the end of the pass (a
+leaked lock or fence: per-object state that grows without bound).
 
 ``tracemalloc`` costs 2-3x in time and ~20 % in RSS, so read the RSS
 columns for shape and ``peak_rss_mb`` itself from the driver form.
@@ -178,13 +181,18 @@ def main(argv=None) -> int:
         sum(r["payload"] for r in rows.values()) / MiB, distinct / MiB))
     tier, cluster = storage.tier, storage.cluster
     print("\nper-key tables (entries):")
+    left = 0
     for name, table in (
         ("tier.chunk_locks", tier.chunk_locks),
         ("tier.object_locks", tier.object_locks),
         ("cluster.write_locks", cluster.write_locks),
-        ("tier._map_versions", tier._map_versions),
+        ("tier._map_fences", tier._map_fences),
     ):
         print("  %-22s %8d" % (name, len(table)))
+        left += len(table)
+    if left:
+        print("per-key tables not empty after the pass: %d entries left" % left)
+        return 1
     return 0
 
 

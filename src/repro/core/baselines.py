@@ -230,16 +230,8 @@ class InlineDedupStorage:
                     dirty=False,
                 )
             )
-        txn = Transaction()
-        tier.append_map_commit(txn, oid, cmap)
-        txn.create(key)
-        try:
-            yield from tier.cluster.submit(tier.metadata_pool, oid, txn, client)
-            yield tier.cluster.reply()
-        except Exception:
-            tier.invalidate_map_cache(oid)
-            raise
-        tier.note_map_committed(oid, cmap)
+        yield from tier.commit_map(oid, cmap, Transaction().create(key), client)
+        yield tier.cluster.reply()
         tier.fg_window.note(len(data))
 
     def read(self, oid: str, offset: int = 0, length: Optional[int] = None, client=None):

@@ -85,10 +85,10 @@ class DedupConfig:
     dedup_interval: float = 0.05
     refcount_mode: str = "strict"
 
-    #: LRU cache of decoded ChunkMaps in front of ``load_chunk_map``,
-    #: versioned per object: every committed map mutation bumps the
-    #: object's map version, and a cached decode is served only when its
-    #: version matches.  0 disables.
+    #: LRU cache of decoded ChunkMaps in front of ``load_chunk_map``:
+    #: committed snapshots only, replaced by every map commit and
+    #: dropped by every invalidation, so a hit is "an entry exists".
+    #: 0 disables.
     map_cache_entries: int = 256
     #: Background dedup thread count (paper §3.2: "background
     #: deduplication threads periodically conduct a deduplication job").

@@ -377,15 +377,9 @@ class DedupEngine:
                         self.stats.chunks_deduped += 1
                         self.stats.bytes_deduped += nbytes
             if changed:
-                tier.append_map_commit(txn, oid, cmap)
-                yield from tier.cluster.submit(tier.metadata_pool, oid, txn, via)
+                yield from tier.commit_map(oid, cmap, txn, via)
                 yield tier.cluster.reply()
-                tier.note_map_committed(oid, cmap)
         except Exception as exc:
-            # The map commit may have faulted after partially landing:
-            # drop the cached decode before any other cleanup so no
-            # later load serves a snapshot the store no longer matches.
-            tier.invalidate_map_cache(oid)
             # Skip-and-requeue degradation: a fault mid-pass (after the
             # I/O path's retries gave up) abandons the pass *before* the
             # chunk map commits — the dirty bits stay authoritative, so
@@ -517,19 +511,16 @@ class DedupEngine:
                 promoted += 1
             if promoted == 0:
                 return "nothing"
-            tier.append_map_commit(txn, oid, cmap)
             try:
-                yield from tier.cluster.submit(tier.metadata_pool, oid, txn, via)
+                yield from tier.commit_map(oid, cmap, txn, via)
                 yield tier.cluster.reply()
             except Exception as exc:
                 # Promotion is purely an optimisation: on a fault the
                 # chunk map stays authoritative and the object is
                 # re-promoted the next time its hit count trips.
-                tier.invalidate_map_cache(oid)
                 if not is_retryable(exc):
                     raise
                 return "faulted"
-            tier.note_map_committed(oid, cmap)
             self.stats.chunks_promoted += promoted
         finally:
             tier.object_locks.release(held)
@@ -567,21 +558,17 @@ class DedupEngine:
         key = tier.metadata_key(oid)
         cmap.set(entry.replace(valid=()))
         txn = Transaction().zero(key, entry.offset, entry.length)
-        tier.append_map_commit(txn, oid, cmap)
         if cmap.cached_indices() == []:
             txn.truncate(key, 0)  # fully evicted: metadata only
         try:
-            yield from tier.cluster.submit(tier.metadata_pool, oid, txn, via)
+            yield from tier.commit_map(oid, cmap, txn, via)
             yield tier.cluster.reply()
         except Exception as exc:
-            # Eviction is deferrable: the faulted commit may have
-            # partially landed — drop the cached decode; the LRU offers
-            # the chunk again on the next pass.
-            tier.invalidate_map_cache(oid)
+            # Eviction is deferrable: the LRU offers the chunk again on
+            # the next pass.
             if not is_retryable(exc):
                 raise
             return
-        tier.note_map_committed(oid, cmap)
         tier.cache.note_evicted(oid, index)
         self.stats.chunks_evicted += 1
 

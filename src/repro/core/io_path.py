@@ -184,20 +184,11 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
                 oid, idx, sum(e - s for s, e in entry.valid)
             )
         txn.write(key, offset, data)
-        tier.append_map_commit(txn, oid, cmap)
         # The payload is already at the replicas, or on its way: the
         # commit sends each only the transaction's bytes beyond it.
         # Safe to retry: the transaction writes absolute offsets, so a
         # replay after a partial failure converges to the same state.
-        try:
-            yield from cluster.submit(pool, oid, txn, sent=sent)
-        except Exception:
-            # The faulted commit may have partially landed: the stored
-            # map no longer necessarily matches the cached committed
-            # snapshot.
-            tier.invalidate_map_cache(oid)
-            raise
-        tier.note_map_committed(oid, cmap)
+        yield from tier.commit_map(oid, cmap, txn, sent=sent)
         tier.mark_dirty(oid)
         tier.fg_window.note(len(data))
         tier.cache.record_access(oid)

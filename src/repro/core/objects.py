@@ -293,7 +293,7 @@ class ChunkMap:
     # ``copy`` fills these without going through ``__init__``; slots turn
     # a field added to one and forgotten in the other into an error.
     __slots__ = (
-        "chunk_size", "_entries", "_touched", "_dirty", "_cached",
+        "chunk_size", "version", "_entries", "_touched", "_dirty", "_cached",
         "_promotable", "_size",
     )
 
@@ -301,6 +301,9 @@ class ChunkMap:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
+        #: Version of the stored header this map was decoded from (0 for
+        #: a map never committed); each commit stores one more.
+        self.version = 0
         self._entries: Dict[int, ChunkMapEntry] = {}
         #: Indices set since the last commit; drives the incremental
         #: writer, which serialises only these entries.
@@ -358,6 +361,7 @@ class ChunkMap:
         identically."""
         dup = ChunkMap.__new__(ChunkMap)
         dup.chunk_size = self.chunk_size
+        dup.version = self.version
         dup._entries = self._entries.copy()
         dup._touched = self._touched.copy()
         dup._dirty = self._dirty.copy()
@@ -403,8 +407,8 @@ class ChunkMap:
         """Header xattr for the incremental (v2) format.
 
         Entries live in omap under :func:`map_entry_key`; the xattr
-        carries only magic, chunk size, entry count, and the committed
-        map version.
+        carries only magic, chunk size, entry count, and the map
+        version being committed.
         """
         return _MAP_HEADER_V2.pack(
             _MAP_MAGIC_V2, self.chunk_size, len(self._entries), version
@@ -420,11 +424,13 @@ class ChunkMap:
 def decode_stored_map(header: bytes, omap: Mapping[str, bytes]) -> ChunkMap:
     """Decode a stored chunk map: the ``CMP2`` header xattr (magic,
     chunk size, entry count, version) plus one omap record per entry
-    under ``map.<idx>``; other omap keys are ignored."""
-    magic, chunk_size, count, _version = _MAP_HEADER_V2.unpack_from(header)
+    under ``map.<idx>``; other omap keys are ignored.  The map carries
+    the header's version."""
+    magic, chunk_size, count, version = _MAP_HEADER_V2.unpack_from(header)
     if magic != _MAP_MAGIC_V2:
         raise ValueError(f"bad chunk map magic {magic!r}")
     cmap = ChunkMap(chunk_size)
+    cmap.version = version
     for key, blob in omap.items():
         if key.startswith(MAP_OMAP_PREFIX):
             cmap.set(ChunkMapEntry.unpack(blob))

@@ -153,10 +153,10 @@ class DedupTier:
     Chunk maps move through here by one protocol: :meth:`load_chunk_map`
     hands every caller its own fork of a shared immutable snapshot (the
     decoded-map cache holds committed snapshots only), the caller
-    replaces rows of its fork with ``ChunkMap.set``, builds the commit
-    with :meth:`append_map_commit`, and then either
-    :meth:`note_map_committed` (the fork's state becomes the next
-    snapshot) or :meth:`invalidate_map_cache`.
+    replaces rows of its fork with ``ChunkMap.set``, and
+    :meth:`commit_map` commits it: on success a fork of it becomes the
+    next snapshot, on failure the cached decode is dropped.  The map's
+    version lives in its stored header, not here.
     """
 
     def __init__(
@@ -206,25 +206,23 @@ class DedupTier:
         #: Hot-path stage counters (chunking/fingerprint/ref/flush);
         #: always on, bumped inline.
         self.stage = StageCounters()
-        # Versioned LRU of decoded ChunkMaps in front of load_chunk_map:
-        # oid -> (version, ChunkMap).  The cache holds *committed
-        # snapshots only*, which nothing ever changes: entries are
-        # immutable and every load hands out a fork (ChunkMap.copy — a
-        # new index over the same entries), so a caller replacing rows
-        # of its map across yields can never pollute what concurrent
-        # readers see.  The per-oid version counters in
-        # _map_versions advance on every committed mutation (and on
-        # explicit invalidation), so a cached decode is served only when
-        # its version still matches — an explicit version instead of a
-        # pop, so an in-flight stale decode can never be re-installed.
-        self._map_cache: "OrderedDict[str, Tuple[int, ChunkMap]]" = OrderedDict()
+        # LRU of decoded ChunkMaps in front of load_chunk_map: oid ->
+        # committed snapshot.  Snapshots are immutable and every load
+        # hands out a fork (ChunkMap.copy — a new index over the same
+        # entries), so a caller replacing rows of its map across yields
+        # can never pollute what concurrent readers see.  A hit is "an
+        # entry exists": commit_map replaces the entry and every
+        # invalidation pops it.
+        self._map_cache: "OrderedDict[str, ChunkMap]" = OrderedDict()
         self._map_cache_cap = self.config.map_cache_entries
-        self._map_versions: Dict[str, int] = {}
-        # Global fence for invalidate-all: per-oid version bumps only
-        # cover oids with a version entry, but an object cached purely
-        # via load misses sits at version 0 — the epoch catches its
-        # in-flight decodes too (bumped alongside full invalidation).
-        self._map_epoch = 0
+        # Fences of the misses in flight: oid -> [misses parked on their
+        # disk read, marks].  A commit or invalidation of the oid marks
+        # it, and a miss installs its decode only if no mark landed
+        # during its read — so a stale decode never re-enters the cache,
+        # even after the fresh entry was evicted or the object deleted
+        # and recreated.  An entry lives only while a miss on its oid is
+        # in flight.
+        self._map_fences: Dict[str, List[int]] = {}
         # PG convergence (repro.cluster.converge) can rewrite metadata
         # objects underneath the tier (restoring an older committed
         # state); every run notifies the cluster's repair listeners, and
@@ -341,59 +339,39 @@ class DedupTier:
 
     # -- decoded-map cache ----------------------------------------------------
 
-    def map_version(self, oid: str) -> int:
-        """Current committed map version for ``oid`` (0 = never seen)."""
-        return self._map_versions.get(oid, 0)
-
-    def _cache_map(self, oid: str, cmap: ChunkMap, version: int) -> None:
+    def _cache_map(self, oid: str, cmap: ChunkMap) -> None:
         if self._map_cache_cap <= 0:
             return
         cache = self._map_cache
-        cache[oid] = (version, cmap)
+        cache[oid] = cmap
         cache.move_to_end(oid)
         while len(cache) > self._map_cache_cap:
             cache.popitem(last=False)
 
-    def note_map_committed(self, oid: str, cmap: ChunkMap) -> int:
-        """Record that ``cmap`` is now the committed map of ``oid``.
-
-        Bumps the object's map version, resets the map's touched-entry
-        tracking, and installs the decoded map in the cache so the next
-        ``load_chunk_map`` is a hit.  Must be called only after the
-        commit transaction succeeded.  Returns the new version.
-        """
-        version = self.map_version(oid) + 1
-        self._map_versions[oid] = version
-        cmap.clear_touched()
-        # Cache a fork: the caller keeps ownership of ``cmap`` and may
-        # keep replacing its rows without polluting the committed state
-        # served to concurrent loads.
-        self._cache_map(oid, cmap.copy(), version)
-        return version
+    def _fence(self, oid: str) -> None:
+        """Mark the fence of ``oid``'s misses in flight, if any."""
+        fence = self._map_fences.get(oid)
+        if fence is not None:
+            fence[1] += 1
 
     def invalidate_map_cache(self, oid: Optional[str] = None) -> None:
         """Drop decoded maps (one object, or all when ``None``).
 
-        Owners: faulted/aborted commits (the in-memory map may have been
-        mutated without landing), deletes, and PG convergence (through
-        the cluster's repair listeners).  Bumping the version — not just
-        popping the cache entry — also fences any stale decode still held
-        by an in-flight op from being re-installed later.
+        Owners: faulted commits (:meth:`commit_map`: the commit may have
+        partially landed), deletes, and PG convergence (through the
+        cluster's repair listeners).  Marking the fences too — not just
+        popping the cache entry — keeps a stale decode still held by an
+        in-flight miss from being installed later.
         """
         if oid is None:
             self.stage.map_cache_invalidations += len(self._map_cache)
             self._map_cache.clear()
-            # The epoch fences in-flight decodes of objects with no
-            # version entry yet (still at version 0, e.g. cached purely
-            # via load misses after a tier restart) — the per-oid bumps
-            # below cannot reach those.
-            self._map_epoch += 1
-            for known in self._map_versions:
-                self._map_versions[known] += 1
+            for fence in self._map_fences.values():
+                fence[1] += 1
         else:
             if self._map_cache.pop(oid, None) is not None:
                 self.stage.map_cache_invalidations += 1
-            self._map_versions[oid] = self.map_version(oid) + 1
+            self._fence(oid)
 
     def _on_cluster_repair(self) -> None:
         # Recovery / rebalance rewrote objects under us: every cached
@@ -407,9 +385,9 @@ class DedupTier:
         The lookup happens server-side as part of whatever operation
         carries it (the map lives in the object's own metadata), so the
         cost is a small primary disk read — no extra network round trip.
-        On the common path the versioned decoded-map cache serves the
-        map without touching the disk at all.  Returns ``None`` for an
-        unknown object.
+        On the common path the decoded-map cache serves the map without
+        touching the disk at all.  Returns ``None`` for an unknown
+        object.
 
         The returned ChunkMap is the caller's own *fork* of the shared
         immutable snapshot (hit or miss): the same entry objects under a
@@ -417,15 +395,14 @@ class DedupTier:
         the object holds.  Readers get a consistent committed snapshot
         even while a lock-holding writer replaces rows of its fork
         across yields, and a caller that changed its fork either commits
-        (``note_map_committed``) or invalidates
-        (``invalidate_map_cache``) — the cache itself only ever holds
-        committed snapshots.
+        it (:meth:`commit_map`) or drops it — the cache itself only ever
+        holds committed snapshots.
         """
         cached = self._map_cache.get(oid)
-        if cached is not None and cached[0] == self.map_version(oid):
+        if cached is not None:
             self._map_cache.move_to_end(oid)
             self.stage.map_cache_hits += 1
-            return cached[1].copy()
+            return cached.copy()
         found = self.cluster.peek(self.metadata_pool, oid)
         if found is None:
             return None
@@ -443,36 +420,46 @@ class DedupTier:
             k: v for k, v in obj.omap.items() if k.startswith(MAP_OMAP_PREFIX)
         }
         nbytes = len(blob) + sum(map(len, omap_records.values()))
-        version = self.map_version(oid)
-        epoch = self._map_epoch
-        yield from primary.disk.read(nbytes)
+        fence = self._map_fences.get(oid)
+        if fence is None:
+            fence = self._map_fences[oid] = [0, 0]
+        fence[0] += 1
+        marks = fence[1]
+        try:
+            yield from primary.disk.read(nbytes)
+        finally:
+            fence[0] -= 1
+            if not fence[0]:
+                del self._map_fences[oid]
         self.stage.map_cache_misses += 1
         cmap = decode_stored_map(blob, omap_records)
-        # Install only when nothing committed or invalidated during
-        # the yield — a stale decode must not overwrite the fresh
-        # entry a concurrent commit just installed, nor re-enter
-        # after a repair fence.  The decode itself is still returned:
-        # it is a consistent snapshot of the pre-yield committed map.
-        if version == self.map_version(oid) and epoch == self._map_epoch:
-            self._cache_map(oid, cmap.copy(), version)
+        # Install only when nothing committed or invalidated the object
+        # during the yield.  The decode itself is still returned: it is
+        # a consistent snapshot of the pre-yield committed map.
+        if fence[1] == marks:
+            self._cache_map(oid, cmap.copy())
         return cmap
 
-    def append_map_commit(self, txn: Transaction, oid: str, cmap: ChunkMap) -> None:
-        """Add ``cmap``'s commit ops for ``oid`` to ``txn``.
+    # repro-lint: flt-scope -- commit primitive: a fault drops the cached decode and propagates to the caller's scope, which retries, requeues or gives up
+    def commit_map(
+        self, oid: str, cmap: ChunkMap, txn: Transaction, client=None, sent=None
+    ):
+        """Process: commit ``cmap`` as ``oid``'s chunk map, with ``txn``.
 
-        Writes the small header xattr plus one omap record per
-        *touched* entry — a 1-chunk update serialises one 150-byte
-        record instead of the whole map; a new map has every entry
-        touched.
-
-        The caller owns the commit outcome: on success call
-        :meth:`note_map_committed`; on a fault that may have mutated the
-        in-memory map without landing, call :meth:`invalidate_map_cache`.
-        Safe to call again for a retry attempt — touched tracking is
-        only cleared by ``note_map_committed``.
+        The one way a chunk map is committed.  Appends the small header
+        xattr (entry count, and the version one past ``cmap``'s) plus
+        one omap record per *touched* entry to ``txn`` — a 1-chunk
+        update serialises one 150-byte record instead of the whole map;
+        a new map has every entry touched — and submits it to the
+        metadata pool (``sent`` as :meth:`RadosCluster.submit` takes
+        it).  On success ``cmap`` takes the new version and a fork of
+        it becomes the cached snapshot; on a fault, which may have
+        partially landed, the cached decode is dropped and the fault
+        re-raised.  ``cmap`` keeps its touched entries then, so a retry
+        commits the same records.  The caller yields its own reply.
         """
         key = self.metadata_key(oid)
-        header = cmap.serialize_header_v2(self.map_version(oid) + 1)
+        header = cmap.serialize_header_v2(cmap.version + 1)
         entries = cmap.omap_entries(cmap.touched_indices())
         txn.setxattr(key, CHUNK_MAP_XATTR, header)
         if entries:
@@ -483,6 +470,18 @@ class DedupTier:
             map(len, entries.values())
         )
         self.stage.map_entries_total += len(cmap)
+        try:
+            yield from self.cluster.submit(self.metadata_pool, oid, txn, client, sent)
+        except Exception:
+            self.invalidate_map_cache(oid)
+            raise
+        cmap.version += 1
+        cmap.clear_touched()
+        self._fence(oid)
+        # Cache a fork: the caller keeps ownership of ``cmap`` and may
+        # keep replacing its rows without polluting the committed state
+        # served to concurrent loads.
+        self._cache_map(oid, cmap.copy())
 
     def read_local_chunk(self, oid: str, offset: int, length: int):
         """Process: read cached chunk bytes at the metadata primary.
@@ -648,9 +647,13 @@ class DedupTier:
                 self.chunk_pool, chunk_id, offset, length, client
             )
             return data
-        blob = yield from self.cluster.read(self.chunk_pool, chunk_id, 0, None, client)
+        # The encoding, and the CPU that decodes, come from the holder
+        # before the read: a release landing during the read's transfer
+        # must not turn the compressed bytes it returns into "raw" data.
         found = self.cluster.peek(self.chunk_pool, chunk_id)
-        if found is not None and found[1].xattrs.get(CHUNK_ENCODING_XATTR) == b"zlib":
+        zlib = found is not None and found[1].xattrs.get(CHUNK_ENCODING_XATTR) == b"zlib"
+        blob = yield from self.cluster.read(self.chunk_pool, chunk_id, 0, None, client)
+        if zlib:
             cpu = found[0].node.cpu
             yield from cpu.execute(cpu.spec.compress_time(len(blob)))
             blob = self.codec.decompress(blob)

@@ -52,8 +52,8 @@ class StageCounters:
     ref_batches: int = 0
 
     # -- map: chunk-map codec traffic -----------------------------------
-    #: ``load_chunk_map`` calls served from the versioned decoded-map
-    #: LRU (no disk read, no deserialize).
+    #: ``load_chunk_map`` calls served from the decoded-map LRU (no
+    #: disk read, no deserialize).
     map_cache_hits: int = 0
     map_cache_misses: int = 0
     #: Cache entries dropped by explicit invalidation (faulted commits,

@@ -1,6 +1,6 @@
 """Tests for tier-level chunk compression (compress_chunks)."""
 
-from repro.cluster import RadosCluster
+from repro.cluster import OSD, RadosCluster
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.scrub import scrub_sync
 from repro.core.tier import CHUNK_ENCODING_XATTR
@@ -98,3 +98,29 @@ def test_compression_saves_space_vs_uncompressed_tier():
         return storage.space_report().chunk_data_bytes
 
     assert stored(True) < 0.7 * stored(False)
+
+
+def test_a_chunk_released_during_its_read_still_decompresses(monkeypatch):
+    """A release landing the instant a chunk's disk read ends (a
+    lock-free reader racing a pass's handed-off release) must not hand
+    the compressed bytes back as data: the encoding is the holder's
+    before the read."""
+    storage = make_storage()
+    storage.write_sync("obj1", COMPRESSIBLE)
+    storage.drain()
+    tier = storage.tier
+    fp = fingerprint(COMPRESSIBLE)
+    key = storage.cluster.object_key(tier.chunk_pool, fp)
+    execute_read = OSD.execute_read
+
+    def read_then_release(osd, read_key, offset=0, length=None):
+        data = yield from execute_read(osd, read_key, offset, length)
+        if read_key == key:
+            for each in storage.cluster.osds.values():
+                each.store.delete_object(key)
+        return data
+
+    monkeypatch.setattr(OSD, "execute_read", read_then_release)
+    got = storage.cluster.run(tier.read_chunk(fp, 0, None, None))
+    assert not storage.cluster.exists(tier.chunk_pool, fp)
+    assert got == COMPRESSIBLE

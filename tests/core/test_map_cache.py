@@ -1,15 +1,20 @@
-"""Versioned decoded-map cache + incremental per-entry map commits.
+"""Decoded-map cache + incremental per-entry map commits.
 
 The cache serves the metadata hot path; every test here guards one of
-its invariants: hits only at the committed version, invalidation by
-every owner that can change the stored map behind the cache (aborted
-passes, deletes, recovery, rebalance; not the GC, which writes no map),
-and the omap commit format writing only the entries a commit touched.
+its invariants: it holds committed snapshots only, a miss whose disk
+read spans a commit or an invalidation never installs its stale
+decode, every owner that can change the stored map behind the cache
+invalidates (faulted commits, deletes, recovery, rebalance; not an
+aborted pass, whose map was its own fork, nor the GC, which writes no
+map), the tier's per-object state stays bounded, and
+the omap commit format writes only the entries a commit touched.
 """
+
+from collections import deque
 
 import pytest
 
-from repro.cluster import RadosCluster, converge_sync
+from repro.cluster import RadosCluster, Transaction, converge_sync
 from repro.core import (
     CHUNK_MAP_XATTR,
     DedupConfig,
@@ -24,6 +29,7 @@ from repro.core.objects import (
 )
 from repro.faults.errors import TransientOpError
 from repro.fingerprint import fingerprint
+from repro.sim import LockTable
 
 CHUNK = 1024
 
@@ -101,17 +107,6 @@ def test_invalidation_forces_reload_then_recaches():
     assert stage.map_cache_hits == 1
 
 
-def test_version_mismatch_is_not_a_hit():
-    """A cached decode from an older version must not be served even if
-    the entry is still sitting in the cache dict."""
-    storage = make_storage()
-    storage.write_sync("obj1", b"c" * CHUNK)
-    storage.tier._map_versions["obj1"] += 1  # stale fence, cache entry kept
-    load_map(storage, "obj1")
-    assert storage.tier.stage.map_cache_hits == 0
-    assert storage.tier.stage.map_cache_misses == 1
-
-
 def test_lru_cap_evicts_oldest():
     storage = make_storage(map_cache_entries=1)
     storage.write_sync("a", b"a" * CHUNK)
@@ -153,20 +148,6 @@ def test_delete_invalidates_cache():
 # -- snapshot isolation & in-flight fences -----------------------------------
 
 
-def finish(gen):
-    """Drive a parked tier generator to completion outside the sim loop.
-
-    The sim events it yields (disk-server grants, timeouts) carry no
-    waiting process, so stepping past them by hand is safe; any orphaned
-    queue entries fire as no-ops on the next sim run.
-    """
-    try:
-        while True:
-            gen.send(None)
-    except StopIteration as stop:
-        return stop.value
-
-
 def test_loads_return_isolated_copies():
     """A caller changing its loaded map must never pollute what other
     loads see — readers take no lock, so they rely on this isolation.
@@ -186,67 +167,138 @@ def test_loads_return_isolated_copies():
     c = load_map(storage, "obj1")
     assert c.get(0).chunk_id == ""
     assert c.get(0).cached
-    assert storage.tier._map_cache["obj1"][1].get(0).cached
+
+
+def park_next_map_read(storage, oid):
+    """Start a load of ``oid`` that misses and parks on its disk read;
+    returns ``(release, loader)``: calling ``release()`` lets the read
+    finish, and the ``loader`` process returns the load's map (run it
+    with ``sim.run_until_complete``).
+
+    Only that one read is held (every later read of the disk runs as
+    usual), so whatever the test does meanwhile lands *during* it."""
+    sim, tier = storage.sim, storage.tier
+    disk = storage.cluster.peek(tier.metadata_pool, oid)[0].disk
+    gate = sim.event()
+    read = disk.read
+
+    def held_read(nbytes):
+        del disk.read  # one read only: back to the class's method
+        yield gate
+        yield from read(nbytes)
+
+    disk.read = held_read
+    tier.invalidate_map_cache(oid)  # the load must miss
+    loader = sim.process(tier.load_chunk_map(oid))
+    while "read" in vars(disk):  # until the loader reaches its held read
+        sim.step()
+    return gate.succeed, loader
 
 
 def test_commit_during_load_yield_keeps_fresh_cache_entry():
-    """A load miss parked on its disk read while a lock-holding writer
-    commits must neither crash on a torn header/omap decode nor
-    overwrite the freshly committed cache entry with its stale one."""
+    """A load miss parked on its disk read while a writer commits must
+    neither crash on a torn header/omap decode nor overwrite the
+    freshly committed cache entry with its stale one."""
     storage = make_storage()
     tier = storage.tier
     storage.write_sync("obj1", b"r" * 2 * CHUNK)
-    tier.invalidate_map_cache("obj1")  # force the next load to miss
-
-    gen = tier.load_chunk_map("obj1")
-    next(gen)  # parked on the simulated disk read
-
-    # Emulate the racing writer's commit landing during the yield: the
-    # stored header + omap gain a third entry and the version bumps.
-    from repro.core.objects import decode_stored_map
-
-    primary = storage.cluster._primary(tier.metadata_pool, "obj1")
-    obj = primary.store.get(tier.metadata_key("obj1"))
-    new_map = decode_stored_map(obj.xattrs[CHUNK_MAP_XATTR], obj.omap)
-    new_map.set(ChunkMapEntry(2 * CHUNK, CHUNK))
-    obj.xattrs[CHUNK_MAP_XATTR] = new_map.serialize_header_v2(
-        tier.map_version("obj1") + 1
-    )
-    obj.omap[map_entry_key(2)] = new_map.get(2).pack()
-    tier.note_map_committed("obj1", new_map)
-
+    release, loader = park_next_map_read(storage, "obj1")
+    storage.write_sync("obj1", b"r" * CHUNK, offset=2 * CHUNK)
+    release()
     # The resumed loader decodes its pre-yield snapshot: a consistent
     # 2-entry map, not a ValueError from old header + new omap.
-    stale = finish(gen)
-    assert len(stale) == 2
+    assert len(storage.sim.run_until_complete(loader)) == 2
     # ... and the cache still serves the 3-entry committed map.
-    version, cached = tier._map_cache["obj1"]
-    assert version == tier.map_version("obj1")
-    assert len(cached) == 3
+    hits, misses = tier.stage.map_cache_hits, tier.stage.map_cache_misses
     assert len(load_map(storage, "obj1")) == 3
+    assert (tier.stage.map_cache_hits, tier.stage.map_cache_misses) == (hits + 1, misses)
+
+
+def test_a_miss_spanning_a_commit_stays_out_after_the_fresh_entry_is_evicted():
+    """The commit's fresh entry is evicted before the stale miss ends:
+    "an entry is present" no longer stops the stale decode, the fence
+    must."""
+    storage = make_storage(map_cache_entries=1)
+    storage.write_sync("obj1", b"t" * 2 * CHUNK)
+    release, loader = park_next_map_read(storage, "obj1")
+    storage.write_sync("obj1", b"t" * CHUNK, offset=2 * CHUNK)
+    storage.write_sync("obj2", b"u" * CHUNK)  # evicts obj1's fresh entry
+    release()
+    assert len(storage.sim.run_until_complete(loader)) == 2
+    assert len(load_map(storage, "obj1")) == 3
+    assert storage.read_sync("obj1") == b"t" * 3 * CHUNK
+
+
+@pytest.mark.parametrize("evict", [False, True], ids=["kept", "evicted"])
+def test_a_miss_spanning_a_delete_and_a_recreate_stays_out(evict):
+    """ABA: the object is deleted and recreated under the same oid while
+    a miss of its old map is parked on the read.  The stale decode must
+    not be installed, whether the recreate's fresh entry is still
+    cached or already evicted."""
+    storage = make_storage(map_cache_entries=1)
+    storage.write_sync("obj1", b"w" * 2 * CHUNK)
+    release, loader = park_next_map_read(storage, "obj1")
+    storage.delete_sync("obj1")
+    storage.write_sync("obj1", b"x" * CHUNK)
+    if evict:
+        storage.write_sync("obj2", b"y" * CHUNK)
+    release()
+    assert len(storage.sim.run_until_complete(loader)) == 2
+    assert len(load_map(storage, "obj1")) == 1
+    assert storage.read_sync("obj1") == b"x" * CHUNK
 
 
 def test_invalidate_all_fences_version_zero_load():
-    """invalidate_map_cache(None) must fence in-flight decodes even for
-    objects with no version entry (cached purely via load misses, e.g.
-    after a tier restart) — they sit at version 0 before *and* after."""
+    """invalidate_map_cache(None) must fence in-flight decodes of maps
+    known only to the store — written by another tier instance, as
+    after a tier restart, so this tier never committed a version of
+    them — not only of maps this tier committed."""
     storage = make_storage()
-    storage.write_sync("obj1", b"s" * CHUNK)
     tier = storage.tier
-    # Forget commit history: the object is now known only to the store.
-    tier._map_cache.clear()
-    tier._map_versions.clear()
+    cmap = ChunkMap(CHUNK)
+    cmap.set(ChunkMapEntry(0, CHUNK))
+    key = tier.metadata_key("obj1")
+    txn = Transaction().write(key, 0, b"s" * CHUNK)
+    txn.setxattr(key, CHUNK_MAP_XATTR, cmap.serialize_header_v2(version=1))
+    txn.omap_set(key, cmap.omap_entries())
+    storage.cluster.submit_sync(tier.metadata_pool, "obj1", txn)
 
-    gen = tier.load_chunk_map("obj1")
-    next(gen)  # parked on the disk read, version 0 captured
+    release, loader = park_next_map_read(storage, "obj1")
     tier.invalidate_map_cache()  # repair/rebalance fence mid-flight
-    cmap = finish(gen)
-    assert cmap is not None
-    # The pre-fence decode must not have re-installed itself.
-    assert "obj1" not in tier._map_cache
-    miss_before = tier.stage.map_cache_misses
+    release()
+    assert storage.sim.run_until_complete(loader) is not None
+    # The pre-fence decode must not have installed itself.
+    misses = tier.stage.map_cache_misses
     load_map(storage, "obj1")
-    assert tier.stage.map_cache_misses == miss_before + 1
+    assert tier.stage.map_cache_misses == misses + 1
+    assert storage.read_sync("obj1") == b"s" * CHUNK
+
+
+def test_tier_state_is_bounded_by_live_objects_and_the_cache():
+    """Writing and deleting many more objects than the map cache holds
+    leaves no per-object trace: every dict, set, deque and lock table of
+    the tier holds at most max(live objects, map_cache_entries)
+    entries, and no miss fence outlives its miss."""
+    cap = 4
+    storage = make_storage(map_cache_entries=cap)
+    for i in range(40):
+        storage.write_sync(f"obj{i}", bytes([i]) * 2 * CHUNK)
+        load_map(storage, f"obj{i}")
+        if i % 3:
+            storage.delete_sync(f"obj{i}")
+    storage.drain()
+    tier = storage.tier
+    live = len(list(storage.cluster.list_objects(tier.metadata_pool)))
+    assert live == 14
+    bound = max(live, cap)
+    sizes = {
+        name: len(value)
+        for name, value in vars(tier).items()
+        if isinstance(value, (dict, set, deque, LockTable))
+    }
+    assert "_map_cache" in sizes
+    assert {name: n for name, n in sizes.items() if n > bound} == {}
+    assert tier._map_fences == {}
 
 
 def test_read_during_batched_pass_is_consistent():
@@ -281,12 +333,11 @@ def test_read_during_batched_pass_is_consistent():
 
 def test_stale_map_after_aborted_pass(monkeypatch):
     """A dedup pass aborted by a fault has re-pointed its decoded map in
-    memory without committing it; the abort drops the cached decode, and
+    memory without committing it; that map was the pass's own fork, so
     the next load sees the stored truth."""
     storage = make_storage()
     storage.write_sync("obj1", b"v1" * 512)
     tier = storage.tier
-    inv_before = tier.stage.map_cache_invalidations
 
     def faulting_commit(*args, **kwargs):
         raise TransientOpError(0, "commit_chunk_batch")
@@ -297,7 +348,6 @@ def test_stale_map_after_aborted_pass(monkeypatch):
             storage.engine.process_object("obj1", force=True)
         )
     assert result == "faulted"
-    assert tier.stage.map_cache_invalidations > inv_before
     # Reload shows the committed state: still dirty, no chunk id.
     cmap = load_map(storage, "obj1")
     entry = cmap.get(0)
@@ -421,3 +471,33 @@ def test_dedup_pass_commits_only_processed_entries():
 def test_config_rejects_negative_cache_size():
     with pytest.raises(ValueError):
         DedupConfig(map_cache_entries=-1)
+
+
+def test_a_read_in_a_demotions_reply_window_routes_by_the_committed_map(monkeypatch):
+    """A demotion zeroes a chunk's cached bytes in the same commit that
+    marks it uncached.  A lock-free read landing while that commit's
+    reply is on the wire must route by the committed map (to the chunk
+    pool), not by the map from before the commit (to bytes now gone)."""
+    from repro.core.io_path import read_path
+
+    storage = make_storage()
+    data = bytes(range(256)) * (CHUNK // 256)
+    storage.write_sync("obj1", data)
+    storage.drain()
+    assert storage.cluster.run(storage.engine.promote_object("obj1")) == "done"
+    assert storage.tier.peek_chunk_map("obj1").get(0).fully_cached()
+    load_map(storage, "obj1")
+    cluster = storage.cluster
+    reply = cluster.reply
+    reads = []
+
+    def reply_with_a_read():
+        if not reads:
+            reads.append(storage.sim.process(read_path(storage.tier, "obj1")))
+        return reply()
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cluster, "reply", reply_with_a_read)
+        cluster.run(storage.engine.demote_chunk("obj1", 0))
+    assert not storage.tier.peek_chunk_map("obj1").get(0).cached
+    assert storage.sim.run_until_complete(reads[0]) == data

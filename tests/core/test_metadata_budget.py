@@ -10,7 +10,7 @@ two frame counts to be *equal* — exact counts on a deterministic
 simulation, so the test cannot flake.  It fails when someone puts a
 per-entry copy or a scan over the entries back on the per-op path (one
 frame per entry is a difference of 96 here).  See docs/performance.md,
-"Versioned decoded-map cache".
+"Decoded-map cache".
 """
 
 import cProfile

@@ -92,7 +92,7 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
     writes = {}  # oid -> (issued, lock granted) of a write made at its commit
     acquire = tier.object_locks.acquire
     release_refs = tier.release_refs
-    note_map_committed = tier.note_map_committed
+    commit_map = tier.commit_map
 
     def recording_acquire(oid, held):
         task = sim.current_task
@@ -116,15 +116,15 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
         granted = next(when for _t, o, when, worker in grants if o == oid and not worker)
         writes[oid] = (issued, granted)
 
-    def write_at_commit(oid, cmap):
-        note_map_committed(oid, cmap)
+    def write_at_commit(oid, cmap, txn, client=None, sent=None):
+        yield from commit_map(oid, cmap, txn, client, sent)
         if oid not in writes and oid not in released and len(writes) < 2:
             writes[oid] = None
             sim.process(writer(oid))
 
     tier.object_locks.acquire = recording_acquire
     tier.release_refs = recording_release
-    tier.note_map_committed = write_at_commit
+    tier.commit_map = write_at_commit
     storage.engine.drain_sync(run_gc=False)
 
     assert sorted(released) == oids

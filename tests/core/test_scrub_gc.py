@@ -245,14 +245,25 @@ def test_core_reads_copies_only_through_the_cluster():
     assert offenders == []
 
 
-def test_only_the_tier_writes_chunk_references():
-    """``dedup.refs`` has one writer: outside its definition, only the
-    tier's commit names ``REFS_XATTR``, so every reference change —
-    GC's included — goes through ``commit_chunk_batch``."""
+@pytest.mark.parametrize(
+    "names",
+    [
+        r"\bREFS_XATTR\b",
+        r"\b(serialize_header_v2|append_map_commit|note_map_committed|_map_cache)\b",
+    ],
+    ids=["chunk-references", "chunk-maps"],
+)
+def test_only_the_tier_writes_chunk_references(names):
+    """``dedup.refs`` and the chunk map each have one writer: outside
+    their definitions, only the tier names ``REFS_XATTR``, so every
+    reference change — GC's included — goes through
+    ``commit_chunk_batch``; and only the tier names the map header's
+    serialiser or the decoded-map cache, so every map commit goes
+    through ``commit_map``."""
     src = Path(__file__).resolve().parents[2] / "src"
     users = sorted(
         path.relative_to(src / "repro").as_posix()
         for path in src.rglob("*.py")
-        if re.search(r"\bREFS_XATTR\b", path.read_text(encoding="utf-8"))
+        if re.search(names, path.read_text(encoding="utf-8"))
     )
     assert users == ["core/objects.py", "core/tier.py"]

@@ -2,6 +2,7 @@
 """Where ``sim_busy_s`` goes: simulated seconds by slice kind.
 
     python3 scripts/sim_by_slice.py WORKLOAD [--seed N] [--seconds S] [--smoke]
+                                    [--config KEY=VALUE ...]
 
 The e2e benchmark's ``sim_busy_s`` is one number — the simulated seconds
 the modelled cluster spent on the measured rounds, idle steps excluded —
@@ -20,6 +21,9 @@ then the inputs of ``core.engine.sim_drain_mb_per_s`` (MiB the engine
 flushed or deduplicated inside the drain slices over the drain slices'
 simulated seconds), which the driver reports from its traced pass only.
 ``--smoke`` is the benchmark's ``--smoke`` size (seconds, not minutes).
+``--config KEY=VALUE`` (repeatable) overrides a ``DedupConfig`` field,
+as ``run.py --config`` does, to size a slice against an ablation; the
+header then marks the run as not comparable with the benchmark's.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0,
                         help="measured-phase budget, as the driver's --seconds")
     parser.add_argument("--smoke", action="store_true", help="the benchmark's --smoke size")
+    parser.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
+                        help="DedupConfig override, as run.py --config (not comparable)")
     args = parser.parse_args(argv)
 
     if os.environ.get("PYTHONHASHSEED") != "0":
@@ -77,7 +83,8 @@ def main(argv=None) -> int:
     result = child.run_pass(argparse.Namespace(
         workload=args.workload, seed=args.seed, rounds=rounds,
         tail_rounds=tail_rounds, setup_repeats=1, mode="untraced",
-        scale="smoke" if args.smoke else "full", config=[], plain_replay=False, spans_out=None,
+        scale="smoke" if args.smoke else "full", config=args.config, plain_replay=False,
+        spans_out=None,
     ))
     measured = result["measured"]
     busy = measured["sim_busy_s"]
@@ -85,6 +92,8 @@ def main(argv=None) -> int:
     print("%s  seed %d  %s scale  %d measured rounds  %d ops  failures %d" % (
         args.workload, args.seed, "smoke" if args.smoke else "full",
         rounds, measured["ops"], result["failure_count"]))
+    if args.config:
+        print("config overrides %s  (not comparable)" % " ".join(args.config))
     print("sim_busy_s %.6f" % busy)
     print("\n%-10s %12s %8s %8s %16s" % ("slice", "sim s", "share", "slices", "host s median"))
     for kind, row in sorted(measured["slices"].items(), key=lambda kv: -kv[1]["sim_s"]):

@@ -230,7 +230,7 @@ class InlineDedupStorage:
                     dirty=False,
                 )
             )
-        yield from tier.commit_map(oid, cmap, Transaction().create(key), client)
+        yield from tier.commit_map([(oid, cmap, Transaction().create(key))], client)
         yield tier.cluster.reply()
         tier.fg_window.note(len(data))
 

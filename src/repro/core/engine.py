@@ -1,40 +1,45 @@
 """The post-processing deduplication engine (paper §4.4.1).
 
-A background process drains the dirty object ID list:
+Background processes drain the dirty object ID list, which keeps one
+bucket per metadata placement group.  A pass is the dirty objects of one
+metadata PG (a direct call — flush, flush-on-write — is a group of one):
 
-1. pop a dirty metadata object;
-2. find its dirty chunks from the chunk map (they are cached in the
-   object's data part) and assemble their bytes.  A fully cached chunk
-   is one local read, made one after another.  A partially cached one
-   is the deferred read-modify-write of a sub-chunk overwrite: its
-   cached ranges overlay the old chunk object's bytes.  The pass issues
-   the reads of all its partially cached chunks at once — one local
-   read per cached range and one chunk-pool read spanning a chunk's
-   missing ranges;
-3. if the cache manager deems the object cold, fingerprint each dirty
-   chunk; store-or-reference the chunk in the chunk pool (double
-   hashing places it by content);
-4-5. the chunk pool either stores the object with its first reference
-   or just appends reference information;
-6. update the metadata object's chunk map (dirty cleared, cached per
-   cache policy) in a single transaction;
+1. pop a PG's dirty objects; in the background, leave out (and requeue)
+   the hot ones, then pace once per dirty chunk of the group before
+   taking any lock; take the members' object locks in sorted order;
+2. find each member's dirty chunks from its chunk map (they are cached
+   in the object's data part) and assemble their bytes, the members side
+   by side.  Within a member a fully cached chunk is one local read,
+   made one after another.  A partially cached one is the deferred
+   read-modify-write of a sub-chunk overwrite: its cached ranges overlay
+   the old chunk object's bytes.  A member issues the reads of all its
+   partially cached chunks at once — one local read per cached range
+   and one chunk-pool read spanning a chunk's missing ranges;
+3. fingerprint each dirty chunk and plan its store-or-reference in the
+   chunk pool (double hashing places it by content);
+4-5. commit every member's references in one chunk batch: the chunk
+   pool either stores the object with its first reference or just
+   appends reference information;
+6. commit every member's chunk map (dirty cleared, cached per cache
+   policy) in one map commit — one prepared transaction for the PG;
 7. only then dereference the chunk objects whose entries moved to new
-   content (step 3's dereference, deferred past the commit).
+   content (step 3's dereference, deferred past the commit), in one
+   release.
 
 Rate control (§4.4.2) paces step 3's I/O against foreground load, and
 hot objects are skipped entirely (selective dedup) until they cool off.
 
-A pass holds the object's lock from its map load until step 7 has
-landed, the same lock every foreground write and delete of the object
+A pass holds its members' locks from their map loads until step 7 has
+landed, the locks every foreground write and delete of those objects
 takes, so no mutation can land mid-pass.  A worker does not wait for
-step 7: the pass hands it, with the lock, to a process of its own and
-the worker takes its next object.  No ABA fence is needed: until the
-release lands and frees the lock, no write can revert the entry to the
+step 7: the pass hands it, with the locks, to a process of its own and
+the worker takes its next group.  No ABA fence is needed: until the
+release lands and frees the locks, no write can revert an entry to the
 old content and no later pass can take the reference it drops.  A pass
-that faults instead aborts before the chunk map commits (undoing the
-references it took) and the object is re-queued — the dirty bits, which
-are part of the same transactions as the data they describe, remain the
-source of truth.
+that faults anywhere instead aborts the whole group before any chunk map
+commits (undoing the references it took) and every member is re-queued
+— the dirty bits, which are part of the same transactions as the data
+they describe, remain the source of truth.
 """
 
 from __future__ import annotations
@@ -137,8 +142,8 @@ class DedupEngine:
         #: caller of :meth:`process_object` gets it inline.
         self._worker_tasks = set()
         #: Old-chunk releases handed off by worker passes and still in
-        #: flight, by object ID, in start order.  Each owns its object's
-        #: lock and removes itself when it ends.
+        #: flight, by the pass's first member, in start order.  Each owns
+        #: its members' locks and removes itself when it ends.
         self._releases = {}
         #: Non-retryable errors raised by handed-off releases, for the
         #: next :meth:`drain` to re-raise.
@@ -171,84 +176,98 @@ class DedupEngine:
         self._running = False
 
     def _worker(self, force: bool, stop):
-        """Process: pop a dirty object, run one pass on it, repeat.
+        """Process: pop a dirty PG's objects, run one pass on them, repeat.
 
         The body of every engine worker — the background loops and the
         forced passes of :meth:`drain`.  Runs until ``stop()`` is true;
         on an empty dirty list a background worker sleeps
         ``dedup_interval`` and a forced one returns.
 
-        A worker takes its next object as soon as a pass's chunk map
-        commits: the pass's old-chunk release runs on as a process of its
-        own, holding the object lock until it lands (:meth:`process_object`).
+        A worker takes its next group as soon as a pass's chunk maps
+        commit: the pass's old-chunk release runs on as a process of its
+        own, holding the group's object locks until it lands
+        (:meth:`process_object`).
         """
         tier = self.tier
         task = self.sim.current_task
         self._worker_tasks.add(task)
         try:
             while not stop():
-                oid = tier.next_dirty()
-                if oid is None:
+                group = tier.next_dirty_group()
+                if not group:
                     if force:
                         return
                     yield self.sim.timeout(self.config.dedup_interval)
                     continue
                 try:
-                    yield from self.process_object(oid, force=force)
+                    yield from self.process_object(*group, force=force)
                 except Exception as exc:
                     # Graceful degradation: a transient substrate fault
-                    # must never kill a worker — requeue the object and
+                    # must never kill a worker — requeue the group and
                     # keep draining.  Non-retryable errors are real bugs
                     # and stay loud.
                     if not is_retryable(exc):
                         raise
-                    self.stats.objects_requeued_fault += 1
-                    tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
+                    self._requeue_faulted(group)
         finally:
             self._worker_tasks.discard(task)
 
-    # -- one object -------------------------------------------------------------
+    # -- one pass ---------------------------------------------------------------
 
-    def process_object(self, oid: str, force: bool = False):
-        """Process: deduplicate all dirty chunks of one object.
+    def process_object(self, *oids: str, force: bool = False):
+        """Process: deduplicate all dirty chunks of ``oids`` in one pass.
 
-        ``force`` bypasses the hot-object skip *and* rate control — it is
-        used by drains and by flush-on-write, where the caller is already
-        foreground.  Returns one of ``"done"``, ``"skipped_hot"``,
-        ``"missing"``, ``"faulted"``, once the pass's old-chunk references
-        are released (§4.4.1 step 3, after the map commits).
+        A worker passes the dirty objects of one metadata PG (the dirty
+        list's bucket); any other caller — flush, flush-on-write, a test
+        — names one object, a group of one.  ``force`` bypasses the
+        hot-object skip *and* rate control — it is used by drains and by
+        flush-on-write, where the caller is already foreground.  Returns
+        ``"faulted"`` when a fault aborted the pass (every member
+        requeued), else ``"done"`` when a member was processed,
+        ``"skipped_hot"`` when every member was hot, or ``"missing"``;
+        it returns once the pass's old-chunk references are released
+        (§4.4.1 step 3, after the maps commit).
 
         In an engine worker, a strict-mode pass instead hands that release
-        to a process of its own, which takes over the object lock and
-        frees it once the release lands; the worker moves on at the map
-        commit.  Every write, delete, promotion and later pass on the
-        object still waits for the lock, so none sees the entry between
-        its commit and its release, and no later pass can take a
+        to a process of its own, which takes over the group's object
+        locks and frees them once the release lands; the worker moves on
+        at the map commit.  Every write, delete, promotion and later pass
+        on a member still waits for its lock, so none sees the entry
+        between its commit and its release, and no later pass can take a
         reference the release would then drop.
         """
         tier = self.tier
-        if not force and tier.cache.is_hot(oid):
-            self.stats.objects_skipped_hot += 1
-            tier.requeue_dirty(oid, delay=HOT_REQUEUE_DELAY)
-            return "skipped_hot"
         if not force:
-            # Rate-control *before* taking the object lock: a paced
+            cold = []
+            for oid in oids:
+                if tier.cache.is_hot(oid):
+                    self.stats.objects_skipped_hot += 1
+                    tier.requeue_dirty(oid, delay=HOT_REQUEUE_DELAY)
+                else:
+                    cold.append(oid)
+            if not cold:
+                return "skipped_hot"
+            oids = tuple(cold)
+            # Rate-control *before* taking any object lock: a paced
             # background pass must never stall foreground writers that
-            # need the same lock (§4.4.2 — dedup yields to foreground).
-            for _ in range(max(1, tier.peek_dirty_count(oid))):
+            # need the same locks (§4.4.2 — dedup yields to foreground).
+            dirty = sum(tier.peek_dirty_count(oid) for oid in oids)
+            for _ in range(max(1, dirty)):
                 yield from tier.rate.throttle()
         held: list = []
         handed_off = False
         try:
-            yield tier.object_locks.acquire(oid, held)
-            result, derefs, via = yield from self._process_object_locked(oid, force)
+            # Sorted acquisition: concurrent passes cannot deadlock.
+            for oid in sorted(oids):
+                yield tier.object_locks.acquire(oid, held)
+            result, derefs, via = yield from self._process_locked(oids)
             if (
                 derefs
                 and self.config.refcount_mode == "strict"
                 and self.sim.current_task in self._worker_tasks
             ):
-                self._releases[oid] = self.sim.process(
-                    self._release(oid, derefs, via, held)
+                self._releases[oids[0]] = self.sim.process(
+                    self._release(oids[0], derefs, via, held)
                 )
                 handed_off = True
             elif derefs:
@@ -256,100 +275,170 @@ class DedupEngine:
         finally:
             if not handed_off:
                 tier.object_locks.release(held)
-        # Outside the lock: a capacity victim may be this same object.
+        # Outside the locks: a capacity victim may be a member.
         yield from self.enforce_cache_capacity()
         return result
 
-    def _process_object_locked(self, oid: str, force: bool):
-        """Process: the pass itself, under the object lock.
+    def _process_locked(self, oids):
+        """Process: the pass itself, under its members' object locks.
 
-        Returns ``(result, derefs, via)``: ``derefs`` are the ``(chunk_id,
-        ref)`` references to the old chunks of entries the committed map
-        re-pointed, for the caller to release through ``via``.
+        Loads every member's chunk map, assembles and fingerprints their
+        dirty chunks, then commits every reference in one
+        :meth:`~DedupTier.commit_chunk_batch` and every map in one
+        :meth:`~DedupTier.commit_map`.  Returns ``(result, derefs, via)``:
+        ``derefs`` are the ``(chunk_id, ref)`` references to the old
+        chunks of entries the committed maps re-pointed, for the caller
+        to release through ``via``.
         """
         tier = self.tier
-        cmap = yield from tier.load_chunk_map(oid)
-        if cmap is None:
-            return "missing", (), None
-        primary = tier.cluster._primary(tier.metadata_pool, oid)
-        via = NodeClient(primary.node)
-        key = tier.metadata_key(oid)
-        txn = Transaction()
+        members = []  # (oid, cmap, primary) of the members that exist
         taken = []  # (chunk_id, ref) references acquired this pass
-        pending_derefs = []  # old chunks to release once the map commits
-        # The pass accumulates its store-or-reference ops in a
-        # ChunkBatch and commits them at the end through one prepared
-        # round, instead of paying a serialized round trip per chunk.
+        via = None
+        try:
+            for oid in oids:
+                cmap = yield from tier.load_chunk_map(oid)
+                if cmap is not None:
+                    primary = tier.cluster._primary(tier.metadata_pool, oid)
+                    members.append((oid, cmap, primary))
+            if not members:
+                return "missing", (), None
+            # One PG, one primary: it initiates the pass's chunk-pool
+            # traffic and its commits.
+            via = NodeClient(members[0][2].node)
+            # The members assemble side by side, each under the read
+            # rules of :meth:`_assemble`.
+            if len(members) == 1:
+                oid, cmap, primary = members[0]
+                assembled = [(yield from self._assemble(oid, cmap, primary, via))]
+            else:
+                procs = [
+                    self.sim.process(self._assemble(oid, cmap, primary, via))
+                    for oid, cmap, primary in members
+                ]
+                try:
+                    assembled = yield self.sim.all_of(procs)
+                except Exception:
+                    for proc in procs:
+                        yield from _settle(proc)
+                    raise
+            staged = [  # (oid, cmap, [(index, entry, data)]) per member
+                (oid, cmap, chunks)
+                for (oid, cmap, _primary), chunks in zip(members, assembled)
+            ]
+            pending_derefs, taken, maps = yield from self._commit_refs(staged, via)
+            if maps:
+                yield from tier.commit_map(maps, via)
+                yield tier.cluster.reply()
+        except Exception as exc:
+            # Skip-and-requeue degradation: a fault mid-pass (after the
+            # I/O path's retries gave up) abandons the whole pass
+            # *before* any chunk map commits — the dirty bits stay
+            # authoritative, so nothing is lost.  References taken this
+            # pass are released; every member comes back via the dirty
+            # list.
+            if not is_retryable(exc):
+                raise
+            if taken:
+                yield from self._release_or_defer(taken, via)
+            self._requeue_faulted(oids)
+            return "faulted", (), None
+        self.stats.objects_processed += len(members)
+        return "done", pending_derefs, via
+
+    def _requeue_faulted(self, oids):
+        """Put the members of a pass a fault abandoned back on the dirty
+        list, after :data:`FAULT_REQUEUE_DELAY`."""
+        self.stats.objects_requeued_fault += len(oids)
+        for oid in oids:
+            self.tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
+
+    def _assemble(self, oid, cmap, primary, via):
+        """Process: the bytes of ``oid``'s dirty chunks, as ``(index,
+        entry, data)`` in index order, each charged to ``primary``'s CPU
+        as chunking and fingerprint work.  A dirty entry with nothing
+        cached is cleaned in ``cmap`` in place (dirty implies cached by
+        construction; tolerated anyway) and left out.
+        """
+        tier = self.tier
+        stage = tier.stage
+        whole = []  # (index, entry) of fully cached dirty chunks
+        partial = []  # (index, entry) of partially cached ones
+        for idx in cmap.dirty_indices():
+            entry = cmap.get(idx)
+            if not entry.cached:
+                cmap.set(entry.replace(dirty=False))
+                continue
+            (whole if entry.fully_cached() else partial).append((idx, entry))
+        # Deferred read-modify-write: every read the partially cached
+        # chunks need starts now, beside the whole chunks' local reads,
+        # which stay one after another — concurrent reads of the one
+        # primary disk would stall sibling passes' commits.
+        reads = self._start_merge_reads(oid, partial, via) if partial else ()
+        chunks = []
+        try:
+            for idx, entry in whole:
+                data = yield from tier.read_local_chunk(oid, entry.offset, entry.length)
+                stage.chunking_ops += 1
+                stage.chunking_bytes += len(data)
+                yield from primary.node.cpu.fingerprint(len(data))
+                chunks.append((idx, entry, data))
+            if reads:
+                parts = iter((yield self.sim.all_of(reads)))
+        except Exception:
+            # Fail only once every read this pass started has ended:
+            # none may outlive the pass and its locks.
+            for read in reads:
+                yield from _settle(read)
+            raise
+        if reads:
+            for idx, entry in partial:
+                data = _merge_partial(entry, parts)
+                stage.chunking_ops += 1
+                stage.chunking_bytes += len(data)
+                yield from primary.node.cpu.fingerprint(len(data))
+                chunks.append((idx, entry, data))
+            chunks.sort(key=itemgetter(0))
+        return chunks
+
+    def _commit_refs(self, staged, via):
+        """Process: fingerprint the assembled chunks of every member in
+        ``staged`` (``(oid, cmap, chunks)`` per member), re-point their
+        entries and commit every reference the pass takes in one
+        :meth:`~DedupTier.commit_chunk_batch` (§4.4.1 steps 3-5).
+
+        Returns ``(derefs, taken, maps)``: the old chunks' references to
+        release once the maps commit, the references taken, and the
+        ``(oid, cmap, txn)`` of every member whose map changed.
+        """
+        tier = self.tier
+        stage = tier.stage
+        pool_id = tier.metadata_pool.pool_id
         batch = ChunkBatch()
         planned = []  # (batch op index, fp, ref, nbytes) awaiting commit
-        changed = False
-        # Stage 1 of the flush pipeline assembles each dirty chunk's
-        # bytes, the digests are then computed in one go, and stage 2
-        # applies the map/refcount updates in chunk-index order.
-        staged = []  # (chunk index, entry, data) awaiting fingerprints
-        try:
-            whole = []  # (index, entry) of fully cached dirty chunks
-            partial = []  # (index, entry) of partially cached ones
-            for idx in cmap.dirty_indices():
-                entry = cmap.get(idx)
-                if not entry.cached:
-                    # Dirty implies cached by construction; tolerate anyway.
-                    cmap.set(entry.replace(dirty=False))
-                    changed = True
-                    continue
-                (whole if entry.fully_cached() else partial).append((idx, entry))
-            # Deferred read-modify-write: every read the partially
-            # cached chunks need starts now, beside the whole chunks'
-            # local reads, which stay one after another — concurrent
-            # reads of the one primary disk would stall sibling
-            # passes' commits.
-            reads = self._start_merge_reads(oid, partial, via) if partial else ()
-            try:
-                for idx, entry in whole:
-                    data = yield from tier.read_local_chunk(
-                        oid, entry.offset, entry.length
-                    )
-                    tier.stage.chunking_ops += 1
-                    tier.stage.chunking_bytes += len(data)
-                    yield from primary.node.cpu.fingerprint(len(data))
-                    staged.append((idx, entry, data))
-                if reads:
-                    parts = iter((yield self.sim.all_of(reads)))
-            except Exception:
-                # Fail only once every read this pass started has
-                # ended: none may outlive the pass and its lock.
-                for read in reads:
-                    yield from _settle(read)
-                raise
-            if reads:
-                for idx, entry in partial:
-                    data = _merge_partial(entry, parts)
-                    tier.stage.chunking_ops += 1
-                    tier.stage.chunking_bytes += len(data)
-                    yield from primary.node.cpu.fingerprint(len(data))
-                    staged.append((idx, entry, data))
-                staged.sort(key=itemgetter(0))
-            digests = []  # hex fingerprints aligned with ``staged``
-            for _idx, _entry, data in staged:
+        derefs = []
+        maps = []
+        for oid, cmap, chunks in staged:
+            key = tier.metadata_key(oid)
+            txn = Transaction()
+            keep = tier.cache.keep_cached_on_flush(oid)
+            for idx, entry, data in chunks:
                 fp, seconds = timed_fingerprint(data)
-                tier.stage.fingerprint_seconds += seconds
-                tier.stage.fingerprint_ops += 1
-                tier.stage.fingerprint_bytes += len(data)
-                digests.append(fp)
-            for (idx, entry, data), fp in zip(staged, digests):
-                ref = ChunkRef(tier.metadata_pool.pool_id, oid, entry.offset)
+                stage.fingerprint_seconds += seconds
+                stage.fingerprint_ops += 1
+                stage.fingerprint_bytes += len(data)
+                ref = ChunkRef(pool_id, oid, entry.offset)
                 if entry.chunk_id and entry.chunk_id != fp:
                     # §4.4.1 step 3: the entry stops referencing its old
                     # chunk object.  The actual dereference is deferred
-                    # until the chunk-map update commits: a partially-cached
-                    # entry still *needs* the old chunk for its missing
-                    # ranges if this pass aborts on a fault.
-                    pending_derefs.append((entry.chunk_id, ref))
+                    # until the chunk-map update commits: a partially
+                    # cached entry still *needs* the old chunk for its
+                    # missing ranges if this pass aborts on a fault.
+                    derefs.append((entry.chunk_id, ref))
                 if entry.chunk_id != fp:
                     planned.append((len(batch.ops), fp, ref, len(data)))
                     batch.ref(fp, ref, data)
                 valid = entry.valid
-                if tier.cache.keep_cached_on_flush(oid):
+                if keep:
                     if not entry.fully_cached():
                         # Materialise the merged chunk in the cache.
                         txn.write(key, entry.offset, data)
@@ -361,38 +450,25 @@ class DedupEngine:
                     tier.cache.note_evicted(oid, idx)
                     self.stats.chunks_evicted += 1
                 cmap.set(entry.replace(chunk_id=fp, dirty=False, valid=valid))
-                changed = True
-            if changed and cmap.cached_indices() == []:
-                # Paper Figure 8, "object 2": when no chunk remains cached,
-                # the metadata object holds no data at all — only metadata.
-                txn.truncate(key, 0)
-            if batch:
-                outcomes = yield from tier.commit_chunk_batch(batch, via)
-                for op_i, fp, ref, nbytes in planned:
-                    taken.append((fp, ref))
-                    if outcomes[op_i]:
-                        self.stats.chunks_flushed += 1
-                        self.stats.bytes_flushed += nbytes
-                    else:
-                        self.stats.chunks_deduped += 1
-                        self.stats.bytes_deduped += nbytes
-            if changed:
-                yield from tier.commit_map(oid, cmap, txn, via)
-                yield tier.cluster.reply()
-        except Exception as exc:
-            # Skip-and-requeue degradation: a fault mid-pass (after the
-            # I/O path's retries gave up) abandons the pass *before* the
-            # chunk map commits — the dirty bits stay authoritative, so
-            # nothing is lost.  References taken this pass are released;
-            # the object comes back via the dirty list.
-            if not is_retryable(exc):
-                raise
-            yield from self._release_or_defer(taken, via)
-            self.stats.objects_requeued_fault += 1
-            tier.requeue_dirty(oid, delay=FAULT_REQUEUE_DELAY)
-            return "faulted", (), None
-        self.stats.objects_processed += 1
-        return "done", pending_derefs, via
+            if chunks or cmap.touched_indices():
+                if cmap.cached_indices() == []:
+                    # Paper Figure 8, "object 2": when no chunk remains
+                    # cached, the metadata object holds no data at all —
+                    # only metadata.
+                    txn.truncate(key, 0)
+                maps.append((oid, cmap, txn))
+        taken = []
+        if batch:
+            outcomes = yield from tier.commit_chunk_batch(batch, via)
+            for op_i, fp, ref, nbytes in planned:
+                taken.append((fp, ref))
+                if outcomes[op_i]:
+                    self.stats.chunks_flushed += 1
+                    self.stats.bytes_flushed += nbytes
+                else:
+                    self.stats.chunks_deduped += 1
+                    self.stats.bytes_deduped += nbytes
+        return derefs, taken, maps
 
     def _start_merge_reads(self, oid, partial, via):
         """Start every read that assembles the partially cached chunks
@@ -421,10 +497,11 @@ class DedupEngine:
         return reads
 
     def _release(self, oid, pairs, via, held):
-        """Process: a worker pass's handed-off old-chunk release.
+        """Process: a worker pass's handed-off old-chunk release, filed
+        under ``oid``, the pass's first member.
 
-        Owns the pass's object-lock grant ``held`` and frees it once the
-        release has landed (or been deferred to the GC by a fault).
+        Owns the pass's object-lock grants ``held`` and frees them once
+        the release has landed (or been deferred to the GC by a fault).
         """
         try:
             yield from self._apply_derefs(pairs, via)
@@ -512,7 +589,7 @@ class DedupEngine:
             if promoted == 0:
                 return "nothing"
             try:
-                yield from tier.commit_map(oid, cmap, txn, via)
+                yield from tier.commit_map([(oid, cmap, txn)], via)
                 yield tier.cluster.reply()
             except Exception as exc:
                 # Promotion is purely an optimisation: on a fault the
@@ -561,7 +638,7 @@ class DedupEngine:
         if cmap.cached_indices() == []:
             txn.truncate(key, 0)  # fully evicted: metadata only
         try:
-            yield from tier.commit_map(oid, cmap, txn, via)
+            yield from tier.commit_map([(oid, cmap, txn)], via)
             yield tier.cluster.reply()
         except Exception as exc:
             # Eviction is deferrable: the LRU offers the chunk again on
@@ -577,9 +654,10 @@ class DedupEngine:
     def drain(self, run_gc: bool = True):
         """Process: dedup everything on the dirty list, ignoring hotness.
 
-        The list is handed to ``min(engine_workers, dirty_count)``
+        The list is handed to ``min(engine_workers, dirty PGs)``
         concurrent forced workers (the paper's background deduplication
-        thread*s*; a single dirty object runs inline) and rebuilt from
+        thread*s*, one pass per dirty metadata PG at a time; a single
+        dirty PG runs inline) and rebuilt from
         the authoritative dirty bits until a rebuild finds nothing.
         Optionally hands the false-positive deref queue to
         :func:`~repro.core.scrub.collect_garbage` afterwards (an empty
@@ -592,7 +670,7 @@ class DedupEngine:
         returns with every reference settled and every lock free.
 
         A non-retryable error in one pass stops the hand-out: no worker
-        pops another object, siblings finish the pass they hold (they
+        pops another group, siblings finish the pass they hold (they
         are never interrupted), and once the releases in flight have
         ended the first error is re-raised — a pass's, else one a
         handed-off release raised since the last drain.  The dirty bits
@@ -609,7 +687,7 @@ class DedupEngine:
 
         rounds = 0
         while True:
-            width = min(self.config.engine_workers, tier.dirty_count)
+            width = min(self.config.engine_workers, tier.dirty_pg_count)
             if width == 0:
                 yield from self._releases_landed()
                 if self._release_errors:

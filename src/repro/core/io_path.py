@@ -6,13 +6,14 @@ metadata object's data part (as cached chunks), chunk-map entries are
 created/updated with ``cached = dirty = True`` (the chunk ID stays unset
 — fingerprinting would add latency), and the object is logged in the
 dirty list.  The one exception: a write that partially covers a chunk
-whose bytes are *not* cached must pre-read the missing part from the
-chunk object.
+whose bytes are *not* cached, once too fragmented to track, has the
+metadata primary pre-read the missing part from the chunk object.
 
 **Read path** — the chunk map routes each requested range either to the
 metadata object's data part (cached chunk: same cost as the original
 system) or to the chunk pool (redirection: metadata pool -> chunk pool
--> client, the overhead visible in Figures 10/11).  Chunks are fetched
+-> client, two one-way hops more than a cached read; the overhead
+visible in Figures 10/11).  Chunks are fetched
 in parallel, which is why large sequential reads recover the lost
 throughput (Figure 11's 128 KiB case).
 """
@@ -24,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from ..cluster import NoSuchObject, Transaction
 from .objects import ChunkMap, ChunkMapEntry
-from .tier import DedupTier
+from .tier import DedupTier, NodeClient
 
 __all__ = ["write_path", "read_path", "delete_path"]
 
@@ -73,7 +74,12 @@ def _read_cached_piece(tier, oid, offset, length, client):
 def _read_chunk_piece(tier, chunk_id, offset, length, client):
     """Process: redirected read — metadata pool forwards to the chunk
     pool; chunk primary reads (and decompresses, when the tier stores
-    chunks compressed) and returns the data to the client."""
+    chunks compressed) and returns the data to the client.
+
+    Two one-way hops more than a cached read: the forward below and
+    the chunk-pool read's own request.  The second is what reproduces
+    the paper's redirection gap (Fig. 11's 32 KiB sequential-read
+    ratio; ``tests/core/test_io_path.py`` pins the cost)."""
     cluster = tier.cluster
     client = client or cluster._default_client
 
@@ -95,8 +101,9 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
     1. the client sends the payload to the object's primary (placement
        hashes the unchanged, user-visible object ID), which starts it
        on to every other replica (:meth:`~repro.cluster.RadosCluster.send`);
-    2. under the object lock, a partial overwrite of a non-cached chunk
-       pre-reads the missing bytes from the chunk pool;
+    2. under the object lock, a too-fragmented partial overwrite of a
+       non-cached chunk has the primary pre-read the missing bytes from
+       the chunk pool;
     3. data is written to the object's data part and chunk-map entries
        are created/updated — cached and dirty set, chunk ID left as-is;
     4. the object ID is logged in the dirty list, the lock is released,
@@ -164,9 +171,12 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
                     # pre-read from the chunk object (the paper's pre-read
                     # corner case; common sub-chunk writes never hit it —
                     # the read-modify-write is deferred to the engine).
+                    # The primary reads it: its bytes go into the
+                    # transaction the primary ships to the replicas.
+                    via = NodeClient(cluster._primary(pool, oid).node)
                     chunk_bytes = yield from tier.retrying(
                         lambda cid=entry.chunk_id, ln=length: tier.read_chunk(
-                            cid, 0, ln, client
+                            cid, 0, ln, via
                         ),
                         op="preread",
                     )
@@ -188,7 +198,7 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
         # commit sends each only the transaction's bytes beyond it.
         # Safe to retry: the transaction writes absolute offsets, so a
         # replay after a partial failure converges to the same state.
-        yield from tier.commit_map(oid, cmap, txn, sent=sent)
+        yield from tier.commit_map([(oid, cmap, txn)], sent=sent)
         tier.mark_dirty(oid)
         tier.fg_window.note(len(data))
         tier.cache.record_access(oid)
@@ -385,7 +395,8 @@ def _read_once(tier, oid, offset, length, client):
                 tier.stage.cache_misses += 1
                 # Redirection (paper §6.2.1): the metadata pool forwards
                 # the request to the chunk pool, which returns the data
-                # to the client — one extra network hop per chunk.
+                # to the client — two extra one-way hops per chunk
+                # fetch (see _read_chunk_piece).
                 chunk_pieces.append(
                     (
                         cstart + piece_start,

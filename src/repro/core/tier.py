@@ -15,9 +15,9 @@ chunk pool.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..chunking import StaticChunker
 from ..compression import ZlibCodec
@@ -188,10 +188,14 @@ class DedupTier:
         #: reads this attribute on every call (so it can be swapped).
         self.retry_policy = RetryPolicy()
         self.retry_stats = RetryStats()
-        # Dirty object ID list (paper Figure 8). In-memory, rebuildable
-        # from the dirty bits persisted in every chunk map.
-        self._dirty_queue: Deque[str] = deque()
-        self._dirty_set: Set[str] = set()
+        # Dirty object ID list (paper Figure 8), in one bucket per
+        # metadata PG: metadata PG -> its dirty oids, both in the order
+        # they were first logged.  A bucket exists only while it holds
+        # an oid, so an engine pass pops a whole PG in O(its size).
+        # In-memory, rebuildable from the dirty bits persisted in every
+        # chunk map.
+        self._dirty_pgs: "OrderedDict[int, Dict[str, None]]" = OrderedDict()
+        self._dirty_total = 0
         # Delayed requeues already scheduled but not yet fired: a second
         # requeue (or a fired one racing a foreground mark_dirty) must
         # not enqueue the oid twice.
@@ -255,17 +259,23 @@ class DedupTier:
 
     def mark_dirty(self, oid: str) -> None:
         """Log ``oid`` for background deduplication."""
-        if oid not in self._dirty_set:
-            self._dirty_set.add(oid)
-            self._dirty_queue.append(oid)
+        pg = self.metadata_pool.pg_of(oid)
+        bucket = self._dirty_pgs.get(pg)
+        if bucket is None:
+            bucket = self._dirty_pgs[pg] = {}
+        if oid not in bucket:
+            bucket[oid] = None
+            self._dirty_total += 1
 
-    def next_dirty(self) -> Optional[str]:
-        """Pop the next dirty object ID, or ``None`` when list is empty."""
-        if not self._dirty_queue:
-            return None
-        oid = self._dirty_queue.popleft()
-        self._dirty_set.discard(oid)
-        return oid
+    def next_dirty_group(self) -> List[str]:
+        """Pop the dirty objects of the metadata PG logged first, in the
+        order they were logged (an engine pass's group); ``[]`` when the
+        list is empty."""
+        if not self._dirty_pgs:
+            return []
+        group = list(self._dirty_pgs.popitem(last=False)[1])
+        self._dirty_total -= len(group)
+        return group
 
     def requeue_dirty(self, oid: str, delay: float = 0.0) -> None:
         """Put ``oid`` back on the dirty list, optionally after a delay.
@@ -278,7 +288,9 @@ class DedupTier:
         drained.
         """
         if delay > 0:
-            if oid in self._dirty_set or oid in self._pending_requeues:
+            if oid in self._pending_requeues or oid in self._dirty_pgs.get(
+                self.metadata_pool.pg_of(oid), ()
+            ):
                 return
             self._pending_requeues.add(oid)
             self.sim.call_later(delay, self._fire_requeue, oid)
@@ -292,7 +304,13 @@ class DedupTier:
     @property
     def dirty_count(self) -> int:
         """Objects currently on the dirty list."""
-        return len(self._dirty_queue)
+        return self._dirty_total
+
+    @property
+    def dirty_pg_count(self) -> int:
+        """Metadata PGs with an object on the dirty list: how many
+        engine passes the list makes at most at once."""
+        return len(self._dirty_pgs)
 
     def rebuild_dirty_list(self) -> int:
         """Recover the dirty list by scanning persisted chunk maps.
@@ -302,8 +320,8 @@ class DedupTier:
         a restart can always reconstruct it.  Returns the number of
         dirty objects found.
         """
-        self._dirty_queue.clear()
-        self._dirty_set.clear()
+        self._dirty_pgs.clear()
+        self._dirty_total = 0
         for oid in self.cluster.list_objects(self.metadata_pool):
             if self.peek_dirty_count(oid):
                 self.mark_dirty(oid)
@@ -440,48 +458,58 @@ class DedupTier:
             self._cache_map(oid, cmap.copy())
         return cmap
 
-    # repro-lint: flt-scope -- commit primitive: a fault drops the cached decode and propagates to the caller's scope, which retries, requeues or gives up
-    def commit_map(
-        self, oid: str, cmap: ChunkMap, txn: Transaction, client=None, sent=None
-    ):
-        """Process: commit ``cmap`` as ``oid``'s chunk map, with ``txn``.
+    # repro-lint: flt-scope -- commit primitive: a fault drops the cached decodes and propagates to the caller's scope, which retries, requeues or gives up
+    def commit_map(self, maps, client=None, sent=None):
+        """Process: commit each ``(oid, cmap, txn)`` of ``maps`` — ``cmap``
+        as ``oid``'s chunk map, with ``txn`` — in one submit.
 
-        The one way a chunk map is committed.  Appends the small header
-        xattr (entry count, and the version one past ``cmap``'s) plus
-        one omap record per *touched* entry to ``txn`` — a 1-chunk
+        The one way a chunk map is committed.  Appends to each ``txn``
+        the small header xattr (entry count, and the version one past
+        ``cmap``'s) plus one omap record per *touched* entry — a 1-chunk
         update serialises one 150-byte record instead of the whole map;
-        a new map has every entry touched — and submits it to the
-        metadata pool (``sent`` as :meth:`RadosCluster.submit` takes
-        it).  On success ``cmap`` takes the new version and a fork of
-        it becomes the cached snapshot; on a fault, which may have
-        partially landed, the cached decode is dropped and the fault
-        re-raised.  ``cmap`` keeps its touched entries then, so a retry
-        commits the same records.  The caller yields its own reply.
+        a new map has every entry touched.  One map goes to the metadata
+        pool through :meth:`RadosCluster.submit` (``sent`` as it takes
+        it); several — an engine pass over one PG's dirty objects — go
+        through one :meth:`RadosCluster.submit_batch`: one prepared
+        transaction per PG, all-or-nothing.  On success each ``cmap``
+        takes its new version and a fork of it becomes the cached
+        snapshot; on a fault, which may have partially landed, every
+        cached decode of ``maps`` is dropped and the fault re-raised.
+        Each ``cmap`` keeps its touched entries then, so a retry commits
+        the same records.  The caller yields its own reply.
         """
-        key = self.metadata_key(oid)
-        header = cmap.serialize_header_v2(cmap.version + 1)
-        entries = cmap.omap_entries(cmap.touched_indices())
-        txn.setxattr(key, CHUNK_MAP_XATTR, header)
-        if entries:
-            txn.omap_set(key, entries)
-        self.stage.map_commits_incremental += 1
-        self.stage.map_entries_serialized += len(entries)
-        self.stage.map_bytes_serialized += len(header) + sum(
-            map(len, entries.values())
-        )
-        self.stage.map_entries_total += len(cmap)
+        stage = self.stage
+        items = []
+        for oid, cmap, txn in maps:
+            key = self.metadata_key(oid)
+            header = cmap.serialize_header_v2(cmap.version + 1)
+            entries = cmap.omap_entries(cmap.touched_indices())
+            txn.setxattr(key, CHUNK_MAP_XATTR, header)
+            if entries:
+                txn.omap_set(key, entries)
+            stage.map_commits_incremental += 1
+            stage.map_entries_serialized += len(entries)
+            stage.map_bytes_serialized += len(header) + sum(map(len, entries.values()))
+            stage.map_entries_total += len(cmap)
+            items.append((oid, txn))
         try:
-            yield from self.cluster.submit(self.metadata_pool, oid, txn, client, sent)
+            if len(items) == 1:
+                oid, txn = items[0]
+                yield from self.cluster.submit(self.metadata_pool, oid, txn, client, sent)
+            else:
+                yield from self.cluster.submit_batch(self.metadata_pool, items, client)
         except Exception:
-            self.invalidate_map_cache(oid)
+            for oid, _cmap, _txn in maps:
+                self.invalidate_map_cache(oid)
             raise
-        cmap.version += 1
-        cmap.clear_touched()
-        self._fence(oid)
-        # Cache a fork: the caller keeps ownership of ``cmap`` and may
-        # keep replacing its rows without polluting the committed state
-        # served to concurrent loads.
-        self._cache_map(oid, cmap.copy())
+        for oid, cmap, _txn in maps:
+            cmap.version += 1
+            cmap.clear_touched()
+            self._fence(oid)
+            # Cache a fork: the caller keeps ownership of ``cmap`` and
+            # may keep replacing its rows without polluting the
+            # committed state served to concurrent loads.
+            self._cache_map(oid, cmap.copy())
 
     def read_local_chunk(self, oid: str, offset: int, length: int):
         """Process: read cached chunk bytes at the metadata primary.

@@ -115,7 +115,8 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.core.client", "read_path", "op.read", _oid),
     ("repro.core.client", "delete_path", "op.delete", _oid),
     ("repro.core.engine", "DedupEngine.process_object", "op.dedup_pass",
-     lambda _self, oid, force=False: {"oid": oid, "forced": force}),
+     lambda _self, oid, *group, force=False: {
+         "oid": oid, "objects": 1 + len(group), "forced": force}),
     ("repro.core.engine", "DedupEngine.promote_object", "op.promote", _oid),
     ("repro.cluster.converge", "_pass", "op.converge", _none),
     # The dedup engine.

@@ -55,8 +55,8 @@ def test_delayed_requeue_is_deduplicated():
     tier.requeue_dirty("obj", delay=0.5)  # double-enqueue attempt
     tier.cluster.sim.run()
     assert tier.dirty_count == 1
-    assert tier.next_dirty() == "obj"
-    assert tier.next_dirty() is None
+    assert tier.next_dirty_group() == ["obj"]
+    assert tier.next_dirty_group() == []
 
 
 def test_delayed_requeue_skipped_when_already_dirty():
@@ -72,7 +72,7 @@ def test_requeue_after_drain_fires_again():
     tier, _via = make_tier()
     tier.requeue_dirty("obj", delay=0.1)
     tier.cluster.sim.run()
-    assert tier.next_dirty() == "obj"
+    assert tier.next_dirty_group() == ["obj"]
     tier.requeue_dirty("obj", delay=0.1)
     tier.cluster.sim.run()
     assert tier.dirty_count == 1

@@ -201,11 +201,11 @@ def test_dirty_list_rebuild_from_chunk_maps():
     storage.drain()
     storage.write_sync("obj3", b"3" * 1024)
     # Simulate a restart: volatile dirty list lost.
-    storage.tier._dirty_queue.clear()
-    storage.tier._dirty_set.clear()
+    storage.tier._dirty_pgs.clear()
+    storage.tier._dirty_total = 0
     found = storage.tier.rebuild_dirty_list()
     assert found == 1
-    assert storage.tier.next_dirty() == "obj3"
+    assert storage.tier.next_dirty_group() == ["obj3"]
 
 
 def test_cache_capacity_enforced_by_demotion():
@@ -263,13 +263,17 @@ def max_open_spans(tracer, stage):
 
 @pytest.mark.parametrize("workers", [8, 1])
 def test_drain_runs_engine_workers_passes_at_once(workers):
+    """A drain runs ``min(engine_workers, dirty metadata PGs)`` passes
+    at once, one per PG."""
     storage = make_storage(engine_workers=workers)
     for i in range(24):
         storage.write_sync(f"obj{i}", bytes([i]) * 2048)
+    pgs = storage.tier.dirty_pg_count
+    assert workers < pgs < 24  # some PGs hold several objects
     with Tracer(storage.sim) as tracer:
         storage.drain()
     assert storage.engine.stats.objects_processed == 24
-    assert max_open_spans(tracer, "op.dedup_pass") == workers
+    assert max_open_spans(tracer, "op.dedup_pass") == min(workers, pgs)
 
 
 def test_drain_of_one_dirty_object_spawns_no_process():

@@ -417,3 +417,59 @@ def test_rereading_a_chunk_backed_range_costs_the_same_every_time():
     storage = flushed()
     for _ in range(3):
         assert timed_read(storage) == pytest.approx(first_on_fresh_tier, rel=1e-9)
+
+
+def test_fragmented_write_prereads_at_the_metadata_primary(storage):
+    """The pre-read of a too-fragmented entry is the metadata primary's:
+    its bytes go into the transaction the primary ships to the
+    replicas, so they land on the primary's NIC, not the client's."""
+    from repro.core.objects import MAX_VALID_RANGES
+    from repro.fingerprint import fingerprint
+
+    tier, cluster = storage.tier, storage.cluster
+    storage.write_sync("obj1", b"b" * 1024)
+    storage.drain()  # flushed, evicted
+    offsets = [200 * i for i in range(MAX_VALID_RANGES + 1)]
+    for off in offsets[:-1]:  # disjoint sub-chunk writes: no pre-read yet
+        storage.write_sync("obj1", b"w" * 10, offset=off)
+    assert not tier.peek_chunk_map("obj1").get(0).fully_cached()
+    primary = cluster._primary(tier.metadata_pool, "obj1").node
+    holder = cluster._primary(tier.chunk_pool, fingerprint(b"b" * 1024)).node
+    client = cluster._default_client
+    assert holder is not primary and client.nic is not primary.nic
+    before = client.nic.bytes_received, primary.nic.bytes_received
+    storage.write_sync("obj1", b"w" * 10, offset=offsets[-1])  # the pre-read
+    assert tier.peek_chunk_map("obj1").get(0).fully_cached()
+    assert client.nic.bytes_received - before[0] == 0
+    # The payload from the client, and the whole chunk from its holder.
+    assert primary.nic.bytes_received - before[1] == 10 + 1024
+    expected = bytearray(b"b" * 1024)
+    for off in offsets:
+        expected[off : off + 10] = b"w" * 10
+    assert storage.read_sync("obj1") == bytes(expected)
+
+
+def test_redirected_read_costs_two_hops_more_than_a_cached_read():
+    """An uncontended 8 KiB read of a flushed chunk costs the cached
+    read plus two one-way NIC latencies: the metadata primary's forward
+    to the chunk primary, and the chunk-pool read's own request.
+
+    The second hop is what reproduces the paper's redirection gap: with
+    only the forward, Fig. 11's 32 KiB sequential-read ratio rises to
+    about 0.94 and fails ``bench_fig11_seq_read``'s ``< 0.85``, and
+    Fig. 10's Proposed read drops from 0.267 to 0.218 ms."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    config = DedupConfig(chunk_size=8192, cache_on_flush=False)
+    storage = DedupedStorage(cluster, config, start_engine=False)
+    storage.write_sync("flushed", b"f" * 8192)
+    storage.drain()  # the chunk lives only in the chunk pool
+    storage.write_sync("cached", b"c" * 8192)  # dirty: in the data part
+
+    def read_time(oid):
+        start = storage.sim.now
+        assert storage.read_sync(oid) == oid[0].encode() * 8192
+        return storage.sim.now - start
+
+    assert not storage.tier.peek_chunk_map("flushed").get(0).cached
+    latency = cluster.profile.nic.latency
+    assert read_time("flushed") == pytest.approx(read_time("cached") + 2 * latency, rel=1e-9)

@@ -103,7 +103,8 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
 
     def recording_release(pairs, via):
         yield from release_refs(pairs, via)
-        released.setdefault(pairs[0][1].source_oid, sim.now)
+        for _chunk_id, ref in pairs:
+            released.setdefault(ref.source_oid, sim.now)
 
     def writer(oid):
         # Back to the content of the chunk the release drops: if the
@@ -116,11 +117,12 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
         granted = next(when for _t, o, when, worker in grants if o == oid and not worker)
         writes[oid] = (issued, granted)
 
-    def write_at_commit(oid, cmap, txn, client=None, sent=None):
-        yield from commit_map(oid, cmap, txn, client, sent)
-        if oid not in writes and oid not in released and len(writes) < 2:
-            writes[oid] = None
-            sim.process(writer(oid))
+    def write_at_commit(maps, client=None, sent=None):
+        yield from commit_map(maps, client, sent)
+        for oid, _cmap, _txn in maps:
+            if oid not in writes and oid not in released and len(writes) < 2:
+                writes[oid] = None
+                sim.process(writer(oid))
 
     tier.object_locks.acquire = recording_acquire
     tier.release_refs = recording_release

@@ -106,11 +106,14 @@ done
 # check + traced-equals-untraced (run.py finds src/ itself).
 step "e2e-smoke: end-to-end benchmark smoke" \
     python3 benchmarks/e2e/run.py --smoke
+# rand-small-cold, and hot-reread, whose writes to one object overlap
+# and so fill the tier's write line.
 step "e2e-smoke: memory by site (artifact; fails on a non-empty per-key table)" \
-    bash -o pipefail -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke | tee rss-by-site.txt'
-# seq-backup, rand-small-cold (one drain pass per dirty metadata PG) and
-# hot-reread as ci.yml; sfs-mixed-open's background passes run beside
-# foreground ops.
+    bash -o pipefail -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke | tee rss-by-site.txt &&
+        python3 scripts/rss_by_site.py hot-reread --smoke | tee -a rss-by-site.txt'
+# seq-backup (four lanes writing one object), rand-small-cold (one drain
+# pass per dirty metadata PG) and hot-reread as ci.yml; sfs-mixed-open's
+# background passes run beside foreground ops.
 step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
     sh -c 'python3 scripts/sim_by_slice.py seq-backup --smoke > sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py rand-small-cold --smoke >> sim-by-slice.txt &&

@@ -10,23 +10,32 @@ Every lock in this repo is taken one way, through a
     finally:
         table.release(held)
 
-An *acquire site* is a ``<expr>.<table>.acquire(...)`` call whose table
-attribute names a lock class:
+or, for a lock held together with other shared holders,
+``table.acquire(key, held, shared=...)``.  An *acquire site* is a
+``<expr>.<table>.acquire(...)`` call whose table attribute names a lock
+class:
 
-==================  ===============  =========================================
-table attribute     lock class       owner
-==================  ===============  =========================================
-``write_locks``     ``rados.write``  per-object write locks in the substrate
-``object_locks``    ``tier.object``  dedup tier object serialisation
-``chunk_locks``     ``tier.chunk``   dedup tier chunk refcount serialisation
-==================  ===============  =========================================
+==================  ===============  ==========  ==================================
+table attribute     lock class       mode        owner
+==================  ===============  ==========  ==================================
+``write_locks``     ``rados.write``  shared or   per-object write locks in the
+                                     exclusive   substrate: shared for a replicated
+                                                 write, exclusive for an EC write
+                                                 and for convergence
+``object_locks``    ``tier.object``  exclusive   dedup tier object serialisation
+``chunk_locks``     ``tier.chunk``   exclusive   dedup tier chunk refcount
+                                                 serialisation
+==================  ===============  ==========  ==================================
 
-A site's *region* is the nearest enclosing ``try`` of its function whose
-``finally`` calls ``<same table>.release(<same held list>)``: the lock
-is held across at most that ``try`` body and released on every exit
-from it.  A site with a ``for``/``while`` loop between it and its
-region's ``try`` is a *multi-acquire* (the region accumulates several
-locks of its class), which must iterate ``sorted(...)`` keys.
+A site is *well formed* when it passes exactly the key and the held
+list positionally and nothing but ``shared=`` by keyword; the mode does
+not change what the rules check.  A site's *region* is the nearest
+enclosing ``try`` of its function whose ``finally`` calls
+``<same table>.release(<same held list>)``: the lock is held across at
+most that ``try`` body and released on every exit from it.  A site with
+a ``for``/``while`` loop between it and its region's ``try`` is a
+*multi-acquire* (the region accumulates several locks of its class),
+which must iterate ``sorted(...)`` keys.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ __all__ = [
     "build_lock_model",
     "collect_sites",
     "table_class",
+    "well_formed",
 ]
 
 #: Lock-table attribute names -> lock class.
@@ -114,11 +124,16 @@ def _releases(node: ast.AST, table: str, held: str) -> bool:
     )
 
 
+def well_formed(call: ast.Call) -> bool:
+    """Whether an acquire passes ``(key, held)`` and at most ``shared=``."""
+    return len(call.args) == 2 and all(kw.arg == "shared" for kw in call.keywords)
+
+
 def _site(
     mod: SourceModule, call: ast.Call, info: FunctionInfo, lock_class: str
 ) -> AcquireSite:
     site = AcquireSite(call=call, mod=mod, func=info, lock_class=lock_class)
-    if len(call.args) != 2 or not isinstance(call.func, ast.Attribute):
+    if not well_formed(call) or not isinstance(call.func, ast.Attribute):
         return site
     table, held = ast.dump(call.func.value), ast.dump(call.args[1])
     loop: Optional[ast.AST] = None

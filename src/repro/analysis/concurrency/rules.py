@@ -14,9 +14,11 @@
   ``throttle`` waits and nested ``run_until_complete`` drains are
   flagged under any lock.
 * LCK003 — lock not released on every exit path.  Outside
-  ``repro.sim`` every ``.acquire()`` call must be a
-  lock-table acquire inside a ``try`` whose ``finally`` releases its
-  held list through the same table (:mod:`.locks`).
+  ``repro.sim`` every ``.acquire()`` call must be a well-formed
+  lock-table acquire — ``(key, held)``, the mode only as ``shared=`` —
+  inside a ``try`` whose ``finally`` releases its held list through the
+  same table (:mod:`.locks`).  A shared acquire is held to the same
+  rule as an exclusive one.
 
 All three live in ``default_rules``.
 """
@@ -29,7 +31,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 from ..engine import Finding, Rule, SourceModule
 from ..rules.faults import _RETRY_CALLS, _is_io_site
 from .callgraph import walk_own
-from .locks import AcquireSite, LockModel, build_lock_model, table_class
+from .locks import AcquireSite, LockModel, build_lock_model, table_class, well_formed
 
 __all__ = ["LockOrderRule", "LockWaitRule", "LockReleaseRule", "BLOCKING_CALLS"]
 
@@ -323,6 +325,12 @@ class LockReleaseRule(Rule):
                     "bare .acquire() outside repro.sim: take locks through a"
                     " LockTable — `yield table.acquire(key, held)` inside a"
                     " try whose finally calls `table.release(held)`"
+                )
+            elif not well_formed(node):
+                message = (
+                    f"{lock_class} lock acquired in an unrecognised form: pass"
+                    f" the key and the held list, and the mode only as"
+                    f" `shared=`, so the release of its held list can be checked"
                 )
             else:
                 message = (

@@ -31,7 +31,7 @@ from .objectstore import (
 )
 from .osd import Node, OSD, OsdDownError, OsdError, OsdFullError
 from .pool import ErasureCoded, Pool, Replicated
-from .rados import Client, NotEnoughReplicas, RadosCluster, RemapDiff
+from .rados import Client, NotEnoughReplicas, PriorWriteFailed, RadosCluster, RemapDiff
 from .converge import (
     ConvergeStats,
     PGState,
@@ -82,6 +82,7 @@ __all__ = [
     "Client",
     "RadosCluster",
     "NotEnoughReplicas",
+    "PriorWriteFailed",
     "RemapDiff",
     "ConvergeStats",
     "PGState",

@@ -443,8 +443,9 @@ def _converge_object(
     """Process: settle one object; returns whether a copy moved or was
     trimmed.
 
-    Under the object's write lock — the lock every client write takes,
-    so none commits between a copy's read and its push — the object is
+    Under the object's write lock, held exclusively — every client write
+    holds it through its commit point (shared on a replicated pool), so
+    none commits between a copy's read and its push — the object is
     diffed again, pushed to every target in parallel and, once every
     acting member is up and holds it, trimmed everywhere else.  A failed
     push abandons the trim; the next pass retries both.

@@ -38,7 +38,10 @@ from .objectstore import NoSuchObject, ObjectKey, ObjectStore, StoredObject, Tra
 from .osd import Node, OSD, OsdDownError
 from .pool import Pool, Replicated
 
-__all__ = ["Client", "PgMove", "RadosCluster", "RemapDiff", "NotEnoughReplicas", "Sent"]
+__all__ = [
+    "Client", "PgMove", "PriorWriteFailed", "RadosCluster", "RemapDiff", "NotEnoughReplicas",
+    "Sent",
+]
 
 _needs_backfill = attrgetter("needs_backfill")
 
@@ -136,6 +139,16 @@ class NotEnoughReplicas(RuntimeError):
     retryable = True
 
 
+class PriorWriteFailed(RuntimeError):
+    """The write a submit was built on (its ``after``) did not commit.
+
+    Raised between the prepare and the commit point, so nothing is
+    mutated.  Retryable: the retry builds from the committed state.
+    """
+
+    retryable = True
+
+
 class Client:
     """A client host with its own NIC (the paper uses three of them)."""
 
@@ -176,8 +189,11 @@ class RadosCluster:
         #: Fault-injection hook (a FaultInjector, or None); consulted on
         #: every inter-host transfer.
         self.faults = None
-        # RADOS orders mutations per object at the PG: concurrent writes
-        # to one object serialise.
+        # Per-object write locks (docs/internals.md, "The commit
+        # pipeline"): a replicated write holds its key's lock shared, and
+        # writes built on one another commit in the order the caller
+        # gives (``after``); an EC write, whose read-modify-write reads
+        # the stripe under the lock, and convergence hold it exclusively.
         self.write_locks = LockTable(self.sim, "rados.write:{0.pool_id}/{0.pg}/{0.name}")
         # (pool_id, pg) -> _Unclean for every PG an OSD failure, restart,
         # expand or decommission left away from its CRUSH placement; IO
@@ -404,6 +420,7 @@ class RadosCluster:
         txn: Transaction,
         client: Optional[Client] = None,
         sent: Optional[Sent] = None,
+        after: Optional[Event] = None,
     ):
         """Process: apply ``txn`` atomically on every replica of ``oid``.
 
@@ -433,11 +450,17 @@ class RadosCluster:
         caller made before taking locks of its own; without one, the
         pipeline sends ``txn`` whole from ``client`` first.
 
+        ``after`` is the outcome event of the write ``txn`` was built on
+        (it succeeds with whether that write committed): this commit
+        point waits for it, and raises :class:`PriorWriteFailed` before
+        anything is mutated when it did not commit.  Replicated pools
+        only.
+
         Returns the generator of :meth:`_submit`, the pipeline shared
         with :meth:`submit_batch`, rather than wrapping it: a wrapping
         generator is one more frame to resume at every yield.
         """
-        return self._submit(pool, [(oid, txn)], client, sent)
+        return self._submit(pool, [(oid, txn)], client, sent, after)
 
     def submit_batch(self, pool: Pool, items, client: Optional[Client] = None):
         """Process: apply many ``(oid, txn)`` pairs with one prepared
@@ -462,7 +485,7 @@ class RadosCluster:
         all-or-nothing too.
         """
         items = [(oid, txn) for oid, txn in items if len(txn)]
-        return self._submit(pool, items, client, None)
+        return self._submit(pool, items, client, None, None)
 
     def send(self, pool: Pool, oid: str, nbytes: int, client: Optional[Client] = None):
         """Process: step 1 of the commit pipeline for a write into
@@ -547,6 +570,7 @@ class RadosCluster:
         items: List[Tuple[str, Transaction]],
         client: Optional[Client],
         sent: Optional[Sent],
+        after: Optional[Event],
     ):
         """Process: the one commit pipeline of :meth:`submit` and
         :meth:`submit_batch` (docs/internals.md, "The commit pipeline").
@@ -555,7 +579,9 @@ class RadosCluster:
            every item's replicas without any lock, move the payload to
            each group's primary and start its legs to the other
            replicas.
-        2. Take the items' write locks in key order.
+        2. Take the items' write locks in key order: shared on a
+           replicated pool, where the order of writes to one object is
+           the caller's (``after``), exclusive on an EC one.
         3. Resolve again, under the locks: this resolution is what
            commits.  Convergence changes holder sets only under the
            same locks, so a write that queued on the client NIC while
@@ -570,12 +596,13 @@ class RadosCluster:
            transaction per shard (:meth:`_ec_encode`), on the primary.
         5. Prepare every replica (shard) of every group — a replica
            whose leg carried the payload is sent only the control
-           message, the transaction's bytes beyond it — check quorum
-           for all groups, then commit all of them: one fault anywhere
-           and nothing is mutated.  Drop the parked copies of every
-           rewritten stripe; release.  The pipeline ends here, at its
-           commit point, once every leg has landed: the caller sends
-           the :meth:`reply`.
+           message, the transaction's bytes beyond it — wait for
+           ``after`` (a write this one was built on that did not commit
+           fails it here), check quorum for all groups, then commit all
+           of them: one fault anywhere and nothing is mutated.  Drop
+           the parked copies of every rewritten stripe; release.  The
+           pipeline ends here, at its commit point, once every leg has
+           landed: the caller sends the :meth:`reply`.
         """
         if not items:
             return
@@ -590,7 +617,7 @@ class RadosCluster:
         held: list = []
         try:
             for key in sorted({key for key, _txn in keyed}):
-                yield self.write_locks.acquire(key, held)
+                yield self.write_locks.acquire(key, held, shared=not ec)
             # Every change of an OSD's up/in state bumps the epoch,
             # and settled groups depend on nothing else but the
             # needs_backfill flags, which convergence clears without a
@@ -643,6 +670,13 @@ class RadosCluster:
                 for primary, shards in plan
                 for osd, txn, nbytes, leg in shards
             ])
+            if after is not None:
+                if not after.triggered:
+                    yield after
+                if not after.value:
+                    raise PriorWriteFailed(
+                        f"the write {items[0][0]!r} was built on did not commit"
+                    )
             # Commit point: every replica of every group prepared and
             # none is mutated yet.  Applying is instantaneous, so no
             # fault can interleave and split the copies.  An OSD that

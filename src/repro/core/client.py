@@ -172,7 +172,8 @@ class DedupedStorage:
 
     def drain(self) -> None:
         """Deduplicate everything pending (ignores hotness), then run the
-        GC over the false-positive deref queue (empty in strict mode).
+        GC over the engine's deref queue (the false-positive mode's
+        deferred dereferences, and any release a fault deferred).
 
         Runs up to ``config.engine_workers`` forced passes at once — see
         :meth:`DedupEngine.drain <repro.core.engine.DedupEngine.drain>`.

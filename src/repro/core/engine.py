@@ -31,7 +31,9 @@ hot objects are skipped entirely (selective dedup) until they cool off.
 
 A pass holds its members' locks from their map loads until step 7 has
 landed, the locks every foreground write and delete of those objects
-takes, so no mutation can land mid-pass.  A worker does not wait for
+takes, and once it has them waits for the writes already in flight to
+commit (:meth:`~repro.core.tier.DedupTier.writes_landed`), so no
+mutation can land mid-pass.  A worker does not wait for
 step 7: the pass hands it, with the locks, to a process of its own and
 the worker takes its next group.  No ABA fence is needed: until the
 release lands and frees the locks, no write can revert an entry to the
@@ -112,7 +114,8 @@ class EngineStats:
     #: object is requeued; references taken this pass are released).
     objects_requeued_fault: int = 0
     #: Dereferences skipped because the substrate faulted; the chunk is
-    #: left over-retained for the offline GC (never dangling).
+    #: left over-retained (never dangling) and the pair is queued on
+    #: :attr:`DedupEngine.deref_queue` for the next drain's GC.
     derefs_deferred_fault: int = 0
     chunks_flushed: int = 0
     chunks_deduped: int = 0
@@ -130,9 +133,10 @@ class DedupEngine:
         self.config = tier.config
         self.sim = tier.sim
         self.stats = EngineStats()
-        #: ``refcount_mode="false_positive"`` (§4.6): the old-chunk
-        #: dereferences of committed passes, queued for the GC instead
-        #: of released (always empty in strict mode).
+        #: References left for the GC: in ``refcount_mode=
+        #: "false_positive"`` (§4.6) the old-chunk dereferences of
+        #: committed passes, queued instead of released; in either mode
+        #: a release that faulted (:meth:`_release_or_defer`).
         self.deref_queue: List[Tuple[str, ChunkRef]] = []
         self._running = False
         self._procs = []
@@ -260,6 +264,8 @@ class DedupEngine:
             # Sorted acquisition: concurrent passes cannot deadlock.
             for oid in sorted(oids):
                 yield tier.object_locks.acquire(oid, held)
+            for oid in oids:
+                yield from tier.writes_landed(oid)
             result, derefs, via = yield from self._process_locked(oids)
             if (
                 derefs
@@ -534,10 +540,11 @@ class DedupEngine:
 
         Used for the old chunks of a committed pass and to undo the
         references an aborted pass took.  A release that itself faults
-        leaves *over*-retained references (safe: the offline GC reclaims
-        them); the refcount invariant "never dangling" holds either way.
-        The release is one all-or-nothing batch, so a fault defers
-        exactly the whole set.
+        leaves *over*-retained references (safe: the refcount invariant
+        "never dangling" holds either way) and queues the set on
+        :attr:`deref_queue`, so the next ``drain()``'s GC reclaims
+        whatever of it is still stale.  The release is one
+        all-or-nothing batch, so a fault defers exactly the whole set.
         """
         try:
             yield from self.tier.release_refs(pairs, via)
@@ -545,6 +552,7 @@ class DedupEngine:
             if not is_retryable(exc):
                 raise
             self.stats.derefs_deferred_fault += len(pairs)
+            self.deref_queue.extend(pairs)
 
     # -- cache maintenance -----------------------------------------------------------
 
@@ -565,6 +573,7 @@ class DedupEngine:
         held: list = []
         try:
             yield tier.object_locks.acquire(oid, held)
+            yield from tier.writes_landed(oid)
             cmap = yield from tier.load_chunk_map(oid)
             if cmap is None:
                 return "missing"
@@ -616,6 +625,7 @@ class DedupEngine:
         held: list = []
         try:
             yield tier.object_locks.acquire(oid, held)
+            yield from tier.writes_landed(oid)
             yield from self._demote_chunk_locked(oid, index)
         finally:
             tier.object_locks.release(held)
@@ -659,9 +669,10 @@ class DedupEngine:
         thread*s*, one pass per dirty metadata PG at a time; a single
         dirty PG runs inline) and rebuilt from
         the authoritative dirty bits until a rebuild finds nothing.
-        Optionally hands the false-positive deref queue to
+        Optionally hands :attr:`deref_queue` to
         :func:`~repro.core.scrub.collect_garbage` afterwards (an empty
-        queue, as in strict mode, costs nothing).  Used by benchmarks
+        queue costs nothing); a retryable fault in that GC leaves the
+        queue for the next drain.  Used by benchmarks
         to reach the fully deduplicated steady state before measuring
         space.
 
@@ -713,7 +724,14 @@ class DedupEngine:
                 raise RuntimeError("drain did not converge")
         if run_gc:
             queue, self.deref_queue = self.deref_queue, []
-            yield from collect_garbage(tier, queue)
+            try:
+                yield from collect_garbage(tier, queue)
+            except Exception as exc:
+                # The GC's release is all-or-nothing: nothing was
+                # dropped, so the whole queue waits for the next drain.
+                self.deref_queue.extend(queue)
+                if not is_retryable(exc):
+                    raise
 
     def drain_sync(self, run_gc: bool = True) -> None:
         """Synchronous :meth:`drain`."""

@@ -5,9 +5,13 @@ the common case, because dedup is post-processed: the data lands in the
 metadata object's data part (as cached chunks), chunk-map entries are
 created/updated with ``cached = dirty = True`` (the chunk ID stays unset
 — fingerprinting would add latency), and the object is logged in the
-dirty list.  The one exception: a write that partially covers a chunk
-whose bytes are *not* cached, once too fragmented to track, has the
-metadata primary pre-read the missing part from the chunk object.
+dirty list.  As RADOS orders the writes to one object without waiting
+for each to replicate, a write holds the object lock only to build its
+transaction and take its place in the object's write line; it
+replicates beside the writes ahead of it and commits after them.  The
+one exception to original-system cost: a write that partially covers a
+chunk whose bytes are *not* cached, once too fragmented to track, has
+the metadata primary pre-read the missing part from the chunk object.
 
 **Read path** — the chunk map routes each requested range either to the
 metadata object's data part (cached chunk: same cost as the original
@@ -101,21 +105,29 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
     1. the client sends the payload to the object's primary (placement
        hashes the unchanged, user-visible object ID), which starts it
        on to every other replica (:meth:`~repro.cluster.RadosCluster.send`);
-    2. under the object lock, a too-fragmented partial overwrite of a
-       non-cached chunk has the primary pre-read the missing bytes from
-       the chunk pool;
-    3. data is written to the object's data part and chunk-map entries
-       are created/updated — cached and dirty set, chunk ID left as-is;
-    4. the object ID is logged in the dirty list, the lock is released,
-       and the reply travels back to the client.
+    2. under the object lock, the write builds on the map the last write
+       in the object's line will commit (else the committed map), and a
+       too-fragmented partial overwrite of a non-cached chunk has the
+       primary pre-read the missing bytes from the chunk pool;
+    3. chunk-map entries are created/updated — cached and dirty set,
+       chunk ID left as-is — the write takes its place at the end of the
+       line, and the lock is released;
+    4. data is written to the object's data part together with the map,
+       committed after the write ahead of it in line; the object ID is
+       logged in the dirty list and the reply travels back to the
+       client.
 
     The map update and the data write are one transaction, so a crash
     either persists both or neither (§4.6).  The object lock covers only
-    the replicas' own work (steps 2–4 up to the commit, with the map's
-    bytes sent as a control message): writers of one object queue behind
-    each other's commits, not behind wire time.  One retry scope covers
-    send, lock and commit, so a retry re-sends the payload, as a client
-    does, and no backoff sleeps under the lock.
+    building the write (steps 2–3): writers of one object replicate side
+    by side and queue only for each other's commit points, not for wire
+    time or replication.  A write built on one that does not commit
+    fails before its commit point and is retried from the committed map.
+    On an erasure-coded metadata pool the write keeps the lock through
+    its commit instead (its read-modify-write reads the stripe under the
+    lock).  One retry scope covers send, lock and commit, so a retry
+    re-sends the payload, as a client does, and no backoff sleeps under
+    the lock.
     """
     if offset < 0:
         raise ValueError(f"negative offset {offset}")
@@ -131,21 +143,27 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
 # repro-lint: flt-scope -- one attempt of write_path's retry scope (send, lock, commit): a fault propagates to it, which re-sends
 def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
     """Process: one attempt of :func:`write_path` — send the payload,
-    then take the object lock and commit."""
+    take the object lock, build the transaction and take a place in the
+    object's write line, release the lock, commit."""
     cluster = tier.cluster
     pool = tier.metadata_pool
     key = tier.metadata_key(oid)
     sent = yield from cluster.send(pool, oid, len(data), client)
-    # Mutations of one object are serialised (as RADOS serialises ops
-    # per object at its PG): the chunk-map read-modify-write below must
-    # not interleave with a dedup pass committing a new map.
+    # Mutations of one object are ordered (as RADOS orders ops per
+    # object at its PG): the chunk-map read-modify-write below must not
+    # interleave with another write's or a dedup pass's.  A write builds
+    # on the map the write ahead of it in line commits, and commits
+    # after it; the lock is held only until it has its place in line.
     held: list = []
+    place = None
     try:
         yield tier.object_locks.acquire(oid, held)
         cs = tier.config.chunk_size
-        cmap = yield from tier.load_chunk_map(oid)
+        cmap, after = tier.write_line_tip(oid)
         if cmap is None:
-            cmap = ChunkMap(cs)
+            cmap = yield from tier.load_chunk_map(oid)
+            if cmap is None:
+                cmap = ChunkMap(cs)
         txn = Transaction()
         end = offset + len(data)
         for idx in tier.chunker.aligned_range(offset, len(data)):
@@ -194,11 +212,20 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
                 oid, idx, sum(e - s for s, e in entry.valid)
             )
         txn.write(key, offset, data)
+        if not pool.is_ec:
+            # An EC write's read-modify-write reads the stripe under its
+            # locks: it keeps the object lock through its commit.
+            place = tier.join_write_line(oid, cmap, after)
+            tier.object_locks.release(held)
+            held.clear()
         # The payload is already at the replicas, or on its way: the
         # commit sends each only the transaction's bytes beyond it.
         # Safe to retry: the transaction writes absolute offsets, so a
         # replay after a partial failure converges to the same state.
-        yield from tier.commit_map([(oid, cmap, txn)], sent=sent)
+        yield from tier.commit_map([(oid, cmap, txn)], sent=sent, after=after)
+        if place is not None:
+            tier.leave_write_line(oid, place)
+            place = None
         tier.mark_dirty(oid)
         tier.fg_window.note(len(data))
         tier.cache.record_access(oid)
@@ -207,6 +234,8 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
         # have landed (the submit settles its own).
         tier.object_locks.release(held)
         held.clear()
+        if place is not None:
+            tier.abandon_write_line(oid, place)
         yield from cluster.settle(sent)
         raise
     finally:
@@ -230,6 +259,7 @@ def delete_path(tier: DedupTier, oid: str, client=None):
     held: list = []
     try:
         yield tier.object_locks.acquire(oid, held)
+        yield from tier.writes_landed(oid)
         cmap = yield from tier.load_chunk_map(oid)
         if cmap is None:
             raise NoSuchObject(oid)

@@ -145,6 +145,7 @@ def collect_garbage(tier: DedupTier, candidates: Optional[List[Tuple[str, ChunkR
         live: Set[Tuple[str, ChunkRef]] = set()
         for oid in sorted({ref.source_oid for _cid, ref in candidates}):
             yield tier.object_locks.acquire(oid, held)
+            yield from tier.writes_landed(oid)
             live.update(_implied(tier, oid))
         stale = sorted(set(candidates) - live)
         stored = [(cid, ref) for cid, ref in stale if ref in tier._load_refs(cid)]

@@ -31,7 +31,7 @@ from ..cluster import (
 )
 from ..faults.retry import RetryPolicy, RetryStats, call_with_retries
 from ..perf.stages import StageCounters
-from ..sim import LockTable
+from ..sim import Event, LockTable
 from .config import DedupConfig
 from .cache import CacheManager
 from .objects import (
@@ -157,6 +157,12 @@ class DedupTier:
     :meth:`commit_map` commits it: on success a fork of it becomes the
     next snapshot, on failure the cached decode is dropped.  The map's
     version lives in its stored header, not here.
+
+    A foreground write commits after releasing its object lock, so the
+    tier keeps a *write line* per object with a write in flight
+    (:meth:`join_write_line`): the next write builds on the map the last
+    one will commit, and commits after it.  Every other user of the
+    object lock waits for the line to empty (:meth:`writes_landed`).
     """
 
     def __init__(
@@ -203,10 +209,18 @@ class DedupTier:
         #: Per-chunk-object locks serialising reference read-modify-write.
         self.chunk_locks = LockTable(cluster.sim, "tier.chunk:{}")
         #: Per-metadata-object locks serialising every mutation of one
-        #: object: foreground writes and deletes, dedup passes (two
-        #: engine workers, or flush-on-write racing the engine), and
-        #: promotion/demotion.
+        #: object: foreground writes (each until it has its place in the
+        #: write line) and deletes, dedup passes (two engine workers, or
+        #: flush-on-write racing the engine), promotion/demotion and GC.
         self.object_locks = LockTable(cluster.sim, "tier.object:{}")
+        # The write line: oid -> [projected map, outcome, chain] for each
+        # object with a write in flight past its object lock, and only
+        # while it has one.  The projected map is the map the last write
+        # in line commits (version one past, touched rows cleared); its
+        # outcome event succeeds with whether that write committed; the
+        # chain is the first outcome of the run of writes built on one
+        # another, so a failure drops only its own run's entry.
+        self._write_line: Dict[str, list] = {}
         #: Hot-path stage counters (chunking/fingerprint/ref/flush);
         #: always on, bumped inline.
         self.stage = StageCounters()
@@ -458,8 +472,78 @@ class DedupTier:
             self._cache_map(oid, cmap.copy())
         return cmap
 
+    # -- the write line ----------------------------------------------------------
+
+    def write_line_tip(self, oid: str):
+        """``(map, after)`` for a write of ``oid`` built under its object
+        lock: the caller's fork of the projected map of the last write in
+        line and that write's outcome event, or ``(None, None)`` when no
+        write is in flight (the caller loads the committed map)."""
+        tip = self._write_line.get(oid)
+        if tip is None:
+            return None, None
+        return tip[0].copy(), tip[1]
+
+    def join_write_line(self, oid: str, cmap: ChunkMap, after: Optional[Event]):
+        """Put a write of ``oid`` built as ``cmap`` on ``after`` (from
+        :meth:`write_line_tip`) at the end of the line, under the object
+        lock, just before the caller releases it to commit.  Returns its
+        place, for :meth:`leave_write_line` or
+        :meth:`abandon_write_line`."""
+        projected = cmap.copy()
+        projected.version += 1
+        projected.clear_touched()
+        outcome = Event(self.sim)
+        # The write built on may have resolved (and left) meanwhile: a
+        # pre-read yields under the lock.
+        tip = self._write_line.get(oid)
+        chain = outcome if tip is None else tip[2]
+        self._write_line[oid] = [projected, outcome, chain]
+        return outcome, chain, after
+
+    def leave_write_line(self, oid: str, place) -> None:
+        """A write in line committed: its entry goes if it is still the
+        last in line, and the writes built on it may commit."""
+        outcome = place[0]
+        tip = self._write_line.get(oid)
+        if tip is not None and tip[1] is outcome:
+            del self._write_line[oid]
+        outcome.succeed(True)
+
+    def abandon_write_line(self, oid: str, place) -> None:
+        """A write in line failed.  Once the write it was built on has
+        resolved — so the line resolves in order — the entry goes if it
+        still belongs to this write's chain (later writes then build
+        from the committed map), and the writes built on this one fail
+        at their commit point.  It does not yield, so an interrupt of
+        the failed attempt (its deadline) cannot cut it short: the
+        resolution waits on a callback instead."""
+        outcome, chain, after = place
+
+        def resolve(_=None):
+            tip = self._write_line.get(oid)
+            if tip is not None and tip[2] is chain:
+                del self._write_line[oid]
+            outcome.succeed(False)
+
+        if after is None or after.triggered:
+            resolve()
+        else:
+            after.subscribe(resolve)
+
+    def writes_landed(self, oid: str):
+        """Process: wait until ``oid`` has no write in flight.
+
+        Every exclusive user of the object lock — an engine pass, a
+        delete, promotion, demotion, GC — calls it right after taking
+        the lock: no write can join the line while the lock is held, and
+        the last write resolves only after every write ahead of it."""
+        tip = self._write_line.get(oid)
+        if tip is not None:
+            yield tip[1]
+
     # repro-lint: flt-scope -- commit primitive: a fault drops the cached decodes and propagates to the caller's scope, which retries, requeues or gives up
-    def commit_map(self, maps, client=None, sent=None):
+    def commit_map(self, maps, client=None, sent=None, after=None):
         """Process: commit each ``(oid, cmap, txn)`` of ``maps`` — ``cmap``
         as ``oid``'s chunk map, with ``txn`` — in one submit.
 
@@ -468,8 +552,8 @@ class DedupTier:
         ``cmap``'s) plus one omap record per *touched* entry — a 1-chunk
         update serialises one 150-byte record instead of the whole map;
         a new map has every entry touched.  One map goes to the metadata
-        pool through :meth:`RadosCluster.submit` (``sent`` as it takes
-        it); several — an engine pass over one PG's dirty objects — go
+        pool through :meth:`RadosCluster.submit` (``sent`` and ``after``
+        as it takes them); several — an engine pass over one PG's dirty objects — go
         through one :meth:`RadosCluster.submit_batch`: one prepared
         transaction per PG, all-or-nothing.  On success each ``cmap``
         takes its new version and a fork of it becomes the cached
@@ -495,7 +579,9 @@ class DedupTier:
         try:
             if len(items) == 1:
                 oid, txn = items[0]
-                yield from self.cluster.submit(self.metadata_pool, oid, txn, client, sent)
+                yield from self.cluster.submit(
+                    self.metadata_pool, oid, txn, client, sent, after
+                )
             else:
                 yield from self.cluster.submit_batch(self.metadata_pool, items, client)
         except Exception:

@@ -12,7 +12,7 @@ re-running the workload.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .collect import storage_metrics
 from .export import dump_trace_jsonl, load_trace_jsonl, prometheus_text, trace_jsonl_lines
@@ -66,12 +66,28 @@ def run_traced_workload(
     return storage, tracer
 
 
-def _load_records(args: Any) -> List[Dict[str, Any]]:
-    """Trace records from ``--trace PATH`` or a fresh seeded run."""
-    if getattr(args, "trace", None):
-        return load_trace_jsonl(args.trace)
-    _storage, tracer = run_traced_workload(seed=args.seed, objects=args.objects)
-    return tracer.to_records()
+#: Fields of every span record :func:`cmd_trace` dumps, which ``report``
+#: and ``top-spans`` read.
+_RECORD_FIELDS = ("span_id", "parent_id", "trace_id", "stage", "start", "end")
+
+
+def _load_records(args: Any) -> Optional[List[Dict[str, Any]]]:
+    """Trace records from ``--trace PATH`` or a fresh seeded run.
+
+    ``None``, after one line on stderr naming the path (and the line
+    and field, for a file that is not a ``repro obs trace`` dump), when
+    PATH cannot be read as one."""
+    path = getattr(args, "trace", None)
+    if not path:
+        _storage, tracer = run_traced_workload(seed=args.seed, objects=args.objects)
+        return tracer.to_records()
+    try:
+        return load_trace_jsonl(path, required=_RECORD_FIELDS)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc} (not a `repro obs trace` dump)", file=sys.stderr)
+    return None
 
 
 def cmd_trace(args: Any) -> int:
@@ -108,6 +124,8 @@ def cmd_trace(args: Any) -> int:
 def cmd_report(args: Any) -> int:
     """Per-stage rollup plus root-op coverage for a trace."""
     records = _load_records(args)
+    if records is None:
+        return 2
     if not records:
         print("trace is empty: no spans recorded", file=sys.stderr)
         return 1
@@ -140,6 +158,8 @@ def cmd_report(args: Any) -> int:
 def cmd_top_spans(args: Any) -> int:
     """The N slowest spans, longest first."""
     records = _load_records(args)
+    if records is None:
+        return 2
     slowest = top_spans(records, limit=args.limit, stage_prefix=args.stage)
     if not slowest:
         print("no finished spans matched", file=sys.stderr)

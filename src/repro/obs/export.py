@@ -8,7 +8,7 @@ the text exposition walks families and series in sorted order.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Sequence
 
 from .registry import MetricsRegistry
 
@@ -37,14 +37,28 @@ def dump_trace_jsonl(records: Iterable[Dict[str, Any]], path: str) -> int:
     return len(lines)
 
 
-def load_trace_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Read span records back from a JSONL trace dump."""
+def load_trace_jsonl(path: str, required: Sequence[str] = ()) -> List[Dict[str, Any]]:
+    """Read span records back from a JSONL trace dump.
+
+    Raises ``ValueError`` naming ``path`` and the line number for a line
+    that is not a JSON object, or that lacks one of the ``required``
+    fields."""
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: not a span record")
+            for name in required:
+                if name not in record:
+                    raise ValueError(f"{path}:{lineno}: span record has no {name!r} field")
+            records.append(record)
     return records
 
 

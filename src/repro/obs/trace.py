@@ -106,6 +106,13 @@ def _none(*_args: Any, **_kwargs: Any) -> Tags:
     return {}
 
 
+def _lock(table: Any, key: Any, _held: Any, shared: bool = False) -> Tags:
+    tags: Tags = {"lock": table.label.format(key)}
+    if shared:
+        tags["shared"] = True
+    return tags
+
+
 #: ``(module, qualname, stage, tags)`` per traced boundary; ``tags`` is
 #: called with the call's own arguments.
 SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
@@ -128,8 +135,7 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.cluster.hardware", "Cpu.fingerprint", "cpu.fingerprint",
      lambda _self, nbytes: {"nbytes": nbytes}),
     # The dedup tier and its I/O paths.
-    ("repro.sim.resources", "LockTable.acquire", "lock.wait",
-     lambda self, key, _held: {"lock": self.label.format(key)}),
+    ("repro.sim.resources", "LockTable.acquire", "lock.wait", _lock),
     ("repro.core.tier", "DedupTier.load_chunk_map", "tier.load_chunk_map", _oid),
     ("repro.core.tier", "DedupTier.read_local_chunk", "tier.read_local_chunk",
      lambda _self, oid, _offset, length: {"oid": oid, "nbytes": length}),

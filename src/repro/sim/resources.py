@@ -3,40 +3,37 @@
 * :class:`Resource` — a counted semaphore with FIFO queuing; models a
   device that can serve ``capacity`` requests concurrently (e.g. an SSD
   with an internal queue depth, or a CPU with N cores).
-* :class:`LockTable` — per-key mutexes (one capacity-1 ``Resource`` per
-  key, alive only while held or awaited); every lock of the tier and
-  the substrate is taken through one.
+* :class:`LockTable` — per-key FIFO locks, exclusive or shared, alive
+  only while held or awaited; every lock of the tier and the substrate
+  is taken through one.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, Dict, Generator, Hashable, List, Optional, Tuple, cast
+from typing import Any, Deque, Dict, Generator, Hashable, List, Tuple, cast
 
 from .core import Event, SimulationError, Simulator
 
 __all__ = ["LockTable", "Resource"]
 
-_Waiters = Deque[Tuple[Event, Optional[float]]]
+_Waiters = Deque[Tuple[Event, float]]
 
 #: What a :class:`Resource` has for a waiter queue until someone waits:
-#: one shared, empty, immutable stand-in.  Most locks are never
-#: contended, and an empty ``deque`` of their own is ~760 bytes each.
+#: one shared, empty, immutable stand-in, as a :class:`LockTable` lock
+#: has.  An empty ``deque`` of its own is ~760 bytes.
 _NO_WAITERS = cast(_Waiters, ())
 
 
 class Resource:
-    """A counted FIFO resource (semaphore) on the simulated clock.
+    """A counted FIFO resource (semaphore) on the simulated clock: a
+    device held for a service time known up front.
 
-    :meth:`acquire` returns a grant event that the caller yields; a lock
-    is taken that way through a :class:`LockTable`, which owes a
-    :meth:`release` from the instant the grant triggers.
-
-    A device is held for a service time known up front:
     ``yield from resource.serve(t)`` (or, as a process of its own,
-    ``yield sim.process(resource.serve(t))``) queues FIFO behind the same
-    waiters and costs one kernel event, the completion — see :meth:`hold`.
+    ``yield sim.process(resource.serve(t))``) queues FIFO and costs one
+    kernel event, the completion — see :meth:`hold`.  Locks, whose hold
+    is not known up front, are a :class:`LockTable`'s.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
@@ -45,9 +42,8 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._in_use = 0
-        #: FIFO of ``(event, duration)``: ``duration`` is ``None`` for an
-        #: :meth:`acquire` and the service time for a :meth:`hold`.
-        #: Built by the first waiter to queue.
+        #: FIFO of ``(completion event, service time)`` of queued
+        #: :meth:`hold` calls.  Built by the first waiter to queue.
         self._waiters: _Waiters = _NO_WAITERS
         #: Total simulated time during which at least one slot was busy.
         self.busy_time = 0.0
@@ -63,11 +59,11 @@ class Resource:
 
     @property
     def queue_len(self) -> int:
-        """Number of acquirers waiting for a slot."""
+        """Number of services waiting for a slot."""
         return len(self._waiters)
 
     def _account(self) -> None:
-        # acquire(), hold() and release() carry this same arithmetic
+        # hold() and release() carry this same arithmetic
         # inline (a frame per device hop is measurable); keep them in step.
         now = self.sim.now
         elapsed = now - self._last_change
@@ -85,37 +81,14 @@ class Resource:
             return 0.0
         return self.busy_integral / (elapsed * self.capacity)
 
-    def acquire(self) -> Event:
-        """Return an event that fires once a slot is granted (FIFO)."""
-        sim = self.sim
-        event = Event(sim)
-        in_use = self._in_use
-        if in_use < self.capacity and not self._waiters:
-            now = sim.now
-            elapsed = now - self._last_change
-            if elapsed > 0:
-                self.busy_integral += elapsed * in_use
-                if in_use > 0:
-                    self.busy_time += elapsed
-            self._last_change = now
-            self._in_use = in_use + 1
-            event.succeed(self)
-        else:
-            if self._waiters is _NO_WAITERS:
-                self._waiters = deque()
-            self._waiters.append((event, None))
-        return event
-
     def hold(self, duration: float) -> Event:
         """Return an event that fires once a slot has been held ``duration``.
 
-        The one-event form of ``acquire()`` + ``timeout(duration)`` for a
-        service whose length is known up front.  Same FIFO queue, same
-        accounting as :meth:`acquire`; but when the
-        slot is granted — here if one is free, otherwise inside the
-        :meth:`release` that hands it over — the *completion* is pushed
-        onto the heap at ``now + duration``, where the grant would have
-        been pushed at ``now``.  So ``triggered`` on the returned event
+        The one-event form of a slot grant plus ``timeout(duration)``:
+        when the slot is granted — here if one is free, otherwise inside
+        the :meth:`release` that hands it over — the *completion* is
+        pushed onto the heap at ``now + duration``, where a grant would
+        have been pushed at ``now``.  So ``triggered`` on the returned event
         means "service has started" and the caller owes a
         :meth:`release` from then on, whether it waits for the completion
         or is interrupted out of it (:meth:`serve` is that caller).  An
@@ -152,7 +125,7 @@ class Resource:
         """
         in_use = self._in_use
         if in_use <= 0:
-            raise SimulationError("release() without a matching acquire()")
+            raise SimulationError("release() without a held slot")
         sim = self.sim
         now = sim.now
         elapsed = now - self._last_change
@@ -164,12 +137,10 @@ class Resource:
             waiter, duration = self._waiters.popleft()
             if waiter.cancelled:
                 continue
-            # Hand the slot straight to the next waiter; occupancy unchanged.
-            if duration is None:
-                waiter.succeed(self)
-            else:  # a hold(): its service starts now
-                waiter.triggered = True
-                heappush(sim._queue, (now + duration, next(sim._seq), waiter))
+            # Hand the slot straight to the next waiter, whose service
+            # starts now; occupancy unchanged.
+            waiter.triggered = True
+            heappush(sim._queue, (now + duration, next(sim._seq), waiter))
             return
         self._in_use = in_use - 1
 
@@ -188,8 +159,42 @@ class Resource:
                 self.release()
 
 
+class _Lock:
+    """One key's lock in a :class:`LockTable`: FIFO, held by one
+    exclusive holder or by any number of shared ones."""
+
+    __slots__ = ("holders", "exclusive", "waiters")
+
+    def __init__(self) -> None:
+        self.holders = 0
+        #: Whether the holders (then exactly one) hold it exclusively.
+        self.exclusive = False
+        #: FIFO of ``(grant event, shared)``; built by the first waiter.
+        self.waiters: Deque[Tuple[Event, bool]] = cast(Deque[Tuple[Event, bool]], ())
+
+    def grant(self) -> None:
+        """Grant waiters from the head of the line while they fit: the
+        first one on a free lock, then any shared ones behind a shared
+        grant, up to the first exclusive waiter.  Cancelled waiters (an
+        interrupted process detached from its wait) are dropped, never
+        granted — they would never release."""
+        waiters = self.waiters
+        while waiters:
+            event, shared = waiters[0]
+            if event.cancelled:
+                waiters.popleft()
+                continue
+            if self.holders and (self.exclusive or not shared):
+                return
+            waiters.popleft()
+            self.holders += 1
+            self.exclusive = not shared
+            event.succeed(self)
+
+
 class LockTable:
-    """Per-key capacity-1 locks that exist only while in use.
+    """Per-key FIFO locks, exclusive or shared, that exist only while in
+    use.
 
     The one way a lock is taken::
 
@@ -200,38 +205,60 @@ class LockTable:
         finally:
             table.release(held)
 
-    :meth:`acquire` fetches (or creates) the key's :class:`Resource` at
-    that instant and records the grant in ``held`` *before* the caller
-    yields it.  :meth:`release` gives back exactly the grants that
-    triggered: a deadline that interrupts the caller in the instant its
-    grant is handed over still owes the lock, and a waiter interrupted
-    while queued never had it (the holder's release skips its cancelled
+    :meth:`acquire` fetches (or creates) the key's lock at that instant
+    and records the grant in ``held`` *before* the caller yields it.
+    :meth:`release` gives back exactly the grants that triggered: a
+    deadline that interrupts the caller in the instant its grant is
+    handed over still owes the lock, and a waiter interrupted while
+    queued never had it (the holder's release skips its cancelled
     event).  Several keys are taken in ``sorted(...)`` order into one
     ``held`` list, so no two tasks can wait on each other; a ``held``
     list belongs to one table.
 
+    A request is exclusive unless it asks for ``shared=True``.  Shared
+    holders hold the lock together; the line is FIFO across both modes,
+    so a shared request queues behind a waiting exclusive one, which
+    therefore cannot starve, and an exclusive one waits until every
+    holder ahead of it has released.
+
     An entry is dropped by the release that leaves it idle — a release
-    hands the lock to the next live waiter or drains every cancelled one
-    first — so the table holds only keys with a holder, and a key taken
-    again later gets a fresh lock.  ``label`` formats a key into the
-    lock's name, ``"class:..."`` (e.g. ``"tier.chunk:{}"``), which a
+    hands the lock to the next live waiters or drains every cancelled
+    one first — so the table holds only keys with a holder, and a key
+    taken again later gets a fresh lock.  ``label`` formats a key into
+    the lock's name, ``"class:..."`` (e.g. ``"tier.chunk:{}"``), which a
     :class:`repro.obs.Tracer` puts on each ``lock.wait`` span.
     """
 
     def __init__(self, sim: Simulator, label: str) -> None:
         self.sim = sim
         self.label = label
-        self._locks: Dict[Hashable, Resource] = {}
+        self._locks: Dict[Hashable, _Lock] = {}
 
     def __len__(self) -> int:
         return len(self._locks)
 
-    def acquire(self, key: Hashable, held: List[Tuple[Hashable, Event]]) -> Event:
-        """Return the grant event for ``key``'s lock, recorded in ``held``."""
+    def acquire(
+        self, key: Hashable, held: List[Tuple[Hashable, Event]], shared: bool = False
+    ) -> Event:
+        """Return the grant event for ``key``'s lock, recorded in ``held``;
+        ``shared`` asks for it in shared mode."""
         lock = self._locks.get(key)
         if lock is None:
-            lock = self._locks[key] = Resource(self.sim, 1)
-        grant = lock.acquire()
+            lock = self._locks[key] = _Lock()
+        grant = Event(self.sim)
+        waiters = lock.waiters
+        if waiters and waiters[0][0].cancelled:
+            # Waiters that gave up while queued: drop them, and grant
+            # whoever queued behind them only.
+            lock.grant()
+        if not waiters and (not lock.holders or shared and not lock.exclusive):
+            lock.holders += 1
+            lock.exclusive = not shared
+            grant.succeed(lock)
+        else:
+            if not waiters:
+                waiters = lock.waiters = deque()
+            waiters.append((grant, shared))
         held.append((key, grant))
         return grant
 
@@ -241,6 +268,9 @@ class LockTable:
         for key, grant in reversed(held):
             if grant.triggered:
                 lock = locks[key]
-                lock.release()
-                if not lock._in_use:
+                lock.holders -= 1
+                if not lock.holders:
+                    lock.exclusive = False
+                lock.grant()
+                if not lock.holders:
                     del locks[key]

@@ -54,3 +54,30 @@ def sorted_multi_guarded(self, keys):
         yield None
     finally:
         self.write_locks.release(held)
+
+
+def shared_before_try(self, key):
+    held = []
+    yield self.write_locks.acquire(key, held, shared=True)  # line 61: LCK003 (outside the try)
+    try:
+        yield None
+    finally:
+        self.write_locks.release(held)
+
+
+def shared_guarded(self, key, ec):
+    held = []
+    try:
+        yield self.write_locks.acquire(key, held, shared=not ec)
+        yield None
+    finally:
+        self.write_locks.release(held)
+
+
+def mode_as_a_positional(self, key, ec):
+    held = []
+    try:
+        yield self.write_locks.acquire(key, held, not ec)  # line 80: LCK003 (mode not named)
+        yield None
+    finally:
+        self.write_locks.release(held)

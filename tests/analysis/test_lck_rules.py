@@ -35,9 +35,11 @@ def test_lck003_flags_leaks_but_not_guarded_shapes():
     result = lint_fixtures({"lck003.py": "repro.core.fixture_lck003"})
     # 8: a bare acquire, not through a lock table; 14: a table acquire
     # yielded before the try; 24: a multi-acquire loop whose try sits
-    # beyond the loop; 34: a finally releasing through another table.
-    # Both guarded shapes (one key, sorted keys) stay quiet.
-    assert found(result, "LCK003") == (8, 14, 24, 34)
+    # beyond the loop; 34: a finally releasing through another table;
+    # 61: a shared acquire yielded before the try; 80: a mode passed
+    # positionally, not as ``shared=``.  The guarded shapes (one key,
+    # sorted keys, one key shared) stay quiet.
+    assert found(result, "LCK003") == (8, 14, 24, 34, 61, 80)
     assert not result.ok
 
 

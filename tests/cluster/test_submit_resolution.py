@@ -167,3 +167,56 @@ def test_a_partial_write_after_a_mark_out_goes_only_to_the_holders():
                 assert osd.store.get(key).read() in (expected, bytes([i]) * (4 * KiB)), (
                     oid, osd.osd_id)
     assert moved  # the mark-out did move PGs onto non-holders
+
+
+def test_a_converge_queued_behind_shared_writes_runs_before_later_writes(monkeypatch):
+    # Two replicated writes hold an object's write lock together
+    # (shared); convergence of its remapped PG queues for it exclusively,
+    # and a third write queues behind the convergence.  The convergence
+    # copies only once both writes have committed, and the third write
+    # waits for it to finish: it lands on the converged acting set.
+    from repro.cluster import ConvergeStats, converge_sync
+    from repro.cluster.converge import converge_pg
+
+    cluster, pool = _cluster()
+    sim = cluster.sim
+    moved = {m.pg for m in cluster.expand("host2", 2).remaps if m.pool_id == pool.pool_id}
+    oid = next("obj%d" % i for i in range(8) if pool.pg_of("obj%d" % i) in moved)
+    key = cluster.object_key(pool, oid)
+    grants = []  # (time, shared) per write-lock grant on the object
+    acquire = cluster.write_locks.acquire
+
+    def recording(lock_key, held, shared=False):
+        grant = acquire(lock_key, held, shared=shared)
+        if lock_key == key:
+            grant.subscribe(lambda _event: grants.append((sim.now, shared)))
+        return grant
+
+    monkeypatch.setattr(cluster.write_locks, "acquire", recording)
+
+    def write(fill, client):
+        return sim.process(cluster.write(pool, oid, 0, fill * (64 * KiB), cluster.client(client)))
+
+    with Tracer(sim) as tracer:
+        first = [write(b"A", "c1"), write(b"B", "c2")]
+        while len(grants) < 2:
+            sim.step()
+        assert not any(w.triggered for w in first)  # both hold it, neither committed
+        converging = sim.process(converge_pg(cluster, pool, key.pg, ConvergeStats()))
+        later = write(b"C", "c3")
+        sim.run_until_complete(sim.all_of(first + [converging, later]))
+    assert [shared for _t, shared in grants] == [True, True, False, True]
+    submits = [s for s in tracer.spans if s.stage == "rados.submit"]
+    copies = [s for s in tracer.spans if s.stage == "converge.copy"]
+    assert len(submits) == 3 and copies
+    first_commits = max(s.end for s in submits[:2])
+    assert grants[1][0] < first_commits  # the two writes held it together
+    assert first_commits <= grants[2][0]  # the convergence waited for both
+    assert first_commits <= min(c.start for c in copies)  # never copied mid-write
+    assert max(c.end for c in copies) <= grants[3][0]  # and ran before the third
+    assert submits[2].end > max(c.end for c in copies)
+    converge_sync(cluster)
+    acting = [cluster.osds[i] for i in pool.acting_set(key.pg)]
+    assert all(osd.store.read(key) == b"C" * (64 * KiB) for osd in acting)
+    assert scrub_pool_sync(cluster, pool).clean
+    assert len(cluster.write_locks) == 0

@@ -299,6 +299,7 @@ def test_tier_state_is_bounded_by_live_objects_and_the_cache():
     assert "_map_cache" in sizes
     assert {name: n for name, n in sizes.items() if n > bound} == {}
     assert tier._map_fences == {}
+    assert tier._write_line == {}
 
 
 def test_read_during_batched_pass_is_consistent():

@@ -117,8 +117,8 @@ def test_a_worker_takes_its_next_object_before_the_release_lands():
         granted = next(when for _t, o, when, worker in grants if o == oid and not worker)
         writes[oid] = (issued, granted)
 
-    def write_at_commit(maps, client=None, sent=None):
-        yield from commit_map(maps, client, sent)
+    def write_at_commit(maps, client=None, sent=None, after=None):
+        yield from commit_map(maps, client, sent, after)
         for oid, _cmap, _txn in maps:
             if oid not in writes and oid not in released and len(writes) < 2:
                 writes[oid] = None
@@ -239,6 +239,33 @@ def test_a_release_that_faults_is_deferred_to_the_gc():
     report = scrub_sync(storage.tier)
     assert report.stale_references and not report.dangling_map_entries
     assert collect_garbage_sync(storage.tier).references_dropped >= 1
+    for oid, data in expected.items():
+        assert storage.read_sync(oid) == data
+    assert_settled(storage)
+
+
+def test_a_release_that_faults_is_reclaimed_by_the_drains_gc():
+    """The deferred set goes on the deref queue and a drain's GC drops
+    it: no stale reference is left for the offline repair.  The fault
+    window still covers the faulted drain's own GC, which keeps the
+    queue; the next drain, once the window has closed, reclaims it."""
+    oids = ["obj0", "obj1"]
+    start, end = release_window(oids)
+    storage = make_storage(engine_workers=2)
+    expected = flushed_then_patched(storage, oids)
+    cluster = storage.cluster
+    now = storage.sim.now
+    injector = FaultInjector(cluster, FaultPlan([
+        FaultEvent(start - now, "transient_errors", str(osd), duration=end - start,
+                   params={"probability": 1.0})
+        for osd in sorted(cluster.osds)
+    ], seed=1)).attach()
+    storage.engine.drain_sync()
+    injector.detach()
+    assert storage.engine.stats.derefs_deferred_fault >= 1
+    storage.engine.drain_sync()
+    assert storage.engine.deref_queue == []
+    assert not scrub_sync(storage.tier).stale_references
     for oid, data in expected.items():
         assert storage.read_sync(oid) == data
     assert_settled(storage)

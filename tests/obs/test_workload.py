@@ -2,6 +2,8 @@
 
 import contextlib
 
+import pytest
+
 from repro.cli import main
 from repro.obs import Tracer, check_trace
 from repro.obs.cli import REQUIRED_STAGE_PREFIXES, run_traced_workload
@@ -171,3 +173,32 @@ def test_obs_report_rejects_a_trace_with_no_finished_span(tmp_path, capsys):
     )
     assert main(["obs", "report", "--trace", str(dump)]) == 1
     assert "no finished spans" in capsys.readouterr().err
+
+
+E2E_SPAN = '{"id":0,"name":"DedupedStorage.write","start":0.0,"end":0.001,"parent":-1,"root":0,"a":null,"b":null}\n'
+
+
+@pytest.mark.parametrize("command", ["report", "top-spans"])
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        # A span of the e2e benchmark's own tracer (``run.py --out``).
+        (E2E_SPAN, ":1: span record has no 'span_id' field"),
+        ("\n" + E2E_SPAN.replace('"id"', '"span_id"'), ":2: span record has no 'parent_id' field"),
+        ('{"span_id": 1,\n', ":1: not JSON"),
+        ("[1, 2]\n", ":1: not a span record"),
+        (None, ": No such file or directory"),
+    ],
+    ids=["e2e-span", "e2e-span-line-2", "bad-json", "not-a-record", "missing-file"],
+)
+def test_obs_report_and_top_spans_reject_a_file_that_is_not_a_trace_dump(
+    tmp_path, capsys, command, content, where
+):
+    path = tmp_path / "spans.jsonl"
+    if content is not None:
+        path.write_text(content)
+    assert main(["obs", command, "--trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {path}{where}")

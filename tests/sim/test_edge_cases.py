@@ -1,7 +1,7 @@
 """Edge-case coverage for the simulation kernel."""
 
 
-from repro.sim import Resource, Simulator
+from repro.sim import LockTable, Simulator
 
 
 def test_all_of_with_already_triggered_events():
@@ -60,27 +60,31 @@ def test_nested_processes_three_deep():
 
 def test_resource_released_in_finally_on_failure():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    table = LockTable(sim, "test.lock:{}")
 
-    def failing(sim, res):
-        yield res.acquire()
+    def failing(sim, table):
+        held = []
         try:
+            yield table.acquire("k", held)
             yield sim.timeout(1.0)
             raise RuntimeError("boom")
         finally:
-            res.release()
+            table.release(held)
 
-    def follower(sim, res):
-        yield res.acquire()
-        res.release()
+    def follower(sim, table):
+        held = []
+        try:
+            yield table.acquire("k", held)
+        finally:
+            table.release(held)
         return sim.now
 
-    bad = sim.process(failing(sim, res))
-    good = sim.process(follower(sim, res))
+    bad = sim.process(failing(sim, table))
+    good = sim.process(follower(sim, table))
     sim.run()
     assert not bad.ok
-    assert good.value == 1.0  # the slot was freed despite the crash
-    assert res.in_use == 0
+    assert good.value == 1.0  # the lock was freed despite the crash
+    assert len(table) == 0
 
 
 def test_process_return_none_by_default():

@@ -17,7 +17,7 @@ import weakref
 
 import pytest
 
-from repro.sim import Interrupt, Resource, SimulationError, Simulator
+from repro.sim import Interrupt, LockTable, Resource, SimulationError, Simulator
 
 
 def run_scenario():
@@ -52,31 +52,36 @@ def run_scenario():
 
     # -- t=0..1: a FIFO hand-off chain, with one queued waiter interrupted --
 
-    lock = Resource(sim, capacity=1)
+    lock = LockTable(sim, "test.lock:{}")
 
     def holder():
-        yield lock.acquire()
+        held = []
+        yield lock.acquire("k", held)
         note("holder:granted")
         yield sim.timeout(1.0)
-        lock.release()
+        lock.release(held)
         note("holder:released")
         yield sim.timeout(0)
         note("holder:after-timeout0")
 
     def waiter(name):
         note(name + ":queued")
-        yield lock.acquire()
+        held = []
+        yield lock.acquire("k", held)
         note(name + ":granted")
-        lock.release()
+        lock.release(held)
         note(name + ":released")
 
     def victim():
         note("victim:queued")
+        held = []
         try:
-            yield lock.acquire()
+            yield lock.acquire("k", held)
             note("victim:granted")
         except Interrupt as intr:
-            note("victim:interrupted(%s) queue_len=%d" % (intr.cause, lock.queue_len))
+            queued = len(lock._locks["k"].waiters)
+            note("victim:interrupted(%s) queue_len=%d" % (intr.cause, queued))
+        lock.release(held)
         yield sim.timeout(0.5)
         note("victim:done")
 
@@ -197,9 +202,8 @@ EXPECTED = [
 def test_same_timestamp_ordering_is_the_pinned_trace():
     sim, lock, log = run_scenario()
     assert log == EXPECTED
-    # The interrupted waiter's slot was neither granted nor leaked.
-    assert lock.in_use == 0
-    assert lock.queue_len == 0
+    # The interrupted waiter's lock was neither granted nor leaked.
+    assert len(lock) == 0
     assert sim.now == 4.0
 
 

@@ -78,8 +78,10 @@ def pytest_approx(x, rel=1e-9):
 
 
 def _reference_serve(sim, res, duration):
-    """acquire + timeout + release: two kernel events per service."""
-    grant = res.acquire()
+    """Grant + timeout + release: two kernel events per service.  The
+    grant is a zero-length hold, which fires at the instant the slot is
+    handed over — the grant event a slot acquire made."""
+    grant = res.hold(0.0)
     try:
         yield grant
         yield sim.timeout(duration)

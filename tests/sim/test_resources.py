@@ -52,10 +52,8 @@ def test_resource_fifo_order():
 
     def user(sim, res, name, arrive):
         yield sim.timeout(arrive)
-        yield res.acquire()
+        yield from res.serve(1.0)
         order.append(name)
-        yield sim.timeout(1.0)
-        res.release()
 
     sim.process(user(sim, res, "first", 0.0))
     sim.process(user(sim, res, "second", 0.1))
@@ -100,8 +98,7 @@ def test_resource_queue_len():
 
     def waiter(sim, res):
         yield sim.timeout(1.0)
-        yield res.acquire()
-        res.release()
+        yield from res.serve(1.0)
 
     sim.process(holder(sim, res))
     sim.process(waiter(sim, res))
@@ -112,59 +109,56 @@ def test_resource_queue_len():
 
 def test_uncontended_resource_never_builds_a_waiter_queue():
     """Most locks are taken and released without anyone queueing: those
-    must not each own an empty deque (~760 bytes, 15k of them per run)."""
+    must not each own an empty deque (~760 bytes, 15k of them per run),
+    and neither must a device that never queues."""
     from collections import deque
 
     sim = Simulator()
-    locks = [Resource(sim) for _ in range(100)]
+    table = LockTable(sim, "test.lock:{}")
     for _ in range(100):  # 10 000 uncontended cycles
-        for lock in locks:
-            grant = lock.acquire()
-            assert grant.triggered and lock.queue_len == 0
-            lock.release()
+        for key in range(100):
+            held = []
+            grant = table.acquire(key, held)
+            assert grant.triggered
+            assert not isinstance(table._locks[key].waiters, deque)
+            table.release(held)
+    assert len(table) == 0
     device = Resource(sim, capacity=2)
     sim.process(device.serve(1.0))
     sim.process(device.serve(1.0))
     sim.run()
-    for res in locks + [device]:
-        assert not isinstance(res._waiters, deque)
-        assert (res.in_use, res.queue_len) == (0, 0)
+    assert not isinstance(device._waiters, deque)
+    assert (device.in_use, device.queue_len) == (0, 0)
 
 
 def test_first_waiter_builds_the_queue_and_order_is_unchanged():
-    """Once contended: FIFO across acquire() and hold() waiters, a
-    cancelled waiter is skipped, and the drained queue is reused."""
+    """Once contended: FIFO across waiters, a cancelled waiter is
+    skipped, and the drained queue is reused."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     order = []
 
-    def locker(name):
+    def served(name):
         try:
-            yield res.acquire()
+            yield from res.serve(1.0)
         except Interrupt:
             return  # interrupted while queued: never held the slot
         order.append((name, sim.now))
-        yield sim.timeout(1.0)
-        res.release()
 
-    def served(name):
-        yield from res.serve(1.0)
-        order.append((name, sim.now))
-
-    sim.process(locker("a"))
+    sim.process(served("a"))
     sim.process(served("b"))
-    doomed = sim.process(locker("c"))
-    sim.process(locker("d"))
+    doomed = sim.process(served("c"))
+    sim.process(served("d"))
     _interrupt_at(sim, doomed, 0.5)
     sim.run(until=0.25)
     assert res.queue_len == 3
     sim.run()
-    assert order == [("a", 0.0), ("b", 2.0), ("d", 2.0)]
+    assert order == [("a", 1.0), ("b", 2.0), ("d", 3.0)]
     assert (res.in_use, res.queue_len) == (0, 0)
-    sim.process(locker("e"))
-    sim.process(locker("f"))
+    sim.process(served("e"))
+    sim.process(served("f"))
     sim.run()
-    assert order[3:] == [("e", 3.0), ("f", 4.0)]
+    assert order[3:] == [("e", 4.0), ("f", 5.0)]
 
 
 def test_serve_is_one_event_per_service():
@@ -283,30 +277,35 @@ def test_interrupted_waiter_does_not_wedge_the_resource():
     # retry deadline); its abandoned waiter slot must not absorb the
     # release, or C can never acquire.
     sim = Simulator()
-    lock = Resource(sim, capacity=1)
+    table = LockTable(sim, "test.lock:{}")
     order = []
 
     def holder():
-        yield lock.acquire()
+        held = []
         try:
+            yield table.acquire("k", held)
             yield sim.timeout(1.0)
         finally:
-            lock.release()
+            table.release(held)
 
     def impatient():
         yield sim.timeout(0.1)
+        held = []
         try:
-            yield lock.acquire()
+            yield table.acquire("k", held)
         except Interrupt:
             order.append("interrupted")
-            return
-        lock.release()
+        finally:
+            table.release(held)
 
     def successor():
         yield sim.timeout(0.2)
-        yield lock.acquire()
-        order.append("acquired")
-        lock.release()
+        held = []
+        try:
+            yield table.acquire("k", held)
+            order.append("acquired")
+        finally:
+            table.release(held)
 
     sim.process(holder())
     victim = sim.process(impatient())
@@ -314,7 +313,7 @@ def test_interrupted_waiter_does_not_wedge_the_resource():
     sim.process(successor())
     sim.run()
     assert order == ["interrupted", "acquired"]
-    assert (lock.in_use, lock.queue_len) == (0, 0)
+    assert len(table) == 0
 
 
 def test_interrupt_in_service_frees_the_slot_then_and_only_then():
@@ -355,9 +354,9 @@ def test_interrupt_in_service_frees_the_slot_then_and_only_then():
 
 # --------------------------------------------------------------- LockTable
 
-#: name -> (users as (name, arrive, hold), interrupts as (name, when),
-#: expected log).  A "granted" line carries the number of holders then,
-#: a "done" line the number of table entries left.
+#: name -> (users as (name, arrive, hold[, shared]), interrupts as
+#: (name, when), expected log).  A "granted" line carries the number of
+#: holders then, a "done" line the number of table entries left.
 LOCK_PLANS = {
     "uncontended": (
         [("a", 0.0, 1.0)],
@@ -415,6 +414,64 @@ LOCK_PLANS = {
             ("late", "done", 2.5, 0),
         ],
     ),
+    "shared-holders-granted-together": (
+        [("a", 0.0, 2.0, True), ("b", 0.5, 2.0, True), ("x", 1.0, 1.0)],
+        [],
+        [
+            ("a", "granted", 0.0, 1),
+            ("b", "granted", 0.5, 2),  # beside a, not after it
+            ("a", "done", 2.0, 1),
+            ("b", "done", 2.5, 1),  # the exclusive x waited for both
+            ("x", "granted", 2.5, 1),
+            ("x", "done", 3.5, 0),
+        ],
+    ),
+    "exclusive-waiter-blocks-later-shared": (
+        # FIFO across modes: c could share with a, but queues behind x.
+        [("a", 0.0, 2.0, True), ("x", 0.5, 1.0), ("c", 1.0, 1.0, True),
+         ("d", 1.5, 1.0, True)],
+        [],
+        [
+            ("a", "granted", 0.0, 1),
+            ("a", "done", 2.0, 1),
+            ("x", "granted", 2.0, 1),
+            ("x", "done", 3.0, 1),
+            ("c", "granted", 3.0, 1),  # every shared waiter behind x at once
+            ("d", "granted", 3.0, 2),
+            ("c", "done", 4.0, 1),
+            ("d", "done", 4.0, 0),
+        ],
+    ),
+    "cancelled-exclusive-waiter-skipped": (
+        # x gives up while queued, with b queued behind it: the next
+        # request drops x and grants b, then shares the lock itself.
+        [("a", 0.0, 3.0, True), ("x", 0.5, 1.0), ("b", 1.0, 1.0, True),
+         ("c", 2.0, 1.0, True)],
+        [("x", 1.5)],
+        [
+            ("a", "granted", 0.0, 1),
+            ("x", "interrupted", 1.5),
+            ("x", "done", 1.5, 1),
+            ("b", "granted", 2.0, 2),
+            ("c", "granted", 2.0, 3),
+            ("a", "done", 3.0, 1),
+            ("b", "done", 3.0, 1),
+            ("c", "done", 3.0, 0),
+        ],
+    ),
+    "cancelled-waiter-skipped-by-a-shared-release": (
+        # a's release skips the dead x and grants the shared b.
+        [("a", 0.0, 2.0, True), ("x", 0.5, 1.0), ("b", 1.0, 1.0, True)],
+        [("x", 1.5)],
+        [
+            ("a", "granted", 0.0, 1),
+            ("x", "interrupted", 1.5),
+            ("x", "done", 1.5, 1),
+            ("a", "done", 2.0, 1),
+            ("b", "granted", 2.0, 1),
+            ("b", "done", 3.0, 0),
+        ],
+    ),
 }
 
 
@@ -426,11 +483,11 @@ def test_lock_table(users, interrupts, expected):
     table = LockTable(sim, "test.lock:{}")
     log, holders, procs = [], [], {}
 
-    def user(name, arrive, hold):
+    def user(name, arrive, hold, shared=False):
         yield sim.timeout(arrive)
         held = []
         try:
-            yield table.acquire("k", held)
+            yield table.acquire("k", held, shared=shared)
             holders.append(name)
             log.append((name, "granted", sim.now, len(holders)))
             yield sim.timeout(hold)
@@ -450,8 +507,8 @@ def test_lock_table(users, interrupts, expected):
     # before a user's wake-up.
     for name, when in interrupts:
         sim.process(deadline(name, when))
-    for name, arrive, hold in users:
-        procs[name] = sim.process(user(name, arrive, hold))
+    for name, *plan in users:
+        procs[name] = sim.process(user(name, *plan))
     sim.run()
     assert log == expected
     assert len(table) == 0

@@ -63,10 +63,15 @@ CLI_DIGESTS = {
 }
 
 SCENARIO_DIGEST = (
-    # Moved when a replicated commit began sending its payload to the
-    # replicas before the write lock: from `b2.2` on (7.5 ms) every op
-    # ends 0.38 us sooner.  Every outcome and read-back is as it was.
-    "9bfd04aa6157ccc1734578bf1e19668fb8110cb4e4a34c31cc7ca81890db0970"
+    # Moved when a replicated write began holding its object's write
+    # lock shared: from `b2.2` (7.4 ms) on, writes to one object prepare
+    # side by side, so ops end in another order and the injected EIOs
+    # (p = 0.5) fall on other ops: 5 TransientOpError outcomes (was 6;
+    # `w0.4 r4` now fails, three EC writes that failed now succeed and
+    # one that succeeded fails), the r4/e0/e5 read-backs follow those
+    # outcomes, the rebalance moves 9 and trims 6 (was 10 and 7).
+    # `settled` is as it was.
+    "0fe3cedb708ed26d13b8288e74cf363307234c8b46be1cd9c7033b99cac58397"
 )
 
 

@@ -37,7 +37,7 @@ with open(".github/workflows/ci.yml") as fh:
     doc = yaml.safe_load(fh)
 jobs = doc["jobs"]
 expected = {
-    "lint", "lint-invariants", "test", "test-no-numpy",
+    "lint", "lint-invariants", "test",
     "coverage", "scenario-smoke", "e2e-smoke",
     "paper-benches", "obs-smoke", "bench-full",
 }
@@ -73,13 +73,6 @@ step "test: tier-1 suite" env PYTHONPATH=src python -m pytest -x -q
 # prints the new digests.
 step "test: simulation digests" \
     env PYTHONPATH=src python -m pytest -q tests/sim/test_sim_digest.py
-
-# -- test-no-numpy job -------------------------------------------------------
-# CI uninstalls NumPy outright; locally REPRO_NO_NUMPY=1 forces the same
-# pure-Python fallback paths (chunking reference scanners, GF(256) via
-# bytes.translate) without touching the environment.
-step "test-no-numpy: tier-1 suite, pure-Python fallback" \
-    env PYTHONPATH=src REPRO_NO_NUMPY=1 python -m pytest -x -q
 
 # -- coverage job -----------------------------------------------------------
 if python -c "import pytest_cov" >/dev/null 2>&1; then

@@ -2,7 +2,6 @@
 
 from .base import ChunkSpan, Chunker, validate_chunking
 from .cdc import GearChunker
-from .rabin import RabinChunker
 from .static import StaticChunker
 
-__all__ = ["ChunkSpan", "Chunker", "validate_chunking", "StaticChunker", "GearChunker", "RabinChunker"]
+__all__ = ["ChunkSpan", "Chunker", "validate_chunking", "StaticChunker", "GearChunker"]

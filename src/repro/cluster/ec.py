@@ -15,26 +15,17 @@ The module also owns the on-disk form of a shard (the functions at the
 bottom): every other module builds, parses and filters shard objects
 through them.
 
-NumPy is an optional extra (``pip install repro[fast]``): with it, shard
-arithmetic runs on uint8 arrays; without it (or with ``REPRO_NO_NUMPY``
-set), the same scalar-times-shard products run through cached 256-byte
-``bytes.translate`` tables and bigint XOR — slower, but byte-identical.
+Shard arithmetic is scalar-times-shard products through cached 256-byte
+``bytes.translate`` tables, summed with bigint XOR: each product and
+each sum is one C-level call over a whole shard.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .objectstore import StoredObject
-
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("NumPy disabled via REPRO_NO_NUMPY")
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the no-NumPy CI leg
-    np = None  # type: ignore[assignment]
 
 __all__ = ["GF256", "ReedSolomon"]
 
@@ -59,7 +50,6 @@ class GF256:
     #: Row ``a`` is the 256-byte product table ``a * b`` for every byte
     #: ``b`` — directly usable with ``bytes.translate``.
     _MUL_ROWS: Optional[List[bytes]] = None
-    _MUL_NP = None  # (256, 256) uint8 array when NumPy is available
 
     @classmethod
     def _tables(cls):
@@ -80,10 +70,6 @@ class GF256:
                     bytes([0] + [exp[(log[a] + log[b]) % 255] for b in range(1, 256)])
                 )
             cls._EXP, cls._LOG, cls._MUL_ROWS = exp, log, rows
-            if np is not None:
-                cls._MUL_NP = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(
-                    256, 256
-                )
         return cls._EXP, cls._LOG, cls._MUL_ROWS
 
     @classmethod
@@ -115,12 +101,6 @@ class GF256:
             return 0
         exp, log, _ = cls._tables()
         return exp[(log[a] * n) % 255]
-
-    @classmethod
-    def mul_bytes(cls, coef: int, data):
-        """Multiply every byte of ``data`` (uint8 array) by ``coef``."""
-        cls._tables()
-        return cls._MUL_NP[coef][data]
 
     @classmethod
     def mat_mul(cls, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -196,29 +176,6 @@ class ReedSolomon:
         remember the original length to :meth:`decode`.
         """
         size = self.shard_size(len(data)) if data else 1
-        if np is None:
-            return self._encode_py(data, size)
-        if data and len(data) % self.k == 0:
-            # Aligned payload: view the caller's buffer directly instead
-            # of allocating + copying a padded array (read-only is fine —
-            # encode only reads the data shards).
-            data_shards = np.frombuffer(data, dtype=np.uint8).reshape(self.k, size)
-        else:
-            padded = np.zeros(size * self.k, dtype=np.uint8)
-            if data:
-                padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-            data_shards = padded.reshape(self.k, size)
-        shards = [bytes(data_shards[i]) for i in range(self.k)]
-        for row in range(self.m):
-            acc = np.zeros(size, dtype=np.uint8)
-            for col in range(self.k):
-                coef = self._matrix[self.k + row][col]
-                if coef:
-                    acc ^= GF256.mul_bytes(coef, data_shards[col])
-            shards.append(bytes(acc))
-        return shards
-
-    def _encode_py(self, data: bytes, size: int) -> List[bytes]:
         padded = bytes(data).ljust(size * self.k, b"\x00")
         shards = [padded[i * size : (i + 1) * size] for i in range(self.k)]
         for row in range(self.m):
@@ -250,23 +207,6 @@ class ReedSolomon:
         sub = [self._matrix[i] for i in use]
         inv = GF256.mat_inv(sub)
         size = len(shards[use[0]])
-        if np is None:
-            return self._decode_py(shards, use, inv, size, length)
-        survivors = [
-            np.frombuffer(shards[i], dtype=np.uint8) for i in use
-        ]
-        out = []
-        for row in range(self.k):
-            acc = np.zeros(size, dtype=np.uint8)
-            for col in range(self.k):
-                coef = inv[row][col]
-                if coef:
-                    acc ^= GF256.mul_bytes(coef, survivors[col])
-            out.append(acc)
-        payload = b"".join(bytes(chunk) for chunk in out)
-        return payload[:length]
-
-    def _decode_py(self, shards, use, inv, size, length) -> bytes:
         survivors = [bytes(shards[i]) for i in use]
         out = []
         for row in range(self.k):

@@ -12,7 +12,7 @@ walk, but everything here is plain deterministic Python:
   instead of silently eating memory;
 * iteration order is sorted (family name, then label values), never
   insertion order, so exports are stable across runs and Python
-  versions — including under ``REPRO_NO_NUMPY``.
+  versions.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the content-defined (gear/FastCDC-style) chunker."""
 
+import hashlib
 import random
 
 import pytest
@@ -84,3 +85,107 @@ def test_invalid_params():
 def test_cdc_tiles_any_payload(data):
     chunker = GearChunker(avg_size=256)
     validate_chunking(data, chunker.chunk(data))
+
+
+# Configs that hit the scanner's edge regimes: default min/max, a
+# one-byte min, degenerate min == avg == max (every cut forced by the
+# clamp), and a wide min/max spread (long easy-mask segments).
+EDGE_CONFIGS = [
+    dict(avg_size=256),
+    dict(avg_size=512, min_size=1),
+    dict(avg_size=1024, min_size=1024, max_size=1024),
+    dict(avg_size=256, min_size=8, max_size=4096),
+    dict(avg_size=64, min_size=1, max_size=64 * 8),
+]
+
+
+def cuts(spans):
+    return [(s.offset, s.length) for s in spans]
+
+
+@pytest.mark.parametrize("size", [0, 50_000])
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_buffer_inputs_chunk_like_bytes(wrap, size):
+    """bytearray and memoryview inputs cut where the same bytes do, and
+    their spans hold those bytes."""
+    data = random_bytes(size, seed=4)
+    chunker = GearChunker(avg_size=1024)
+    ref = chunker.chunk(data)
+    spans = chunker.chunk(wrap(data))
+    assert cuts(spans) == cuts(ref)
+    assert [bytes(s.data) for s in spans] == [bytes(s.data) for s in ref]
+
+
+@given(
+    data=st.binary(min_size=1, max_size=8192),
+    offset=st.integers(min_value=0, max_value=512),
+)
+@settings(max_examples=30, deadline=None)
+def test_memoryview_offset_inputs(data, offset):
+    """Offset memoryview slices (the tier's zero-copy path) cut where
+    the same bytes do."""
+    view = memoryview(data)[min(offset, len(data)) :]
+    chunker = GearChunker(avg_size=256, min_size=16)
+    spans = chunker.chunk(view)
+    ref = chunker.chunk(bytes(view))
+    assert cuts(spans) == cuts(ref)
+    assert [bytes(s.data) for s in spans] == [bytes(s.data) for s in ref]
+
+
+@pytest.mark.parametrize("cfg", EDGE_CONFIGS)
+def test_input_shorter_than_min_size_is_one_chunk(cfg):
+    chunker = GearChunker(**cfg)
+    for n in sorted({1, max(1, chunker.min_size - 1), chunker.min_size}):
+        data = random_bytes(n, seed=n)
+        assert cuts(chunker.chunk(data)) == [(0, n)]
+
+
+@pytest.mark.parametrize("cfg", EDGE_CONFIGS)
+def test_input_of_exactly_max_size(cfg):
+    chunker = GearChunker(**cfg)
+    data = random_bytes(chunker.max_size, seed=5)
+    spans = chunker.chunk(data)
+    validate_chunking(data, spans)
+    assert all(s.length <= chunker.max_size for s in spans)
+    if chunker.min_size == chunker.max_size:
+        assert cuts(spans) == [(0, chunker.max_size)]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"",
+        bytes(50_000),
+        b"\xff" * 50_000,
+        bytes(range(256)) * 200,
+        b"abcd" * 12_000,
+    ],
+    ids=["empty", "zeros", "ones", "ramp", "repeat4"],
+)
+def test_structured_corpora(payload):
+    """Degenerate, repetitive streams (worst cases for rolling hashes)
+    still tile within the size limits, at every edge config."""
+    for cfg in EDGE_CONFIGS:
+        chunker = GearChunker(**cfg)
+        spans = chunker.chunk(payload)
+        validate_chunking(payload, spans)
+        assert all(s.length <= chunker.max_size for s in spans)
+        assert all(s.length >= chunker.min_size for s in spans[:-1])
+
+
+# SHA-256 of the comma-joined cut offsets over ``random_bytes(1 MiB,
+# seed=1)``, with the chunk count: the exact boundaries the scanner
+# emits at three target sizes.
+CUT_DIGESTS = {
+    1024: (864, "4ce6f6880cf3ce6fd63b7ac34a0e99326885394a3ebbaf731d24b1ca1724964b"),
+    8192: (106, "c8995ddcc2ba333f90bb3f109b55f71237f55b861481267cf68e3609884ac89a"),
+    32768: (24, "d040546a280d0528097403b4c0446a5d3c5ef5e481fb71a1a2ffe34415b9a8f4"),
+}
+
+
+@pytest.mark.parametrize("avg", sorted(CUT_DIGESTS))
+def test_cut_points_known_answer(avg):
+    data = random_bytes(1 << 20, seed=1)
+    ends = [s.offset + s.length for s in GearChunker(avg_size=avg).chunk(data)]
+    digest = hashlib.sha256(",".join(map(str, ends)).encode()).hexdigest()
+    assert (len(ends), digest) == CUT_DIGESTS[avg]

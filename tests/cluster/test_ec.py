@@ -148,3 +148,59 @@ def test_any_k_subset_decodes(data, seed):
     for i in rng.sample(range(5), 2):
         shards[i] = None
     assert rs.decode(shards, len(data)) == data
+
+
+# ------------------------------------------------------- known answers
+#
+# SHA-256 of the concatenated shards of ``encode`` over seeded payloads
+# (``random.Random(length).randbytes(length)``): the exact bytes the
+# codec writes, so a change to the field tables, the generator matrix
+# or the shard layout cannot pass unnoticed.
+
+ENCODE_DIGESTS = {
+    (2, 1, 0): "709e80c88487a2411e1ee4dfb9f22a861492d20c4765150c0c794abd70f8147c",
+    (2, 1, 1): "08c8ce66ae357a102874f714c7335f437ae746b99d33f1239e07b2e69430da31",
+    (2, 1, 17): "996e1016003c66a584d9c51172d879aa016ec63ee25354e1a4a6a70506f4554f",
+    (2, 1, 4099): "9461c08115a9cb2d8bf6485b80617ef9edfde67394108760da988d2a6bf770db",
+    (2, 1, 32768): "a75db325e70aebbf28584eb189829a493c82668d9aa58d7b02ea0b53b95fbac1",
+    (2, 1, 4194304): "e4ab7221f06323f5f174ca8f99d3d29b7b831daa79aa39529e7d542ef8d81970",
+    (4, 2, 0): "b0f66adc83641586656866813fd9dd0b8ebb63796075661ba45d1aa8089e1d44",
+    (4, 2, 1): "f1199e9edb289d4d5676294f5a77bfa89f3f0a0938e8d9a65edd7980e02f44dd",
+    (4, 2, 17): "ab2119a3136035ac59056ef4bbd5016c1926c223f7a8ae6ec79913f16d231b61",
+    (4, 2, 4099): "8f661a805ffcb74ac5da8a843dbc8169799d69993e8b054273a4deae47fd2b4e",
+    (4, 2, 32768): "7fe76cb8f99ba21d2ddb171e6e4ea0cee6bb011b64f5594b40bf8a23f59e9164",
+    (4, 2, 4194304): "ca622fb54fa664b789a1534259d4201818391427d2633d06f4d8b9df0f3e123f",
+}
+
+
+def seeded_payload(length):
+    import random
+
+    return random.Random(length).randbytes(length)
+
+
+@pytest.mark.parametrize("k,m,length", sorted(ENCODE_DIGESTS))
+def test_encode_known_answer(k, m, length):
+    import hashlib
+
+    shards = ReedSolomon(k=k, m=m).encode(seeded_payload(length))
+    assert len(shards) == k + m
+    assert len({len(s) for s in shards}) == 1
+    digest = hashlib.sha256(b"".join(shards)).hexdigest()
+    assert digest == ENCODE_DIGESTS[(k, m, length)]
+
+
+@pytest.mark.parametrize("k,m,lost", [(2, 1, [0]), (4, 2, [1, 3])])
+@pytest.mark.parametrize("length", [17, 4099, 32768])
+def test_decode_and_reconstruct_known_answer(k, m, lost, length):
+    """Decoding through parity (a data shard missing) and rebuilding
+    that shard give back exactly the payload and the encoded shard."""
+    rs = ReedSolomon(k=k, m=m)
+    data = seeded_payload(length)
+    shards = rs.encode(data)
+    damaged = list(shards)
+    for index in lost:
+        damaged[index] = None
+    assert rs.decode(damaged, length) == data
+    for index in lost:
+        assert rs.reconstruct_shard(damaged, index, length) == shards[index]

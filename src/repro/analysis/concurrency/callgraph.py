@@ -132,13 +132,6 @@ class CallGraph:
             if cls is not None:
                 self._by_class_name.setdefault((cls, node.name), []).append(info)
 
-    def function_of(self, mod: SourceModule, node: ast.AST) -> Optional[FunctionInfo]:
-        """The innermost function def enclosing ``node``, if indexed."""
-        for anc in mod.ancestors(node):
-            if isinstance(anc, _FUNC_DEFS):
-                return self.by_node.get(id(anc))
-        return None
-
     # -- resolution ------------------------------------------------------
 
     def _resolve_function(

@@ -112,7 +112,7 @@ def table_class(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _releases(node: ast.AST, table: str, held: str) -> bool:
+def _is_release_of(node: ast.AST, table: str, held: str) -> bool:
     """Whether ``node`` is ``<table>.release(<held>)`` (as ``ast.dump``-s)."""
     return (
         isinstance(node, ast.Call)
@@ -145,7 +145,7 @@ def _site(
             isinstance(anc, ast.Try)
             and any(stmt is child for stmt in anc.body)
             and any(
-                _releases(sub, table, held)
+                _is_release_of(sub, table, held)
                 for stmt in anc.finalbody
                 for sub in ast.walk(stmt)
             )

@@ -35,11 +35,6 @@ class OsdInfo:
     #: decommissioned OSD back into placement.
     decommissioned: bool = False
 
-    @property
-    def active(self) -> bool:
-        """Whether the OSD both serves I/O and participates in placement."""
-        return self.up and self.in_cluster
-
 
 @dataclass
 class ClusterMap:
@@ -116,10 +111,6 @@ class ClusterMap:
             if info.in_cluster and info.weight > 0:
                 by_host.setdefault(info.host, []).append(info.osd_id)
         return by_host
-
-    def active_osds(self) -> List[int]:
-        """Ids of OSDs that are both up and in."""
-        return [i for i, info in self.osds.items() if info.active]
 
     def in_osds(self) -> List[int]:
         """Ids of OSDs that are in placement (up or not)."""

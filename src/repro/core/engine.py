@@ -33,15 +33,14 @@ A pass holds its members' locks from their map loads until step 7 has
 landed, the locks every foreground write and delete of those objects
 takes, and once it has them waits for the writes already in flight to
 commit (:meth:`~repro.core.tier.DedupTier.writes_landed`), so no
-mutation can land mid-pass.  A worker does not wait for
-step 7: the pass hands it, with the locks, to a process of its own and
-the worker takes its next group.  No ABA fence is needed: until the
-release lands and frees the locks, no write can revert an entry to the
-old content and no later pass can take the reference it drops.  A pass
-that faults anywhere instead aborts the whole group before any chunk map
-commits (undoing the references it took) and every member is re-queued
-— the dirty bits, which are part of the same transactions as the data
-they describe, remain the source of truth.
+mutation can land mid-pass.  The pass runs step 7 itself and frees the
+locks once it has landed.  No ABA fence is needed: until then no write
+can revert an entry to the old content and no later pass can take the
+reference it drops.  A pass that faults anywhere instead aborts the
+whole group before any chunk map commits (undoing the references it
+took) and every member is re-queued — the dirty bits, which are part of
+the same transactions as the data they describe, remain the source of
+truth.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ def _settle(proc):
         try:
             yield proc
         except Exception:
-            pass  # reported by the caller's own error or by _release_errors
+            pass  # the caller reports its own error
 
 
 @dataclass
@@ -141,17 +140,6 @@ class DedupEngine:
         self._running = False
         self._procs = []
         self._promoting = set()
-        #: Tasks running a worker loop (:meth:`_worker`).  A strict-mode
-        #: pass run by one hands its old-chunk release off; any other
-        #: caller of :meth:`process_object` gets it inline.
-        self._worker_tasks = set()
-        #: Old-chunk releases handed off by worker passes and still in
-        #: flight, by the pass's first member, in start order.  Each owns
-        #: its members' locks and removes itself when it ends.
-        self._releases = {}
-        #: Non-retryable errors raised by handed-off releases, for the
-        #: next :meth:`drain` to re-raise.
-        self._release_errors = []
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -186,35 +174,25 @@ class DedupEngine:
         forced passes of :meth:`drain`.  Runs until ``stop()`` is true;
         on an empty dirty list a background worker sleeps
         ``dedup_interval`` and a forced one returns.
-
-        A worker takes its next group as soon as a pass's chunk maps
-        commit: the pass's old-chunk release runs on as a process of its
-        own, holding the group's object locks until it lands
-        (:meth:`process_object`).
         """
         tier = self.tier
-        task = self.sim.current_task
-        self._worker_tasks.add(task)
-        try:
-            while not stop():
-                group = tier.next_dirty_group()
-                if not group:
-                    if force:
-                        return
-                    yield self.sim.timeout(self.config.dedup_interval)
-                    continue
-                try:
-                    yield from self.process_object(*group, force=force)
-                except Exception as exc:
-                    # Graceful degradation: a transient substrate fault
-                    # must never kill a worker — requeue the group and
-                    # keep draining.  Non-retryable errors are real bugs
-                    # and stay loud.
-                    if not is_retryable(exc):
-                        raise
-                    self._requeue_faulted(group)
-        finally:
-            self._worker_tasks.discard(task)
+        while not stop():
+            group = tier.next_dirty_group()
+            if not group:
+                if force:
+                    return
+                yield self.sim.timeout(self.config.dedup_interval)
+                continue
+            try:
+                yield from self.process_object(*group, force=force)
+            except Exception as exc:
+                # Graceful degradation: a transient substrate fault must
+                # never kill a worker — requeue the group and keep
+                # draining.  Non-retryable errors are real bugs and stay
+                # loud.
+                if not is_retryable(exc):
+                    raise
+                self._requeue_faulted(group)
 
     # -- one pass ---------------------------------------------------------------
 
@@ -228,17 +206,14 @@ class DedupEngine:
         flush-on-write, where the caller is already foreground.  Returns
         ``"faulted"`` when a fault aborted the pass (every member
         requeued), else ``"done"`` when a member was processed,
-        ``"skipped_hot"`` when every member was hot, or ``"missing"``;
-        it returns once the pass's old-chunk references are released
-        (§4.4.1 step 3, after the maps commit).
+        ``"skipped_hot"`` when every member was hot, or ``"missing"``.
 
-        In an engine worker, a strict-mode pass instead hands that release
-        to a process of its own, which takes over the group's object
-        locks and frees them once the release lands; the worker moves on
-        at the map commit.  Every write, delete, promotion and later pass
-        on a member still waits for its lock, so none sees the entry
-        between its commit and its release, and no later pass can take a
-        reference the release would then drop.
+        The pass releases its old-chunk references (§4.4.1 step 3, after
+        the maps commit) under the members' object locks and frees them
+        only once the release has landed.  Every write, delete, promotion
+        and later pass on a member waits for its lock, so none sees the
+        entry between its commit and its release, and no later pass can
+        take a reference the release would then drop.
         """
         tier = self.tier
         if not force:
@@ -259,28 +234,15 @@ class DedupEngine:
             for _ in range(max(1, dirty)):
                 yield from tier.rate.throttle()
         held: list = []
-        handed_off = False
         try:
             # Sorted acquisition: concurrent passes cannot deadlock.
             for oid in sorted(oids):
                 yield tier.object_locks.acquire(oid, held)
             for oid in oids:
                 yield from tier.writes_landed(oid)
-            result, derefs, via = yield from self._process_locked(oids)
-            if (
-                derefs
-                and self.config.refcount_mode == "strict"
-                and self.sim.current_task in self._worker_tasks
-            ):
-                self._releases[oids[0]] = self.sim.process(
-                    self._release(oids[0], derefs, via, held)
-                )
-                handed_off = True
-            elif derefs:
-                yield from self._apply_derefs(derefs, via)
+            result = yield from self._process_locked(oids)
         finally:
-            if not handed_off:
-                tier.object_locks.release(held)
+            tier.object_locks.release(held)
         # Outside the locks: a capacity victim may be a member.
         yield from self.enforce_cache_capacity()
         return result
@@ -289,12 +251,11 @@ class DedupEngine:
         """Process: the pass itself, under its members' object locks.
 
         Loads every member's chunk map, assembles and fingerprints their
-        dirty chunks, then commits every reference in one
+        dirty chunks, commits every reference in one
         :meth:`~DedupTier.commit_chunk_batch` and every map in one
-        :meth:`~DedupTier.commit_map`.  Returns ``(result, derefs, via)``:
-        ``derefs`` are the ``(chunk_id, ref)`` references to the old
-        chunks of entries the committed maps re-pointed, for the caller
-        to release through ``via``.
+        :meth:`~DedupTier.commit_map`, then releases the old chunks of
+        the entries the committed maps re-pointed.  Returns
+        :meth:`process_object`'s result.
         """
         tier = self.tier
         members = []  # (oid, cmap, primary) of the members that exist
@@ -307,7 +268,7 @@ class DedupEngine:
                     primary = tier.cluster._primary(tier.metadata_pool, oid)
                     members.append((oid, cmap, primary))
             if not members:
-                return "missing", (), None
+                return "missing"
             # One PG, one primary: it initiates the pass's chunk-pool
             # traffic and its commits.
             via = NodeClient(members[0][2].node)
@@ -331,7 +292,7 @@ class DedupEngine:
                 (oid, cmap, chunks)
                 for (oid, cmap, _primary), chunks in zip(members, assembled)
             ]
-            pending_derefs, taken, maps = yield from self._commit_refs(staged, via)
+            derefs, taken, maps = yield from self._commit_refs(staged, via)
             if maps:
                 yield from tier.commit_map(maps, via)
                 yield tier.cluster.reply()
@@ -347,9 +308,11 @@ class DedupEngine:
             if taken:
                 yield from self._release_or_defer(taken, via)
             self._requeue_faulted(oids)
-            return "faulted", (), None
+            return "faulted"
         self.stats.objects_processed += len(members)
-        return "done", pending_derefs, via
+        if derefs:
+            yield from self._apply_derefs(derefs, via)
+        return "done"
 
     def _requeue_faulted(self, oids):
         """Put the members of a pass a fault abandoned back on the dirty
@@ -502,27 +465,6 @@ class DedupEngine:
                 )
         return reads
 
-    def _release(self, oid, pairs, via, held):
-        """Process: a worker pass's handed-off old-chunk release, filed
-        under ``oid``, the pass's first member.
-
-        Owns the pass's object-lock grants ``held`` and frees them once
-        the release has landed (or been deferred to the GC by a fault).
-        """
-        try:
-            yield from self._apply_derefs(pairs, via)
-        except Exception as exc:
-            self._release_errors.append(exc)
-            raise
-        finally:
-            del self._releases[oid]
-            self.tier.object_locks.release(held)
-
-    def _releases_landed(self):
-        """Process: wait until no handed-off release is in flight."""
-        while self._releases:
-            yield from _settle(next(iter(self._releases.values())))
-
     def _apply_derefs(self, pairs, via):
         """Process: release old-chunk references after the map commits.
 
@@ -674,18 +616,14 @@ class DedupEngine:
         queue costs nothing); a retryable fault in that GC leaves the
         queue for the next drain.  Used by benchmarks
         to reach the fully deduplicated steady state before measuring
-        space.
-
-        Before each rebuild, and so before GC and before returning, it
-        waits until no release a worker handed off is in flight: a drain
-        returns with every reference settled and every lock free.
+        space.  Every pass releases its old chunks before its worker
+        takes the next group, so a drain returns with every reference
+        settled and every lock free.
 
         A non-retryable error in one pass stops the hand-out: no worker
         pops another group, siblings finish the pass they hold (they
-        are never interrupted), and once the releases in flight have
-        ended the first error is re-raised — a pass's, else one a
-        handed-off release raised since the last drain.  The dirty bits
-        stay authoritative, so a later ``drain()`` converges.
+        are never interrupted), and the first error is re-raised.  The
+        dirty bits stay authoritative, so a later ``drain()`` converges.
         """
         tier = self.tier
         errors = []
@@ -700,10 +638,6 @@ class DedupEngine:
         while True:
             width = min(self.config.engine_workers, tier.dirty_pg_count)
             if width == 0:
-                yield from self._releases_landed()
-                if self._release_errors:
-                    error, self._release_errors = self._release_errors[0], []
-                    raise error
                 # Hot-skipped objects are requeued with a delay, which a
                 # drain must not wait for: rebuild the list from the
                 # authoritative dirty bits instead.
@@ -717,7 +651,6 @@ class DedupEngine:
                     [self.sim.process(worker()) for _ in range(width)]
                 )
             if errors:
-                yield from self._releases_landed()
                 raise errors[0]
             rounds += 1
             if rounds > 1_000_000:

@@ -23,10 +23,6 @@ it is traced, and with no tracer installed no code of this module runs.
 * **Roots are ops.**  A stage named ``op.*`` always starts a trace of its
   own: background work an op sets off (a read promoting its object)
   runs past the op and must not count as its child.
-* **Handed-off work is the caller's.**  A stage in :data:`HANDED_OFF`
-  runs in a process its caller starts and does not wait for (a worker
-  pass's old-chunk release, which keeps the pass's object lock): it
-  stays the caller's child, and the caller's span ends when it does.
 * **Work in flight moves up.**  A wait in :data:`IN_FLIGHT` (a leg)
   that outlives the span that started it becomes its caller's child.
 * **Failure is a tag.**  A generator that raises ends its span with an
@@ -178,11 +174,6 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
      lambda _cluster, nbytes, _rate: {"nbytes": nbytes}),
 )
 
-#: Stages run by a process the calling span starts and does not wait for.
-#: Such a span may end after its parent returned; the parent's span then
-#: ends with it.
-HANDED_OFF = frozenset({"engine.derefs"})
-
 #: Waits on work in flight that their caller starts and does not wait
 #: for (a leg, which lands while the write queues for its locks).  When
 #: the caller's span ends first, the wait moves up to the caller's
@@ -307,8 +298,6 @@ class Tracer:
             raise
         finally:
             span.end = sim.now
-            if stage in HANDED_OFF and outer is not None and outer.end is not None:
-                outer.end = max(outer.end, span.end)
             for wait in self._waits.pop(span, ()):
                 if wait.end is not None:
                     continue

@@ -102,7 +102,7 @@ def test_compression_saves_space_vs_uncompressed_tier():
 
 def test_a_chunk_released_during_its_read_still_decompresses(monkeypatch):
     """A release landing the instant a chunk's disk read ends (a
-    lock-free reader racing a pass's handed-off release) must not hand
+    lock-free reader racing a pass's old-chunk release) must not hand
     the compressed bytes back as data: the encoding is the holder's
     before the read."""
     storage = make_storage()

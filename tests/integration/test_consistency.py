@@ -159,11 +159,12 @@ def test_engine_crash_then_restart_via_rebuild():
 
 
 @pytest.mark.parametrize("kill_after", [0.0, 2e-5, 6e-5, 1.2e-4, 2e-4])
-def test_crash_inside_a_handed_off_release_only_over_retains(kill_after):
-    """A worker pass hands its old-chunk release to a process of its own
-    and moves on.  Kill that process at any instant: the old chunk is at
-    worst over-retained (never dangling), the lock is freed, the drain
-    reports the crash, and GC reclaims what the release did not drop."""
+def test_crash_inside_a_pass_release_only_over_retains(kill_after):
+    """A worker pass releases its old chunks itself, under its object
+    locks.  Kill the worker at any instant of that release: the old
+    chunk is at worst over-retained (never dangling), the locks are
+    freed, the drain reports the crash, and GC reclaims what the
+    release did not drop."""
     from repro.core import DedupEngine, scrub_sync
     from repro.core.scrub import collect_garbage_sync
     from repro.faults.scenario import locks_left
@@ -181,10 +182,11 @@ def test_crash_inside_a_handed_off_release_only_over_retains(kill_after):
     for oid, data in new.items():
         storage.write_sync(oid, data[1000:1100], offset=1000)
     engine = storage.engine
-    start_release = engine._release
-    killed = []
+    apply_derefs = engine._apply_derefs
+    killed = []  # the worker task whose release is killed
+    crashed = []  # the interrupts that landed inside that release
 
-    def release(*args):
+    def release(pairs, via):
         if not killed:
             task = sim.current_task
             killed.append(task)
@@ -194,12 +196,16 @@ def test_crash_inside_a_handed_off_release_only_over_retains(kill_after):
                 task.interrupt("crash")
 
             sim.process(killer())
-        return (yield from start_release(*args))
+        try:
+            return (yield from apply_derefs(pairs, via))
+        except Interrupt as exc:
+            crashed.append(exc)
+            raise
 
-    engine._release = release
+    engine._apply_derefs = release
     with pytest.raises(Interrupt):  # the drain reports the crash
         storage.engine.drain_sync(run_gc=False)
-    assert isinstance(killed[0].exception, Interrupt)
+    assert len(crashed) == 1 and not killed[0].is_alive
     assert locks_left(storage) == []
     for oid, data in new.items():
         assert storage.read_sync(oid) == data

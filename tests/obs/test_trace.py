@@ -241,11 +241,10 @@ def test_processes_of_another_simulator_are_not_traced():
     assert {s.trace_id for s in tracer.spans} == {tracer.spans[0].span_id}
 
 
-def test_a_handed_off_release_stays_a_child_of_its_pass():
-    # Worker passes that replace a flushed chunk hand the old chunk's
-    # release to a process of their own and take the next object: the
-    # release's span is still its pass's child, and the pass's span
-    # lasts until it ends.
+def test_the_old_chunk_release_is_a_child_of_its_pass():
+    # Worker passes that replace a flushed chunk release the old chunk
+    # themselves, under their object locks: the release's span is its
+    # pass's child and ends within it.
     storage = make_storage(engine_workers=2, cache_on_flush=False)
     for i in range(4):
         storage.write_sync(f"o-{i}", bytes([i + 1]) * (16 * KiB))
@@ -263,12 +262,4 @@ def test_a_handed_off_release_stays_a_child_of_its_pass():
     for record in derefs:
         parent = by_id[record["parent_id"]]
         assert parent["stage"] == "op.dedup_pass"
-        assert parent["end"] == record["end"]
-    # A worker's next pass started while its last one's release was in
-    # flight: more passes were open at once than there are workers.
-    edges = sorted([(p["start"], 1) for p in passes] + [(p["end"], -1) for p in passes])
-    open_now = peak = 0
-    for _when, delta in edges:
-        open_now += delta
-        peak = max(peak, open_now)
-    assert peak > 2
+        assert parent["start"] <= record["start"] <= record["end"] <= parent["end"]

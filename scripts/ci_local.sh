@@ -4,7 +4,7 @@
 # Tools that only CI installs (ruff, mypy, pytest-cov) are skipped with
 # a notice when absent.  Usage:
 #
-#   scripts/ci_local.sh               # lint + invariants + tests + coverage + scenario + e2e smoke + paper benches + obs
+#   scripts/ci_local.sh               # lint + invariants + tests + coverage + scenario + e2e smoke + paper benches + obs + examples
 #   scripts/ci_local.sh --bench-full  # also the full (slow) benchmark suite
 set -u
 cd "$(dirname "$0")/.."
@@ -39,7 +39,7 @@ jobs = doc["jobs"]
 expected = {
     "lint", "lint-invariants", "test",
     "coverage", "scenario-smoke", "e2e-smoke",
-    "paper-benches", "obs-smoke", "bench-full",
+    "paper-benches", "obs-smoke", "examples", "bench-full",
 }
 assert expected <= set(jobs), jobs.keys()
 matrix = jobs["test"]["strategy"]["matrix"]["python-version"]
@@ -129,6 +129,12 @@ step "obs-smoke: traced workload + integrity checks" \
     --out trace.jsonl --metrics-out metrics.prom
 step "obs-smoke: span rollup report" \
     env PYTHONPATH=src python -m repro obs report --trace trace.jsonl
+
+# -- examples job -----------------------------------------------------------
+# Every example runs to completion (rate_control_demo.py ~35 s).
+for example in examples/*.py; do
+    step "examples: $example" env PYTHONPATH=src python "$example"
+done
 
 # -- bench-full job (nightly / dispatch input; opt-in locally) ---------------
 if [ "$RUN_BENCH_FULL" = 1 ]; then

@@ -8,14 +8,13 @@ paper-grounded rationale behind each rule and the seeded bugs each one
 catches.
 """
 
-from .engine import Linter, format_human, format_json, module_name_for
+from .engine import Linter, format_human, format_json
 from .rules import default_rules, rules_by_id
 
 __all__ = [
     "Linter",
     "format_human",
     "format_json",
-    "module_name_for",
     "default_rules",
     "rules_by_id",
 ]

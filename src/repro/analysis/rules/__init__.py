@@ -19,15 +19,7 @@ from .determinism import SetOrderRule, UnseededRandomRule, WallClockRule
 from .faults import FaultScopeRule
 from .layering import LayeringRule
 
-__all__ = [
-    "WallClockRule",
-    "UnseededRandomRule",
-    "SetOrderRule",
-    "FaultScopeRule",
-    "LayeringRule",
-    "default_rules",
-    "rules_by_id",
-]
+__all__ = ["default_rules", "rules_by_id"]
 
 
 def default_rules() -> List[Rule]:

@@ -4,9 +4,7 @@ from .harness import (
     KiB,
     MiB,
     build_cluster,
-    default_config,
     fmt_bytes,
-    fmt_ms,
     inline,
     original,
     proposed,
@@ -19,12 +17,10 @@ __all__ = [
     "KiB",
     "MiB",
     "build_cluster",
-    "default_config",
     "original",
     "proposed",
     "inline",
     "fmt_bytes",
-    "fmt_ms",
     "render_table",
     "report",
     "RESULTS",

@@ -27,7 +27,6 @@ __all__ = [
     "inline",
     "default_config",
     "fmt_bytes",
-    "fmt_ms",
     "render_table",
     "report",
     "RESULTS",
@@ -125,11 +124,6 @@ def fmt_bytes(n: float) -> str:
             return f"{n:.1f}{unit}" if unit != "B" else f"{n:.0f}B"
         n /= 1024
     return f"{n:.1f}TiB"
-
-
-def fmt_ms(seconds: float) -> str:
-    """Seconds rendered as milliseconds."""
-    return f"{seconds * 1e3:.2f}ms"
 
 
 def render_table(

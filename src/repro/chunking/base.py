@@ -8,9 +8,9 @@ redundancy of given data").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Protocol, Union
+from typing import List, Union
 
-__all__ = ["ChunkSpan", "Chunker"]
+__all__ = ["ChunkSpan", "validate_chunking"]
 
 #: Chunk payloads are zero-copy views into the source buffer whenever
 #: possible; anything that must outlive the buffer calls ``as_bytes``.
@@ -57,14 +57,6 @@ class ChunkSpan:
             raise ValueError(
                 f"length {self.length} != data size {len(self.data)}"
             )
-
-
-class Chunker(Protocol):
-    """Anything that can split a payload into chunk spans."""
-
-    def chunk(self, data: Buffer) -> List[ChunkSpan]:
-        """Split ``data``; spans are contiguous and cover it exactly."""
-        ...
 
 
 def validate_chunking(data: Buffer, spans: List[ChunkSpan]) -> None:

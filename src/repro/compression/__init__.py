@@ -1,10 +1,5 @@
 """Compression codec and filesystem-style footprint estimation."""
 
-from .codec import CompressionResult, FS_COMPRESS_BLOCK, ZlibCodec, compressed_store_bytes
+from .codec import ZlibCodec, compressed_store_bytes
 
-__all__ = [
-    "ZlibCodec",
-    "CompressionResult",
-    "compressed_store_bytes",
-    "FS_COMPRESS_BLOCK",
-]
+__all__ = ["ZlibCodec", "compressed_store_bytes"]

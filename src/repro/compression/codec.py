@@ -62,8 +62,9 @@ class ZlibCodec:
 
 
 def compressed_store_bytes(store, codec: ZlibCodec | None = None) -> int:
-    """Footprint of an :class:`~repro.cluster.ObjectStore` if its node's
-    filesystem compressed payloads block-wise (metadata stays raw)."""
+    """Footprint of an :class:`~repro.cluster.objectstore.ObjectStore`
+    if its node's filesystem compressed payloads block-wise (metadata
+    stays raw)."""
     codec = codec if codec is not None else ZlibCodec()
     total = 0
     for key in store.keys():

@@ -11,67 +11,18 @@ Key pieces:
 * the baselines the paper compares against (:mod:`.baselines`).
 """
 
-from .baselines import (
-    DedupPotential,
-    InlineDedupStorage,
-    PlainStorage,
-    analyze_dedup_potential,
-)
-from .blockdev import BlockDevice
-from .cache import CacheManager, HitSet
+from .baselines import InlineDedupStorage, PlainStorage, analyze_dedup_potential
 from .client import DedupedStorage
 from .config import DedupConfig
-from .engine import DedupEngine, EngineStats
-from .io_path import read_path, write_path
-from .objects import (
-    CHUNK_MAP_ENTRY_BYTES,
-    CHUNK_MAP_XATTR,
-    REFERENCE_ENTRY_BYTES,
-    ChunkMap,
-    ChunkMapEntry,
-    ChunkRef,
-    RefSet,
-)
-from .rate_control import OpWindow, RateController
-from .scrub import (
-    GcReport,
-    ScrubReport,
-    collect_garbage,
-    collect_garbage_sync,
-    scrub,
-    scrub_sync,
-)
-from .tier import DedupTier, NodeClient, SpaceReport
+from .scrub import scrub, scrub_sync
+from .tier import DedupTier
 
 __all__ = [
-    "BlockDevice",
     "DedupedStorage",
     "DedupConfig",
     "DedupTier",
-    "DedupEngine",
-    "EngineStats",
-    "SpaceReport",
-    "NodeClient",
-    "ChunkMap",
-    "ChunkMapEntry",
-    "ChunkRef",
-    "RefSet",
-    "CHUNK_MAP_ENTRY_BYTES",
-    "REFERENCE_ENTRY_BYTES",
-    "CHUNK_MAP_XATTR",
-    "CacheManager",
-    "HitSet",
-    "OpWindow",
-    "RateController",
-    "ScrubReport",
     "scrub",
     "scrub_sync",
-    "GcReport",
-    "collect_garbage",
-    "collect_garbage_sync",
-    "write_path",
-    "read_path",
-    "DedupPotential",
     "analyze_dedup_potential",
     "InlineDedupStorage",
     "PlainStorage",

@@ -54,7 +54,7 @@ from ..faults.errors import is_retryable
 from ..fingerprint import timed_fingerprint
 from .objects import ChunkRef
 from .scrub import collect_garbage
-from .tier import ChunkBatch, DedupTier, NodeClient
+from .tier import ChunkBatch, DedupTier
 
 __all__ = ["DedupEngine", "EngineStats"]
 
@@ -271,7 +271,7 @@ class DedupEngine:
                 return "missing"
             # One PG, one primary: it initiates the pass's chunk-pool
             # traffic and its commits.
-            via = NodeClient(members[0][2].node)
+            via = members[0][2].node
             # The members assemble side by side, each under the read
             # rules of :meth:`_assemble`.
             if len(members) == 1:
@@ -520,7 +520,7 @@ class DedupEngine:
             if cmap is None:
                 return "missing"
             primary = tier.cluster._primary(tier.metadata_pool, oid)
-            via = NodeClient(primary.node)
+            via = primary.node
             key = tier.metadata_key(oid)
             txn = Transaction()
             promoted = 0
@@ -583,7 +583,7 @@ class DedupEngine:
             # Must be flushed first; leave it for the dirty-list pass.
             return
         primary = tier.cluster._primary(tier.metadata_pool, oid)
-        via = NodeClient(primary.node)
+        via = primary.node
         key = tier.metadata_key(oid)
         cmap.set(entry.replace(valid=()))
         txn = Transaction().zero(key, entry.offset, entry.length)

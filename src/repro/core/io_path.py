@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from ..cluster import NoSuchObject, Transaction
 from .objects import ChunkMap, ChunkMapEntry
-from .tier import DedupTier, NodeClient
+from .tier import DedupTier
 
 __all__ = ["write_path", "read_path", "delete_path"]
 
@@ -191,7 +191,7 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
                     # the read-modify-write is deferred to the engine).
                     # The primary reads it: its bytes go into the
                     # transaction the primary ships to the replicas.
-                    via = NodeClient(cluster._primary(pool, oid).node)
+                    via = cluster._primary(pool, oid).node
                     chunk_bytes = yield from tier.retrying(
                         lambda cid=entry.chunk_id, ln=length: tier.read_chunk(
                             cid, 0, ln, via

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..fingerprint import fingerprint
 from .objects import ChunkRef
-from .tier import DedupTier, NodeClient
+from .tier import DedupTier
 
 __all__ = ["ScrubReport", "scrub", "scrub_sync", "GcReport", "collect_garbage", "collect_garbage_sync"]
 
@@ -150,7 +150,7 @@ def collect_garbage(tier: DedupTier, candidates: Optional[List[Tuple[str, ChunkR
         stale = sorted(set(candidates) - live)
         stored = [(cid, ref) for cid, ref in stale if ref in tier._load_refs(cid)]
         sizes = {cid: cluster.payload_bytes(tier.chunk_pool, cid) for cid, _ref in stored}
-        yield from tier.release_refs(stale, NodeClient(next(iter(cluster.nodes.values()))))
+        yield from tier.release_refs(stale, next(iter(cluster.nodes.values())))
         # Read back under the referrers' locks: nothing re-took them yet.
         gone = [cid for cid in sizes if not tier.chunk_exists(cid)]
         return GcReport(

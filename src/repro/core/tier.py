@@ -50,25 +50,11 @@ __all__ = [
     "ChunkBatch",
     "DedupTier",
     "SpaceReport",
-    "NodeClient",
     "CHUNK_ENCODING_XATTR",
 ]
 
 #: xattr on chunk objects recording the payload encoding ("raw"/"zlib").
 CHUNK_ENCODING_XATTR = "dedup.encoding"
-
-
-class NodeClient:
-    """Adapter letting a storage node act as the I/O initiator.
-
-    The background dedup engine runs on storage nodes, not on clients;
-    its chunk-pool traffic originates from the metadata-pool primary's
-    NIC.
-    """
-
-    def __init__(self, node):
-        self.node = node
-        self.nic = node.nic
 
 
 class ChunkBatch:
@@ -705,10 +691,10 @@ class DedupTier:
                     if not existed:
                         blob, encoding = payload, b"raw"
                         if self.config.compress_chunks:
-                            node = getattr(via, "node", None)
-                            if node is not None:
-                                yield from node.cpu.execute(
-                                    node.cpu.spec.compress_time(len(payload))
+                            cpu = getattr(via, "cpu", None)
+                            if cpu is not None:
+                                yield from cpu.execute(
+                                    cpu.spec.compress_time(len(payload))
                                 )
                             coded = self.codec.compress(payload)
                             if len(coded) < len(payload):
@@ -765,7 +751,15 @@ class DedupTier:
         # before the read: a release landing during the read's transfer
         # must not turn the compressed bytes it returns into "raw" data.
         found = self.cluster.peek(self.chunk_pool, chunk_id)
-        zlib = found is not None and found[1].xattrs.get(CHUNK_ENCODING_XATTR) == b"zlib"
+        if found is None:
+            # Fail now, as the read would: NoSuchObject (``read_path``
+            # retries from a fresh map), or NotEnoughReplicas when no
+            # acting OSD is up.  Reading on would let a pass store the
+            # chunk during the request's latency and hand back its zlib
+            # blob as data.
+            key = self.cluster.object_key(self.chunk_pool, chunk_id)
+            self.cluster._readable_holders(self.chunk_pool, key)
+        zlib = found[1].xattrs.get(CHUNK_ENCODING_XATTR) == b"zlib"
         blob = yield from self.cluster.read(self.chunk_pool, chunk_id, 0, None, client)
         if zlib:
             cpu = found[0].node.cpu

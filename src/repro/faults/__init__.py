@@ -24,10 +24,10 @@ from .errors import (
     TransientOpError,
     is_retryable,
 )
-from .injector import FaultInjector, FaultStats
-from .plan import FAULT_KINDS, FaultEvent, FaultPlan
+from .injector import FaultInjector
+from .plan import FaultPlan
 from .retry import RetryPolicy, RetryStats, call_with_retries
-from .scenario import ELASTIC, STATIC, Preset, ScenarioResult, run_scenario
+from .scenario import ELASTIC, STATIC, run_scenario
 
 __all__ = [
     "FaultError",
@@ -35,17 +35,12 @@ __all__ = [
     "OpTimeoutError",
     "NetworkPartitionError",
     "is_retryable",
-    "FaultEvent",
     "FaultPlan",
-    "FAULT_KINDS",
     "FaultInjector",
-    "FaultStats",
     "RetryPolicy",
     "RetryStats",
     "call_with_retries",
-    "Preset",
     "STATIC",
     "ELASTIC",
-    "ScenarioResult",
     "run_scenario",
 ]

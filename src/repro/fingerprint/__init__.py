@@ -1,18 +1,6 @@
 """Fingerprinting and the baseline fingerprint index."""
 
-from .fingerprint import (
-    FINGERPRINT_ALGORITHMS,
-    fingerprint,
-    fingerprint_size,
-    timed_fingerprint,
-)
-from .index import FingerprintIndex, IndexStats
+from .fingerprint import fingerprint, timed_fingerprint
+from .index import FingerprintIndex
 
-__all__ = [
-    "fingerprint",
-    "timed_fingerprint",
-    "fingerprint_size",
-    "FINGERPRINT_ALGORITHMS",
-    "FingerprintIndex",
-    "IndexStats",
-]
+__all__ = ["fingerprint", "timed_fingerprint", "FingerprintIndex"]

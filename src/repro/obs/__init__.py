@@ -9,32 +9,14 @@ The package itself depends on nothing in ``repro`` but ``repro.sim``.
 """
 
 from .collect import fault_lines, status_lines, storage_metrics
-from .integrity import check_trace, stage_rollup
-from .registry import (
-    DEFAULT_BUCKETS,
-    CardinalityError,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-)
-from .trace import SPAN_TARGETS, Span, Tracer
+from .integrity import check_trace
+from .trace import SPAN_TARGETS, Tracer
 
 __all__ = [
-    "CardinalityError",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricsRegistry",
     "SPAN_TARGETS",
-    "Span",
     "Tracer",
     "check_trace",
     "fault_lines",
-    "stage_rollup",
     "status_lines",
     "storage_metrics",
 ]

@@ -1,15 +1,6 @@
 """Discrete-event simulation kernel (clock, processes, resources, RNG)."""
 
-from .core import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from .core import Event, SimulationError, Simulator, Timeout
 from .resources import LockTable, Resource
 from .rng import RngRegistry, derive_seed
 
@@ -17,10 +8,6 @@ __all__ = [
     "Simulator",
     "Event",
     "Timeout",
-    "Process",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
     "LockTable",
     "Resource",

@@ -1,12 +1,11 @@
-"""Workload generators: FIO-like, SPEC-SFS-2014-DB-like, cloud images,
-deterministic content generation, and trace record/replay."""
+"""Workload generators: FIO-like, SPEC-SFS-2014-DB-like, backup
+generations, cloud images, and deterministic content generation."""
 
 from .backup import BackupSpec, BackupStream
 from .cloud import VmImagePopulation, VmPopulationSpec, private_cloud_spec
 from .datagen import ContentGenerator
-from .fio import FioJobSpec, FioResult, FioRunner
-from .sfs import SfsDatabaseSpec, SfsDatabaseWorkload, SfsResult
-from .traces import Trace, TraceOp
+from .fio import FioJobSpec, FioRunner
+from .sfs import SfsDatabaseSpec, SfsDatabaseWorkload
 
 __all__ = [
     "BackupSpec",
@@ -14,13 +13,9 @@ __all__ = [
     "ContentGenerator",
     "FioJobSpec",
     "FioRunner",
-    "FioResult",
     "SfsDatabaseSpec",
     "SfsDatabaseWorkload",
-    "SfsResult",
     "VmPopulationSpec",
     "VmImagePopulation",
     "private_cloud_spec",
-    "Trace",
-    "TraceOp",
 ]

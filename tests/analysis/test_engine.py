@@ -62,7 +62,7 @@ def test_syntax_error_becomes_parse_error_finding(tmp_path):
 
 
 def test_module_name_derivation(tmp_path):
-    from repro.analysis import module_name_for
+    from repro.analysis.engine import module_name_for
 
     assert (
         module_name_for(Path("src/repro/core/tier.py")) == "repro.core.tier"

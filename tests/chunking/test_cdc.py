@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chunking import GearChunker, validate_chunking
+from repro.chunking import GearChunker
+from repro.chunking.base import validate_chunking
 
 
 def random_bytes(n, seed=0):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.chunking import ChunkSpan, StaticChunker, validate_chunking
+from repro.chunking import StaticChunker
+from repro.chunking.base import ChunkSpan, validate_chunking
 
 
 def test_exact_multiple():

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.cluster import (
-    DiskSpec,
-    HardwareProfile,
-    OsdFullError,
-    RadosCluster,
-    Replicated,
-)
+from repro.cluster import OsdFullError, RadosCluster, Replicated
+from repro.cluster.hardware import DiskSpec, HardwareProfile
 
 KiB = 1024
 

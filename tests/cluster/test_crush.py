@@ -3,7 +3,8 @@ and the straw2 minimal-movement property."""
 
 from collections import Counter
 
-from repro.cluster import ClusterMap, CrushMap, stable_hash64, straw2_select
+from repro.cluster.clustermap import ClusterMap
+from repro.cluster.crush import CrushMap, stable_hash64, straw2_select
 
 
 def make_map(hosts=4, osds_per_host=4):

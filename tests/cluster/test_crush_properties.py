@@ -6,14 +6,9 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    ClusterMap,
-    CrushMap,
-    ErasureCoded,
-    RadosCluster,
-    Replicated,
-    stable_hash64,
-)
+from repro.cluster import ErasureCoded, RadosCluster, Replicated
+from repro.cluster.clustermap import ClusterMap
+from repro.cluster.crush import CrushMap, stable_hash64
 from repro.cluster.pool import OID_HASH_MEMO_ENTRIES, _object_hash
 
 

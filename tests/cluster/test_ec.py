@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import GF256, ReedSolomon
+from repro.cluster.ec import GF256, ReedSolomon
 
 
 # ------------------------------------------------------------------ GF256

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import ErasureCoded, NotEnoughReplicas, RadosCluster, Transaction
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.plan import FaultEvent
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cluster import ClusterMap, CrushMap, RadosCluster, Replicated, converge_sync
+from repro.cluster import RadosCluster, Replicated, converge_sync
+from repro.cluster.clustermap import ClusterMap
+from repro.cluster.crush import CrushMap
 
 
 def rack_cluster(racks=2, hosts_per_rack=2, osds_per_host=2):

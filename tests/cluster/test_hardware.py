@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cpu, CpuSpec, Disk, DiskSpec, Nic, NicSpec
+from repro.cluster.hardware import Cpu, CpuSpec, Disk, DiskSpec, Nic, NicSpec
 from repro.sim import Simulator
 
 MiB = 1024 * 1024

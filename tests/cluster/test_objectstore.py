@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.cluster import (
-    NoSuchObject,
-    ObjectExists,
-    ObjectKey,
-    ObjectStore,
-    PER_OBJECT_OVERHEAD,
-    StoredObject,
-    Transaction,
-)
+from repro.cluster import NoSuchObject, ObjectExists, ObjectKey, PER_OBJECT_OVERHEAD, Transaction
+from repro.cluster.objectstore import ObjectStore, StoredObject
 from repro.cluster.objectstore import EXTENT_GRAIN, EXTENT_SLACK
 
 

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    PER_OBJECT_OVERHEAD,
-    NoSuchObject,
-    ObjectKey,
-    ObjectStore,
-    Transaction,
-)
+from repro.cluster import PER_OBJECT_OVERHEAD, NoSuchObject, ObjectKey, Transaction
+from repro.cluster.objectstore import ObjectStore
 from repro.cluster.objectstore import EXTENT_GRAIN, EXTENT_SLACK
 
 KEY = ObjectKey(1, 0, "obj")

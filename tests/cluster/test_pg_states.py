@@ -8,15 +8,8 @@ its PGs ``active+degraded``; an expand makes the moved PGs
 
 import pytest
 
-from repro.cluster import (
-    ErasureCoded,
-    PGState,
-    RadosCluster,
-    Replicated,
-    converge_sync,
-    pg_state,
-    placement_report,
-)
+from repro.cluster import ErasureCoded, RadosCluster, Replicated, converge_sync, placement_report
+from repro.cluster.converge import PGState, pg_state
 
 CLEAN = PGState.ACTIVE_CLEAN
 

@@ -13,8 +13,9 @@ import pytest
 
 from repro.cluster import RadosCluster, Replicated, converge
 from repro.cluster.objectstore import Transaction
-from repro.faults import FaultEvent, FaultInjector, FaultPlan, TransientOpError
-from repro.sim import Interrupt
+from repro.faults import FaultInjector, FaultPlan, TransientOpError
+from repro.faults.plan import FaultEvent
+from repro.sim.core import Interrupt
 
 KiB = 1024
 N = 40

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ObjectKey, ObjectStore, Transaction
+from repro.cluster import ObjectKey, Transaction
+from repro.cluster.objectstore import ObjectStore
 from repro.compression import ZlibCodec, compressed_store_bytes
 
 

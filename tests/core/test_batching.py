@@ -15,7 +15,7 @@ import pytest
 from repro.cluster import ErasureCoded, RadosCluster, Replicated
 from repro.core import DedupConfig
 from repro.core.objects import ChunkRef
-from repro.core.tier import ChunkBatch, DedupTier, NodeClient
+from repro.core.tier import ChunkBatch, DedupTier
 from repro.fingerprint import fingerprint
 
 # Small, distinct chunk payloads; their fingerprints are the chunk ids.
@@ -38,7 +38,7 @@ def make_tier(chunk_redundancy=None):
     tier = DedupTier(
         cluster, DedupConfig(chunk_size=1024), chunk_redundancy=chunk_redundancy
     )
-    via = NodeClient(next(iter(cluster.nodes.values())))
+    via = next(iter(cluster.nodes.values()))
     return tier, via
 
 

@@ -1,9 +1,11 @@
 """Tests for tier-level chunk compression (compress_chunks)."""
 
-from repro.cluster import OSD, RadosCluster
+from repro.cluster import NoSuchObject, RadosCluster
+from repro.cluster.osd import OSD
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.scrub import scrub_sync
-from repro.core.tier import CHUNK_ENCODING_XATTR
+from repro.core.objects import ChunkRef
+from repro.core.tier import CHUNK_ENCODING_XATTR, ChunkBatch
 from repro.fingerprint import fingerprint
 from repro.sim import RngRegistry
 
@@ -124,3 +126,33 @@ def test_a_chunk_released_during_its_read_still_decompresses(monkeypatch):
     got = storage.cluster.run(tier.read_chunk(fp, 0, None, None))
     assert not storage.cluster.exists(tier.chunk_pool, fp)
     assert got == COMPRESSIBLE
+
+
+def test_a_read_racing_the_chunks_first_store_never_returns_the_compressed_blob():
+    """A chunk read that starts while a pass stores that chunk for the
+    first time returns the data or fails with ``NoSuchObject`` (which
+    ``read_path`` retries from a fresh map), never the zlib blob: an
+    encoding peeked before the read's request latency says "raw" for a
+    chunk stored compressed during it.  Swept over start instants from
+    0 to 0.8 ms, across the whole store."""
+    fp = fingerprint(COMPRESSIBLE)
+    wrong = []
+    for step in range(81):
+        storage = make_storage()
+        tier, sim = storage.tier, storage.sim
+        batch = ChunkBatch()
+        batch.ref(fp, ChunkRef(tier.metadata_pool.pool_id, "obj1", 0), COMPRESSIBLE)
+
+        def late_read(delay=step * 1e-5):
+            yield sim.timeout(delay)
+            try:
+                return (yield from tier.read_chunk(fp, 0, None, None))
+            except NoSuchObject:
+                return None
+
+        reader = sim.process(late_read())
+        storage.cluster.run(tier.commit_chunk_batch(batch, None))
+        got = sim.run_until_complete(reader)
+        if got not in (None, COMPRESSIBLE):
+            wrong.append(step)
+    assert wrong == []

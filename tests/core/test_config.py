@@ -14,11 +14,18 @@ CALLER_DIRS = ("src", "benchmarks", "examples", "scripts")
 DEFINITION = ROOT / "src" / "repro" / "core" / "config.py"
 
 
-def caller_texts():
+def caller_paths():
+    """Every file of a bench, example, script or library path."""
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*")):
-            if path.is_file() and path != DEFINITION and "__pycache__" not in path.parts:
-                yield path.read_text(encoding="utf-8", errors="ignore")
+            if path.is_file() and "__pycache__" not in path.parts:
+                yield path
+
+
+def caller_texts():
+    for path in caller_paths():
+        if path != DEFINITION:
+            yield path.read_text(encoding="utf-8", errors="ignore")
 
 
 def test_every_field_is_set_by_a_caller_outside_the_tests():

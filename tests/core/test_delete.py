@@ -8,7 +8,8 @@ from repro.cluster import ErasureCoded, NoSuchObject, RadosCluster
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.objects import ChunkRef
 from repro.core.scrub import collect_garbage_sync, scrub_sync
-from repro.faults import FaultEvent, FaultInjector, FaultPlan, TransientOpError
+from repro.faults import FaultInjector, FaultPlan, TransientOpError
+from repro.faults.plan import FaultEvent
 from repro.faults.scenario import locks_left
 from repro.fingerprint import fingerprint
 from repro.obs import Tracer

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import NoSuchObject, RadosCluster, Transaction
-from repro.core import CHUNK_MAP_XATTR, DedupConfig, DedupedStorage
+from repro.core import DedupConfig, DedupedStorage
+from repro.core.objects import CHUNK_MAP_XATTR
 from repro.obs import Tracer
 
 
@@ -174,7 +175,7 @@ def _by_trace(tracer):
 
 def _record(monkeypatch, method):
     """``[(time, osd id, io bytes)]`` of every ``OSD.<method>`` from now on."""
-    from repro.cluster import OSD
+    from repro.cluster.osd import OSD
 
     calls = []
     original = getattr(OSD, method)
@@ -299,9 +300,11 @@ def test_a_partition_under_a_flying_leg_is_retried_and_leaks_nothing(storage, mo
     # flight and the write queues for its object lock.  The control
     # message finds the partition; the failed attempt ends once its leg
     # has landed, and write_path's retry scope sends the payload again.
-    from repro.faults import FaultEvent, FaultPlan
+    from repro.faults import FaultPlan
+    from repro.faults.plan import FaultEvent
     from repro.faults.scenario import locks_left
-    from repro.sim import Event, Process
+    from repro.sim import Event
+    from repro.sim.core import Process
 
     KiB = 1024
     cluster, sim, tier = storage.cluster, storage.sim, storage.tier

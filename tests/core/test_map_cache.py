@@ -15,12 +15,9 @@ from collections import deque
 import pytest
 
 from repro.cluster import RadosCluster, Transaction, converge_sync
-from repro.core import (
-    CHUNK_MAP_XATTR,
-    DedupConfig,
-    DedupedStorage,
-    collect_garbage_sync,
-)
+from repro.core import DedupConfig, DedupedStorage
+from repro.core.objects import CHUNK_MAP_XATTR
+from repro.core.scrub import collect_garbage_sync
 from repro.core.objects import (
     MAP_OMAP_PREFIX,
     ChunkMap,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
+from repro.core.objects import (
     CHUNK_MAP_ENTRY_BYTES,
     REFERENCE_ENTRY_BYTES,
     ChunkMap,

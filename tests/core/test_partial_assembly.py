@@ -13,7 +13,6 @@ import pytest
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
-from repro.core.tier import NodeClient
 from repro.faults.errors import TransientOpError
 from repro.obs import Tracer
 
@@ -87,7 +86,7 @@ def chunk_pool_round_trip(storage, oid):
     primary = storage.cluster._primary(storage.tier.metadata_pool, oid)
     start = storage.sim.now
     storage.cluster.run(
-        storage.tier.read_chunk(entry.chunk_id, 0, 1, NodeClient(primary.node))
+        storage.tier.read_chunk(entry.chunk_id, 0, 1, primary.node)
     )
     return storage.sim.now - start
 

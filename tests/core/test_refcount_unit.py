@@ -3,16 +3,17 @@ and the engine's two dereference modes (paper §4.6)."""
 
 
 from repro.cluster import RadosCluster
-from repro.core import DedupConfig, DedupEngine
+from repro.core import DedupConfig
+from repro.core.engine import DedupEngine
 from repro.core.objects import ChunkRef
-from repro.core.tier import ChunkBatch, DedupTier, NodeClient
+from repro.core.tier import ChunkBatch, DedupTier
 from repro.fingerprint import fingerprint
 
 
 def make_tier(mode="strict"):
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
     tier = DedupTier(cluster, DedupConfig(chunk_size=1024, refcount_mode=mode))
-    via = NodeClient(next(iter(cluster.nodes.values())))
+    via = next(iter(cluster.nodes.values()))
     return tier, via
 
 

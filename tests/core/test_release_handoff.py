@@ -17,7 +17,8 @@ import pytest
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
 from repro.core.scrub import collect_garbage_sync
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.plan import FaultEvent
 from repro.faults.scenario import locks_left
 from repro.obs import Tracer, check_trace
 

@@ -2,7 +2,8 @@
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
-from repro.faults import FaultEvent, FaultPlan
+from repro.faults import FaultPlan
+from repro.faults.plan import FaultEvent
 from repro.obs import status_lines, storage_metrics
 
 

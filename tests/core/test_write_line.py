@@ -9,7 +9,8 @@ waits, once it holds the lock, until no write is in flight.
 
 import pytest
 
-from repro.cluster import OSD, RadosCluster
+from repro.cluster import RadosCluster
+from repro.cluster.osd import OSD
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
 from repro.faults import RetryPolicy
 from repro.faults.errors import TransientOpError

@@ -10,7 +10,8 @@ import os
 import pytest
 
 from repro.cluster import placement_report, scrub_pool_sync
-from repro.faults import STATIC, FaultPlan, ScenarioResult, run_scenario
+from repro.faults import STATIC, FaultPlan, run_scenario
+from repro.faults.scenario import ScenarioResult
 from repro.faults.scenario import locks_left
 from repro.obs import fault_lines, status_lines, storage_metrics
 
@@ -57,7 +58,7 @@ def test_counters_surface_through_metrics_and_status():
 
 
 def test_eio_storm_is_absorbed_by_retries():
-    from repro.faults import FaultEvent
+    from repro.faults.plan import FaultEvent
 
     events = [
         FaultEvent(0.2, "transient_errors", str(o), duration=2.0,

@@ -3,13 +3,8 @@
 import pytest
 
 from repro.cluster import RadosCluster, converge_sync
-from repro.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    NetworkPartitionError,
-    TransientOpError,
-)
+from repro.faults import FaultInjector, FaultPlan, NetworkPartitionError, TransientOpError
+from repro.faults.plan import FaultEvent
 
 
 def make_cluster():

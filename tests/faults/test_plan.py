@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.faults import FAULT_KINDS, FaultEvent, FaultPlan
+from repro.faults import FaultPlan
+from repro.faults.plan import FAULT_KINDS, FaultEvent
 
 
 def test_generate_is_deterministic_per_seed():

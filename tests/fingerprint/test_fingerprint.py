@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fingerprint import (
-    FingerprintIndex,
-    fingerprint,
-    fingerprint_size,
-    timed_fingerprint,
-)
+from repro.fingerprint import FingerprintIndex, fingerprint, timed_fingerprint
+from repro.fingerprint.fingerprint import fingerprint_size
 
 
 def test_fingerprint_deterministic():

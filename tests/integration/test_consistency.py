@@ -88,7 +88,7 @@ def test_write_transaction_is_atomic_on_all_replicas():
     storage = make_storage()
     storage.write_sync("obj1", b"x" * 2048)
     key = storage.tier.metadata_key("obj1")
-    from repro.core import CHUNK_MAP_XATTR
+    from repro.core.objects import CHUNK_MAP_XATTR
     from repro.core.objects import decode_stored_map
 
     for osd in storage.cluster.osds.values():
@@ -148,7 +148,7 @@ def test_engine_crash_then_restart_via_rebuild():
     storage.sim.run(until=storage.sim.now + 0.002)
     storage.engine.stop()
     # "Restart": a fresh engine + rebuilt dirty list.
-    from repro.core import DedupEngine
+    from repro.core.engine import DedupEngine
 
     storage.engine = DedupEngine(storage.tier)
     storage.tier.rebuild_dirty_list()
@@ -165,10 +165,11 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after):
     chunk is at worst over-retained (never dangling), the locks are
     freed, the drain reports the crash, and GC reclaims what the
     release did not drop."""
-    from repro.core import DedupEngine, scrub_sync
+    from repro.core import scrub_sync
+    from repro.core.engine import DedupEngine
     from repro.core.scrub import collect_garbage_sync
     from repro.faults.scenario import locks_left
-    from repro.sim import Interrupt
+    from repro.sim.core import Interrupt
 
     storage = make_storage(engine_workers=2)
     sim = storage.sim

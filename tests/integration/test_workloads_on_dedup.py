@@ -7,8 +7,6 @@ from repro.core import DedupConfig, DedupedStorage
 from repro.workloads import (
     SfsDatabaseSpec,
     SfsDatabaseWorkload,
-    Trace,
-    TraceOp,
     VmImagePopulation,
     VmPopulationSpec,
 )
@@ -41,22 +39,6 @@ def test_sfs_workload_on_dedup_storage():
     storage.drain()
     report = storage.space_report()
     assert report.ideal_dedup_ratio > 0.3
-
-
-def test_trace_replay_on_dedup_storage():
-    storage = make_storage()
-    trace = Trace(
-        [
-            TraceOp(at=0.0, op="write", oid="t1", offset=0, length=8 * KiB, content_seed=1),
-            TraceOp(at=0.1, op="write", oid="t2", offset=0, length=8 * KiB, content_seed=1),
-            TraceOp(at=0.2, op="read", oid="t1", offset=0, length=8 * KiB),
-        ]
-    )
-    trace.replay_sync(storage)
-    storage.drain()
-    assert storage.read_sync("t1") == storage.read_sync("t2")
-    # Identical trace content -> one chunk.
-    assert storage.space_report().chunk_objects == 1
 
 
 def test_vm_population_striped_onto_dedup_storage():

@@ -6,7 +6,8 @@ import pytest
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
-from repro.faults import FaultEvent, FaultPlan
+from repro.faults import FaultPlan
+from repro.faults.plan import FaultEvent
 from repro.metrics import LatencyRecorder
 from repro.obs import fault_lines, storage_metrics
 

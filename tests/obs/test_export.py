@@ -2,7 +2,8 @@
 
 import json
 
-from repro.obs import MetricsRegistry, Span
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Span
 from repro.obs.export import (
     dump_trace_jsonl,
     load_trace_jsonl,

@@ -1,6 +1,7 @@
 """check_trace / coverage / rollup / top_spans on hand-built records."""
 
-from repro.obs import check_trace, stage_rollup
+from repro.obs import check_trace
+from repro.obs.integrity import stage_rollup
 from repro.obs.integrity import coverage_by_root, top_spans
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_BUCKETS,
-    CardinalityError,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import DEFAULT_BUCKETS, CardinalityError, Histogram, MetricsRegistry
 
 
 def test_counter_and_gauge_basics():

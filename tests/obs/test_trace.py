@@ -10,8 +10,10 @@ import pytest
 import repro.obs.trace as trace_module
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.obs import SPAN_TARGETS, Span, Tracer, check_trace
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.plan import FaultEvent
+from repro.obs import SPAN_TARGETS, Tracer, check_trace
+from repro.obs.trace import Span
 from repro.obs.trace import _owner_of
 from repro.sim import Simulator
 from repro.workloads import ContentGenerator

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.sim import (
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import SimulationError, Simulator
+from repro.sim.core import Interrupt
 
 
 def test_clock_starts_at_zero():

@@ -17,7 +17,8 @@ import weakref
 
 import pytest
 
-from repro.sim import Interrupt, LockTable, Resource, SimulationError, Simulator
+from repro.sim import LockTable, Resource, SimulationError, Simulator
+from repro.sim.core import Interrupt
 
 
 def run_scenario():

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Resource, Simulator
+from repro.sim import Resource, Simulator
+from repro.sim.core import Interrupt
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))

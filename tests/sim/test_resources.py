@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.sim import (
-    Interrupt,
-    LockTable,
-    Resource,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import LockTable, Resource, SimulationError, Simulator
+from repro.sim.core import Interrupt
 
 
 # ---------------------------------------------------------------- Resource

@@ -29,7 +29,8 @@ import re
 from repro.cli import main
 from repro.cluster import ErasureCoded, RadosCluster, Replicated, converge
 from repro.cluster.objectstore import Transaction
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.plan import FaultEvent
 
 KiB = 1024
 

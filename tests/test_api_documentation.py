@@ -9,20 +9,10 @@ import importlib
 import inspect
 import pkgutil
 
-
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.sim",
-    "repro.cluster",
-    "repro.chunking",
-    "repro.fingerprint",
-    "repro.compression",
-    "repro.core",
-    "repro.workloads",
-    "repro.metrics",
-    "repro.bench",
+PACKAGES = ["repro"] + [
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
 ]
 
 

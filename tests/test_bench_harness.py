@@ -1,16 +1,8 @@
 """Tests for the shared benchmark harness helpers."""
 
 
-from repro.bench import (
-    build_cluster,
-    default_config,
-    fmt_bytes,
-    fmt_ms,
-    inline,
-    original,
-    proposed,
-    render_table,
-)
+from repro.bench import build_cluster, fmt_bytes, inline, original, proposed, render_table
+from repro.bench.harness import default_config
 from repro.cluster import ErasureCoded, Replicated
 
 
@@ -19,10 +11,6 @@ def test_fmt_bytes():
     assert fmt_bytes(2048) == "2.0KiB"
     assert fmt_bytes(3 * 1024 * 1024) == "3.0MiB"
     assert fmt_bytes(5 * 1024**4) == "5.0TiB"
-
-
-def test_fmt_ms():
-    assert fmt_ms(0.00125) == "1.25ms"
 
 
 def test_render_table_alignment():

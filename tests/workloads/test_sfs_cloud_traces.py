@@ -1,4 +1,4 @@
-"""Tests for the SFS-DB workload, VM populations, and traces."""
+"""Tests for the SFS-DB workload and VM populations."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.fingerprint import fingerprint
 from repro.workloads import (
     SfsDatabaseSpec,
     SfsDatabaseWorkload,
-    Trace,
-    TraceOp,
     VmImagePopulation,
     VmPopulationSpec,
     private_cloud_spec,
@@ -155,56 +153,3 @@ def test_vm_spec_validation():
         VmPopulationSpec(image_size=100, block_size=64)
     with pytest.raises(ValueError):
         VmPopulationSpec(os_base_fraction=0.8, common_fraction=0.3)
-
-
-# ------------------------------------------------------------------ traces
-
-
-def test_trace_roundtrip(tmp_path):
-    trace = Trace()
-    trace.append(TraceOp(at=0.0, op="write", oid="a", offset=0, length=100, content_seed=1))
-    trace.append(TraceOp(at=0.5, op="read", oid="a", offset=0, length=100))
-    path = str(tmp_path / "t.jsonl")
-    trace.save(path)
-    back = Trace.load(path)
-    assert back.ops == trace.ops
-
-
-def test_trace_time_order_enforced():
-    trace = Trace()
-    trace.append(TraceOp(at=1.0, op="write", oid="a", offset=0, length=10))
-    with pytest.raises(ValueError):
-        trace.append(TraceOp(at=0.5, op="write", oid="a", offset=0, length=10))
-
-
-def test_trace_op_validation():
-    with pytest.raises(ValueError):
-        TraceOp(at=0, op="erase", oid="a", offset=0, length=1)
-    with pytest.raises(ValueError):
-        TraceOp(at=0, op="read", oid="a", offset=-1, length=1)
-
-
-def test_trace_content_deterministic():
-    op = TraceOp(at=0, op="write", oid="a", offset=0, length=64, content_seed=9)
-    assert op.content() == op.content()
-    assert len(op.content()) == 64
-
-
-def test_trace_replay_paced():
-    storage = plain_storage()
-    trace = Trace()
-    trace.append(TraceOp(at=0.0, op="write", oid="x", offset=0, length=4096, content_seed=1))
-    trace.append(TraceOp(at=1.0, op="write", oid="y", offset=0, length=4096, content_seed=2))
-    trace.replay_sync(storage, paced=True)
-    assert storage.sim.now >= 1.0
-    assert storage.read_sync("x") == trace.ops[0].content()
-    assert storage.read_sync("y") == trace.ops[1].content()
-
-
-def test_trace_replay_unpaced_is_fast():
-    storage = plain_storage()
-    trace = Trace()
-    trace.append(TraceOp(at=0.0, op="write", oid="x", offset=0, length=4096, content_seed=1))
-    trace.append(TraceOp(at=100.0, op="read", oid="x", offset=0, length=4096))
-    trace.replay_sync(storage, paced=False)
-    assert storage.sim.now < 1.0

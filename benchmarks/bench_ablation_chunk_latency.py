@@ -45,7 +45,7 @@ def measure(chunk_size: int, flush_on_write: bool) -> float:
     result = FioRunner(storage, rand_write_spec(seed=3)).run()
     if not flush_on_write:
         storage.drain()
-    return result.latency.mean
+    return result.mean_latency
 
 
 def run_experiment():

@@ -103,7 +103,7 @@ def run_fig5b():
 def test_fig5a_partial_write_problem(benchmark):
     results = benchmark.pedantic(run_fig5a, rounds=1, iterations=1)
     rows = [
-        (name, f"{r.bandwidth / 1e6:.0f}", f"{r.latency.mean * 1e3:.3f}")
+        (name, f"{r.bandwidth / 1e6:.0f}", f"{r.mean_latency * 1e3:.3f}")
         for name, r in results.items()
     ]
     report(

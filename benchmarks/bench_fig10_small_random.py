@@ -104,10 +104,10 @@ def test_fig10_small_random(benchmark):
         rows = []
         for name, res in results[direction].items():
             rows.append(
-                (name, f"{res.latency.mean * 1e3:.3f}", f"{res.cpu_percent:.1f}")
+                (name, f"{res.mean_latency * 1e3:.3f}", f"{res.cpu_percent:.1f}")
             )
             benchmark.extra_info[f"{direction}:{name}"] = {
-                "latency_ms": round(res.latency.mean * 1e3, 3),
+                "latency_ms": round(res.mean_latency * 1e3, 3),
                 "cpu_pct": round(res.cpu_percent, 1),
             }
         report(
@@ -122,8 +122,8 @@ def test_fig10_small_random(benchmark):
             )
         )
 
-    w = {k: v.latency.mean for k, v in results["write"].items()}
-    r = {k: v.latency.mean for k, v in results["read"].items()}
+    w = {k: v.mean_latency for k, v in results["write"].items()}
+    r = {k: v.mean_latency for k, v in results["read"].items()}
     # Write: Proposed within ~40% of Original; flush clearly worst;
     # cache close to Original.
     assert w["Proposed"] < 1.40 * w["Original"]

@@ -70,8 +70,8 @@ def test_fig11_sequential(benchmark):
                     f"{block // KiB}KiB",
                     f"{orig.bandwidth / 1e6:.0f}",
                     f"{prop.bandwidth / 1e6:.0f}",
-                    f"{orig.latency.mean * 1e3:.3f}",
-                    f"{prop.latency.mean * 1e3:.3f}",
+                    f"{orig.mean_latency * 1e3:.3f}",
+                    f"{prop.mean_latency * 1e3:.3f}",
                 )
             )
             benchmark.extra_info[f"{direction}:{block // KiB}KiB"] = {

@@ -103,14 +103,14 @@ def test_fig12_sfs_database(benchmark):
             (
                 name,
                 f"{res.throughput / 1e6:.1f}",
-                f"{res.total_latency.mean * 1e3:.2f}",
+                f"{res.mean_latency * 1e3:.2f}",
                 f"{res.achieved_iops:.0f}",
                 fmt_bytes(used),
             )
         )
         benchmark.extra_info[name] = {
             "throughput_MBps": round(res.throughput / 1e6, 2),
-            "latency_ms": round(res.total_latency.mean * 1e3, 2),
+            "latency_ms": round(res.mean_latency * 1e3, 2),
             "used_bytes": used,
         }
     report(
@@ -131,7 +131,7 @@ def test_fig12_sfs_database(benchmark):
                     name,
                     op,
                     f"{res.op_iops(op):.0f}",
-                    f"{res.per_op_latency[op].mean * 1e3:.2f}",
+                    f"{res.op_mean_latency(op) * 1e3:.2f}",
                 )
             )
     report(
@@ -144,7 +144,7 @@ def test_fig12_sfs_database(benchmark):
     )
 
     thr = {k: v[0].throughput for k, v in results.items()}
-    lat = {k: v[0].total_latency.mean for k, v in results.items()}
+    lat = {k: v[0].mean_latency for k, v in results.items()}
     used = {k: v[1] for k, v in results.items()}
     # (a) Rep ~= Proposed; EC variants significantly lower.
     assert thr["Proposed"] == pytest.approx(thr["Replication"], rel=0.10)
@@ -157,8 +157,8 @@ def test_fig12_sfs_database(benchmark):
     # (d) the EC pain is concentrated in random writes.
     ec_res = results["EC"][0]
     assert (
-        ec_res.per_op_latency["randwrite"].mean
-        > 1.5 * ec_res.per_op_latency["randread"].mean
+        ec_res.op_mean_latency("randwrite")
+        > 1.5 * ec_res.op_mean_latency("randread")
     )
     # (e) dedup saves a large fraction of the storage.
     assert used["Proposed"] < 0.65 * used["Replication"]

@@ -54,8 +54,6 @@ def run_with_engine(rate_control: bool):
     storage = proposed(
         build_cluster(),
         rate_control=rate_control,
-        low_watermark=100.0,
-        high_watermark=1_000.0,
         ops_per_dedup_mid=100,
         ops_per_dedup_high=500,
         engine_workers=128,

@@ -21,8 +21,6 @@ def build(rate_control: bool):
     cluster = RadosCluster(num_hosts=4, osds_per_host=4, pg_num=64)
     config = DedupConfig(
         rate_control=rate_control,
-        low_watermark=100.0,
-        high_watermark=1_000.0,
         ops_per_dedup_mid=100,
         ops_per_dedup_high=500,
         engine_workers=128,

@@ -3,7 +3,7 @@
 
 Tier 1 — strict: the leaf packages declared in ``pyproject.toml``
 (``repro.fingerprint``, ``repro.util``, ``repro.faults``,
-``repro.metrics``, ``repro.analysis``, ``repro.obs``, ``repro.sim``)
+``repro.analysis``, ``repro.obs``, ``repro.sim``)
 must produce **zero** errors under the strict per-module overrides
 there.  Any error fails the gate.  The declared package list is itself
 ratcheted: ``STRICT_FLOOR`` below names every package ever promoted to
@@ -39,16 +39,15 @@ BASELINE = REPO / "scripts" / "mypy_core_baseline.json"
 CORE_CONFIG = REPO / "scripts" / "mypy-core.ini"
 CORE_PACKAGES = ["repro.core", "repro.cluster"]
 
-#: Every package ever promoted to the strict tier.  Append-only: the
-#: gate fails if pyproject.toml drops one of these from [tool.mypy]
-#: packages, so strictness can only be widened by accident, never
-#: narrowed.
+#: Every package promoted to the strict tier that still exists.  An
+#: entry leaves only with its package: the gate fails if pyproject.toml
+#: drops one of these from [tool.mypy] packages, so strictness can only
+#: be widened by accident, never narrowed.
 STRICT_FLOOR = frozenset(
     {
         "repro.fingerprint",
         "repro.util",
         "repro.faults",
-        "repro.metrics",
         "repro.analysis",
         "repro.obs",
         "repro.sim",

@@ -8,7 +8,9 @@ cluster submodule) directly couples itself to substrate internals —
 exactly the split-brain coupling the shared-nothing design avoids —
 and bypasses the two-phase commit the facade provides.  Consumers may
 import only the facade: ``from ..cluster import X`` /
-``import repro.cluster``.
+``import repro.cluster``.  Nor may they read a private attribute of
+the cluster object itself: ``tier.cluster._primary(...)`` is flagged
+like an import of ``repro.cluster.rados`` would be.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ __all__ = ["LayeringRule"]
 
 
 class LayeringRule(Rule):
-    """API001: no imports of ``repro.cluster`` submodules from outside."""
+    """API001: no imports of ``repro.cluster`` submodules, and no
+    ``cluster._name`` attribute reads, from outside."""
 
     id = "API001"
     title = "cross-layer import bypassing the RadosCluster facade"
@@ -48,6 +51,18 @@ class LayeringRule(Rule):
                     # Relative: ``from ..cluster.osd import X`` (any level).
                     if target.startswith("cluster."):
                         yield self._finding(mod, node, target)
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and _names_cluster(node.value)
+            ):
+                yield mod.finding(
+                    self,
+                    node,
+                    f"cluster.{node.attr} is private to repro.cluster; use"
+                    f" a public RadosCluster name instead",
+                )
 
     def _finding(self, mod: SourceModule, node: ast.AST, target: str) -> Finding:
         return mod.finding(
@@ -57,3 +72,10 @@ class LayeringRule(Rule):
             f" RadosCluster facade; import from repro.cluster (the package)"
             f" instead",
         )
+
+
+def _names_cluster(node: ast.expr) -> bool:
+    """``cluster`` or ``<anything>.cluster``."""
+    if isinstance(node, ast.Name):
+        return node.id == "cluster"
+    return isinstance(node, ast.Attribute) and node.attr == "cluster"

@@ -68,7 +68,6 @@ def default_config(**overrides) -> DedupConfig:
         chunk_size=32 * KiB,
         dedup_interval=0.005,
         hitset_period=1.0,
-        hitset_count=8,
         hit_count_threshold=2,
     )
     kwargs.update(overrides)

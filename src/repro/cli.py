@@ -52,8 +52,9 @@ def _cmd_info(_args) -> int:
     print(f"version: {getattr(repro, '__version__', 'dev')}")
     print()
     print("packages: sim, cluster, chunking, fingerprint, compression,")
-    print("          core (the paper's contribution), workloads, metrics,")
-    print("          bench, analysis (the repro-lint invariant checker)")
+    print("          core (the paper's contribution), workloads, faults,")
+    print("          obs, bench, util, analysis (the repro-lint invariant")
+    print("          checker)")
     print("docs:     README.md, DESIGN.md, EXPERIMENTS.md")
     print("tests:    pytest tests/")
     print("figures:  pytest benchmarks/ --benchmark-only")

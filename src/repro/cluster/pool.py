@@ -50,10 +50,6 @@ class Replicated:
         """Minimum replicas that must be writable to accept I/O."""
         return max(1, self.size - 1)
 
-    def raw_multiplier(self) -> float:
-        """Raw-to-logical space multiplier."""
-        return float(self.size)
-
 
 @dataclass(frozen=True)
 class ErasureCoded:
@@ -71,10 +67,6 @@ class ErasureCoded:
     def min_size(self) -> int:
         """Minimum shards that must be available to serve I/O."""
         return self.k
-
-    def raw_multiplier(self) -> float:
-        """Raw-to-logical space multiplier, e.g. 1.5 for 2+1."""
-        return (self.k + self.m) / self.k
 
     def codec(self) -> ReedSolomon:
         """The codec instance for this profile."""

@@ -185,7 +185,7 @@ class RadosCluster:
         self._next_pool_id = 1
         for h in range(num_hosts):
             self.add_host(f"host{h}", osds_per_host)
-        self._default_client = Client(self.sim, "client0", self.profile)
+        self.default_client = Client(self.sim, "client0", self.profile)
         #: Fault-injection hook (a FaultInjector, or None); consulted on
         #: every inter-host transfer.
         self.faults = None
@@ -319,7 +319,7 @@ class RadosCluster:
                 break
         return up
 
-    def _primary(self, pool: Pool, oid: str, pg: Optional[int] = None) -> OSD:
+    def primary(self, pool: Pool, oid: str, pg: Optional[int] = None) -> OSD:
         """The OSD that runs an op on ``oid``: its first holder, else
         (no copy yet) the first up acting member."""
         if pg is None:
@@ -363,7 +363,7 @@ class RadosCluster:
                 break
         return holders
 
-    def _readable_holders(self, pool: Pool, key: ObjectKey) -> List[OSD]:
+    def readable_holders(self, pool: Pool, key: ObjectKey) -> List[OSD]:
         """:meth:`_holders`, or raise: the retryable
         :class:`NotEnoughReplicas` when no acting OSD is up, else
         :class:`NoSuchObject`."""
@@ -525,7 +525,7 @@ class RadosCluster:
         its other up replica nodes (none on an EC pool, whose shards are
         built under the locks).  A PG already short of ``min_size``, or
         a partitioned link, fails here before a leg starts."""
-        client = client or self._default_client
+        client = client or self.default_client
         ec = pool.is_ec
         epoch = self.cluster_map.epoch
         settled = not self._unclean
@@ -843,11 +843,11 @@ class RadosCluster:
         client: Optional[Client] = None,
     ):
         """Process: read ``length`` bytes at ``offset``; returns bytes
-        (the generator of :meth:`_read`, not a wrapper of it)."""
+        (the generator of :meth:`read_key`, not a wrapper of it)."""
         key = ObjectKey(pool.pool_id, pool.pg_of(oid), oid)
-        return self._read(pool, key, offset, length, client or self._default_client, True)
+        return self.read_key(pool, key, offset, length, client or self.default_client, True)
 
-    def _read(
+    def read_key(
         self,
         pool: Pool,
         key: ObjectKey,
@@ -870,7 +870,7 @@ class RadosCluster:
         ``None``.
         """
         if pool.is_ec:
-            holders = self._readable_holders(pool, key)
+            holders = self.readable_holders(pool, key)
             primary = holders[0]
             shards = _pick_shards(pool, key, holders)
             if len(shards) < pool.codec.k:
@@ -897,7 +897,7 @@ class RadosCluster:
         if request:
             yield self._rpc_latency()
         last_exc: Optional[BaseException] = None
-        for osd in self._readable_holders(pool, key):
+        for osd in self.readable_holders(pool, key):
             try:
                 data = yield from osd.execute_read(key, offset, length)
             except OsdDownError as exc:
@@ -912,9 +912,9 @@ class RadosCluster:
     # -- metadata access -----------------------------------------------------------
 
     def _copy(self, pool: Pool, oid: str) -> StoredObject:
-        """The first holder's copy of ``oid`` (see :meth:`_readable_holders`)."""
+        """The first holder's copy of ``oid`` (see :meth:`readable_holders`)."""
         key = self.object_key(pool, oid)
-        return self._readable_holders(pool, key)[0].store.get(key)
+        return self.readable_holders(pool, key)[0].store.get(key)
 
     def stat(self, pool: Pool, oid: str):
         """Process: object payload size (logical size for EC)."""
@@ -968,7 +968,7 @@ class RadosCluster:
           parked copies of a mid-remap PG included (so they stay the same
           generation), with no decode and no encode.
         * Any other transaction changes the payload.  The stripe is read
-          and decoded by :meth:`_read` (not when ``txn`` starts by
+          and decoded by :meth:`read_key` (not when ``txn`` starts by
           replacing the payload) and the object's metadata taken from the
           first holder; ``primary`` applies ``txn``, encodes the result on
           its CPU and rewrites the shard of every up slot of the strict
@@ -987,7 +987,7 @@ class RadosCluster:
             current = holders[0].store.get(key)
             data = b""
             if txn.ops[0][0] != "write_full":
-                data = yield from self._read(pool, key, 0, None, None)
+                data = yield from self.read_key(pool, key, 0, None, None)
             scratch.put_object(
                 key, StoredObject(data, _user_xattrs(current), dict(current.omap))
             )

@@ -194,7 +194,7 @@ class InlineDedupStorage:
         if cmap is None:
             cmap = ChunkMap(cs)
         key = tier.metadata_key(oid)
-        primary = tier.cluster._primary(tier.metadata_pool, oid)
+        primary = tier.cluster.primary(tier.metadata_pool, oid)
         end = offset + len(data)
         for idx in tier.chunker.aligned_range(offset, len(data)):
             cstart = idx * cs

@@ -25,6 +25,9 @@ from .config import DedupConfig
 
 __all__ = ["HitSet", "CacheManager"]
 
+#: Bloom filters in the HitSet ring, one per ``hitset_period``.
+HITSET_COUNT = 8
+
 
 class HitSet:
     """A rotating ring of per-period bloom filters of accessed objects.
@@ -113,7 +116,7 @@ class CacheManager:
         self.sim = sim
         self.config = config
         self.hitset = HitSet(
-            sim, period=config.hitset_period, count=config.hitset_count
+            sim, period=config.hitset_period, count=HITSET_COUNT
         )
         # (oid, chunk_index) -> cached bytes; insertion order doubles as
         # the LRU/FIFO queue order.

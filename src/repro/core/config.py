@@ -31,24 +31,25 @@ class DedupConfig:
     cache_capacity_bytes:
         Cap on total cached chunk bytes in the metadata pool; ``None``
         means uncapped.  When exceeded, the engine demotes LRU chunks.
-    hitset_period / hitset_count / hit_count_threshold:
+    hitset_period / hit_count_threshold:
         HitSet tuning (paper §5): accesses are recorded into a rotating
-        ring of ``hitset_count`` bloom filters, one per ``hitset_period``
-        seconds; an object is *hot* when it appears in at least
-        ``hit_count_threshold`` of them and its current run of accesses
-        began at least ``hit_count_threshold - 1`` periods ago — hot
-        means sustained access, so two accesses a moment apart on either
-        side of a rotation are not two periods' worth.  A run ends after
-        ``hitset_period * hitset_count`` seconds without an access.  Hot
+        ring of ``cache.HITSET_COUNT`` (8) bloom filters, one per
+        ``hitset_period`` seconds; an object is *hot* when it appears in
+        at least ``hit_count_threshold`` of them and its current run of
+        accesses began at least ``hit_count_threshold - 1`` periods ago —
+        hot means sustained access, so two accesses a moment apart on
+        either side of a rotation are not two periods' worth.  A run ends after
+        ``hitset_period * HITSET_COUNT`` seconds without an access.  Hot
         objects are never deduplicated by the background engine
         (selective dedup, §3.2).
     rate_control:
         Enable watermark-based throttling of background dedup I/O.
-    low_watermark / high_watermark:
-        Foreground IOPS thresholds (paper §4.4.2).  Below low: dedup
-        unthrottled.  Between: one dedup I/O per ``ops_per_dedup_mid``
-        foreground ops.  Above high: one per ``ops_per_dedup_high``
-        (paper's example values 100 and 500).
+    ops_per_dedup_mid / ops_per_dedup_high:
+        Pacing between and above the foreground IOPS watermarks
+        (``rate_control.LOW_WATERMARK``/``HIGH_WATERMARK``, paper
+        §4.4.2): one dedup I/O per this many foreground ops (paper's
+        example values 100 and 500).  Below the low watermark dedup
+        runs unthrottled.
     dedup_interval:
         Engine idle poll period (seconds) when the dirty list is empty.
     refcount_mode:
@@ -66,7 +67,6 @@ class DedupConfig:
     #: "lfu", or "fifo" (§4.3 notes other algorithms could slot in).
     cache_policy: str = "lru"
     hitset_period: float = 1.0
-    hitset_count: int = 8
     hit_count_threshold: int = 2
 
     #: Compress chunk payloads before storing them in the chunk pool
@@ -77,8 +77,6 @@ class DedupConfig:
     compress_chunks: bool = False
 
     rate_control: bool = True
-    low_watermark: float = 100.0
-    high_watermark: float = 1_000.0
     ops_per_dedup_mid: int = 100
     ops_per_dedup_high: int = 500
 
@@ -102,8 +100,6 @@ class DedupConfig:
                 f"cache_capacity_bytes must be >= 0 or None, "
                 f"got {self.cache_capacity_bytes}"
             )
-        if self.low_watermark > self.high_watermark:
-            raise ValueError("low_watermark must be <= high_watermark")
         # A ratio of 0 would read as "unthrottled" above the watermarks.
         if self.ops_per_dedup_mid < 1 or self.ops_per_dedup_high < 1:
             raise ValueError("ops_per_dedup_mid and ops_per_dedup_high must be >= 1")

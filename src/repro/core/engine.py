@@ -265,7 +265,7 @@ class DedupEngine:
             for oid in oids:
                 cmap = yield from tier.load_chunk_map(oid)
                 if cmap is not None:
-                    primary = tier.cluster._primary(tier.metadata_pool, oid)
+                    primary = tier.cluster.primary(tier.metadata_pool, oid)
                     members.append((oid, cmap, primary))
             if not members:
                 return "missing"
@@ -519,7 +519,7 @@ class DedupEngine:
             cmap = yield from tier.load_chunk_map(oid)
             if cmap is None:
                 return "missing"
-            primary = tier.cluster._primary(tier.metadata_pool, oid)
+            primary = tier.cluster.primary(tier.metadata_pool, oid)
             via = primary.node
             key = tier.metadata_key(oid)
             txn = Transaction()
@@ -582,7 +582,7 @@ class DedupEngine:
         if entry.dirty:
             # Must be flushed first; leave it for the dirty-list pass.
             return
-        primary = tier.cluster._primary(tier.metadata_pool, oid)
+        primary = tier.cluster.primary(tier.metadata_pool, oid)
         via = primary.node
         key = tier.metadata_key(oid)
         cmap.set(entry.replace(valid=()))

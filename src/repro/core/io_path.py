@@ -66,10 +66,10 @@ def _read_cached_piece(tier, oid, offset, length, client):
     erasure-coded metadata pool), retried under the tier's policy.
     """
     cluster = tier.cluster
-    client = client or cluster._default_client
+    client = client or cluster.default_client
     key = tier.metadata_key(oid)
     data = yield from tier.retrying(
-        lambda: cluster._read(tier.metadata_pool, key, offset, length, client),
+        lambda: cluster.read_key(tier.metadata_pool, key, offset, length, client),
         op="read_cached",
     )
     return data
@@ -85,7 +85,7 @@ def _read_chunk_piece(tier, chunk_id, offset, length, client):
     the paper's redirection gap (Fig. 11's 32 KiB sequential-read
     ratio; ``tests/core/test_io_path.py`` pins the cost)."""
     cluster = tier.cluster
-    client = client or cluster._default_client
+    client = client or cluster.default_client
 
     def attempt():
         # Forwarding hop: metadata primary -> chunk primary.
@@ -133,7 +133,7 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
         raise ValueError(f"negative offset {offset}")
     if not data:
         return
-    client = client or tier.cluster._default_client
+    client = client or tier.cluster.default_client
     yield from tier.retrying(
         lambda: _write_once(tier, oid, offset, data, client), op="meta_write"
     )
@@ -191,7 +191,7 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
                     # the read-modify-write is deferred to the engine).
                     # The primary reads it: its bytes go into the
                     # transaction the primary ships to the replicas.
-                    via = cluster._primary(pool, oid).node
+                    via = cluster.primary(pool, oid).node
                     chunk_bytes = yield from tier.retrying(
                         lambda cid=entry.chunk_id, ln=length: tier.read_chunk(
                             cid, 0, ln, via

@@ -18,6 +18,12 @@ from .config import DedupConfig
 
 __all__ = ["OpWindow", "RateController"]
 
+#: Foreground IOPS below which background dedup runs unthrottled, and
+#: at or above which it gets one I/O per ``ops_per_dedup_high``
+#: foreground ops; in between, one per ``ops_per_dedup_mid``.
+LOW_WATERMARK = 100.0
+HIGH_WATERMARK = 1_000.0
+
 
 class OpWindow:
     """Sliding window of foreground operations for load measurement."""
@@ -80,9 +86,9 @@ class RateController:
         return self._ratio_at(self.window.iops())
 
     def _ratio_at(self, iops: float) -> int:
-        if iops < self.config.low_watermark:
+        if iops < LOW_WATERMARK:
             return 0
-        if iops >= self.config.high_watermark:
+        if iops >= HIGH_WATERMARK:
             return self.config.ops_per_dedup_high
         return self.config.ops_per_dedup_mid
 

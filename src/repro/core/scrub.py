@@ -93,7 +93,7 @@ def scrub(tier: DedupTier):
         # read_chunk decompresses tier-compressed payloads, so the
         # fingerprint check always runs over the logical content.
         data = yield from tier.read_chunk(chunk_id, 0, None, None)
-        primary = cluster._primary(tier.chunk_pool, chunk_id)
+        primary = cluster.primary(tier.chunk_pool, chunk_id)
         yield from primary.node.cpu.fingerprint(len(data))
         if fingerprint(data) != chunk_id:
             report.corrupt_chunks.append(chunk_id)

@@ -16,7 +16,7 @@ chunk pool.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..chunking import StaticChunker
@@ -30,7 +30,6 @@ from ..cluster import (
     Transaction,
 )
 from ..faults.retry import RetryPolicy, RetryStats, call_with_retries
-from ..perf.stages import StageCounters
 from ..sim import Event, LockTable
 from .config import DedupConfig
 from .cache import CacheManager
@@ -50,11 +49,84 @@ __all__ = [
     "ChunkBatch",
     "DedupTier",
     "SpaceReport",
+    "StageCounters",
     "CHUNK_ENCODING_XATTR",
 ]
 
 #: xattr on chunk objects recording the payload encoding ("raw"/"zlib").
 CHUNK_ENCODING_XATTR = "dedup.encoding"
+
+
+@dataclass
+class StageCounters:
+    """Always-on counters for the dedup hot path, by stage.
+
+    One per :class:`DedupTier` (``tier.stage``), bumped inline by the
+    tier, the engine and the read path.  Plain ints/floats, cheap enough
+    to stay on; :func:`repro.obs.storage_metrics` and ``benchmarks/e2e``
+    read them through :meth:`snapshot`.
+    """
+
+    # -- chunking: dirty chunk assembly ---------------------------------
+    chunking_ops: int = 0
+    chunking_bytes: int = 0
+
+    # -- fingerprint ----------------------------------------------------
+    fingerprint_ops: int = 0
+    fingerprint_bytes: int = 0
+    #: Wall-clock seconds inside the hash call (synchronous, so this is
+    #: real host time, not simulated time).
+    fingerprint_seconds: float = 0.0
+
+    # -- ref: chunk-pool reference traffic ------------------------------
+    #: Logical reference mutations (each ref or deref counts once).
+    ref_ops: int = 0
+    #: Prepared commits those mutations cost (round trips).  Unbatched,
+    #: this tracks ``ref_ops``; batched, it collapses toward one per
+    #: placement group per pass.
+    ref_commits: int = 0
+    #: Batched commits (each covers >= 1 ref_ops).
+    ref_batches: int = 0
+
+    # -- map: chunk-map codec traffic -----------------------------------
+    #: ``load_chunk_map`` calls served from the decoded-map LRU (no
+    #: disk read, no deserialize).
+    map_cache_hits: int = 0
+    map_cache_misses: int = 0
+    #: Cache entries dropped by explicit invalidation (faulted commits,
+    #: deletes, PG convergence) — LRU evictions not included.
+    map_cache_invalidations: int = 0
+    #: Chunk-map entries actually serialised by commits vs. the entries
+    #: the committed maps held in total.  Incremental (v2) commits keep
+    #: the first well below the second on small-I/O workloads.
+    map_entries_serialized: int = 0
+    map_entries_total: int = 0
+    #: Bytes of map metadata written by commits (headers + entries).
+    map_bytes_serialized: int = 0
+    #: Map commits (all in the incremental v2 format).
+    map_commits_incremental: int = 0
+
+    # -- read path: cache and fan-out -----------------------------------
+    #: Chunk segments served from the metadata-pool cache vs redirected
+    #: to the chunk pool.
+    cache_hits: int = 0
+    cache_misses: int = 0
+    #: Chunk-object fetches the read path issued to the pool (same-chunk
+    #: pieces merged).
+    fanout_chunk_reads: int = 0
+
+    # -- read path anomalies --------------------------------------------
+    #: Chunk segments that came back short from the substrate and were
+    #: zero-padded to the expected length (see ``io_path._read_once``).
+    read_short_segments: int = 0
+
+    # -- flush: new chunk payloads --------------------------------------
+    flush_ops: int = 0
+    flush_bytes: int = 0
+
+    def snapshot(self) -> dict:
+        """A plain-dict copy (JSON-ready)."""
+        return asdict(self)
 
 
 class ChunkBatch:
@@ -592,7 +664,7 @@ class DedupTier:
         cluster's one read path rather than wrapping it.
         """
         key = self.metadata_key(oid)
-        return self.cluster._read(self.metadata_pool, key, offset, length, None)
+        return self.cluster.read_key(self.metadata_pool, key, offset, length, None)
 
     # -- chunk reference state -------------------------------------------------
 
@@ -758,7 +830,7 @@ class DedupTier:
             # chunk during the request's latency and hand back its zlib
             # blob as data.
             key = self.cluster.object_key(self.chunk_pool, chunk_id)
-            self.cluster._readable_holders(self.chunk_pool, key)
+            self.cluster.readable_holders(self.chunk_pool, key)
         zlib = found[1].xattrs.get(CHUNK_ENCODING_XATTR) == b"zlib"
         blob = yield from self.cluster.read(self.chunk_pool, chunk_id, 0, None, client)
         if zlib:

@@ -1,6 +1,6 @@
-"""Observability layer: deterministic op tracing, a typed metrics
-registry, and the one snapshot of a running store
-(:func:`storage_metrics`) with its text views.
+"""Observability layer: deterministic op tracing, and the one gauge
+snapshot of a running store (:func:`storage_metrics`) with its text
+views.
 
 Nothing in the storage stack imports this package: the snapshot
 duck-types the stack, and the :class:`Tracer` patches its boundary

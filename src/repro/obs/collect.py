@@ -15,7 +15,7 @@ and ``repro faults`` text from a snapshot and read nothing else.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, List, Optional
+from typing import Any, List
 
 from .registry import MetricsRegistry
 
@@ -31,15 +31,9 @@ def _export_fields(
         family.labels(**{label: field.name}).set(getattr(bag, field.name))
 
 
-def storage_metrics(
-    storage: Any, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Snapshot ``storage`` (a ``DedupedStorage``) into a registry.
-
-    Safe to call repeatedly: families are registered idempotently and
-    gauges are overwritten with current values.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
+def storage_metrics(storage: Any) -> MetricsRegistry:
+    """Snapshot ``storage`` (a ``DedupedStorage``) into a new registry."""
+    reg = MetricsRegistry()
     tier, engine, cluster = storage.tier, storage.engine, storage.cluster
     injector = getattr(storage, "faults", None)
 

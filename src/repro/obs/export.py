@@ -85,16 +85,14 @@ def _label_block(names: Iterable[str], values: Iterable[str]) -> str:
 def prometheus_text(registry: MetricsRegistry) -> str:
     """Render the registry in the Prometheus text exposition format.
 
-    Families sorted by name, series by label values; histograms emit
-    cumulative ``_bucket`` samples plus ``_sum``/``_count``.
+    Families sorted by name, series by label values.
     """
     out: List[str] = []
     for family in registry.families():
         if family.help_text:
             out.append(f"# HELP {family.name} {family.help_text}")
-        out.append(f"# TYPE {family.name} {family.kind}")
+        out.append(f"# TYPE {family.name} gauge")
         for values, series in family.series_items():
             labels = _label_block(family.labelnames, values)
-            for sample_name, sample_value in series.sample_lines(family.name, labels):
-                out.append(f"{sample_name} {_fmt_value(sample_value)}")
+            out.append(f"{family.name}{labels} {_fmt_value(series.value)}")
     return "\n".join(out) + ("\n" if out else "")

@@ -13,10 +13,9 @@ and latency reflect the storage system's service capability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..metrics import LatencyRecorder, ThroughputSeries
 from ..sim import RngRegistry
 from .datagen import ContentGenerator
 
@@ -76,8 +75,8 @@ class FioJobSpec:
 class FioResult:
     """Aggregated outcome of a FIO run."""
 
-    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    series: ThroughputSeries = field(default_factory=ThroughputSeries)
+    #: Sum of every op's latency (simulated seconds).
+    latency_sum: float = 0.0
     total_bytes: int = 0
     total_ops: int = 0
     duration: float = 0.0
@@ -92,6 +91,11 @@ class FioResult:
     def iops(self) -> float:
         """Operations/second over the whole run."""
         return self.total_ops / self.duration if self.duration else 0.0
+
+    @property
+    def mean_latency(self) -> float:
+        """Average op latency in seconds, 0.0 when no op ran."""
+        return self.latency_sum / self.total_ops if self.total_ops else 0.0
 
 
 class FioRunner:
@@ -191,8 +195,6 @@ class FioRunner:
                 block = gen.block(spec.block_size)
                 yield from self.storage.write(oid, block, obj_offset, client)
                 nbytes = spec.block_size
-            now = self.sim.now
-            result.latency.record(now - issued)
-            result.series.note(now, nbytes)
+            result.latency_sum += self.sim.now - issued
             result.total_bytes += nbytes
             result.total_ops += 1

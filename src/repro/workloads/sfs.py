@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..metrics import LatencyRecorder, ThroughputSeries
 from ..sim import RngRegistry
 from .datagen import ContentGenerator
 
@@ -70,10 +69,11 @@ class SfsDatabaseSpec:
 class SfsResult:
     """Outcome: overall and per-op-type metrics (Figure 12 a-d)."""
 
-    total_latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    per_op_latency: Dict[str, LatencyRecorder] = field(default_factory=dict)
+    #: Per op type: the sum of its completed ops' latencies (simulated
+    #: seconds).
+    per_op_latency_sum: Dict[str, float] = field(default_factory=dict)
     per_op_count: Dict[str, int] = field(default_factory=dict)
-    series: ThroughputSeries = field(default_factory=ThroughputSeries)
+    total_bytes: int = 0
     requested_ops: int = 0
     completed_ops: int = 0
     duration: float = 0.0
@@ -81,7 +81,18 @@ class SfsResult:
     @property
     def throughput(self) -> float:
         """Achieved bytes/second."""
-        return self.series.total_bytes / self.duration if self.duration else 0.0
+        return self.total_bytes / self.duration if self.duration else 0.0
+
+    @property
+    def mean_latency(self) -> float:
+        """Average latency of every completed op, in seconds."""
+        total = sum(self.per_op_latency_sum.values())
+        return total / self.completed_ops if self.completed_ops else 0.0
+
+    def op_mean_latency(self, op: str) -> float:
+        """Average latency of one op type, in seconds."""
+        count = self.per_op_count.get(op, 0)
+        return self.per_op_latency_sum[op] / count if count else 0.0
 
     @property
     def achieved_iops(self) -> float:
@@ -130,7 +141,7 @@ class SfsDatabaseWorkload:
         spec = self.spec
         result = SfsResult()
         for op in self.mix:
-            result.per_op_latency[op] = LatencyRecorder(op)
+            result.per_op_latency_sum[op] = 0.0
             result.per_op_count[op] = 0
         client = self.storage.client("sfs-client")
         gen = ContentGenerator(seed=spec.seed + 2, dedupe_ratio=spec.dedupe_ratio)
@@ -195,10 +206,7 @@ class SfsDatabaseWorkload:
                 self._oid(obj_index), offset, spec.block_size, client
             )
             nbytes = len(data)
-        now = self.sim.now
-        latency = now - issued
-        result.total_latency.record(latency)
-        result.per_op_latency[op].record(latency)
+        result.per_op_latency_sum[op] += self.sim.now - issued
         result.per_op_count[op] += 1
         result.completed_ops += 1
-        result.series.note(now, nbytes)
+        result.total_bytes += nbytes

@@ -57,7 +57,7 @@ def test_flt001_flags_only_unguarded_io():
 
 def test_api001_flags_cluster_submodule_imports():
     result = lint_fixtures({"api001.py": "repro.workloads.fixture_api001"})
-    assert found(result, "API001") == (6, 7)
+    assert found(result, "API001") == (7, 8, 14, 15)
 
 
 def test_api001_allows_cluster_package_importing_itself():

@@ -91,7 +91,7 @@ def test_hitset_invalid_params():
 
 def make_manager(sim, **overrides):
     config = DedupConfig(
-        hitset_period=1.0, hitset_count=8, hit_count_threshold=2, **overrides
+        hitset_period=1.0, hit_count_threshold=2, **overrides
     )
     return CacheManager(sim, config)
 
@@ -149,7 +149,7 @@ def test_hits_in_two_periods_a_period_apart_are_hot():
 
 def test_threshold_one_is_hot_at_the_first_access():
     sim = Simulator()
-    config = DedupConfig(hitset_period=1.0, hitset_count=8, hit_count_threshold=1)
+    config = DedupConfig(hitset_period=1.0, hit_count_threshold=1)
     mgr = CacheManager(sim, config)
     assert not mgr.is_hot("obj1")
     mgr.record_access("obj1")

@@ -446,9 +446,9 @@ def test_fragmented_write_prereads_at_the_metadata_primary(storage):
     for off in offsets[:-1]:  # disjoint sub-chunk writes: no pre-read yet
         storage.write_sync("obj1", b"w" * 10, offset=off)
     assert not tier.peek_chunk_map("obj1").get(0).fully_cached()
-    primary = cluster._primary(tier.metadata_pool, "obj1").node
-    holder = cluster._primary(tier.chunk_pool, fingerprint(b"b" * 1024)).node
-    client = cluster._default_client
+    primary = cluster.primary(tier.metadata_pool, "obj1").node
+    holder = cluster.primary(tier.chunk_pool, fingerprint(b"b" * 1024)).node
+    client = cluster.default_client
     assert holder is not primary and client.nic is not primary.nic
     before = client.nic.bytes_received, primary.nic.bytes_received
     storage.write_sync("obj1", b"w" * 10, offset=offsets[-1])  # the pre-read

@@ -83,7 +83,7 @@ def chunk_pool_round_trip(storage, oid):
     """Simulated seconds of a lone one-byte chunk-pool read made by the
     metadata primary of ``oid``."""
     entry = storage.tier.peek_chunk_map(oid).get(0)
-    primary = storage.cluster._primary(storage.tier.metadata_pool, oid)
+    primary = storage.cluster.primary(storage.tier.metadata_pool, oid)
     start = storage.sim.now
     storage.cluster.run(
         storage.tier.read_chunk(entry.chunk_id, 0, 1, primary.node)

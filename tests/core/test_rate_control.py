@@ -9,8 +9,6 @@ from repro.sim import Simulator
 
 def make_rc(sim, window, **overrides):
     kwargs = dict(
-        low_watermark=100.0,
-        high_watermark=1000.0,
         ops_per_dedup_mid=100,
         ops_per_dedup_high=500,
     )
@@ -126,8 +124,6 @@ def test_throttle_disabled():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DedupConfig(low_watermark=10, high_watermark=5)
     with pytest.raises(ValueError):
         DedupConfig(refcount_mode="sometimes")
     with pytest.raises(ValueError):

@@ -122,7 +122,7 @@ def test_partition_blocks_cross_host_transfers():
         inj.check_link(nic1, nic0)  # symmetric
     # Same-host and client links are unaffected.
     inj.check_link(nic0, nic0)
-    inj.check_link(cluster._default_client.nic, nic0)
+    inj.check_link(cluster.default_client.nic, nic0)
     assert inj.stats.partition_drops == 2
     # A replicated write across the pair must fail while partitioned.
     with pytest.raises(NetworkPartitionError):
@@ -175,11 +175,11 @@ def test_read_fails_over_when_primary_crashes_mid_workload():
     cluster = make_cluster()
     pool = cluster.create_pool("p")
     cluster.write_full_sync(pool, "x", b"payload")
-    primary = cluster._primary(pool, "x")
+    primary = cluster.primary(pool, "x")
     plan = FaultPlan.single_osd_kill(primary.osd_id, at=0.5)
     FaultInjector(cluster, plan, auto_recover=False).attach()
     cluster.sim.run(until=1.0)
     # Primary down (still "in"): the read path must fail over to the
     # surviving replica rather than surface OsdDownError.
     assert cluster.read_sync(pool, "x") == b"payload"
-    assert cluster._primary(pool, "x") is not primary
+    assert cluster.primary(pool, "x") is not primary

@@ -45,29 +45,14 @@ def test_load_skips_blank_lines(tmp_path):
 
 def test_prometheus_text_families_and_samples():
     reg = MetricsRegistry()
-    reg.counter("repro_ops_total", "Total ops", labels=("op",)).labels(
-        op="write"
-    ).inc(3)
+    reg.gauge("repro_ops", "Total ops", labels=("op",)).labels(op="write").set(3)
     reg.gauge("repro_depth", "Queue depth").set(2.5)
     text = prometheus_text(reg)
-    assert "# HELP repro_ops_total Total ops" in text
-    assert "# TYPE repro_ops_total counter" in text
-    assert 'repro_ops_total{op="write"} 3' in text
+    assert "# HELP repro_ops Total ops" in text
+    assert "# TYPE repro_ops gauge" in text
+    assert 'repro_ops{op="write"} 3' in text
     assert "repro_depth 2.5" in text
     assert text.endswith("\n")
-
-
-def test_prometheus_text_histogram_buckets_are_cumulative():
-    reg = MetricsRegistry()
-    hist = reg.histogram("repro_lat", "Latency", buckets=(1.0, 2.0))
-    for v in (0.5, 1.5, 9.0):
-        hist.observe(v)
-    text = prometheus_text(reg)
-    assert 'repro_lat_bucket{le="1.0"} 1' in text
-    assert 'repro_lat_bucket{le="2.0"} 2' in text
-    assert 'repro_lat_bucket{le="+Inf"} 3' in text
-    assert "repro_lat_sum 11" in text
-    assert "repro_lat_count 3" in text
 
 
 def test_prometheus_text_escapes_label_values():
@@ -81,10 +66,10 @@ def test_prometheus_text_is_insertion_order_independent():
     forward, backward = MetricsRegistry(), MetricsRegistry()
     for reg, order in ((forward, ("a", "b")), (backward, ("b", "a"))):
         for name in order:
-            reg.counter(f"repro_{name}_total", labels=("k",))
+            reg.gauge(f"repro_{name}", labels=("k",))
         for key in order:
-            reg.counter("repro_a_total", labels=("k",)).labels(k=key).inc()
-            reg.counter("repro_b_total", labels=("k",)).labels(k=key).inc()
+            reg.get("repro_a").labels(k=key).set(1)
+            reg.get("repro_b").labels(k=key).set(1)
     assert prometheus_text(forward) == prometheus_text(backward)
 
 

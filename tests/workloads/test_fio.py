@@ -47,8 +47,7 @@ def test_read_after_prefill_returns_data():
     result = runner.run()
     assert result.total_ops == 8
     assert result.total_bytes == 32 * KiB
-    assert result.latency.count == 8
-    assert result.latency.mean > 0
+    assert result.mean_latency > 0
 
 
 def test_random_ops_stay_in_file():
@@ -140,5 +139,20 @@ def test_result_metrics_consistent():
     result = FioRunner(storage, spec).run()
     assert result.iops == pytest.approx(result.total_ops / result.duration)
     assert result.bandwidth == pytest.approx(result.total_bytes / result.duration)
-    assert result.latency.count == result.total_ops
+    assert result.mean_latency == pytest.approx(result.latency_sum / result.total_ops)
     assert result.cpu_percent >= 0
+
+
+def test_fio_sequential_wraps_with_runtime():
+    storage = PlainStorage(RadosCluster(num_hosts=2, osds_per_host=2, pg_num=16))
+    spec = FioJobSpec(
+        pattern="write",
+        block_size=4 * KiB,
+        file_size=16 * KiB,
+        object_size=16 * KiB,
+        runtime=0.02,
+    )
+    result = FioRunner(storage, spec).run()
+    # Far more ops than one pass over the 4-block file: it wrapped.
+    assert result.total_ops > 8
+    assert len(storage.read_sync("fio.j0.o0")) == 16 * KiB

@@ -47,7 +47,11 @@ def test_sfs_requested_rate_is_fixed():
     result = wl.run()
     assert result.requested_ops == pytest.approx(200, abs=2)
     assert result.completed_ops == result.requested_ops
-    assert result.total_latency.count == result.completed_ops
+    assert sum(result.per_op_count.values()) == result.completed_ops
+    assert result.mean_latency == pytest.approx(
+        sum(result.op_mean_latency(op) * n for op, n in result.per_op_count.items())
+        / result.completed_ops
+    )
 
 
 def test_sfs_mix_includes_all_op_types():

@@ -99,13 +99,15 @@ done
 # check + traced-equals-untraced (run.py finds src/ itself).
 step "e2e-smoke: end-to-end benchmark smoke" \
     python3 benchmarks/e2e/run.py --smoke
-# rand-small-cold, and hot-reread, whose writes to one object overlap
-# and so fill the tier's write line.  Fails when a lock table, a map-miss
-# fence, the write line, a pending requeue or a promotion in flight is
-# left after the pass.
+# rand-small-cold; hot-reread, whose writes to one object overlap and
+# so fill the tier's write line; seq-backup, the one that deletes.
+# Fails when a lock table, a map-miss fence, the write line, a pending
+# requeue, a promotion or a delete's release in flight is left after
+# the pass.
 step "e2e-smoke: memory by site (artifact; fails on a non-empty per-key table)" \
     bash -o pipefail -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke | tee rss-by-site.txt &&
-        python3 scripts/rss_by_site.py hot-reread --smoke | tee -a rss-by-site.txt'
+        python3 scripts/rss_by_site.py hot-reread --smoke | tee -a rss-by-site.txt &&
+        python3 scripts/rss_by_site.py seq-backup --smoke | tee -a rss-by-site.txt'
 # seq-backup (four lanes writing one object), rand-small-cold (one drain
 # pass per dirty metadata PG) and hot-reread as ci.yml; sfs-mixed-open's
 # background passes run beside foreground ops.

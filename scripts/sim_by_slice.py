@@ -19,7 +19,10 @@ retire bursts, the open loop's ``open.r1``-``r3`` and ``settle``):
 
 then the inputs of ``core.engine.sim_drain_mb_per_s`` (MiB the engine
 flushed or deduplicated inside the drain slices over the drain slices'
-simulated seconds), which the driver reports from its traced pass only.
+simulated seconds), which the driver reports from its traced pass only,
+and per burst kind and op (read / write / delete) the count, mean and
+p99 of the simulated op latency, from the runner's own op logs — a
+delete's is the time to its reply, which ``run.py`` does not report.
 ``--smoke`` is the benchmark's ``--smoke`` size (seconds, not minutes).
 ``--config KEY=VALUE`` (repeatable) overrides a ``DedupConfig`` field,
 as ``run.py --config`` does, to size a slice against an ablation; the
@@ -75,6 +78,16 @@ def main(argv=None) -> int:
         return made
 
     child.set_up = probing_set_up
+    # The measured phase's op logs: run_pass summarises that phase only.
+    summarize_phase = child.summarize_phase
+    summarized = []
+
+    def keeping_summarize_phase(plan, phase):
+        summary = summarize_phase(plan, phase)
+        summarized.append((phase, summary))
+        return summary
+
+    child.summarize_phase = keeping_summarize_phase
     if args.smoke:
         rounds, tail_rounds = run.SMOKE_ROUNDS, 1
     else:
@@ -108,6 +121,17 @@ def main(argv=None) -> int:
             drained, drain["sim_s"], drained / drain["sim_s"]))
     else:
         print("\ncore.engine.sim_drain_mb_per_s inputs: no drain slice in the measured phase")
+
+    (phase,) = [p for p, summary in summarized if summary is measured]
+    latencies = {}
+    for log in phase.logs:
+        for kind in sorted({op[0] for op in log.ops}):
+            latencies.setdefault((log.tag, child._OP_NAMES[kind]), []).extend(log.latencies(kind))
+    print("\n%-10s %-8s %8s %12s %12s" % ("burst", "op", "ops", "mean ms", "p99 ms"))
+    for (tag, op), values in sorted(latencies.items()):
+        row = child.latency_summary(values)
+        if row["n"]:
+            print("%-10s %-8s %8d %12.4f %12.4f" % (tag, op, row["n"], row["mean_ms"], row["p99_ms"]))
     return 0
 
 

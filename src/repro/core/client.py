@@ -144,9 +144,12 @@ class DedupedStorage:
         return data
 
     def delete(self, oid: str, client=None):
-        """Process: delete ``oid`` and release its chunks' references
-        (one batched commit; see :func:`~repro.core.io_path.delete_path`)."""
-        yield from delete_path(self.tier, oid, client)
+        """Process: delete ``oid``; returns once its metadata object is
+        gone.  Its chunks' references are released behind the reply, in
+        one batched commit under the object's lock (see
+        :func:`~repro.core.io_path.delete_path`); :meth:`delete_sync` and
+        :meth:`drain` wait for that release."""
+        yield from delete_path(self.tier, oid, self.engine.release_deleted, client)
 
     def flush(self, oid: str):
         """Process: force deduplication of one object now."""
@@ -163,17 +166,24 @@ class DedupedStorage:
         return self.cluster.run(self.read(oid, offset, length))
 
     def delete_sync(self, oid: str) -> None:
-        """Synchronous :meth:`delete`."""
-        self.cluster.run(self.delete(oid))
+        """Synchronous :meth:`delete`; returns once its chunks'
+        references are released too."""
+
+        def delete():
+            yield from self.delete(oid)
+            yield from self.engine.releases_landed()
+
+        self.cluster.run(delete())
 
     def flush_sync(self, oid: str) -> None:
         """Synchronous :meth:`flush`."""
         self.cluster.run(self.flush(oid))
 
     def drain(self) -> None:
-        """Deduplicate everything pending (ignores hotness), then run the
-        GC over the engine's deref queue (the false-positive mode's
-        deferred dereferences, and any release a fault deferred).
+        """Deduplicate everything pending (ignores hotness), wait for every
+        delete's chunk release in flight, then run the GC over the
+        engine's deref queue (the false-positive mode's deferred
+        dereferences, and any release a fault deferred).
 
         Runs up to ``config.engine_workers`` forced passes at once — see
         :meth:`DedupEngine.drain <repro.core.engine.DedupEngine.drain>`.

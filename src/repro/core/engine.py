@@ -47,11 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Transaction
 from ..faults.errors import is_retryable
 from ..fingerprint import timed_fingerprint
+from ..sim import Event
 from .objects import ChunkRef
 from .scrub import collect_garbage
 from .tier import ChunkBatch, DedupTier
@@ -135,11 +136,15 @@ class DedupEngine:
         #: References left for the GC: in ``refcount_mode=
         #: "false_positive"`` (§4.6) the old-chunk dereferences of
         #: committed passes, queued instead of released; in either mode
-        #: a release that faulted (:meth:`_release_or_defer`).
+        #: a release that faulted (:meth:`_release_or_defer`) and a
+        #: deleted object's release that gave up (:meth:`_release`).
         self.deref_queue: List[Tuple[str, ChunkRef]] = []
         self._running = False
         self._procs = []
         self._promoting = set()
+        #: Deleted objects' chunk releases in flight, by oid
+        #: (:meth:`release_deleted`); each holds its object's lock.
+        self._releases: Dict[str, Event] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -496,6 +501,51 @@ class DedupEngine:
             self.stats.derefs_deferred_fault += len(pairs)
             self.deref_queue.extend(pairs)
 
+    # -- deleted objects' references -------------------------------------------------
+
+    def release_deleted(self, oid, pairs, held, client) -> None:
+        """Start releasing the references ``pairs`` of deleted ``oid``.
+
+        :func:`~repro.core.io_path.delete_path` calls it once the
+        metadata object is gone and replies without waiting for it.  The
+        release takes over the delete's object-lock grants ``held``, so
+        every later write, pass, promotion, GC or delete of ``oid`` waits
+        until the batch has landed, and a recreate can never take a
+        reference the release then drops.
+        """
+        self._releases[oid] = self.sim.process(self._release(oid, pairs, held, client))
+
+    def _release(self, oid, pairs, held, client):
+        """Process: one :meth:`~DedupTier.release_refs` batch of a deleted
+        object's references, retried; frees its object lock when it ends.
+
+        A release that exhausts its retries leaves every reference
+        over-retained (never dangling) and queues the set on
+        :attr:`deref_queue` for the next ``drain()``'s GC, as a pass's
+        faulted release does.
+        """
+        tier = self.tier
+        try:
+            yield from tier.retrying(
+                lambda: tier.release_refs(pairs, client), op="chunk_deref"
+            )
+        except Exception as exc:
+            if not is_retryable(exc):
+                raise
+            self.stats.derefs_deferred_fault += len(pairs)
+            self.deref_queue.extend(pairs)
+        finally:
+            del self._releases[oid]
+            tier.object_locks.release(held)
+
+    def releases_landed(self):
+        """Process: wait until no deleted object's release is in flight.
+
+        Re-raises the error of a release that failed while waited for (a
+        bug: a fault defers the set to the GC instead)."""
+        while self._releases:
+            yield next(iter(self._releases.values()))
+
     # -- cache maintenance -----------------------------------------------------------
 
     def promote_object(self, oid: str):
@@ -617,8 +667,9 @@ class DedupEngine:
         queue for the next drain.  Used by benchmarks
         to reach the fully deduplicated steady state before measuring
         space.  Every pass releases its old chunks before its worker
-        takes the next group, so a drain returns with every reference
-        settled and every lock free.
+        takes the next group, and the drain waits for every deleted
+        object's release in flight before its GC, so it returns with
+        every reference settled and every lock free.
 
         A non-retryable error in one pass stops the hand-out: no worker
         pops another group, siblings finish the pass they hold (they
@@ -655,6 +706,8 @@ class DedupEngine:
             rounds += 1
             if rounds > 1_000_000:
                 raise RuntimeError("drain did not converge")
+        if self._releases:
+            yield from self.releases_landed()
         if run_gc:
             queue, self.deref_queue = self.deref_queue, []
             try:

@@ -20,6 +20,12 @@ system) or to the chunk pool (redirection: metadata pool -> chunk pool
 visible in Figures 10/11).  Chunks are fetched
 in parallel, which is why large sequential reads recover the lost
 throughput (Figure 11's 128 KiB case).
+
+**Delete path** — the client's delete is done once the metadata object
+is removed (§4.6 asks only that a dereference never dangle).  The chunk
+references its map held are released behind the reply, in one batch, by
+a process that holds the object lock until that batch has landed, so
+the next mutation of the object waits for it as for any other holder.
 """
 
 from __future__ import annotations
@@ -242,18 +248,24 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
         tier.object_locks.release(held)
 
 
-def delete_path(tier: DedupTier, oid: str, client=None):
-    """Process: delete object ``oid`` and release its chunks.
+def delete_path(tier: DedupTier, oid: str, release, client=None):
+    """Process: delete object ``oid``; returns once its metadata object
+    is gone.
 
-    The metadata object is removed first (the user-visible delete) and
-    its chunks leave the cache manager's books; then every reference the
-    map held is released through one
-    :meth:`~repro.core.tier.DedupTier.release_refs` — a single batched
-    commit, all-or-nothing on either pool type.  Chunk objects whose
-    last reference this was
-    disappear with it.  A crash or a retry give-up in between leaves
-    only over-retained chunks (never dangling pointers, never a released
-    prefix of a batch), which the offline GC reclaims — the same §4.6
+    Under the object lock, the metadata object is removed (the
+    user-visible delete) and its chunks leave the cache manager's books.
+    The reply then travels back to the client while ``release(oid,
+    pairs, held, client)`` — the engine's
+    :meth:`~repro.core.engine.DedupEngine.release_deleted` — drops every
+    reference the map held in one
+    :meth:`~repro.core.tier.DedupTier.release_refs`, a single batched
+    commit, all-or-nothing on either pool type.  It takes over the
+    object lock (the grants in ``held``) and frees it once that batch
+    has landed, so every later mutation of ``oid`` — a recreate
+    included — still waits for it.  Chunk objects whose last reference
+    this was disappear with it.  A crash or a retry give-up in between
+    leaves only over-retained chunks (never dangling pointers, never a
+    released prefix of a batch), which the GC reclaims — the same §4.6
     safety direction as flush.
     """
     held: list = []
@@ -266,14 +278,13 @@ def delete_path(tier: DedupTier, oid: str, client=None):
         key = tier.metadata_key(oid)
         cluster = tier.cluster
         # Removing an already-removed object is a no-op, so the delete
-        # and the release below are idempotent under retry.
+        # is idempotent under retry.
         yield from tier.retrying(
             lambda: cluster.submit(
                 tier.metadata_pool, oid, Transaction().remove(key), client
             ),
             op="meta_delete",
         )
-        yield cluster.reply()
         # The decoded map of a removed object must not be served to
         # a later recreate (load_chunk_map hits skip the existence
         # probe entirely).
@@ -286,10 +297,10 @@ def delete_path(tier: DedupTier, oid: str, client=None):
             if entry.chunk_id:
                 pairs.append((entry.chunk_id, entry_ref(tier, oid, entry)))
         if pairs:
-            yield from tier.retrying(
-                lambda: tier.release_refs(pairs, client), op="chunk_deref"
-            )
+            release(oid, pairs, held, client)
+            held = []
         tier.fg_window.note(0)
+        yield cluster.reply()
     finally:
         tier.object_locks.release(held)
 

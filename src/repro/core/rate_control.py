@@ -34,14 +34,10 @@ class OpWindow:
         self.sim = sim
         self.window = window
         self._ops: Deque[Tuple[float, int]] = deque()  # (time, bytes)
-        self.total_ops = 0
-        self.total_bytes = 0
 
     def note(self, nbytes: int = 0) -> None:
         """Record one foreground operation at the current time."""
         self._ops.append((self.sim.now, nbytes))
-        self.total_ops += 1
-        self.total_bytes += nbytes
         self._expire()
 
     def _expire(self) -> None:
@@ -74,9 +70,6 @@ class RateController:
         self.sim = sim
         self.window = window
         self.config = config
-        #: Counters for tests/metrics.
-        self.throttled = 0
-        self.passed = 0
 
     def current_ratio(self) -> int:
         """Foreground ops per permitted dedup I/O at the current load.
@@ -95,12 +88,9 @@ class RateController:
     def throttle(self):
         """Process: wait until the next dedup I/O is permitted."""
         if not self.config.rate_control:
-            self.passed += 1
             return
         iops = self.window.iops()
         ratio = self._ratio_at(iops)
         if ratio == 0:
-            self.passed += 1
             return
-        self.throttled += 1
         yield self.sim.timeout(ratio / max(iops, 1e-9))

@@ -42,8 +42,9 @@ def run_traced_workload(
 
     Writes ``objects`` 64 KiB blocks (75 % duplicate content by
     default), drains the dedup engine, reads a third of them back and
-    deletes one — so the trace exercises every root-op kind
-    (``op.write``, ``op.dedup_pass``, ``op.read``, ``op.delete``).
+    deletes one — so the trace exercises every root-op kind a client's
+    ops set off (``op.write``, ``op.dedup_pass``, ``op.read``,
+    ``op.delete`` and its ``op.release``).
     """
     # Imported lazily: obs is an import leaf; repro.core must stay free
     # to import repro.obs at module scope.

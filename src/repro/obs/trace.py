@@ -121,6 +121,8 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
      lambda _self, oid, *group, force=False: {
          "oid": oid, "objects": 1 + len(group), "forced": force}),
     ("repro.core.engine", "DedupEngine.promote_object", "op.promote", _oid),
+    ("repro.core.engine", "DedupEngine._release", "op.release",
+     lambda _self, oid, pairs, *_a, **_k: {"oid": oid, "count": len(pairs)}),
     ("repro.cluster.converge", "_pass", "op.converge", _none),
     # The dedup engine.
     ("repro.core.rate_control", "RateController.throttle", "engine.rate_throttle", _none),

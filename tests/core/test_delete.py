@@ -8,7 +8,7 @@ from repro.cluster import ErasureCoded, NoSuchObject, RadosCluster
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.objects import ChunkRef
 from repro.core.scrub import collect_garbage_sync, scrub_sync
-from repro.faults import FaultInjector, FaultPlan, TransientOpError
+from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import FaultEvent
 from repro.faults.scenario import locks_left
 from repro.fingerprint import fingerprint
@@ -197,13 +197,52 @@ def test_delete_racing_a_pass_that_shares_its_chunks():
     assert locks_left(storage) == []
 
 
+def test_a_recreate_waits_for_the_release_of_the_delete_before_it(monkeypatch):
+    # The delete replies once the metadata object is gone; its release is
+    # slowed so that the same content is written to the same oid, and
+    # deduplicated, while it is still in flight.  The recreate's pass
+    # takes the very references the release drops (same oid, same
+    # offsets): only the object lock the release holds keeps them apart.
+    storage = make_storage()
+    sim, tier = storage.sim, storage.tier
+    payload = distinct_chunks(8)
+    storage.write_sync("obj1", payload)
+    storage.drain()
+    release_refs = tier.release_refs
+
+    def slow_release(pairs, via):
+        yield sim.timeout(0.05)
+        yield from release_refs(pairs, via)
+
+    monkeypatch.setattr(tier, "release_refs", slow_release)
+
+    def delete_then_recreate():
+        yield from storage.delete("obj1")
+        assert locks_left(storage) == ["tier.object=1"]  # the release's
+        yield from storage.write("obj1", payload)
+
+    storage.cluster.run(delete_then_recreate())
+    storage.drain()
+    pool_id = tier.metadata_pool.pool_id
+    for i in range(8):
+        chunk_id = fingerprint(payload[i * CHUNK : (i + 1) * CHUNK])
+        assert list(tier._load_refs(chunk_id)) == [ChunkRef(pool_id, "obj1", i * CHUNK)]
+        assert tier.chunk_refcount(chunk_id) == 1
+    assert len(storage.cluster.list_objects(tier.chunk_pool)) == 8
+    assert storage.read_sync("obj1") == payload
+    assert scrub_sync(tier).clean
+    assert locks_left(storage) == []
+
+
 def test_delete_that_gives_up_leaves_nothing_on_the_cache_books():
     """The release exhausts its retries after the metadata object is
-    gone: the cache manager must already have forgotten the object, and
-    every reference stays over-retained for the GC (none dangling, no
-    released prefix)."""
+    gone: the delete has already succeeded, the cache manager has
+    forgotten the object, and every reference stays over-retained (none
+    dangling, no released prefix) on the engine's deref queue, which the
+    next drain's GC reclaims."""
     storage = make_storage(hit_count_threshold=1, hitset_period=60.0)
     tier, cache, cluster = storage.tier, storage.tier.cache, storage.cluster
+    engine = storage.engine
     before = (cache.cached_bytes, len(cache._cached), len(cache._cached_by_oid))
     payload = distinct_chunks(16)
     storage.write_sync("obj1", payload)
@@ -225,20 +264,22 @@ def test_delete_that_gives_up_leaves_nothing_on_the_cache_books():
     )
     injector = FaultInjector(cluster, plan).attach()
     storage.sim.run(until=storage.sim.now + 1e-6)  # deliver the window
-    with pytest.raises(TransientOpError):
-        storage.delete_sync("obj1")
+    storage.delete_sync("obj1")
     assert tier.retry_stats.giveups == 1
+    assert locks_left(storage) == []
 
     with pytest.raises(NoSuchObject):
         storage.read_sync("obj1")
     assert (cache.cached_bytes, len(cache._cached), len(cache._cached_by_oid)) == before
-    # All-or-nothing: every chunk still carries its (now stale) reference.
+    # All-or-nothing: every chunk still carries its (now stale) reference,
+    # and every one of the 16 is queued for the GC.
     assert cluster.list_objects(tier.chunk_pool) == chunk_ids
     assert all(tier.chunk_refcount(cid) == 1 for cid in chunk_ids)
+    assert sorted(cid for cid, _ref in engine.deref_queue) == sorted(chunk_ids)
+    assert engine.stats.derefs_deferred_fault == 16
 
     injector.heal_all()
-    report = scrub_sync(tier)
-    assert len(report.stale_references) == 16 and not report.dangling_map_entries
-    assert collect_garbage_sync(tier).chunks_removed == 16
+    storage.drain()
+    assert engine.deref_queue == []
     assert cluster.list_objects(tier.chunk_pool) == []
     assert scrub_sync(tier).clean

@@ -108,7 +108,8 @@ def test_deadline_on_an_ec_write_lock_grant_in_a_retried_submit(monkeypatch, hop
 
 def test_an_attempt_cut_at_its_deadline_is_a_finished_error_span(monkeypatch):
     # The retried delete above, traced: its first release attempt is
-    # interrupted at the deadline while it waits for the chunk lock.
+    # interrupted at the deadline while it waits for the chunk lock.  The
+    # release runs behind the delete's reply, as a root op of its own.
     storage = make_storage()
     sim, tier = storage.sim, storage.tier
     storage.write_sync("obj", b"x" * 1024 + b"y" * 1024)
@@ -120,8 +121,9 @@ def test_an_attempt_cut_at_its_deadline_is_a_finished_error_span(monkeypatch):
         storage.delete_sync("obj")
     assert tier.retry_stats.timeouts == 1
     records = tracer.to_records()
-    (op,) = [r for r in records if r["parent_id"] is None]
-    assert op["stage"] == "op.delete" and "error" not in op["tags"]
+    delete, op = [r for r in records if r["parent_id"] is None]
+    assert delete["stage"] == "op.delete" and "error" not in delete["tags"]
+    assert op["stage"] == "op.release" and "error" not in op["tags"]
     cut, retried = [r for r in records if r["stage"] == "tier.commit_chunk_batch"]
     assert cut["tags"]["error"] == "Interrupt"
     assert cut["end"] == pytest.approx(cut["start"] + OP_TIMEOUT)

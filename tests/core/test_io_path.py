@@ -119,17 +119,19 @@ def test_write_after_flush_prereads_noncached_chunk(storage):
 def test_full_chunk_overwrite_skips_preread(storage):
     storage.write_sync("obj1", b"a" * 1024)
     storage.drain()
-    before = storage.tier.fg_window.total_ops
-    storage.write_sync("obj1", b"b" * 1024)  # full cover: no pre-read
+    assert not storage.tier.peek_chunk_map("obj1").get(0).cached
+    with Tracer(storage.sim) as tracer:
+        storage.write_sync("obj1", b"b" * 1024)  # full cover: no pre-read
+    assert [s.stage for s in tracer.spans if s.stage == "tier.read_chunk"] == []
     assert storage.read_sync("obj1") == b"b" * 1024
-    assert storage.tier.fg_window.total_ops == before + 2  # write + read
 
 
 def test_foreground_ops_feed_rate_window(storage):
     storage.write_sync("obj1", b"x" * 1024)
     storage.read_sync("obj1")
-    assert storage.tier.fg_window.total_ops == 2
-    assert storage.tier.fg_window.total_bytes == 2048
+    # Both inside the one-second window: 2 ops, 2 KiB.
+    assert storage.tier.fg_window.iops() == 2.0
+    assert storage.tier.fg_window.throughput() == 2048.0
 
 
 def test_many_objects_roundtrip(storage):

@@ -37,16 +37,6 @@ def test_window_expires_old_ops():
     assert window.iops() == 0.0
 
 
-def test_window_totals_are_cumulative():
-    sim = Simulator()
-    window = OpWindow(sim, window=1.0)
-    feed(sim, window, 10, nbytes=100)
-    sim.run(until=5.0)
-    feed(sim, window, 5, nbytes=100)
-    assert window.total_ops == 15
-    assert window.total_bytes == 1500
-
-
 def test_window_invalid():
     with pytest.raises(ValueError):
         OpWindow(Simulator(), window=0)
@@ -90,7 +80,6 @@ def test_throttle_waits_for_n_foreground_ops_worth_of_time():
     sim.run()
     # 500 ops at 1000 IOPS = 0.5 s.
     assert p.value == pytest.approx(0.5)
-    assert rc.throttled == 1
 
 
 def test_throttle_immediate_when_idle():
@@ -105,7 +94,6 @@ def test_throttle_immediate_when_idle():
     p = sim.process(proc())
     sim.run()
     assert p.value == 0.0
-    assert rc.passed == 1
 
 
 def test_throttle_disabled():

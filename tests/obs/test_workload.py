@@ -24,7 +24,7 @@ def test_traced_workload_satisfies_the_obs_smoke_contract():
     )
     assert problems == []
     roots = {r["stage"] for r in records if r["parent_id"] is None}
-    assert {"op.write", "op.dedup_pass", "op.read", "op.delete"} <= roots
+    assert {"op.write", "op.dedup_pass", "op.read", "op.delete", "op.release"} <= roots
 
 
 def test_traced_workload_is_deterministic():

@@ -124,9 +124,9 @@ def test_fig10_small_random(benchmark):
 
     w = {k: v.mean_latency for k, v in results["write"].items()}
     r = {k: v.mean_latency for k, v in results["read"].items()}
-    # Write: Proposed within ~40% of Original; flush clearly worst;
-    # cache close to Original.
-    assert w["Proposed"] < 1.40 * w["Original"]
+    # Write: Proposed within the paper's +20% of Original; flush clearly
+    # worst; cache close to Original.
+    assert w["Proposed"] < 1.20 * w["Original"]
     assert w["Proposed-flush"] > 1.5 * w["Proposed"]
     assert w["Proposed-cache"] < 1.35 * w["Original"]
     # Read: redirection penalty for Proposed; cache ~= Original.

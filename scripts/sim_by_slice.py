@@ -2,7 +2,7 @@
 """Where ``sim_busy_s`` goes: simulated seconds by slice kind.
 
     python3 scripts/sim_by_slice.py WORKLOAD [--seed N] [--seconds S] [--smoke]
-                                    [--config KEY=VALUE ...]
+                                    [--config KEY=VALUE ...] [--passes]
 
 The e2e benchmark's ``sim_busy_s`` is one number — the simulated seconds
 the modelled cluster spent on the measured rounds, idle steps excluded —
@@ -27,6 +27,23 @@ delete's is the time to its reply, which ``run.py`` does not report.
 ``--config KEY=VALUE`` (repeatable) overrides a ``DedupConfig`` field,
 as ``run.py --config`` does, to size a slice against an ablation; the
 header then marks the run as not comparable with the benchmark's.
+
+``--passes`` adds, per drain slice of the measured phase, the engine's
+work inside it: forced rounds (the worker launches of one
+``DedupEngine.drain``), dedup passes, members (objects) per pass, and
+the mean simulated milliseconds of each phase of a pass, which together
+make up the pass from its locks to its return:
+
+* ``loads`` — the members' chunk-map loads;
+* ``assembly`` — reading and merging their dirty chunks;
+* ``refs`` — fingerprinting them and the reference batch
+  (``commit_chunk_batch``, with its reply);
+* ``map`` — the map commit (``DedupTier.commit_map``);
+* ``release`` — from the map commit's end to the pass's: its reply and
+  the wait for the old-chunk release (a pass with no release: the reply).
+
+It wraps those calls without touching the simulated clock, so every
+other line is the same with or without it.
 """
 
 from __future__ import annotations
@@ -38,6 +55,112 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 E2E = os.path.join(ROOT, "benchmarks", "e2e")
 MiB = 1024.0 * 1024.0
+#: The phases of a pass, in order: each runs from the call that opens it
+#: (:meth:`PassClock.install`) to the next one's, the last to the pass's
+#: end.
+PHASES = ("loads", "assembly", "refs", "map", "release")
+
+
+class PassClock:
+    """Simulated time of every dedup pass, phase by phase, grouped by
+    the drain slice it ended in (:data:`PHASES`).
+
+    ``install`` wraps the engine's pass (``_process_locked``) and the
+    calls that open each phase on the class, keyed by the process that
+    runs the pass: the wrappers read ``sim.now`` and schedule nothing."""
+
+    def __init__(self):
+        self.sim = None
+        self._open = {}  # running pass's process -> {phase: start}
+        self._drain = None  # the drain slice in progress
+        self.drains = {}  # id(phase) -> [per drain slice {"rounds", "passes"}]
+        self._last_round = None
+
+    def install(self, engine_cls, tier_cls):
+        clock = self
+        process_locked = engine_cls._process_locked
+        worker = engine_cls._worker
+        stamps = {"_assemble": "assembly", "_commit_refs": "refs"}
+
+        def timed_pass(engine, oids):
+            task = engine.sim.current_task
+            clock.sim = engine.sim
+            marks = clock._open[task] = {"loads": engine.sim.now}
+            try:
+                return (yield from process_locked(engine, oids))
+            finally:
+                del clock._open[task]
+                clock._close(marks, len(oids))
+
+        def counted_worker(engine, force, stop):
+            if force and clock._drain is not None and clock._last_round != engine.sim.now:
+                clock._last_round = engine.sim.now
+                clock._drain["rounds"] += 1
+            return worker(engine, force, stop)
+
+        def stamping(name, phase):
+            original = getattr(engine_cls, name)
+
+            def stamp(engine, *args, **kwargs):
+                marks = clock._open.get(engine.sim.current_task)
+                if marks is not None:
+                    marks.setdefault(phase, engine.sim.now)
+                return original(engine, *args, **kwargs)
+
+            setattr(engine_cls, name, stamp)
+
+        for name, phase in stamps.items():
+            stamping(name, phase)
+        commit_map = tier_cls.commit_map
+
+        def timed_commit_map(tier, *args, **kwargs):
+            marks = clock._open.get(tier.sim.current_task)
+            if marks is None:
+                return (yield from commit_map(tier, *args, **kwargs))
+            marks["map"] = tier.sim.now
+            try:
+                return (yield from commit_map(tier, *args, **kwargs))
+            finally:
+                marks["release"] = tier.sim.now
+
+        engine_cls._process_locked = timed_pass
+        engine_cls._worker = counted_worker
+        tier_cls.commit_map = timed_commit_map
+
+    def _close(self, marks, members):
+        drain = self._drain
+        if drain is None:
+            return
+        end = self.sim.now
+        bounds = [(p, marks[p]) for p in PHASES if p in marks] + [(None, end)]
+        spent = dict.fromkeys(PHASES, 0.0)
+        for (phase, start), (_next, stop) in zip(bounds, bounds[1:]):
+            spent[phase] = stop - start
+        drain["passes"].append((members, spent))
+
+    def begin(self, phase):
+        self._drain = {"rounds": 0, "passes": []}
+        self._last_round = None
+        self.drains.setdefault(id(phase), []).append(self._drain)
+
+    def end(self):
+        self._drain = None
+
+    def report(self, phase):
+        drains = self.drains.get(id(phase), [])
+        print("\npasses per drain slice (mean simulated ms per pass)")
+        print("%-6s %6s %6s %8s" % ("drain", "rounds", "passes", "members")
+              + "".join(" %9s" % p for p in PHASES))
+        rows = [(str(i + 1), d["rounds"], d["passes"]) for i, d in enumerate(drains)]
+        rows.append(("all", sum(d["rounds"] for d in drains),
+                     [p for d in drains for p in d["passes"]]))
+        for label, rounds, passes in rows:
+            n = len(passes)
+            members = sum(m for m, _spent in passes) / n if n else 0.0
+            means = [1e3 * sum(spent[p] for _m, spent in passes) / n if n else 0.0
+                     for p in PHASES]
+            print("%-6s %6d %6d %8.2f" % (label, rounds, n, members)
+                  + "".join(" %9.4f" % v for v in means))
 
 
 def main(argv=None) -> int:
@@ -49,6 +172,8 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true", help="the benchmark's --smoke size")
     parser.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
                         help="DedupConfig override, as run.py --config (not comparable)")
+    parser.add_argument("--passes", action="store_true",
+                        help="per drain slice: rounds, passes, members and pass phases")
     args = parser.parse_args(argv)
 
     if os.environ.get("PYTHONHASHSEED") != "0":
@@ -71,10 +196,29 @@ def main(argv=None) -> int:
     # each drain and touches nothing on the simulated clock).
     set_up = child.set_up
 
+    clock = PassClock() if args.passes else None
+
+    class Probe(child.EngineProbe):
+        def before_drain(self, phase):
+            super().before_drain(phase)
+            if clock is not None:
+                clock.begin(phase)
+
+        def after_drain(self, phase):
+            super().after_drain(phase)
+            if clock is not None:
+                clock.end()
+
+    if clock is not None:
+        from repro.core.engine import DedupEngine
+        from repro.core.tier import DedupTier
+
+        clock.install(DedupEngine, DedupTier)
+
     def probing_set_up(*a, **kw):
         made = set_up(*a, **kw)
         storage, runner = made[0], made[1]
-        runner.engine_probe = child.EngineProbe(storage, [])
+        runner.engine_probe = Probe(storage, [])
         return made
 
     child.set_up = probing_set_up
@@ -132,6 +276,8 @@ def main(argv=None) -> int:
         row = child.latency_summary(values)
         if row["n"]:
             print("%-10s %-8s %8d %12.4f %12.4f" % (tag, op, row["n"], row["mean_ms"], row["p99_ms"]))
+    if clock is not None:
+        clock.report(phase)
     return 0
 
 

@@ -453,8 +453,9 @@ class RadosCluster:
         ``after`` is the outcome event of the write ``txn`` was built on
         (it succeeds with whether that write committed): this commit
         point waits for it, and raises :class:`PriorWriteFailed` before
-        anything is mutated when it did not commit.  Replicated pools
-        only.
+        anything is mutated when it did not commit.  On a replicated pool
+        the write waits holding its shared write locks, on an EC pool its
+        exclusive ones.
 
         Returns the generator of :meth:`_submit`, the pipeline shared
         with :meth:`submit_batch`, rather than wrapping it: a wrapping
@@ -462,7 +463,13 @@ class RadosCluster:
         """
         return self._submit(pool, [(oid, txn)], client, sent, after)
 
-    def submit_batch(self, pool: Pool, items, client: Optional[Client] = None):
+    def submit_batch(
+        self,
+        pool: Pool,
+        items,
+        client: Optional[Client] = None,
+        after: Optional[Event] = None,
+    ):
         """Process: apply many ``(oid, txn)`` pairs with one prepared
         round per placement group.
 
@@ -483,9 +490,14 @@ class RadosCluster:
         (its shards are distinct transactions), but every shard of
         every group still prepares before any commits: an EC batch is
         all-or-nothing too.
+
+        ``after`` is as in :meth:`submit`: the whole batch prepares, then
+        commits no earlier than ``after`` fires, and raises
+        :class:`PriorWriteFailed` with nothing mutated when it fires
+        False.  A batch with no item waits for nothing.
         """
         items = [(oid, txn) for oid, txn in items if len(txn)]
-        return self._submit(pool, items, client, None, None)
+        return self._submit(pool, items, client, None, after)
 
     def send(self, pool: Pool, oid: str, nbytes: int, client: Optional[Client] = None):
         """Process: step 1 of the commit pipeline for a write into

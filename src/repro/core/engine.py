@@ -4,9 +4,9 @@ Background processes drain the dirty object ID list, which keeps one
 bucket per metadata placement group.  A pass is the dirty objects of one
 metadata PG (a direct call — flush, flush-on-write — is a group of one):
 
-1. pop a PG's dirty objects; in the background, leave out (and requeue)
-   the hot ones, then pace once per dirty chunk of the group before
-   taking any lock; take the members' object locks in sorted order;
+1. in the background, pace once per dirty chunk of the head PG's cold
+   objects, then pop them (hot ones are requeued); take the members'
+   object locks in sorted order;
 2. find each member's dirty chunks from its chunk map (they are cached
    in the object's data part) and assemble their bytes, the members side
    by side.  Within a member a fully cached chunk is one local read,
@@ -22,25 +22,31 @@ metadata PG (a direct call — flush, flush-on-write — is a group of one):
    appends reference information;
 6. commit every member's chunk map (dirty cleared, cached per cache
    policy) in one map commit — one prepared transaction for the PG;
-7. only then dereference the chunk objects whose entries moved to new
-   content (step 3's dereference, deferred past the commit), in one
-   release.
+7. dereference the chunk objects whose entries moved to new content
+   (step 3's dereference, deferred past the commit) in one release.  It
+   starts beside step 6 and prepares while the maps commit, but its
+   commit point waits for theirs (``after=``): it commits only once the
+   maps have, and when they fail it fails with nothing mutated.
 
-Rate control (§4.4.2) paces step 3's I/O against foreground load, and
-hot objects are skipped entirely (selective dedup) until they cool off.
+Rate control (§4.4.2) paces a background worker against foreground load
+before it takes a group, so a paced group stays on the list for every
+other worker and a drain; hot objects are skipped entirely (selective
+dedup) until they cool off.
 
 A pass holds its members' locks from their map loads until step 7 has
 landed, the locks every foreground write and delete of those objects
 takes, and once it has them waits for the writes already in flight to
 commit (:meth:`~repro.core.tier.DedupTier.writes_landed`), so no
-mutation can land mid-pass.  The pass runs step 7 itself and frees the
-locks once it has landed.  No ABA fence is needed: until then no write
-can revert an entry to the old content and no later pass can take the
-reference it drops.  A pass that faults anywhere instead aborts the
+mutation can land mid-pass.  The pass settles step 7 itself and frees
+the locks once it has landed.  No ABA fence is needed: until then no
+write can revert an entry to the old content and no later pass can take
+the reference it drops.  Step 7 cannot deadlock with step 6: it takes
+its chunk locks after step 5 has committed and freed its own, and the
+map commit takes none.  A pass that faults anywhere instead aborts the
 whole group before any chunk map commits (undoing the references it
-took) and every member is re-queued — the dirty bits, which are part of
-the same transactions as the data they describe, remain the source of
-truth.
+took, and leaving every old chunk its reference) and every member is
+re-queued — the dirty bits, which are part of the same transactions as
+the data they describe, remain the source of truth.
 """
 
 from __future__ import annotations
@@ -178,10 +184,14 @@ class DedupEngine:
         The body of every engine worker — the background loops and the
         forced passes of :meth:`drain`.  Runs until ``stop()`` is true;
         on an empty dirty list a background worker sleeps
-        ``dedup_interval`` and a forced one returns.
+        ``dedup_interval`` and a forced one returns.  A background worker
+        paces (:meth:`_pace`) *before* it pops a group: while it sleeps
+        the group stays listed, for other workers and for a drain.
         """
         tier = self.tier
         while not stop():
+            if not force:
+                yield from self._pace()
             group = tier.next_dirty_group()
             if not group:
                 if force:
@@ -199,6 +209,23 @@ class DedupEngine:
                     raise
                 self._requeue_faulted(group)
 
+    def _pace(self):
+        """Process: rate control (§4.4.2) for the group a background
+        worker is about to pop — one :meth:`~repro.core.rate_control.
+        RateController.throttle` per dirty chunk of the head group's cold
+        members (at least one), none when every member is hot (the pass
+        only requeues them) or the list is empty.  It runs before any
+        lock is taken and before the pop, so a paced pass never stalls a
+        foreground writer or hides its group (dedup yields to
+        foreground)."""
+        tier = self.tier
+        is_hot = tier.cache.is_hot
+        cold = [oid for oid in tier.peek_dirty_group() if not is_hot(oid)]
+        if cold:
+            throttle = tier.rate.throttle
+            for _ in range(max(1, sum(map(tier.peek_dirty_count, cold)))):
+                yield from throttle()
+
     # -- one pass ---------------------------------------------------------------
 
     def process_object(self, *oids: str, force: bool = False):
@@ -207,18 +234,20 @@ class DedupEngine:
         A worker passes the dirty objects of one metadata PG (the dirty
         list's bucket); any other caller — flush, flush-on-write, a test
         — names one object, a group of one.  ``force`` bypasses the
-        hot-object skip *and* rate control — it is used by drains and by
-        flush-on-write, where the caller is already foreground.  Returns
+        hot-object skip — it is used by drains and by flush-on-write,
+        where the caller is already foreground.  The pass itself is never
+        paced: a background worker paces before it pops the group
+        (:meth:`_pace`).  Returns
         ``"faulted"`` when a fault aborted the pass (every member
         requeued), else ``"done"`` when a member was processed,
         ``"skipped_hot"`` when every member was hot, or ``"missing"``.
 
-        The pass releases its old-chunk references (§4.4.1 step 3, after
-        the maps commit) under the members' object locks and frees them
-        only once the release has landed.  Every write, delete, promotion
-        and later pass on a member waits for its lock, so none sees the
-        entry between its commit and its release, and no later pass can
-        take a reference the release would then drop.
+        The pass releases its old-chunk references (§4.4.1 step 3,
+        committed behind the maps) under the members' object locks and
+        frees them only once the release has landed.  Every write,
+        delete, promotion and later pass on a member waits for its lock,
+        so none sees the entry between its commit and its release, and
+        no later pass can take a reference the release would then drop.
         """
         tier = self.tier
         if not force:
@@ -232,12 +261,6 @@ class DedupEngine:
             if not cold:
                 return "skipped_hot"
             oids = tuple(cold)
-            # Rate-control *before* taking any object lock: a paced
-            # background pass must never stall foreground writers that
-            # need the same locks (§4.4.2 — dedup yields to foreground).
-            dirty = sum(tier.peek_dirty_count(oid) for oid in oids)
-            for _ in range(max(1, dirty)):
-                yield from tier.rate.throttle()
         held: list = []
         try:
             # Sorted acquisition: concurrent passes cannot deadlock.
@@ -258,14 +281,17 @@ class DedupEngine:
         Loads every member's chunk map, assembles and fingerprints their
         dirty chunks, commits every reference in one
         :meth:`~DedupTier.commit_chunk_batch` and every map in one
-        :meth:`~DedupTier.commit_map`, then releases the old chunks of
-        the entries the committed maps re-pointed.  Returns
-        :meth:`process_object`'s result.
+        :meth:`~DedupTier.commit_map`, and releases the old chunks of
+        the entries the maps re-point: a strict release starts beside
+        the map commit and commits behind it (:meth:`_apply_derefs`).
+        Returns :meth:`process_object`'s result once the release has
+        settled.
         """
         tier = self.tier
         members = []  # (oid, cmap, primary) of the members that exist
         taken = []  # (chunk_id, ref) references acquired this pass
         via = None
+        release = None  # the strict old-chunk release, once started
         try:
             for oid in oids:
                 cmap = yield from tier.load_chunk_map(oid)
@@ -299,8 +325,23 @@ class DedupEngine:
             ]
             derefs, taken, maps = yield from self._commit_refs(staged, via)
             if maps:
-                yield from tier.commit_map(maps, via)
-                yield tier.cluster.reply()
+                committed = None
+                if derefs and self.config.refcount_mode == "strict":
+                    committed = Event(self.sim)
+                    release = self.sim.process(self._apply_derefs(derefs, via, committed))
+                try:
+                    yield from tier.commit_map(maps, via)
+                    if committed is not None:
+                        committed.succeed(True)
+                    yield tier.cluster.reply()
+                except Exception:
+                    # The release fails at its commit point with nothing
+                    # mutated; it ends before the locks go.
+                    if committed is not None:
+                        if not committed.triggered:
+                            committed.succeed(False)
+                        yield from _settle(release)
+                    raise
         except Exception as exc:
             # Skip-and-requeue degradation: a fault mid-pass (after the
             # I/O path's retries gave up) abandons the whole pass
@@ -315,7 +356,9 @@ class DedupEngine:
             self._requeue_faulted(oids)
             return "faulted"
         self.stats.objects_processed += len(members)
-        if derefs:
+        if release is not None:
+            yield release
+        elif derefs:
             yield from self._apply_derefs(derefs, via)
         return "done"
 
@@ -470,34 +513,47 @@ class DedupEngine:
                 )
         return reads
 
-    def _apply_derefs(self, pairs, via):
-        """Process: release old-chunk references after the map commits.
+    def _apply_derefs(self, pairs, via, after=None):
+        """Process: release a pass's old-chunk references.
 
-        Strict refcounting drops the set now, in one batched commit;
-        ``false_positive`` just queues it on :attr:`deref_queue` for the
-        GC — the chunks stay over-retained, never dangling, until then.
+        Strict refcounting drops the set in one batched commit; a pass
+        starts it as a process of its own beside its map commit, with
+        ``after`` that commit's outcome event, so the release prepares
+        while the maps commit and commits only once they have (with no
+        ``after``, the maps have committed already).
+        ``false_positive`` just queues the set on :attr:`deref_queue`
+        for the GC, once the maps have committed — the chunks stay
+        over-retained, never dangling, until then.
         """
         if self.config.refcount_mode == "strict":
-            yield from self._release_or_defer(pairs, via)
+            yield from self._release_or_defer(pairs, via, after)
         else:
             self.deref_queue.extend(pairs)
 
-    def _release_or_defer(self, pairs, via):
+    def _release_or_defer(self, pairs, via, after=None):
         """Process: best-effort release of a set of references.
 
-        Used for the old chunks of a committed pass and to undo the
+        Used for the old chunks of a pass, committed behind its maps
+        (``after``: see :meth:`_apply_derefs`), and to undo the
         references an aborted pass took.  A release that itself faults
         leaves *over*-retained references (safe: the refcount invariant
-        "never dangling" holds either way) and queues the set on
-        :attr:`deref_queue`, so the next ``drain()``'s GC reclaims
-        whatever of it is still stale.  The release is one
-        all-or-nothing batch, so a fault defers exactly the whole set.
+        "never dangling" holds either way) and, once the maps have
+        committed, queues the set on :attr:`deref_queue`, so the next
+        ``drain()``'s GC reclaims whatever of it is still stale.  The
+        release is one all-or-nothing batch, so a fault defers exactly
+        the whole set.  When the maps did not commit, every reference is
+        still live: nothing is deferred.
         """
         try:
-            yield from self.tier.release_refs(pairs, via)
+            yield from self.tier.release_refs(pairs, via, after)
         except Exception as exc:
             if not is_retryable(exc):
                 raise
+            if after is not None:
+                if not after.triggered:
+                    yield after
+                if not after.value:
+                    return
             self.stats.derefs_deferred_fault += len(pairs)
             self.deref_queue.extend(pairs)
 

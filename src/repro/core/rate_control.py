@@ -6,6 +6,13 @@ foreground throughput from ~600 to ~200 MB/s.  The paper's remedy is
 watermark-based pacing: measure foreground load, and above the low
 watermark allow only one dedup I/O per N foreground operations (N = 100
 between the watermarks, N = 500 above the high watermark).
+
+The engine paces a background worker before it pops a dirty group
+(``DedupEngine._pace``): one :meth:`RateController.throttle` per dirty
+chunk of the head group's cold members, taken while the group is still
+on the dirty list and no lock is held, so a paced worker hides nothing
+from the other workers or from a drain and stalls no foreground writer.
+Forced passes (drains, flush, flush-on-write) are never paced.
 """
 
 from __future__ import annotations

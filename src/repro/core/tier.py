@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..chunking import StaticChunker
 from ..compression import ZlibCodec
@@ -338,6 +338,11 @@ class DedupTier:
         if oid not in bucket:
             bucket[oid] = None
             self._dirty_total += 1
+
+    def peek_dirty_group(self) -> Iterable[str]:
+        """The objects :meth:`next_dirty_group` would pop next, left on
+        the list (empty when the list is)."""
+        return next(iter(self._dirty_pgs.values()), ())
 
     def next_dirty_group(self) -> List[str]:
         """Pop the dirty objects of the metadata PG logged first, in the
@@ -682,7 +687,7 @@ class DedupTier:
     # -- reference commits ------------------------------------------------------
 
     # repro-lint: flt-scope -- commit primitive: two-phase prepare makes a fault all-or-nothing; callers own the requeue/defer policy
-    def commit_chunk_batch(self, batch: ChunkBatch, via):
+    def commit_chunk_batch(self, batch: ChunkBatch, via, after=None):
         """Process: apply a pass's accumulated ref/deref ops at once.
 
         The one way a chunk's references change (§4.4.1 steps 4-5):
@@ -705,7 +710,11 @@ class DedupTier:
         batch leaves unchanged is not written at all.  A transient fault
         during the prepare leaves no chunk object mutated, on either
         pool type, so the caller retries the batch as a unit without
-        undo.
+        undo.  With ``after`` (an event that succeeds with whether the
+        write the batch was built on committed) the batch prepares now
+        and commits no earlier than ``after``; when it did not commit,
+        the batch raises :class:`~repro.cluster.PriorWriteFailed` with
+        nothing mutated.
 
         Returns a list aligned with ``batch.ops``: ``True`` when that
         ref op newly stored the chunk payload, ``False`` when it
@@ -778,7 +787,7 @@ class DedupTier:
                     txn.setxattr(key, REFS_XATTR, refs.serialize())
                 if len(txn):
                     items.append((cid, txn))
-            yield from self.cluster.submit_batch(self.chunk_pool, items, via)
+            yield from self.cluster.submit_batch(self.chunk_pool, items, via, after)
             if items:
                 yield self.cluster.reply()
             self.stage.flush_ops += len(stored_blobs)
@@ -793,19 +802,20 @@ class DedupTier:
             self.chunk_locks.release(held)
 
     # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); a fault propagates to the caller's scope, which retries or defers the set to GC
-    def release_refs(self, pairs, via):
+    def release_refs(self, pairs, via, after=None):
         """Process: release a set of ``(chunk_id, ref)`` references.
 
         The one way references are dropped: a single
         :meth:`commit_chunk_batch` (a set of one is a batch of one).
         All-or-nothing — a fault leaves *every* reference over-retained,
         never dangling — and idempotent: a caller may retry the whole
-        set or leave it to the GC.
+        set or leave it to the GC.  ``after`` is as in
+        :meth:`commit_chunk_batch`.
         """
         batch = ChunkBatch()
         for chunk_id, ref in pairs:
             batch.deref(chunk_id, ref)
-        yield from self.commit_chunk_batch(batch, via)
+        yield from self.commit_chunk_batch(batch, via, after)
 
     def read_chunk(self, chunk_id: str, offset: int, length: Optional[int], client):
         """Process: read chunk bytes from the chunk pool (redirection).

@@ -124,8 +124,9 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.core.engine", "DedupEngine._release", "op.release",
      lambda _self, oid, pairs, *_a, **_k: {"oid": oid, "count": len(pairs)}),
     ("repro.cluster.converge", "_pass", "op.converge", _none),
-    # The dedup engine.
-    ("repro.core.rate_control", "RateController.throttle", "engine.rate_throttle", _none),
+    # The dedup engine.  Its rate control is not a boundary: a background
+    # worker paces before it pops a group, outside every op, as it sleeps
+    # on an empty list.
     ("repro.core.engine", "DedupEngine._apply_derefs", "engine.derefs",
      lambda _self, pairs, *_a, **_k: {"count": len(pairs)}),
     ("repro.core.engine", "DedupEngine.enforce_cache_capacity", "engine.cache_enforce",

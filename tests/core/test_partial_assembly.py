@@ -21,10 +21,12 @@ CHUNK = 16 * KiB
 
 #: Simulated seconds of the single-chunk pass below (one cached range,
 #: two missing ranges) when each missing range is its own chunk-pool
-#: read, issued after the cached range's local read.
-SEQUENTIAL_PASS_S = 0.001017203044891357
-#: The same pass with the reads issued together.
-PASS_S = 0.0008922030448913565
+#: read, issued after the cached range's local read: 125 us more than
+#: :data:`PASS_S`.
+SEQUENTIAL_PASS_S = 0.0008082708040873206
+#: The same pass with the reads issued together.  Its old-chunk release
+#: prepares beside the map commit and commits behind it.
+PASS_S = 0.0006832708040873201
 
 
 def make_storage():

@@ -2,12 +2,14 @@
 
 When a strict-mode pass re-points chunk-map entries, it must drop the
 references to their old chunk objects once the map commits (§4.4.1
-step 3).  The pass runs that release itself and frees its members'
-object locks only once it has landed, in an engine worker and in flush
+step 3).  The pass starts that release beside its map commit — the
+release commits only behind it — and frees its members' object locks
+only once the release has landed, in an engine worker and in flush
 alike.  These tests pin that nothing can touch the object before the
 release lands, that a drain returns with every reference settled, that
-a release that faults is deferred to the GC, and the drain's simulated
-time.
+a map commit that faults leaves every old chunk its reference, that a
+release that faults on its own is deferred to the GC, and the drain's
+simulated time.
 """
 
 from collections import Counter
@@ -18,8 +20,10 @@ from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
 from repro.core.scrub import collect_garbage_sync
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.errors import TransientOpError
 from repro.faults.plan import FaultEvent
 from repro.faults.scenario import locks_left
+from repro.fingerprint import fingerprint
 from repro.obs import Tracer, check_trace
 
 KiB = 1024
@@ -27,8 +31,9 @@ CHUNK = 16 * KiB
 
 #: Simulated seconds of the drain in :func:`test_drain_time_is_pinned`:
 #: each worker waits for its pass's release before taking the next
-#: object.
-WAITING_DRAIN_S = 0.002037306149800615
+#: object.  The release prepares beside the map commit and commits
+#: behind it.
+WAITING_DRAIN_S = 0.0016187876860300696
 
 
 def make_storage(**config):
@@ -99,8 +104,8 @@ def test_a_write_at_the_map_commit_waits_for_the_release():
         grant.subscribe(lambda _e: grants.append((oid, requested, sim.now)))
         return grant
 
-    def recording_release(pairs, via):
-        yield from release_refs(pairs, via)
+    def recording_release(pairs, via, after=None):
+        yield from release_refs(pairs, via, after)
         for _chunk_id, ref in pairs:
             released.setdefault(ref.source_oid, sim.now)
 
@@ -208,21 +213,158 @@ def release_window(oids):
     return span.start, span.end
 
 
-def test_a_release_that_faults_is_deferred_to_the_gc():
-    oids = ["obj0", "obj1"]
+def fault_the_release(storage, oids):
+    """Attach transient errors over the first release window of a drain
+    over ``oids`` (already :func:`flushed_then_patched` in ``storage``),
+    on the OSDs that hold an old chunk and no member's metadata object:
+    the map commit the release runs beside still commits, and the
+    release alone faults."""
     start, end = release_window(oids)
-    storage = make_storage(engine_workers=2)
-    expected = flushed_then_patched(storage, oids)
-    cluster = storage.cluster
+    tier, cluster = storage.tier, storage.cluster
+    chunk_osds = {
+        osd.osd_id
+        for oid in oids
+        for osd in cluster.acting_osds(tier.chunk_pool, tier.peek_chunk_map(oid).get(0).chunk_id)
+    }
+    metadata_osds = {
+        osd.osd_id for oid in oids for osd in cluster.acting_osds(tier.metadata_pool, oid)
+    }
+    targets = sorted(chunk_osds - metadata_osds)
+    assert targets
+    now = storage.sim.now
+    return FaultInjector(cluster, FaultPlan([
+        FaultEvent(start - now, "transient_errors", str(osd), duration=end - start,
+                   params={"probability": 1.0})
+        for osd in targets
+    ], seed=1)).attach()
+
+
+def map_commit_window(oid):
+    """``(start, end)`` of the map commit of a forced pass over
+    :func:`flushed_then_patched` ``oid``, from a traced dry run."""
+    storage = make_storage()
+    flushed_then_patched(storage, [oid])
+    with Tracer(storage.sim) as tracer:
+        storage.cluster.run(storage.engine.process_object(oid, force=True))
+    span = next(
+        s for s in tracer.spans
+        if s.stage == "rados.submit" and s.tags["pool"] == storage.tier.metadata_pool.name
+    )
+    return span.start, span.end
+
+
+def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
+    oid = "obj0"
+    start, end = map_commit_window(oid)
+    storage = make_storage()
+    expected = flushed_then_patched(storage, [oid])
+    tier, cluster, engine = storage.tier, storage.cluster, storage.engine
+    old = tier.peek_chunk_map(oid).get(0).chunk_id
+    errors = []  # the type of each release's error, None when it committed
+    release_refs = tier.release_refs
+
+    def recording_release(pairs, via, after=None):
+        try:
+            yield from release_refs(pairs, via, after)
+        except Exception as exc:
+            errors.append(type(exc).__name__)
+            raise
+        errors.append(None)
+
+    tier.release_refs = recording_release
+    # Fault the metadata object's replicas that hold no chunk of the
+    # pass: the map commit fails, and nothing else does.
+    new = fingerprint(expected[oid])
+    chunk_osds = {
+        osd.osd_id for cid in (old, new) for osd in cluster.acting_osds(tier.chunk_pool, cid)
+    }
+    targets = sorted(
+        {osd.osd_id for osd in cluster.acting_osds(tier.metadata_pool, oid)} - chunk_osds
+    )
+    assert targets
     now = storage.sim.now
     injector = FaultInjector(cluster, FaultPlan([
         FaultEvent(start - now, "transient_errors", str(osd), duration=end - start,
                    params={"probability": 1.0})
-        for osd in sorted(cluster.osds)
+        for osd in targets
     ], seed=1)).attach()
+    assert cluster.run(engine.process_object(oid, force=True)) == "faulted"
+    injector.detach()
+    # The release was prepared beside the map commit and failed at its
+    # commit point; the pass's new reference was undone.
+    assert errors == ["PriorWriteFailed", None]
+    assert tier.chunk_refcount(old) == 1
+    assert not cluster.exists(tier.chunk_pool, new)
+    assert tier.peek_chunk_map(oid).get(0).chunk_id == old
+    assert engine.deref_queue == []
+    assert engine.stats.derefs_deferred_fault == 0
+    assert engine.stats.objects_requeued_fault == 1
+    assert locks_left(storage) == []
+    assert scrub_sync(tier).clean
+    # The requeued pass commits; its release drops the old chunk.
+    engine.drain_sync(run_gc=False)
+    assert not cluster.exists(tier.chunk_pool, old)
+    assert storage.read_sync(oid) == expected[oid]
+    assert_settled(storage)
+
+
+def test_a_release_that_faults_before_its_map_commit_fails_defers_nothing():
+    # The release's own prepare faults while the maps commit, and then
+    # the map commit fails too: the pairs are still referenced by the
+    # maps, so they must not go on the GC's queue.
+    oid = "obj0"
+    start, end = map_commit_window(oid)
+    storage = make_storage()
+    expected = flushed_then_patched(storage, [oid])
+    tier, cluster, engine, sim = storage.tier, storage.cluster, storage.engine, storage.sim
+    old = tier.peek_chunk_map(oid).get(0).chunk_id
+    errors = []  # (error, whether the maps had failed by then) per release
+    release_refs, commit_map = tier.release_refs, tier.commit_map
+
+    def recording_release(pairs, via, after=None):
+        try:
+            yield from release_refs(pairs, via, after)
+        except Exception as exc:
+            errors.append((type(exc).__name__, after is not None and after.triggered))
+            raise
+
+    def failing_commit_map(maps, client=None, sent=None, after=None):
+        yield sim.timeout(end - start)
+        raise TransientOpError(-1, "map commit")
+
+    tier.release_refs, tier.commit_map = recording_release, failing_commit_map
+    targets = sorted(
+        {osd.osd_id for osd in cluster.acting_osds(tier.chunk_pool, old)}
+        - {osd.osd_id for osd in cluster.acting_osds(tier.metadata_pool, oid)}
+    )
+    assert targets
+    now = sim.now
+    injector = FaultInjector(cluster, FaultPlan([
+        FaultEvent(start - now, "transient_errors", str(osd), duration=end - start,
+                   params={"probability": 1.0})
+        for osd in targets
+    ], seed=1)).attach()
+    assert cluster.run(engine.process_object(oid, force=True)) == "faulted"
+    injector.detach()
+    tier.commit_map = commit_map
+    assert errors[0] == ("TransientOpError", False)
+    assert tier.chunk_refcount(old) == 1
+    assert all(chunk_id != old for chunk_id, _ref in engine.deref_queue)
+    engine.drain_sync()
+    assert not cluster.exists(tier.chunk_pool, old)
+    assert storage.read_sync(oid) == expected[oid]
+    assert_settled(storage)
+
+
+def test_a_release_that_faults_is_deferred_to_the_gc():
+    oids = ["obj0", "obj1"]
+    storage = make_storage(engine_workers=2)
+    expected = flushed_then_patched(storage, oids)
+    injector = fault_the_release(storage, oids)
     storage.engine.drain_sync(run_gc=False)
     injector.detach()
     assert storage.engine.stats.derefs_deferred_fault >= 1
+    assert storage.engine.stats.objects_requeued_fault == 0  # the maps committed
     assert locks_left(storage) == []
     report = scrub_sync(storage.tier)
     assert report.stale_references and not report.dangling_map_entries
@@ -238,19 +380,13 @@ def test_a_release_that_faults_is_reclaimed_by_the_drains_gc():
     window still covers the faulted drain's own GC, which keeps the
     queue; the next drain, once the window has closed, reclaims it."""
     oids = ["obj0", "obj1"]
-    start, end = release_window(oids)
     storage = make_storage(engine_workers=2)
     expected = flushed_then_patched(storage, oids)
-    cluster = storage.cluster
-    now = storage.sim.now
-    injector = FaultInjector(cluster, FaultPlan([
-        FaultEvent(start - now, "transient_errors", str(osd), duration=end - start,
-                   params={"probability": 1.0})
-        for osd in sorted(cluster.osds)
-    ], seed=1)).attach()
+    injector = fault_the_release(storage, oids)
     storage.engine.drain_sync()
     injector.detach()
     assert storage.engine.stats.derefs_deferred_fault >= 1
+    assert storage.engine.stats.objects_requeued_fault == 0  # the maps committed
     storage.engine.drain_sync()
     assert storage.engine.deref_queue == []
     assert not scrub_sync(storage.tier).stale_references
@@ -266,11 +402,11 @@ def test_a_release_error_that_is_not_retryable_is_raised_by_drain():
     release_refs = tier.release_refs
     failed = []
 
-    def broken_release(pairs, via):
+    def broken_release(pairs, via, after=None):
         if not failed:
             failed.append(pairs)
             raise RuntimeError("boom")
-        yield from release_refs(pairs, via)
+        yield from release_refs(pairs, via, after)
 
     tier.release_refs = broken_release
     with pytest.raises(RuntimeError, match="boom"):

@@ -161,10 +161,11 @@ def test_engine_crash_then_restart_via_rebuild():
 @pytest.mark.parametrize("kill_after", [0.0, 2e-5, 6e-5, 1.2e-4, 2e-4])
 def test_crash_inside_a_pass_release_only_over_retains(kill_after):
     """A worker pass releases its old chunks itself, under its object
-    locks.  Kill the worker at any instant of that release: the old
-    chunk is at worst over-retained (never dangling), the locks are
-    freed, the drain reports the crash, and GC reclaims what the
-    release did not drop."""
+    locks, in a process of its own started beside its map commit.  Kill
+    that process at any instant of the release: the old chunk is at
+    worst over-retained (never dangling), the locks are freed, the
+    drain reports the crash, and GC reclaims what the release did not
+    drop."""
     from repro.core import scrub_sync
     from repro.core.engine import DedupEngine
     from repro.core.scrub import collect_garbage_sync
@@ -184,10 +185,10 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after):
         storage.write_sync(oid, data[1000:1100], offset=1000)
     engine = storage.engine
     apply_derefs = engine._apply_derefs
-    killed = []  # the worker task whose release is killed
+    killed = []  # the release process that is killed
     crashed = []  # the interrupts that landed inside that release
 
-    def release(pairs, via):
+    def release(pairs, via, after=None):
         if not killed:
             task = sim.current_task
             killed.append(task)
@@ -198,7 +199,7 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after):
 
             sim.process(killer())
         try:
-            return (yield from apply_derefs(pairs, via))
+            return (yield from apply_derefs(pairs, via, after))
         except Interrupt as exc:
             crashed.append(exc)
             raise
@@ -207,6 +208,7 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after):
     with pytest.raises(Interrupt):  # the drain reports the crash
         storage.engine.drain_sync(run_gc=False)
     assert len(crashed) == 1 and not killed[0].is_alive
+    assert killed[0].gen.gi_code is release.__code__  # the release's own process
     assert locks_left(storage) == []
     for oid, data in new.items():
         assert storage.read_sync(oid) == data

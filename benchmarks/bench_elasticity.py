@@ -13,18 +13,12 @@ degrade), write-throughput continuity across the expansion, bytes moved,
 and post-rebalance placement cleanliness.
 """
 
-import os
-
 from repro.bench import KiB, MiB, build_cluster, proposed, render_table, report
 from repro.cluster import ConvergeStats, converge, placement_report
 from repro.workloads import ContentGenerator
 
-# REPRO_BENCH_FAST=1 (the CI paper-benches job) shrinks the dataset so the
-# experiment stays a smoke test.
-FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
-
-NUM_OBJECTS = 16 if FAST else 48
-OBJECT_SIZE = 64 * KiB if FAST else 128 * KiB
+NUM_OBJECTS = 48
+OBJECT_SIZE = 128 * KiB
 DEDUPE_RATIO = 0.5
 REBALANCE_RATE = 64 * MiB  # background migration throttle, bytes/s
 

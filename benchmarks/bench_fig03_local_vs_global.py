@@ -10,8 +10,6 @@ Reproduction: same cluster shape, datasets scaled ~1000x down; dedup
 ratios measured with the offline analyzer at the 32 KiB chunk size.
 """
 
-import os
-
 import pytest
 
 from repro.bench import KiB, MiB, build_cluster, original, render_table, report
@@ -26,11 +24,6 @@ from repro.workloads import (
 )
 
 CHUNK = 32 * KiB
-
-# REPRO_BENCH_FAST=1 (the CI paper-benches job) halves the datasets so the
-# whole figure runs in seconds; the measured ratios stay inside the
-# assertion tolerances.
-FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 
 #: (label, paper local %, paper global %)
 PAPER = {
@@ -48,7 +41,7 @@ def _fio_dataset(dedupe_pct: float):
     spec = FioJobSpec(
         pattern="write",
         block_size=CHUNK,
-        file_size=(4 if FAST else 8) * MiB,
+        file_size=8 * MiB,
         object_size=64 * KiB,
         dedupe_percentage=dedupe_pct,
         seed=int(dedupe_pct),
@@ -61,7 +54,7 @@ def _sfs_dataset(load: int, dedupe_ratio: float):
     storage = original(build_cluster())
     spec = SfsDatabaseSpec(
         load=load,
-        dataset_per_load=(512 * KiB) if FAST else (1 * MiB),
+        dataset_per_load=1 * MiB,
         block_size=8 * KiB,
         object_size=64 * KiB,
         dedupe_ratio=dedupe_ratio,
@@ -73,8 +66,6 @@ def _sfs_dataset(load: int, dedupe_ratio: float):
 
 def _cloud_dataset():
     storage = original(build_cluster())
-    # Not shrunk in fast mode: the measured ratio depends on the spec's
-    # base-image/patch-level structure, not just volume.
     VmImagePopulation(private_cloud_spec(num_vms=24, image_size=2 * MiB)).write_all(
         storage
     )

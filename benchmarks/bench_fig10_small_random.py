@@ -12,23 +12,17 @@ read/write on a 32 KiB-chunk system.  Paper findings:
 """
 
 
-import os
-
 from repro.bench import KiB, MiB, build_cluster, original, proposed, render_table, report
 from repro.workloads import FioJobSpec, FioRunner
 
-# REPRO_BENCH_FAST=1 (the CI paper-benches job) shrinks the files and the
-# timed window; the latency *ratios* the assertions check are unaffected.
-FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
-
-RUNTIME = 0.15 if FAST else 0.3
+RUNTIME = 0.3
 
 
 def rand_spec(pattern, seed=5):
     return FioJobSpec(
         pattern=pattern,
         block_size=8 * KiB,
-        file_size=(2 if FAST else 4) * MiB,
+        file_size=4 * MiB,
         object_size=64 * KiB,
         numjobs=4,
         iodepth=4,
@@ -43,7 +37,7 @@ def prefill(storage):
         FioJobSpec(
             pattern="write",
             block_size=32 * KiB,
-            file_size=(2 if FAST else 4) * MiB,
+            file_size=4 * MiB,
             object_size=64 * KiB,
             numjobs=4,
             seed=1,

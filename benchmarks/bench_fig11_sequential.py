@@ -12,14 +12,8 @@ before the read tests):
 """
 
 
-import os
-
 from repro.bench import KiB, MiB, build_cluster, original, proposed, render_table, report
 from repro.workloads import FioJobSpec, FioRunner
-
-# REPRO_BENCH_FAST=1 (the CI paper-benches job) halves each client's file;
-# the bandwidth *ratios* the assertions check are unaffected.
-FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 
 BLOCK_SIZES = (32 * KiB, 64 * KiB, 128 * KiB)
 
@@ -28,7 +22,7 @@ def seq_spec(pattern, block_size, seed):
     return FioJobSpec(
         pattern=pattern,
         block_size=block_size,
-        file_size=(2 if FAST else 4) * MiB,
+        file_size=4 * MiB,
         object_size=128 * KiB,
         numjobs=3,
         iodepth=4,

@@ -11,14 +11,8 @@ run (high-watermark pacing, one dedup I/O per 500 foreground ops above
 the high watermark, per the paper's example values).
 """
 
-import os
-
 from repro.bench import KiB, MiB, build_cluster, proposed, render_table, report
 from repro.workloads import FioJobSpec, FioRunner
-
-# REPRO_BENCH_FAST=1 (the CI paper-benches job) shrinks the workload so
-# the shape of the result survives but the run finishes in seconds.
-FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 
 WINDOW = 0.35
 
@@ -27,9 +21,7 @@ def fg_spec(seed):
     return FioJobSpec(
         pattern="write",
         block_size=64 * KiB,
-        # Fast mode still needs > ops_per_dedup_high foreground ops in
-        # the window so the paced engine gets at least one dedup slot.
-        file_size=(12 if FAST else 24) * MiB,
+        file_size=24 * MiB,
         object_size=64 * KiB,
         numjobs=3,
         iodepth=8,
@@ -42,7 +34,7 @@ def backlog_spec():
     return FioJobSpec(
         pattern="write",
         block_size=64 * KiB,
-        file_size=(16 if FAST else 64) * MiB,
+        file_size=64 * MiB,
         object_size=64 * KiB,
         numjobs=4,
         iodepth=4,
@@ -101,8 +93,5 @@ def test_fig14_rate_control(benchmark):
     # ...rate control restores most of it...
     assert w > 0.80 * ideal
     assert w > 1.3 * wo
-    # ...while dedup still makes some progress.  The fast-mode smoke
-    # shrinks the foreground burst below one paced dedup slot, so this
-    # only holds for the full-size run.
-    if not FAST:
-        assert results["Dedup w/ rate control"][1] > 0
+    # ...while dedup still makes some progress.
+    assert results["Dedup w/ rate control"][1] > 0

@@ -15,15 +15,9 @@ Reproduction: 32 MiB at 50 % duplicate content (scaled ~3000x), same
 fail/out/recover cycle, recovery time measured on the simulated clock.
 """
 
-import os
-
 from repro.bench import KiB, MiB, build_cluster, original, proposed, render_table, report
 from repro.cluster import converge_sync
 from repro.workloads import FioJobSpec, FioRunner
-
-# REPRO_BENCH_FAST=1 (the CI paper-benches job) trims the sweep; the
-# speedup assertions still run on the points that remain.
-FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 
 PAPER = {
     1: (68.04, 43.72),
@@ -31,14 +25,14 @@ PAPER = {
     4: (81.77, 54.78),
 }
 
-FAIL_COUNTS = (1, 4) if FAST else (1, 2, 4)
+FAIL_COUNTS = (1, 2, 4)
 
 
 def _fill(storage):
     spec = FioJobSpec(
         pattern="write",
         block_size=32 * KiB,
-        file_size=(4 if FAST else 8) * MiB,
+        file_size=8 * MiB,
         object_size=64 * KiB,
         numjobs=4,
         dedupe_percentage=50,

@@ -5,7 +5,7 @@
 # a notice when absent.  Usage:
 #
 #   scripts/ci_local.sh               # lint + invariants + tests + coverage + scenario + e2e smoke + paper benches + obs + examples
-#   scripts/ci_local.sh --bench-full  # also the full (slow) benchmark suite
+#   scripts/ci_local.sh --bench-full  # also the e2e benchmark contract (slow)
 set -u
 cd "$(dirname "$0")/.."
 
@@ -119,11 +119,11 @@ step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
         python3 scripts/sim_by_slice.py sfs-mixed-open --smoke >> sim-by-slice.txt'
 
 # -- paper-benches job ------------------------------------------------------
-# Every paper figure/table bench at fast size (~1 min 40 s); each asserts
+# Every paper figure/table bench at its one size (~3 min 30 s); each asserts
 # the shape its figure reports.  The results tables are kept in
 # paper-benches.txt, as CI keeps them in an artifact.
-step "paper-benches: paper figures and tables, fast mode" \
-    bash -o pipefail -c 'PYTHONPATH=src REPRO_BENCH_FAST=1 python -m pytest -q \
+step "paper-benches: paper figures and tables" \
+    bash -o pipefail -c 'PYTHONPATH=src python -m pytest -q \
         benchmarks --ignore=benchmarks/e2e --benchmark-disable | tee paper-benches.txt'
 
 # -- obs-smoke job ----------------------------------------------------------
@@ -141,9 +141,8 @@ done
 
 # -- bench-full job (nightly / dispatch input; opt-in locally) ---------------
 if [ "$RUN_BENCH_FULL" = 1 ]; then
-    step "bench-full: full benchmark suite" \
-        env PYTHONPATH=src python -m pytest -q benchmarks \
-        --benchmark-json=bench-full.json
+    step "bench-full: end-to-end benchmark contract" \
+        env PYTHONPATH=src python -m pytest -q benchmarks/e2e
 else
     echo
     echo "==> bench-full: skipped (pass --bench-full to run)"

@@ -48,8 +48,9 @@ class DedupConfig:
         Pacing between and above the foreground IOPS watermarks
         (``rate_control.LOW_WATERMARK``/``HIGH_WATERMARK``, paper
         §4.4.2): one dedup I/O per this many foreground ops (paper's
-        example values 100 and 500).  Below the low watermark dedup
-        runs unthrottled.
+        example values 100 and 500), one budget shared by all
+        ``engine_workers``.  Below the low watermark dedup runs
+        unthrottled.
     dedup_interval:
         Engine idle poll period (seconds) when the dirty list is empty.
     refcount_mode:

@@ -4,9 +4,9 @@ Background processes drain the dirty object ID list, which keeps one
 bucket per metadata placement group.  A pass is the dirty objects of one
 metadata PG (a direct call — flush, flush-on-write — is a group of one):
 
-1. in the background, pace once per dirty chunk of the head PG's cold
-   objects, then pop them (hot ones are requeued); take the members'
-   object locks in sorted order;
+1. in the background, wait for the rate budget, pop the head PG's
+   objects (hot ones are requeued) and charge the budget the cold ones'
+   dirty chunks; take the members' object locks in sorted order;
 2. find each member's dirty chunks from its chunk map (they are cached
    in the object's data part) and assemble their bytes, the members side
    by side.  Within a member a fully cached chunk is one local read,
@@ -28,10 +28,10 @@ metadata PG (a direct call — flush, flush-on-write — is a group of one):
    commit point waits for theirs (``after=``): it commits only once the
    maps have, and when they fail it fails with nothing mutated.
 
-Rate control (§4.4.2) paces a background worker against foreground load
-before it takes a group, so a paced group stays on the list for every
+Rate control (§4.4.2) is one budget for every background worker, waited
+on before a group is taken, so a waiting group stays listed for every
 other worker and a drain; hot objects are skipped entirely (selective
-dedup) until they cool off.
+dedup), at no cost to the budget, until they cool off.
 
 A pass holds its members' locks from their map loads until step 7 has
 landed, the locks every foreground write and delete of those objects
@@ -185,13 +185,13 @@ class DedupEngine:
         forced passes of :meth:`drain`.  Runs until ``stop()`` is true;
         on an empty dirty list a background worker sleeps
         ``dedup_interval`` and a forced one returns.  A background worker
-        paces (:meth:`_pace`) *before* it pops a group: while it sleeps
-        the group stays listed, for other workers and for a drain.
+        waits for the rate budget *before* it pops a group: while it
+        waits the group stays listed, for other workers and for a drain.
         """
         tier = self.tier
         while not stop():
             if not force:
-                yield from self._pace()
+                yield from tier.rate.throttle()
             group = tier.next_dirty_group()
             if not group:
                 if force:
@@ -209,23 +209,6 @@ class DedupEngine:
                     raise
                 self._requeue_faulted(group)
 
-    def _pace(self):
-        """Process: rate control (§4.4.2) for the group a background
-        worker is about to pop — one :meth:`~repro.core.rate_control.
-        RateController.throttle` per dirty chunk of the head group's cold
-        members (at least one), none when every member is hot (the pass
-        only requeues them) or the list is empty.  It runs before any
-        lock is taken and before the pop, so a paced pass never stalls a
-        foreground writer or hides its group (dedup yields to
-        foreground)."""
-        tier = self.tier
-        is_hot = tier.cache.is_hot
-        cold = [oid for oid in tier.peek_dirty_group() if not is_hot(oid)]
-        if cold:
-            throttle = tier.rate.throttle
-            for _ in range(max(1, sum(map(tier.peek_dirty_count, cold)))):
-                yield from throttle()
-
     # -- one pass ---------------------------------------------------------------
 
     def process_object(self, *oids: str, force: bool = False):
@@ -236,8 +219,8 @@ class DedupEngine:
         — names one object, a group of one.  ``force`` bypasses the
         hot-object skip — it is used by drains and by flush-on-write,
         where the caller is already foreground.  The pass itself is never
-        paced: a background worker paces before it pops the group
-        (:meth:`_pace`).  Returns
+        paced: a background pass charges its cold members' dirty chunks
+        to the rate budget before its first yield.  Returns
         ``"faulted"`` when a fault aborted the pass (every member
         requeued), else ``"done"`` when a member was processed,
         ``"skipped_hot"`` when every member was hot, or ``"missing"``.
@@ -260,6 +243,7 @@ class DedupEngine:
                     cold.append(oid)
             if not cold:
                 return "skipped_hot"
+            tier.rate.charge(sum(map(tier.peek_dirty_count, cold)))
             oids = tuple(cold)
         held: list = []
         try:

@@ -7,12 +7,12 @@ watermark-based pacing: measure foreground load, and above the low
 watermark allow only one dedup I/O per N foreground operations (N = 100
 between the watermarks, N = 500 above the high watermark).
 
-The engine paces a background worker before it pops a dirty group
-(``DedupEngine._pace``): one :meth:`RateController.throttle` per dirty
-chunk of the head group's cold members, taken while the group is still
-on the dirty list and no lock is held, so a paced worker hides nothing
-from the other workers or from a drain and stalls no foreground writer.
-Forced passes (drains, flush, flush-on-write) are never paced.
+One budget serves every background worker: a pass charges its cold
+members' dirty chunks to one clock, and a worker waits that clock off
+before it pops the next group, while no lock is held and the group is
+still listed for the other workers and a drain.  So at most one group
+runs ahead of the budget, however many workers there are.  Forced
+passes (drains, flush, flush-on-write) are never paced.
 """
 
 from __future__ import annotations
@@ -65,18 +65,17 @@ class OpWindow:
 
 
 class RateController:
-    """Watermark-based pacing of background dedup I/O.
-
-    The engine calls :meth:`throttle` before each dedup I/O; the
-    returned generator waits for the time N foreground operations take
-    at the currently observed rate — equivalent to "one dedup I/O per N
-    foreground I/Os" without needing to hook every foreground op.
-    """
+    """Watermark-based pacing of background dedup I/O, one clock shared
+    by every worker: each dedup I/O pushes it on by the time N foreground
+    operations take at the observed rate — "one dedup I/O per N
+    foreground I/Os" without hooking every foreground op."""
 
     def __init__(self, sim: Simulator, window: OpWindow, config: DedupConfig):
         self.sim = sim
         self.window = window
         self.config = config
+        #: When the next dedup I/O is permitted.
+        self._due = 0.0
 
     def current_ratio(self) -> int:
         """Foreground ops per permitted dedup I/O at the current load.
@@ -92,12 +91,23 @@ class RateController:
             return self.config.ops_per_dedup_high
         return self.config.ops_per_dedup_mid
 
-    def throttle(self):
-        """Process: wait until the next dedup I/O is permitted."""
+    def charge(self, ios: int) -> None:
+        """Charge ``ios`` dedup I/Os to the clock at the current load
+        (nothing below the low watermark or without rate control)."""
         if not self.config.rate_control:
             return
         iops = self.window.iops()
         ratio = self._ratio_at(iops)
-        if ratio == 0:
-            return
-        yield self.sim.timeout(ratio / max(iops, 1e-9))
+        if ratio:
+            self._due = max(self._due, self.sim.now) + ios * ratio / iops
+
+    def throttle(self):
+        """Process: wait until the next dedup I/O is permitted, checking
+        the load at least once per window: below the low watermark the
+        debt is forgiven."""
+        sim = self.sim
+        while self._due > sim.now:
+            if self.current_ratio() == 0:
+                self._due = sim.now
+                return
+            yield sim.timeout(min(self._due - sim.now, self.window.window))

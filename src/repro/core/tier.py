@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..chunking import StaticChunker
 from ..compression import ZlibCodec
@@ -338,11 +338,6 @@ class DedupTier:
         if oid not in bucket:
             bucket[oid] = None
             self._dirty_total += 1
-
-    def peek_dirty_group(self) -> Iterable[str]:
-        """The objects :meth:`next_dirty_group` would pop next, left on
-        the list (empty when the list is)."""
-        return next(iter(self._dirty_pgs.values()), ())
 
     def next_dirty_group(self) -> List[str]:
         """Pop the dirty objects of the metadata PG logged first, in the

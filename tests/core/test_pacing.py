@@ -1,14 +1,18 @@
-"""A background worker paces before it pops a dirty group (§4.4.2).
+"""One rate budget for every background dedup worker (§4.4.2).
 
-Rate control holds a background worker back for one dedup I/O per N
-foreground ops; the worker sleeps it off *before* it takes the head
-group off the dirty list, so a group waiting on the pacing stays listed
-for every other worker and for a drain, and a hot member, which the
-pass only requeues, costs no pacing.
+Rate control admits one dedup I/O per N foreground ops, whatever the
+number of workers: a pass charges its cold members' dirty chunks to one
+shared clock, and a worker waits that clock off *before* it takes the
+next group off the dirty list, so a waiting group stays listed for every
+other worker and for a drain, and a hot member, which the pass only
+requeues, costs no budget.
 """
+
+import pytest
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
+from repro.core.rate_control import LOW_WATERMARK
 from repro.obs import Tracer, check_trace
 
 KiB = 1024
@@ -37,17 +41,32 @@ def same_pg(storage, count):
     return [oid for oid in oids if pool.pg_of(oid) == pg][:count]
 
 
-def count_throttles(storage):
-    calls = []
-    rate = storage.tier.rate
-    throttle = rate.throttle
+def foreground(storage, iops, seconds):
+    """Start a steady foreground load: one op every ``1 / iops`` s."""
+    sim, note = storage.sim, storage.tier.fg_window.note
 
-    def counting():
-        calls.append(storage.sim.now)
-        return throttle()
+    def proc():
+        for _ in range(int(iops * seconds)):
+            yield sim.timeout(1 / iops)
+            note(CHUNK)
 
-    rate.throttle = counting
-    return calls
+    sim.process(proc())
+
+
+def record_pops(storage):
+    """Sizes of the groups the dirty list hands out from now on."""
+    tier = storage.tier
+    popped = []
+    pop = tier.next_dirty_group
+
+    def recording():
+        group = pop()
+        if group:
+            popped.append(len(group))
+        return group
+
+    tier.next_dirty_group = recording
+    return popped
 
 
 def test_a_paced_worker_leaves_its_group_listed_and_a_drain_takes_it_in_one_round():
@@ -58,11 +77,12 @@ def test_a_paced_worker_leaves_its_group_listed_and_a_drain_takes_it_in_one_roun
     dirty = tier.dirty_count
     assert dirty == 6
     busy(storage)
-    throttles = count_throttles(storage)
+    popped = record_pops(storage)
     storage.engine.start()
     sim.run(until=sim.now + 0.01)
-    assert throttles  # the worker sleeps in its pacing ...
-    assert tier.dirty_count == dirty  # ... with its group still listed
+    assert len(popped) == 1  # the first group goes at once ...
+    assert tier.rate._due > sim.now  # ... and its charge holds the worker
+    assert tier.dirty_count == dirty - popped[0]  # the rest stay listed
     rebuilds = []
     rebuild = tier.rebuild_dirty_list
 
@@ -78,22 +98,73 @@ def test_a_paced_worker_leaves_its_group_listed_and_a_drain_takes_it_in_one_roun
     storage.engine.stop()
 
 
-def test_hot_members_are_not_paced_for():
+def test_hot_members_are_not_charged():
     storage = make_storage()
     tier, engine = storage.tier, storage.engine
+    rate = tier.rate
     hot, cold = same_pg(storage, 2)
     storage.write_sync(hot, b"h" * (3 * CHUNK))
     storage.write_sync(cold, b"c" * (2 * CHUNK))
-    assert sorted(tier.peek_dirty_group()) == sorted([hot, cold])
-    throttles = count_throttles(storage)
     tier.cache.is_hot = lambda oid: oid == hot
     busy(storage)
-    storage.cluster.run(engine._pace())
-    assert len(throttles) == 2  # one per dirty chunk of the cold member
+    start = storage.sim.now
+    assert storage.cluster.run(engine.process_object(hot, cold)) == "done"
+    # Two dirty chunks of the cold member at 500 ops / 2000 IOPS each.
+    assert rate._due == pytest.approx(start + 2 * 0.25, abs=1e-3)
+    due = rate._due
     tier.cache.is_hot = lambda oid: True
-    storage.cluster.run(engine._pace())
-    assert len(throttles) == 2  # every member hot: no pacing at all
-    assert tier.dirty_count == 2  # pacing pops nothing
+    assert storage.cluster.run(engine.process_object(hot)) == "skipped_hot"
+    assert rate._due == due  # every member hot: no charge at all
+
+
+@pytest.mark.parametrize("workers", [1, 8, 128])
+def test_the_budget_does_not_grow_with_the_worker_count(workers):
+    # 2000 IOPS is above the high watermark: one dedup I/O per 500
+    # foreground ops, 0.25 s each, so 2 s admit a budget of 8 chunks
+    # (plus the one group that may run ahead of it) — the same for one
+    # worker as for 128.
+    storage = make_storage(engine_workers=workers)
+    sim, rate = storage.sim, storage.tier.rate
+    for i in range(64):
+        storage.write_sync(f"obj{i}", bytes([i + 1]) * CHUNK)
+    foreground(storage, 2000, 3.0)
+    sim.run(until=sim.now + 1.0)  # the window fills to a steady 2000 IOPS
+    admitted = []
+    charge = rate.charge
+
+    def recording(ios):
+        admitted.append(ios)
+        charge(ios)
+
+    rate.charge = recording
+    popped = record_pops(storage)
+    storage.engine.start()
+    sim.run(until=sim.now + 2.0)
+    storage.engine.stop()
+    budget = 2.0 * 2000 / 500
+    assert 0 < sum(admitted) <= budget + max(popped)
+    assert sum(admitted) == sum(popped) == 8  # whatever the worker count
+    assert len(popped) > 1
+
+
+def test_the_debt_is_forgiven_once_the_foreground_stops():
+    storage = make_storage(engine_workers=8)
+    tier, sim, rate = storage.tier, storage.sim, storage.tier.rate
+    oids = [f"obj{i}" for i in range(200)]
+    for i, oid in enumerate(oids):
+        storage.write_sync(oid, bytes([i % 250 + 1]) * (2 * CHUNK))
+    foreground(storage, 2000, 2.0)
+    sim.run(until=sim.now + 1.0)
+    storage.engine.start()
+    sim.run(until=sim.now + 1.0)  # the foreground stops here
+    while tier.fg_window.iops() >= LOW_WATERMARK:
+        sim.run(until=sim.now + 0.01)
+    low = sim.now
+    deadline = low + tier.fg_window.window
+    assert rate._due > deadline  # paying the debt off would be too late
+    sim.run(until=deadline)
+    storage.engine.stop()
+    assert all(tier.peek_chunk_map(oid).all_clean() for oid in oids)
 
 
 def test_a_traced_paced_worker_leaves_only_op_roots():

@@ -73,6 +73,7 @@ def test_throttle_waits_for_n_foreground_ops_worth_of_time():
     feed(sim, window, 1000)  # exactly at high watermark -> ratio 500
 
     def proc():
+        rc.charge(1)
         yield from rc.throttle()
         return sim.now
 
@@ -88,6 +89,7 @@ def test_throttle_immediate_when_idle():
     rc = make_rc(sim, window)
 
     def proc():
+        rc.charge(1)
         yield from rc.throttle()
         return sim.now
 
@@ -103,6 +105,7 @@ def test_throttle_disabled():
     feed(sim, window, 10_000)
 
     def proc():
+        rc.charge(1)
         yield from rc.throttle()
         return sim.now
 

@@ -145,8 +145,8 @@ class DedupedStorage:
 
     def delete(self, oid: str, client=None):
         """Process: delete ``oid``; returns once its metadata object is
-        gone.  Its chunks' references are released behind the reply, in
-        one batched commit under the object's lock (see
+        gone and its object lock free.  Its chunks' references are
+        released behind the reply by the GC, in one batched commit (see
         :func:`~repro.core.io_path.delete_path`); :meth:`delete_sync` and
         :meth:`drain` wait for that release."""
         yield from delete_path(self.tier, oid, self.engine.release_deleted, client)
@@ -183,7 +183,8 @@ class DedupedStorage:
         """Deduplicate everything pending (ignores hotness), wait for every
         delete's chunk release in flight, then run the GC over the
         engine's deref queue (the false-positive mode's deferred
-        dereferences, and any release a fault deferred).
+        dereferences, and any release a fault deferred), as an idle
+        background worker also does.
 
         Runs up to ``config.engine_workers`` forced passes at once — see
         :meth:`DedupEngine.drain <repro.core.engine.DedupEngine.drain>`.

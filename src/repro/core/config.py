@@ -56,8 +56,9 @@ class DedupConfig:
     refcount_mode:
         ``"strict"`` — dereference synchronously before re-pointing a
         chunk (paper §4.4.1 step 3); ``"false_positive"`` — skip the
-        wait, leaving garbage references for a GC pass (§4.6's
-        OrderMergeDedup-style variant).
+        wait, leaving garbage references for the GC (§4.6's
+        OrderMergeDedup-style variant), which ``drain()`` and every idle
+        background worker run over the engine's deref queue.
     """
 
     chunk_size: int = 32 * KiB
@@ -84,11 +85,6 @@ class DedupConfig:
     dedup_interval: float = 0.05
     refcount_mode: str = "strict"
 
-    #: LRU cache of decoded ChunkMaps in front of ``load_chunk_map``:
-    #: committed snapshots only, replaced by every map commit and
-    #: dropped by every invalidation, so a hit is "an entry exists".
-    #: 0 disables.
-    map_cache_entries: int = 256
     #: Background dedup thread count (paper §3.2: "background
     #: deduplication threads periodically conduct a deduplication job").
     engine_workers: int = 8
@@ -123,8 +119,4 @@ class DedupConfig:
             raise ValueError(
                 f"cache_policy must be 'lru', 'lfu' or 'fifo', "
                 f"got {self.cache_policy!r}"
-            )
-        if self.map_cache_entries < 0:
-            raise ValueError(
-                f"map_cache_entries must be >= 0, got {self.map_cache_entries}"
             )

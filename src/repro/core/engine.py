@@ -139,18 +139,16 @@ class DedupEngine:
         self.config = tier.config
         self.sim = tier.sim
         self.stats = EngineStats()
-        #: References left for the GC: in ``refcount_mode=
-        #: "false_positive"`` (§4.6) the old-chunk dereferences of
-        #: committed passes, queued instead of released; in either mode
-        #: a release that faulted (:meth:`_release_or_defer`) and a
-        #: deleted object's release that gave up (:meth:`_release`).
+        #: References left for the GC (:meth:`_collect`): in
+        #: ``refcount_mode="false_positive"`` (§4.6) the old-chunk
+        #: dereferences of committed passes; in either mode a release
+        #: that faulted or gave up.
         self.deref_queue: List[Tuple[str, ChunkRef]] = []
         self._running = False
         self._procs = []
         self._promoting = set()
-        #: Deleted objects' chunk releases in flight, by oid
-        #: (:meth:`release_deleted`); each holds its object's lock.
-        self._releases: Dict[str, Event] = {}
+        #: Releases in flight (:meth:`_start_release`), in start order.
+        self._releases: Dict[Event, None] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -183,10 +181,11 @@ class DedupEngine:
 
         The body of every engine worker — the background loops and the
         forced passes of :meth:`drain`.  Runs until ``stop()`` is true;
-        on an empty dirty list a background worker sleeps
-        ``dedup_interval`` and a forced one returns.  A background worker
-        waits for the rate budget *before* it pops a group: while it
-        waits the group stays listed, for other workers and for a drain.
+        on an empty dirty list a forced worker returns and a background
+        one collects :attr:`deref_queue`, then sleeps ``dedup_interval``.
+        A background worker waits for the rate budget *before* it pops a
+        group: while it waits the group stays listed, for other workers
+        and for a drain.
         """
         tier = self.tier
         while not stop():
@@ -196,6 +195,8 @@ class DedupEngine:
             if not group:
                 if force:
                     return
+                if self.deref_queue:
+                    yield self._start_release(self._collect())
                 yield self.sim.timeout(self.config.dedup_interval)
                 continue
             try:
@@ -541,50 +542,57 @@ class DedupEngine:
             self.stats.derefs_deferred_fault += len(pairs)
             self.deref_queue.extend(pairs)
 
-    # -- deleted objects' references -------------------------------------------------
+    # -- releases behind the foreground, and the GC ------------------------------------
 
-    def release_deleted(self, oid, pairs, held, client) -> None:
+    def release_deleted(self, oid, pairs, client) -> None:
         """Start releasing the references ``pairs`` of deleted ``oid``.
 
         :func:`~repro.core.io_path.delete_path` calls it once the
-        metadata object is gone and replies without waiting for it.  The
-        release takes over the delete's object-lock grants ``held``, so
-        every later write, pass, promotion, GC or delete of ``oid`` waits
-        until the batch has landed, and a recreate can never take a
-        reference the release then drops.
+        metadata object is gone and its lock free, and replies without
+        waiting for it.  The release is the one GC over ``pairs``, so a
+        recreate that has taken one of them again keeps it.
         """
-        self._releases[oid] = self.sim.process(self._release(oid, pairs, held, client))
+        self._start_release(self._release(oid, pairs, client))
 
-    def _release(self, oid, pairs, held, client):
-        """Process: one :meth:`~DedupTier.release_refs` batch of a deleted
-        object's references, retried; frees its object lock when it ends.
+    def _start_release(self, gen):
+        """Start process ``gen``, a release :meth:`releases_landed` awaits."""
+        release = self.sim.process(gen)
+        self._releases[release] = None
+        release.subscribe(self._releases.pop)
+        return release
 
-        A release that exhausts its retries leaves every reference
-        over-retained (never dangling) and queues the set on
-        :attr:`deref_queue` for the next ``drain()``'s GC, as a pass's
-        faulted release does.
-        """
+    def _release(self, oid, pairs, client):
+        """Process: :func:`~repro.core.scrub.collect_garbage` over a
+        deleted ``oid``'s references, sent via ``client`` and retried.
+        A give-up leaves them over-retained and queues them on
+        :attr:`deref_queue`."""
         tier = self.tier
         try:
             yield from tier.retrying(
-                lambda: tier.release_refs(pairs, client), op="chunk_deref"
+                lambda: collect_garbage(tier, pairs, client), op="chunk_deref"
             )
         except Exception as exc:
             if not is_retryable(exc):
                 raise
             self.stats.derefs_deferred_fault += len(pairs)
             self.deref_queue.extend(pairs)
-        finally:
-            del self._releases[oid]
-            tier.object_locks.release(held)
 
     def releases_landed(self):
-        """Process: wait until no deleted object's release is in flight.
-
-        Re-raises the error of a release that failed while waited for (a
-        bug: a fault defers the set to the GC instead)."""
+        """Process: wait until no release is in flight (a deleted
+        object's, or an idle worker's GC); re-raises a release's error."""
         while self._releases:
-            yield next(iter(self._releases.values()))
+            yield next(iter(self._releases))
+
+    def _collect(self):
+        """Process: hand :attr:`deref_queue` to the GC.  Its release is
+        all-or-nothing, so a fault puts every pair back on the queue."""
+        queue, self.deref_queue = self.deref_queue, []
+        try:
+            yield from collect_garbage(self.tier, queue)
+        except Exception as exc:
+            self.deref_queue.extend(queue)
+            if not is_retryable(exc):
+                raise
 
     # -- cache maintenance -----------------------------------------------------------
 
@@ -701,15 +709,14 @@ class DedupEngine:
         thread*s*, one pass per dirty metadata PG at a time; a single
         dirty PG runs inline) and rebuilt from
         the authoritative dirty bits until a rebuild finds nothing.
-        Optionally hands :attr:`deref_queue` to
-        :func:`~repro.core.scrub.collect_garbage` afterwards (an empty
-        queue costs nothing); a retryable fault in that GC leaves the
-        queue for the next drain.  Used by benchmarks
+        Optionally hands a non-empty :attr:`deref_queue` to the GC
+        afterwards (:meth:`_collect`); a fault in it leaves the queue
+        for the next collection.  Used by benchmarks
         to reach the fully deduplicated steady state before measuring
         space.  Every pass releases its old chunks before its worker
-        takes the next group, and the drain waits for every deleted
-        object's release in flight before its GC, so it returns with
-        every reference settled and every lock free.
+        takes the next group, and the drain waits for every release in
+        flight (:meth:`releases_landed`) before its GC, so it returns
+        with every reference settled and every lock free.
 
         A non-retryable error in one pass stops the hand-out: no worker
         pops another group, siblings finish the pass they hold (they
@@ -748,16 +755,8 @@ class DedupEngine:
                 raise RuntimeError("drain did not converge")
         if self._releases:
             yield from self.releases_landed()
-        if run_gc:
-            queue, self.deref_queue = self.deref_queue, []
-            try:
-                yield from collect_garbage(tier, queue)
-            except Exception as exc:
-                # The GC's release is all-or-nothing: nothing was
-                # dropped, so the whole queue waits for the next drain.
-                self.deref_queue.extend(queue)
-                if not is_retryable(exc):
-                    raise
+        if run_gc and self.deref_queue:
+            yield from self._collect()
 
     def drain_sync(self, run_gc: bool = True) -> None:
         """Synchronous :meth:`drain`."""

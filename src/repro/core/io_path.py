@@ -22,10 +22,10 @@ in parallel, which is why large sequential reads recover the lost
 throughput (Figure 11's 128 KiB case).
 
 **Delete path** — the client's delete is done once the metadata object
-is removed (§4.6 asks only that a dereference never dangle).  The chunk
-references its map held are released behind the reply, in one batch, by
-a process that holds the object lock until that batch has landed, so
-the next mutation of the object waits for it as for any other holder.
+is removed (§4.6 asks only that a dereference never dangle).  The delete
+frees its object lock, then the chunk references its map held are
+released behind the reply by the one GC, which re-checks each under the
+object lock, so a recreate that took one of them in between keeps it.
 """
 
 from __future__ import annotations
@@ -254,21 +254,20 @@ def delete_path(tier: DedupTier, oid: str, release, client=None):
 
     Under the object lock, the metadata object is removed (the
     user-visible delete) and its chunks leave the cache manager's books.
-    The reply then travels back to the client while ``release(oid,
-    pairs, held, client)`` — the engine's
-    :meth:`~repro.core.engine.DedupEngine.release_deleted` — drops every
-    reference the map held in one
-    :meth:`~repro.core.tier.DedupTier.release_refs`, a single batched
-    commit, all-or-nothing on either pool type.  It takes over the
-    object lock (the grants in ``held``) and frees it once that batch
-    has landed, so every later mutation of ``oid`` — a recreate
-    included — still waits for it.  Chunk objects whose last reference
-    this was disappear with it.  A crash or a retry give-up in between
-    leaves only over-retained chunks (never dangling pointers, never a
-    released prefix of a batch), which the GC reclaims — the same §4.6
-    safety direction as flush.
+    The delete then frees the lock, starts ``release(oid, pairs,
+    client)`` — the engine's
+    :meth:`~repro.core.engine.DedupEngine.release_deleted`, the one GC
+    (:func:`~repro.core.scrub.collect_garbage`) over every reference the
+    map held — and replies without waiting for it.  The GC re-checks
+    each reference under the object lock (a recreate that took it again
+    keeps it) and drops the rest in one batched, all-or-nothing commit.
+    A crash or a retry give-up in between leaves only over-retained
+    chunks (never dangling pointers, never a released prefix of a
+    batch), which the GC reclaims — the same §4.6 safety direction as
+    flush.
     """
     held: list = []
+    pairs = []
     try:
         yield tier.object_locks.acquire(oid, held)
         yield from tier.writes_landed(oid)
@@ -291,18 +290,16 @@ def delete_path(tier: DedupTier, oid: str, release, client=None):
         tier.invalidate_map_cache(oid)
         # The object is gone whatever happens to its references:
         # take its chunks off the cache manager's books first.
-        pairs = []
         for entry in cmap:
             tier.cache.note_evicted(oid, entry.offset // tier.config.chunk_size)
             if entry.chunk_id:
                 pairs.append((entry.chunk_id, entry_ref(tier, oid, entry)))
-        if pairs:
-            release(oid, pairs, held, client)
-            held = []
-        tier.fg_window.note(0)
-        yield cluster.reply()
     finally:
         tier.object_locks.release(held)
+    if pairs:
+        release(oid, pairs, client)
+    tier.fg_window.note(0)
+    yield cluster.reply()
 
 
 def entry_ref(tier: DedupTier, oid: str, entry):

@@ -8,8 +8,9 @@ Two maintenance passes a production deployment of this design needs:
   at an existing chunk object, and every reference record must point
   back at a metadata object whose map actually uses the chunk.
 * :func:`collect_garbage` — the one GC: it releases stored references
-  their referrer's chunk map no longer implies, for the §4.6
-  false-positive deref queue and as the offline repair.
+  their referrer's chunk map no longer implies: the §4.6
+  false-positive deref queue, a deleted object's references and the
+  offline repair.
 
 Both are simulation processes and charge device time for what they
 read/write, so their cost can be measured too.
@@ -113,33 +114,34 @@ def scrub_sync(tier: DedupTier) -> ScrubReport:
 
 @dataclass
 class GcReport:
-    """Outcome of one GC pass, read back after its release committed."""
+    """Outcome of one offline GC pass (:func:`collect_garbage_sync`)."""
 
     references_dropped: int = 0
     chunks_removed: int = 0
     bytes_reclaimed: int = 0
 
 
-def collect_garbage(tier: DedupTier, candidates: Optional[List[Tuple[str, ChunkRef]]] = None):
-    """Process: release stale references; returns a :class:`GcReport`.
+def collect_garbage(tier: DedupTier, candidates: Optional[List] = None, via=None):
+    """Process: release stale references; returns the stale pairs.
 
     ``candidates`` are the ``(chunk_id, ref)`` pairs to check (the
-    false-positive deref queue :meth:`DedupEngine.drain` hands over);
-    ``None`` checks every stored reference — the offline repair.  A
-    candidate is stale when its referrer is gone or the referrer's map
-    has no entry at ``ref.offset`` pointing at ``chunk_id`` (a dirty
-    entry still needs its old chunk).  Each map is read under the
-    referrer's object lock, taken in sorted order before any chunk lock,
-    so nothing in flight on a referrer commits between the check and the
-    one all-or-nothing :meth:`~repro.core.tier.DedupTier.release_refs`
-    of every stale pair.  No candidates: no lock, no simulated time.
+    engine's deref queue, or the references a delete dropped); ``None``
+    checks every stored reference — the offline repair.  A candidate is
+    stale when its referrer is gone or the referrer's map has no entry
+    at ``ref.offset`` pointing at ``chunk_id`` (a dirty entry still
+    needs its old chunk).  Each map is read under the referrer's object
+    lock, taken in sorted order before any chunk lock, so nothing in
+    flight on a referrer commits between the check and the one
+    all-or-nothing :meth:`~repro.core.tier.DedupTier.release_refs` of
+    every stale pair, sent via ``via`` (default: the first node).  No
+    candidates: no lock, no simulated time.
     """
     cluster = tier.cluster
     if candidates is None:
         chunks = cluster.list_objects(tier.chunk_pool)
         candidates = [(cid, ref) for cid in chunks for ref in tier._load_refs(cid)]
     if not candidates:
-        return GcReport()
+        return []
     held: list = []
     try:
         live: Set[Tuple[str, ChunkRef]] = set()
@@ -148,20 +150,22 @@ def collect_garbage(tier: DedupTier, candidates: Optional[List[Tuple[str, ChunkR
             yield from tier.writes_landed(oid)
             live.update(_implied(tier, oid))
         stale = sorted(set(candidates) - live)
-        stored = [(cid, ref) for cid, ref in stale if ref in tier._load_refs(cid)]
-        sizes = {cid: cluster.payload_bytes(tier.chunk_pool, cid) for cid, _ref in stored}
-        yield from tier.release_refs(stale, next(iter(cluster.nodes.values())))
-        # Read back under the referrers' locks: nothing re-took them yet.
-        gone = [cid for cid in sizes if not tier.chunk_exists(cid)]
-        return GcReport(
-            references_dropped=sum(ref not in tier._load_refs(cid) for cid, ref in stored),
-            chunks_removed=len(gone),
-            bytes_reclaimed=sum(sizes[cid] for cid in gone),
-        )
+        yield from tier.release_refs(stale, via or next(iter(cluster.nodes.values())))
+        return stale
     finally:
         tier.object_locks.release(held)
 
 
 def collect_garbage_sync(tier: DedupTier) -> GcReport:
-    """Synchronous :func:`collect_garbage` (the offline repair)."""
-    return tier.cluster.run(collect_garbage(tier))
+    """Synchronous :func:`collect_garbage` (the offline repair); its
+    report compares the stale pairs' chunks before and after the GC."""
+    cluster = tier.cluster
+    before = {
+        cid: (tier._load_refs(cid), cluster.payload_bytes(tier.chunk_pool, cid))
+        for cid in cluster.list_objects(tier.chunk_pool)
+    }
+    stale = [pair for pair in cluster.run(collect_garbage(tier)) if pair[0] in before]
+    dropped = [r for cid, r in stale if r in before[cid][0] and r not in tier._load_refs(cid)]
+    touched = {cid for cid, _ref in stale}
+    gone = [cid for cid in before if cid in touched and not tier.chunk_exists(cid)]
+    return GcReport(len(dropped), len(gone), sum(before[cid][1] for cid in gone))

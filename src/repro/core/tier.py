@@ -55,6 +55,9 @@ __all__ = [
 
 #: xattr on chunk objects recording the payload encoding ("raw"/"zlib").
 CHUNK_ENCODING_XATTR = "dedup.encoding"
+#: Decoded chunk maps the tier keeps in its LRU in front of
+#: ``load_chunk_map``.
+MAP_CACHE_ENTRIES = 256
 
 
 @dataclass
@@ -290,7 +293,6 @@ class DedupTier:
         # entry exists": commit_map replaces the entry and every
         # invalidation pops it.
         self._map_cache: "OrderedDict[str, ChunkMap]" = OrderedDict()
-        self._map_cache_cap = self.config.map_cache_entries
         # Fences of the misses in flight: oid -> [misses parked on their
         # disk read, marks].  A commit or invalidation of the oid marks
         # it, and a miss installs its decode only if no mark landed
@@ -430,12 +432,10 @@ class DedupTier:
     # -- decoded-map cache ----------------------------------------------------
 
     def _cache_map(self, oid: str, cmap: ChunkMap) -> None:
-        if self._map_cache_cap <= 0:
-            return
         cache = self._map_cache
         cache[oid] = cmap
         cache.move_to_end(oid)
-        while len(cache) > self._map_cache_cap:
+        while len(cache) > MAP_CACHE_ENTRIES:
             cache.popitem(last=False)
 
     def _fence(self, oid: str) -> None:

@@ -197,12 +197,12 @@ def test_delete_racing_a_pass_that_shares_its_chunks():
     assert locks_left(storage) == []
 
 
-def test_a_recreate_waits_for_the_release_of_the_delete_before_it(monkeypatch):
+def test_a_recreate_during_the_delete_release_keeps_its_references(monkeypatch):
     # The delete replies once the metadata object is gone; its release is
     # slowed so that the same content is written to the same oid, and
     # deduplicated, while it is still in flight.  The recreate's pass
     # takes the very references the release drops (same oid, same
-    # offsets): only the object lock the release holds keeps them apart.
+    # offsets).
     storage = make_storage()
     sim, tier = storage.sim, storage.tier
     payload = distinct_chunks(8)
@@ -218,7 +218,7 @@ def test_a_recreate_waits_for_the_release_of_the_delete_before_it(monkeypatch):
 
     def delete_then_recreate():
         yield from storage.delete("obj1")
-        assert locks_left(storage) == ["tier.object=1"]  # the release's
+        assert storage.engine._releases  # the release is in flight
         yield from storage.write("obj1", payload)
 
     storage.cluster.run(delete_then_recreate())
@@ -228,6 +228,47 @@ def test_a_recreate_waits_for_the_release_of_the_delete_before_it(monkeypatch):
         chunk_id = fingerprint(payload[i * CHUNK : (i + 1) * CHUNK])
         assert list(tier._load_refs(chunk_id)) == [ChunkRef(pool_id, "obj1", i * CHUNK)]
         assert tier.chunk_refcount(chunk_id) == 1
+    assert len(storage.cluster.list_objects(tier.chunk_pool)) == 8
+    assert storage.read_sync("obj1") == payload
+    assert scrub_sync(tier).clean
+    assert locks_left(storage) == []
+
+
+def test_a_release_that_starts_after_a_recreate_drops_none_of_its_references(
+    monkeypatch,
+):
+    """The delete's release starts only once the object is recreated
+    with the same bytes and flushed: the recreate's pass has taken the
+    very references (same oid, same offsets) the release was handed.
+    The release checks them under the object lock, as the GC does, and
+    finds them live again."""
+    storage = make_storage()
+    sim, tier, engine = storage.sim, storage.tier, storage.engine
+    payload = distinct_chunks(8)
+    storage.write_sync("obj1", payload)
+    storage.drain()
+    retrying = tier.retrying
+
+    def late_release(factory, op="op"):
+        if op == "chunk_deref":
+            yield sim.timeout(0.05)
+        result = yield from retrying(factory, op)
+        return result
+
+    monkeypatch.setattr(tier, "retrying", late_release)
+
+    def delete_recreate_flush():
+        yield from storage.delete("obj1")
+        yield from storage.write("obj1", payload)
+        yield from storage.flush("obj1")
+        assert engine._releases  # the release has not yet begun
+
+    storage.cluster.run(delete_recreate_flush())
+    storage.cluster.run(engine.releases_landed())
+    pool_id = tier.metadata_pool.pool_id
+    for i in range(8):
+        chunk_id = fingerprint(payload[i * CHUNK : (i + 1) * CHUNK])
+        assert list(tier._load_refs(chunk_id)) == [ChunkRef(pool_id, "obj1", i * CHUNK)]
     assert len(storage.cluster.list_objects(tier.chunk_pool)) == 8
     assert storage.read_sync("obj1") == payload
     assert scrub_sync(tier).clean

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cluster import RadosCluster, Transaction, converge_sync
 from repro.core import DedupConfig, DedupedStorage
+from repro.core import tier as tier_module
 from repro.core.objects import CHUNK_MAP_XATTR
 from repro.core.scrub import collect_garbage_sync
 from repro.core.objects import (
@@ -36,6 +37,11 @@ def make_storage(**config_overrides):
     defaults.update(config_overrides)
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
     return DedupedStorage(cluster, DedupConfig(**defaults), start_engine=False)
+
+
+def cap_map_cache(monkeypatch, entries):
+    """Shrink the tier's decoded-map LRU to ``entries`` maps."""
+    monkeypatch.setattr(tier_module, "MAP_CACHE_ENTRIES", entries)
 
 
 def load_map(storage, oid):
@@ -104,8 +110,9 @@ def test_invalidation_forces_reload_then_recaches():
     assert stage.map_cache_hits == 1
 
 
-def test_lru_cap_evicts_oldest():
-    storage = make_storage(map_cache_entries=1)
+def test_lru_cap_evicts_oldest(monkeypatch):
+    cap_map_cache(monkeypatch, 1)
+    storage = make_storage()
     storage.write_sync("a", b"a" * CHUNK)
     storage.write_sync("b", b"b" * CHUNK)
     assert len(storage.tier._map_cache) == 1
@@ -115,18 +122,6 @@ def test_lru_cap_evicts_oldest():
     assert stage.map_cache_hits == 0
     assert stage.map_cache_misses == 2
     assert len(storage.tier._map_cache) == 1
-
-
-def test_cache_disabled_always_reloads():
-    storage = make_storage(map_cache_entries=0)
-    storage.write_sync("obj1", b"d" * CHUNK)
-    assert len(storage.tier._map_cache) == 0
-    load_map(storage, "obj1")
-    load_map(storage, "obj1")
-    stage = storage.tier.stage
-    assert stage.map_cache_hits == 0
-    assert stage.map_cache_misses == 2
-    assert storage.read_sync("obj1") == b"d" * CHUNK
 
 
 def test_delete_invalidates_cache():
@@ -211,11 +206,12 @@ def test_commit_during_load_yield_keeps_fresh_cache_entry():
     assert (tier.stage.map_cache_hits, tier.stage.map_cache_misses) == (hits + 1, misses)
 
 
-def test_a_miss_spanning_a_commit_stays_out_after_the_fresh_entry_is_evicted():
+def test_a_miss_spanning_a_commit_stays_out_after_the_fresh_entry_is_evicted(monkeypatch):
     """The commit's fresh entry is evicted before the stale miss ends:
     "an entry is present" no longer stops the stale decode, the fence
     must."""
-    storage = make_storage(map_cache_entries=1)
+    cap_map_cache(monkeypatch, 1)
+    storage = make_storage()
     storage.write_sync("obj1", b"t" * 2 * CHUNK)
     release, loader = park_next_map_read(storage, "obj1")
     storage.write_sync("obj1", b"t" * CHUNK, offset=2 * CHUNK)
@@ -227,12 +223,13 @@ def test_a_miss_spanning_a_commit_stays_out_after_the_fresh_entry_is_evicted():
 
 
 @pytest.mark.parametrize("evict", [False, True], ids=["kept", "evicted"])
-def test_a_miss_spanning_a_delete_and_a_recreate_stays_out(evict):
+def test_a_miss_spanning_a_delete_and_a_recreate_stays_out(evict, monkeypatch):
     """ABA: the object is deleted and recreated under the same oid while
     a miss of its old map is parked on the read.  The stale decode must
     not be installed, whether the recreate's fresh entry is still
     cached or already evicted."""
-    storage = make_storage(map_cache_entries=1)
+    cap_map_cache(monkeypatch, 1)
+    storage = make_storage()
     storage.write_sync("obj1", b"w" * 2 * CHUNK)
     release, loader = park_next_map_read(storage, "obj1")
     storage.delete_sync("obj1")
@@ -271,13 +268,14 @@ def test_invalidate_all_fences_version_zero_load():
     assert storage.read_sync("obj1") == b"s" * CHUNK
 
 
-def test_tier_state_is_bounded_by_live_objects_and_the_cache():
+def test_tier_state_is_bounded_by_live_objects_and_the_cache(monkeypatch):
     """Writing and deleting many more objects than the map cache holds
     leaves no per-object trace: every dict, set, deque and lock table of
-    the tier holds at most max(live objects, map_cache_entries)
+    the tier holds at most max(live objects, MAP_CACHE_ENTRIES)
     entries, and no miss fence outlives its miss."""
     cap = 4
-    storage = make_storage(map_cache_entries=cap)
+    cap_map_cache(monkeypatch, cap)
+    storage = make_storage()
     for i in range(40):
         storage.write_sync(f"obj{i}", bytes([i]) * 2 * CHUNK)
         load_map(storage, f"obj{i}")
@@ -464,11 +462,6 @@ def test_dedup_pass_commits_only_processed_entries():
     assert delta <= 8  # flush + eviction commits, all incremental
     fp = fingerprint(b"l" * CHUNK)
     assert storage.cluster.exists(storage.tier.chunk_pool, fp)
-
-
-def test_config_rejects_negative_cache_size():
-    with pytest.raises(ValueError):
-        DedupConfig(map_cache_entries=-1)
 
 
 def test_a_read_in_a_demotions_reply_window_routes_by_the_committed_map(monkeypatch):

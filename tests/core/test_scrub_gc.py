@@ -184,6 +184,39 @@ def test_false_positive_gc_keeps_a_reference_rewritten_back():
     assert storage.cluster.list_objects(storage.tier.chunk_pool) == [fingerprint(x)]
 
 
+def test_idle_background_workers_collect_the_false_positive_queue():
+    """No ``drain()``: a background-only store in false-positive mode
+    overwrites every chunk of its objects round after round.  Each pass
+    queues the old chunks' references, and the idle workers hand the
+    queue to the GC, so neither the queue nor the chunk pool grows."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    storage = DedupedStorage(
+        cluster, DedupConfig(chunk_size=1024, refcount_mode="false_positive")
+    )
+    tier, engine, sim = storage.tier, storage.engine, storage.sim
+    objects, chunks = 8, 4
+
+    def content(round_, oid, index):
+        return bytes([round_, oid, index]) * 341 + bytes([round_])
+
+    def overwrite(round_):
+        for j in range(objects):
+            for i in range(chunks):
+                yield from storage.write(f"obj{j}", content(round_, j, i), i * 1024)
+
+    for round_ in range(6):
+        cluster.run(overwrite(round_))
+        sim.run(until=sim.now + 5.0)
+        assert engine.deref_queue == []
+        assert len(cluster.list_objects(tier.chunk_pool)) == objects * chunks
+    for j in range(objects):
+        assert storage.read_sync(f"obj{j}") == b"".join(
+            content(5, j, i) for i in range(chunks)
+        )
+    assert engine.stats.chunks_flushed == 6 * objects * chunks
+    assert scrub_sync(tier).clean
+
+
 def _restart_storage():
     """Four hosts of one OSD each, so one OSD is in most acting sets."""
     cluster = RadosCluster(num_hosts=4, osds_per_host=1, pg_num=32)

@@ -108,12 +108,13 @@ step "e2e-smoke: memory by site (artifact; fails on a non-empty per-key table)" 
     bash -o pipefail -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke | tee rss-by-site.txt &&
         python3 scripts/rss_by_site.py hot-reread --smoke | tee -a rss-by-site.txt &&
         python3 scripts/rss_by_site.py seq-backup --smoke | tee -a rss-by-site.txt'
-# seq-backup (four lanes writing one object), rand-small-cold (one drain
-# pass per dirty metadata PG, with --passes: each drain's rounds, passes
-# and pass phases) and hot-reread as ci.yml; sfs-mixed-open's
+# seq-backup (four lanes writing one object; with --passes, whole-chunk
+# assembly), rand-small-cold (one drain pass per dirty metadata PG, with
+# --passes: each drain's rounds, passes, pass phases and the releases
+# behind them) and hot-reread as ci.yml; sfs-mixed-open's
 # background passes run beside foreground ops.
 step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
-    sh -c 'python3 scripts/sim_by_slice.py seq-backup --smoke > sim-by-slice.txt &&
+    sh -c 'python3 scripts/sim_by_slice.py seq-backup --smoke --passes > sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py rand-small-cold --smoke --passes >> sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py hot-reread --smoke >> sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py sfs-mixed-open --smoke >> sim-by-slice.txt'

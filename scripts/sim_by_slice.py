@@ -32,15 +32,19 @@ header then marks the run as not comparable with the benchmark's.
 work inside it: forced rounds (the worker launches of one
 ``DedupEngine.drain``), dedup passes, members (objects) per pass, and
 the mean simulated milliseconds of each phase of a pass, which together
-make up the pass from its locks to its return:
+make up the pass under its locks:
 
 * ``loads`` — the members' chunk-map loads;
 * ``assembly`` — reading and merging their dirty chunks;
 * ``refs`` — fingerprinting them and the reference batch
   (``commit_chunk_batch``, with its reply);
-* ``map`` — the map commit (``DedupTier.commit_map``);
-* ``release`` — from the map commit's end to the pass's: its reply and
-  the wait for the old-chunk release (a pass with no release: the reply).
+* ``map`` — the map commit (``DedupTier.commit_map``), where the pass
+  ends;
+
+then, per drain slice, the old-chunk releases its passes started behind
+them (``DedupEngine._release``): how many, their mean simulated
+milliseconds, and the drain's tail — the simulated milliseconds the
+drain spent in ``releases_landed`` once its last pass had ended.
 
 It wraps those calls without touching the simulated clock, so every
 other line is the same with or without it.
@@ -58,76 +62,99 @@ MiB = 1024.0 * 1024.0
 #: The phases of a pass, in order: each runs from the call that opens it
 #: (:meth:`PassClock.install`) to the next one's, the last to the pass's
 #: end.
-PHASES = ("loads", "assembly", "refs", "map", "release")
+PHASES = ("loads", "assembly", "refs", "map")
 
 
 class PassClock:
     """Simulated time of every dedup pass, phase by phase, grouped by
-    the drain slice it ended in (:data:`PHASES`).
+    the drain slice it ended in (:data:`PHASES`), and of the releases
+    those passes started.
 
-    ``install`` wraps the engine's pass (``_process_locked``) and the
-    calls that open each phase on the class, keyed by the process that
-    runs the pass: the wrappers read ``sim.now`` and schedule nothing."""
+    ``install`` wraps the engine's pass (``_process_locked``), the calls
+    that open each phase, the release and the wait for releases on the
+    class, keyed by the process that runs the pass: the wrappers take
+    the wrapped call's arguments as they come, read ``sim.now`` and
+    schedule nothing."""
 
     def __init__(self):
         self.sim = None
-        self._open = {}  # running pass's process -> {phase: start}
+        self._open = {}  # running pass's process -> {phase: start, "members": n}
         self._drain = None  # the drain slice in progress
-        self.drains = {}  # id(phase) -> [per drain slice {"rounds", "passes"}]
+        #: id(phase) -> [per drain slice {"rounds", "passes", "releases", "tail"}]
+        self.drains = {}
         self._last_round = None
 
     def install(self, engine_cls, tier_cls):
         clock = self
         process_locked = engine_cls._process_locked
         worker = engine_cls._worker
-        stamps = {"_assemble": "assembly", "_commit_refs": "refs"}
+        release = engine_cls._release
+        releases_landed = engine_cls.releases_landed
+        stamps = (
+            (engine_cls, "_assemble", "assembly"),
+            (engine_cls, "_commit_refs", "refs"),
+            (tier_cls, "commit_map", "map"),
+        )
 
-        def timed_pass(engine, oids):
+        def timed_pass(engine, *args, **kwargs):
             task = engine.sim.current_task
             clock.sim = engine.sim
-            marks = clock._open[task] = {"loads": engine.sim.now}
+            marks = clock._open[task] = {"loads": engine.sim.now, "members": 0}
             try:
-                return (yield from process_locked(engine, oids))
+                return (yield from process_locked(engine, *args, **kwargs))
             finally:
                 del clock._open[task]
-                clock._close(marks, len(oids))
+                clock._close(marks)
 
-        def counted_worker(engine, force, stop):
+        def counted_worker(engine, force, *args, **kwargs):
             if force and clock._drain is not None and clock._last_round != engine.sim.now:
                 clock._last_round = engine.sim.now
                 clock._drain["rounds"] += 1
-            return worker(engine, force, stop)
+            return worker(engine, force, *args, **kwargs)
 
-        def stamping(name, phase):
-            original = getattr(engine_cls, name)
+        def stamping(cls, name, phase):
+            original = getattr(cls, name)
 
-            def stamp(engine, *args, **kwargs):
-                marks = clock._open.get(engine.sim.current_task)
+            def stamp(owner, *args, **kwargs):
+                marks = clock._open.get(owner.sim.current_task)
                 if marks is not None:
-                    marks.setdefault(phase, engine.sim.now)
-                return original(engine, *args, **kwargs)
+                    marks.setdefault(phase, owner.sim.now)
+                return original(owner, *args, **kwargs)
 
-            setattr(engine_cls, name, stamp)
+            setattr(cls, name, stamp)
 
-        for name, phase in stamps.items():
-            stamping(name, phase)
-        commit_map = tier_cls.commit_map
-
-        def timed_commit_map(tier, *args, **kwargs):
+        def counted_load(tier, *args, **kwargs):
             marks = clock._open.get(tier.sim.current_task)
-            if marks is None:
-                return (yield from commit_map(tier, *args, **kwargs))
-            marks["map"] = tier.sim.now
-            try:
-                return (yield from commit_map(tier, *args, **kwargs))
-            finally:
-                marks["release"] = tier.sim.now
+            if marks is not None:
+                marks["members"] += 1
+            return load_chunk_map(tier, *args, **kwargs)
 
+        def timed_release(engine, *args, **kwargs):
+            drain, start = clock._drain, engine.sim.now
+            try:
+                return (yield from release(engine, *args, **kwargs))
+            finally:
+                if drain is not None:
+                    drain["releases"].append(engine.sim.now - start)
+
+        def timed_landed(engine, *args, **kwargs):
+            drain, start = clock._drain, engine.sim.now
+            try:
+                return (yield from releases_landed(engine, *args, **kwargs))
+            finally:
+                if drain is not None:
+                    drain["tail"] += engine.sim.now - start
+
+        for cls, name, phase in stamps:
+            stamping(cls, name, phase)
+        load_chunk_map = tier_cls.load_chunk_map
+        tier_cls.load_chunk_map = counted_load
         engine_cls._process_locked = timed_pass
         engine_cls._worker = counted_worker
-        tier_cls.commit_map = timed_commit_map
+        engine_cls._release = timed_release
+        engine_cls.releases_landed = timed_landed
 
-    def _close(self, marks, members):
+    def _close(self, marks):
         drain = self._drain
         if drain is None:
             return
@@ -136,10 +163,10 @@ class PassClock:
         spent = dict.fromkeys(PHASES, 0.0)
         for (phase, start), (_next, stop) in zip(bounds, bounds[1:]):
             spent[phase] = stop - start
-        drain["passes"].append((members, spent))
+        drain["passes"].append((marks["members"], spent))
 
     def begin(self, phase):
-        self._drain = {"rounds": 0, "passes": []}
+        self._drain = {"rounds": 0, "passes": [], "releases": [], "tail": 0.0}
         self._last_round = None
         self.drains.setdefault(id(phase), []).append(self._drain)
 
@@ -161,6 +188,14 @@ class PassClock:
                      for p in PHASES]
             print("%-6s %6d %6d %8.2f" % (label, rounds, n, members)
                   + "".join(" %9.4f" % v for v in means))
+        print("\nreleases behind the passes per drain slice (simulated ms)")
+        print("%-6s %8s %9s %9s" % ("drain", "releases", "mean", "tail"))
+        rows = [(str(i + 1), d["releases"], d["tail"]) for i, d in enumerate(drains)]
+        rows.append(("all", [r for d in drains for r in d["releases"]],
+                     sum(d["tail"] for d in drains)))
+        for label, releases, tail in rows:
+            mean = 1e3 * sum(releases) / len(releases) if releases else 0.0
+            print("%-6s %8d %9.4f %9.4f" % (label, len(releases), mean, 1e3 * tail))
 
 
 def main(argv=None) -> int:

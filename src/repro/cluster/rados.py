@@ -463,13 +463,7 @@ class RadosCluster:
         """
         return self._submit(pool, [(oid, txn)], client, sent, after)
 
-    def submit_batch(
-        self,
-        pool: Pool,
-        items,
-        client: Optional[Client] = None,
-        after: Optional[Event] = None,
-    ):
+    def submit_batch(self, pool: Pool, items, client: Optional[Client] = None):
         """Process: apply many ``(oid, txn)`` pairs with one prepared
         round per placement group.
 
@@ -491,13 +485,12 @@ class RadosCluster:
         every group still prepares before any commits: an EC batch is
         all-or-nothing too.
 
-        ``after`` is as in :meth:`submit`: the whole batch prepares, then
-        commits no earlier than ``after`` fires, and raises
-        :class:`PriorWriteFailed` with nothing mutated when it fires
-        False.  A batch with no item waits for nothing.
+        Returns (as the process's value) the number of prepared
+        transactions — commit groups — it committed; 0 for a batch with
+        no item.
         """
         items = [(oid, txn) for oid, txn in items if len(txn)]
-        return self._submit(pool, items, client, None, after)
+        return self._submit(pool, items, client, None, None)
 
     def send(self, pool: Pool, oid: str, nbytes: int, client: Optional[Client] = None):
         """Process: step 1 of the commit pipeline for a write into
@@ -554,14 +547,16 @@ class RadosCluster:
                 at[i] = (node, sizes[i], legs)
                 nbytes += sizes[i]
             sends.append((node, nbytes, legs, () if ec else targets))
-        if len(sends) == 1:  # a lone transfer needs no process of its own
-            node, nbytes = sends[0][:2]
-            if node.nic is not client.nic:  # else the payload is already there
-                yield from self._transfer(client.nic, node.nic, nbytes)
-        else:
+        # A primary on the client's own node already has its payload.
+        moves = [(node, nbytes) for node, nbytes, _legs, _targets in sends
+                 if node.nic is not client.nic]
+        if len(moves) == 1:  # a lone transfer needs no process of its own
+            node, nbytes = moves[0]
+            yield from self._transfer(client.nic, node.nic, nbytes)
+        elif moves:
             yield self.sim.all_of([
                 self.sim.process(self._transfer(client.nic, node.nic, nbytes))
-                for node, nbytes, _legs, _targets in sends
+                for node, nbytes in moves
             ])
         if self.faults is not None:  # every link first: no leg of a failed send
             for node, _nbytes, _legs, targets in sends:
@@ -614,10 +609,11 @@ class RadosCluster:
            of them: one fault anywhere and nothing is mutated.  Drop
            the parked copies of every rewritten stripe; release.  The
            pipeline ends here, at its commit point, once every leg has
-           landed: the caller sends the :meth:`reply`.
+           landed: the caller sends the :meth:`reply`.  Returns the
+           number of groups committed.
         """
         if not items:
-            return
+            return 0
         if sent is None:
             keyed = [(ObjectKey(pool.pool_id, pool.pg_of(oid), oid), txn) for oid, txn in items]
             sizes = [txn.io_bytes for _oid, txn in items]
@@ -720,6 +716,7 @@ class RadosCluster:
             self.write_locks.release(held)
         if groups is not sent.groups:  # a leg to a member left out lands here
             yield from self.settle(sent)
+        return len(plan)
 
     def _commit_groups(
         self, pool: Pool, items: List[Tuple[ObjectKey, Optional[Transaction]]]

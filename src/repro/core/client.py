@@ -36,9 +36,9 @@ class DedupedStorage:
         ``Replicated(n)`` or ``ErasureCoded(k, m)``, paper §4.2).
     flush_on_write:
         When True, every write is immediately followed by a forced dedup
-        pass of the object — the paper's *Proposed-flush* configuration
-        (Figure 10), useful to measure what inline-style processing
-        costs.
+        pass of the object, and returns at its map commit — the paper's
+        *Proposed-flush* configuration (Figure 10), useful to measure
+        what inline-style processing costs.
     start_engine:
         Start the background engine right away.  Tests that want manual
         control pass False and drive ``engine.process_object`` /
@@ -152,7 +152,9 @@ class DedupedStorage:
         yield from delete_path(self.tier, oid, self.engine.release_deleted, client)
 
     def flush(self, oid: str):
-        """Process: force deduplication of one object now."""
+        """Process: force deduplication of one object now; returns at
+        its map commit, its old chunks' release running behind it
+        (:meth:`flush_sync` and :meth:`drain` wait for that release)."""
         yield from self.engine.process_object(oid, force=True)
 
     # -- sync helpers (drive the event loop) ------------------------------------
@@ -176,13 +178,19 @@ class DedupedStorage:
         self.cluster.run(delete())
 
     def flush_sync(self, oid: str) -> None:
-        """Synchronous :meth:`flush`."""
-        self.cluster.run(self.flush(oid))
+        """Synchronous :meth:`flush`; returns once its old chunks'
+        references are released too."""
+
+        def flush():
+            yield from self.flush(oid)
+            yield from self.engine.releases_landed()
+
+        self.cluster.run(flush())
 
     def drain(self) -> None:
         """Deduplicate everything pending (ignores hotness), wait for every
-        delete's chunk release in flight, then run the GC over the
-        engine's deref queue (the false-positive mode's deferred
+        chunk release in flight (a pass's or a delete's), then run the GC
+        over the engine's deref queue (the false-positive mode's deferred
         dereferences, and any release a fault deferred), as an idle
         background worker also does.
 

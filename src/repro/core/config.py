@@ -54,9 +54,10 @@ class DedupConfig:
     dedup_interval:
         Engine idle poll period (seconds) when the dirty list is empty.
     refcount_mode:
-        ``"strict"`` — dereference synchronously before re-pointing a
-        chunk (paper §4.4.1 step 3); ``"false_positive"`` — skip the
-        wait, leaving garbage references for the GC (§4.6's
+        ``"strict"`` — release the old chunks of a pass right behind
+        its map commit, through the GC (paper §4.4.1 step 3);
+        ``"false_positive"`` — queue them instead, leaving garbage
+        references for the GC (§4.6's
         OrderMergeDedup-style variant), which ``drain()`` and every idle
         background worker run over the engine's deref queue.
     """

@@ -9,44 +9,46 @@ metadata PG (a direct call — flush, flush-on-write — is a group of one):
    dirty chunks; take the members' object locks in sorted order;
 2. find each member's dirty chunks from its chunk map (they are cached
    in the object's data part) and assemble their bytes, the members side
-   by side.  Within a member a fully cached chunk is one local read,
-   made one after another.  A partially cached one is the deferred
-   read-modify-write of a sub-chunk overwrite: its cached ranges overlay
-   the old chunk object's bytes.  A member issues the reads of all its
-   partially cached chunks at once — one local read per cached range
-   and one chunk-pool read spanning a chunk's missing ranges;
+   by side.  Within a member a fully cached chunk is one local read, one
+   in flight at a time: the next one starts as the current one is
+   hashed.  A partially cached one is the deferred read-modify-write of
+   a sub-chunk overwrite: its cached ranges overlay the old chunk
+   object's bytes.  A member issues the reads of all its partially
+   cached chunks at once — one local read per cached range and one
+   chunk-pool read spanning a chunk's missing ranges;
 3. fingerprint each dirty chunk and plan its store-or-reference in the
    chunk pool (double hashing places it by content);
 4-5. commit every member's references in one chunk batch: the chunk
    pool either stores the object with its first reference or just
    appends reference information;
 6. commit every member's chunk map (dirty cleared, cached per cache
-   policy) in one map commit — one prepared transaction for the PG;
+   policy) in one map commit — one prepared transaction for the PG —
+   and free the members' object locks: the pass ends here;
 7. dereference the chunk objects whose entries moved to new content
-   (step 3's dereference, deferred past the commit) in one release.  It
-   starts beside step 6 and prepares while the maps commit, but its
-   commit point waits for theirs (``after=``): it commits only once the
-   maps have, and when they fail it fails with nothing mutated.
+   (step 3's dereference, deferred past the commit) behind the pass: in
+   strict mode the one GC (:func:`~repro.core.scrub.collect_garbage`)
+   runs over them as a release of its own, the same process a delete
+   starts (:meth:`DedupEngine._release`); in ``false_positive`` mode
+   they go on the GC's queue.
 
 Rate control (§4.4.2) is one budget for every background worker, waited
 on before a group is taken, so a waiting group stays listed for every
 other worker and a drain; hot objects are skipped entirely (selective
 dedup), at no cost to the budget, until they cool off.
 
-A pass holds its members' locks from their map loads until step 7 has
-landed, the locks every foreground write and delete of those objects
-takes, and once it has them waits for the writes already in flight to
-commit (:meth:`~repro.core.tier.DedupTier.writes_landed`), so no
-mutation can land mid-pass.  The pass settles step 7 itself and frees
-the locks once it has landed.  No ABA fence is needed: until then no
-write can revert an entry to the old content and no later pass can take
-the reference it drops.  Step 7 cannot deadlock with step 6: it takes
-its chunk locks after step 5 has committed and freed its own, and the
-map commit takes none.  A pass that faults anywhere instead aborts the
-whole group before any chunk map commits (undoing the references it
-took, and leaving every old chunk its reference) and every member is
-re-queued — the dirty bits, which are part of the same transactions as
-the data they describe, remain the source of truth.
+A pass holds its members' locks from their map loads to its map commit,
+the locks every foreground write and delete of those objects takes, and
+once it has them waits for the writes already in flight to commit
+(:meth:`~repro.core.tier.DedupTier.writes_landed`), so no mutation can
+land mid-pass.  Step 7 needs no lock of the pass: the GC re-reads each
+referrer's map under its object lock and drops only the pairs no map
+implies, so a write that reverts an entry to the old content, and a
+later pass that takes its reference again, keep it.  A pass that faults
+anywhere instead aborts the whole group before any chunk map commits
+(undoing the references it took, and leaving every old chunk its
+reference) and every member is re-queued — the dirty bits, which are
+part of the same transactions as the data they describe, remain the
+source of truth.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ class DedupEngine:
         self._running = False
         self._procs = []
         self._promoting = set()
-        #: Releases in flight (:meth:`_start_release`), in start order.
+        #: Releases in flight (:meth:`_start_release`), in start order,
+        #: and failed ones not yet reported (:meth:`releases_landed`).
         self._releases: Dict[Event, None] = {}
 
     # -- lifecycle ------------------------------------------------------------
@@ -226,12 +229,12 @@ class DedupEngine:
         requeued), else ``"done"`` when a member was processed,
         ``"skipped_hot"`` when every member was hot, or ``"missing"``.
 
-        The pass releases its old-chunk references (§4.4.1 step 3,
-        committed behind the maps) under the members' object locks and
-        frees them only once the release has landed.  Every write,
-        delete, promotion and later pass on a member waits for its lock,
-        so none sees the entry between its commit and its release, and
-        no later pass can take a reference the release would then drop.
+        The pass ends at its map commit and frees its members' object
+        locks; then it starts its old-chunk release (§4.4.1 step 3) and
+        returns without waiting for it: a strict release is the one GC
+        over the dropped pairs (:meth:`_release`), which
+        :meth:`releases_landed` awaits, so it drops none that a later
+        write or pass has taken again.
         """
         tier = self.tier
         if not force:
@@ -253,9 +256,15 @@ class DedupEngine:
                 yield tier.object_locks.acquire(oid, held)
             for oid in oids:
                 yield from tier.writes_landed(oid)
-            result = yield from self._process_locked(oids)
+            result, derefs, via = yield from self._process_locked(oids)
         finally:
             tier.object_locks.release(held)
+        # Outside the locks: the GC takes its referrers' object locks.
+        if derefs:
+            if self.config.refcount_mode == "strict":
+                self._start_release(self._release(oids[0], derefs, via))
+            else:
+                self.deref_queue.extend(derefs)
         # Outside the locks: a capacity victim may be a member.
         yield from self.enforce_cache_capacity()
         return result
@@ -266,17 +275,15 @@ class DedupEngine:
         Loads every member's chunk map, assembles and fingerprints their
         dirty chunks, commits every reference in one
         :meth:`~DedupTier.commit_chunk_batch` and every map in one
-        :meth:`~DedupTier.commit_map`, and releases the old chunks of
-        the entries the maps re-point: a strict release starts beside
-        the map commit and commits behind it (:meth:`_apply_derefs`).
-        Returns :meth:`process_object`'s result once the release has
-        settled.
+        :meth:`~DedupTier.commit_map`.  Returns ``(result, derefs,
+        via)``: :meth:`process_object`'s result, the old chunks' ``(chunk
+        id, ref)`` pairs the committed maps dropped (none unless they
+        committed), and the member primary's node that ran the pass.
         """
         tier = self.tier
         members = []  # (oid, cmap, primary) of the members that exist
         taken = []  # (chunk_id, ref) references acquired this pass
         via = None
-        release = None  # the strict old-chunk release, once started
         try:
             for oid in oids:
                 cmap = yield from tier.load_chunk_map(oid)
@@ -284,9 +291,9 @@ class DedupEngine:
                     primary = tier.cluster.primary(tier.metadata_pool, oid)
                     members.append((oid, cmap, primary))
             if not members:
-                return "missing"
+                return "missing", (), via
             # One PG, one primary: it initiates the pass's chunk-pool
-            # traffic and its commits.
+            # traffic and its commits, and needs no reply from itself.
             via = members[0][2].node
             # The members assemble side by side, each under the read
             # rules of :meth:`_assemble`.
@@ -310,23 +317,7 @@ class DedupEngine:
             ]
             derefs, taken, maps = yield from self._commit_refs(staged, via)
             if maps:
-                committed = None
-                if derefs and self.config.refcount_mode == "strict":
-                    committed = Event(self.sim)
-                    release = self.sim.process(self._apply_derefs(derefs, via, committed))
-                try:
-                    yield from tier.commit_map(maps, via)
-                    if committed is not None:
-                        committed.succeed(True)
-                    yield tier.cluster.reply()
-                except Exception:
-                    # The release fails at its commit point with nothing
-                    # mutated; it ends before the locks go.
-                    if committed is not None:
-                        if not committed.triggered:
-                            committed.succeed(False)
-                        yield from _settle(release)
-                    raise
+                yield from tier.commit_map(maps, via)
         except Exception as exc:
             # Skip-and-requeue degradation: a fault mid-pass (after the
             # I/O path's retries gave up) abandons the whole pass
@@ -339,13 +330,9 @@ class DedupEngine:
             if taken:
                 yield from self._release_or_defer(taken, via)
             self._requeue_faulted(oids)
-            return "faulted"
+            return "faulted", (), via
         self.stats.objects_processed += len(members)
-        if release is not None:
-            yield release
-        elif derefs:
-            yield from self._apply_derefs(derefs, via)
-        return "done"
+        return "done", derefs, via
 
     def _requeue_faulted(self, oids):
         """Put the members of a pass a fault abandoned back on the dirty
@@ -373,13 +360,23 @@ class DedupEngine:
             (whole if entry.fully_cached() else partial).append((idx, entry))
         # Deferred read-modify-write: every read the partially cached
         # chunks need starts now, beside the whole chunks' local reads,
-        # which stay one after another — concurrent reads of the one
-        # primary disk would stall sibling passes' commits.
+        # which stay one in flight at a time — concurrent reads of the
+        # one primary disk would stall sibling passes' commits — but the
+        # next one starts as the current one is hashed.
         reads = self._start_merge_reads(oid, partial, via) if partial else ()
         chunks = []
+        ahead = None  # the read of whole chunk n + 1, in flight
         try:
-            for idx, entry in whole:
-                data = yield from tier.read_local_chunk(oid, entry.offset, entry.length)
+            for n, (idx, entry) in enumerate(whole):
+                if n == 0:
+                    data = yield from tier.read_local_chunk(oid, entry.offset, entry.length)
+                else:
+                    data = yield ahead
+                if n + 1 < len(whole):
+                    nxt = whole[n + 1][1]
+                    ahead = self.sim.process(
+                        tier.read_local_chunk(oid, nxt.offset, nxt.length)
+                    )
                 stage.chunking_ops += 1
                 stage.chunking_bytes += len(data)
                 yield from primary.node.cpu.fingerprint(len(data))
@@ -389,7 +386,7 @@ class DedupEngine:
         except Exception:
             # Fail only once every read this pass started has ended:
             # none may outlive the pass and its locks.
-            for read in reads:
+            for read in (*reads, ahead) if ahead is not None else reads:
                 yield from _settle(read)
             raise
         if reads:
@@ -498,47 +495,21 @@ class DedupEngine:
                 )
         return reads
 
-    def _apply_derefs(self, pairs, via, after=None):
-        """Process: release a pass's old-chunk references.
+    def _release_or_defer(self, pairs, via):
+        """Process: undo the references ``pairs`` an aborted pass took,
+        under its object locks, so no map implies any of them.
 
-        Strict refcounting drops the set in one batched commit; a pass
-        starts it as a process of its own beside its map commit, with
-        ``after`` that commit's outcome event, so the release prepares
-        while the maps commit and commits only once they have (with no
-        ``after``, the maps have committed already).
-        ``false_positive`` just queues the set on :attr:`deref_queue`
-        for the GC, once the maps have committed — the chunks stay
-        over-retained, never dangling, until then.
-        """
-        if self.config.refcount_mode == "strict":
-            yield from self._release_or_defer(pairs, via, after)
-        else:
-            self.deref_queue.extend(pairs)
-
-    def _release_or_defer(self, pairs, via, after=None):
-        """Process: best-effort release of a set of references.
-
-        Used for the old chunks of a pass, committed behind its maps
-        (``after``: see :meth:`_apply_derefs`), and to undo the
-        references an aborted pass took.  A release that itself faults
-        leaves *over*-retained references (safe: the refcount invariant
-        "never dangling" holds either way) and, once the maps have
-        committed, queues the set on :attr:`deref_queue`, so the next
-        ``drain()``'s GC reclaims whatever of it is still stale.  The
-        release is one all-or-nothing batch, so a fault defers exactly
-        the whole set.  When the maps did not commit, every reference is
-        still live: nothing is deferred.
+        A release that itself faults leaves *over*-retained references
+        (safe: the refcount invariant "never dangling" holds either way)
+        and queues the set on :attr:`deref_queue`, so the next GC
+        reclaims whatever of it is still stale.  The release is one
+        all-or-nothing batch, so a fault defers exactly the whole set.
         """
         try:
-            yield from self.tier.release_refs(pairs, via, after)
+            yield from self.tier.release_refs(pairs, via)
         except Exception as exc:
             if not is_retryable(exc):
                 raise
-            if after is not None:
-                if not after.triggered:
-                    yield after
-                if not after.value:
-                    return
             self.stats.derefs_deferred_fault += len(pairs)
             self.deref_queue.extend(pairs)
 
@@ -558,13 +529,20 @@ class DedupEngine:
         """Start process ``gen``, a release :meth:`releases_landed` awaits."""
         release = self.sim.process(gen)
         self._releases[release] = None
-        release.subscribe(self._releases.pop)
+        release.subscribe(self._landed)
         return release
 
+    def _landed(self, release):
+        """Unlist ``release`` once it has landed; a failed one stays
+        listed until :meth:`releases_landed` raises its error."""
+        if release.ok:
+            del self._releases[release]
+
     def _release(self, oid, pairs, client):
-        """Process: :func:`~repro.core.scrub.collect_garbage` over a
-        deleted ``oid``'s references, sent via ``client`` and retried.
-        A give-up leaves them over-retained and queues them on
+        """Process: :func:`~repro.core.scrub.collect_garbage` over the
+        references ``pairs`` a deleted ``oid`` or a pass (``oid`` its
+        first member) dropped, sent via ``client`` and retried.  A
+        give-up leaves them over-retained and queues them on
         :attr:`deref_queue`."""
         tier = self.tier
         try:
@@ -578,10 +556,21 @@ class DedupEngine:
             self.deref_queue.extend(pairs)
 
     def releases_landed(self):
-        """Process: wait until no release is in flight (a deleted
-        object's, or an idle worker's GC); re-raises a release's error."""
+        """Process: wait until no release is in flight (a pass's, a
+        deleted object's, or an idle worker's GC); then re-raises the
+        first error a release ended with."""
+        error = None
         while self._releases:
-            yield next(iter(self._releases))
+            release = next(iter(self._releases))
+            try:
+                yield release
+            except Exception:
+                if release.exception is None:
+                    raise  # thrown into this waiter, not the release's
+                error = error or release.exception
+            self._releases.pop(release, None)
+        if error is not None:
+            raise error
 
     def _collect(self):
         """Process: hand :attr:`deref_queue` to the GC.  Its release is
@@ -639,7 +628,6 @@ class DedupEngine:
                 return "nothing"
             try:
                 yield from tier.commit_map([(oid, cmap, txn)], via)
-                yield tier.cluster.reply()
             except Exception as exc:
                 # Promotion is purely an optimisation: on a fault the
                 # chunk map stays authoritative and the object is
@@ -689,7 +677,6 @@ class DedupEngine:
             txn.truncate(key, 0)  # fully evicted: metadata only
         try:
             yield from tier.commit_map([(oid, cmap, txn)], via)
-            yield tier.cluster.reply()
         except Exception as exc:
             # Eviction is deferrable: the LRU offers the chunk again on
             # the next pass.
@@ -710,13 +697,14 @@ class DedupEngine:
         dirty PG runs inline) and rebuilt from
         the authoritative dirty bits until a rebuild finds nothing.
         Optionally hands a non-empty :attr:`deref_queue` to the GC
-        afterwards (:meth:`_collect`); a fault in it leaves the queue
-        for the next collection.  Used by benchmarks
+        afterwards (:meth:`_collect`, a release of its own); a fault in
+        it leaves the queue for the next collection.  Used by benchmarks
         to reach the fully deduplicated steady state before measuring
-        space.  Every pass releases its old chunks before its worker
-        takes the next group, and the drain waits for every release in
-        flight (:meth:`releases_landed`) before its GC, so it returns
-        with every reference settled and every lock free.
+        space.  A worker takes its next group as soon as its pass has
+        committed its maps; the drain waits for every release in flight
+        — its passes' old chunks, a delete's, an idle worker's GC
+        (:meth:`releases_landed`) — before its GC, so it returns with
+        every reference settled and every lock free.
 
         A non-retryable error in one pass stops the hand-out: no worker
         pops another group, siblings finish the pass they hold (they
@@ -756,7 +744,8 @@ class DedupEngine:
         if self._releases:
             yield from self.releases_landed()
         if run_gc and self.deref_queue:
-            yield from self._collect()
+            self._start_release(self._collect())
+            yield from self.releases_landed()
 
     def drain_sync(self, run_gc: bool = True) -> None:
         """Synchronous :meth:`drain`."""

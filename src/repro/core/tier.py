@@ -84,9 +84,9 @@ class StageCounters:
     # -- ref: chunk-pool reference traffic ------------------------------
     #: Logical reference mutations (each ref or deref counts once).
     ref_ops: int = 0
-    #: Prepared commits those mutations cost (round trips).  Unbatched,
-    #: this tracks ``ref_ops``; batched, it collapses toward one per
-    #: placement group per pass.
+    #: Prepared transactions those mutations cost (round trips), as the
+    #: submit made them: one per placement group of a batch on a
+    #: replicated chunk pool, one per chunk object on an EC one.
     ref_commits: int = 0
     #: Batched commits (each covers >= 1 ref_ops).
     ref_batches: int = 0
@@ -682,7 +682,7 @@ class DedupTier:
     # -- reference commits ------------------------------------------------------
 
     # repro-lint: flt-scope -- commit primitive: two-phase prepare makes a fault all-or-nothing; callers own the requeue/defer policy
-    def commit_chunk_batch(self, batch: ChunkBatch, via, after=None):
+    def commit_chunk_batch(self, batch: ChunkBatch, via):
         """Process: apply a pass's accumulated ref/deref ops at once.
 
         The one way a chunk's references change (§4.4.1 steps 4-5):
@@ -705,11 +705,8 @@ class DedupTier:
         batch leaves unchanged is not written at all.  A transient fault
         during the prepare leaves no chunk object mutated, on either
         pool type, so the caller retries the batch as a unit without
-        undo.  With ``after`` (an event that succeeds with whether the
-        write the batch was built on committed) the batch prepares now
-        and commits no earlier than ``after``; when it did not commit,
-        the batch raises :class:`~repro.cluster.PriorWriteFailed` with
-        nothing mutated.
+        undo.  :attr:`StageCounters.ref_commits` counts the prepared
+        transactions the submit made.
 
         Returns a list aligned with ``batch.ops``: ``True`` when that
         ref op newly stored the chunk payload, ``False`` when it
@@ -782,35 +779,34 @@ class DedupTier:
                     txn.setxattr(key, REFS_XATTR, refs.serialize())
                 if len(txn):
                     items.append((cid, txn))
-            yield from self.cluster.submit_batch(self.chunk_pool, items, via, after)
+            groups = yield from self.cluster.submit_batch(self.chunk_pool, items, via)
             if items:
                 yield self.cluster.reply()
+                self.stage.ref_batches += 1
+                self.stage.ref_commits += groups
             self.stage.flush_ops += len(stored_blobs)
             self.stage.flush_bytes += sum(map(len, stored_blobs))
-            if items:
-                self.stage.ref_batches += 1
-                self.stage.ref_commits += len(
-                    {self.chunk_pool.pg_of(cid) for cid, _ in items}
-                )
             return outcomes
         finally:
             self.chunk_locks.release(held)
 
     # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); a fault propagates to the caller's scope, which retries or defers the set to GC
-    def release_refs(self, pairs, via, after=None):
+    def release_refs(self, pairs, via):
         """Process: release a set of ``(chunk_id, ref)`` references.
 
         The one way references are dropped: a single
         :meth:`commit_chunk_batch` (a set of one is a batch of one).
         All-or-nothing — a fault leaves *every* reference over-retained,
         never dangling — and idempotent: a caller may retry the whole
-        set or leave it to the GC.  ``after`` is as in
-        :meth:`commit_chunk_batch`.
+        set or leave it to the GC.  It checks nothing: its callers are
+        the GC (:func:`~repro.core.scrub.collect_garbage`), which has
+        checked each pair dead under its referrer's object lock, and the
+        undo of an aborted pass, under the pass's own locks.
         """
         batch = ChunkBatch()
         for chunk_id, ref in pairs:
             batch.deref(chunk_id, ref)
-        yield from self.commit_chunk_batch(batch, via, after)
+        yield from self.commit_chunk_batch(batch, via)
 
     def read_chunk(self, chunk_id: str, offset: int, length: Optional[int], client):
         """Process: read chunk bytes from the chunk pool (redirection).

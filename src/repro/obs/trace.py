@@ -127,8 +127,6 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     # The dedup engine.  Its rate control is not a boundary: a background
     # worker paces before it pops a group, outside every op, as it sleeps
     # on an empty list.
-    ("repro.core.engine", "DedupEngine._apply_derefs", "engine.derefs",
-     lambda _self, pairs, *_a, **_k: {"count": len(pairs)}),
     ("repro.core.engine", "DedupEngine.enforce_cache_capacity", "engine.cache_enforce",
      _none),
     ("repro.cluster.hardware", "Cpu.fingerprint", "cpu.fingerprint",

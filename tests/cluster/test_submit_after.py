@@ -1,10 +1,10 @@
-"""A batch submit built on another write commits behind it (``after=``).
+"""A submit built on another write commits behind it (``after=``).
 
-``RadosCluster.submit_batch`` takes the outcome event of the write it
-was built on, as ``submit`` does: the batch prepares at once, its commit
-point waits for the event, and when that write did not commit the batch
-raises ``PriorWriteFailed`` with no replica or shard mutated.  Both pool
-types run the one pipeline.
+``RadosCluster.submit`` takes the outcome event of the write it was
+built on — the write line's order of one object's writes: the submit
+prepares at once, its commit point waits for the event, and when that
+write did not commit it raises ``PriorWriteFailed`` with no replica or
+shard mutated.  Both pool types run the one pipeline.
 """
 
 import pytest
@@ -14,6 +14,8 @@ from repro.cluster.objectstore import Transaction
 
 KiB = 1024
 OIDS = [f"obj{i}" for i in range(6)]
+#: The object the submit writes; the others stay as written.
+OID = OIDS[2]
 #: When the event the batch is built on fires: long after every prepare.
 FIRES_AT = 0.05
 
@@ -37,32 +39,28 @@ def _state(cluster):
     }
 
 
-def _batch(cluster, pool):
-    items = []
-    for oid in OIDS:
-        key = cluster.object_key(pool, oid)
-        txn = Transaction().write(key, KiB, b"N" * KiB).setxattr(key, "v", b"2")
-        items.append((oid, txn))
-    return items
+def _txn(cluster, pool):
+    key = cluster.object_key(pool, OID)
+    return Transaction().write(key, KiB, b"N" * KiB).setxattr(key, "v", b"2")
 
 
 def _submit_behind(cluster, pool, committed):
-    """Run a batch built on a write whose outcome (``committed``) lands
-    at :data:`FIRES_AT`; returns ``(error, state at the instant before,
-    finish time)``."""
+    """Run a write of :data:`OID` built on a write whose outcome
+    (``committed``) lands at :data:`FIRES_AT`; returns ``(error, state
+    at the instant before, finish time)``."""
     sim = cluster.sim
     after = sim.event()
     start = sim.now
     outcome = {}
 
-    def batch():
+    def write():
         try:
-            yield from cluster.submit_batch(pool, _batch(cluster, pool), None, after)
+            yield from cluster.submit(pool, OID, _txn(cluster, pool), None, None, after)
         except PriorWriteFailed as exc:
             outcome["error"] = exc
         outcome["end"] = sim.now
 
-    proc = sim.process(batch())
+    proc = sim.process(write())
     sim.run(until=start + FIRES_AT)
     before = _state(cluster)
     assert proc.is_alive  # prepared, waiting at its commit point
@@ -72,7 +70,7 @@ def _submit_behind(cluster, pool, committed):
 
 
 @pytest.mark.parametrize("pool_type", sorted(POOLS))
-def test_a_batch_whose_prior_write_failed_mutates_nothing(pool_type):
+def test_a_submit_whose_prior_write_failed_mutates_nothing(pool_type):
     cluster, pool = _cluster(POOLS[pool_type]())
     untouched = _state(cluster)
     error, before, _elapsed = _submit_behind(cluster, pool, committed=False)
@@ -84,7 +82,7 @@ def test_a_batch_whose_prior_write_failed_mutates_nothing(pool_type):
 
 
 @pytest.mark.parametrize("pool_type", sorted(POOLS))
-def test_a_batch_commits_no_earlier_than_its_prior_write(pool_type):
+def test_a_submit_commits_no_earlier_than_its_prior_write(pool_type):
     cluster, pool = _cluster(POOLS[pool_type]())
     untouched = _state(cluster)
     error, before, elapsed = _submit_behind(cluster, pool, committed=True)
@@ -93,4 +91,6 @@ def test_a_batch_commits_no_earlier_than_its_prior_write(pool_type):
     assert elapsed >= FIRES_AT
     for i, oid in enumerate(OIDS):
         data = bytes([i]) * (8 * KiB)
-        assert cluster.read_sync(pool, oid) == data[:KiB] + b"N" * KiB + data[2 * KiB :]
+        if oid == OID:
+            data = data[:KiB] + b"N" * KiB + data[2 * KiB :]
+        assert cluster.read_sync(pool, oid) == data

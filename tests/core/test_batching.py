@@ -241,3 +241,26 @@ def test_faulted_attempts_change_nothing(chunk_redundancy, ops, batch_size, faul
         )
     tier.cluster.sim.run()  # let remaining fault windows expire
     assert_matches_model(tier, ops)
+
+
+# -- ref_commits counts what the submit prepared -------------------------------
+
+
+@POOLS
+def test_ref_commits_counts_the_prepared_transactions(chunk_redundancy):
+    # Eight distinct chunks over a 4-PG chunk pool: a replicated pool
+    # merges the batch into one transaction per PG, an EC one prepares
+    # one per chunk object.
+    cluster = RadosCluster(num_hosts=4, osds_per_host=1, pg_num=4)
+    tier = DedupTier(cluster, DedupConfig(chunk_size=1024), chunk_redundancy=chunk_redundancy)
+    via = next(iter(cluster.nodes.values()))
+    batch = ChunkBatch()
+    payloads = [bytes([i]) * 512 for i in range(8)]
+    for i, payload in enumerate(payloads):
+        batch.ref(fingerprint(payload), ChunkRef(1, "o", i * 512), payload)
+    pgs = {tier.chunk_pool.pg_of(fingerprint(p)) for p in payloads}
+    assert 1 < len(pgs) < len(payloads)
+    cluster.run(tier.commit_chunk_batch(batch, via))
+    expected = len(payloads) if tier.chunk_pool.is_ec else len(pgs)
+    assert tier.stage.ref_commits == expected
+    assert tier.stage.ref_batches == 1

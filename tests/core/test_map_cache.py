@@ -464,11 +464,12 @@ def test_dedup_pass_commits_only_processed_entries():
     assert storage.cluster.exists(storage.tier.chunk_pool, fp)
 
 
-def test_a_read_in_a_demotions_reply_window_routes_by_the_committed_map(monkeypatch):
+def test_a_read_at_a_demotions_commit_routes_by_the_committed_map(monkeypatch):
     """A demotion zeroes a chunk's cached bytes in the same commit that
-    marks it uncached.  A lock-free read landing while that commit's
-    reply is on the wire must route by the committed map (to the chunk
-    pool), not by the map from before the commit (to bytes now gone)."""
+    marks it uncached, and replies to no one: it runs on the metadata
+    primary.  A lock-free read that starts the instant that commit lands
+    must route by the committed map (to the chunk pool), not by the map
+    from before the commit (to bytes now gone)."""
     from repro.core.io_path import read_path
 
     storage = make_storage()
@@ -479,16 +480,17 @@ def test_a_read_in_a_demotions_reply_window_routes_by_the_committed_map(monkeypa
     assert storage.tier.peek_chunk_map("obj1").get(0).fully_cached()
     load_map(storage, "obj1")
     cluster = storage.cluster
-    reply = cluster.reply
+    submit = cluster.submit
     reads = []
 
-    def reply_with_a_read():
-        if not reads:
+    def submit_then_read(pool, *args, **kwargs):
+        yield from submit(pool, *args, **kwargs)
+        if pool is storage.tier.metadata_pool and not reads:
             reads.append(storage.sim.process(read_path(storage.tier, "obj1")))
-        return reply()
 
     with monkeypatch.context() as patched:
-        patched.setattr(cluster, "reply", reply_with_a_read)
+        patched.setattr(cluster, "submit", submit_then_read)
         cluster.run(storage.engine.demote_chunk("obj1", 0))
+    assert len(reads) == 1
     assert not storage.tier.peek_chunk_map("obj1").get(0).cached
     assert storage.sim.run_until_complete(reads[0]) == data

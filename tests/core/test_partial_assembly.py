@@ -23,10 +23,10 @@ CHUNK = 16 * KiB
 #: two missing ranges) when each missing range is its own chunk-pool
 #: read, issued after the cached range's local read: 125 us more than
 #: :data:`PASS_S`.
-SEQUENTIAL_PASS_S = 0.0008082708040873206
-#: The same pass with the reads issued together.  Its old-chunk release
-#: prepares beside the map commit and commits behind it.
-PASS_S = 0.0006832708040873201
+SEQUENTIAL_PASS_S = 0.0007582708040873202
+#: The same pass with the reads issued together.  It ends at its map
+#: commit; its old-chunk release runs behind it.
+PASS_S = 0.0006332708040873202
 
 
 def make_storage():

@@ -3,8 +3,7 @@ and the engine's two dereference modes (paper §4.6)."""
 
 
 from repro.cluster import RadosCluster
-from repro.core import DedupConfig
-from repro.core.engine import DedupEngine
+from repro.core import DedupConfig, DedupedStorage
 from repro.core.objects import ChunkRef
 from repro.core.tier import ChunkBatch, DedupTier
 from repro.fingerprint import fingerprint
@@ -26,31 +25,41 @@ def take_ref(tier, chunk_id, ref, data, via):
     return stored
 
 
+def repointed(mode):
+    """A store whose one object's one chunk was flushed, then rewritten
+    whole: its next pass drops the old chunk's reference."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    storage = DedupedStorage(
+        cluster, DedupConfig(chunk_size=1024, refcount_mode=mode), start_engine=False
+    )
+    storage.write_sync("o", b"x" * 1024)
+    storage.drain()
+    old = storage.tier.peek_chunk_map("o").get(0).chunk_id
+    storage.write_sync("o", b"y" * 1024)
+    ref = ChunkRef(storage.tier.metadata_pool.pool_id, "o", 0)
+    return storage, old, ref
+
+
 def test_strict_deref_is_immediate():
-    tier, via = make_tier("strict")
-    data = b"x" * 512
-    fp = fingerprint(data)
-    ref = ChunkRef(tier.metadata_pool.pool_id, "o", 0)
-    take_ref(tier, fp, ref, data, via)
-    engine = DedupEngine(tier)
-    tier.cluster.run(engine._apply_derefs([(fp, ref)], via))
+    storage, old, _ref = repointed("strict")
+    tier, engine = storage.tier, storage.engine
+    tier.cluster.run(engine.process_object("o", force=True))
+    assert len(engine._releases) == 1  # the GC runs behind the pass
+    tier.cluster.run(engine.releases_landed())
     assert engine.deref_queue == []
-    assert not tier.cluster.exists(tier.chunk_pool, fp)
+    assert not tier.cluster.exists(tier.chunk_pool, old)
 
 
 def test_fp_deref_is_deferred_until_gc():
-    tier, via = make_tier("false_positive")
-    data = b"y" * 512
-    fp = fingerprint(data)
-    ref = ChunkRef(tier.metadata_pool.pool_id, "o", 0)
-    take_ref(tier, fp, ref, data, via)
-    engine = DedupEngine(tier)
-    tier.cluster.run(engine._apply_derefs([(fp, ref)], via))
-    assert engine.deref_queue == [(fp, ref)]
-    assert tier.cluster.exists(tier.chunk_pool, fp)  # still there
-    tier.cluster.run(engine.drain())  # "o" has no map: the reference is stale
+    storage, old, ref = repointed("false_positive")
+    tier, engine = storage.tier, storage.engine
+    tier.cluster.run(engine.process_object("o", force=True))
+    assert not engine._releases
+    assert engine.deref_queue == [(old, ref)]
+    assert tier.cluster.exists(tier.chunk_pool, old)  # still there
+    tier.cluster.run(engine.drain())  # "o" no longer maps it: stale
     assert engine.deref_queue == []
-    assert not tier.cluster.exists(tier.chunk_pool, fp)
+    assert not tier.cluster.exists(tier.chunk_pool, old)
 
 
 def test_chunk_ref_idempotent_same_ref():

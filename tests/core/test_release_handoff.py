@@ -1,15 +1,18 @@
-"""A pass releases its old chunks itself, under its object locks.
+"""A pass ends at its map commit; its old chunks go through the one GC.
 
 When a strict-mode pass re-points chunk-map entries, it must drop the
 references to their old chunk objects once the map commits (§4.4.1
-step 3).  The pass starts that release beside its map commit — the
-release commits only behind it — and frees its members' object locks
-only once the release has landed, in an engine worker and in flush
-alike.  These tests pin that nothing can touch the object before the
-release lands, that a drain returns with every reference settled, that
-a map commit that faults leaves every old chunk its reference, that a
-release that faults on its own is deferred to the GC, and the drain's
-simulated time.
+step 3).  The pass frees its members' object locks at its map commit
+and starts that release behind it, as a process of its own: the one GC
+(``collect_garbage``) over the dropped pairs, which re-reads each
+referrer's map under its object lock and drops only the pairs no map
+implies.  These tests pin that a write at the map commit goes before the
+release and a worker takes its next group before the release lands, that
+a release behind a write and a flush that revert an entry drops none of
+its live references, that a drain or ``flush_sync`` returns with every
+reference settled, that a map commit that faults starts no release, that
+a release that gives up is deferred to the GC, and the drain's simulated
+time.
 """
 
 from collections import Counter
@@ -20,7 +23,6 @@ from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
 from repro.core.scrub import collect_garbage_sync
 from repro.faults import FaultInjector, FaultPlan
-from repro.faults.errors import TransientOpError
 from repro.faults.plan import FaultEvent
 from repro.faults.scenario import locks_left
 from repro.fingerprint import fingerprint
@@ -30,10 +32,13 @@ KiB = 1024
 CHUNK = 16 * KiB
 
 #: Simulated seconds of the drain in :func:`test_drain_time_is_pinned`:
-#: each worker waits for its pass's release before taking the next
-#: object.  The release prepares beside the map commit and commits
-#: behind it.
-WAITING_DRAIN_S = 0.0016187876860300696
+#: each worker takes its next object at its pass's map commit, and the
+#: drain ends once the last release behind a pass has landed.
+DRAIN_S = 0.001677897071838378
+
+
+#: A fault window this long outlasts every retry of a release.
+RELEASE_GIVES_UP_S = 1.0
 
 
 def make_storage(**config):
@@ -86,7 +91,7 @@ def assert_settled(storage):
     assert locks_left(storage) == []
 
 
-def test_a_write_at_the_map_commit_waits_for_the_release():
+def test_a_write_at_the_map_commit_goes_before_the_release():
     storage = make_storage(engine_workers=2)
     oids = [f"obj{i}" for i in range(6)]
     expected = flushed_then_patched(storage, oids)
@@ -104,15 +109,15 @@ def test_a_write_at_the_map_commit_waits_for_the_release():
         grant.subscribe(lambda _e: grants.append((oid, requested, sim.now)))
         return grant
 
-    def recording_release(pairs, via, after=None):
-        yield from release_refs(pairs, via, after)
+    def recording_release(pairs, via):
+        yield from release_refs(pairs, via)
         for _chunk_id, ref in pairs:
             released.setdefault(ref.source_oid, sim.now)
 
     def writer(oid):
-        # Back to the content of the chunk the release drops: if the
-        # write or the next pass got in first, the release would drop
-        # the reference that pass takes.
+        # Back to the content of the chunk the release drops: the write
+        # makes the entry dirty again, and its next pass takes the old
+        # chunk's reference back.
         # The pass that set this write off asked for its lock before the
         # commit, and no later pass asks before the write commits: the
         # write's grant is the first one on ``oid`` asked for since.
@@ -136,9 +141,76 @@ def test_a_write_at_the_map_commit_waits_for_the_release():
     assert sorted(released) == oids
     assert len(writes) == 2
     for oid, (issued, granted) in writes.items():
-        assert issued < released[oid] <= granted, oid
+        # The pass frees the lock at its map commit: the write has it
+        # before the release, which checks the map behind the write.
+        assert issued <= granted < released[oid], oid
     for oid, data in expected.items():
         assert storage.read_sync(oid) == (original(oid) if oid in writes else data)
+    assert_settled(storage)
+
+
+def test_a_worker_takes_its_next_group_before_the_release_lands():
+    storage = make_storage(engine_workers=1)
+    tier, sim = storage.tier, storage.sim
+    pg_of = tier.metadata_pool.pg_of
+    first = "obj0"
+    second = next(f"obj{i}" for i in range(1, 32) if pg_of(f"obj{i}") != pg_of(first))
+    flushed_then_patched(storage, [first, second])
+    assert tier.dirty_pg_count == 2
+    loads = []  # (oid, when) per chunk-map load, in order
+    landed = []  # (first member, when) per release that landed
+    load_chunk_map, release = tier.load_chunk_map, storage.engine._release
+
+    def recording_load(oid):
+        loads.append((oid, sim.now))
+        return (yield from load_chunk_map(oid))
+
+    def recording_release(oid, pairs, client):
+        yield from release(oid, pairs, client)
+        landed.append((oid, sim.now))
+
+    tier.load_chunk_map = recording_load
+    storage.engine._release = recording_release
+    storage.engine.drain_sync(run_gc=False)
+    (one, one_loaded), (two, two_loaded) = loads
+    assert {one, two} == {first, second}
+    assert one_loaded < two_loaded < dict(landed)[one]
+    assert_settled(storage)
+
+
+def test_a_release_behind_a_revert_keeps_the_live_reference(monkeypatch):
+    # X -> Y -> X: a pass re-points the entry from X to Y, and its
+    # release is held before its GC begins.  Meanwhile a write reverts
+    # the bytes and a flush re-points the entry back to X, taking the
+    # very reference (same oid, same offset) the release was handed.
+    storage = make_storage()
+    tier, sim, engine = storage.tier, storage.sim, storage.engine
+    expected = flushed_then_patched(storage, ["obj0"])
+    x = tier.peek_chunk_map("obj0").get(0).chunk_id
+    y = fingerprint(expected["obj0"])
+    retrying = tier.retrying
+
+    def held_release(factory, op="op"):
+        if op == "chunk_deref":
+            yield sim.timeout(0.05)
+        return (yield from retrying(factory, op))
+
+    monkeypatch.setattr(tier, "retrying", held_release)
+
+    def repoint_and_revert():
+        yield from storage.flush("obj0")  # X -> Y
+        assert len(engine._releases) == 1 and tier.chunk_refcount(x) == 1
+        yield from storage.write("obj0", original("obj0")[6 * KiB : 6 * KiB + 100],
+                                 offset=6 * KiB)
+        yield from storage.flush("obj0")  # Y -> X
+        assert len(engine._releases) == 2  # neither release has begun
+
+    storage.cluster.run(repoint_and_revert())
+    storage.cluster.run(engine.releases_landed())
+    assert tier.peek_chunk_map("obj0").get(0).chunk_id == x
+    assert tier.chunk_refcount(x) == 1
+    assert not storage.cluster.exists(tier.chunk_pool, y)
+    assert storage.read_sync("obj0") == original("obj0")
     assert_settled(storage)
 
 
@@ -169,7 +241,7 @@ def test_drain_time_is_pinned():
     start = storage.sim.now
     storage.engine.drain_sync(run_gc=False)
     elapsed = storage.sim.now - start
-    assert elapsed == pytest.approx(WAITING_DRAIN_S, rel=1e-9)
+    assert elapsed == pytest.approx(DRAIN_S, rel=1e-9)
     assert_settled(storage)
 
 
@@ -201,25 +273,25 @@ def test_content_reverted_to_a_released_chunk_is_counted_exactly():
     assert_settled(storage)
 
 
-def release_window(oids):
-    """``(start, end)`` of the first old-chunk release of a drain over
-    :func:`flushed_then_patched` ``oids``, from a traced dry run."""
+def release_start(oids):
+    """When the first old-chunk release of a drain over
+    :func:`flushed_then_patched` ``oids`` starts, from a traced dry run."""
     storage = make_storage(engine_workers=2)
     flushed_then_patched(storage, oids)
     with Tracer(storage.sim) as tracer:
         storage.engine.drain_sync(run_gc=False)
     assert check_trace(tracer.to_records(), coverage_threshold=0.0) == []
-    span = next(s for s in tracer.spans if s.stage == "engine.derefs")
-    return span.start, span.end
+    return next(s for s in tracer.spans if s.stage == "op.release").start
 
 
 def fault_the_release(storage, oids):
-    """Attach transient errors over the first release window of a drain
-    over ``oids`` (already :func:`flushed_then_patched` in ``storage``),
-    on the OSDs that hold an old chunk and no member's metadata object:
-    the map commit the release runs beside still commits, and the
-    release alone faults."""
-    start, end = release_window(oids)
+    """Attach transient errors from the first release of a drain over
+    ``oids`` (already :func:`flushed_then_patched` in ``storage``) on,
+    for longer than the release's retries, on the OSDs that hold an old
+    chunk and no member's metadata object: every map commit has landed
+    before it opens, and the releases alone fault and give up."""
+    start = release_start(oids)
+    end = start + RELEASE_GIVES_UP_S
     tier, cluster = storage.tier, storage.cluster
     chunk_osds = {
         osd.osd_id
@@ -263,9 +335,9 @@ def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
     errors = []  # the type of each release's error, None when it committed
     release_refs = tier.release_refs
 
-    def recording_release(pairs, via, after=None):
+    def recording_release(pairs, via):
         try:
-            yield from release_refs(pairs, via, after)
+            yield from release_refs(pairs, via)
         except Exception as exc:
             errors.append(type(exc).__name__)
             raise
@@ -290,9 +362,10 @@ def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
     ], seed=1)).attach()
     assert cluster.run(engine.process_object(oid, force=True)) == "faulted"
     injector.detach()
-    # The release was prepared beside the map commit and failed at its
-    # commit point; the pass's new reference was undone.
-    assert errors == ["PriorWriteFailed", None]
+    # No release started: the one release is the undo of the pass's new
+    # reference.
+    assert not engine._releases
+    assert errors == [None]
     assert tier.chunk_refcount(old) == 1
     assert not cluster.exists(tier.chunk_pool, new)
     assert tier.peek_chunk_map(oid).get(0).chunk_id == old
@@ -303,54 +376,6 @@ def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
     assert scrub_sync(tier).clean
     # The requeued pass commits; its release drops the old chunk.
     engine.drain_sync(run_gc=False)
-    assert not cluster.exists(tier.chunk_pool, old)
-    assert storage.read_sync(oid) == expected[oid]
-    assert_settled(storage)
-
-
-def test_a_release_that_faults_before_its_map_commit_fails_defers_nothing():
-    # The release's own prepare faults while the maps commit, and then
-    # the map commit fails too: the pairs are still referenced by the
-    # maps, so they must not go on the GC's queue.
-    oid = "obj0"
-    start, end = map_commit_window(oid)
-    storage = make_storage()
-    expected = flushed_then_patched(storage, [oid])
-    tier, cluster, engine, sim = storage.tier, storage.cluster, storage.engine, storage.sim
-    old = tier.peek_chunk_map(oid).get(0).chunk_id
-    errors = []  # (error, whether the maps had failed by then) per release
-    release_refs, commit_map = tier.release_refs, tier.commit_map
-
-    def recording_release(pairs, via, after=None):
-        try:
-            yield from release_refs(pairs, via, after)
-        except Exception as exc:
-            errors.append((type(exc).__name__, after is not None and after.triggered))
-            raise
-
-    def failing_commit_map(maps, client=None, sent=None, after=None):
-        yield sim.timeout(end - start)
-        raise TransientOpError(-1, "map commit")
-
-    tier.release_refs, tier.commit_map = recording_release, failing_commit_map
-    targets = sorted(
-        {osd.osd_id for osd in cluster.acting_osds(tier.chunk_pool, old)}
-        - {osd.osd_id for osd in cluster.acting_osds(tier.metadata_pool, oid)}
-    )
-    assert targets
-    now = sim.now
-    injector = FaultInjector(cluster, FaultPlan([
-        FaultEvent(start - now, "transient_errors", str(osd), duration=end - start,
-                   params={"probability": 1.0})
-        for osd in targets
-    ], seed=1)).attach()
-    assert cluster.run(engine.process_object(oid, force=True)) == "faulted"
-    injector.detach()
-    tier.commit_map = commit_map
-    assert errors[0] == ("TransientOpError", False)
-    assert tier.chunk_refcount(old) == 1
-    assert all(chunk_id != old for chunk_id, _ref in engine.deref_queue)
-    engine.drain_sync()
     assert not cluster.exists(tier.chunk_pool, old)
     assert storage.read_sync(oid) == expected[oid]
     assert_settled(storage)
@@ -402,11 +427,11 @@ def test_a_release_error_that_is_not_retryable_is_raised_by_drain():
     release_refs = tier.release_refs
     failed = []
 
-    def broken_release(pairs, via, after=None):
+    def broken_release(pairs, via):
         if not failed:
             failed.append(pairs)
             raise RuntimeError("boom")
-        yield from release_refs(pairs, via, after)
+        yield from release_refs(pairs, via)
 
     tier.release_refs = broken_release
     with pytest.raises(RuntimeError, match="boom"):

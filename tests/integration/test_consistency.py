@@ -159,13 +159,13 @@ def test_engine_crash_then_restart_via_rebuild():
 
 
 @pytest.mark.parametrize("kill_after", [0.0, 2e-5, 6e-5, 1.2e-4, 2e-4])
-def test_crash_inside_a_pass_release_only_over_retains(kill_after):
-    """A worker pass releases its old chunks itself, under its object
-    locks, in a process of its own started beside its map commit.  Kill
-    that process at any instant of the release: the old chunk is at
-    worst over-retained (never dangling), the locks are freed, the
-    drain reports the crash, and GC reclaims what the release did not
-    drop."""
+def test_crash_inside_a_pass_release_only_over_retains(kill_after, monkeypatch):
+    """A worker pass releases its old chunks behind its map commit: the
+    one GC runs over them in a process of its own, after the pass has
+    freed its locks.  Kill that GC at any instant: the old chunk is at
+    worst over-retained (never dangling), the locks are freed, the drain
+    reports the crash, and GC reclaims what the release did not drop."""
+    from repro.core import engine as engine_module
     from repro.core import scrub_sync
     from repro.core.engine import DedupEngine
     from repro.core.scrub import collect_garbage_sync
@@ -176,19 +176,18 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after):
     sim = storage.sim
     old = {f"obj{i}": bytes([i + 1]) * 3072 for i in range(4)}
     # Each write re-points two chunks: every kill point below lands
-    # inside the first release (~260 us).
+    # inside the first release's GC.
     new = {oid: data[:1000] + b"N" * 100 + data[1100:] for oid, data in old.items()}
     for oid, data in old.items():
         storage.write_sync(oid, data)
     storage.drain()
     for oid, data in new.items():
         storage.write_sync(oid, data[1000:1100], offset=1000)
-    engine = storage.engine
-    apply_derefs = engine._apply_derefs
-    killed = []  # the release process that is killed
-    crashed = []  # the interrupts that landed inside that release
+    collect_garbage = engine_module.collect_garbage
+    killed = []  # the GC process that is killed
+    crashed = []  # the interrupts that landed inside that GC
 
-    def release(pairs, via, after=None):
+    def gc(tier, pairs, via=None):
         if not killed:
             task = sim.current_task
             killed.append(task)
@@ -199,16 +198,16 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after):
 
             sim.process(killer())
         try:
-            return (yield from apply_derefs(pairs, via, after))
+            return (yield from collect_garbage(tier, pairs, via))
         except Interrupt as exc:
             crashed.append(exc)
             raise
 
-    engine._apply_derefs = release
+    monkeypatch.setattr(engine_module, "collect_garbage", gc)
     with pytest.raises(Interrupt):  # the drain reports the crash
         storage.engine.drain_sync(run_gc=False)
     assert len(crashed) == 1 and not killed[0].is_alive
-    assert killed[0].gen.gi_code is release.__code__  # the release's own process
+    assert killed[0].gen.gi_code is gc.__code__  # the GC's own process
     assert locks_left(storage) == []
     for oid, data in new.items():
         assert storage.read_sync(oid) == data
@@ -217,6 +216,7 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after):
     assert not report.dangling_map_entries and not report.corrupt_chunks  # ... only
     # A restarted engine (its in-memory state is gone) converges, and
     # GC drops whatever the killed release left over-retained.
+    monkeypatch.undo()
     storage.engine = DedupEngine(storage.tier)
     storage.tier.rebuild_dirty_list()
     storage.engine.drain_sync(run_gc=False)

@@ -243,10 +243,10 @@ def test_processes_of_another_simulator_are_not_traced():
     assert {s.trace_id for s in tracer.spans} == {tracer.spans[0].span_id}
 
 
-def test_the_old_chunk_release_is_a_child_of_its_pass():
-    # Worker passes that replace a flushed chunk release the old chunk
-    # themselves, under their object locks: the release's span is its
-    # pass's child and ends within it.
+def test_the_old_chunk_release_is_a_root_that_starts_after_its_pass_ends():
+    # Worker passes that replace a flushed chunk end at their map commit
+    # and free their locks; the old chunk's release runs behind the
+    # pass, a root of its own named for the pass's first member.
     storage = make_storage(engine_workers=2, cache_on_flush=False)
     for i in range(4):
         storage.write_sync(f"o-{i}", bytes([i + 1]) * (16 * KiB))
@@ -257,11 +257,9 @@ def test_the_old_chunk_release_is_a_child_of_its_pass():
         storage.drain()
     records = tracer.to_records()
     assert check_trace(records) == []
-    by_id = {r["span_id"]: r for r in records}
-    derefs = [r for r in records if r["stage"] == "engine.derefs"]
-    passes = [r for r in records if r["stage"] == "op.dedup_pass"]
-    assert len(derefs) == len(passes) == 4
-    for record in derefs:
-        parent = by_id[record["parent_id"]]
-        assert parent["stage"] == "op.dedup_pass"
-        assert parent["start"] <= record["start"] <= record["end"] <= parent["end"]
+    releases = [r for r in records if r["stage"] == "op.release"]
+    passes = {r["tags"]["oid"]: r for r in records if r["stage"] == "op.dedup_pass"}
+    assert len(releases) == len(passes) == 4
+    for record in releases:
+        assert record["parent_id"] is None
+        assert record["start"] >= passes[record["tags"]["oid"]]["end"]

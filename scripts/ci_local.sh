@@ -118,6 +118,9 @@ step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
         python3 scripts/sim_by_slice.py rand-small-cold --smoke --passes >> sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py hot-reread --smoke >> sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py sfs-mixed-open --smoke >> sim-by-slice.txt'
+# hot-reread's calls per op split into generator resumes and plain calls.
+step "e2e-smoke: host calls by frame kind (artifact, not a gate)" \
+    bash -o pipefail -c 'python3 scripts/calls_by_function.py hot-reread --smoke --split | tee calls-by-function.txt'
 
 # -- paper-benches job ------------------------------------------------------
 # Every paper figure/table bench at its one size (~3 min 30 s); each asserts

@@ -131,17 +131,17 @@ class Disk:
         """Process generator performing one device read."""
         self.reads += 1
         self.bytes_read += nbytes
-        yield from self._server.serve(self.spec.read_time(nbytes))
+        yield self._server.hold(self.spec.read_time(nbytes))
 
     def write(self, nbytes: int):
         """Process generator performing one device write."""
         self.writes += 1
         self.bytes_written += nbytes
-        yield from self._server.serve(self.spec.write_time(nbytes))
+        yield self._server.hold(self.spec.write_time(nbytes))
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of time the device was busy since ``since``."""
-        return self._server.utilization(since)
+    def utilization(self) -> float:
+        """Fraction of time the device was busy since t=0."""
+        return self._server.utilization()
 
 
 class Nic:
@@ -158,12 +158,12 @@ class Nic:
     def send(self, nbytes: int):
         """Process generator: occupy the egress queue for the wire time."""
         self.bytes_sent += nbytes
-        yield from self._egress.serve(self.spec.transfer_time(nbytes))
+        yield self._egress.hold(self.spec.transfer_time(nbytes))
 
     def receive(self, nbytes: int):
         """Process generator: occupy the ingress queue for the wire time."""
         self.bytes_received += nbytes
-        yield from self._ingress.serve(self.spec.transfer_time(nbytes))
+        yield self._ingress.hold(self.spec.transfer_time(nbytes))
 
     def post(self, dst: "Nic", nbytes: int) -> Event:
         """Start moving ``nbytes`` to ``dst`` without a process: returns
@@ -172,14 +172,14 @@ class Nic:
         The costs are a transfer's — this NIC's egress, the one-way
         latency, ``dst``'s ingress, each queued FIFO behind whatever was
         already waiting there — chained by callbacks, so a message sent
-        after this one, over either queue, lands after it.
+        after this one, over either queue, lands after it.  Each queue's
+        hold frees it before the next link runs.
         """
         sim = self.sim
         landed = Event(sim)
         egress, ingress = self._egress, dst._ingress
 
         def sent(_event: Event) -> None:
-            egress.release()
             Timeout(sim, self.spec.latency).callbacks.append(arrived)
 
         def arrived(_event: Event) -> None:
@@ -187,7 +187,6 @@ class Nic:
             ingress.hold(dst.spec.transfer_time(nbytes)).callbacks.append(received)
 
         def received(_event: Event) -> None:
-            ingress.release()
             landed.succeed()
 
         self.bytes_sent += nbytes
@@ -209,16 +208,17 @@ class Cpu:
         if cpu_seconds <= 0:
             return
         self.busy_seconds += cpu_seconds
-        yield from self._cores.serve(cpu_seconds)
+        yield self._cores.hold(cpu_seconds)
 
     def fingerprint(self, nbytes: int):
         """Process generator: hash ``nbytes`` (e.g. chunk fingerprinting)."""
         yield from self.execute(self.spec.fingerprint_time(nbytes))
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Average fraction of all cores busy since ``since``.
+    def utilization(self) -> float:
+        """Average fraction of all cores busy since t=0."""
+        return self._cores.utilization()
 
-        Matches the "CPU Usage (%)" axis of the paper's Figure 10 when
-        multiplied by 100.
-        """
-        return self._cores.utilization(since)
+    def core_seconds(self) -> float:
+        """Core-seconds busy since t=0: their growth over a window, per
+        core-second of it, is the paper's Figure 10 "CPU Usage (%)"."""
+        return self._cores.slot_seconds()

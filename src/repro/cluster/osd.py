@@ -84,11 +84,6 @@ class OSD:
                 available_bytes=max(0, int(self.full_threshold) - used),
             )
 
-    def _faults(self, op: str, nbytes: int):
-        """Process: run the fault-injection hook (no-op when detached)."""
-        if self.faults is not None:
-            yield from self.faults.before_op(self, op, nbytes)
-
     # -- simulation processes -------------------------------------------------
 
     def execute_read(self, key: ObjectKey, offset: int = 0, length: Optional[int] = None):
@@ -96,7 +91,8 @@ class OSD:
         if not self.info.up:
             raise OsdDownError(self.osd_id)
         data = self.store.read(key, offset, length)
-        yield from self._faults("read", len(data))
+        if self.faults is not None:
+            yield from self.faults.before_op(self, "read", len(data))
         yield from self.node.cpu.execute(self.node.cpu.spec.per_io_cost)
         yield from self.disk.read(max(len(data), 1))
         if not self.info.up:  # daemon died while the op was in flight
@@ -117,7 +113,8 @@ class OSD:
             raise OsdDownError(self.osd_id)
         io_bytes = txn.io_bytes
         self._check_capacity(io_bytes)
-        yield from self._faults("write", io_bytes)
+        if self.faults is not None:
+            yield from self.faults.before_op(self, "write", io_bytes)
         yield from self.node.cpu.execute(self.node.cpu.spec.per_io_cost)
         yield from self.disk.write(max(io_bytes, 1))
         if not self.info.up:  # died mid-op: the mutation never commits
@@ -148,7 +145,8 @@ class OSD:
             raise OsdDownError(self.osd_id)
         footprint = obj.footprint()
         self._check_capacity(footprint)
-        yield from self._faults("write", footprint)
+        if self.faults is not None:
+            yield from self.faults.before_op(self, "write", footprint)
         yield from self.disk.write(max(footprint, 1))
         if not self.info.up:  # died mid-op: the push never lands
             raise OsdDownError(self.osd_id)

@@ -47,12 +47,9 @@ class PlainStorage:
         pool_name: str = "plain-data",
     ):
         self.cluster = cluster if cluster is not None else RadosCluster()
+        #: The cluster's simulation clock.
+        self.sim = self.cluster.sim
         self.pool = self.cluster.create_pool(pool_name, redundancy)
-
-    @property
-    def sim(self):
-        """The cluster's simulation clock."""
-        return self.cluster.sim
 
     def write(self, oid: str, data: bytes, offset: int = 0, client=None):
         """Process: plain object write."""
@@ -62,8 +59,7 @@ class PlainStorage:
 
     def read(self, oid: str, offset: int = 0, length: Optional[int] = None, client=None):
         """Process: plain object read."""
-        data = yield from self.cluster.read(self.pool, oid, offset, length, client)
-        return data
+        return self.cluster.read(self.pool, oid, offset, length, client)
 
     def write_sync(self, oid: str, data: bytes, offset: int = 0) -> None:
         """Synchronous :meth:`write`."""
@@ -173,11 +169,8 @@ class InlineDedupStorage:
             chunk_pool_name="inline-chunks",
         )
         self.config = self.tier.config
-
-    @property
-    def sim(self):
-        """The cluster's simulation clock."""
-        return self.cluster.sim
+        #: The cluster's simulation clock.
+        self.sim = self.cluster.sim
 
     def client(self, name: str):
         """A new client host."""

@@ -137,6 +137,8 @@ class CacheManager:
     def record_access(self, oid: str) -> None:
         """Note a foreground access (read or write) to ``oid``."""
         self.hitset.record(oid)
+        if self.config.cache_capacity_bytes is None:
+            return  # no victims(), the one reader of the order kept below
         indices = self._cached_by_oid.get(oid)
         if not indices:
             return

@@ -55,6 +55,8 @@ class DedupedStorage:
         start_engine: bool = True,
     ):
         self.cluster = cluster if cluster is not None else RadosCluster()
+        #: The simulation clock everything runs on.
+        self.sim = self.cluster.sim
         self.tier = DedupTier(
             self.cluster,
             config,
@@ -72,11 +74,6 @@ class DedupedStorage:
         )
         if start_engine and not flush_on_write:
             self.engine.start()
-
-    @property
-    def sim(self):
-        """The simulation clock everything runs on."""
-        return self.cluster.sim
 
     def inject_faults(self, plan, auto_recover: bool = True):
         """Attach a :class:`~repro.faults.FaultInjector` for ``plan``.
@@ -140,8 +137,7 @@ class DedupedStorage:
 
     def read(self, oid: str, offset: int = 0, length: Optional[int] = None, client=None):
         """Process: read from ``oid``; returns bytes."""
-        data = yield from read_path(self.tier, oid, offset, length, client)
-        return data
+        return read_path(self.tier, oid, offset, length, client)
 
     def delete(self, oid: str, client=None):
         """Process: delete ``oid``; returns once its metadata object is
@@ -149,13 +145,13 @@ class DedupedStorage:
         released behind the reply by the GC, in one batched commit (see
         :func:`~repro.core.io_path.delete_path`); :meth:`delete_sync` and
         :meth:`drain` wait for that release."""
-        yield from delete_path(self.tier, oid, self.engine.release_deleted, client)
+        return delete_path(self.tier, oid, self.engine.release_deleted, client)
 
     def flush(self, oid: str):
         """Process: force deduplication of one object now; returns at
         its map commit, its old chunks' release running behind it
         (:meth:`flush_sync` and :meth:`drain` wait for that release)."""
-        yield from self.engine.process_object(oid, force=True)
+        return self.engine.process_object(oid, force=True)
 
     # -- sync helpers (drive the event loop) ------------------------------------
 

@@ -74,11 +74,10 @@ def _read_cached_piece(tier, oid, offset, length, client):
     cluster = tier.cluster
     client = client or cluster.default_client
     key = tier.metadata_key(oid)
-    data = yield from tier.retrying(
+    return tier.retrying(
         lambda: cluster.read_key(tier.metadata_pool, key, offset, length, client),
         op="read_cached",
     )
-    return data
 
 
 def _read_chunk_piece(tier, chunk_id, offset, length, client):
@@ -99,8 +98,7 @@ def _read_chunk_piece(tier, chunk_id, offset, length, client):
         data = yield from tier.read_chunk(chunk_id, offset, length, client)
         return data
 
-    data = yield from tier.retrying(attempt, op="read_chunk")
-    return data
+    return tier.retrying(attempt, op="read_chunk")
 
 
 def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None):

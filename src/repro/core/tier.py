@@ -236,6 +236,8 @@ class DedupTier:
         chunk_pool_name: str = "dedup-chunks",
     ):
         self.cluster = cluster
+        #: The cluster's simulator.
+        self.sim = cluster.sim
         self.config = config if config is not None else DedupConfig()
         self.metadata_pool: Pool = cluster.create_pool(
             metadata_pool_name,
@@ -312,11 +314,6 @@ class DedupTier:
         #: metadata pool).
         self.on_hot_read = None
 
-    @property
-    def sim(self):
-        """The cluster's simulator."""
-        return self.cluster.sim
-
     def retrying(self, factory, op: str = "op"):
         """Process: run ``factory()`` under the tier's retry policy.
 
@@ -324,10 +321,9 @@ class DedupTier:
         attempt needs its own); see
         :func:`repro.faults.retry.call_with_retries`.
         """
-        result = yield from call_with_retries(
+        return call_with_retries(
             self.sim, self.retry_policy, factory, self.retry_stats, op=op
         )
-        return result
 
     # -- dirty object ID list -------------------------------------------------
 

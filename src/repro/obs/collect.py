@@ -117,7 +117,7 @@ def storage_metrics(storage: Any) -> MetricsRegistry:
         "repro_cpu_utilization", "Fraction of cores busy per node (0..1)",
         labels=("node",),
     )
-    busy = [node.cpu.utilization(0.0) for node in cluster.nodes.values()]
+    busy = [node.cpu.utilization() for node in cluster.nodes.values()]
     for name, value in zip(cluster.nodes, busy):
         cpu.labels(node=name).set(value)
     gauge("repro_cpu_utilization_mean", "Cluster-average fraction of cores busy",

@@ -39,7 +39,8 @@ event), :meth:`Simulator.call_later` (``call_soon``, interrupts and
 waiting on an already-processed event go through it) and the *start of a
 held service* — :meth:`Resource.hold <repro.sim.resources.Resource.hold>`
 when a slot is free, otherwise the ``release()`` that hands the slot
-over — which queues the service's completion at ``now + duration``.
+over (the first callback of the completion before it) — which queues
+the service's completion at ``now + duration``.
 Nothing else about ordering is observable, so anything else may change
 as long as those six draw the same numbers at the same points
 (``tests/sim/test_event_order.py`` pins a trace of it).
@@ -48,7 +49,8 @@ The sixth draw is what makes a device service one event instead of a
 grant event plus a ``Timeout``.  It stands where the grant's draw stood
 and lands on the float that ``Timeout`` would have computed in the same
 instant, so services keep their order among themselves (completions are
-queued in grant order, as the ``Timeout``s were made).  One tie is
+queued in grant order, as the ``Timeout``s were made), and a completion
+frees its slot, making the next draw, before its waiter resumes.  One tie is
 ordered differently from the two-event form: a *non-service* event made
 in the instant a service starts — after the start, before the grant
 event would have reached its waiter — and due at the bit-identical time
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional, Type, cast
 
 __all__ = [
     "Simulator",
@@ -191,6 +193,10 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+#: An :class:`Event` without its ``__init__`` frame; the caller sets every slot.
+_new_event = cast(Callable[[Type[Event]], Event], object.__new__)
+
+
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
@@ -206,8 +212,7 @@ class Timeout(Event):
         self._value = value
         self._exc = None
         self.triggered = True
-        self.processed = False
-        self.cancelled = False
+        self.processed = self.cancelled = False
         self.delay = delay
         heappush(sim._queue, (sim.now + delay, next(sim._seq), self))
 
@@ -224,15 +229,23 @@ class Process(Event):
     __slots__ = ("gen", "_waiting_on")
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]) -> None:
-        super().__init__(sim)
         if not hasattr(gen, "send"):
             raise TypeError(f"process() requires a generator, got {gen!r}")
+        # Event.__init__ spelled out, here and for the bootstrap: a start
+        # is one frame.
+        self.sim = sim
+        self.callbacks = []
+        self._value = self._exc = None
+        self.triggered = self.processed = self.cancelled = False
         self.gen = gen
         # Kick off at the current time: a bootstrap event, already
         # triggered, whose only subscriber is this process.
-        bootstrap = Event(sim)
+        bootstrap = _new_event(Event)
+        bootstrap.sim = sim
+        bootstrap.callbacks = [self._resume]
+        bootstrap._value = bootstrap._exc = None
         bootstrap.triggered = True
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.processed = bootstrap.cancelled = False
         #: The event whose firing resumes the generator; ``None`` while
         #: the generator runs and once it has finished.
         self._waiting_on: Optional[Event] = bootstrap

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, Dict, Generator, Hashable, List, Tuple, cast
+from typing import Callable, Deque, Dict, Hashable, List, Tuple, cast
 
-from .core import Event, SimulationError, Simulator
+from .core import Event, SimulationError, Simulator, _new_event
 
 __all__ = ["LockTable", "Resource"]
 
@@ -30,10 +30,10 @@ class Resource:
     """A counted FIFO resource (semaphore) on the simulated clock: a
     device held for a service time known up front.
 
-    ``yield from resource.serve(t)`` (or, as a process of its own,
-    ``yield sim.process(resource.serve(t))``) queues FIFO and costs one
-    kernel event, the completion — see :meth:`hold`.  Locks, whose hold
-    is not known up front, are a :class:`LockTable`'s.
+    ``yield resource.hold(t)`` queues FIFO, holds one slot for ``t``
+    and costs one kernel event, the completion, which frees the slot
+    itself — see :meth:`hold`.  Locks, whose hold is not known up front,
+    are a :class:`LockTable`'s.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
@@ -51,6 +51,8 @@ class Resource:
         #: capacity for average utilisation.
         self.busy_integral = 0.0
         self._last_change = sim.now
+        #: The first callback of every completion, bound once.
+        self._on_completion = self.release
 
     @property
     def in_use(self) -> int:
@@ -62,9 +64,11 @@ class Resource:
         """Number of services waiting for a slot."""
         return len(self._waiters)
 
-    def _account(self) -> None:
-        # hold() and release() carry this same arithmetic
-        # inline (a frame per device hop is measurable); keep them in step.
+    def slot_seconds(self) -> float:
+        """Slot-seconds held since t=0 (:attr:`busy_integral` brought up
+        to ``sim.now``); two readings bracket a window's busy time."""
+        # hold() and release() carry this same arithmetic inline (a
+        # frame per device hop is measurable); keep them in step.
         now = self.sim.now
         elapsed = now - self._last_change
         if elapsed > 0:
@@ -72,32 +76,42 @@ class Resource:
             if self._in_use > 0:
                 self.busy_time += elapsed
         self._last_change = now
+        return self.busy_integral
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Average fraction of capacity in use since time ``since``."""
-        self._account()
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_integral / (elapsed * self.capacity)
+    def utilization(self) -> float:
+        """Average fraction of capacity in use since t=0; a later
+        window's is the growth of :meth:`slot_seconds` across it."""
+        busy, now = self.slot_seconds(), self.sim.now
+        return busy / (now * self.capacity) if now > 0 else 0.0
 
     def hold(self, duration: float) -> Event:
-        """Return an event that fires once a slot has been held ``duration``.
+        """Return an event that fires once a slot has been held ``duration``,
+        and frees that slot as it fires.
 
         The one-event form of a slot grant plus ``timeout(duration)``:
         when the slot is granted — here if one is free, otherwise inside
         the :meth:`release` that hands it over — the *completion* is
         pushed onto the heap at ``now + duration``, where a grant would
-        have been pushed at ``now``.  So ``triggered`` on the returned event
-        means "service has started" and the caller owes a
-        :meth:`release` from then on, whether it waits for the completion
-        or is interrupted out of it (:meth:`serve` is that caller).  An
-        abandoned completion still pops at its time and does nothing.
+        have been pushed at ``now``; ``triggered`` means "service has
+        started".  Its first callback is :meth:`release`, so the slot is
+        freed (or handed on) before its waiter resumes — and whether or
+        not anyone still waits: a process interrupted in service leaves
+        the device busy until the completion, as a disk does not abort
+        an I/O its client gave up on.  A waiter interrupted while still
+        queued is ``cancelled``, skipped and never charged.
         """
         if duration < 0:
             raise ValueError(f"negative hold duration: {duration}")
         sim = self.sim
-        event = Event(sim)
+        # Event.__init__ spelled out; release is appended first (a one-slot
+        # literal would grow to eight slots on the waiter's append).
+        event = _new_event(Event)
+        event.sim = sim
+        callbacks: List[Callable[[Event], None]] = []
+        callbacks.append(self._on_completion)
+        event.callbacks = callbacks
+        event._value = event._exc = None
+        event.processed = event.cancelled = False
         in_use = self._in_use
         if in_use < self.capacity and not self._waiters:
             now = sim.now
@@ -111,17 +125,18 @@ class Resource:
             event.triggered = True
             heappush(sim._queue, (now + duration, next(sim._seq), event))
         else:
+            event.triggered = False
             if self._waiters is _NO_WAITERS:
                 self._waiters = deque()
             self._waiters.append((event, duration))
         return event
 
-    def release(self) -> None:
-        """Release one held slot, waking the next FIFO waiter if any.
+    def release(self, _completion: Event) -> None:
+        """Release one held slot, waking the next FIFO waiter if any: the
+        first callback of every :meth:`hold` completion.
 
         Waiters whose event was cancelled (the waiting process was
-        interrupted and detached) are dropped instead of granted — a
-        cancelled waiter would never release the slot back.
+        interrupted and detached) are dropped instead of granted.
         """
         in_use = self._in_use
         if in_use <= 0:
@@ -143,20 +158,6 @@ class Resource:
             heappush(sim._queue, (now + duration, next(sim._seq), waiter))
             return
         self._in_use = in_use - 1
-
-    def serve(self, duration: float) -> Generator[Event, Any, None]:
-        """Process generator: hold one slot for ``duration`` seconds.
-
-        One kernel event per service.  The slot is given back when the
-        service completes or at the instant an interrupt ends it early;
-        a waiter interrupted while still queued never had one.
-        """
-        hold = self.hold(duration)
-        try:
-            yield hold
-        finally:
-            if hold.triggered:
-                self.release()
 
 
 class _Lock:

@@ -138,6 +138,8 @@ class FioRunner:
         spec = self.spec
         result = FioResult()
         start = self.sim.now
+        cpus = [node.cpu for node in self.storage.cluster.nodes.values()]
+        busy_before = [cpu.core_seconds() for cpu in cpus]
         blocks_per_file = spec.file_size // spec.block_size
         procs = []
         for job in range(spec.numjobs):
@@ -157,9 +159,10 @@ class FioRunner:
                 )
         self.sim.run_until_complete(self.sim.all_of(procs))
         result.duration = self.sim.now - start
-        nodes = self.storage.cluster.nodes.values()
-        busy = sum(node.cpu.utilization(start) for node in nodes)
-        result.cpu_percent = 100.0 * (busy / len(nodes))
+        if result.duration > 0:  # this run's core-seconds, not the prefill's
+            busy = sum((cpu.core_seconds() - before) / cpu.spec.cores
+                       for cpu, before in zip(cpus, busy_before))
+            result.cpu_percent = 100.0 * busy / (len(cpus) * result.duration)
         return result
 
     def _next_offset(self, cursor, rng) -> Optional[int]:

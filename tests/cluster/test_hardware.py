@@ -125,6 +125,19 @@ def test_cpu_utilization_accounting():
     assert cpu.utilization() == pytest.approx(0.25)
 
 
+def test_a_window_counts_only_its_own_core_seconds():
+    # One core-second at t=0, then an idle window [10, 11]: the window
+    # was idle, however busy the time before it was.
+    sim = Simulator()
+    cpu = Cpu(sim, CpuSpec())
+    sim.process(cpu.execute(1.0))
+    sim.run(until=10.0)
+    before = cpu.core_seconds()
+    sim.run(until=11.0)
+    assert cpu.core_seconds() - before == 0.0
+    assert before == pytest.approx(1.0)
+
+
 def test_cpu_zero_cost_is_free():
     sim = Simulator()
     cpu = Cpu(sim, CpuSpec())

@@ -65,6 +65,27 @@ def test_per_object_index_matches_the_full_scan(policy, ops):
     )
 
 
+@pytest.mark.parametrize("policy", ["lru", "lfu", "fifo"])
+@given(ops=st.lists(_cache_ops, max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_no_capacity_demotes_nothing_and_counts_the_same(policy, ops):
+    """Without a capacity nothing is ever demoted for space, so an access
+    keeps no order: what is cached, and the promotion and demotion
+    counts, still match the reference."""
+    config = DedupConfig(cache_policy=policy, cache_capacity_bytes=None)
+    indexed = CacheManager(Simulator(), config)
+    reference = FullScanCacheManager(Simulator(), config)
+    for name, *args in ops:
+        getattr(indexed, name)(*args)
+        getattr(reference, name)(*args)
+        assert indexed.victims() == [] == reference.victims()
+        assert indexed.cached_bytes == reference.cached_bytes
+        assert set(indexed._cached.items()) == set(reference._cached.items())
+    assert (indexed.promotions, indexed.demotions) == (
+        reference.promotions, reference.demotions,
+    )
+
+
 def test_invalid_policy_rejected():
     with pytest.raises(ValueError):
         DedupConfig(cache_policy="clock")

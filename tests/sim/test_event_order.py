@@ -219,7 +219,7 @@ def test_a_held_service_draws_its_sequence_number_when_it_starts():
     log = []
 
     def served(name, duration):
-        yield from disk.serve(duration)
+        yield disk.hold(duration)
         log.append((sim.now, name))
 
     def slept(name, *delays):
@@ -255,7 +255,7 @@ def test_finished_process_is_freed_by_refcount_alone():
         return sim.process(gen)
 
     def child():
-        yield from lock.serve(1.0)
+        yield lock.hold(1.0)
         return "child"
 
     def parent():

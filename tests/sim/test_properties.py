@@ -1,5 +1,7 @@
 """Property-based tests for the simulation kernel (hypothesis)."""
 
+from collections import deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,14 +57,13 @@ def test_resource_conserves_work(service_times, capacity):
     res = Resource(sim, capacity=capacity)
 
     def user(sim, res, t):
-        yield sim.process(res.serve(t))
+        yield res.hold(t)
 
     for t in service_times:
         sim.process(user(sim, res, t))
     sim.run()
-    res._account()
     total = sum(service_times)
-    assert res.busy_integral == pytest_approx(total)
+    assert res.slot_seconds() == pytest_approx(total)
     assert sim.now >= total / capacity - 1e-9
     assert sim.now <= total + 1e-9
 
@@ -74,31 +75,81 @@ def pytest_approx(x, rel=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# Resource.serve is one kernel event; it must be indistinguishable, on the
-# simulated clock, from the three-step form it replaced.
+# Resource.hold is one kernel event; it must be indistinguishable, on the
+# simulated clock, from the grant + timeout form it replaced.
 
 
-def _reference_serve(sim, res, duration):
-    """Grant + timeout + release: two kernel events per service.  The
-    grant is a zero-length hold, which fires at the instant the slot is
-    handed over — the grant event a slot acquire made."""
-    grant = res.hold(0.0)
-    try:
-        yield grant
-        yield sim.timeout(duration)
-    finally:
-        if grant.triggered:
-            res.release()
+class _GrantSemaphore:
+    """The two-event device: FIFO grant events, cancelled waiters
+    skipped, and :class:`Resource`'s busy-time accounting."""
+
+    def __init__(self, sim, capacity):
+        self.sim = sim
+        self.capacity = capacity
+        self.in_use = 0
+        self.waiters = deque()
+        self.busy_time = 0.0
+        self.busy_integral = 0.0
+        self._last_change = sim.now
+
+    @property
+    def queue_len(self):
+        return len(self.waiters)
+
+    def _account(self):
+        elapsed = self.sim.now - self._last_change
+        if elapsed > 0:
+            self.busy_integral += elapsed * self.in_use
+            if self.in_use > 0:
+                self.busy_time += elapsed
+        self._last_change = self.sim.now
+
+    def acquire(self):
+        grant = self.sim.event()
+        if self.in_use < self.capacity and not self.waiters:
+            self._account()
+            self.in_use += 1
+            grant.succeed()
+        else:
+            self.waiters.append(grant)
+        return grant
+
+    def release(self, _event):
+        self._account()
+        while self.waiters:
+            grant = self.waiters.popleft()
+            if not grant.cancelled:
+                grant.succeed()  # handed over: occupancy unchanged
+                return
+        self.in_use -= 1
+
+
+def _reference_serve(sim, device, duration):
+    """Grant + timeout: two kernel events per service.  The timeout is
+    made as the grant fires, whether or not its waiter still listens,
+    and releases the slot as it fires: a service that has started runs
+    to its end."""
+    grant = device.acquire()
+    started = []
+
+    def start(_grant):
+        done = sim.timeout(duration)
+        done.callbacks.append(device.release)
+        started.append(done)
+
+    grant.callbacks.append(start)
+    yield grant
+    yield started[0]
 
 
 def _resource_serve(sim, res, duration):
-    yield from res.serve(duration)
+    yield res.hold(duration)
 
 
-def _run_services(serve, capacities, workers, interrupts):
+def _run_services(device, serve, capacities, workers, interrupts):
     """Drive one scenario; return what a caller can observe of it."""
     sim = Simulator()
-    resources = [Resource(sim, capacity=c) for c in capacities]
+    resources = [device(sim, c) for c in capacities]
     log = []
 
     def worker(k, delay, services):
@@ -151,22 +202,22 @@ _service = st.tuples(
     ),
 )
 @settings(max_examples=200, deadline=None)
-def test_serve_equals_acquire_timeout_release(capacities, workers, interrupts):
+def test_hold_equals_acquire_timeout_release(capacities, workers, interrupts):
     """Same completions, same interrupts, same device accounting — with
     interrupts landing on a queued waiter, in service, and on the very
-    instant a slot is handed over.
+    instant a slot is handed over.  In both forms an interrupted waiter
+    that is still queued is skipped, and a started service keeps its
+    slot until its completion.
 
     Every plain timeout here (arrivals, interrupters) is created at t=0,
     before any service starts, so the one tie whose order may differ
     (sim/core.py, "Ordering contract": a timeout created in the instant
     a service starts and ending in the instant it ends) cannot occur.
-    ``sim.now`` after the drain is not compared: the completion of a
-    service that was interrupted stays on the heap and pops, unheard.
     """
     expected_log, expected_state = _run_services(
-        _reference_serve, capacities, workers, interrupts
+        _GrantSemaphore, _reference_serve, capacities, workers, interrupts
     )
-    log, state = _run_services(_resource_serve, capacities, workers, interrupts)
+    log, state = _run_services(Resource, _resource_serve, capacities, workers, interrupts)
     assert log == expected_log
     assert state == expected_state
     assert all(in_use == 0 for _busy, _integral, in_use, _queue in state)

@@ -15,7 +15,7 @@ def test_resource_serializes_unit_capacity():
     finish = []
 
     def user(sim, res, name):
-        yield sim.process(res.serve(2.0))
+        yield res.hold(2.0)
         finish.append((name, sim.now))
 
     for name in ("a", "b", "c"):
@@ -30,7 +30,7 @@ def test_resource_parallel_capacity():
     finish = []
 
     def user(sim, res, name):
-        yield sim.process(res.serve(2.0))
+        yield res.hold(2.0)
         finish.append((name, sim.now))
 
     for name in ("a", "b", "c"):
@@ -47,7 +47,7 @@ def test_resource_fifo_order():
 
     def user(sim, res, name, arrive):
         yield sim.timeout(arrive)
-        yield from res.serve(1.0)
+        yield res.hold(1.0)
         order.append(name)
 
     sim.process(user(sim, res, "first", 0.0))
@@ -61,7 +61,7 @@ def test_resource_release_without_acquire():
     sim = Simulator()
     res = Resource(sim, capacity=1)
     with pytest.raises(SimulationError):
-        res.release()
+        res.release(sim.event())
 
 
 def test_resource_invalid_capacity():
@@ -75,7 +75,7 @@ def test_resource_utilization_accounting():
     res = Resource(sim, capacity=1)
 
     def user(sim, res):
-        yield sim.process(res.serve(4.0))
+        yield res.hold(4.0)
         yield sim.timeout(4.0)  # idle period
 
     p = sim.process(user(sim, res))
@@ -89,11 +89,11 @@ def test_resource_queue_len():
     res = Resource(sim, capacity=1)
 
     def holder(sim, res):
-        yield sim.process(res.serve(10.0))
+        yield res.hold(10.0)
 
     def waiter(sim, res):
         yield sim.timeout(1.0)
-        yield from res.serve(1.0)
+        yield res.hold(1.0)
 
     sim.process(holder(sim, res))
     sim.process(waiter(sim, res))
@@ -119,8 +119,8 @@ def test_uncontended_resource_never_builds_a_waiter_queue():
             table.release(held)
     assert len(table) == 0
     device = Resource(sim, capacity=2)
-    sim.process(device.serve(1.0))
-    sim.process(device.serve(1.0))
+    device.hold(1.0)
+    device.hold(1.0)
     sim.run()
     assert not isinstance(device._waiters, deque)
     assert (device.in_use, device.queue_len) == (0, 0)
@@ -135,7 +135,7 @@ def test_first_waiter_builds_the_queue_and_order_is_unchanged():
 
     def served(name):
         try:
-            yield from res.serve(1.0)
+            yield res.hold(1.0)
         except Interrupt:
             return  # interrupted while queued: never held the slot
         order.append((name, sim.now))
@@ -161,11 +161,11 @@ def test_serve_is_one_event_per_service():
     res = Resource(sim, capacity=1)
 
     def user():
-        yield from res.serve(1.0)  # granted at once
-        yield from res.serve(0.5)
+        yield res.hold(1.0)  # granted at once
+        yield res.hold(0.5)
 
     def second():
-        yield from res.serve(2.0)  # queued: granted inside a release()
+        yield res.hold(2.0)  # queued: granted inside a release()
 
     sim.process(user())
     sim.process(second())
@@ -185,18 +185,24 @@ def test_hold_is_triggered_once_service_starts_and_rejects_negative_time():
     with pytest.raises(ValueError):
         res.hold(-1.0)
     assert (res.in_use, res.queue_len) == (1, 1)
-    sim.run(until=1.0)  # nobody waits on `first`, so nobody releases
-    assert first.processed and not second.triggered
-    res.release()
-    assert second.triggered and res.in_use == 1
+    # Nobody waits on either: each completion frees its own slot, and
+    # the first one's hands it to the second.
+    sim.run(until=1.0)
+    assert first.processed and second.triggered and not second.processed
+    assert (res.in_use, res.queue_len) == (1, 0)
     sim.run()
     assert sim.now == 2.0 and second.processed
+    assert (res.in_use, res.queue_len, res.busy_time) == (0, 0, 2.0)
 
-    # Through serve() the check fails the caller before it takes a slot.
-    failed = sim.process(res.serve(-1.0))
+    # Yielded from a process, the check fails the caller before it
+    # takes a slot.
+    def negative():
+        yield res.hold(-1.0)
+
+    failed = sim.process(negative())
     sim.run()
     assert isinstance(failed.exception, ValueError)
-    assert (res.in_use, res.queue_len) == (1, 0)
+    assert (res.in_use, res.queue_len) == (0, 0)
 
 
 def _interrupt_at(sim, target, when, cause="deadline"):
@@ -210,33 +216,38 @@ def _interrupt_at(sim, target, when, cause="deadline"):
 def test_deadline_on_the_grant_instant_does_not_wedge_the_device():
     # A per-attempt deadline (faults/retry.py) that fires in the instant a
     # service starts.  When a service was a grant event plus a Timeout,
-    # the Interrupt overtook the grant's wake-up and landed outside
-    # serve()'s try: the slot was never released and the device stayed
-    # busy for the rest of the run.
+    # the Interrupt overtook the grant's wake-up and landed where nobody
+    # released the slot: the device stayed busy for the rest of the run.
+    # Now the service that has started runs to its completion, which
+    # frees the slot whoever is listening.
     sim = Simulator()
     res = Resource(sim, capacity=1)
     log = []
 
     def worker():
         try:
-            yield from res.serve(1.0)
-            yield from res.serve(1.0)
+            yield res.hold(1.0)
+            yield res.hold(1.0)
         except Interrupt as intr:
             log.append(("worker", intr.cause, sim.now, res.in_use))
 
     def late():
         yield sim.timeout(5.0)
-        yield from res.serve(0.5)
+        yield res.hold(0.5)
         log.append(("late", sim.now))
 
     victim = sim.process(worker())
     _interrupt_at(sim, victim, 1.0)  # started after the worker
     late_arrival = sim.process(late())
+    sim.run(until=1.5)
+    # Interrupted in its second service, which keeps the device.
+    assert log == [("worker", "deadline", 1.0, 1)]
+    assert (res.in_use, res.queue_len) == (1, 0)
     sim.run()
-    assert log == [("worker", "deadline", 1.0, 0), ("late", 5.5)]
+    assert log[1:] == [("late", 5.5)]
     assert late_arrival.ok
     assert (res.in_use, res.queue_len) == (0, 0)
-    assert res.busy_time == 1.5
+    assert res.busy_time == 2.5
 
 
 def test_interrupt_while_queued_is_skipped_and_leaks_no_slot():
@@ -246,7 +257,7 @@ def test_interrupt_while_queued_is_skipped_and_leaks_no_slot():
 
     def user(name, duration):
         try:
-            yield from res.serve(duration)
+            yield res.hold(duration)
             log.append((name, sim.now))
         except Interrupt:
             log.append((name, "interrupted", sim.now, res.in_use, res.queue_len))
@@ -311,7 +322,9 @@ def test_interrupted_waiter_does_not_wedge_the_resource():
     assert len(table) == 0
 
 
-def test_interrupt_in_service_frees_the_slot_then_and_only_then():
+def test_interrupt_in_service_keeps_the_slot_until_the_completion():
+    """A started service is not cut short: the device stays busy until
+    the completion, which frees the slot and starts the next waiter."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     log = []
@@ -319,17 +332,17 @@ def test_interrupt_in_service_frees_the_slot_then_and_only_then():
     def user(name, arrive, duration):
         yield sim.timeout(arrive)
         try:
-            yield from res.serve(duration)
+            yield res.hold(duration)
             log.append((name, sim.now))
         except Interrupt:
-            log.append((name, "interrupted", sim.now, res.in_use))
+            log.append((name, "interrupted", sim.now, res.in_use, res.queue_len))
 
     def probe():
-        # The victim's abandoned completion pops at t=3, while "late" is
-        # in service: it must release nothing.
+        # The victim's completion pops at t=3 with nobody listening: it
+        # frees the slot, which goes straight to the waiter.
         yield sim.timeout(3.0)
         yield sim.timeout(0.0)
-        log.append(("probe", sim.now, res.in_use))
+        log.append(("probe", sim.now, res.in_use, res.queue_len))
 
     victim = sim.process(user("victim", 0.0, 3.0))
     sim.process(user("waiter", 0.5, 1.0))
@@ -338,13 +351,13 @@ def test_interrupt_in_service_frees_the_slot_then_and_only_then():
     _interrupt_at(sim, victim, 1.0)
     sim.run()
     assert log == [
-        # The slot went straight to the waiter: still one in use.
-        ("victim", "interrupted", 1.0, 1),
-        ("waiter", 2.0),
-        ("probe", 3.0, 1),
-        ("late", 3.5),
+        # Still in service: the waiter stays queued.
+        ("victim", "interrupted", 1.0, 1, 1),
+        ("probe", 3.0, 1, 1),
+        ("waiter", 4.0),
+        ("late", 5.0),
     ]
-    assert (res.in_use, res.queue_len, res.busy_time) == (0, 0, 3.0)
+    assert (res.in_use, res.queue_len, res.busy_time) == (0, 0, 5.0)
 
 
 # --------------------------------------------------------------- LockTable

@@ -156,3 +156,19 @@ def test_fio_sequential_wraps_with_runtime():
     # Far more ops than one pass over the 4-block file: it wrapped.
     assert result.total_ops > 8
     assert len(storage.read_sync("fio.j0.o0")) == 16 * KiB
+
+
+def test_cpu_percent_is_the_runs_own():
+    """A run's CPU figure covers its own window only: the same job run
+    again on the same store reads the same, however much the store did
+    before it (the prefill, the first run)."""
+    storage = plain_storage()
+    spec = FioJobSpec(
+        pattern="read", block_size=4 * KiB, file_size=64 * KiB, object_size=16 * KiB
+    )
+    runner = FioRunner(storage, spec)
+    runner.prefill()
+    first = runner.run()
+    second = runner.run()
+    assert first.cpu_percent > 0
+    assert second.cpu_percent == pytest.approx(first.cpu_percent, rel=1e-6)

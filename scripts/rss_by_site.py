@@ -20,9 +20,10 @@ same verify read-back as the driver form ``run.py --workload W --seed N
   *distinct* blobs behind them in host memory, the most extents any one
   object has, and the live entries of the per-key tables: the three
   lock tables, the tier's map-miss fences, its write line and its
-  pending dirty-list requeues, and the engine's promotions, deleted
-  objects' releases in flight and deref queue (the references left for
-  the GC), all 0 once the pass has quiesced.
+  pending dirty-list requeues, and the engine's promotions, releases in
+  flight (every GC a pass, an aborted pass, a delete or the deref queue
+  started) and deref queue (the references left for the GC), all 0
+  once the pass has quiesced.
 
 Exits 1 when any per-key table is not empty at the end of the pass (a
 leaked lock, fence, write-line entry, requeue, promotion or release, or

@@ -13,7 +13,7 @@ from typing import List, Union
 __all__ = ["ChunkSpan", "validate_chunking"]
 
 #: Chunk payloads are zero-copy views into the source buffer whenever
-#: possible; anything that must outlive the buffer calls ``as_bytes``.
+#: possible; anything that must outlive the buffer copies them.
 Buffer = Union[bytes, memoryview]
 
 
@@ -23,8 +23,8 @@ class ChunkSpan:
 
     ``data`` is usually a :class:`memoryview` into the payload being
     chunked — slicing it copies nothing.  Consumers that store the
-    bytes (rather than hash or compare them) materialise via
-    :meth:`as_bytes`.
+    bytes (rather than hash or compare them) materialise them with
+    ``bytes(span.data)``.
     """
 
     offset: int
@@ -35,10 +35,6 @@ class ChunkSpan:
     def end(self) -> int:
         """Exclusive end offset."""
         return self.offset + self.length
-
-    def as_bytes(self) -> bytes:
-        """The chunk's payload as real ``bytes`` (copies a view)."""
-        return bytes(self.data)
 
     def __eq__(self, other):
         if not isinstance(other, ChunkSpan):

@@ -129,16 +129,6 @@ class OSD:
         """
         self.store.apply(txn)
 
-    def execute_transaction(self, txn: Transaction):
-        """Process: prepare + commit on this one OSD.
-
-        The store mutation happens after the device time has elapsed, so
-        a concurrent reader at an earlier simulated instant sees the old
-        state (a transaction commits at its completion time).
-        """
-        yield from self.prepare_transaction(txn)
-        self.commit_transaction(txn)
-
     def execute_push(self, key: ObjectKey, obj) -> object:
         """Process: install a recovered/replicated full object copy."""
         if not self.info.up:

@@ -145,7 +145,7 @@ class DedupedStorage:
         released behind the reply by the GC, in one batched commit (see
         :func:`~repro.core.io_path.delete_path`); :meth:`delete_sync` and
         :meth:`drain` wait for that release."""
-        return delete_path(self.tier, oid, self.engine.release_deleted, client)
+        return delete_path(self.tier, oid, self.engine.release, client)
 
     def flush(self, oid: str):
         """Process: force deduplication of one object now; returns at
@@ -174,8 +174,8 @@ class DedupedStorage:
         self.cluster.run(delete())
 
     def flush_sync(self, oid: str) -> None:
-        """Synchronous :meth:`flush`; returns once its old chunks'
-        references are released too."""
+        """Synchronous :meth:`flush`; returns once the references its
+        pass dropped are released too."""
 
         def flush():
             yield from self.flush(oid)
@@ -185,10 +185,10 @@ class DedupedStorage:
 
     def drain(self) -> None:
         """Deduplicate everything pending (ignores hotness), wait for every
-        chunk release in flight (a pass's or a delete's), then run the GC
-        over the engine's deref queue (the false-positive mode's deferred
-        dereferences, and any release a fault deferred), as an idle
-        background worker also does.
+        chunk release in flight (a pass's, an aborted pass's or a
+        delete's), then run the GC over the engine's deref queue (the
+        false-positive mode's deferred dereferences, and any release a
+        fault deferred), as an idle background worker also does.
 
         Runs up to ``config.engine_workers`` forced passes at once — see
         :meth:`DedupEngine.drain <repro.core.engine.DedupEngine.drain>`.

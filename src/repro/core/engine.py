@@ -28,7 +28,7 @@ metadata PG (a direct call — flush, flush-on-write — is a group of one):
    (step 3's dereference, deferred past the commit) behind the pass: in
    strict mode the one GC (:func:`~repro.core.scrub.collect_garbage`)
    runs over them as a release of its own, the same process a delete
-   starts (:meth:`DedupEngine._release`); in ``false_positive`` mode
+   starts (:meth:`DedupEngine.release`); in ``false_positive`` mode
    they go on the GC's queue.
 
 Rate control (§4.4.2) is one budget for every background worker, waited
@@ -44,11 +44,12 @@ land mid-pass.  Step 7 needs no lock of the pass: the GC re-reads each
 referrer's map under its object lock and drops only the pairs no map
 implies, so a write that reverts an entry to the old content, and a
 later pass that takes its reference again, keep it.  A pass that faults
-anywhere instead aborts the whole group before any chunk map commits
-(undoing the references it took, and leaving every old chunk its
-reference) and every member is re-queued — the dirty bits, which are
-part of the same transactions as the data they describe, remain the
-source of truth.
+anywhere instead aborts the whole group before any chunk map commits,
+leaving every old chunk its reference, and every member is re-queued —
+the dirty bits, which are part of the same transactions as the data
+they describe, remain the source of truth.  The references it took are
+the pairs it drops, handed to step 7 as a committed pass's old chunks
+are: the GC drops those no map implies.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class EngineStats:
     #: none can race it.  Kept while the e2e benchmark reads it.
     objects_aborted_race: int = 0
     #: Passes abandoned because the substrate faulted mid-pass (the
-    #: object is requeued; references taken this pass are released).
+    #: object is requeued; references taken this pass go to the GC).
     objects_requeued_fault: int = 0
     #: Dereferences skipped because the substrate faulted; the chunk is
     #: left over-retained (never dangling) and the pair is queued on
@@ -141,15 +142,15 @@ class DedupEngine:
         self.config = tier.config
         self.sim = tier.sim
         self.stats = EngineStats()
-        #: References left for the GC (:meth:`_collect`): in
-        #: ``refcount_mode="false_positive"`` (§4.6) the old-chunk
-        #: dereferences of committed passes; in either mode a release
-        #: that faulted or gave up.
+        #: References left for the GC, which an idle worker or a drain
+        #: hands to :meth:`release`: in ``refcount_mode="false_positive"``
+        #: (§4.6) the pairs passes dropped; in either mode a release
+        #: that gave up.
         self.deref_queue: List[Tuple[str, ChunkRef]] = []
         self._running = False
         self._procs = []
         self._promoting = set()
-        #: Releases in flight (:meth:`_start_release`), in start order,
+        #: Releases in flight (:meth:`release`), in start order,
         #: and failed ones not yet reported (:meth:`releases_landed`).
         self._releases: Dict[Event, None] = {}
 
@@ -199,7 +200,8 @@ class DedupEngine:
                 if force:
                     return
                 if self.deref_queue:
-                    yield self._start_release(self._collect())
+                    queue, self.deref_queue = self.deref_queue, []
+                    yield self.release(queue, None)
                 yield self.sim.timeout(self.config.dedup_interval)
                 continue
             try:
@@ -229,12 +231,13 @@ class DedupEngine:
         requeued), else ``"done"`` when a member was processed,
         ``"skipped_hot"`` when every member was hot, or ``"missing"``.
 
-        The pass ends at its map commit and frees its members' object
-        locks; then it starts its old-chunk release (§4.4.1 step 3) and
-        returns without waiting for it: a strict release is the one GC
-        over the dropped pairs (:meth:`_release`), which
-        :meth:`releases_landed` awaits, so it drops none that a later
-        write or pass has taken again.
+        The pass ends at its map commit, or at its abort, and frees its
+        members' object locks; then it starts the release of the pairs
+        it dropped — a committed pass's old chunks (§4.4.1 step 3), an
+        aborted pass's own references — and returns without waiting for
+        it: a strict release is the one GC over them (:meth:`release`),
+        which :meth:`releases_landed` awaits, so it drops none that a
+        map implies, now or after a later write or pass.
         """
         tier = self.tier
         if not force:
@@ -256,15 +259,15 @@ class DedupEngine:
                 yield tier.object_locks.acquire(oid, held)
             for oid in oids:
                 yield from tier.writes_landed(oid)
-            result, derefs, via = yield from self._process_locked(oids)
+            result, dropped, via = yield from self._process_locked(oids)
         finally:
             tier.object_locks.release(held)
         # Outside the locks: the GC takes its referrers' object locks.
-        if derefs:
+        if dropped:
             if self.config.refcount_mode == "strict":
-                self._start_release(self._release(oids[0], derefs, via))
+                self.release(dropped, via)
             else:
-                self.deref_queue.extend(derefs)
+                self.deref_queue.extend(dropped)
         # Outside the locks: a capacity victim may be a member.
         yield from self.enforce_cache_capacity()
         return result
@@ -275,10 +278,11 @@ class DedupEngine:
         Loads every member's chunk map, assembles and fingerprints their
         dirty chunks, commits every reference in one
         :meth:`~DedupTier.commit_chunk_batch` and every map in one
-        :meth:`~DedupTier.commit_map`.  Returns ``(result, derefs,
-        via)``: :meth:`process_object`'s result, the old chunks' ``(chunk
-        id, ref)`` pairs the committed maps dropped (none unless they
-        committed), and the member primary's node that ran the pass.
+        :meth:`~DedupTier.commit_map`.  Returns ``(result, dropped,
+        via)``: :meth:`process_object`'s result, the ``(chunk id, ref)``
+        pairs the pass drops — the old chunks the committed maps no
+        longer use, or, on an abort, the references the pass took — and
+        the member primary's node that ran the pass.
         """
         tier = self.tier
         members = []  # (oid, cmap, primary) of the members that exist
@@ -323,14 +327,12 @@ class DedupEngine:
             # I/O path's retries gave up) abandons the whole pass
             # *before* any chunk map commits — the dirty bits stay
             # authoritative, so nothing is lost.  References taken this
-            # pass are released; every member comes back via the dirty
-            # list.
+            # pass are dropped by the GC behind it; every member comes
+            # back via the dirty list.
             if not is_retryable(exc):
                 raise
-            if taken:
-                yield from self._release_or_defer(taken, via)
             self._requeue_faulted(oids)
-            return "faulted", (), via
+            return "faulted", taken, via
         self.stats.objects_processed += len(members)
         return "done", derefs, via
 
@@ -495,39 +497,16 @@ class DedupEngine:
                 )
         return reads
 
-    def _release_or_defer(self, pairs, via):
-        """Process: undo the references ``pairs`` an aborted pass took,
-        under its object locks, so no map implies any of them.
-
-        A release that itself faults leaves *over*-retained references
-        (safe: the refcount invariant "never dangling" holds either way)
-        and queues the set on :attr:`deref_queue`, so the next GC
-        reclaims whatever of it is still stale.  The release is one
-        all-or-nothing batch, so a fault defers exactly the whole set.
-        """
-        try:
-            yield from self.tier.release_refs(pairs, via)
-        except Exception as exc:
-            if not is_retryable(exc):
-                raise
-            self.stats.derefs_deferred_fault += len(pairs)
-            self.deref_queue.extend(pairs)
-
     # -- releases behind the foreground, and the GC ------------------------------------
 
-    def release_deleted(self, oid, pairs, client) -> None:
-        """Start releasing the references ``pairs`` of deleted ``oid``.
-
-        :func:`~repro.core.io_path.delete_path` calls it once the
-        metadata object is gone and its lock free, and replies without
-        waiting for it.  The release is the one GC over ``pairs``, so a
-        recreate that has taken one of them again keeps it.
-        """
-        self._start_release(self._release(oid, pairs, client))
-
-    def _start_release(self, gen):
-        """Start process ``gen``, a release :meth:`releases_landed` awaits."""
-        release = self.sim.process(gen)
+    def release(self, pairs, client):
+        """Start the one GC over the references ``pairs`` dropped: a
+        pass's, an aborted pass's, a deleted object's
+        (:func:`~repro.core.io_path.delete_path` calls it once the
+        metadata object is gone and its lock free), or the ones
+        :attr:`deref_queue` held.  Returns the release's process, which
+        :meth:`releases_landed` awaits; the caller need not."""
+        release = self.sim.process(self._release(pairs, client))
         self._releases[release] = None
         release.subscribe(self._landed)
         return release
@@ -538,10 +517,9 @@ class DedupEngine:
         if release.ok:
             del self._releases[release]
 
-    def _release(self, oid, pairs, client):
+    def _release(self, pairs, client):
         """Process: :func:`~repro.core.scrub.collect_garbage` over the
-        references ``pairs`` a deleted ``oid`` or a pass (``oid`` its
-        first member) dropped, sent via ``client`` and retried.  A
+        references ``pairs``, sent via ``client`` and retried.  A
         give-up leaves them over-retained and queues them on
         :attr:`deref_queue`."""
         tier = self.tier
@@ -571,17 +549,6 @@ class DedupEngine:
             self._releases.pop(release, None)
         if error is not None:
             raise error
-
-    def _collect(self):
-        """Process: hand :attr:`deref_queue` to the GC.  Its release is
-        all-or-nothing, so a fault puts every pair back on the queue."""
-        queue, self.deref_queue = self.deref_queue, []
-        try:
-            yield from collect_garbage(self.tier, queue)
-        except Exception as exc:
-            self.deref_queue.extend(queue)
-            if not is_retryable(exc):
-                raise
 
     # -- cache maintenance -----------------------------------------------------------
 
@@ -697,8 +664,8 @@ class DedupEngine:
         dirty PG runs inline) and rebuilt from
         the authoritative dirty bits until a rebuild finds nothing.
         Optionally hands a non-empty :attr:`deref_queue` to the GC
-        afterwards (:meth:`_collect`, a release of its own); a fault in
-        it leaves the queue for the next collection.  Used by benchmarks
+        afterwards (:meth:`release`); a give-up in it leaves the pairs on
+        the queue for the next collection.  Used by benchmarks
         to reach the fully deduplicated steady state before measuring
         space.  A worker takes its next group as soon as its pass has
         committed its maps; the drain waits for every release in flight
@@ -744,7 +711,8 @@ class DedupEngine:
         if self._releases:
             yield from self.releases_landed()
         if run_gc and self.deref_queue:
-            self._start_release(self._collect())
+            queue, self.deref_queue = self.deref_queue, []
+            self.release(queue, None)
             yield from self.releases_landed()
 
     def drain_sync(self, run_gc: bool = True) -> None:

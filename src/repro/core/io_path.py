@@ -252,9 +252,8 @@ def delete_path(tier: DedupTier, oid: str, release, client=None):
 
     Under the object lock, the metadata object is removed (the
     user-visible delete) and its chunks leave the cache manager's books.
-    The delete then frees the lock, starts ``release(oid, pairs,
-    client)`` — the engine's
-    :meth:`~repro.core.engine.DedupEngine.release_deleted`, the one GC
+    The delete then frees the lock, starts ``release(pairs, client)`` —
+    the engine's :meth:`~repro.core.engine.DedupEngine.release`, the one GC
     (:func:`~repro.core.scrub.collect_garbage`) over every reference the
     map held — and replies without waiting for it.  The GC re-checks
     each reference under the object lock (a recreate that took it again
@@ -295,7 +294,7 @@ def delete_path(tier: DedupTier, oid: str, release, client=None):
     finally:
         tier.object_locks.release(held)
     if pairs:
-        release(oid, pairs, client)
+        release(pairs, client)
     tier.fg_window.note(0)
     yield cluster.reply()
 

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..fingerprint import fingerprint
 from .objects import ChunkRef
-from .tier import DedupTier
+from .tier import ChunkBatch, DedupTier
 
 __all__ = ["ScrubReport", "scrub", "scrub_sync", "GcReport", "collect_garbage", "collect_garbage_sync"]
 
@@ -132,9 +132,11 @@ def collect_garbage(tier: DedupTier, candidates: Optional[List] = None, via=None
     needs its old chunk).  Each map is read under the referrer's object
     lock, taken in sorted order before any chunk lock, so nothing in
     flight on a referrer commits between the check and the one
-    all-or-nothing :meth:`~repro.core.tier.DedupTier.release_refs` of
-    every stale pair, sent via ``via`` (default: the first node).  No
-    candidates: no lock, no simulated time.
+    all-or-nothing dereference batch
+    (:meth:`~repro.core.tier.DedupTier.commit_chunk_batch`) of every
+    stale pair, sent via ``via`` (default: the first node).  A batch
+    that faults leaves every pair over-retained, and a retry of it is
+    idempotent.  No candidates: no lock, no simulated time.
     """
     cluster = tier.cluster
     if candidates is None:
@@ -150,7 +152,10 @@ def collect_garbage(tier: DedupTier, candidates: Optional[List] = None, via=None
             yield from tier.writes_landed(oid)
             live.update(_implied(tier, oid))
         stale = sorted(set(candidates) - live)
-        yield from tier.release_refs(stale, via or next(iter(cluster.nodes.values())))
+        batch = ChunkBatch()
+        for chunk_id, ref in stale:
+            batch.deref(chunk_id, ref)
+        yield from tier.commit_chunk_batch(batch, via or next(iter(cluster.nodes.values())))
         return stale
     finally:
         tier.object_locks.release(held)

@@ -786,24 +786,6 @@ class DedupTier:
         finally:
             self.chunk_locks.release(held)
 
-    # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); a fault propagates to the caller's scope, which retries or defers the set to GC
-    def release_refs(self, pairs, via):
-        """Process: release a set of ``(chunk_id, ref)`` references.
-
-        The one way references are dropped: a single
-        :meth:`commit_chunk_batch` (a set of one is a batch of one).
-        All-or-nothing — a fault leaves *every* reference over-retained,
-        never dangling — and idempotent: a caller may retry the whole
-        set or leave it to the GC.  It checks nothing: its callers are
-        the GC (:func:`~repro.core.scrub.collect_garbage`), which has
-        checked each pair dead under its referrer's object lock, and the
-        undo of an aborted pass, under the pass's own locks.
-        """
-        batch = ChunkBatch()
-        for chunk_id, ref in pairs:
-            batch.deref(chunk_id, ref)
-        yield from self.commit_chunk_batch(batch, via)
-
     def read_chunk(self, chunk_id: str, offset: int, length: Optional[int], client):
         """Process: read chunk bytes from the chunk pool (redirection).
 

@@ -2,7 +2,7 @@
 
 Attaching an injector wires it into the substrate's execute paths:
 
-* ``OSD.execute_read/execute_transaction/execute_push`` call
+* ``OSD.execute_read/prepare_transaction/execute_push`` call
   :meth:`FaultInjector.before_op`, which may raise an injected
   :class:`~repro.faults.errors.TransientOpError` (EIO) or charge extra
   device time (slow-disk degradation);

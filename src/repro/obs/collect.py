@@ -48,10 +48,6 @@ def storage_metrics(storage: Any) -> MetricsRegistry:
     )
     gauge("repro_engine_running", "1 while a background engine worker is alive",
           engine.running)
-    gauge("repro_engine_fault_requeues", "Dedup passes requeued by faults",
-          engine.stats.objects_requeued_fault)
-    gauge("repro_derefs_deferred", "Dereferences left for the offline GC",
-          engine.stats.derefs_deferred_fault)
     reg.gauge(
         "repro_refcount_mode", "Reference-counting mode in use", labels=("mode",)
     ).labels(mode=engine.config.refcount_mode).set(1)
@@ -203,6 +199,9 @@ def status_lines(reg: MetricsRegistry) -> List[str]:
 def fault_lines(reg: MetricsRegistry) -> List[str]:
     """The ``repro faults`` report of a :func:`storage_metrics` snapshot."""
 
+    def engine(stat: str) -> int:
+        return int(_read(reg, "repro_engine_ops", stat=stat))
+
     def retry(stat: str) -> int:
         return int(_read(reg, "repro_retry_stats", stat=stat))
 
@@ -220,9 +219,8 @@ def fault_lines(reg: MetricsRegistry) -> List[str]:
             f" ({retry('successes_after_retry')} after retry),"
             f" {retry('giveups')} gave up",
             f"availability       {100.0 * _read(reg, 'repro_availability'):.2f}%",
-            f"engine             {int(_read(reg, 'repro_engine_fault_requeues'))}"
-            f" fault requeues,"
-            f" {int(_read(reg, 'repro_derefs_deferred'))} derefs left for GC",
+            f"engine             {engine('objects_requeued_fault')} fault requeues,"
+            f" {engine('derefs_deferred_fault')} derefs left for GC",
             "down OSDs          " + (",".join(map(str, down)) if down else "none"),
         ]
     )

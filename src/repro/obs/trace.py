@@ -122,7 +122,8 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
          "oid": oid, "objects": 1 + len(group), "forced": force}),
     ("repro.core.engine", "DedupEngine.promote_object", "op.promote", _oid),
     ("repro.core.engine", "DedupEngine._release", "op.release",
-     lambda _self, oid, pairs, *_a, **_k: {"oid": oid, "count": len(pairs)}),
+     lambda _self, pairs, *_a, **_k: {
+         "oid": pairs[0][1].source_oid, "count": len(pairs)}),
     ("repro.cluster.converge", "_pass", "op.converge", _none),
     # The dedup engine.  Its rate control is not a boundary: a background
     # worker paces before it pops a group, outside every op, as it sleeps

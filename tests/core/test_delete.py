@@ -198,23 +198,23 @@ def test_delete_racing_a_pass_that_shares_its_chunks():
 
 
 def test_a_recreate_during_the_delete_release_keeps_its_references(monkeypatch):
-    # The delete replies once the metadata object is gone; its release is
-    # slowed so that the same content is written to the same oid, and
-    # deduplicated, while it is still in flight.  The recreate's pass
-    # takes the very references the release drops (same oid, same
-    # offsets).
+    # The delete replies once the metadata object is gone; its release's
+    # dereference batch is slowed so that the same content is written to
+    # the same oid, and deduplicated, while it is still in flight.  The
+    # recreate's pass takes the very references the release drops (same
+    # oid, same offsets).
     storage = make_storage()
     sim, tier = storage.sim, storage.tier
     payload = distinct_chunks(8)
     storage.write_sync("obj1", payload)
     storage.drain()
-    release_refs = tier.release_refs
+    commit_chunk_batch = tier.commit_chunk_batch
 
-    def slow_release(pairs, via):
+    def slow_commit(batch, via):
         yield sim.timeout(0.05)
-        yield from release_refs(pairs, via)
+        return (yield from commit_chunk_batch(batch, via))
 
-    monkeypatch.setattr(tier, "release_refs", slow_release)
+    monkeypatch.setattr(tier, "commit_chunk_batch", slow_commit)
 
     def delete_then_recreate():
         yield from storage.delete("obj1")

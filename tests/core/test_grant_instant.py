@@ -15,6 +15,7 @@ lock waiting for good.
 import pytest
 
 from repro.cluster import ErasureCoded, RadosCluster
+from repro.core import engine as engine_module
 from repro.core import DedupConfig, DedupedStorage
 from repro.faults import RetryPolicy
 from repro.obs import Tracer, check_trace
@@ -64,8 +65,8 @@ def release_at_the_deadline(sim, table, key, attempt_started, hops):
 
 @pytest.mark.parametrize("hops", HOPS)
 def test_deadline_on_a_chunk_lock_grant_in_a_retried_delete(monkeypatch, hops):
-    # delete_path retries release_refs, one commit_chunk_batch over the
-    # object's chunks; it queues on the first chunk's lock.
+    # The delete's release retries the GC, whose one commit_chunk_batch
+    # over the object's chunks queues on the first chunk's lock.
     storage = make_storage()
     sim, tier = storage.sim, storage.tier
     data = b"x" * 1024 + b"y" * 1024  # two distinct chunks
@@ -73,7 +74,7 @@ def test_deadline_on_a_chunk_lock_grant_in_a_retried_delete(monkeypatch, hops):
     storage.drain()
     chunks = storage.cluster.list_objects(tier.chunk_pool)
     assert len(chunks) == 2
-    started = first_call(monkeypatch, sim, tier, "release_refs")
+    started = first_call(monkeypatch, sim, engine_module, "collect_garbage")
     sim.process(release_at_the_deadline(sim, tier.chunk_locks, min(chunks), started, hops))
     storage.delete_sync("obj")
     assert tier.retry_stats.timeouts == 1
@@ -115,7 +116,7 @@ def test_an_attempt_cut_at_its_deadline_is_a_finished_error_span(monkeypatch):
     storage.write_sync("obj", b"x" * 1024 + b"y" * 1024)
     storage.drain()
     chunks = storage.cluster.list_objects(tier.chunk_pool)
-    started = first_call(monkeypatch, sim, tier, "release_refs")
+    started = first_call(monkeypatch, sim, engine_module, "collect_garbage")
     sim.process(release_at_the_deadline(sim, tier.chunk_locks, min(chunks), started, 0))
     with Tracer(sim) as tracer:
         storage.delete_sync("obj")

@@ -1,5 +1,6 @@
-"""Unit tests for reference counting: the tier's ref/release commits
-and the engine's two dereference modes (paper §4.6)."""
+"""Unit tests for reference counting: the tier's reference and
+dereference batches and the engine's two dereference modes (paper
+§4.6)."""
 
 
 from repro.cluster import RadosCluster
@@ -23,6 +24,15 @@ def take_ref(tier, chunk_id, ref, data, via):
     batch.ref(chunk_id, ref, data)
     (stored,) = tier.cluster.run(tier.commit_chunk_batch(batch, via))
     return stored
+
+
+def drop_refs(tier, pairs, via):
+    """Drop the ``(chunk_id, ref)`` references ``pairs`` in one
+    dereference batch, as the GC does."""
+    batch = ChunkBatch()
+    for chunk_id, ref in pairs:
+        batch.deref(chunk_id, ref)
+    tier.cluster.run(tier.commit_chunk_batch(batch, via))
 
 
 def repointed(mode):
@@ -75,7 +85,7 @@ def test_chunk_ref_idempotent_same_ref():
 def test_deref_unknown_chunk_is_noop():
     tier, via = make_tier()
     ref = ChunkRef(tier.metadata_pool.pool_id, "o", 0)
-    tier.cluster.run(tier.release_refs([("deadbeef" * 5, ref)], via))  # no raise
+    drop_refs(tier, [("deadbeef" * 5, ref)], via)  # no raise
 
 
 def test_deref_foreign_ref_leaves_chunk():
@@ -85,7 +95,7 @@ def test_deref_foreign_ref_leaves_chunk():
     mine = ChunkRef(tier.metadata_pool.pool_id, "mine", 0)
     other = ChunkRef(tier.metadata_pool.pool_id, "other", 0)
     take_ref(tier, fp, mine, data, via)
-    tier.cluster.run(tier.release_refs([(fp, other)], via))  # not a holder
+    drop_refs(tier, [(fp, other)], via)  # not a holder
     assert tier.cluster.exists(tier.chunk_pool, fp)
     assert tier.chunk_refcount(fp) == 1
 
@@ -99,11 +109,11 @@ def test_release_refs_batches_a_set_and_sends_one_alone():
         take_ref(tier, fingerprint(data), ref, data, via)
         pairs.append((fingerprint(data), ref))
     batches = tier.stage.ref_batches
-    tier.cluster.run(tier.release_refs(pairs[:2], via))  # one batched commit
+    drop_refs(tier, pairs[:2], via)  # one batched commit
     assert tier.stage.ref_batches == batches + 1
-    tier.cluster.run(tier.release_refs(pairs[2:], via))  # a batch of one, alone
+    drop_refs(tier, pairs[2:], via)  # a batch of one, alone
     assert tier.stage.ref_batches == batches + 2
-    tier.cluster.run(tier.release_refs(pairs, via))  # idempotent: writes nothing
+    drop_refs(tier, pairs, via)  # idempotent: writes nothing
     assert tier.stage.ref_batches == batches + 2
     assert tier.cluster.list_objects(tier.chunk_pool) == []
 
@@ -117,7 +127,7 @@ def test_releasing_refs_a_chunk_never_held_writes_nothing():
         take_ref(tier, fingerprint(data), mine, data, via)
         pairs.append((fingerprint(data), ChunkRef(tier.metadata_pool.pool_id, "other", 0)))
     start, commits = tier.cluster.sim.now, tier.stage.ref_commits
-    tier.cluster.run(tier.release_refs(pairs, via))
+    drop_refs(tier, pairs, via)
     assert tier.cluster.sim.now - start == 0
     assert tier.stage.ref_commits == commits
     assert [tier.chunk_refcount(fp) for fp, _ref in pairs] == [1, 1]

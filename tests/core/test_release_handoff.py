@@ -10,9 +10,9 @@ implies.  These tests pin that a write at the map commit goes before the
 release and a worker takes its next group before the release lands, that
 a release behind a write and a flush that revert an entry drops none of
 its live references, that a drain or ``flush_sync`` returns with every
-reference settled, that a map commit that faults starts no release, that
-a release that gives up is deferred to the GC, and the drain's simulated
-time.
+reference settled, that a pass whose map commit faults hands the GC only
+the references it took, in either refcount mode, that a release that
+gives up is deferred to the GC, and the drain's simulated time.
 """
 
 from collections import Counter
@@ -21,6 +21,7 @@ import pytest
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
+from repro.core.objects import ChunkRef
 from repro.core.scrub import collect_garbage_sync
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import FaultEvent
@@ -69,6 +70,11 @@ def flushed_then_patched(storage, oids):
     return {oid: bytes(data) for oid, data in expected.items()}
 
 
+def derefs_of(batch):
+    """The ``(chunk_id, ref)`` pairs a chunk batch dereferences."""
+    return [(op[1], op[2]) for op in batch.ops if op[0] == "deref"]
+
+
 def referenced(storage):
     """chunk id -> how many chunk-map entries reference it."""
     tier = storage.tier
@@ -100,7 +106,7 @@ def test_a_write_at_the_map_commit_goes_before_the_release():
     released = {}  # oid -> when its old-chunk release landed
     writes = {}  # oid -> (issued, lock granted) of a write made at its commit
     acquire = tier.object_locks.acquire
-    release_refs = tier.release_refs
+    commit_chunk_batch = tier.commit_chunk_batch
     commit_map = tier.commit_map
 
     def recording_acquire(oid, held):
@@ -109,10 +115,11 @@ def test_a_write_at_the_map_commit_goes_before_the_release():
         grant.subscribe(lambda _e: grants.append((oid, requested, sim.now)))
         return grant
 
-    def recording_release(pairs, via):
-        yield from release_refs(pairs, via)
-        for _chunk_id, ref in pairs:
+    def recording_release(batch, via):
+        outcomes = yield from commit_chunk_batch(batch, via)
+        for _chunk_id, ref in derefs_of(batch):
             released.setdefault(ref.source_oid, sim.now)
+        return outcomes
 
     def writer(oid):
         # Back to the content of the chunk the release drops: the write
@@ -134,7 +141,7 @@ def test_a_write_at_the_map_commit_goes_before_the_release():
                 sim.process(writer(oid))
 
     tier.object_locks.acquire = recording_acquire
-    tier.release_refs = recording_release
+    tier.commit_chunk_batch = recording_release
     tier.commit_map = write_at_commit
     storage.engine.drain_sync(run_gc=False)
 
@@ -165,9 +172,9 @@ def test_a_worker_takes_its_next_group_before_the_release_lands():
         loads.append((oid, sim.now))
         return (yield from load_chunk_map(oid))
 
-    def recording_release(oid, pairs, client):
-        yield from release(oid, pairs, client)
-        landed.append((oid, sim.now))
+    def recording_release(pairs, client):
+        yield from release(pairs, client)
+        landed.append((pairs[0][1].source_oid, sim.now))
 
     tier.load_chunk_map = recording_load
     storage.engine._release = recording_release
@@ -325,28 +332,16 @@ def map_commit_window(oid):
     return span.start, span.end
 
 
-def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
-    oid = "obj0"
+def fault_the_map_commit(storage, oid, data):
+    """Attach transient errors, over the window of the map commit of a
+    forced pass over :func:`flushed_then_patched` ``oid`` (already so in
+    ``storage``, with content ``data``), on the metadata object's
+    replicas that hold no chunk of the pass: the map commit fails, and
+    nothing else does."""
     start, end = map_commit_window(oid)
-    storage = make_storage()
-    expected = flushed_then_patched(storage, [oid])
-    tier, cluster, engine = storage.tier, storage.cluster, storage.engine
+    tier, cluster = storage.tier, storage.cluster
     old = tier.peek_chunk_map(oid).get(0).chunk_id
-    errors = []  # the type of each release's error, None when it committed
-    release_refs = tier.release_refs
-
-    def recording_release(pairs, via):
-        try:
-            yield from release_refs(pairs, via)
-        except Exception as exc:
-            errors.append(type(exc).__name__)
-            raise
-        errors.append(None)
-
-    tier.release_refs = recording_release
-    # Fault the metadata object's replicas that hold no chunk of the
-    # pass: the map commit fails, and nothing else does.
-    new = fingerprint(expected[oid])
+    new = fingerprint(data)
     chunk_osds = {
         osd.osd_id for cid in (old, new) for osd in cluster.acting_osds(tier.chunk_pool, cid)
     }
@@ -355,16 +350,41 @@ def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
     )
     assert targets
     now = storage.sim.now
-    injector = FaultInjector(cluster, FaultPlan([
+    return FaultInjector(cluster, FaultPlan([
         FaultEvent(start - now, "transient_errors", str(osd), duration=end - start,
                    params={"probability": 1.0})
         for osd in targets
     ], seed=1)).attach()
+
+
+def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
+    oid = "obj0"
+    storage = make_storage()
+    expected = flushed_then_patched(storage, [oid])
+    tier, cluster, engine = storage.tier, storage.cluster, storage.engine
+    old = tier.peek_chunk_map(oid).get(0).chunk_id
+    new = fingerprint(expected[oid])
+    errors = []  # the type of each release's error, None when it committed
+    commit_chunk_batch = tier.commit_chunk_batch
+
+    def recording_release(batch, via):
+        if not derefs_of(batch):
+            return (yield from commit_chunk_batch(batch, via))
+        try:
+            outcomes = yield from commit_chunk_batch(batch, via)
+        except Exception as exc:
+            errors.append(type(exc).__name__)
+            raise
+        errors.append(None)
+        return outcomes
+
+    tier.commit_chunk_batch = recording_release
+    injector = fault_the_map_commit(storage, oid, expected[oid])
     assert cluster.run(engine.process_object(oid, force=True)) == "faulted"
+    cluster.run(engine.releases_landed())
     injector.detach()
-    # No release started: the one release is the undo of the pass's new
-    # reference.
-    assert not engine._releases
+    # The one release is the GC over the pass's new reference: the old
+    # chunk, which the map still uses, is not among its pairs.
     assert errors == [None]
     assert tier.chunk_refcount(old) == 1
     assert not cluster.exists(tier.chunk_pool, new)
@@ -377,6 +397,46 @@ def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
     # The requeued pass commits; its release drops the old chunk.
     engine.drain_sync(run_gc=False)
     assert not cluster.exists(tier.chunk_pool, old)
+    assert storage.read_sync(oid) == expected[oid]
+    assert_settled(storage)
+
+
+@pytest.mark.parametrize("mode", ["strict", "false_positive"])
+def test_an_aborted_pass_hands_the_references_it_took_to_the_gc(mode):
+    """A pass whose map commit faults took a reference to its new chunk
+    and committed no map.  It returns with its object lock free and
+    drops that reference as a committed pass drops its old chunks: in
+    strict mode the GC runs behind it, and in ``false_positive`` mode
+    the pair waits on the deref queue for the next drain's GC."""
+    oid = "obj0"
+    storage = make_storage(refcount_mode=mode)
+    expected = flushed_then_patched(storage, [oid])
+    tier, cluster, engine = storage.tier, storage.cluster, storage.engine
+    chunks = sorted(cluster.list_objects(tier.chunk_pool))
+    taken = (fingerprint(expected[oid]), ChunkRef(tier.metadata_pool.pool_id, oid, 0))
+    injector = fault_the_map_commit(storage, oid, expected[oid])
+
+    def aborted_pass():
+        result = yield from engine.process_object(oid, force=True)
+        return result, len(tier.object_locks), len(engine._releases)
+
+    assert cluster.run(aborted_pass()) == ("faulted", 0, 1 if mode == "strict" else 0)
+    injector.detach()
+    assert tier.chunk_refcount(taken[0]) == 1  # over-retained, never dangling
+    if mode == "strict":
+        assert engine.deref_queue == []
+        cluster.run(engine.releases_landed())
+    else:
+        assert engine.deref_queue == [taken]
+        assert cluster.exists(tier.chunk_pool, taken[0])
+        cluster.run(engine.drain())
+        assert engine.deref_queue == []
+        assert tier.chunk_refcount(taken[0]) == 1  # taken again by the retried pass
+    assert engine.stats.objects_requeued_fault == 1
+    assert engine.stats.derefs_deferred_fault == 0
+    if mode == "strict":
+        assert sorted(cluster.list_objects(tier.chunk_pool)) == chunks
+        assert tier.peek_dirty_count(oid) == 1
     assert storage.read_sync(oid) == expected[oid]
     assert_settled(storage)
 
@@ -424,20 +484,20 @@ def test_a_release_error_that_is_not_retryable_is_raised_by_drain():
     storage = make_storage(engine_workers=2)
     expected = flushed_then_patched(storage, [f"obj{i}" for i in range(4)])
     tier = storage.tier
-    release_refs = tier.release_refs
+    commit_chunk_batch = tier.commit_chunk_batch
     failed = []
 
-    def broken_release(pairs, via):
-        if not failed:
-            failed.append(pairs)
+    def broken_release(batch, via):
+        if not failed and derefs_of(batch):
+            failed.append(batch)
             raise RuntimeError("boom")
-        yield from release_refs(pairs, via)
+        return (yield from commit_chunk_batch(batch, via))
 
-    tier.release_refs = broken_release
+    tier.commit_chunk_batch = broken_release
     with pytest.raises(RuntimeError, match="boom"):
         storage.engine.drain_sync(run_gc=False)
     assert locks_left(storage) == []
-    tier.release_refs = release_refs
+    del tier.commit_chunk_batch
     storage.engine.drain_sync(run_gc=False)  # the error was reported once
     assert collect_garbage_sync(tier).references_dropped == len(failed[0])
     for oid, data in expected.items():

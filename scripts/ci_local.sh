@@ -4,7 +4,7 @@
 # Tools that only CI installs (ruff, mypy, pytest-cov) are skipped with
 # a notice when absent.  Usage:
 #
-#   scripts/ci_local.sh               # lint + invariants + tests + coverage + scenario + e2e smoke + paper benches + obs + examples
+#   scripts/ci_local.sh               # lint + tests + coverage + scenario + e2e smoke + paper benches + obs + examples
 #   scripts/ci_local.sh --bench-full  # also the e2e benchmark contract (slow)
 set -u
 cd "$(dirname "$0")/.."
@@ -37,7 +37,7 @@ with open(".github/workflows/ci.yml") as fh:
     doc = yaml.safe_load(fh)
 jobs = doc["jobs"]
 expected = {
-    "lint", "lint-invariants", "test",
+    "lint", "test",
     "coverage", "scenario-smoke", "e2e-smoke",
     "paper-benches", "obs-smoke", "examples", "bench-full",
 }
@@ -57,12 +57,9 @@ else
     echo
     echo "==> lint: ruff not installed locally; skipping (CI installs it)"
 fi
-
-# -- lint-invariants job ----------------------------------------------------
-step "lint-invariants: repro lint" \
-    env PYTHONPATH=src python -m repro lint --format json --out lint-findings.json
 # mypy_gate.py itself skips with a notice when mypy is not installed.
-step "lint-invariants: mypy gate" python scripts/mypy_gate.py
+step "lint: mypy gate" python scripts/mypy_gate.py
+
 
 # -- test job (this interpreter stands in for the version matrix) -----------
 step "test: tier-1 suite" env PYTHONPATH=src python -m pytest -x -q

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""The two-tier mypy gate (CI job ``lint-invariants``).
+"""The two-tier mypy gate (CI job ``lint``).
 
 Tier 1 — strict: the leaf packages declared in ``pyproject.toml``
 (``repro.fingerprint``, ``repro.util``, ``repro.faults``,
-``repro.analysis``, ``repro.obs``, ``repro.sim``)
+``repro.obs``, ``repro.sim``)
 must produce **zero** errors under the strict per-module overrides
 there.  Any error fails the gate.  The declared package list is itself
 ratcheted: ``STRICT_FLOOR`` below names every package ever promoted to
@@ -48,7 +48,6 @@ STRICT_FLOOR = frozenset(
         "repro.fingerprint",
         "repro.util",
         "repro.faults",
-        "repro.analysis",
         "repro.obs",
         "repro.sim",
     }

@@ -10,7 +10,6 @@ Usage::
     python -m repro rebalance       # online expand/decommission + verdict
     python -m repro obs trace       # traced workload -> span JSONL + checks
     python -m repro obs report      # per-stage span rollup + coverage
-    python -m repro lint            # AST invariant checks on the source tree
 
 Full experiments live in ``benchmarks/`` (run with
 ``pytest benchmarks/ --benchmark-only``); the CLI is a zero-setup tour.
@@ -53,8 +52,7 @@ def _cmd_info(_args) -> int:
     print()
     print("packages: sim, cluster, chunking, fingerprint, compression,")
     print("          core (the paper's contribution), workloads, faults,")
-    print("          obs, bench, util, analysis (the repro-lint invariant")
-    print("          checker)")
+    print("          obs, bench, util")
     print("docs:     README.md, DESIGN.md, EXPERIMENTS.md")
     print("tests:    pytest tests/")
     print("figures:  pytest benchmarks/ --benchmark-only")
@@ -194,48 +192,6 @@ def _cmd_obs(args) -> int:
     return handler(args)
 
 
-def _cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from .analysis import (
-        Linter,
-        default_rules,
-        format_human,
-        format_json,
-        rules_by_id,
-    )
-
-    if args.paths:
-        paths = args.paths
-    else:
-        # Default target: the installed/source package tree itself.
-        paths = [str(Path(__file__).resolve().parent)]
-    rules = default_rules()
-    if args.rules:
-        wanted = {r.strip() for r in args.rules.split(",") if r.strip()}
-        known = rules_by_id()
-        unknown = sorted(wanted - set(known))
-        if unknown:
-            print(f"error: unknown rule id(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-        rules = [known[rid] for rid in sorted(wanted)]
-    result = Linter(rules).run_paths(paths)
-    if args.format == "json":
-        output = format_json(result)
-        sys.stdout.write(output)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output)
-    else:
-        for line in format_human(result):
-            print(line)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(format_json(result))
-    return 0 if result.ok else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     from .faults.scenario import ELASTIC, STATIC
@@ -350,34 +306,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PREFIX",
         help="only consider stages with this prefix (e.g. rados.)",
     )
-    lint = sub.add_parser(
-        "lint",
-        help="AST-based invariant checks (determinism, fault scopes,"
-        " layering, lock discipline)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to lint (default: the repro package)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=["human", "json"],
-        default="human",
-        help="output format (default human)",
-    )
-    lint.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the JSON report here (for CI artifacts)",
-    )
-    lint.add_argument(
-        "--rules",
-        default=None,
-        metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
     args = parser.parse_args(argv)
     handler = {
         "info": _cmd_info,
@@ -387,7 +315,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "faults": _cmd_scenario,
         "rebalance": _cmd_scenario,
         "obs": _cmd_obs,
-        "lint": _cmd_lint,
     }[args.command]
     return handler(args)
 

@@ -194,7 +194,7 @@ class RadosCluster:
         # writes built on one another commit in the order the caller
         # gives (``after``); an EC write, whose read-modify-write reads
         # the stripe under the lock, and convergence hold it exclusively.
-        self.write_locks = LockTable(self.sim, "rados.write:{0.pool_id}/{0.pg}/{0.name}")
+        self.write_locks = LockTable(self.sim, "rados.write:{0.pool_id}/{0.pg}/{0.name}", 2)
         # (pool_id, pg) -> _Unclean for every PG an OSD failure, restart,
         # expand or decommission left away from its CRUSH placement; IO
         # routes over its earlier members too until repro.cluster.converge

@@ -176,7 +176,8 @@ class InlineDedupStorage:
         """A new client host."""
         return self.cluster.client(name)
 
-    # repro-lint: flt-scope -- comparison baseline for the paper's original system; it sits outside the fault model (faults surface to the benchmark driver directly)
+    # The comparison baseline for the paper's original system sits outside
+    # the fault model: its faults surface to the benchmark driver directly.
     def write(self, oid: str, data: bytes, offset: int = 0, client=None):
         """Process: inline-deduplicating write."""
         if not data:

@@ -56,11 +56,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Transaction
 from ..faults.errors import is_retryable
-from ..fingerprint import timed_fingerprint
+from ..faults.retry import call_with_retries
+from ..fingerprint import fingerprint
 from ..sim import Event
 from .objects import ChunkRef
 from .scrub import collect_garbage
@@ -423,8 +425,9 @@ class DedupEngine:
             txn = Transaction()
             keep = tier.cache.keep_cached_on_flush(oid)
             for idx, entry, data in chunks:
-                fp, seconds = timed_fingerprint(data)
-                stage.fingerprint_seconds += seconds
+                started = perf_counter()
+                fp = fingerprint(data)
+                stage.fingerprint_seconds += perf_counter() - started
                 stage.fingerprint_ops += 1
                 stage.fingerprint_bytes += len(data)
                 ref = ChunkRef(pool_id, oid, entry.offset)
@@ -524,8 +527,12 @@ class DedupEngine:
         :attr:`deref_queue`."""
         tier = self.tier
         try:
-            yield from tier.retrying(
-                lambda: collect_garbage(tier, pairs, client), op="chunk_deref"
+            # Retried outside tier.retry_stats: a release is background
+            # work, and the availability those stats report is the
+            # client's.
+            yield from call_with_retries(
+                tier.sim, tier.retry_policy,
+                lambda: collect_garbage(tier, pairs, client), None, "chunk_deref",
             )
         except Exception as exc:
             if not is_retryable(exc):

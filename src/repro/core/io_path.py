@@ -144,7 +144,8 @@ def write_path(tier: DedupTier, oid: str, offset: int, data: bytes, client=None)
     yield tier.cluster.reply()
 
 
-# repro-lint: flt-scope -- one attempt of write_path's retry scope (send, lock, commit): a fault propagates to it, which re-sends
+# One attempt of write_path's retry scope (send, lock, commit): a fault
+# propagates to it, which re-sends.
 def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
     """Process: one attempt of :func:`write_path` — send the payload,
     take the object lock, build the transaction and take a place in the

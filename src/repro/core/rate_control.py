@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Tuple
 
-from ..sim import Simulator
+from ..sim import SimulationError, Simulator
 from .config import DedupConfig
 
 __all__ = ["OpWindow", "RateController"]
@@ -104,8 +104,13 @@ class RateController:
     def throttle(self):
         """Process: wait until the next dedup I/O is permitted, checking
         the load at least once per window: below the low watermark the
-        debt is forgiven."""
+        debt is forgiven.  The wait has no bound, so a task that holds a
+        lock may not take it (:class:`SimulationError`): every task
+        queued on that lock would wait it out too."""
         sim = self.sim
+        task = sim._current_task
+        if task is not None and task.locks:
+            raise SimulationError(f"throttle() while holding locks {task.locks!r}")
         while self._due > sim.now:
             if self.current_ratio() == 0:
                 self._due = sim.now

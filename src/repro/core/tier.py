@@ -270,12 +270,12 @@ class DedupTier:
         # not enqueue the oid twice.
         self._pending_requeues: Set[str] = set()
         #: Per-chunk-object locks serialising reference read-modify-write.
-        self.chunk_locks = LockTable(cluster.sim, "tier.chunk:{}")
+        self.chunk_locks = LockTable(cluster.sim, "tier.chunk:{}", 1)
         #: Per-metadata-object locks serialising every mutation of one
         #: object: foreground writes (each until it has its place in the
         #: write line) and deletes, dedup passes (two engine workers, or
         #: flush-on-write racing the engine), promotion/demotion and GC.
-        self.object_locks = LockTable(cluster.sim, "tier.object:{}")
+        self.object_locks = LockTable(cluster.sim, "tier.object:{}", 0)
         # The write line: oid -> [projected map, outcome, chain] for each
         # object with a write in flight past its object lock, and only
         # while it has one.  The projected map is the map the last write
@@ -596,7 +596,8 @@ class DedupTier:
         if tip is not None:
             yield tip[1]
 
-    # repro-lint: flt-scope -- commit primitive: a fault drops the cached decodes and propagates to the caller's scope, which retries, requeues or gives up
+    # A commit primitive: a fault drops the cached decodes and propagates
+    # to the caller's retry scope, which retries, requeues or gives up.
     def commit_map(self, maps, client=None, sent=None, after=None):
         """Process: commit each ``(oid, cmap, txn)`` of ``maps`` — ``cmap``
         as ``oid``'s chunk map, with ``txn`` — in one submit.
@@ -677,7 +678,8 @@ class DedupTier:
 
     # -- reference commits ------------------------------------------------------
 
-    # repro-lint: flt-scope -- commit primitive: two-phase prepare makes a fault all-or-nothing; callers own the requeue/defer policy
+    # A commit primitive: the two-phase prepare makes a fault
+    # all-or-nothing, and its callers own the requeue/defer policy.
     def commit_chunk_batch(self, batch: ChunkBatch, via):
         """Process: apply a pass's accumulated ref/deref ops at once.
 

@@ -1,6 +1,6 @@
 """Fingerprinting and the baseline fingerprint index."""
 
-from .fingerprint import fingerprint, timed_fingerprint
+from .fingerprint import fingerprint
 from .index import FingerprintIndex
 
-__all__ = ["fingerprint", "timed_fingerprint", "FingerprintIndex"]
+__all__ = ["fingerprint", "FingerprintIndex"]

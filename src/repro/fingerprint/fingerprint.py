@@ -10,12 +10,10 @@ over that ID.
 from __future__ import annotations
 
 import hashlib
-from time import perf_counter
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 __all__ = [
     "fingerprint",
-    "timed_fingerprint",
     "FINGERPRINT_ALGORITHMS",
     "fingerprint_size",
 ]
@@ -42,18 +40,6 @@ def fingerprint(data: bytes, algorithm: str = "sha1") -> str:
             f"choose from {sorted(FINGERPRINT_ALGORITHMS)}"
         ) from None
     return factory(data).hexdigest()
-
-
-def timed_fingerprint(data: bytes, algorithm: str = "sha1") -> Tuple[str, float]:
-    """:func:`fingerprint` plus the host seconds the hash call took.
-
-    The wall-clock reads live here, outside the DET001 scope, so the
-    engine can report hashing cost without host time ever entering
-    ``repro.core``.
-    """
-    started = perf_counter()
-    digest = fingerprint(data, algorithm)
-    return digest, perf_counter() - started
 
 
 def fingerprint_size(algorithm: str = "sha1") -> int:

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional, Type, cast
+from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional, Tuple, Type, cast
 
 __all__ = [
     "Simulator",
@@ -196,6 +196,10 @@ class Event:
 #: An :class:`Event` without its ``__init__`` frame; the caller sets every slot.
 _new_event = cast(Callable[[Type[Event]], Event], object.__new__)
 
+#: What a :class:`Process` has for its lock list until it takes a lock:
+#: one shared, empty, immutable stand-in (most processes take none).
+_NO_LOCKS = cast(List[Tuple[int, Any]], ())
+
 
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
@@ -226,7 +230,7 @@ class Process(Event):
     value, so processes can wait on each other.
     """
 
-    __slots__ = ("gen", "_waiting_on")
+    __slots__ = ("gen", "_waiting_on", "locks")
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]) -> None:
         if not hasattr(gen, "send"):
@@ -238,6 +242,11 @@ class Process(Event):
         self._value = self._exc = None
         self.triggered = self.processed = self.cancelled = False
         self.gen = gen
+        #: The ``(rank, key)`` of every lock this process holds or awaits,
+        #: ascending: a :class:`~repro.sim.LockTable` keeps it and refuses
+        #: a request that would not go on top (its lock order).  Shared
+        #: and empty until the first lock.
+        self.locks = _NO_LOCKS
         # Kick off at the current time: a bootstrap event, already
         # triggered, whose only subscriber is this process.
         bootstrap = _new_event(Event)
@@ -497,8 +506,11 @@ class Simulator:
 
         This is the bridge between synchronous test/bench code and the
         simulated world: wrap an operation in a process and drive the loop
-        until it resolves.
+        until it resolves.  A process that called it would run the loop
+        from inside one of its steps, so that raises.
         """
+        if self._current_task is not None:
+            raise SimulationError("run_until_complete() called inside a process")
         while not event.triggered:
             if not self._queue:
                 raise SimulationError("deadlock: event queue drained while waiting")

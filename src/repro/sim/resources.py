@@ -212,9 +212,18 @@ class LockTable:
     deadline that interrupts the caller in the instant its grant is
     handed over still owes the lock, and a waiter interrupted while
     queued never had it (the holder's release skips its cancelled
-    event).  Several keys are taken in ``sorted(...)`` order into one
-    ``held`` list, so no two tasks can wait on each other; a ``held``
-    list belongs to one table.
+    event).  A ``held`` list belongs to one table.
+
+    Every table has a ``rank``, and a process takes its locks in one
+    order: ``tier.object`` (0), then ``tier.chunk`` (1), then
+    ``rados.write`` (2), and several keys of one table in ascending
+    order (``for key in sorted(...)``), so no two tasks can wait on each
+    other (the §4.4.2 serialised two-phase commit).  Each process lists
+    the ``(rank, key)`` of the locks it holds or awaits,
+    :attr:`Process.locks <repro.sim.core.Process.locks>`;
+    :meth:`acquire` raises :class:`SimulationError` for a request that
+    does not go on top of that list, and :meth:`release` takes
+    ``held``'s pairs off it.
 
     A request is exclusive unless it asks for ``shared=True``.  Shared
     holders hold the lock together; the line is FIFO across both modes,
@@ -230,9 +239,10 @@ class LockTable:
     :class:`repro.obs.Tracer` puts on each ``lock.wait`` span.
     """
 
-    def __init__(self, sim: Simulator, label: str) -> None:
+    def __init__(self, sim: Simulator, label: str, rank: int) -> None:
         self.sim = sim
         self.label = label
+        self.rank = rank
         self._locks: Dict[Hashable, _Lock] = {}
 
     def __len__(self) -> int:
@@ -241,8 +251,23 @@ class LockTable:
     def acquire(
         self, key: Hashable, held: List[Tuple[Hashable, Event]], shared: bool = False
     ) -> Event:
-        """Return the grant event for ``key``'s lock, recorded in ``held``;
-        ``shared`` asks for it in shared mode."""
+        """Return the grant event for ``key``'s lock, recorded in ``held``
+        and on the running process's lock list; ``shared`` asks for it in
+        shared mode.  Raises :class:`SimulationError` when the process
+        already holds or awaits a lock at or above ``(rank, key)``."""
+        task = self.sim._current_task
+        if task is not None:
+            pair = (self.rank, key)
+            mine = task.locks
+            if not mine:
+                task.locks = [pair]
+            elif mine[-1] < pair:
+                mine.append(pair)
+            else:
+                raise SimulationError(
+                    f"lock order: {self.label.format(key)} requested while holding"
+                    f" {mine[-1]!r} (rank, key)"
+                )
         lock = self._locks.get(key)
         if lock is None:
             lock = self._locks[key] = _Lock()
@@ -264,7 +289,8 @@ class LockTable:
         return grant
 
     def release(self, held: List[Tuple[Hashable, Event]]) -> None:
-        """Release every granted lock in ``held``, newest first."""
+        """Release every granted lock in ``held``, newest first, and take
+        all of ``held`` off the running process's lock list."""
         locks = self._locks
         for key, grant in reversed(held):
             if grant.triggered:
@@ -275,3 +301,16 @@ class LockTable:
                 lock.grant()
                 if not lock.holders:
                     del locks[key]
+        task = self.sim._current_task
+        if task is not None and held:
+            # ``held`` went onto the ascending list in its own order, so
+            # when its first pair sits ``len(held)`` from the top, ``held``
+            # is the top: the usual, last-in-first-out release.
+            mine = task.locks
+            rank = self.rank
+            count = len(held)
+            if count <= len(mine) and mine[-count] == (rank, held[0][0]):
+                del mine[-count:]
+            else:
+                for key, _grant in held:
+                    mine.remove((rank, key))

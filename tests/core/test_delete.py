@@ -6,6 +6,7 @@ from collections import Counter
 
 from repro.cluster import ErasureCoded, NoSuchObject, RadosCluster
 from repro.core import DedupConfig, DedupedStorage
+from repro.core import engine as engine_module
 from repro.core.objects import ChunkRef
 from repro.core.scrub import collect_garbage_sync, scrub_sync
 from repro.faults import FaultInjector, FaultPlan
@@ -247,15 +248,14 @@ def test_a_release_that_starts_after_a_recreate_drops_none_of_its_references(
     payload = distinct_chunks(8)
     storage.write_sync("obj1", payload)
     storage.drain()
-    retrying = tier.retrying
+    retried = engine_module.call_with_retries
 
-    def late_release(factory, op="op"):
-        if op == "chunk_deref":
-            yield sim.timeout(0.05)
-        result = yield from retrying(factory, op)
+    def late_release(sim, policy, factory, stats, op):
+        yield sim.timeout(0.05)
+        result = yield from retried(sim, policy, factory, stats, op)
         return result
 
-    monkeypatch.setattr(tier, "retrying", late_release)
+    monkeypatch.setattr(engine_module, "call_with_retries", late_release)
 
     def delete_recreate_flush():
         yield from storage.delete("obj1")
@@ -306,7 +306,8 @@ def test_delete_that_gives_up_leaves_nothing_on_the_cache_books():
     injector = FaultInjector(cluster, plan).attach()
     storage.sim.run(until=storage.sim.now + 1e-6)  # deliver the window
     storage.delete_sync("obj1")
-    assert tier.retry_stats.giveups == 1
+    # The delete landed; its release gave up, off the client's books.
+    assert (tier.retry_stats.giveups, tier.retry_stats.availability) == (0, 1.0)
     assert locks_left(storage) == []
 
     with pytest.raises(NoSuchObject):

@@ -28,6 +28,18 @@ def test_flush_moves_chunk_to_chunk_pool():
     assert storage.read_sync("obj1") == b"a" * 1024
 
 
+def test_a_drained_pass_times_its_hashing_on_the_host_clock():
+    """``fingerprint_seconds`` is the host time the pass spent hashing,
+    read beside its op and byte counts (the e2e benchmark's
+    ``fingerprint.mb_per_host_s``); it never feeds simulated state."""
+    storage = make_storage()
+    storage.write_sync("obj1", bytes(range(256)) * 64)
+    storage.drain()
+    stage = storage.tier.stage
+    assert (stage.fingerprint_ops, stage.fingerprint_bytes) == (16, 16 * 1024)
+    assert stage.fingerprint_seconds > 0
+
+
 def test_duplicate_chunks_stored_once():
     storage = make_storage()
     for i in range(10):

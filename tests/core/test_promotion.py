@@ -2,7 +2,9 @@
 
 
 from repro.cluster import RadosCluster
+from repro.cluster.osd import OSD
 from repro.core import DedupConfig, DedupedStorage
+from repro.faults.errors import TransientOpError
 from repro.fingerprint import fingerprint
 
 
@@ -85,6 +87,31 @@ def test_promotion_races_with_write_safely():
     assert result in ("done", "nothing")
     storage.drain()
     assert storage.read_sync("obj1") == b"y" * 2048
+
+
+def test_a_promotion_whose_map_commit_faults_changes_nothing(monkeypatch):
+    """Promotion is an optimisation: a fault at its map commit returns
+    "faulted", the stored chunk map stays authoritative (nothing cached)
+    and the object lock is free for the next writer."""
+    storage = make_storage()
+    payload = b"hot" * 1000
+    storage.write_sync("obj1", payload)
+    storage.drain()
+    prepare = OSD.prepare_transaction
+
+    def faulty(osd, txn):
+        yield from prepare(osd, txn)
+        raise TransientOpError(osd.osd_id, "write")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(OSD, "prepare_transaction", faulty)
+        assert storage.cluster.run(storage.engine.promote_object("obj1")) == "faulted"
+    assert evicted(storage, "obj1")
+    assert storage.engine.stats.chunks_promoted == 0
+    assert len(storage.tier.object_locks) == 0
+    assert storage.read_sync("obj1") == payload
+    storage.write_sync("obj1", b"new" * 1000)
+    assert storage.read_sync("obj1") == b"new" * 1000
 
 
 def test_promote_missing_and_clean_objects():

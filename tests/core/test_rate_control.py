@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DedupConfig
 from repro.core.rate_control import OpWindow, RateController
-from repro.sim import Simulator
+from repro.sim import LockTable, SimulationError, Simulator
 
 
 def make_rc(sim, window, **overrides):
@@ -112,6 +112,28 @@ def test_throttle_disabled():
     p = sim.process(proc())
     sim.run()
     assert p.value == 0.0
+
+
+def test_throttle_under_a_lock_raises():
+    """The wait has no bound: a task holding a lock would make every
+    task queued on it wait it out too."""
+    sim = Simulator()
+    window = OpWindow(sim)
+    rc = make_rc(sim, window)
+    locks = LockTable(sim, "tier.object:{}", 0)
+
+    def proc():
+        held = []
+        try:
+            yield locks.acquire("obj", held)
+            yield from rc.throttle()
+        finally:
+            locks.release(held)
+
+    p = sim.process(proc())
+    sim.run()
+    assert isinstance(p.exception, SimulationError)
+    assert len(locks) == 0
 
 
 def test_config_validation():

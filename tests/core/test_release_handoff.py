@@ -21,6 +21,7 @@ import pytest
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage, scrub_sync
+from repro.core import engine as engine_module
 from repro.core.objects import ChunkRef
 from repro.core.scrub import collect_garbage_sync
 from repro.faults import FaultInjector, FaultPlan
@@ -195,14 +196,13 @@ def test_a_release_behind_a_revert_keeps_the_live_reference(monkeypatch):
     expected = flushed_then_patched(storage, ["obj0"])
     x = tier.peek_chunk_map("obj0").get(0).chunk_id
     y = fingerprint(expected["obj0"])
-    retrying = tier.retrying
+    retried = engine_module.call_with_retries
 
-    def held_release(factory, op="op"):
-        if op == "chunk_deref":
-            yield sim.timeout(0.05)
-        return (yield from retrying(factory, op))
+    def held_release(sim, policy, factory, stats, op):
+        yield sim.timeout(0.05)
+        return (yield from retried(sim, policy, factory, stats, op))
 
-    monkeypatch.setattr(tier, "retrying", held_release)
+    monkeypatch.setattr(engine_module, "call_with_retries", held_release)
 
     def repoint_and_revert():
         yield from storage.flush("obj0")  # X -> Y
@@ -457,6 +457,24 @@ def test_a_release_that_faults_is_deferred_to_the_gc():
     for oid, data in expected.items():
         assert storage.read_sync(oid) == data
     assert_settled(storage)
+
+
+def test_a_release_that_gives_up_leaves_availability_at_one():
+    """A release is background work: its attempts and its give-up stay
+    off the client's retry stats, and its pairs are counted as left for
+    the GC."""
+    oids = ["obj0", "obj1"]
+    storage = make_storage(engine_workers=2)
+    flushed_then_patched(storage, oids)
+    stats = storage.tier.retry_stats
+    before = (stats.attempts, stats.giveups, stats.availability)
+    injector = fault_the_release(storage, oids)
+    storage.engine.drain_sync(run_gc=False)
+    injector.detach()
+    engine = storage.engine
+    assert engine.stats.derefs_deferred_fault == len(engine.deref_queue) == len(oids)
+    assert (stats.attempts, stats.giveups, stats.availability) == before
+    assert stats.availability == 1.0
 
 
 def test_a_release_that_faults_is_reclaimed_by_the_drains_gc():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fingerprint import FingerprintIndex, fingerprint, timed_fingerprint
+from repro.fingerprint import FingerprintIndex, fingerprint
 from repro.fingerprint.fingerprint import fingerprint_size
 
 
@@ -29,12 +29,6 @@ def test_fingerprint_sizes(algo, size):
 def test_unknown_algorithm():
     with pytest.raises(ValueError):
         fingerprint(b"x", "md5000")
-
-
-def test_timed_fingerprint_returns_the_same_digest_and_a_duration():
-    digest, seconds = timed_fingerprint(b"data", "sha256")
-    assert digest == fingerprint(b"data", "sha256")
-    assert seconds >= 0.0
 
 
 @given(a=st.binary(max_size=256), b=st.binary(max_size=256))

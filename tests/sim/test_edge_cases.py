@@ -60,7 +60,7 @@ def test_nested_processes_three_deep():
 
 def test_resource_released_in_finally_on_failure():
     sim = Simulator()
-    table = LockTable(sim, "test.lock:{}")
+    table = LockTable(sim, "test.lock:{}", 0)
 
     def failing(sim, table):
         held = []

@@ -53,7 +53,7 @@ def run_scenario():
 
     # -- t=0..1: a FIFO hand-off chain, with one queued waiter interrupted --
 
-    lock = LockTable(sim, "test.lock:{}")
+    lock = LockTable(sim, "test.lock:{}", 0)
 
     def holder():
         held = []

@@ -109,7 +109,7 @@ def test_uncontended_resource_never_builds_a_waiter_queue():
     from collections import deque
 
     sim = Simulator()
-    table = LockTable(sim, "test.lock:{}")
+    table = LockTable(sim, "test.lock:{}", 0)
     for _ in range(100):  # 10 000 uncontended cycles
         for key in range(100):
             held = []
@@ -283,7 +283,7 @@ def test_interrupted_waiter_does_not_wedge_the_resource():
     # retry deadline); its abandoned waiter slot must not absorb the
     # release, or C can never acquire.
     sim = Simulator()
-    table = LockTable(sim, "test.lock:{}")
+    table = LockTable(sim, "test.lock:{}", 0)
     order = []
 
     def holder():
@@ -488,7 +488,7 @@ LOCK_PLANS = {
 )
 def test_lock_table(users, interrupts, expected):
     sim = Simulator()
-    table = LockTable(sim, "test.lock:{}")
+    table = LockTable(sim, "test.lock:{}", 0)
     log, holders, procs = [], [], {}
 
     def user(name, arrive, hold, shared=False):
@@ -520,3 +520,178 @@ def test_lock_table(users, interrupts, expected):
     sim.run()
     assert log == expected
     assert len(table) == 0
+
+
+# ---------------------------------------------------------------- lock order
+
+
+def _lock_order_tables(sim):
+    """The three ranks the tier and the substrate use."""
+    return (
+        LockTable(sim, "tier.object:{}", 0),
+        LockTable(sim, "tier.chunk:{}", 1),
+        LockTable(sim, "rados.write:{}", 2),
+    )
+
+
+def _run_task(sim, gen):
+    task = sim.process(gen)
+    sim.run()
+    return task
+
+
+def test_ascending_keys_and_ranks_pass():
+    sim = Simulator()
+    objects, chunks, writes = _lock_order_tables(sim)
+    seen = []
+
+    def task():
+        held_o, held_c, held_w = [], [], []
+        try:
+            for key in ("a", "b"):
+                yield objects.acquire(key, held_o)
+            for key in ("a", "z"):
+                yield chunks.acquire(key, held_c)
+            yield writes.acquire("a", held_w, shared=True)
+            seen.append(list(sim.current_task.locks))
+        finally:
+            writes.release(held_w)
+            chunks.release(held_c)
+            objects.release(held_o)
+        seen.append(list(sim.current_task.locks))
+
+    assert _run_task(sim, task()).ok
+    assert seen == [[(0, "a"), (0, "b"), (1, "a"), (1, "z"), (2, "a")], []]
+
+
+def test_a_descending_key_raises():
+    sim = Simulator()
+    objects, _chunks, _writes = _lock_order_tables(sim)
+
+    def task():
+        held = []
+        try:
+            for key in ("b", "a"):
+                yield objects.acquire(key, held)
+        finally:
+            objects.release(held)
+
+    failed = _run_task(sim, task())
+    assert isinstance(failed.exception, SimulationError)
+    assert "tier.object:a" in str(failed.exception)
+    assert len(objects) == 0 and failed.locks == []
+
+
+def test_the_same_key_twice_raises():
+    sim = Simulator()
+    objects, _chunks, _writes = _lock_order_tables(sim)
+
+    def task():
+        held = []
+        try:
+            yield objects.acquire("a", held, shared=True)
+            yield objects.acquire("a", held, shared=True)
+        finally:
+            objects.release(held)
+
+    assert isinstance(_run_task(sim, task()).exception, SimulationError)
+
+
+def test_an_object_lock_under_a_chunk_lock_raises():
+    sim = Simulator()
+    objects, chunks, _writes = _lock_order_tables(sim)
+
+    def task():
+        held_c, held_o = [], []
+        try:
+            yield chunks.acquire("a", held_c)
+            try:
+                yield objects.acquire("z", held_o)
+            finally:
+                objects.release(held_o)
+        finally:
+            chunks.release(held_c)
+
+    failed = _run_task(sim, task())
+    assert isinstance(failed.exception, SimulationError)
+    assert (len(objects), len(chunks)) == (0, 0)
+
+
+def test_after_a_release_a_lower_key_can_be_taken():
+    sim = Simulator()
+    objects, chunks, _writes = _lock_order_tables(sim)
+
+    def task():
+        for table, key in ((objects, "z"), (objects, "a"), (chunks, "z"), (objects, "a")):
+            held = []
+            try:
+                yield table.acquire(key, held)
+            finally:
+                table.release(held)
+        # An inner list released before an outer one, out of order.
+        outer, inner = [], []
+        try:
+            yield objects.acquire("a", outer)
+            yield objects.acquire("b", inner)
+        finally:
+            objects.release(outer)
+            assert sim.current_task.locks == [(0, "b")]
+            objects.release(inner)
+        return sim.current_task.locks
+
+    task = _run_task(sim, task())
+    assert task.ok and task.value == []
+
+
+def test_an_interrupted_waiter_releases_into_an_empty_lock_list():
+    sim = Simulator()
+    objects, _chunks, _writes = _lock_order_tables(sim)
+    lists = []
+
+    def holder():
+        held = []
+        try:
+            yield objects.acquire("k", held)
+            yield sim.timeout(1.0)
+        finally:
+            objects.release(held)
+
+    def waiter():
+        held = []
+        try:
+            yield objects.acquire("k", held)
+        except Interrupt:
+            lists.append(list(sim.current_task.locks))
+        finally:
+            objects.release(held)
+        lists.append(list(sim.current_task.locks))
+
+    sim.process(holder())
+    victim = sim.process(waiter())
+    _interrupt_at(sim, victim, 0.5)
+    sim.run()
+    assert lists == [[(0, "k")], []]
+    assert len(objects) == 0
+
+
+def test_locks_taken_outside_a_process_are_not_ordered():
+    """Synchronous test code holds a lock for a process to queue on."""
+    sim = Simulator()
+    objects, _chunks, _writes = _lock_order_tables(sim)
+    held = []
+    objects.acquire("b", held)
+    objects.acquire("a", [])
+    objects.release(held)
+    assert len(objects) == 1
+
+
+def test_run_until_complete_inside_a_process_raises():
+    sim = Simulator()
+
+    def task():
+        yield sim.timeout(1.0)
+        return sim.run_until_complete(sim.timeout(1.0, "nested"))
+
+    failed = _run_task(sim, task())
+    assert isinstance(failed.exception, SimulationError)
+    assert sim.run_until_complete(sim.timeout(1.0, "outside")) == "outside"

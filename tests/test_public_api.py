@@ -1,11 +1,18 @@
 """Every public name earns a caller: each package's ``__all__`` lists
 only what a bench, example, script or library path outside that package
 uses.  A name only tests use is an internal; tests import it from its
-module (``repro.cluster.ec.GF256``)."""
+module (``repro.cluster.ec.GF256``).
+
+The library itself goes through the ``repro.cluster`` facade, the
+paper's "underlying storage system" boundary: outside that package no
+module of ``src/repro`` imports a cluster submodule or reads a private
+attribute of a cluster object."""
 
 import ast
 import importlib
 from pathlib import Path
+
+import repro
 
 from tests.core.test_config import caller_paths
 from tests.test_api_documentation import PACKAGES
@@ -23,7 +30,6 @@ ALLOWED = {
     "repro.faults.TransientOpError": "raised to callers: an injected EIO",
     "repro.faults.OpTimeoutError": "raised to callers: an op's deadline passed",
     "repro.faults.NetworkPartitionError": "raised to callers: an injected partition",
-    "repro.sim.SimulationError": "raised to callers of every *_sync call (deadlock)",
     "repro.cluster.repair_pool": "to become the read-repair path (ROADMAP item 4)",
 }
 
@@ -71,3 +77,43 @@ def test_every_exported_name_has_a_caller_outside_its_package():
     assert sorted(uncalled - ALLOWED.keys()) == []
     # An entry whose name gained a caller, or left ``__all__``, goes.
     assert sorted(ALLOWED.keys() - uncalled) == []
+
+
+def facade_bypasses(path):
+    """``line: what`` for each import of a ``repro.cluster`` submodule
+    and each read of ``cluster._name`` (or ``<x>.cluster._name``) in
+    ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [
+                f"{node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("repro.cluster.")
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            # ``from ..cluster.osd import X`` at any level reads "cluster.osd".
+            target = ("repro." if node.level else "") + (node.module or "")
+            if target.startswith("repro.cluster."):
+                found.append(f"{node.lineno}: import {target}")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and (
+                isinstance(node.value, ast.Name) and node.value.id == "cluster"
+                or isinstance(node.value, ast.Attribute) and node.value.attr == "cluster"
+            )
+        ):
+            found.append(f"{node.lineno}: cluster.{node.attr}")
+    return found
+
+
+def test_only_the_cluster_package_reaches_past_its_facade():
+    home = Path(repro.__file__).parent
+    found = {
+        str(path.relative_to(home)): facade_bypasses(path)
+        for path in sorted(home.rglob("*.py"))
+        if path.relative_to(home).parts[0] != "cluster"
+    }
+    assert {module: lines for module, lines in found.items() if lines} == {}

@@ -39,6 +39,11 @@ code object.  A generator frame is paid once per resume, so a process
 ``yield from`` another costs one frame per level on every event that
 wakes it: the resumes column is where a delegating wrapper shows.
 
+The header also prints events/op and the frames of ``src/repro/sim/``
+per event, from the same profile (each call of ``Simulator.step`` is one
+event): the kernel's per-event cost on a real workload, beside
+``tests/sim/test_frame_budget.py``'s synthetic one.
+
 ``--smoke`` is the benchmark's ``--smoke`` size (seconds, not minutes);
 its total is that size's count, not the driver's.
 """
@@ -82,7 +87,7 @@ def main(argv=None) -> int:
     import child
     import run
     import workloads
-    from tracing import _repro_relpath  # the benchmark's own "is it ours?" test
+    from tracing import COUNTED_CALLS, _repro_relpath  # the benchmark's own tests
 
     if args.workload not in workloads.SPECS:
         parser.error("unknown workload %r (known: %s)" % (
@@ -163,6 +168,12 @@ def main(argv=None) -> int:
         args.workload, args.seed, rounds, tail_rounds, ops, result["failure_count"]))
     print("host_calls_per_op %.2f   profiled self time %.1f us/op in src/repro, %.1f elsewhere" % (
         total / ops, us_per_op(sum(file_self.values())), us_per_op(elsewhere_self)))
+    # The kernel's per-event cost on this workload: a call of ``step`` is
+    # an event (as the benchmark's ``sim.events_per_op`` counts them).
+    events = function_calls[COUNTED_CALLS["events"]]
+    sim_frames = sum(calls for rel, calls in file_calls.items() if rel.startswith("sim/"))
+    print("  events %.2f/op   repro/sim frames %.2f/event" % (
+        events / ops, sim_frames / events if events else float("nan")))
     if args.split:
         resumes = sum(file_resumes.values())
         print("  generator resumes %.2f/op   plain calls %.2f/op" % (

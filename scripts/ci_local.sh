@@ -116,7 +116,8 @@ step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \
         python3 scripts/sim_by_slice.py rand-small-cold --smoke --passes >> sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py hot-reread --smoke >> sim-by-slice.txt &&
         python3 scripts/sim_by_slice.py sfs-mixed-open --smoke >> sim-by-slice.txt'
-# hot-reread's calls per op split into generator resumes and plain calls.
+# hot-reread's calls per op split into generator resumes and plain calls,
+# with events per op and repro/sim frames per event in the header.
 step "e2e-smoke: host calls by frame kind (artifact, not a gate)" \
     bash -o pipefail -c 'python3 scripts/calls_by_function.py hot-reread --smoke --split | tee calls-by-function.txt'
 

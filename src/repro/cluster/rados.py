@@ -395,12 +395,8 @@ class RadosCluster:
         if self.faults is not None:
             self.faults.check_link(src_nic, dst_nic)
         yield from src_nic.send(nbytes)
-        yield self.sim.timeout(src_nic.spec.latency)
+        yield Timeout(self.sim, src_nic.spec.latency)
         yield from dst_nic.receive(nbytes)
-
-    def _rpc_latency(self) -> Timeout:
-        """Event: one small control message (request or ack) has arrived."""
-        return self.sim.timeout(self.profile.nic.latency)
 
     def reply(self) -> Timeout:
         """Event: the ack of a committed :meth:`submit` or
@@ -409,7 +405,7 @@ class RadosCluster:
         The commit pipeline ends at its commit point; its caller sends
         the reply, inside or after its own locks as its op requires
         (docs/internals.md, "The commit pipeline")."""
-        return self.sim.timeout(self.profile.nic.latency)
+        return Timeout(self.sim, self.profile.nic.latency)
 
     # -- replicated data path -----------------------------------------------------
 
@@ -804,12 +800,12 @@ class RadosCluster:
             else:
                 if self.faults is not None:
                     self.faults.check_link(primary.node.nic, replica.node.nic)
-                yield self._rpc_latency()
+                yield Timeout(self.sim, self.profile.nic.latency)
             if leg is not None and not leg.processed:
                 yield leg
         yield from replica.prepare_transaction(txn)
         if replica is not primary:
-            yield self._rpc_latency()  # replica ack to primary
+            yield Timeout(self.sim, self.profile.nic.latency)  # replica ack to primary
 
     def write_full(
         self,
@@ -892,7 +888,7 @@ class RadosCluster:
                 yield from self._transfer(holder.node.nic, nic, len(shard))
                 return shard
 
-            yield self._rpc_latency()  # request fan-out
+            yield Timeout(self.sim, self.profile.nic.latency)  # request fan-out
             jobs = [self.sim.process(fetch(osd)) for _idx, osd in shards]
             results = yield self.sim.all_of(jobs)
             slots: List[Optional[bytes]] = [None] * pool.codec.n
@@ -904,14 +900,14 @@ class RadosCluster:
                 yield from self._transfer(nic, client.nic, size)
             return data[offset : None if length is None else offset + length]
         if request:
-            yield self._rpc_latency()
+            yield Timeout(self.sim, self.profile.nic.latency)
         last_exc: Optional[BaseException] = None
         for osd in self.readable_holders(pool, key):
             try:
                 data = yield from osd.execute_read(key, offset, length)
             except OsdDownError as exc:
                 last_exc = exc
-                yield self._rpc_latency()  # redirect to the next holder
+                yield Timeout(self.sim, self.profile.nic.latency)  # redirect to the next holder
                 continue
             if client is not None:
                 yield from self._transfer(osd.node.nic, client.nic, len(data))
@@ -927,7 +923,7 @@ class RadosCluster:
 
     def stat(self, pool: Pool, oid: str):
         """Process: object payload size (logical size for EC)."""
-        yield self._rpc_latency()
+        yield Timeout(self.sim, self.profile.nic.latency)
         return _logical_size(pool, self._copy(pool, oid))
 
     def exists(self, pool: Pool, oid: str) -> bool:
@@ -936,7 +932,7 @@ class RadosCluster:
 
     def getxattr(self, pool: Pool, oid: str, name: str):
         """Process: read one xattr from the first holder."""
-        yield self._rpc_latency()
+        yield Timeout(self.sim, self.profile.nic.latency)
         return self._copy(pool, oid).xattrs[name]
 
     def setxattr(
@@ -955,7 +951,7 @@ class RadosCluster:
 
     def omap_get(self, pool: Pool, oid: str, name: str):
         """Process: read one omap value from the first holder."""
-        yield self._rpc_latency()
+        yield Timeout(self.sim, self.profile.nic.latency)
         return self._copy(pool, oid).omap[name]
 
     def omap_keys(self, pool: Pool, oid: str) -> List[str]:

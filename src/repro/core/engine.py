@@ -321,9 +321,10 @@ class DedupEngine:
                 (oid, cmap, chunks)
                 for (oid, cmap, _primary), chunks in zip(members, assembled)
             ]
-            derefs, taken, maps = yield from self._commit_refs(staged, via)
+            derefs, taken, maps, noted = yield from self._commit_refs(staged, via)
             if maps:
                 yield from tier.commit_map(maps, via)
+            self._note_cache(noted)
         except Exception as exc:
             # Skip-and-requeue degradation: a fault mid-pass (after the
             # I/O path's retries gave up) abandons the whole pass
@@ -409,9 +410,11 @@ class DedupEngine:
         entries and commit every reference the pass takes in one
         :meth:`~DedupTier.commit_chunk_batch` (§4.4.1 steps 3-5).
 
-        Returns ``(derefs, taken, maps)``: the old chunks' references to
-        release once the maps commit, the references taken, and the
-        ``(oid, cmap, txn)`` of every member whose map changed.
+        Returns ``(derefs, taken, maps, noted)``: the old chunks'
+        references to release once the maps commit, the references
+        taken, the ``(oid, cmap, txn)`` of every member whose map
+        changed, and what those maps cache or evict, for
+        :meth:`_note_cache` once they commit.
         """
         tier = self.tier
         stage = tier.stage
@@ -420,6 +423,7 @@ class DedupEngine:
         planned = []  # (batch op index, fp, ref, nbytes) awaiting commit
         derefs = []
         maps = []
+        noted = []  # (oid, index, nbytes or None) the map commit caches or evicts
         for oid, cmap, chunks in staged:
             key = tier.metadata_key(oid)
             txn = Transaction()
@@ -447,12 +451,11 @@ class DedupEngine:
                         # Materialise the merged chunk in the cache.
                         txn.write(key, entry.offset, data)
                         valid = ((0, entry.length),)
-                        tier.cache.note_cached(oid, idx, entry.length)
+                        noted.append((oid, idx, entry.length))
                 else:
                     txn.zero(key, entry.offset, entry.length)
                     valid = ()
-                    tier.cache.note_evicted(oid, idx)
-                    self.stats.chunks_evicted += 1
+                    noted.append((oid, idx, None))
                 cmap.set(entry.replace(chunk_id=fp, dirty=False, valid=valid))
             if chunks or cmap.touched_indices():
                 if cmap.cached_indices() == []:
@@ -472,7 +475,19 @@ class DedupEngine:
                 else:
                     self.stats.chunks_deduped += 1
                     self.stats.bytes_deduped += nbytes
-        return derefs, taken, maps
+        return derefs, taken, maps, noted
+
+    def _note_cache(self, noted):
+        """Put what a committed map caches (``(oid, index, nbytes)``) or
+        evicts (``nbytes`` None) on the cache manager's books: only after
+        the commit, so a faulted one leaves them as they were."""
+        cache = self.tier.cache
+        for oid, idx, nbytes in noted:
+            if nbytes is None:
+                cache.note_evicted(oid, idx)
+                self.stats.chunks_evicted += 1
+            else:
+                cache.note_cached(oid, idx, nbytes)
 
     def _start_merge_reads(self, oid, partial, via):
         """Start every read that assembles the partially cached chunks
@@ -584,7 +599,7 @@ class DedupEngine:
             via = primary.node
             key = tier.metadata_key(oid)
             txn = Transaction()
-            promoted = 0
+            noted = []  # (oid, index, nbytes) the map commit caches
             for idx in cmap.promotable_indices():
                 entry = cmap.get(idx)
                 data = yield from tier.read_chunk(entry.chunk_id, 0, entry.length, via)
@@ -596,9 +611,8 @@ class DedupEngine:
                     continue
                 txn.write(key, entry.offset, data)
                 cmap.set(entry.replace(valid=((0, entry.length),)))
-                tier.cache.note_cached(oid, idx, entry.length)
-                promoted += 1
-            if promoted == 0:
+                noted.append((oid, idx, entry.length))
+            if not noted:
                 return "nothing"
             try:
                 yield from tier.commit_map([(oid, cmap, txn)], via)
@@ -609,7 +623,8 @@ class DedupEngine:
                 if not is_retryable(exc):
                     raise
                 return "faulted"
-            self.stats.chunks_promoted += promoted
+            self._note_cache(noted)
+            self.stats.chunks_promoted += len(noted)
         finally:
             tier.object_locks.release(held)
             self._promoting.discard(oid)
@@ -657,8 +672,7 @@ class DedupEngine:
             if not is_retryable(exc):
                 raise
             return
-        tier.cache.note_evicted(oid, index)
-        self.stats.chunks_evicted += 1
+        self._note_cache([(oid, index, None)])
 
     # -- draining (tests & benches) -----------------------------------------------------
 

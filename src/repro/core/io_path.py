@@ -34,6 +34,7 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from ..cluster import NoSuchObject, Transaction
+from ..sim import Timeout
 from .objects import ChunkMap, ChunkMapEntry
 from .tier import DedupTier
 
@@ -94,7 +95,7 @@ def _read_chunk_piece(tier, chunk_id, offset, length, client):
 
     def attempt():
         # Forwarding hop: metadata primary -> chunk primary.
-        yield tier.sim.timeout(cluster.profile.nic.latency)
+        yield Timeout(tier.sim, cluster.profile.nic.latency)
         data = yield from tier.read_chunk(chunk_id, offset, length, client)
         return data
 
@@ -395,7 +396,7 @@ def _read_once(tier, oid, offset, length, client):
     if cmap is None:
         raise NoSuchObject(oid)
     # The client's request reaches the metadata pool first (one RPC).
-    yield tier.sim.timeout(tier.cluster.profile.nic.latency)
+    yield Timeout(tier.sim, tier.cluster.profile.nic.latency)
     size = cmap.logical_size()
     end = size if length is None else min(offset + length, size)
     if end <= offset:

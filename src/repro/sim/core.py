@@ -33,42 +33,44 @@ Ordering contract and host cost
 -------------------------------
 Events fire in ``(time, sequence number)`` order and an event's callbacks
 run in subscription order.  Exactly six things take a sequence number,
-each at the moment it happens: :meth:`Event.succeed`, :meth:`Event.fail`,
-creating a :class:`Timeout`, starting a :class:`Process` (its bootstrap
-event), :meth:`Simulator.call_later` (``call_soon``, interrupts and
-waiting on an already-processed event go through it) and the *start of a
-held service* — :meth:`Resource.hold <repro.sim.resources.Resource.hold>`
-when a slot is free, otherwise the ``release()`` that hands the slot
-over (the first callback of the completion before it) — which queues
-the service's completion at ``now + duration``.
-Nothing else about ordering is observable, so anything else may change
-as long as those six draw the same numbers at the same points
-(``tests/sim/test_event_order.py`` pins a trace of it).
+each at the moment it happens: :meth:`Event.succeed` and
+:meth:`Event.fail` (a process's own completion draws where they would,
+as its generator returns or raises), creating a :class:`Timeout`,
+starting a :class:`Process` (its bootstrap event),
+:meth:`Simulator.call_later` (``call_soon``) and its two carriers — the
+interruption :meth:`Process.interrupt` pushes, and the relay, due now,
+that carries the outcome of an already-processed event a process
+yields — and the *start of a held service*: :meth:`Resource.hold
+<repro.sim.resources.Resource.hold>` when a slot is free, otherwise the
+``release()`` that hands the slot over (the first callback of the
+completion before it), which queues the service's completion at
+``now + duration``.  Nothing else about ordering is observable, so
+anything else may change as long as those six draw the same numbers at
+the same points (``tests/sim/test_event_order.py`` pins a trace of it).
 
 The sixth draw is what makes a device service one event instead of a
 grant event plus a ``Timeout``.  It stands where the grant's draw stood
 and lands on the float that ``Timeout`` would have computed in the same
-instant, so services keep their order among themselves (completions are
-queued in grant order, as the ``Timeout``s were made), and a completion
-frees its slot, making the next draw, before its waiter resumes.  One tie is
-ordered differently from the two-event form: a *non-service* event made
-in the instant a service starts — after the start, before the grant
-event would have reached its waiter — and due at the bit-identical time
-the service ends (a plain ``timeout(d)`` with ``d`` equal to the service
-time) used to fire before the completion and now fires after it.  The
-e2e workloads, the ``faults`` / ``rebalance`` scenarios and the test
-suite contain no such tie — their results are bit-identical to the
-two-event form's, which is the check — and ``test_event_order.py`` pins
-the order it now has.
+instant, so services keep their order among themselves, and a
+completion frees its slot, making the next draw, before its waiter
+resumes.  One tie is ordered differently from the two-event form: a
+*non-service* event made in the instant a service starts and due at the
+bit-identical time it ends (a plain ``timeout(d)`` with ``d`` equal to
+the service time) used to fire before the completion and now fires
+after it.  The e2e workloads, the ``faults`` / ``rebalance`` scenarios
+and the test suite contain no such tie, and ``test_event_order.py``
+pins the order it now has.
 
 That freedom is spent on host time: every figure this package produces
-is millions of events, so the per-event path is two Python frames of
-this module — :meth:`Simulator.step` pops the heap and runs the
-callbacks itself, and :meth:`Process._resume` is the one loop that
-drives the generator, validates what it yields and subscribes to it.
-The triggers above push onto the heap themselves.  ``ok``, ``is_alive``
-and ``subscribe`` are public API and deliberately *not* used on that
-path (``tests/sim/test_frame_budget.py`` keeps it that way).
+is millions of events, so the per-event path is one Python frame,
+:meth:`Simulator.step`.  It pops the heap, runs plain callbacks, and
+drives each process waiting on the event itself: a process waits by
+putting *itself* on the event's callbacks, and ``step`` sends it the
+outcome, checks what it yields next and subscribes it there, or pushes
+its completion.  The triggers above push onto the heap themselves.
+``ok``, ``is_alive`` and ``subscribe`` are public API and deliberately
+*not* used on that path (``tests/sim/test_frame_budget.py`` keeps it
+that way).
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ class Event:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: Callables to run, and processes to resume, when the event
+        #: fires; ``None`` once it has been processed.
+        self.callbacks: Optional[List[Any]] = []
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         #: True once succeed()/fail() has been called.
@@ -222,43 +226,28 @@ class Timeout(Event):
 
 
 class Process(Event):
-    """A generator-driven activity.
+    """A generator-driven activity, started by :meth:`Simulator.process`.
 
     The generator may ``yield`` any :class:`Event`; the process resumes
     with the event's value (or has the event's exception thrown into it).
     A process is itself an event that fires with the generator's return
-    value, so processes can wait on each other.
+    value, so processes can wait on each other.  It waits by putting
+    *itself* on the callbacks of the event it yields, and
+    :meth:`Simulator.step` drives it there: there is no resume callback.
     """
 
     __slots__ = ("gen", "_waiting_on", "locks")
 
-    def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]) -> None:
-        if not hasattr(gen, "send"):
-            raise TypeError(f"process() requires a generator, got {gen!r}")
-        # Event.__init__ spelled out, here and for the bootstrap: a start
-        # is one frame.
-        self.sim = sim
-        self.callbacks = []
-        self._value = self._exc = None
-        self.triggered = self.processed = self.cancelled = False
-        self.gen = gen
-        #: The ``(rank, key)`` of every lock this process holds or awaits,
-        #: ascending: a :class:`~repro.sim.LockTable` keeps it and refuses
-        #: a request that would not go on top (its lock order).  Shared
-        #: and empty until the first lock.
-        self.locks = _NO_LOCKS
-        # Kick off at the current time: a bootstrap event, already
-        # triggered, whose only subscriber is this process.
-        bootstrap = _new_event(Event)
-        bootstrap.sim = sim
-        bootstrap.callbacks = [self._resume]
-        bootstrap._value = bootstrap._exc = None
-        bootstrap.triggered = True
-        bootstrap.processed = bootstrap.cancelled = False
-        #: The event whose firing resumes the generator; ``None`` while
-        #: the generator runs and once it has finished.
-        self._waiting_on: Optional[Event] = bootstrap
-        heappush(sim._queue, (sim.now, next(sim._seq), bootstrap))
+    gen: Generator[Event, Any, Any]
+    #: The event that resumes the generator; ``None`` while it runs or is done.
+    _waiting_on: Optional[Event]
+    #: The ascending ``(rank, key)`` of every lock it holds or awaits, which a
+    #: :class:`~repro.sim.LockTable` keeps in lock order (shared and empty
+    #: until the first lock).
+    locks: List[Tuple[int, Any]]
+
+    def __init__(self, *_args: Any) -> None:
+        raise TypeError("start a process with Simulator.process()")
 
     @property
     def is_alive(self) -> bool:
@@ -266,86 +255,23 @@ class Process(Event):
         return not self.triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is a no-op.
-        """
+        """Throw :class:`Interrupt` into the process at the current time
+        (a no-op once it has finished)."""
         if self.triggered:
             return
-        self.sim.call_soon(self._do_interrupt, Interrupt(cause))
-
-    def _do_interrupt(self, exc: Interrupt) -> None:
-        if self.triggered:
-            return
-        # Detach from whatever we were waiting on.  Mark the abandoned
-        # event cancelled so a queue-holding producer (Resource) drops it
-        # instead of granting to a waiter that is no longer listening.
-        stale = self._waiting_on
-        if stale is not None and not stale.triggered:
-            stale.cancelled = True
-        # Deliver the Interrupt as the failure of an event of its own, so
-        # interrupts and wake-ups share one resume loop; the abandoned
-        # event's callback, if it still runs, no longer matches
-        # `_waiting_on` and is dropped there as stale.
-        carrier = Event(self.sim)
-        carrier._exc = exc
-        self._waiting_on = carrier
-        self._resume(carrier)
-
-    def _resume(self, event: Event) -> None:
-        """The resume loop: the one callback a process ever subscribes.
-
-        Feeds ``event``'s outcome to the generator, then subscribes to
-        whatever it yields next.  A fresh bound method is made for every
-        subscription — keeping one on ``self`` would turn every process
-        into a reference cycle that only the cyclic collector frees
-        (measured: +6-9 % peak RSS on the e2e benchmark).
-        """
-        if event is not self._waiting_on:
-            # A stale wake-up from a pre-interrupt subscription, or the
-            # process has finished.
-            return
-        self._waiting_on = None
         sim = self.sim
-        gen = self.gen
-        value, exc = event._value, event._exc
-        # Track the running process on the simulator while the generator
-        # executes: synchronous callees (the tracer's span context) can
-        # attribute their effects to this task.
-        previous = sim._current_task
-        sim._current_task = self
-        try:
-            while True:
-                try:
-                    if exc is None:
-                        target = gen.send(value)
-                    else:
-                        target = gen.throw(exc)
-                except StopIteration as stop:
-                    self.succeed(stop.value)
-                    return
-                except BaseException as error:
-                    self.fail(error)
-                    return
-                if not isinstance(target, Event):
-                    value, exc = None, SimulationError(
-                        f"process yielded non-event {target!r}"
-                    )
-                    continue
-                if target.sim is not sim:
-                    value, exc = None, SimulationError(
-                        "event belongs to another simulator"
-                    )
-                    continue
-                self._waiting_on = target
-                callbacks = target.callbacks
-                if callbacks is None:  # already processed: resume next
-                    sim.call_soon(self._resume, target)
-                else:
-                    callbacks.append(self._resume)
-                return
-        finally:
-            sim._current_task = previous
+        carrier = _Interruption(sim)
+        carrier.callbacks = [self]
+        carrier._exc = Interrupt(cause)
+        carrier.triggered = True
+        heappush(sim._queue, (sim.now, next(sim._seq), carrier))
+
+
+class _Interruption(Event):
+    """The event that carries an :class:`Interrupt` to its process, which
+    :meth:`Simulator.step` delivers whatever the process waits on."""
+
+    __slots__ = ()
 
 
 class _Condition(Event):
@@ -418,7 +344,7 @@ class Simulator:
         self._seq: Iterator[int] = itertools.count()
         self._processed_events = 0
         #: The process whose generator is currently executing (set by
-        #: :meth:`Process._resume`); ``None`` between process steps.
+        #: :meth:`step`); ``None`` between process steps.
         self._current_task: Optional[Process] = None
 
     @property
@@ -450,8 +376,28 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def process(self, gen: Generator[Event, Any, Any]) -> Process:
-        """Start ``gen`` as a :class:`Process` at the current time."""
-        return Process(self, gen)
+        """Start ``gen`` as a :class:`Process` at the current time: the
+        one way to make a process (its slots are set here, with no
+        ``__init__`` frame), counted by the e2e benchmark."""
+        if not hasattr(gen, "send"):
+            raise TypeError(f"process() requires a generator, got {gen!r}")
+        proc = cast(Process, _new_event(Process))
+        proc.sim = self
+        proc.callbacks = []
+        proc._value = proc._exc = None
+        proc.triggered = proc.processed = proc.cancelled = False
+        proc.gen = gen
+        proc.locks = _NO_LOCKS
+        # Kick off at the current time: a bootstrap event, already
+        # triggered, that only this process waits on.
+        bootstrap = proc._waiting_on = _new_event(Event)
+        bootstrap.sim = self
+        bootstrap.callbacks = [proc]
+        bootstrap._value = bootstrap._exc = None
+        bootstrap.triggered = True
+        bootstrap.processed = bootstrap.cancelled = False
+        heappush(self._queue, (self.now, next(self._seq), bootstrap))
+        return proc
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing when all ``events`` have fired."""
@@ -464,22 +410,75 @@ class Simulator:
     # -- running -----------------------------------------------------------
 
     def step(self) -> None:
-        """Process exactly one queued event, advancing the clock to it.
+        """Process exactly one queued event, advancing the clock to it:
+        run its callbacks and drive each process waiting on it.
 
-        The per-event entry point: :meth:`run` and
-        :meth:`run_until_complete` call it once per event rather than
-        inlining it, so a profiler's call count of ``step`` *is* the
-        event count (the e2e benchmark reads it that way).
-        """
-        when, _seq, event = heappop(self._queue)
+        :meth:`run` and :meth:`run_until_complete` call it once per event,
+        so a profiler's call count of ``step`` *is* the event count (the
+        e2e benchmark reads it that way)."""
+        queue = self._queue
+        when, _seq, event = heappop(queue)
         if when < self.now:
             raise SimulationError("time went backwards")
         self.now = when
         self._processed_events += 1
         callbacks, event.callbacks = event.callbacks, None
         event.processed = True
-        for callback in callbacks:
-            callback(event)
+        for proc in callbacks:
+            if proc.__class__ is not Process:
+                proc(event)
+                continue
+            waited = proc._waiting_on
+            if waited is not event:
+                # A stale wake-up (the process was interrupted, or is
+                # done) is dropped.  An interrupt is delivered whatever it
+                # waits on, and cancels that wait, so a queue-holding
+                # producer (Resource, LockTable) skips it, never grants it.
+                if event.__class__ is not _Interruption or proc.triggered:
+                    continue
+                if waited is not None and not waited.triggered:
+                    waited.cancelled = True
+            proc._waiting_on = None
+            gen = proc.gen
+            value, exc = event._value, event._exc
+            # Synchronous callees (the tracer's span context, lock order)
+            # attribute their effects to the running process.
+            previous, self._current_task = self._current_task, proc
+            try:
+                while True:
+                    try:
+                        target = gen.send(value) if exc is None else gen.throw(exc)
+                    except StopIteration as stop:
+                        proc._value = stop.value
+                    except BaseException as error:
+                        proc._exc = error
+                    else:
+                        if not isinstance(target, Event):
+                            value, exc = None, SimulationError(
+                                f"process yielded non-event {target!r}")
+                        elif target.sim is not self:
+                            value, exc = None, SimulationError("event belongs to another simulator")
+                        elif target.callbacks is not None:
+                            target.callbacks.append(proc)
+                            proc._waiting_on = target
+                            break
+                        else:
+                            # Already processed: a relay carries its outcome.
+                            relay = proc._waiting_on = _new_event(Event)
+                            relay.sim = self
+                            relay.callbacks = [proc]
+                            relay._value, relay._exc = target._value, target._exc
+                            relay.triggered = True
+                            relay.processed = relay.cancelled = False
+                            heappush(queue, (self.now, next(self._seq), relay))
+                            break
+                        continue
+                    # The generator has finished: fire the process itself.
+                    proc.triggered = True
+                    heappush(queue, (self.now, next(self._seq), proc))
+                    break
+            finally:
+                self._current_task = previous
 
     def peek(self) -> float:
         """Time of the next queued event, or ``float('inf')`` if idle."""

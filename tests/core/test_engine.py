@@ -116,6 +116,35 @@ def test_cold_object_evicted_after_flush():
     assert storage.read_sync("obj1") == b"c" * 2048
 
 
+def test_a_pass_whose_map_commit_faults_leaves_the_cache_books(monkeypatch):
+    """A pass notes what its maps cache or evict only once they commit:
+    a cold object's pass that faults at its map commit leaves the chunk
+    cached in the stored map and on the cache manager's books."""
+    from repro.core.tier import DedupTier
+    from repro.faults.errors import TransientOpError
+
+    storage = make_storage()
+    storage.write_sync("obj1", b"c" * 2048)
+    cache = storage.tier.cache
+    books = (cache.cached_bytes, dict(cache._cached), dict(cache._cached_by_oid))
+    assert cache.cached_bytes == 2048
+
+    def faulty(*_args, **_kwargs):
+        raise TransientOpError(0, "write")
+        yield
+
+    monkeypatch.setattr(DedupTier, "commit_map", faulty)
+    result = storage.cluster.run(storage.engine.process_object("obj1", force=True))
+    assert result == "faulted"
+    assert all(e.cached for e in storage.tier.peek_chunk_map("obj1"))
+    assert (cache.cached_bytes, dict(cache._cached), dict(cache._cached_by_oid)) == books
+    assert storage.engine.stats.chunks_evicted == 0
+    monkeypatch.undo()
+    storage.drain()
+    assert cache.cached_bytes == 0
+    assert storage.read_sync("obj1") == b"c" * 2048
+
+
 def test_hot_object_stays_cached():
     storage = make_storage(hit_count_threshold=2, hitset_period=0.1)
     storage.write_sync("hot", b"h" * 1024)

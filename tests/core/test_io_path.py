@@ -305,7 +305,7 @@ def test_a_partition_under_a_flying_leg_is_retried_and_leaks_nothing(storage, mo
     from repro.faults import FaultPlan
     from repro.faults.plan import FaultEvent
     from repro.faults.scenario import locks_left
-    from repro.sim import Event
+    from repro.sim import Simulator
     from repro.sim.core import Process
 
     KiB = 1024
@@ -321,11 +321,16 @@ def test_a_partition_under_a_flying_leg_is_retried_and_leaks_nothing(storage, mo
     ]))
     failures = []
 
-    def recording_fail(process, exc):
-        failures.append((type(exc).__name__, bool(process.callbacks)))
-        return Event.fail(process, exc)
+    step = Simulator.step
 
-    monkeypatch.setattr(Process, "fail", recording_fail)
+    def recording_step(sim):
+        # A failed process fires as an event of its own: note who waits.
+        _when, _seq, event = sim._queue[0]
+        if event.__class__ is Process and event.exception is not None:
+            failures.append((type(event.exception).__name__, bool(event.callbacks)))
+        step(sim)
+
+    monkeypatch.setattr(Simulator, "step", recording_step)
     held = []
     tier.object_locks.acquire("obj1", held)
     with Tracer(sim) as tracer:

@@ -91,12 +91,15 @@ def test_promotion_races_with_write_safely():
 
 def test_a_promotion_whose_map_commit_faults_changes_nothing(monkeypatch):
     """Promotion is an optimisation: a fault at its map commit returns
-    "faulted", the stored chunk map stays authoritative (nothing cached)
-    and the object lock is free for the next writer."""
+    "faulted", the stored chunk map stays authoritative (nothing cached),
+    the cache manager's books are as they were and the object lock is
+    free for the next writer."""
     storage = make_storage()
     payload = b"hot" * 1000
     storage.write_sync("obj1", payload)
     storage.drain()
+    cache = storage.tier.cache
+    books = (cache.cached_bytes, dict(cache._cached), dict(cache._cached_by_oid))
     prepare = OSD.prepare_transaction
 
     def faulty(osd, txn):
@@ -108,6 +111,7 @@ def test_a_promotion_whose_map_commit_faults_changes_nothing(monkeypatch):
         assert storage.cluster.run(storage.engine.promote_object("obj1")) == "faulted"
     assert evicted(storage, "obj1")
     assert storage.engine.stats.chunks_promoted == 0
+    assert (cache.cached_bytes, dict(cache._cached), dict(cache._cached_by_oid)) == books
     assert len(storage.tier.object_locks) == 0
     assert storage.read_sync("obj1") == payload
     storage.write_sync("obj1", b"new" * 1000)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.core import Interrupt
+from repro.sim.core import Interrupt, Process
 
 
 def test_clock_starts_at_zero():
@@ -133,6 +133,15 @@ def test_fail_requires_exception_instance():
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.event().fail("not an exception")
+
+
+def test_simulator_process_is_the_one_constructor():
+    sim = Simulator()
+    with pytest.raises(TypeError, match="requires a generator"):
+        sim.process(lambda: None)
+    with pytest.raises(TypeError, match="Simulator.process"):
+        Process(sim, iter(()))
+    assert sim._queue == []
 
 
 def test_subscribe_after_processed_still_runs():

@@ -7,8 +7,9 @@ every benchmark.  This runs a fixed device workload under ``cProfile``
 and divides calls of functions defined in ``repro/sim/`` by events
 processed, and by device services performed.  All three are exact counts
 on a deterministic simulation, so the test cannot flake; it fails when
-someone puts a helper call, a property or a wrapper back on the
-per-event path, or a second event back into a device service.  See
+someone puts a helper call, a property, a resume callback or a wrapper
+back on the per-event path, or a second event back into a device
+service.  See
 docs/simulation.md, "Host cost per event".
 
 A read adds every layer above the kernel: the frames of ``src/repro``
@@ -31,22 +32,26 @@ from repro.sim import Simulator
 REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 SIM_DIR = os.path.dirname(os.path.abspath(repro.sim.__file__)) + os.sep
 
-#: Measured 3.72 on this workload (13.39 before the per-event path was
+#: Measured 2.23 on this workload (13.39 before the per-event path was
 #: collapsed to step + _resume, 5.68 while a service was a ``serve``
-#: generator around its hold); about 10 % headroom.
-FRAMES_PER_EVENT_BUDGET = 4.1
+#: generator around its hold, 3.72 while ``step`` called a ``_resume``
+#: frame per wake-up); about 10 % headroom.
+FRAMES_PER_EVENT_BUDGET = 2.45
 
 #: Frames per *event* cannot see an event that should not exist, so the
-#: same frames are also budgeted per device service: measured 7.58
+#: same frames are also budgeted per device service: measured 4.54
 #: (17.58 when a service was a grant event plus a Timeout, 11.58 while
-#: it was a ``serve`` generator); about 10 % headroom.
-FRAMES_PER_SERVICE_BUDGET = 8.4
+#: it was a ``serve`` generator, 7.58 with a ``_resume`` frame per
+#: wake-up); about 10 % headroom.
+FRAMES_PER_SERVICE_BUDGET = 5.0
 
 #: Frames of ``src/repro`` in one cached read of a one-object store
 #: (263 with the ``serve`` wrapper and the delegating generators on the
-#: read path).  Comprehensions and lambdas are left out: CPython 3.12
-#: inlines comprehensions, so they are frames on some versions only.
-FRAMES_PER_CACHED_READ = 205
+#: read path, 205 with a ``_resume`` frame per wake-up and the RPC hops
+#: made through ``Simulator.timeout``).  Comprehensions and lambdas are
+#: left out: CPython 3.12 inlines comprehensions, so they are frames on
+#: some versions only.
+FRAMES_PER_CACHED_READ = 173
 
 PROCESSES, ROUNDS = 8, 25
 

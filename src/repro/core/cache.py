@@ -197,6 +197,16 @@ class CacheManager:
             self.cached_bytes -= old
             self.demotions += 1
 
+    def unnote_promoted(self, oid: str, index: int) -> None:
+        """Take back a promotion's :meth:`note_cached` whose map commit
+        faulted: the chunk was not cached before, so it leaves the books
+        as if it had never been noted."""
+        demotions = self.demotions
+        self.note_evicted(oid, index)
+        if self.demotions != demotions:
+            self.demotions = demotions
+            self.promotions -= 1
+
     def keep_cached_on_flush(self, oid: str) -> bool:
         """Whether a just-deduplicated chunk should stay cached."""
         if not self.config.cache_on_flush:

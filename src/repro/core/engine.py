@@ -324,7 +324,14 @@ class DedupEngine:
             derefs, taken, maps, noted = yield from self._commit_refs(staged, via)
             if maps:
                 yield from tier.commit_map(maps, via)
-            self._note_cache(noted)
+            # Only now, so a faulted commit leaves the books as they were.
+            cache = tier.cache
+            for oid, idx, nbytes in noted:
+                if nbytes is None:
+                    cache.note_evicted(oid, idx)
+                    self.stats.chunks_evicted += 1
+                else:
+                    cache.note_cached(oid, idx, nbytes)
         except Exception as exc:
             # Skip-and-requeue degradation: a fault mid-pass (after the
             # I/O path's retries gave up) abandons the whole pass
@@ -413,8 +420,8 @@ class DedupEngine:
         Returns ``(derefs, taken, maps, noted)``: the old chunks'
         references to release once the maps commit, the references
         taken, the ``(oid, cmap, txn)`` of every member whose map
-        changed, and what those maps cache or evict, for
-        :meth:`_note_cache` once they commit.
+        changed, and the ``(oid, index, nbytes)`` those maps cache
+        (``nbytes`` None: evict), to note once they commit.
         """
         tier = self.tier
         stage = tier.stage
@@ -476,18 +483,6 @@ class DedupEngine:
                     self.stats.chunks_deduped += 1
                     self.stats.bytes_deduped += nbytes
         return derefs, taken, maps, noted
-
-    def _note_cache(self, noted):
-        """Put what a committed map caches (``(oid, index, nbytes)``) or
-        evicts (``nbytes`` None) on the cache manager's books: only after
-        the commit, so a faulted one leaves them as they were."""
-        cache = self.tier.cache
-        for oid, idx, nbytes in noted:
-            if nbytes is None:
-                cache.note_evicted(oid, idx)
-                self.stats.chunks_evicted += 1
-            else:
-                cache.note_cached(oid, idx, nbytes)
 
     def _start_merge_reads(self, oid, partial, via):
         """Start every read that assembles the partially cached chunks
@@ -599,7 +594,7 @@ class DedupEngine:
             via = primary.node
             key = tier.metadata_key(oid)
             txn = Transaction()
-            noted = []  # (oid, index, nbytes) the map commit caches
+            promoted = []  # indices noted on the cache books
             for idx in cmap.promotable_indices():
                 entry = cmap.get(idx)
                 data = yield from tier.read_chunk(entry.chunk_id, 0, entry.length, via)
@@ -611,20 +606,23 @@ class DedupEngine:
                     continue
                 txn.write(key, entry.offset, data)
                 cmap.set(entry.replace(valid=((0, entry.length),)))
-                noted.append((oid, idx, entry.length))
-            if not noted:
+                tier.cache.note_cached(oid, idx, entry.length)
+                promoted.append(idx)
+            if not promoted:
                 return "nothing"
             try:
                 yield from tier.commit_map([(oid, cmap, txn)], via)
             except Exception as exc:
                 # Promotion is purely an optimisation: on a fault the
-                # chunk map stays authoritative and the object is
-                # re-promoted the next time its hit count trips.
+                # chunk map stays authoritative, the books take back its
+                # notes and the object is re-promoted the next time its
+                # hit count trips.
+                for idx in promoted:
+                    tier.cache.unnote_promoted(oid, idx)
                 if not is_retryable(exc):
                     raise
                 return "faulted"
-            self._note_cache(noted)
-            self.stats.chunks_promoted += len(noted)
+            self.stats.chunks_promoted += len(promoted)
         finally:
             tier.object_locks.release(held)
             self._promoting.discard(oid)
@@ -672,7 +670,8 @@ class DedupEngine:
             if not is_retryable(exc):
                 raise
             return
-        self._note_cache([(oid, index, None)])
+        tier.cache.note_evicted(oid, index)
+        self.stats.chunks_evicted += 1
 
     # -- draining (tests & benches) -----------------------------------------------------
 

@@ -338,6 +338,7 @@ def test_a_partition_under_a_flying_leg_is_retried_and_leaks_nothing(storage, mo
         sim.run(until=sent_at + 50e-6)  # partitioned, the leg still in flight
         tier.object_locks.release(held)
         sim.run_until_complete(write)
+    sim.run()  # every failed process still queued fires past the spy too
     spans = {}
     for span in tracer.spans:
         spans.setdefault(span.stage, []).append(span)

@@ -1,10 +1,14 @@
-"""Ablation — cache eviction policies under a skewed working set.
+"""Ablation — the LRU chunk cache's capacity under a skewed working set.
 
-The paper uses a simple LRU cache for hot chunks (§4.3: "Various cache
-algorithms could be applied here but in our experiment, we used a LRU
-based approach").  This ablation quantifies the choice: a capacity-
-limited cache under a hot/cold skewed read workload, comparing the
-hit rate and mean read latency of LRU, LFU, and FIFO eviction.
+The paper caches hot chunks in the metadata pool and bounds them with a
+simple LRU (§4.3: "Various cache algorithms could be applied here but
+in our experiment, we used a LRU based approach").  This ablation reads
+a hot/cold skewed stream three ways: with no cache at all (a flushed
+chunk never stays in, nor comes back to, the metadata pool), with an
+LRU capacity that holds only the hot set, and uncapped.  Each step up
+must show as a lower mean read latency, and the capped cache must both
+hit and miss.  (The file keeps its name, from when it compared LRU with
+LFU and FIFO; both lost to LRU and were removed.)
 """
 
 
@@ -16,17 +20,24 @@ OBJ_SIZE = 2 * KiB
 HOT_SET = 8  # the first N objects take most of the traffic
 READS = 600
 
+CONFIGS = {
+    "no cache": dict(cache_on_flush=False),
+    "capped LRU": dict(cache_capacity_bytes=HOT_SET * OBJ_SIZE),  # the hot set only
+    "uncapped": dict(),
+}
 
-def run_policy(policy: str):
+
+def run_config(name: str):
     storage = proposed(
         build_cluster(),
         chunk_size=1 * KiB,
-        cache_policy=policy,
-        cache_capacity_bytes=HOT_SET * OBJ_SIZE,  # room for the hot set only
         hit_count_threshold=1,
         hitset_period=1_000.0,  # everything counts as hot: cache-on-flush
+        **CONFIGS[name],
     )
-    rng = RngRegistry(seed=17).stream(f"access-{policy}")
+    # Every row reads the one stream the LRU row has always read, so
+    # the rows compare with each other and the capped row across commits.
+    rng = RngRegistry(seed=17).stream("access-lru")
     for i in range(NUM_OBJECTS):
         storage.write_sync(f"obj{i}", bytes([i]) * OBJ_SIZE)
     storage.drain()
@@ -51,31 +62,31 @@ def run_policy(policy: str):
 
 
 def run_experiment():
-    return {policy: run_policy(policy) for policy in ("lru", "lfu", "fifo")}
+    return {name: run_config(name) for name in CONFIGS}
 
 
 def test_ablation_cache_policy(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     rows = []
-    for policy, r in results.items():
+    for name, r in results.items():
         rows.append(
             (
-                policy,
+                name,
                 f"{100 * r['hit_rate']:.1f}",
                 f"{r['mean_latency'] * 1e3:.3f}",
             )
         )
-        benchmark.extra_info[policy] = round(100 * r["hit_rate"], 1)
+        benchmark.extra_info[name] = round(100 * r["hit_rate"], 1)
     report(
         render_table(
-            "Ablation: cache eviction policy (80/20 skewed reads, tight cache)",
-            ["policy", "cache hit rate (%)", "mean read latency (ms)"],
+            "Ablation: LRU cache capacity (80/20 skewed reads)",
+            ["cache", "cache hit rate (%)", "mean read latency (ms)"],
             rows,
-            notes=["paper §4.3 uses LRU; recency-aware policies keep the hot set"],
+            notes=["paper §4.3 bounds the cache with an LRU; capped to the hot set here"],
         )
     )
-    # Recency/frequency-aware policies must beat FIFO on a skewed stream.
-    assert results["lru"]["hit_rate"] > results["fifo"]["hit_rate"]
-    assert results["lfu"]["hit_rate"] > results["fifo"]["hit_rate"]
-    # Better hit rate shows up as lower read latency.
-    assert results["lru"]["mean_latency"] < results["fifo"]["mean_latency"]
+    latency = {name: r["mean_latency"] for name, r in results.items()}
+    # Each step up in cache serves more reads from the metadata pool.
+    assert latency["no cache"] > latency["capped LRU"] > latency["uncapped"]
+    # The capped cache keeps some of the stream, and not all of it.
+    assert 0 < results["capped LRU"]["hit_rate"] < 1

@@ -20,15 +20,15 @@ same verify read-back as the driver form ``run.py --workload W --seed N
   *distinct* blobs behind them in host memory, the most extents any one
   object has, and the live entries of the per-key tables: the three
   lock tables, the tier's map-miss fences, its write line and its
-  pending dirty-list requeues, and the engine's promotions, releases in
-  flight (every GC a pass, an aborted pass, a delete or the deref queue
-  started) and deref queue (the references left for the GC), all 0
-  once the pass has quiesced.
+  pending dirty-list requeues, and the engine's promotions, demotions,
+  releases in flight (every GC a pass, an aborted pass, a delete or the
+  deref queue started) and deref queue (the references left for the
+  GC), all 0 once the pass has quiesced.
 
 Exits 1 when any per-key table is not empty at the end of the pass (a
-leaked lock, fence, write-line entry, requeue, promotion or release, or
-a deferred reference nothing collects: state that grows without
-bound).
+leaked lock, fence, write-line entry, requeue, promotion, demotion or
+release, or a deferred reference nothing collects: state that grows
+without bound).
 
 ``tracemalloc`` costs 2-3x in time and ~20 % in RSS, so read the RSS
 columns for shape and ``peak_rss_mb`` itself from the driver form.
@@ -195,6 +195,7 @@ def main(argv=None) -> int:
         ("tier._write_line", tier._write_line),
         ("tier._pending_requeues", tier._pending_requeues),
         ("engine._promoting", storage.engine._promoting),
+        ("engine._demoting", storage.engine._demoting),
         ("engine._releases", storage.engine._releases),
         ("engine.deref_queue", storage.engine.deref_queue),
     ):

@@ -110,7 +110,13 @@ class HitSet:
 
 
 class CacheManager:
-    """Hotness + LRU policy for cached chunks in the metadata pool."""
+    """Hotness + LRU policy for cached chunks in the metadata pool.
+
+    The books (what is cached, in LRU order) follow the committed maps:
+    :meth:`note_committed`, run by the tier's map commit, is their one
+    writer of cached state.  Only a delete (no map commit) and a
+    demotion of an already uncached chunk remove entries themselves.
+    """
 
     def __init__(self, sim: Simulator, config: DedupConfig):
         self.sim = sim
@@ -118,15 +124,12 @@ class CacheManager:
         self.hitset = HitSet(
             sim, period=config.hitset_period, count=HITSET_COUNT
         )
-        # (oid, chunk_index) -> cached bytes; insertion order doubles as
-        # the LRU/FIFO queue order.
+        # (oid, chunk_index) -> cached bytes, least recently used first.
         self._cached: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
         #: oid -> its cached chunk indices, in their relative ``_cached``
         #: order, so an access touches one object's chunks rather than
         #: scanning the whole tier.
         self._cached_by_oid: Dict[str, Dict[int, None]] = {}
-        #: (oid, chunk_index) -> access count, for the LFU policy.
-        self._freq: Dict[Tuple[str, int], int] = {}
         self.cached_bytes = 0
         #: Counters for tests/metrics.
         self.promotions = 0
@@ -142,12 +145,9 @@ class CacheManager:
         indices = self._cached_by_oid.get(oid)
         if not indices:
             return
-        lru = self.config.cache_policy == "lru"
+        move_to_end = self._cached.move_to_end
         for index in indices:
-            k = (oid, index)
-            self._freq[k] = self._freq.get(k, 0) + 1
-            if lru:
-                self._cached.move_to_end(k)
+            move_to_end((oid, index))
 
     def is_hot(self, oid: str) -> bool:
         """Paper §5: hot when the access count reaches Hitcount — and,
@@ -170,6 +170,22 @@ class CacheManager:
 
     # -- cached-chunk bookkeeping ----------------------------------------------
 
+    def note_committed(self, oid: str, cmap, indices) -> None:
+        """``oid``'s map ``cmap`` committed with ``indices`` touched: each
+        such chunk caches the sum of its valid ranges (0: evicted); one
+        whose cached bytes are unchanged keeps its LRU place."""
+        cached = self._cached
+        get = cmap.get
+        for index in indices:
+            nbytes = 0
+            for start, end in get(index).valid:
+                nbytes += end - start
+            if nbytes != cached.get((oid, index), 0):
+                if nbytes:
+                    self.note_cached(oid, index, nbytes)
+                else:
+                    self.note_evicted(oid, index)
+
     def note_cached(self, oid: str, index: int, nbytes: int) -> None:
         """A chunk's bytes now live in the metadata object (cached)."""
         key = (oid, index)
@@ -181,13 +197,11 @@ class CacheManager:
         indices.pop(index, None)
         indices[index] = None
         self.cached_bytes += nbytes
-        self._freq[key] = self._freq.get(key, 0) + 1
         self.promotions += old == 0
 
     def note_evicted(self, oid: str, index: int) -> None:
         """A chunk was punched out of its metadata object."""
         old = self._cached.pop((oid, index), 0)
-        self._freq.pop((oid, index), None)
         indices = self._cached_by_oid.get(oid)
         if indices is not None:
             indices.pop(index, None)
@@ -197,15 +211,9 @@ class CacheManager:
             self.cached_bytes -= old
             self.demotions += 1
 
-    def unnote_promoted(self, oid: str, index: int) -> None:
-        """Take back a promotion's :meth:`note_cached` whose map commit
-        faulted: the chunk was not cached before, so it leaves the books
-        as if it had never been noted."""
-        demotions = self.demotions
-        self.note_evicted(oid, index)
-        if self.demotions != demotions:
-            self.demotions = demotions
-            self.promotions -= 1
+    def is_cached(self, oid: str, index: int) -> bool:
+        """Whether chunk ``index`` of ``oid`` is on the books."""
+        return (oid, index) in self._cached
 
     def keep_cached_on_flush(self, oid: str) -> bool:
         """Whether a just-deduplicated chunk should stay cached."""
@@ -219,23 +227,14 @@ class CacheManager:
         return cap is not None and self.cached_bytes > cap
 
     def victims(self) -> List[Tuple[str, int]]:
-        """(oid, chunk index) pairs to demote to fit the capacity.
-
-        Order depends on ``cache_policy``: least-recently-used (the
-        paper's choice), least-frequently-used, or insertion order.
-        """
+        """(oid, chunk index) pairs to demote to fit the capacity,
+        least recently used first."""
         cap = self.config.cache_capacity_bytes
         if cap is None:
             return []
-        if self.config.cache_policy == "lfu":
-            candidates = sorted(
-                self._cached.items(), key=lambda kv: self._freq.get(kv[0], 0)
-            )
-        else:  # lru and fifo both evict from the front of the queue
-            candidates = list(self._cached.items())
         out = []
         excess = self.cached_bytes - cap
-        for key, nbytes in candidates:
+        for key, nbytes in self._cached.items():
             if excess <= 0:
                 break
             out.append(key)

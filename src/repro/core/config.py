@@ -30,7 +30,9 @@ class DedupConfig:
         the cache.  Off: clean data never lives in the metadata pool.
     cache_capacity_bytes:
         Cap on total cached chunk bytes in the metadata pool; ``None``
-        means uncapped.  When exceeded, the engine demotes LRU chunks.
+        means uncapped.  When exceeded, the engine demotes the least
+        recently used chunks (paper §4.3: "a LRU based approach, which
+        is simple"; the only eviction policy).
     hitset_period / hit_count_threshold:
         HitSet tuning (paper §5): accesses are recorded into a rotating
         ring of ``cache.HITSET_COUNT`` (8) bloom filters, one per
@@ -66,9 +68,6 @@ class DedupConfig:
 
     cache_on_flush: bool = True
     cache_capacity_bytes: Optional[int] = None
-    #: Eviction policy for cached chunks: "lru" (the paper's choice),
-    #: "lfu", or "fifo" (§4.3 notes other algorithms could slot in).
-    cache_policy: str = "lru"
     hitset_period: float = 1.0
     hit_count_threshold: int = 2
 
@@ -116,8 +115,3 @@ class DedupConfig:
             raise ValueError("hit_count_threshold must be >= 1")
         if self.engine_workers < 1:
             raise ValueError("engine_workers must be >= 1")
-        if self.cache_policy not in ("lru", "lfu", "fifo"):
-            raise ValueError(
-                f"cache_policy must be 'lru', 'lfu' or 'fifo', "
-                f"got {self.cache_policy!r}"
-            )

@@ -152,6 +152,7 @@ class DedupEngine:
         self._running = False
         self._procs = []
         self._promoting = set()
+        self._demoting = set()  # (oid, index) victims being demoted
         #: Releases in flight (:meth:`release`), in start order,
         #: and failed ones not yet reported (:meth:`releases_landed`).
         self._releases: Dict[Event, None] = {}
@@ -321,17 +322,10 @@ class DedupEngine:
                 (oid, cmap, chunks)
                 for (oid, cmap, _primary), chunks in zip(members, assembled)
             ]
-            derefs, taken, maps, noted = yield from self._commit_refs(staged, via)
+            derefs, taken, maps, evicted = yield from self._commit_refs(staged, via)
             if maps:
                 yield from tier.commit_map(maps, via)
-            # Only now, so a faulted commit leaves the books as they were.
-            cache = tier.cache
-            for oid, idx, nbytes in noted:
-                if nbytes is None:
-                    cache.note_evicted(oid, idx)
-                    self.stats.chunks_evicted += 1
-                else:
-                    cache.note_cached(oid, idx, nbytes)
+            self.stats.chunks_evicted += evicted
         except Exception as exc:
             # Skip-and-requeue degradation: a fault mid-pass (after the
             # I/O path's retries gave up) abandons the whole pass
@@ -417,11 +411,10 @@ class DedupEngine:
         entries and commit every reference the pass takes in one
         :meth:`~DedupTier.commit_chunk_batch` (§4.4.1 steps 3-5).
 
-        Returns ``(derefs, taken, maps, noted)``: the old chunks'
+        Returns ``(derefs, taken, maps, evicted)``: the old chunks'
         references to release once the maps commit, the references
         taken, the ``(oid, cmap, txn)`` of every member whose map
-        changed, and the ``(oid, index, nbytes)`` those maps cache
-        (``nbytes`` None: evict), to note once they commit.
+        changed, and how many chunks those maps evict.
         """
         tier = self.tier
         stage = tier.stage
@@ -430,7 +423,7 @@ class DedupEngine:
         planned = []  # (batch op index, fp, ref, nbytes) awaiting commit
         derefs = []
         maps = []
-        noted = []  # (oid, index, nbytes or None) the map commit caches or evicts
+        evicted = 0
         for oid, cmap, chunks in staged:
             key = tier.metadata_key(oid)
             txn = Transaction()
@@ -458,11 +451,10 @@ class DedupEngine:
                         # Materialise the merged chunk in the cache.
                         txn.write(key, entry.offset, data)
                         valid = ((0, entry.length),)
-                        noted.append((oid, idx, entry.length))
                 else:
                     txn.zero(key, entry.offset, entry.length)
                     valid = ()
-                    noted.append((oid, idx, None))
+                    evicted += 1
                 cmap.set(entry.replace(chunk_id=fp, dirty=False, valid=valid))
             if chunks or cmap.touched_indices():
                 if cmap.cached_indices() == []:
@@ -482,7 +474,7 @@ class DedupEngine:
                 else:
                     self.stats.chunks_deduped += 1
                     self.stats.bytes_deduped += nbytes
-        return derefs, taken, maps, noted
+        return derefs, taken, maps, evicted
 
     def _start_merge_reads(self, oid, partial, via):
         """Start every read that assembles the partially cached chunks
@@ -594,7 +586,7 @@ class DedupEngine:
             via = primary.node
             key = tier.metadata_key(oid)
             txn = Transaction()
-            promoted = []  # indices noted on the cache books
+            promoted = 0
             for idx in cmap.promotable_indices():
                 entry = cmap.get(idx)
                 data = yield from tier.read_chunk(entry.chunk_id, 0, entry.length, via)
@@ -606,23 +598,20 @@ class DedupEngine:
                     continue
                 txn.write(key, entry.offset, data)
                 cmap.set(entry.replace(valid=((0, entry.length),)))
-                tier.cache.note_cached(oid, idx, entry.length)
-                promoted.append(idx)
+                promoted += 1
             if not promoted:
                 return "nothing"
             try:
                 yield from tier.commit_map([(oid, cmap, txn)], via)
             except Exception as exc:
                 # Promotion is purely an optimisation: on a fault the
-                # chunk map stays authoritative, the books take back its
-                # notes and the object is re-promoted the next time its
-                # hit count trips.
-                for idx in promoted:
-                    tier.cache.unnote_promoted(oid, idx)
+                # chunk map stays authoritative, the books (written by a
+                # committed map only) never saw it, and the object is
+                # re-promoted the next time its hit count trips.
                 if not is_retryable(exc):
                     raise
                 return "faulted"
-            self.stats.chunks_promoted += len(promoted)
+            self.stats.chunks_promoted += promoted
         finally:
             tier.object_locks.release(held)
             self._promoting.discard(oid)
@@ -630,9 +619,18 @@ class DedupEngine:
         return "done"
 
     def enforce_cache_capacity(self):
-        """Process: demote LRU cached chunks until within capacity."""
-        for v_oid, v_idx in self.tier.cache.victims():
-            yield from self.demote_chunk(v_oid, v_idx)
+        """Process: demote LRU cached chunks until within capacity,
+        skipping a victim that a concurrent enforcement (a promotion's,
+        beside its caller's) is demoting or took off the books."""
+        cache = self.tier.cache
+        for victim in cache.victims():
+            if victim in self._demoting or not cache.is_cached(*victim):
+                continue
+            self._demoting.add(victim)
+            try:
+                yield from self.demote_chunk(*victim)
+            finally:
+                self._demoting.discard(victim)
 
     def demote_chunk(self, oid: str, index: int):
         """Process: punch one clean cached chunk out of its object."""
@@ -670,7 +668,6 @@ class DedupEngine:
             if not is_retryable(exc):
                 raise
             return
-        tier.cache.note_evicted(oid, index)
         self.stats.chunks_evicted += 1
 
     # -- draining (tests & benches) -----------------------------------------------------

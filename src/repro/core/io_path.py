@@ -214,9 +214,6 @@ def _write_once(tier: DedupTier, oid: str, offset: int, data: bytes, client):
                     valid = whole
                 entry = entry.replace(length=length, dirty=True, valid=valid)
             cmap.set(entry)
-            tier.cache.note_cached(
-                oid, idx, sum(e - s for s, e in entry.valid)
-            )
         txn.write(key, offset, data)
         if not pool.is_ec:
             # An EC write's read-modify-write reads the stripe under its

@@ -611,18 +611,21 @@ class DedupTier:
         as it takes them); several — an engine pass over one PG's dirty objects — go
         through one :meth:`RadosCluster.submit_batch`: one prepared
         transaction per PG, all-or-nothing.  On success each ``cmap``
-        takes its new version and a fork of it becomes the cached
-        snapshot; on a fault, which may have partially landed, every
+        takes its new version, its touched entries go on the cache
+        books (:meth:`CacheManager.note_committed`, their one writer)
+        and a fork of it becomes the cached snapshot; on a fault, which may have partially landed, every
         cached decode of ``maps`` is dropped and the fault re-raised.
         Each ``cmap`` keeps its touched entries then, so a retry commits
         the same records.  The caller yields its own reply.
         """
         stage = self.stage
         items = []
+        touched = []
         for oid, cmap, txn in maps:
             key = self.metadata_key(oid)
             header = cmap.serialize_header_v2(cmap.version + 1)
-            entries = cmap.omap_entries(cmap.touched_indices())
+            touched.append(cmap.touched_indices())
+            entries = cmap.omap_entries(touched[-1])
             txn.setxattr(key, CHUNK_MAP_XATTR, header)
             if entries:
                 txn.omap_set(key, entries)
@@ -643,7 +646,8 @@ class DedupTier:
             for oid, _cmap, _txn in maps:
                 self.invalidate_map_cache(oid)
             raise
-        for oid, cmap, _txn in maps:
+        for (oid, cmap, _txn), indices in zip(maps, touched):
+            self.cache.note_committed(oid, cmap, indices)
             cmap.version += 1
             cmap.clear_touched()
             self._fence(oid)

@@ -1,17 +1,17 @@
-"""Tests for the pluggable cache eviction policies (lru/lfu/fifo)."""
+"""Tests for the cache manager's LRU eviction (paper §4.3)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
 from repro.core.cache import CacheManager
+from repro.core.objects import ChunkMap, ChunkMapEntry
 from repro.sim import Simulator
 
 
-def manager(policy, capacity=1000):
-    config = DedupConfig(cache_policy=policy, cache_capacity_bytes=capacity)
+def manager(capacity=1000):
+    config = DedupConfig(cache_capacity_bytes=capacity)
     return CacheManager(Simulator(), config)
 
 
@@ -24,9 +24,7 @@ class FullScanCacheManager(CacheManager):
         self.hitset.record(oid)
         touched = [k for k in self._cached if k[0] == oid]
         for k in touched:
-            self._freq[k] = self._freq.get(k, 0) + 1
-            if self.config.cache_policy == "lru":
-                self._cached.move_to_end(k)
+            self._cached.move_to_end(k)
 
 
 _oids = st.sampled_from("abcd")
@@ -38,11 +36,10 @@ _cache_ops = st.one_of(
 )
 
 
-@pytest.mark.parametrize("policy", ["lru", "lfu", "fifo"])
 @given(ops=st.lists(_cache_ops, max_size=60))
 @settings(max_examples=100, deadline=None)
-def test_per_object_index_matches_the_full_scan(policy, ops):
-    config = DedupConfig(cache_policy=policy, cache_capacity_bytes=1000)
+def test_per_object_index_matches_the_full_scan(ops):
+    config = DedupConfig(cache_capacity_bytes=1000)
     indexed = CacheManager(Simulator(), config)
     reference = FullScanCacheManager(Simulator(), config)
     for name, *args in ops:
@@ -50,7 +47,6 @@ def test_per_object_index_matches_the_full_scan(policy, ops):
         getattr(reference, name)(*args)
         assert indexed.victims() == reference.victims()
         assert indexed.cached_bytes == reference.cached_bytes
-        assert indexed._freq == reference._freq
         assert list(indexed._cached.items()) == list(reference._cached.items())
         # The index is the queue, grouped by object: same members, same
         # relative order, and nothing left behind for an emptied object.
@@ -65,14 +61,13 @@ def test_per_object_index_matches_the_full_scan(policy, ops):
     )
 
 
-@pytest.mark.parametrize("policy", ["lru", "lfu", "fifo"])
 @given(ops=st.lists(_cache_ops, max_size=60))
 @settings(max_examples=100, deadline=None)
-def test_no_capacity_demotes_nothing_and_counts_the_same(policy, ops):
+def test_no_capacity_demotes_nothing_and_counts_the_same(ops):
     """Without a capacity nothing is ever demoted for space, so an access
     keeps no order: what is cached, and the promotion and demotion
     counts, still match the reference."""
-    config = DedupConfig(cache_policy=policy, cache_capacity_bytes=None)
+    config = DedupConfig(cache_capacity_bytes=None)
     indexed = CacheManager(Simulator(), config)
     reference = FullScanCacheManager(Simulator(), config)
     for name, *args in ops:
@@ -86,58 +81,45 @@ def test_no_capacity_demotes_nothing_and_counts_the_same(policy, ops):
     )
 
 
-def test_invalid_policy_rejected():
-    with pytest.raises(ValueError):
-        DedupConfig(cache_policy="clock")
-
-
 def test_lru_evicts_least_recently_used():
-    mgr = manager("lru")
+    mgr = manager()
     mgr.note_cached("a", 0, 600)
     mgr.note_cached("b", 0, 600)
     mgr.record_access("a")  # a becomes MRU
     assert mgr.victims() == [("b", 0)]
 
 
-def test_fifo_ignores_recency():
-    mgr = manager("fifo")
-    mgr.note_cached("a", 0, 600)
-    mgr.note_cached("b", 0, 600)
-    mgr.record_access("a")  # does not save a under FIFO
+def test_a_map_commit_moves_only_the_chunks_whose_cached_bytes_changed():
+    """The map commit's book update: a chunk's cached bytes are the sum
+    of its valid ranges; unchanged bytes keep the chunk's LRU place,
+    changed ones move it to the back, and none take it off the books."""
+    mgr = manager(capacity=2048)
+    a, b = ChunkMap(1024), ChunkMap(1024)
+    for cmap, count in ((a, 2), (b, 1)):
+        for idx in range(count):
+            cmap.set(ChunkMapEntry(offset=idx * 1024, length=1024, cached=True))
+    mgr.note_committed("a", a, [0, 1])
+    mgr.note_committed("b", b, [0])
+    a.set(a.get(0).replace(dirty=True))  # same bytes
+    a.set(a.get(1).replace(valid=((0, 256), (512, 768))))
+    mgr.note_committed("a", a, [0, 1])
+    assert list(mgr._cached.items()) == [
+        (("a", 0), 1024), (("b", 0), 1024), (("a", 1), 512),
+    ]
     assert mgr.victims() == [("a", 0)]
+    a.set(a.get(1).replace(valid=()))
+    mgr.note_committed("a", a, [1])
+    assert not mgr.is_cached("a", 1)
+    assert mgr.cached_bytes == 2048
+    assert (mgr.promotions, mgr.demotions) == (3, 1)
 
 
-def test_lfu_evicts_least_frequent():
-    mgr = manager("lfu")
-    mgr.note_cached("a", 0, 600)
-    mgr.note_cached("b", 0, 600)
-    for _ in range(5):
-        mgr.record_access("b")
-    mgr.record_access("a")
-    assert mgr.victims() == [("a", 0)]
-
-
-def test_lfu_frequency_reset_on_eviction():
-    mgr = manager("lfu", capacity=10_000)
-    mgr.note_cached("a", 0, 100)
-    for _ in range(9):
-        mgr.record_access("a")
-    mgr.note_evicted("a", 0)
-    mgr.note_cached("a", 0, 100)  # re-promoted: old frequency forgotten
-    mgr.note_cached("b", 0, 100)
-    mgr.record_access("b")
-    mgr.config.cache_capacity_bytes = 100
-    assert mgr.victims()[0] == ("a", 0)
-
-
-@pytest.mark.parametrize("policy", ["lru", "lfu", "fifo"])
-def test_end_to_end_capacity_respected(policy):
+def test_end_to_end_capacity_respected():
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
     storage = DedupedStorage(
         cluster,
         DedupConfig(
             chunk_size=1024,
-            cache_policy=policy,
             cache_capacity_bytes=2048,
             hit_count_threshold=1,
             hitset_period=100.0,

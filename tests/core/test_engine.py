@@ -145,6 +145,29 @@ def test_a_pass_whose_map_commit_faults_leaves_the_cache_books(monkeypatch):
     assert storage.read_sync("obj1") == b"c" * 2048
 
 
+def test_a_write_that_gives_up_leaves_nothing_on_the_cache_books(monkeypatch):
+    """Only a committed map writes the cache books: a write whose every
+    prepare faults gives up, and leaves neither bytes nor entries of the
+    object it never created on them."""
+    from repro.cluster.osd import OSD
+    from repro.faults.errors import TransientOpError
+
+    storage = make_storage()
+
+    def faulty(osd, _txn):
+        raise TransientOpError(osd.osd_id, "write")
+        yield
+
+    monkeypatch.setattr(OSD, "prepare_transaction", faulty)
+    with pytest.raises(TransientOpError):
+        storage.write_sync("obj1", b"w" * 3000)
+    cache = storage.tier.cache
+    assert storage.tier.peek_chunk_map("obj1") is None
+    assert cache.cached_bytes == 0
+    assert not [key for key in cache._cached if key[0] == "obj1"]
+    assert "obj1" not in cache._cached_by_oid
+
+
 def test_hot_object_stays_cached():
     storage = make_storage(hit_count_threshold=2, hitset_period=0.1)
     storage.write_sync("hot", b"h" * 1024)

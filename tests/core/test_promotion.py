@@ -102,7 +102,7 @@ def test_a_promotion_whose_map_commit_faults_changes_nothing(monkeypatch):
 
     def books():
         return (cache.cached_bytes, dict(cache._cached), dict(cache._cached_by_oid),
-                dict(cache._freq), cache.promotions, cache.demotions)
+                cache.promotions, cache.demotions)
 
     before = books()
     prepare = OSD.prepare_transaction
@@ -148,3 +148,41 @@ def test_promotion_respects_capacity_via_demotion():
     assert storage.tier.cache.cached_bytes <= 2048
     cmap = storage.tier.peek_chunk_map(victim)
     assert all(e.fully_cached() for e in cmap)
+
+
+def test_concurrent_capacity_enforcements_demote_each_victim_once(monkeypatch):
+    """A promotion and its caller may enforce the capacity at once: two
+    enforcements started at the same instant share the victims rather
+    than both demoting each (a lock wait and a map load for a chunk the
+    other already evicted)."""
+    storage = make_storage(hit_count_threshold=1, hitset_period=100.0)
+    for i in range(5):
+        storage.write_sync(f"obj{i}", bytes([i]) * 1024)
+    storage.drain()  # hot: every flushed chunk stays cached
+    cache, engine = storage.tier.cache, storage.engine
+    assert cache.cached_bytes == 5 * 1024
+    storage.config.cache_capacity_bytes = 1024
+    victims = cache.victims()
+    assert len(victims) == 4
+    demoted = []
+    demote = type(engine).demote_chunk
+
+    def spy(self, oid, index):
+        demoted.append((oid, index))
+        return demote(self, oid, index)
+
+    monkeypatch.setattr(type(engine), "demote_chunk", spy)
+
+    def both():
+        yield storage.sim.all_of([
+            storage.sim.process(engine.enforce_cache_capacity()),
+            storage.sim.process(engine.enforce_cache_capacity()),
+        ])
+
+    storage.cluster.run(both())
+    assert sorted(demoted) == sorted(victims)
+    assert engine.stats.chunks_evicted == 4
+    assert cache.cached_bytes == 1024
+    assert not engine._demoting
+    for i in range(5):
+        assert storage.read_sync(f"obj{i}") == bytes([i]) * 1024

@@ -107,8 +107,9 @@ step "e2e-smoke: memory by site (artifact; fails on a non-empty per-key table)" 
         python3 scripts/rss_by_site.py hot-reread --smoke | tee -a rss-by-site.txt &&
         python3 scripts/rss_by_site.py seq-backup --smoke | tee -a rss-by-site.txt'
 # seq-backup (four lanes writing one object; with --passes, whole-chunk
-# assembly), rand-small-cold (one drain pass per dirty metadata PG, with
-# --passes: each drain's rounds, passes, pass phases and the releases
+# assembly), rand-small-cold (one drain pass per dirty metadata PG, two
+# at a time on each primary, with --passes: each drain's forced workers,
+# most passes open on one primary, passes, pass phases and the releases
 # behind them) and hot-reread as ci.yml; sfs-mixed-open's
 # background passes run beside foreground ops.
 step "e2e-smoke: simulated seconds by slice (artifact, not a gate)" \

@@ -29,15 +29,17 @@ as ``run.py --config`` does, to size a slice against an ablation; the
 header then marks the run as not comparable with the benchmark's.
 
 ``--passes`` adds, per drain slice of the measured phase, the engine's
-work inside it: forced rounds (the worker launches of one
-``DedupEngine.drain``), dedup passes, members (objects) per pass, and
-the mean simulated milliseconds of each phase of a pass, which together
-make up the pass under its locks:
+work inside it: the forced workers ``DedupEngine.drain`` launched
+(``PASSES_PER_OSD`` per metadata primary with a dirty PG, one for a drain
+of one dirty PG), the most passes open at once on one primary, dedup
+passes, members (objects) per pass, and the mean simulated milliseconds
+of each phase of a pass, which together make up the pass under its
+locks:
 
 * ``loads`` — the members' chunk-map loads;
-* ``assembly`` — reading and merging their dirty chunks;
-* ``refs`` — fingerprinting them and the reference batch
-  (``commit_chunk_batch``, with its reply);
+* ``assembly`` — reading, merging and fingerprinting their dirty chunks;
+* ``refs`` — the reference batch (``commit_chunk_batch``, with its
+  reply);
 * ``map`` — the map commit (``DedupTier.commit_map``), where the pass
   ends;
 
@@ -79,10 +81,11 @@ class PassClock:
     def __init__(self):
         self.sim = None
         self._open = {}  # running pass's process -> {phase: start, "members": n}
+        self._on = {}  # primary -> its passes open now
         self._drain = None  # the drain slice in progress
-        #: id(phase) -> [per drain slice {"rounds", "passes", "releases", "tail"}]
+        #: id(phase) -> [per drain slice {"workers", "peak", "passes",
+        #: "releases", "tail"}]
         self.drains = {}
-        self._last_round = None
 
     def install(self, engine_cls, tier_cls):
         clock = self
@@ -96,20 +99,26 @@ class PassClock:
             (tier_cls, "commit_map", "map"),
         )
 
-        def timed_pass(engine, *args, **kwargs):
+        def timed_pass(engine, oids, *args, **kwargs):
             task = engine.sim.current_task
             clock.sim = engine.sim
             marks = clock._open[task] = {"loads": engine.sim.now, "members": 0}
+            tier = engine.tier
+            # The scheduling's primary: map-time, no simulated cost.
+            primary = tier.dirty_primary(tier.metadata_pool.pg_of(oids[0]), oids)
+            clock._on[primary] = clock._on.get(primary, 0) + 1
+            if clock._drain is not None:
+                clock._drain["peak"] = max(clock._drain["peak"], clock._on[primary])
             try:
-                return (yield from process_locked(engine, *args, **kwargs))
+                return (yield from process_locked(engine, oids, *args, **kwargs))
             finally:
+                clock._on[primary] -= 1
                 del clock._open[task]
                 clock._close(marks)
 
         def counted_worker(engine, force, *args, **kwargs):
-            if force and clock._drain is not None and clock._last_round != engine.sim.now:
-                clock._last_round = engine.sim.now
-                clock._drain["rounds"] += 1
+            if force and clock._drain is not None:
+                clock._drain["workers"] += 1
             return worker(engine, force, *args, **kwargs)
 
         def stamping(cls, name, phase):
@@ -166,8 +175,7 @@ class PassClock:
         drain["passes"].append((marks["members"], spent))
 
     def begin(self, phase):
-        self._drain = {"rounds": 0, "passes": [], "releases": [], "tail": 0.0}
-        self._last_round = None
+        self._drain = {"workers": 0, "peak": 0, "passes": [], "releases": [], "tail": 0.0}
         self.drains.setdefault(id(phase), []).append(self._drain)
 
     def end(self):
@@ -176,17 +184,19 @@ class PassClock:
     def report(self, phase):
         drains = self.drains.get(id(phase), [])
         print("\npasses per drain slice (mean simulated ms per pass)")
-        print("%-6s %6s %6s %8s" % ("drain", "rounds", "passes", "members")
+        print("%-6s %7s %8s %6s %8s" % ("drain", "workers", "peak/osd", "passes", "members")
               + "".join(" %9s" % p for p in PHASES))
-        rows = [(str(i + 1), d["rounds"], d["passes"]) for i, d in enumerate(drains)]
-        rows.append(("all", sum(d["rounds"] for d in drains),
+        rows = [(str(i + 1), d["workers"], d["peak"], d["passes"])
+                for i, d in enumerate(drains)]
+        rows.append(("all", sum(d["workers"] for d in drains),
+                     max((d["peak"] for d in drains), default=0),
                      [p for d in drains for p in d["passes"]]))
-        for label, rounds, passes in rows:
+        for label, workers, peak, passes in rows:
             n = len(passes)
             members = sum(m for m, _spent in passes) / n if n else 0.0
             means = [1e3 * sum(spent[p] for _m, spent in passes) / n if n else 0.0
                      for p in PHASES]
-            print("%-6s %6d %6d %8.2f" % (label, rounds, n, members)
+            print("%-6s %7d %8d %6d %8.2f" % (label, workers, peak, n, members)
                   + "".join(" %9.4f" % v for v in means))
         print("\nreleases behind the passes per drain slice (simulated ms)")
         print("%-6s %8s %9s %9s" % ("drain", "releases", "mean", "tail"))
@@ -208,7 +218,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
                         help="DedupConfig override, as run.py --config (not comparable)")
     parser.add_argument("--passes", action="store_true",
-                        help="per drain slice: rounds, passes, members and pass phases")
+                        help="per drain slice: workers, peak passes per primary, passes,"
+                        " members and pass phases")
     args = parser.parse_args(argv)
 
     if os.environ.get("PYTHONHASHSEED") != "0":

@@ -131,9 +131,11 @@ class CacheManager:
         #: scanning the whole tier.
         self._cached_by_oid: Dict[str, Dict[int, None]] = {}
         self.cached_bytes = 0
-        #: Counters for tests/metrics.
-        self.promotions = 0
-        self.demotions = 0
+        #: Chunks put on the books and taken off them — by a write, a
+        #: pass, a promotion or a demotion alike (the engine's
+        #: ``chunks_promoted`` counts promotions).
+        self.chunks_cached = 0
+        self.chunks_uncached = 0
 
     # -- hotness ------------------------------------------------------------
 
@@ -197,7 +199,7 @@ class CacheManager:
         indices.pop(index, None)
         indices[index] = None
         self.cached_bytes += nbytes
-        self.promotions += old == 0
+        self.chunks_cached += old == 0
 
     def note_evicted(self, oid: str, index: int) -> None:
         """A chunk was punched out of its metadata object."""
@@ -209,7 +211,7 @@ class CacheManager:
                 del self._cached_by_oid[oid]
         if old:
             self.cached_bytes -= old
-            self.demotions += 1
+            self.chunks_uncached += 1
 
     def is_cached(self, oid: str, index: int) -> bool:
         """Whether chunk ``index`` of ``oid`` is on the books."""

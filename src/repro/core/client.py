@@ -190,7 +190,8 @@ class DedupedStorage:
         false-positive mode's deferred dereferences, and any release a
         fault deferred), as an idle background worker also does.
 
-        Runs up to ``config.engine_workers`` forced passes at once — see
+        Runs two forced passes at once on every metadata primary OSD
+        with a dirty PG — see
         :meth:`DedupEngine.drain <repro.core.engine.DedupEngine.drain>`.
         """
         self.engine.drain_sync()

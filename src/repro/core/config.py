@@ -87,6 +87,9 @@ class DedupConfig:
 
     #: Background dedup thread count (paper §3.2: "background
     #: deduplication threads periodically conduct a deduplication job").
+    #: Sizes the rate-paced background workers only: ``drain()`` runs
+    #: its own forced workers, two per metadata primary OSD with a
+    #: dirty PG.
     engine_workers: int = 8
 
     def __post_init__(self):

@@ -66,8 +66,8 @@ def storage_metrics(storage: Any) -> MetricsRegistry:
         labels=("stat",),
     )
     cache.labels(stat="cached_bytes").set(tier.cache.cached_bytes)
-    cache.labels(stat="promotions").set(tier.cache.promotions)
-    cache.labels(stat="demotions").set(tier.cache.demotions)
+    cache.labels(stat="chunks_cached").set(tier.cache.chunks_cached)
+    cache.labels(stat="chunks_uncached").set(tier.cache.chunks_uncached)
     gauge("repro_foreground_iops", "Foreground ops/s over the rate window",
           tier.fg_window.iops())
     gauge("repro_foreground_throughput_bps",
@@ -183,7 +183,8 @@ def status_lines(reg: MetricsRegistry) -> List[str]:
         f"refcount           {mode}"
         f" ({int(_read(reg, 'repro_refcount_pending_derefs'))} derefs pending GC)",
         f"cache              {cache('cached_bytes')} bytes cached"
-        f" (+{cache('promotions')}/-{cache('demotions')})",
+        f" ({engine('chunks_promoted')} chunks promoted,"
+        f" {engine('chunks_evicted')} evicted)",
         f"foreground load    {_read(reg, 'repro_foreground_iops'):.0f} IOPS,"
         f" {_read(reg, 'repro_foreground_throughput_bps') / 1e6:.1f} MB/s"
         f" (dedup ratio limit 1/{ratio or 'unlimited'})",

@@ -264,8 +264,8 @@ def test_over_capacity_flag():
 def _backup_rounds(rate_scale, generations=10):
     """A small seq-backup-shaped run — write a generation, drain, restore
     the previous one, retire the one before — on hardware whose disk and
-    NIC rates are scaled by ``rate_scale``.  Returns the promotions and
-    the stored bytes sampled after every restore."""
+    NIC rates are scaled by ``rate_scale``.  Returns the chunks put on
+    the cache books and the stored bytes sampled after every restore."""
     import random
 
     from repro.cluster import RadosCluster
@@ -321,7 +321,7 @@ def _backup_rounds(rate_scale, generations=10):
                     yield from storage.delete(f"g{g - 2}.o{o}")
 
     cluster.run(backup())
-    return storage.tier.cache.promotions, stored, sim.now
+    return storage.tier.cache.chunks_cached, stored, sim.now
 
 
 def test_a_backup_run_keeps_its_promotions_and_stored_bytes_under_a_timing_shift():

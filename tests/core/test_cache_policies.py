@@ -56,8 +56,8 @@ def test_per_object_index_matches_the_full_scan(ops):
         assert {
             oid: list(indices) for oid, indices in indexed._cached_by_oid.items()
         } == by_oid
-    assert (indexed.promotions, indexed.demotions) == (
-        reference.promotions, reference.demotions,
+    assert (indexed.chunks_cached, indexed.chunks_uncached) == (
+        reference.chunks_cached, reference.chunks_uncached,
     )
 
 
@@ -76,8 +76,8 @@ def test_no_capacity_demotes_nothing_and_counts_the_same(ops):
         assert indexed.victims() == [] == reference.victims()
         assert indexed.cached_bytes == reference.cached_bytes
         assert set(indexed._cached.items()) == set(reference._cached.items())
-    assert (indexed.promotions, indexed.demotions) == (
-        reference.promotions, reference.demotions,
+    assert (indexed.chunks_cached, indexed.chunks_uncached) == (
+        reference.chunks_cached, reference.chunks_uncached,
     )
 
 
@@ -111,7 +111,7 @@ def test_a_map_commit_moves_only_the_chunks_whose_cached_bytes_changed():
     mgr.note_committed("a", a, [1])
     assert not mgr.is_cached("a", 1)
     assert mgr.cached_bytes == 2048
-    assert (mgr.promotions, mgr.demotions) == (3, 1)
+    assert (mgr.chunks_cached, mgr.chunks_uncached) == (3, 1)
 
 
 def test_end_to_end_capacity_respected():

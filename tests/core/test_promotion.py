@@ -102,7 +102,7 @@ def test_a_promotion_whose_map_commit_faults_changes_nothing(monkeypatch):
 
     def books():
         return (cache.cached_bytes, dict(cache._cached), dict(cache._cached_by_oid),
-                cache.promotions, cache.demotions)
+                cache.chunks_cached, cache.chunks_uncached)
 
     before = books()
     prepare = OSD.prepare_transaction

@@ -52,6 +52,21 @@ def test_status_after_drain():
     assert value(snap, "repro_pool_used_bytes", pool="dedup-chunks") > 0
 
 
+def test_a_flush_is_not_a_promotion():
+    """A write caches its chunks and the pass that flushes them evicts
+    them: the books count both, and ``status`` reports no promotion."""
+    storage = make_storage()
+    storage.write_sync("obj1", b"w" * 3000)
+    storage.drain()
+    cache = storage.tier.cache
+    assert (cache.chunks_cached, cache.chunks_uncached) == (3, 3)
+    assert storage.engine.stats.chunks_promoted == 0
+    snap = storage_metrics(storage)
+    assert value(snap, "repro_cache_tier", stat="chunks_cached") == 3
+    line = next(line for line in status_lines(snap) if line.startswith("cache "))
+    assert line.endswith("(0 chunks promoted, 3 evicted)")
+
+
 def test_status_engine_running_flag():
     storage = make_storage()
     storage.engine.start()

@@ -60,9 +60,14 @@ CLI_DIGESTS = {
         "b38da717d0c7c08fdc8908d1e7be4882d175c5165a33bebfa424c4ef80367c12",
     # Moved when an engine pass became the dirty objects of one
     # metadata PG: the drain ends sooner, so `sim time` reads 0.017s
-    # (was 0.018s); every other line is as it was.
+    # (was 0.018s); every other line is as it was.  Moved again when a
+    # drain began running two passes on every metadata primary at once
+    # and `cache` began reporting the engine's promotions and evictions
+    # (the book counters count every chunk a write caches and a pass
+    # evicts): `sim time` reads 0.016s and `cache` reads `(0 chunks
+    # promoted, 48 evicted)` (was `(+48/-48)`).
     ("--seed", "1", "status"):
-        "41b5c896e67428dadfe92036ff38b322caf58152b538256943ee539ffe38a189",
+        "b5851adf637dc9b26c96378240a068a5492768a98277c55e4e38f9182ca7edcc",
     ("--seed", "1", "scrub"):
         "72f9a9ef70c5b9cfd940592679f200201b78e8d7106adc620f847faa2e35c49f",
 }
@@ -95,7 +100,12 @@ METRICS_DIGEST = (
     # copies of two `repro_engine_ops` series, were dropped.  Moved again
     # when releases left the client's retry stats: the run's one delete
     # release no longer counts, so attempts and successes read 41 (was 42).
-    "1d47eabc991a2aa1eee061bae5eaa08521a5467f625d8c15e8474f86a1d5b81d"
+    # Moved again when a drain began running two passes on every metadata
+    # primary at once: the run ends 231 us sooner, with the same two
+    # effects; and when the cache-book counters were renamed, so
+    # `repro_cache_tier` reads `chunks_cached`/`chunks_uncached` (was
+    # `promotions`/`demotions`), values unchanged.
+    "b3aac09268d8e24e4145f020d3ec2fb783a2156c68f895fb6aec392afa21aea4"
 )
 
 

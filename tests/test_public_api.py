@@ -20,7 +20,6 @@ from tests.test_api_documentation import PACKAGES
 #: Exported with no caller outside their package, and why.
 ALLOWED = {
     "repro.__version__": "the distribution's version",
-    "repro.cluster.NotEnoughReplicas": "raised to callers: no up OSD holds a copy",
     "repro.cluster.PriorWriteFailed": "raised to callers: the write built on failed",
     "repro.cluster.ObjectExists": "raised to callers: an exclusive create found the object",
     "repro.cluster.OsdError": "base of the OSD errors raised to callers",

@@ -201,8 +201,46 @@ def test_empty_pg_buckets_are_dropped():
     assert not tier._dirty_pgs and tier.dirty_pg_count == 0
 
 
+def test_a_drain_worker_pops_only_its_own_primarys_pgs():
+    """A drain lists every dirty PG under the primary its pass runs on,
+    each OSD's in logged order, and a worker handed one OSD's PGs pops
+    only those, skipping any another worker took.  The PGs with no
+    acting OSD up are listed under ``None``: no OSD's worker takes
+    them."""
+    from repro.cluster import NotEnoughReplicas
+
+    storage = make_storage()
+    tier, pool = storage.tier, storage.tier.metadata_pool
+    groups = [same_pg(storage, 2, skip=n) for n in range(8)]
+    for group in groups:
+        for oid in group:
+            tier.mark_dirty(oid)
+    head_pg = pool.pg_of(groups[0][0])
+    for osd_id in pool.acting_set(head_pg):
+        storage.cluster.fail_osd(osd_id, mark_out=False)
+    expected = {}  # primary (None: no acting OSD up) -> its PGs
+    for group in groups:
+        try:
+            primary = storage.cluster.primary(pool, group[0])
+        except NotEnoughReplicas:
+            primary = None
+        expected.setdefault(primary, []).append(pool.pg_of(group[0]))
+    assert None in expected and len(expected) > 2
+    by_primary = tier.dirty_pgs_by_primary()
+    assert {osd: list(pgs) for osd, pgs in by_primary.items()} == expected
+    assert tier.next_dirty_group() == groups[0]  # a background worker's pop
+    for osd, pgs in by_primary.items():
+        popped = []
+        group = tier.next_dirty_group(pgs)
+        while group:
+            popped.append(pool.pg_of(group[0]))
+            group = tier.next_dirty_group(pgs)
+        assert popped == [pg for pg in expected[osd] if pg != head_pg], osd
+    assert tier.dirty_count == 0
+
+
 def test_a_drain_runs_one_pass_per_dirty_pg_at_most():
-    storage = make_storage(engine_workers=8)
+    storage = make_storage()
     groups = [same_pg(storage, 4, skip=n) for n in range(3)]
     for group in groups:
         for oid in group:

@@ -247,7 +247,7 @@ def test_the_old_chunk_release_is_a_root_that_starts_after_its_pass_ends():
     # Worker passes that replace a flushed chunk end at their map commit
     # and free their locks; the old chunk's release runs behind the
     # pass, a root of its own named for the pass's first member.
-    storage = make_storage(engine_workers=2, cache_on_flush=False)
+    storage = make_storage(cache_on_flush=False)
     for i in range(4):
         storage.write_sync(f"o-{i}", bytes([i + 1]) * (16 * KiB))
     storage.drain()

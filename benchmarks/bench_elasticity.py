@@ -14,7 +14,8 @@ and post-rebalance placement cleanliness.
 """
 
 from repro.bench import KiB, MiB, build_cluster, proposed, render_table, report
-from repro.cluster import ConvergeStats, converge, placement_report
+from repro.cluster import ConvergeStats, converge
+from repro.core import verdict
 from repro.workloads import ContentGenerator
 
 NUM_OBJECTS = 48
@@ -81,12 +82,7 @@ def run_experiment():
     cluster.run(converge(cluster, None, stats))
     report_after = storage.space_report()
 
-    violations = placement_report(cluster)
-    lost = [
-        oid
-        for oid, data in items
-        if storage.read_sync(oid, 0, len(data)) != data
-    ]
+    found = verdict(storage, shadow=payloads)
     return {
         "diff": diff,
         "stats": stats,
@@ -96,8 +92,7 @@ def run_experiment():
         "t_during": t_during,
         "bytes_before": sum(len(d) for d in first.values()),
         "bytes_during": sum(len(d) for d in second.values()),
-        "violations": violations,
-        "lost": lost,
+        "verdict": found,
     }
 
 
@@ -128,7 +123,7 @@ def test_elasticity_online_expansion(benchmark):
                 f" {stats.objects_moved} objects moved;"
                 f" rebalance throttled to {REBALANCE_RATE // MiB} MiB/s",
                 f"placement violations after settle:"
-                f" {len(r['violations'])}",
+                f" {len(r['verdict'].findings['placement'])}",
             ],
         )
     )
@@ -140,9 +135,8 @@ def test_elasticity_online_expansion(benchmark):
         "write_mibs_before": round(mbs_before, 2),
         "write_mibs_during": round(mbs_during, 2),
     }
-    # Zero data loss and clean final placement.
-    assert not r["lost"]
-    assert not r["violations"]
+    # Zero data loss, clean final placement, clean scrubs, no leaked state.
+    assert r["verdict"].clean, r["verdict"].problems
     # The expansion actually moved data (chunk objects migrated with
     # their refcount xattrs intact — the scrubbed invariant).
     assert r["diff"].pgs_remapped > 0

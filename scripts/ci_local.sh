@@ -98,11 +98,9 @@ step "e2e-smoke: end-to-end benchmark smoke" \
     python3 benchmarks/e2e/run.py --smoke
 # rand-small-cold; hot-reread, whose writes to one object overlap and
 # so fill the tier's write line; seq-backup, the one that deletes.
-# Fails when a lock table, a map-miss fence, the write line, a pending
-# requeue, a promotion, a release in flight (a pass's, an aborted pass's,
-# a delete's or the deref queue's GC) or a deferred reference on the
-# engine's deref queue is left after the pass.
-step "e2e-smoke: memory by site (artifact; fails on a non-empty per-key table)" \
+# Fails unless the store's verdict (repro.core.verdict) is clean after
+# the pass: no entry left in a per-key table, no scrub or placement finding.
+step "e2e-smoke: memory by site (artifact; fails unless the store's verdict is clean)" \
     bash -o pipefail -c 'python3 scripts/rss_by_site.py rand-small-cold --smoke | tee rss-by-site.txt &&
         python3 scripts/rss_by_site.py hot-reread --smoke | tee -a rss-by-site.txt &&
         python3 scripts/rss_by_site.py seq-backup --smoke | tee -a rss-by-site.txt'

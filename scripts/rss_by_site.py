@@ -18,17 +18,11 @@ same verify read-back as the driver form ``run.py --workload W --seed N
 * a census of the object stores per pool: objects and payload MiB as the
   modelled disks are charged for them (every replica), the MiB of
   *distinct* blobs behind them in host memory, the most extents any one
-  object has, and the live entries of the per-key tables: the three
-  lock tables, the tier's map-miss fences, its write line and its
-  pending dirty-list requeues, and the engine's promotions, demotions,
-  releases in flight (every GC a pass, an aborted pass, a delete or the
-  deref queue started) and deref queue (the references left for the
-  GC), all 0 once the pass has quiesced.
+  object has, and the size of each finding of the store's verdict
+  (``repro.core.verdict``): every one 0 once the pass has quiesced.
 
-Exits 1 when any per-key table is not empty at the end of the pass (a
-leaked lock, fence, write-line entry, requeue, promotion, demotion or
-release, or a deferred reference nothing collects: state that grows
-without bound).
+Exits 1 when that verdict is not clean: an entry left in a per-key table
+(state that grows without bound) or a scrub or placement finding.
 
 ``tracemalloc`` costs 2-3x in time and ~20 % in RSS, so read the RSS
 columns for shape and ``peak_rss_mb`` itself from the driver form.
@@ -101,6 +95,7 @@ def main(argv=None) -> int:
         parser.error("unknown workload %r (known: %s)" % (
             args.workload, ", ".join(sorted(workloads.SPECS))))
     sys.path.insert(0, child.SRC)
+    from repro.core import verdict
 
     # The pass marks its laps by calling perf_counter() from a closure
     # named ``lap``; sample there instead of editing the benchmark.
@@ -184,27 +179,12 @@ def main(argv=None) -> int:
     print("  %-12s %9d %13.1f %19.1f" % (
         "all", sum(r["objects"] for r in rows.values()),
         sum(r["payload"] for r in rows.values()) / MiB, distinct / MiB))
-    tier, cluster = storage.tier, storage.cluster
-    print("\nper-key tables (entries):")
-    left = 0
-    for name, table in (
-        ("tier.chunk_locks", tier.chunk_locks),
-        ("tier.object_locks", tier.object_locks),
-        ("cluster.write_locks", cluster.write_locks),
-        ("tier._map_fences", tier._map_fences),
-        ("tier._write_line", tier._write_line),
-        ("tier._pending_requeues", tier._pending_requeues),
-        ("engine._promoting", storage.engine._promoting),
-        ("engine._demoting", storage.engine._demoting),
-        ("engine._releases", storage.engine._releases),
-        ("engine.deref_queue", storage.engine.deref_queue),
-    ):
-        print("  %-22s %8d" % (name, len(table)))
-        left += len(table)
-    if left:
-        print("per-key tables not empty after the pass: %d entries left" % left)
-        return 1
-    return 0
+    found = verdict(storage)
+    print("\nverdict findings (entries):")
+    for name, left in found.findings.items():
+        print("  %-22s %8d" % (name, len(left)))
+    print("verdict: %s" % (", ".join(found.problems) or "CLEAN"))
+    return 0 if found.clean else 1
 
 
 if __name__ == "__main__":

@@ -82,22 +82,22 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_scrub(args) -> int:
-    from .core import scrub_sync
+    from .core import verdict
 
-    storage = _build_demo_storage(seed=args.seed)
-    report = scrub_sync(storage.tier)
+    found = verdict(_build_demo_storage(seed=args.seed))
+    report = found.scrub
     print(f"chunks checked:      {report.chunks_checked}")
     print(f"corrupt chunks:      {len(report.corrupt_chunks)}")
     print(f"dangling map entries:{len(report.dangling_map_entries):2d}")
     print(f"stale references:    {len(report.stale_references)}")
-    print(f"verdict:             {'CLEAN' if report.clean else 'DAMAGED'}")
-    return 0 if report.clean else 1
+    print(f"verdict:             {'CLEAN' if found.clean else 'DAMAGED'}")
+    return 0 if found.clean else 1
 
 
 def _cmd_scenario(args) -> int:
     from .cluster import placement_skew
+    from .core.scrub import TABLES
     from .faults import ELASTIC, STATIC, FaultPlan, run_scenario
-    from .faults.scenario import locks_left
     from .obs import fault_lines
 
     preset = STATIC if args.command == "faults" else ELASTIC
@@ -131,7 +131,7 @@ def _cmd_scenario(args) -> int:
     for line in result.plan.describe() or ["  (empty plan)"]:
         print(f"  {line}")
     print()
-    for line in fault_lines(result.metrics):
+    for line in fault_lines(result.verdict.metrics):
         print(line)
     print()
     print("topology changes:")
@@ -148,19 +148,18 @@ def _cmd_scenario(args) -> int:
     for line in result.converge_stats.summary_lines():
         print(f"  {line}")
     print()
-    scrub = result.scrub
+    scrub, findings = result.verdict.scrub, result.verdict.findings
     print(f"objects written    {result.objects_written}"
-          f" ({len(result.corrupted_objects)} lost/corrupted)")
+          f" ({len(findings['lost'])} lost/corrupted)")
     print(f"dedup scrub        {scrub.chunks_checked} chunks checked,"
           f" {len(scrub.corrupt_chunks)} corrupt,"
           f" {len(scrub.dangling_map_entries)} dangling entries,"
           f" {len(scrub.stale_references)} stale refs,"
           f" {len(scrub.unreferenced_chunks)} unreferenced")
-    for report, name in zip(result.replica_reports, ("metadata", "chunk")):
-        print(f"{name + ' pool scrub':<18} "
-              f"{'CLEAN' if report.clean else 'DAMAGED'}")
-    print(f"placement          {len(result.placement_violations)} violation(s)")
-    for line in result.placement_violations[:10]:
+    for name in ("metadata pool scrub", "chunk pool scrub"):
+        print(f"{name:<18} {'DAMAGED' if findings[name] else 'CLEAN'}")
+    print(f"placement          {len(findings['placement'])} violation(s)")
+    for line in findings["placement"][:10]:
         print(f"  {line}")
     print("placement skew     PGs per OSD, max/mean/min")
     for pool, skew in placement_skew(result.storage.cluster).items():
@@ -173,10 +172,9 @@ def _cmd_scenario(args) -> int:
     if result.decommissioned_osd is not None:
         print(f"decommission       "
               f"{'finalized' if result.finalized else 'NOT finalized'}")
-    # Silent when every lock table is empty.
-    held = locks_left(result.storage)
-    if held:
-        print(f"locks held         {', '.join(held)}")
+    for name in TABLES:  # silent when every per-key table is empty
+        if findings[name]:
+            print(f"{name:<18} {len(findings[name])} left")
     print(f"verdict:           {'CLEAN' if result.ok else 'DAMAGED'}")
     return 0 if result.ok else 1
 

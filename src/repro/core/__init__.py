@@ -14,7 +14,7 @@ Key pieces:
 from .baselines import InlineDedupStorage, PlainStorage, analyze_dedup_potential
 from .client import DedupedStorage
 from .config import DedupConfig
-from .scrub import scrub, scrub_sync
+from .scrub import scrub, scrub_sync, verdict
 from .tier import DedupTier
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "DedupTier",
     "scrub",
     "scrub_sync",
+    "verdict",
     "analyze_dedup_potential",
     "InlineDedupStorage",
     "PlainStorage",

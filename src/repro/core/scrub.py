@@ -1,6 +1,6 @@
 """Scrub and offline garbage collection for the dedup tier.
 
-Two maintenance passes a production deployment of this design needs:
+The maintenance passes a production deployment of this design needs:
 
 * :func:`scrub` — integrity verification ("fsck for dedup"): every
   chunk object's content must hash to its object ID (double hashing
@@ -11,21 +11,27 @@ Two maintenance passes a production deployment of this design needs:
   their referrer's chunk map no longer implies: the §4.6
   false-positive deref queue, a deleted object's references and the
   offline repair.
+* :func:`verdict` — the one judgement of a quiesced store: both scrubs,
+  a read-back, placement and every per-key table (:data:`TABLES`).
 
-Both are simulation processes and charge device time for what they
-read/write, so their cost can be measured too.
+All three charge device time for what they read/write, so their cost
+can be measured too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
+from ..cluster import placement_report, scrub_pool_sync
 from ..fingerprint import fingerprint
 from .objects import ChunkRef
 from .tier import ChunkBatch, DedupTier
 
-__all__ = ["ScrubReport", "scrub", "scrub_sync", "GcReport", "collect_garbage", "collect_garbage_sync"]
+__all__ = [
+    "ScrubReport", "scrub", "scrub_sync", "GcReport", "collect_garbage", "collect_garbage_sync",
+    "TABLES", "Verdict", "verdict",
+]
 
 
 @dataclass
@@ -47,6 +53,75 @@ class ScrubReport:
             or self.stale_references
             or self.unreferenced_chunks
         )
+
+
+#: The per-key tables, finding -> ``(owner, attribute)`` of a
+#: ``DedupedStorage``: each holds an entry only while work on its key is
+#: in flight, so one left at quiesce is state that grows without bound.
+TABLES = {
+    "rados.write locks": ("cluster", "write_locks"),
+    "tier.object locks": ("tier", "object_locks"),
+    "tier.chunk locks": ("tier", "chunk_locks"),
+    "write line": ("tier", "_write_line"),
+    "map fences": ("tier", "_map_fences"),
+    "pending requeues": ("tier", "_pending_requeues"),
+    "promotions": ("engine", "_promoting"),
+    "demotions": ("engine", "_demoting"),
+    "releases": ("engine", "_releases"),
+    "deref queue": ("engine", "deref_queue"),
+}
+
+
+@dataclass
+class Verdict:
+    """One judgement of a quiesced store (:func:`verdict`)."""
+
+    #: The dedup scrub's report; its findings are ``"dedup scrub"``.
+    scrub: ScrubReport
+    #: Check name -> what it found, in the order the checks ran.
+    findings: Dict[str, List[Any]]
+    #: :func:`~repro.obs.storage_metrics` once quiesced, before the pool scrubs.
+    metrics: Any
+
+    @property
+    def problems(self) -> List[str]:
+        """The checks that found something; none on a sound store."""
+        return [name for name, found in self.findings.items() if found]
+
+    @property
+    def clean(self) -> bool:
+        """True when every check found nothing."""
+        return not self.problems
+
+
+def verdict(storage: Any, shadow: Optional[Mapping[str, bytes]] = None) -> Verdict:
+    """Judge a quiesced ``storage`` (a ``DedupedStorage``), read back
+    against ``shadow`` (oid -> its bytes): the one code that decides
+    whether a store is sound.  The checks run in the order of
+    ``findings``, as reads and scrubs charge simulated time; between the
+    read-back and the pool scrubs the loop runs dry (reads may leave
+    cache promotions behind) and ``metrics`` is taken.
+    """
+    from ..obs import storage_metrics
+
+    tier, cluster = storage.tier, storage.cluster
+    storage.engine.stop()  # the loop cannot run dry while it ticks
+    report = scrub_sync(tier)
+    findings: Dict[str, List[Any]] = {
+        "dedup scrub": [*report.corrupt_chunks, *report.dangling_map_entries,
+                        *report.stale_references, *report.unreferenced_chunks],
+        "lost": [oid for oid, data in sorted((shadow or {}).items())
+                 if storage.read_sync(oid) != data],
+    }
+    storage.sim.run()
+    metrics = storage_metrics(storage)
+    for name, pool in (("metadata", tier.metadata_pool), ("chunk", tier.chunk_pool)):
+        found = scrub_pool_sync(cluster, pool)
+        findings[f"{name} pool scrub"] = found.inconsistent + found.missing + found.bad_shards
+    findings["placement"] = placement_report(cluster)
+    for name, (owner, attr) in TABLES.items():
+        findings[name] = list(getattr(getattr(storage, owner), attr))
+    return Verdict(report, findings, metrics)
 
 
 def _implied(tier: DedupTier, oid: str) -> Iterator[Tuple[str, ChunkRef]]:

@@ -7,15 +7,10 @@ store while a seeded :class:`~repro.faults.FaultPlan` crashes OSDs,
 degrades disks, injects EIO and partitions hosts, and while a
 :class:`Preset`'s timed topology steps expand the cluster, start a
 paced background convergence and decommission an OSD.  Then heal,
-converge, drain, and check that
-
-* every written object reads back byte-identical (zero data loss),
-* the dedup scrub finds zero refcount leaks and zero missing chunks,
-* both pools scrub replica/shard-consistent,
-* every PG is ``active+clean`` (every copy exactly on its acting set),
-* the op trace is sound, with the ``converge.*`` stages present,
-* a decommissioned OSD drained and was removed, and
-* no lock is left held or awaited once the run has quiesced.
+converge, drain, and judge the store with :func:`~repro.core.verdict`,
+plus what only a scenario can check: a sound op trace with the
+``converge.*`` stages present, and a decommissioned OSD drained and
+removed.
 
 Two presets cover the two shapes: :data:`STATIC` (4 hosts x 2 OSDs, no
 topology steps) and :data:`ELASTIC` (2 x 2, grown to 4 x 2 mid-workload,
@@ -34,7 +29,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from .errors import is_retryable
 from .plan import FaultPlan
 
-__all__ = ["ELASTIC", "STATIC", "Preset", "ScenarioResult", "locks_left", "run_scenario"]
+__all__ = ["ELASTIC", "STATIC", "Preset", "ScenarioResult", "run_scenario"]
 
 KiB = 1024
 
@@ -73,21 +68,6 @@ ELASTIC = Preset(
 )
 
 
-def locks_left(storage: Any) -> List[str]:
-    """``"class=entries"`` for each lock table of ``storage`` not empty.
-
-    A :class:`~repro.sim.LockTable` keeps an entry exactly while a task
-    holds or awaits its lock, so once a run has quiesced every table of
-    the substrate and the tier must be empty: an entry left means a task
-    ended (or hangs) without releasing.
-    """
-    tier = storage.tier
-    tables = (tier.cluster.write_locks, tier.object_locks, tier.chunk_locks)
-    return [
-        f"{table.label.split(':')[0]}={len(table)}" for table in tables if len(table)
-    ]
-
-
 @dataclass
 class ScenarioResult:
     """Everything a caller needs to judge one run."""
@@ -95,17 +75,10 @@ class ScenarioResult:
     storage: Any
     injector: Any
     plan: FaultPlan
-    #: Dedup scrub (refcount pairing / leaks / missing chunks).
-    scrub: Any
-    #: Replica/shard scrubs of the metadata and chunk pools.
-    replica_reports: List[Any] = field(default_factory=list)
-    #: Why some PG is not ``active+clean``; must be empty.
-    placement_violations: List[str] = field(default_factory=list)
+    #: The store's :class:`~repro.core.scrub.Verdict`, against what the client wrote.
+    verdict: Any
     #: check_trace findings on the op trace; must be empty.
     trace_problems: List[str] = field(default_factory=list)
-    #: Objects whose post-recovery read-back did not match what the
-    #: client wrote (must be empty).
-    corrupted_objects: List[str] = field(default_factory=list)
     objects_written: int = 0
     #: Remap diffs of the host expansions.
     expand_diffs: List[Any] = field(default_factory=list)
@@ -116,26 +89,14 @@ class ScenarioResult:
     finalized: bool = False
     #: Convergence counters, one bag for the background and the final run.
     converge_stats: Any = None
-    #: The store's :func:`~repro.obs.storage_metrics` snapshot at
-    #: quiesce, before the replica scrubs audit the pools.
-    metrics: Any = None
-
-    @property
-    def zero_data_loss(self) -> bool:
-        """No object was lost or corrupted."""
-        return not self.corrupted_objects
 
     @property
     def ok(self) -> bool:
         """The run's overall verdict."""
         return (
-            self.zero_data_loss
-            and bool(self.scrub.clean)
-            and all(bool(r.clean) for r in self.replica_reports)
-            and not self.placement_violations
+            self.verdict.clean
             and not self.trace_problems
             and (self.decommissioned_osd is None or self.finalized)
-            and not locks_left(self.storage)
         )
 
 
@@ -158,10 +119,9 @@ def run_scenario(
     since the background engine runs throughout.  ``rate_limit_bps``
     paces a ``"converge"`` step (``None``: unthrottled).
     """
-    from ..cluster import ConvergeStats, RadosCluster, converge, placement_report
-    from ..cluster import scrub_pool_sync
-    from ..core import DedupConfig, DedupedStorage, scrub_sync
-    from ..obs import Tracer, check_trace, storage_metrics
+    from ..cluster import ConvergeStats, RadosCluster, converge
+    from ..core import DedupConfig, DedupedStorage, verdict
+    from ..obs import Tracer, check_trace
     from ..workloads import ContentGenerator
 
     num_objects = preset.num_objects if num_objects is None else num_objects
@@ -182,7 +142,7 @@ def run_scenario(
     injector = storage.inject_faults(plan, auto_recover=not background_converge)
     sim = storage.sim
     result = ScenarioResult(
-        storage=storage, injector=injector, plan=plan, scrub=None,
+        storage=storage, injector=injector, plan=plan, verdict=None,
         objects_written=num_objects, converge_stats=ConvergeStats(),
     )
 
@@ -249,22 +209,7 @@ def run_scenario(
                 result.finalized = True
             except (KeyError, ValueError):
                 pass  # not drained: the verdict fails on ``finalized``
-        result.scrub = scrub_sync(storage.tier)
-        result.corrupted_objects = [
-            oid
-            for oid, data in sorted(payloads.items())
-            if storage.read_sync(oid, 0, len(data)) != data
-        ]
-        # Quiesce: verification reads can spawn fire-and-forget cache
-        # promotions; run the loop dry so no task is left suspended holding
-        # an object lock (the verdict treats that as a leak).
-        sim.run()
-        result.metrics = storage_metrics(storage)
-        result.replica_reports = [
-            scrub_pool_sync(cluster, storage.tier.metadata_pool),
-            scrub_pool_sync(cluster, storage.tier.chunk_pool),
-        ]
-        result.placement_violations = placement_report(cluster)
+        result.verdict = verdict(storage, payloads)
     records = tracer.to_records()
     # Structural soundness (finished, no orphans, all stages present) of
     # the whole trace; the child-coverage bar applies to the convergence

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Deque, Dict, Hashable, List, Tuple, cast
+from typing import Callable, Deque, Dict, Hashable, Iterator, List, Tuple, cast
 
 from .core import Event, SimulationError, Simulator, _new_event
 
@@ -247,6 +247,9 @@ class LockTable:
 
     def __len__(self) -> int:
         return len(self._locks)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._locks)
 
     def acquire(
         self, key: Hashable, held: List[Tuple[Hashable, Event]], shared: bool = False

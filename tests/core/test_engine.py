@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import RadosCluster
-from repro.core import DedupConfig, DedupedStorage
+from repro.core import DedupConfig, DedupedStorage, verdict
 from repro.fingerprint import fingerprint
 from repro.obs import Tracer
 
@@ -493,9 +493,6 @@ def test_failed_drain_fails_once_and_cleanly():
     """A non-retryable error in one pass: nothing more is handed out,
     siblings finish what they hold, the first error is what drain
     raises, and a later drain on the healed tier converges."""
-    from repro.core.scrub import scrub_sync
-    from repro.faults.scenario import locks_left
-
     storage = make_storage()
     for i in range(24):
         storage.write_sync(f"obj{i}", bytes([i]) * 2048)
@@ -531,17 +528,16 @@ def test_failed_drain_fails_once_and_cleanly():
     assert storage.engine.stats.objects_processed == len(handed) - len(failed)
     assert tier.dirty_count == 24 - len(handed) > 0
     assert tier.peek_dirty_count("obj1") == 2
-    assert len(tier.object_locks) == 0  # no entry left for obj1
+    found = verdict(storage)
+    assert found.clean, found.problems
 
     tier.load_chunk_map = real_load
     storage.drain()
     assert tier.dirty_count == 0
     assert all(tier.peek_dirty_count(f"obj{i}") == 0 for i in range(24))
     assert storage.engine.stats.objects_processed == 24
-    for i in range(24):
-        assert storage.read_sync(f"obj{i}") == bytes([i]) * 2048
-    assert scrub_sync(tier).clean
-    assert locks_left(storage) == []
+    found = verdict(storage, shadow={f"obj{i}": bytes([i]) * 2048 for i in range(24)})
+    assert found.clean, found.problems
 
 
 def test_end_state_is_independent_of_drain_width():

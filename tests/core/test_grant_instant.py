@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster import ErasureCoded, RadosCluster
 from repro.core import engine as engine_module
-from repro.core import DedupConfig, DedupedStorage
+from repro.core import DedupConfig, DedupedStorage, verdict
 from repro.faults import RetryPolicy
 from repro.obs import Tracer, check_trace
 
@@ -82,12 +82,14 @@ def test_deadline_on_a_chunk_lock_grant_in_a_retried_delete(monkeypatch, hops):
     storage.delete_sync("obj")
     assert len(attempts) == 2  # the first was cut at its deadline
     assert storage.cluster.list_objects(tier.chunk_pool) == []
-    assert len(tier.chunk_locks) == 0 and len(tier.object_locks) == 0
+    found = verdict(storage)
+    assert found.clean, found.problems
     # A later reference of the same chunks takes their locks again.
     storage.write_sync("again", data)
     storage.drain()
     assert sorted(storage.cluster.list_objects(tier.chunk_pool)) == sorted(chunks)
-    assert len(tier.chunk_locks) == 0
+    found = verdict(storage)
+    assert found.clean, found.problems
 
 
 @pytest.mark.parametrize("hops", HOPS)
@@ -103,8 +105,8 @@ def test_deadline_on_an_ec_write_lock_grant_in_a_retried_submit(monkeypatch, hop
     sim.process(release_at_the_deadline(sim, cluster.write_locks, key, started, hops))
     storage.write_sync("obj", b"b" * 2048)
     assert tier.retry_stats.timeouts == 1
-    assert storage.read_sync("obj") == b"b" * 2048
-    assert len(cluster.write_locks) == 0 and len(tier.object_locks) == 0
+    found = verdict(storage, shadow={"obj": b"b" * 2048})
+    assert found.clean, found.problems
     # A later write of the object takes its write lock again.
     storage.write_sync("obj", b"c" * 2048)
     assert storage.read_sync("obj") == b"c" * 2048

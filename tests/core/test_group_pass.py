@@ -10,9 +10,8 @@ group before any map commits.
 from collections import Counter
 
 from repro.cluster import RadosCluster
-from repro.core import DedupConfig, DedupedStorage, scrub_sync
+from repro.core import DedupConfig, DedupedStorage, scrub_sync, verdict
 from repro.faults.errors import TransientOpError
-from repro.faults.scenario import locks_left
 from repro.obs import Tracer
 
 KiB = 1024
@@ -147,9 +146,8 @@ def test_a_fault_in_the_groups_map_commit_leaves_every_member_as_it_was():
     assert tier.dirty_count == 0
     storage.sim.run(until=storage.sim.now + 1.0)  # the requeues fire
     assert tier.next_dirty_group() == group
-    assert locks_left(storage) == []
-    for oid, data in expected.items():
-        assert storage.read_sync(oid) == data
+    found = verdict(storage, shadow=expected)
+    assert found.clean, found.problems
     tier.rebuild_dirty_list()
     storage.drain()
     for oid, data in expected.items():

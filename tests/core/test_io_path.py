@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import NoSuchObject, RadosCluster, Transaction
-from repro.core import DedupConfig, DedupedStorage
+from repro.core import DedupConfig, DedupedStorage, verdict
 from repro.core.objects import CHUNK_MAP_XATTR
 from repro.obs import Tracer
 
@@ -218,7 +218,8 @@ def test_a_second_writer_is_granted_the_lock_before_the_first_writers_commit(sto
     assert first["tier.send"][0].end == first["lock.wait"][0].start
     last = b"b" if second["op.write"][0].tags["nbytes"] == 1024 else b"a"
     assert storage.read_sync("obj1", 100, 1024) == last * 1024
-    assert storage.tier._write_line == {}
+    found = verdict(storage)
+    assert found.clean, found.problems
 
 
 def test_a_queued_writer_holds_the_lock_only_to_take_its_place_in_line(storage, monkeypatch):
@@ -271,7 +272,8 @@ def test_a_queued_writer_holds_the_lock_only_to_take_its_place_in_line(storage, 
         for osd in (primary, replica)
     }
     assert len(copies) == 1 and next(iter(copies))[0] == got
-    assert storage.tier._write_line == {}
+    found = verdict(storage, shadow={"obj1": got})
+    assert found.clean, found.problems
 
 
 def test_a_lone_write_is_no_slower_for_sending_its_payload_early(storage, monkeypatch):
@@ -304,7 +306,6 @@ def test_a_partition_under_a_flying_leg_is_retried_and_leaks_nothing(storage, mo
     # has landed, and write_path's retry scope sends the payload again.
     from repro.faults import FaultPlan
     from repro.faults.plan import FaultEvent
-    from repro.faults.scenario import locks_left
     from repro.sim import Simulator
     from repro.sim.core import Process
 
@@ -352,8 +353,8 @@ def test_a_partition_under_a_flying_leg_is_retried_and_leaks_nothing(storage, mo
     assert client.nic.bytes_sent == 2 * 128 * KiB  # the payload went twice
     assert all(observed for _name, observed in failures)
     assert ("NetworkPartitionError", True) in failures
-    assert locks_left(storage) == []
-    assert storage.read_sync("obj1") == b"p" * (128 * KiB)
+    found = verdict(storage, shadow={"obj1": b"p" * (128 * KiB)})
+    assert found.clean, found.problems
     assert primary.store.get(key).read() == replica.store.get(key).read() == b"p" * (128 * KiB)
 
 

@@ -15,7 +15,7 @@ from collections import deque
 import pytest
 
 from repro.cluster import RadosCluster, Transaction, converge_sync
-from repro.core import DedupConfig, DedupedStorage
+from repro.core import DedupConfig, DedupedStorage, verdict
 from repro.core import tier as tier_module
 from repro.core.objects import CHUNK_MAP_XATTR
 from repro.core.scrub import collect_garbage_sync
@@ -293,8 +293,8 @@ def test_tier_state_is_bounded_by_live_objects_and_the_cache(monkeypatch):
     }
     assert "_map_cache" in sizes
     assert {name: n for name, n in sizes.items() if n > bound} == {}
-    assert tier._map_fences == {}
-    assert tier._write_line == {}
+    found = verdict(storage)
+    assert found.clean, found.problems
 
 
 def test_read_during_batched_pass_is_consistent():

@@ -12,7 +12,7 @@ reads are in flight.
 import pytest
 
 from repro.cluster import RadosCluster
-from repro.core import DedupConfig, DedupedStorage, scrub_sync
+from repro.core import DedupConfig, DedupedStorage, verdict
 from repro.faults.errors import TransientOpError
 from repro.obs import Tracer
 
@@ -183,6 +183,6 @@ def test_a_failed_read_aborts_the_pass_after_its_siblings_end(monkeypatch, side)
     storage.sim.run()  # the delayed requeue fires
     assert tier.dirty_count == 1
     storage.drain()
-    assert storage.read_sync("obj") == expected
+    found = verdict(storage, shadow={"obj": expected})
+    assert found.clean, found.problems
     assert not tier.peek_chunk_map("obj").dirty_indices()
-    assert scrub_sync(tier).clean

@@ -20,13 +20,12 @@ from collections import Counter
 import pytest
 
 from repro.cluster import RadosCluster
-from repro.core import DedupConfig, DedupedStorage, scrub_sync
+from repro.core import DedupConfig, DedupedStorage, scrub_sync, verdict
 from repro.core import engine as engine_module
 from repro.core.objects import ChunkRef
 from repro.core.scrub import collect_garbage_sync
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import FaultEvent
-from repro.faults.scenario import locks_left
 from repro.fingerprint import fingerprint
 from repro.obs import Tracer, check_trace
 
@@ -88,15 +87,16 @@ def referenced(storage):
     return counts
 
 
-def assert_settled(storage):
-    """Every chunk's refcount is exactly its live references, scrub is
-    clean, and no lock is held."""
+def assert_settled(storage, left=()):
+    """Every chunk's refcount is exactly its live references and the
+    store's verdict finds nothing but ``left``: scrubs, placement, no
+    lock held."""
     tier = storage.tier
     counts = referenced(storage)
     for chunk_id in storage.cluster.list_objects(tier.chunk_pool):
         assert tier.chunk_refcount(chunk_id) == counts[chunk_id], chunk_id
-    assert scrub_sync(tier).clean
-    assert locks_left(storage) == []
+    found = verdict(storage)
+    assert found.problems == list(left), found.problems
 
 
 def test_a_write_at_the_map_commit_goes_before_the_release():
@@ -399,11 +399,10 @@ def test_a_map_commit_that_faults_leaves_every_old_chunk_its_reference():
     assert tier.chunk_refcount(old) == 1
     assert not cluster.exists(tier.chunk_pool, new)
     assert tier.peek_chunk_map(oid).get(0).chunk_id == old
-    assert engine.deref_queue == []
     assert engine.stats.derefs_deferred_fault == 0
     assert engine.stats.objects_requeued_fault == 1
-    assert locks_left(storage) == []
-    assert scrub_sync(tier).clean
+    found = verdict(storage)  # nothing queued for the GC, no lock held
+    assert found.clean, found.problems
     # The requeued pass commits; its release drops the old chunk.
     engine.drain_sync(run_gc=False)
     assert not cluster.exists(tier.chunk_pool, old)
@@ -460,12 +459,18 @@ def test_a_release_that_faults_is_deferred_to_the_gc():
     injector.detach()
     assert storage.engine.stats.derefs_deferred_fault >= 1
     assert storage.engine.stats.objects_requeued_fault == 0  # the maps committed
-    assert locks_left(storage) == []
-    report = scrub_sync(storage.tier)
+    # Over-retained references, queued for the GC; no lock held.
+    found = verdict(storage)
+    assert found.problems == ["dedup scrub", "deref queue"], found.problems
+    report = found.scrub
     assert report.stale_references and not report.dangling_map_entries
     assert collect_garbage_sync(storage.tier).references_dropped >= 1
     for oid, data in expected.items():
         assert storage.read_sync(oid) == data
+    # The deferred pairs stay queued until a GC takes them off the queue:
+    # the next drain's, which finds them already dropped.
+    assert_settled(storage, left=["deref queue"])
+    storage.engine.drain_sync()
     assert_settled(storage)
 
 
@@ -524,7 +529,10 @@ def test_a_release_error_that_is_not_retryable_is_raised_by_drain():
     tier.commit_chunk_batch = broken_release
     with pytest.raises(RuntimeError, match="boom"):
         storage.engine.drain_sync(run_gc=False)
-    assert locks_left(storage) == []
+    # The failed release left its pairs over-retained, and nothing else:
+    # no lock held, nothing queued.
+    found = verdict(storage)
+    assert found.problems == ["dedup scrub"], found.problems
     del tier.commit_chunk_batch
     storage.engine.drain_sync(run_gc=False)  # the error was reported once
     assert collect_garbage_sync(tier).references_dropped == len(failed[0])

@@ -11,10 +11,9 @@ import pytest
 
 from repro.cluster import RadosCluster
 from repro.cluster.osd import OSD
-from repro.core import DedupConfig, DedupedStorage, scrub_sync
+from repro.core import DedupConfig, DedupedStorage, verdict
 from repro.faults import RetryPolicy
 from repro.faults.errors import TransientOpError
-from repro.faults.scenario import locks_left
 from repro.obs import Tracer
 
 KiB = 1024
@@ -103,8 +102,8 @@ def test_a_prepare_fault_on_the_first_write_aborts_the_pipelined_second(retries,
     assert first[0].tags["error"] == "TransientOpError"
     assert second[0].tags["error"] == "PriorWriteFailed"
     assert second[0].start < first[0].end <= second[0].end
-    assert tier._write_line == {}
-    assert locks_left(storage) == []
+    found = verdict(storage)  # no place left in the write line, no lock held
+    assert found.clean, found.problems
 
 
 def _exclusive(storage, op):
@@ -175,11 +174,9 @@ def test_an_exclusive_user_waits_for_the_writes_in_flight(op, monkeypatch):
             assert len(cmap.cached_indices()) == 8
         assert replicas_agree(storage, "obj1")
     storage.drain()
-    assert scrub_sync(tier).clean  # refcounts equal the live references
-    if op != "delete":
-        assert storage.read_sync("obj1") == written
-    assert tier._write_line == {}
-    assert locks_left(storage) == []
+    # Refcounts equal the live references, and nothing is left in line.
+    found = verdict(storage, shadow=None if op == "delete" else {"obj1": written})
+    assert found.clean, found.problems
 
 
 def test_a_failed_write_whose_deadline_fires_still_resolves_its_place_in_line(monkeypatch):
@@ -225,11 +222,9 @@ def test_a_failed_write_whose_deadline_fires_still_resolves_its_place_in_line(mo
     tier.retry_policy = RetryPolicy()
     assert faulted and faulted[0] < done["first"]  # it failed with the first in flight
     assert set(done) == {"first", "second"}
-    assert storage.read_sync("obj1") == b"b" * 100 + b"x" * (3 * KiB - 100) + b"a" * (64 * KiB)
-    assert tier._write_line == {}
-    assert locks_left(storage) == []
+    found = verdict(storage, shadow={"obj1": b"b" * 100 + b"x" * (3 * KiB - 100) + b"a" * (64 * KiB)})
+    assert found.clean, found.problems
     storage.delete_sync("obj1")  # no place left pending to wait on
     storage.drain()
-    assert scrub_sync(tier).clean
-    assert tier._write_line == {}
-    assert locks_left(storage) == []
+    found = verdict(storage)
+    assert found.clean, found.problems

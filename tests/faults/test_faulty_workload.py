@@ -9,10 +9,10 @@ import os
 
 import pytest
 
-from repro.cluster import placement_report, scrub_pool_sync
+from repro.cluster import scrub_pool_sync
+from repro.core import verdict
 from repro.faults import STATIC, FaultPlan, run_scenario
 from repro.faults.scenario import ScenarioResult
-from repro.faults.scenario import locks_left
 from repro.obs import fault_lines, status_lines, storage_metrics
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "1"))
@@ -20,9 +20,9 @@ SEED = int(os.environ.get("REPRO_FAULT_SEED", "1"))
 
 def test_generated_plan_zero_data_loss_and_clean_scrub():
     result = run_scenario(STATIC, seed=SEED, num_objects=16, horizon=3.0)
-    assert result.zero_data_loss, f"lost objects: {result.corrupted_objects}"
-    assert result.scrub.clean
-    assert result.scrub.chunks_checked > 0
+    assert not result.verdict.findings["lost"], result.verdict.findings["lost"]
+    assert not result.verdict.findings["dedup scrub"]
+    assert result.verdict.scrub.chunks_checked > 0
     assert result.injector.down_osds == []
 
 
@@ -36,10 +36,10 @@ def test_kill_one_osd_mid_flush():
     )
     assert result.injector.stats.crashes == 1
     assert result.injector.stats.restarts == 1
-    assert result.zero_data_loss
-    assert result.scrub.clean
-    assert not result.scrub.stale_references  # zero refcount leaks
-    assert not result.scrub.dangling_map_entries  # zero missing chunks
+    assert not result.verdict.findings["lost"]
+    assert result.verdict.scrub.clean
+    assert not result.verdict.scrub.stale_references  # zero refcount leaks
+    assert not result.verdict.scrub.dangling_map_entries  # zero missing chunks
 
 
 def test_counters_surface_through_metrics_and_status():
@@ -70,14 +70,14 @@ def test_eio_storm_is_absorbed_by_retries():
     )
     assert result.injector.stats.eio_injected > 0
     assert result.storage.tier.retry_stats.retries > 0
-    assert result.zero_data_loss
-    assert result.scrub.clean
+    assert not result.verdict.findings["lost"]
+    assert not result.verdict.findings["dedup scrub"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_seed_sweep_smoke(seed):
     result = run_scenario(STATIC, seed=seed, num_objects=10, horizon=2.5)
-    assert result.ok
+    assert result.ok, result.verdict.problems
 
 
 # The static verdict, and the elasticity verdict of a run whose
@@ -87,7 +87,7 @@ def test_seed_sweep_smoke(seed):
 )
 def test_a_lock_left_held_at_quiesce_fails_the_verdict(decommissioned_osd):
     from repro.cluster import RadosCluster
-    from repro.core import DedupConfig, DedupedStorage, scrub_sync
+    from repro.core import DedupConfig, DedupedStorage
 
     storage = DedupedStorage(
         RadosCluster(num_hosts=2, osds_per_host=2, pg_num=16),
@@ -98,13 +98,14 @@ def test_a_lock_left_held_at_quiesce_fails_the_verdict(decommissioned_osd):
     storage.drain()
     result = ScenarioResult(
         storage=storage, injector=None, plan=FaultPlan([], seed=SEED),
-        scrub=scrub_sync(storage.tier),
-        decommissioned_osd=decommissioned_osd, finalized=True,
+        verdict=verdict(storage), decommissioned_osd=decommissioned_osd, finalized=True,
     )
-    assert result.ok and locks_left(storage) == []
+    assert result.ok, result.verdict.problems
     # A grant that is never released: its task ended still owing it.
     storage.tier.object_locks.acquire("obj", [])
-    assert locks_left(storage) == ["tier.object=1"]
+    result.verdict = verdict(storage)
+    assert result.verdict.findings["tier.object locks"] == ["obj"]
+    assert result.verdict.problems == ["tier.object locks"]
     assert not result.ok
 
 
@@ -112,7 +113,7 @@ def _clean_static_run():
     result = run_scenario(
         STATIC, seed=SEED, plan=FaultPlan([], seed=SEED), num_objects=6, horizon=1.0
     )
-    assert result.ok
+    assert result.ok, result.verdict.problems
     return result, result.storage.cluster
 
 
@@ -122,16 +123,20 @@ def test_a_diverged_replica_fails_the_static_verdict():
     key = cluster.object_key(pool, "obj-0")
     holders = [osd for osd in cluster.osds.values() if osd.store.exists(key)]
     holders[1].store.get(key).xattrs["dedup.chunk_map"] = b"divergent"
-    result.replica_reports = [scrub_pool_sync(cluster, pool)]
-    assert result.replica_reports[0].inconsistent == [("obj-0", holders[1].osd_id)]
+    assert scrub_pool_sync(cluster, pool).inconsistent == [("obj-0", holders[1].osd_id)]
+    result.verdict = verdict(result.storage)
+    assert result.verdict.findings["metadata pool scrub"] == [("obj-0", holders[1].osd_id)]
+    # Clean placement holds every replica byte-identical to the one
+    # reads are served from, so the audit names the diverged copy too.
+    assert result.verdict.problems == ["metadata pool scrub", "placement"]
     assert not result.ok
 
 
 def test_an_unclean_pg_fails_the_static_verdict():
     result, cluster = _clean_static_run()
     cluster.fail_osd(0)  # and no convergence afterwards
-    result.placement_violations = placement_report(cluster)
-    assert result.placement_violations
+    result.verdict = verdict(result.storage)
+    assert result.verdict.findings["placement"]
     assert not result.ok
 
 

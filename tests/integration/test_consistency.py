@@ -166,10 +166,9 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after, monkeypatch):
     worst over-retained (never dangling), the locks are freed, the drain
     reports the crash, and GC reclaims what the release did not drop."""
     from repro.core import engine as engine_module
-    from repro.core import scrub_sync
+    from repro.core import verdict
     from repro.core.engine import DedupEngine
     from repro.core.scrub import collect_garbage_sync
-    from repro.faults.scenario import locks_left
     from repro.sim.core import Interrupt
 
     storage = make_storage()
@@ -208,10 +207,11 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after, monkeypatch):
         storage.engine.drain_sync(run_gc=False)
     assert len(crashed) == 1 and not killed[0].is_alive
     assert killed[0].gen.gi_code is gc.__code__  # the GC's own process
-    assert locks_left(storage) == []
-    for oid, data in new.items():
-        assert storage.read_sync(oid) == data
-    report = scrub_sync(storage.tier)
+    # Every lock free, every object intact: the dedup scrub is the one
+    # finding.
+    found = verdict(storage, shadow=new)
+    assert found.problems == ["dedup scrub"], found.problems
+    report = found.scrub
     assert report.stale_references  # over-retained ...
     assert not report.dangling_map_entries and not report.corrupt_chunks  # ... only
     # A restarted engine (its in-memory state is gone) converges, and
@@ -221,6 +221,5 @@ def test_crash_inside_a_pass_release_only_over_retains(kill_after, monkeypatch):
     storage.tier.rebuild_dirty_list()
     storage.engine.drain_sync(run_gc=False)
     collect_garbage_sync(storage.tier)
-    assert scrub_sync(storage.tier).clean
-    for oid, data in new.items():
-        assert storage.read_sync(oid) == data
+    found = verdict(storage, shadow=new)
+    assert found.clean, found.problems

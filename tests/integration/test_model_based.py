@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ErasureCoded, RadosCluster, Replicated, converge_sync
-from repro.core import DedupConfig, DedupedStorage
+from repro.core import DedupConfig, DedupedStorage, verdict
 
 OIDS = ["alpha", "beta", "gamma"]
 CHUNK = 512
@@ -94,10 +94,11 @@ def test_storage_matches_reference_model(ops):
             assert got == expected
         else:
             storage.drain()
-    # Final sweep: every object reads back whole and identical.
+    # Final sweep: every object reads back whole and identical, and the
+    # drained store is sound.
     storage.drain()
-    for oid, buf in model.objects.items():
-        assert storage.read_sync(oid) == bytes(buf)
+    found = verdict(storage, shadow={oid: bytes(buf) for oid, buf in model.objects.items()})
+    assert found.clean, found.findings
 
 
 POOL_TYPES = {"rep2": lambda: Replicated(2), "ec21": lambda: ErasureCoded(2, 1)}
@@ -138,8 +139,8 @@ def test_storage_survives_failure_mid_sequence(metadata_pool, chunk_pool, ops, f
     stats = converge_sync(storage.cluster)
     assert stats.objects_lost == 0
     storage.drain()
-    for oid, buf in model.objects.items():
-        assert storage.read_sync(oid) == bytes(buf)
+    found = verdict(storage, shadow={oid: bytes(buf) for oid, buf in model.objects.items()})
+    assert found.clean, found.findings
 
 
 @given(
@@ -179,3 +180,5 @@ def test_dedup_state_invariants_after_drain(writes):
             assert storage.tier.chunk_refcount(entry.chunk_id) >= 1
     pool_chunks = set(storage.cluster.list_objects(storage.tier.chunk_pool))
     assert pool_chunks == live
+    found = verdict(storage)
+    assert found.clean, found.findings

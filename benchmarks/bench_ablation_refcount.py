@@ -1,10 +1,11 @@
 """Ablation — strict vs false-positive reference counting (§4.6).
 
-Strict counting dereferences synchronously ("strictly locks on
-increment" *and* waits on decrement); the false-positive variant skips
-the decrement wait, leaving temporary garbage references that a GC pass
-resolves.  The paper notes the trade: better flush latency vs an extra
-GC process.
+Strict counting releases a pass's old chunks right behind its map
+commit — in a drain, one GC behind each round over every pass's old
+chunks — and a drain returns only once that release has landed; the
+false-positive variant only queues them, leaving temporary garbage
+references that a later GC resolves.  The paper notes the trade: better
+flush latency vs an extra GC process.
 
 This bench rewrites a working set repeatedly (every rewrite forces a
 dereference of the previous chunk), comparing total simulated dedup

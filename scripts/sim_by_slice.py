@@ -43,10 +43,13 @@ locks:
 * ``map`` — the map commit (``DedupTier.commit_map``), where the pass
   ends;
 
-then, per drain slice, the old-chunk releases its passes started behind
-them (``DedupEngine._release``): how many, their mean simulated
-milliseconds, and the drain's tail — the simulated milliseconds the
-drain spent in ``releases_landed`` once its last pass had ended.
+then one row per drain slice for the GC behind its passes: the GCs
+started in it (``DedupEngine._release`` — in strict mode one per drain
+round, over the old chunks of every pass of the round), the pairs per
+GC, the prepared transactions their dereference batches committed
+(``RadosCluster.submit_batch`` under ``commit_chunk_batch``; one per
+chunk PG per GC), and the drain's GC tail — the simulated milliseconds
+the drain spent in ``releases_landed`` once its last pass had ended.
 
 It wraps those calls without touching the simulated clock, so every
 other line is the same with or without it.
@@ -69,30 +72,33 @@ PHASES = ("loads", "assembly", "refs", "map")
 
 class PassClock:
     """Simulated time of every dedup pass, phase by phase, grouped by
-    the drain slice it ended in (:data:`PHASES`), and of the releases
-    those passes started.
+    the drain slice it ended in (:data:`PHASES`), and the GC behind
+    those passes.
 
     ``install`` wraps the engine's pass (``_process_locked``), the calls
-    that open each phase, the release and the wait for releases on the
-    class, keyed by the process that runs the pass: the wrappers take
-    the wrapped call's arguments as they come, read ``sim.now`` and
-    schedule nothing."""
+    that open each phase, the release, a dereference batch's submit and
+    the wait for releases on the class, keyed by the process that runs
+    the pass: the wrappers take the wrapped call's arguments as they
+    come, read ``sim.now`` and schedule nothing."""
 
     def __init__(self):
         self.sim = None
         self._open = {}  # running pass's process -> {phase: start, "members": n}
         self._on = {}  # primary -> its passes open now
+        self._derefs = {}  # process committing a dereference batch -> its drain
         self._drain = None  # the drain slice in progress
         #: id(phase) -> [per drain slice {"workers", "peak", "passes",
-        #: "releases", "tail"}]
+        #: "gcs", "txns", "tail"}]
         self.drains = {}
 
-    def install(self, engine_cls, tier_cls):
+    def install(self, engine_cls, tier_cls, cluster_cls):
         clock = self
         process_locked = engine_cls._process_locked
         worker = engine_cls._worker
         release = engine_cls._release
         releases_landed = engine_cls.releases_landed
+        commit_chunk_batch = tier_cls.commit_chunk_batch
+        submit_batch = cluster_cls.submit_batch
         stamps = (
             (engine_cls, "_assemble", "assembly"),
             (engine_cls, "_commit_refs", "refs"),
@@ -138,13 +144,26 @@ class PassClock:
                 marks["members"] += 1
             return load_chunk_map(tier, *args, **kwargs)
 
-        def timed_release(engine, *args, **kwargs):
-            drain, start = clock._drain, engine.sim.now
+        def counted_release(engine, pairs, *args, **kwargs):
+            if clock._drain is not None:
+                clock._drain["gcs"].append(len(pairs))
+            return release(engine, pairs, *args, **kwargs)
+
+        def marked_commit(tier, batch, *args, **kwargs):
+            task = tier.sim.current_task
+            if clock._drain is not None and any(op[0] == "deref" for op in batch.ops):
+                clock._derefs[task] = clock._drain
             try:
-                return (yield from release(engine, *args, **kwargs))
+                return (yield from commit_chunk_batch(tier, batch, *args, **kwargs))
             finally:
-                if drain is not None:
-                    drain["releases"].append(engine.sim.now - start)
+                clock._derefs.pop(task, None)
+
+        def counted_submit(cluster, *args, **kwargs):
+            groups = yield from submit_batch(cluster, *args, **kwargs)
+            drain = clock._derefs.get(cluster.sim.current_task)
+            if drain is not None:
+                drain["txns"] += groups
+            return groups
 
         def timed_landed(engine, *args, **kwargs):
             drain, start = clock._drain, engine.sim.now
@@ -160,8 +179,10 @@ class PassClock:
         tier_cls.load_chunk_map = counted_load
         engine_cls._process_locked = timed_pass
         engine_cls._worker = counted_worker
-        engine_cls._release = timed_release
+        engine_cls._release = counted_release
         engine_cls.releases_landed = timed_landed
+        tier_cls.commit_chunk_batch = marked_commit
+        cluster_cls.submit_batch = counted_submit
 
     def _close(self, marks):
         drain = self._drain
@@ -175,7 +196,8 @@ class PassClock:
         drain["passes"].append((marks["members"], spent))
 
     def begin(self, phase):
-        self._drain = {"workers": 0, "peak": 0, "passes": [], "releases": [], "tail": 0.0}
+        self._drain = {"workers": 0, "peak": 0, "passes": [], "gcs": [], "txns": 0,
+                       "tail": 0.0}
         self.drains.setdefault(id(phase), []).append(self._drain)
 
     def end(self):
@@ -198,14 +220,14 @@ class PassClock:
                      for p in PHASES]
             print("%-6s %7d %8d %6d %8.2f" % (label, workers, peak, n, members)
                   + "".join(" %9.4f" % v for v in means))
-        print("\nreleases behind the passes per drain slice (simulated ms)")
-        print("%-6s %8s %9s %9s" % ("drain", "releases", "mean", "tail"))
-        rows = [(str(i + 1), d["releases"], d["tail"]) for i, d in enumerate(drains)]
-        rows.append(("all", [r for d in drains for r in d["releases"]],
-                     sum(d["tail"] for d in drains)))
-        for label, releases, tail in rows:
-            mean = 1e3 * sum(releases) / len(releases) if releases else 0.0
-            print("%-6s %8d %9.4f %9.4f" % (label, len(releases), mean, 1e3 * tail))
+        print("\nthe GC behind the passes per drain slice (tail in simulated ms)")
+        print("%-6s %5s %9s %6s %9s" % ("drain", "GCs", "pairs/GC", "txns", "tail"))
+        rows = [(str(i + 1), d["gcs"], d["txns"], d["tail"]) for i, d in enumerate(drains)]
+        rows.append(("all", [n for d in drains for n in d["gcs"]],
+                     sum(d["txns"] for d in drains), sum(d["tail"] for d in drains)))
+        for label, gcs, txns, tail in rows:
+            pairs = sum(gcs) / len(gcs) if gcs else 0.0
+            print("%-6s %5d %9.1f %6d %9.4f" % (label, len(gcs), pairs, txns, 1e3 * tail))
 
 
 def main(argv=None) -> int:
@@ -219,7 +241,7 @@ def main(argv=None) -> int:
                         help="DedupConfig override, as run.py --config (not comparable)")
     parser.add_argument("--passes", action="store_true",
                         help="per drain slice: workers, peak passes per primary, passes,"
-                        " members and pass phases")
+                        " members, pass phases and the GC behind them")
     args = parser.parse_args(argv)
 
     if os.environ.get("PYTHONHASHSEED") != "0":
@@ -256,10 +278,11 @@ def main(argv=None) -> int:
                 clock.end()
 
     if clock is not None:
+        from repro.cluster import RadosCluster
         from repro.core.engine import DedupEngine
         from repro.core.tier import DedupTier
 
-        clock.install(DedupEngine, DedupTier)
+        clock.install(DedupEngine, DedupTier, RadosCluster)
 
     def probing_set_up(*a, **kw):
         made = set_up(*a, **kw)

@@ -90,6 +90,7 @@ def _cmd_scrub(args) -> int:
     print(f"corrupt chunks:      {len(report.corrupt_chunks)}")
     print(f"dangling map entries:{len(report.dangling_map_entries):2d}")
     print(f"stale references:    {len(report.stale_references)}")
+    print(f"missing references:  {len(report.missing_references)}")
     print(f"verdict:             {'CLEAN' if found.clean else 'DAMAGED'}")
     return 0 if found.clean else 1
 
@@ -155,6 +156,7 @@ def _cmd_scenario(args) -> int:
           f" {len(scrub.corrupt_chunks)} corrupt,"
           f" {len(scrub.dangling_map_entries)} dangling entries,"
           f" {len(scrub.stale_references)} stale refs,"
+          f" {len(scrub.missing_references)} missing refs,"
           f" {len(scrub.unreferenced_chunks)} unreferenced")
     for name in ("metadata pool scrub", "chunk pool scrub"):
         print(f"{name:<18} {'DAMAGED' if findings[name] else 'CLEAN'}")

@@ -57,7 +57,9 @@ class DedupConfig:
         Engine idle poll period (seconds) when the dirty list is empty.
     refcount_mode:
         ``"strict"`` — release the old chunks of a pass right behind
-        its map commit, through the GC (paper §4.4.1 step 3);
+        its map commit, through the GC (paper §4.4.1 step 3); a
+        drain releases those of every pass of a round in one GC, once
+        the round's passes have all ended;
         ``"false_positive"`` — queue them instead, leaving garbage
         references for the GC (§4.6's
         OrderMergeDedup-style variant), which ``drain()`` and every idle

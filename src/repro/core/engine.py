@@ -33,8 +33,9 @@ metadata PG (a direct call — flush, flush-on-write — is a group of one):
    (step 3's dereference, deferred past the commit) behind the pass: in
    strict mode the one GC (:func:`~repro.core.scrub.collect_garbage`)
    runs over them as a release of its own, the same process a delete
-   starts (:meth:`DedupEngine.release`); in ``false_positive`` mode
-   they go on the GC's queue.
+   starts (:meth:`DedupEngine.release`) — one per pass, or, for the
+   passes of a drain round, one over the whole round once its passes
+   have all ended; in ``false_positive`` mode they go on the GC's queue.
 
 Rate control (§4.4.2) is one budget for every background worker, waited
 on before a group is taken, so a waiting group stays listed for every
@@ -156,8 +157,10 @@ class DedupEngine:
         #: References left for the GC, which an idle worker or a drain
         #: hands to :meth:`release`: in ``refcount_mode="false_positive"``
         #: (§4.6) the pairs passes dropped; in either mode a release
-        #: that gave up.
-        self.deref_queue: List[Tuple[str, ChunkRef]] = []
+        #: that gave up.  The tier's list (:attr:`DedupTier.deref_queue`),
+        #: only ever changed in place, so that the offline repair takes
+        #: off it the pairs it has checked.
+        self.deref_queue: List[Tuple[str, ChunkRef]] = tier.deref_queue
         self._running = False
         self._procs = []
         self._promoting = set()
@@ -193,7 +196,7 @@ class DedupEngine:
         """Ask the background workers to exit at their next wakeup."""
         self._running = False
 
-    def _worker(self, force: bool, stop, pgs=None):
+    def _worker(self, force: bool, stop, pgs=None, round_pairs=None):
         """Process: pop a dirty PG's objects, run one pass on them, repeat.
 
         The body of every engine worker — the background loops, which pop
@@ -204,7 +207,9 @@ class DedupEngine:
         background one collects :attr:`deref_queue`, then sleeps
         ``dedup_interval``.  A background worker waits for the rate
         budget *before* it pops a group: while it waits the group stays
-        listed, for other workers and for a drain.
+        listed, for other workers and for a drain.  A forced worker hands
+        its passes' dropped pairs to ``round_pairs``, its drain round's
+        (:meth:`process_object`).
         """
         tier = self.tier
         while not stop():
@@ -215,12 +220,11 @@ class DedupEngine:
                 if force:
                     return
                 if self.deref_queue:
-                    queue, self.deref_queue = self.deref_queue, []
-                    yield self.release(queue, None)
+                    yield self.release(self._take_deref_queue(), None)
                 yield self.sim.timeout(self.config.dedup_interval)
                 continue
             try:
-                yield from self.process_object(*group, force=force)
+                yield from self.process_object(*group, force=force, round_pairs=round_pairs)
             except Exception as exc:
                 # Graceful degradation: a transient substrate fault must
                 # never kill a worker — requeue the group and keep
@@ -232,7 +236,7 @@ class DedupEngine:
 
     # -- one pass ---------------------------------------------------------------
 
-    def process_object(self, *oids: str, force: bool = False):
+    def process_object(self, *oids: str, force: bool = False, round_pairs=None):
         """Process: deduplicate all dirty chunks of ``oids`` in one pass.
 
         A worker passes the dirty objects of one metadata PG (the dirty
@@ -252,7 +256,9 @@ class DedupEngine:
         aborted pass's own references — and returns without waiting for
         it: a strict release is the one GC over them (:meth:`release`),
         which :meth:`releases_landed` awaits, so it drops none that a
-        map implies, now or after a later write or pass.
+        map implies, now or after a later write or pass.  A strict pass
+        of a drain round instead appends those pairs to ``round_pairs``,
+        the round's list, which :meth:`drain` releases in one GC.
         """
         tier = self.tier
         if not force:
@@ -279,10 +285,12 @@ class DedupEngine:
             tier.object_locks.release(held)
         # Outside the locks: the GC takes its referrers' object locks.
         if dropped:
-            if self.config.refcount_mode == "strict":
-                self.release(dropped, via)
-            else:
+            if self.config.refcount_mode != "strict":
                 self.deref_queue.extend(dropped)
+            elif round_pairs is not None:
+                round_pairs.extend(dropped)
+            else:
+                self.release(dropped, via)
         # Outside the locks: a capacity victim may be a member.
         yield from self.enforce_cache_capacity()
         return result
@@ -534,7 +542,7 @@ class DedupEngine:
 
     def release(self, pairs, client):
         """Start the one GC over the references ``pairs`` dropped: a
-        pass's, an aborted pass's, a deleted object's
+        pass's, an aborted pass's, a drain round's, a deleted object's
         (:func:`~repro.core.io_path.delete_path` calls it once the
         metadata object is gone and its lock free), or the ones
         :attr:`deref_queue` held.  Returns the release's process, which
@@ -570,10 +578,16 @@ class DedupEngine:
             self.stats.derefs_deferred_fault += len(pairs)
             self.deref_queue.extend(pairs)
 
+    def _take_deref_queue(self):
+        """Empty :attr:`deref_queue` in place; returns what it held."""
+        queue = self.deref_queue[:]
+        del self.deref_queue[:]
+        return queue
+
     def releases_landed(self):
         """Process: wait until no release is in flight (a pass's, a
-        deleted object's, or an idle worker's GC); then re-raises the
-        first error a release ended with."""
+        drain round's, a deleted object's, or an idle worker's GC); then
+        re-raises the first error a release ended with."""
         error = None
         while self._releases:
             release = next(iter(self._releases))
@@ -713,27 +727,37 @@ class DedupEngine:
         a failure mid-round moves only where a pass runs, never what it
         commits; PGs dirtied mid-round wait for the next round.  The
         list is rebuilt from the authoritative dirty bits until a
-        rebuild finds nothing.  Optionally hands a non-empty
-        :attr:`deref_queue` to the GC afterwards (:meth:`release`); a
-        give-up in it leaves the pairs on the queue for the next
-        collection.  Used by benchmarks to reach the fully deduplicated
-        steady state before measuring space.  A worker takes its next group as soon as its
-        pass has committed its maps; the drain waits for every release
-        in flight — its passes' old chunks, a delete's, an idle worker's
-        GC (:meth:`releases_landed`) — before its GC, so it returns with
-        every reference settled and every lock free.
+        rebuild finds nothing.  Used by benchmarks to reach the fully
+        deduplicated steady state before measuring space.
+
+        A worker takes its next group as soon as its pass has committed
+        its maps.  In strict mode no pass of the round starts a release:
+        each hands the pairs it dropped — a committed pass's old chunks,
+        an aborted pass's own references — to the round, and once the
+        round's workers have all ended the drain starts one GC over them
+        (:meth:`release`), which commits one prepared dereference
+        transaction per chunk PG for the whole round, not one per pass.
+        The drain then waits for every release in flight — its rounds',
+        a delete's, an idle worker's GC (:meth:`releases_landed`) — so
+        it returns with every reference settled and every lock free,
+        whatever ``run_gc`` says.  ``run_gc`` hands a non-empty
+        :attr:`deref_queue` to the GC afterwards; a give-up in it leaves
+        the pairs on the queue for the next collection.
 
         A non-retryable error in one pass stops the hand-out: no worker
         pops another group, siblings finish the pass they hold (they
-        are never interrupted), and the first error is re-raised.  The
+        are never interrupted), the round's GC still starts over the
+        pairs its passes dropped, and the first error is re-raised.  The
         dirty bits stay authoritative, so a later ``drain()`` converges.
         """
         tier = self.tier
         errors = []
 
-        def worker(pgs):
+        def worker(pgs, pairs):
             try:
-                yield from self._worker(force=True, stop=lambda: bool(errors), pgs=pgs)
+                yield from self._worker(
+                    force=True, stop=lambda: bool(errors), pgs=pgs, round_pairs=pairs
+                )
             except Exception as exc:
                 errors.append(exc)
 
@@ -747,14 +771,18 @@ class DedupEngine:
                 if tier.rebuild_dirty_list() == 0:
                     break
                 continue
+            pairs = []  # the pairs the round's passes dropped
             if tier.dirty_pg_count == 1:
-                yield from worker(*by_primary.values())
+                (pgs,) = by_primary.values()
+                yield from worker(pgs, pairs)
             else:
                 yield self.sim.all_of([
-                    self.sim.process(worker(pgs))
+                    self.sim.process(worker(pgs, pairs))
                     for _ in range(PASSES_PER_OSD)
                     for pgs in by_primary.values()
                 ])
+            if pairs:
+                self.release(pairs, None)
             if errors:
                 raise errors[0]
             rounds += 1
@@ -763,8 +791,7 @@ class DedupEngine:
         if self._releases:
             yield from self.releases_landed()
         if run_gc and self.deref_queue:
-            queue, self.deref_queue = self.deref_queue, []
-            self.release(queue, None)
+            self.release(self._take_deref_queue(), None)
             yield from self.releases_landed()
 
     def drain_sync(self, run_gc: bool = True) -> None:

@@ -5,8 +5,9 @@ The maintenance passes a production deployment of this design needs:
 * :func:`scrub` — integrity verification ("fsck for dedup"): every
   chunk object's content must hash to its object ID (double hashing
   makes this check free of any index), every chunk-map entry must point
-  at an existing chunk object, and every reference record must point
-  back at a metadata object whose map actually uses the chunk.
+  at an existing chunk object, every reference record must point back
+  at a metadata object whose map actually uses the chunk, and every
+  such use must have its reference record.
 * :func:`collect_garbage` — the one GC: it releases stored references
   their referrer's chunk map no longer implies: the §4.6
   false-positive deref queue, a deleted object's references and the
@@ -42,6 +43,10 @@ class ScrubReport:
     corrupt_chunks: List[str] = field(default_factory=list)
     dangling_map_entries: List[Tuple[str, int]] = field(default_factory=list)
     stale_references: List[Tuple[str, ChunkRef]] = field(default_factory=list)
+    #: Under-retained: a chunk map uses the chunk, but the chunk holds
+    #: no reference record for it (or is gone), so its last other
+    #: dereference would remove the chunk under that map.
+    missing_references: List[Tuple[str, ChunkRef]] = field(default_factory=list)
     unreferenced_chunks: List[str] = field(default_factory=list)
 
     @property
@@ -51,8 +56,15 @@ class ScrubReport:
             self.corrupt_chunks
             or self.dangling_map_entries
             or self.stale_references
+            or self.missing_references
             or self.unreferenced_chunks
         )
+
+    @property
+    def findings(self) -> List[Any]:
+        """Every finding of the scrub, in the order of the fields."""
+        return [*self.corrupt_chunks, *self.dangling_map_entries, *self.stale_references,
+                *self.missing_references, *self.unreferenced_chunks]
 
 
 #: The per-key tables, finding -> ``(owner, attribute)`` of a
@@ -108,8 +120,7 @@ def verdict(storage: Any, shadow: Optional[Mapping[str, bytes]] = None) -> Verdi
     storage.engine.stop()  # the loop cannot run dry while it ticks
     report = scrub_sync(tier)
     findings: Dict[str, List[Any]] = {
-        "dedup scrub": [*report.corrupt_chunks, *report.dangling_map_entries,
-                        *report.stale_references, *report.unreferenced_chunks],
+        "dedup scrub": report.findings,
         "lost": [oid for oid, data in sorted((shadow or {}).items())
                  if storage.read_sync(oid) != data],
     }
@@ -162,8 +173,8 @@ def scrub(tier: DedupTier):
                 if not cluster.exists(tier.chunk_pool, entry.chunk_id):
                     report.dangling_map_entries.append((oid, entry.offset))
     # 2. Chunk content must hash to the chunk ID (double hashing means
-    #    the expected digest needs no lookup), and every stored
-    #    reference must be implied by some chunk map.
+    #    the expected digest needs no lookup), and a chunk's stored
+    #    references must be exactly those its chunk maps imply.
     for chunk_id in cluster.list_objects(tier.chunk_pool):
         report.chunks_checked += 1
         # read_chunk decompresses tier-compressed payloads, so the
@@ -173,12 +184,16 @@ def scrub(tier: DedupTier):
         yield from primary.node.cpu.fingerprint(len(data))
         if fingerprint(data) != chunk_id:
             report.corrupt_chunks.append(chunk_id)
-        implied = live.get(chunk_id, set())
+        implied = live.pop(chunk_id, set())
         stored = set(tier._load_refs(chunk_id))
-        for ref in sorted(stored - implied):
-            report.stale_references.append((chunk_id, ref))
+        for ref in sorted(stored ^ implied):
+            found = report.stale_references if ref in stored else report.missing_references
+            found.append((chunk_id, ref))
         if not implied:
             report.unreferenced_chunks.append(chunk_id)
+    # 3. A use of a chunk that is gone has no reference record either.
+    for chunk_id in live:
+        report.missing_references.extend((chunk_id, ref) for ref in sorted(live[chunk_id]))
     return report
 
 
@@ -211,10 +226,14 @@ def collect_garbage(tier: DedupTier, candidates: Optional[List] = None, via=None
     (:meth:`~repro.core.tier.DedupTier.commit_chunk_batch`) of every
     stale pair, sent via ``via`` (default: the first node).  A batch
     that faults leaves every pair over-retained, and a retry of it is
-    idempotent.  No candidates: no lock, no simulated time.
+    idempotent.  The offline repair then takes off the tier's deref
+    queue every pair it checked that was queued when it had its locks;
+    a pair queued later stays.  No candidates: no lock, no simulated
+    time.
     """
     cluster = tier.cluster
-    if candidates is None:
+    offline = candidates is None
+    if offline:
         chunks = cluster.list_objects(tier.chunk_pool)
         candidates = [(cid, ref) for cid in chunks for ref in tier._load_refs(cid)]
     if not candidates:
@@ -226,11 +245,16 @@ def collect_garbage(tier: DedupTier, candidates: Optional[List] = None, via=None
             yield tier.object_locks.acquire(oid, held)
             yield from tier.writes_landed(oid)
             live.update(_implied(tier, oid))
-        stale = sorted(set(candidates) - live)
+        checked = set(candidates)
+        settled = [pair for pair in tier.deref_queue if pair in checked] if offline else ()
+        stale = sorted(checked - live)
         batch = ChunkBatch()
         for chunk_id, ref in stale:
             batch.deref(chunk_id, ref)
         yield from tier.commit_chunk_batch(batch, via or next(iter(cluster.nodes.values())))
+        for pair in settled:
+            if pair in tier.deref_queue:
+                tier.deref_queue.remove(pair)
         return stale
     finally:
         tier.object_locks.release(held)

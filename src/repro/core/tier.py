@@ -283,6 +283,11 @@ class DedupTier:
         #: write line) and deletes, dedup passes (two engine workers, or
         #: flush-on-write racing the engine), promotion/demotion and GC.
         self.object_locks = LockTable(cluster.sim, "tier.object:{}", 0)
+        #: References left for the GC (``DedupEngine.deref_queue``): kept
+        #: here, beside the locks the GC takes, so that the offline
+        #: repair (:func:`~repro.core.scrub.collect_garbage`) takes off
+        #: the queue the pairs it has checked.
+        self.deref_queue: List[Tuple[str, ChunkRef]] = []
         # The write line: oid -> [projected map, outcome, chain] for each
         # object with a write in flight past its object lock, and only
         # while it has one.  The projected map is the map the last write

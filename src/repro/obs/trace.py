@@ -118,7 +118,7 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str, Callable[..., Tags]], ...] = (
     ("repro.core.client", "read_path", "op.read", _oid),
     ("repro.core.client", "delete_path", "op.delete", _oid),
     ("repro.core.engine", "DedupEngine.process_object", "op.dedup_pass",
-     lambda _self, oid, *group, force=False: {
+     lambda _self, oid, *group, force=False, **_k: {
          "oid": oid, "objects": 1 + len(group), "forced": force}),
     ("repro.core.engine", "DedupEngine.promote_object", "op.promote", _oid),
     ("repro.core.engine", "DedupEngine._release", "op.release",

@@ -2,20 +2,22 @@
 
 When a strict-mode pass re-points chunk-map entries, it must drop the
 references to their old chunk objects once the map commits (§4.4.1
-step 3).  The pass frees its members' object locks at its map commit
-and starts that release behind it, as a process of its own: the one GC
+step 3).  The pass frees its members' object locks at its map commit;
+the release runs behind it as a process of its own: the one GC
 (``collect_garbage``) over the dropped pairs, which re-reads each
 referrer's map under its object lock and drops only the pairs no map
-implies.  These tests pin that a write at the map commit goes before the
-release and a worker takes its next group before the release lands, that
-a release behind a write and a flush that revert an entry drops none of
-its live references, that a drain or ``flush_sync`` returns with every
-reference settled, that a pass whose map commit faults hands the GC only
-the references it took, in either refcount mode, that a release that
-gives up is deferred to the GC, and the drain's simulated time.
+implies.  A direct pass (a flush) starts its own release; the passes of
+a drain round hand their pairs to the round, which starts one GC over
+them all once its passes have ended.  These tests pin that a write at
+the map commit goes before the release, that a worker takes its next
+group before the round's release starts, that a round's GC is one
+dereference commit per chunk PG, that a release behind a write and a
+flush that revert an entry drops none of its live references, also mid
+round, that a drain or ``flush_sync`` returns with every reference
+settled, that a pass whose map commit faults hands the GC only the
+references it took, in either refcount mode, that a release that gives
+up is deferred to the GC, and the drain's simulated time.
 """
-
-from collections import Counter
 
 import pytest
 
@@ -35,8 +37,13 @@ CHUNK = 16 * KiB
 #: Simulated seconds of the drain in :func:`test_drain_time_is_pinned`:
 #: every primary with a dirty PG runs its passes from the drain's first
 #: instant, each worker takes its next object at its pass's map commit,
-#: and the drain ends once the last release behind a pass has landed.
-DRAIN_S = 0.001044626267751059
+#: and the drain ends once the round's one GC over every pass's old
+#: chunk has landed.  That GC starts only after the last pass has
+#: ended, where a release per pass overlapped the passes still running,
+#: so this four-pass drain takes 1.6 % longer than with those releases
+#: (0.001044626267751059 s); a drain of many passes commits fewer
+#: dereference transactions and takes less.
+DRAIN_S = 0.001061537075042726
 
 
 #: A fault window this long outlasts every retry of a release.
@@ -76,27 +83,12 @@ def derefs_of(batch):
     return [(op[1], op[2]) for op in batch.ops if op[0] == "deref"]
 
 
-def referenced(storage):
-    """chunk id -> how many chunk-map entries reference it."""
-    tier = storage.tier
-    counts = Counter()
-    for oid in storage.cluster.list_objects(tier.metadata_pool):
-        for entry in tier.peek_chunk_map(oid):
-            if entry.chunk_id:
-                counts[entry.chunk_id] += 1
-    return counts
-
-
-def assert_settled(storage, left=()):
-    """Every chunk's refcount is exactly its live references and the
-    store's verdict finds nothing but ``left``: scrubs, placement, no
-    lock held."""
-    tier = storage.tier
-    counts = referenced(storage)
-    for chunk_id in storage.cluster.list_objects(tier.chunk_pool):
-        assert tier.chunk_refcount(chunk_id) == counts[chunk_id], chunk_id
+def assert_settled(storage):
+    """The store's verdict finds nothing: every chunk's reference
+    records are exactly the uses its chunk maps imply (the dedup scrub
+    checks both ways), scrubs, placement, no lock held, nothing queued."""
     found = verdict(storage)
-    assert found.problems == list(left), found.problems
+    assert found.clean, found.problems
 
 
 def test_a_write_at_the_map_commit_goes_before_the_release():
@@ -175,24 +167,130 @@ def test_a_worker_takes_its_next_group_before_the_release_lands():
     flushed_then_patched(storage, oids)
     assert tier.dirty_pg_count == PASSES_PER_OSD + 1
     loads = []  # (oid, when) per chunk-map load, in order
-    landed = {}  # first member -> when its release landed
-    load_chunk_map, release = tier.load_chunk_map, storage.engine._release
+    committed = []  # when each map commit landed
+    started = []  # (when, referrers) per release
+    load_chunk_map, commit_map = tier.load_chunk_map, tier.commit_map
+    release = storage.engine._release
 
     def recording_load(oid):
         loads.append((oid, sim.now))
         return (yield from load_chunk_map(oid))
 
+    def recording_commit(*args):
+        yield from commit_map(*args)
+        committed.append(sim.now)
+
     def recording_release(pairs, client):
+        started.append((sim.now, sorted(ref.source_oid for _cid, ref in pairs)))
         yield from release(pairs, client)
-        landed[pairs[0][1].source_oid] = sim.now
 
     tier.load_chunk_map = recording_load
+    tier.commit_map = recording_commit
     storage.engine._release = recording_release
     storage.engine.drain_sync(run_gc=False)
     assert sorted(oid for oid, _when in loads) == sorted(oids)
     *first, (_last, last_loaded) = loads
     assert len({when for _oid, when in first}) == 1  # side by side
-    assert first[0][1] < last_loaded < min(landed[oid] for oid, _when in first)
+    # The third pass loads at a first pass's map commit, and the round
+    # releases every pass's old chunk in one GC once the last has ended.
+    ((released, referrers),) = started
+    assert referrers == sorted(oids)
+    assert first[0][1] < last_loaded == min(committed) < max(committed) <= released
+    assert_settled(storage)
+
+
+def test_a_drain_round_releases_its_old_chunks_in_one_gc(monkeypatch):
+    # Many dirty PGs, one old chunk each: the round's one GC drops them
+    # all in one dereference batch, one prepared transaction per chunk
+    # PG, where a GC per pass would commit one per pass.
+    storage = make_storage()
+    tier = storage.tier
+    oids = [f"obj{i}" for i in range(24)]
+    flushed_then_patched(storage, oids)
+    assert tier.dirty_pg_count > 2 * len(tier.dirty_pgs_by_primary())  # a third pass waits
+    old = {tier.peek_chunk_map(oid).get(0).chunk_id for oid in oids}
+    chunk_pgs = {tier.chunk_pool.pg_of(cid) for cid in old}
+    assert len(chunk_pgs) < len(old)
+    gcs = []  # the pairs of each GC
+    prepared = []  # prepared transactions per dereference batch
+    collect_garbage = engine_module.collect_garbage
+    commit_chunk_batch = tier.commit_chunk_batch
+
+    def recording_gc(tier, pairs, via=None):
+        gcs.append(sorted(pairs))
+        return (yield from collect_garbage(tier, pairs, via))
+
+    def counting_commit(batch, via):
+        before = tier.stage.ref_commits
+        outcomes = yield from commit_chunk_batch(batch, via)
+        if derefs_of(batch):
+            prepared.append(tier.stage.ref_commits - before)
+        return outcomes
+
+    monkeypatch.setattr(engine_module, "collect_garbage", recording_gc)
+    tier.commit_chunk_batch = counting_commit
+    storage.engine.drain_sync(run_gc=False)
+    (pairs,) = gcs
+    assert sorted(cid for cid, _ref in pairs) == sorted(old)
+    assert prepared == [len(chunk_pgs)]
+    for cid in old:
+        assert not storage.cluster.exists(tier.chunk_pool, cid)
+    assert_settled(storage)
+
+
+def test_a_revert_mid_round_keeps_its_live_reference(monkeypatch):
+    # X -> Y -> X inside one drain round: obj0's pass re-points its
+    # entry from X to Y and hands (X, obj0) to the round.  A write then
+    # reverts the bytes and a flush re-points the entry back to X,
+    # taking that very reference again, while another primary's pass
+    # holds the round open; the round's GC, which starts after, keeps it.
+    storage = make_storage()
+    tier, sim = storage.tier, storage.sim
+    pool = tier.metadata_pool
+    home = tier.cluster.primary(pool, "obj0").osd_id
+    other = next(f"obj{i}" for i in range(1, 64)
+                 if tier.cluster.primary(pool, f"obj{i}").osd_id != home)
+    expected = flushed_then_patched(storage, ["obj0", other])
+    x = tier.peek_chunk_map("obj0").get(0).chunk_id
+    y = fingerprint(expected["obj0"])
+    reverted = sim.event()
+    reverting = []  # the revert's process, once started
+    gcs = []  # pairs per GC, in start order
+    collect_garbage = engine_module.collect_garbage
+    commit_map = tier.commit_map
+
+    def revert():
+        yield from storage.write("obj0", original("obj0")[6 * KiB : 6 * KiB + 100],
+                                 offset=6 * KiB)
+        yield from storage.flush("obj0")  # Y -> X
+        reverted.succeed()
+
+    def held_commit(maps, *args, **kwargs):
+        members = [oid for oid, _cmap, _txn in maps]
+        if other in members:
+            yield reverted  # the round stays open until the revert commits
+        yield from commit_map(maps, *args, **kwargs)
+        if members == ["obj0"] and not reverting:  # the drain's pass: start the revert once
+            reverting.append(sim.process(revert()))
+
+    def recording_gc(tier, pairs, via=None):
+        gcs.append(sorted(pairs))
+        return (yield from collect_garbage(tier, pairs, via))
+
+    monkeypatch.setattr(engine_module, "collect_garbage", recording_gc)
+    tier.commit_map = held_commit
+    storage.engine.drain_sync(run_gc=False)
+    ref = ChunkRef(pool.pool_id, "obj0", 0)
+    # The flush's own release of Y, then the round's GC over X and
+    # ``other``'s old chunk.
+    flushed, round_pairs = gcs
+    assert flushed == [(y, ref)]
+    assert (x, ref) in round_pairs and len(round_pairs) == 2
+    assert tier.peek_chunk_map("obj0").get(0).chunk_id == x
+    assert tier.chunk_refcount(x) == 1
+    assert not storage.cluster.exists(tier.chunk_pool, y)
+    assert storage.read_sync("obj0") == original("obj0")
+    assert storage.read_sync(other) == expected[other]
     assert_settled(storage)
 
 
@@ -285,7 +383,7 @@ def test_content_reverted_to_a_released_chunk_is_counted_exactly():
     storage.engine.drain_sync(run_gc=False)
     for oid in oids:
         assert storage.read_sync(oid) == a
-    (chunk_id,) = referenced(storage)
+    (chunk_id,) = storage.cluster.list_objects(storage.tier.chunk_pool)
     assert storage.tier.chunk_refcount(chunk_id) == len(oids)
     assert_settled(storage)
 
@@ -467,10 +565,9 @@ def test_a_release_that_faults_is_deferred_to_the_gc():
     assert collect_garbage_sync(storage.tier).references_dropped >= 1
     for oid, data in expected.items():
         assert storage.read_sync(oid) == data
-    # The deferred pairs stay queued until a GC takes them off the queue:
-    # the next drain's, which finds them already dropped.
-    assert_settled(storage, left=["deref queue"])
-    storage.engine.drain_sync()
+    # The offline repair checked the deferred pairs: it takes them off
+    # the queue.
+    assert storage.engine.deref_queue == []
     assert_settled(storage)
 
 

@@ -12,7 +12,9 @@ import pytest
 from repro.cluster import ErasureCoded, RadosCluster
 from repro.cluster.ec import _EC_CRC_XATTR, _shard_index
 from repro.core import DedupConfig, DedupedStorage, verdict
+from repro.core.objects import ChunkRef
 from repro.core.scrub import TABLES
+from repro.core.tier import ChunkBatch
 from repro.fingerprint import fingerprint
 from repro.sim import LockTable
 
@@ -84,6 +86,24 @@ def test_one_planted_fault_is_one_finding(finding):
     found = verdict(storage, shadow=shadow)
     assert found.problems == [finding], found.findings
     assert not found.clean
+
+
+def test_an_under_retained_reference_is_one_finding():
+    # Four objects share their second chunk; one of its four reference
+    # records goes, so the chunk's last other dereference would remove
+    # it under obj0's live map.
+    storage, shadow = clean_store()
+    tier = storage.tier
+    entry = tier.peek_chunk_map("obj0").get(1)
+    ref = ChunkRef(tier.metadata_pool.pool_id, "obj0", entry.offset)
+    assert tier.chunk_refcount(entry.chunk_id) == len(shadow)
+    batch = ChunkBatch()
+    batch.deref(entry.chunk_id, ref)
+    storage.cluster.run(tier.commit_chunk_batch(batch, next(iter(storage.cluster.nodes.values()))))
+    found = verdict(storage, shadow=shadow)
+    assert found.problems == ["dedup scrub"], found.findings
+    assert found.findings["dedup scrub"] == found.scrub.missing_references == [
+        (entry.chunk_id, ref)]
 
 
 def test_a_clean_store_is_clean_twice_over():
